@@ -4,10 +4,17 @@
 //! `search_reference` scans every entry.  Both must return the same
 //! entries in the same order for any tree, base, scope and filter —
 //! including after the mutation patterns (upserts, subtree removals) that
-//! bump the generation counter the MDS result cache keys on.
+//! move the generation counter the MDS result cache keys on.
+//!
+//! The generation is change-aware: it must move whenever search-visible
+//! content changed, and must *not* move when an `upsert` re-announces an
+//! entry equal to the stored one.  The oracle for everything memoised on
+//! it is "a `ResultCache`-served reply equals a fresh search".
 
 use ldapdir::{Dit, Dn, Entry, Filter, Scope};
+use mds::cache::{CachedResult, ResultCache};
 use proptest::prelude::*;
+use std::rc::Rc;
 
 fn arb_filter() -> impl Strategy<Value = Filter> {
     let leaf = prop_oneof![
@@ -93,8 +100,8 @@ proptest! {
         assert_same_search(&dit, &missing, Scope::Sub, &filter);
     }
 
-    /// Mutations (remove_subtree + re-upsert) keep the paths agreeing and
-    /// always bump the generation counter the MDS cache depends on.
+    /// Mutations (remove_subtree + upsert of a new entry) keep the paths
+    /// agreeing and move the generation counter the MDS cache depends on.
     #[test]
     fn mutated_tree_still_agrees(spec in arb_spec(), filter in arb_filter()) {
         let (mut dit, suffix) = build_dit(&spec);
@@ -112,4 +119,106 @@ proptest! {
             assert_same_search(&dit, &suffix, scope, &filter);
         }
     }
+
+    /// Random soft-state traffic: after every step the generation has
+    /// moved if the content did, has not moved if the step re-announced
+    /// an identical entry, and a reply served through a `ResultCache`
+    /// equals a fresh search (and the reference scan).
+    #[test]
+    fn generation_tracks_content_and_memo_stays_fresh(
+        spec in arb_spec(),
+        filter in arb_filter(),
+        steps in proptest::collection::vec(
+            (0..6u8, 0..64usize, "[a-c]", "[a-z0-9]{1,4}"),
+            1..24,
+        ),
+    ) {
+        let (mut dit, suffix) = build_dit(&spec);
+        let mut cache = ResultCache::new();
+        let mut served = serve(&mut cache, &dit, &suffix, &filter);
+        for (op, pick, attr, value) in steps {
+            let before_gen = dit.generation();
+            let before = content(&dit);
+            let target = dit.iter().nth(pick % dit.len()).unwrap().clone();
+            let mut must_keep = false;
+            match op {
+                // Re-announce the stored entry: a CoW clone ...
+                0 => {
+                    must_keep = true;
+                    dit.upsert(target).unwrap();
+                }
+                // ... or an equal entry built from scratch.
+                1 => {
+                    must_keep = true;
+                    let mut twin = Entry::new(target.dn.clone());
+                    for (a, vs) in target.iter() {
+                        for v in vs {
+                            twin.add(a, v.clone());
+                        }
+                    }
+                    prop_assert!(!twin.shares_attrs_with(&target));
+                    dit.upsert(twin).unwrap();
+                }
+                // Announce a modified copy.
+                2 => {
+                    let mut changed = target;
+                    changed.add(&attr, value);
+                    dit.upsert(changed).unwrap();
+                }
+                // Announce a new entry (parents created on the way).
+                3 => {
+                    let mut e = Entry::new(target.dn.child("dev", &value));
+                    e.add("objectclass", "thing").add(&attr, value);
+                    dit.upsert(e).unwrap();
+                }
+                // Purge a subtree (the suffix itself included).
+                4 => {
+                    dit.remove_subtree(&target.dn).unwrap();
+                }
+                // Edit in place through the mutable handle.
+                _ => {
+                    dit.get_mut(&target.dn).unwrap().put(&attr, value);
+                }
+            }
+            let moved = dit.generation() != before_gen;
+            if content(&dit) != before {
+                prop_assert!(moved, "content changed under generation {before_gen} (op {op})");
+            }
+            if must_keep {
+                prop_assert!(!moved, "identical upsert moved the generation (op {op})");
+                let again = serve(&mut cache, &dit, &suffix, &filter);
+                prop_assert!(Rc::ptr_eq(&again.entries, &served.entries), "memo lost");
+            }
+            served = serve(&mut cache, &dit, &suffix, &filter);
+            let fresh = materialize(&dit, &suffix, &filter);
+            prop_assert_eq!(served.total, fresh.total);
+            prop_assert_eq!(served.bytes, fresh.bytes);
+            prop_assert_eq!(&*served.entries, &*fresh.entries);
+            if dit.is_empty() {
+                break; // the suffix was purged; nothing left to address
+            }
+            assert_same_search(&dit, &suffix, Scope::Sub, &filter);
+        }
+    }
+}
+
+/// Everything a search can see: every entry's DN and attributes.
+fn content(dit: &Dit) -> Vec<Entry> {
+    dit.iter().cloned().collect()
+}
+
+/// A search reply materialized the way GRIS and GIIS do.
+fn materialize(dit: &Dit, base: &Dn, filter: &Filter) -> CachedResult {
+    let hits = dit.search(base, Scope::Sub, filter);
+    CachedResult {
+        total: hits.len(),
+        bytes: hits.iter().map(|e| e.wire_size()).sum(),
+        entries: Rc::new(hits.into_iter().cloned().collect()),
+    }
+}
+
+fn serve(cache: &mut ResultCache, dit: &Dit, base: &Dn, filter: &Filter) -> CachedResult {
+    cache.get_or_compute(dit, base, Scope::Sub, filter, &None, |d| {
+        materialize(d, base, filter)
+    })
 }

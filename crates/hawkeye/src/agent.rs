@@ -7,12 +7,18 @@
 //! database, it "has to retrieve new information for each query" (the
 //! paper's explanation of its limited scalability): a status query
 //! re-runs one module, a full query re-runs all of them.
+//!
+//! Re-running is simulated cost.  The modules' output never changes, so
+//! the integrated Startd ad is built once and every advertisement and
+//! full-query reply shares it (the Manager recognises the same `Rc` as
+//! an unchanged ad).
 
 use crate::module::ModuleSpec;
 use crate::proto::{AdsReply, HawkeyeMsg};
 use classad::ClassAd;
 use simcore::SimDuration;
 use simnet::{Payload, Plan, Service, SvcCx, SvcKey};
+use std::rc::Rc;
 
 /// Advertise interval: the paper's Startd ads arrive every 30 seconds.
 pub const ADVERTISE_PERIOD: SimDuration = SimDuration(30_000_000);
@@ -27,6 +33,8 @@ pub const QUERY_CPU_FIXED_US: f64 = 5_000.0;
 pub struct Agent {
     machine: String,
     modules: Vec<ModuleSpec>,
+    /// All module ads integrated into the Startd ClassAd.
+    startd: Rc<ClassAd>,
     manager: Option<SvcKey>,
     /// Round-robin index for status queries (which module gets re-run).
     next_status_module: usize,
@@ -38,9 +46,19 @@ pub struct Agent {
 
 impl Agent {
     pub fn new(machine: impl Into<String>, modules: Vec<ModuleSpec>) -> Agent {
+        let machine = machine.into();
+        let mut ad = ClassAd::new();
+        ad.set_str("Machine", &machine);
+        ad.set_str("OpSys", "LINUX");
+        ad.set_bool("Requirements", true);
+        ad.set_int("ModuleCount", modules.len() as i64);
+        for m in &modules {
+            ad.merge(&m.attrs);
+        }
         Agent {
-            machine: machine.into(),
+            machine,
             modules,
+            startd: Rc::new(ad),
             manager: None,
             next_status_module: 0,
             queries: 0,
@@ -63,17 +81,9 @@ impl Agent {
         &self.machine
     }
 
-    /// Integrate all module ads into the Startd ClassAd.
-    pub fn build_startd_ad(&self) -> ClassAd {
-        let mut ad = ClassAd::new();
-        ad.set_str("Machine", &self.machine);
-        ad.set_str("OpSys", "LINUX");
-        ad.set_bool("Requirements", true);
-        ad.set_int("ModuleCount", self.modules.len() as i64);
-        for m in &self.modules {
-            ad.merge(&m.attrs);
-        }
-        ad
+    /// The integrated Startd ClassAd.
+    pub fn startd_ad(&self) -> &Rc<ClassAd> {
+        &self.startd
     }
 
     /// CPU to run every module once.
@@ -106,8 +116,7 @@ impl Service for Agent {
                 // Re-run every module and integrate.
                 self.queries += 1;
                 self.module_runs += self.modules.len() as u64;
-                let ad = self.build_startd_ad();
-                let reply = AdsReply::new(vec![ad]);
+                let reply = AdsReply::new(vec![self.startd.clone()]);
                 let bytes = reply.bytes;
                 Plan::new()
                     .cpu(QUERY_CPU_FIXED_US + self.all_modules_cpu())
@@ -127,10 +136,9 @@ impl Service for Agent {
         if let Some(manager) = self.manager {
             self.module_runs += self.modules.len() as u64;
             self.ads_sent += 1;
-            let ad = self.build_startd_ad();
             let msg = HawkeyeMsg::StartdAd {
                 machine: self.machine.clone(),
-                ad,
+                ad: self.startd.clone(),
             };
             let bytes = msg.wire_size();
             cx.send_oneway(manager, msg, bytes);
@@ -151,7 +159,7 @@ mod tests {
     #[test]
     fn startd_ad_integrates_all_modules() {
         let a = Agent::new("lucky4", default_modules("lucky4", 11));
-        let ad = a.build_startd_ad();
+        let ad = a.startd_ad();
         // 4 base attrs + 4 per module.
         assert_eq!(ad.len(), 4 + 11 * 4);
         assert_eq!(ad.lookup_str("Machine").as_deref(), Some("lucky4"));
@@ -160,8 +168,9 @@ mod tests {
 
     #[test]
     fn ad_size_grows_with_modules() {
-        let small = Agent::new("h", default_modules("h", 11)).build_startd_ad();
-        let big = Agent::new("h", default_modules("h", 90)).build_startd_ad();
+        let small = Agent::new("h", default_modules("h", 11));
+        let big = Agent::new("h", default_modules("h", 90));
+        let (small, big) = (small.startd_ad(), big.startd_ad());
         assert!(big.wire_size() > small.wire_size() * 5);
     }
 

@@ -10,11 +10,21 @@
 //! workload used a constraint satisfied by no machine).  Incoming Startd
 //! ads are matched against all submitted Trigger ClassAds; a match fires
 //! a notification (the "kill Netscape" job of the paper's example).
+//!
+//! The resident database is change-aware soft state.  Agents re-send
+//! their Startd ad every 30 seconds whether or not anything moved; ads
+//! travel as `Rc<ClassAd>`, and an ad equal to the stored one only
+//! refreshes its arrival time.  The pool generation therefore moves only
+//! when the pool's content does, and a constraint scan is memoised on
+//! (expression, pool generation).  Simulated CPU and `hawkeye.match_evals`
+//! are still charged per ad and per query, so only host time is saved.
 
 use crate::proto::{AdsReply, HawkeyeMsg};
 use classad::{matchmaker, parse_expr, ClassAd, CompiledExpr};
+use simcore::SimTime;
 use simnet::{Payload, Plan, Service, SvcCx, SvcKey};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// CPU cost of an indexed resident-database lookup.
 pub const INDEXED_LOOKUP_CPU_US: f64 = 9_000.0;
@@ -33,21 +43,41 @@ struct Trigger {
     pub fired: u64,
 }
 
-/// The Manager service.
-pub struct Manager {
-    ads: BTreeMap<String, ClassAd>,
-    /// Each stored ad's `Requirements` compiled at ingest, so the
+/// One machine's row of the resident database.
+struct Row {
+    ad: Rc<ClassAd>,
+    /// The ad's `Requirements` compiled when the ad was stored, so the
     /// matchmaking side of trigger evaluation does not re-walk the AST
     /// per incoming ad.
-    compiled_reqs: BTreeMap<String, Option<CompiledExpr>>,
-    /// Constraint expressions compiled once per distinct source string
-    /// (`None` caches a parse failure).  The Experiment-4 workload sends
-    /// the same constraint thousands of times.
-    constraint_cache: HashMap<String, Option<CompiledExpr>>,
-    /// When each machine's ad last arrived.  The resident database never
+    req: Option<CompiledExpr>,
+    /// When the machine's ad last arrived.  The resident database never
     /// purges (Condor keeps the last ad of a silent machine), so freshness
     /// — not presence — is how a dead agent shows up.
-    last_ad_at: BTreeMap<String, simcore::SimTime>,
+    at: SimTime,
+}
+
+/// A memoised constraint scan.  The Experiment-4 workload sends the same
+/// constraint thousands of times between pool changes.
+struct ConstraintSlot {
+    expr: String,
+    /// Compiled once per distinct source string (`None` = parse failure).
+    compiled: Option<CompiledExpr>,
+    /// Pool generation `reply` was scanned at.
+    generation: u64,
+    reply: AdsReply,
+}
+
+/// Distinct constraints remembered; eviction is oldest-first beyond it
+/// (experiments issue a handful of distinct expressions).
+const CONSTRAINT_CAP: usize = 8;
+
+/// The Manager service.
+pub struct Manager {
+    pool: BTreeMap<String, Row>,
+    /// Moves whenever a stored ad is added or replaced by a different one;
+    /// equal generations guarantee identical constraint scans.
+    generation: u64,
+    constraints: Vec<ConstraintSlot>,
     triggers: Vec<Trigger>,
     /// Counters.
     pub queries: u64,
@@ -64,10 +94,9 @@ impl Default for Manager {
 impl Manager {
     pub fn new() -> Manager {
         Manager {
-            ads: BTreeMap::new(),
-            compiled_reqs: BTreeMap::new(),
-            constraint_cache: HashMap::new(),
-            last_ad_at: BTreeMap::new(),
+            pool: BTreeMap::new(),
+            generation: 0,
+            constraints: Vec::new(),
             triggers: Vec::new(),
             queries: 0,
             ads_received: 0,
@@ -76,7 +105,7 @@ impl Manager {
     }
 
     pub fn pool_size(&self) -> usize {
-        self.ads.len()
+        self.pool.len()
     }
 
     pub fn trigger_count(&self) -> usize {
@@ -84,42 +113,46 @@ impl Manager {
     }
 
     pub fn ad_of(&self, machine: &str) -> Option<&ClassAd> {
-        self.ads.get(machine)
+        self.pool.get(machine).map(|row| &*row.ad)
     }
 
     /// Machines whose last ad is no older than `horizon` at `now`:
     /// the pool a matchmaking scan can trust.  Killed agents stop
     /// advertising, so this degrades linearly with the kill count while
     /// `pool_size` stays flat.
-    pub fn fresh_count(&self, now: simcore::SimTime, horizon: simcore::SimDuration) -> usize {
-        self.last_ad_at
+    pub fn fresh_count(&self, now: SimTime, horizon: simcore::SimDuration) -> usize {
+        self.pool
             .values()
-            .filter(|&&t| now.saturating_since(t) <= horizon)
+            .filter(|row| now.saturating_since(row.at) <= horizon)
             .count()
     }
 
     /// Mean age (seconds) of the stored ads at `now` (`None` if empty).
-    pub fn mean_ad_age(&self, now: simcore::SimTime) -> Option<f64> {
-        if self.last_ad_at.is_empty() {
+    pub fn mean_ad_age(&self, now: SimTime) -> Option<f64> {
+        if self.pool.is_empty() {
             return None;
         }
         let sum: f64 = self
-            .last_ad_at
+            .pool
             .values()
-            .map(|&t| now.saturating_since(t).as_secs_f64())
+            .map(|row| now.saturating_since(row.at).as_secs_f64())
             .sum();
-        Some(sum / self.last_ad_at.len() as f64)
+        Some(sum / self.pool.len() as f64)
     }
 
     fn fire_matching_triggers(&mut self, machine: &str, plan: &mut Plan) {
-        let Some(ad) = self.ads.get(machine) else {
+        let Some(row) = self.pool.get(machine) else {
             return;
         };
-        let ad_req = self.compiled_reqs.get(machine).and_then(Option::as_ref);
         let mut sends = Vec::new();
         let mut fired = Vec::new();
         for (i, t) in self.triggers.iter().enumerate() {
-            if matchmaker::symmetric_match_compiled(&t.ad, t.req.as_ref(), ad, ad_req) {
+            if matchmaker::symmetric_match_compiled(
+                &t.ad,
+                t.req.as_ref(),
+                &row.ad,
+                row.req.as_ref(),
+            ) {
                 fired.push(i);
                 if let Some(sink) = t.notify {
                     sends.push((sink, machine.to_string(), i));
@@ -155,10 +188,21 @@ impl Service for Manager {
         match *msg {
             HawkeyeMsg::StartdAd { machine, ad } => {
                 self.ads_received += 1;
-                self.compiled_reqs
-                    .insert(machine.clone(), matchmaker::compile_requirements(&ad));
-                self.ads.insert(machine.clone(), ad);
-                self.last_ad_at.insert(machine.clone(), cx.now);
+                let changed = match self.pool.get_mut(&machine) {
+                    Some(row) => {
+                        row.at = cx.now;
+                        // Pointer first: agents and the fleet re-send the
+                        // `Rc` they built at deployment.
+                        !Rc::ptr_eq(&row.ad, &ad) && *row.ad != *ad
+                    }
+                    None => true,
+                };
+                if changed {
+                    let req = matchmaker::compile_requirements(&ad);
+                    let at = cx.now;
+                    self.pool.insert(machine.clone(), Row { ad, req, at });
+                    self.generation += 1;
+                }
                 // Each incoming ad is evaluated against every trigger.
                 cx.obs
                     .incr("hawkeye.match_evals", self.triggers.len() as u64);
@@ -170,14 +214,13 @@ impl Service for Manager {
             HawkeyeMsg::Status { machine } => {
                 self.queries += 1;
                 cx.obs.incr("hawkeye.queries", 1);
-                let ads: Vec<ClassAd> = match machine {
-                    Some(m) => self.ads.get(&m).cloned().into_iter().collect(),
-                    None => {
-                        // Pool summary: one compact line per machine; model
-                        // as a small digest ad per machine.
-                        self.ads.values().take(1).cloned().collect()
-                    }
+                let row = match machine {
+                    Some(m) => self.pool.get(&m),
+                    // Pool summary: one compact line per machine; model
+                    // as a small digest ad per machine.
+                    None => self.pool.values().next(),
                 };
+                let ads = row.map(|row| row.ad.clone()).into_iter().collect();
                 let reply = AdsReply::new(ads);
                 let bytes = reply.bytes;
                 Plan::new().cpu(INDEXED_LOOKUP_CPU_US).reply(reply, bytes)
@@ -185,23 +228,12 @@ impl Service for Manager {
             HawkeyeMsg::Constraint { expr } => {
                 self.queries += 1;
                 cx.obs.incr("hawkeye.queries", 1);
-                // A constraint scan runs the matchmaker over the whole pool.
-                cx.obs.incr("hawkeye.match_evals", self.ads.len() as u64);
-                let compiled = self
-                    .constraint_cache
-                    .entry(expr.clone())
-                    .or_insert_with(|| parse_expr(&expr).ok().map(|e| CompiledExpr::compile(&e)));
-                let matches: Vec<ClassAd> = match compiled {
-                    Some(c) => self
-                        .ads
-                        .values()
-                        .filter(|ad| matchmaker::matches_constraint_compiled(ad, c))
-                        .cloned()
-                        .collect(),
-                    None => Vec::new(),
-                };
-                let scan_cost = MATCH_CPU_PER_AD_US * self.ads.len() as f64;
-                let reply = AdsReply::new(matches);
+                // A constraint scan runs the matchmaker over the whole pool
+                // (memoised until the pool changes; the simulated scan is
+                // still counted and charged per query).
+                cx.obs.incr("hawkeye.match_evals", self.pool.len() as u64);
+                let scan_cost = MATCH_CPU_PER_AD_US * self.pool.len() as f64;
+                let reply = self.constraint_scan(expr);
                 let bytes = reply.bytes;
                 Plan::new()
                     .cpu(INDEXED_LOOKUP_CPU_US + scan_cost)
@@ -229,6 +261,42 @@ impl Service for Manager {
 }
 
 impl Manager {
+    /// The ads satisfying `expr`, from the memo when the pool has not
+    /// changed since this expression was last scanned.
+    fn constraint_scan(&mut self, expr: String) -> AdsReply {
+        let generation = self.generation;
+        let pool = &self.pool;
+        let scan = |compiled: &Option<CompiledExpr>| {
+            AdsReply::new(match compiled {
+                Some(c) => pool
+                    .values()
+                    .filter(|row| matchmaker::matches_constraint_compiled(&row.ad, c))
+                    .map(|row| row.ad.clone())
+                    .collect(),
+                None => Vec::new(),
+            })
+        };
+        if let Some(slot) = self.constraints.iter_mut().find(|s| s.expr == expr) {
+            if slot.generation != generation {
+                slot.generation = generation;
+                slot.reply = scan(&slot.compiled);
+            }
+            return slot.reply.clone();
+        }
+        let compiled = parse_expr(&expr).ok().map(|e| CompiledExpr::compile(&e));
+        let reply = scan(&compiled);
+        if self.constraints.len() >= CONSTRAINT_CAP {
+            self.constraints.remove(0);
+        }
+        self.constraints.push(ConstraintSlot {
+            expr,
+            compiled,
+            generation,
+            reply: reply.clone(),
+        });
+        reply
+    }
+
     /// Register a trigger with a notification sink (deployment-time API;
     /// triggers can also arrive via [`HawkeyeMsg::AddTrigger`]).
     pub fn add_trigger(&mut self, trigger: ClassAd, notify: Option<SvcKey>) {
@@ -250,7 +318,9 @@ impl Manager {
 /// sending a Startd ClassAd to the Manager every 30 seconds (staggered).
 pub struct AdvertiserFleet {
     manager: SvcKey,
-    ads: Vec<(String, ClassAd)>,
+    /// Per machine: name, its (never-changing) Startd ad, and the wire
+    /// size of the advertisement carrying it.
+    ads: Vec<(String, Rc<ClassAd>, u64)>,
     pub sent: u64,
 }
 
@@ -263,7 +333,9 @@ impl AdvertiserFleet {
                     machine.clone(),
                     crate::module::default_modules(&machine, modules_per_machine),
                 );
-                (machine, agent.build_startd_ad())
+                let ad = agent.startd_ad().clone();
+                let bytes = crate::proto::startd_ad_wire_size(&machine, &ad);
+                (machine, ad, bytes)
             })
             .collect();
         AdvertiserFleet {
@@ -285,13 +357,12 @@ impl Service for AdvertiserFleet {
 
     fn on_timer(&mut self, tag: u64, cx: &mut SvcCx) {
         let i = tag as usize;
-        if let Some((machine, ad)) = self.ads.get(i) {
+        if let Some((machine, ad, bytes)) = self.ads.get(i) {
             let msg = HawkeyeMsg::StartdAd {
                 machine: machine.clone(),
                 ad: ad.clone(),
             };
-            let bytes = msg.wire_size();
-            cx.send_oneway(self.manager, msg, bytes);
+            cx.send_oneway(self.manager, msg, *bytes);
             self.sent += 1;
         }
         cx.set_timer(crate::agent::ADVERTISE_PERIOD, tag);
@@ -500,5 +571,147 @@ mod tests {
         let a = net.service_as::<Agent>(ag).unwrap();
         assert_eq!(a.queries, 1);
         assert!(a.module_runs >= 11);
+    }
+
+    /// A Manager driven outside a `Net`: messages in, plans and modelled
+    /// counters out.
+    struct Bare {
+        mgr: Manager,
+        rng: simcore::SimRng,
+        obs: simnet::Obs,
+        actions: Vec<simnet::SvcAction>,
+    }
+
+    impl Bare {
+        fn new() -> Bare {
+            Bare {
+                mgr: Manager::new(),
+                rng: simcore::SimRng::new(1),
+                obs: simnet::Obs::from_mode(simnet::ObsMode {
+                    trace: false,
+                    metrics: true,
+                }),
+                actions: Vec::new(),
+            }
+        }
+
+        fn send(&mut self, at_s: u64, msg: HawkeyeMsg) -> Plan {
+            let mut cx = SvcCx::for_tests(
+                SimTime::from_secs(at_s),
+                simcore::slab::SlabKey::NULL,
+                &mut self.rng,
+                &mut self.obs,
+                &mut self.actions,
+            );
+            self.mgr.handle(Box::new(msg), &mut cx)
+        }
+
+        fn advertise(&mut self, at_s: u64, machine: &str, ad: &Rc<ClassAd>) {
+            self.send(
+                at_s,
+                HawkeyeMsg::StartdAd {
+                    machine: machine.into(),
+                    ad: ad.clone(),
+                },
+            );
+        }
+
+        /// One constraint query: (charged CPU, reply).
+        fn constrain(&mut self, at_s: u64, expr: &str) -> (f64, AdsReply) {
+            let plan = self.send(at_s, HawkeyeMsg::Constraint { expr: expr.into() });
+            let mut steps = plan.steps.into_iter();
+            let Some(simnet::Step::Cpu(cpu)) = steps.next() else {
+                panic!("constraint plan starts with its CPU charge");
+            };
+            let Some(simnet::Step::Reply { payload, .. }) = steps.next() else {
+                panic!("constraint plan ends with a reply");
+            };
+            (cpu, *payload.downcast::<AdsReply>().unwrap())
+        }
+
+        fn match_evals(&self) -> u64 {
+            self.obs
+                .metrics
+                .snapshot(SimTime::ZERO)
+                .iter()
+                .find(|r| r.name == "hawkeye.match_evals")
+                .map_or(0, |r| r.total as u64)
+        }
+    }
+
+    fn startd(machine: &str, modules: i64) -> Rc<ClassAd> {
+        let src = format!(
+            "Machine = \"{machine}\"\nModuleCount = {modules}\nRequirements = TARGET.Load > 1\n"
+        );
+        Rc::new(ClassAd::parse(&src).unwrap())
+    }
+
+    #[test]
+    fn identical_readvertisement_keeps_generation_and_requirements() {
+        let mut b = Bare::new();
+        let ad = startd("m1", 11);
+        b.advertise(0, "m1", &ad);
+        assert_eq!(b.mgr.generation, 1);
+        // The same `Rc` again (what agents and the fleet send), then an
+        // equal ad built afresh: neither is a change.
+        b.advertise(30, "m1", &ad);
+        b.advertise(60, "m1", &startd("m1", 11));
+        assert_eq!(b.mgr.generation, 1);
+        assert_eq!(b.mgr.ads_received, 3);
+        // The row — ad and compiled requirements — is the one stored
+        // first; only its arrival time moved.
+        let row = &b.mgr.pool["m1"];
+        assert!(Rc::ptr_eq(&row.ad, &ad));
+        assert!(row.req.is_some());
+        assert_eq!(row.at, SimTime::from_secs(60));
+        // A different ad replaces both.
+        b.advertise(90, "m1", &startd("m1", 12));
+        assert_eq!(b.mgr.generation, 2);
+        assert!(!Rc::ptr_eq(&b.mgr.pool["m1"].ad, &ad));
+    }
+
+    #[test]
+    fn changed_ad_invalidates_the_constraint_memo() {
+        let mut b = Bare::new();
+        b.advertise(0, "m1", &startd("m1", 11));
+        b.advertise(0, "m2", &startd("m2", 90));
+        let q = "ModuleCount == 11";
+        assert_eq!(b.constrain(1, q).1.ads.len(), 1);
+        b.advertise(30, "m1", &startd("m1", 11));
+        assert_eq!(b.constrain(31, q).1.ads.len(), 1);
+        assert_eq!(b.mgr.constraints.len(), 1);
+        assert_eq!(b.mgr.constraints[0].generation, 2, "served from the memo");
+        // m1's ad changes: the memoised scan must not be served again.
+        b.advertise(60, "m1", &startd("m1", 12));
+        assert_eq!(b.constrain(61, q).1.ads.len(), 0);
+        // A newcomer that matches shows up too.
+        b.advertise(90, "m3", &startd("m3", 11));
+        let (_, reply) = b.constrain(91, q);
+        assert_eq!(reply.ads.len(), 1);
+        assert_eq!(reply.ads[0].lookup_str("Machine").as_deref(), Some("m3"));
+    }
+
+    #[test]
+    fn memo_hit_and_miss_cost_the_same_simulated_work() {
+        let mut b = Bare::new();
+        for (i, m) in ["m1", "m2", "m3"].into_iter().enumerate() {
+            b.advertise(0, m, &startd(m, 10 + i as i64));
+        }
+        let q = "ModuleCount >= 11";
+        let (miss_cpu, miss) = b.constrain(1, q);
+        let miss_evals = b.match_evals();
+        let (hit_cpu, hit) = b.constrain(2, q);
+        let hit_evals = b.match_evals() - miss_evals;
+        assert_eq!(miss_evals, 3);
+        assert_eq!(hit_evals, 3, "a memo hit still counts the scan");
+        assert_eq!(miss_cpu, INDEXED_LOOKUP_CPU_US + 3.0 * MATCH_CPU_PER_AD_US);
+        assert_eq!(hit_cpu, miss_cpu, "a memo hit still charges the scan");
+        assert_eq!(hit.bytes, miss.bytes);
+        assert_eq!(hit.ads.len(), 2);
+        assert!(hit.ads.iter().zip(&miss.ads).all(|(a, b)| Rc::ptr_eq(a, b)));
+        // An unparsable constraint is memoised as matching nothing.
+        assert_eq!(b.constrain(3, "((").1.ads.len(), 0);
+        assert_eq!(b.constrain(4, "((").1.ads.len(), 0);
+        assert_eq!(b.mgr.constraints.len(), 2);
     }
 }

@@ -8,6 +8,7 @@
 //! 99th module crashed the Startd, so 98 is the hard cap).
 
 use classad::ClassAd;
+use std::rc::Rc;
 
 /// Hard limit observed by the paper: registering more than 98 modules
 /// crashed the Startd.
@@ -18,8 +19,9 @@ pub struct ModuleSpec {
     pub name: String,
     /// CPU cost of one execution in reference-CPU microseconds.
     pub exec_cpu_us: f64,
-    /// The attributes this module contributes to the Startd ad.
-    pub attrs: ClassAd,
+    /// The attributes this module contributes to the Startd ad
+    /// (refcounted: a status reply shares them instead of copying).
+    pub attrs: Rc<ClassAd>,
 }
 
 /// Default execution cost: a vmstat-class child process.
@@ -70,7 +72,7 @@ pub fn default_modules(host: &str, n: usize) -> Vec<ModuleSpec> {
             ModuleSpec {
                 name,
                 exec_cpu_us: DEFAULT_EXEC_CPU_US,
-                attrs,
+                attrs: Rc::new(attrs),
             }
         })
         .collect()

@@ -1,6 +1,7 @@
 //! Wire messages of the Hawkeye model.
 
 use classad::ClassAd;
+use std::rc::Rc;
 
 /// Messages exchanged between clients, Agents and the Manager.
 pub enum HawkeyeMsg {
@@ -10,8 +11,10 @@ pub enum HawkeyeMsg {
     /// Query an Agent for its full integrated Startd ad (re-runs every
     /// module — the paper's Experiment Set 3 workload).
     AgentFull,
-    /// One-way Startd ClassAd advertisement to the Manager.
-    StartdAd { machine: String, ad: ClassAd },
+    /// One-way Startd ClassAd advertisement to the Manager.  The ad is
+    /// refcounted: a sender whose ad did not change re-sends the same
+    /// `Rc`, which the Manager recognises without comparing contents.
+    StartdAd { machine: String, ad: Rc<ClassAd> },
     /// Query the Manager's resident database for one machine's ad
     /// (`None` = the pool summary) — the paper's directory-server
     /// workload.
@@ -32,7 +35,7 @@ impl HawkeyeMsg {
         match self {
             HawkeyeMsg::AgentStatus => 160,
             HawkeyeMsg::AgentFull => 180,
-            HawkeyeMsg::StartdAd { machine, ad } => 64 + machine.len() as u64 + ad.wire_size(),
+            HawkeyeMsg::StartdAd { machine, ad } => startd_ad_wire_size(machine, ad),
             HawkeyeMsg::Status { .. } => 200,
             HawkeyeMsg::Constraint { expr } => 160 + expr.len() as u64,
             HawkeyeMsg::AddTrigger { trigger } => 64 + trigger.wire_size(),
@@ -41,15 +44,23 @@ impl HawkeyeMsg {
     }
 }
 
-/// Reply carrying ads (status / query results).
+/// Wire size of a [`HawkeyeMsg::StartdAd`]; formats the ad, so a sender
+/// that re-sends one ad computes it once.
+pub fn startd_ad_wire_size(machine: &str, ad: &ClassAd) -> u64 {
+    64 + machine.len() as u64 + ad.wire_size()
+}
+
+/// Reply carrying ads (status / query results).  The ads are shared with
+/// the sender's store, so building and cloning a reply copies no ad.
+#[derive(Clone)]
 pub struct AdsReply {
-    pub ads: Vec<ClassAd>,
+    pub ads: Vec<Rc<ClassAd>>,
     pub bytes: u64,
 }
 
 impl AdsReply {
-    pub fn new(ads: Vec<ClassAd>) -> AdsReply {
-        let bytes = 64 + ads.iter().map(ClassAd::wire_size).sum::<u64>();
+    pub fn new(ads: Vec<Rc<ClassAd>>) -> AdsReply {
+        let bytes = 64 + ads.iter().map(|ad| ad.wire_size()).sum::<u64>();
         AdsReply { ads, bytes }
     }
 }

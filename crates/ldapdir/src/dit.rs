@@ -4,6 +4,12 @@
 //! search scopes.  Parents must exist before children (as in slapd); the
 //! suffix entry itself is created automatically as an organizational
 //! placeholder.
+//!
+//! The tree is change-aware: [`Dit::generation`] moves only when
+//! search-visible content may have changed.  Soft-state writers (a GRIS
+//! re-running a provider, a GIIS re-merging a pulled subtree) mostly
+//! [`Dit::upsert`] entries identical to the stored ones; those writes
+//! leave the generation alone, so results memoised on it stay valid.
 
 use crate::dn::Dn;
 use crate::entry::Entry;
@@ -52,8 +58,9 @@ pub struct Dit {
     entries: BTreeMap<Dn, Entry>,
     /// Parent DN -> children DNs.
     children: BTreeMap<Dn, BTreeSet<Dn>>,
-    /// Bumped on every (potential) mutation so callers can cache derived
-    /// results — e.g. materialized search responses — keyed on it.
+    /// Bumped whenever search-visible content may have changed, so
+    /// callers can cache derived results — e.g. materialized search
+    /// responses — keyed on it.
     generation: u64,
 }
 
@@ -78,7 +85,8 @@ impl Dit {
     }
 
     /// A counter that changes whenever the tree may have changed.  Two
-    /// equal generations guarantee identical search results.
+    /// equal generations guarantee identical search results; an `upsert`
+    /// of an entry equal to the stored one is not a change.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -136,11 +144,18 @@ impl Dit {
     }
 
     /// Replace an existing entry's attributes (same DN), or insert it.
+    /// Re-announcing an entry equal to the stored one changes nothing,
+    /// not even the generation.
     pub fn upsert(&mut self, entry: Entry) -> Result<(), DitError> {
         match self.entries.get_mut(&entry.dn) {
             Some(slot) => {
-                *slot = entry;
-                self.generation += 1;
+                // Pointer first: a copy-on-write clone of the stored
+                // entry (a provider's own copy, a pulled GRIS reply)
+                // shares its attribute map, so the deep compare is rare.
+                if !slot.shares_attrs_with(&entry) && *slot != entry {
+                    *slot = entry;
+                    self.generation += 1;
+                }
                 Ok(())
             }
             None => self.add_with_parents(entry),

@@ -167,29 +167,6 @@ impl Dn {
         self.rdns.len() == parent.rdns.len() + 1 && self.is_under(parent)
     }
 
-    /// The trailing `n` RDNs of this DN (its suffix of depth `n`), or
-    /// `None` when the DN is shorter.
-    pub fn suffix_of_depth(&self, n: usize) -> Option<Dn> {
-        Some(Dn {
-            rdns: self.suffix_slice(n)?.into(),
-        })
-    }
-
-    /// Borrowed view of the trailing `n` RDNs — the allocation-free
-    /// counterpart of [`Dn::suffix_of_depth`] for suffix lookups on the
-    /// merge hot path.
-    pub fn suffix_slice(&self, n: usize) -> Option<&[Rdn]> {
-        if self.rdns.len() < n {
-            return None;
-        }
-        Some(&self.rdns[self.rdns.len() - n..])
-    }
-
-    /// The RDN components, most specific first.
-    pub fn rdns(&self) -> &[Rdn] {
-        &self.rdns
-    }
-
     /// Length in bytes of the `Display` rendering, without building the
     /// string (wire-size accounting runs this once per returned entry).
     pub fn display_len(&self) -> usize {
@@ -306,17 +283,6 @@ mod tests {
         ] {
             let dn = Dn::parse(s).unwrap();
             assert_eq!(dn.display_len(), dn.to_string().len(), "{s:?}");
-        }
-    }
-
-    #[test]
-    fn suffix_slice_mirrors_suffix_of_depth() {
-        let dn = Dn::parse("a=1, b=2, o=grid").unwrap();
-        for n in 0..=4 {
-            assert_eq!(
-                dn.suffix_slice(n).map(|s| s.to_vec()),
-                dn.suffix_of_depth(n).map(|d| d.rdns.to_vec())
-            );
         }
     }
 

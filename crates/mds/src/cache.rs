@@ -9,12 +9,17 @@
 //! recomputed one (same `total`, `bytes` and entry payload) and the
 //! *simulated* CPU cost is still charged per query by the caller, so
 //! figures are unaffected — only real time is saved.
+//!
+//! The generation moves only when the directory's content changed, so a
+//! memo outlives soft-state refreshes that re-announce identical data:
+//! a GRIS keeps handing out the same `Rc` across provider re-runs, and
+//! the GIIS above recognises that `Rc` and skips the re-merge (see
+//! `Giis::resume`).
 
 use ldapdir::{Dit, Dn, Entry, Filter, Scope};
 use std::rc::Rc;
 
 /// Identity of a search as the service saw it.
-#[derive(Clone, PartialEq)]
 struct QueryKey {
     base: Dn,
     scope: Scope,
@@ -63,36 +68,32 @@ impl ResultCache {
         compute: impl FnOnce(&Dit) -> CachedResult,
     ) -> CachedResult {
         let generation = dit.generation();
-        if let Some(slot) = self.slots.iter().find(|s| {
+        if let Some(slot) = self.slots.iter_mut().find(|s| {
             s.key.scope == scope
                 && s.key.base == *base
                 && s.key.filter == *filter
                 && s.key.attrs == *attrs
         }) {
-            if slot.generation == generation {
-                return slot.result.clone();
+            if slot.generation != generation {
+                slot.generation = generation;
+                slot.result = compute(dit);
             }
+            return slot.result.clone();
         }
         let result = compute(dit);
-        let key = QueryKey {
-            base: base.clone(),
-            scope,
-            filter: filter.clone(),
-            attrs: attrs.clone(),
-        };
-        if let Some(slot) = self.slots.iter_mut().find(|s| s.key == key) {
-            slot.generation = generation;
-            slot.result = result.clone();
-        } else {
-            if self.slots.len() >= CACHE_CAP {
-                self.slots.remove(0);
-            }
-            self.slots.push(Slot {
-                key,
-                generation,
-                result: result.clone(),
-            });
+        if self.slots.len() >= CACHE_CAP {
+            self.slots.remove(0);
         }
+        self.slots.push(Slot {
+            key: QueryKey {
+                base: base.clone(),
+                scope,
+                filter: filter.clone(),
+                attrs: attrs.clone(),
+            },
+            generation,
+            result: result.clone(),
+        });
         result
     }
 }

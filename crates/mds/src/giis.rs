@@ -17,6 +17,7 @@ use simcore::{SimDuration, SimTime};
 use simnet::trace::Ev;
 use simnet::{CallOutcome, Payload, Plan, Service, SubCall, SvcCx, SvcKey};
 use std::collections::{BTreeMap, HashMap};
+use std::rc::Rc;
 
 /// CPU cost of merging one pulled entry into the aggregate directory.
 pub const MERGE_CPU_PER_ENTRY_US: f64 = 60.0;
@@ -40,7 +41,13 @@ struct Registration {
     last_fetch: Option<SimTime>,
     /// When a pull last *returned* data for this subtree (`None` = never).
     last_data: Option<SimTime>,
-    entry_count: usize,
+    /// The last reply merged under `graft` and how many of its entries
+    /// went in.  A source whose directory did not change answers the next
+    /// pull with the same `Rc` (its result memo), and only this source's
+    /// merges write under `graft`, so that reply is already in the DIT.
+    /// Holding the `Rc` keeps its address from being reused by another
+    /// reply.
+    merged: Option<(Rc<Vec<Entry>>, usize)>,
 }
 
 struct PendingQuery {
@@ -196,7 +203,7 @@ impl Giis {
                     crate::cache::CachedResult {
                         total: hits.len(),
                         bytes,
-                        entries: std::rc::Rc::new(entries),
+                        entries: Rc::new(entries),
                     }
                 });
         let cost = SEARCH_CPU_FIXED_US
@@ -220,18 +227,20 @@ impl Service for Giis {
         let req = match req.downcast::<GrisRegistration>() {
             Ok(reg) => {
                 self.registrations_seen += 1;
-                let graft_label = format!("sub-{}-{}", reg.gris.index, reg.gris.gen);
-                let graft = self.suffix.child("Mds-Vo-name", &graft_label);
+                let suffix = &self.suffix;
                 self.registered
                     .entry(reg.gris)
                     .and_modify(|r| r.last_seen = now)
-                    .or_insert(Registration {
-                        remote_suffix: reg.suffix.clone(),
-                        graft,
-                        last_seen: now,
-                        last_fetch: None,
-                        last_data: None,
-                        entry_count: 0,
+                    .or_insert_with(|| {
+                        let label = format!("sub-{}-{}", reg.gris.index, reg.gris.gen);
+                        Registration {
+                            remote_suffix: reg.suffix.clone(),
+                            graft: suffix.child("Mds-Vo-name", &label),
+                            last_seen: now,
+                            last_fetch: None,
+                            last_data: None,
+                            merged: None,
+                        }
                     });
                 return Plan::new().cpu(REGISTRATION_CPU_US).done();
             }
@@ -290,64 +299,41 @@ impl Service for Giis {
 
     fn resume(&mut self, cont: u64, outcomes: Vec<CallOutcome>, cx: &mut SvcCx) -> Plan {
         let q = self.pending.remove(&cont).expect("pending query");
-        // Stamp data freshness for every subtree that actually answered.
         let now = cx.now;
-        for o in &outcomes {
-            if o.response.is_some() {
-                if let Some(&k) = q.pulled.get(o.index as usize) {
-                    if let Some(r) = self.registered.get_mut(&k) {
-                        r.last_data = Some(now);
-                    }
-                }
-            }
-        }
-        // Merge pulled subtrees, rebasing each entry's DN by matching its
-        // remote suffix (indexed by suffix for large registries).  The
-        // pulled entry is moved into the aggregate with its DN rewritten
-        // in place — no per-attribute rebuild.
+        // Merge per source.  A pull is a `search_all(remote_suffix)`, so
+        // every entry of a reply belongs under the answering source's
+        // graft; `merged` counts entries exactly as a full re-merge would,
+        // whether or not the DIT had to be touched.
         let mut merged = 0usize;
-        let pairs: Vec<(Dn, Dn)> = self
-            .registered
-            .values()
-            .map(|r| (r.remote_suffix.clone(), r.graft.clone()))
-            .collect();
-        let by_suffix: std::collections::HashMap<&[ldapdir::Rdn], usize> = pairs
-            .iter()
-            .enumerate()
-            .map(|(i, (s, _))| (s.rdns(), i))
-            .collect();
-        let depths: std::collections::BTreeSet<usize> =
-            pairs.iter().map(|(s, _)| s.depth()).collect();
         for o in outcomes {
             let Some((payload, _bytes)) = o.response else {
                 continue; // source unreachable; soft state will purge it
             };
+            let source = q.pulled.get(o.index as usize);
+            let Some(r) = source.and_then(|k| self.registered.get_mut(k)) else {
+                continue; // purged while the pull was in flight
+            };
+            r.last_data = Some(now);
             let Ok(result) = payload.downcast::<MdsSearchResult>() else {
                 continue;
             };
-            // Take ownership of the pulled entries: if the source served
-            // from its memo cache the Rc is shared and we clone once
-            // here; otherwise the vec is moved out for free.
-            let entries =
-                std::rc::Rc::try_unwrap(result.entries).unwrap_or_else(|rc| (*rc).clone());
-            for mut e in entries {
-                let reg = depths
-                    .iter()
-                    .find_map(|&d| e.dn.suffix_slice(d).and_then(|sfx| by_suffix.get(sfx)));
-                let Some(&i) = reg else {
-                    continue;
-                };
-                let (remote_suffix, graft) = &pairs[i];
-                if let Some(dn) = e.dn.rebase(remote_suffix, graft) {
-                    e.dn = dn;
-                    if self.dit.upsert(e).is_ok() {
-                        merged += 1;
+            merged += match &r.merged {
+                Some((prev, n)) if Rc::ptr_eq(prev, &result.entries) => *n,
+                _ => {
+                    let mut n = 0;
+                    for e in result.entries.iter() {
+                        if let Some(dn) = e.dn.rebase(&r.remote_suffix, &r.graft) {
+                            let mut e = e.clone();
+                            e.dn = dn;
+                            if self.dit.upsert(e).is_ok() {
+                                n += 1;
+                            }
+                        }
                     }
+                    r.merged = Some((result.entries, n));
+                    n
                 }
-            }
-        }
-        for r in self.registered.values_mut() {
-            r.entry_count = 0; // recomputed lazily if ever needed
+            };
         }
         let merge_cost = MERGE_CPU_PER_ENTRY_US * merged as f64;
         let mut plan = self.search_plan(q);
@@ -394,8 +380,12 @@ mod tests {
         to: SvcKey,
         times_s: Vec<u64>,
         req: Box<dyn Fn() -> MdsRequest>,
-        results: std::rc::Rc<std::cell::RefCell<Vec<(usize, f64)>>>,
+        results: Results,
     }
+
+    /// Per reply: total, response time, bytes, entry payload.
+    type Seen = (usize, f64, u64, Rc<Vec<Entry>>);
+    type Results = Rc<std::cell::RefCell<Vec<Seen>>>;
 
     impl Client for QueryAt {
         fn on_start(&mut self, cx: &mut ClientCx) {
@@ -420,9 +410,13 @@ mod tests {
             if let ReqResult::Ok(p, _) = o.result {
                 let r = p.downcast::<MdsSearchResult>().unwrap();
                 let rt = (o.completed - o.submitted).as_secs_f64();
-                self.results.borrow_mut().push((r.total, rt));
+                self.results
+                    .borrow_mut()
+                    .push((r.total, rt, r.bytes, r.entries));
             } else {
-                self.results.borrow_mut().push((usize::MAX, -1.0));
+                self.results
+                    .borrow_mut()
+                    .push((usize::MAX, -1.0, 0, Rc::default()));
             }
         }
     }
@@ -431,6 +425,16 @@ mod tests {
     fn deploy(
         n_gris: usize,
         cachettl: Option<SimDuration>,
+    ) -> (Net, Eng, simnet::NodeId, SvcKey, Vec<SvcKey>) {
+        deploy_with(n_gris, cachettl, None)
+    }
+
+    /// As [`deploy`], with the GRISes' provider data expiring after
+    /// `provider_ttl`.
+    fn deploy_with(
+        n_gris: usize,
+        cachettl: Option<SimDuration>,
+        provider_ttl: Option<SimDuration>,
     ) -> (Net, Eng, simnet::NodeId, SvcKey, Vec<SvcKey>) {
         let mut topo = Topology::new();
         let client = topo.add_node("client", 1, 1.0);
@@ -453,7 +457,7 @@ mod tests {
             let suffix = Dn::parse(&format!("mds-vo-name=res{i}, o=grid")).unwrap();
             let mut gris = Gris::new(
                 suffix.clone(),
-                default_providers(&suffix, &format!("host{i}"), 10, None),
+                default_providers(&suffix, &format!("host{i}"), 10, provider_ttl),
             );
             gris.register_with(giis);
             let key = net.add_service(
@@ -478,7 +482,7 @@ mod tests {
     #[test]
     fn registration_then_pull_then_cache() {
         let (mut net, mut eng, client, giis, _grises) = deploy(3, None);
-        let results = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let results = Rc::new(std::cell::RefCell::new(Vec::new()));
         let base = Dn::parse("mds-vo-name=site, o=giis").unwrap();
         net.add_client(Box::new(QueryAt {
             from: client,
@@ -509,7 +513,7 @@ mod tests {
     #[test]
     fn finite_cachettl_refetches() {
         let (mut net, mut eng, client, giis, _) = deploy(2, Some(SimDuration::from_secs(12)));
-        let results = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let results = Rc::new(std::cell::RefCell::new(Vec::new()));
         let base = Dn::parse("mds-vo-name=site, o=giis").unwrap();
         net.add_client(Box::new(QueryAt {
             from: client,
@@ -528,7 +532,7 @@ mod tests {
     #[test]
     fn soft_state_purges_dead_sources() {
         let (mut net, mut eng, client, giis, grises) = deploy(2, None);
-        let results = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let results = Rc::new(std::cell::RefCell::new(Vec::new()));
         let base = Dn::parse("mds-vo-name=site, o=giis").unwrap();
         net.add_client(Box::new(QueryAt {
             from: client,
@@ -554,7 +558,7 @@ mod tests {
     fn part_query_returns_one_subtree() {
         let (mut net, mut eng, client, giis, grises) = deploy(4, None);
         // Warm the cache first.
-        let warm = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let warm = Rc::new(std::cell::RefCell::new(Vec::new()));
         let base = Dn::parse("mds-vo-name=site, o=giis").unwrap();
         net.add_client(Box::new(QueryAt {
             from: client,
@@ -576,7 +580,7 @@ mod tests {
             .graft_of(grises[1])
             .unwrap()
             .clone();
-        let part = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let part = Rc::new(std::cell::RefCell::new(Vec::new()));
         let late = net.add_client(Box::new(QueryAt {
             from: client,
             to: giis,
@@ -614,7 +618,7 @@ mod tests {
             mid_ref.register_with(top);
         }
         net.prime_service_timer(&mut eng, mid, SimDuration::from_millis(500), 0);
-        let results = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let results = Rc::new(std::cell::RefCell::new(Vec::new()));
         net.add_client(Box::new(QueryAt {
             from: client,
             to: top,
@@ -632,5 +636,99 @@ mod tests {
         let top_ref = net.service_as::<Giis>(top).unwrap();
         assert_eq!(top_ref.registered_count(), 1);
         assert_eq!(top_ref.pulls, 1);
+    }
+
+    /// Query the whole GIIS at the given times, soft state expiring at
+    /// both levels between them: GIIS `cachettl` 12 s, provider TTL 10 s.
+    /// Times are chosen away from the 30 s registration heartbeats.
+    fn cycling(times_s: Vec<u64>) -> (Net, Eng, SvcKey, Vec<SvcKey>, Results) {
+        let ttl = |s| Some(SimDuration::from_secs(s));
+        let (mut net, mut eng, client, giis, grises) = deploy_with(2, ttl(12), ttl(10));
+        let results = Rc::new(std::cell::RefCell::new(Vec::new()));
+        let base = Dn::parse("mds-vo-name=site, o=giis").unwrap();
+        net.add_client(Box::new(QueryAt {
+            from: client,
+            to: giis,
+            times_s,
+            req: Box::new(move || MdsRequest::search_all(base.clone())),
+            results: results.clone(),
+        }));
+        net.start(&mut eng);
+        (net, eng, giis, grises, results)
+    }
+
+    #[test]
+    fn unchanged_cycle_writes_nothing_and_costs_the_same_simulated_time() {
+        // t=5 cold pull; t=10 cached; t=25 and t=45 are full soft-state
+        // cycles (providers re-run, both subtrees re-pulled) over data
+        // that did not change.
+        let (mut net, mut eng, giis, grises, results) = cycling(vec![5, 10, 25, 45]);
+        eng.run_until(&mut net, SimTime::from_secs(20));
+        let generation = net.service_as::<Giis>(giis).unwrap().dit.generation();
+        eng.run_until(&mut net, SimTime::from_secs(120));
+        let g = net.service_as::<Giis>(giis).unwrap();
+        assert_eq!(g.pulls, 6);
+        for &k in &grises {
+            assert_eq!(net.service_as::<Gris>(k).unwrap().provider_runs, 30);
+        }
+        // No DIT write, no search recompute: the directory is at the
+        // generation the cold pull left and every reply shares one
+        // materialization.
+        assert_eq!(g.dit.generation(), generation);
+        let results = results.borrow();
+        assert_eq!(results.len(), 4);
+        for r in results.iter() {
+            assert_eq!((r.0, r.2), (results[0].0, results[0].2));
+            assert!(Rc::ptr_eq(&r.3, &results[0].3));
+        }
+        // ... while the merge and scan are charged as on a full re-merge.
+        assert_eq!(results[2].1, results[3].1, "warm cycles cost the same");
+        assert!(
+            results[2].1 > results[1].1 * 2.0,
+            "a cycle is not a cache hit"
+        );
+    }
+
+    #[test]
+    fn changed_provider_data_reaches_the_next_reply() {
+        let (mut net, mut eng, giis, grises, results) = cycling(vec![5, 25, 45]);
+        eng.run_until(&mut net, SimTime::from_secs(20));
+        let before = net.service_as::<Giis>(giis).unwrap().dit.generation();
+        net.service_as_mut::<Gris>(grises[1])
+            .unwrap()
+            .provider_mut(0)
+            .entries[1]
+            .put("Mds-cpu-metric", "4242");
+        eng.run_until(&mut net, SimTime::from_secs(120));
+        let sees_new_value = |r: &Seen| {
+            r.3.iter()
+                .any(|e| e.first("mds-cpu-metric") == Some("4242"))
+        };
+        let results = results.borrow();
+        assert!(!sees_new_value(&results[0]));
+        assert!(sees_new_value(&results[1]), "stale snapshot served");
+        assert!(sees_new_value(&results[2]));
+        assert_eq!(results[1].0, results[0].0);
+        // Exactly the one changed entry was rewritten, once.
+        let g = net.service_as::<Giis>(giis).unwrap();
+        assert_eq!(g.dit.generation(), before + 1);
+    }
+
+    #[test]
+    fn purged_source_is_merged_again_when_it_comes_back() {
+        let (mut net, mut eng, giis, grises, results) = cycling(vec![5, 200, 300]);
+        // Silence one GRIS long enough to be purged, then let it
+        // heartbeat again.  Its directory never changed, so it answers
+        // the post-purge pull with the very reply merged before.
+        eng.run_until(&mut net, SimTime::from_secs(60));
+        net.service_as_mut::<Gris>(grises[0]).unwrap().me = None;
+        eng.run_until(&mut net, SimTime::from_secs(210));
+        assert_eq!(net.service_as::<Giis>(giis).unwrap().registered_count(), 1);
+        net.service_as_mut::<Gris>(grises[0]).unwrap().me = Some(grises[0]);
+        eng.run_until(&mut net, SimTime::from_secs(400));
+        let results = results.borrow();
+        assert!(results[1].0 < results[0].0, "purged subtree still served");
+        assert_eq!(results[2].0, results[0].0, "returning source not re-merged");
+        assert_eq!(results[2].2, results[0].2);
     }
 }

@@ -87,6 +87,12 @@ impl Gris {
         self.providers.len()
     }
 
+    /// Provider `i`, to change what its next run reports.
+    #[cfg(test)]
+    pub(crate) fn provider_mut(&mut self, i: usize) -> &mut ProviderSpec {
+        &mut self.providers[i]
+    }
+
     /// Providers whose data is stale at `now`.
     fn stale(&self, now: SimTime) -> Vec<usize> {
         (0..self.providers.len())

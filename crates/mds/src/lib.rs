@@ -19,7 +19,7 @@
 //! corresponding session-establishment cost is configured on the service
 //! (see [`simnet::SetupCost`]) rather than in this crate.
 
-pub(crate) mod cache;
+pub mod cache;
 pub mod giis;
 pub mod gris;
 pub mod proto;

@@ -269,15 +269,13 @@ impl FlowNet {
                 stack.push(li);
             }
         }
+        // A flow is listed once per component link it crosses (each link
+        // is expanded once); the duplicates find no new links below and
+        // are dropped after the sort.
         let mut comp_flows: Vec<FlowKey> = Vec::new();
-        let mut seen_flow: std::collections::HashSet<FlowKey> = std::collections::HashSet::new();
         while let Some(li) = stack.pop() {
             let crossing_here = self.link_flows.get(li).map(Vec::as_slice).unwrap_or(&[]);
-            for &k in crossing_here {
-                if seen_flow.insert(k) {
-                    comp_flows.push(k);
-                }
-            }
+            comp_flows.extend_from_slice(crossing_here);
         }
         // Pull in the full link set of every component flow (a flow found
         // via one link drags its other links — and their flows — in).
@@ -296,17 +294,14 @@ impl FlowNet {
             }
             for lj in new_links {
                 let crossing_here = self.link_flows.get(lj).map(Vec::as_slice).unwrap_or(&[]);
-                for &k2 in crossing_here {
-                    if seen_flow.insert(k2) {
-                        comp_flows.push(k2);
-                    }
-                }
+                comp_flows.extend_from_slice(crossing_here);
             }
         }
         if comp_flows.is_empty() {
             return;
         }
         comp_flows.sort_unstable(); // slab-key order, as recompute() fixes them
+        comp_flows.dedup();
 
         let comp_links: Vec<usize> = (0..n_links).filter(|&l| in_comp_link[l]).collect();
         let mut residual: Vec<f64> = vec![0.0; n_links];
