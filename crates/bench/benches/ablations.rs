@@ -6,12 +6,18 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gbench::Profile;
-use gridmon_core::experiments::{set1, set2};
-use gridmon_core::runcfg::RunConfig;
+use gridmon_core::runcfg::{Measurement, RunConfig};
+use gridmon_core::scenario::{catalogue, run_point};
 use simcore::SimDuration;
 
 fn base_cfg() -> RunConfig {
     Profile::Bench.run_config(13)
+}
+
+/// The built-in series `id` at `x`, under `cfg` as given.
+fn point(id: &str, x: u32, cfg: &RunConfig) -> Measurement {
+    let series = catalogue::find(id).unwrap_or_else(|| panic!("no series {id:?}"));
+    run_point(&(series.spec)(), x, cfg).unwrap()
 }
 
 /// Ablation 1 — the GSI bind cost: the paper's flat ~4 s cached-GRIS
@@ -25,7 +31,7 @@ fn ablate_gsi_bind(c: &mut Criterion) {
             b.iter(|| {
                 let mut cfg = base_cfg();
                 cfg.params.gris_setup.fixed = SimDuration::from_millis(fixed_ms);
-                let m = set1::run_point(set1::Set1Series::GrisCache, 30, &cfg);
+                let m = point("set1/MDS GRIS (cache)", 30, &cfg);
                 criterion::black_box(m.response_time)
             })
         });
@@ -45,7 +51,7 @@ fn ablate_accept_queue(c: &mut Criterion) {
                 let mut cfg = base_cfg();
                 cfg.params.agent_conn_capacity = conns;
                 cfg.params.agent_backlog = backlog;
-                let m = set1::run_point(set1::Set1Series::HawkeyeAgent, 80, &cfg);
+                let m = point("set1/Hawkeye Agent", 80, &cfg);
                 criterion::black_box((m.throughput, m.refused))
             })
         });
@@ -63,7 +69,7 @@ fn ablate_wan_capacity(c: &mut Criterion) {
             b.iter(|| {
                 let mut cfg = base_cfg();
                 cfg.params.wan_bps = bps;
-                let m = set2::run_point(set2::Set2Series::Giis, 60, &cfg);
+                let m = point("set2/MDS GIIS", 60, &cfg);
                 criterion::black_box(m.throughput)
             })
         });
@@ -81,7 +87,7 @@ fn ablate_client_cpu(c: &mut Criterion) {
             b.iter(|| {
                 let mut cfg = base_cfg();
                 cfg.params.condor_client_cpu_us = us;
-                let m = set2::run_point(set2::Set2Series::HawkeyeManager, 80, &cfg);
+                let m = point("set2/Hawkeye Manager", 80, &cfg);
                 criterion::black_box(m.throughput)
             })
         });
@@ -99,7 +105,7 @@ fn ablate_retry_backoff(c: &mut Criterion) {
             b.iter(|| {
                 let mut cfg = base_cfg();
                 cfg.params.retry_cap = SimDuration::from_secs(cap_s);
-                let m = set1::run_point(set1::Set1Series::HawkeyeAgent, 80, &cfg);
+                let m = point("set1/Hawkeye Agent", 80, &cfg);
                 criterion::black_box((m.throughput, m.refused))
             })
         });

@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gbench::Profile;
-use gridmon_core::experiments::{set1, set2, set3, set4};
+use gridmon_core::scenario::{catalogue, run_point};
 
 fn cfg() -> gridmon_core::runcfg::RunConfig {
     Profile::Bench.run_config(7)
@@ -20,60 +20,27 @@ fn bench_table1(c: &mut Criterion) {
     });
 }
 
-/// Figures 5-8: information server vs users.
-fn bench_set1(c: &mut Criterion) {
-    let mut g = c.benchmark_group("set1_figs5-8");
-    g.sample_size(10);
-    for s in set1::Set1Series::ALL {
-        g.bench_function(format!("{}/users=40", s.label()), |b| {
-            b.iter(|| set1::run_point(s, 40, &cfg()))
-        });
-    }
-    g.finish();
-}
-
-/// Figures 9-12: directory server vs users.
-fn bench_set2(c: &mut Criterion) {
-    let mut g = c.benchmark_group("set2_figs9-12");
-    g.sample_size(10);
-    for s in set2::Set2Series::ALL {
-        g.bench_function(format!("{}/users=40", s.label()), |b| {
-            b.iter(|| set2::run_point(s, 40, &cfg()))
-        });
-    }
-    g.finish();
-}
-
-/// Figures 13-16: information server vs collectors.
-fn bench_set3(c: &mut Criterion) {
-    let mut g = c.benchmark_group("set3_figs13-16");
-    g.sample_size(10);
-    for s in set3::Set3Series::ALL {
-        g.bench_function(format!("{}/collectors=30", s.label()), |b| {
-            b.iter(|| set3::run_point(s, 30, &cfg()))
-        });
-    }
-    g.finish();
-}
-
+/// Figures 5-8: information server vs users.  Figures 9-12: directory
+/// server vs users.  Figures 13-16: information server vs collectors.
 /// Figures 17-20: aggregate information server vs sources.
-fn bench_set4(c: &mut Criterion) {
-    let mut g = c.benchmark_group("set4_figs17-20");
-    g.sample_size(10);
-    for s in set4::Set4Series::ALL {
-        g.bench_function(format!("{}/servers=50", s.label()), |b| {
-            b.iter(|| set4::run_point(s, 50, &cfg()))
-        });
+fn bench_sets(c: &mut Criterion) {
+    for (set, group, swept, x) in [
+        (1, "set1_figs5-8", "users", 40),
+        (2, "set2_figs9-12", "users", 40),
+        (3, "set3_figs13-16", "collectors", 30),
+        (4, "set4_figs17-20", "servers", 50),
+    ] {
+        let mut g = c.benchmark_group(group);
+        g.sample_size(10);
+        for series in catalogue::in_set(set) {
+            let spec = (series.spec)();
+            g.bench_function(format!("{}/{swept}={x}", series.label), |b| {
+                b.iter(|| run_point(&spec, x, &cfg()))
+            });
+        }
+        g.finish();
     }
-    g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_table1,
-    bench_set1,
-    bench_set2,
-    bench_set3,
-    bench_set4
-);
+criterion_group!(benches, bench_table1, bench_sets);
 criterion_main!(benches);

@@ -27,10 +27,17 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gbench::Profile;
-use gridmon_core::experiments::{set1, Set1Series};
+use gridmon_core::runcfg::{Measurement, RunConfig};
+use gridmon_core::scenario::{catalogue, run_point};
 use gridmon_core::ObsMode;
 use gtrace::{Ev, Obs};
 use simcore::SimTime;
+
+/// The built-in series `id` at `x`, under `cfg` as given.
+fn point(id: &str, x: u32, cfg: &RunConfig) -> Measurement {
+    let series = catalogue::find(id).unwrap_or_else(|| panic!("no series {id:?}"));
+    run_point(&(series.spec)(), x, cfg).unwrap()
+}
 
 /// One instrumented-site call, off vs on.
 fn obs_gate(c: &mut Criterion) {
@@ -87,7 +94,7 @@ fn sweep_point(c: &mut Criterion) {
             b.iter(|| {
                 let mut cfg = Profile::Bench.run_config(13);
                 cfg.obs = mode;
-                let m = set1::run_point(Set1Series::GrisCache, 10, &cfg);
+                let m = point("set1/MDS GRIS (cache)", 10, &cfg);
                 criterion::black_box(m.response_time)
             })
         });
@@ -135,7 +142,7 @@ fn perf_gate(c: &mut Criterion) {
     g.bench_function("point_unprofiled", |b| {
         b.iter(|| {
             let cfg = Profile::Bench.run_config(13);
-            let m = set1::run_point(Set1Series::GrisCache, 10, &cfg);
+            let m = point("set1/MDS GRIS (cache)", 10, &cfg);
             criterion::black_box(m.response_time)
         })
     });
@@ -143,8 +150,7 @@ fn perf_gate(c: &mut Criterion) {
         let _sink = gperf::PerfSink::new();
         b.iter(|| {
             let cfg = Profile::Bench.run_config(13);
-            let (m, sample) =
-                gperf::measure_point(|| set1::run_point(Set1Series::GrisCache, 10, &cfg));
+            let (m, sample) = gperf::measure_point(|| point("set1/MDS GRIS (cache)", 10, &cfg));
             criterion::black_box((m.response_time, sample.sim.events))
         })
     });

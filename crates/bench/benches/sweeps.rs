@@ -6,7 +6,18 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gbench::Profile;
-use gridmon_runner::RunnerConfig;
+use gridmon_core::figures::enumerate_set;
+use gridmon_runner::{Job, RunnerConfig, SweepStats};
+
+/// The thinned set-1 sweep under `rc`.
+fn sweep_set1(rc: &RunnerConfig) -> SweepStats {
+    let jobs: Vec<Job> = enumerate_set(1, Profile::Bench.scale())
+        .unwrap()
+        .into_iter()
+        .map(Job::Figure)
+        .collect();
+    gridmon_runner::run(&jobs, &Profile::Bench.run_config(7), rc, None).1
+}
 
 fn seq_rc() -> RunnerConfig {
     RunnerConfig::sequential()
@@ -23,12 +34,8 @@ fn par_rc() -> RunnerConfig {
 fn bench_set1_sweep(c: &mut Criterion) {
     let mut g = c.benchmark_group("sweep_set1");
     g.sample_size(10);
-    g.bench_function("jobs=1", |b| {
-        b.iter(|| gbench::run_set(1, Profile::Bench, 7, &seq_rc()).unwrap())
-    });
-    g.bench_function("jobs=auto", |b| {
-        b.iter(|| gbench::run_set(1, Profile::Bench, 7, &par_rc()).unwrap())
-    });
+    g.bench_function("jobs=1", |b| b.iter(|| sweep_set1(&seq_rc())));
+    g.bench_function("jobs=auto", |b| b.iter(|| sweep_set1(&par_rc())));
     g.finish();
 }
 
@@ -41,11 +48,10 @@ fn bench_warm_cache(c: &mut Criterion) {
         quiet: true,
     };
     // Prime once; the measured iterations are then pure cache reads.
-    gbench::run_set(1, Profile::Bench, 7, &rc).unwrap();
+    sweep_set1(&rc);
     c.bench_function("sweep_set1/warm_cache", |b| {
         b.iter(|| {
-            let (_, stats) = gbench::run_set(1, Profile::Bench, 7, &rc).unwrap();
-            assert_eq!(stats.executed, 0);
+            assert_eq!(sweep_set1(&rc).executed, 0);
         })
     });
     let _ = std::fs::remove_dir_all(&dir);

@@ -33,14 +33,15 @@
 //!             `auto@0.25:0.6`, where `auto` means the kind the spec
 //!             declares); specs without one always run pristine.
 //! --trace S   after the sweep, re-run every point of the selected sets
-//!             whose id (`setN/<series>/x=<x>`) contains the substring S
-//!             with event tracing on, and write per-point Chrome-trace
+//!             and scenarios whose id (`setN/<series>/x=<x>`,
+//!             `scenario/<name>/x=<x>`) contains the substring S with
+//!             event tracing on, and write per-point Chrome-trace
 //!             JSON (`DIR/trace/<point>.trace.json`, loadable in
 //!             Perfetto / chrome://tracing and readable by
 //!             `gridmon-inspect`) plus raw JSONL.  Repeatable.
 //! --metrics   also snapshot the metrics registry per point and write
 //!             `DIR/trace/<point>.metrics.csv`.  Without --trace this
-//!             covers every point of the selected sets.
+//!             covers every point of the selected sets and scenarios.
 //! --perf      profile the harness itself and write `DIR/perf.json`
 //!             (schema gridmon-perf-v1): phase breakdown, per-point
 //!             wall/sim/event records, cache traffic and pool
@@ -51,6 +52,10 @@
 //! --list      print the catalogue — every figure with its title and
 //!             every `setN/<series>/x=<x>` point key the selected
 //!             targets would run — and exit without running anything.
+//!
+//! Everything one invocation selects — sets, scenarios, `ext` — is
+//! submitted to the runner as one job list, so idle workers backfill
+//! across sets.
 //!
 //! `ext` runs the future-work extension studies (WAN sweep, hierarchy
 //! vs flat aggregation, aggregate-vs-direct, open-loop arrivals,
@@ -65,15 +70,17 @@
 
 use gbench::{figures_of_set, Profile};
 use gfaults::{FaultSpec, Scenario};
-use gridmon_core::experiments::set5;
-use gridmon_core::figures::{self, enumerate_set, set_of_figure, PointSpec};
+use gridmon_core::figures::{self, assemble_set, enumerate_set, set_of_figure, PointSpec};
 use gridmon_core::mapping::render_table1;
 use gridmon_core::report::{ascii_chart, csv, text_table};
+use gridmon_core::runcfg::{Measurement, RunConfig};
+use gridmon_core::scenario::{catalogue, point_seed, DEFAULT_FAULTS};
 use gridmon_core::ObsMode;
 use gridmon_runner::{ExtPoint, Job, JobOutput, RunnerConfig};
 use gtrace::{chrome_trace, jsonl, metrics_csv, TraceMeta};
 use std::collections::BTreeSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 fn main() {
     let mut profile = Profile::Paper;
@@ -166,7 +173,7 @@ fn main() {
         match t.as_str() {
             "all" => {
                 want_table1 = true;
-                sets.extend([1, 2, 3, 4, 5, 6]);
+                sets.extend(catalogue::sets());
             }
             "table1" => want_table1 = true,
             "ext" => want_ext = true,
@@ -174,11 +181,8 @@ fn main() {
                 let n: u32 = s[3..]
                     .parse()
                     .unwrap_or_else(|_| die(&format!("bad target {s}")));
-                if !(1..=6).contains(&n) {
-                    die(&format!(
-                        "no experiment set {n}: sets 1-4 are the paper's, \
-                         5 is resilience, 6 is federation"
-                    ));
+                if let Err(e) = figures::figures_of_set(n) {
+                    die(&e.to_string());
                 }
                 sets.insert(n);
             }
@@ -195,16 +199,13 @@ fn main() {
         sets.insert(set_of_figure(n).expect("parse_fig validated the range"));
     }
 
-    // The Set-5 resilience sweep injects the requested (or canonical)
-    // fault plan; every other set runs pristine whatever the flag says,
-    // so fig05-fig20 stay byte-identical.
-    let spec_for = |set: u32| -> FaultSpec {
-        if set == 5 {
-            faults.unwrap_or_else(set5::default_spec)
-        } else {
-            FaultSpec::NONE
-        }
-    };
+    // One configuration for the whole invocation.  The requested (or
+    // canonical) fault plan reaches only the points whose spec declares
+    // `[faults]` — the Set-5 resilience sweep and authored scenarios that
+    // opt in; every other point runs pristine whatever the flag says, so
+    // fig05-fig20 stay byte-identical.
+    let mut cfg = profile.run_config(seed);
+    cfg.faults = faults.unwrap_or(DEFAULT_FAULTS);
 
     // Parse user-authored scenarios up front so a typo in the file dies
     // before any sweep has burned CPU (and so `--list` can show them).
@@ -248,60 +249,104 @@ fn main() {
     // invocation; written as one perf.json at the end.
     let mut perf_sink = want_perf.then(gperf::PerfSink::new);
 
+    // Everything selected — sets, scenarios, extension studies — is one
+    // job list, so idle workers backfill across sets while another set's
+    // expensive tail points finish.
+    let t_enumerate = Instant::now();
+    let mut jobs: Vec<Job> = Vec::new();
+    let mut set_specs: Vec<(u32, Vec<PointSpec>)> = Vec::new();
     for &set in &sets {
+        let specs = enumerate_set(set, profile.scale()).unwrap_or_else(|e| die(&e.to_string()));
+        jobs.extend(specs.iter().map(|&p| Job::Figure(p)));
+        set_specs.push((set, specs));
+    }
+    for (origin, spec) in &scenarios {
+        jobs.extend(
+            Job::scenario_sweep(spec, &cfg).unwrap_or_else(|e| die(&format!("{origin}: {e}"))),
+        );
+    }
+    if want_ext {
+        jobs.extend(extension_jobs());
+    }
+    if let Some(sink) = &perf_sink {
+        sink.phases.add("enumerate", t_enumerate.elapsed());
+    }
+
+    if !jobs.is_empty() {
         eprintln!(
-            "== running experiment set {set} ({profile:?}, jobs={}) ==",
+            "== running {} points ({profile:?}, jobs={}) ==",
+            jobs.len(),
             if rc.jobs == 0 {
                 "auto".to_string()
             } else {
                 rc.jobs.to_string()
             }
         );
-        let mut cfg = profile.run_config(seed);
-        cfg.faults = spec_for(set);
-        let (data, stats) =
-            gridmon_runner::run_set_profiled(set, &cfg, profile.scale(), &rc, perf_sink.as_mut())
-                .unwrap_or_else(|e| die(&e.to_string()));
+        let (outputs, stats) = gridmon_runner::run(&jobs, &cfg, &rc, perf_sink.as_mut());
         eprintln!(
-            "== set {set} done in {:.1?} ({} points: {} executed, {} cached) ==",
+            "== done in {:.1?} ({} points: {} executed, {} cached) ==",
             stats.wall, stats.total, stats.executed, stats.cache_hits
         );
-        for fig in figures_of_set(&data).unwrap_or_else(|e| die(&e.to_string())) {
-            let n: u32 = fig.id.trim_start_matches("Figure ").parse().unwrap();
-            if !only_figs.is_empty() && !only_figs.contains(&n) {
-                continue;
+
+        // Outputs come back in job order: hand each section its slice.
+        let mut cursor = outputs.iter();
+        let mut measurements = |n: usize| -> Vec<Measurement> {
+            cursor
+                .by_ref()
+                .take(n)
+                .map(|o| o.measurement().expect("measurement-kind job"))
+                .collect()
+        };
+        for (set, specs) in &set_specs {
+            let results = measurements(specs.len());
+            let t_assemble = Instant::now();
+            let data = assemble_set(*set, specs, &results);
+            if let Some(sink) = &perf_sink {
+                sink.phases.add("assemble", t_assemble.elapsed());
             }
-            println!("{}", text_table(&fig));
-            println!("{}", ascii_chart(&fig, 64, 16));
-            let path = out_dir.join(format!("fig{n:02}.csv"));
-            std::fs::write(&path, csv(&fig)).expect("write csv");
-            eprintln!("wrote {}", path.display());
+            for fig in figures_of_set(&data).unwrap_or_else(|e| die(&e.to_string())) {
+                let n: u32 = fig.id.trim_start_matches("Figure ").parse().unwrap();
+                if !only_figs.is_empty() && !only_figs.contains(&n) {
+                    continue;
+                }
+                println!("{}", text_table(&fig));
+                println!("{}", ascii_chart(&fig, 64, 16));
+                let path = out_dir.join(format!("fig{n:02}.csv"));
+                std::fs::write(&path, csv(&fig)).expect("write csv");
+                eprintln!("wrote {}", path.display());
+            }
         }
-    }
-
-    if !scenarios.is_empty() {
-        run_scenarios(&scenarios, profile, seed, &out_dir, &rc, spec_for(5));
-    }
-
-    if want_ext {
-        run_extensions(profile, seed, &out_dir, &rc, perf_sink.as_mut());
+        for (_, spec) in &scenarios {
+            write_scenario(spec, &measurements(spec.x_values.len()), &out_dir);
+        }
+        if want_ext {
+            write_extensions(cursor.as_slice(), &out_dir);
+        }
     }
 
     if !trace_substrs.is_empty() || want_metrics {
-        if sets.is_empty() {
-            die("--trace/--metrics need at least one set/figure target");
+        // Extension studies have no spec to compile and so no harvest.
+        let mut observed: Vec<Job> = jobs
+            .into_iter()
+            .filter(|j| !matches!(j, Job::Ext(_)))
+            .collect();
+        if observed.is_empty() {
+            die("--trace/--metrics need at least one set, figure or scenario target");
         }
-        run_observability(
-            &sets,
-            profile,
-            seed,
-            &rc,
-            &out_dir,
-            &trace_substrs,
-            want_metrics,
-            spec_for(5),
-            perf_sink.as_mut(),
-        );
+        if !trace_substrs.is_empty() {
+            observed.retain(|j| {
+                let k = j.key();
+                trace_substrs.iter().any(|t| k.contains(t.as_str()))
+            });
+            if observed.is_empty() {
+                die("--trace matched no point id; ids look like \"set1/MDS GRIS (cache)/x=10\"");
+            }
+        }
+        cfg.obs = ObsMode {
+            trace: !trace_substrs.is_empty(),
+            metrics: want_metrics,
+        };
+        run_observability(&observed, &cfg, &rc, &out_dir, perf_sink.as_mut());
     }
 
     if let Some(sink) = &perf_sink {
@@ -346,84 +391,54 @@ fn list_catalogue(
     }
 }
 
-/// Run every user-authored scenario through the same runner/cache/pool
-/// stack as the built-in sets and write `DIR/scenario-<name>.csv` with
-/// all the measured metrics per sweep point.  Points come back in
-/// `x_values` order whatever `--jobs` is, so the CSV is byte-identical
-/// for every worker count.
-fn run_scenarios(
-    scenarios: &[(String, gscenario::ScenarioSpec)],
-    profile: Profile,
-    seed: u64,
-    out_dir: &std::path::Path,
-    rc: &RunnerConfig,
-    fault_spec: FaultSpec,
-) {
-    for (origin, spec) in scenarios {
-        eprintln!(
-            "== running scenario \"{}\" from {origin} ({} points) ==",
-            spec.name,
-            spec.x_values.len()
-        );
-        let mut cfg = profile.run_config(seed);
-        // The runtime fault plan only matters to specs that declare a
-        // [faults] section (`auto` resolves to the declared kind);
-        // keeping it out of the others' configs keeps their cache
-        // digests stable whatever --faults says.
-        if spec.faults.is_some() {
-            cfg.faults = fault_spec;
-        }
-        let (data, stats) = gridmon_runner::run_scenario(spec, &cfg, rc)
-            .unwrap_or_else(|e| die(&format!("{origin}: {e}")));
-        eprintln!(
-            "== scenario \"{}\" done in {:.1?} ({} points: {} executed, {} cached) ==",
-            spec.name, stats.wall, stats.total, stats.executed, stats.cache_hits
-        );
-
-        let mut table = format!(
-            "Scenario: {} (fingerprint {})\n",
-            spec.name,
-            spec.fingerprint()
-        );
+/// Print one user-authored scenario's sweep and write
+/// `DIR/scenario-<name>.csv` with all the measured metrics per point.
+/// Points are in `x_values` order whatever `--jobs` is, so the CSV is
+/// byte-identical for every worker count.
+fn write_scenario(spec: &gscenario::ScenarioSpec, data: &[Measurement], out_dir: &Path) {
+    let mut table = format!(
+        "Scenario: {} (fingerprint {})\n",
+        spec.name,
+        spec.fingerprint()
+    );
+    table.push_str(&format!(
+        "{:>8} {:>12} {:>12} {:>8} {:>8} {:>8} {:>12} {:>12}\n",
+        "x", "throughput", "resp (s)", "load1", "cpu %", "avail", "stale (s)", "recov (s)"
+    ));
+    let mut csv = String::from(
+        "x,throughput,response_s,load1,cpu_pct,availability,staleness_s,recovery_s,\
+         completions,refused\n",
+    );
+    for m in data {
         table.push_str(&format!(
-            "{:>8} {:>12} {:>12} {:>8} {:>8} {:>8} {:>12} {:>12}\n",
-            "x", "throughput", "resp (s)", "load1", "cpu %", "avail", "stale (s)", "recov (s)"
+            "{:>8.0} {:>12.2} {:>12.3} {:>8.2} {:>8.1} {:>8.3} {:>12.3} {:>12.3}\n",
+            m.x,
+            m.throughput,
+            m.response_time,
+            m.load1,
+            m.cpu_load,
+            m.availability,
+            m.staleness_s,
+            m.recovery_s
         ));
-        let mut csv = String::from(
-            "x,throughput,response_s,load1,cpu_pct,availability,staleness_s,recovery_s,\
-             completions,refused\n",
-        );
-        for m in &data {
-            table.push_str(&format!(
-                "{:>8.0} {:>12.2} {:>12.3} {:>8.2} {:>8.1} {:>8.3} {:>12.3} {:>12.3}\n",
-                m.x,
-                m.throughput,
-                m.response_time,
-                m.load1,
-                m.cpu_load,
-                m.availability,
-                m.staleness_s,
-                m.recovery_s
-            ));
-            csv.push_str(&format!(
-                "{},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{},{}\n",
-                m.x,
-                m.throughput,
-                m.response_time,
-                m.load1,
-                m.cpu_load,
-                m.availability,
-                m.staleness_s,
-                m.recovery_s,
-                m.completions,
-                m.refused
-            ));
-        }
-        println!("{table}");
-        let path = out_dir.join(format!("scenario-{}.csv", slug(&spec.name)));
-        std::fs::write(&path, csv).expect("write scenario csv");
-        eprintln!("wrote {}", path.display());
+        csv.push_str(&format!(
+            "{},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{},{}\n",
+            m.x,
+            m.throughput,
+            m.response_time,
+            m.load1,
+            m.cpu_load,
+            m.availability,
+            m.staleness_s,
+            m.recovery_s,
+            m.completions,
+            m.refused
+        ));
     }
+    println!("{table}");
+    let path = out_dir.join(format!("scenario-{}.csv", slug(&spec.name)));
+    std::fs::write(&path, csv).expect("write scenario csv");
+    eprintln!("wrote {}", path.display());
 }
 
 /// Parse the `--faults` plan: `SCENARIO[@START:HEAL]`, fractions of the
@@ -442,7 +457,7 @@ fn parse_faults(plan: &str) -> FaultSpec {
     if scenario == Scenario::None {
         return FaultSpec::NONE;
     }
-    let mut spec = set5::default_spec();
+    let mut spec = DEFAULT_FAULTS;
     spec.scenario = scenario;
     if let Some(fracs) = fracs {
         let (s, h) = fracs
@@ -467,62 +482,38 @@ fn parse_frac(s: &str) -> f64 {
     v
 }
 
-/// The observability pass: re-run the matching points with tracing
-/// and/or metrics enabled and export the artifacts under `DIR/trace/`.
-/// Points are re-executed (never served from the result cache) because
-/// events and metric streams are not part of the cached measurement;
-/// the measurements themselves still come out bit-identical.
-#[allow(clippy::too_many_arguments)]
+/// The observability pass: re-run `jobs` under `cfg.obs` and export the
+/// artifacts under `DIR/trace/`.  Points are re-executed (never served
+/// from the result cache) because events and metric streams are not part
+/// of the cached measurement; the measurements themselves still come out
+/// bit-identical.
 fn run_observability(
-    sets: &BTreeSet<u32>,
-    profile: Profile,
-    seed: u64,
+    jobs: &[Job],
+    cfg: &RunConfig,
     rc: &RunnerConfig,
-    out_dir: &std::path::Path,
-    trace_substrs: &[String],
-    want_metrics: bool,
-    fault_spec: FaultSpec,
+    out_dir: &Path,
     perf_sink: Option<&mut gperf::PerfSink>,
 ) {
-    let mut specs: Vec<PointSpec> = Vec::new();
-    for &set in sets {
-        specs.extend(enumerate_set(set, profile.scale()).unwrap_or_else(|e| die(&e.to_string())));
-    }
-    if !trace_substrs.is_empty() {
-        specs.retain(|s| {
-            let k = s.key();
-            trace_substrs.iter().any(|t| k.contains(t.as_str()))
-        });
-        if specs.is_empty() {
-            die("--trace matched no point id; ids look like \"set1/MDS GRIS (cache)/x=10\"");
-        }
-    }
-    let tracing = !trace_substrs.is_empty();
-    let mut cfg = profile.run_config(seed);
-    cfg.obs = ObsMode {
-        trace: tracing,
-        metrics: want_metrics,
-    };
-    // Inert outside set 5 (only the resilience experiments build a
-    // fault plan from it), so a mixed selection is safe.
-    cfg.faults = fault_spec;
-
     let obs_dir = out_dir.join("trace");
     std::fs::create_dir_all(&obs_dir).expect("create trace dir");
     eprintln!(
         "== observability pass: {} point(s), {} ==",
-        specs.len(),
+        jobs.len(),
         cfg.obs.fingerprint()
     );
-    let observed = gridmon_runner::run_points_observed_profiled(&specs, &cfg, rc, perf_sink);
+    let (outputs, _) = gridmon_runner::run(jobs, cfg, rc, perf_sink);
 
-    for (spec, op) in specs.iter().zip(&observed) {
-        let slug = slug(&spec.key());
-        if tracing {
+    for (job, out) in jobs.iter().zip(&outputs) {
+        let JobOutput::Observed(op) = out else {
+            unreachable!("points with a spec are observed under cfg.obs")
+        };
+        let key = job.key();
+        let slug = slug(&key);
+        if cfg.obs.trace {
             let meta = TraceMeta {
-                key: spec.key(),
+                seed: point_seed(cfg.seed, &key),
+                key,
                 x: op.m.x,
-                seed: spec.derived_seed(seed),
                 window_start: cfg.window_start(),
                 window_end: cfg.window_end(),
                 mean_response_time_us: op.m.response_time * 1e6,
@@ -542,7 +533,7 @@ fn run_observability(
             std::fs::write(&path, jsonl(&op.report.events)).expect("write jsonl");
             eprintln!("wrote {}", path.display());
         }
-        if want_metrics {
+        if cfg.obs.metrics {
             let path = obs_dir.join(format!("{slug}.metrics.csv"));
             std::fs::write(&path, metrics_csv(&op.report.metrics)).expect("write metrics csv");
             eprintln!("wrote {}", path.display());
@@ -584,51 +575,34 @@ fn parse_fig(arg: &str) -> u32 {
     n
 }
 
-/// The extension-study suite as one pooled job list: the WAN cases,
-/// hierarchy comparison, aggregate-vs-direct pair, open-loop rates and
-/// composite sizes all schedule together, so `--jobs N` speeds up the
-/// whole section, not each study in turn.
 const OPEN_LOOP_RATES: [f64; 4] = [5.0, 15.0, 30.0, 60.0];
 const COMPOSITE_SOURCES: [u32; 3] = [2, 5, 10];
 
-fn run_extensions(
-    profile: Profile,
-    seed: u64,
-    out_dir: &std::path::Path,
-    rc: &RunnerConfig,
-    perf_sink: Option<&mut gperf::PerfSink>,
-) {
+/// The extension-study suite: the WAN cases, hierarchy comparison,
+/// aggregate-vs-direct pair, open-loop rates and composite sizes, in the
+/// order [`write_extensions`] reads them back.
+fn extension_jobs() -> Vec<Job> {
     use gridmon_core::ext::WAN_CASES;
-    let cfg = profile.run_config(seed);
+    let mut points: Vec<ExtPoint> = (0..WAN_CASES.len())
+        .map(|case| ExtPoint::Wan { users: 100, case })
+        .collect();
+    points.extend([
+        ExtPoint::HierFlat { n: 120 },
+        ExtPoint::HierTree {
+            n: 120,
+            branches: 5,
+        },
+        ExtPoint::AggDirect { users: 50 },
+        ExtPoint::AggViaGiis { users: 50 },
+    ]);
+    points.extend(OPEN_LOOP_RATES.map(|rate| ExtPoint::OpenLoop { rate }));
+    points.extend(COMPOSITE_SOURCES.map(|sources| ExtPoint::Composite { sources }));
+    points.into_iter().map(Job::Ext).collect()
+}
 
-    let mut ext_jobs: Vec<Job> = Vec::new();
-    for case in 0..WAN_CASES.len() {
-        ext_jobs.push(Job::Ext(ExtPoint::Wan { users: 100, case }));
-    }
-    ext_jobs.push(Job::Ext(ExtPoint::HierFlat { n: 120 }));
-    ext_jobs.push(Job::Ext(ExtPoint::HierTree {
-        n: 120,
-        branches: 5,
-    }));
-    ext_jobs.push(Job::Ext(ExtPoint::AggDirect { users: 50 }));
-    ext_jobs.push(Job::Ext(ExtPoint::AggViaGiis { users: 50 }));
-    for rate in OPEN_LOOP_RATES {
-        ext_jobs.push(Job::Ext(ExtPoint::OpenLoop { rate }));
-    }
-    for sources in COMPOSITE_SOURCES {
-        ext_jobs.push(Job::Ext(ExtPoint::Composite { sources }));
-    }
-
-    eprintln!(
-        "== running extension studies ({} points) ==",
-        ext_jobs.len()
-    );
-    let (outputs, stats) = gridmon_runner::run_jobs_profiled(&ext_jobs, &cfg, rc, perf_sink);
-    eprintln!(
-        "== extensions done in {:.1?} ({} executed, {} cached) ==",
-        stats.wall, stats.executed, stats.cache_hits
-    );
-
+/// Render the outputs of [`extension_jobs`] as `DIR/extensions.txt`.
+fn write_extensions(outputs: &[JobOutput], out_dir: &Path) {
+    use gridmon_core::ext::WAN_CASES;
     let measurement = |o: &JobOutput| o.measurement().expect("measurement-kind job");
     let mut cursor = outputs.iter();
     let mut out = String::new();

@@ -6,7 +6,6 @@ pub mod suite;
 
 use gridmon_core::figures::{self, FigureData, FigureError, SetData};
 use gridmon_core::runcfg::RunConfig;
-use gridmon_runner::{RunnerConfig, SweepStats};
 use simcore::SimDuration;
 
 /// A run profile for the harness.
@@ -43,17 +42,6 @@ impl Profile {
             Profile::Bench => 0.2,
         }
     }
-}
-
-/// Run one experiment set under a profile through the parallel sweep
-/// engine.  Results are byte-identical for every `rc.jobs` value.
-pub fn run_set(
-    set: u32,
-    profile: Profile,
-    seed: u64,
-    rc: &RunnerConfig,
-) -> Result<(SetData, SweepStats), FigureError> {
-    gridmon_runner::run_set(set, &profile.run_config(seed), profile.scale(), rc)
 }
 
 /// All four figures of a set.

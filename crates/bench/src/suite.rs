@@ -16,8 +16,8 @@
 //! deterministic and double as a cheap determinism check.
 
 use gperf::report::{json_escape, json_f64};
-use gridmon_core::experiments::set5;
 use gridmon_core::figures::{enumerate_set, FigureError};
+use gridmon_core::scenario::DEFAULT_FAULTS;
 use gridmon_runner::{Job, RunnerConfig};
 use gtrace::json::{parse, Val};
 use std::path::Path;
@@ -223,7 +223,8 @@ const WARM_WALL_NOISE_FLOOR_S: f64 = 0.005;
 /// alloc data — a matrix run without `alloc-profile` reports zeros and
 /// is exempt).  Warm entries regress when the cache path's wall time
 /// exceeds the baseline by more than the tolerance *and* clears the
-/// absolute noise floor ([`WARM_WALL_NOISE_FLOOR_S`]).  A baseline
+/// absolute noise floor (5 ms: below it a warm entry is all timer
+/// jitter).  A baseline
 /// entry missing from the current report is itself a regression (a
 /// silently shrunken matrix must not pass the gate); entries new in
 /// `current` are ignored.
@@ -319,12 +320,10 @@ pub fn run_matrix(
     quiet: bool,
 ) -> Result<Vec<BenchEntry>, FigureError> {
     let profile = crate::Profile::Bench;
+    let mut cfg = profile.run_config(seed);
+    cfg.faults = DEFAULT_FAULTS;
     let mut entries = Vec::with_capacity(sets.len() * 2);
     for &set in sets {
-        let mut cfg = profile.run_config(seed);
-        if set == 5 {
-            cfg.faults = set5::default_spec();
-        }
         let specs = enumerate_set(set, profile.scale())?;
         // Representative small + medium points: the first enumerated
         // point (lightest x of the first series) and the median of the
@@ -347,7 +346,7 @@ pub fn run_matrix(
         gperf::alloc::reset_peak();
         let pre = gperf::alloc::stats().unwrap_or_default();
         let mut cold = gperf::PerfSink::new();
-        let (_, _) = gridmon_runner::run_jobs_profiled(&jobs_list, &cfg, &rc, Some(&mut cold));
+        let (_, _) = gridmon_runner::run(&jobs_list, &cfg, &rc, Some(&mut cold));
         let post = gperf::alloc::stats().unwrap_or_default();
         let t = cold.totals();
         let allocs = post.allocs.saturating_sub(pre.allocs);
@@ -372,7 +371,7 @@ pub fn run_matrix(
         gperf::alloc::reset_peak();
         let pre = gperf::alloc::stats().unwrap_or_default();
         let mut warm = gperf::PerfSink::new();
-        let (_, stats) = gridmon_runner::run_jobs_profiled(&jobs_list, &cfg, &rc, Some(&mut warm));
+        let (_, stats) = gridmon_runner::run(&jobs_list, &cfg, &rc, Some(&mut warm));
         let post = gperf::alloc::stats().unwrap_or_default();
         debug_assert_eq!(stats.executed, 0, "warm run must be all cache hits");
         entries.push(BenchEntry {

@@ -7,11 +7,11 @@
 //! explicit jumps for the non-strict operators, evaluated by a small
 //! stack machine with no recursion over the compiled expression itself.
 //!
-//! Attribute references still resolve through [`crate::eval::eval_attr`]
+//! Attribute references still resolve through `crate::eval::eval_attr`
 //! (referenced attribute *bodies* are evaluated by the tree walker, with
 //! the same MY/TARGET swap and cycle detection), and all value semantics
 //! are delegated to the helpers the tree walker itself uses
-//! ([`strict_binary`], [`connective_tail`], [`call_builtin`], ...), so a
+//! (`strict_binary`, `connective_tail`, `call_builtin`, ...), so a
 //! compiled evaluation is bit-for-bit identical to [`crate::eval::eval`]
 //! on the same expression — a property the gridmon-diff suite asserts
 //! over randomly generated expressions and ads.

@@ -16,7 +16,7 @@ use testbed::{Testbed, TestbedConfig};
 /// A measurement together with the observability harvest of its run:
 /// the traced events / metrics snapshot plus the label tables needed to
 /// render them (service slot → label, node id → host name).
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObservedPoint {
     pub m: Measurement,
     pub report: ObsReport,
@@ -204,7 +204,7 @@ impl Harness {
         }
     }
 
-    /// Like [`run_and_measure`], but also harvest the observability
+    /// Like [`run_and_measure`](Harness::run_and_measure), but also harvest the observability
     /// report.  Requires `cfg.obs` to enable tracing and/or metrics.
     pub fn run_and_observe(&mut self, x: f64) -> ObservedPoint {
         assert!(

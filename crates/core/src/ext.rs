@@ -1,27 +1,31 @@
 //! Extension studies — the paper's "future work", implemented.
 //!
-//! Section 4 lists three follow-ups; each has a runner here:
+//! Section 4 lists three follow-ups; each study is a handful of points,
+//! and each point has a function here (the `Job::Ext` points of
+//! `gridmon-runner` call exactly these):
 //!
 //! 1. **WAN environment** — "the experiments should be repeated to study
-//!    performance in a WAN environment": [`wan_study`] sweeps the UC-ANL
-//!    link capacity/latency for the directory-server experiment.
+//!    performance in a WAN environment": [`wan_point`] repeats the
+//!    directory-server experiment under each [`WAN_CASES`] link quality.
 //! 2. **Aggregate vs direct** — "determine the difference between
 //!    querying an aggregate information server and an information server
-//!    for the same piece of information": [`aggregate_vs_direct`].
+//!    for the same piece of information": [`agg_direct_point`] vs
+//!    [`agg_via_giis_point`].
 //! 3. **Access patterns** — "additional patterns of user access":
-//!    [`open_loop_study`] replaces the closed-loop users with a Poisson
+//!    [`open_loop_point`] replaces the closed-loop users with a Poisson
 //!    open-loop arrival stream and reports the loss rate.
 //!
 //! A fourth extension implements the paper's own scalability proposals:
-//! [`hierarchy_study`] builds the "multi-layer architecture in which each
-//! middle-level aggregate information server manages a subset of
-//! information servers" and compares it with the flat GIIS of Experiment
-//! Set 4, and [`composite_study`] exercises the R-GMA composite
-//! Consumer/Producer the paper describes but R-GMA never shipped.
+//! [`hierarchy_tree_point`] builds the "multi-layer architecture in which
+//! each middle-level aggregate information server manages a subset of
+//! information servers", against the flat GIIS of Experiment Set 4
+//! ([`hierarchy_flat_point`]), and [`composite_study`] exercises the
+//! R-GMA composite Consumer/Producer the paper describes but R-GMA never
+//! shipped.
 
 use crate::deploy::{giis_suffix, Harness, MdsBackend, RgmaBackend};
-use crate::experiments::{set2, set4};
 use crate::runcfg::{Measurement, RunConfig};
+use crate::scenario::{catalogue, run_point};
 use mds::MdsRequest;
 use rgma::{CompositeProducer, RgmaMsg};
 use simcore::{SimDuration, SimRng};
@@ -46,14 +50,21 @@ pub const WAN_CASES: [(&str, f64, u64); 4] = [
     ("intercontinental-4mbit-80ms", 4e6, 80),
 ];
 
-/// One point of the WAN study: the directory-server experiment under
-/// `WAN_CASES[case]`.
+/// The built-in series `id` at `x`, under `cfg` exactly as given.
+fn builtin_point(id: &str, x: u32, cfg: &RunConfig) -> Measurement {
+    let series = catalogue::find(id).unwrap_or_else(|| panic!("no built-in series {id:?}"));
+    run_point(&(series.spec)(), x, cfg)
+        .unwrap_or_else(|e| panic!("built-in series {id:?} must compile: {e}"))
+}
+
+/// One point of the WAN study: the directory-server experiment (Set 2's
+/// GIIS) under `WAN_CASES[case]`.
 pub fn wan_point(cfg: &RunConfig, users: u32, case: usize) -> WanPoint {
     let (label, bps, lat_ms) = WAN_CASES[case];
     let mut c = *cfg;
     c.params.wan_bps = bps;
     c.params.wan_latency = SimDuration::from_millis(lat_ms.max(1));
-    let m = set2::run_point(set2::Set2Series::Giis, users, &c);
+    let m = builtin_point("set2/MDS GIIS", users, &c);
     WanPoint {
         label: label.to_string(),
         wan_mbps: bps / 1e6,
@@ -62,40 +73,22 @@ pub fn wan_point(cfg: &RunConfig, users: u32, case: usize) -> WanPoint {
     }
 }
 
-/// Repeat the directory-server experiment (GIIS, 200 users) across every
-/// [`WAN_CASES`] quality.
-pub fn wan_study(cfg: &RunConfig, users: u32) -> Vec<WanPoint> {
-    (0..WAN_CASES.len())
-        .map(|i| wan_point(cfg, users, i))
-        .collect()
+/// Aggregate-vs-direct, direct side: one resource's subtree queried
+/// from the GRIS that owns it — Set 1's cached-GRIS experiment.
+pub fn agg_direct_point(cfg: &RunConfig, users: u32) -> Measurement {
+    builtin_point("set1/MDS GRIS (cache)", users, cfg)
 }
 
-/// Query the same piece of information (one resource's subtree) from the
-/// GRIS that owns it and from the GIIS that aggregates it.  Returns
-/// `(direct, via_aggregate)`.
-pub fn aggregate_vs_direct(cfg: &RunConfig, users: u32) -> (Measurement, Measurement) {
-    use crate::experiments::set1;
-    // Direct: the Set-1 cached-GRIS experiment *is* the direct query.
-    let direct = set1::run_point(set1::Set1Series::GrisCache, users, cfg);
-    // Via the aggregate: Set-2's GIIS experiment queries the same host
-    // data through the directory.
-    let via = set2::run_point(set2::Set2Series::Giis, users, cfg);
-    (direct, via)
-}
-
-/// Flat vs hierarchical aggregation: `n` GRISes behind one GIIS, vs the
-/// same `n` split over `branches` mid-level GIISes under a top GIIS.
-/// Returns `(flat, hierarchical)` for 10 users querying everything.
-pub fn hierarchy_study(cfg: &RunConfig, n: u32, branches: usize) -> (Measurement, Measurement) {
-    let flat = hierarchy_flat_point(cfg, n);
-    let hier = hierarchy_tree_point(cfg, n, branches);
-    (flat, hier)
+/// Aggregate-vs-direct, aggregate side: the same host data queried
+/// through the directory — Set 2's GIIS experiment.
+pub fn agg_via_giis_point(cfg: &RunConfig, users: u32) -> Measurement {
+    builtin_point("set2/MDS GIIS", users, cfg)
 }
 
 /// The flat baseline of the hierarchy study: one GIIS over `n` GRISes
 /// (Experiment Set 4's query-all point).
 pub fn hierarchy_flat_point(cfg: &RunConfig, n: u32) -> Measurement {
-    set4::run_point(set4::Set4Series::GiisQueryAll, n, cfg)
+    builtin_point("set4/MDS GIIS(query all)", n, cfg)
 }
 
 /// The two-level architecture: `n` GRISes split over `branches`
@@ -145,17 +138,10 @@ pub struct OpenLoopPoint {
     pub response_time: f64,
 }
 
-/// Drive the R-GMA ProducerServlet with Poisson arrivals at increasing
-/// offered rates; past the servlet's capacity the loss rate explodes
-/// while the closed-loop experiment of Set 1 merely slowed down.
-pub fn open_loop_study(cfg: &RunConfig, rates: &[f64]) -> Vec<OpenLoopPoint> {
-    rates
-        .iter()
-        .map(|&rate| open_loop_point(cfg, rate))
-        .collect()
-}
-
-/// One offered-rate point of the open-loop study.
+/// One offered-rate point of the open-loop study: drive the R-GMA
+/// ProducerServlet with Poisson arrivals.  Past the servlet's capacity
+/// the loss rate explodes while the closed-loop experiment of Set 1
+/// merely slowed down.
 pub fn open_loop_point(cfg: &RunConfig, rate: f64) -> OpenLoopPoint {
     let mut h = Harness::new(*cfg);
     let ps_node = h.lucky("lucky3");

@@ -5,17 +5,12 @@
 //! self-contained [`PointSpec`] jobs — one per `(series, x)` — so callers
 //! can execute them sequentially ([`run_set`]) or hand them to the
 //! parallel engine in `gridmon-runner`; both produce byte-identical
-//! results because every point derives its own seed from the spec.
+//! results because every point derives its own seed from its key.
 //! [`figure`] projects the metric a given figure plots.
 
-use crate::deploy::ObservedPoint;
-use crate::experiments::{
-    set1, set2, set3, set4, set5, set6, Set1Series, Set2Series, Set3Series, Set4Series, Set5Series,
-    Set6Series,
-};
-use crate::mapping::System;
 use crate::runcfg::{Measurement, RunConfig};
-use crate::stablehash::{fnv1a64, mix64};
+use crate::scenario::catalogue::{self, Series};
+use crate::scenario::{point_cfg, run_point};
 use std::fmt;
 
 /// One series of a figure: a label and `(x, y)` points.
@@ -134,142 +129,11 @@ fn set_title(set: u32, pos: usize) -> String {
 // Point-level sweep decomposition
 // ======================================================================
 
-/// One sweep series of one experiment set, unified across sets so a
-/// scheduler can treat all points alike.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SeriesId {
-    S1(Set1Series),
-    S2(Set2Series),
-    S3(Set3Series),
-    S4(Set4Series),
-    S5(Set5Series),
-    S6(Set6Series),
-}
-
-impl SeriesId {
-    /// Every series of one experiment set, in paper order.
-    pub fn all_in_set(set: u32) -> Result<Vec<SeriesId>, FigureError> {
-        Ok(match set {
-            1 => Set1Series::ALL.iter().map(|&s| SeriesId::S1(s)).collect(),
-            2 => Set2Series::ALL.iter().map(|&s| SeriesId::S2(s)).collect(),
-            3 => Set3Series::ALL.iter().map(|&s| SeriesId::S3(s)).collect(),
-            4 => Set4Series::ALL.iter().map(|&s| SeriesId::S4(s)).collect(),
-            5 => Set5Series::ALL.iter().map(|&s| SeriesId::S5(s)).collect(),
-            6 => Set6Series::ALL.iter().map(|&s| SeriesId::S6(s)).collect(),
-            other => return Err(FigureError::UnknownSet(other)),
-        })
-    }
-
-    /// The experiment set this series belongs to.
-    pub fn set(self) -> u32 {
-        match self {
-            SeriesId::S1(_) => 1,
-            SeriesId::S2(_) => 2,
-            SeriesId::S3(_) => 3,
-            SeriesId::S4(_) => 4,
-            SeriesId::S5(_) => 5,
-            SeriesId::S6(_) => 6,
-        }
-    }
-
-    /// The figure legend label (stable: also the series' cache identity).
-    pub fn label(self) -> &'static str {
-        match self {
-            SeriesId::S1(s) => s.label(),
-            SeriesId::S2(s) => s.label(),
-            SeriesId::S3(s) => s.label(),
-            SeriesId::S4(s) => s.label(),
-            SeriesId::S5(s) => s.label(),
-            SeriesId::S6(s) => s.label(),
-        }
-    }
-
-    /// The x-values the paper sweeps for this series.
-    pub fn x_values(self) -> &'static [u32] {
-        match self {
-            SeriesId::S1(s) => s.user_counts(),
-            SeriesId::S2(s) => s.user_counts(),
-            SeriesId::S3(s) => s.collector_counts(),
-            SeriesId::S4(s) => s.server_counts(),
-            SeriesId::S5(s) => s.fault_counts(),
-            SeriesId::S6(s) => s.server_counts(),
-        }
-    }
-
-    /// The monitoring system under test — determines which calibrated
-    /// parameters affect this series (see [`crate::params::Params::fingerprint`]).
-    pub fn system(self) -> System {
-        match self {
-            SeriesId::S1(Set1Series::GrisCache | Set1Series::GrisNoCache) => System::Mds,
-            SeriesId::S1(Set1Series::HawkeyeAgent) => System::Hawkeye,
-            SeriesId::S1(_) => System::Rgma,
-            SeriesId::S2(Set2Series::Giis) => System::Mds,
-            SeriesId::S2(Set2Series::HawkeyeManager) => System::Hawkeye,
-            SeriesId::S2(_) => System::Rgma,
-            SeriesId::S3(Set3Series::GrisCache | Set3Series::GrisNoCache) => System::Mds,
-            SeriesId::S3(Set3Series::HawkeyeAgent) => System::Hawkeye,
-            SeriesId::S3(Set3Series::ProducerServlet) => System::Rgma,
-            SeriesId::S4(Set4Series::HawkeyeManager) => System::Hawkeye,
-            SeriesId::S4(_) => System::Mds,
-            SeriesId::S5(Set5Series::MdsGiis) => System::Mds,
-            SeriesId::S5(Set5Series::RgmaRegistry) => System::Rgma,
-            SeriesId::S5(Set5Series::HawkeyeManager) => System::Hawkeye,
-            SeriesId::S6(_) => System::Mds,
-        }
-    }
-
-    /// The declarative spec this series compiles to — its canonical text
-    /// is the single source of truth for the deployed topology.
-    pub fn catalogue_spec(self) -> gscenario::ScenarioSpec {
-        use crate::scenario::catalogue;
-        match self {
-            SeriesId::S1(s) => catalogue::set1(s),
-            SeriesId::S2(s) => catalogue::set2(s),
-            SeriesId::S3(s) => catalogue::set3(s),
-            SeriesId::S4(s) => catalogue::set4(s),
-            SeriesId::S5(s) => catalogue::set5(s),
-            SeriesId::S6(s) => catalogue::set6(s),
-        }
-    }
-
-    /// Fingerprint of [`catalogue_spec`](SeriesId::catalogue_spec):
-    /// folded into the result-cache address so editing a built-in
-    /// topology invalidates exactly that series' cached points.
-    pub fn scenario_fingerprint(self) -> String {
-        self.catalogue_spec().fingerprint()
-    }
-
-    /// Run one point of this series with `cfg` exactly as given (no seed
-    /// derivation — see [`PointSpec::run`] for the sweep discipline).
-    pub fn run_point_raw(self, x: u32, cfg: &RunConfig) -> Measurement {
-        match self {
-            SeriesId::S1(s) => set1::run_point(s, x, cfg),
-            SeriesId::S2(s) => set2::run_point(s, x, cfg),
-            SeriesId::S3(s) => set3::run_point(s, x, cfg),
-            SeriesId::S4(s) => set4::run_point(s, x, cfg),
-            SeriesId::S5(s) => set5::run_point(s, x, cfg),
-            SeriesId::S6(s) => set6::run_point(s, x, cfg),
-        }
-    }
-
-    /// Like [`run_point_raw`](SeriesId::run_point_raw), but harvest the
-    /// observability report (requires `cfg.obs` to enable something).
-    pub fn run_point_observed_raw(self, x: u32, cfg: &RunConfig) -> ObservedPoint {
-        match self {
-            SeriesId::S1(s) => set1::run_point_observed(s, x, cfg),
-            SeriesId::S2(s) => set2::run_point_observed(s, x, cfg),
-            SeriesId::S3(s) => set3::run_point_observed(s, x, cfg),
-            SeriesId::S4(s) => set4::run_point_observed(s, x, cfg),
-            SeriesId::S5(s) => set5::run_point_observed(s, x, cfg),
-            SeriesId::S6(s) => set6::run_point_observed(s, x, cfg),
-        }
-    }
-}
-
-/// A self-contained unit of sweep work: one `(series, x)` point.
+/// A self-contained unit of sweep work: one `(series, x)` point of the
+/// built-in [`catalogue`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PointSpec {
-    pub series: SeriesId,
+    pub series: &'static Series,
     pub x: u32,
 }
 
@@ -277,40 +141,7 @@ impl PointSpec {
     /// Stable textual identity of this point, used for seed derivation
     /// and as part of the result-cache address.
     pub fn key(&self) -> String {
-        format!(
-            "set{}/{}/x={}",
-            self.series.set(),
-            self.series.label(),
-            self.x
-        )
-    }
-
-    /// The seed this point runs under: derived from the sweep's base
-    /// seed and the point identity, so every point owns an independent
-    /// random stream and the result is invariant to execution order.
-    pub fn derived_seed(&self, base_seed: u64) -> u64 {
-        mix64(base_seed ^ fnv1a64(self.key().as_bytes()))
-    }
-
-    /// `cfg` with the seed replaced by this point's derived seed.
-    pub fn cfg_for(&self, base: &RunConfig) -> RunConfig {
-        let mut c = *base;
-        c.seed = self.derived_seed(base.seed);
-        c
-    }
-
-    /// Execute this point.  Byte-identical wherever and whenever it
-    /// runs: the measurement depends only on `(spec, base cfg)`.
-    pub fn run(&self, base: &RunConfig) -> Measurement {
-        self.series.run_point_raw(self.x, &self.cfg_for(base))
-    }
-
-    /// Execute this point with observability harvested.  The embedded
-    /// measurement is byte-identical to [`run`](PointSpec::run) with the
-    /// same base config: tracing observes the run without perturbing it.
-    pub fn run_observed(&self, base: &RunConfig) -> ObservedPoint {
-        self.series
-            .run_point_observed_raw(self.x, &self.cfg_for(base))
+        format!("{}/x={}", self.series.id(), self.x)
     }
 }
 
@@ -336,10 +167,13 @@ pub fn scale_xs(xs: &[u32], scale: f64) -> Vec<u32> {
 /// job list both the sequential and the parallel runner execute.
 pub fn enumerate_set(set: u32, scale: f64) -> Result<Vec<PointSpec>, FigureError> {
     let mut specs = Vec::new();
-    for series in SeriesId::all_in_set(set)? {
-        for x in scale_xs(series.x_values(), scale) {
+    for series in catalogue::in_set(set) {
+        for x in scale_xs(&(series.spec)().x_values, scale) {
             specs.push(PointSpec { series, x });
         }
+    }
+    if specs.is_empty() {
+        return Err(FigureError::UnknownSet(set));
     }
     Ok(specs)
 }
@@ -350,7 +184,7 @@ pub fn assemble_set(set: u32, specs: &[PointSpec], results: &[Measurement]) -> S
     assert_eq!(specs.len(), results.len(), "one result per spec");
     let mut series: Vec<(String, Vec<Measurement>)> = Vec::new();
     for (spec, m) in specs.iter().zip(results) {
-        let label = spec.series.label();
+        let label = spec.series.label;
         match series.last_mut() {
             Some((l, pts)) if l == label => pts.push(*m),
             _ => series.push((label.to_string(), vec![*m])),
@@ -359,28 +193,21 @@ pub fn assemble_set(set: u32, specs: &[PointSpec], results: &[Measurement]) -> S
     SetData { set, series }
 }
 
-/// Optional progress callback: `(series label, x)` before each point.
-pub type Progress<'a> = &'a mut dyn FnMut(&str, f64);
-
-/// Run one experiment set completely and sequentially.  `scale` in
+/// Run one experiment set completely and sequentially — the pool-free
+/// reference the determinism tests hold `gridmon-runner` to.  `scale` in
 /// `(0, 1]` shrinks every swept x-value; 1.0 reproduces the paper's
-/// sweep.  The parallel engine (`gridmon-runner`) executes the same
-/// [`enumerate_set`] job list and yields byte-identical results.
-pub fn run_set(
-    set: u32,
-    cfg: &RunConfig,
-    scale: f64,
-    progress: Option<Progress>,
-) -> Result<SetData, FigureError> {
+/// sweep.  The runner executes the same [`enumerate_set`] job list and
+/// yields byte-identical results.
+pub fn run_set(set: u32, cfg: &RunConfig, scale: f64) -> Result<SetData, FigureError> {
     let specs = enumerate_set(set, scale)?;
-    let mut cb = progress;
-    let mut results = Vec::with_capacity(specs.len());
-    for spec in &specs {
-        if let Some(cb) = cb.as_mut() {
-            cb(spec.series.label(), f64::from(spec.x));
-        }
-        results.push(spec.run(cfg));
-    }
+    let results: Vec<Measurement> = specs
+        .iter()
+        .map(|p| {
+            let spec = (p.series.spec)();
+            run_point(&spec, p.x, &point_cfg(&spec, &p.key(), cfg))
+                .unwrap_or_else(|e| panic!("built-in point {} must compile: {e}", p.key()))
+        })
+        .collect();
     Ok(assemble_set(set, &specs, &results))
 }
 
@@ -482,7 +309,7 @@ mod tests {
     #[test]
     fn selection_errors_are_clean() {
         assert_eq!(
-            SeriesId::all_in_set(0).unwrap_err(),
+            enumerate_set(0, 1.0).unwrap_err(),
             FigureError::UnknownSet(0)
         );
         let data = SetData {
@@ -507,10 +334,8 @@ mod tests {
     fn enumeration_covers_every_series_point() {
         // Full-scale set 1: five series, one spec per swept x.
         let specs = enumerate_set(1, 1.0).unwrap();
-        let expected: usize = SeriesId::all_in_set(1)
-            .unwrap()
-            .iter()
-            .map(|s| s.x_values().len())
+        let expected: usize = catalogue::in_set(1)
+            .map(|s| (s.spec)().x_values.len())
             .sum();
         assert_eq!(specs.len(), expected);
         // Scaling dedups collapsed x-values.
@@ -520,7 +345,7 @@ mod tests {
         // Set 5 keeps its x=0 control point under any scale.
         let s5 = enumerate_set(5, 0.34).unwrap();
         assert_eq!(s5.len() % 3, 0, "three series");
-        for series in SeriesId::all_in_set(5).unwrap() {
+        for series in catalogue::in_set(5) {
             assert!(s5.iter().any(|p| p.series == series && p.x == 0));
         }
         assert_eq!(scale_xs(&[0, 1, 2, 3, 4, 5], 1.0), vec![0, 1, 2, 3, 4, 5]);
@@ -528,25 +353,10 @@ mod tests {
     }
 
     #[test]
-    fn derived_seeds_are_per_point_and_stable() {
-        let a = PointSpec {
-            series: SeriesId::S1(Set1Series::GrisCache),
-            x: 50,
-        };
-        let b = PointSpec {
-            series: SeriesId::S1(Set1Series::GrisCache),
-            x: 100,
-        };
-        let c = PointSpec {
-            series: SeriesId::S1(Set1Series::GrisNoCache),
-            x: 50,
-        };
-        assert_ne!(a.derived_seed(1), b.derived_seed(1));
-        assert_ne!(a.derived_seed(1), c.derived_seed(1));
-        assert_ne!(a.derived_seed(1), a.derived_seed(2));
-        // Stable across calls (and, via FNV, across platforms).
-        assert_eq!(a.derived_seed(1), a.derived_seed(1));
-        assert_eq!(a.key(), "set1/MDS GRIS (cache)/x=50");
+    fn point_keys_extend_the_series_id() {
+        let series = catalogue::find("set1/MDS GRIS (cache)").unwrap();
+        let p = PointSpec { series, x: 50 };
+        assert_eq!(p.key(), "set1/MDS GRIS (cache)/x=50");
     }
 
     #[test]

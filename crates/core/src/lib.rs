@@ -14,25 +14,26 @@
 //!   Lucky/UC testbed (which host runs which component).
 //! * [`scenario`] — the declarative layer: compiles a
 //!   [`gscenario::ScenarioSpec`] (topology + workload + faults as pure
-//!   data) into a runnable world, and holds the built-in catalogue the
-//!   experiment sets are defined in.
-//! * [`experiments`] — one runner per experiment set (the paper's
-//!   sections 3.3–3.6); each point yields the four reported metrics:
-//!   throughput, response time, host `load1` and host CPU load.
-//! * [`figures`] — sweeps that regenerate every figure (5–20) as named
+//!   data) into a runnable world and runs it.  Each point yields the
+//!   four reported metrics: throughput, response time, host `load1` and
+//!   host CPU load.  [`scenario::catalogue`] is the table of built-in
+//!   series: the paper's experiment sets 1–4 (sections 3.3–3.6), the
+//!   resilience set 5 and the federation set 6.
+//! * [`figures`] — sweeps that regenerate every figure (5–28) as named
 //!   data series.
+//! * [`ext`] — the paper's future-work studies, one function per point.
 //! * [`report`] — aligned text tables, CSV output and quick ASCII plots.
 //!
 //! ```no_run
-//! use gridmon_core::{experiments::{set1, Set1Series}, runcfg::RunConfig};
+//! use gridmon_core::{runcfg::RunConfig, scenario};
 //!
 //! let cfg = RunConfig::quick(1);
-//! let m = set1::run_point(Set1Series::GrisCache, 50, &cfg);
+//! let series = scenario::catalogue::find("set1/MDS GRIS (cache)").unwrap();
+//! let m = scenario::run_point(&(series.spec)(), 50, &cfg).unwrap();
 //! println!("50 users -> {:.1} queries/sec", m.throughput);
 //! ```
 
 pub mod deploy;
-pub mod experiments;
 pub mod ext;
 pub mod figures;
 pub mod mapping;

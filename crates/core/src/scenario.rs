@@ -4,11 +4,9 @@
 //! place that turns one into a runnable world.  [`compile`] evaluates a
 //! spec at one x value in a fixed order — services in file order, then
 //! the Ganglia monitor, then the workload, then the fault schedule and
-//! resilience probe — so that a spec compiled here produces the exact
-//! sequence of `Net`/`Engine` mutations the hand-written
-//! `experiments::set1..set5` builders used to perform.  The builders now
-//! delegate to [`catalogue`], which holds the five paper sets (plus the
-//! federation Set 6) as `ScenarioSpec` values.
+//! resilience probe.  [`run_point`] is the one way any point runs,
+//! whether its spec was authored in TOML or comes from [`catalogue`],
+//! the table holding the five paper sets (plus the federation Set 6).
 //!
 //! Determinism contract: identical `(spec, x, cfg)` ⇒ identical
 //! trajectory.  Deployment order is spec file order; the t=0 start order
@@ -16,7 +14,8 @@
 
 use crate::deploy::{backend_of, giis_suffix, gris_suffix, DeployError, Harness};
 use crate::runcfg::{Measurement, RunConfig};
-use gfaults::{FaultAction, FaultPlan, Scenario, PARTITION_BPS};
+use crate::stablehash::{fnv1a64, mix64};
+use gfaults::{FaultAction, FaultPlan, FaultSpec, Scenario, PARTITION_BPS};
 use gscenario::{ClientCpu, FaultKind, Placement, ProbeSpec, Query, ScenarioSpec, ServiceKind};
 use hawkeye::{HawkeyeMsg, Manager};
 use ldapdir::{Filter, Scope};
@@ -35,6 +34,17 @@ pub const PROBE_PERIOD_S: u64 = 2;
 /// An agent ad older than this no longer matches (3 advertise periods,
 /// Condor's classic 3×-heartbeat rule of thumb).
 pub const HAWKEYE_FRESH_HORIZON_S: u64 = 90;
+
+/// The canonical fault schedule (`auto@0.25:0.6`): the kind each spec's
+/// `[faults]` section declares, onset 25% into the measurement window,
+/// heal at 60%.  `targets` is a placeholder — each point faults its x
+/// value's worth of components.
+pub const DEFAULT_FAULTS: FaultSpec = FaultSpec {
+    scenario: Scenario::Auto,
+    targets: 1,
+    start_frac: 0.25,
+    heal_frac: 0.6,
+};
 
 // ======================================================================
 // Compilation
@@ -144,7 +154,30 @@ pub fn compile(spec: &ScenarioSpec, x: u32, cfg: &RunConfig) -> Result<Harness, 
     Ok(h)
 }
 
-/// Run one `(spec, x)` point: compile, run, measure.
+/// The seed the sweep point `key` runs under: derived from the sweep's
+/// base seed and the point's identity, so every point owns an
+/// independent random stream and results are invariant to execution
+/// order.
+pub fn point_seed(base_seed: u64, key: &str) -> u64 {
+    mix64(base_seed ^ fnv1a64(key.as_bytes()))
+}
+
+/// The configuration the sweep point `key` of `spec` runs under: the
+/// sweep's `base` with the point's own seed, and with the fault plan only
+/// if the spec declares a `[faults]` section.  Every other point runs —
+/// and is cached — pristine whatever plan the sweep carries, which is
+/// what lets one job list span faulted and unfaulted sets.
+pub fn point_cfg(spec: &ScenarioSpec, key: &str, base: &RunConfig) -> RunConfig {
+    let mut c = *base;
+    c.seed = point_seed(base.seed, key);
+    if spec.faults.is_none() {
+        c.faults = FaultSpec::NONE;
+    }
+    c
+}
+
+/// Run one `(spec, x)` point under `cfg` exactly as given: compile, run,
+/// measure.
 pub fn run_point(spec: &ScenarioSpec, x: u32, cfg: &RunConfig) -> Result<Measurement, DeployError> {
     Ok(compile(spec, x, cfg)?.run_and_measure(f64::from(x)))
 }
@@ -646,18 +679,206 @@ fn install_resilience(h: &mut Harness, w: &World<'_>) -> Result<(), DeployError>
 // The built-in catalogue
 // ======================================================================
 
-/// The five paper experiment sets — plus the federated Set 6 — as
-/// [`ScenarioSpec`] values.  These are the single source of truth the
-/// `experiments::setN::build` functions compile; their canonical text
-/// (and hence fingerprint) is part of the result cache's address.
+/// The five paper experiment sets — plus the federated Set 6 — as one
+/// table of [`ScenarioSpec`] builders.  A series' row is the only place
+/// its set, legend label and topology are written; the spec's canonical
+/// text (and hence fingerprint) is part of the result cache's address.
 pub mod catalogue {
-    use crate::experiments::{
-        Set1Series, Set2Series, Set3Series, Set4Series, Set5Series, Set6Series,
-    };
     use gscenario::{
         ClientCpu, Count, FaultKind, FaultPolicy, Placement, ProbeSpec, Query, ScenarioSpec,
         ServiceKind, ServiceSpec, SystemId, Ttl, WorkloadSpec,
     };
+
+    /// One built-in figure series.
+    #[derive(Debug)]
+    pub struct Series {
+        /// The experiment set (1–6) whose figures plot this series.
+        pub set: u32,
+        /// The figure legend label (stable: part of every point key, so
+        /// of seed derivation and the cache address).
+        pub label: &'static str,
+        /// Builds the spec.  A function, not a value: the table stays a
+        /// few words per row and a point builds its spec where it runs.
+        pub spec: fn() -> ScenarioSpec,
+    }
+
+    impl Series {
+        /// `setN/<label>` — the id `figures --list` prints and
+        /// [`find`] resolves.
+        pub fn id(&self) -> String {
+            format!("set{}/{}", self.set, self.label)
+        }
+    }
+
+    /// A series is its row: `(set, label)` is unique in [`SERIES`].
+    impl PartialEq for Series {
+        fn eq(&self, other: &Series) -> bool {
+            (self.set, self.label) == (other.set, other.label)
+        }
+    }
+
+    impl Eq for Series {}
+
+    /// Every built-in series, set-major in paper order.
+    pub static SERIES: [Series; 22] = [
+        // Set 1 (Figs 5–8) — information server scalability with users.
+        Series {
+            set: 1,
+            label: "MDS GRIS (cache)",
+            spec: || set1_gris(true),
+        },
+        Series {
+            set: 1,
+            label: "MDS GRIS (nocache)",
+            spec: || set1_gris(false),
+        },
+        Series {
+            set: 1,
+            label: "Hawkeye Agent",
+            spec: set1_hawkeye_agent,
+        },
+        Series {
+            set: 1,
+            label: "R-GMA ProducerServlet(lucky)",
+            spec: set1_producer_servlet_lucky,
+        },
+        Series {
+            set: 1,
+            label: "R-GMA ProducerServlet(UC)",
+            spec: set1_producer_servlet_uc,
+        },
+        // Set 2 (Figs 9–12) — directory server scalability with users.
+        Series {
+            set: 2,
+            label: "MDS GIIS",
+            spec: set2_giis,
+        },
+        Series {
+            set: 2,
+            label: "Hawkeye Manager",
+            spec: set2_hawkeye_manager,
+        },
+        Series {
+            set: 2,
+            label: "R-GMA Registry(lucky)",
+            spec: || set2_registry(false),
+        },
+        Series {
+            set: 2,
+            label: "R-GMA Registry(UC)",
+            spec: || set2_registry(true),
+        },
+        // Set 3 (Figs 13–16) — information server scalability with
+        // collectors, 10 concurrent users throughout.
+        Series {
+            set: 3,
+            label: "MDS GRIS(cache)",
+            spec: || set3_gris(true),
+        },
+        Series {
+            set: 3,
+            label: "MDS GRIS(no cache)",
+            spec: || set3_gris(false),
+        },
+        Series {
+            set: 3,
+            label: "Hawkeye Agent",
+            spec: set3_hawkeye_agent,
+        },
+        Series {
+            set: 3,
+            label: "R-GMA ProducerServlet",
+            spec: set3_producer_servlet,
+        },
+        // Set 4 (Figs 17–20) — aggregate information server scalability,
+        // 10 users.  The sweeps stop at the paper's software limits.
+        Series {
+            set: 4,
+            label: "MDS GIIS(query all)",
+            spec: || set4_giis(true),
+        },
+        Series {
+            set: 4,
+            label: "MDS GIIS (query part)",
+            spec: || set4_giis(false),
+        },
+        Series {
+            set: 4,
+            label: "Hawkeye Manager",
+            spec: set4_hawkeye_manager,
+        },
+        // Set 5 (Figs 21–24) — resilience: each system hit where its
+        // soft-state design is most exposed; x components are faulted.
+        Series {
+            set: 5,
+            label: "MDS GIIS (GRIS partition)",
+            spec: set5_mds_giis,
+        },
+        Series {
+            set: 5,
+            label: "R-GMA (producer churn)",
+            spec: set5_rgma_registry,
+        },
+        Series {
+            set: 5,
+            label: "Hawkeye (agent churn)",
+            spec: set5_hawkeye_manager,
+        },
+        // Set 6 (Figs 25–28) — the same x GRISes flat under one GIIS vs
+        // sharded over mid-level branch GIISes under a 2-level index, the
+        // multi-layer architecture the paper's Section 4 proposes.
+        Series {
+            set: 6,
+            label: "MDS GIIS (flat)",
+            spec: set6_flat_giis,
+        },
+        Series {
+            set: 6,
+            label: "MDS GIIS (3 branches)",
+            spec: || set6_federated(3),
+        },
+        Series {
+            set: 6,
+            label: "MDS GIIS (6 branches)",
+            spec: || set6_federated(6),
+        },
+    ];
+
+    /// The series with this `setN/<label>` id.
+    pub fn find(id: &str) -> Option<&'static Series> {
+        SERIES.iter().find(|s| s.id() == id)
+    }
+
+    /// The series of one experiment set, in paper order (none for an
+    /// unknown set).
+    pub fn in_set(set: u32) -> impl Iterator<Item = &'static Series> {
+        SERIES.iter().filter(move |s| s.set == set)
+    }
+
+    /// The experiment sets the table covers, ascending.
+    pub fn sets() -> Vec<u32> {
+        let mut sets: Vec<u32> = SERIES.iter().map(|s| s.set).collect();
+        sets.dedup();
+        sets
+    }
+
+    /// User counts the paper sweeps in Sets 1–2.
+    const USER_COUNTS: [u32; 9] = [1, 10, 50, 100, 200, 300, 400, 500, 600];
+    /// The UC-hosted R-GMA variants stop at 100 users (section 3.1).
+    const USER_COUNTS_UC: [u32; 4] = [1, 10, 50, 100];
+    /// Set 4's query-all sweep (beyond 200 the GIIS crashed on the real
+    /// testbed); Set 6 reuses it.
+    const GRIS_COUNTS: [u32; 5] = [10, 50, 100, 150, 200];
+    /// Faulted-component counts of Set 5; 0 is the unfaulted control.
+    const FAULT_COUNTS: [u32; 6] = [0, 1, 2, 3, 4, 5];
+
+    /// Concurrent closed-loop users per point in Sets 3–6.
+    const USERS: Count = Count::Lit(10);
+
+    /// Set 5's client-side query timeout: an abandoned query counts
+    /// against availability and is retried with capped exponential
+    /// backoff.
+    const CLIENT_TIMEOUT_S: u64 = 10;
 
     fn svc(name: &str, host: &str, kind: ServiceKind) -> (String, ServiceSpec) {
         (
@@ -706,556 +927,519 @@ pub mod catalogue {
         s
     }
 
-    /// Experiment Set 1 — information server scalability with users.
-    pub fn set1(series: Set1Series) -> ScenarioSpec {
-        match series {
-            Set1Series::GrisCache | Set1Series::GrisNoCache => {
-                let cache = series == Set1Series::GrisCache;
-                let name = if cache {
-                    "set1-gris-cache"
-                } else {
-                    "set1-gris-nocache"
-                };
-                spec(
-                    name,
-                    SystemId::Mds,
-                    series.user_counts(),
-                    vec![svc(
-                        "gris",
-                        "lucky7",
-                        ServiceKind::Gris {
-                            providers: Count::Lit(10),
-                            cache,
-                            gsi: true,
-                        },
-                    )],
-                    "lucky7",
-                    workload(Some("gris"), Query::MdsSearchAllGris0, ClientCpu::Mds),
-                )
-            }
-            Set1Series::HawkeyeAgent => spec(
-                "set1-hawkeye-agent",
-                SystemId::Hawkeye,
-                series.user_counts(),
-                vec![
-                    svc("mgr", "lucky3", ServiceKind::Manager),
-                    svc(
-                        "agent",
-                        "lucky4",
-                        ServiceKind::Agent {
-                            modules: Count::Lit(11),
-                            manager: "mgr".to_string(),
-                        },
-                    ),
-                ],
-                "lucky4",
-                workload(Some("agent"), Query::HawkeyeAgentStatus, ClientCpu::Condor),
-            ),
-            Set1Series::ProducerServletUC => spec(
-                "set1-producer-servlet-uc",
-                SystemId::Rgma,
-                series.user_counts(),
-                vec![
-                    svc("reg", "lucky1", ServiceKind::Registry),
-                    svc(
-                        "ps",
-                        "lucky3",
-                        ServiceKind::ProducerServlet {
-                            producers: Count::Lit(10),
-                            registry: "reg".to_string(),
-                        },
-                    ),
-                    svc(
-                        "cs",
-                        "uc00",
-                        ServiceKind::ConsumerServlet {
-                            registry: "reg".to_string(),
-                        },
-                    ),
-                ],
-                "lucky3",
-                workload(Some("cs"), Query::RgmaConsumerQuery, ClientCpu::Rgma),
-            ),
-            Set1Series::ProducerServletLucky => {
-                // One ConsumerServlet per Lucky client node (lucky minus
-                // the servlet/registry hosts), users beside their servlet.
-                let mut services = vec![
-                    svc("reg", "lucky1", ServiceKind::Registry),
-                    svc(
-                        "ps",
-                        "lucky3",
-                        ServiceKind::ProducerServlet {
-                            producers: Count::Lit(10),
-                            registry: "reg".to_string(),
-                        },
-                    ),
-                ];
-                let client_hosts = ["lucky0", "lucky4", "lucky5", "lucky6", "lucky7"];
-                for (i, host) in client_hosts.iter().enumerate() {
-                    services.push(svc(
-                        &format!("cs{i}"),
-                        host,
-                        ServiceKind::ConsumerServlet {
-                            registry: "reg".to_string(),
-                        },
-                    ));
-                }
-                let mut w = workload(None, Query::RgmaConsumerQuery, ClientCpu::Rgma);
-                w.placement = Placement::PerService(
-                    (0..client_hosts.len()).map(|i| format!("cs{i}")).collect(),
-                );
-                spec(
-                    "set1-producer-servlet-lucky",
-                    SystemId::Rgma,
-                    series.user_counts(),
-                    services,
-                    "lucky3",
-                    w,
-                )
-            }
-        }
+    /// MDS GRIS, provider data always (`cache`) or never in cache.
+    fn set1_gris(cache: bool) -> ScenarioSpec {
+        spec(
+            if cache {
+                "set1-gris-cache"
+            } else {
+                "set1-gris-nocache"
+            },
+            SystemId::Mds,
+            &USER_COUNTS,
+            vec![svc(
+                "gris",
+                "lucky7",
+                ServiceKind::Gris {
+                    providers: Count::Lit(10),
+                    cache,
+                    gsi: true,
+                },
+            )],
+            "lucky7",
+            workload(Some("gris"), Query::MdsSearchAllGris0, ClientCpu::Mds),
+        )
     }
 
-    /// Experiment Set 2 — directory server scalability with users.
-    pub fn set2(series: Set2Series) -> ScenarioSpec {
-        match series {
-            Set2Series::Giis => spec(
-                "set2-giis",
-                SystemId::Mds,
-                series.user_counts(),
-                vec![svc(
-                    "giis",
-                    "lucky0",
-                    ServiceKind::GiisPool {
-                        gris_hosts: strings(&["lucky3", "lucky4", "lucky5", "lucky6", "lucky7"]),
-                        n_gris: Count::Lit(5),
-                        cachettl: Ttl::Pinned,
-                    },
-                )],
-                "lucky0",
-                workload(
-                    Some("giis"),
-                    Query::MdsSearchCpu { attrs_only: false },
-                    ClientCpu::Mds,
-                ),
-            ),
-            Set2Series::HawkeyeManager => {
-                let mut services = vec![svc("mgr", "lucky3", ServiceKind::Manager)];
-                let agent_hosts = ["lucky0", "lucky1", "lucky4", "lucky5", "lucky6", "lucky7"];
-                for (i, host) in agent_hosts.iter().enumerate() {
-                    services.push(svc(
-                        &format!("a{i}"),
-                        host,
-                        ServiceKind::Agent {
-                            modules: Count::Lit(11),
-                            manager: "mgr".to_string(),
-                        },
-                    ));
-                }
-                spec(
-                    "set2-hawkeye-manager",
-                    SystemId::Hawkeye,
-                    series.user_counts(),
-                    services,
-                    "lucky3",
-                    workload(Some("mgr"), Query::HawkeyeStatusRandom, ClientCpu::Condor),
-                )
-            }
-            Set2Series::RegistryLucky | Set2Series::RegistryUC => {
-                let mut services = vec![svc("reg", "lucky1", ServiceKind::Registry)];
-                for (i, host) in ["lucky3", "lucky4", "lucky5", "lucky6", "lucky7"]
-                    .iter()
-                    .enumerate()
-                {
-                    services.push(svc(
-                        &format!("ps{i}"),
-                        host,
-                        ServiceKind::ProducerServlet {
-                            producers: Count::Lit(10),
-                            registry: "reg".to_string(),
-                        },
-                    ));
-                }
-                let mut w = workload(
-                    Some("reg"),
-                    Query::RgmaRegistryLookupRandom,
-                    ClientCpu::Rgma,
-                );
-                let name = if series == Set2Series::RegistryUC {
-                    "set2-registry-uc"
-                } else {
-                    // Users on the lucky nodes themselves (120 per node).
-                    w.placement = Placement::Hosts(strings(&[
-                        "lucky0", "lucky3", "lucky4", "lucky5", "lucky6",
-                    ]));
-                    "set2-registry-lucky"
-                };
-                spec(
-                    name,
-                    SystemId::Rgma,
-                    series.user_counts(),
-                    services,
-                    "lucky1",
-                    w,
-                )
-            }
-        }
-    }
-
-    /// Experiment Set 3 — information server scalability with collectors.
-    pub fn set3(series: Set3Series) -> ScenarioSpec {
-        let users = Count::Lit(crate::experiments::set3::USERS);
-        match series {
-            Set3Series::GrisCache | Set3Series::GrisNoCache => {
-                let cache = series == Set3Series::GrisCache;
-                let name = if cache {
-                    "set3-gris-cache"
-                } else {
-                    "set3-gris-nocache"
-                };
-                let mut w = workload(Some("gris"), Query::MdsSearchAllGris0, ClientCpu::Mds);
-                w.users = users;
-                spec(
-                    name,
-                    SystemId::Mds,
-                    series.collector_counts(),
-                    // Anonymous binds: the paper's Set-3 cached responses
-                    // are sub-second, ruling out the 4 s GSI bind of Set 1.
-                    vec![svc(
-                        "gris",
-                        "lucky7",
-                        ServiceKind::Gris {
-                            providers: Count::X,
-                            cache,
-                            gsi: false,
-                        },
-                    )],
-                    "lucky7",
-                    w,
-                )
-            }
-            Set3Series::HawkeyeAgent => {
-                let mut w = workload(Some("agent"), Query::HawkeyeAgentFull, ClientCpu::Condor);
-                w.users = users;
-                spec(
-                    "set3-hawkeye-agent",
-                    SystemId::Hawkeye,
-                    series.collector_counts(),
-                    vec![
-                        svc("mgr", "lucky3", ServiceKind::Manager),
-                        svc(
-                            "agent",
-                            "lucky4",
-                            ServiceKind::Agent {
-                                modules: Count::X,
-                                manager: "mgr".to_string(),
-                            },
-                        ),
-                    ],
+    /// Hawkeye Agent (Manager on lucky3).
+    fn set1_hawkeye_agent() -> ScenarioSpec {
+        spec(
+            "set1-hawkeye-agent",
+            SystemId::Hawkeye,
+            &USER_COUNTS,
+            vec![
+                svc("mgr", "lucky3", ServiceKind::Manager),
+                svc(
+                    "agent",
                     "lucky4",
-                    w,
-                )
-            }
-            Set3Series::ProducerServlet => {
-                let mut w = workload(Some("ps"), Query::RgmaProducerQueryAll, ClientCpu::Rgma);
-                w.users = users;
-                spec(
-                    "set3-producer-servlet",
-                    SystemId::Rgma,
-                    series.collector_counts(),
-                    vec![
-                        svc("reg", "lucky1", ServiceKind::Registry),
-                        svc(
-                            "ps",
-                            "lucky3",
-                            ServiceKind::ProducerServlet {
-                                producers: Count::X,
-                                registry: "reg".to_string(),
-                            },
-                        ),
-                    ],
-                    "lucky3",
-                    w,
-                )
-            }
-        }
+                    ServiceKind::Agent {
+                        modules: Count::Lit(11),
+                        manager: "mgr".to_string(),
+                    },
+                ),
+            ],
+            "lucky4",
+            workload(Some("agent"), Query::HawkeyeAgentStatus, ClientCpu::Condor),
+        )
     }
 
-    /// Experiment Set 4 — aggregate information server scalability.
-    pub fn set4(series: Set4Series) -> ScenarioSpec {
-        let users = Count::Lit(crate::experiments::set4::USERS);
-        match series {
-            Set4Series::GiisQueryAll | Set4Series::GiisQueryPart => {
-                let all = series == Set4Series::GiisQueryAll;
-                let (name, query) = if all {
-                    ("set4-giis-query-all", Query::MdsSearchAllGiis)
-                } else {
-                    (
-                        "set4-giis-query-part",
-                        Query::MdsSearchCpu { attrs_only: true },
-                    )
-                };
-                let mut w = workload(Some("giis"), query, ClientCpu::Mds);
-                w.users = users;
-                spec(
-                    name,
-                    SystemId::Mds,
-                    series.server_counts(),
-                    vec![svc(
-                        "giis",
-                        "lucky0",
-                        ServiceKind::GiisPool {
-                            gris_hosts: strings(&[
-                                "lucky1", "lucky3", "lucky4", "lucky5", "lucky6", "lucky7",
-                            ]),
-                            n_gris: Count::X,
-                            cachettl: Ttl::Exp4,
-                        },
-                    )],
-                    "lucky0",
-                    w,
-                )
-            }
-            Set4Series::HawkeyeManager => {
-                let mut w = workload(Some("mgr"), Query::HawkeyeConstraintMiss, ClientCpu::Condor);
-                w.users = users;
-                spec(
-                    "set4-hawkeye-manager",
-                    SystemId::Hawkeye,
-                    series.server_counts(),
-                    vec![
-                        svc("mgr", "lucky3", ServiceKind::Manager),
-                        // The advertiser fleet lives on lucky4 (the paper
-                        // used `hawkeye_advertise` from testbed hosts).
-                        svc(
-                            "fleet",
-                            "lucky4",
-                            ServiceKind::AdvertiserFleet {
-                                machines: Count::X,
-                                manager: "mgr".to_string(),
-                            },
-                        ),
-                    ],
-                    "lucky3",
-                    w,
-                )
-            }
-        }
+    /// The Registry + ProducerServlet pair both Set-1 R-GMA series query.
+    fn set1_rgma_servers() -> Vec<(String, ServiceSpec)> {
+        vec![
+            svc("reg", "lucky1", ServiceKind::Registry),
+            svc(
+                "ps",
+                "lucky3",
+                ServiceKind::ProducerServlet {
+                    producers: Count::Lit(10),
+                    registry: "reg".to_string(),
+                },
+            ),
+        ]
     }
 
-    /// Experiment Set 5 — resilience under injected faults.
-    pub fn set5(series: Set5Series) -> ScenarioSpec {
-        let users = Count::Lit(crate::experiments::set5::USERS);
-        let timeout = Some(crate::experiments::set5::CLIENT_TIMEOUT_S);
-        match series {
-            Set5Series::MdsGiis => {
-                let mut w = workload(
-                    Some("giis"),
-                    Query::MdsSearchCpu { attrs_only: false },
-                    ClientCpu::Mds,
-                );
-                w.users = users;
-                w.timeout_s = timeout;
-                let mut s = spec(
-                    "set5-mds-giis",
-                    SystemId::Mds,
-                    series.fault_counts(),
-                    vec![svc(
-                        "giis",
-                        "lucky0",
-                        ServiceKind::GiisPool {
-                            gris_hosts: strings(&[
-                                "lucky3", "lucky4", "lucky5", "lucky6", "lucky7",
-                            ]),
-                            n_gris: Count::Lit(5),
-                            cachettl: Ttl::Exp4,
-                        },
-                    )],
-                    "lucky0",
-                    w,
-                );
-                s.probe = Some(ProbeSpec::GiisFreshness {
-                    giis: "giis".to_string(),
-                });
-                s.faults = Some(FaultPolicy {
-                    service: "gris".to_string(),
-                    hosts: strings(&["lucky3", "lucky4", "lucky5", "lucky6", "lucky7"]),
-                    prime_ms: 50,
-                    scenario: FaultKind::Partition,
-                });
-                s
-            }
-            Set5Series::RgmaRegistry => {
-                let mut services = vec![svc("reg", "lucky1", ServiceKind::Registry)];
-                let ps_hosts = ["lucky3", "lucky4", "lucky5", "lucky6", "lucky7"];
-                for (i, host) in ps_hosts.iter().enumerate() {
-                    services.push(svc(
-                        &format!("ps{i}"),
-                        host,
-                        ServiceKind::ProducerServlet {
-                            producers: Count::Lit(10),
-                            registry: "reg".to_string(),
-                        },
-                    ));
-                }
-                services.push(svc(
-                    "cs",
-                    "lucky0",
-                    ServiceKind::ConsumerServlet {
+    /// R-GMA: a single ConsumerServlet at UC.
+    fn set1_producer_servlet_uc() -> ScenarioSpec {
+        let mut services = set1_rgma_servers();
+        services.push(svc(
+            "cs",
+            "uc00",
+            ServiceKind::ConsumerServlet {
+                registry: "reg".to_string(),
+            },
+        ));
+        spec(
+            "set1-producer-servlet-uc",
+            SystemId::Rgma,
+            &USER_COUNTS_UC,
+            services,
+            "lucky3",
+            workload(Some("cs"), Query::RgmaConsumerQuery, ClientCpu::Rgma),
+        )
+    }
+
+    /// R-GMA: one ConsumerServlet per Lucky client node (lucky minus the
+    /// servlet/registry hosts), users beside their servlet.
+    fn set1_producer_servlet_lucky() -> ScenarioSpec {
+        let mut services = set1_rgma_servers();
+        let client_hosts = ["lucky0", "lucky4", "lucky5", "lucky6", "lucky7"];
+        for (i, host) in client_hosts.iter().enumerate() {
+            services.push(svc(
+                &format!("cs{i}"),
+                host,
+                ServiceKind::ConsumerServlet {
+                    registry: "reg".to_string(),
+                },
+            ));
+        }
+        let mut w = workload(None, Query::RgmaConsumerQuery, ClientCpu::Rgma);
+        w.placement =
+            Placement::PerService((0..client_hosts.len()).map(|i| format!("cs{i}")).collect());
+        spec(
+            "set1-producer-servlet-lucky",
+            SystemId::Rgma,
+            &USER_COUNTS,
+            services,
+            "lucky3",
+            w,
+        )
+    }
+
+    /// MDS GIIS (cachettl pinned: data always cached).
+    fn set2_giis() -> ScenarioSpec {
+        spec(
+            "set2-giis",
+            SystemId::Mds,
+            &USER_COUNTS,
+            vec![svc(
+                "giis",
+                "lucky0",
+                ServiceKind::GiisPool {
+                    gris_hosts: strings(&["lucky3", "lucky4", "lucky5", "lucky6", "lucky7"]),
+                    n_gris: Count::Lit(5),
+                    cachettl: Ttl::Pinned,
+                },
+            )],
+            "lucky0",
+            workload(
+                Some("giis"),
+                Query::MdsSearchCpu { attrs_only: false },
+                ClientCpu::Mds,
+            ),
+        )
+    }
+
+    /// A Manager on lucky3 with 6 registered Agents (Sets 2 and 5).
+    fn manager_with_agents() -> (Vec<(String, ServiceSpec)>, [&'static str; 6]) {
+        let agent_hosts = ["lucky0", "lucky1", "lucky4", "lucky5", "lucky6", "lucky7"];
+        let mut services = vec![svc("mgr", "lucky3", ServiceKind::Manager)];
+        for (i, host) in agent_hosts.iter().enumerate() {
+            services.push(svc(
+                &format!("a{i}"),
+                host,
+                ServiceKind::Agent {
+                    modules: Count::Lit(11),
+                    manager: "mgr".to_string(),
+                },
+            ));
+        }
+        (services, agent_hosts)
+    }
+
+    /// A Registry on lucky1 with 5 ProducerServlets (Sets 2 and 5).
+    fn registry_with_servlets() -> (Vec<(String, ServiceSpec)>, [&'static str; 5]) {
+        let ps_hosts = ["lucky3", "lucky4", "lucky5", "lucky6", "lucky7"];
+        let mut services = vec![svc("reg", "lucky1", ServiceKind::Registry)];
+        for (i, host) in ps_hosts.iter().enumerate() {
+            services.push(svc(
+                &format!("ps{i}"),
+                host,
+                ServiceKind::ProducerServlet {
+                    producers: Count::Lit(10),
+                    registry: "reg".to_string(),
+                },
+            ));
+        }
+        (services, ps_hosts)
+    }
+
+    /// Hawkeye Manager with 6 registered Agents.
+    fn set2_hawkeye_manager() -> ScenarioSpec {
+        spec(
+            "set2-hawkeye-manager",
+            SystemId::Hawkeye,
+            &USER_COUNTS,
+            manager_with_agents().0,
+            "lucky3",
+            workload(Some("mgr"), Query::HawkeyeStatusRandom, ClientCpu::Condor),
+        )
+    }
+
+    /// R-GMA Registry queried from UC, or from the Lucky nodes.
+    fn set2_registry(uc: bool) -> ScenarioSpec {
+        let mut w = workload(
+            Some("reg"),
+            Query::RgmaRegistryLookupRandom,
+            ClientCpu::Rgma,
+        );
+        if !uc {
+            // Users on the lucky nodes themselves (120 per node).
+            w.placement =
+                Placement::Hosts(strings(&["lucky0", "lucky3", "lucky4", "lucky5", "lucky6"]));
+        }
+        spec(
+            if uc {
+                "set2-registry-uc"
+            } else {
+                "set2-registry-lucky"
+            },
+            SystemId::Rgma,
+            if uc { &USER_COUNTS_UC } else { &USER_COUNTS },
+            registry_with_servlets().0,
+            "lucky1",
+            w,
+        )
+    }
+
+    /// `workload` with the fixed user count of Sets 3–6.
+    fn ten_users(target: &str, query: Query, cpu: ClientCpu) -> WorkloadSpec {
+        let mut w = workload(Some(target), query, cpu);
+        w.users = USERS;
+        w
+    }
+
+    /// MDS GRIS with x information providers.
+    fn set3_gris(cache: bool) -> ScenarioSpec {
+        spec(
+            if cache {
+                "set3-gris-cache"
+            } else {
+                "set3-gris-nocache"
+            },
+            SystemId::Mds,
+            &[10, 20, 30, 40, 50, 60, 70, 80, 90],
+            // Anonymous binds: the paper's Set-3 cached responses
+            // are sub-second, ruling out the 4 s GSI bind of Set 1.
+            vec![svc(
+                "gris",
+                "lucky7",
+                ServiceKind::Gris {
+                    providers: Count::X,
+                    cache,
+                    gsi: false,
+                },
+            )],
+            "lucky7",
+            ten_users("gris", Query::MdsSearchAllGris0, ClientCpu::Mds),
+        )
+    }
+
+    /// Hawkeye Agent with x modules (its default is 11, not 10).
+    fn set3_hawkeye_agent() -> ScenarioSpec {
+        spec(
+            "set3-hawkeye-agent",
+            SystemId::Hawkeye,
+            &[11, 20, 30, 40, 50, 60, 70, 80, 90],
+            vec![
+                svc("mgr", "lucky3", ServiceKind::Manager),
+                svc(
+                    "agent",
+                    "lucky4",
+                    ServiceKind::Agent {
+                        modules: Count::X,
+                        manager: "mgr".to_string(),
+                    },
+                ),
+            ],
+            "lucky4",
+            ten_users("agent", Query::HawkeyeAgentFull, ClientCpu::Condor),
+        )
+    }
+
+    /// R-GMA ProducerServlet with x producers.
+    fn set3_producer_servlet() -> ScenarioSpec {
+        spec(
+            "set3-producer-servlet",
+            SystemId::Rgma,
+            &[10, 20, 30, 40, 50, 60, 70, 80, 90],
+            vec![
+                svc("reg", "lucky1", ServiceKind::Registry),
+                svc(
+                    "ps",
+                    "lucky3",
+                    ServiceKind::ProducerServlet {
+                        producers: Count::X,
                         registry: "reg".to_string(),
                     },
-                ));
-                let mut w = workload(Some("cs"), Query::RgmaConsumerQuery, ClientCpu::Rgma);
-                w.users = users;
-                w.timeout_s = timeout;
-                let mut s = spec(
-                    "set5-rgma-registry",
-                    SystemId::Rgma,
-                    series.fault_counts(),
-                    services,
-                    "lucky1",
-                    w,
-                );
-                s.probe = Some(ProbeSpec::RgmaProducers);
-                s.faults = Some(FaultPolicy {
-                    service: "rgma-producer-servlet".to_string(),
-                    hosts: strings(&ps_hosts),
-                    prime_ms: 200,
-                    scenario: FaultKind::Churn,
-                });
-                s
-            }
-            Set5Series::HawkeyeManager => {
-                let mut services = vec![svc("mgr", "lucky3", ServiceKind::Manager)];
-                let agent_hosts = ["lucky0", "lucky1", "lucky4", "lucky5", "lucky6", "lucky7"];
-                for (i, host) in agent_hosts.iter().enumerate() {
-                    services.push(svc(
-                        &format!("a{i}"),
-                        host,
-                        ServiceKind::Agent {
-                            modules: Count::Lit(11),
-                            manager: "mgr".to_string(),
-                        },
-                    ));
-                }
-                let mut w = workload(Some("mgr"), Query::HawkeyeStatusRandom, ClientCpu::Condor);
-                w.users = users;
-                w.timeout_s = timeout;
-                let mut s = spec(
-                    "set5-hawkeye-manager",
-                    SystemId::Hawkeye,
-                    series.fault_counts(),
-                    services,
-                    "lucky3",
-                    w,
-                );
-                s.probe = Some(ProbeSpec::HawkeyeAds {
-                    manager: "mgr".to_string(),
-                });
-                s.faults = Some(FaultPolicy {
-                    service: "hawkeye-agent".to_string(),
-                    hosts: strings(&agent_hosts),
-                    prime_ms: 500,
-                    scenario: FaultKind::Churn,
-                });
-                s
-            }
-        }
+                ),
+            ],
+            "lucky3",
+            ten_users("ps", Query::RgmaProducerQueryAll, ClientCpu::Rgma),
+        )
     }
 
-    /// Experiment Set 6 — hierarchical-GIIS federation, the demonstration
-    /// scenario the declarative layer makes expressible: `x` GRISes flat
-    /// under one GIIS vs the same `x` sharded over 3 or 6 mid-level
-    /// branch GIISes under a 2-level index.
-    pub fn set6(series: Set6Series) -> ScenarioSpec {
-        let users = Count::Lit(crate::experiments::set6::USERS);
-        match series {
-            Set6Series::FlatGiis => {
-                let mut w = workload(Some("top"), Query::MdsSearchAllGiis, ClientCpu::Mds);
-                w.users = users;
-                spec(
-                    "set6-flat-giis",
-                    SystemId::Mds,
-                    series.server_counts(),
-                    vec![svc(
-                        "top",
-                        "lucky0",
-                        ServiceKind::GiisPool {
-                            gris_hosts: strings(&[
-                                "lucky1", "lucky3", "lucky4", "lucky5", "lucky6", "lucky7",
-                            ]),
-                            n_gris: Count::X,
-                            cachettl: Ttl::Exp4,
-                        },
-                    )],
-                    "lucky0",
-                    w,
-                )
-            }
-            Set6Series::Federated3 | Set6Series::Federated6 => {
-                let branches: u32 = if series == Set6Series::Federated3 {
-                    3
-                } else {
-                    6
-                };
-                let name = if branches == 3 {
-                    "set6-federated-3"
-                } else {
-                    "set6-federated-6"
-                };
-                let hosts = ["lucky1", "lucky3", "lucky4", "lucky5", "lucky6", "lucky7"];
-                let mut services = vec![svc(
-                    "top",
-                    "lucky0",
-                    ServiceKind::Giis {
-                        cachettl: Ttl::Exp4,
-                        parent: None,
-                        branch: 0,
+    /// One GIIS named `name` on lucky0 over x GRISes spread across the
+    /// other Lucky hosts (Set 4's MDS series and Set 6's flat baseline).
+    fn flat_giis(name: &str) -> Vec<(String, ServiceSpec)> {
+        vec![svc(
+            name,
+            "lucky0",
+            ServiceKind::GiisPool {
+                gris_hosts: strings(&["lucky1", "lucky3", "lucky4", "lucky5", "lucky6", "lucky7"]),
+                n_gris: Count::X,
+                cachettl: Ttl::Exp4,
+            },
+        )]
+    }
+
+    /// MDS GIIS over x GRISes: users query all registered data (≤ 200),
+    /// or one registered GRIS's subtree (≤ 500).
+    fn set4_giis(all: bool) -> ScenarioSpec {
+        let query = if all {
+            Query::MdsSearchAllGiis
+        } else {
+            Query::MdsSearchCpu { attrs_only: true }
+        };
+        spec(
+            if all {
+                "set4-giis-query-all"
+            } else {
+                "set4-giis-query-part"
+            },
+            SystemId::Mds,
+            if all {
+                &GRIS_COUNTS
+            } else {
+                &[10, 50, 100, 200, 300, 400, 500]
+            },
+            flat_giis("giis"),
+            "lucky0",
+            ten_users("giis", query, ClientCpu::Mds),
+        )
+    }
+
+    /// Hawkeye Manager with x `hawkeye_advertise`-simulated machines
+    /// (≤ 1000), worst-case constraint scan.
+    fn set4_hawkeye_manager() -> ScenarioSpec {
+        spec(
+            "set4-hawkeye-manager",
+            SystemId::Hawkeye,
+            &[10, 50, 100, 200, 400, 600, 800, 1000],
+            vec![
+                svc("mgr", "lucky3", ServiceKind::Manager),
+                // The advertiser fleet lives on lucky4 (the paper
+                // used `hawkeye_advertise` from testbed hosts).
+                svc(
+                    "fleet",
+                    "lucky4",
+                    ServiceKind::AdvertiserFleet {
+                        machines: Count::X,
+                        manager: "mgr".to_string(),
                     },
-                )];
-                for b in 0..branches {
-                    let host = hosts[b as usize];
-                    services.push(svc(
-                        &format!("mid{b}"),
-                        host,
-                        ServiceKind::Giis {
-                            cachettl: Ttl::Exp4,
-                            parent: Some("top".to_string()),
-                            branch: b,
-                        },
-                    ));
-                    services.push(svc(
-                        &format!("shard{b}"),
-                        host,
-                        ServiceKind::GrisFleet {
-                            parent: format!("mid{b}"),
-                            providers: 10,
-                            share: (b, branches),
-                        },
-                    ));
-                }
-                let mut w = workload(Some("top"), Query::MdsSearchAllGiis, ClientCpu::Mds);
-                w.users = users;
-                spec(
-                    name,
-                    SystemId::Mds,
-                    series.server_counts(),
-                    services,
-                    "lucky0",
-                    w,
-                )
-            }
+                ),
+            ],
+            "lucky3",
+            ten_users("mgr", Query::HawkeyeConstraintMiss, ClientCpu::Condor),
+        )
+    }
+
+    /// A Set-5 spec: [`ten_users`] with the client timeout, a resilience
+    /// probe and a fault policy over `hosts`.
+    fn set5(
+        name: &str,
+        system: SystemId,
+        services: Vec<(String, ServiceSpec)>,
+        watch: &str,
+        mut w: WorkloadSpec,
+        probe: ProbeSpec,
+        faults: FaultPolicy,
+    ) -> ScenarioSpec {
+        w.timeout_s = Some(CLIENT_TIMEOUT_S);
+        let mut s = spec(name, system, &FAULT_COUNTS, services, watch, w);
+        s.probe = Some(probe);
+        s.faults = Some(faults);
+        s
+    }
+
+    /// MDS GIIS with 5 registered GRISes; the GRIS hosts' access links
+    /// are partitioned.  The GIIS keeps answering from cache — stale but
+    /// available.
+    fn set5_mds_giis() -> ScenarioSpec {
+        let gris_hosts = ["lucky3", "lucky4", "lucky5", "lucky6", "lucky7"];
+        set5(
+            "set5-mds-giis",
+            SystemId::Mds,
+            vec![svc(
+                "giis",
+                "lucky0",
+                ServiceKind::GiisPool {
+                    gris_hosts: strings(&gris_hosts),
+                    n_gris: Count::Lit(5),
+                    cachettl: Ttl::Exp4,
+                },
+            )],
+            "lucky0",
+            ten_users(
+                "giis",
+                Query::MdsSearchCpu { attrs_only: false },
+                ClientCpu::Mds,
+            ),
+            ProbeSpec::GiisFreshness {
+                giis: "giis".to_string(),
+            },
+            FaultPolicy {
+                service: "gris".to_string(),
+                hosts: strings(&gris_hosts),
+                prime_ms: 50,
+                scenario: FaultKind::Partition,
+            },
+        )
+    }
+
+    /// R-GMA Registry + 5 ProducerServlets queried through a
+    /// ConsumerServlet; producer servlets are killed and restarted.
+    /// Consumers fail outright until the registry's re-registration
+    /// machinery repopulates live producers.
+    fn set5_rgma_registry() -> ScenarioSpec {
+        let (mut services, ps_hosts) = registry_with_servlets();
+        services.push(svc(
+            "cs",
+            "lucky0",
+            ServiceKind::ConsumerServlet {
+                registry: "reg".to_string(),
+            },
+        ));
+        set5(
+            "set5-rgma-registry",
+            SystemId::Rgma,
+            services,
+            "lucky1",
+            ten_users("cs", Query::RgmaConsumerQuery, ClientCpu::Rgma),
+            ProbeSpec::RgmaProducers,
+            FaultPolicy {
+                service: "rgma-producer-servlet".to_string(),
+                hosts: strings(&ps_hosts),
+                prime_ms: 200,
+                scenario: FaultKind::Churn,
+            },
+        )
+    }
+
+    /// Hawkeye Manager with 6 Agents; agents are killed and restarted.
+    /// Queries keep succeeding on resident ClassAds, but ad freshness
+    /// degrades with every killed agent.
+    fn set5_hawkeye_manager() -> ScenarioSpec {
+        let (services, agent_hosts) = manager_with_agents();
+        set5(
+            "set5-hawkeye-manager",
+            SystemId::Hawkeye,
+            services,
+            "lucky3",
+            ten_users("mgr", Query::HawkeyeStatusRandom, ClientCpu::Condor),
+            ProbeSpec::HawkeyeAds {
+                manager: "mgr".to_string(),
+            },
+            FaultPolicy {
+                service: "hawkeye-agent".to_string(),
+                hosts: strings(&agent_hosts),
+                prime_ms: 500,
+                scenario: FaultKind::Churn,
+            },
+        )
+    }
+
+    /// Flat baseline: one GIIS over all x GRISes (Set 4's world).
+    fn set6_flat_giis() -> ScenarioSpec {
+        spec(
+            "set6-flat-giis",
+            SystemId::Mds,
+            &GRIS_COUNTS,
+            flat_giis("top"),
+            "lucky0",
+            ten_users("top", Query::MdsSearchAllGiis, ClientCpu::Mds),
+        )
+    }
+
+    /// 2-level federation: x GRISes sharded over `branches` (3 or 6)
+    /// mid-level GIISes under a top index.
+    fn set6_federated(branches: u32) -> ScenarioSpec {
+        let hosts = ["lucky1", "lucky3", "lucky4", "lucky5", "lucky6", "lucky7"];
+        let mut services = vec![svc(
+            "top",
+            "lucky0",
+            ServiceKind::Giis {
+                cachettl: Ttl::Exp4,
+                parent: None,
+                branch: 0,
+            },
+        )];
+        for b in 0..branches {
+            let host = hosts[b as usize];
+            services.push(svc(
+                &format!("mid{b}"),
+                host,
+                ServiceKind::Giis {
+                    cachettl: Ttl::Exp4,
+                    parent: Some("top".to_string()),
+                    branch: b,
+                },
+            ));
+            services.push(svc(
+                &format!("shard{b}"),
+                host,
+                ServiceKind::GrisFleet {
+                    parent: format!("mid{b}"),
+                    providers: 10,
+                    share: (b, branches),
+                },
+            ));
         }
+        spec(
+            &format!("set6-federated-{branches}"),
+            SystemId::Mds,
+            &GRIS_COUNTS,
+            services,
+            "lucky0",
+            ten_users("top", Query::MdsSearchAllGiis, ClientCpu::Mds),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{
-        set1, set2, set3, set4, set5, Set1Series, Set2Series, Set3Series, Set4Series, Set5Series,
-    };
     use gscenario::parse;
+    use simnet::ObsMode;
 
     fn quick(seed: u64) -> RunConfig {
         let mut cfg = RunConfig::quick(seed);
@@ -1264,12 +1448,21 @@ mod tests {
         cfg
     }
 
+    /// Run the built-in series `id` at `x` under `cfg` as given.
+    fn builtin(id: &str, x: u32, cfg: &RunConfig) -> Measurement {
+        let series = catalogue::find(id).unwrap_or_else(|| panic!("no series {id:?}"));
+        run_point(&(series.spec)(), x, cfg).unwrap()
+    }
+
     /// Every catalogue spec round-trips through the text format —
-    /// the committed examples stay parseable and canonical.
+    /// the committed examples stay parseable and canonical — and no two
+    /// rows share a fingerprint or, within a set, a label.
     #[test]
     fn catalogue_specs_round_trip_and_validate() {
         let mut fingerprints = std::collections::HashSet::new();
-        for spec in all_catalogue_specs() {
+        let mut ids = std::collections::HashSet::new();
+        for series in &catalogue::SERIES {
+            let spec = (series.spec)();
             spec.validate()
                 .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
             let text = spec.print();
@@ -1280,58 +1473,67 @@ mod tests {
                 "{} collides with another spec",
                 spec.name
             );
+            assert!(ids.insert(series.id()), "duplicate row {}", series.id());
         }
     }
 
-    fn all_catalogue_specs() -> Vec<ScenarioSpec> {
-        let mut v = Vec::new();
-        v.extend(Set1Series::ALL.iter().map(|&s| catalogue::set1(s)));
-        v.extend(Set2Series::ALL.iter().map(|&s| catalogue::set2(s)));
-        v.extend(Set3Series::ALL.iter().map(|&s| catalogue::set3(s)));
-        v.extend(Set4Series::ALL.iter().map(|&s| catalogue::set4(s)));
-        v.extend(Set5Series::ALL.iter().map(|&s| catalogue::set5(s)));
-        v.extend(
-            crate::experiments::Set6Series::ALL
-                .iter()
-                .map(|&s| catalogue::set6(s)),
-        );
-        v
+    /// Series ids feed seed derivation and spec names the cache address:
+    /// a typo in the table must fail here, not as changed CSV bytes.
+    #[test]
+    fn catalogue_ids_and_spec_names_are_pinned() {
+        let got: Vec<(String, String)> = catalogue::SERIES
+            .iter()
+            .map(|s| (s.id(), (s.spec)().name))
+            .collect();
+        let want = [
+            ("set1/MDS GRIS (cache)", "set1-gris-cache"),
+            ("set1/MDS GRIS (nocache)", "set1-gris-nocache"),
+            ("set1/Hawkeye Agent", "set1-hawkeye-agent"),
+            (
+                "set1/R-GMA ProducerServlet(lucky)",
+                "set1-producer-servlet-lucky",
+            ),
+            ("set1/R-GMA ProducerServlet(UC)", "set1-producer-servlet-uc"),
+            ("set2/MDS GIIS", "set2-giis"),
+            ("set2/Hawkeye Manager", "set2-hawkeye-manager"),
+            ("set2/R-GMA Registry(lucky)", "set2-registry-lucky"),
+            ("set2/R-GMA Registry(UC)", "set2-registry-uc"),
+            ("set3/MDS GRIS(cache)", "set3-gris-cache"),
+            ("set3/MDS GRIS(no cache)", "set3-gris-nocache"),
+            ("set3/Hawkeye Agent", "set3-hawkeye-agent"),
+            ("set3/R-GMA ProducerServlet", "set3-producer-servlet"),
+            ("set4/MDS GIIS(query all)", "set4-giis-query-all"),
+            ("set4/MDS GIIS (query part)", "set4-giis-query-part"),
+            ("set4/Hawkeye Manager", "set4-hawkeye-manager"),
+            ("set5/MDS GIIS (GRIS partition)", "set5-mds-giis"),
+            ("set5/R-GMA (producer churn)", "set5-rgma-registry"),
+            ("set5/Hawkeye (agent churn)", "set5-hawkeye-manager"),
+            ("set6/MDS GIIS (flat)", "set6-flat-giis"),
+            ("set6/MDS GIIS (3 branches)", "set6-federated-3"),
+            ("set6/MDS GIIS (6 branches)", "set6-federated-6"),
+        ];
+        let want: Vec<(String, String)> = want
+            .iter()
+            .map(|(id, name)| (id.to_string(), name.to_string()))
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(catalogue::sets(), [1, 2, 3, 4, 5, 6]);
+        assert!(catalogue::find("set7/MDS GIIS").is_none());
     }
 
-    /// The compiler is the builders: `experiments::setN::build` delegates
-    /// to `compile(catalogue::setN(..))`, so running a point through
-    /// either path must be bit-identical.  (This is the in-crate twin of
-    /// the golden fig05–fig24 CSV comparison.)
+    /// The one fault rule: a sweep point sees the sweep's plan iff its
+    /// spec declares `[faults]`; the seed is the point's own either way.
     #[test]
-    fn compiled_points_match_builders_bit_for_bit() {
-        let cfg = quick(42);
-        let m1 = set1::run_point(Set1Series::GrisCache, 3, &cfg);
-        let c1 = run_point(&catalogue::set1(Set1Series::GrisCache), 3, &cfg).unwrap();
-        assert_eq!(m1, c1);
-        let m2 = set2::run_point(Set2Series::HawkeyeManager, 2, &cfg);
-        let c2 = run_point(&catalogue::set2(Set2Series::HawkeyeManager), 2, &cfg).unwrap();
-        assert_eq!(m2, c2);
-        let m3 = set3::run_point(Set3Series::ProducerServlet, 5, &cfg);
-        let c3 = run_point(&catalogue::set3(Set3Series::ProducerServlet), 5, &cfg).unwrap();
-        assert_eq!(m3, c3);
-        let m4 = set4::run_point(Set4Series::GiisQueryPart, 4, &cfg);
-        let c4 = run_point(&catalogue::set4(Set4Series::GiisQueryPart), 4, &cfg).unwrap();
-        assert_eq!(m4, c4);
-    }
-
-    /// A faulted Set-5 point through the compiler carries the probe and
-    /// fault machinery: identical to the builder under the canonical
-    /// fault schedule.
-    #[test]
-    fn compiled_set5_point_matches_builder_under_faults() {
-        let mut cfg = quick(7);
-        cfg.warmup = SimDuration::from_secs(20);
-        cfg.window = SimDuration::from_secs(100);
-        cfg.faults = set5::default_spec();
-        let m = set5::run_point(Set5Series::RgmaRegistry, 3, &cfg);
-        let c = run_point(&catalogue::set5(Set5Series::RgmaRegistry), 3, &cfg).unwrap();
-        assert_eq!(m, c);
-        assert!(m.recovery_s > 0.0, "churn must be observed healing: {m:?}");
+    fn point_cfg_keeps_faults_only_for_declaring_specs() {
+        let mut base = quick(3);
+        base.faults = DEFAULT_FAULTS;
+        let plain = (catalogue::find("set1/Hawkeye Agent").unwrap().spec)();
+        let faulted = (catalogue::find("set5/Hawkeye (agent churn)").unwrap().spec)();
+        assert_eq!(point_cfg(&plain, "k", &base).faults, FaultSpec::NONE);
+        assert_eq!(point_cfg(&faulted, "k", &base).faults, DEFAULT_FAULTS);
+        assert_eq!(point_cfg(&plain, "k", &base).seed, point_seed(3, "k"));
+        assert_ne!(point_seed(3, "k"), point_seed(3, "l"));
+        assert_ne!(point_seed(3, "k"), point_seed(4, "k"));
     }
 
     /// A user-authored spec straight from text runs end to end.
@@ -1366,7 +1568,7 @@ query = "mds-search-all-giis"
     /// Compile errors carry the offending service, not a panic.
     #[test]
     fn compile_errors_name_the_offender() {
-        let mut spec = catalogue::set1(Set1Series::GrisCache);
+        let mut spec = (catalogue::find("set1/MDS GRIS (cache)").unwrap().spec)();
         spec.services[0].1.host = "lucky2".to_string();
         let err = match compile(&spec, 1, &quick(1)) {
             Ok(_) => panic!("lucky2 does not exist; compile must fail"),
@@ -1378,12 +1580,144 @@ query = "mds-search-all-giis"
         );
     }
 
+    /// Tracing and metrics observe the run without perturbing it: the
+    /// embedded measurement of an observed run is bit-identical to the
+    /// plain run's, and the harvest is non-empty.
+    #[test]
+    fn observed_run_matches_plain_run() {
+        let cfg = quick(5);
+        let spec = (catalogue::find("set1/MDS GRIS (cache)").unwrap().spec)();
+        let base = run_point(&spec, 2, &cfg).unwrap();
+        assert!(base.completions > 0, "point too short to be meaningful");
+        let mut ocfg = cfg;
+        ocfg.obs = ObsMode::FULL;
+        let op = run_point_observed(&spec, 2, &ocfg).unwrap();
+        assert_eq!(op.m, base);
+        assert!(!op.report.events.is_empty());
+        assert!(!op.report.metrics.is_empty());
+        assert!(op.services.iter().any(|s| s.starts_with("gris")));
+        assert!(op.nodes.iter().any(|n| n == "lucky7"));
+    }
+
+    /// A short Set-5 configuration: canonical fault schedule on a
+    /// compressed clock.
+    fn set5_cfg(seed: u64) -> RunConfig {
+        let mut cfg = RunConfig::quick(seed);
+        cfg.warmup = SimDuration::from_secs(20);
+        cfg.window = SimDuration::from_secs(100);
+        cfg.faults = DEFAULT_FAULTS;
+        cfg
+    }
+
+    /// Pinned claim (MDS): partitioning GRIS hosts leaves the GIIS
+    /// answering from cache — availability holds up while staleness
+    /// climbs well past the cache TTL, and recovery takes measurable
+    /// time after the heal.
+    #[test]
+    fn set5_partition_leaves_giis_stale_but_available() {
+        let cfg = set5_cfg(11);
+        let base = builtin("set5/MDS GIIS (GRIS partition)", 0, &cfg);
+        let hit = builtin("set5/MDS GIIS (GRIS partition)", 3, &cfg);
+        assert!(base.completions > 0 && hit.completions > 0);
+        assert!((base.availability - 1.0).abs() < 1e-9, "{base:?}");
+        assert!(
+            hit.availability > 0.5,
+            "cached answers should keep most queries alive: {hit:?}"
+        );
+        // staleness_s is a whole-window mean, so a 35 s partition moves
+        // it by a few seconds, not by its full depth.
+        assert!(
+            hit.staleness_s > base.staleness_s + 4.0,
+            "partition must show up as data age: {} vs {}",
+            hit.staleness_s,
+            base.staleness_s
+        );
+        assert_eq!(base.recovery_s, 0.0);
+        assert!(hit.recovery_s > 0.0, "{hit:?}");
+    }
+
+    /// Pinned claim (R-GMA): killing every producer servlet makes
+    /// consumer queries fail outright (availability collapses) until the
+    /// registry's re-registration machinery brings producers back.
+    #[test]
+    fn set5_rgma_full_churn_fails_consumers_until_reregistration() {
+        let cfg = set5_cfg(12);
+        let base = builtin("set5/R-GMA (producer churn)", 0, &cfg);
+        let hit = builtin("set5/R-GMA (producer churn)", 5, &cfg);
+        assert!((base.availability - 1.0).abs() < 1e-9, "{base:?}");
+        assert!(
+            hit.availability < 0.9,
+            "a full producer outage must fail consumer queries: {hit:?}"
+        );
+        // Recovery is observed (producers republished after the heal).
+        assert!(hit.recovery_s > 0.0, "{hit:?}");
+        assert!(hit.throughput < base.throughput);
+    }
+
+    /// Pinned claim (Hawkeye): killed agents don't fail queries — the
+    /// Manager matches on resident ClassAds — but freshness degrades
+    /// with the number of killed agents.
+    #[test]
+    fn set5_hawkeye_churn_keeps_availability_but_ages_ads() {
+        let cfg = set5_cfg(13);
+        let base = builtin("set5/Hawkeye (agent churn)", 0, &cfg);
+        let one = builtin("set5/Hawkeye (agent churn)", 1, &cfg);
+        let four = builtin("set5/Hawkeye (agent churn)", 4, &cfg);
+        assert!((base.availability - 1.0).abs() < 1e-9, "{base:?}");
+        assert!(
+            four.availability > 0.95,
+            "resident ads keep queries answerable: {four:?}"
+        );
+        assert!(
+            base.staleness_s < one.staleness_s && one.staleness_s < four.staleness_s,
+            "ad age must grow with killed agents: {} < {} < {}",
+            base.staleness_s,
+            one.staleness_s,
+            four.staleness_s
+        );
+    }
+
+    /// Identical seed and plan ⇒ identical measurements; and a Set-5
+    /// point with `FaultSpec::NONE` equals a run of the same deployment
+    /// with no fault machinery at all (x = 0 under the canonical spec
+    /// builds an empty plan too).
+    #[test]
+    fn set5_is_deterministic_and_none_matches_x0() {
+        let cfg = set5_cfg(14);
+        let a = builtin("set5/R-GMA (producer churn)", 2, &cfg);
+        let b = builtin("set5/R-GMA (producer churn)", 2, &cfg);
+        assert_eq!(a, b);
+        let mut none = cfg;
+        none.faults = FaultSpec::NONE;
+        let x0 = builtin("set5/R-GMA (producer churn)", 0, &cfg);
+        let unfaulted = builtin("set5/R-GMA (producer churn)", 0, &none);
+        assert_eq!(x0, unfaulted);
+    }
+
     /// The federation sweep deploys a 2-level index: top GIIS + branch
     /// GIISes + sharded GRIS fleets, and queries flow end to end.
     #[test]
     fn set6_federation_compiles_and_answers() {
-        let spec = catalogue::set6(crate::experiments::Set6Series::Federated3);
-        let m = run_point(&spec, 6, &quick(11)).unwrap();
+        let m = builtin("set6/MDS GIIS (3 branches)", 6, &quick(11));
         assert!(m.completions > 0, "{m:?}");
+    }
+
+    /// Pinned claim (federation): at 200 GRISes the 2-level index keeps
+    /// the top GIIS's host load below the flat deployment's — the
+    /// mid-level servers absorb the re-pull fan-out.
+    #[test]
+    fn set6_federation_offloads_the_top_giis() {
+        let mut cfg = RunConfig::quick(21);
+        cfg.warmup = SimDuration::from_secs(10);
+        cfg.window = SimDuration::from_secs(60);
+        let flat = builtin("set6/MDS GIIS (flat)", 100, &cfg);
+        let fed = builtin("set6/MDS GIIS (6 branches)", 100, &cfg);
+        assert!(flat.completions > 0 && fed.completions > 0);
+        assert!(
+            fed.cpu_load < flat.cpu_load,
+            "federation must offload the watched top host: flat {} vs fed {}",
+            flat.cpu_load,
+            fed.cpu_load
+        );
     }
 }

@@ -2,10 +2,11 @@
 //!
 //! The real `proptest` cannot be fetched in a registry-less build, so
 //! this in-tree shim implements the subset of its API the workspace's
-//! property tests use: the [`proptest!`] entry macro, the [`Strategy`]
-//! trait with `prop_map` / `prop_flat_map` / `prop_recursive`, union
-//! strategies via [`prop_oneof!`], range and string-pattern strategies,
-//! tuple composition, and `proptest::collection::vec`.
+//! property tests use: the [`proptest!`] entry macro, the
+//! [`Strategy`](strategy::Strategy) trait with `prop_map` /
+//! `prop_flat_map` / `prop_recursive`, union strategies via
+//! [`prop_oneof!`], range and string-pattern strategies, tuple
+//! composition, and `proptest::collection::vec`.
 //!
 //! Generation is deterministic: case `i` of every test draws from a
 //! splitmix64 stream seeded with `i`, so failures reproduce exactly.

@@ -1,17 +1,21 @@
-//! The unit of schedulable work: one experiment point, figure or
-//! extension, self-contained and deterministic.
+//! The unit of schedulable work: one experiment point — built-in
+//! series, user-authored scenario or extension study — self-contained
+//! and deterministic.
 //!
 //! A [`Job`] carries everything the pool needs: how to run the point
-//! ([`Job::run`]), a stable textual identity ([`Job::key`]), the seed it
-//! executes under ([`Job::seed`]), and a content address for the result
-//! cache ([`Job::cache_digest`]).  Results round-trip through the cache
-//! bit-exactly via [`Job::encode`]/[`Job::decode`].
+//! ([`Job::run`]), a stable textual identity ([`Job::key`]) and a content
+//! address for the result cache ([`Job::cache_digest`]).  Results
+//! round-trip through the cache bit-exactly via
+//! [`Job::encode`]/[`Job::decode`].
 
+use gfaults::FaultSpec;
+use gridmon_core::deploy::ObservedPoint;
 use gridmon_core::ext::{self, OpenLoopPoint, WanPoint, WAN_CASES};
 use gridmon_core::figures::PointSpec;
 use gridmon_core::mapping::System;
 use gridmon_core::runcfg::{Measurement, RunConfig};
-use gridmon_core::stablehash::{digest128, fnv1a64, mix64};
+use gridmon_core::scenario;
+use gridmon_core::stablehash::digest128;
 use gscenario::{ScenarioSpec, SystemId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -59,6 +63,13 @@ impl ScenarioPoint {
     }
 }
 
+/// How a [`Job`] runs: compiled from a spec at one x, or by an extension
+/// study's own code.
+enum How {
+    Compile(Arc<ScenarioSpec>, u32),
+    Study(ExtPoint),
+}
+
 /// A schedulable experiment point.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Job {
@@ -70,13 +81,16 @@ pub enum Job {
     Scenario(ScenarioPoint),
 }
 
-/// What a job produced.  `Measurement` for figure and most extension
-/// points; the WAN and open-loop studies report richer records.
+/// What a job produced.  `Measurement` for figure, scenario and most
+/// extension points; the WAN and open-loop studies report richer
+/// records; under an enabled `cfg.obs` figure and scenario points carry
+/// their observability harvest.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobOutput {
     Measurement(Measurement),
     Wan(WanPoint),
     OpenLoop(OpenLoopPoint),
+    Observed(Box<ObservedPoint>),
 }
 
 impl JobOutput {
@@ -86,119 +100,139 @@ impl JobOutput {
             JobOutput::Measurement(m) => Some(*m),
             JobOutput::Wan(w) => Some(w.m),
             JobOutput::OpenLoop(_) => None,
+            JobOutput::Observed(op) => Some(op.m),
+        }
+    }
+}
+
+impl ExtPoint {
+    fn key(self) -> String {
+        match self {
+            ExtPoint::Wan { users, case } => {
+                format!("ext/wan/{}/users={users}", WAN_CASES[case].0)
+            }
+            ExtPoint::HierFlat { n } => format!("ext/hier-flat/n={n}"),
+            ExtPoint::HierTree { n, branches } => {
+                format!("ext/hier-tree/n={n}/branches={branches}")
+            }
+            ExtPoint::AggDirect { users } => format!("ext/agg-direct/users={users}"),
+            ExtPoint::AggViaGiis { users } => format!("ext/agg-giis/users={users}"),
+            ExtPoint::OpenLoop { rate } => format!("ext/open-loop/rate={rate}"),
+            ExtPoint::Composite { sources } => format!("ext/composite/sources={sources}"),
+        }
+    }
+
+    fn system(self) -> System {
+        match self {
+            ExtPoint::Wan { .. }
+            | ExtPoint::HierFlat { .. }
+            | ExtPoint::HierTree { .. }
+            | ExtPoint::AggDirect { .. }
+            | ExtPoint::AggViaGiis { .. } => System::Mds,
+            ExtPoint::OpenLoop { .. } | ExtPoint::Composite { .. } => System::Rgma,
+        }
+    }
+
+    fn run(self, cfg: &RunConfig) -> JobOutput {
+        match self {
+            ExtPoint::Wan { users, case } => JobOutput::Wan(ext::wan_point(cfg, users, case)),
+            ExtPoint::HierFlat { n } => JobOutput::Measurement(ext::hierarchy_flat_point(cfg, n)),
+            ExtPoint::HierTree { n, branches } => {
+                JobOutput::Measurement(ext::hierarchy_tree_point(cfg, n, branches))
+            }
+            ExtPoint::AggDirect { users } => {
+                JobOutput::Measurement(ext::agg_direct_point(cfg, users))
+            }
+            ExtPoint::AggViaGiis { users } => {
+                JobOutput::Measurement(ext::agg_via_giis_point(cfg, users))
+            }
+            ExtPoint::OpenLoop { rate } => JobOutput::OpenLoop(ext::open_loop_point(cfg, rate)),
+            ExtPoint::Composite { sources } => {
+                JobOutput::Measurement(ext::composite_study(cfg, sources))
+            }
         }
     }
 }
 
 impl Job {
-    /// Stable textual identity: drives progress display and, with the
-    /// seed and parameter fingerprint, the cache address.
+    /// One job per declared x of a user-authored scenario, in
+    /// `spec.x_values` order.
+    ///
+    /// The spec is validated and dry-compiled at every x first, so
+    /// authoring mistakes the validator cannot see (an unknown host, a
+    /// TTL-less freshness probe) surface as an error here instead of a
+    /// panic on a pool thread.
+    pub fn scenario_sweep(spec: &ScenarioSpec, cfg: &RunConfig) -> Result<Vec<Job>, String> {
+        spec.validate().map_err(|e| e.to_string())?;
+        let shared = Arc::new(spec.clone());
+        spec.x_values
+            .iter()
+            .map(|&x| {
+                let job = Job::Scenario(ScenarioPoint {
+                    spec: shared.clone(),
+                    x,
+                });
+                let (_, c) = job.resolve(cfg);
+                scenario::compile(spec, x, &c).map_err(|e| e.to_string())?;
+                Ok(job)
+            })
+            .collect()
+    }
+
+    /// Stable textual identity: drives progress display and seed
+    /// derivation and, with the effective configuration, the cache
+    /// address.
     pub fn key(&self) -> String {
-        match *self {
-            Job::Scenario(ref p) => p.key(),
-            Job::Figure(spec) => spec.key(),
-            Job::Ext(ExtPoint::Wan { users, case }) => {
-                format!("ext/wan/{}/users={users}", WAN_CASES[case].0)
-            }
-            Job::Ext(ExtPoint::HierFlat { n }) => format!("ext/hier-flat/n={n}"),
-            Job::Ext(ExtPoint::HierTree { n, branches }) => {
-                format!("ext/hier-tree/n={n}/branches={branches}")
-            }
-            Job::Ext(ExtPoint::AggDirect { users }) => format!("ext/agg-direct/users={users}"),
-            Job::Ext(ExtPoint::AggViaGiis { users }) => format!("ext/agg-giis/users={users}"),
-            Job::Ext(ExtPoint::OpenLoop { rate }) => format!("ext/open-loop/rate={rate}"),
-            Job::Ext(ExtPoint::Composite { sources }) => {
-                format!("ext/composite/sources={sources}")
-            }
+        match self {
+            Job::Scenario(p) => p.key(),
+            Job::Figure(p) => p.key(),
+            Job::Ext(p) => p.key(),
         }
     }
 
-    /// The system under test — selects which calibrated parameters are
-    /// part of this job's cache identity (see [`gridmon_core::params::Params::fingerprint`]).
-    pub fn system(&self) -> System {
-        match *self {
-            Job::Figure(spec) => spec.series.system(),
-            Job::Ext(
-                ExtPoint::Wan { .. }
-                | ExtPoint::HierFlat { .. }
-                | ExtPoint::HierTree { .. }
-                | ExtPoint::AggDirect { .. }
-                | ExtPoint::AggViaGiis { .. },
-            ) => System::Mds,
-            Job::Ext(ExtPoint::OpenLoop { .. } | ExtPoint::Composite { .. }) => System::Rgma,
-            Job::Scenario(ref p) => match p.spec.system {
-                SystemId::Mds => System::Mds,
-                SystemId::Rgma => System::Rgma,
-                SystemId::Hawkeye => System::Hawkeye,
+    /// Resolve this job against a sweep's configuration: how it runs
+    /// and the configuration it runs — and is cached — under.
+    ///
+    /// A figure point builds its spec here, on whichever thread asks, so
+    /// queued jobs stay light handles.  Points with a spec follow
+    /// [`scenario::point_cfg`]: a per-point seed (independent streams,
+    /// order-invariant results) and the sweep's fault plan only if the
+    /// spec declares `[faults]`.  Extension points run at the base seed
+    /// and, having no spec, pristine.
+    fn resolve(&self, cfg: &RunConfig) -> (How, RunConfig) {
+        let how = match self {
+            Job::Figure(p) => How::Compile(Arc::new((p.series.spec)()), p.x),
+            Job::Scenario(p) => How::Compile(p.spec.clone(), p.x),
+            Job::Ext(p) => How::Study(*p),
+        };
+        let c = match &how {
+            How::Compile(spec, _) => scenario::point_cfg(spec, &self.key(), cfg),
+            How::Study(_) => RunConfig {
+                faults: FaultSpec::NONE,
+                ..*cfg
             },
-        }
-    }
-
-    /// The seed this job executes under.  Figure points derive a
-    /// per-point seed from the sweep's base seed (independent streams;
-    /// order-invariant results); extension points run with the base
-    /// configuration as given, matching the sequential study functions.
-    pub fn seed(&self, cfg: &RunConfig) -> u64 {
-        match *self {
-            Job::Figure(spec) => spec.derived_seed(cfg.seed),
-            Job::Ext(_) => cfg.seed,
-            // Scenario points follow the figure discipline: independent
-            // per-point streams, order-invariant results.
-            Job::Scenario(_) => mix64(cfg.seed ^ fnv1a64(self.key().as_bytes())),
-        }
+        };
+        (how, c)
     }
 
     /// Execute the point.  Pure in `(self, cfg)`: the same job under the
     /// same configuration yields an identical output on any thread.
+    /// With `cfg.obs` enabled, a point that has a spec returns its
+    /// observability harvest around the (bit-identical) measurement.
     pub fn run(&self, cfg: &RunConfig) -> JobOutput {
-        match *self {
-            Job::Figure(spec) => JobOutput::Measurement(spec.run(cfg)),
-            Job::Ext(ExtPoint::Wan { users, case }) => {
-                JobOutput::Wan(ext::wan_point(cfg, users, case))
-            }
-            Job::Ext(ExtPoint::HierFlat { n }) => {
-                JobOutput::Measurement(ext::hierarchy_flat_point(cfg, n))
-            }
-            Job::Ext(ExtPoint::HierTree { n, branches }) => {
-                JobOutput::Measurement(ext::hierarchy_tree_point(cfg, n, branches))
-            }
-            Job::Ext(ExtPoint::AggDirect { users }) => {
-                use gridmon_core::experiments::{set1, Set1Series};
-                JobOutput::Measurement(set1::run_point(Set1Series::GrisCache, users, cfg))
-            }
-            Job::Ext(ExtPoint::AggViaGiis { users }) => {
-                use gridmon_core::experiments::{set2, Set2Series};
-                JobOutput::Measurement(set2::run_point(Set2Series::Giis, users, cfg))
-            }
-            Job::Ext(ExtPoint::OpenLoop { rate }) => {
-                JobOutput::OpenLoop(ext::open_loop_point(cfg, rate))
-            }
-            Job::Ext(ExtPoint::Composite { sources }) => {
-                JobOutput::Measurement(ext::composite_study(cfg, sources))
-            }
-            Job::Scenario(ref p) => {
-                let mut c = *cfg;
-                c.seed = self.seed(cfg);
-                // Specs are validated (and dry-compiled) before they are
-                // enqueued, so a failure here is a runner bug, not user
-                // input.
-                let m = gridmon_core::scenario::run_point(&p.spec, p.x, &c)
-                    .unwrap_or_else(|e| panic!("scenario {:?} x={}: {e}", p.spec.name, p.x));
-                JobOutput::Measurement(m)
-            }
-        }
-    }
-
-    /// The canonical-topology fingerprint folded into this job's cache
-    /// address: the built-in catalogue spec for figure points, the
-    /// authored spec for scenario points, none for extension studies
-    /// (their topology lives in code only).
-    fn scenario_fingerprint(&self) -> String {
-        match *self {
-            Job::Figure(spec) => spec.series.scenario_fingerprint(),
-            Job::Ext(_) => "-".to_string(),
-            Job::Scenario(ref p) => p.spec.fingerprint(),
-        }
+        let (spec, x, c) = match self.resolve(cfg) {
+            (How::Study(p), c) => return p.run(&c),
+            (How::Compile(spec, x), c) => (spec, x, c),
+        };
+        // Catalogue specs are pinned by tests and authored ones are
+        // dry-compiled by `scenario_sweep`, so a failure here is a bug,
+        // not user input.
+        let out = if c.obs.enabled() {
+            scenario::run_point_observed(&spec, x, &c).map(|op| JobOutput::Observed(Box::new(op)))
+        } else {
+            scenario::run_point(&spec, x, &c).map(JobOutput::Measurement)
+        };
+        out.unwrap_or_else(|e| panic!("{}: {e}", self.key()))
     }
 
     /// Content address of this job's result under `cfg`: a stable hash
@@ -213,16 +247,28 @@ impl Job {
     /// enforced by tests, not by construction, so a cache entry must
     /// never be allowed to paper over a regression in it.
     pub fn cache_digest(&self, cfg: &RunConfig) -> String {
+        // The system scopes which calibrated parameters are part of the
+        // address; the fingerprint is the canonical deployed topology.
+        let (system, fp, c) = match self.resolve(cfg) {
+            (How::Study(p), c) => (p.system(), "-".to_string(), c),
+            (How::Compile(spec, _), c) => {
+                let system = match spec.system {
+                    SystemId::Mds => System::Mds,
+                    SystemId::Rgma => System::Rgma,
+                    SystemId::Hawkeye => System::Hawkeye,
+                };
+                (system, spec.fingerprint(), c)
+            }
+        };
         let material = format!(
             "{CACHE_SCHEMA}\n{key}\nseed={seed}\nwarmup_us={wu}\nwindow_us={wi}\n{obs}\n{faults}\n{params}\nscenario={fp}",
             key = self.key(),
-            seed = self.seed(cfg),
-            wu = cfg.warmup.as_micros(),
-            wi = cfg.window.as_micros(),
-            obs = cfg.obs.fingerprint(),
-            faults = cfg.faults.fingerprint(),
-            params = cfg.params.fingerprint(self.system()),
-            fp = self.scenario_fingerprint(),
+            seed = c.seed,
+            wu = c.warmup.as_micros(),
+            wi = c.window.as_micros(),
+            obs = c.obs.fingerprint(),
+            faults = c.faults.fingerprint(),
+            params = c.params.fingerprint(system),
         );
         digest128(material.as_bytes())
     }
@@ -251,28 +297,28 @@ impl Job {
                 ("recovery_s", f(m.recovery_s)),
             ]
         }
-        match out {
-            JobOutput::Measurement(m) => {
-                let mut v = vec![("kind", "measurement".to_string())];
-                v.extend(measurement_fields(m));
-                v
+        let (kind, m) = match out {
+            JobOutput::OpenLoop(p) => {
+                return vec![
+                    ("kind", "openloop".to_string()),
+                    ("offered_per_sec", f(p.offered_per_sec)),
+                    ("completed_per_sec", f(p.completed_per_sec)),
+                    ("lost_per_sec", f(p.lost_per_sec)),
+                    ("response_time", f(p.response_time)),
+                ]
             }
+            JobOutput::Measurement(m) => ("measurement", m),
             // The WAN label/link columns are a pure function of the case
             // index (part of the job identity), so only the measurement
             // is stored; `decode` reconstructs the rest.
-            JobOutput::Wan(w) => {
-                let mut v = vec![("kind", "wan".to_string())];
-                v.extend(measurement_fields(&w.m));
-                v
-            }
-            JobOutput::OpenLoop(p) => vec![
-                ("kind", "openloop".to_string()),
-                ("offered_per_sec", f(p.offered_per_sec)),
-                ("completed_per_sec", f(p.completed_per_sec)),
-                ("lost_per_sec", f(p.lost_per_sec)),
-                ("response_time", f(p.response_time)),
-            ],
-        }
+            JobOutput::Wan(w) => ("wan", &w.m),
+            // A harvest is an artifact to export, not a memoizable
+            // scalar: an observed point's record is its measurement.
+            JobOutput::Observed(op) => ("measurement", &op.m),
+        };
+        let mut v = vec![("kind", kind.to_string())];
+        v.extend(measurement_fields(m));
+        v
     }
 
     /// Reconstruct an output from cached fields.  Returns `None` on any
@@ -418,7 +464,6 @@ mod tests {
         // address...
         let mut hawk = cfg;
         hawk.params.condor_client_cpu_us += 1.0;
-        assert_eq!(a.system(), System::Mds);
         assert_eq!(a.cache_digest(&cfg), a.cache_digest(&hawk));
         // ...but a shared WAN constant invalidates it.
         let mut wan = cfg;
@@ -427,10 +472,10 @@ mod tests {
     }
 
     #[test]
-    fn digests_separate_fault_plans() {
+    fn digests_separate_fault_plans_of_declaring_specs_only() {
         use gfaults::{FaultSpec, Scenario};
         let cfg = RunConfig::quick(1);
-        let a = Job::Figure(enumerate_set(1, 1.0).unwrap()[0]);
+        let a = Job::Figure(enumerate_set(5, 1.0).unwrap()[0]);
 
         let mut faulted = cfg;
         faulted.faults = FaultSpec {
@@ -451,6 +496,15 @@ mod tests {
         let mut none = cfg;
         none.faults = FaultSpec::NONE;
         assert_eq!(a.cache_digest(&cfg), a.cache_digest(&none));
+
+        // Points whose spec declares no `[faults]` — and extension
+        // points, which have no spec — keep their address whatever plan
+        // the sweep carries: one job list can span faulted and pristine
+        // sets.
+        let plain = Job::Figure(enumerate_set(1, 1.0).unwrap()[0]);
+        assert_eq!(plain.cache_digest(&cfg), plain.cache_digest(&faulted));
+        let ext = Job::Ext(ExtPoint::AggDirect { users: 5 });
+        assert_eq!(ext.cache_digest(&cfg), ext.cache_digest(&faulted));
     }
 
     #[test]
@@ -477,8 +531,8 @@ mod tests {
     fn ext_jobs_keep_the_base_seed() {
         let cfg = RunConfig::quick(42);
         let job = Job::Ext(ExtPoint::Composite { sources: 5 });
-        assert_eq!(job.seed(&cfg), 42);
+        assert_eq!(job.resolve(&cfg).1.seed, 42);
         let fig = Job::Figure(enumerate_set(1, 1.0).unwrap()[0]);
-        assert_ne!(fig.seed(&cfg), 42);
+        assert_ne!(fig.resolve(&cfg).1.seed, 42);
     }
 }

@@ -1,10 +1,11 @@
 //! # gridmon-runner — parallel, cache-aware sweep execution
 //!
 //! The figure harness in `gridmon-core` expresses every sweep as a list
-//! of self-contained points (one `(series, x)` pair, or one extension
-//! study point).  This crate schedules those points across an in-tree
-//! work-stealing thread pool ([`pool`]) and memoizes their results in a
-//! content-addressed on-disk cache ([`cache`]), so that
+//! of self-contained points (one `(series, x)` pair of a built-in or
+//! user-authored scenario, or one extension study point).  [`run`]
+//! schedules those points across an in-tree work-stealing thread pool
+//! ([`pool`]) and memoizes their results in a content-addressed on-disk
+//! cache ([`cache`]), so that
 //!
 //! * `figures --jobs N` regenerates the paper's figures N-wide with
 //!   **byte-identical** output to the sequential runner — every point
@@ -26,8 +27,6 @@ pub use cache::DiskCache;
 pub use job::{ExtPoint, Job, JobOutput, ScenarioPoint};
 
 use gperf::PerfSink;
-use gridmon_core::deploy::ObservedPoint;
-use gridmon_core::figures::{assemble_set, enumerate_set, FigureError, PointSpec, SetData};
 use gridmon_core::runcfg::RunConfig;
 use progress::Reporter;
 use std::path::PathBuf;
@@ -79,24 +78,28 @@ pub struct SweepStats {
 /// Execute `jobs` under `cfg`: resolve cache hits first, run the misses
 /// across the thread pool, store fresh results back.  Outputs are
 /// returned in job order regardless of scheduling.
-pub fn run_jobs(jobs: &[Job], cfg: &RunConfig, rc: &RunnerConfig) -> (Vec<JobOutput>, SweepStats) {
-    run_jobs_profiled(jobs, cfg, rc, None)
-}
-
-/// [`run_jobs`] with optional self-profiling.  With a [`PerfSink`] the
-/// sweep records one [`gperf::PointRecord`] per point (wall time, engine
-/// counters, worker and cache attribution) plus cache traffic and pool
-/// utilization; with `None` it is exactly `run_jobs` — profiling only
-/// *reads* engine counters after each run, so outputs are identical
-/// either way.
-pub fn run_jobs_profiled(
+///
+/// With a [`PerfSink`] the sweep records one [`gperf::PointRecord`] per
+/// point (wall time, engine counters, worker and cache attribution) plus
+/// cache traffic and pool utilization.  Profiling only *reads* engine
+/// counters after each run, so outputs are identical either way.
+///
+/// With `cfg.obs` enabled every point that has a spec returns its
+/// observability harvest ([`JobOutput::Observed`]) and the cache is
+/// bypassed: it stores figure measurements (a few floats), while a
+/// harvest is an artifact to export, not a memoizable scalar.
+pub fn run(
     jobs: &[Job],
     cfg: &RunConfig,
     rc: &RunnerConfig,
     mut sink: Option<&mut PerfSink>,
 ) -> (Vec<JobOutput>, SweepStats) {
     let t0 = Instant::now();
-    let cache = rc.cache_dir.as_ref().map(DiskCache::new);
+    let cache = rc
+        .cache_dir
+        .as_ref()
+        .filter(|_| !cfg.obs.enabled())
+        .map(DiskCache::new);
     let mut reporter = Reporter::new(jobs.len(), !rc.quiet);
 
     // Phase 1: satisfy what the cache already has, so a warm re-run
@@ -197,183 +200,12 @@ pub fn run_jobs_profiled(
     (outputs, stats)
 }
 
-/// Run one experiment set through the pool — the parallel counterpart
-/// of [`gridmon_core::figures::run_set`], byte-identical to it for any
-/// worker count.
-pub fn run_set(
-    set: u32,
-    cfg: &RunConfig,
-    scale: f64,
-    rc: &RunnerConfig,
-) -> Result<(SetData, SweepStats), FigureError> {
-    let (mut sets, stats) = run_sets(&[set], cfg, scale, rc)?;
-    Ok((sets.pop().expect("one set in, one set out"), stats))
-}
-
-/// [`run_set`] with optional self-profiling (see [`run_jobs_profiled`]).
-pub fn run_set_profiled(
-    set: u32,
-    cfg: &RunConfig,
-    scale: f64,
-    rc: &RunnerConfig,
-    sink: Option<&mut PerfSink>,
-) -> Result<(SetData, SweepStats), FigureError> {
-    let (mut sets, stats) = run_sets_profiled(&[set], cfg, scale, rc, sink)?;
-    Ok((sets.pop().expect("one set in, one set out"), stats))
-}
-
-/// Run several experiment sets as one pooled job list, so work from a
-/// cheap set backfills idle workers while another set's expensive tail
-/// points finish.  Returned `SetData` are in the order of `sets`.
-pub fn run_sets(
-    sets: &[u32],
-    cfg: &RunConfig,
-    scale: f64,
-    rc: &RunnerConfig,
-) -> Result<(Vec<SetData>, SweepStats), FigureError> {
-    run_sets_profiled(sets, cfg, scale, rc, None)
-}
-
-/// [`run_sets`] with optional self-profiling (see [`run_jobs_profiled`]).
-pub fn run_sets_profiled(
-    sets: &[u32],
-    cfg: &RunConfig,
-    scale: f64,
-    rc: &RunnerConfig,
-    mut sink: Option<&mut PerfSink>,
-) -> Result<(Vec<SetData>, SweepStats), FigureError> {
-    let t0 = Instant::now();
-    let mut specs_of_set = Vec::with_capacity(sets.len());
-    let mut jobs = Vec::new();
-    for &set in sets {
-        let specs = enumerate_set(set, scale)?;
-        jobs.extend(specs.iter().map(|&s| Job::Figure(s)));
-        specs_of_set.push((set, specs));
-    }
-    if let Some(s) = sink.as_deref_mut() {
-        s.phases.add("enumerate", t0.elapsed());
-    }
-    let (outputs, stats) = run_jobs_profiled(&jobs, cfg, rc, sink.as_deref_mut());
-    let t_assemble = Instant::now();
-    let mut cursor = outputs.into_iter();
-    let data = specs_of_set
-        .into_iter()
-        .map(|(set, specs)| {
-            let results: Vec<_> = cursor
-                .by_ref()
-                .take(specs.len())
-                .map(|o| o.measurement().expect("figure jobs yield measurements"))
-                .collect();
-            assemble_set(set, &specs, &results)
-        })
-        .collect();
-    if let Some(s) = sink {
-        s.phases.add("assemble", t_assemble.elapsed());
-    }
-    Ok((data, stats))
-}
-
-/// Run a user-authored scenario's full sweep through the pool: one
-/// [`Job::Scenario`] per declared x value, cached and scheduled exactly
-/// like the built-in figure points.  Results are in `spec.x_values`
-/// order, byte-identical for any worker count.
-///
-/// The spec is dry-compiled at every x first, so authoring mistakes the
-/// validator cannot see (an unknown host, a TTL-less freshness probe)
-/// surface as an error here instead of a panic on a pool thread.
-pub fn run_scenario(
-    spec: &gscenario::ScenarioSpec,
-    cfg: &RunConfig,
-    rc: &RunnerConfig,
-) -> Result<(Vec<gridmon_core::runcfg::Measurement>, SweepStats), String> {
-    spec.validate().map_err(|e| e.to_string())?;
-    let shared = std::sync::Arc::new(spec.clone());
-    let jobs: Vec<Job> = spec
-        .x_values
-        .iter()
-        .map(|&x| {
-            Job::Scenario(ScenarioPoint {
-                spec: shared.clone(),
-                x,
-            })
-        })
-        .collect();
-    for job in &jobs {
-        if let Job::Scenario(p) = job {
-            let mut c = *cfg;
-            c.seed = job.seed(cfg);
-            gridmon_core::scenario::compile(&p.spec, p.x, &c).map_err(|e| e.to_string())?;
-        }
-    }
-    let (outputs, stats) = run_jobs(&jobs, cfg, rc);
-    let measurements = outputs
-        .into_iter()
-        .map(|o| o.measurement().expect("scenario jobs yield measurements"))
-        .collect();
-    Ok((measurements, stats))
-}
-
-/// Run figure points with observability harvested, across the pool.
-///
-/// Observed runs are never cached: the result cache stores figure
-/// measurements (a few floats), while an observed point carries the
-/// full event/metrics harvest, which is an artifact to export, not a
-/// memoizable scalar.  `cfg.obs` must enable tracing and/or metrics.
-pub fn run_points_observed(
-    specs: &[PointSpec],
-    cfg: &RunConfig,
-    rc: &RunnerConfig,
-) -> Vec<ObservedPoint> {
-    run_points_observed_profiled(specs, cfg, rc, None)
-}
-
-/// [`run_points_observed`] with optional self-profiling.  Observed
-/// sweeps bypass the cache, so the sink collects execution records and
-/// pool attribution only (its cache counters stay zero).
-pub fn run_points_observed_profiled(
-    specs: &[PointSpec],
-    cfg: &RunConfig,
-    rc: &RunnerConfig,
-    mut sink: Option<&mut PerfSink>,
-) -> Vec<ObservedPoint> {
-    assert!(
-        cfg.obs.enabled(),
-        "run_points_observed requires cfg.obs to enable tracing or metrics"
-    );
-    let mut reporter = Reporter::new(specs.len(), !rc.quiet);
-    let profile = sink.is_some();
-    let workers = pool::resolve_workers(rc.jobs).min(specs.len().max(1));
-    let t_exec = Instant::now();
-    let observed = pool::run_indexed(
-        specs,
-        rc.jobs,
-        |spec| {
-            if profile {
-                let (out, sample) = gperf::measure_point(|| spec.run_observed(cfg));
-                (out, Some(sample))
-            } else {
-                (spec.run_observed(cfg), None)
-            }
-        },
-        |done| {
-            reporter.finished(&specs[done.index].key(), done.wall);
-            if let (Some(s), Some(sample)) = (sink.as_deref_mut(), done.result.1) {
-                s.record_executed(specs[done.index].key(), done.worker, sample);
-            }
-        },
-    );
-    if let Some(s) = sink {
-        let exec_wall = t_exec.elapsed();
-        s.record_pool_run(workers, exec_wall);
-        s.phases.add("execute", exec_wall);
-    }
-    observed.into_iter().map(|(out, _)| out).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridmon_core::figures;
+    use gridmon_core::figures::{self, assemble_set, enumerate_set, SetData};
+    use gridmon_core::runcfg::Measurement;
+    use gridmon_core::scenario::catalogue;
     use simcore::SimDuration;
 
     /// A deliberately tiny configuration: the mechanisms on a very short
@@ -392,18 +224,43 @@ mod tests {
         dir
     }
 
+    /// One experiment set through the pool: enumerate, run, assemble.
+    fn pooled_set(
+        set: u32,
+        cfg: &RunConfig,
+        scale: f64,
+        rc: &RunnerConfig,
+        sink: Option<&mut PerfSink>,
+    ) -> (SetData, SweepStats) {
+        let specs = enumerate_set(set, scale).unwrap();
+        let jobs: Vec<Job> = specs.iter().map(|&p| Job::Figure(p)).collect();
+        let (outputs, stats) = run(&jobs, cfg, rc, sink);
+        (assemble_set(set, &specs, &measurements(&outputs)), stats)
+    }
+
+    fn measurements(outputs: &[JobOutput]) -> Vec<Measurement> {
+        outputs
+            .iter()
+            .map(|o| o.measurement().expect("measurement-kind job"))
+            .collect()
+    }
+
+    fn spec_of(id: &str) -> gscenario::ScenarioSpec {
+        (catalogue::find(id).unwrap().spec)()
+    }
+
     #[test]
     fn parallel_equals_sequential_bit_for_bit() {
         let cfg = tiny_cfg(7);
         let scale = 0.02;
-        let seq = figures::run_set(1, &cfg, scale, None).unwrap();
+        let seq = figures::run_set(1, &cfg, scale).unwrap();
         for jobs in [2, 4] {
             let rc = RunnerConfig {
                 jobs,
                 cache_dir: None,
                 quiet: true,
             };
-            let (par, stats) = run_set(1, &cfg, scale, &rc).unwrap();
+            let (par, stats) = pooled_set(1, &cfg, scale, &rc, None);
             assert_eq!(stats.cache_hits, 0);
             assert_eq!(stats.executed, stats.total);
             assert_eq!(seq.series.len(), par.series.len());
@@ -429,10 +286,10 @@ mod tests {
             cache_dir: Some(dir.clone()),
             quiet: true,
         };
-        let (cold, s1) = run_set(2, &cfg, 0.01, &rc).unwrap();
+        let (cold, s1) = pooled_set(2, &cfg, 0.01, &rc, None);
         assert_eq!(s1.cache_hits, 0);
         assert!(s1.executed > 0);
-        let (warm, s2) = run_set(2, &cfg, 0.01, &rc).unwrap();
+        let (warm, s2) = pooled_set(2, &cfg, 0.01, &rc, None);
         assert_eq!(
             s2.executed, 0,
             "warm run must be served entirely from cache"
@@ -446,28 +303,46 @@ mod tests {
         }
         // A different seed addresses different cache entries.
         let cfg2 = tiny_cfg(4);
-        let (_, s3) = run_set(2, &cfg2, 0.01, &rc).unwrap();
+        let (_, s3) = pooled_set(2, &cfg2, 0.01, &rc, None);
         assert_eq!(s3.cache_hits, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// One job list may span sets, authored scenarios and extension
+    /// points: each point's result is what it is when run alone, and the
+    /// sweep's fault plan reaches only the specs that declare `[faults]`.
     #[test]
-    fn multi_set_scheduling_preserves_per_set_results() {
-        let cfg = tiny_cfg(11);
+    fn mixed_job_list_preserves_per_point_results() {
+        let mut cfg = tiny_cfg(11);
+        cfg.faults = gridmon_core::scenario::DEFAULT_FAULTS;
         let rc = RunnerConfig {
             jobs: 3,
             cache_dir: None,
             quiet: true,
         };
-        let (both, _) = run_sets(&[1, 3], &cfg, 0.01, &rc).unwrap();
-        assert_eq!(both.len(), 2);
-        assert_eq!(both[0].set, 1);
-        assert_eq!(both[1].set, 3);
-        let (alone, _) = run_set(3, &cfg, 0.01, &rc).unwrap();
-        for ((l1, m1), (l2, m2)) in alone.series.iter().zip(&both[1].series) {
-            assert_eq!(l1, l2);
-            for (a, b) in m1.iter().zip(m2) {
-                assert_eq!(a.throughput.to_bits(), b.throughput.to_bits());
+        let mut jobs: Vec<Job> = [1, 5]
+            .iter()
+            .flat_map(|&set| enumerate_set(set, 0.01).unwrap())
+            .map(Job::Figure)
+            .collect();
+        let mut authored = spec_of("set6/MDS GIIS (3 branches)");
+        authored.x_values = vec![3];
+        jobs.extend(Job::scenario_sweep(&authored, &cfg).unwrap());
+        jobs.push(Job::Ext(ExtPoint::AggDirect { users: 2 }));
+        let (together, stats) = run(&jobs, &cfg, &rc, None);
+        assert_eq!(stats.total, jobs.len());
+        let mut pristine = cfg;
+        pristine.faults = gfaults::FaultSpec::NONE;
+        for (job, out) in jobs.iter().zip(&together) {
+            let (alone, _) = run(
+                std::slice::from_ref(job),
+                &cfg,
+                &RunnerConfig::sequential(),
+                None,
+            );
+            assert_eq!(&alone[0], out, "{}", job.key());
+            if !job.key().starts_with("set5/") {
+                assert_eq!(job.run(&pristine), *out, "{} saw the plan", job.key());
             }
         }
     }
@@ -478,18 +353,23 @@ mod tests {
         let cfg = tiny_cfg(9);
         let mut ocfg = cfg;
         ocfg.obs = ObsMode::FULL;
-        let specs = figures::enumerate_set(1, 0.01).unwrap();
-        let specs = &specs[..3.min(specs.len())];
+        let specs = enumerate_set(1, 0.01).unwrap();
+        let jobs: Vec<Job> = specs.iter().take(3).map(|&p| Job::Figure(p)).collect();
+        let dir = scratch_cache("observed");
         let rc = RunnerConfig {
             jobs: 2,
-            cache_dir: None,
+            cache_dir: Some(dir.clone()),
             quiet: true,
         };
-        let observed = run_points_observed(specs, &ocfg, &rc);
-        assert_eq!(observed.len(), specs.len());
-        for (spec, op) in specs.iter().zip(&observed) {
-            let plain = spec.run(&cfg);
-            assert_eq!(op.m, plain, "tracing must not perturb {}", spec.key());
+        let (observed, stats) = run(&jobs, &ocfg, &rc, None);
+        assert_eq!(stats.executed, jobs.len());
+        assert!(!dir.exists(), "observed sweeps bypass the cache");
+        for (job, out) in jobs.iter().zip(&observed) {
+            let JobOutput::Observed(op) = out else {
+                panic!("{} carries no harvest", job.key())
+            };
+            let plain = job.run(&cfg).measurement().unwrap();
+            assert_eq!(op.m, plain, "tracing must not perturb {}", job.key());
             assert!(!op.report.events.is_empty());
             assert!(!op.report.metrics.is_empty());
         }
@@ -508,7 +388,7 @@ mod tests {
 
             // Cold run: every point misses, executes and is stored.
             let mut cold = gperf::PerfSink::new();
-            let (_, s1) = run_set_profiled(1, &cfg, 0.02, &rc, Some(&mut cold)).unwrap();
+            let (_, s1) = pooled_set(1, &cfg, 0.02, &rc, Some(&mut cold));
             assert_eq!(cold.cache.misses as usize, s1.total, "jobs={jobs}");
             assert_eq!(cold.cache.hits, 0);
             assert!(cold.cache.bytes_written > 0, "fresh results stored");
@@ -528,13 +408,13 @@ mod tests {
             let share = cold.pool.busy_share();
             assert!(share > 0.0 && share <= 1.0, "busy share {share}");
             let phases: Vec<String> = cold.phases.entries().iter().map(|e| e.0.clone()).collect();
-            for want in ["enumerate", "cache probe", "execute", "assemble"] {
+            for want in ["cache probe", "execute"] {
                 assert!(phases.iter().any(|p| p == want), "phase {want} recorded");
             }
 
             // Warm run: everything is a hit, nothing executes or stores.
             let mut warm = gperf::PerfSink::new();
-            let (_, s2) = run_set_profiled(1, &cfg, 0.02, &rc, Some(&mut warm)).unwrap();
+            let (_, s2) = pooled_set(1, &cfg, 0.02, &rc, Some(&mut warm));
             assert_eq!(s2.executed, 0, "jobs={jobs}: warm run served from cache");
             assert_eq!(warm.cache.hits as usize, s2.total);
             assert_eq!(warm.cache.misses, 0);
@@ -549,51 +429,48 @@ mod tests {
     #[test]
     fn scenario_sweep_is_order_invariant_and_cached() {
         let cfg = tiny_cfg(17);
-        let spec =
-            gridmon_core::figures::SeriesId::S6(gridmon_core::experiments::Set6Series::Federated3)
-                .catalogue_spec();
-        let mut spec = spec;
+        let mut spec = spec_of("set6/MDS GIIS (3 branches)");
         spec.x_values = vec![3, 6];
-        let (seq, _) = run_scenario(&spec, &cfg, &RunnerConfig::sequential()).unwrap();
+        let jobs = Job::scenario_sweep(&spec, &cfg).unwrap();
+        let (seq, _) = run(&jobs, &cfg, &RunnerConfig::sequential(), None);
         let dir = scratch_cache("scenario");
         let rc = RunnerConfig {
             jobs: 8,
             cache_dir: Some(dir.clone()),
             quiet: true,
         };
-        let (par, s1) = run_scenario(&spec, &cfg, &rc).unwrap();
+        // A profiled sweep records every authored point under its key.
+        let mut sink = gperf::PerfSink::new();
+        let (par, s1) = run(&jobs, &cfg, &rc, Some(&mut sink));
         assert_eq!(s1.cache_hits, 0);
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a, b, "worker count must not change a bit");
-        }
+        assert_eq!(seq, par, "worker count must not change a bit");
+        let mut keys: Vec<&str> = sink.executed().map(|p| p.key.as_str()).collect();
+        keys.sort_unstable();
+        assert_eq!(
+            keys,
+            [
+                "scenario/set6-federated-3/x=3",
+                "scenario/set6-federated-3/x=6"
+            ]
+        );
         // Warm: everything from cache, same bits.
-        let (warm, s2) = run_scenario(&spec, &cfg, &rc).unwrap();
+        let (warm, s2) = run(&jobs, &cfg, &rc, None);
         assert_eq!(s2.executed, 0);
         assert_eq!(warm, par);
         // Editing the topology (not the name) re-addresses the cache.
         let mut edited = spec.clone();
         edited.workload.users = gscenario::Count::Lit(12);
-        let (_, s3) = run_scenario(&edited, &cfg, &rc).unwrap();
+        let edited_jobs = Job::scenario_sweep(&edited, &cfg).unwrap();
+        let (_, s3) = run(&edited_jobs, &cfg, &rc, None);
         assert_eq!(s3.cache_hits, 0, "fingerprint must fold into the digest");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn scenario_errors_surface_before_the_pool() {
-        let cfg = tiny_cfg(1);
-        let mut spec =
-            gridmon_core::figures::SeriesId::S6(gridmon_core::experiments::Set6Series::FlatGiis)
-                .catalogue_spec();
+        let mut spec = spec_of("set6/MDS GIIS (flat)");
         spec.services[0].1.host = "lucky2".to_string();
-        let err = run_scenario(&spec, &cfg, &RunnerConfig::sequential()).unwrap_err();
+        let err = Job::scenario_sweep(&spec, &tiny_cfg(1)).unwrap_err();
         assert!(err.contains("lucky2"), "{err}");
-    }
-
-    #[test]
-    fn unknown_set_is_reported_not_panicked() {
-        let rc = RunnerConfig::sequential();
-        let err = run_set(9, &tiny_cfg(1), 1.0, &rc).unwrap_err();
-        assert_eq!(err, FigureError::UnknownSet(9));
     }
 }

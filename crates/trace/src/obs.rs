@@ -51,7 +51,7 @@ impl ObsMode {
 }
 
 /// Everything observability collects over one run.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObsReport {
     /// The mode the run used.
     pub mode: ObsMode,

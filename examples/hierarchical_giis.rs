@@ -12,7 +12,7 @@
 //! cargo run --release --example hierarchical_giis
 //! ```
 
-use gridmon::core::ext::hierarchy_study;
+use gridmon::core::ext::{hierarchy_flat_point, hierarchy_tree_point};
 use gridmon::core::runcfg::RunConfig;
 use gridmon::simcore::SimDuration;
 
@@ -30,7 +30,8 @@ fn main() {
         cfg.window.as_secs_f64()
     );
 
-    let (flat, hier) = hierarchy_study(&cfg, n_gris, branches);
+    let flat = hierarchy_flat_point(&cfg, n_gris);
+    let hier = hierarchy_tree_point(&cfg, n_gris, branches);
 
     println!(
         "{:<28} {:>12} {:>14} {:>8} {:>8}",

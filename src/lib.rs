@@ -18,11 +18,12 @@
 //! | [`ganglia`] | 5-second host metric sampling |
 //! | [`testbed`] | the simulated Lucky/UC platform |
 //! | [`workload`] | closed-loop simulated users |
-//! | [`core`] | the comparative study: experiments, figures, reports |
+//! | [`core`] | the comparative study: scenario compiler, series catalogue, figures, reports |
 //!
 //! Start with the `quickstart` example, then see
-//! [`core::experiments`] for the paper's four
-//! experiment sets.
+//! [`core::scenario::catalogue`] for the series of the paper's four
+//! experiment sets (figures 5–20) and of the resilience and federation
+//! sets this reproduction adds (figures 21–28).
 
 pub use classad;
 pub use ganglia;

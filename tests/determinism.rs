@@ -15,10 +15,10 @@
 //! under the hood.  (Set 4 exercises ClassAd matchmaking and the MDS
 //! caches; set 2 leans on the flow network.)
 
-use gridmon_core::figures::{self, SetData};
+use gridmon_core::figures::{self, assemble_set, enumerate_set, SetData};
 use gridmon_core::report::csv;
 use gridmon_core::runcfg::RunConfig;
-use gridmon_runner::RunnerConfig;
+use gridmon_runner::{Job, RunnerConfig};
 use simcore::SimDuration;
 use std::collections::BTreeMap;
 
@@ -47,9 +47,12 @@ fn profiled_run(set: u32, jobs: usize) -> (BTreeMap<u32, String>, (u64, u64, u64
         quiet: true,
     };
     let mut sink = gperf::PerfSink::new();
-    let (data, stats) =
-        gridmon_runner::run_set_profiled(set, &cfg(), SCALE, &rc, Some(&mut sink)).unwrap();
+    let specs = enumerate_set(set, SCALE).unwrap();
+    let jobs: Vec<Job> = specs.iter().map(|&p| Job::Figure(p)).collect();
+    let (outputs, stats) = gridmon_runner::run(&jobs, &cfg(), &rc, Some(&mut sink));
     assert_eq!(stats.executed, stats.total, "no cache in play");
+    let results: Vec<_> = outputs.iter().map(|o| o.measurement().unwrap()).collect();
+    let data = assemble_set(set, &specs, &results);
     let t = sink.totals();
     (csvs_of(&data), (t.events, t.popped, t.advances, t.sim_us))
 }

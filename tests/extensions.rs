@@ -20,7 +20,8 @@ fn hierarchy_beats_flat_aggregation() {
     // examined."  Examined: with 120 sources, a two-level hierarchy
     // answers faster than a flat GIIS because the top level serves a
     // smaller, pre-aggregated directory.
-    let (flat, hier) = ext::hierarchy_study(&cfg(), 120, 5);
+    let flat = ext::hierarchy_flat_point(&cfg(), 120);
+    let hier = ext::hierarchy_tree_point(&cfg(), 120, 5);
     assert!(
         hier.throughput > flat.throughput,
         "flat {} vs hierarchical {}",
@@ -37,7 +38,9 @@ fn hierarchy_beats_flat_aggregation() {
 
 #[test]
 fn wan_quality_shapes_directory_performance() {
-    let points = ext::wan_study(&cfg(), 100);
+    let points: Vec<ext::WanPoint> = (0..ext::WAN_CASES.len())
+        .map(|case| ext::wan_point(&cfg(), 100, case))
+        .collect();
     assert_eq!(points.len(), 4);
     // Throughput never improves as the pipe degrades, and the worst link
     // is clearly worse than the best.
@@ -59,7 +62,8 @@ fn aggregate_query_costs_more_than_direct() {
     // same piece of information."  With GSI on the GRIS and anonymous
     // binds on the GIIS the aggregate is actually *faster* per query at
     // low load — the interesting comparison is throughput per host load.
-    let (direct, via) = ext::aggregate_vs_direct(&cfg(), 50);
+    let direct = ext::agg_direct_point(&cfg(), 50);
+    let via = ext::agg_via_giis_point(&cfg(), 50);
     assert!(direct.throughput > 0.0 && via.throughput > 0.0);
     // The aggregate server pays the search over five sites' data: its
     // host CPU per completed query is higher.
@@ -73,10 +77,8 @@ fn aggregate_query_costs_more_than_direct() {
 
 #[test]
 fn open_loop_overload_loses_queries() {
-    let points = ext::open_loop_study(&cfg(), &[5.0, 60.0]);
-    assert_eq!(points.len(), 2);
-    let light = &points[0];
-    let heavy = &points[1];
+    let light = ext::open_loop_point(&cfg(), 5.0);
+    let heavy = ext::open_loop_point(&cfg(), 60.0);
     // Under light offered load nearly everything completes.
     assert!(
         light.completed_per_sec > 0.8 * light.offered_per_sec,

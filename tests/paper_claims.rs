@@ -5,8 +5,8 @@
 //! reports — who wins, which direction curves move — rather than
 //! absolute numbers.
 
-use gridmon::core::experiments::{set1, set2, set3, set4};
-use gridmon::core::runcfg::RunConfig;
+use gridmon::core::runcfg::{Measurement, RunConfig};
+use gridmon::core::scenario::{catalogue, run_point};
 use gridmon::simcore::SimDuration;
 
 fn cfg() -> RunConfig {
@@ -16,13 +16,19 @@ fn cfg() -> RunConfig {
     c
 }
 
+/// The built-in series `id` at `x`, under [`cfg`] as given.
+fn point(id: &str, x: u32) -> Measurement {
+    let series = catalogue::find(id).unwrap_or_else(|| panic!("no series {id:?}"));
+    run_point(&(series.spec)(), x, &cfg()).unwrap()
+}
+
 #[test]
 fn caching_beats_refetching_dramatically() {
     // Section 3.3: "caching can significantly improve performance of the
     // information server".
     let users = 100;
-    let cached = set1::run_point(set1::Set1Series::GrisCache, users, &cfg());
-    let uncached = set1::run_point(set1::Set1Series::GrisNoCache, users, &cfg());
+    let cached = point("set1/MDS GRIS (cache)", users);
+    let uncached = point("set1/MDS GRIS (nocache)", users);
     assert!(
         cached.throughput > uncached.throughput * 5.0,
         "cache {} vs nocache {}",
@@ -43,8 +49,8 @@ fn caching_beats_refetching_dramatically() {
 #[test]
 fn gris_cache_throughput_grows_with_users() {
     // Fig 5: near-linear growth for the cached GRIS.
-    let a = set1::run_point(set1::Set1Series::GrisCache, 50, &cfg());
-    let b = set1::run_point(set1::Set1Series::GrisCache, 150, &cfg());
+    let a = point("set1/MDS GRIS (cache)", 50);
+    let b = point("set1/MDS GRIS (cache)", 150);
     assert!(
         b.throughput > a.throughput * 2.0,
         "50 users {} vs 150 users {}",
@@ -68,9 +74,9 @@ fn gris_cache_throughput_grows_with_users() {
 fn directory_servers_outscale_the_registry() {
     // Figs 9-10: GIIS and Manager present good scalability, R-GMA less.
     let users = 150;
-    let giis = set2::run_point(set2::Set2Series::Giis, users, &cfg());
-    let mgr = set2::run_point(set2::Set2Series::HawkeyeManager, users, &cfg());
-    let reg = set2::run_point(set2::Set2Series::RegistryLucky, users, &cfg());
+    let giis = point("set2/MDS GIIS", users);
+    let mgr = point("set2/Hawkeye Manager", users);
+    let reg = point("set2/R-GMA Registry(lucky)", users);
     assert!(
         giis.throughput > reg.throughput * 2.0,
         "giis {} reg {}",
@@ -94,8 +100,8 @@ fn giis_host_load_roughly_twice_the_managers() {
     // Manager when the number of users is large", blamed on the LDAP
     // backend vs the indexed resident database.
     let users = 200;
-    let giis = set2::run_point(set2::Set2Series::Giis, users, &cfg());
-    let mgr = set2::run_point(set2::Set2Series::HawkeyeManager, users, &cfg());
+    let giis = point("set2/MDS GIIS", users);
+    let mgr = point("set2/Hawkeye Manager", users);
     let ratio = giis.cpu_load / mgr.cpu_load.max(1e-9);
     assert!(
         ratio > 1.5,
@@ -111,8 +117,8 @@ fn registry_placement_barely_matters() {
     // R-GMA's Registry when accessed by two different kinds of simulated
     // Consumers", because Registry contention dominates the network.
     let users = 100;
-    let lucky = set2::run_point(set2::Set2Series::RegistryLucky, users, &cfg());
-    let uc = set2::run_point(set2::Set2Series::RegistryUC, users, &cfg());
+    let lucky = point("set2/R-GMA Registry(lucky)", users);
+    let uc = point("set2/R-GMA Registry(UC)", users);
     let rel = (lucky.throughput - uc.throughput).abs() / lucky.throughput.max(1e-9);
     assert!(
         rel < 0.2,
@@ -125,8 +131,8 @@ fn registry_placement_barely_matters() {
 #[test]
 fn more_collectors_degrade_every_information_server() {
     // Figs 13-14: all servers degrade; the cached GRIS degrades least.
-    let few = set3::run_point(set3::Set3Series::HawkeyeAgent, 11, &cfg());
-    let many = set3::run_point(set3::Set3Series::HawkeyeAgent, 90, &cfg());
+    let few = point("set3/Hawkeye Agent", 11);
+    let many = point("set3/Hawkeye Agent", 90);
     assert!(many.throughput < few.throughput / 3.0);
     assert!(
         many.response_time > 10.0,
@@ -139,14 +145,14 @@ fn more_collectors_degrade_every_information_server() {
         many.throughput
     );
 
-    let gris_few = set3::run_point(set3::Set3Series::GrisCache, 10, &cfg());
-    let gris_many = set3::run_point(set3::Set3Series::GrisCache, 90, &cfg());
+    let gris_few = point("set3/MDS GRIS(cache)", 10);
+    let gris_many = point("set3/MDS GRIS(cache)", 90);
     // The cached GRIS barely notices: still >= 5 q/s with ~sub-second
     // search (paper: 7 q/s, < 1 s response).
     assert!(gris_many.throughput > 5.0, "{}", gris_many.throughput);
     assert!(gris_many.throughput > gris_few.throughput * 0.8);
 
-    let ps_many = set3::run_point(set3::Set3Series::ProducerServlet, 90, &cfg());
+    let ps_many = point("set3/R-GMA ProducerServlet", 90);
     assert!(ps_many.throughput < 1.0, "{}", ps_many.throughput);
     assert!(ps_many.response_time > 10.0, "{}", ps_many.response_time);
 }
@@ -156,8 +162,8 @@ fn aggregation_degrades_beyond_a_hundred_sources() {
     // Figs 17-18: "no current aggregate information server is capable of
     // aggregating information servers when there are more than 100 of
     // them".
-    let small = set4::run_point(set4::Set4Series::GiisQueryAll, 10, &cfg());
-    let large = set4::run_point(set4::Set4Series::GiisQueryAll, 150, &cfg());
+    let small = point("set4/MDS GIIS(query all)", 10);
+    let large = point("set4/MDS GIIS(query all)", 150);
     assert!(
         large.throughput < small.throughput / 2.0,
         "10 gris {} vs 150 gris {}",
@@ -167,12 +173,12 @@ fn aggregation_degrades_beyond_a_hundred_sources() {
     assert!(large.response_time > small.response_time * 2.0);
 
     // Query-part scales further than query-all at the same source count.
-    let part = set4::run_point(set4::Set4Series::GiisQueryPart, 150, &cfg());
+    let part = point("set4/MDS GIIS (query part)", 150);
     assert!(part.throughput > large.throughput);
 
     // The Manager degrades too as the pool grows.
-    let m_small = set4::run_point(set4::Set4Series::HawkeyeManager, 50, &cfg());
-    let m_large = set4::run_point(set4::Set4Series::HawkeyeManager, 700, &cfg());
+    let m_small = point("set4/Hawkeye Manager", 50);
+    let m_large = point("set4/Hawkeye Manager", 700);
     assert!(
         m_large.throughput < m_small.throughput * 0.7,
         "50 machines {} vs 700 {}",
@@ -184,8 +190,8 @@ fn aggregation_degrades_beyond_a_hundred_sources() {
 
 #[test]
 fn experiment_points_are_deterministic() {
-    let a = set1::run_point(set1::Set1Series::HawkeyeAgent, 60, &cfg());
-    let b = set1::run_point(set1::Set1Series::HawkeyeAgent, 60, &cfg());
+    let a = point("set1/Hawkeye Agent", 60);
+    let b = point("set1/Hawkeye Agent", 60);
     assert_eq!(a.throughput.to_bits(), b.throughput.to_bits());
     assert_eq!(a.response_time.to_bits(), b.response_time.to_bits());
     assert_eq!(a.completions, b.completions);

@@ -5,38 +5,45 @@
 //! **byte-identical** to the sequential runner's, whatever the worker
 //! count, and a warm-cache run reproduces the same bytes without
 //! executing a single point.  These tests pin that contract on a
-//! scaled-down sweep of all five sets — the Set-5 resilience sweep
-//! runs with its canonical fault plan installed, so injected faults
-//! are held to the same byte-identity bar as pristine points.
+//! scaled-down sweep of every set in the catalogue — the sweep carries
+//! the canonical fault plan, which reaches the Set-5 resilience points,
+//! so injected faults are held to the same byte-identity bar as
+//! pristine points.
 
-use gridmon_core::experiments::set5;
-use gridmon_core::figures::{self, SetData};
+use gridmon_core::figures::{self, assemble_set, enumerate_set, SetData};
 use gridmon_core::report::csv;
 use gridmon_core::runcfg::RunConfig;
-use gridmon_runner::RunnerConfig;
+use gridmon_core::scenario::{catalogue, DEFAULT_FAULTS};
+use gridmon_runner::{Job, RunnerConfig, SweepStats};
 use simcore::SimDuration;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-/// Short windows so the full 4-set sweep stays test-sized; the
+/// Short windows so the full six-set sweep stays test-sized; the
 /// mechanisms (and the determinism contract) are unchanged.
 fn cfg() -> RunConfig {
     let mut c = RunConfig::quick(20030622);
     c.warmup = SimDuration::from_secs(5);
     c.window = SimDuration::from_secs(15);
+    c.faults = DEFAULT_FAULTS;
     c
 }
 
 const SCALE: f64 = 0.02;
 
-/// Per-set configuration: set 5 injects its canonical fault plan (the
-/// other sets ignore `faults` entirely).
-fn cfg_for(set: u32) -> RunConfig {
-    let mut c = cfg();
-    if set == 5 {
-        c.faults = set5::default_spec();
-    }
-    c
+/// One experiment set through the pool: enumerate, run, assemble.
+fn pooled_set(
+    set: u32,
+    cfg: &RunConfig,
+    scale: f64,
+    rc: &RunnerConfig,
+    sink: Option<&mut gperf::PerfSink>,
+) -> (SetData, SweepStats) {
+    let specs = enumerate_set(set, scale).unwrap();
+    let jobs: Vec<Job> = specs.iter().map(|&p| Job::Figure(p)).collect();
+    let (outputs, stats) = gridmon_runner::run(&jobs, cfg, rc, sink);
+    let results: Vec<_> = outputs.iter().map(|o| o.measurement().unwrap()).collect();
+    (assemble_set(set, &specs, &results), stats)
 }
 
 /// Render every figure of a set to CSV, keyed by figure number.
@@ -56,10 +63,10 @@ fn scratch_cache(tag: &str) -> PathBuf {
 
 #[test]
 fn every_figure_csv_is_byte_identical_across_job_counts() {
-    for set in 1..=5 {
-        let cfg = cfg_for(set);
+    for set in catalogue::sets() {
+        let cfg = cfg();
         // The in-crate sequential runner is the reference.
-        let reference = csvs_of(&figures::run_set(set, &cfg, SCALE, None).unwrap());
+        let reference = csvs_of(&figures::run_set(set, &cfg, SCALE).unwrap());
         assert!(!reference.is_empty());
         for jobs in [1, 2, 8] {
             let rc = RunnerConfig {
@@ -67,7 +74,7 @@ fn every_figure_csv_is_byte_identical_across_job_counts() {
                 cache_dir: None,
                 quiet: true,
             };
-            let (data, stats) = gridmon_runner::run_set(set, &cfg, SCALE, &rc).unwrap();
+            let (data, stats) = pooled_set(set, &cfg, SCALE, &rc, None);
             assert_eq!(stats.executed, stats.total, "no cache in play");
             let got = csvs_of(&data);
             for (fig, want) in &reference {
@@ -86,18 +93,18 @@ fn every_figure_csv_is_byte_identical_across_job_counts() {
 /// byte-identical to the plain NullTracer run, sequential or 8-wide.
 #[test]
 fn tracing_never_changes_figure_csvs() {
-    for set in 1..=5 {
-        let base = cfg_for(set);
+    for set in catalogue::sets() {
+        let base = cfg();
         let mut traced = base;
         traced.obs = gridmon_core::ObsMode::FULL;
-        let reference = csvs_of(&figures::run_set(set, &base, SCALE, None).unwrap());
+        let reference = csvs_of(&figures::run_set(set, &base, SCALE).unwrap());
         for jobs in [1, 8] {
             let rc = RunnerConfig {
                 jobs,
                 cache_dir: None,
                 quiet: true,
             };
-            let (data, stats) = gridmon_runner::run_set(set, &traced, SCALE, &rc).unwrap();
+            let (data, stats) = pooled_set(set, &traced, SCALE, &rc, None);
             assert_eq!(stats.executed, stats.total, "no cache in play");
             assert_eq!(
                 csvs_of(&data),
@@ -115,9 +122,9 @@ fn tracing_never_changes_figure_csvs() {
 /// simulated state.
 #[test]
 fn profiling_never_changes_figure_csvs() {
-    for set in 1..=5 {
-        let cfg = cfg_for(set);
-        let reference = csvs_of(&figures::run_set(set, &cfg, SCALE, None).unwrap());
+    for set in catalogue::sets() {
+        let cfg = cfg();
+        let reference = csvs_of(&figures::run_set(set, &cfg, SCALE).unwrap());
         for jobs in [1, 8] {
             let rc = RunnerConfig {
                 jobs,
@@ -125,8 +132,7 @@ fn profiling_never_changes_figure_csvs() {
                 quiet: true,
             };
             let mut sink = gperf::PerfSink::new();
-            let (data, stats) =
-                gridmon_runner::run_set_profiled(set, &cfg, SCALE, &rc, Some(&mut sink)).unwrap();
+            let (data, stats) = pooled_set(set, &cfg, SCALE, &rc, Some(&mut sink));
             assert_eq!(stats.executed, stats.total, "no cache in play");
             assert_eq!(
                 sink.totals().executed as usize,
@@ -151,12 +157,12 @@ fn warm_cache_reproduces_identical_csvs_without_executing() {
         cache_dir: Some(dir.clone()),
         quiet: true,
     };
-    for set in 1..=5 {
-        let cfg = cfg_for(set);
-        let (cold, s_cold) = gridmon_runner::run_set(set, &cfg, SCALE, &rc).unwrap();
+    for set in catalogue::sets() {
+        let cfg = cfg();
+        let (cold, s_cold) = pooled_set(set, &cfg, SCALE, &rc, None);
         assert_eq!(s_cold.cache_hits, 0, "set {set}: scratch cache starts cold");
         assert_eq!(s_cold.executed, s_cold.total);
-        let (warm, s_warm) = gridmon_runner::run_set(set, &cfg, SCALE, &rc).unwrap();
+        let (warm, s_warm) = pooled_set(set, &cfg, SCALE, &rc, None);
         assert_eq!(
             s_warm.executed, 0,
             "set {set}: warm run must execute nothing"
@@ -179,15 +185,15 @@ fn cache_is_seed_and_scale_addressed() {
         cache_dir: Some(dir.clone()),
         quiet: true,
     };
-    let (_, first) = gridmon_runner::run_set(1, &cfg(), SCALE, &rc).unwrap();
+    let (_, first) = pooled_set(1, &cfg(), SCALE, &rc, None);
     assert_eq!(first.cache_hits, 0);
     // A different base seed shares no cache entries...
     let mut reseeded = cfg();
     reseeded.seed ^= 1;
-    let (_, other) = gridmon_runner::run_set(1, &reseeded, SCALE, &rc).unwrap();
+    let (_, other) = pooled_set(1, &reseeded, SCALE, &rc, None);
     assert_eq!(other.cache_hits, 0);
     // ...while re-running at a larger scale reuses the shared x-points.
-    let (_, wider) = gridmon_runner::run_set(1, &cfg(), SCALE * 2.0, &rc).unwrap();
+    let (_, wider) = pooled_set(1, &cfg(), SCALE * 2.0, &rc, None);
     assert!(wider.cache_hits > 0, "overlapping points must be reused");
     assert!(wider.executed > 0, "new x-points must still run");
     let _ = std::fs::remove_dir_all(&dir);
