@@ -6,21 +6,24 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench_engine_event_churn(c: &mut Criterion) {
-    use simcore::{Engine, SimDuration, SimTime};
+    use simcore::{Engine, SimDuration, SimTime, World};
+    struct W {
+        count: u64,
+    }
+    impl World for W {
+        type Event = ();
+        fn handle(&mut self, eng: &mut Engine<W>, (): ()) {
+            self.count += 1;
+            if self.count < 10_000 {
+                eng.schedule_in(SimDuration(10), ());
+            }
+        }
+    }
     c.bench_function("simcore/engine_10k_events", |b| {
         b.iter(|| {
-            struct W {
-                count: u64,
-            }
             let mut eng: Engine<W> = Engine::new(1);
             let mut w = W { count: 0 };
-            fn tick(w: &mut W, eng: &mut Engine<W>) {
-                w.count += 1;
-                if w.count < 10_000 {
-                    eng.schedule_in(SimDuration(10), tick);
-                }
-            }
-            eng.schedule_at(SimTime(0), tick);
+            eng.schedule_at(SimTime(0), ());
             eng.run_to_completion(&mut w);
             criterion::black_box(w.count)
         })

@@ -35,6 +35,8 @@
 //! counting global allocator, and the gate also fails cold entries
 //! whose allocations per event grow beyond the tolerance.
 
+#![forbid(unsafe_code)]
+
 use gbench::suite::{compare, render_regressions, run_matrix, BenchReport, BENCH_SETS};
 use std::path::PathBuf;
 

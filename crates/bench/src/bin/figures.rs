@@ -68,6 +68,8 @@
 //! same seeds and produces bit-identical measurements (pinned by
 //! `tests/parallel_figures.rs`), so the CSVs stand whatever is traced.
 
+#![forbid(unsafe_code)]
+
 use gbench::{figures_of_set, Profile};
 use gfaults::{FaultSpec, Scenario};
 use gridmon_core::figures::{self, assemble_set, enumerate_set, set_of_figure, PointSpec};

@@ -26,6 +26,8 @@
 //! non-zero on any violation, which makes it usable as a CI gate on
 //! the golden fixture.
 
+#![forbid(unsafe_code)]
+
 use gtrace::inspect::{render, self_check, summarize};
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_trace.json");

@@ -1,6 +1,8 @@
 //! Shared helpers for the benchmark harness and the `figures`,
 //! `gridmon-bench` and `gridmon-inspect` binaries.
 
+#![forbid(unsafe_code)]
+
 pub mod profile;
 pub mod suite;
 

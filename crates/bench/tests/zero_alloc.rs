@@ -1,8 +1,9 @@
 //! Pinned steady-state allocation behaviour of the event kernel.
 //!
-//! The closure pool exists so that the schedule/fire loop — the inner
-//! loop of every experiment — performs **zero** heap allocations once
-//! warm.  This test pins that property under the counting allocator:
+//! Events are plain values in recycled slab slots, so the schedule/fire
+//! loop — the inner loop of every experiment — performs **zero** heap
+//! allocations once the heap and the slab have reached their working
+//! size.  This test pins that property under the counting allocator:
 //! it warms a set-1-shaped world (periodic per-host probe events that
 //! reschedule themselves, like the GRIS cache refreshers), then runs
 //! thousands of further events and asserts the process allocation
@@ -14,17 +15,26 @@
 
 use simcore::{Engine, SimDuration, SimTime};
 
+/// A per-host probe that re-arms itself every `period`.
+#[derive(Clone, Copy)]
+struct Probe {
+    host: usize,
+    period: SimDuration,
+}
+
 /// The measured world: per-host counters bumped by self-rescheduling
 /// probe events, the shape of the set-1 MDS refresh loop.
 struct World {
     fired: Vec<u64>,
 }
 
-fn arm(eng: &mut Engine<World>, host: usize, period: SimDuration) {
-    eng.schedule_in(period, move |w: &mut World, e: &mut Engine<World>| {
-        w.fired[host] += 1;
-        arm(e, host, period);
-    });
+impl simcore::World for World {
+    type Event = Probe;
+
+    fn handle(&mut self, eng: &mut Engine<World>, probe: Probe) {
+        self.fired[probe.host] += 1;
+        eng.schedule_in(probe.period, probe);
+    }
 }
 
 #[test]
@@ -42,15 +52,16 @@ fn steady_state_event_loop_allocates_nothing() {
     for h in 0..HOSTS {
         // Co-prime-ish periods so the heap sees interleaved orderings,
         // not one synchronized batch.
-        arm(&mut eng, h, SimDuration::from_micros(900 + 7 * h as u64));
+        let period = SimDuration::from_micros(900 + 7 * h as u64);
+        eng.schedule_in(period, Probe { host: h, period });
     }
 
-    // Warm-up: size the heap, the slot table and the closure pool.
+    // Warm-up: size the heap and the event slab.
     eng.run_until(&mut world, SimTime::from_secs_f64(0.5));
     let fired_warm: u64 = world.fired.iter().sum();
     assert!(fired_warm > 10_000, "warm-up fired {fired_warm}");
 
-    // Steady state: every event must recycle its own buffer.
+    // Steady state: every event must recycle its own slot.
     let before = gperf::alloc::stats().unwrap();
     eng.run_until(&mut world, SimTime::from_secs(1));
     let after = gperf::alloc::stats().unwrap();

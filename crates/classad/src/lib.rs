@@ -32,6 +32,8 @@
 //! assert!(matchmaker::symmetric_match(&trigger, &machine));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ad;
 pub mod compile;
 pub mod eval;

@@ -26,6 +26,10 @@ pub struct ObservedPoint {
     pub nodes: Vec<String>,
 }
 
+/// What `Engine::run_until_with` calls after every dispatched event:
+/// `(world, now, fired)`.
+type DispatchHook<'a> = &'a mut dyn FnMut(&mut Net, SimTime, u64);
+
 /// A ready-to-run simulated testbed with measurement plumbing.
 pub struct Harness {
     pub net: Net,
@@ -105,7 +109,7 @@ impl Harness {
         if self.net.obs.on() {
             self.run_window_observed();
         } else {
-            self.run_to(self.cfg.window_end());
+            self.run_to(self.cfg.window_end(), None);
         }
         // Profiling hook: one call per completed run, reading counters the
         // engine keeps anyway.  A single predictable branch when no
@@ -149,44 +153,26 @@ impl Harness {
 
     /// Run the engine to `until`, pausing at each scheduled fault instant
     /// to apply due fault events.  Without an installed fault schedule
-    /// this is a single plain `run_until` — the exact pre-faults path.
-    fn run_to(&mut self, until: SimTime) {
-        match self.faults.take() {
-            None => self.eng.run_until(&mut self.net, until),
-            Some(mut driver) => {
-                loop {
-                    let stop = driver.next_at().map_or(until, |t| t.min(until));
-                    self.eng.run_until(&mut self.net, stop);
-                    driver.apply_due(&mut self.net, &mut self.eng, stop);
-                    if stop >= until {
-                        break;
-                    }
-                }
-                self.faults = Some(driver);
+    /// this is a single `run_until` — the exact pre-faults path.  With a
+    /// `hook`, every dispatched engine event is reported to it
+    /// (`run_until_with`); segmentation and event sequence are the same.
+    fn run_to(&mut self, until: SimTime, mut hook: Option<DispatchHook>) {
+        let mut driver = self.faults.take();
+        loop {
+            let next_fault = driver.as_ref().and_then(|d| d.next_at());
+            let stop = next_fault.map_or(until, |t| t.min(until));
+            match &mut hook {
+                Some(hook) => self.eng.run_until_with(&mut self.net, stop, &mut **hook),
+                None => self.eng.run_until(&mut self.net, stop),
+            }
+            if let Some(d) = &mut driver {
+                d.apply_due(&mut self.net, &mut self.eng, stop);
+            }
+            if stop >= until {
+                break;
             }
         }
-    }
-
-    /// Traced twin of [`run_to`]: same segmentation, with the dispatch
-    /// hook recording one `Dispatch` event per engine event.
-    fn run_to_traced(&mut self, until: SimTime) {
-        let mut hook = |net: &mut Net, at, seq| {
-            net.obs.ev(at, Ev::Dispatch { seq });
-        };
-        match self.faults.take() {
-            None => self.eng.run_until_with(&mut self.net, until, &mut hook),
-            Some(mut driver) => {
-                loop {
-                    let stop = driver.next_at().map_or(until, |t| t.min(until));
-                    self.eng.run_until_with(&mut self.net, stop, &mut hook);
-                    driver.apply_due(&mut self.net, &mut self.eng, stop);
-                    if stop >= until {
-                        break;
-                    }
-                }
-                self.faults = Some(driver);
-            }
-        }
+        self.faults = driver;
     }
 
     /// The observed run path: identical event sequence to the plain
@@ -195,13 +181,12 @@ impl Harness {
     /// event recorded per dispatched engine event.
     fn run_window_observed(&mut self) {
         let (ws, we) = (self.cfg.window_start(), self.cfg.window_end());
-        self.run_to(ws);
+        self.run_to(ws, None);
         self.net.obs.window_begin(ws);
-        if self.net.obs.tracing() {
-            self.run_to_traced(we);
-        } else {
-            self.run_to(we);
-        }
+        let mut record = |net: &mut Net, at, seq| net.obs.ev(at, Ev::Dispatch { seq });
+        let tracing = self.net.obs.tracing();
+        let hook = tracing.then_some(&mut record as DispatchHook);
+        self.run_to(we, hook);
     }
 
     /// Like [`run_and_measure`](Harness::run_and_measure), but also harvest the observability

@@ -33,6 +33,8 @@
 //! println!("50 users -> {:.1} queries/sec", m.throughput);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod deploy;
 pub mod ext;
 pub mod figures;

@@ -11,6 +11,8 @@
 //! In `cargo test` mode (the harness receives `--test`) every benchmark
 //! runs exactly once, as the real criterion does.
 
+#![forbid(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 /// Opaque-to-the-optimizer identity, as in real criterion.

@@ -1,10 +1,13 @@
 //! # gridmon-diff — differential reference-oracle test layer
 //!
 //! Each measured hot path in the workspace keeps its original, simple
-//! implementation alive as a *reference kernel* (exposed by the crates'
-//! `reference-kernel` feature).  The property tests in this crate's
-//! `tests/` directory drive the fast and reference paths with the same
-//! randomly generated inputs and assert **bit-exact** agreement:
+//! implementation alive as a *reference kernel*: behind the owning
+//! crate's `reference-kernel` feature where it needs private access
+//! (`classad`, `simnet`, `ldapdir`), in this crate where it does not
+//! (the event engine, [`reference::RefEngine`]).  The property tests in
+//! this crate's `tests/` directory drive the fast and reference paths
+//! with the same randomly generated inputs and assert **bit-exact**
+//! agreement:
 //!
 //! * `classad_diff` — compiled postfix ClassAd VM vs the tree-walking
 //!   evaluator, over random expressions, ads and matchmaking pairs;
@@ -12,7 +15,8 @@
 //!   the from-scratch water-filler, over random topologies and
 //!   start/abort/complete schedules;
 //! * `engine_diff` — the compacting event calendar vs pure lazy deletion,
-//!   over random schedule/cancel patterns;
+//!   and the typed-event engine vs the closure-scheduling [`mod@reference`]
+//!   engine, over random schedule/cancel/reschedule scripts;
 //! * `dit_diff` — the indexed DIT search vs the exhaustive reference
 //!   scan, over random trees and queries.
 //!
@@ -21,6 +25,10 @@
 //! approximate equality) is the contract: the optimizations are
 //! restructurings of identical arithmetic, so any divergence — even in
 //! the last ulp — is a bug.
+
+#![forbid(unsafe_code)]
+
+pub mod reference;
 
 use classad::Value;
 

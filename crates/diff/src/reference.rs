@@ -1,15 +1,16 @@
-//! The pre-pool event calendar, kept verbatim as a differential oracle.
+//! The closure-scheduling event calendar, kept verbatim as a differential
+//! oracle for the typed-event [`simcore::Engine`].
 //!
-//! [`RefEngine`] is the engine as it stood before closures moved into
-//! size-classed pooled buffers: every event is `Box`ed, and compaction
-//! rebuilds the heap through an `into_vec`/`collect`/`from` round trip.
-//! The gridmon-diff engine suite replays identical schedule/cancel
-//! scripts on both machines and asserts the dispatch streams and
-//! counters match bit-for-bit.  Compiled only with the
-//! `reference-kernel` feature; never used by the simulation.
+//! [`RefEngine`] is the engine as it stood before events became values
+//! of `World::Event`: every event is a `Box`ed `FnOnce(&mut W, &mut
+//! RefEngine<W>)`, slots are a private generational table, and
+//! compaction rebuilds the heap through an `into_vec`/`collect`/`from`
+//! round trip.  `tests/engine_diff.rs` replays identical
+//! schedule/cancel/reschedule scripts on both machines and asserts the
+//! dispatch streams, clocks and counters match.  Never used by the
+//! simulation.
 
-use crate::rng::SimRng;
-use crate::time::{SimDuration, SimTime};
+use simcore::{SimDuration, SimRng, SimTime};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 

@@ -1,65 +1,131 @@
-//! Compacting event calendar vs pure lazy deletion.
+//! The event calendar against its two oracles.
 //!
-//! Compaction rebuilds the binary heap without stale keys once cancelled
-//! events dominate.  `QKey` ordering is total, so the dispatch stream —
-//! times, FIFO tie-breaks, `fired`, `advances` — must be identical to the
-//! reference engine; only `popped` (stale churn) may shrink.
+//! * Compaction on vs off: compaction rebuilds the binary heap without
+//!   stale keys once cancelled events dominate.  `QKey` ordering is
+//!   total, so the dispatch stream — times, FIFO tie-breaks, `fired`,
+//!   `advances` — must be identical to pure lazy deletion; only `popped`
+//!   (stale churn) may shrink.
+//! * Typed events vs closures: `Engine<World>` dispatching values of a
+//!   small test `enum` must behave exactly like `RefEngine` running the
+//!   equivalent closures — same stream, clock and all three counters.
 
+use gridmon_diff::reference::RefEngine;
 use proptest::prelude::*;
-use simcore::reference::RefEngine;
-use simcore::{Engine, SimTime};
+use simcore::{Engine, SimDuration, SimTime};
 
 #[derive(Default)]
 struct World {
     dispatched: Vec<(u64, u32)>,
 }
 
-/// Replay `(time, cancel?)` scheduling rounds on one engine.
-fn replay(compaction: bool, plan: &[(u64, bool)]) -> (Vec<(u64, u32)>, u64, u64, u64) {
-    let mut eng: Engine<World> = if compaction {
-        Engine::new(42)
-    } else {
-        Engine::new_reference(42)
-    };
-    let mut w = World::default();
-    let mut doomed = Vec::new();
-    for (i, &(t, cancel)) in plan.iter().enumerate() {
-        let i = i as u32;
-        let h = eng.schedule_at(SimTime(t), move |w: &mut World, eng| {
-            w.dispatched.push((eng.now().as_micros(), i));
-        });
-        if cancel {
-            doomed.push(h);
+#[derive(Clone, Copy)]
+enum Ev {
+    /// Record `(now, id)`.
+    Mark(u32),
+    /// Record `(now, id)`, schedule `Mark(1000 + id)` 10 µs out, and
+    /// schedule-then-cancel a timeout (retry-style churn).
+    Spawn(u32),
+    Noop,
+}
+
+impl simcore::World for World {
+    type Event = Ev;
+
+    fn handle(&mut self, eng: &mut Engine<World>, ev: Ev) {
+        match ev {
+            Ev::Mark(id) => self.dispatched.push((eng.now().as_micros(), id)),
+            Ev::Spawn(id) => {
+                self.dispatched.push((eng.now().as_micros(), id));
+                eng.schedule_in(SimDuration(10), Ev::Mark(1000 + id));
+                let doomed = eng.schedule_in(SimDuration(500), Ev::Noop);
+                eng.cancel(doomed);
+            }
+            Ev::Noop => {}
         }
-        // Cancel in bursts so stale keys pile up the way timeout-heavy
-        // services produce them.
-        if doomed.len() >= 16 {
-            for h in doomed.drain(..) {
-                assert!(eng.cancel(h));
+    }
+}
+
+/// `Ev::Mark` / `Ev::Spawn` as the closures the reference engine takes.
+fn ref_mark(id: u32) -> impl FnOnce(&mut World, &mut RefEngine<World>) {
+    move |w, eng| w.dispatched.push((eng.now().as_micros(), id))
+}
+
+fn ref_spawn(id: u32) -> impl FnOnce(&mut World, &mut RefEngine<World>) {
+    move |w, eng| {
+        w.dispatched.push((eng.now().as_micros(), id));
+        eng.schedule_in(SimDuration(10), ref_mark(1000 + id));
+        let doomed = eng.schedule_in(SimDuration(500), |_w, _e| {});
+        eng.cancel(doomed);
+    }
+}
+
+/// What a run leaves behind: dispatch stream, `now`, `fired`, `popped`,
+/// `advances`.
+type Trace = (Vec<(u64, u32)>, u64, u64, u64, u64);
+
+/// One script step: schedule at `t`; `spawn` picks the nested-rescheduling
+/// event; `cancel` dooms it (cancelled in bursts of 16 so stale keys pile
+/// up the way timeout-heavy services produce them).
+type Script = [(u64, bool, bool)];
+
+/// Replay a script on either engine.  The two engines share no trait, so
+/// the driver is a macro over their identical method names.
+macro_rules! replay {
+    ($eng:expr, $script:expr, $mark:expr, $spawn:expr) => {{
+        let mut eng = $eng;
+        let mut w = World::default();
+        let mut doomed = Vec::new();
+        for (i, &(t, spawn, cancel)) in $script.iter().enumerate() {
+            let i = i as u32;
+            let h = if spawn {
+                eng.schedule_at(SimTime(t), $spawn(i))
+            } else {
+                eng.schedule_at(SimTime(t), $mark(i))
+            };
+            if cancel {
+                doomed.push(h);
+            }
+            if doomed.len() >= 16 {
+                for h in doomed.drain(..) {
+                    assert!(eng.cancel(h));
+                }
             }
         }
-    }
-    for h in doomed {
-        assert!(eng.cancel(h));
-    }
-    eng.run_until(&mut w, SimTime(1_000_000));
-    (w.dispatched, eng.fired, eng.popped, eng.advances)
+        for h in doomed {
+            assert!(eng.cancel(h));
+        }
+        eng.run_until(&mut w, SimTime(1_000_000));
+        let now = eng.now().as_micros();
+        (w.dispatched, now, eng.fired, eng.popped, eng.advances)
+    }};
+}
+
+fn run_typed(compaction: bool, script: &Script) -> Trace {
+    let mut eng: Engine<World> = Engine::new(42);
+    eng.set_compaction(compaction);
+    replay!(eng, script, Ev::Mark, Ev::Spawn)
+}
+
+fn run_reference(script: &Script) -> Trace {
+    replay!(RefEngine::<World>::new(42), script, ref_mark, ref_spawn)
 }
 
 proptest! {
-    /// Any schedule/cancel pattern dispatches identically under both
-    /// engines; heavy cancellation must reduce pop churn.
+    /// Any schedule/cancel pattern dispatches identically with and
+    /// without compaction; heavy cancellation must reduce pop churn.
     #[test]
     fn dispatch_stream_is_identical(
         plan in proptest::collection::vec((0u64..5000, any::<bool>()), 1..400),
     ) {
-        let (fast, fast_fired, fast_popped, fast_advances) = replay(true, &plan);
-        let (slow, slow_fired, slow_popped, slow_advances) = replay(false, &plan);
+        let script: Vec<_> = plan.iter().map(|&(t, cancel)| (t, false, cancel)).collect();
+        let (fast, fast_now, fast_fired, fast_popped, fast_advances) = run_typed(true, &script);
+        let (slow, slow_now, slow_fired, slow_popped, slow_advances) = run_typed(false, &script);
         prop_assert_eq!(&fast, &slow, "dispatch order diverged");
+        prop_assert_eq!(fast_now, slow_now);
         prop_assert_eq!(fast_fired, slow_fired);
         prop_assert_eq!(fast_advances, slow_advances);
         prop_assert!(fast_popped <= slow_popped, "compaction must never add pops");
-        // The reference pops every stale key eventually.
+        // Lazy deletion pops every stale key eventually.
         let cancelled = plan.iter().filter(|&&(_, c)| c).count() as u64;
         prop_assert_eq!(slow_popped, slow_fired + cancelled);
     }
@@ -68,146 +134,23 @@ proptest! {
     /// service pattern) interleave with compaction correctly.
     #[test]
     fn nested_scheduling_agrees(seed_times in proptest::collection::vec(0u64..100, 1..40)) {
-        fn run(compaction: bool, seed_times: &[u64]) -> (Vec<(u64, u32)>, u64) {
-            let mut eng: Engine<World> = Engine::new(7);
-            eng.set_compaction(compaction);
-            let mut w = World::default();
-            for (i, &t) in seed_times.iter().enumerate() {
-                let i = i as u32;
-                eng.schedule_at(SimTime(t), move |w: &mut World, eng| {
-                    w.dispatched.push((eng.now().as_micros(), i));
-                    // Schedule a follow-up and a timeout; cancel the
-                    // timeout immediately (retry-style churn).
-                    eng.schedule_in(simcore::SimDuration(10), move |w: &mut World, eng| {
-                        w.dispatched.push((eng.now().as_micros(), 1000 + i));
-                    });
-                    let doomed = eng.schedule_in(simcore::SimDuration(500), |_w, _e| {});
-                    eng.cancel(doomed);
-                });
-            }
-            eng.run_until(&mut w, SimTime(10_000));
-            (w.dispatched, eng.fired)
-        }
-        let fast = run(true, &seed_times);
-        let slow = run(false, &seed_times);
+        let script: Vec<_> = seed_times.iter().map(|&t| (t, true, false)).collect();
+        let (fast, _, fast_fired, ..) = run_typed(true, &script);
+        let (slow, _, slow_fired, ..) = run_typed(false, &script);
         prop_assert_eq!(fast, slow);
+        prop_assert_eq!(fast_fired, slow_fired);
     }
 
-    /// Pooled closure storage vs the verbatim pre-pool box-per-event
-    /// engine: identical schedule/cancel scripts must yield the same
-    /// dispatch stream, clock and all three counters.  The script mixes
-    /// small captures (pooled), 1 KiB captures (the `Box` fallback) and
-    /// burst cancellation so recycled buffers interleave with stale keys.
+    /// Typed events in slab slots vs the box-per-closure reference engine:
+    /// random scripts mixing plain events, events that schedule and cancel
+    /// from inside their handler (a freed slot is immediately reused by the
+    /// successor) and burst cancellation (recycled slots interleave with
+    /// stale keys) must yield the same dispatch stream, clock and counters.
     #[test]
-    fn pooled_storage_matches_boxed_reference(
-        plan in proptest::collection::vec(
+    fn typed_events_match_closure_reference(
+        script in proptest::collection::vec(
             (0u64..5000, any::<bool>(), any::<bool>()), 1..300),
     ) {
-        fn run_new(plan: &[(u64, bool, bool)]) -> (Vec<(u64, u32)>, u64, u64, u64, u64) {
-            let mut eng: Engine<World> = Engine::new(42);
-            let mut w = World::default();
-            let mut doomed = Vec::new();
-            for (i, &(t, cancel, big)) in plan.iter().enumerate() {
-                let i = i as u32;
-                let h = if big {
-                    let pad = [u64::from(i); 128]; // forces the Box fallback
-                    eng.schedule_at(SimTime(t), move |w: &mut World, eng| {
-                        w.dispatched.push((eng.now().as_micros(), i + pad[0] as u32 - i));
-                    })
-                } else {
-                    eng.schedule_at(SimTime(t), move |w: &mut World, eng| {
-                        w.dispatched.push((eng.now().as_micros(), i));
-                    })
-                };
-                if cancel {
-                    doomed.push(h);
-                }
-                if doomed.len() >= 16 {
-                    for h in doomed.drain(..) {
-                        assert!(eng.cancel(h));
-                    }
-                }
-            }
-            for h in doomed {
-                assert!(eng.cancel(h));
-            }
-            eng.run_until(&mut w, SimTime(1_000_000));
-            (w.dispatched, eng.fired, eng.popped, eng.advances, eng.now().as_micros())
-        }
-        fn run_ref(plan: &[(u64, bool, bool)]) -> (Vec<(u64, u32)>, u64, u64, u64, u64) {
-            let mut eng: RefEngine<World> = RefEngine::new(42);
-            let mut w = World::default();
-            let mut doomed = Vec::new();
-            for (i, &(t, cancel, big)) in plan.iter().enumerate() {
-                let i = i as u32;
-                let h = if big {
-                    let pad = [u64::from(i); 128];
-                    eng.schedule_at(SimTime(t), move |w: &mut World, eng| {
-                        w.dispatched.push((eng.now().as_micros(), i + pad[0] as u32 - i));
-                    })
-                } else {
-                    eng.schedule_at(SimTime(t), move |w: &mut World, eng| {
-                        w.dispatched.push((eng.now().as_micros(), i));
-                    })
-                };
-                if cancel {
-                    doomed.push(h);
-                }
-                if doomed.len() >= 16 {
-                    for h in doomed.drain(..) {
-                        assert!(eng.cancel(h));
-                    }
-                }
-            }
-            for h in doomed {
-                assert!(eng.cancel(h));
-            }
-            eng.run_until(&mut w, SimTime(1_000_000));
-            (w.dispatched, eng.fired, eng.popped, eng.advances, eng.now().as_micros())
-        }
-        prop_assert_eq!(run_new(&plan), run_ref(&plan));
-    }
-
-    /// Self-rescheduling from inside pooled events (buffer recycled and
-    /// immediately reused by the successor) matches the boxed reference.
-    #[test]
-    fn pooled_nested_scheduling_matches_reference(
-        seed_times in proptest::collection::vec(0u64..100, 1..30),
-    ) {
-        fn run_new(seed_times: &[u64]) -> (Vec<(u64, u32)>, u64) {
-            let mut eng: Engine<World> = Engine::new(7);
-            let mut w = World::default();
-            for (i, &t) in seed_times.iter().enumerate() {
-                let i = i as u32;
-                eng.schedule_at(SimTime(t), move |w: &mut World, eng| {
-                    w.dispatched.push((eng.now().as_micros(), i));
-                    eng.schedule_in(simcore::SimDuration(10), move |w: &mut World, eng| {
-                        w.dispatched.push((eng.now().as_micros(), 1000 + i));
-                    });
-                    let doomed = eng.schedule_in(simcore::SimDuration(500), |_w, _e| {});
-                    eng.cancel(doomed);
-                });
-            }
-            eng.run_until(&mut w, SimTime(10_000));
-            (w.dispatched, eng.fired)
-        }
-        fn run_ref(seed_times: &[u64]) -> (Vec<(u64, u32)>, u64) {
-            let mut eng: RefEngine<World> = RefEngine::new(7);
-            let mut w = World::default();
-            for (i, &t) in seed_times.iter().enumerate() {
-                let i = i as u32;
-                eng.schedule_at(SimTime(t), move |w: &mut World, eng| {
-                    w.dispatched.push((eng.now().as_micros(), i));
-                    eng.schedule_in(simcore::SimDuration(10), move |w: &mut World, eng| {
-                        w.dispatched.push((eng.now().as_micros(), 1000 + i));
-                    });
-                    let doomed = eng.schedule_in(simcore::SimDuration(500), |_w, _e| {});
-                    eng.cancel(doomed);
-                });
-            }
-            eng.run_until(&mut w, SimTime(10_000));
-            (w.dispatched, eng.fired)
-        }
-        prop_assert_eq!(run_new(&seed_times), run_ref(&seed_times));
+        prop_assert_eq!(run_typed(true, &script), run_reference(&script));
     }
 }

@@ -27,6 +27,8 @@
 //!   digest so cached results can never be served across different fault
 //!   schedules.
 
+#![forbid(unsafe_code)]
+
 use simcore::{SimDuration, SimTime};
 use simnet::{Eng, LinkId, Net, SvcKey};
 

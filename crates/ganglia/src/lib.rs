@@ -14,6 +14,8 @@
 //! the average over all the values recorded during a 10-minute time
 //! span").
 
+#![forbid(unsafe_code)]
+
 use simcore::stats::{LoadAvg, Series};
 use simcore::{SimDuration, SimTime};
 use simnet::{Client, ClientCx, NodeId};

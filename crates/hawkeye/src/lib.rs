@@ -20,6 +20,8 @@
 //!   `hawkeye_advertise` load generator the paper used to simulate up to
 //!   1000 pool members sending Startd ads every 30 seconds.
 
+#![forbid(unsafe_code)]
+
 pub mod agent;
 pub mod manager;
 pub mod module;

@@ -38,6 +38,8 @@
 //! what lets [`Sym::as_str`] hand out borrows without lifetimes or
 //! locks.
 
+#![forbid(unsafe_code)]
+
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;

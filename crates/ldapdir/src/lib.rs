@@ -27,6 +27,8 @@
 //! assert_eq!(hits.len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod dit;
 pub mod dn;
 pub mod entry;

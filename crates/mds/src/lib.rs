@@ -19,6 +19,8 @@
 //! corresponding session-establishment cost is configured on the service
 //! (see [`simnet::SetupCost`]) rather than in this crate.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod giis;
 pub mod gris;

@@ -14,6 +14,8 @@
 //! Shrinking is intentionally not implemented — on failure the harness
 //! reports the case number, which is enough to replay it.
 
+#![forbid(unsafe_code)]
+
 pub mod collection;
 pub mod strategy;
 pub mod string;

@@ -25,6 +25,8 @@
 //! assert_eq!(r.rows[0][0].to_string(), "'lucky4'");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod engine;
 pub mod lexer;

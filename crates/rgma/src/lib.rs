@@ -22,6 +22,8 @@
 //! reproduce the linear response-time growth and the modest throughput
 //! ceiling the paper measures for R-GMA.
 
+#![forbid(unsafe_code)]
+
 pub mod composite;
 pub mod producer;
 pub mod proto;

@@ -18,6 +18,8 @@
 //!
 //! Built on `std::thread` and channels only; no external dependencies.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod job;
 pub mod pool;

@@ -46,6 +46,8 @@
 //! scenario = "partition"       # partition | churn
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 
 // ======================================================================

@@ -1,9 +1,13 @@
 //! The event calendar and simulation driver.
 //!
-//! [`Engine<W>`] is generic over a "world" type `W` that owns all mutable
-//! simulation state.  Events are `FnOnce(&mut W, &mut Engine<W>)`
-//! closures; when an event fires it receives exclusive access to both the
-//! world and the engine (so it can schedule or cancel further events).
+//! [`Engine<W>`] is generic over a [`World`]: the type that owns all
+//! mutable simulation state and names its event type.  Events are plain
+//! values of [`World::Event`] (in `simnet`, one small `Copy` enum), not
+//! closures: [`schedule_at`](Engine::schedule_at) stores the value in a
+//! generational [`Slab`] and pushes a `(time, seq, key)` entry onto a
+//! binary heap; dispatch removes the value and hands it to
+//! [`World::handle`] together with exclusive access to the engine, so a
+//! handler can schedule or cancel further events.
 //!
 //! Ordering guarantees:
 //! * events fire in nondecreasing time order;
@@ -11,143 +15,57 @@
 //!   (a stable FIFO tie-break via a monotonic sequence number), which is
 //!   what makes runs deterministic.
 //!
-//! # Event storage: a size-classed closure pool
-//!
-//! The original engine boxed every closure, which made the allocator a
-//! per-event cost on the hottest loop in the repository.  Closures now
-//! live in pooled buffers: [`schedule_at`](Engine::schedule_at) writes
-//! the closure into a recycled buffer of the smallest fitting size
-//! class (32–512 bytes, 16-byte aligned) and remembers two
-//! monomorphized shims — one that moves the closure out and calls it,
-//! one that drops it in place on cancellation.  Dispatch returns the
-//! buffer to the class free-list *before* invoking the closure (the
-//! value has already been moved out), so a self-rescheduling event
-//! reuses its own buffer.  Together with the recycled generational
-//! slots and the allocation-free in-place calendar compaction, the
-//! steady-state schedule/fire loop performs **zero heap allocations**
-//! (pinned by the `alloc-profile` test in `crates/bench`).  Closures
-//! too big or over-aligned for the pool fall back to the old `Box`
-//! path — correctness never depends on fitting a class.
+//! Cancellation is lazy: [`cancel`](Engine::cancel) removes the value
+//! from the slab (dropping it) and leaves its heap entry behind as a
+//! *stale key*, which is skipped when it reaches the top or swept out
+//! by compaction once stale keys dominate.  A dispatched or cancelled
+//! event frees its slab slot before anything else runs, so a
+//! self-rescheduling event reuses its own slot and, once the heap and
+//! the slab have reached their working size, the schedule/fire loop
+//! performs **zero heap allocations** (pinned by the `alloc-profile`
+//! test in `crates/bench`).
 
 use crate::rng::SimRng;
+use crate::slab::{Slab, SlabKey};
 use crate::time::{SimDuration, SimTime};
-use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+/// The simulation state an [`Engine`] drives.
+pub trait World: Sized {
+    /// What can be scheduled: one value per pending event.
+    type Event;
+
+    /// Dispatch one event at `eng.now()`.
+    fn handle(&mut self, eng: &mut Engine<Self>, ev: Self::Event);
+}
+
 /// Handle to a scheduled event; can be used to cancel it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
-pub struct EventHandle {
-    slot: u32,
-    gen: u32,
-}
+pub struct EventHandle(SlabKey);
 
 impl EventHandle {
     /// A handle that never resolves.
-    pub const NULL: EventHandle = EventHandle {
-        slot: u32::MAX,
-        gen: u32::MAX,
-    };
+    pub const NULL: EventHandle = EventHandle(SlabKey::NULL);
 }
 
-type EventFn<W> = Box<dyn FnOnce(&mut W, &mut Engine<W>)>;
-
-/// Buffer size classes for pooled closures.  Most simulation events
-/// capture a handful of words (ids, times, small payload handles); the
-/// 512-byte ceiling covers everything the models schedule today with
-/// the `Box` fallback as the safety net.
-const CLASS_SIZES: [usize; 5] = [32, 64, 128, 256, 512];
-/// One alignment for every pooled buffer; closures needing more fall
-/// back to `Box`.
-const POOL_ALIGN: usize = 16;
-
-const fn class_of(size: usize, align: usize) -> Option<usize> {
-    if align > POOL_ALIGN {
-        return None;
-    }
-    let mut c = 0;
-    while c < CLASS_SIZES.len() {
-        if size <= CLASS_SIZES[c] {
-            return Some(c);
-        }
-        c += 1;
-    }
-    None
-}
-
-const fn class_layout(class: usize) -> Layout {
-    // CLASS_SIZES are nonzero multiples of POOL_ALIGN, so this cannot
-    // fail.
-    match Layout::from_size_align(CLASS_SIZES[class], POOL_ALIGN) {
-        Ok(l) => l,
-        Err(_) => panic!("bad class layout"),
-    }
-}
-
-/// A closure parked in a pooled buffer: the erased pointer plus the
-/// monomorphized shims that know the concrete type again.
-struct RawEvent<W> {
-    ptr: *mut u8,
-    class: u8,
-    /// Moves the closure out of `ptr`, recycles the buffer, calls it.
-    call: unsafe fn(*mut u8, u8, &mut W, &mut Engine<W>),
-    /// Drops the closure in place (cancellation / engine teardown).
-    drop_in_place: unsafe fn(*mut u8),
-}
-
-/// Reads the closure out of its pooled buffer, returns the buffer to
-/// the pool, then runs the closure — in that order, so an event that
-/// schedules its successor can be handed its own buffer back.
-///
-/// # Safety
-/// `ptr` must hold a valid, initialized `F` written by `schedule_at`,
-/// and ownership of both the value and the buffer transfers here.
-unsafe fn call_shim<W, F: FnOnce(&mut W, &mut Engine<W>)>(
-    ptr: *mut u8,
-    class: u8,
-    world: &mut W,
-    engine: &mut Engine<W>,
-) {
-    let f = ptr.cast::<F>().read();
-    engine.pool[class as usize].push(ptr);
-    f(world, engine);
-}
-
-/// # Safety
-/// `ptr` must hold a valid, initialized `F`; the value is dead after.
-unsafe fn drop_shim<F>(ptr: *mut u8) {
-    ptr.cast::<F>().drop_in_place();
-}
-
-/// How a scheduled closure is stored.
-enum EventBody<W> {
-    /// In a recycled size-classed buffer (the normal case).
-    Pooled(RawEvent<W>),
-    /// Heap-boxed: closures too large or over-aligned for the pool.
-    Boxed(EventFn<W>),
-}
-
-struct EventSlot<W> {
-    gen: u32,
-    body: Option<EventBody<W>>,
-}
-
+/// Calendar entry.  `seq` is unique, so `(time, seq)` is already a total
+/// order and `key` never takes part in a comparison's outcome.
 #[derive(PartialEq, Eq, PartialOrd, Ord)]
 struct QKey {
     time: SimTime,
     seq: u64,
-    slot: u32,
-    gen: u32,
+    key: SlabKey,
 }
 
 /// The discrete-event simulation engine.
-pub struct Engine<W> {
+pub struct Engine<W: World> {
     now: SimTime,
     seq: u64,
     heap: BinaryHeap<Reverse<QKey>>,
-    slots: Vec<EventSlot<W>>,
-    free: Vec<u32>,
-    live: usize,
+    /// Pending events; a heap entry whose key no longer resolves here is
+    /// stale (its event was cancelled).
+    events: Slab<W::Event>,
     /// Number of events fired so far (for diagnostics / runaway detection).
     pub fired: u64,
     /// Calendar pops, including stale keys for cancelled events.  The
@@ -164,29 +82,22 @@ pub struct Engine<W> {
     /// [`Engine::set_compaction`]).  On by default; the differential
     /// suite turns it off to get the pure lazy-deletion reference.
     compaction: bool,
-    /// Per-size-class free lists of closure buffers.  Buffers cycle
-    /// schedule → fire/cancel → here → schedule; they are only ever
-    /// deallocated when the engine drops.
-    pool: [Vec<*mut u8>; CLASS_SIZES.len()],
     /// Root RNG; components should `fork` child streams from it.
     pub rng: SimRng,
 }
 
-impl<W> Engine<W> {
+impl<W: World> Engine<W> {
     pub fn new(seed: u64) -> Self {
         Engine {
             now: SimTime::ZERO,
             seq: 0,
             heap: BinaryHeap::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            live: 0,
+            events: Slab::new(),
             fired: 0,
             popped: 0,
             advances: 0,
             stale: 0,
             compaction: true,
-            pool: Default::default(),
             rng: SimRng::new(seed),
         }
     }
@@ -210,42 +121,15 @@ impl<W> Engine<W> {
     /// event they schedule.  `QKey` ordering is total (time, seq), so
     /// dropping stale keys in place preserves dispatch order exactly.
     /// `BinaryHeap::retain` filters and re-heapifies without leaving the
-    /// heap's own buffer — no allocation, unlike the old
-    /// `into_vec`/`collect`/`from` round-trip.
+    /// heap's own buffer, so compaction allocates nothing.
     fn maybe_compact(&mut self) {
         if !self.compaction || self.stale <= 64 || self.stale < self.heap.len() / 2 {
             return;
         }
-        let Engine { heap, slots, .. } = self;
-        heap.retain(|Reverse(k)| slots.get(k.slot as usize).is_some_and(|s| s.gen == k.gen));
-        debug_assert_eq!(self.heap.len(), self.live);
+        let Engine { heap, events, .. } = self;
+        heap.retain(|Reverse(k)| events.contains(k.key));
+        debug_assert_eq!(self.heap.len(), self.events.len());
         self.stale = 0;
-    }
-
-    /// Park a closure for later dispatch: into a pooled buffer when a
-    /// size class fits, into a `Box` otherwise.
-    fn park<F: FnOnce(&mut W, &mut Engine<W>) + 'static>(&mut self, f: F) -> EventBody<W> {
-        let Some(class) = class_of(std::mem::size_of::<F>(), std::mem::align_of::<F>()) else {
-            return EventBody::Boxed(Box::new(f));
-        };
-        let ptr = self.pool[class].pop().unwrap_or_else(|| {
-            let layout = class_layout(class);
-            // SAFETY: every class layout has nonzero size.
-            let p = unsafe { alloc(layout) };
-            if p.is_null() {
-                handle_alloc_error(layout);
-            }
-            p
-        });
-        // SAFETY: the buffer is unoccupied, at least `size_of::<F>()`
-        // bytes (class fit) and aligned to `POOL_ALIGN >= align_of::<F>()`.
-        unsafe { ptr.cast::<F>().write(f) };
-        EventBody::Pooled(RawEvent {
-            ptr,
-            class: class as u8,
-            call: call_shim::<W, F>,
-            drop_in_place: drop_shim::<F>,
-        })
     }
 
     /// Current simulated time.
@@ -255,85 +139,44 @@ impl<W> Engine<W> {
 
     /// Number of events currently pending.
     pub fn pending(&self) -> usize {
-        self.live
+        self.events.len()
     }
 
-    /// Schedule `f` to fire at absolute time `at` (clamped to `now` if in
+    /// Schedule `ev` to fire at absolute time `at` (clamped to `now` if in
     /// the past, which can happen from floating-point rounding in resource
     /// models).
-    pub fn schedule_at(
-        &mut self,
-        at: SimTime,
-        f: impl FnOnce(&mut W, &mut Engine<W>) + 'static,
-    ) -> EventHandle {
-        let at = at.max(self.now);
-        let body = self.park(f);
-        let slot = if let Some(i) = self.free.pop() {
-            self.slots[i as usize].body = Some(body);
-            i
-        } else {
-            let i = self.slots.len() as u32;
-            self.slots.push(EventSlot {
-                gen: 0,
-                body: Some(body),
-            });
-            i
-        };
-        let gen = self.slots[slot as usize].gen;
+    pub fn schedule_at(&mut self, at: SimTime, ev: W::Event) -> EventHandle {
+        let key = self.events.insert(ev);
         let seq = self.seq;
         self.seq += 1;
-        self.live += 1;
         self.heap.push(Reverse(QKey {
-            time: at,
+            time: at.max(self.now),
             seq,
-            slot,
-            gen,
+            key,
         }));
-        EventHandle { slot, gen }
+        EventHandle(key)
     }
 
-    /// Schedule `f` to fire after `delay`.
-    pub fn schedule_in(
-        &mut self,
-        delay: SimDuration,
-        f: impl FnOnce(&mut W, &mut Engine<W>) + 'static,
-    ) -> EventHandle {
-        self.schedule_at(self.now + delay, f)
+    /// Schedule `ev` to fire after `delay`.
+    pub fn schedule_in(&mut self, delay: SimDuration, ev: W::Event) -> EventHandle {
+        self.schedule_at(self.now + delay, ev)
     }
 
-    /// Cancel a pending event.  Returns `true` if the event existed and was
-    /// cancelled; cancelling an already-fired or already-cancelled event is
-    /// a harmless no-op.
+    /// Cancel a pending event, dropping its value.  Returns `true` if the
+    /// event existed and was cancelled; cancelling an already-fired or
+    /// already-cancelled event is a harmless no-op.
     pub fn cancel(&mut self, h: EventHandle) -> bool {
-        if let Some(slot) = self.slots.get_mut(h.slot as usize) {
-            if slot.gen == h.gen {
-                if let Some(body) = slot.body.take() {
-                    slot.gen = slot.gen.wrapping_add(1);
-                    self.free.push(h.slot);
-                    self.live -= 1;
-                    self.stale += 1;
-                    match body {
-                        EventBody::Pooled(raw) => {
-                            // SAFETY: the buffer holds the closure written
-                            // by `park` and nothing has consumed it.
-                            unsafe { (raw.drop_in_place)(raw.ptr) };
-                            self.pool[raw.class as usize].push(raw.ptr);
-                        }
-                        EventBody::Boxed(f) => drop(f),
-                    }
-                    self.maybe_compact();
-                    return true;
-                }
-            }
+        if self.events.remove(h.0).is_none() {
+            return false;
         }
-        false
+        self.stale += 1;
+        self.maybe_compact();
+        true
     }
 
-    /// Fire the next event, if any at or before `limit`.  Returns `false`
-    /// when the calendar is exhausted or the next event is later than
-    /// `limit` (in which case the clock advances to `limit`... no: the
-    /// clock only advances to event times; callers wanting the clock at
-    /// `limit` should schedule a no-op there).
+    /// Fire the next event if there is one at or before `limit`; returns
+    /// `false` otherwise.  Never moves the clock past an event time: when
+    /// nothing fires, `now` is left where it was.
     fn step(&mut self, world: &mut W, limit: SimTime) -> bool {
         loop {
             let Some(Reverse(top)) = self.heap.peek() else {
@@ -342,45 +185,30 @@ impl<W> Engine<W> {
             if top.time > limit {
                 return false;
             }
-            let Reverse(key) = self.heap.pop().expect("peeked");
+            let Reverse(top) = self.heap.pop().expect("peeked");
             self.popped += 1;
-            let slot = &mut self.slots[key.slot as usize];
-            if slot.gen != key.gen {
-                // Cancelled (and possibly recycled); skip the stale key.
+            let Some(ev) = self.events.remove(top.key) else {
+                // Cancelled (its slot possibly recycled); skip the stale key.
                 self.stale = self.stale.saturating_sub(1);
                 continue;
-            }
-            let Some(body) = slot.body.take() else {
-                continue;
             };
-            slot.gen = slot.gen.wrapping_add(1);
-            self.free.push(key.slot);
-            self.live -= 1;
-            debug_assert!(key.time >= self.now, "time went backwards");
-            if key.time > self.now {
+            debug_assert!(top.time >= self.now, "time went backwards");
+            if top.time > self.now {
                 self.advances += 1;
             }
-            self.now = key.time;
+            self.now = top.time;
             self.fired += 1;
-            match body {
-                // SAFETY: the buffer holds the closure written by `park`;
-                // the shim takes ownership of value and buffer.
-                EventBody::Pooled(raw) => unsafe { (raw.call)(raw.ptr, raw.class, world, self) },
-                EventBody::Boxed(f) => f(world, self),
-            }
+            world.handle(self, ev);
             return true;
         }
     }
 
-    /// Run until the calendar empties or simulated time would pass `until`.
-    /// Afterwards the clock reads `min(until, last fired event time)`… the
-    /// clock is advanced to exactly `until` on return so subsequent
-    /// scheduling is relative to the horizon.
+    /// Fire every event at or before `until`, in order, then set the clock
+    /// to `until`: afterwards `now == until` (or later, if it already
+    /// was), so subsequent scheduling is relative to the horizon.
     pub fn run_until(&mut self, world: &mut W, until: SimTime) {
         while self.step(world, until) {}
-        if self.now < until {
-            self.now = until;
-        }
+        self.now = self.now.max(until);
     }
 
     /// Like [`run_until`](Engine::run_until), but invokes `hook` after
@@ -401,9 +229,7 @@ impl<W> Engine<W> {
         while self.step(world, until) {
             hook(world, self.now, self.fired);
         }
-        if self.now < until {
-            self.now = until;
-        }
+        self.now = self.now.max(until);
     }
 
     /// Run until the calendar is completely empty (use with care: periodic
@@ -413,57 +239,51 @@ impl<W> Engine<W> {
     }
 }
 
-impl<W> Drop for Engine<W> {
-    fn drop(&mut self) {
-        // Pending pooled closures: drop the value, then free the buffer.
-        for slot in &mut self.slots {
-            if let Some(EventBody::Pooled(raw)) = slot.body.take() {
-                // SAFETY: the buffer still holds the closure written by
-                // `park`; after dropping it in place the buffer is dead.
-                unsafe {
-                    (raw.drop_in_place)(raw.ptr);
-                    dealloc(raw.ptr, class_layout(raw.class as usize));
-                }
-            }
-            // Boxed bodies drop with the slots vector.
-        }
-        for (class, list) in self.pool.iter_mut().enumerate() {
-            for ptr in list.drain(..) {
-                // SAFETY: free-list buffers are unoccupied allocations of
-                // exactly this class layout.
-                unsafe { dealloc(ptr, class_layout(class)) };
-            }
-        }
-    }
-}
-
-/// Differential-oracle surface for the gridmon-diff suite: the reference
-/// engine is the same machine with compaction off (pure lazy deletion, as
-/// the seed implementation behaved).
-#[cfg(feature = "reference-kernel")]
-impl<W> Engine<W> {
-    pub fn new_reference(seed: u64) -> Self {
-        let mut e = Self::new(seed);
-        e.set_compaction(false);
-        e
-    }
-}
-
-#[cfg(test)]
-impl<W> Engine<W> {
-    /// Total buffers sitting in the class free lists (test probe).
-    fn free_pool_buffers(&self) -> usize {
-        self.pool.iter().map(Vec::len).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::rc::Rc;
 
     #[derive(Default)]
     struct Log {
         entries: Vec<(u64, &'static str)>,
+    }
+
+    enum Ev {
+        /// Record `(now, name)`.
+        Mark(&'static str),
+        Noop,
+        /// Schedule `Mark(name)` after a delay / at an absolute time.
+        MarkIn(SimDuration, &'static str),
+        MarkAt(SimTime, &'static str),
+        /// Record a tick and re-arm 10 µs later until five were seen.
+        Tick,
+        /// Owns a refcount until fired, cancelled or dropped with the engine.
+        Hold(Rc<()>),
+    }
+
+    impl World for Log {
+        type Event = Ev;
+
+        fn handle(&mut self, eng: &mut Engine<Log>, ev: Ev) {
+            match ev {
+                Ev::Mark(name) => self.entries.push((eng.now().as_micros(), name)),
+                Ev::Noop => {}
+                Ev::Hold(token) => drop(token),
+                Ev::MarkIn(d, name) => {
+                    eng.schedule_in(d, Ev::Mark(name));
+                }
+                Ev::MarkAt(t, name) => {
+                    eng.schedule_at(t, Ev::Mark(name));
+                }
+                Ev::Tick => {
+                    self.entries.push((eng.now().as_micros(), "tick"));
+                    if self.entries.len() < 5 {
+                        eng.schedule_in(SimDuration(10), Ev::Tick);
+                    }
+                }
+            }
+        }
     }
 
     fn eng() -> Engine<Log> {
@@ -474,15 +294,9 @@ mod tests {
     fn fires_in_time_order() {
         let mut e = eng();
         let mut w = Log::default();
-        e.schedule_at(SimTime(30), |w: &mut Log, eng| {
-            w.entries.push((eng.now().as_micros(), "c"))
-        });
-        e.schedule_at(SimTime(10), |w: &mut Log, eng| {
-            w.entries.push((eng.now().as_micros(), "a"))
-        });
-        e.schedule_at(SimTime(20), |w: &mut Log, eng| {
-            w.entries.push((eng.now().as_micros(), "b"))
-        });
+        e.schedule_at(SimTime(30), Ev::Mark("c"));
+        e.schedule_at(SimTime(10), Ev::Mark("a"));
+        e.schedule_at(SimTime(20), Ev::Mark("b"));
         e.run_until(&mut w, SimTime(100));
         assert_eq!(w.entries, vec![(10, "a"), (20, "b"), (30, "c")]);
         assert_eq!(e.now(), SimTime(100));
@@ -492,10 +306,8 @@ mod tests {
     fn same_time_fifo_order() {
         let mut e = eng();
         let mut w = Log::default();
-        for (i, name) in ["first", "second", "third"].iter().enumerate() {
-            let name = *name;
-            let _ = i;
-            e.schedule_at(SimTime(5), move |w: &mut Log, _| w.entries.push((5, name)));
+        for name in ["first", "second", "third"] {
+            e.schedule_at(SimTime(5), Ev::Mark(name));
         }
         e.run_until(&mut w, SimTime(10));
         let names: Vec<_> = w.entries.iter().map(|(_, n)| *n).collect();
@@ -506,7 +318,7 @@ mod tests {
     fn cancel_prevents_firing() {
         let mut e = eng();
         let mut w = Log::default();
-        let h = e.schedule_at(SimTime(10), |w: &mut Log, _| w.entries.push((10, "x")));
+        let h = e.schedule_at(SimTime(10), Ev::Mark("x"));
         assert!(e.cancel(h));
         assert!(!e.cancel(h)); // double-cancel is a no-op
         e.run_until(&mut w, SimTime(100));
@@ -518,11 +330,7 @@ mod tests {
     fn events_can_schedule_events() {
         let mut e = eng();
         let mut w = Log::default();
-        e.schedule_at(SimTime(1), |_w: &mut Log, eng| {
-            eng.schedule_in(SimDuration(5), |w: &mut Log, eng| {
-                w.entries.push((eng.now().as_micros(), "chained"));
-            });
-        });
+        e.schedule_at(SimTime(1), Ev::MarkIn(SimDuration(5), "chained"));
         e.run_until(&mut w, SimTime(10));
         assert_eq!(w.entries, vec![(6, "chained")]);
     }
@@ -531,12 +339,8 @@ mod tests {
     fn past_schedule_clamps_to_now() {
         let mut e = eng();
         let mut w = Log::default();
-        e.schedule_at(SimTime(50), |_w: &mut Log, eng| {
-            // "past" event: clamped to now = 50.
-            eng.schedule_at(SimTime(10), |w: &mut Log, eng| {
-                w.entries.push((eng.now().as_micros(), "clamped"));
-            });
-        });
+        // Fires at 50 and schedules a "past" event: clamped to now = 50.
+        e.schedule_at(SimTime(50), Ev::MarkAt(SimTime(10), "clamped"));
         e.run_until(&mut w, SimTime(100));
         assert_eq!(w.entries, vec![(50, "clamped")]);
     }
@@ -545,8 +349,8 @@ mod tests {
     fn run_until_stops_at_horizon() {
         let mut e = eng();
         let mut w = Log::default();
-        e.schedule_at(SimTime(10), |w: &mut Log, _| w.entries.push((10, "in")));
-        e.schedule_at(SimTime(200), |w: &mut Log, _| w.entries.push((200, "out")));
+        e.schedule_at(SimTime(10), Ev::Mark("in"));
+        e.schedule_at(SimTime(200), Ev::Mark("out"));
         e.run_until(&mut w, SimTime(100));
         assert_eq!(w.entries, vec![(10, "in")]);
         assert_eq!(e.pending(), 1);
@@ -558,30 +362,21 @@ mod tests {
     fn slot_reuse_does_not_resurrect_cancelled_events() {
         let mut e = eng();
         let mut w = Log::default();
-        let h = e.schedule_at(SimTime(10), |w: &mut Log, _| w.entries.push((10, "dead")));
+        let h = e.schedule_at(SimTime(10), Ev::Mark("dead"));
         e.cancel(h);
         // Reuses the slot with a new generation.
-        e.schedule_at(SimTime(10), |w: &mut Log, _| w.entries.push((10, "live")));
+        e.schedule_at(SimTime(10), Ev::Mark("live"));
         e.run_until(&mut w, SimTime(20));
         assert_eq!(w.entries, vec![(10, "live")]);
     }
 
     #[test]
     fn periodic_self_rescheduling() {
-        struct Tick {
-            count: u32,
-        }
-        fn tick(w: &mut Tick, eng: &mut Engine<Tick>) {
-            w.count += 1;
-            if w.count < 5 {
-                eng.schedule_in(SimDuration(10), tick);
-            }
-        }
-        let mut e: Engine<Tick> = Engine::new(0);
-        let mut w = Tick { count: 0 };
-        e.schedule_at(SimTime(0), tick);
+        let mut e = eng();
+        let mut w = Log::default();
+        e.schedule_at(SimTime(0), Ev::Tick);
         e.run_to_completion(&mut w);
-        assert_eq!(w.count, 5);
+        assert_eq!(w.entries.len(), 5);
         assert_eq!(e.now(), SimTime(40));
     }
 
@@ -589,8 +384,8 @@ mod tests {
     fn run_until_with_sees_every_dispatch_in_order() {
         let mut e = eng();
         let mut w = Log::default();
-        e.schedule_at(SimTime(10), |w: &mut Log, _| w.entries.push((10, "a")));
-        e.schedule_at(SimTime(20), |w: &mut Log, _| w.entries.push((20, "b")));
+        e.schedule_at(SimTime(10), Ev::Mark("a"));
+        e.schedule_at(SimTime(20), Ev::Mark("b"));
         let mut seen = Vec::new();
         e.run_until_with(&mut w, SimTime(100), &mut |_w, now, fired| {
             seen.push((now.as_micros(), fired));
@@ -606,7 +401,7 @@ mod tests {
         let mut e = eng();
         let mut w = Log::default();
         for t in 0..10 {
-            e.schedule_at(SimTime(t), |_w: &mut Log, _| {});
+            e.schedule_at(SimTime(t), Ev::Noop);
         }
         e.run_until(&mut w, SimTime(100));
         assert_eq!(e.fired, 10);
@@ -625,11 +420,9 @@ mod tests {
                 let base = round * 100;
                 let mut dead = Vec::new();
                 for i in 0..40 {
-                    dead.push(e.schedule_at(SimTime(base + 90 + i), |_w: &mut Log, _| {}));
+                    dead.push(e.schedule_at(SimTime(base + 90 + i), Ev::Noop));
                 }
-                e.schedule_at(SimTime(base + 10), |w: &mut Log, eng| {
-                    w.entries.push((eng.now().as_micros(), "live"))
-                });
+                e.schedule_at(SimTime(base + 10), Ev::Mark("live"));
                 for h in dead {
                     assert!(e.cancel(h));
                 }
@@ -662,7 +455,7 @@ mod tests {
         e.set_compaction(false);
         let mut hs = Vec::new();
         for i in 0..10 {
-            hs.push(e.schedule_at(SimTime(10 + i), |_w: &mut Log, _| {}));
+            hs.push(e.schedule_at(SimTime(10 + i), Ev::Noop));
         }
         for h in &hs[..4] {
             e.cancel(*h);
@@ -676,7 +469,7 @@ mod tests {
         // without popping.
         let mut e = eng();
         let hs: Vec<_> = (0..200)
-            .map(|i| e.schedule_at(SimTime(10 + i), |_w: &mut Log, _| {}))
+            .map(|i| e.schedule_at(SimTime(10 + i), Ev::Noop))
             .collect();
         for h in hs {
             e.cancel(h);
@@ -693,107 +486,28 @@ mod tests {
     }
 
     #[test]
-    fn fired_event_buffer_is_recycled() {
-        let mut e = eng();
-        let mut w = Log::default();
-        assert_eq!(e.free_pool_buffers(), 0);
-        e.schedule_at(SimTime(1), |w: &mut Log, _| w.entries.push((1, "a")));
-        assert_eq!(e.free_pool_buffers(), 0, "pending closure occupies it");
-        e.run_until(&mut w, SimTime(10));
-        assert_eq!(e.free_pool_buffers(), 1, "buffer returned after firing");
-        // The next same-class schedule reuses it instead of allocating.
-        e.schedule_at(SimTime(20), |w: &mut Log, _| w.entries.push((20, "b")));
-        assert_eq!(e.free_pool_buffers(), 0);
-        e.run_until(&mut w, SimTime(30));
-        assert_eq!(e.free_pool_buffers(), 1);
-        assert_eq!(w.entries, vec![(1, "a"), (20, "b")]);
-    }
-
-    #[test]
-    fn self_rescheduling_chain_cycles_one_buffer() {
-        struct Tick {
-            count: u32,
-        }
-        fn tick(w: &mut Tick, eng: &mut Engine<Tick>) {
-            w.count += 1;
-            if w.count < 100 {
-                // A real capture, still within the smallest class.
-                let stamp = w.count as u64;
-                eng.schedule_in(SimDuration(1), move |w: &mut Tick, eng| {
-                    assert_eq!(u64::from(w.count), stamp);
-                    tick(w, eng);
-                });
-            }
-        }
-        let mut e: Engine<Tick> = Engine::new(0);
-        let mut w = Tick { count: 0 };
-        e.schedule_at(SimTime(0), tick);
-        e.run_to_completion(&mut w);
-        assert_eq!(w.count, 100);
-        // Dispatch recycles the buffer before invoking the closure, so
-        // the whole 100-event chain ran on a single buffer (plus reuse
-        // across the two closure types sharing the class).
-        assert!(
-            e.free_pool_buffers() <= 2,
-            "chain must recycle, not accumulate (got {})",
-            e.free_pool_buffers()
-        );
-    }
-
-    #[test]
-    fn oversize_closures_fall_back_to_box() {
-        let mut e = eng();
-        let mut w = Log::default();
-        let big = [7u64; 128]; // 1 KiB capture: over every size class
-        e.schedule_at(SimTime(5), move |w: &mut Log, _| {
-            assert!(big.iter().all(|&x| x == 7));
-            w.entries.push((5, "big"));
-        });
-        e.run_until(&mut w, SimTime(10));
-        assert_eq!(w.entries, vec![(5, "big")]);
-        assert_eq!(
-            e.free_pool_buffers(),
-            0,
-            "boxed events never touch the pool"
-        );
-    }
-
-    #[test]
     fn cancel_drops_captured_state() {
-        use std::rc::Rc;
         let mut e = eng();
         let token = Rc::new(());
-        let captured = Rc::clone(&token);
-        let h = e.schedule_at(SimTime(10), move |_w: &mut Log, _| {
-            let _keep = &captured;
-        });
+        let h = e.schedule_at(SimTime(10), Ev::Hold(Rc::clone(&token)));
         assert_eq!(Rc::strong_count(&token), 2);
         assert!(e.cancel(h));
-        assert_eq!(Rc::strong_count(&token), 1, "cancel must drop the capture");
-        assert_eq!(e.free_pool_buffers(), 1, "cancelled buffer is recycled");
+        assert_eq!(Rc::strong_count(&token), 1, "cancel must drop the event");
     }
 
     #[test]
     fn dropping_engine_drops_pending_closures() {
-        use std::rc::Rc;
         let token = Rc::new(());
         {
             let mut e = eng();
-            let small = Rc::clone(&token);
-            e.schedule_at(SimTime(10), move |_w: &mut Log, _| {
-                let _keep = &small;
-            });
-            let big_pad = [0u64; 128];
-            let boxed = Rc::clone(&token);
-            e.schedule_at(SimTime(20), move |_w: &mut Log, _| {
-                let _keep = (&boxed, &big_pad);
-            });
+            e.schedule_at(SimTime(10), Ev::Hold(Rc::clone(&token)));
+            e.schedule_at(SimTime(20), Ev::Hold(Rc::clone(&token)));
             assert_eq!(Rc::strong_count(&token), 3);
         }
         assert_eq!(
             Rc::strong_count(&token),
             1,
-            "engine drop must release pooled and boxed captures"
+            "engine drop must release pending events"
         );
     }
 
@@ -803,10 +517,10 @@ mod tests {
         let mut w = Log::default();
         // Two live events at t=5 (one advance, one same-time dispatch),
         // one at t=9, and one cancelled at t=7 (a stale heap key).
-        e.schedule_at(SimTime(5), |_w: &mut Log, _| {});
-        e.schedule_at(SimTime(5), |_w: &mut Log, _| {});
-        let dead = e.schedule_at(SimTime(7), |_w: &mut Log, _| {});
-        e.schedule_at(SimTime(9), |_w: &mut Log, _| {});
+        e.schedule_at(SimTime(5), Ev::Noop);
+        e.schedule_at(SimTime(5), Ev::Noop);
+        let dead = e.schedule_at(SimTime(7), Ev::Noop);
+        e.schedule_at(SimTime(9), Ev::Noop);
         e.cancel(dead);
         e.run_until(&mut w, SimTime(100));
         assert_eq!(e.fired, 3);

@@ -5,7 +5,8 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — a microsecond-resolution simulated clock.
 //! * [`Engine`] — an event calendar with stable (time, insertion-order)
-//!   tie-breaking, cancellable event handles and a pluggable "world" type.
+//!   tie-breaking and cancellable event handles, generic over a [`World`]
+//!   whose events are plain values of `World::Event` (no closures).
 //! * [`cpu::PsCpu`] — a processor-sharing multi-core CPU model, the resource
 //!   used for every compute demand in the simulated testbed.
 //! * [`queueing::FifoTokens`] — a FIFO token pool used for server thread
@@ -22,18 +23,18 @@
 //! same metric series).  Parallelism in the workspace happens *across*
 //! independent simulations (parameter-sweep points), never inside one.
 
+#![forbid(unsafe_code)]
+
 pub mod cpu;
 pub mod engine;
 pub mod queueing;
-#[cfg(feature = "reference-kernel")]
-pub mod reference;
 pub mod rng;
 pub mod slab;
 pub mod stats;
 pub mod time;
 
 pub use cpu::PsCpu;
-pub use engine::{Engine, EventHandle};
+pub use engine::{Engine, EventHandle, World};
 pub use queueing::{Acquire, FifoTokens};
 pub use rng::SimRng;
 pub use slab::Slab;

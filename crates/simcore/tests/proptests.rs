@@ -1,22 +1,45 @@
 //! Property-based tests of the DES kernel's invariants.
 
 use proptest::prelude::*;
-use simcore::{Engine, PsCpu, SimTime};
+use simcore::{Engine, PsCpu, SimTime, World};
+
+/// Records `(now, id)` of every dispatched event.
+#[derive(Default)]
+struct Log {
+    fired: Vec<(u64, usize)>,
+}
+
+impl World for Log {
+    type Event = usize;
+
+    fn handle(&mut self, eng: &mut Engine<Log>, id: usize) {
+        self.fired.push((eng.now().as_micros(), id));
+    }
+}
+
+/// Records one engine-RNG draw per dispatched event.
+#[derive(Default)]
+struct Draws {
+    vals: Vec<u64>,
+}
+
+impl World for Draws {
+    type Event = ();
+
+    fn handle(&mut self, eng: &mut Engine<Draws>, (): ()) {
+        self.vals.push(eng.rng.next_u64());
+    }
+}
 
 proptest! {
     /// Events fire in nondecreasing time order with FIFO tie-breaking,
     /// for any schedule (including same-instant batches).
     #[test]
     fn calendar_order(times in proptest::collection::vec(0u64..1000, 1..200)) {
-        struct W {
-            fired: Vec<(u64, usize)>,
-        }
-        let mut eng: Engine<W> = Engine::new(1);
-        let mut w = W { fired: Vec::new() };
+        let mut eng: Engine<Log> = Engine::new(1);
+        let mut w = Log::default();
         for (seq, &t) in times.iter().enumerate() {
-            eng.schedule_at(SimTime(t), move |w: &mut W, eng| {
-                w.fired.push((eng.now().as_micros(), seq));
-            });
+            eng.schedule_at(SimTime(t), seq);
         }
         eng.run_until(&mut w, SimTime(10_000));
         prop_assert_eq!(w.fired.len(), times.len());
@@ -36,17 +59,12 @@ proptest! {
         times in proptest::collection::vec(0u64..100, 1..100),
         cancel_mask in proptest::collection::vec(any::<bool>(), 1..100),
     ) {
-        struct W {
-            fired: Vec<usize>,
-        }
-        let mut eng: Engine<W> = Engine::new(1);
-        let mut w = W { fired: Vec::new() };
+        let mut eng: Engine<Log> = Engine::new(1);
+        let mut w = Log::default();
         let handles: Vec<_> = times
             .iter()
             .enumerate()
-            .map(|(i, &t)| {
-                eng.schedule_at(SimTime(t), move |w: &mut W, _| w.fired.push(i))
-            })
+            .map(|(i, &t)| eng.schedule_at(SimTime(t), i))
             .collect();
         let mut kept = Vec::new();
         for (i, h) in handles.into_iter().enumerate() {
@@ -57,7 +75,7 @@ proptest! {
             }
         }
         eng.run_until(&mut w, SimTime(10_000));
-        let mut fired = w.fired.clone();
+        let mut fired: Vec<usize> = w.fired.iter().map(|&(_, i)| i).collect();
         fired.sort_unstable();
         prop_assert_eq!(fired, kept);
     }
@@ -102,17 +120,11 @@ proptest! {
     #[test]
     fn engine_rng_replay(seed in any::<u64>()) {
         let run = || {
-            struct W {
-                vals: Vec<u64>,
-            }
-            let mut eng: Engine<W> = Engine::new(seed);
-            let mut w = W { vals: Vec::new() };
+            let mut eng: Engine<Draws> = Engine::new(seed);
+            let mut w = Draws::default();
             for _ in 0..20 {
                 let t = eng.rng.next_below(1000);
-                eng.schedule_at(SimTime(t), move |w: &mut W, eng| {
-                    let v = eng.rng.next_u64();
-                    w.vals.push(v);
-                });
+                eng.schedule_at(SimTime(t), ());
             }
             eng.run_until(&mut w, SimTime(10_000));
             w.vals

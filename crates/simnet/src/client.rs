@@ -6,7 +6,7 @@
 //! paper's closed-loop users on top of this (query; wait for the response;
 //! sleep one second; repeat).
 
-use crate::net::{Eng, Net, RequestSpec};
+use crate::net::{Eng, Net, NetEvent, RequestSpec};
 use crate::service::Payload;
 use simcore::slab::SlabKey;
 use simcore::{SimDuration, SimTime};
@@ -91,9 +91,9 @@ impl ClientCx<'_> {
 
     /// Schedule `on_wake(tag)` after `dur`.
     pub fn wake_in(&mut self, dur: SimDuration, tag: u64) {
-        let me = self.me;
+        let client = self.me;
         self.eng
-            .schedule_in(dur, move |net: &mut Net, eng| net.wake_client(eng, me, tag));
+            .schedule_in(dur, NetEvent::ClientWake { client, tag });
     }
 
     /// Consume CPU on `node` (the user's own machine — e.g. forking the

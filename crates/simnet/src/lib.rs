@@ -27,6 +27,8 @@
 //! as [`service::Service`] trait objects in their own crates; simulated
 //! users are [`client::Client`] trait objects.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod flow;
 pub mod net;

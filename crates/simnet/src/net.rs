@@ -38,11 +38,82 @@ use crate::stats::StatsHub;
 use crate::topology::{LinkId, NodeId, Topology};
 use gtrace::{Ev, Obs, Outcome, Phase};
 use simcore::slab::{Slab, SlabKey};
-use simcore::{Acquire, Engine, EventHandle, FifoTokens, SimDuration, SimTime};
+use simcore::{Acquire, Engine, EventHandle, FifoTokens, SimDuration, SimTime, World};
 use std::collections::VecDeque;
 
 /// The engine type used throughout the workspace.
 pub type Eng = Engine<Net>;
+
+/// Everything the world ever puts on the calendar.  Each variant carries
+/// only the keys its handler needs; the state lives in [`Net`].
+#[derive(Clone, Copy, Debug)]
+pub enum NetEvent {
+    /// `on_start` of a client.
+    ClientStart(ClientKey),
+    /// A client timer ([`ClientCx::wake_in`]) fired.
+    ClientWake { client: ClientKey, tag: u64 },
+    /// A service timer fired.
+    SvcTimer { svc: SvcKey, tag: u64 },
+    /// Handshake done: transfer the request body.
+    SendRequest(ReqKey),
+    /// A `Step::Latency` elapsed.
+    LatencyDone(ReqKey),
+    /// Degenerate (empty) fan-out: resume the parent off the call stack.
+    ResumeParent(ReqKey),
+    /// A worker token was granted.
+    StartPlan(ReqKey),
+    /// A connection token was granted.
+    BeginHandshake(ReqKey),
+    /// A lock was granted.
+    AdvanceSteps(ReqKey),
+    /// The SYN reached the server (flow done + propagation latency).
+    SynArrived(ReqKey),
+    /// The request body reached the server.
+    RequestArrived(ReqKey),
+    /// The response reached the requester.
+    DeliverResponse(ReqKey),
+    /// The refusal / failure notice reached the requester.
+    DeliverFailure { req: ReqKey, refused: bool },
+    /// The earliest flow completion is due.
+    FlowTick,
+    /// The earliest task completion on a node's CPU is due.
+    CpuTick(NodeId),
+}
+
+// Event growth is a deliberate edit: one calendar slot is this plus a
+// generation counter.
+const _: () = assert!(std::mem::size_of::<NetEvent>() <= 24);
+
+impl World for Net {
+    type Event = NetEvent;
+
+    fn handle(&mut self, eng: &mut Eng, ev: NetEvent) {
+        match ev {
+            NetEvent::ClientStart(key) => self.with_client(eng, key, |c, cx| c.on_start(cx)),
+            NetEvent::ClientWake { client, tag } => {
+                self.with_client(eng, client, |c, cx| c.on_wake(tag, cx))
+            }
+            NetEvent::SvcTimer { svc, tag } => self.svc_timer(eng, svc, tag),
+            NetEvent::SendRequest(req) => self.send_request(eng, req),
+            NetEvent::LatencyDone(req) => {
+                if self.requests.contains(req) {
+                    self.set_waiting(eng.now(), req, Waiting::Cpu);
+                }
+                self.advance_steps(eng, req);
+            }
+            NetEvent::ResumeParent(req) => self.resume_parent(eng, req),
+            NetEvent::StartPlan(req) => self.start_plan(eng, req),
+            NetEvent::BeginHandshake(req) => self.begin_handshake(eng, req),
+            NetEvent::AdvanceSteps(req) => self.advance_steps(eng, req),
+            NetEvent::SynArrived(req) => self.syn_arrived(eng, req),
+            NetEvent::RequestArrived(req) => self.request_arrived(eng, req),
+            NetEvent::DeliverResponse(req) => self.deliver_response(eng, req),
+            NetEvent::DeliverFailure { req, refused } => self.deliver_failure(eng, req, refused),
+            NetEvent::FlowTick => self.flow_tick(eng),
+            NetEvent::CpuTick(node) => self.cpu_tick(eng, node),
+        }
+    }
+}
 
 /// Key identifying an in-flight request.
 pub type ReqKey = SlabKey;
@@ -241,23 +312,19 @@ impl Net {
     /// t = 0 (in registration order).
     pub fn start(&mut self, eng: &mut Eng) {
         for key in self.clients.keys() {
-            eng.schedule_at(SimTime::ZERO, move |net: &mut Net, eng| {
-                net.with_client(eng, key, |c, cx| c.on_start(cx));
-            });
+            eng.schedule_at(SimTime::ZERO, NetEvent::ClientStart(key));
         }
     }
 
     /// Start a single client that was added after [`Net::start`] ran.
     pub fn start_client(&mut self, eng: &mut Eng, key: ClientKey) {
-        eng.schedule_in(SimDuration::ZERO, move |net: &mut Net, eng| {
-            net.with_client(eng, key, |c, cx| c.on_start(cx));
-        });
+        eng.schedule_in(SimDuration::ZERO, NetEvent::ClientStart(key));
     }
 
     /// Give a service an initial timer (e.g. a periodic advertise loop)
     /// before the simulation starts.
     pub fn prime_service_timer(&mut self, eng: &mut Eng, svc: SvcKey, dur: SimDuration, tag: u64) {
-        eng.schedule_in(dur, move |net: &mut Net, eng| net.svc_timer(eng, svc, tag));
+        eng.schedule_in(dur, NetEvent::SvcTimer { svc, tag });
     }
 
     /// Immutable access to a deployed service (downcast by the caller).
@@ -397,10 +464,6 @@ impl Net {
             started,
         );
         self.start_syn(eng, req);
-    }
-
-    pub(crate) fn wake_client(&mut self, eng: &mut Eng, key: ClientKey, tag: u64) {
-        self.with_client(eng, key, |c, cx| c.on_wake(tag, cx));
     }
 
     fn with_client(
@@ -578,7 +641,7 @@ impl Net {
         }
         let rtt = self.topo.rtt(from, node);
         let delay = rtt.mul_f64(1.0 + setup.extra_rtts) + setup.fixed;
-        eng.schedule_in(delay, move |net: &mut Net, eng| net.send_request(eng, req));
+        eng.schedule_in(delay, NetEvent::SendRequest(req));
     }
 
     /// Phase 3: transfer the request body.
@@ -712,12 +775,7 @@ impl Net {
                 }
                 Step::Latency(d) => {
                     self.set_waiting(eng.now(), req, Waiting::Latency);
-                    eng.schedule_in(d, move |net: &mut Net, eng| {
-                        if net.requests.contains(req) {
-                            net.set_waiting(eng.now(), req, Waiting::Cpu);
-                        }
-                        net.advance_steps(eng, req);
-                    });
+                    eng.schedule_in(d, NetEvent::LatencyDone(req));
                     return;
                 }
                 Step::Lock(l) => {
@@ -798,9 +856,7 @@ impl Net {
                             outcomes: Vec::new(),
                             remaining: 0,
                         });
-                        eng.schedule_in(SimDuration::ZERO, move |net: &mut Net, eng| {
-                            net.resume_parent(eng, req)
-                        });
+                        eng.schedule_in(SimDuration::ZERO, NetEvent::ResumeParent(req));
                         return;
                     }
                     let n = calls.len() as u32;
@@ -919,7 +975,7 @@ impl Net {
         for a in actions {
             match a {
                 SvcAction::Timer { dur, tag } => {
-                    eng.schedule_in(dur, move |net: &mut Net, eng| net.svc_timer(eng, svc, tag));
+                    eng.schedule_in(dur, NetEvent::SvcTimer { svc, tag });
                 }
                 SvcAction::OneWay { to, payload, bytes } => {
                     let from = self.service_node(svc);
@@ -953,7 +1009,7 @@ impl Net {
         }
         if slot.frozen_until > eng.now() {
             let due = slot.frozen_until;
-            eng.schedule_at(due, move |net: &mut Net, eng| net.svc_timer(eng, svc, tag));
+            eng.schedule_at(due, NetEvent::SvcTimer { svc, tag });
             return;
         }
         self.with_service(eng, svc, |s, cx| s.on_timer(tag, cx));
@@ -1006,9 +1062,7 @@ impl Net {
         };
         self.release_server_side(eng, req);
         let latency = self.topo.one_way_latency(self.service_node(to), from);
-        eng.schedule_in(latency, move |net: &mut Net, eng| {
-            net.deliver_response(eng, req)
-        });
+        eng.schedule_in(latency, NetEvent::DeliverResponse(req));
     }
 
     fn deliver_response(&mut self, eng: &mut Eng, req: ReqKey) {
@@ -1049,38 +1103,40 @@ impl Net {
         };
         self.release_server_side(eng, req);
         let latency = self.topo.one_way_latency(self.service_node(to), from);
-        eng.schedule_in(latency, move |net: &mut Net, eng| {
-            let Some(state) = net.requests.remove(req) else {
-                return;
-            };
-            net.obs.ev_with(eng.now(), || Ev::SpanEnd {
-                span: span_of(req),
-                outcome: if refused {
-                    Outcome::Refused
-                } else {
-                    Outcome::Failed
-                },
-            });
-            match state.origin {
-                Origin::Client { key, tag } => {
-                    let outcome = ReqOutcome {
-                        tag,
-                        result: if refused {
-                            ReqResult::Refused
-                        } else {
-                            ReqResult::Failed
-                        },
-                        submitted: state.submitted,
-                        completed: eng.now(),
-                    };
-                    net.with_client(eng, key, |c, cx| c.on_outcome(outcome, cx));
-                }
-                Origin::Parent { req: parent, index } => {
-                    net.child_done(eng, parent, index, None);
-                }
-                Origin::None => {}
-            }
+        eng.schedule_in(latency, NetEvent::DeliverFailure { req, refused });
+    }
+
+    fn deliver_failure(&mut self, eng: &mut Eng, req: ReqKey, refused: bool) {
+        let Some(state) = self.requests.remove(req) else {
+            return;
+        };
+        self.obs.ev_with(eng.now(), || Ev::SpanEnd {
+            span: span_of(req),
+            outcome: if refused {
+                Outcome::Refused
+            } else {
+                Outcome::Failed
+            },
         });
+        match state.origin {
+            Origin::Client { key, tag } => {
+                let outcome = ReqOutcome {
+                    tag,
+                    result: if refused {
+                        ReqResult::Refused
+                    } else {
+                        ReqResult::Failed
+                    },
+                    submitted: state.submitted,
+                    completed: eng.now(),
+                };
+                self.with_client(eng, key, |c, cx| c.on_outcome(outcome, cx));
+            }
+            Origin::Parent { req: parent, index } => {
+                self.child_done(eng, parent, index, None);
+            }
+            Origin::None => {}
+        }
     }
 
     /// Release conn/worker/locks held by a finishing request.  Tolerates
@@ -1132,9 +1188,7 @@ impl Net {
                 depth,
             });
             self.obs_depth(eng.now(), "worker_queue", to.index, depth);
-            eng.schedule_in(SimDuration::ZERO, move |net: &mut Net, eng| {
-                net.start_plan(eng, granted)
-            });
+            eng.schedule_in(SimDuration::ZERO, NetEvent::StartPlan(granted));
             return;
         }
     }
@@ -1164,9 +1218,7 @@ impl Net {
                 depth,
             });
             self.obs_depth(eng.now(), "conn_backlog", to.index, depth);
-            eng.schedule_in(SimDuration::ZERO, move |net: &mut Net, eng| {
-                net.begin_handshake(eng, granted);
-            });
+            eng.schedule_in(SimDuration::ZERO, NetEvent::BeginHandshake(granted));
             return;
         }
     }
@@ -1225,9 +1277,7 @@ impl Net {
                 });
                 self.obs_depth(eng.now(), "lock_queue", l.index, depth);
             }
-            eng.schedule_in(SimDuration::ZERO, move |net: &mut Net, eng| {
-                net.advance_steps(eng, granted)
-            });
+            eng.schedule_in(SimDuration::ZERO, NetEvent::AdvanceSteps(granted));
             return;
         }
     }
@@ -1448,11 +1498,7 @@ impl Net {
                     (r.to, r.from)
                 };
                 let latency = self.topo.one_way_latency(from, self.service_node(to));
-                eng.schedule_in(latency, move |net: &mut Net, eng| {
-                    if net.requests.contains(key) {
-                        net.syn_arrived(eng, key);
-                    }
-                });
+                eng.schedule_in(latency, NetEvent::SynArrived(key));
             }
             FK_REQ => {
                 let (to, from) = {
@@ -1460,11 +1506,7 @@ impl Net {
                     (r.to, r.from)
                 };
                 let latency = self.topo.one_way_latency(from, self.service_node(to));
-                eng.schedule_in(latency, move |net: &mut Net, eng| {
-                    if net.requests.contains(key) {
-                        net.request_arrived(eng, key);
-                    }
-                });
+                eng.schedule_in(latency, NetEvent::RequestArrived(key));
             }
             FK_RESP => self.response_sent(eng, key),
             _ => debug_assert!(false, "unknown flow token kind {kind}"),
@@ -1474,7 +1516,7 @@ impl Net {
     fn resched_flows(&mut self, eng: &mut Eng) {
         eng.cancel(self.flow_event);
         self.flow_event = match self.flows.next_completion(eng.now()) {
-            Some(t) => eng.schedule_at(t, |net: &mut Net, eng| net.flow_tick(eng)),
+            Some(t) => eng.schedule_at(t, NetEvent::FlowTick),
             None => EventHandle::NULL,
         };
     }
@@ -1528,7 +1570,7 @@ impl Net {
         eng.cancel(handle);
         let next = self.topo.node(node).cpu.next_completion(eng.now());
         self.topo.node_mut(node).cpu_event = match next {
-            Some(t) => eng.schedule_at(t, move |net: &mut Net, eng| net.cpu_tick(eng, node)),
+            Some(t) => eng.schedule_at(t, NetEvent::CpuTick(node)),
             None => EventHandle::NULL,
         };
         if self.obs.on() {
@@ -2309,6 +2351,45 @@ mod tests {
         // The plan started shortly after t=0 and stalled to the thaw at 6s.
         assert!(got[0].1 > 5.5, "rt {} should include the stall", got[0].1);
         assert!(got[0].1 < 7.0, "rt {}", got[0].1);
+    }
+
+    #[test]
+    fn timer_of_a_frozen_service_rearms_at_the_thaw() {
+        let (mut net, mut eng, _a, b) = two_node_net();
+        let sink = net.add_service(
+            b,
+            ServiceConfig::default(),
+            Box::new(Sink { seen: 0 }),
+            &mut eng,
+        );
+        let beacon = net.add_service(
+            b,
+            ServiceConfig::default(),
+            Box::new(Beacon {
+                sink,
+                period: SimDuration::from_secs(100),
+                sent: 0,
+            }),
+            &mut eng,
+        );
+        let sent = |net: &Net| net.service_as::<Beacon>(beacon).expect("downcast").sent;
+        let thaw = SimTime::from_secs(6);
+        net.freeze_service(&mut eng, beacon, thaw);
+        let timer = NetEvent::SvcTimer {
+            svc: beacon,
+            tag: 0,
+        };
+        eng.schedule_at(SimTime::from_secs(1), timer);
+        // Fires at 1 s, finds the service frozen and puts itself back on
+        // the calendar instead of reaching `on_timer`.
+        eng.run_until(&mut net, SimTime(thaw.0 - 1));
+        assert_eq!((eng.fired, eng.pending()), (1, 1));
+        assert_eq!(sent(&net), 0);
+        // The re-armed copy is due exactly at the thaw.
+        eng.run_until(&mut net, thaw);
+        assert_eq!(sent(&net), 1);
+        eng.run_until(&mut net, SimTime::from_secs(30));
+        assert_eq!(net.service_as::<Sink>(sink).expect("downcast").seen, 1);
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //! the WAN pipe — exactly the contention structure the paper's analysis
 //! relies on.
 
+#![forbid(unsafe_code)]
+
 use simcore::SimDuration;
 use simnet::{LinkId, NodeId, Topology};
 

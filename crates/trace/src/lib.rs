@@ -29,6 +29,8 @@
 //! byte-identical whatever the [`ObsMode`] (pinned by
 //! `tests/parallel_figures.rs`).
 
+#![forbid(unsafe_code)]
+
 pub mod events;
 pub mod export;
 pub mod inspect;

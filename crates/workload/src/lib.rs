@@ -15,6 +15,8 @@
 //!   (queries completing outside the measurement window are not counted,
 //!   as in the paper's 10-minute spans).
 
+#![forbid(unsafe_code)]
+
 use simcore::{SimDuration, SimRng, SimTime};
 use simnet::{Client, ClientCx, NodeId, Payload, ReqOutcome, ReqResult, RequestSpec, SvcKey};
 

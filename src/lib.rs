@@ -25,6 +25,8 @@
 //! experiment sets (figures 5–20) and of the resilience and federation
 //! sets this reproduction adds (figures 21–28).
 
+#![forbid(unsafe_code)]
+
 pub use classad;
 pub use ganglia;
 pub use gridmon_core as core;
