@@ -71,6 +71,22 @@ fn bench_classad(c: &mut Criterion) {
     c.bench_function("classad/symmetric_match", |b| {
         b.iter(|| criterion::black_box(matchmaker::symmetric_match(&trigger, &machine)))
     });
+    // Wire accounting of the 48-attribute Startd ad (4 identity
+    // attributes + 4 per module, 11 modules) every Hawkeye reply and
+    // advertisement is charged for.  Warm reads the ad's memo; first
+    // touch re-sets one attribute to the value it has, which forgets the
+    // memo, so the ad is rendered again.
+    let agent = hawkeye::Agent::new("lucky4", hawkeye::default_modules("lucky4", 11));
+    let mut startd = ClassAd::clone(agent.startd_ad());
+    c.bench_function("classad/startd_wire_size", |b| {
+        b.iter(|| criterion::black_box(startd.wire_size()))
+    });
+    c.bench_function("classad/startd_wire_size_first_touch", |b| {
+        b.iter(|| {
+            startd.set_bool("Requirements", true);
+            criterion::black_box(startd.wire_size())
+        })
+    });
 }
 
 fn bench_ldap(c: &mut Criterion) {
@@ -95,7 +111,7 @@ fn bench_ldap(c: &mut Criterion) {
 }
 
 fn bench_relsql(c: &mut Criterion) {
-    use relsql::Database;
+    use relsql::{Database, SqlValue};
     c.bench_function("relsql/insert_500", |b| {
         b.iter(|| {
             let mut db = Database::new();
@@ -123,6 +139,38 @@ fn bench_relsql(c: &mut Criterion) {
             criterion::black_box(
                 db.execute("SELECT id FROM m WHERE v >= 50 ORDER BY v DESC LIMIT 10")
                     .unwrap(),
+            )
+        })
+    });
+    // Wire accounting of a 100-tuple R-GMA reply (entity, value, seq).
+    // Warm sums the rows' memos, which is what every reply after a
+    // row's first pays; first touch renders every cell, which is what
+    // measuring a row nobody has measured pays.
+    let mut db = Database::new();
+    db.execute("CREATE TABLE cpuload (entity TEXT PRIMARY KEY, value REAL, seq INT)")
+        .unwrap();
+    for e in 0..100 {
+        db.execute(&format!(
+            "INSERT INTO cpuload VALUES ('e{e}', {}.{}, {})",
+            e % 97,
+            e % 10,
+            1000 + e
+        ))
+        .unwrap();
+    }
+    let reply = db.execute("SELECT * FROM cpuload").unwrap();
+    c.bench_function("relsql/result_wire_size_100rows", |b| {
+        b.iter(|| criterion::black_box(reply.wire_size()))
+    });
+    c.bench_function("relsql/result_wire_size_100rows_first_touch", |b| {
+        b.iter(|| {
+            criterion::black_box(
+                reply
+                    .rows
+                    .iter()
+                    .flat_map(|r| r.iter())
+                    .map(SqlValue::wire_size)
+                    .sum::<u64>(),
             )
         })
     });

@@ -9,6 +9,7 @@ use crate::expr::{intern_lower, Expr};
 use crate::parser::{parse_expr, ParseError};
 use crate::value::Value;
 use gintern::Sym;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -18,7 +19,10 @@ use std::fmt;
 /// and cloning an ad copies no name strings.  Probing uses
 /// [`gintern::lookup`], which never grows the intern table — a name that
 /// was never interned anywhere cannot be a key of any ad.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// An ad also remembers its serialized size once measured
+/// ([`ClassAd::wire_size`]); every `&mut self` method forgets it.
+#[derive(Debug, Clone)]
 pub struct ClassAd {
     /// Insertion-ordered (lowercase name, printed name, expression).
     entries: Vec<(Sym, Sym, Expr)>,
@@ -26,6 +30,29 @@ pub struct ClassAd {
     /// (never iterated), so `Sym`'s id-based hashing cannot leak
     /// nondeterministic ordering anywhere.
     index: HashMap<Sym, usize>,
+    /// `Display` length in bytes, or [`UNMEASURED`].
+    wire: Cell<u64>,
+}
+
+/// Memo value of an ad nobody has measured since it last changed (no ad
+/// renders to `u64::MAX` bytes).
+const UNMEASURED: u64 = u64::MAX;
+
+impl Default for ClassAd {
+    fn default() -> Self {
+        ClassAd {
+            entries: Vec::new(),
+            index: HashMap::new(),
+            wire: Cell::new(UNMEASURED),
+        }
+    }
+}
+
+/// Ads are equal when their attributes are, measured or not.
+impl PartialEq for ClassAd {
+    fn eq(&self, other: &ClassAd) -> bool {
+        self.entries == other.entries && self.index == other.index
+    }
 }
 
 impl ClassAd {
@@ -44,6 +71,7 @@ impl ClassAd {
 
     /// Insert or replace an attribute.
     pub fn insert(&mut self, name: &str, expr: Expr) {
+        self.wire.set(UNMEASURED);
         let key = intern_lower(name);
         let printed = gintern::intern(name);
         match self.index.get(&key) {
@@ -112,6 +140,7 @@ impl ClassAd {
         let Some(i) = self.index.remove(&key) else {
             return false;
         };
+        self.wire.set(UNMEASURED);
         self.entries.remove(i);
         // Reindex the tail.
         for (j, (k, _, _)) in self.entries.iter().enumerate().skip(i) {
@@ -187,8 +216,10 @@ impl ClassAd {
         Ok(ad)
     }
 
-    /// Serialized size in bytes (what goes on the simulated wire),
-    /// measured by counting `Display` output instead of materializing it.
+    /// Serialized size in bytes (what goes on the simulated wire): the
+    /// length of the `Display` output, counted instead of materialized.
+    /// Formats the ad on the first call after a change and answers from
+    /// the memo afterwards.
     pub fn wire_size(&self) -> u64 {
         use fmt::Write;
         struct Counter(u64);
@@ -198,9 +229,12 @@ impl ClassAd {
                 Ok(())
             }
         }
-        let mut c = Counter(0);
-        write!(c, "{self}").expect("counting writer never fails");
-        c.0
+        if self.wire.get() == UNMEASURED {
+            let mut c = Counter(0);
+            write!(c, "{self}").expect("counting writer never fails");
+            self.wire.set(c.0);
+        }
+        self.wire.get()
     }
 }
 

@@ -18,7 +18,9 @@
 //!   and the typed-event engine vs the closure-scheduling [`mod@reference`]
 //!   engine, over random schedule/cancel/reschedule scripts;
 //! * `dit_diff` — the indexed DIT search vs the exhaustive reference
-//!   scan, over random trees and queries.
+//!   scan, over random trees and queries;
+//! * `wire_diff` — the wire size a `relsql` row or a `ClassAd` remembers
+//!   vs a fresh rendering, over random mutation sequences.
 //!
 //! The generators come from the in-tree `proptest` shim, so every case is
 //! deterministic and reproducible by number.  Bit-exactness (not

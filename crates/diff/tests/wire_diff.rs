@@ -1,0 +1,346 @@
+//! Remembered wire sizes vs a fresh rendering.
+//!
+//! `relsql` rows and `classad::ClassAd`s carry their own wire size: the
+//! first `wire_size()` formats the object, later calls answer from a
+//! memo, and anything that can change the rendering (`Rc::make_mut` in
+//! `Table::update_cell`, every `&mut self` method of an ad) must forget
+//! it.  The oracle is the definition itself — `to_string().len()`,
+//! rendered anew at every check.  Random mutation sequences interleave
+//! measuring (so memos are warm when they have to be dropped) with every
+//! way the stores can change, and the memo must stay invisible to `==`.
+
+use classad::{BinOp, ClassAd, Expr, Value};
+use proptest::prelude::*;
+use relsql::{Database, QueryResult, SharedRow, SqlValue};
+
+// ------------------------------------------------------------- relsql
+
+/// Whole reals, fractions, negative zero, the `1e15` edge of the `x.0`
+/// rendering, NaN, quoted text, NULL.
+fn value_strategy() -> impl Strategy<Value = SqlValue> {
+    prop_oneof![
+        (-50i64..50).prop_map(SqlValue::Int),
+        (-50i64..50).prop_map(|i| SqlValue::Real(i as f64)),
+        (-500i64..500).prop_map(|i| SqlValue::Real(i as f64 / 10.0)),
+        Just(SqlValue::Real(-0.0)),
+        Just(SqlValue::Real(1e15)),
+        Just(SqlValue::Real(f64::NAN)),
+        "[a-z '_%]{0,8}".prop_map(SqlValue::Text),
+        Just(SqlValue::Null),
+    ]
+}
+
+fn key_strategy() -> impl Strategy<Value = SqlValue> {
+    "[a-d']{1,2}".prop_map(SqlValue::Text)
+}
+
+#[derive(Debug, Clone)]
+enum SqlOp {
+    /// Plain insert.
+    Insert(SqlValue, SqlValue, SqlValue),
+    /// Delete + insert through the direct row APIs.
+    Upsert(SqlValue, SqlValue, SqlValue),
+    /// `UPDATE ... SET value, note WHERE entity = key`.
+    Update(SqlValue, SqlValue, SqlValue),
+    /// `UPDATE` of every row.
+    UpdateAll(SqlValue),
+    /// Measure a `SELECT *` and drop it: warms the stored rows' memos
+    /// while leaving each `Rc` unshared, so the next `UPDATE` writes in
+    /// place.
+    MeasureAndDrop,
+    /// Keep a `SELECT *` (measured now or only at the end) across the
+    /// remaining operations.
+    Hold { measure_now: bool },
+    /// Keep a projection, whose rows are built per query.
+    HoldProjection,
+}
+
+fn sql_op_strategy() -> impl Strategy<Value = SqlOp> {
+    let (k, v) = (key_strategy, value_strategy);
+    let text = || "[a-z ']{0,6}".prop_map(SqlValue::Text);
+    prop_oneof![
+        (k(), v(), text()).prop_map(|(a, b, c)| SqlOp::Insert(a, b, c)),
+        (k(), v(), text()).prop_map(|(a, b, c)| SqlOp::Upsert(a, b, c)),
+        (k(), v(), text()).prop_map(|(a, b, c)| SqlOp::Update(a, b, c)),
+        text().prop_map(SqlOp::UpdateAll),
+        Just(SqlOp::MeasureAndDrop),
+        any::<bool>().prop_map(|measure_now| SqlOp::Hold { measure_now }),
+        Just(SqlOp::HoldProjection),
+    ]
+}
+
+/// REAL columns take numbers and NULL only.
+fn as_real(v: &SqlValue) -> SqlValue {
+    match v {
+        SqlValue::Int(_) | SqlValue::Real(_) => v.clone(),
+        _ => SqlValue::Null,
+    }
+}
+
+fn fresh_row_size(row: &SharedRow) -> u64 {
+    row.iter().map(|v| v.to_string().len() as u64).sum()
+}
+
+fn assert_sizes_fresh(r: &QueryResult) {
+    for row in &r.rows {
+        assert_eq!(row.wire_size(), fresh_row_size(row), "row {row:?}");
+        // The second read is the memo.
+        assert_eq!(row.wire_size(), fresh_row_size(row), "row {row:?} (memo)");
+    }
+    let header: u64 = r.columns.iter().map(|c| c.len() as u64 + 2).sum();
+    let body: u64 = r
+        .rows
+        .iter()
+        .map(|row| fresh_row_size(row) + 2 * row.len() as u64)
+        .sum();
+    assert_eq!(r.wire_size(), 64 + header + body);
+}
+
+/// A result set kept across later writes, with what it rendered to when
+/// it was taken.
+struct Held {
+    result: QueryResult,
+    cells: Vec<Vec<String>>,
+    sizes: Vec<u64>,
+}
+
+fn hold(result: QueryResult, measure_now: bool) -> Held {
+    let cells = result
+        .rows
+        .iter()
+        .map(|r| r.iter().map(|v| v.to_string()).collect())
+        .collect();
+    let sizes = result.rows.iter().map(fresh_row_size).collect();
+    if measure_now {
+        assert_sizes_fresh(&result);
+    }
+    Held {
+        result,
+        cells,
+        sizes,
+    }
+}
+
+// ------------------------------------------------------------ classad
+
+const NAMES: &str = "[a-dA-D]";
+
+fn expr_strategy() -> impl Strategy<Value = Expr> {
+    let leaf = || {
+        prop_oneof![
+            (-1000i64..1000).prop_map(Expr::int),
+            (-100.0f64..100.0).prop_map(Expr::real),
+            "[a-zA-Z0-9 \"\\\\]{0,6}".prop_map(|s| Expr::string(&s)),
+            any::<bool>().prop_map(Expr::boolean),
+            NAMES.prop_map(|s| Expr::attr(&s)),
+            Just(Expr::Lit(Value::Undefined)),
+        ]
+    };
+    prop_oneof![
+        leaf(),
+        (leaf(), leaf()).prop_map(|(a, b)| Expr::Binary(BinOp::Add, Box::new(a), Box::new(b))),
+        (leaf(), leaf()).prop_map(|(a, b)| Expr::Binary(BinOp::Lt, Box::new(a), Box::new(b))),
+    ]
+}
+
+#[derive(Debug, Clone)]
+enum AdOp {
+    Insert(String, Expr),
+    SetInt(String, i64),
+    SetReal(String, f64),
+    SetStr(String, String),
+    SetBool(String, bool),
+    SetExpr(String, i64),
+    Remove(String),
+    Merge(Vec<(String, Expr)>),
+    /// Replace the ad by a clone of itself (the clone copies the memo).
+    Clone,
+}
+
+fn ad_op_strategy() -> impl Strategy<Value = AdOp> {
+    prop_oneof![
+        (NAMES, expr_strategy()).prop_map(|(n, e)| AdOp::Insert(n, e)),
+        (NAMES, -1000i64..1000).prop_map(|(n, v)| AdOp::SetInt(n, v)),
+        (NAMES, -100.0f64..100.0).prop_map(|(n, v)| AdOp::SetReal(n, v)),
+        (NAMES, "[a-z \"]{0,12}").prop_map(|(n, v)| AdOp::SetStr(n, v)),
+        (NAMES, any::<bool>()).prop_map(|(n, v)| AdOp::SetBool(n, v)),
+        (NAMES, 0i64..100_000).prop_map(|(n, v)| AdOp::SetExpr(n, v)),
+        NAMES.prop_map(AdOp::Remove),
+        proptest::collection::vec((NAMES, expr_strategy()), 0..4).prop_map(AdOp::Merge),
+        Just(AdOp::Clone),
+    ]
+}
+
+fn apply(ad: &mut ClassAd, op: &AdOp) {
+    match op {
+        AdOp::Insert(n, e) => ad.insert(n, e.clone()),
+        AdOp::SetInt(n, v) => ad.set_int(n, *v),
+        AdOp::SetReal(n, v) => ad.set_real(n, *v),
+        AdOp::SetStr(n, v) => ad.set_str(n, v),
+        AdOp::SetBool(n, v) => ad.set_bool(n, *v),
+        AdOp::SetExpr(n, v) => ad
+            .set_expr(n, &format!("TARGET.Memory > {v} && OpSys == \"LINUX\""))
+            .expect("literal expression parses"),
+        AdOp::Remove(n) => {
+            ad.remove(n);
+        }
+        AdOp::Merge(attrs) => {
+            let mut other = ClassAd::new();
+            for (n, e) in attrs {
+                other.insert(n, e.clone());
+            }
+            // Half of the merged-in ads arrive measured.
+            if attrs.len() % 2 == 0 {
+                other.wire_size();
+            }
+            ad.merge(&other);
+        }
+        AdOp::Clone => *ad = ad.clone(),
+    }
+}
+
+/// `==` is hand-written on both types: check it from either side.
+fn assert_equal_both_ways<T: PartialEq + std::fmt::Debug>(a: &T, b: &T, when: &str) {
+    assert!(a == b, "{when}: {a:?} != {b:?}");
+    assert!(b == a, "{when}: {b:?} != {a:?}");
+}
+
+fn assert_ad_size_fresh(ad: &ClassAd) {
+    let fresh = ad.to_string().len() as u64;
+    assert_eq!(ad.wire_size(), fresh, "ad:\n{ad}");
+    assert_eq!(ad.wire_size(), fresh, "ad (memo):\n{ad}");
+}
+
+proptest! {
+    /// Every row a query hands out reports a fresh rendering's length,
+    /// whatever was measured, updated in place, copied on write or
+    /// re-inserted before; a result set taken before an `UPDATE` keeps
+    /// its cells and its size.
+    #[test]
+    fn row_sizes_survive_every_store_mutation(
+        ops in proptest::collection::vec(sql_op_strategy(), 1..40),
+    ) {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE m (entity TEXT PRIMARY KEY, value REAL, note TEXT)").unwrap();
+        let mut held: Vec<Held> = Vec::new();
+        for op in &ops {
+            match op {
+                SqlOp::Insert(k, v, n) => {
+                    // A duplicate key is rejected; both outcomes are fine.
+                    let _ = db.insert_row("m", vec![k.clone(), as_real(v), n.clone()]);
+                }
+                SqlOp::Upsert(k, v, n) => {
+                    db.delete_where_eq("m", "entity", k).unwrap();
+                    db.insert_row("m", vec![k.clone(), as_real(v), n.clone()]).unwrap();
+                }
+                SqlOp::Update(k, v, n) => {
+                    // NaN has no SQL literal.
+                    let v = match as_real(v) {
+                        SqlValue::Real(r) if r.is_nan() => SqlValue::Null,
+                        v => v,
+                    };
+                    db.execute(&format!(
+                        "UPDATE m SET value = {v}, note = {n} WHERE entity = {k}"
+                    )).unwrap();
+                }
+                SqlOp::UpdateAll(n) => {
+                    db.execute(&format!("UPDATE m SET note = {n}")).unwrap();
+                }
+                SqlOp::MeasureAndDrop => {
+                    assert_sizes_fresh(&db.execute("SELECT * FROM m").unwrap());
+                }
+                SqlOp::Hold { measure_now } => {
+                    held.push(hold(db.execute("SELECT * FROM m").unwrap(), *measure_now));
+                }
+                SqlOp::HoldProjection => {
+                    held.push(hold(db.execute("SELECT note, entity FROM m").unwrap(), true));
+                }
+            }
+            assert_sizes_fresh(&db.execute("SELECT * FROM m").unwrap());
+            assert_sizes_fresh(&db.execute("SELECT value, note FROM m ORDER BY entity").unwrap());
+            assert_sizes_fresh(&db.execute("SELECT COUNT(*) FROM m").unwrap());
+        }
+        for h in &held {
+            for ((row, cells), size) in h.result.rows.iter().zip(&h.cells).zip(&h.sizes) {
+                let now: Vec<String> = row.iter().map(|v| v.to_string()).collect();
+                prop_assert_eq!(&now, cells, "held row changed under a later write");
+                prop_assert_eq!(row.wire_size(), *size, "held row lost its size");
+            }
+            assert_sizes_fresh(&h.result);
+        }
+    }
+
+    /// The one case the copy-on-write path cannot cover: a measured row
+    /// nobody else holds is updated in place and must be measured again.
+    #[test]
+    fn in_place_update_forgets_the_size(note in "[a-z ']{0,12}", load in -500i64..500) {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE m (entity TEXT PRIMARY KEY, value REAL, note TEXT)").unwrap();
+        db.execute("INSERT INTO m VALUES ('a', 1.5, 'short')").unwrap();
+        let before = db.execute("SELECT * FROM m").unwrap();
+        before.rows[0].wire_size();
+        drop(before);
+        let note = SqlValue::Text(note);
+        let load = load as f64 / 10.0;
+        db.execute(&format!("UPDATE m SET value = {load}, note = {note}")).unwrap();
+        let after = db.execute("SELECT * FROM m").unwrap();
+        assert_sizes_fresh(&after);
+        // And a set taken across the write keeps the pre-update size.
+        let kept = db.execute("SELECT * FROM m").unwrap();
+        let kept_size = kept.rows[0].wire_size();
+        db.execute("UPDATE m SET note = 'a considerably longer note than before'").unwrap();
+        prop_assert_eq!(kept.rows[0].wire_size(), kept_size);
+        prop_assert_eq!(kept.rows[0].wire_size(), fresh_row_size(&kept.rows[0]));
+        let last = db.execute("SELECT * FROM m").unwrap();
+        assert_sizes_fresh(&last);
+    }
+
+    /// Row equality looks at the cells only.
+    #[test]
+    fn row_equality_ignores_the_memo(
+        cells in proptest::collection::vec(value_strategy(), 0..5),
+    ) {
+        // NaN cells are unequal to themselves with or without a memo.
+        let cells: Vec<SqlValue> = cells
+            .into_iter()
+            .filter(|v| !matches!(v, SqlValue::Real(r) if r.is_nan()))
+            .collect();
+        let a = relsql::StoredRow::new(cells.clone());
+        let b = relsql::StoredRow::new(cells);
+        a.wire_size();
+        assert_equal_both_ways(&a, &b, "one side measured");
+        b.wire_size();
+        assert_equal_both_ways(&a, &b, "both measured");
+        assert_equal_both_ways(&a.clone(), &b, "clone of a measured row");
+    }
+
+    /// An ad's remembered size equals a fresh rendering after any
+    /// sequence of `&mut self` calls, measured in between or not, and
+    /// two ads built alike compare equal whichever has been measured.
+    #[test]
+    fn ad_sizes_survive_every_mutation(
+        ops in proptest::collection::vec((ad_op_strategy(), any::<bool>()), 1..40),
+    ) {
+        let mut ad = ClassAd::new();
+        let mut twin = ClassAd::new();
+        for (op, measure) in &ops {
+            apply(&mut ad, op);
+            apply(&mut twin, op);
+            if *measure {
+                assert_ad_size_fresh(&ad);
+            }
+            // `twin` is measured only at the very end.
+            assert_equal_both_ways(&ad, &twin, "measured vs unmeasured");
+            // A clone carries the memo; changing the clone must not
+            // change the original's answer, nor the other way round.
+            let mut copy = ad.clone();
+            copy.set_str("Extra", "attribute only the clone has");
+            assert_ad_size_fresh(&copy);
+            prop_assert!(copy != ad);
+        }
+        assert_ad_size_fresh(&ad);
+        assert_equal_both_ways(&ad, &twin, "one side measured");
+        assert_ad_size_fresh(&twin);
+        assert_equal_both_ways(&ad, &twin, "both measured");
+    }
+}

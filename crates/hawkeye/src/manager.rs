@@ -318,9 +318,8 @@ impl Manager {
 /// sending a Startd ClassAd to the Manager every 30 seconds (staggered).
 pub struct AdvertiserFleet {
     manager: SvcKey,
-    /// Per machine: name, its (never-changing) Startd ad, and the wire
-    /// size of the advertisement carrying it.
-    ads: Vec<(String, Rc<ClassAd>, u64)>,
+    /// Per machine: name and its (never-changing) Startd ad.
+    ads: Vec<(String, Rc<ClassAd>)>,
     pub sent: u64,
 }
 
@@ -334,8 +333,7 @@ impl AdvertiserFleet {
                     crate::module::default_modules(&machine, modules_per_machine),
                 );
                 let ad = agent.startd_ad().clone();
-                let bytes = crate::proto::startd_ad_wire_size(&machine, &ad);
-                (machine, ad, bytes)
+                (machine, ad)
             })
             .collect();
         AdvertiserFleet {
@@ -357,12 +355,13 @@ impl Service for AdvertiserFleet {
 
     fn on_timer(&mut self, tag: u64, cx: &mut SvcCx) {
         let i = tag as usize;
-        if let Some((machine, ad, bytes)) = self.ads.get(i) {
+        if let Some((machine, ad)) = self.ads.get(i) {
             let msg = HawkeyeMsg::StartdAd {
                 machine: machine.clone(),
                 ad: ad.clone(),
             };
-            cx.send_oneway(self.manager, msg, *bytes);
+            let bytes = msg.wire_size();
+            cx.send_oneway(self.manager, msg, bytes);
             self.sent += 1;
         }
         cx.set_timer(crate::agent::ADVERTISE_PERIOD, tag);

@@ -35,19 +35,13 @@ impl HawkeyeMsg {
         match self {
             HawkeyeMsg::AgentStatus => 160,
             HawkeyeMsg::AgentFull => 180,
-            HawkeyeMsg::StartdAd { machine, ad } => startd_ad_wire_size(machine, ad),
+            HawkeyeMsg::StartdAd { machine, ad } => 64 + machine.len() as u64 + ad.wire_size(),
             HawkeyeMsg::Status { .. } => 200,
             HawkeyeMsg::Constraint { expr } => 160 + expr.len() as u64,
             HawkeyeMsg::AddTrigger { trigger } => 64 + trigger.wire_size(),
             HawkeyeMsg::TriggerFired { machine, .. } => 96 + machine.len() as u64,
         }
     }
-}
-
-/// Wire size of a [`HawkeyeMsg::StartdAd`]; formats the ad, so a sender
-/// that re-sends one ad computes it once.
-pub fn startd_ad_wire_size(machine: &str, ad: &ClassAd) -> u64 {
-    64 + machine.len() as u64 + ad.wire_size()
 }
 
 /// Reply carrying ads (status / query results).  The ads are shared with

@@ -2,7 +2,7 @@
 
 use crate::ast::{CmpOp, Operand, Pred, SelectCols, Stmt};
 use crate::parser::{parse_stmt, SqlParseError};
-use crate::table::{Row, SharedRow, Table, TableError, TableSchema};
+use crate::table::{Row, SharedRow, StoredRow, Table, TableError, TableSchema};
 use crate::value::SqlValue;
 use gintern::Sym;
 use std::cmp::Ordering;
@@ -70,7 +70,7 @@ impl QueryResult {
         let body: u64 = self
             .rows
             .iter()
-            .map(|r| r.iter().map(|v| v.wire_size() + 2).sum::<u64>())
+            .map(|r| r.wire_size() + 2 * r.len() as u64)
             .sum();
         64 + header + body
     }
@@ -265,7 +265,9 @@ impl Database {
                 match cols {
                     SelectCols::CountStar => Ok(QueryResult {
                         columns: vec![gintern::intern("count(*)")],
-                        rows: vec![Rc::new(vec![SqlValue::Int(rids.len() as i64)])],
+                        rows: vec![Rc::new(StoredRow::new(vec![SqlValue::Int(
+                            rids.len() as i64
+                        )]))],
                         scanned,
                         used_index,
                         ..Default::default()
@@ -296,7 +298,9 @@ impl Database {
                                 .iter()
                                 .map(|&r| {
                                     let row = t.get_row(r).unwrap();
-                                    Rc::new(idxs.iter().map(|&i| row[i].clone()).collect())
+                                    Rc::new(StoredRow::new(
+                                        idxs.iter().map(|&i| row[i].clone()).collect(),
+                                    ))
                                 })
                                 .collect(),
                             scanned,
@@ -470,7 +474,7 @@ fn validate_pred_columns(t: &Table, p: Option<&Pred>) -> Result<(), SqlError> {
 }
 
 /// Three-valued predicate evaluation (`None` = unknown, from NULLs).
-fn eval_pred(p: &Pred, t: &Table, row: &Row) -> Option<bool> {
+fn eval_pred(p: &Pred, t: &Table, row: &[SqlValue]) -> Option<bool> {
     match p {
         Pred::Cmp(a, op, b) => {
             let va = operand_value(a, t, row);
@@ -542,7 +546,7 @@ fn like_match(pattern: &str, value: &str) -> bool {
 /// Borrowed operand resolution: predicate evaluation runs once per
 /// scanned row per query, so it must not clone cell values (a `Text`
 /// clone is a heap allocation per row).
-fn operand_value<'a>(o: &'a Operand, t: &Table, row: &'a Row) -> &'a SqlValue {
+fn operand_value<'a>(o: &'a Operand, t: &Table, row: &'a [SqlValue]) -> &'a SqlValue {
     const NULL: &SqlValue = &SqlValue::Null;
     match o {
         Operand::Lit(v) => v,

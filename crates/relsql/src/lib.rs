@@ -38,5 +38,5 @@ pub use ast::{Pred, SelectCols, Stmt};
 pub use engine::{Database, QueryResult, SqlError};
 pub use gintern::Sym;
 pub use parser::parse_stmt;
-pub use table::{ColType, Column, Row, SharedRow, Table, TableSchema};
+pub use table::{ColType, Column, Row, SharedRow, StoredRow, Table, TableSchema};
 pub use value::SqlValue;

@@ -4,12 +4,15 @@
 //! `Rc` ([`SharedRow`]): a `SELECT *` result shares the stored rows
 //! instead of deep-cloning every cell, and in-place cell updates go
 //! through `Rc::make_mut` so outstanding result sets keep their
-//! snapshot.
+//! snapshot.  A shared row is immutable, so it also carries its own
+//! wire size ([`StoredRow::wire_size`]), rendered at most once.
 
 use crate::value::SqlValue;
 use gintern::Sym;
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Deref;
 use std::rc::Rc;
 
 /// Column type.
@@ -83,9 +86,63 @@ impl TableSchema {
 /// A row is one value per column.
 pub type Row = Vec<SqlValue>;
 
+/// A row as tables and result sets hold it: the cells, plus a memo of
+/// their rendered length.  Derefs to `[SqlValue]`; the only way to the
+/// cells mutably is the private `cells_mut`, which forgets the memo.
+/// A boxed slice and a one-word memo take the 24 bytes a `Vec` took.
+#[derive(Debug, Clone)]
+pub struct StoredRow {
+    cells: Box<[SqlValue]>,
+    /// Sum of the cells' [`SqlValue::wire_size`], or [`UNMEASURED`].
+    wire: Cell<u64>,
+}
+
+/// Memo value of a row nobody has measured since it was built or
+/// changed (no row renders to `u64::MAX` bytes).
+const UNMEASURED: u64 = u64::MAX;
+
+impl StoredRow {
+    pub fn new(cells: Row) -> StoredRow {
+        StoredRow {
+            cells: cells.into_boxed_slice(),
+            wire: Cell::new(UNMEASURED),
+        }
+    }
+
+    /// Rendered length of the cells in bytes: the sum of their `Display`
+    /// lengths, without separators.  Formats the row on the first call
+    /// and answers from the memo afterwards.
+    pub fn wire_size(&self) -> u64 {
+        if self.wire.get() == UNMEASURED {
+            self.wire
+                .set(self.cells.iter().map(SqlValue::wire_size).sum());
+        }
+        self.wire.get()
+    }
+
+    fn cells_mut(&mut self) -> &mut [SqlValue] {
+        self.wire.set(UNMEASURED);
+        &mut self.cells
+    }
+}
+
+impl Deref for StoredRow {
+    type Target = [SqlValue];
+    fn deref(&self) -> &[SqlValue] {
+        &self.cells
+    }
+}
+
+/// Rows are equal when their cells are, measured or not.
+impl PartialEq for StoredRow {
+    fn eq(&self, other: &StoredRow) -> bool {
+        self.cells == other.cells
+    }
+}
+
 /// A reference-counted row: cloning a result set shares storage with the
 /// table instead of copying cells.
-pub type SharedRow = Rc<Row>;
+pub type SharedRow = Rc<StoredRow>;
 
 /// Index key: a normalised, allocation-free form of a value for the
 /// per-column equality indexes.  Numbers key by their `f64` bit
@@ -236,7 +293,7 @@ impl Table {
                 idx.entry(k).or_default().push(rid);
             }
         }
-        self.rows.push(Some(Rc::new(row)));
+        self.rows.push(Some(Rc::new(StoredRow::new(row))));
         self.live += 1;
         Ok(rid)
     }
@@ -303,8 +360,9 @@ impl Table {
         let Some(Some(row)) = self.rows.get_mut(rid) else {
             return Ok(());
         };
-        // Copy-on-write: result sets holding this row keep their snapshot.
-        let old = std::mem::replace(&mut Rc::make_mut(row)[col], v.clone());
+        // Copy-on-write: result sets holding this row keep their snapshot
+        // (cells and measured size); the written row is unmeasured again.
+        let old = std::mem::replace(&mut Rc::make_mut(row).cells_mut()[col], v.clone());
         if let Some(idx) = self.indexes.get_mut(&col) {
             if let Some(k) = probe_key(&old) {
                 if let Some(ids) = idx.get_mut(&k) {

@@ -66,9 +66,10 @@ impl SqlValue {
         }
     }
 
-    /// Estimated size on the wire (textual form), counted through a
-    /// length-only `fmt::Write` — wire accounting runs per value per
-    /// message, and must not allocate the rendering it measures.
+    /// Size on the wire: the length of the `Display` form, counted
+    /// through a length-only `fmt::Write` instead of materializing it.
+    /// Rows remember the sum ([`crate::StoredRow::wire_size`]), so this
+    /// runs once per stored value, not once per message.
     pub fn wire_size(&self) -> u64 {
         struct Counter(u64);
         impl fmt::Write for Counter {
@@ -124,7 +125,17 @@ impl fmt::Display for SqlValue {
                     write!(f, "{r}")
                 }
             }
-            SqlValue::Text(s) => write!(f, "'{}'", s.replace('\'', "''")),
+            SqlValue::Text(s) => {
+                // Quotes double; the runs between them go out as they are.
+                f.write_str("'")?;
+                for (i, run) in s.split('\'').enumerate() {
+                    if i > 0 {
+                        f.write_str("''")?;
+                    }
+                    f.write_str(run)?;
+                }
+                f.write_str("'")
+            }
         }
     }
 }

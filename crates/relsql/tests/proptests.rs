@@ -131,4 +131,27 @@ proptest! {
             .unwrap();
         prop_assert_eq!(hits.rows[0][0].clone(), SqlValue::Int(n as i64));
     }
+
+    /// `SqlValue::wire_size` is the length of the `Display` form for
+    /// every variant, and text renders as a quote-doubled SQL literal.
+    #[test]
+    fn value_wire_size_is_display_length(
+        i in any::<i64>(),
+        bits in any::<u64>(),
+        whole in -2_000_000_000_000_000i64..2_000_000_000_000_000,
+        text in "[a-z' é]{0,12}",
+    ) {
+        let fixed = [-0.0, 0.0, 1e15, -1e15, 1e15 - 1.0, f64::NAN, f64::INFINITY, f64::MIN_POSITIVE];
+        let values = [SqlValue::Null, SqlValue::Int(i), SqlValue::Text(text.clone())]
+            .into_iter()
+            .chain([f64::from_bits(bits), whole as f64].into_iter().map(SqlValue::Real))
+            .chain(fixed.into_iter().map(SqlValue::Real));
+        for v in values {
+            prop_assert_eq!(v.wire_size(), v.to_string().len() as u64, "{:?}", v);
+        }
+        prop_assert_eq!(
+            SqlValue::Text(text.clone()).to_string(),
+            format!("'{}'", text.replace('\'', "''"))
+        );
+    }
 }

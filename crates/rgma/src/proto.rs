@@ -43,15 +43,18 @@ impl RgmaMsg {
                 table, predicate, ..
             } => (table.len() + predicate.len()) as u64,
             RgmaMsg::Subscribe { table, .. } => table.len() as u64 + 16,
-            RgmaMsg::Stream { rows, .. } => {
-                rows.iter()
-                    .map(|r| r.iter().map(|v| v.wire_size() + 8).sum::<u64>())
-                    .sum::<u64>()
-                    + 32
-            }
+            RgmaMsg::Stream { rows, .. } => rows_wire_size(rows) + 32,
         };
         240 + body // HTTP headers + XML envelope
     }
+}
+
+/// XML-encoded tuples: each row's own (remembered) rendered size plus
+/// 8 bytes of element markup per cell.
+fn rows_wire_size(rows: &[SharedRow]) -> u64 {
+    rows.iter()
+        .map(|r| r.wire_size() + 8 * r.len() as u64)
+        .sum()
 }
 
 /// Registry answer: the producer servlets holding the table.
@@ -71,12 +74,8 @@ pub struct SqlResultMsg {
 
 impl SqlResultMsg {
     pub fn new(columns: Vec<Sym>, rows: Vec<SharedRow>) -> SqlResultMsg {
-        let bytes = 240
-            + columns.iter().map(|c| c.len() as u64 + 8).sum::<u64>()
-            + rows
-                .iter()
-                .map(|r| r.iter().map(|v| v.wire_size() + 8).sum::<u64>())
-                .sum::<u64>();
+        let bytes =
+            240 + columns.iter().map(|c| c.len() as u64 + 8).sum::<u64>() + rows_wire_size(&rows);
         SqlResultMsg {
             columns,
             rows,
