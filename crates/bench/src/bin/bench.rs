@@ -1,16 +1,12 @@
-//! gridmon-bench — the continuous benchmark suite and perf gate.
+//! gridmon-bench — the pinned benchmark matrix and its exact gate.
 //!
 //! ```text
-//! gridmon-bench [--label L] [--seed N] [--jobs N] [--sets LIST]
-//!               [--out PATH] [--compare PATH]
-//!               [--baseline PATH] [--tolerance PCT] [--quiet]
+//! gridmon-bench [--label L] [--seed N] [--sets LIST] [--out PATH]
+//!               [--compare PATH] [--baseline PATH] [--quiet]
 //!
 //! --label L      report label; the default output file is
 //!                BENCH_<L>.json (default label: 0).
 //! --seed N       base seed for the pinned matrix (default 20030622).
-//! --jobs N       worker threads; 0 = one per available hardware
-//!                thread, the default — the suite benchmarks the
-//!                machine as the sweeps would actually use it.
 //! --sets LIST    comma-separated experiment sets (default
 //!                1,2,3,4,5,6).
 //! --out PATH     where to write the report (default BENCH_<L>.json).
@@ -18,37 +14,32 @@
 //!                matrix (PATH is the "current" side; nothing is run
 //!                or written).
 //! --baseline P   compare against baseline report P after the run; the
-//!                process exits 1 if any entry regresses beyond the
-//!                tolerance.
-//! --tolerance T  gate tolerance in percent (default 25).
-//! --quiet        suppress per-point progress lines.
+//!                process exits 1 unless both reports hold the same
+//!                entries with equal deterministic columns.
+//! --quiet        suppress the per-entry progress lines.
 //! ```
 //!
-//! Cold entries pin simulator throughput (sim-events per wall second);
-//! warm entries pin the result-cache path's wall time.  Event counts
-//! are deterministic; wall numbers are machine-dependent, so gate
-//! against baselines from the same hardware class and keep the
-//! tolerance loose.
-//!
-//! Built with `--features alloc-profile`, every entry additionally
-//! carries `allocs` / `peak_bytes` / `allocs_per_event` from the
-//! counting global allocator, and the gate also fails cold entries
-//! whose allocations per event grow beyond the tolerance.
+//! The gate is exact: `points`, `events`, `sim_s`, `allocs` and
+//! `peak_bytes` depend only on the source tree, the seed and the
+//! toolchain, so they must *equal* the baseline — one allocation more
+//! or fewer fails.  `wall_s`, `events_per_sec` and `allocs_per_event`
+//! are printed for the reader and never compared; wall-clock claims
+//! belong to `benchmark/driver`.  Build with `--features alloc-profile`
+//! for the allocation columns; without it they read 0 and the gate
+//! says so instead of passing.
 
 #![forbid(unsafe_code)]
 
-use gbench::suite::{compare, render_regressions, run_matrix, BenchReport, BENCH_SETS};
+use gbench::suite::{compare, render_mismatches, run_matrix, BenchReport, BENCH_SETS};
 use std::path::PathBuf;
 
 fn main() {
     let mut label = "0".to_string();
     let mut seed = 20030622u64;
-    let mut jobs = 0usize;
     let mut sets: Vec<u32> = BENCH_SETS.to_vec();
     let mut out: Option<PathBuf> = None;
     let mut compare_path: Option<PathBuf> = None;
     let mut baseline_path: Option<PathBuf> = None;
-    let mut tolerance = 25.0f64;
     let mut quiet = false;
 
     let mut args = std::env::args().skip(1);
@@ -60,12 +51,6 @@ fn main() {
                     .next()
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| die("--seed needs an integer"));
-            }
-            "--jobs" | "-j" => {
-                jobs = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--jobs needs an integer (0 = all cores)"));
             }
             "--sets" => {
                 let list = args.next().unwrap_or_else(|| die("--sets needs a list"));
@@ -99,17 +84,11 @@ fn main() {
                         .unwrap_or_else(|| die("--baseline needs a path")),
                 ));
             }
-            "--tolerance" => {
-                tolerance = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--tolerance needs a percentage"));
-            }
             "--quiet" => quiet = true,
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: gridmon-bench [--label L] [--seed N] [--jobs N] [--sets LIST] \
-                     [--out PATH] [--compare PATH] [--baseline PATH] [--tolerance PCT] [--quiet]"
+                    "usage: gridmon-bench [--label L] [--seed N] [--sets LIST] [--out PATH] \
+                     [--compare PATH] [--baseline PATH] [--quiet]"
                 );
                 return;
             }
@@ -120,21 +99,11 @@ fn main() {
     let current = match &compare_path {
         Some(path) => read_report(path),
         None => {
-            let resolved = gridmon_runner::pool::resolve_workers(jobs);
-            eprintln!("== benchmark matrix: sets {sets:?}, seed {seed}, {resolved} worker(s) ==",);
-            let scratch = std::env::temp_dir().join(format!(
-                "gridmon-bench-{}-{}",
-                std::process::id(),
-                label
-            ));
-            let _ = std::fs::remove_dir_all(&scratch);
-            let entries = run_matrix(&sets, seed, jobs, &scratch, quiet)
-                .unwrap_or_else(|e| die(&e.to_string()));
-            let _ = std::fs::remove_dir_all(&scratch);
+            eprintln!("== benchmark matrix: sets {sets:?}, seed {seed} ==");
+            let entries = run_matrix(&sets, seed, quiet).unwrap_or_else(|e| die(&e.to_string()));
             let report = BenchReport {
                 label: label.clone(),
                 seed,
-                jobs: resolved,
                 entries,
             };
             let path = out.unwrap_or_else(|| PathBuf::from(format!("BENCH_{label}.json")));
@@ -147,10 +116,9 @@ fn main() {
     print!("{}", current.render());
 
     if let Some(path) = baseline_path {
-        let baseline = read_report(&path);
-        let regs = compare(&current, &baseline, tolerance);
-        print!("{}", render_regressions(&regs, tolerance));
-        if !regs.is_empty() {
+        let mismatches = compare(&current, &read_report(&path));
+        print!("{}", render_mismatches(&mismatches));
+        if !mismatches.is_empty() {
             std::process::exit(1);
         }
     }

@@ -18,7 +18,7 @@ pub enum Profile {
     Paper,
     /// Shorter windows and thinned sweeps (~6× faster) for smoke runs.
     Quick,
-    /// Tiny windows for Criterion micro-runs.
+    /// Tiny windows for the `gridmon-bench` matrix and smoke runs.
     Bench,
 }
 

@@ -49,16 +49,3 @@ pub use eval::{eval, EvalCtx};
 pub use expr::{BinOp, Expr, Scope, UnOp};
 pub use parser::{parse_expr, ParseError};
 pub use value::Value;
-
-/// Differential-oracle aliases: the tree-walking evaluator *is* the
-/// reference implementation the compiled kernel is checked against (it
-/// stays the default path for nested attribute bodies, so it is always
-/// compiled in; the feature only makes the oracle role explicit for the
-/// gridmon-diff suite).
-#[cfg(feature = "reference-kernel")]
-pub mod reference {
-    pub use crate::eval::eval as eval_reference;
-    pub use crate::matchmaker::matches_constraint as matches_constraint_reference;
-    pub use crate::matchmaker::requirements_met as requirements_met_reference;
-    pub use crate::matchmaker::symmetric_match as symmetric_match_reference;
-}

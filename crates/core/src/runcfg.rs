@@ -40,7 +40,7 @@ impl RunConfig {
         }
     }
 
-    /// A fast configuration for tests and Criterion benches: the same
+    /// A fast configuration for tests and the bench matrix: the same
     /// mechanisms on a shorter clock.
     pub fn quick(seed: u64) -> RunConfig {
         RunConfig {

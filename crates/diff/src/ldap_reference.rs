@@ -1,7 +1,6 @@
-//! Pre-interning `Dn` / `Entry` implementations, kept verbatim as
-//! differential oracles for the symbol-based fast paths (see the
-//! `gridmon-diff` intern/entry property suites).  Compiled only with
-//! the `reference-kernel` feature; never used by the simulation.
+//! `ldapdir`'s pre-interning `Dn` / `Entry` implementations, kept
+//! verbatim as differential oracles for the symbol-based fast paths (see
+//! the intern/entry property suites).  Never used by the simulation.
 
 use std::collections::BTreeMap;
 use std::fmt;

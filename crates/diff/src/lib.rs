@@ -1,13 +1,17 @@
 //! # gridmon-diff — differential reference-oracle test layer
 //!
 //! Each measured hot path in the workspace keeps its original, simple
-//! implementation alive as a *reference kernel*: behind the owning
-//! crate's `reference-kernel` feature where it needs private access
-//! (`classad`, `simnet`, `ldapdir`), in this crate where it does not
-//! (the event engine, [`reference::RefEngine`]).  The property tests in
-//! this crate's `tests/` directory drive the fast and reference paths
-//! with the same randomly generated inputs and assert **bit-exact**
-//! agreement:
+//! implementation alive as a *reference kernel*.  Every oracle lives
+//! here or is a public function the simulator itself still runs — no
+//! production crate carries oracle-only code or a feature to enable it:
+//! the event engine ([`reference::RefEngine`]) and the owned-`String`
+//! LDAP `Dn`/`Entry` ([`ldap_reference`]) are modules of this crate, the
+//! exhaustive DIT scan is a few lines over `Dit::iter` in `dit_diff`,
+//! and the tree-walking ClassAd evaluator and the from-scratch
+//! water-filler (`FlowNet::capacity_changed`) are production paths.  The
+//! property tests in this crate's `tests/` directory drive the fast and
+//! reference paths with the same randomly generated inputs and assert
+//! **bit-exact** agreement:
 //!
 //! * `classad_diff` — compiled postfix ClassAd VM vs the tree-walking
 //!   evaluator, over random expressions, ads and matchmaking pairs;
@@ -30,6 +34,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod ldap_reference;
 pub mod reference;
 
 use classad::Value;

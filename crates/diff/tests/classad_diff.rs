@@ -6,11 +6,7 @@
 //! value in both, with and without a TARGET ad, and the matchmaking
 //! wrappers must agree on every random ad pair.
 
-use classad::reference::{
-    eval_reference, matches_constraint_reference, requirements_met_reference,
-    symmetric_match_reference,
-};
-use classad::{matchmaker, BinOp, ClassAd, CompiledExpr, Expr, Scope, UnOp, Value};
+use classad::{eval, matchmaker, BinOp, ClassAd, CompiledExpr, Expr, Scope, UnOp, Value};
 use gridmon_diff::{value_repr, values_identical};
 use proptest::prelude::*;
 
@@ -105,7 +101,7 @@ fn arb_ad() -> impl Strategy<Value = ClassAd> {
 
 fn assert_identical(e: &Expr, my: &ClassAd, target: Option<&ClassAd>) {
     let compiled = CompiledExpr::compile(e);
-    let slow = eval_reference(e, my, target);
+    let slow = eval(e, my, target);
     let fast = compiled.eval(my, target);
     assert!(
         values_identical(&fast, &slow),
@@ -142,12 +138,12 @@ proptest! {
         let compiled = matchmaker::compile_requirements(&ad);
         prop_assert_eq!(
             matchmaker::requirements_met_compiled(&ad, compiled.as_ref(), &target),
-            requirements_met_reference(&ad, &target)
+            matchmaker::requirements_met(&ad, &target)
         );
         // An ad with no requirements is permissive in both.
         let open = ClassAd::new();
         prop_assert!(matchmaker::requirements_met_compiled(&open, None, &target));
-        prop_assert!(requirements_met_reference(&open, &target));
+        prop_assert!(matchmaker::requirements_met(&open, &target));
     }
 
     /// Symmetric (gang) matching over random ad-store pairs.
@@ -164,7 +160,7 @@ proptest! {
         let cb = matchmaker::compile_requirements(&b);
         prop_assert_eq!(
             matchmaker::symmetric_match_compiled(&a, ca.as_ref(), &b, cb.as_ref()),
-            symmetric_match_reference(&a, &b)
+            matchmaker::symmetric_match(&a, &b)
         );
     }
 
@@ -174,7 +170,7 @@ proptest! {
         let compiled = CompiledExpr::compile(&c);
         prop_assert_eq!(
             matchmaker::matches_constraint_compiled(&ad, &compiled),
-            matches_constraint_reference(&ad, &c)
+            matchmaker::matches_constraint(&ad, &c)
         );
     }
 }

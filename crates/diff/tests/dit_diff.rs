@@ -1,7 +1,7 @@
 //! Indexed DIT search vs the exhaustive reference scan.
 //!
 //! The fast path prunes the tree walk (sorted child-walk, Sub fast path);
-//! `search_reference` scans every entry.  Both must return the same
+//! [`search_reference`] scans every entry.  Both must return the same
 //! entries in the same order for any tree, base, scope and filter —
 //! including after the mutation patterns (upserts, subtree removals) that
 //! move the generation counter the MDS result cache keys on.
@@ -63,14 +63,26 @@ fn arb_spec() -> impl Strategy<Value = Vec<(String, Vec<(String, String)>)>> {
     )
 }
 
+/// The oracle: every entry, in DN order, kept when the scope relation to
+/// `base` and the filter both hold — no child index, no fast path.
+fn search_reference<'a>(dit: &'a Dit, base: &Dn, scope: Scope, filter: &Filter) -> Vec<&'a Entry> {
+    dit.iter()
+        .filter(|e| match scope {
+            Scope::Base => e.dn == *base,
+            Scope::One => e.dn.is_child_of(base),
+            Scope::Sub => e.dn.is_under(base),
+        })
+        .filter(|e| filter.matches(e))
+        .collect()
+}
+
 fn assert_same_search(dit: &Dit, base: &Dn, scope: Scope, filter: &Filter) {
     let fast: Vec<String> = dit
         .search(base, scope, filter)
         .iter()
         .map(|e| e.dn.to_string())
         .collect();
-    let slow: Vec<String> = dit
-        .search_reference(base, scope, filter)
+    let slow: Vec<String> = search_reference(dit, base, scope, filter)
         .iter()
         .map(|e| e.dn.to_string())
         .collect();

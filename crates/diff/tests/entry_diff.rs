@@ -3,13 +3,12 @@
 //! The fast path interns attribute types and DN components (`Sym`)
 //! and shares the attribute map behind an `Rc` (clones are pointer
 //! bumps; the first mutation of a shared entry copies).  The oracle
-//! (`ldapdir::reference`, compiled under `reference-kernel`) is the
-//! pre-interning implementation kept verbatim.  Any sequence of
-//! mutations, projections and queries must observe identical state
-//! through both — including after clone-then-mutate patterns that
-//! exercise the copy-on-write split.
+//! (`gridmon_diff::ldap_reference`) is the pre-interning implementation
+//! kept verbatim.  Any sequence of mutations, projections and queries
+//! must observe identical state through both — including after
+//! clone-then-mutate patterns that exercise the copy-on-write split.
 
-use ldapdir::reference::{RefDn, RefEntry};
+use gridmon_diff::ldap_reference::{RefDn, RefEntry};
 use ldapdir::{Dn, Entry};
 use proptest::prelude::*;
 

@@ -1,7 +1,9 @@
 //! Incremental max-min fair-share vs the from-scratch water-filler.
 //!
 //! `FlowNet` re-levels only the connected component a mutation touches;
-//! the oracle (`recompute_reference`) rebuilds the whole rate vector.
+//! the oracle (`capacity_changed`, the from-scratch water-filling pass the
+//! simulator itself runs when a fault moves a link's capacity) rebuilds
+//! the whole rate vector.
 //! After every mutation of a random schedule the two must agree on every
 //! flow's rate, bit for bit.
 
@@ -32,7 +34,7 @@ fn assert_rates_match(fnet: &FlowNet, topo: &Topology, context: &str) {
     let mut fast = Vec::new();
     fnet.for_each_rate(|tok, r| fast.push((tok, r.to_bits())));
     let mut oracle = fnet.clone();
-    oracle.recompute_reference(topo);
+    oracle.capacity_changed(topo);
     let mut slow = Vec::new();
     oracle.for_each_rate(|tok, r| slow.push((tok, r.to_bits())));
     assert_eq!(

@@ -248,36 +248,6 @@ impl Dit {
         out
     }
 
-    /// The pre-optimization `search` (DN-cloning subtree walk), kept as
-    /// the differential oracle for the fast path above.
-    #[cfg(feature = "reference-kernel")]
-    pub fn search_reference(&self, base: &Dn, scope: Scope, filter: &Filter) -> Vec<&Entry> {
-        let mut out = Vec::new();
-        match scope {
-            Scope::Base | Scope::One => return self.search(base, scope, filter),
-            Scope::Sub => {
-                let mut stack = vec![base.clone()];
-                let mut dns = Vec::new();
-                while let Some(cur) = stack.pop() {
-                    if self.entries.contains_key(&cur) {
-                        dns.push(cur.clone());
-                    }
-                    if let Some(kids) = self.children.get(&cur) {
-                        stack.extend(kids.iter().cloned());
-                    }
-                }
-                dns.sort();
-                for dn in dns {
-                    let e = &self.entries[&dn];
-                    if filter.matches(e) {
-                        out.push(e);
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// Count of entries examined by a `Sub` search from the suffix — the
     /// work a filter evaluation must do (for simulated CPU cost).
     pub fn scan_size(&self) -> usize {

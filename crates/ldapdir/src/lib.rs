@@ -34,8 +34,6 @@ pub mod dn;
 pub mod entry;
 pub mod filter;
 pub mod ldif;
-#[cfg(feature = "reference-kernel")]
-pub mod reference;
 
 pub use dit::{Dit, DitError, Scope};
 pub use dn::{Dn, DnError, Rdn};

@@ -6,42 +6,16 @@
 //! and one row per point.  `figures --perf` writes it next to the
 //! figure CSVs and `gridmon-inspect --profile RUN_DIR` renders it back
 //! into tables.  No external JSON dependency: the writer below emits
-//! the document directly (readers use the in-tree parser in
-//! `gridmon-trace`).
+//! the document directly over `gtrace::json`'s `escape` and `F64`
+//! (readers use the parser in the same module).
 
 use crate::alloc;
 use crate::point::PerfSink;
+use gtrace::json::{escape, F64};
 
 /// Schema tag of the emitted document; bump on layout changes so
 /// readers can reject files they do not understand.
 pub const PERF_SCHEMA: &str = "gridmon-perf-v1";
-
-/// Escape `s` as the body of a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Format a float for JSON: finite shortest-roundtrip, with the
-/// non-finite values JSON cannot carry mapped to null.
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
 
 /// Serialize `sink` as a `gridmon-perf-v1` document.
 pub fn perf_json(sink: &PerfSink) -> String {
@@ -56,8 +30,8 @@ pub fn perf_json(sink: &PerfSink) -> String {
         }
         out.push_str(&format!(
             "\n    {{\"name\": \"{}\", \"wall_s\": {}}}",
-            json_escape(name),
-            json_f64(wall.as_secs_f64())
+            escape(name),
+            F64(wall.as_secs_f64())
         ));
     }
     out.push_str("\n  ],\n");
@@ -70,12 +44,12 @@ pub fn perf_json(sink: &PerfSink) -> String {
     out.push_str(&format!(
         "  \"pool\": {{\"workers\": {}, \"wall_s\": {}, \"busy_share\": {}, \"busy_s\": [{}], \"jobs\": [{}]}},\n",
         sink.pool.workers,
-        json_f64(sink.pool.wall.as_secs_f64()),
-        json_f64(sink.pool.busy_share()),
+        F64(sink.pool.wall.as_secs_f64()),
+        F64(sink.pool.busy_share()),
         sink.pool
             .busy
             .iter()
-            .map(|d| json_f64(d.as_secs_f64()))
+            .map(|d| F64(d.as_secs_f64()).to_string())
             .collect::<Vec<_>>()
             .join(", "),
         sink.pool
@@ -99,12 +73,12 @@ pub fn perf_json(sink: &PerfSink) -> String {
         "  \"totals\": {{\"executed\": {}, \"cached\": {}, \"exec_wall_s\": {}, \"sim_s\": {}, \"events\": {}, \"popped\": {}, \"advances\": {}, \"events_per_sec\": {}}},\n",
         t.executed,
         t.cached,
-        json_f64(t.exec_wall.as_secs_f64()),
-        json_f64(t.sim_us as f64 / 1e6),
+        F64(t.exec_wall.as_secs_f64()),
+        F64(t.sim_us as f64 / 1e6),
         t.events,
         t.popped,
         t.advances,
-        json_f64(t.events_per_sec())
+        F64(t.events_per_sec())
     ));
 
     out.push_str("  \"points\": [");
@@ -114,16 +88,16 @@ pub fn perf_json(sink: &PerfSink) -> String {
         }
         out.push_str(&format!(
             "\n    {{\"key\": \"{}\", \"worker\": {}, \"cached\": {}, \"wall_s\": {}, \"sim_s\": {}, \"events\": {}, \"popped\": {}, \"advances\": {}, \"engine_runs\": {}, \"events_per_sec\": {}}}",
-            json_escape(&p.key),
+            escape(&p.key),
             p.worker,
             p.cached,
-            json_f64(p.wall.as_secs_f64()),
-            json_f64(p.sim_s()),
+            F64(p.wall.as_secs_f64()),
+            F64(p.sim_s()),
             p.sim.events,
             p.sim.popped,
             p.sim.advances,
             p.sim.engine_runs,
-            json_f64(p.events_per_sec())
+            F64(p.events_per_sec())
         ));
     }
     out.push_str("\n  ]\n}\n");
@@ -164,15 +138,7 @@ mod tests {
         assert!(doc.contains("\"hits\": 1"));
         assert!(doc.contains("\"misses\": 1"));
         assert!(doc.contains("\"workers\": 2"));
-        // Valid-JSON smoke: balanced braces/brackets at the ends.
-        assert!(doc.trim_start().starts_with('{') && doc.trim_end().ends_with('}'));
-    }
-
-    #[test]
-    fn escapes_and_non_finite_floats() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
-        assert_eq!(json_f64(1.5), "1.5");
+        let v = gtrace::json::parse(&doc).expect("valid JSON");
+        assert_eq!(v.get("points").and_then(|p| p.as_arr()).unwrap().len(), 2);
     }
 }

@@ -408,26 +408,6 @@ impl FlowNet {
     }
 }
 
-/// Differential-oracle surface: the from-scratch water-filler is the
-/// reference the incremental kernel is checked against.  It stays compiled
-/// in unconditionally (capacity changes use it); the feature only names it
-/// for the gridmon-diff suite.
-#[cfg(feature = "reference-kernel")]
-impl FlowNet {
-    /// Overwrite every rate by running the full water-filling pass.
-    pub fn recompute_reference(&mut self, topo: &Topology) {
-        self.dirty = true;
-        self.recompute(topo);
-    }
-
-    /// Snapshot `(token, rate)` pairs in key order, for oracle comparison.
-    pub fn rates_reference(&self) -> Vec<(FlowToken, f64)> {
-        let mut out = Vec::with_capacity(self.flows.len());
-        self.for_each_rate(|t, r| out.push((t, r)));
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,7 +17,7 @@
 //! are counted in the top-level `gridmon.dispatch_count` field.
 
 use crate::events::{Ev, Phase, TraceEvent};
-use crate::json::escape;
+use crate::json::{escape, F64};
 use crate::metrics::MetricRow;
 use simcore::SimTime;
 use std::collections::BTreeMap;
@@ -105,14 +105,6 @@ pub fn assemble_spans(events: &[TraceEvent]) -> Vec<Span> {
     spans
 }
 
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
-    }
-}
-
 /// Serialize events as JSONL: one `{"ts":…,"ev":"…",…}` object per line.
 pub fn jsonl(events: &[TraceEvent]) -> String {
     let mut out = String::new();
@@ -171,8 +163,7 @@ pub fn jsonl(events: &[TraceEvent]) -> String {
                 let _ = write!(out, ",\"flow\":{flow},\"bytes\":{bytes}");
             }
             Ev::FlowRate { flow, bps } => {
-                let _ = write!(out, ",\"flow\":{flow},\"bps\":");
-                push_f64(&mut out, bps);
+                let _ = write!(out, ",\"flow\":{flow},\"bps\":{}", F64(bps));
             }
             Ev::FlowEnd { flow } => {
                 let _ = write!(out, ",\"flow\":{flow}");
@@ -213,19 +204,15 @@ pub fn chrome_trace(meta: &TraceMeta, events: &[TraceEvent], dropped: u64) -> St
 
     let mut out = String::with_capacity(events.len() * 64 + 4096);
     out.push_str("{\"displayTimeUnit\":\"ms\",\"gridmon\":{");
-    let _ = write!(out, "\"key\":\"{}\",\"x\":", escape(&meta.key));
-    push_f64(&mut out, meta.x);
     let _ = write!(
         out,
-        ",\"seed\":{},\"window_start_us\":{},\"window_end_us\":{},\"mean_response_time_us\":",
+        "\"key\":\"{}\",\"x\":{},\"seed\":{},\"window_start_us\":{},\"window_end_us\":{},\"mean_response_time_us\":{},\"completions\":{},\"refused\":{},\"events\":{},\"events_dropped\":{dropped},\"dispatch_count\":{dispatch_count}",
+        escape(&meta.key),
+        F64(meta.x),
         meta.seed,
         meta.window_start.as_micros(),
-        meta.window_end.as_micros()
-    );
-    push_f64(&mut out, meta.mean_response_time_us);
-    let _ = write!(
-        out,
-        ",\"completions\":{},\"refused\":{},\"events\":{},\"events_dropped\":{dropped},\"dispatch_count\":{dispatch_count}",
+        meta.window_end.as_micros(),
+        F64(meta.mean_response_time_us),
         meta.completions,
         meta.refused,
         events.len()
@@ -430,8 +417,7 @@ pub fn metrics_csv(rows: &[MetricRow]) -> String {
     for r in rows {
         let _ = write!(out, "{},{}", r.name, r.kind);
         for v in [r.total, r.window, r.mean, r.max, r.p50, r.p90, r.p99] {
-            out.push(',');
-            push_f64(&mut out, v);
+            let _ = write!(out, ",{}", F64(v));
         }
         out.push('\n');
     }

@@ -1,9 +1,16 @@
-//! A minimal JSON reader (and string escaper) so the inspector can parse
-//! Chrome traces without external dependencies.
+//! A minimal JSON reader plus the two writer primitives ([`escape`],
+//! [`F64`]) every report, trace and bench document in the workspace is
+//! assembled from, so no artifact needs an external dependency.
 //!
 //! Handles the full JSON grammar the exporters emit (objects, arrays,
 //! strings with escapes, numbers, booleans, null) plus `\uXXXX` escapes
-//! with surrogate pairs.  Object keys keep insertion order.
+//! with surrogate pairs.  Object keys keep insertion order.  Input comes
+//! from files a user names (`--compare`, `--baseline`, `gridmon-inspect
+//! FILE`), so every malformed document is an `Err`, never a panic:
+//! nesting deeper than [`MAX_DEPTH`] is rejected before it can exhaust
+//! the stack.
+
+use std::fmt;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,11 +80,32 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// A float as JSON text: shortest round-trip when finite, `null` for
+/// the non-finite values JSON cannot carry.
+pub struct F64(pub f64);
+
+impl fmt::Display for F64 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0.is_finite() {
+            write!(f, "{}", self.0)
+        } else {
+            f.write_str("null")
+        }
+    }
+}
+
+/// Deepest array/object nesting [`parse`] accepts.  The documents this
+/// workspace writes nest four levels; the parser recurses once per
+/// level, so the bound is what keeps a file of `[[[[…` an error
+/// instead of a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document.
 pub fn parse(s: &str) -> Result<Val, String> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -90,6 +118,8 @@ pub fn parse(s: &str) -> Result<Val, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -124,8 +154,8 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<Val, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Val::Str(self.string()?)),
             Some(b't') => self.literal("true", Val::Bool(true)),
             Some(b'f') => self.literal("false", Val::Bool(false)),
@@ -137,6 +167,20 @@ impl Parser<'_> {
                 self.pos
             )),
         }
+    }
+
+    /// Run a container parser one nesting level down.
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Val, String>) -> Result<Val, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Val) -> Result<Val, String> {
@@ -241,6 +285,11 @@ impl Parser<'_> {
                                 self.expect(b'\\')?;
                                 self.expect(b'u')?;
                                 let lo = self.hex4()?;
+                                if !(0xDC00..0xE000).contains(&lo) {
+                                    return Err(format!(
+                                        "high surrogate without a low one at byte {start}"
+                                    ));
+                                }
                                 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
                             } else {
                                 hi
@@ -324,5 +373,87 @@ mod tests {
         assert!(parse("{} x").is_err());
         assert!(parse("[1,").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        // 200 000 open brackets used to recurse until the stack ran out.
+        for open in ["[", "{\"k\":"] {
+            let err = parse(&open.repeat(200_000)).unwrap_err();
+            assert!(err.contains("nesting"), "{err}");
+        }
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        let over = format!("[{at_limit}]");
+        assert!(parse(&over).unwrap_err().contains("nesting"));
+        // The bound is on open containers, not on how many a document holds.
+        let wide = format!("[{}[]]", "[[]],".repeat(10 * MAX_DEPTH));
+        assert!(parse(&wide).is_ok());
+    }
+
+    #[test]
+    fn unpaired_surrogates_are_errors() {
+        // A high surrogate followed by a \u escape that is not a low
+        // surrogate used to underflow `lo - 0xDC00`.
+        assert!(parse(r#""\ud83d\u0041""#)
+            .unwrap_err()
+            .contains("surrogate"));
+        assert!(parse(r#""\ud83d\ue000""#).is_err());
+        assert!(parse(r#""\ud83dx""#).is_err());
+        assert!(parse(r#""\ude80""#).is_err());
+    }
+
+    #[test]
+    fn f64_writes_null_for_non_finite() {
+        assert_eq!(F64(1.5).to_string(), "1.5");
+        assert_eq!(F64(-0.0).to_string(), "-0");
+        assert_eq!(F64(f64::NAN).to_string(), "null");
+        assert_eq!(F64(f64::INFINITY).to_string(), "null");
+    }
+
+    /// Every construct the parser knows, for the mutation property.
+    const SEED_DOC: &str = r#"{"schema": "gridmon-bench-v3", "n": [0, -1.5e-3, 2E+9, true, false, null],
+        "s": "a\"b\\c\/\b\f\n\r\t\u00e9\ud83d\ude80 λ", "o": {"k": [[], {}, [{"d": [1]}]]}}"#;
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Arbitrary bytes (read the way the binaries read a file: as
+        /// text, here lossily) parse or fail, and never panic.
+        #[test]
+        fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
+            let _ = parse(&String::from_utf8_lossy(&bytes));
+        }
+
+        /// A valid document with a few bytes overwritten, inserted or
+        /// removed — mostly by JSON's own punctuation, so the damage
+        /// lands in the grammar — parses or fails, and never panics.
+        #[test]
+        fn mutated_documents_never_panic(
+            edits in proptest::collection::vec((any::<usize>(), 0usize..3, any::<u8>(), any::<bool>()), 1..6),
+        ) {
+            assert!(parse(SEED_DOC).is_ok());
+            let mut bytes = SEED_DOC.as_bytes().to_vec();
+            for (at, op, raw, punct) in edits {
+                let at = at % bytes.len();
+                let b = if punct {
+                    let p = br#"[]{}",:\u-+.eEdD089 "#;
+                    p[raw as usize % p.len()]
+                } else {
+                    raw
+                };
+                match op {
+                    0 => bytes[at] = b,
+                    1 => bytes.insert(at, b),
+                    _ => {
+                        bytes.remove(at);
+                        if bytes.is_empty() {
+                            bytes.push(b);
+                        }
+                    }
+                }
+            }
+            let _ = parse(&String::from_utf8_lossy(&bytes));
+        }
     }
 }

@@ -7,6 +7,7 @@
 
 use gridmon::core::runcfg::{Measurement, RunConfig};
 use gridmon::core::scenario::{catalogue, run_point};
+use gridmon::core::Params;
 use gridmon::simcore::SimDuration;
 
 fn cfg() -> RunConfig {
@@ -18,8 +19,15 @@ fn cfg() -> RunConfig {
 
 /// The built-in series `id` at `x`, under [`cfg`] as given.
 fn point(id: &str, x: u32) -> Measurement {
+    point_with(id, x, |_| {})
+}
+
+/// [`point`] with one calibrated parameter moved — an ablation.
+fn point_with(id: &str, x: u32, ablate: impl FnOnce(&mut Params)) -> Measurement {
     let series = catalogue::find(id).unwrap_or_else(|| panic!("no series {id:?}"));
-    run_point(&(series.spec)(), x, &cfg()).unwrap()
+    let mut cfg = cfg();
+    ablate(&mut cfg.params);
+    run_point(&(series.spec)(), x, &cfg).unwrap()
 }
 
 #[test]
@@ -196,4 +204,122 @@ fn experiment_points_are_deterministic() {
     assert_eq!(a.response_time.to_bits(), b.response_time.to_bits());
     assert_eq!(a.completions, b.completions);
     assert_eq!(a.refused, b.refused);
+}
+
+// The ablations: DESIGN.md names five load-bearing mechanisms; each test
+// below moves one calibrated parameter and asserts the direction and
+// rough factor of what it carries — and, where the mechanism only shows
+// under some load, the point where it does not.
+
+#[test]
+fn gsi_bind_is_the_cached_gris_response_time() {
+    // The flat ~4 s of Fig 6 is session establishment, not the search:
+    // bind anonymously and the cached GRIS answers in a fraction of a
+    // second, and the same 30 users get several times the throughput.
+    let gsi = point("set1/MDS GRIS (cache)", 30);
+    let anonymous = point_with("set1/MDS GRIS (cache)", 30, |p| {
+        p.gris_setup.fixed = SimDuration::ZERO;
+    });
+    assert!(gsi.response_time > 3.0, "{}", gsi.response_time);
+    assert!(anonymous.response_time < 0.5, "{}", anonymous.response_time);
+    assert!(
+        anonymous.throughput > gsi.throughput * 3.0,
+        "gsi {} vs anonymous {}",
+        gsi.throughput,
+        anonymous.throughput
+    );
+}
+
+#[test]
+fn agent_accept_queue_only_decides_who_is_refused() {
+    // The Agent's small accept queue is the admission mechanism: widen
+    // it and the refusals vanish, but the saturated Agent serves no more.
+    let tight = point("set1/Hawkeye Agent", 80);
+    let wide = point_with("set1/Hawkeye Agent", 80, |p| {
+        p.agent_conn_capacity = 128;
+        p.agent_backlog = 128;
+    });
+    assert!(tight.refused > 50, "{}", tight.refused);
+    assert_eq!(wide.refused, 0);
+    assert!(
+        (wide.throughput - tight.throughput).abs() < tight.throughput * 0.01,
+        "tight {} vs wide {}",
+        tight.throughput,
+        wide.throughput
+    );
+}
+
+#[test]
+fn query_tool_cpu_caps_the_fast_directory_server() {
+    // `condor_status` costs the client ~180 ms of CPU per query; that,
+    // not the Manager, is what holds 80 users near 60 queries/s.
+    let real = point("set2/Hawkeye Manager", 80);
+    let free = point_with("set2/Hawkeye Manager", 80, |p| p.condor_client_cpu_us = 0.0);
+    assert!(
+        free.throughput > real.throughput * 1.2,
+        "free client {} vs condor_status {}",
+        free.throughput,
+        real.throughput
+    );
+    assert!(free.response_time < real.response_time / 3.0);
+}
+
+#[test]
+fn wan_capacity_caps_only_servers_with_large_replies() {
+    // The paper's recurring "server-side network" explanation holds where
+    // replies are big — a GIIS returning 100 GRISes' worth of entries —
+    // and not where they are small: the GIIS of set 2 is CPU-bound, and a
+    // 10× wider or narrower pipe moves nothing.
+    let wan = |id: &str, x: u32, mbit: f64| point_with(id, x, |p| p.wan_bps = mbit * 1e6);
+    let [narrow, calibrated, wide] =
+        [10.0, 40.0, 100.0].map(|mbit| wan("set4/MDS GIIS(query all)", 100, mbit));
+    assert!(
+        narrow.throughput < calibrated.throughput && calibrated.throughput < wide.throughput,
+        "10/40/100 Mbit: {} {} {}",
+        narrow.throughput,
+        calibrated.throughput,
+        wide.throughput
+    );
+    assert!(wide.throughput > narrow.throughput * 2.0);
+    assert!(narrow.response_time > wide.response_time * 2.0);
+
+    let small_narrow = wan("set2/MDS GIIS", 60, 10.0);
+    let small_wide = wan("set2/MDS GIIS", 60, 100.0);
+    let rel = (small_wide.throughput - small_narrow.throughput).abs() / small_wide.throughput;
+    assert!(
+        rel < 0.02,
+        "10 Mbit {} vs 100 Mbit {}",
+        small_narrow.throughput,
+        small_wide.throughput
+    );
+}
+
+#[test]
+fn retry_backoff_sets_the_refusal_rate_not_the_throughput() {
+    // How fast refused users hammer back decides how many connections a
+    // saturated server turns away, not how many it serves.  The cap only
+    // bites past the fourth straight refusal (3 s doubling), so it shows
+    // at 600 users; at 80 the 12 s and 60 s caps are the same run.
+    let capped = |x: u32, secs: u64| {
+        point_with("set1/Hawkeye Agent", x, |p| {
+            p.retry_cap = SimDuration::from_secs(secs);
+        })
+    };
+    let [eager, calibrated, patient] = [3, 12, 60].map(|secs| capped(600, secs));
+    for other in [&eager, &patient] {
+        assert!(
+            (other.throughput - calibrated.throughput).abs() < calibrated.throughput * 0.01,
+            "{} vs {}",
+            other.throughput,
+            calibrated.throughput
+        );
+    }
+    assert!(
+        eager.refused > calibrated.refused * 2 && calibrated.refused > patient.refused,
+        "3/12/60 s caps: {} {} {}",
+        eager.refused,
+        calibrated.refused,
+        patient.refused
+    );
+    assert_eq!(capped(80, 12).refused, capped(80, 60).refused);
 }
