@@ -32,16 +32,16 @@
 //!             section it runs under the --faults plan (default
 //!             `auto@0.25:0.6`, where `auto` means the kind the spec
 //!             declares); specs without one always run pristine.
-//! --trace S   after the sweep, re-run every point of the selected sets
-//!             and scenarios whose id (`setN/<series>/x=<x>`,
+//! --trace S   after the sweep, re-run every selected point whose id
+//!             (`setN/<series>/x=<x>`, `ext/<study>/x=<x>`,
 //!             `scenario/<name>/x=<x>`) contains the substring S with
 //!             event tracing on, and write per-point Chrome-trace
 //!             JSON (`DIR/trace/<point>.trace.json`, loadable in
 //!             Perfetto / chrome://tracing and readable by
-//!             `gridmon-inspect`) plus raw JSONL.  Repeatable.
+//!             `gridmon-inspect`).  Repeatable.
 //! --metrics   also snapshot the metrics registry per point and write
 //!             `DIR/trace/<point>.metrics.csv`.  Without --trace this
-//!             covers every point of the selected sets and scenarios.
+//!             covers every selected point.
 //! --perf      profile the harness itself and write `DIR/perf.json`
 //!             (schema gridmon-perf-v1): phase breakdown, per-point
 //!             wall/sim/event records, cache traffic and pool
@@ -50,8 +50,9 @@
 //!             engine counters after each run, so figure CSVs stay
 //!             byte-identical with or without it.
 //! --list      print the catalogue — every figure with its title and
-//!             every `setN/<series>/x=<x>` point key the selected
-//!             targets would run — and exit without running anything.
+//!             every point key (`setN/<series>/x=<x>`,
+//!             `ext/<study>/x=<x>`) the selected targets would run —
+//!             and exit without running anything.
 //!
 //! Everything one invocation selects — sets, scenarios, `ext` — is
 //! submitted to the runner as one job list, so idle workers backfill
@@ -59,7 +60,9 @@
 //!
 //! `ext` runs the future-work extension studies (WAN sweep, hierarchy
 //! vs flat aggregation, aggregate-vs-direct, open-loop arrivals,
-//! composite producer).
+//! composite producer) — catalogue rows like any figure series, at
+//! their own fixed sizes whatever the profile — and writes
+//! `DIR/extensions.txt`.
 //! ```
 //!
 //! For every requested figure this prints the aligned data table and an
@@ -72,14 +75,16 @@
 
 use gbench::{figures_of_set, Profile};
 use gfaults::{FaultSpec, Scenario};
-use gridmon_core::figures::{self, assemble_set, enumerate_set, set_of_figure, PointSpec};
+use gridmon_core::figures::{
+    self, assemble_set, enumerate_extensions, enumerate_set, set_of_figure, PointSpec,
+};
 use gridmon_core::mapping::render_table1;
 use gridmon_core::report::{ascii_chart, csv, text_table};
 use gridmon_core::runcfg::{Measurement, RunConfig};
 use gridmon_core::scenario::{catalogue, point_seed, DEFAULT_FAULTS};
 use gridmon_core::ObsMode;
-use gridmon_runner::{ExtPoint, Job, JobOutput, RunnerConfig};
-use gtrace::{chrome_trace, jsonl, metrics_csv, TraceMeta};
+use gridmon_runner::{Job, JobOutput, RunnerConfig};
+use gtrace::{chrome_trace, metrics_csv, TraceMeta};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -259,7 +264,7 @@ fn main() {
     let mut set_specs: Vec<(u32, Vec<PointSpec>)> = Vec::new();
     for &set in &sets {
         let specs = enumerate_set(set, profile.scale()).unwrap_or_else(|e| die(&e.to_string()));
-        jobs.extend(specs.iter().map(|&p| Job::Figure(p)));
+        jobs.extend(Job::points(&specs));
         set_specs.push((set, specs));
     }
     for (origin, spec) in &scenarios {
@@ -267,9 +272,12 @@ fn main() {
             Job::scenario_sweep(spec, &cfg).unwrap_or_else(|e| die(&format!("{origin}: {e}"))),
         );
     }
-    if want_ext {
-        jobs.extend(extension_jobs());
-    }
+    let ext_points = if want_ext {
+        enumerate_extensions()
+    } else {
+        Vec::new()
+    };
+    jobs.extend(Job::points(&ext_points));
     if let Some(sink) = &perf_sink {
         sink.phases.add("enumerate", t_enumerate.elapsed());
     }
@@ -296,7 +304,7 @@ fn main() {
             cursor
                 .by_ref()
                 .take(n)
-                .map(|o| o.measurement().expect("measurement-kind job"))
+                .map(JobOutput::measurement)
                 .collect()
         };
         for (set, specs) in &set_specs {
@@ -322,24 +330,18 @@ fn main() {
             write_scenario(spec, &measurements(spec.x_values.len()), &out_dir);
         }
         if want_ext {
-            write_extensions(cursor.as_slice(), &out_dir);
+            let results = measurements(ext_points.len());
+            write_extensions(&ext_points, &results, &cfg, &out_dir);
         }
     }
 
     if !trace_substrs.is_empty() || want_metrics {
-        // Extension studies have no spec to compile and so no harvest.
-        let mut observed: Vec<Job> = jobs
-            .into_iter()
-            .filter(|j| !matches!(j, Job::Ext(_)))
-            .collect();
+        let mut observed = jobs;
         if observed.is_empty() {
-            die("--trace/--metrics need at least one set, figure or scenario target");
+            die("--trace/--metrics need at least one set, figure, ext or scenario target");
         }
         if !trace_substrs.is_empty() {
-            observed.retain(|j| {
-                let k = j.key();
-                trace_substrs.iter().any(|t| k.contains(t.as_str()))
-            });
+            observed.retain(|j| trace_substrs.iter().any(|t| j.key().contains(t.as_str())));
             if observed.is_empty() {
                 die("--trace matched no point id; ids look like \"set1/MDS GRIS (cache)/x=10\"");
             }
@@ -360,7 +362,8 @@ fn main() {
 
 /// `--list`: the catalogue of what the selected targets cover — figure
 /// numbers with their titles, then every point key the sweep would run
-/// (`setN/<series>/x=<x>`, the ids `--trace` matches against).
+/// (`setN/<series>/x=<x>`, `ext/<study>/x=<x>`: the ids `--trace`
+/// matches against).
 fn list_catalogue(
     sets: &BTreeSet<u32>,
     only_figs: &BTreeSet<u32>,
@@ -378,6 +381,9 @@ fn list_catalogue(
     }
     if want_ext {
         let _ = writeln!(out, "ext     Future-work extension studies");
+        for point in enumerate_extensions() {
+            let _ = writeln!(out, "  {}", point.key());
+        }
     }
     for &set in sets {
         for fig in figures::figures_of_set(set).unwrap_or_else(|e| die(&e.to_string())) {
@@ -507,9 +513,9 @@ fn run_observability(
 
     for (job, out) in jobs.iter().zip(&outputs) {
         let JobOutput::Observed(op) = out else {
-            unreachable!("points with a spec are observed under cfg.obs")
+            unreachable!("every point is observed under cfg.obs")
         };
-        let key = job.key();
+        let key = job.key().to_string();
         let slug = slug(&key);
         if cfg.obs.trace {
             let meta = TraceMeta {
@@ -530,9 +536,6 @@ fn run_observability(
                 chrome_trace(&meta, &op.report.events, op.report.dropped),
             )
             .expect("write chrome trace");
-            eprintln!("wrote {}", path.display());
-            let path = obs_dir.join(format!("{slug}.jsonl"));
-            std::fs::write(&path, jsonl(&op.report.events)).expect("write jsonl");
             eprintln!("wrote {}", path.display());
         }
         if cfg.obs.metrics {
@@ -577,36 +580,21 @@ fn parse_fig(arg: &str) -> u32 {
     n
 }
 
-const OPEN_LOOP_RATES: [f64; 4] = [5.0, 15.0, 30.0, 60.0];
-const COMPOSITE_SOURCES: [u32; 3] = [2, 5, 10];
-
-/// The extension-study suite: the WAN cases, hierarchy comparison,
-/// aggregate-vs-direct pair, open-loop rates and composite sizes, in the
-/// order [`write_extensions`] reads them back.
-fn extension_jobs() -> Vec<Job> {
-    use gridmon_core::ext::WAN_CASES;
-    let mut points: Vec<ExtPoint> = (0..WAN_CASES.len())
-        .map(|case| ExtPoint::Wan { users: 100, case })
-        .collect();
-    points.extend([
-        ExtPoint::HierFlat { n: 120 },
-        ExtPoint::HierTree {
-            n: 120,
-            branches: 5,
-        },
-        ExtPoint::AggDirect { users: 50 },
-        ExtPoint::AggViaGiis { users: 50 },
-    ]);
-    points.extend(OPEN_LOOP_RATES.map(|rate| ExtPoint::OpenLoop { rate }));
-    points.extend(COMPOSITE_SOURCES.map(|sources| ExtPoint::Composite { sources }));
-    points.into_iter().map(Job::Ext).collect()
-}
-
-/// Render the outputs of [`extension_jobs`] as `DIR/extensions.txt`.
-fn write_extensions(outputs: &[JobOutput], out_dir: &Path) {
-    use gridmon_core::ext::WAN_CASES;
-    let measurement = |o: &JobOutput| o.measurement().expect("measurement-kind job");
-    let mut cursor = outputs.iter();
+/// Render the extension studies' results (parallel to `points`, in
+/// catalogue order) as `DIR/extensions.txt`, one table per study.
+fn write_extensions(
+    points: &[PointSpec],
+    results: &[Measurement],
+    cfg: &RunConfig,
+    out_dir: &Path,
+) {
+    // The rows of one study: those whose label starts with `prefix`.
+    let study = |prefix: &'static str| {
+        points
+            .iter()
+            .zip(results)
+            .filter(move |(p, _)| p.series.label.starts_with(prefix))
+    };
     let mut out = String::new();
 
     out.push_str("Extension 1: directory server (GIIS, 100 users) across WAN qualities\n");
@@ -614,38 +602,37 @@ fn write_extensions(outputs: &[JobOutput], out_dir: &Path) {
         "{:<30} {:>10} {:>12} {:>12} {:>8} {:>8}\n",
         "link", "mbps", "throughput", "resp (s)", "load1", "cpu %"
     ));
-    for _ in 0..WAN_CASES.len() {
-        let JobOutput::Wan(p) = cursor.next().unwrap() else {
-            unreachable!("wan jobs yield wan points")
-        };
+    for (p, m) in study("wan/") {
+        let wan = (p.series.spec)().wan.expect("WAN rows override the link");
         out.push_str(&format!(
-            "{:<30} {:>10.0} {:>12.2} {:>12.3} {:>8.2} {:>8.1}\n",
-            p.label, p.wan_mbps, p.m.throughput, p.m.response_time, p.m.load1, p.m.cpu_load
+            "{:<30} {:>10} {:>12.2} {:>12.3} {:>8.2} {:>8.1}\n",
+            &p.series.label["wan/".len()..],
+            wan.mbps,
+            m.throughput,
+            m.response_time,
+            m.load1,
+            m.cpu_load
         ));
     }
 
-    let flat = measurement(cursor.next().unwrap());
-    let hier = measurement(cursor.next().unwrap());
     out.push_str("\nExtension 2: flat vs hierarchical GIIS aggregation (120 GRIS, 10 users)\n");
     out.push_str(&format!(
         "{:<24} {:>12} {:>12} {:>8} {:>8}\n",
         "architecture", "throughput", "resp (s)", "load1", "cpu %"
     ));
-    for (label, m) in [("flat (1 GIIS)", flat), ("2-level (5 branches)", hier)] {
+    for ((_, m), label) in study("hier-").zip(["flat (1 GIIS)", "2-level (5 branches)"]) {
         out.push_str(&format!(
             "{:<24} {:>12.2} {:>12.3} {:>8.2} {:>8.1}\n",
             label, m.throughput, m.response_time, m.load1, m.cpu_load
         ));
     }
 
-    let direct = measurement(cursor.next().unwrap());
-    let via = measurement(cursor.next().unwrap());
     out.push_str("\nExtension 3: same information, direct GRIS vs via the GIIS (50 users)\n");
     out.push_str(&format!(
         "{:<24} {:>12} {:>12} {:>14}\n",
         "path", "throughput", "resp (s)", "cpu%/query"
     ));
-    for (label, m) in [("direct (GRIS, GSI)", direct), ("aggregate (GIIS)", via)] {
+    for ((_, m), label) in study("agg-").zip(["direct (GRIS, GSI)", "aggregate (GIIS)"]) {
         out.push_str(&format!(
             "{:<24} {:>12.2} {:>12.3} {:>14.3}\n",
             label,
@@ -660,13 +647,15 @@ fn write_extensions(outputs: &[JobOutput], out_dir: &Path) {
         "{:<12} {:>12} {:>12} {:>12}\n",
         "offered/s", "completed/s", "lost/s", "resp (s)"
     ));
-    for _ in OPEN_LOOP_RATES {
-        let JobOutput::OpenLoop(p) = cursor.next().unwrap() else {
-            unreachable!("open-loop jobs yield open-loop points")
-        };
+    // An open-loop source never retries: every refused arrival is lost.
+    let window_s = cfg.window.as_secs_f64();
+    for (_, m) in study("open-loop") {
         out.push_str(&format!(
             "{:<12.1} {:>12.2} {:>12.2} {:>12.3}\n",
-            p.offered_per_sec, p.completed_per_sec, p.lost_per_sec, p.response_time
+            m.x,
+            m.throughput,
+            m.refused as f64 / window_s,
+            m.response_time
         ));
     }
 
@@ -675,11 +664,10 @@ fn write_extensions(outputs: &[JobOutput], out_dir: &Path) {
         "{:<12} {:>12} {:>12} {:>8} {:>8}\n",
         "sources", "throughput", "resp (s)", "load1", "cpu %"
     ));
-    for n in COMPOSITE_SOURCES {
-        let m = measurement(cursor.next().unwrap());
+    for (p, m) in study("composite") {
         out.push_str(&format!(
             "{:<12} {:>12.2} {:>12.3} {:>8.2} {:>8.1}\n",
-            n, m.throughput, m.response_time, m.load1, m.cpu_load
+            p.x, m.throughput, m.response_time, m.load1, m.cpu_load
         ));
     }
 

@@ -301,7 +301,7 @@ pub fn run_matrix(sets: &[u32], seed: u64, quiet: bool) -> Result<Vec<BenchEntry
         if specs.len() > 1 {
             picked.push(specs[specs.len() / 2]);
         }
-        let jobs: Vec<Job> = picked.iter().map(|&s| Job::Figure(s)).collect();
+        let jobs = Job::points(&picked);
 
         // Bracket the run with allocator snapshots (no-ops without
         // `alloc-profile`): `reset_peak` restarts the high-water mark so

@@ -7,10 +7,10 @@ use gfaults::{FaultDriver, FaultPlan};
 use hawkeye::{default_modules, AdvertiserFleet, Agent, Manager};
 use ldapdir::Dn;
 use mds::{default_providers, Giis, Gris};
-use rgma::{ConsumerServlet, ProducerServlet, Registry};
+use rgma::{CompositeProducer, ConsumerServlet, ProducerServlet, Registry};
 use simcore::{Engine, SimDuration, SimTime};
 use simnet::trace::{Ev, Obs, ObsReport};
-use simnet::{ClientKey, Eng, Net, NodeId, StatsHub, SvcKey};
+use simnet::{ClientKey, Eng, Net, NodeId, ServiceConfig, StatsHub, SvcKey};
 use testbed::{Testbed, TestbedConfig};
 
 /// A measurement together with the observability harvest of its run:
@@ -268,10 +268,6 @@ pub fn giis_suffix() -> Dn {
 pub enum DeployError {
     /// A host reference resolved to no testbed node.
     UnknownHost { service: String, host: String },
-    /// A kind landed on a backend that cannot deploy it.
-    WrongBackend { service: String, kind: &'static str },
-    /// A kind that needs an upstream was compiled without one.
-    MissingUpstream { service: String },
     /// An upstream/target reference resolved to a service that exposes
     /// no single key (e.g. a fleet).
     NoServiceKey { service: String },
@@ -284,15 +280,6 @@ impl std::fmt::Display for DeployError {
         match self {
             DeployError::UnknownHost { service, host } => {
                 write!(f, "service {service:?}: no host {host:?} on the testbed")
-            }
-            DeployError::WrongBackend { service, kind } => {
-                write!(
-                    f,
-                    "service {service:?}: kind {kind:?} belongs to another backend"
-                )
-            }
-            DeployError::MissingUpstream { service } => {
-                write!(f, "service {service:?}: needs an upstream service key")
             }
             DeployError::NoServiceKey { service } => {
                 write!(f, "service {service:?} exposes no single service key")
@@ -316,63 +303,6 @@ fn wire_as_mut<'n, T: 'static>(net: &'n mut Net, key: SvcKey, what: &str) -> &'n
     }
 }
 
-/// What a [`Deployment`] produced: the service's own key (when it has
-/// one) and any graft DNs it attached to an aggregate index.
-#[derive(Debug, Clone, Default)]
-pub struct Deployed {
-    pub key: Option<SvcKey>,
-    pub grafts: Vec<Dn>,
-}
-
-impl Deployed {
-    fn key(key: SvcKey) -> Deployed {
-        Deployed {
-            key: Some(key),
-            grafts: Vec::new(),
-        }
-    }
-}
-
-/// One service of a scenario, resolved against a concrete harness: spec
-/// name, declared kind, placement node, the sweep's x value, and —
-/// where the kind needs them — the upstream service key and a pool of
-/// extra nodes (GIIS pools spread child GRISes over `pool_nodes`).
-pub struct ResolvedService<'a> {
-    pub name: &'a str,
-    pub kind: &'a gscenario::ServiceKind,
-    pub node: NodeId,
-    pub x: u32,
-    pub upstream: Option<SvcKey>,
-    pub pool_nodes: Vec<NodeId>,
-}
-
-impl ResolvedService<'_> {
-    fn upstream(&self) -> Result<SvcKey, DeployError> {
-        self.upstream.ok_or_else(|| DeployError::MissingUpstream {
-            service: self.name.to_string(),
-        })
-    }
-
-    fn wrong_backend(&self) -> DeployError {
-        DeployError::WrongBackend {
-            service: self.name.to_string(),
-            kind: self.kind.token(),
-        }
-    }
-}
-
-/// A monitoring system's deployment backend: it knows how to place its
-/// own service kinds on the harness (wiring locks, registrations,
-/// self-keys and kick timers so a freshly deployed service is
-/// immediately addressable).
-pub trait Deployment {
-    /// Which parameter family the backend's services bill against.
-    fn system(&self) -> crate::mapping::System;
-
-    /// Deploy one resolved service.
-    fn deploy(&self, h: &mut Harness, r: &ResolvedService<'_>) -> Result<Deployed, DeployError>;
-}
-
 /// Resolve a TTL spec against the run parameters.
 pub fn resolve_ttl(ttl: gscenario::Ttl, h: &Harness) -> Option<SimDuration> {
     match ttl {
@@ -387,404 +317,248 @@ pub fn resolve_ttl(ttl: gscenario::Ttl, h: &Harness) -> Option<SimDuration> {
 // MDS
 // ======================================================================
 
-/// The Globus MDS backend: GRIS, GIIS (pooled, standalone, federated).
-pub struct MdsBackend;
-
-impl MdsBackend {
-    /// Deploy one GRIS with `providers` information providers on `node`.
-    /// `cache` selects the paper's "always in cache" vs "never in cache"
-    /// configurations; `gsi` enables the GSI-authenticated bind
-    /// (Experiment Set 1's configuration — Set 3's sub-second cached
-    /// responses imply anonymous binds there).
-    pub fn gris(
-        &self,
-        h: &mut Harness,
-        node: NodeId,
-        providers: usize,
-        cache: bool,
-        gsi: bool,
-    ) -> SvcKey {
-        let suffix = gris_suffix(0);
-        let ttl = if cache { None } else { Some(SimDuration::ZERO) };
-        let host = h.net.topo.node(node).name.clone();
-        let gris = Gris::new(
-            suffix.clone(),
-            default_providers(&suffix, &host, providers, ttl),
-        );
-        let mut cfg = h.cfg.params.gris_config();
-        if !gsi {
-            cfg.setup = h.cfg.params.giis_setup;
-        }
-        let exec_lock = h.net.add_lock(1);
-        let key = h.net.add_service(node, cfg, Box::new(gris), &mut h.eng);
-        let g = wire_as_mut::<Gris>(&mut h.net, key, "a GRIS");
-        g.me = Some(key);
-        g.exec_lock = Some(exec_lock);
-        key
+/// Deploy one GRIS with `providers` information providers on `node`.
+/// `cache` selects the paper's "always in cache" vs "never in cache"
+/// configurations; `gsi` enables the GSI-authenticated bind
+/// (Experiment Set 1's configuration — Set 3's sub-second cached
+/// responses imply anonymous binds there).
+pub fn gris(h: &mut Harness, node: NodeId, providers: usize, cache: bool, gsi: bool) -> SvcKey {
+    let suffix = gris_suffix(0);
+    let ttl = if cache { None } else { Some(SimDuration::ZERO) };
+    let host = h.net.topo.node(node).name.clone();
+    let gris = Gris::new(
+        suffix.clone(),
+        default_providers(&suffix, &host, providers, ttl),
+    );
+    let mut cfg = h.cfg.params.gris_config();
+    if !gsi {
+        cfg.setup = h.cfg.params.giis_setup;
     }
+    let exec_lock = h.net.add_lock(1);
+    let key = h.net.add_service(node, cfg, Box::new(gris), &mut h.eng);
+    let g = wire_as_mut::<Gris>(&mut h.net, key, "a GRIS");
+    g.me = Some(key);
+    g.exec_lock = Some(exec_lock);
+    key
+}
 
-    /// Deploy a GIIS on `node` with `n_gris` registered GRISes spread
-    /// over `gris_nodes` (round-robin), each with 10 providers.  Returns
-    /// the GIIS key and the graft DNs of the registered GRISes (for
-    /// "query part").
-    pub fn giis_pool(
-        &self,
-        h: &mut Harness,
-        node: NodeId,
-        gris_nodes: &[NodeId],
-        n_gris: usize,
-        cachettl: Option<SimDuration>,
-    ) -> (SvcKey, Vec<Dn>) {
-        let giis = Giis::new(giis_suffix(), cachettl);
-        let giis_cfg = h.cfg.params.giis_config();
-        let giis_key = h
-            .net
-            .add_service(node, giis_cfg, Box::new(giis), &mut h.eng);
-        let mut grafts = Vec::with_capacity(n_gris);
-        for i in 0..n_gris {
-            let gnode = gris_nodes[i % gris_nodes.len()];
-            let suffix = gris_suffix(i);
-            let host = format!("{}-gris{i}", h.net.topo.node(gnode).name);
-            let mut gris = Gris::new(suffix.clone(), default_providers(&suffix, &host, 10, None));
-            gris.register_with(giis_key);
-            let cfg = h.cfg.params.gris_config();
-            let key = h.net.add_service(gnode, cfg, Box::new(gris), &mut h.eng);
-            wire_as_mut::<Gris>(&mut h.net, key, "a GRIS").me = Some(key);
-            // Stagger the registration heartbeats over the 30 s period.
-            let offset =
-                SimDuration::from_micros(50_000 + (i as u64 * 29_900_000) / n_gris.max(1) as u64);
+/// Deploy a GIIS on `node` with `n_gris` registered GRISes spread
+/// over `gris_nodes` (round-robin), each with 10 providers.  Returns
+/// the GIIS key and the graft DNs of the registered GRISes (for
+/// "query part").
+pub fn giis_pool(
+    h: &mut Harness,
+    node: NodeId,
+    gris_nodes: &[NodeId],
+    n_gris: usize,
+    cachettl: Option<SimDuration>,
+) -> (SvcKey, Vec<Dn>) {
+    let giis = Giis::new(giis_suffix(), cachettl);
+    let giis_cfg = h.cfg.params.giis_config();
+    let giis_key = h
+        .net
+        .add_service(node, giis_cfg, Box::new(giis), &mut h.eng);
+    let mut grafts = Vec::with_capacity(n_gris);
+    for i in 0..n_gris {
+        let gnode = gris_nodes[i % gris_nodes.len()];
+        let suffix = gris_suffix(i);
+        let host = format!("{}-gris{i}", h.net.topo.node(gnode).name);
+        let mut gris = Gris::new(suffix.clone(), default_providers(&suffix, &host, 10, None));
+        gris.register_with(giis_key);
+        let cfg = h.cfg.params.gris_config();
+        let key = h.net.add_service(gnode, cfg, Box::new(gris), &mut h.eng);
+        wire_as_mut::<Gris>(&mut h.net, key, "a GRIS").me = Some(key);
+        // Stagger the registration heartbeats over the 30 s period.
+        let offset =
+            SimDuration::from_micros(50_000 + (i as u64 * 29_900_000) / n_gris.max(1) as u64);
+        h.net.prime_service_timer(&mut h.eng, key, offset, 0);
+        // The graft label is deterministic from the service key.
+        grafts.push(giis_suffix().child("Mds-Vo-name", &format!("sub-{}-{}", key.index, key.gen)));
+    }
+    (giis_key, grafts)
+}
+
+/// Deploy a standalone GIIS on `node`.  With a `parent` it joins a
+/// 2-level hierarchy as branch `branch`: it serves the branch
+/// suffix, registers upward, and staggers its registration
+/// heartbeat by branch index.
+pub fn giis(
+    h: &mut Harness,
+    node: NodeId,
+    cachettl: Option<SimDuration>,
+    parent: Option<SvcKey>,
+    branch: u32,
+) -> SvcKey {
+    match parent {
+        None => {
+            let giis = Giis::new(giis_suffix(), cachettl);
+            let cfg = h.cfg.params.giis_config();
+            h.net.add_service(node, cfg, Box::new(giis), &mut h.eng)
+        }
+        Some(parent) => {
+            let suffix =
+                Dn::parse(&format!("mds-vo-name=branch-{branch}, o=giis")).expect("branch suffix");
+            let mut mid = Giis::new(suffix, cachettl);
+            mid.register_with(parent);
+            let cfg = h.cfg.params.giis_config();
+            let key = h.net.add_service(node, cfg, Box::new(mid), &mut h.eng);
+            wire_as_mut::<Giis>(&mut h.net, key, "a GIIS").me = Some(key);
+            let offset = SimDuration::from_millis(20 + u64::from(branch) * 7);
             h.net.prime_service_timer(&mut h.eng, key, offset, 0);
-            // The graft label is deterministic from the service key.
-            grafts.push(
-                giis_suffix().child("Mds-Vo-name", &format!("sub-{}-{}", key.index, key.gen)),
-            );
+            key
         }
-        (giis_key, grafts)
-    }
-
-    /// Deploy a standalone GIIS on `node`.  With a `parent` it joins a
-    /// 2-level hierarchy as branch `branch`: it serves the branch
-    /// suffix, registers upward, and staggers its registration
-    /// heartbeat by branch index.
-    pub fn giis(
-        &self,
-        h: &mut Harness,
-        node: NodeId,
-        cachettl: Option<SimDuration>,
-        parent: Option<SvcKey>,
-        branch: u32,
-    ) -> SvcKey {
-        match parent {
-            None => {
-                let giis = Giis::new(giis_suffix(), cachettl);
-                let cfg = h.cfg.params.giis_config();
-                h.net.add_service(node, cfg, Box::new(giis), &mut h.eng)
-            }
-            Some(parent) => {
-                let suffix = Dn::parse(&format!("mds-vo-name=branch-{branch}, o=giis"))
-                    .expect("branch suffix");
-                let mut mid = Giis::new(suffix, cachettl);
-                mid.register_with(parent);
-                let cfg = h.cfg.params.giis_config();
-                let key = h.net.add_service(node, cfg, Box::new(mid), &mut h.eng);
-                wire_as_mut::<Giis>(&mut h.net, key, "a GIIS").me = Some(key);
-                let offset = SimDuration::from_millis(20 + u64::from(branch) * 7);
-                h.net.prime_service_timer(&mut h.eng, key, offset, 0);
-                key
-            }
-        }
-    }
-
-    /// Deploy one shard of a federated GRIS population on `node`: of a
-    /// global population of `n` GRISes split into `share.1` contiguous
-    /// shards, deploy shard `share.0`'s slice, every GRIS registered
-    /// with `parent` and carrying `providers` providers.  Heartbeats
-    /// stagger by *global* index so the federation's re-registration
-    /// load spreads exactly like a flat deployment's.
-    pub fn gris_fleet(
-        &self,
-        h: &mut Harness,
-        node: NodeId,
-        parent: SvcKey,
-        providers: usize,
-        share: (u32, u32),
-        n: u32,
-    ) -> Vec<SvcKey> {
-        let (shard, of) = share;
-        let per = n.div_ceil(of.max(1));
-        let start = shard * per;
-        let take = per.min(n.saturating_sub(start));
-        let host = h.net.topo.node(node).name.clone();
-        let mut keys = Vec::with_capacity(take as usize);
-        for j in 0..take {
-            let idx = (start + j) as usize;
-            let suffix = gris_suffix(idx);
-            let label = format!("{host}-gris{idx}");
-            let mut gris = Gris::new(
-                suffix.clone(),
-                default_providers(&suffix, &label, providers, None),
-            );
-            gris.register_with(parent);
-            let cfg = h.cfg.params.gris_config();
-            let key = h.net.add_service(node, cfg, Box::new(gris), &mut h.eng);
-            wire_as_mut::<Gris>(&mut h.net, key, "a GRIS").me = Some(key);
-            let offset =
-                SimDuration::from_micros(60_000 + (idx as u64 * 29_000_000) / u64::from(n.max(1)));
-            h.net.prime_service_timer(&mut h.eng, key, offset, 0);
-            keys.push(key);
-        }
-        keys
     }
 }
 
-impl Deployment for MdsBackend {
-    fn system(&self) -> crate::mapping::System {
-        crate::mapping::System::Mds
+/// Deploy one shard of a federated GRIS population on `node`: of a
+/// global population of `n` GRISes split into `share.1` contiguous
+/// shards, deploy shard `share.0`'s slice, every GRIS registered
+/// with `parent` and carrying `providers` providers.  Heartbeats
+/// stagger by *global* index so the federation's re-registration
+/// load spreads exactly like a flat deployment's.
+pub fn gris_fleet(
+    h: &mut Harness,
+    node: NodeId,
+    parent: SvcKey,
+    providers: usize,
+    share: (u32, u32),
+    n: u32,
+) -> Vec<SvcKey> {
+    let (shard, of) = share;
+    let per = n.div_ceil(of.max(1));
+    let start = shard * per;
+    let take = per.min(n.saturating_sub(start));
+    let host = h.net.topo.node(node).name.clone();
+    let mut keys = Vec::with_capacity(take as usize);
+    for j in 0..take {
+        let idx = (start + j) as usize;
+        let suffix = gris_suffix(idx);
+        let label = format!("{host}-gris{idx}");
+        let mut gris = Gris::new(
+            suffix.clone(),
+            default_providers(&suffix, &label, providers, None),
+        );
+        gris.register_with(parent);
+        let cfg = h.cfg.params.gris_config();
+        let key = h.net.add_service(node, cfg, Box::new(gris), &mut h.eng);
+        wire_as_mut::<Gris>(&mut h.net, key, "a GRIS").me = Some(key);
+        let offset =
+            SimDuration::from_micros(60_000 + (idx as u64 * 29_000_000) / u64::from(n.max(1)));
+        h.net.prime_service_timer(&mut h.eng, key, offset, 0);
+        keys.push(key);
     }
-
-    fn deploy(&self, h: &mut Harness, r: &ResolvedService<'_>) -> Result<Deployed, DeployError> {
-        use gscenario::ServiceKind as K;
-        match r.kind {
-            K::Gris {
-                providers,
-                cache,
-                gsi,
-            } => Ok(Deployed::key(self.gris(
-                h,
-                r.node,
-                providers.eval(r.x) as usize,
-                *cache,
-                *gsi,
-            ))),
-            K::GiisPool {
-                n_gris, cachettl, ..
-            } => {
-                let ttl = resolve_ttl(*cachettl, h);
-                let (key, grafts) =
-                    self.giis_pool(h, r.node, &r.pool_nodes, n_gris.eval(r.x) as usize, ttl);
-                Ok(Deployed {
-                    key: Some(key),
-                    grafts,
-                })
-            }
-            K::Giis {
-                cachettl, branch, ..
-            } => {
-                let ttl = resolve_ttl(*cachettl, h);
-                Ok(Deployed::key(
-                    self.giis(h, r.node, ttl, r.upstream, *branch),
-                ))
-            }
-            K::GrisFleet {
-                providers, share, ..
-            } => {
-                let parent = r.upstream()?;
-                self.gris_fleet(h, r.node, parent, *providers as usize, *share, r.x);
-                // A fleet has no single key; it is addressed through its
-                // parent index (or by name token for fault targeting).
-                Ok(Deployed::default())
-            }
-            _ => Err(r.wrong_backend()),
-        }
-    }
+    keys
 }
 
 // ======================================================================
 // Hawkeye
 // ======================================================================
 
-/// The Hawkeye backend: Manager, Agent, advertiser fleet.
-pub struct HawkeyeBackend;
-
-impl HawkeyeBackend {
-    /// Deploy a Hawkeye Manager on `node`.
-    pub fn manager(&self, h: &mut Harness, node: NodeId) -> SvcKey {
-        let cfg = h.cfg.params.manager_config();
-        h.net
-            .add_service(node, cfg, Box::new(Manager::new()), &mut h.eng)
-    }
-
-    /// Deploy a Hawkeye Agent with `modules` modules on `node`,
-    /// registered to `manager` (advertising every 30 s).
-    pub fn agent(&self, h: &mut Harness, node: NodeId, modules: usize, manager: SvcKey) -> SvcKey {
-        let host = h.net.topo.node(node).name.clone();
-        let mut agent = Agent::new(host.clone(), default_modules(&host, modules));
-        agent.register_with(manager);
-        let cfg = h.cfg.params.agent_config();
-        let key = h.net.add_service(node, cfg, Box::new(agent), &mut h.eng);
-        h.net
-            .prime_service_timer(&mut h.eng, key, SimDuration::from_millis(500), 0);
-        key
-    }
-
-    /// Deploy the `hawkeye_advertise` fleet: `machines` simulated pool
-    /// members on `node`, advertising to `manager` on staggered 30 s
-    /// timers.
-    pub fn advertiser_fleet(
-        &self,
-        h: &mut Harness,
-        node: NodeId,
-        machines: usize,
-        manager: SvcKey,
-    ) -> SvcKey {
-        let fleet = AdvertiserFleet::new(manager, machines, 11);
-        let cfg = simnet::ServiceConfig::default();
-        let key = h.net.add_service(node, cfg, Box::new(fleet), &mut h.eng);
-        for i in 0..machines as u64 {
-            let offset =
-                SimDuration::from_micros(100_000 + i * 30_000_000 / machines.max(1) as u64);
-            h.net.prime_service_timer(&mut h.eng, key, offset, i);
-        }
-        key
-    }
+/// Deploy a Hawkeye Manager on `node`.
+pub fn manager(h: &mut Harness, node: NodeId) -> SvcKey {
+    let cfg = h.cfg.params.manager_config();
+    h.net
+        .add_service(node, cfg, Box::new(Manager::new()), &mut h.eng)
 }
 
-impl Deployment for HawkeyeBackend {
-    fn system(&self) -> crate::mapping::System {
-        crate::mapping::System::Hawkeye
-    }
+/// Deploy a Hawkeye Agent with `modules` modules on `node`,
+/// registered to `manager` (advertising every 30 s).
+pub fn agent(h: &mut Harness, node: NodeId, modules: usize, manager: SvcKey) -> SvcKey {
+    let host = h.net.topo.node(node).name.clone();
+    let mut agent = Agent::new(host.clone(), default_modules(&host, modules));
+    agent.register_with(manager);
+    let cfg = h.cfg.params.agent_config();
+    let key = h.net.add_service(node, cfg, Box::new(agent), &mut h.eng);
+    h.net
+        .prime_service_timer(&mut h.eng, key, SimDuration::from_millis(500), 0);
+    key
+}
 
-    fn deploy(&self, h: &mut Harness, r: &ResolvedService<'_>) -> Result<Deployed, DeployError> {
-        use gscenario::ServiceKind as K;
-        match r.kind {
-            K::Manager => Ok(Deployed::key(self.manager(h, r.node))),
-            K::Agent { modules, .. } => {
-                let mgr = r.upstream()?;
-                Ok(Deployed::key(self.agent(
-                    h,
-                    r.node,
-                    modules.eval(r.x) as usize,
-                    mgr,
-                )))
-            }
-            K::AdvertiserFleet { machines, .. } => {
-                let mgr = r.upstream()?;
-                Ok(Deployed::key(self.advertiser_fleet(
-                    h,
-                    r.node,
-                    machines.eval(r.x) as usize,
-                    mgr,
-                )))
-            }
-            _ => Err(r.wrong_backend()),
-        }
+/// Deploy the `hawkeye_advertise` fleet: `machines` simulated pool
+/// members on `node`, advertising to `manager` on staggered 30 s
+/// timers.
+pub fn advertiser_fleet(h: &mut Harness, node: NodeId, machines: usize, manager: SvcKey) -> SvcKey {
+    let fleet = AdvertiserFleet::new(manager, machines, 11);
+    let cfg = ServiceConfig::default();
+    let key = h.net.add_service(node, cfg, Box::new(fleet), &mut h.eng);
+    for i in 0..machines as u64 {
+        let offset = SimDuration::from_micros(100_000 + i * 30_000_000 / machines.max(1) as u64);
+        h.net.prime_service_timer(&mut h.eng, key, offset, i);
     }
+    key
 }
 
 // ======================================================================
 // R-GMA
 // ======================================================================
 
-/// The R-GMA backend: Registry and the producer/consumer servlets.
-pub struct RgmaBackend;
-
-impl RgmaBackend {
-    /// Deploy the R-GMA Registry on `node` (with its RDBMS lock).
-    pub fn registry(&self, h: &mut Harness, node: NodeId) -> SvcKey {
-        let lock = h.net.add_lock(1);
-        let mut registry = Registry::new();
-        registry.db_lock = Some(lock);
-        let cfg = h.cfg.params.servlet_config();
-        h.net.add_service(node, cfg, Box::new(registry), &mut h.eng)
-    }
-
-    /// Deploy a ProducerServlet with `producers` producers on `node`,
-    /// registering with `registry`.
-    pub fn producer_servlet(
-        &self,
-        h: &mut Harness,
-        node: NodeId,
-        producers: usize,
-        registry: SvcKey,
-    ) -> SvcKey {
-        let lock = h.net.add_lock(1);
-        let site = h.net.topo.node(node).name.clone();
-        let mut ps = ProducerServlet::new(rgma::producer::default_producers(&site, producers));
-        ps.db_lock = Some(lock);
-        ps.register_with(registry);
-        let cfg = h.cfg.params.servlet_config();
-        let key = h.net.add_service(node, cfg, Box::new(ps), &mut h.eng);
-        wire_as_mut::<ProducerServlet>(&mut h.net, key, "a ProducerServlet").me = Some(key);
-        h.net
-            .prime_service_timer(&mut h.eng, key, SimDuration::from_millis(200), 0);
-        key
-    }
-
-    /// Deploy a ConsumerServlet on `node` pointed at `registry`.
-    pub fn consumer_servlet(&self, h: &mut Harness, node: NodeId, registry: SvcKey) -> SvcKey {
-        let cfg = h.cfg.params.servlet_config();
-        h.net.add_service(
-            node,
-            cfg,
-            Box::new(ConsumerServlet::new(registry)),
-            &mut h.eng,
-        )
-    }
+/// Deploy the R-GMA Registry on `node` (with its RDBMS lock).
+pub fn registry(h: &mut Harness, node: NodeId) -> SvcKey {
+    let lock = h.net.add_lock(1);
+    let mut registry = Registry::new();
+    registry.db_lock = Some(lock);
+    let cfg = h.cfg.params.servlet_config();
+    h.net.add_service(node, cfg, Box::new(registry), &mut h.eng)
 }
 
-impl Deployment for RgmaBackend {
-    fn system(&self) -> crate::mapping::System {
-        crate::mapping::System::Rgma
-    }
-
-    fn deploy(&self, h: &mut Harness, r: &ResolvedService<'_>) -> Result<Deployed, DeployError> {
-        use gscenario::ServiceKind as K;
-        match r.kind {
-            K::Registry => Ok(Deployed::key(self.registry(h, r.node))),
-            K::ProducerServlet { producers, .. } => {
-                let reg = r.upstream()?;
-                Ok(Deployed::key(self.producer_servlet(
-                    h,
-                    r.node,
-                    producers.eval(r.x) as usize,
-                    reg,
-                )))
-            }
-            K::ConsumerServlet { .. } => {
-                let reg = r.upstream()?;
-                Ok(Deployed::key(self.consumer_servlet(h, r.node, reg)))
-            }
-            _ => Err(r.wrong_backend()),
-        }
-    }
+/// Deploy a ProducerServlet with `producers` producers on `node`,
+/// registering with `registry`.
+pub fn producer_servlet(
+    h: &mut Harness,
+    node: NodeId,
+    producers: usize,
+    registry: SvcKey,
+) -> SvcKey {
+    let lock = h.net.add_lock(1);
+    let site = h.net.topo.node(node).name.clone();
+    let mut ps = ProducerServlet::new(rgma::producer::default_producers(&site, producers));
+    ps.db_lock = Some(lock);
+    ps.register_with(registry);
+    let cfg = h.cfg.params.servlet_config();
+    let key = h.net.add_service(node, cfg, Box::new(ps), &mut h.eng);
+    wire_as_mut::<ProducerServlet>(&mut h.net, key, "a ProducerServlet").me = Some(key);
+    h.net
+        .prime_service_timer(&mut h.eng, key, SimDuration::from_millis(200), 0);
+    key
 }
 
-// ======================================================================
-// Ganglia
-// ======================================================================
-
-/// The Ganglia backend: the passive monitor the figures' load1/CPU
-/// columns come from.  The scenario compiler synthesizes its one
-/// service kind from the spec's top-level `watch` field.
-pub struct GangliaBackend;
-
-impl Deployment for GangliaBackend {
-    fn system(&self) -> crate::mapping::System {
-        // Ganglia is the measurement substrate, not a system under
-        // test; bill it with the host-side MDS family.
-        crate::mapping::System::Mds
-    }
-
-    fn deploy(&self, h: &mut Harness, r: &ResolvedService<'_>) -> Result<Deployed, DeployError> {
-        match r.kind {
-            gscenario::ServiceKind::Monitor => {
-                h.watch(r.node);
-                Ok(Deployed::default())
-            }
-            _ => Err(r.wrong_backend()),
-        }
-    }
+/// Deploy a ConsumerServlet on `node` pointed at `registry`.
+pub fn consumer_servlet(h: &mut Harness, node: NodeId, registry: SvcKey) -> SvcKey {
+    let cfg = h.cfg.params.servlet_config();
+    h.net.add_service(
+        node,
+        cfg,
+        Box::new(ConsumerServlet::new(registry)),
+        &mut h.eng,
+    )
 }
 
-/// The backend responsible for a service kind.
-pub fn backend_of(kind: &gscenario::ServiceKind) -> &'static dyn Deployment {
-    use gscenario::ServiceKind as K;
-    match kind {
-        K::Gris { .. } | K::GiisPool { .. } | K::Giis { .. } | K::GrisFleet { .. } => &MdsBackend,
-        K::Manager | K::Agent { .. } | K::AdvertiserFleet { .. } => &HawkeyeBackend,
-        K::Registry | K::ProducerServlet { .. } | K::ConsumerServlet { .. } => &RgmaBackend,
-        K::Monitor => &GangliaBackend,
-    }
+/// Deploy the R-GMA composite Consumer/Producer on `node` with its
+/// sources: `n_sites` site ProducerServlets (10 producers each) spread
+/// round-robin over `site_nodes` and registered with `registry`, all
+/// publishing `cpuload`, re-pulled by the composite every 30 s.
+pub fn composite_pool(
+    h: &mut Harness,
+    node: NodeId,
+    site_nodes: &[NodeId],
+    n_sites: usize,
+    registry: SvcKey,
+) -> SvcKey {
+    let sites: Vec<SvcKey> = (0..n_sites)
+        .map(|i| producer_servlet(h, site_nodes[i % site_nodes.len()], 10, registry))
+        .collect();
+    let cfg = ServiceConfig {
+        workers: Some(h.cfg.params.servlet_workers),
+        ..h.cfg.params.servlet_config()
+    };
+    let composite = CompositeProducer::new("cpuload", sites, SimDuration::from_secs(30));
+    let key = h
+        .net
+        .add_service(node, cfg, Box::new(composite), &mut h.eng);
+    wire_as_mut::<CompositeProducer>(&mut h.net, key, "a CompositeProducer").me = Some(key);
+    h.net
+        .prime_service_timer(&mut h.eng, key, SimDuration::from_secs(5), 0);
+    key
 }
 
 #[cfg(test)]
@@ -814,15 +588,15 @@ mod tests {
         let l4 = h.lucky("lucky4");
         let l7 = h.lucky("lucky7");
         let l0 = h.lucky("lucky0");
-        let gris = MdsBackend.gris(&mut h, l7, 10, true, true);
-        let (giis, grafts) = MdsBackend.giis_pool(&mut h, l0, &[l3, l4], 4, None);
-        let mgr = HawkeyeBackend.manager(&mut h, l3);
-        let agent = HawkeyeBackend.agent(&mut h, l4, 11, mgr);
+        let gris = gris(&mut h, l7, 10, true, true);
+        let (giis, grafts) = giis_pool(&mut h, l0, &[l3, l4], 4, None);
+        let mgr = manager(&mut h, l3);
+        let agent = agent(&mut h, l4, 11, mgr);
         let l1 = h.lucky("lucky1");
         let l5 = h.lucky("lucky5");
-        let reg = RgmaBackend.registry(&mut h, l1);
-        let ps = RgmaBackend.producer_servlet(&mut h, l3, 10, reg);
-        let cs = RgmaBackend.consumer_servlet(&mut h, l5, reg);
+        let reg = registry(&mut h, l1);
+        let ps = producer_servlet(&mut h, l3, 10, reg);
+        let cs = consumer_servlet(&mut h, l5, reg);
         assert_eq!(grafts.len(), 4);
         for k in [gris, giis, mgr, agent, reg, ps, cs] {
             assert!(h.net.service(k).is_some());
@@ -840,8 +614,8 @@ mod tests {
         assert_eq!(registry.producer_count(), 10);
     }
 
-    /// Satellite: self-key wiring is the backend's job, not the
-    /// scenario author's.  A freshly deployed service must already know
+    /// Self-key wiring is the deployer's job, not the scenario
+    /// author's.  A freshly deployed service must already know
     /// its own key (be "addressable") before the engine ever runs.
     #[test]
     fn deployed_services_are_immediately_addressable() {
@@ -852,10 +626,10 @@ mod tests {
         let l3 = h.lucky("lucky3");
         let l4 = h.lucky("lucky4");
 
-        let gris = MdsBackend.gris(&mut h, l7, 10, true, true);
+        let gris = gris(&mut h, l7, 10, true, true);
         assert_eq!(h.net.service_as::<Gris>(gris).unwrap().me, Some(gris));
 
-        let (giis, _) = MdsBackend.giis_pool(&mut h, l0, &[l3, l4], 3, None);
+        let (giis, _) = giis_pool(&mut h, l0, &[l3, l4], 3, None);
         let pooled: Vec<SvcKey> = h
             .net
             .services
@@ -868,11 +642,11 @@ mod tests {
             assert_eq!(h.net.service_as::<Gris>(k).unwrap().me, Some(k));
         }
 
-        let mid = MdsBackend.giis(&mut h, l4, None, Some(giis), 1);
+        let mid = super::giis(&mut h, l4, None, Some(giis), 1);
         assert_eq!(h.net.service_as::<Giis>(mid).unwrap().me, Some(mid));
 
-        let reg = RgmaBackend.registry(&mut h, l1);
-        let ps = RgmaBackend.producer_servlet(&mut h, l3, 5, reg);
+        let reg = registry(&mut h, l1);
+        let ps = producer_servlet(&mut h, l3, 5, reg);
         assert_eq!(
             h.net.service_as::<ProducerServlet>(ps).unwrap().me,
             Some(ps)

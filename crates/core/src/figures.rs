@@ -130,7 +130,7 @@ fn set_title(set: u32, pos: usize) -> String {
 // ======================================================================
 
 /// A self-contained unit of sweep work: one `(series, x)` point of the
-/// built-in [`catalogue`].
+/// built-in [`catalogue`] — a figure point or an extension-study point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PointSpec {
     pub series: &'static Series,
@@ -176,6 +176,18 @@ pub fn enumerate_set(set: u32, scale: f64) -> Result<Vec<PointSpec>, FigureError
         return Err(FigureError::UnknownSet(set));
     }
     Ok(specs)
+}
+
+/// Every point of the extension studies, in [`catalogue::EXTENSIONS`]
+/// order, at each row's own x values.
+pub fn enumerate_extensions() -> Vec<PointSpec> {
+    catalogue::EXTENSIONS
+        .iter()
+        .flat_map(|series| {
+            let xs = (series.spec)().x_values;
+            xs.into_iter().map(move |x| PointSpec { series, x })
+        })
+        .collect()
 }
 
 /// Group per-point results (parallel to `specs`) back into a
@@ -357,6 +369,11 @@ mod tests {
         let series = catalogue::find("set1/MDS GRIS (cache)").unwrap();
         let p = PointSpec { series, x: 50 };
         assert_eq!(p.key(), "set1/MDS GRIS (cache)/x=50");
+        let ext: Vec<String> = enumerate_extensions().iter().map(PointSpec::key).collect();
+        assert_eq!(ext.len(), 15);
+        assert_eq!(ext[0], "ext/wan/lan-100mbit-0.1ms/x=100");
+        assert_eq!(ext[5], "ext/hier-tree/x=120");
+        assert_eq!(ext[14], "ext/composite/x=10");
     }
 
     #[test]

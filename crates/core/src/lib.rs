@@ -18,10 +18,10 @@
 //!   four reported metrics: throughput, response time, host `load1` and
 //!   host CPU load.  [`scenario::catalogue`] is the table of built-in
 //!   series: the paper's experiment sets 1–4 (sections 3.3–3.6), the
-//!   resilience set 5 and the federation set 6.
+//!   resilience set 5, the federation set 6 and the paper's future-work
+//!   studies (the same experiments under a changed deployment).
 //! * [`figures`] — sweeps that regenerate every figure (5–28) as named
 //!   data series.
-//! * [`ext`] — the paper's future-work studies, one function per point.
 //! * [`report`] — aligned text tables, CSV output and quick ASCII plots.
 //!
 //! ```no_run
@@ -36,7 +36,6 @@
 #![forbid(unsafe_code)]
 
 pub mod deploy;
-pub mod ext;
 pub mod figures;
 pub mod mapping;
 pub mod params;

@@ -6,17 +6,20 @@
 //! the Ganglia monitor, then the workload, then the fault schedule and
 //! resilience probe.  [`run_point`] is the one way any point runs,
 //! whether its spec was authored in TOML or comes from [`catalogue`],
-//! the table holding the five paper sets (plus the federation Set 6).
+//! the tables holding the paper's sets, the resilience Set 5, the
+//! federation Set 6 and the Section-4 extension studies.
 //!
 //! Determinism contract: identical `(spec, x, cfg)` ⇒ identical
 //! trajectory.  Deployment order is spec file order; the t=0 start order
 //! and every RNG stream follow from it.
 
-use crate::deploy::{backend_of, giis_suffix, gris_suffix, DeployError, Harness};
+use crate::deploy::{self, giis_suffix, gris_suffix, resolve_ttl, DeployError, Harness};
 use crate::runcfg::{Measurement, RunConfig};
 use crate::stablehash::{fnv1a64, mix64};
 use gfaults::{FaultAction, FaultPlan, FaultSpec, Scenario, PARTITION_BPS};
-use gscenario::{ClientCpu, FaultKind, Placement, ProbeSpec, Query, ScenarioSpec, ServiceKind};
+use gscenario::{
+    Arrivals, ClientCpu, FaultKind, Placement, ProbeSpec, Query, ScenarioSpec, ServiceKind,
+};
 use hawkeye::{HawkeyeMsg, Manager};
 use ldapdir::{Filter, Scope};
 use mds::{Giis, MdsRequest};
@@ -75,69 +78,142 @@ impl World<'_> {
             })
     }
 
-    /// The single service key a reference resolves to.
-    fn key_of(&self, name: &str) -> Result<SvcKey, DeployError> {
+    fn nodes_of(
+        &self,
+        h: &Harness,
+        at: &str,
+        hosts: &[String],
+    ) -> Result<Vec<NodeId>, DeployError> {
+        hosts.iter().map(|hst| self.node_of(h, at, hst)).collect()
+    }
+
+    /// The node and single service key a reference resolves to.
+    fn placed_of(&self, name: &str) -> Result<(NodeId, SvcKey), DeployError> {
         self.placed
             .iter()
             .find(|p| p.name == name)
-            .and_then(|p| p.key)
+            .and_then(|p| Some((p.node, p.key?)))
             .ok_or_else(|| DeployError::NoServiceKey {
                 service: name.to_string(),
             })
     }
 
-    fn placed_of(&self, name: &str) -> Result<&Placed, DeployError> {
-        self.placed
-            .iter()
-            .find(|p| p.name == name)
-            .ok_or_else(|| DeployError::NoServiceKey {
-                service: name.to_string(),
-            })
+    fn key_of(&self, name: &str) -> Result<SvcKey, DeployError> {
+        Ok(self.placed_of(name)?.1)
     }
 }
 
 /// Compile `spec` at sweep value `x` into a ready-to-run [`Harness`].
 ///
 /// Phase order (semantic — it fixes the run's trajectory):
-/// 1. services, in spec file order, each through its backend;
+/// 1. services, in spec file order, each by its `deploy::*` function;
 /// 2. the Ganglia monitor on the `watch` host;
-/// 3. the closed-loop workload;
+/// 3. the workload (closed-loop users or open-loop sources);
 /// 4. the fault schedule and resilience probe.
 pub fn compile(spec: &ScenarioSpec, x: u32, cfg: &RunConfig) -> Result<Harness, DeployError> {
-    let mut h = Harness::new(*cfg);
+    let mut cfg = *cfg;
+    if let Some(wan) = spec.wan {
+        cfg.params.wan_bps = f64::from(wan.mbps) * 1e6;
+        cfg.params.wan_latency = SimDuration::from_millis(u64::from(wan.latency_ms));
+    }
+    let mut h = Harness::new(cfg);
     let mut w = World {
         spec,
         x,
         placed: Vec::with_capacity(spec.services.len()),
     };
 
-    // Phase 1: services, in file order.
+    // Phase 1: services, in file order.  Upstream references resolve to
+    // services placed earlier (`validate` guarantees the order).
+    let count = |c: gscenario::Count| c.eval(x) as usize;
     for (name, svc) in &spec.services {
+        use ServiceKind as K;
         let node = w.node_of(&h, name, &svc.host)?;
-        let upstream = match svc.kind.upstream_ref() {
-            None => None,
-            Some(up) => Some(w.key_of(up)?),
+        let key = match &svc.kind {
+            K::Gris {
+                providers,
+                cache,
+                gsi,
+            } => Some(deploy::gris(&mut h, node, count(*providers), *cache, *gsi)),
+            K::GiisPool {
+                gris_hosts,
+                n_gris,
+                cachettl,
+            } => {
+                let nodes = w.nodes_of(&h, name, gris_hosts)?;
+                let ttl = resolve_ttl(*cachettl, &h);
+                Some(deploy::giis_pool(&mut h, node, &nodes, count(*n_gris), ttl).0)
+            }
+            K::Giis {
+                cachettl,
+                parent,
+                branch,
+            } => {
+                let parent = parent.as_deref().map(|p| w.key_of(p)).transpose()?;
+                let ttl = resolve_ttl(*cachettl, &h);
+                Some(deploy::giis(&mut h, node, ttl, parent, *branch))
+            }
+            K::GrisFleet {
+                parent,
+                providers,
+                share,
+            } => {
+                let parent = w.key_of(parent)?;
+                deploy::gris_fleet(&mut h, node, parent, *providers as usize, *share, x);
+                // A fleet has no single key; it is addressed through its
+                // parent index (or by name token for fault targeting).
+                None
+            }
+            K::Manager => Some(deploy::manager(&mut h, node)),
+            K::Agent { modules, manager } => {
+                let mgr = w.key_of(manager)?;
+                Some(deploy::agent(&mut h, node, count(*modules), mgr))
+            }
+            K::AdvertiserFleet { machines, manager } => {
+                let mgr = w.key_of(manager)?;
+                Some(deploy::advertiser_fleet(
+                    &mut h,
+                    node,
+                    count(*machines),
+                    mgr,
+                ))
+            }
+            K::Registry => Some(deploy::registry(&mut h, node)),
+            K::ProducerServlet {
+                producers,
+                registry,
+            } => {
+                let reg = w.key_of(registry)?;
+                Some(deploy::producer_servlet(
+                    &mut h,
+                    node,
+                    count(*producers),
+                    reg,
+                ))
+            }
+            K::ConsumerServlet { registry } => {
+                Some(deploy::consumer_servlet(&mut h, node, w.key_of(registry)?))
+            }
+            K::CompositePool {
+                site_hosts,
+                n_sites,
+                registry,
+            } => {
+                let sites = w.nodes_of(&h, name, site_hosts)?;
+                let reg = w.key_of(registry)?;
+                Some(deploy::composite_pool(
+                    &mut h,
+                    node,
+                    &sites,
+                    count(*n_sites),
+                    reg,
+                ))
+            }
         };
-        let pool_nodes = match &svc.kind {
-            ServiceKind::GiisPool { gris_hosts, .. } => gris_hosts
-                .iter()
-                .map(|hst| w.node_of(&h, name, hst))
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => Vec::new(),
-        };
-        let r = crate::deploy::ResolvedService {
-            name,
-            kind: &svc.kind,
-            node,
-            x,
-            upstream,
-            pool_nodes,
-        };
-        let d = backend_of(&svc.kind).deploy(&mut h, &r)?;
         w.placed.push(Placed {
             name: name.clone(),
             node,
-            key: d.key,
+            key,
         });
     }
 
@@ -216,46 +292,38 @@ fn user_config(h: &Harness, w: &World<'_>) -> UserConfig {
 }
 
 fn spawn_workload(h: &mut Harness, w: &World<'_>) -> Result<(), DeployError> {
-    let users = w.spec.workload.users.eval(w.x) as usize;
-    let ucfg = user_config(h, w);
-    let factory = factory_for(w);
-    match &w.spec.workload.placement {
-        Placement::PerService(names) => {
-            // User i sits beside — and queries — service names[i % len].
-            let pairs: Vec<(NodeId, SvcKey)> = names
-                .iter()
-                .map(|n| {
-                    let p = w.placed_of(n)?;
-                    let key = p
-                        .key
-                        .ok_or_else(|| DeployError::NoServiceKey { service: n.clone() })?;
-                    Ok((p.node, key))
-                })
-                .collect::<Result<_, DeployError>>()?;
-            let placement: Vec<(NodeId, SvcKey)> =
-                (0..users).map(|i| pairs[i % pairs.len()]).collect();
-            workload::spawn_users_to(&mut h.net, &mut h.eng, &placement, &ucfg, factory);
-        }
+    let wl = &w.spec.workload;
+    // Where a user (or open-loop source) may sit, and what it queries there.
+    let seats: Vec<(NodeId, SvcKey)> = match &wl.placement {
+        // User i sits beside — and queries — service names[i % len].
+        Placement::PerService(names) => names
+            .iter()
+            .map(|n| w.placed_of(n))
+            .collect::<Result<_, _>>()?,
         placement => {
-            let target_name =
-                w.spec
-                    .workload
-                    .target
-                    .as_deref()
-                    .ok_or_else(|| DeployError::Probe {
-                        msg: "workload has no target service".to_string(),
-                    })?;
+            let target_name = wl.target.as_deref().ok_or_else(|| DeployError::Probe {
+                msg: "workload has no target service".to_string(),
+            })?;
             let target = w.key_of(target_name)?;
-            let nodes: Vec<NodeId> = match placement {
+            let nodes = match placement {
                 Placement::Uc => h.uc.clone(),
-                Placement::Hosts(hosts) => hosts
-                    .iter()
-                    .map(|hst| w.node_of(h, "[workload]", hst))
-                    .collect::<Result<_, _>>()?,
+                Placement::Hosts(hosts) => w.nodes_of(h, "[workload]", hosts)?,
                 Placement::PerService(_) => unreachable!("handled above"),
             };
-            let placement: Vec<NodeId> = (0..users).map(|i| nodes[i % nodes.len()]).collect();
-            workload::spawn_users(&mut h.net, &mut h.eng, &placement, target, &ucfg, factory);
+            nodes.into_iter().map(|n| (n, target)).collect()
+        }
+    };
+    let n = wl.users.eval(w.x) as usize;
+    let placement: Vec<(NodeId, SvcKey)> = (0..n).map(|i| seats[i % seats.len()]).collect();
+    let factory = factory_for(w);
+    match wl.arrivals {
+        Arrivals::Closed => {
+            let ucfg = user_config(h, w);
+            workload::spawn_users_to(&mut h.net, &mut h.eng, &placement, &ucfg, factory);
+        }
+        Arrivals::Poisson { rate } => {
+            let rate = f64::from(rate.eval(w.x));
+            workload::spawn_open_loop(&mut h.net, &mut h.eng, &placement, rate, "user", factory);
         }
     }
     Ok(())
@@ -339,6 +407,9 @@ fn factory_for(w: &World<'_>) -> Box<dyn FnMut() -> QueryFactory> {
             })
         }
         Query::RgmaConsumerQuery => rgma(|| RgmaMsg::ConsumerQuery {
+            sql: "SELECT * FROM cpuload".into(),
+        }),
+        Query::RgmaProducerQuery => rgma(|| RgmaMsg::ProducerQuery {
             sql: "SELECT * FROM cpuload".into(),
         }),
         Query::RgmaProducerQueryAll => rgma(|| RgmaMsg::ProducerQuery {
@@ -584,7 +655,7 @@ fn declared_ttl(w: &World<'_>, h: &Harness, name: &str) -> Result<SimDuration, D
         })?;
     let ttl = match kind {
         ServiceKind::GiisPool { cachettl, .. } | ServiceKind::Giis { cachettl, .. } => {
-            crate::deploy::resolve_ttl(*cachettl, h)
+            resolve_ttl(*cachettl, h)
         }
         _ => None,
     };
@@ -679,20 +750,25 @@ fn install_resilience(h: &mut Harness, w: &World<'_>) -> Result<(), DeployError>
 // The built-in catalogue
 // ======================================================================
 
-/// The five paper experiment sets — plus the federated Set 6 — as one
-/// table of [`ScenarioSpec`] builders.  A series' row is the only place
-/// its set, legend label and topology are written; the spec's canonical
-/// text (and hence fingerprint) is part of the result cache's address.
+/// The five paper experiment sets, the federated Set 6 ([`SERIES`]) and
+/// the Section-4 extension studies ([`EXTENSIONS`]) as tables of
+/// [`ScenarioSpec`] builders.  A series' row is the only place its set,
+/// legend label and topology are written; the spec's canonical text (and
+/// hence fingerprint) is part of the result cache's address.
+///
+/// [`SERIES`]: catalogue::SERIES
+/// [`EXTENSIONS`]: catalogue::EXTENSIONS
 pub mod catalogue {
     use gscenario::{
-        ClientCpu, Count, FaultKind, FaultPolicy, Placement, ProbeSpec, Query, ScenarioSpec,
-        ServiceKind, ServiceSpec, SystemId, Ttl, WorkloadSpec,
+        Arrivals, ClientCpu, Count, FaultKind, FaultPolicy, Placement, ProbeSpec, Query,
+        ScenarioSpec, ServiceKind, ServiceSpec, SystemId, Ttl, WanLink, WorkloadSpec,
     };
 
-    /// One built-in figure series.
+    /// One built-in series: a figure series, or an extension study.
     #[derive(Debug)]
     pub struct Series {
-        /// The experiment set (1–6) whose figures plot this series.
+        /// The experiment set (1–6) whose figures plot this series;
+        /// [`EXT`] for an extension study, which plots none.
         pub set: u32,
         /// The figure legend label (stable: part of every point key, so
         /// of seed derivation and the cache address).
@@ -702,15 +778,21 @@ pub mod catalogue {
         pub spec: fn() -> ScenarioSpec,
     }
 
+    /// The `set` of the extension studies' rows.
+    pub const EXT: u32 = 0;
+
     impl Series {
-        /// `setN/<label>` — the id `figures --list` prints and
-        /// [`find`] resolves.
+        /// `setN/<label>`, or `ext/<label>` for an extension study —
+        /// the id `figures --list` prints and [`find`] resolves.
         pub fn id(&self) -> String {
-            format!("set{}/{}", self.set, self.label)
+            match self.set {
+                EXT => format!("ext/{}", self.label),
+                n => format!("set{n}/{}", self.label),
+            }
         }
     }
 
-    /// A series is its row: `(set, label)` is unique in [`SERIES`].
+    /// A series is its row: `(set, label)` is unique across both tables.
     impl PartialEq for Series {
         fn eq(&self, other: &Series) -> bool {
             (self.set, self.label) == (other.set, other.label)
@@ -719,7 +801,7 @@ pub mod catalogue {
 
     impl Eq for Series {}
 
-    /// Every built-in series, set-major in paper order.
+    /// Every figure series, set-major in paper order.
     pub static SERIES: [Series; 22] = [
         // Set 1 (Figs 5–8) — information server scalability with users.
         Series {
@@ -844,9 +926,76 @@ pub mod catalogue {
         },
     ];
 
-    /// The series with this `setN/<label>` id.
+    /// The extension studies — the paper's Section 4 follow-ups, each the
+    /// same experiment under a changed deployment.  A row sweeps its own
+    /// spec's `x` values, at every profile (the studies are defined at
+    /// these sizes), in the order `results/extensions.txt` tabulates them.
+    pub static EXTENSIONS: [Series; 10] = [
+        // 1. "Repeated … in a WAN environment": Set 2's directory server
+        //    at 100 users, from campus LAN to a transatlantic-grade path.
+        Series {
+            set: EXT,
+            label: "wan/lan-100mbit-0.1ms",
+            spec: || ext_wan("ext-wan-100mbit", 100, 1),
+        },
+        Series {
+            set: EXT,
+            label: "wan/metro-40mbit-5ms",
+            spec: || ext_wan("ext-wan-40mbit", 40, 5),
+        },
+        Series {
+            set: EXT,
+            label: "wan/wan-10mbit-25ms",
+            spec: || ext_wan("ext-wan-10mbit", 10, 25),
+        },
+        Series {
+            set: EXT,
+            label: "wan/intercontinental-4mbit-80ms",
+            spec: || ext_wan("ext-wan-4mbit", 4, 80),
+        },
+        // 2. "A multi-layer architecture …": 120 GRISes flat under one
+        //    GIIS (Set 4's world) vs over five mid-level GIISes (Set 6's).
+        Series {
+            set: EXT,
+            label: "hier-flat",
+            spec: || at("ext-hier-flat", &[120], set4_giis(true)),
+        },
+        Series {
+            set: EXT,
+            label: "hier-tree",
+            spec: || at("ext-hier-tree", &[120], set6_federated(5)),
+        },
+        // 3. "… querying an aggregate information server and an
+        //    information server for the same piece of information": 50
+        //    users at the owning GRIS (Set 1) vs through the GIIS (Set 2).
+        Series {
+            set: EXT,
+            label: "agg-direct",
+            spec: || at("ext-agg-direct", &[50], set1_gris(true)),
+        },
+        Series {
+            set: EXT,
+            label: "agg-giis",
+            spec: || at("ext-agg-giis", &[50], set2_giis()),
+        },
+        // 4. "Additional patterns of user access": x Poisson arrivals/s.
+        Series {
+            set: EXT,
+            label: "open-loop",
+            spec: ext_open_loop,
+        },
+        // 5. The composite Consumer/Producer the paper describes (and
+        //    R-GMA never shipped) over x site servlets.
+        Series {
+            set: EXT,
+            label: "composite",
+            spec: ext_composite,
+        },
+    ];
+
+    /// The row with this `setN/<label>` or `ext/<label>` id.
     pub fn find(id: &str) -> Option<&'static Series> {
-        SERIES.iter().find(|s| s.id() == id)
+        SERIES.iter().chain(&EXTENSIONS).find(|s| s.id() == id)
     }
 
     /// The series of one experiment set, in paper order (none for an
@@ -902,6 +1051,7 @@ pub mod catalogue {
             query,
             cpu,
             timeout_s: None,
+            arrivals: Arrivals::Closed,
         }
     }
 
@@ -917,6 +1067,7 @@ pub mod catalogue {
             name: name.to_string(),
             system,
             x_values: x_values.to_vec(),
+            wan: None,
             services,
             watch: watch.to_string(),
             workload,
@@ -1390,7 +1541,7 @@ pub mod catalogue {
         )
     }
 
-    /// 2-level federation: x GRISes sharded over `branches` (3 or 6)
+    /// 2-level federation: x GRISes sharded over `branches` (at most 6)
     /// mid-level GIISes under a top index.
     fn set6_federated(branches: u32) -> ScenarioSpec {
         let hosts = ["lucky1", "lucky3", "lucky4", "lucky5", "lucky6", "lucky7"];
@@ -1433,6 +1584,61 @@ pub mod catalogue {
             ten_users("top", Query::MdsSearchAllGiis, ClientCpu::Mds),
         )
     }
+
+    /// A built-in spec re-run as the extension study `name` at `xs`.
+    fn at(name: &str, xs: &[u32], mut spec: ScenarioSpec) -> ScenarioSpec {
+        spec.name = name.to_string();
+        spec.x_values = xs.to_vec();
+        spec
+    }
+
+    /// Set 2's GIIS at 100 users behind a WAN of `mbps` / `latency_ms`.
+    fn ext_wan(name: &str, mbps: u32, latency_ms: u32) -> ScenarioSpec {
+        let mut s = at(name, &[100], set2_giis());
+        s.wan = Some(WanLink { mbps, latency_ms });
+        s
+    }
+
+    /// Set 1's ProducerServlet driven by ten open-loop sources at UC
+    /// offering x queries/s between them.  Past the servlet's capacity
+    /// the excess is lost, where Set 1's closed loop merely slowed down.
+    fn ext_open_loop() -> ScenarioSpec {
+        let mut w = workload(Some("ps"), Query::RgmaProducerQuery, ClientCpu::Rgma);
+        w.users = Count::Lit(10);
+        w.arrivals = Arrivals::Poisson { rate: Count::X };
+        spec(
+            "ext-open-loop",
+            SystemId::Rgma,
+            &[5, 15, 30, 60],
+            set1_rgma_servers(),
+            "lucky3",
+            w,
+        )
+    }
+
+    /// A composite producer on lucky0 over x site servlets, all
+    /// publishing `cpuload`; 10 users query the composite for everything.
+    fn ext_composite() -> ScenarioSpec {
+        spec(
+            "ext-composite",
+            SystemId::Rgma,
+            &[2, 5, 10],
+            vec![
+                svc("reg", "lucky1", ServiceKind::Registry),
+                svc(
+                    "comp",
+                    "lucky0",
+                    ServiceKind::CompositePool {
+                        site_hosts: strings(&["lucky3", "lucky4", "lucky5", "lucky6", "lucky7"]),
+                        n_sites: Count::X,
+                        registry: "reg".to_string(),
+                    },
+                ),
+            ],
+            "lucky0",
+            ten_users("comp", Query::RgmaProducerQueryAll, ClientCpu::Rgma),
+        )
+    }
 }
 
 #[cfg(test)]
@@ -1461,7 +1667,7 @@ mod tests {
     fn catalogue_specs_round_trip_and_validate() {
         let mut fingerprints = std::collections::HashSet::new();
         let mut ids = std::collections::HashSet::new();
-        for series in &catalogue::SERIES {
+        for series in catalogue::SERIES.iter().chain(&catalogue::EXTENSIONS) {
             let spec = (series.spec)();
             spec.validate()
                 .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
@@ -1477,48 +1683,106 @@ mod tests {
         }
     }
 
-    /// Series ids feed seed derivation and spec names the cache address:
-    /// a typo in the table must fail here, not as changed CSV bytes.
+    /// Series ids feed seed derivation, and spec names and fingerprints
+    /// the cache address: a typo in the table — or a new spec field that
+    /// leaks into the canonical text of a spec that does not use it —
+    /// must fail here, not as changed CSV bytes or a cold cache.  The
+    /// fingerprints are the ones every `gridmon-cache-v4` cache holds.
     #[test]
-    fn catalogue_ids_and_spec_names_are_pinned() {
-        let got: Vec<(String, String)> = catalogue::SERIES
-            .iter()
-            .map(|s| (s.id(), (s.spec)().name))
-            .collect();
+    fn catalogue_ids_names_and_fingerprints_are_pinned() {
+        #[rustfmt::skip]
         let want = [
-            ("set1/MDS GRIS (cache)", "set1-gris-cache"),
-            ("set1/MDS GRIS (nocache)", "set1-gris-nocache"),
-            ("set1/Hawkeye Agent", "set1-hawkeye-agent"),
-            (
-                "set1/R-GMA ProducerServlet(lucky)",
-                "set1-producer-servlet-lucky",
-            ),
-            ("set1/R-GMA ProducerServlet(UC)", "set1-producer-servlet-uc"),
-            ("set2/MDS GIIS", "set2-giis"),
-            ("set2/Hawkeye Manager", "set2-hawkeye-manager"),
-            ("set2/R-GMA Registry(lucky)", "set2-registry-lucky"),
-            ("set2/R-GMA Registry(UC)", "set2-registry-uc"),
-            ("set3/MDS GRIS(cache)", "set3-gris-cache"),
-            ("set3/MDS GRIS(no cache)", "set3-gris-nocache"),
-            ("set3/Hawkeye Agent", "set3-hawkeye-agent"),
-            ("set3/R-GMA ProducerServlet", "set3-producer-servlet"),
-            ("set4/MDS GIIS(query all)", "set4-giis-query-all"),
-            ("set4/MDS GIIS (query part)", "set4-giis-query-part"),
-            ("set4/Hawkeye Manager", "set4-hawkeye-manager"),
-            ("set5/MDS GIIS (GRIS partition)", "set5-mds-giis"),
-            ("set5/R-GMA (producer churn)", "set5-rgma-registry"),
-            ("set5/Hawkeye (agent churn)", "set5-hawkeye-manager"),
-            ("set6/MDS GIIS (flat)", "set6-flat-giis"),
-            ("set6/MDS GIIS (3 branches)", "set6-federated-3"),
-            ("set6/MDS GIIS (6 branches)", "set6-federated-6"),
+            ("set1/MDS GRIS (cache)", "set1-gris-cache", "04e631856dee365a04981888660feb1c"),
+            ("set1/MDS GRIS (nocache)", "set1-gris-nocache", "38f9d33a799e4920a346553235949af0"),
+            ("set1/Hawkeye Agent", "set1-hawkeye-agent", "f08e046cd6ad8895f98115ddb3828246"),
+            ("set1/R-GMA ProducerServlet(lucky)", "set1-producer-servlet-lucky", "d3da4935481369a365f2847102095f26"),
+            ("set1/R-GMA ProducerServlet(UC)", "set1-producer-servlet-uc", "deba374a5186444b28ee87cc60e36e4e"),
+            ("set2/MDS GIIS", "set2-giis", "a61e70fc0657b42187d3426b3b87dede"),
+            ("set2/Hawkeye Manager", "set2-hawkeye-manager", "cfc9f2ddab9cad56ccae54b78cb4c4f8"),
+            ("set2/R-GMA Registry(lucky)", "set2-registry-lucky", "e912bf9d4ee624c1cb8e29170409cb36"),
+            ("set2/R-GMA Registry(UC)", "set2-registry-uc", "399361ef56ca114d19bc8aeca549e946"),
+            ("set3/MDS GRIS(cache)", "set3-gris-cache", "cdef32a92423325e5be255e6c9ff12d0"),
+            ("set3/MDS GRIS(no cache)", "set3-gris-nocache", "88f7ad6c14ee7e902275178943d55570"),
+            ("set3/Hawkeye Agent", "set3-hawkeye-agent", "b51d3f125270ad7f0a3a50940fbde0dc"),
+            ("set3/R-GMA ProducerServlet", "set3-producer-servlet", "8e6bee11ce3877f5153455b706e1c5fc"),
+            ("set4/MDS GIIS(query all)", "set4-giis-query-all", "0e27367fb5d76e175b920db63104698e"),
+            ("set4/MDS GIIS (query part)", "set4-giis-query-part", "bfd0949becac21f0560a3848f9eb4230"),
+            ("set4/Hawkeye Manager", "set4-hawkeye-manager", "fa282474245fd99e17f84d646559fd58"),
+            ("set5/MDS GIIS (GRIS partition)", "set5-mds-giis", "6c733d6ed841ee95762d09025e937d6c"),
+            ("set5/R-GMA (producer churn)", "set5-rgma-registry", "3b88f80560781d268475dc3b1aca23ac"),
+            ("set5/Hawkeye (agent churn)", "set5-hawkeye-manager", "29453e09c3052c25c8e526b0917710aa"),
+            ("set6/MDS GIIS (flat)", "set6-flat-giis", "97d715832fadc94ae24cc44d082952b4"),
+            ("set6/MDS GIIS (3 branches)", "set6-federated-3", "e62f2544c8785f090b412b7204e8fbda"),
+            ("set6/MDS GIIS (6 branches)", "set6-federated-6", "30089091fad92f44ed3bc66570d5a938"),
         ];
-        let want: Vec<(String, String)> = want
-            .iter()
-            .map(|(id, name)| (id.to_string(), name.to_string()))
-            .collect();
-        assert_eq!(got, want);
+        assert_eq!(catalogue::SERIES.len(), want.len());
+        for (series, (id, name, fingerprint)) in catalogue::SERIES.iter().zip(want) {
+            let spec = (series.spec)();
+            assert_eq!((series.id().as_str(), spec.name.as_str()), (id, name));
+            assert_eq!(spec.fingerprint(), fingerprint, "{id}");
+        }
         assert_eq!(catalogue::sets(), [1, 2, 3, 4, 5, 6]);
         assert!(catalogue::find("set7/MDS GIIS").is_none());
+
+        let ext: Vec<(String, String, Vec<u32>)> = catalogue::EXTENSIONS
+            .iter()
+            .map(|s| {
+                let spec = (s.spec)();
+                (s.id(), spec.name, spec.x_values)
+            })
+            .collect();
+        let want = [
+            ("ext/wan/lan-100mbit-0.1ms", "ext-wan-100mbit", vec![100]),
+            ("ext/wan/metro-40mbit-5ms", "ext-wan-40mbit", vec![100]),
+            ("ext/wan/wan-10mbit-25ms", "ext-wan-10mbit", vec![100]),
+            (
+                "ext/wan/intercontinental-4mbit-80ms",
+                "ext-wan-4mbit",
+                vec![100],
+            ),
+            ("ext/hier-flat", "ext-hier-flat", vec![120]),
+            ("ext/hier-tree", "ext-hier-tree", vec![120]),
+            ("ext/agg-direct", "ext-agg-direct", vec![50]),
+            ("ext/agg-giis", "ext-agg-giis", vec![50]),
+            ("ext/open-loop", "ext-open-loop", vec![5, 15, 30, 60]),
+            ("ext/composite", "ext-composite", vec![2, 5, 10]),
+        ]
+        .map(|(id, name, xs)| (id.to_string(), name.to_string(), xs));
+        assert_eq!(ext, want);
+        assert_eq!(
+            catalogue::find("ext/hier-tree"),
+            Some(&catalogue::EXTENSIONS[5])
+        );
+    }
+
+    /// The committed example of the extension vocabulary is `print()`'s
+    /// own output below its comment header, and parses to the composite
+    /// study re-driven open-loop across a degraded WAN.
+    #[test]
+    fn open_loop_wan_example_is_canonical() {
+        let mut want = (catalogue::find("ext/composite").unwrap().spec)();
+        want.name = "open-loop-wan".to_string();
+        want.x_values = vec![5, 20, 40];
+        want.wan = Some(gscenario::WanLink {
+            mbps: 10,
+            latency_ms: 25,
+        });
+        let ServiceKind::CompositePool { n_sites, .. } = &mut want.services[1].1.kind else {
+            panic!("the composite study's second service is the pool")
+        };
+        *n_sites = gscenario::Count::Lit(5);
+        want.workload.query = Query::RgmaProducerQuery;
+        want.workload.arrivals = Arrivals::Poisson {
+            rate: gscenario::Count::X,
+        };
+        let text = include_str!("../../../examples/scenarios/open_loop_wan.toml");
+        assert_eq!(parse(text).unwrap(), want);
+        assert!(
+            text.ends_with(&format!("\n\n{}", want.print())),
+            "not canonical"
+        );
+        let m = run_point(&want, 20, &quick(4)).unwrap();
+        assert!(m.completions > 0, "{m:?}");
     }
 
     /// The one fault rule: a sweep point sees the sweep's plan iff its

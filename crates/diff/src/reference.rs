@@ -3,9 +3,8 @@
 //!
 //! [`RefEngine`] is the engine as it stood before events became values
 //! of `World::Event`: every event is a `Box`ed `FnOnce(&mut W, &mut
-//! RefEngine<W>)`, slots are a private generational table, and
-//! compaction rebuilds the heap through an `into_vec`/`collect`/`from`
-//! round trip.  `tests/engine_diff.rs` replays identical
+//! RefEngine<W>)` and slots are a private generational table.
+//! `tests/engine_diff.rs` replays identical
 //! schedule/cancel/reschedule scripts on both machines and asserts the
 //! dispatch streams, clocks and counters match.  Never used by the
 //! simulation.
@@ -47,8 +46,6 @@ pub struct RefEngine<W> {
     pub fired: u64,
     pub popped: u64,
     pub advances: u64,
-    stale: usize,
-    compaction: bool,
     pub rng: SimRng,
 }
 
@@ -64,36 +61,8 @@ impl<W> RefEngine<W> {
             fired: 0,
             popped: 0,
             advances: 0,
-            stale: 0,
-            compaction: true,
             rng: SimRng::new(seed),
         }
-    }
-
-    pub fn set_compaction(&mut self, on: bool) {
-        self.compaction = on;
-    }
-
-    pub fn stale_keys(&self) -> usize {
-        self.stale
-    }
-
-    fn maybe_compact(&mut self) {
-        if !self.compaction || self.stale <= 64 || self.stale < self.heap.len() / 2 {
-            return;
-        }
-        let keys = std::mem::take(&mut self.heap).into_vec();
-        let live: Vec<Reverse<QKey>> = keys
-            .into_iter()
-            .filter(|Reverse(k)| {
-                self.slots
-                    .get(k.slot as usize)
-                    .is_some_and(|s| s.gen == k.gen)
-            })
-            .collect();
-        debug_assert_eq!(live.len(), self.live);
-        self.heap = BinaryHeap::from(live);
-        self.stale = 0;
     }
 
     pub fn now(&self) -> SimTime {
@@ -149,8 +118,6 @@ impl<W> RefEngine<W> {
                 slot.gen = slot.gen.wrapping_add(1);
                 self.free.push(h.slot);
                 self.live -= 1;
-                self.stale += 1;
-                self.maybe_compact();
                 return true;
             }
         }
@@ -169,7 +136,6 @@ impl<W> RefEngine<W> {
             self.popped += 1;
             let slot = &mut self.slots[key.slot as usize];
             if slot.gen != key.gen {
-                self.stale = self.stale.saturating_sub(1);
                 continue;
             }
             let Some(f) = slot.f.take() else {

@@ -1,13 +1,11 @@
-//! The event calendar against its two oracles.
+//! The event calendar against its oracle and its own accounting law.
 //!
-//! * Compaction on vs off: compaction rebuilds the binary heap without
-//!   stale keys once cancelled events dominate.  `QKey` ordering is
-//!   total, so the dispatch stream — times, FIFO tie-breaks, `fired`,
-//!   `advances` — must be identical to pure lazy deletion; only `popped`
-//!   (stale churn) may shrink.
 //! * Typed events vs closures: `Engine<World>` dispatching values of a
 //!   small test `enum` must behave exactly like `RefEngine` running the
 //!   equivalent closures — same stream, clock and all three counters.
+//! * Lazy deletion: a cancelled event leaves its calendar entry behind
+//!   and every such stale key is popped exactly once, so
+//!   `popped == fired + cancelled` once the calendar has drained.
 
 use gridmon_diff::reference::RefEngine;
 use proptest::prelude::*;
@@ -100,10 +98,8 @@ macro_rules! replay {
     }};
 }
 
-fn run_typed(compaction: bool, script: &Script) -> Trace {
-    let mut eng: Engine<World> = Engine::new(42);
-    eng.set_compaction(compaction);
-    replay!(eng, script, Ev::Mark, Ev::Spawn)
+fn run_typed(script: &Script) -> Trace {
+    replay!(Engine::<World>::new(42), script, Ev::Mark, Ev::Spawn)
 }
 
 fn run_reference(script: &Script) -> Trace {
@@ -111,34 +107,18 @@ fn run_reference(script: &Script) -> Trace {
 }
 
 proptest! {
-    /// Any schedule/cancel pattern dispatches identically with and
-    /// without compaction; heavy cancellation must reduce pop churn.
+    /// Any schedule/cancel pattern pops each cancelled event's stale key
+    /// exactly once, and fires everything else.
     #[test]
-    fn dispatch_stream_is_identical(
+    fn lazy_deletion_pops_every_stale_key(
         plan in proptest::collection::vec((0u64..5000, any::<bool>()), 1..400),
     ) {
         let script: Vec<_> = plan.iter().map(|&(t, cancel)| (t, false, cancel)).collect();
-        let (fast, fast_now, fast_fired, fast_popped, fast_advances) = run_typed(true, &script);
-        let (slow, slow_now, slow_fired, slow_popped, slow_advances) = run_typed(false, &script);
-        prop_assert_eq!(&fast, &slow, "dispatch order diverged");
-        prop_assert_eq!(fast_now, slow_now);
-        prop_assert_eq!(fast_fired, slow_fired);
-        prop_assert_eq!(fast_advances, slow_advances);
-        prop_assert!(fast_popped <= slow_popped, "compaction must never add pops");
-        // Lazy deletion pops every stale key eventually.
+        let (stream, _, fired, popped, _) = run_typed(&script);
         let cancelled = plan.iter().filter(|&&(_, c)| c).count() as u64;
-        prop_assert_eq!(slow_popped, slow_fired + cancelled);
-    }
-
-    /// Events scheduled *from inside events* (the common self-rescheduling
-    /// service pattern) interleave with compaction correctly.
-    #[test]
-    fn nested_scheduling_agrees(seed_times in proptest::collection::vec(0u64..100, 1..40)) {
-        let script: Vec<_> = seed_times.iter().map(|&t| (t, true, false)).collect();
-        let (fast, _, fast_fired, ..) = run_typed(true, &script);
-        let (slow, _, slow_fired, ..) = run_typed(false, &script);
-        prop_assert_eq!(fast, slow);
-        prop_assert_eq!(fast_fired, slow_fired);
+        prop_assert_eq!(stream.len() as u64, fired);
+        prop_assert_eq!(fired, plan.len() as u64 - cancelled);
+        prop_assert_eq!(popped, fired + cancelled);
     }
 
     /// Typed events in slab slots vs the box-per-closure reference engine:
@@ -151,6 +131,6 @@ proptest! {
         script in proptest::collection::vec(
             (0u64..5000, any::<bool>(), any::<bool>()), 1..300),
     ) {
-        prop_assert_eq!(run_typed(true, &script), run_reference(&script));
+        prop_assert_eq!(run_typed(&script), run_reference(&script));
     }
 }

@@ -3,13 +3,14 @@
 //! text — for randomly generated specs of every backend shape.  The
 //! golden tests below pin the author-facing error messages word for
 //! word: a misspelled backend, a dangling service reference, a
-//! duplicate section and an off-testbed host must each name the
-//! offender, because those strings are the scenario author's compiler
-//! diagnostics.
+//! duplicate section, an off-testbed host, a stray `rate`, an unknown
+//! arrival process, a dead WAN link and a composite without site hosts
+//! must each name the offender, because those strings are the scenario
+//! author's compiler diagnostics.
 
 use gscenario::{
-    ClientCpu, Count, FaultKind, FaultPolicy, Placement, ProbeSpec, Query, ScenarioSpec,
-    ServiceKind, ServiceSpec, SystemId, Ttl, WorkloadSpec,
+    Arrivals, ClientCpu, Count, FaultKind, FaultPolicy, Placement, ProbeSpec, Query, ScenarioSpec,
+    ServiceKind, ServiceSpec, SystemId, Ttl, WanLink, WorkloadSpec,
 };
 use proptest::prelude::*;
 
@@ -75,6 +76,7 @@ fn workload(
         query,
         cpu,
         timeout_s,
+        arrivals: Arrivals::Closed,
     }
 }
 
@@ -134,6 +136,7 @@ fn arb_mds() -> impl Strategy<Value = ScenarioSpec> {
                     name,
                     system: SystemId::Mds,
                     x_values: xs,
+                    wan: None,
                     services,
                     watch: "lucky0".to_string(),
                     workload: workload(users, placement, "top", Query::MdsSearchAllGiis, cpu, None),
@@ -198,6 +201,7 @@ fn arb_rgma() -> impl Strategy<Value = ScenarioSpec> {
                     name,
                     system: SystemId::Rgma,
                     x_values: xs,
+                    wan: None,
                     services,
                     watch: "lucky1".to_string(),
                     workload: workload(
@@ -267,6 +271,7 @@ fn arb_hawkeye() -> impl Strategy<Value = ScenarioSpec> {
                     name,
                     system: SystemId::Hawkeye,
                     x_values: xs,
+                    wan: None,
                     services,
                     watch: "lucky0".to_string(),
                     workload: workload(users, Placement::Uc, "mgr", query, cpu, None),
@@ -279,8 +284,84 @@ fn arb_hawkeye() -> impl Strategy<Value = ScenarioSpec> {
         )
 }
 
+/// An R-GMA composite: registry plus a composite producer pooled over
+/// 1–5 site hosts, queried directly.
+fn arb_composite() -> impl Strategy<Value = ScenarioSpec> {
+    (
+        arb_name(),
+        arb_xs(),
+        1usize..6,
+        (arb_count(), arb_count(), arb_cpu()),
+        prop_oneof![
+            Just(Query::RgmaProducerQuery),
+            Just(Query::RgmaProducerQueryAll)
+        ],
+    )
+        .prop_map(|(name, xs, n_hosts, (n_sites, users, cpu), query)| {
+            let services = vec![
+                (
+                    "reg".to_string(),
+                    ServiceSpec {
+                        kind: ServiceKind::Registry,
+                        host: "lucky1".to_string(),
+                    },
+                ),
+                (
+                    "comp".to_string(),
+                    ServiceSpec {
+                        kind: ServiceKind::CompositePool {
+                            site_hosts: LUCKY[2..2 + n_hosts]
+                                .iter()
+                                .map(|h| h.to_string())
+                                .collect(),
+                            n_sites,
+                            registry: "reg".to_string(),
+                        },
+                        host: "lucky0".to_string(),
+                    },
+                ),
+            ];
+            ScenarioSpec {
+                name,
+                system: SystemId::Rgma,
+                x_values: xs,
+                wan: None,
+                services,
+                watch: "lucky0".to_string(),
+                workload: workload(users, Placement::Uc, "comp", query, cpu, None),
+                probe: None,
+                faults: None,
+            }
+        })
+}
+
+/// The WAN override: absent, or any positive capacity and any latency.
+fn arb_wan() -> impl Strategy<Value = Option<WanLink>> {
+    prop_oneof![
+        Just(None),
+        (1u32..1000, 0u32..200).prop_map(|(mbps, latency_ms)| Some(WanLink { mbps, latency_ms })),
+    ]
+}
+
+fn arb_arrivals() -> impl Strategy<Value = Arrivals> {
+    prop_oneof![
+        Just(Arrivals::Closed),
+        arb_count().prop_map(|rate| Arrivals::Poisson { rate }),
+    ]
+}
+
+/// Every backend shape, under any WAN link and either arrival process.
 fn arb_spec() -> impl Strategy<Value = ScenarioSpec> {
-    prop_oneof![arb_mds(), arb_rgma(), arb_hawkeye()]
+    (
+        prop_oneof![arb_mds(), arb_rgma(), arb_hawkeye(), arb_composite()],
+        arb_wan(),
+        arb_arrivals(),
+    )
+        .prop_map(|(mut spec, wan, arrivals)| {
+            spec.wan = wan;
+            spec.workload.arrivals = arrivals;
+            spec
+        })
 }
 
 proptest! {
@@ -295,6 +376,18 @@ proptest! {
         assert_eq!(back, spec, "round-trip changed the spec:\n{text}");
         assert_eq!(back.fingerprint(), spec.fingerprint());
         assert_eq!(back.print(), text, "canonical text is not a fixed point");
+        // The optional vocabulary is invisible at its defaults, so specs
+        // that never use it keep their canonical text — and fingerprint.
+        assert_eq!(text.contains("[wan]"), spec.wan.is_some());
+        assert_eq!(text.contains("\narrivals = "), spec.workload.arrivals != Arrivals::Closed);
+        let mut plain = spec.clone();
+        plain.wan = None;
+        plain.workload.arrivals = Arrivals::Closed;
+        assert_eq!(
+            plain.fingerprint() == spec.fingerprint(),
+            plain == spec,
+            "the new fields must move the fingerprint exactly when set"
+        );
     }
 }
 
@@ -380,4 +473,60 @@ fn off_testbed_host_gets_the_host_roster() {
         "service \"cs\": unknown host \"lucky2\" \
          (hosts: lucky0, lucky1, lucky3..lucky7, uc00..uc19)"
     );
+}
+
+#[test]
+fn rate_needs_poisson_arrivals() {
+    let err = validate_err(&GOOD.replace("cpu = \"rgma\"", "cpu = \"rgma\"\nrate = 5"));
+    assert_eq!(
+        err,
+        "[workload]: bad value for \"rate\": only meaningful with arrivals = \"poisson\""
+    );
+    // With them, it must be positive wherever the sweep goes.
+    let zero = "cpu = \"rgma\"\narrivals = \"poisson\"\nrate = \"x\"";
+    let err = validate_err(
+        &GOOD
+            .replace("cpu = \"rgma\"", zero)
+            .replace("x = [1]", "x = [0, 1]"),
+    );
+    assert_eq!(
+        err,
+        "[workload]: bad value for \"rate\": arrival rate must be positive at every x"
+    );
+}
+
+#[test]
+fn unknown_arrivals_token_lists_the_known_ones() {
+    let err =
+        validate_err(&GOOD.replace("cpu = \"rgma\"", "cpu = \"rgma\"\narrivals = \"bursty\""));
+    assert_eq!(
+        err,
+        "[workload]: bad value for \"arrivals\": expected closed/poisson, got \"bursty\""
+    );
+}
+
+#[test]
+fn link_capacity_must_be_positive() {
+    let err = validate_err(&format!("{GOOD}\n[wan]\nmbps = 0\nlatency_ms = 5\n"));
+    assert_eq!(
+        err,
+        "[wan]: bad value for \"mbps\": link capacity must be positive"
+    );
+}
+
+#[test]
+fn composite_needs_site_hosts() {
+    let composite = "[service.comp]\nkind = \"rgma-composite-pool\"\nhost = \"lucky0\"\n\
+                     site_hosts = [\"lucky3\"]\nn_sites = \"x\"\nregistry = \"reg\"\n\n[workload]";
+    let text = GOOD.replace("[workload]", composite);
+    let mut spec = gscenario::parse(&text).expect("a composite over one site host parses");
+    let want = "service \"comp\": bad value for \"site_hosts\": list must not be empty";
+    assert_eq!(validate_err(&text.replace("[\"lucky3\"]", "[]")), want);
+    // A hand-built spec meets the same wall in `validate`, not a
+    // divide-by-zero when the pool is dealt.
+    let ServiceKind::CompositePool { site_hosts, .. } = &mut spec.services[2].1.kind else {
+        panic!("comp is the third service")
+    };
+    site_hosts.clear();
+    assert_eq!(spec.validate().unwrap_err().to_string(), want);
 }

@@ -1,8 +1,9 @@
 //! # gridmon-runner — parallel, cache-aware sweep execution
 //!
 //! The figure harness in `gridmon-core` expresses every sweep as a list
-//! of self-contained points (one `(series, x)` pair of a built-in or
-//! user-authored scenario, or one extension study point).  [`run`]
+//! of self-contained points (one `(spec, x)` pair of a catalogue row —
+//! figure series or extension study — or of a user-authored scenario).
+//! [`run`]
 //! schedules those points across an in-tree work-stealing thread pool
 //! ([`pool`]) and memoizes their results in a content-addressed on-disk
 //! cache ([`cache`]), so that
@@ -26,7 +27,7 @@ pub mod pool;
 pub mod progress;
 
 pub use cache::DiskCache;
-pub use job::{ExtPoint, Job, JobOutput, ScenarioPoint};
+pub use job::{Job, JobOutput};
 
 use gperf::PerfSink;
 use gridmon_core::runcfg::RunConfig;
@@ -86,8 +87,8 @@ pub struct SweepStats {
 /// cache traffic and pool utilization.  Profiling only *reads* engine
 /// counters after each run, so outputs are identical either way.
 ///
-/// With `cfg.obs` enabled every point that has a spec returns its
-/// observability harvest ([`JobOutput::Observed`]) and the cache is
+/// With `cfg.obs` enabled every point returns its observability
+/// harvest ([`JobOutput::Observed`]) and the cache is
 /// bypassed: it stores figure measurements (a few floats), while a
 /// harvest is an artifact to export, not a memoizable scalar.
 pub fn run(
@@ -115,18 +116,18 @@ pub fn run(
     for (i, j) in jobs.iter().enumerate() {
         let t_probe = Instant::now();
         let cached = match (&cache, &digests[i]) {
-            (Some(c), Some(d)) => c.load(d).and_then(|fields| j.decode(&fields)),
+            (Some(c), Some(d)) => c.load(d).and_then(|fields| Job::decode(&fields)),
             _ => None,
         };
         match cached {
             Some(out) => {
-                reporter.cache_hit(&j.key());
+                reporter.cache_hit(j.key());
                 if let Some(s) = sink.as_deref_mut() {
                     let bytes = match (&cache, &digests[i]) {
                         (Some(c), Some(d)) => c.size_of(d).unwrap_or(0),
                         _ => 0,
                     };
-                    s.record_cached(j.key(), t_probe.elapsed(), bytes);
+                    s.record_cached(j.key().to_string(), t_probe.elapsed(), bytes);
                 }
                 outputs[i] = Some(out);
             }
@@ -165,14 +166,14 @@ pub fn run(
         },
         |done| {
             let i = misses[done.index];
-            reporter.finished(&jobs[i].key(), done.wall);
+            reporter.finished(jobs[i].key(), done.wall);
             let mut stored = None;
             if let (Some(c), Some(d)) = (&cache, &digests[i]) {
-                stored = c.store(d, &jobs[i].key(), &Job::encode(&done.result.0));
+                stored = c.store(d, jobs[i].key(), &Job::encode(&done.result.0));
             }
             if let Some(s) = sink.as_deref_mut() {
                 if let Some(sample) = done.result.1 {
-                    s.record_executed(jobs[i].key(), done.worker, sample);
+                    s.record_executed(jobs[i].key().to_string(), done.worker, sample);
                 }
                 if let Some(bytes) = stored {
                     s.record_store(bytes);
@@ -205,7 +206,7 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridmon_core::figures::{self, assemble_set, enumerate_set, SetData};
+    use gridmon_core::figures::{self, assemble_set, enumerate_extensions, enumerate_set, SetData};
     use gridmon_core::runcfg::Measurement;
     use gridmon_core::scenario::catalogue;
     use simcore::SimDuration;
@@ -235,16 +236,12 @@ mod tests {
         sink: Option<&mut PerfSink>,
     ) -> (SetData, SweepStats) {
         let specs = enumerate_set(set, scale).unwrap();
-        let jobs: Vec<Job> = specs.iter().map(|&p| Job::Figure(p)).collect();
-        let (outputs, stats) = run(&jobs, cfg, rc, sink);
+        let (outputs, stats) = run(&Job::points(&specs), cfg, rc, sink);
         (assemble_set(set, &specs, &measurements(&outputs)), stats)
     }
 
     fn measurements(outputs: &[JobOutput]) -> Vec<Measurement> {
-        outputs
-            .iter()
-            .map(|o| o.measurement().expect("measurement-kind job"))
-            .collect()
+        outputs.iter().map(JobOutput::measurement).collect()
     }
 
     fn spec_of(id: &str) -> gscenario::ScenarioSpec {
@@ -322,15 +319,15 @@ mod tests {
             cache_dir: None,
             quiet: true,
         };
-        let mut jobs: Vec<Job> = [1, 5]
+        let mut points: Vec<_> = [1, 5]
             .iter()
             .flat_map(|&set| enumerate_set(set, 0.01).unwrap())
-            .map(Job::Figure)
             .collect();
+        points.extend(enumerate_extensions());
+        let mut jobs = Job::points(&points);
         let mut authored = spec_of("set6/MDS GIIS (3 branches)");
         authored.x_values = vec![3];
         jobs.extend(Job::scenario_sweep(&authored, &cfg).unwrap());
-        jobs.push(Job::Ext(ExtPoint::AggDirect { users: 2 }));
         let (together, stats) = run(&jobs, &cfg, &rc, None);
         assert_eq!(stats.total, jobs.len());
         let mut pristine = cfg;
@@ -355,8 +352,7 @@ mod tests {
         let cfg = tiny_cfg(9);
         let mut ocfg = cfg;
         ocfg.obs = ObsMode::FULL;
-        let specs = enumerate_set(1, 0.01).unwrap();
-        let jobs: Vec<Job> = specs.iter().take(3).map(|&p| Job::Figure(p)).collect();
+        let jobs = Job::points(&enumerate_set(1, 0.01).unwrap()[..3]);
         let dir = scratch_cache("observed");
         let rc = RunnerConfig {
             jobs: 2,
@@ -370,7 +366,7 @@ mod tests {
             let JobOutput::Observed(op) = out else {
                 panic!("{} carries no harvest", job.key())
             };
-            let plain = job.run(&cfg).measurement().unwrap();
+            let plain = job.run(&cfg).measurement();
             assert_eq!(op.m, plain, "tracing must not perturb {}", job.key());
             assert!(!op.report.events.is_empty());
             assert!(!op.report.metrics.is_empty());
@@ -465,6 +461,37 @@ mod tests {
         let edited_jobs = Job::scenario_sweep(&edited, &cfg).unwrap();
         let (_, s3) = run(&edited_jobs, &cfg, &rc, None);
         assert_eq!(s3.cache_hits, 0, "fingerprint must fold into the digest");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The extension studies are ordinary points: their own seeds, any
+    /// worker count, the same cache.
+    #[test]
+    fn extension_rows_are_order_invariant_and_cached() {
+        let cfg = tiny_cfg(19);
+        let jobs = Job::points(&enumerate_extensions());
+        assert_eq!(jobs.len(), 15);
+        let (seq, _) = run(&jobs, &cfg, &RunnerConfig::sequential(), None);
+        let dir = scratch_cache("ext");
+        let rc = RunnerConfig {
+            jobs: 8,
+            cache_dir: Some(dir.clone()),
+            quiet: true,
+        };
+        let (cold, s1) = run(&jobs, &cfg, &rc, None);
+        assert_eq!((s1.executed, s1.cache_hits), (15, 0));
+        assert_eq!(seq, cold, "worker count must not change a bit");
+        let (warm, s2) = run(&jobs, &cfg, &rc, None);
+        assert_eq!((s2.executed, s2.cache_hits), (0, 15));
+        assert_eq!(warm, cold);
+        // Every point runs under the seed derived from its own key.
+        let mut seeds: Vec<u64> = jobs
+            .iter()
+            .map(|j| gridmon_core::scenario::point_seed(cfg.seed, j.key()))
+            .collect();
+        seeds.sort_unstable();
+        seeds.dedup();
+        assert_eq!(seeds.len(), 15);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

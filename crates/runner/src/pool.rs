@@ -13,7 +13,6 @@
 //! interleaving.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -85,7 +84,6 @@ where
             )
         })
         .collect();
-    let unclaimed = AtomicUsize::new(jobs.len());
 
     let (tx, rx) = mpsc::channel::<Completion<R>>();
     let mut results: Vec<Option<R>> = (0..jobs.len()).map(|_| None).collect();
@@ -94,7 +92,6 @@ where
         for w in 0..workers {
             let tx = tx.clone();
             let deques = &deques;
-            let unclaimed = &unclaimed;
             let exec = &exec;
             scope.spawn(move || {
                 loop {
@@ -114,7 +111,6 @@ where
                         // other workers and no job spawns new work.
                         break;
                     };
-                    unclaimed.fetch_sub(1, Ordering::Relaxed);
                     let t0 = Instant::now();
                     let result = exec(&jobs[index]);
                     // A closed receiver means the collector bailed out
@@ -159,7 +155,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn results_are_in_submission_order_for_any_worker_count() {

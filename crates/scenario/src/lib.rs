@@ -1,10 +1,11 @@
 //! gridmon-scenario: experiments as data.
 //!
 //! A [`ScenarioSpec`] describes one sweepable experiment — which services
-//! go on which testbed hosts, the closed-loop workload that drives them,
-//! an optional resilience probe and an optional fault policy — without
-//! any reference to the simulation crates.  The five built-in experiment
-//! sets are `ScenarioSpec` values (see `gridmon_core::scenario::catalogue`),
+//! go on which testbed hosts, the workload that drives them, an optional
+//! WAN link override, resilience probe and fault policy — without any
+//! reference to the simulation crates.  Every built-in experiment set and
+//! extension study is a `ScenarioSpec` value (see
+//! `gridmon_core::scenario::catalogue`),
 //! and user-authored specs are written in a small TOML-like text format
 //! parsed by [`parse`] and printed canonically by [`ScenarioSpec::print`].
 //!
@@ -21,6 +22,10 @@
 //! x = [1, 10, 50]              # the sweep's x-axis values
 //! watch = "lucky0"             # host whose load1/CPU the figures report
 //!
+//! [wan]                        # optional: override the UC<->ANL pipe
+//! mbps = 10                    # capacity each way, Mbit/s (> 0)
+//! latency_ms = 25              # one-way latency
+//!
 //! [service.giis]               # services deploy in file order
 //! kind = "giis-pool"
 //! host = "lucky0"
@@ -34,6 +39,8 @@
 //! target = "giis"
 //! query = "mds-search-all-giis"
 //! cpu = "mds"                  # mds | condor | rgma
+//! arrivals = "poisson"         # optional: open loop (default "closed");
+//! rate = "x"                   # total arrivals/s over the `users` sources
 //!
 //! [probe]                      # optional resilience probe
 //! kind = "giis-freshness"
@@ -152,9 +159,15 @@ pub enum ServiceKind {
     ProducerServlet { producers: Count, registry: String },
     /// An R-GMA ConsumerServlet pointed at `registry`.
     ConsumerServlet { registry: String },
-    /// The Ganglia monitor.  Synthesized by the compiler from the
-    /// top-level `watch` field; not writable in the text format.
-    Monitor,
+    /// The R-GMA composite Consumer/Producer with its sources: `n_sites`
+    /// site ProducerServlets (10 producers each) spread round-robin over
+    /// `site_hosts` and registered with `registry`, and on `host` the
+    /// composite that republishes their `cpuload` tuples.
+    CompositePool {
+        site_hosts: Vec<String>,
+        n_sites: Count,
+        registry: String,
+    },
 }
 
 impl ServiceKind {
@@ -171,7 +184,7 @@ impl ServiceKind {
             ServiceKind::Registry => "rgma-registry",
             ServiceKind::ProducerServlet { .. } => "rgma-producer-servlet",
             ServiceKind::ConsumerServlet { .. } => "rgma-consumer-servlet",
-            ServiceKind::Monitor => "monitor",
+            ServiceKind::CompositePool { .. } => "rgma-composite-pool",
         }
     }
 
@@ -184,7 +197,8 @@ impl ServiceKind {
                 Some(manager)
             }
             ServiceKind::ProducerServlet { registry, .. }
-            | ServiceKind::ConsumerServlet { registry } => Some(registry),
+            | ServiceKind::ConsumerServlet { registry }
+            | ServiceKind::CompositePool { registry, .. } => Some(registry),
             _ => None,
         }
     }
@@ -228,6 +242,8 @@ pub enum Query {
     HawkeyeConstraintMiss,
     /// `rgma-consumer-query`: `SELECT * FROM cpuload`.
     RgmaConsumerQuery,
+    /// `rgma-producer-query`: `SELECT * FROM cpuload` at a ProducerServlet.
+    RgmaProducerQuery,
     /// `rgma-producer-query-all`.
     RgmaProducerQueryAll,
     /// `rgma-registry-lookup-random`: lookup of a random producer table.
@@ -235,7 +251,7 @@ pub enum Query {
 }
 
 impl Query {
-    pub const ALL: [Query; 11] = [
+    pub const ALL: [Query; 12] = [
         Query::MdsSearchAllGris0,
         Query::MdsSearchAllGiis,
         Query::MdsSearchCpu { attrs_only: false },
@@ -245,6 +261,7 @@ impl Query {
         Query::HawkeyeStatusRandom,
         Query::HawkeyeConstraintMiss,
         Query::RgmaConsumerQuery,
+        Query::RgmaProducerQuery,
         Query::RgmaProducerQueryAll,
         Query::RgmaRegistryLookupRandom,
     ];
@@ -260,6 +277,7 @@ impl Query {
             Query::HawkeyeStatusRandom => "hawkeye-status-random",
             Query::HawkeyeConstraintMiss => "hawkeye-constraint-miss",
             Query::RgmaConsumerQuery => "rgma-consumer-query",
+            Query::RgmaProducerQuery => "rgma-producer-query",
             Query::RgmaProducerQueryAll => "rgma-producer-query-all",
             Query::RgmaRegistryLookupRandom => "rgma-registry-lookup-random",
         }
@@ -303,8 +321,23 @@ impl ClientCpu {
     }
 }
 
+/// How queries arrive at the target.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Arrivals {
+    /// Closed loop (the paper's user scripts): each of the `users` sends
+    /// a query, waits for the response, thinks, and repeats.
+    Closed,
+    /// Open loop: Poisson arrivals at `rate` per second in total, split
+    /// evenly over `users` sources, whether or not earlier queries have
+    /// finished.  Sources never retry (a refusal is a loss), burn no
+    /// client CPU and have no timeout, so `cpu` and `timeout_s` do not
+    /// apply.
+    Poisson { rate: Count },
+}
+
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkloadSpec {
+    /// Closed-loop users, or open-loop sources.
     pub users: Count,
     pub placement: Placement,
     /// The queried service (by spec name).  `None` only with
@@ -315,6 +348,17 @@ pub struct WorkloadSpec {
     /// Client-side query timeout; abandoned queries count against
     /// availability.
     pub timeout_s: Option<u64>,
+    pub arrivals: Arrivals,
+}
+
+/// The shared UC↔ANL WAN pipe, where a scenario overrides the run
+/// parameters' link.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WanLink {
+    /// Capacity in each direction, Mbit/s (positive).
+    pub mbps: u32,
+    /// One-way latency, milliseconds.
+    pub latency_ms: u32,
 }
 
 /// The passive resilience probe (staleness/recovery gauges).
@@ -374,6 +418,8 @@ pub struct ScenarioSpec {
     pub name: String,
     pub system: SystemId,
     pub x_values: Vec<u32>,
+    /// The WAN link, if not the run parameters' default.
+    pub wan: Option<WanLink>,
     /// Services in deployment order (order is semantic: it fixes the
     /// RNG streams and the t=0 start order, hence the exact trajectory).
     pub services: Vec<(String, ServiceSpec)>,
@@ -389,9 +435,9 @@ pub struct ScenarioSpec {
 // ======================================================================
 
 /// The fixed Lucky/UC testbed host names (`lucky0`..`lucky7` minus the
-/// dead `lucky2`, plus `uc00`..`uc19`).  Scenario host references are
-/// validated against this list at parse time so a dangling node
-/// reference fails with a message instead of a deep deploy panic.
+/// dead `lucky2`, plus `uc00`..`uc19`).  [`ScenarioSpec::validate`] —
+/// which [`parse`] ends with — holds every host reference to this list,
+/// so a dangling one fails with a message instead of a deep deploy panic.
 pub fn known_host(name: &str) -> bool {
     match name {
         "lucky0" | "lucky1" | "lucky3" | "lucky4" | "lucky5" | "lucky6" | "lucky7" => true,
@@ -594,6 +640,15 @@ impl Fields {
         }
     }
 
+    /// A required integer that fits in `u32`.
+    fn u32_of(&mut self, field: &'static str) -> Result<u32, ScenarioError> {
+        let at = self.at.clone();
+        let n = self
+            .opt_int(field)?
+            .ok_or(ScenarioError::MissingField { at, field })?;
+        u32::try_from(n).map_err(|_| self.bad(field, format!("{n} does not fit in u32")))
+    }
+
     fn opt_bool(&mut self, field: &str) -> Result<Option<bool>, ScenarioError> {
         match self.get(field) {
             None => Ok(None),
@@ -607,8 +662,9 @@ impl Fields {
 
     fn str_list(&mut self, field: &'static str) -> Result<Vec<String>, ScenarioError> {
         match self.require(field)? {
-            Val::StrList(v) if !v.is_empty() => Ok(v.clone()),
-            Val::StrList(_) => Err(self.bad(field, "list must not be empty")),
+            Val::StrList(v) => Ok(v.clone()),
+            // `[]` carries no element type: it reads as an integer list.
+            Val::IntList(v) if v.is_empty() => Err(self.bad(field, "list must not be empty")),
             v => {
                 let t = v.type_name();
                 Err(self.bad(field, format!("expected a string list, got {t}")))
@@ -751,6 +807,7 @@ pub fn parse(text: &str) -> Result<ScenarioSpec, ScenarioError> {
     let mut service_names: Vec<String> = Vec::new();
     // Indices into `sections` per role.
     let mut service_idx: Vec<usize> = Vec::new();
+    let mut wan_idx: Option<usize> = None;
     let mut workload_idx: Option<usize> = None;
     let mut probe_idx: Option<usize> = None;
     let mut faults_idx: Option<usize> = None;
@@ -780,6 +837,7 @@ pub fn parse(text: &str) -> Result<ScenarioSpec, ScenarioError> {
                 service_idx.push(sections.len() - 1);
             } else {
                 let slot = match head {
+                    "wan" => &mut wan_idx,
                     "workload" => &mut workload_idx,
                     "probe" => &mut probe_idx,
                     "faults" => &mut faults_idx,
@@ -830,24 +888,28 @@ pub fn parse(text: &str) -> Result<ScenarioSpec, ScenarioError> {
         }
     };
     let watch = top.str_of("watch")?;
-    if !known_host(&watch) {
-        return Err(ScenarioError::UnknownHost {
-            at: "top level".to_string(),
-            host: watch,
-        });
-    }
     top.finish()?;
+
+    // ---- wan.
+    let wan = match wan_idx {
+        None => None,
+        Some(idx) => {
+            let mut f = std::mem::replace(&mut sections[idx], Fields::new(String::new()));
+            let link = WanLink {
+                mbps: f.u32_of("mbps")?,
+                latency_ms: f.u32_of("latency_ms")?,
+            };
+            f.finish()?;
+            Some(link)
+        }
+    };
 
     // ---- services.
     let mut services: Vec<(String, ServiceSpec)> = Vec::new();
     for (si, &idx) in service_idx.iter().enumerate() {
         let sname = service_names[si].clone();
         let mut f = std::mem::replace(&mut sections[idx], Fields::new(String::new()));
-        let at = f.at.clone();
         let host = f.str_of("host")?;
-        if !known_host(&host) {
-            return Err(ScenarioError::UnknownHost { at, host });
-        }
         let kind_s = f.str_of("kind")?;
         let kind = match kind_s.as_str() {
             "gris" => ServiceKind::Gris {
@@ -855,22 +917,11 @@ pub fn parse(text: &str) -> Result<ScenarioSpec, ScenarioError> {
                 cache: f.opt_bool("cache")?.unwrap_or(true),
                 gsi: f.opt_bool("gsi")?.unwrap_or(false),
             },
-            "giis-pool" => {
-                let gris_hosts = f.str_list("gris_hosts")?;
-                for hst in &gris_hosts {
-                    if !known_host(hst) {
-                        return Err(ScenarioError::UnknownHost {
-                            at: f.at.clone(),
-                            host: hst.clone(),
-                        });
-                    }
-                }
-                ServiceKind::GiisPool {
-                    gris_hosts,
-                    n_gris: f.count("n_gris")?,
-                    cachettl: f.ttl("cachettl")?,
-                }
-            }
+            "giis-pool" => ServiceKind::GiisPool {
+                gris_hosts: f.str_list("gris_hosts")?,
+                n_gris: f.count("n_gris")?,
+                cachettl: f.ttl("cachettl")?,
+            },
             "giis" => {
                 let parent = f.opt_str("parent")?;
                 let branch = f.opt_int("branch")?;
@@ -919,6 +970,11 @@ pub fn parse(text: &str) -> Result<ScenarioSpec, ScenarioError> {
             "rgma-consumer-servlet" => ServiceKind::ConsumerServlet {
                 registry: f.str_of("registry")?,
             },
+            "rgma-composite-pool" => ServiceKind::CompositePool {
+                site_hosts: f.str_list("site_hosts")?,
+                n_sites: f.count("n_sites")?,
+                registry: f.str_of("registry")?,
+            },
             other => {
                 let o = other.to_string();
                 return Err(f.bad(
@@ -940,8 +996,7 @@ pub fn parse(text: &str) -> Result<ScenarioSpec, ScenarioError> {
     let users = f.count("users")?;
     let per_service = match f.get("per_service").cloned() {
         None => None,
-        Some(Val::StrList(v)) if !v.is_empty() => Some(v),
-        Some(Val::StrList(_)) => return Err(f.bad("per_service", "list must not be empty")),
+        Some(Val::StrList(v)) => Some(v),
         Some(v) => {
             let t = v.type_name();
             return Err(f.bad("per_service", format!("expected a string list, got {t}")));
@@ -963,17 +1018,7 @@ pub fn parse(text: &str) -> Result<ScenarioSpec, ScenarioError> {
                     format!("expected \"uc\" or a host list, got {s:?}"),
                 ))
             }
-            Some(Val::StrList(hosts)) => {
-                for hst in &hosts {
-                    if !known_host(hst) {
-                        return Err(ScenarioError::UnknownHost {
-                            at: f.at.clone(),
-                            host: hst.clone(),
-                        });
-                    }
-                }
-                Placement::Hosts(hosts)
-            }
+            Some(Val::StrList(hosts)) => Placement::Hosts(hosts),
             Some(v) => {
                 let t = v.type_name();
                 return Err(f.bad(
@@ -1003,6 +1048,23 @@ pub fn parse(text: &str) -> Result<ScenarioSpec, ScenarioError> {
             .ok_or_else(|| f.bad("cpu", format!("expected mds/condor/rgma, got {s:?}")))?,
     };
     let timeout_s = f.opt_int("timeout_s")?;
+    let arrivals = match f.opt_str("arrivals")?.as_deref() {
+        Some("poisson") => Arrivals::Poisson {
+            rate: f.count("rate")?,
+        },
+        None | Some("closed") => {
+            if f.get("rate").is_some() {
+                return Err(f.bad("rate", "only meaningful with arrivals = \"poisson\""));
+            }
+            Arrivals::Closed
+        }
+        Some(other) => {
+            return Err(f.bad(
+                "arrivals",
+                format!("expected closed/poisson, got {other:?}"),
+            ))
+        }
+    };
     f.finish()?;
     let workload = WorkloadSpec {
         users,
@@ -1011,6 +1073,7 @@ pub fn parse(text: &str) -> Result<ScenarioSpec, ScenarioError> {
         query,
         cpu,
         timeout_s,
+        arrivals,
     };
 
     // ---- probe.
@@ -1050,14 +1113,6 @@ pub fn parse(text: &str) -> Result<ScenarioSpec, ScenarioError> {
                 ));
             }
             let hosts = f.str_list("hosts")?;
-            for hst in &hosts {
-                if !known_host(hst) {
-                    return Err(ScenarioError::UnknownHost {
-                        at: f.at.clone(),
-                        host: hst.clone(),
-                    });
-                }
-            }
             let prime_ms = f.opt_int("prime_ms")?.ok_or(ScenarioError::MissingField {
                 at: f.at.clone(),
                 field: "prime_ms",
@@ -1085,6 +1140,7 @@ pub fn parse(text: &str) -> Result<ScenarioSpec, ScenarioError> {
         name,
         system,
         x_values,
+        wan,
         services,
         watch,
         workload,
@@ -1132,14 +1188,45 @@ impl ScenarioSpec {
                     });
                 }
             }
-            if matches!(svc.kind, ServiceKind::Monitor) {
-                return Err(ScenarioError::BadValue {
-                    at,
-                    field: "kind".to_string(),
-                    msg: "the monitor is synthesized from `watch`".to_string(),
-                });
+            // A pool is dealt round-robin over its host list.
+            let pool = match &svc.kind {
+                ServiceKind::GiisPool { gris_hosts, .. } => Some(("gris_hosts", gris_hosts)),
+                ServiceKind::CompositePool { site_hosts, .. } => Some(("site_hosts", site_hosts)),
+                _ => None,
+            };
+            if let Some((field, hosts)) = pool {
+                if hosts.is_empty() {
+                    return Err(ScenarioError::BadValue {
+                        at,
+                        field: field.to_string(),
+                        msg: "list must not be empty".to_string(),
+                    });
+                }
+                if let Some(host) = hosts.iter().find(|h| !known_host(h)) {
+                    return Err(ScenarioError::UnknownHost {
+                        at,
+                        host: host.clone(),
+                    });
+                }
             }
             seen.push(name);
+        }
+        if self.wan.is_some_and(|w| w.mbps == 0) {
+            return Err(ScenarioError::BadValue {
+                at: "[wan]".to_string(),
+                field: "mbps".to_string(),
+                msg: "link capacity must be positive".to_string(),
+            });
+        }
+        if let Arrivals::Poisson { rate } = self.workload.arrivals {
+            // A Poisson process needs a positive rate at every swept x.
+            if rate == Count::Lit(0) || (rate == Count::X && self.x_values.contains(&0)) {
+                return Err(ScenarioError::BadValue {
+                    at: "[workload]".to_string(),
+                    field: "rate".to_string(),
+                    msg: "arrival rate must be positive at every x".to_string(),
+                });
+            }
         }
         let names: Vec<&str> = self.services.iter().map(|(n, _)| n.as_str()).collect();
         let check = |at: &str, field: &'static str, target: &str| {
@@ -1226,8 +1313,9 @@ fn str_list(items: &[String]) -> String {
 
 impl ScenarioSpec {
     /// Render the spec in the text format, canonically: fixed key order,
-    /// one blank line between sections.  `parse(print(spec)) == spec`
-    /// for every valid spec, and the fingerprint hashes this text.
+    /// one blank line between sections, `[wan]` and `arrivals`/`rate`
+    /// only where they differ from the default.  `parse(print(spec)) ==
+    /// spec` for every valid spec, and the fingerprint hashes this text.
     pub fn print(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("name = {:?}\n", self.name));
@@ -1235,6 +1323,11 @@ impl ScenarioSpec {
         let xs: Vec<String> = self.x_values.iter().map(u32::to_string).collect();
         out.push_str(&format!("x = [{}]\n", xs.join(", ")));
         out.push_str(&format!("watch = {:?}\n", self.watch));
+        if let Some(wan) = self.wan {
+            out.push_str("\n[wan]\n");
+            out.push_str(&format!("mbps = {}\n", wan.mbps));
+            out.push_str(&format!("latency_ms = {}\n", wan.latency_ms));
+        }
         for (name, svc) in &self.services {
             out.push_str(&format!("\n[service.{name}]\n"));
             out.push_str(&format!("kind = {:?}\n", svc.kind.token()));
@@ -1296,7 +1389,16 @@ impl ScenarioSpec {
                 ServiceKind::ConsumerServlet { registry } => {
                     out.push_str(&format!("registry = {registry:?}\n"));
                 }
-                ServiceKind::Manager | ServiceKind::Registry | ServiceKind::Monitor => {}
+                ServiceKind::CompositePool {
+                    site_hosts,
+                    n_sites,
+                    registry,
+                } => {
+                    out.push_str(&format!("site_hosts = {}\n", str_list(site_hosts)));
+                    push_count(&mut out, "n_sites", *n_sites);
+                    out.push_str(&format!("registry = {registry:?}\n"));
+                }
+                ServiceKind::Manager | ServiceKind::Registry => {}
             }
         }
         out.push_str("\n[workload]\n");
@@ -1317,6 +1419,10 @@ impl ScenarioSpec {
         out.push_str(&format!("cpu = {:?}\n", self.workload.cpu.token()));
         if let Some(t) = self.workload.timeout_s {
             out.push_str(&format!("timeout_s = {t}\n"));
+        }
+        if let Arrivals::Poisson { rate } = self.workload.arrivals {
+            out.push_str("arrivals = \"poisson\"\n");
+            push_count(&mut out, "rate", rate);
         }
         if let Some(p) = &self.probe {
             out.push_str("\n[probe]\n");
@@ -1377,6 +1483,7 @@ mod tests {
             name: "sample".to_string(),
             system: SystemId::Mds,
             x_values: vec![1, 10, 50],
+            wan: None,
             services: vec![(
                 "giis".to_string(),
                 ServiceSpec {
@@ -1396,6 +1503,7 @@ mod tests {
                 query: Query::MdsSearchAllGiis,
                 cpu: ClientCpu::Mds,
                 timeout_s: None,
+                arrivals: Arrivals::Closed,
             },
             probe: None,
             faults: None,
@@ -1508,19 +1616,6 @@ mod tests {
         assert!(matches!(parse(&text), Err(ScenarioError::Syntax { .. })));
         let text = format!("{}\n[frobnicator]\n", sample().print());
         assert!(matches!(parse(&text), Err(ScenarioError::Syntax { .. })));
-    }
-
-    #[test]
-    fn monitor_kind_is_not_writable() {
-        let mut spec = sample();
-        spec.services.push((
-            "mon".to_string(),
-            ServiceSpec {
-                kind: ServiceKind::Monitor,
-                host: "lucky0".to_string(),
-            },
-        ));
-        assert!(spec.validate().is_err());
     }
 
     #[test]

@@ -17,9 +17,8 @@
 //!
 //! Cancellation is lazy: [`cancel`](Engine::cancel) removes the value
 //! from the slab (dropping it) and leaves its heap entry behind as a
-//! *stale key*, which is skipped when it reaches the top or swept out
-//! by compaction once stale keys dominate.  A dispatched or cancelled
-//! event frees its slab slot before anything else runs, so a
+//! *stale key*, which is skipped when it reaches the top.  A dispatched
+//! or cancelled event frees its slab slot before anything else runs, so a
 //! self-rescheduling event reuses its own slot and, once the heap and
 //! the slab have reached their working size, the schedule/fire loop
 //! performs **zero heap allocations** (pinned by the `alloc-profile`
@@ -75,13 +74,6 @@ pub struct Engine<W: World> {
     /// Strict clock advances (dispatches where `now` actually moved).
     /// `fired - advances` events rode an existing timestamp.
     pub advances: u64,
-    /// Heap keys whose event was cancelled but that still sit in the
-    /// calendar (lazy deletion).  Fuel for `maybe_compact`.
-    stale: usize,
-    /// Compact the calendar when stale keys dominate (see
-    /// [`Engine::set_compaction`]).  On by default; the differential
-    /// suite turns it off to get the pure lazy-deletion reference.
-    compaction: bool,
     /// Root RNG; components should `fork` child streams from it.
     pub rng: SimRng,
 }
@@ -96,40 +88,8 @@ impl<W: World> Engine<W> {
             fired: 0,
             popped: 0,
             advances: 0,
-            stale: 0,
-            compaction: true,
             rng: SimRng::new(seed),
         }
-    }
-
-    /// Enable or disable calendar compaction.  Dispatch order, times and
-    /// the `fired`/`advances` counters are identical either way; only the
-    /// amount of stale-key churn (`popped - fired`) differs.  The
-    /// differential suite runs with compaction off as the reference.
-    pub fn set_compaction(&mut self, on: bool) {
-        self.compaction = on;
-    }
-
-    /// Number of cancelled-but-unpopped keys still in the calendar.
-    pub fn stale_keys(&self) -> usize {
-        self.stale
-    }
-
-    /// Rebuild the calendar without stale keys once they dominate: each
-    /// cancelled event otherwise costs an extra `O(log n)` pop later, and
-    /// timeout-heavy workloads (retries, watchdogs) cancel nearly every
-    /// event they schedule.  `QKey` ordering is total (time, seq), so
-    /// dropping stale keys in place preserves dispatch order exactly.
-    /// `BinaryHeap::retain` filters and re-heapifies without leaving the
-    /// heap's own buffer, so compaction allocates nothing.
-    fn maybe_compact(&mut self) {
-        if !self.compaction || self.stale <= 64 || self.stale < self.heap.len() / 2 {
-            return;
-        }
-        let Engine { heap, events, .. } = self;
-        heap.retain(|Reverse(k)| events.contains(k.key));
-        debug_assert_eq!(self.heap.len(), self.events.len());
-        self.stale = 0;
     }
 
     /// Current simulated time.
@@ -166,12 +126,7 @@ impl<W: World> Engine<W> {
     /// event existed and was cancelled; cancelling an already-fired or
     /// already-cancelled event is a harmless no-op.
     pub fn cancel(&mut self, h: EventHandle) -> bool {
-        if self.events.remove(h.0).is_none() {
-            return false;
-        }
-        self.stale += 1;
-        self.maybe_compact();
-        true
+        self.events.remove(h.0).is_some()
     }
 
     /// Fire the next event if there is one at or before `limit`; returns
@@ -189,7 +144,6 @@ impl<W: World> Engine<W> {
             self.popped += 1;
             let Some(ev) = self.events.remove(top.key) else {
                 // Cancelled (its slot possibly recycled); skip the stale key.
-                self.stale = self.stale.saturating_sub(1);
                 continue;
             };
             debug_assert!(top.time >= self.now, "time went backwards");
@@ -405,84 +359,6 @@ mod tests {
         }
         e.run_until(&mut w, SimTime(100));
         assert_eq!(e.fired, 10);
-    }
-
-    #[test]
-    fn compaction_cuts_stale_pops_without_changing_dispatch() {
-        // Schedule-and-cancel churn (a timeout per request, almost always
-        // cancelled) with a sprinkle of live events; compare the dispatch
-        // stream with compaction on vs the lazy-deletion reference.
-        fn run(compaction: bool) -> (Vec<(u64, u64)>, u64, u64, u64) {
-            let mut e: Engine<Log> = Engine::new(7);
-            e.set_compaction(compaction);
-            let mut w = Log::default();
-            for round in 0..50u64 {
-                let base = round * 100;
-                let mut dead = Vec::new();
-                for i in 0..40 {
-                    dead.push(e.schedule_at(SimTime(base + 90 + i), Ev::Noop));
-                }
-                e.schedule_at(SimTime(base + 10), Ev::Mark("live"));
-                for h in dead {
-                    assert!(e.cancel(h));
-                }
-            }
-            let mut seen = Vec::new();
-            e.run_until_with(&mut w, SimTime(10_000), &mut |_w, now, fired| {
-                seen.push((now.as_micros(), fired));
-            });
-            (seen, e.fired, e.popped, e.advances)
-        }
-        let (fast, fast_fired, fast_popped, fast_adv) = run(true);
-        let (slow, slow_fired, slow_popped, slow_adv) = run(false);
-        assert_eq!(fast, slow, "dispatch stream must not change");
-        assert_eq!(fast_fired, slow_fired);
-        assert_eq!(fast_adv, slow_adv);
-        assert_eq!(
-            slow_popped,
-            slow_fired + 50 * 40,
-            "reference pops every stale key"
-        );
-        assert!(
-            fast_popped < slow_popped,
-            "compaction must remove stale churn ({fast_popped} vs {slow_popped})"
-        );
-    }
-
-    #[test]
-    fn stale_counter_tracks_cancels_and_compaction() {
-        let mut e = eng();
-        e.set_compaction(false);
-        let mut hs = Vec::new();
-        for i in 0..10 {
-            hs.push(e.schedule_at(SimTime(10 + i), Ev::Noop));
-        }
-        for h in &hs[..4] {
-            e.cancel(*h);
-        }
-        assert_eq!(e.stale_keys(), 4);
-        assert_eq!(e.pending(), 6);
-        let mut w = Log::default();
-        e.run_until(&mut w, SimTime(100));
-        assert_eq!(e.stale_keys(), 0, "stale keys drained by popping");
-        // With compaction on, heavy cancellation empties the stale count
-        // without popping.
-        let mut e = eng();
-        let hs: Vec<_> = (0..200)
-            .map(|i| e.schedule_at(SimTime(10 + i), Ev::Noop))
-            .collect();
-        for h in hs {
-            e.cancel(h);
-        }
-        assert!(
-            e.stale_keys() <= 64,
-            "compaction keeps the stale tail below threshold (got {})",
-            e.stale_keys()
-        );
-        assert_eq!(e.pending(), 0);
-        e.run_until(&mut w, SimTime(1000));
-        assert!(e.popped < 200, "most stale keys never reached the heap top");
-        assert_eq!(e.stale_keys(), 0);
     }
 
     #[test]

@@ -750,7 +750,7 @@ impl Net {
             let Some(step) = self.requests.get_mut(req).and_then(|r| r.steps.pop_front()) else {
                 // Plan exhausted without Reply: end of a one-way (or a
                 // service that chose not to respond — treated as done).
-                self.cleanup_finished(eng, req, None);
+                self.cleanup_finished(eng, req);
                 return;
             };
             match step {
@@ -917,7 +917,7 @@ impl Net {
                     if r.oneway {
                         // One-ways cannot reply; drop the payload.
                         drop(payload);
-                        self.cleanup_finished(eng, req, None);
+                        self.cleanup_finished(eng, req);
                         return;
                     }
                     r.waiting = Waiting::RespFlow;
@@ -1223,7 +1223,7 @@ impl Net {
         }
     }
 
-    fn cleanup_finished(&mut self, eng: &mut Eng, req: ReqKey, _payload: Option<Payload>) {
+    fn cleanup_finished(&mut self, eng: &mut Eng, req: ReqKey) {
         self.release_server_side(eng, req);
         let state = self.requests.remove(req);
         if let Some(state) = state {

@@ -19,6 +19,20 @@ pub struct StatsHub {
     gauges: HashMap<String, MeanAccum>,
 }
 
+/// Apply `f` to `map[name]`, inserting `new()` on first use.  The lookup
+/// is by `&str`, so only the first touch of a name allocates its key.
+fn with_slot<V, R>(
+    map: &mut HashMap<String, V>,
+    name: &str,
+    new: impl FnOnce() -> V,
+    f: impl FnOnce(&mut V) -> R,
+) -> R {
+    match map.get_mut(name) {
+        Some(v) => f(v),
+        None => f(map.entry(name.to_owned()).or_insert_with(new)),
+    }
+}
+
 impl StatsHub {
     /// Create a hub whose measurement window is `[start, end)`.
     pub fn new(start: SimTime, end: SimTime) -> Self {
@@ -41,15 +55,19 @@ impl StatsHub {
     /// the same discipline as the paper's 10-minute measurement spans.
     pub fn record_completion(&mut self, series: &str, at: SimTime, rt_secs: f64) {
         let (ws, we) = (self.window_start, self.window_end);
-        self.response_times
-            .entry(series.to_owned())
-            .or_insert_with(|| WindowedMean::new(ws, we))
-            .record(at, rt_secs);
+        with_slot(
+            &mut self.response_times,
+            series,
+            || WindowedMean::new(ws, we),
+            |w| w.record(at, rt_secs),
+        );
         if at >= ws && at < we {
-            self.histograms
-                .entry(series.to_owned())
-                .or_insert_with(|| Histogram::new(1e-4))
-                .record(rt_secs);
+            with_slot(
+                &mut self.histograms,
+                series,
+                || Histogram::new(1e-4),
+                |h| h.record(rt_secs),
+            );
         }
     }
 
@@ -82,7 +100,7 @@ impl StatsHub {
     /// Increment a counter (unconditionally — counters are not windowed;
     /// pass `at` to restrict to the window).
     pub fn incr(&mut self, counter: &str) {
-        *self.counters.entry(counter.to_owned()).or_insert(0) += 1;
+        with_slot(&mut self.counters, counter, || 0, |n| *n += 1);
     }
 
     /// Increment a counter only if `at` is inside the measurement window.
@@ -98,10 +116,9 @@ impl StatsHub {
 
     /// Record an arbitrary gauge sample (e.g. cache size at query time).
     pub fn gauge(&mut self, name: &str, value: f64) {
-        self.gauges
-            .entry(name.to_owned())
-            .or_default()
-            .record(value);
+        with_slot(&mut self.gauges, name, MeanAccum::default, |g| {
+            g.record(value)
+        });
     }
 
     pub fn gauge_mean(&self, name: &str) -> f64 {

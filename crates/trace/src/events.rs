@@ -4,9 +4,8 @@
 //! Events are *facts about the simulation*, not log lines: each variant
 //! carries the ids needed to reconstruct causality offline (span ids with
 //! causal parents, service/node/lock indices, packed flow tokens).  The
-//! exporters in [`crate::export`] turn them into JSONL and Chrome
-//! `trace_event` form without the simulator ever formatting a string on
-//! the hot path.
+//! exporters in [`crate::export`] turn them into Chrome `trace_event`
+//! form without the simulator ever formatting a string on the hot path.
 
 use simcore::SimTime;
 

@@ -1,5 +1,5 @@
-//! Exporters: JSONL event log, Chrome `trace_event` JSON (loadable in
-//! `chrome://tracing` and Perfetto), and a per-point metrics CSV.
+//! Exporters: Chrome `trace_event` JSON (loadable in `chrome://tracing`
+//! and Perfetto) and a per-point metrics CSV.
 //!
 //! Chrome-trace layout:
 //! * **pid 1 "query spans"** — one tid per completed span.  Each span
@@ -13,8 +13,8 @@
 //! * **pid 3 "flows"** — one `X` slice per network flow.
 //!
 //! Event-loop `Dispatch` events are *not* exported to the Chrome view
-//! (they would dwarf everything else); they stay in the JSONL log and
-//! are counted in the top-level `gridmon.dispatch_count` field.
+//! (they would dwarf everything else); they are counted in the
+//! top-level `gridmon.dispatch_count` field.
 
 use crate::events::{Ev, Phase, TraceEvent};
 use crate::json::{escape, F64};
@@ -103,81 +103,6 @@ pub fn assemble_spans(events: &[TraceEvent]) -> Vec<Span> {
         }
     }
     spans
-}
-
-/// Serialize events as JSONL: one `{"ts":…,"ev":"…",…}` object per line.
-pub fn jsonl(events: &[TraceEvent]) -> String {
-    let mut out = String::new();
-    for e in events {
-        let _ = write!(
-            out,
-            "{{\"ts\":{},\"ev\":\"{}\"",
-            e.at.as_micros(),
-            e.ev.name()
-        );
-        match e.ev {
-            Ev::Dispatch { seq } => {
-                let _ = write!(out, ",\"seq\":{seq}");
-            }
-            Ev::SpanBegin {
-                span,
-                parent,
-                svc,
-                oneway,
-            } => {
-                let _ = write!(out, ",\"span\":{span},\"parent\":");
-                match parent {
-                    Some(p) => {
-                        let _ = write!(out, "{p}");
-                    }
-                    None => out.push_str("null"),
-                }
-                let _ = write!(out, ",\"svc\":{svc},\"oneway\":{oneway}");
-            }
-            Ev::SpanPhase { span, phase } => {
-                let _ = write!(out, ",\"span\":{span},\"phase\":\"{}\"", phase.name());
-            }
-            Ev::SpanEnd { span, outcome } => {
-                let _ = write!(out, ",\"span\":{span},\"outcome\":\"{}\"", outcome.name());
-            }
-            Ev::ConnQueue { svc, depth } | Ev::WorkerQueue { svc, depth } => {
-                let _ = write!(out, ",\"svc\":{svc},\"depth\":{depth}");
-            }
-            Ev::LockQueue { lock, depth } => {
-                let _ = write!(out, ",\"lock\":{lock},\"depth\":{depth}");
-            }
-            Ev::ConnDrop { svc }
-            | Ev::GsiHandshake { svc }
-            | Ev::CacheHit { svc }
-            | Ev::CacheMiss { svc }
-            | Ev::FaultCrash { svc }
-            | Ev::FaultRestart { svc }
-            | Ev::FaultFreeze { svc }
-            | Ev::FaultDropBurst { svc } => {
-                let _ = write!(out, ",\"svc\":{svc}");
-            }
-            Ev::FaultPartition { link } | Ev::FaultHeal { link } => {
-                let _ = write!(out, ",\"link\":{link}");
-            }
-            Ev::FlowStart { flow, bytes } => {
-                let _ = write!(out, ",\"flow\":{flow},\"bytes\":{bytes}");
-            }
-            Ev::FlowRate { flow, bps } => {
-                let _ = write!(out, ",\"flow\":{flow},\"bps\":{}", F64(bps));
-            }
-            Ev::FlowEnd { flow } => {
-                let _ = write!(out, ",\"flow\":{flow}");
-            }
-            Ev::CpuGrant { node, span } | Ev::CpuDone { node, span } => {
-                let _ = write!(out, ",\"node\":{node},\"span\":{span}");
-            }
-            Ev::CpuResched { node, runnable } => {
-                let _ = write!(out, ",\"node\":{node},\"runnable\":{runnable}");
-            }
-        }
-        out.push_str("}\n");
-    }
-    out
 }
 
 fn svc_label(meta: &TraceMeta, svc: u32) -> String {
@@ -537,18 +462,6 @@ mod tests {
             .map(|e| e.get("dur").unwrap().as_f64().unwrap())
             .sum();
         assert_eq!(phase_dur, 100.0);
-    }
-
-    #[test]
-    fn jsonl_lines_parse_individually() {
-        let out = jsonl(&sample_events());
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 7);
-        for line in lines {
-            let v = json::parse(line).expect("valid JSONL line");
-            assert!(v.get("ts").is_some());
-            assert!(v.get("ev").is_some());
-        }
     }
 
     #[test]

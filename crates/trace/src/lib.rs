@@ -18,7 +18,7 @@
 //!   gated on a plain `bool`, so with [`ObsMode::OFF`] an instrumented
 //!   site costs one predictable branch (pinned <2 % by the overhead
 //!   bench in `crates/bench`).
-//! * [`export`] — JSONL, Chrome `trace_event` (for `chrome://tracing` /
+//! * [`export`] — Chrome `trace_event` (for `chrome://tracing` /
 //!   Perfetto) and metrics-CSV exporters.
 //! * [`inspect`] — parses an exported trace back into a per-phase
 //!   latency breakdown, top queues by time-weighted depth and drop
@@ -40,7 +40,7 @@ pub mod obs;
 pub mod tracer;
 
 pub use events::{Ev, Outcome, Phase, SpanId, TraceEvent};
-pub use export::{chrome_trace, jsonl, metrics_csv, Span, TraceMeta};
+pub use export::{chrome_trace, metrics_csv, Span, TraceMeta};
 pub use metrics::{MetricRow, MetricsRegistry};
 pub use obs::{Obs, ObsMode, ObsReport};
 pub use tracer::{NullTracer, RingTracer, Tracer, DEFAULT_RING_CAP};

@@ -19,6 +19,7 @@
 
 use simcore::{SimDuration, SimRng, SimTime};
 use simnet::{Client, ClientCx, NodeId, Payload, ReqOutcome, ReqResult, RequestSpec, SvcKey};
+use std::rc::Rc;
 
 /// Produces the next query for a user: payload plus request size in bytes.
 pub type QueryFactory = Box<dyn FnMut(&mut SimRng) -> (Payload, u64)>;
@@ -58,6 +59,29 @@ impl Default for UserConfig {
     }
 }
 
+/// The statistic names a group of load generators records under, built
+/// once (and shared by the group) so recording an outcome formats nothing.
+struct SeriesNames {
+    /// Completed queries: `<series>`.
+    done: String,
+    refused: String,
+    failed: String,
+    timedout: String,
+    late: String,
+}
+
+impl SeriesNames {
+    fn new(series: &str) -> SeriesNames {
+        SeriesNames {
+            done: series.to_string(),
+            refused: format!("{series}.refused"),
+            failed: format!("{series}.failed"),
+            timedout: format!("{series}.timedout"),
+            late: format!("{series}.late"),
+        }
+    }
+}
+
 /// One closed-loop user.
 pub struct User {
     node: NodeId,
@@ -65,7 +89,7 @@ pub struct User {
     think: SimDuration,
     retry_base: SimDuration,
     retry_cap: SimDuration,
-    series: String,
+    series: Rc<SeriesNames>,
     client_cpu_us: f64,
     client_timeout: Option<SimDuration>,
     make_query: QueryFactory,
@@ -90,10 +114,11 @@ pub struct User {
 }
 
 impl User {
-    pub fn new(
+    fn new(
         node: NodeId,
         target: SvcKey,
         config: &UserConfig,
+        series: Rc<SeriesNames>,
         make_query: QueryFactory,
         rng: SimRng,
     ) -> User {
@@ -103,7 +128,7 @@ impl User {
             think: config.think,
             retry_base: config.retry_base,
             retry_cap: config.retry_cap,
-            series: config.series.clone(),
+            series,
             client_cpu_us: config.client_cpu_us,
             client_timeout: config.timeout,
             make_query,
@@ -119,7 +144,7 @@ impl User {
         }
     }
 
-    fn send(&mut self, cx: &mut ClientCx, _fresh: bool) {
+    fn send(&mut self, cx: &mut ClientCx) {
         let (payload, bytes) = (self.make_query)(&mut self.rng);
         let spec = RequestSpec {
             from: self.node,
@@ -177,10 +202,10 @@ impl Client for User {
                 if self.client_cpu_us > 0.0 {
                     cx.spend_cpu(self.node, self.client_cpu_us, TAG_CPU_DONE);
                 } else {
-                    self.send(cx, false);
+                    self.send(cx);
                 }
             }
-            TAG_CPU_DONE | TAG_RETRY => self.send(cx, false),
+            TAG_CPU_DONE | TAG_RETRY => self.send(cx),
             t if t & TAG_TIMEOUT != 0 => {
                 let gen = t & !TAG_TIMEOUT;
                 if self.awaiting != Some(gen) {
@@ -193,11 +218,11 @@ impl Client for User {
                 self.attempt += 1;
                 let now = cx.now();
                 let rt = (now - self.query_started).as_secs_f64();
-                let series = format!("{}.timedout", self.series);
-                cx.net.stats.incr_windowed(&series, now);
+                let series = &self.series.timedout;
+                cx.net.stats.incr_windowed(series, now);
                 // Recorded under its own series: abandoned attempts must
                 // not drag the completed-query response-time mean.
-                cx.net.stats.record_completion(&series, now, rt);
+                cx.net.stats.record_completion(series, now, rt);
                 let delay = self.backoff();
                 cx.wake_in(delay, TAG_RETRY);
             }
@@ -210,9 +235,7 @@ impl Client for User {
             // Response (or refusal) for an attempt we already abandoned at
             // the timeout: count it, but the loop has moved on.
             let now = cx.now();
-            cx.net
-                .stats
-                .incr_windowed(&format!("{}.late", self.series), now);
+            cx.net.stats.incr_windowed(&self.series.late, now);
             return;
         }
         self.awaiting = None;
@@ -221,16 +244,14 @@ impl Client for User {
                 self.completed += 1;
                 let rt = (outcome.completed - self.query_started).as_secs_f64();
                 let now = cx.now();
-                cx.net.stats.record_completion(&self.series, now, rt);
+                cx.net.stats.record_completion(&self.series.done, now, rt);
                 cx.wake_in(self.think, TAG_NEXT_QUERY);
             }
             ReqResult::Refused => {
                 self.refused += 1;
                 self.attempt += 1;
                 let now = cx.now();
-                cx.net
-                    .stats
-                    .incr_windowed(&format!("{}.refused", self.series), now);
+                cx.net.stats.incr_windowed(&self.series.refused, now);
                 let delay = self.backoff();
                 cx.wake_in(delay, TAG_RETRY);
             }
@@ -238,38 +259,17 @@ impl Client for User {
                 self.failed += 1;
                 let now = cx.now();
                 let rt = (outcome.completed - self.query_started).as_secs_f64();
-                let series = format!("{}.failed", self.series);
-                cx.net.stats.incr_windowed(&series, now);
+                let series = &self.series.failed;
+                cx.net.stats.incr_windowed(series, now);
                 // Failed queries get their own latency series; folding them
                 // into the main mean under-reported response times whenever
                 // a server died mid-burst (failures resolve fast).
-                cx.net.stats.record_completion(&series, now, rt);
+                cx.net.stats.record_completion(series, now, rt);
                 // Treat like the script dying and restarting the loop.
                 cx.wake_in(self.think, TAG_NEXT_QUERY);
             }
         }
     }
-}
-
-/// Spawn `placement.len()` users (one per entry, on that node), all
-/// targeting `target`, each with an independent RNG stream and a query
-/// from `factory`.
-pub fn spawn_users(
-    net: &mut simnet::Net,
-    eng: &mut simnet::Eng,
-    placement: &[NodeId],
-    target: SvcKey,
-    config: &UserConfig,
-    mut factory: impl FnMut() -> QueryFactory,
-) -> Vec<simnet::ClientKey> {
-    placement
-        .iter()
-        .enumerate()
-        .map(|(i, &node)| {
-            let rng = eng.rng.fork(0x5EED + i as u64);
-            net.add_client(Box::new(User::new(node, target, config, factory(), rng)))
-        })
-        .collect()
 }
 
 /// An open-loop load generator: queries arrive as a Poisson process at
@@ -282,15 +282,15 @@ pub struct OpenLoopSource {
     node: NodeId,
     target: SvcKey,
     rate_per_sec: f64,
-    series: String,
+    series: SeriesNames,
     make_query: QueryFactory,
     rng: SimRng,
     /// Submission time per outstanding tag.
     outstanding: std::collections::HashMap<u64, SimTime>,
     next_tag: u64,
-    /// Completed/failed counts (whole run).
+    /// Completed/lost counts (whole run).
     pub completed: u64,
-    pub failed: u64,
+    pub lost: u64,
 }
 
 impl OpenLoopSource {
@@ -307,13 +307,13 @@ impl OpenLoopSource {
             node,
             target,
             rate_per_sec,
-            series: series.to_string(),
+            series: SeriesNames::new(series),
             make_query,
             rng,
             outstanding: std::collections::HashMap::new(),
             next_tag: 0,
             completed: 0,
-            failed: 0,
+            lost: 0,
         }
     }
 
@@ -358,24 +358,27 @@ impl Client for OpenLoopSource {
                 self.completed += 1;
                 let rt = (outcome.completed - started).as_secs_f64();
                 let now = cx.now();
-                cx.net.stats.record_completion(&self.series, now, rt);
+                cx.net.stats.record_completion(&self.series.done, now, rt);
             }
-            _ => {
-                // Open-loop sources don't retry: a refused/failed arrival
-                // is a loss.
-                self.failed += 1;
+            // Open-loop sources don't retry: a refused or failed arrival
+            // is a loss, counted under the name a `User` counts it.
+            lost => {
+                self.lost += 1;
+                let series = match lost {
+                    ReqResult::Refused => &self.series.refused,
+                    _ => &self.series.failed,
+                };
                 let now = cx.now();
-                cx.net
-                    .stats
-                    .incr_windowed(&format!("{}.lost", self.series), now);
+                cx.net.stats.incr_windowed(series, now);
             }
         }
     }
 }
 
-/// Like [`spawn_users`] but with a per-user `(node, target)` placement —
-/// used when each client host talks to its own local servlet (the paper's
-/// "ConsumerServlet on each Lucky node" configuration).
+/// Spawn one [`User`] per `(node, target)` entry of `placement`, each
+/// with an independent RNG stream and a query from `factory`.  Targets are
+/// per user so each client host can talk to its own local servlet (the
+/// paper's "ConsumerServlet on each Lucky node" configuration).
 pub fn spawn_users_to(
     net: &mut simnet::Net,
     eng: &mut simnet::Eng,
@@ -383,14 +386,35 @@ pub fn spawn_users_to(
     config: &UserConfig,
     mut factory: impl FnMut() -> QueryFactory,
 ) -> Vec<simnet::ClientKey> {
+    let series = Rc::new(SeriesNames::new(&config.series));
     placement
         .iter()
         .enumerate()
         .map(|(i, &(node, target))| {
             let rng = eng.rng.fork(0x5EED + i as u64);
-            net.add_client(Box::new(User::new(node, target, config, factory(), rng)))
+            let user = User::new(node, target, config, series.clone(), factory(), rng);
+            net.add_client(Box::new(user))
         })
         .collect()
+}
+
+/// Spawn one [`OpenLoopSource`] per `(node, target)` entry of
+/// `placement`, splitting `rate_per_sec` evenly among them, each with an
+/// independent RNG stream and a query from `factory`.
+pub fn spawn_open_loop(
+    net: &mut simnet::Net,
+    eng: &mut simnet::Eng,
+    placement: &[(NodeId, SvcKey)],
+    rate_per_sec: f64,
+    series: &str,
+    mut factory: impl FnMut() -> QueryFactory,
+) {
+    let share = rate_per_sec / placement.len() as f64;
+    for (i, &(node, target)) in placement.iter().enumerate() {
+        let rng = eng.rng.fork(0xAAA + i as u64);
+        let src = OpenLoopSource::new(node, target, share, series, factory(), rng);
+        net.add_client(Box::new(src));
+    }
 }
 
 #[cfg(test)]
@@ -441,6 +465,19 @@ mod tests {
 
     fn factory() -> QueryFactory {
         Box::new(|_rng| (Box::new(()) as Payload, 256))
+    }
+
+    /// [`spawn_users_to`] with every user aimed at one `target`.
+    fn spawn_users(
+        net: &mut Net,
+        eng: &mut Eng,
+        placement: &[NodeId],
+        target: SvcKey,
+        config: &UserConfig,
+        factory: impl FnMut() -> QueryFactory,
+    ) -> Vec<simnet::ClientKey> {
+        let to: Vec<(NodeId, SvcKey)> = placement.iter().map(|&n| (n, target)).collect();
+        spawn_users_to(net, eng, &to, config, factory)
     }
 
     #[test]
@@ -519,7 +556,8 @@ mod tests {
         eng.run_until(&mut net, SimTime::from_secs(130));
         let x = net.stats.throughput("user");
         assert!(x > 6.0 && x < 10.0, "throughput {x}");
-        assert_eq!(net.stats.counter("user.lost"), 0);
+        assert_eq!(net.stats.counter("user.refused"), 0);
+        assert_eq!(net.stats.counter("user.failed"), 0);
     }
 
     #[test]
@@ -538,9 +576,14 @@ mod tests {
         net.start(&mut eng);
         eng.run_until(&mut net, SimTime::from_secs(130));
         let x = net.stats.throughput("user");
-        let lost = net.stats.counter("user.lost");
+        let lost = net.stats.counter("user.refused");
         assert!(x < 5.0, "completed {x}");
         assert!(lost > 500, "lost {lost}");
+        assert_eq!(
+            net.stats.counter("user.failed"),
+            0,
+            "every loss is a refusal"
+        );
     }
 
     /// Fails every other query after a long compute, answers the rest

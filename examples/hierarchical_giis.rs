@@ -5,16 +5,23 @@
 //!
 //! This example builds both architectures over the same 60 GRISes —
 //! flat (everything registered to one GIIS) and two-level (five branch
-//! GIISes under a top GIIS) — runs the paper's Experiment-4 workload on
+//! GIISes under a top GIIS), the catalogue's `ext/hier-flat` and
+//! `ext/hier-tree` rows — runs the paper's Experiment-4 workload on
 //! each, and prints the comparison.
 //!
 //! ```text
 //! cargo run --release --example hierarchical_giis
 //! ```
 
-use gridmon::core::ext::{hierarchy_flat_point, hierarchy_tree_point};
-use gridmon::core::runcfg::RunConfig;
+use gridmon::core::runcfg::{Measurement, RunConfig};
+use gridmon::core::scenario::{catalogue, run_point};
 use gridmon::simcore::SimDuration;
+
+/// The extension row `id` with `n_gris` GRISes.
+fn row(id: &str, n_gris: u32, cfg: &RunConfig) -> Measurement {
+    let series = catalogue::find(id).expect("a catalogue row");
+    run_point(&(series.spec)(), n_gris, cfg).expect("catalogue rows compile")
+}
 
 fn main() {
     let mut cfg = RunConfig::quick(2003);
@@ -30,8 +37,8 @@ fn main() {
         cfg.window.as_secs_f64()
     );
 
-    let flat = hierarchy_flat_point(&cfg, n_gris);
-    let hier = hierarchy_tree_point(&cfg, n_gris, branches);
+    let flat = row("ext/hier-flat", n_gris, &cfg);
+    let hier = row("ext/hier-tree", n_gris, &cfg);
 
     println!(
         "{:<28} {:>12} {:>14} {:>8} {:>8}",

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use gridmon::core::deploy::{gris_suffix, Harness, MdsBackend};
+use gridmon::core::deploy::{self, gris_suffix, Harness};
 use gridmon::core::runcfg::RunConfig;
 use gridmon::mds::{Gris, MdsRequest, MdsSearchResult};
 use gridmon::simcore::{SimDuration, SimTime};
@@ -77,7 +77,7 @@ fn main() {
 
     // A GRIS with the ten default information providers, data cached
     // ("data always in cache", the configuration the paper recommends).
-    let gris = MdsBackend.gris(&mut h, server, 10, true, true);
+    let gris = deploy::gris(&mut h, server, 10, true, true);
 
     // One user at UC.
     let uc0 = h.uc[0];

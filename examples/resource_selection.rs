@@ -10,7 +10,7 @@
 //! cargo run --release --example resource_selection
 //! ```
 
-use gridmon::core::deploy::{giis_suffix, Harness, MdsBackend};
+use gridmon::core::deploy::{self, giis_suffix, Harness};
 use gridmon::core::runcfg::RunConfig;
 use gridmon::ldap::{Filter, Scope};
 use gridmon::mds::{Giis, MdsRequest, MdsSearchResult};
@@ -92,7 +92,7 @@ fn main() {
         .collect();
     // Five registered sites, cache pinned (the paper's Experiment 2
     // directory configuration).
-    let (giis, _grafts) = MdsBackend.giis_pool(&mut h, giis_node, &gris_nodes, 5, None);
+    let (giis, _grafts) = deploy::giis_pool(&mut h, giis_node, &gris_nodes, 5, None);
     let uc0 = h.uc[0];
     h.net.add_client(Box::new(Broker { from: uc0, giis }));
 

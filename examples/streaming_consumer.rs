@@ -10,7 +10,7 @@
 //! cargo run --release --example streaming_consumer
 //! ```
 
-use gridmon::core::deploy::{Harness, RgmaBackend};
+use gridmon::core::deploy::{self, Harness};
 use gridmon::core::runcfg::RunConfig;
 use gridmon::rgma::{ProducerServlet, Registry, RgmaMsg, SqlResultMsg, TupleSink};
 use gridmon::simcore::{SimDuration, SimTime};
@@ -106,9 +106,9 @@ fn main() {
     let ps_node = h.lucky("lucky3");
     let cs_node = h.lucky("lucky5");
 
-    let registry = RgmaBackend.registry(&mut h, reg_node);
-    let producer_servlet = RgmaBackend.producer_servlet(&mut h, ps_node, 10, registry);
-    let consumer_servlet = RgmaBackend.consumer_servlet(&mut h, cs_node, registry);
+    let registry = deploy::registry(&mut h, reg_node);
+    let producer_servlet = deploy::producer_servlet(&mut h, ps_node, 10, registry);
+    let consumer_servlet = deploy::consumer_servlet(&mut h, cs_node, registry);
 
     // The consumer's stream sink runs next to the consumer at UC.
     let uc0 = h.uc[0];

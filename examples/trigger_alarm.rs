@@ -14,7 +14,7 @@
 //! ```
 
 use gridmon::classad::ClassAd;
-use gridmon::core::deploy::{Harness, HawkeyeBackend};
+use gridmon::core::deploy::{self, Harness};
 use gridmon::core::runcfg::RunConfig;
 use gridmon::hawkeye::{HawkeyeMsg, Manager};
 use gridmon::simcore::SimTime;
@@ -49,12 +49,12 @@ impl Service for AdminInbox {
 fn main() {
     let mut h = Harness::new(RunConfig::quick(11));
     let mgr_node = h.lucky("lucky3");
-    let manager = HawkeyeBackend.manager(&mut h, mgr_node);
+    let manager = deploy::manager(&mut h, mgr_node);
 
     // Agents on the rest of the pool.
     for name in ["lucky0", "lucky1", "lucky4", "lucky5", "lucky6", "lucky7"] {
         let node = h.lucky(name);
-        HawkeyeBackend.agent(&mut h, node, 11, manager);
+        deploy::agent(&mut h, node, 11, manager);
     }
 
     // The administrator's inbox lives on a UC workstation.

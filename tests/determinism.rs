@@ -48,10 +48,9 @@ fn profiled_run(set: u32, jobs: usize) -> (BTreeMap<u32, String>, (u64, u64, u64
     };
     let mut sink = gperf::PerfSink::new();
     let specs = enumerate_set(set, SCALE).unwrap();
-    let jobs: Vec<Job> = specs.iter().map(|&p| Job::Figure(p)).collect();
-    let (outputs, stats) = gridmon_runner::run(&jobs, &cfg(), &rc, Some(&mut sink));
+    let (outputs, stats) = gridmon_runner::run(&Job::points(&specs), &cfg(), &rc, Some(&mut sink));
     assert_eq!(stats.executed, stats.total, "no cache in play");
-    let results: Vec<_> = outputs.iter().map(|o| o.measurement().unwrap()).collect();
+    let results: Vec<_> = outputs.iter().map(|o| o.measurement()).collect();
     let data = assemble_set(set, &specs, &results);
     let t = sink.totals();
     (csvs_of(&data), (t.events, t.popped, t.advances, t.sim_us))

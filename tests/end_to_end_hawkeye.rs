@@ -2,7 +2,7 @@
 //! queries, triggers, and the simulated advertiser fleet.
 
 use gridmon::classad::ClassAd;
-use gridmon::core::deploy::{Harness, HawkeyeBackend};
+use gridmon::core::deploy::{self, Harness};
 use gridmon::core::runcfg::RunConfig;
 use gridmon::hawkeye::{Agent, HawkeyeMsg, Manager};
 use gridmon::simcore::{SimDuration, SimTime};
@@ -49,13 +49,13 @@ impl Client for Asker {
 
 fn pool(h: &mut Harness, agents: usize) -> (SvcKey, Vec<SvcKey>) {
     let mgr_node = h.lucky("lucky3");
-    let mgr = HawkeyeBackend.manager(h, mgr_node);
+    let mgr = deploy::manager(h, mgr_node);
     let names = ["lucky0", "lucky1", "lucky4", "lucky5", "lucky6", "lucky7"];
     let keys = names[..agents]
         .iter()
         .map(|n| {
             let node = h.lucky(n);
-            HawkeyeBackend.agent(h, node, 11, mgr)
+            deploy::agent(h, node, 11, mgr)
         })
         .collect();
     (mgr, keys)
@@ -162,9 +162,9 @@ fn triggers_fire_per_matching_advertisement() {
 fn advertiser_fleet_scales_the_pool() {
     let mut h = Harness::new(RunConfig::quick(304));
     let mgr_node = h.lucky("lucky3");
-    let mgr = HawkeyeBackend.manager(&mut h, mgr_node);
+    let mgr = deploy::manager(&mut h, mgr_node);
     let fleet_node = h.lucky("lucky4");
-    HawkeyeBackend.advertiser_fleet(&mut h, fleet_node, 200, mgr);
+    deploy::advertiser_fleet(&mut h, fleet_node, 200, mgr);
     h.net.start(&mut h.eng);
     h.eng.run_until(&mut h.net, SimTime::from_secs(65));
     let m = h.net.service_as::<Manager>(mgr).unwrap();

@@ -1,7 +1,7 @@
 //! End-to-end MDS integration: the full GRIS -> GIIS hierarchy on the
 //! simulated Lucky testbed.
 
-use gridmon::core::deploy::{giis_suffix, gris_suffix, Harness, MdsBackend};
+use gridmon::core::deploy::{self, giis_suffix, gris_suffix, Harness};
 use gridmon::core::runcfg::RunConfig;
 use gridmon::ldap::{Filter, Scope};
 use gridmon::mds::{Giis, Gris, MdsRequest, MdsSearchResult};
@@ -55,7 +55,7 @@ impl Client for Prober {
 fn gris_caching_makes_repeat_queries_cheap() {
     let mut h = Harness::new(RunConfig::quick(101));
     let server = h.lucky("lucky7");
-    let gris = MdsBackend.gris(&mut h, server, 10, true, false);
+    let gris = deploy::gris(&mut h, server, 10, true, false);
     let results = Rc::new(RefCell::new(Vec::new()));
     let uc0 = h.uc[0];
     h.net.add_client(Box::new(Prober {
@@ -91,7 +91,7 @@ fn giis_aggregates_five_sites_and_serves_part_queries() {
         .iter()
         .map(|n| h.lucky(n))
         .collect();
-    let (giis, grafts) = MdsBackend.giis_pool(&mut h, giis_node, &gris_nodes, 5, None);
+    let (giis, grafts) = deploy::giis_pool(&mut h, giis_node, &gris_nodes, 5, None);
     assert_eq!(grafts.len(), 5);
 
     let all = Rc::new(RefCell::new(Vec::new()));
@@ -136,7 +136,7 @@ fn giis_filtered_search_selects_across_sites() {
     let mut h = Harness::new(RunConfig::quick(103));
     let giis_node = h.lucky("lucky0");
     let gris_nodes: Vec<NodeId> = vec![h.lucky("lucky3"), h.lucky("lucky4")];
-    let (giis, _) = MdsBackend.giis_pool(&mut h, giis_node, &gris_nodes, 4, None);
+    let (giis, _) = deploy::giis_pool(&mut h, giis_node, &gris_nodes, 4, None);
     let results = Rc::new(RefCell::new(Vec::new()));
     let uc0 = h.uc[0];
     h.net.add_client(Box::new(Prober {
@@ -163,7 +163,7 @@ fn identical_seeds_give_identical_mds_runs() {
     let run = |seed: u64| {
         let mut h = Harness::new(RunConfig::quick(seed));
         let server = h.lucky("lucky7");
-        let gris = MdsBackend.gris(&mut h, server, 10, true, true);
+        let gris = deploy::gris(&mut h, server, 10, true, true);
         let results = Rc::new(RefCell::new(Vec::new()));
         let uc0 = h.uc[0];
         h.net.add_client(Box::new(Prober {

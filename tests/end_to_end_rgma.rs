@@ -1,7 +1,7 @@
 //! End-to-end R-GMA integration: registration, mediation, pull and push,
 //! and failure propagation through the servlet chain.
 
-use gridmon::core::deploy::{Harness, RgmaBackend};
+use gridmon::core::deploy::{self, Harness};
 use gridmon::core::runcfg::RunConfig;
 use gridmon::rgma::{ConsumerServlet, ProducerServlet, Registry, RgmaMsg, SqlResultMsg, TupleSink};
 use gridmon::simcore::{SimDuration, SimTime};
@@ -65,9 +65,9 @@ fn standard_rgma(h: &mut Harness) -> (SvcKey, SvcKey, SvcKey) {
     let reg_node = h.lucky("lucky1");
     let ps_node = h.lucky("lucky3");
     let cs_node = h.lucky("lucky5");
-    let reg = RgmaBackend.registry(h, reg_node);
-    let ps = RgmaBackend.producer_servlet(h, ps_node, 10, reg);
-    let cs = RgmaBackend.consumer_servlet(h, cs_node, reg);
+    let reg = deploy::registry(h, reg_node);
+    let ps = deploy::producer_servlet(h, ps_node, 10, reg);
+    let cs = deploy::consumer_servlet(h, cs_node, reg);
     (reg, ps, cs)
 }
 
@@ -153,7 +153,7 @@ fn unreachable_registry_fails_the_consumer_query() {
         .net
         .add_service(reg_node, dead_cfg, Box::new(Registry::new()), &mut h.eng);
     let cs_node = h.lucky("lucky5");
-    let cs = RgmaBackend.consumer_servlet(&mut h, cs_node, dead_reg);
+    let cs = deploy::consumer_servlet(&mut h, cs_node, dead_reg);
     let results = Rc::new(RefCell::new(Vec::new()));
     let uc0 = h.uc[0];
     h.net.add_client(Box::new(SqlProber {

@@ -10,11 +10,11 @@
 //! so injected faults are held to the same byte-identity bar as
 //! pristine points.
 
-use gridmon_core::figures::{self, assemble_set, enumerate_set, SetData};
+use gridmon_core::figures::{self, assemble_set, enumerate_extensions, enumerate_set, SetData};
 use gridmon_core::report::csv;
 use gridmon_core::runcfg::RunConfig;
 use gridmon_core::scenario::{catalogue, DEFAULT_FAULTS};
-use gridmon_runner::{Job, RunnerConfig, SweepStats};
+use gridmon_runner::{Job, JobOutput, RunnerConfig, SweepStats};
 use simcore::SimDuration;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -40,9 +40,8 @@ fn pooled_set(
     sink: Option<&mut gperf::PerfSink>,
 ) -> (SetData, SweepStats) {
     let specs = enumerate_set(set, scale).unwrap();
-    let jobs: Vec<Job> = specs.iter().map(|&p| Job::Figure(p)).collect();
-    let (outputs, stats) = gridmon_runner::run(&jobs, cfg, rc, sink);
-    let results: Vec<_> = outputs.iter().map(|o| o.measurement().unwrap()).collect();
+    let (outputs, stats) = gridmon_runner::run(&Job::points(&specs), cfg, rc, sink);
+    let results: Vec<_> = outputs.iter().map(|o| o.measurement()).collect();
     (assemble_set(set, &specs, &results), stats)
 }
 
@@ -90,13 +89,31 @@ fn every_figure_csv_is_byte_identical_across_job_counts() {
 
 /// Observability must not perturb the simulation: with tracing and
 /// metrics fully on (RingTracer + registry live), every figure CSV is
-/// byte-identical to the plain NullTracer run, sequential or 8-wide.
+/// byte-identical to the plain NullTracer run, sequential or 8-wide —
+/// and so are the extension studies' measurements, the open-loop source
+/// and the composite producer included, with a non-empty harvest each.
 #[test]
 fn tracing_never_changes_figure_csvs() {
+    let base = cfg();
+    let mut traced = base;
+    traced.obs = gridmon_core::ObsMode::FULL;
+    let ext = Job::points(&enumerate_extensions());
+    let (plain, _) = gridmon_runner::run(&ext, &base, &RunnerConfig::sequential(), None);
+    let rc = RunnerConfig {
+        jobs: 8,
+        ..RunnerConfig::sequential()
+    };
+    let (observed, _) = gridmon_runner::run(&ext, &traced, &rc, None);
+    for ((job, plain), observed) in ext.iter().zip(&plain).zip(&observed) {
+        let JobOutput::Observed(op) = observed else {
+            panic!("{} carries no harvest", job.key())
+        };
+        assert_eq!(op.m, plain.measurement(), "tracing perturbed {}", job.key());
+        assert!(op.m.completions > 0, "{} measured nothing", job.key());
+        assert!(!op.report.events.is_empty() && !op.report.metrics.is_empty());
+    }
+
     for set in catalogue::sets() {
-        let base = cfg();
-        let mut traced = base;
-        traced.obs = gridmon_core::ObsMode::FULL;
         let reference = csvs_of(&figures::run_set(set, &base, SCALE).unwrap());
         for jobs in [1, 8] {
             let rc = RunnerConfig {
