@@ -83,7 +83,7 @@ use gridmon_core::report::{ascii_chart, csv, text_table};
 use gridmon_core::runcfg::{Measurement, RunConfig};
 use gridmon_core::scenario::{catalogue, point_seed, DEFAULT_FAULTS};
 use gridmon_core::ObsMode;
-use gridmon_runner::{Job, JobOutput, RunnerConfig};
+use gridmon_runner::{Job, RunnerConfig};
 use gtrace::{chrome_trace, metrics_csv, TraceMeta};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -300,13 +300,8 @@ fn main() {
 
         // Outputs come back in job order: hand each section its slice.
         let mut cursor = outputs.iter();
-        let mut measurements = |n: usize| -> Vec<Measurement> {
-            cursor
-                .by_ref()
-                .take(n)
-                .map(JobOutput::measurement)
-                .collect()
-        };
+        let mut measurements =
+            |n: usize| -> Vec<Measurement> { cursor.by_ref().take(n).map(|o| o.m).collect() };
         for (set, specs) in &set_specs {
             let results = measurements(specs.len());
             let t_assemble = Instant::now();
@@ -512,35 +507,36 @@ fn run_observability(
     let (outputs, _) = gridmon_runner::run(jobs, cfg, rc, perf_sink);
 
     for (job, out) in jobs.iter().zip(&outputs) {
-        let JobOutput::Observed(op) = out else {
-            unreachable!("every point is observed under cfg.obs")
-        };
+        let obs = out
+            .obs
+            .as_deref()
+            .expect("cfg.obs is on: every output carries its harvest");
         let key = job.key().to_string();
         let slug = slug(&key);
         if cfg.obs.trace {
             let meta = TraceMeta {
                 seed: point_seed(cfg.seed, &key),
                 key,
-                x: op.m.x,
+                x: out.m.x,
                 window_start: cfg.window_start(),
                 window_end: cfg.window_end(),
-                mean_response_time_us: op.m.response_time * 1e6,
-                completions: op.m.completions,
-                refused: op.m.refused,
-                services: op.services.clone(),
-                nodes: op.nodes.clone(),
+                mean_response_time_us: out.m.response_time * 1e6,
+                completions: out.m.completions,
+                refused: out.m.refused,
+                services: obs.services.clone(),
+                nodes: obs.nodes.clone(),
             };
             let path = obs_dir.join(format!("{slug}.trace.json"));
             std::fs::write(
                 &path,
-                chrome_trace(&meta, &op.report.events, op.report.dropped),
+                chrome_trace(&meta, &obs.report.events, obs.report.dropped),
             )
             .expect("write chrome trace");
             eprintln!("wrote {}", path.display());
         }
         if cfg.obs.metrics {
             let path = obs_dir.join(format!("{slug}.metrics.csv"));
-            std::fs::write(&path, metrics_csv(&op.report.metrics)).expect("write metrics csv");
+            std::fs::write(&path, metrics_csv(&obs.report.metrics)).expect("write metrics csv");
             eprintln!("wrote {}", path.display());
         }
     }

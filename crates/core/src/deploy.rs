@@ -9,26 +9,21 @@ use ldapdir::Dn;
 use mds::{default_providers, Giis, Gris};
 use rgma::{CompositeProducer, ConsumerServlet, ProducerServlet, Registry};
 use simcore::{Engine, SimDuration, SimTime};
-use simnet::trace::{Ev, Obs, ObsReport};
+use simnet::trace::{Obs, ObsReport};
 use simnet::{ClientKey, Eng, Net, NodeId, ServiceConfig, StatsHub, SvcKey};
 use testbed::{Testbed, TestbedConfig};
 
-/// A measurement together with the observability harvest of its run:
-/// the traced events / metrics snapshot plus the label tables needed to
-/// render them (service slot → label, node id → host name).
+/// The observability harvest of a run: the traced events / metrics
+/// snapshot plus the label tables needed to render them (service slot →
+/// label, node id → host name).
 #[derive(Debug, Clone, PartialEq)]
-pub struct ObservedPoint {
-    pub m: Measurement,
+pub struct Harvest {
     pub report: ObsReport,
     /// Service labels (`name@host`), indexed by service slot.
     pub services: Vec<String>,
     /// Node names, indexed by node id.
     pub nodes: Vec<String>,
 }
-
-/// What `Engine::run_until_with` calls after every dispatched event:
-/// `(world, now, fired)`.
-type DispatchHook<'a> = &'a mut dyn FnMut(&mut Net, SimTime, u64);
 
 /// A ready-to-run simulated testbed with measurement plumbing.
 pub struct Harness {
@@ -106,11 +101,13 @@ impl Harness {
     pub fn run_and_measure(&mut self, x: f64) -> Measurement {
         assert!(self.monitor.is_some(), "call watch() before running");
         self.net.start(&mut self.eng);
-        if self.net.obs.on() {
-            self.run_window_observed();
-        } else {
-            self.run_to(self.cfg.window_end(), None);
-        }
+        let (ws, we) = (self.cfg.window_start(), self.cfg.window_end());
+        // Stopping at the warm-up end fires the same events at the same
+        // times as one run to the window end; it is where the metrics
+        // window opens and the traced dispatch stream starts.
+        self.run_to(ws);
+        self.net.obs.window_begin(ws);
+        self.run_to(we);
         // Profiling hook: one call per completed run, reading counters the
         // engine keeps anyway.  A single predictable branch when no
         // profile is collecting, and never an input to the simulation.
@@ -120,7 +117,6 @@ impl Harness {
             self.eng.popped,
             self.eng.advances,
         );
-        let (ws, we) = (self.cfg.window_start(), self.cfg.window_end());
         let mkey = self.monitor.unwrap();
         let monitor: &Monitor = self.net.client_as(mkey).unwrap_or_else(|| {
             panic!(
@@ -153,18 +149,13 @@ impl Harness {
 
     /// Run the engine to `until`, pausing at each scheduled fault instant
     /// to apply due fault events.  Without an installed fault schedule
-    /// this is a single `run_until` — the exact pre-faults path.  With a
-    /// `hook`, every dispatched engine event is reported to it
-    /// (`run_until_with`); segmentation and event sequence are the same.
-    fn run_to(&mut self, until: SimTime, mut hook: Option<DispatchHook>) {
+    /// this is a single `run_until` — the exact pre-faults path.
+    fn run_to(&mut self, until: SimTime) {
         let mut driver = self.faults.take();
         loop {
             let next_fault = driver.as_ref().and_then(|d| d.next_at());
             let stop = next_fault.map_or(until, |t| t.min(until));
-            match &mut hook {
-                Some(hook) => self.eng.run_until_with(&mut self.net, stop, &mut **hook),
-                None => self.eng.run_until(&mut self.net, stop),
-            }
+            self.eng.run_until(&mut self.net, stop);
             if let Some(d) = &mut driver {
                 d.apply_due(&mut self.net, &mut self.eng, stop);
             }
@@ -175,40 +166,11 @@ impl Harness {
         self.faults = driver;
     }
 
-    /// The observed run path: identical event sequence to the plain
-    /// `run_until` (same engine steps, same times), with the metrics
-    /// window marked at warm-up end and — when tracing — one `Dispatch`
-    /// event recorded per dispatched engine event.
-    fn run_window_observed(&mut self) {
-        let (ws, we) = (self.cfg.window_start(), self.cfg.window_end());
-        self.run_to(ws, None);
-        self.net.obs.window_begin(ws);
-        let mut record = |net: &mut Net, at, seq| net.obs.ev(at, Ev::Dispatch { seq });
-        let tracing = self.net.obs.tracing();
-        let hook = tracing.then_some(&mut record as DispatchHook);
-        self.run_to(we, hook);
-    }
-
-    /// Like [`run_and_measure`](Harness::run_and_measure), but also harvest the observability
-    /// report.  Requires `cfg.obs` to enable tracing and/or metrics.
-    pub fn run_and_observe(&mut self, x: f64) -> ObservedPoint {
-        assert!(
-            self.net.obs.on(),
-            "run_and_observe requires cfg.obs to enable tracing or metrics"
-        );
-        let m = self.run_and_measure(x);
-        let report = self.finish_obs().expect("obs enabled");
-        ObservedPoint {
-            m,
-            report,
-            services: self.service_labels(),
-            nodes: self.node_names(),
-        }
-    }
-
-    /// Harvest the observability report: inject end-of-run per-node CPU
-    /// busy seconds into the metrics registry, then drain the sink.
-    fn finish_obs(&mut self) -> Option<ObsReport> {
+    /// Harvest the observability report after
+    /// [`run_and_measure`](Harness::run_and_measure): inject end-of-run
+    /// per-node CPU busy seconds into the metrics registry, then drain
+    /// the sink.  `None` when `cfg.obs` enabled nothing.
+    pub fn harvest(&mut self) -> Option<Harvest> {
         let we = self.cfg.window_end();
         if self.net.obs.metrics_on() {
             let ids: Vec<NodeId> = self.net.topo.node_ids().collect();
@@ -221,7 +183,11 @@ impl Harness {
                     .set_value(&format!("cpu.{name}.busy_core_s"), busy);
             }
         }
-        self.net.obs.finish(we)
+        Some(Harvest {
+            report: self.net.obs.finish(we)?,
+            services: self.service_labels(),
+            nodes: self.node_names(),
+        })
     }
 
     /// `name@host` labels for every live service, indexed by slot.
@@ -291,18 +257,6 @@ impl std::fmt::Display for DeployError {
 
 impl std::error::Error for DeployError {}
 
-/// `service_as_mut` for freshly deployed services, with a panic that
-/// names the offending slot instead of a bare `unwrap` backtrace.
-fn wire_as_mut<'n, T: 'static>(net: &'n mut Net, key: SvcKey, what: &str) -> &'n mut T {
-    match net.service_as_mut::<T>(key) {
-        Some(t) => t,
-        None => panic!(
-            "service {}v{} just deployed as {what} does not downcast to it",
-            key.index, key.gen
-        ),
-    }
-}
-
 /// Resolve a TTL spec against the run parameters.
 pub fn resolve_ttl(ttl: gscenario::Ttl, h: &Harness) -> Option<SimDuration> {
     match ttl {
@@ -326,7 +280,7 @@ pub fn gris(h: &mut Harness, node: NodeId, providers: usize, cache: bool, gsi: b
     let suffix = gris_suffix(0);
     let ttl = if cache { None } else { Some(SimDuration::ZERO) };
     let host = h.net.topo.node(node).name.clone();
-    let gris = Gris::new(
+    let mut gris = Gris::new(
         suffix.clone(),
         default_providers(&suffix, &host, providers, ttl),
     );
@@ -334,12 +288,8 @@ pub fn gris(h: &mut Harness, node: NodeId, providers: usize, cache: bool, gsi: b
     if !gsi {
         cfg.setup = h.cfg.params.giis_setup;
     }
-    let exec_lock = h.net.add_lock(1);
-    let key = h.net.add_service(node, cfg, Box::new(gris), &mut h.eng);
-    let g = wire_as_mut::<Gris>(&mut h.net, key, "a GRIS");
-    g.me = Some(key);
-    g.exec_lock = Some(exec_lock);
-    key
+    gris.exec_lock = Some(h.net.add_lock(1));
+    h.net.add_service(node, cfg, Box::new(gris), &mut h.eng)
 }
 
 /// Deploy a GIIS on `node` with `n_gris` registered GRISes spread
@@ -367,7 +317,6 @@ pub fn giis_pool(
         gris.register_with(giis_key);
         let cfg = h.cfg.params.gris_config();
         let key = h.net.add_service(gnode, cfg, Box::new(gris), &mut h.eng);
-        wire_as_mut::<Gris>(&mut h.net, key, "a GRIS").me = Some(key);
         // Stagger the registration heartbeats over the 30 s period.
         let offset =
             SimDuration::from_micros(50_000 + (i as u64 * 29_900_000) / n_gris.max(1) as u64);
@@ -402,7 +351,6 @@ pub fn giis(
             mid.register_with(parent);
             let cfg = h.cfg.params.giis_config();
             let key = h.net.add_service(node, cfg, Box::new(mid), &mut h.eng);
-            wire_as_mut::<Giis>(&mut h.net, key, "a GIIS").me = Some(key);
             let offset = SimDuration::from_millis(20 + u64::from(branch) * 7);
             h.net.prime_service_timer(&mut h.eng, key, offset, 0);
             key
@@ -441,7 +389,6 @@ pub fn gris_fleet(
         gris.register_with(parent);
         let cfg = h.cfg.params.gris_config();
         let key = h.net.add_service(node, cfg, Box::new(gris), &mut h.eng);
-        wire_as_mut::<Gris>(&mut h.net, key, "a GRIS").me = Some(key);
         let offset =
             SimDuration::from_micros(60_000 + (idx as u64 * 29_000_000) / u64::from(n.max(1)));
         h.net.prime_service_timer(&mut h.eng, key, offset, 0);
@@ -516,7 +463,6 @@ pub fn producer_servlet(
     ps.register_with(registry);
     let cfg = h.cfg.params.servlet_config();
     let key = h.net.add_service(node, cfg, Box::new(ps), &mut h.eng);
-    wire_as_mut::<ProducerServlet>(&mut h.net, key, "a ProducerServlet").me = Some(key);
     h.net
         .prime_service_timer(&mut h.eng, key, SimDuration::from_millis(200), 0);
     key
@@ -555,7 +501,6 @@ pub fn composite_pool(
     let key = h
         .net
         .add_service(node, cfg, Box::new(composite), &mut h.eng);
-    wire_as_mut::<CompositeProducer>(&mut h.net, key, "a CompositeProducer").me = Some(key);
     h.net
         .prime_service_timer(&mut h.eng, key, SimDuration::from_secs(5), 0);
     key
@@ -612,44 +557,5 @@ mod tests {
         );
         let registry = h.net.service_as_mut::<Registry>(reg).unwrap();
         assert_eq!(registry.producer_count(), 10);
-    }
-
-    /// Self-key wiring is the deployer's job, not the scenario
-    /// author's.  A freshly deployed service must already know
-    /// its own key (be "addressable") before the engine ever runs.
-    #[test]
-    fn deployed_services_are_immediately_addressable() {
-        let mut h = Harness::new(RunConfig::quick(3));
-        let l7 = h.lucky("lucky7");
-        let l0 = h.lucky("lucky0");
-        let l1 = h.lucky("lucky1");
-        let l3 = h.lucky("lucky3");
-        let l4 = h.lucky("lucky4");
-
-        let gris = gris(&mut h, l7, 10, true, true);
-        assert_eq!(h.net.service_as::<Gris>(gris).unwrap().me, Some(gris));
-
-        let (giis, _) = giis_pool(&mut h, l0, &[l3, l4], 3, None);
-        let pooled: Vec<SvcKey> = h
-            .net
-            .services
-            .iter()
-            .map(|(k, _)| k)
-            .filter(|&k| k != gris && k != giis)
-            .collect();
-        assert_eq!(pooled.len(), 3);
-        for k in pooled {
-            assert_eq!(h.net.service_as::<Gris>(k).unwrap().me, Some(k));
-        }
-
-        let mid = super::giis(&mut h, l4, None, Some(giis), 1);
-        assert_eq!(h.net.service_as::<Giis>(mid).unwrap().me, Some(mid));
-
-        let reg = registry(&mut h, l1);
-        let ps = producer_servlet(&mut h, l3, 5, reg);
-        assert_eq!(
-            h.net.service_as::<ProducerServlet>(ps).unwrap().me,
-            Some(ps)
-        );
     }
 }

@@ -44,7 +44,7 @@ pub mod runcfg;
 pub mod scenario;
 pub mod stablehash;
 
-pub use deploy::ObservedPoint;
+pub use deploy::Harvest;
 pub use mapping::{component_mapping, Role, System};
 pub use params::Params;
 pub use runcfg::{Measurement, RunConfig};

@@ -4,8 +4,9 @@
 //! place that turns one into a runnable world.  [`compile`] evaluates a
 //! spec at one x value in a fixed order — services in file order, then
 //! the Ganglia monitor, then the workload, then the fault schedule and
-//! resilience probe.  [`run_point`] is the one way any point runs,
-//! whether its spec was authored in TOML or comes from [`catalogue`],
+//! resilience probe.  Compile, then [`Harness::run_and_measure`], is the
+//! one way any point runs ([`run_point`] does both), whether its spec
+//! was authored in TOML or comes from [`catalogue`],
 //! the tables holding the paper's sets, the resilience Set 5, the
 //! federation Set 6 and the Section-4 extension studies.
 //!
@@ -28,8 +29,6 @@ use simcore::{SimDuration, SimTime};
 use simnet::{Client, ClientCx, NodeId, Payload, SvcKey};
 use testbed::TestbedConfig;
 use workload::{QueryFactory, UserConfig};
-
-pub use crate::deploy::ObservedPoint;
 
 /// How often the resilience probe samples staleness/recovery.
 pub const PROBE_PERIOD_S: u64 = 2;
@@ -256,16 +255,6 @@ pub fn point_cfg(spec: &ScenarioSpec, key: &str, base: &RunConfig) -> RunConfig 
 /// measure.
 pub fn run_point(spec: &ScenarioSpec, x: u32, cfg: &RunConfig) -> Result<Measurement, DeployError> {
     Ok(compile(spec, x, cfg)?.run_and_measure(f64::from(x)))
-}
-
-/// [`run_point`] with the observability report harvested (requires
-/// `cfg.obs` to enable tracing and/or metrics).
-pub fn run_point_observed(
-    spec: &ScenarioSpec,
-    x: u32,
-    cfg: &RunConfig,
-) -> Result<ObservedPoint, DeployError> {
-    Ok(compile(spec, x, cfg)?.run_and_observe(f64::from(x)))
 }
 
 // ======================================================================
@@ -627,14 +616,12 @@ impl Client for Probe {
                 self.recovered = true;
                 let r = now.saturating_since(self.heal_at).as_secs_f64();
                 cx.net.stats.gauge("probe.recovery_s", r);
-                cx.net.stats.incr("probe.recovered");
             } else if now + period >= self.we && self.heal_at < self.we {
                 // Last in-window sample and still unhealthy: censor
                 // recovery at window end so the mean stays defined.
                 self.recovered = true;
                 let r = self.we.saturating_since(self.heal_at).as_secs_f64();
                 cx.net.stats.gauge("probe.recovery_s", r);
-                cx.net.stats.incr("probe.censored");
             }
         }
         cx.wake_in(period, 0);
@@ -1855,12 +1842,13 @@ query = "mds-search-all-giis"
         assert!(base.completions > 0, "point too short to be meaningful");
         let mut ocfg = cfg;
         ocfg.obs = ObsMode::FULL;
-        let op = run_point_observed(&spec, 2, &ocfg).unwrap();
-        assert_eq!(op.m, base);
-        assert!(!op.report.events.is_empty());
-        assert!(!op.report.metrics.is_empty());
-        assert!(op.services.iter().any(|s| s.starts_with("gris")));
-        assert!(op.nodes.iter().any(|n| n == "lucky7"));
+        let mut h = compile(&spec, 2, &ocfg).unwrap();
+        assert_eq!(h.run_and_measure(2.0), base);
+        let harvest = h.harvest().expect("obs is on");
+        assert!(!harvest.report.events.is_empty());
+        assert!(!harvest.report.metrics.is_empty());
+        assert!(harvest.services.iter().any(|s| s.starts_with("gris")));
+        assert!(harvest.nodes.iter().any(|n| n == "lucky7"));
     }
 
     /// A short Set-5 configuration: canonical fault schedule on a

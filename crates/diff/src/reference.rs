@@ -162,20 +162,6 @@ impl<W> RefEngine<W> {
         }
     }
 
-    pub fn run_until_with(
-        &mut self,
-        world: &mut W,
-        until: SimTime,
-        hook: &mut dyn FnMut(&mut W, SimTime, u64),
-    ) {
-        while self.step(world, until) {
-            hook(world, self.now, self.fired);
-        }
-        if self.now < until {
-            self.now = until;
-        }
-    }
-
     pub fn run_to_completion(&mut self, world: &mut W) {
         while self.step(world, SimTime::MAX) {}
     }

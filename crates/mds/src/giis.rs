@@ -74,9 +74,6 @@ pub struct Giis {
     /// Upper-level GIISes this GIIS registers with (the MDS hierarchy is
     /// uniform: a GIIS registers to another GIIS exactly like a GRIS).
     registrees: Vec<SvcKey>,
-    /// Own service key (set by the deployment when this GIIS registers
-    /// upward).
-    pub me: Option<SvcKey>,
     /// Counters for tests/analysis.
     pub queries: u64,
     pub pulls: u64,
@@ -96,7 +93,6 @@ impl Giis {
             pending: HashMap::new(),
             next_cont: 0,
             registrees: Vec::new(),
-            me: None,
             queries: 0,
             pulls: 0,
             registrations_seen: 0,
@@ -111,7 +107,7 @@ impl Giis {
     /// Register this GIIS with an upper-level GIIS — the paper's proposed
     /// "multi-layer architecture in which each middle-level aggregate
     /// information server manages a subset of information servers".  The
-    /// deployment must set [`Giis::me`] and prime timer 0.
+    /// deployment must prime timer 0.
     pub fn register_with(&mut self, parent: SvcKey) {
         self.registrees.push(parent);
     }
@@ -343,17 +339,15 @@ impl Service for Giis {
 
     fn on_timer(&mut self, _tag: u64, cx: &mut SvcCx) {
         // Soft-state registration heartbeat to upper-level GIISes.
-        if let Some(me) = self.me {
-            for &parent in &self.registrees {
-                cx.send_oneway(
-                    parent,
-                    GrisRegistration {
-                        gris: me,
-                        suffix: self.suffix.clone(),
-                    },
-                    crate::proto::REGISTRATION_BYTES,
-                );
-            }
+        for &parent in &self.registrees {
+            cx.send_oneway(
+                parent,
+                GrisRegistration {
+                    gris: cx.me,
+                    suffix: self.suffix.clone(),
+                },
+                crate::proto::REGISTRATION_BYTES,
+            );
         }
         cx.set_timer(crate::gris::REGISTRATION_PERIOD, 0);
     }
@@ -466,7 +460,6 @@ mod tests {
                 Box::new(gris),
                 &mut eng,
             );
-            net.service_as_mut::<Gris>(key).unwrap().me = Some(key);
             // Kick the registration loop immediately.
             net.prime_service_timer(
                 &mut eng,
@@ -542,10 +535,10 @@ mod tests {
             results: results.clone(),
         }));
         net.start(&mut eng);
-        // Run past the first query, then "kill" one GRIS's heartbeat by
-        // removing its registration target list.
+        // Run past the first query, then kill one GRIS: a crashed
+        // process loses its heartbeat timer chain.
         eng.run_until(&mut net, SimTime::from_secs(60));
-        net.service_as_mut::<Gris>(grises[0]).unwrap().me = None;
+        net.crash_service(&mut eng, grises[0]);
         eng.run_until(&mut net, SimTime::from_secs(400));
         let g = net.service_as::<Giis>(giis).unwrap();
         assert_eq!(g.registered_count(), 1, "dead GRIS purged");
@@ -612,11 +605,7 @@ mod tests {
             Box::new(Giis::new(top_suffix.clone(), None)),
             &mut eng,
         );
-        {
-            let mid_ref = net.service_as_mut::<Giis>(mid).unwrap();
-            mid_ref.me = Some(mid);
-            mid_ref.register_with(top);
-        }
+        net.service_as_mut::<Giis>(mid).unwrap().register_with(top);
         net.prime_service_timer(&mut eng, mid, SimDuration::from_millis(500), 0);
         let results = Rc::new(std::cell::RefCell::new(Vec::new()));
         net.add_client(Box::new(QueryAt {
@@ -717,14 +706,15 @@ mod tests {
     #[test]
     fn purged_source_is_merged_again_when_it_comes_back() {
         let (mut net, mut eng, giis, grises, results) = cycling(vec![5, 200, 300]);
-        // Silence one GRIS long enough to be purged, then let it
-        // heartbeat again.  Its directory never changed, so it answers
-        // the post-purge pull with the very reply merged before.
+        // Crash one GRIS long enough to be purged, then restart it and
+        // its heartbeat.  Its directory never changed, so it answers the
+        // post-purge pull with the very reply merged before.
         eng.run_until(&mut net, SimTime::from_secs(60));
-        net.service_as_mut::<Gris>(grises[0]).unwrap().me = None;
+        net.crash_service(&mut eng, grises[0]);
         eng.run_until(&mut net, SimTime::from_secs(210));
         assert_eq!(net.service_as::<Giis>(giis).unwrap().registered_count(), 1);
-        net.service_as_mut::<Gris>(grises[0]).unwrap().me = Some(grises[0]);
+        net.restart_service(&mut eng, grises[0]);
+        net.prime_service_timer(&mut eng, grises[0], SimDuration::from_secs(1), 0);
         eng.run_until(&mut net, SimTime::from_secs(400));
         let results = results.borrow();
         assert!(results[1].0 < results[0].0, "purged subtree still served");

@@ -46,8 +46,6 @@ pub struct Gris {
     /// Serialises provider execution (slapd shell backend); set by the
     /// deployment.
     pub exec_lock: Option<LockKey>,
-    /// Own service key (set after deployment, needed in registrations).
-    pub me: Option<SvcKey>,
     /// Total queries answered (for tests).
     pub queries: u64,
     /// Total provider invocations (the cost caching avoids).
@@ -66,7 +64,6 @@ impl Gris {
             last_refresh: vec![None; n],
             registrees: Vec::new(),
             exec_lock: None,
-            me: None,
             queries: 0,
             provider_runs: 0,
             cache: crate::cache::ResultCache::new(),
@@ -193,17 +190,15 @@ impl Service for Gris {
 
     fn on_timer(&mut self, _tag: u64, cx: &mut SvcCx) {
         // Soft-state registration heartbeat.
-        if let Some(me) = self.me {
-            for &giis in &self.registrees {
-                cx.send_oneway(
-                    giis,
-                    GrisRegistration {
-                        gris: me,
-                        suffix: self.suffix.clone(),
-                    },
-                    REGISTRATION_BYTES,
-                );
-            }
+        for &giis in &self.registrees {
+            cx.send_oneway(
+                giis,
+                GrisRegistration {
+                    gris: cx.me,
+                    suffix: self.suffix.clone(),
+                },
+                REGISTRATION_BYTES,
+            );
         }
         cx.set_timer(REGISTRATION_PERIOD, 0);
     }

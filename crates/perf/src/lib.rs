@@ -26,9 +26,9 @@
 //! event).  It is gated on a process-wide relaxed atomic that counts
 //! live [`PerfSink`]s: with no sink alive the call is one predictable
 //! branch, and the engine's own counters (`fired`, `popped`,
-//! `advances`) are plain `u64` increments that exist regardless.  The
-//! overhead bench in `crates/bench` pins the disabled-profiling cost
-//! of a whole figure point below the same <2 % budget as tracing.
+//! `advances`) are plain `u64` increments that exist regardless.
+//! `perf.overhead_ratio` of the repo benchmark (`benchmark/README.md`)
+//! is where the cost of a profiled sweep is read off.
 //!
 //! Profiling never perturbs results: it draws no randomness, schedules
 //! no events and only *reads* engine counters after a run completes,
@@ -87,8 +87,8 @@ thread_local! {
 /// scratch.  Called by the deployment harness after a simulation
 /// finishes; a no-op (one branch) unless a profile is collecting.
 ///
-/// Accumulates: a point that runs several harnesses (some extension
-/// studies do) reports the sum of their simulated spans and events.
+/// Accumulates within one [`measure_point`]; every point is one
+/// harness run, so that is one report per point.
 #[inline]
 pub fn sim_report(sim_end_us: u64, fired: u64, popped: u64, advances: u64) {
     if !profiling() {

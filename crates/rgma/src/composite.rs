@@ -30,8 +30,6 @@ pub struct CompositeProducer {
     stream_period: SimDuration,
     /// The aggregate tuple store.
     db: Database,
-    /// Own key (set by the deployment; needed to subscribe).
-    pub me: Option<SvcKey>,
     /// Counters.
     pub queries: u64,
     pub tuples_folded: u64,
@@ -52,7 +50,6 @@ impl CompositeProducer {
             sources,
             stream_period,
             db,
-            me: None,
             queries: 0,
             tuples_folded: 0,
             batches_received: 0,
@@ -176,12 +173,11 @@ impl Service for CompositeProducer {
         if self.subscribed {
             return;
         }
-        let Some(me) = self.me else { return };
         self.subscribed = true;
         for &src in &self.sources {
             let msg = RgmaMsg::Subscribe {
                 table: self.table.clone(),
-                sink: me,
+                sink: cx.me,
                 period_us: self.stream_period.as_micros(),
             };
             let bytes = msg.wire_size();
@@ -281,7 +277,6 @@ mod tests {
             let mut ps = ProducerServlet::new(default_producers(&format!("site{i}"), 3));
             ps.register_with(reg);
             let k = net.add_service(n, ServiceConfig::default(), Box::new(ps), &mut eng);
-            net.service_as_mut::<ProducerServlet>(k).unwrap().me = Some(k);
             net.prime_service_timer(&mut eng, k, simcore::SimDuration::from_millis(100), 0);
             sources.push(k);
         }
@@ -295,7 +290,6 @@ mod tests {
             )),
             &mut eng,
         );
-        net.service_as_mut::<CompositeProducer>(comp).unwrap().me = Some(comp);
         net.prime_service_timer(&mut eng, comp, simcore::SimDuration::from_secs(35), 0);
         let rows = Rc::new(RefCell::new(Vec::new()));
         net.add_client(Box::new(AskAll {

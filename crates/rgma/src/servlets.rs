@@ -45,8 +45,6 @@ pub struct ProducerServlet {
     all_sql: Vec<String>,
     producers: Vec<ProducerSpec>,
     registry: Option<SvcKey>,
-    /// Own key (set by the deployment; needed for registration).
-    pub me: Option<SvcKey>,
     /// The servlet's tuple-store lock (registered at deploy time).
     pub db_lock: Option<LockKey>,
     subscriptions: Vec<Subscription>,
@@ -79,7 +77,6 @@ impl ProducerServlet {
             all_sql,
             producers,
             registry: None,
-            me: None,
             db_lock: None,
             subscriptions: Vec::new(),
             publish_seq: 0,
@@ -239,10 +236,10 @@ impl Service for ProducerServlet {
         if tag == 0 {
             // Deployment kick: register every producer with the Registry
             // and start the publish loops.
-            if let (Some(registry), Some(me)) = (self.registry, self.me) {
+            if let Some(registry) = self.registry {
                 for p in &self.producers {
                     let msg = RgmaMsg::RegistryRegister {
-                        servlet: me,
+                        servlet: cx.me,
                         table: p.table.clone(),
                         predicate: p.predicate.clone(),
                     };
@@ -568,7 +565,6 @@ mod tests {
         ps.db_lock = Some(ps_lock);
         ps.register_with(reg);
         let ps_key = net.add_service(ps_node, ServiceConfig::default(), Box::new(ps), &mut eng);
-        net.service_as_mut::<ProducerServlet>(ps_key).unwrap().me = Some(ps_key);
         net.prime_service_timer(&mut eng, ps_key, SimDuration::from_millis(50), 0);
         // ConsumerServlet.
         let cs = net.add_service(

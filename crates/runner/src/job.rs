@@ -8,7 +8,7 @@
 //! round-trip through the cache bit-exactly via
 //! [`Job::encode`]/[`Job::decode`].
 
-use gridmon_core::deploy::ObservedPoint;
+use gridmon_core::deploy::Harvest;
 use gridmon_core::figures::PointSpec;
 use gridmon_core::mapping::System;
 use gridmon_core::runcfg::{Measurement, RunConfig};
@@ -38,21 +38,12 @@ pub struct Job {
     x: u32,
 }
 
-/// What a job produced: the point's measurement, wrapped in its
-/// observability harvest when the sweep ran under an enabled `cfg.obs`.
+/// What a job produced: the point's measurement, and its observability
+/// harvest when the sweep ran under an enabled `cfg.obs`.
 #[derive(Debug, Clone, PartialEq)]
-pub enum JobOutput {
-    Measurement(Measurement),
-    Observed(Box<ObservedPoint>),
-}
-
-impl JobOutput {
-    pub fn measurement(&self) -> Measurement {
-        match self {
-            JobOutput::Measurement(m) => *m,
-            JobOutput::Observed(op) => op.m,
-        }
-    }
+pub struct JobOutput {
+    pub m: Measurement,
+    pub obs: Option<Box<Harvest>>,
 }
 
 impl Job {
@@ -122,13 +113,12 @@ impl Job {
         // Catalogue specs are pinned by tests and authored ones are
         // dry-compiled by `scenario_sweep`, so a failure here is a bug,
         // not user input.
-        let out = if c.obs.enabled() {
-            scenario::run_point_observed(&self.spec, self.x, &c)
-                .map(|op| JobOutput::Observed(Box::new(op)))
-        } else {
-            scenario::run_point(&self.spec, self.x, &c).map(JobOutput::Measurement)
-        };
-        out.unwrap_or_else(|e| panic!("{}: {e}", self.key))
+        let mut h = scenario::compile(&self.spec, self.x, &c)
+            .unwrap_or_else(|e| panic!("{}: {e}", self.key));
+        JobOutput {
+            m: h.run_and_measure(f64::from(self.x)),
+            obs: h.harvest().map(Box::new),
+        }
     }
 
     /// Content address of this job's result under `cfg`: a stable hash
@@ -176,7 +166,7 @@ impl Job {
         fn u(v: u64) -> String {
             format!("u:{v}")
         }
-        let m = out.measurement();
+        let m = &out.m;
         vec![
             ("kind", "measurement".to_string()),
             ("x", f(m.x)),
@@ -195,16 +185,23 @@ impl Job {
     /// Reconstruct an output from cached fields.  Returns `None` on any
     /// mismatch (foreign record kind, missing/garbled field) — the
     /// caller then falls back to executing the point.
+    ///
+    /// A float is exactly 16 hex digits: the record ends in one, so a
+    /// file cut anywhere inside it fails here instead of loading as a
+    /// different number.
     pub fn decode(fields: &BTreeMap<String, String>) -> Option<JobOutput> {
         let f = |name: &str| -> Option<f64> {
             let bits = fields.get(name)?.strip_prefix("f:")?;
+            if bits.len() != 16 || !bits.bytes().all(|b| b.is_ascii_hexdigit()) {
+                return None;
+            }
             Some(f64::from_bits(u64::from_str_radix(bits, 16).ok()?))
         };
         let u = |name: &str| -> Option<u64> { fields.get(name)?.strip_prefix("u:")?.parse().ok() };
         if fields.get("kind")? != "measurement" {
             return None;
         }
-        Some(JobOutput::Measurement(Measurement {
+        let m = Measurement {
             x: f("x")?,
             throughput: f("throughput")?,
             response_time: f("response_time")?,
@@ -215,7 +212,8 @@ impl Job {
             availability: f("availability")?,
             staleness_s: f("staleness_s")?,
             recovery_s: f("recovery_s")?,
-        }))
+        };
+        Some(JobOutput { m, obs: None })
     }
 }
 
@@ -250,13 +248,16 @@ mod tests {
             staleness_s: 31.25,
             recovery_s: 12.5,
         };
-        let out = JobOutput::Measurement(m);
+        let out = JobOutput { m, obs: None };
         assert_eq!(Job::decode(&fields_of(&out)), Some(out));
     }
 
     #[test]
     fn decode_rejects_foreign_and_garbled_records() {
-        let good = fields_of(&JobOutput::Measurement(Measurement::default()));
+        let good = fields_of(&JobOutput {
+            m: Measurement::default(),
+            obs: None,
+        });
         let mut foreign = good.clone();
         foreign.insert("kind".to_string(), "openloop".to_string());
         assert_eq!(Job::decode(&foreign), None);
@@ -266,6 +267,43 @@ mod tests {
         let mut short = good;
         short.remove("refused");
         assert_eq!(Job::decode(&short), None);
+    }
+
+    /// A record cut short (a crash mid-copy, a full disk) must read as a
+    /// miss, or — cut after its last digit — as itself; never as another
+    /// measurement.
+    #[test]
+    fn truncated_record_never_decodes_to_a_different_value() {
+        let out = JobOutput {
+            m: Measurement {
+                x: 50.0,
+                refused: 12,
+                completions: 3456,
+                recovery_s: 12.5, // f:4029000000000000: every prefix is valid hex
+                ..Measurement::default()
+            },
+            obs: None,
+        };
+        let dir = std::env::temp_dir().join(format!("gridmon-job-trunc-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = crate::DiskCache::new(&dir);
+        cache.store("dd", "k", &Job::encode(&out)).expect("store");
+        let path = dir.join("dd.csv");
+        let full = std::fs::read(&path).unwrap();
+        assert_eq!(
+            cache.load("dd").and_then(|f| Job::decode(&f)),
+            Some(out.clone())
+        );
+        for cut in 0..full.len() {
+            std::fs::write(&path, &full[..cut]).unwrap();
+            let got = cache.load("dd").and_then(|f| Job::decode(&f));
+            assert!(
+                got.is_none() || got.as_ref() == Some(&out),
+                "cut at byte {cut} of {} decoded as {got:?}",
+                full.len()
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -88,7 +88,7 @@ pub struct SweepStats {
 /// counters after each run, so outputs are identical either way.
 ///
 /// With `cfg.obs` enabled every point returns its observability
-/// harvest ([`JobOutput::Observed`]) and the cache is
+/// harvest ([`JobOutput::obs`]) and the cache is
 /// bypassed: it stores figure measurements (a few floats), while a
 /// harvest is an artifact to export, not a memoizable scalar.
 pub fn run(
@@ -241,7 +241,7 @@ mod tests {
     }
 
     fn measurements(outputs: &[JobOutput]) -> Vec<Measurement> {
-        outputs.iter().map(JobOutput::measurement).collect()
+        outputs.iter().map(|o| o.m).collect()
     }
 
     fn spec_of(id: &str) -> gscenario::ScenarioSpec {
@@ -363,13 +363,12 @@ mod tests {
         assert_eq!(stats.executed, jobs.len());
         assert!(!dir.exists(), "observed sweeps bypass the cache");
         for (job, out) in jobs.iter().zip(&observed) {
-            let JobOutput::Observed(op) = out else {
-                panic!("{} carries no harvest", job.key())
-            };
-            let plain = job.run(&cfg).measurement();
-            assert_eq!(op.m, plain, "tracing must not perturb {}", job.key());
-            assert!(!op.report.events.is_empty());
-            assert!(!op.report.metrics.is_empty());
+            let plain = job.run(&cfg);
+            assert_eq!(plain.obs, None);
+            assert_eq!(out.m, plain.m, "tracing must not perturb {}", job.key());
+            let harvest = out.obs.as_deref().expect("harvest");
+            assert!(!harvest.report.events.is_empty());
+            assert!(!harvest.report.metrics.is_empty());
         }
     }
 

@@ -165,27 +165,6 @@ impl<W: World> Engine<W> {
         self.now = self.now.max(until);
     }
 
-    /// Like [`run_until`](Engine::run_until), but invokes `hook` after
-    /// every dispatched event with `(world, now, fired)`.
-    ///
-    /// This is the observability entry point: a tracer can record the
-    /// dispatch stream without the plain `run_until` path paying
-    /// anything — the hook lives in a separate method, so the common
-    /// loop keeps its shape and its cost.  Dispatch order and times are
-    /// identical to `run_until`; the hook must not perturb simulation
-    /// state that events depend on.
-    pub fn run_until_with(
-        &mut self,
-        world: &mut W,
-        until: SimTime,
-        hook: &mut dyn FnMut(&mut W, SimTime, u64),
-    ) {
-        while self.step(world, until) {
-            hook(world, self.now, self.fired);
-        }
-        self.now = self.now.max(until);
-    }
-
     /// Run until the calendar is completely empty (use with care: periodic
     /// events make this nonterminating).
     pub fn run_to_completion(&mut self, world: &mut W) {
@@ -332,22 +311,6 @@ mod tests {
         e.run_to_completion(&mut w);
         assert_eq!(w.entries.len(), 5);
         assert_eq!(e.now(), SimTime(40));
-    }
-
-    #[test]
-    fn run_until_with_sees_every_dispatch_in_order() {
-        let mut e = eng();
-        let mut w = Log::default();
-        e.schedule_at(SimTime(10), Ev::Mark("a"));
-        e.schedule_at(SimTime(20), Ev::Mark("b"));
-        let mut seen = Vec::new();
-        e.run_until_with(&mut w, SimTime(100), &mut |_w, now, fired| {
-            seen.push((now.as_micros(), fired));
-        });
-        assert_eq!(seen, vec![(10, 1), (20, 2)]);
-        assert_eq!(e.now(), SimTime(100));
-        // Same world effects as the plain loop.
-        assert_eq!(w.entries, vec![(10, "a"), (20, "b")]);
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! * [`rng::SimRng`] — a small, fully deterministic xoshiro256** PRNG, so
 //!   simulation results are reproducible bit-for-bit across runs and
 //!   platforms (no dependence on external crate versions).
-//! * [`stats`] — counters, online mean/min/max accumulators, time-weighted
-//!   averages, an exponentially weighted moving average (Linux-style load
-//!   average), log-bucketed histograms and measurement-window recorders.
+//! * [`stats`] — online mean/min/max accumulators, an exponentially
+//!   weighted moving average (Linux-style load average), log-bucketed
+//!   histograms and measurement-window recorders.
 //!
 //! The kernel is intentionally synchronous and single-threaded per
 //! simulation: determinism is a design goal (the same seed must produce the

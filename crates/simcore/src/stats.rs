@@ -11,12 +11,10 @@
 //!   `[start, end)` measurement window (the paper measures over a 10-minute
 //!   span after warm-up);
 //! * [`LoadAvg`] — Linux-style exponentially decayed load average;
-//! * [`TimeWeighted`] — time-weighted average of a piecewise-constant
-//!   signal (queue lengths, utilisation);
 //! * [`Histogram`] — log-bucketed latency histogram with quantile queries;
 //! * [`Series`] — a plain `(t, value)` time series for figure output.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// Online count/mean/min/max accumulator.
 #[derive(Debug, Clone, Default)]
@@ -180,55 +178,6 @@ impl LoadAvg {
     }
 }
 
-/// Time-weighted average of a piecewise-constant signal.
-#[derive(Debug, Clone, Default)]
-pub struct TimeWeighted {
-    area: f64,
-    current: f64,
-    last: Option<SimTime>,
-    start: Option<SimTime>,
-    max: f64,
-}
-
-impl TimeWeighted {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record that the signal takes value `v` from `now` on.
-    pub fn set(&mut self, now: SimTime, v: f64) {
-        if let Some(last) = self.last {
-            self.area += self.current * now.saturating_since(last).as_secs_f64();
-        } else {
-            self.start = Some(now);
-        }
-        self.last = Some(now);
-        self.current = v;
-        self.max = self.max.max(v);
-    }
-
-    /// Time-average over `[first set, now]`.
-    pub fn average(&self, now: SimTime) -> f64 {
-        let (Some(start), Some(last)) = (self.start, self.last) else {
-            return 0.0;
-        };
-        let total = now.saturating_since(start).as_secs_f64();
-        if total <= 0.0 {
-            return self.current;
-        }
-        let area = self.area + self.current * now.saturating_since(last).as_secs_f64();
-        area / total
-    }
-
-    pub fn current(&self) -> f64 {
-        self.current
-    }
-
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-}
-
 /// Log-bucketed histogram over positive values (e.g. response times in
 /// seconds).  Buckets are half-open and grow geometrically by `2^(1/4)`,
 /// giving ~19 % resolution over 10 decades with 128 buckets.
@@ -375,27 +324,10 @@ impl Series {
     }
 }
 
-/// Convenience: the measurement discipline of the paper — `warmup` then a
-/// measurement window of `span`.
-#[derive(Debug, Clone, Copy)]
-pub struct MeasurementWindow {
-    pub warmup: SimDuration,
-    pub span: SimDuration,
-}
-
-impl MeasurementWindow {
-    pub fn start(&self) -> SimTime {
-        SimTime::ZERO + self.warmup
-    }
-
-    pub fn end(&self) -> SimTime {
-        self.start() + self.span
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
 
     fn s(x: u64) -> SimTime {
         SimTime::from_secs(x)
@@ -459,17 +391,6 @@ mod tests {
         // After one minute of idleness, decayed by e^-1.
         assert!(l.value() < high * 0.45);
         assert!(l.value() > high * 0.25);
-    }
-
-    #[test]
-    fn time_weighted_average() {
-        let mut tw = TimeWeighted::new();
-        tw.set(s(0), 1.0);
-        tw.set(s(10), 3.0);
-        // 10s at 1.0, 10s at 3.0 -> avg 2.0 at t=20.
-        assert!((tw.average(s(20)) - 2.0).abs() < 1e-9);
-        assert_eq!(tw.max(), 3.0);
-        assert_eq!(tw.current(), 3.0);
     }
 
     #[test]
@@ -566,15 +487,5 @@ mod tests {
         assert_eq!(ser.mean_in(s(2), s(5)), 3.0);
         assert_eq!(ser.max_in(s(0), s(10)), 9.0);
         assert_eq!(ser.mean_in(s(100), s(200)), 0.0);
-    }
-
-    #[test]
-    fn measurement_window_bounds() {
-        let w = MeasurementWindow {
-            warmup: SimDuration::from_secs(60),
-            span: SimDuration::from_secs(600),
-        };
-        assert_eq!(w.start(), s(60));
-        assert_eq!(w.end(), s(660));
     }
 }

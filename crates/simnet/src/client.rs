@@ -6,7 +6,7 @@
 //! paper's closed-loop users on top of this (query; wait for the response;
 //! sleep one second; repeat).
 
-use crate::net::{Eng, Net, NetEvent, RequestSpec};
+use crate::net::{Eng, Net, NetEvent, Origin, RequestSpec};
 use crate::service::Payload;
 use simcore::slab::SlabKey;
 use simcore::{SimDuration, SimTime};
@@ -73,8 +73,8 @@ impl ClientCx<'_> {
 
     /// Submit a request; the outcome arrives via `on_outcome` with `tag`.
     pub fn submit(&mut self, spec: RequestSpec, tag: u64) {
-        let me = self.me;
-        self.net.submit_from_client(self.eng, me, tag, spec, None);
+        let origin = Origin::Client { key: self.me, tag };
+        self.net.submit(self.eng, origin, spec, None);
     }
 
     /// Like [`submit`](Self::submit), for a query the client began
@@ -84,9 +84,8 @@ impl ClientCx<'_> {
     /// phase so its phases partition the client-perceived response
     /// time; the simulation itself is unaffected.
     pub fn submit_started(&mut self, spec: RequestSpec, tag: u64, started: SimTime) {
-        let me = self.me;
-        self.net
-            .submit_from_client(self.eng, me, tag, spec, Some(started));
+        let origin = Origin::Client { key: self.me, tag };
+        self.net.submit(self.eng, origin, spec, Some(started));
     }
 
     /// Schedule `on_wake(tag)` after `dur`.

@@ -47,9 +47,6 @@ pub struct FlowNet {
     /// every flow.
     link_flows: Vec<Vec<FlowKey>>,
     last: SimTime,
-    /// Rate vector stale?  Only transiently true inside a mutation; every
-    /// public method restores exactness before returning.
-    dirty: bool,
     /// Total bytes completed (for stats).
     pub bits_delivered: f64,
 }
@@ -69,7 +66,6 @@ impl FlowNet {
             flows: Slab::new(),
             link_flows: Vec::new(),
             last: SimTime::ZERO,
-            dirty: false,
             bits_delivered: 0.0,
         }
     }
@@ -215,13 +211,11 @@ impl FlowNet {
     /// underneath the active flows (fault injection: partition / heal).
     /// The caller must have advanced to the current time first.
     pub fn capacity_changed(&mut self, topo: &Topology) {
-        self.dirty = true;
         self.recompute(topo);
     }
 
     /// The earliest absolute time at which some flow completes.
     pub fn next_completion(&self, now: SimTime) -> Option<SimTime> {
-        debug_assert!(!self.dirty);
         let mut best = f64::INFINITY;
         for (_, f) in self.flows.iter() {
             if f.rate > 0.0 {
@@ -349,7 +343,6 @@ impl FlowNet {
 
     /// Recompute the max-min fair rate allocation by water-filling.
     fn recompute(&mut self, topo: &Topology) {
-        self.dirty = false;
         let n_links = topo.link_count();
         // Residual capacity per link in bits/µs and number of unfixed flows
         // crossing it.
@@ -622,7 +615,6 @@ mod tests {
             let mut fast: Vec<(FlowToken, u64)> = Vec::new();
             fnet.for_each_rate(|tok, r| fast.push((tok, r.to_bits())));
             let mut oracle = fnet.clone();
-            oracle.dirty = true;
             oracle.recompute(topo);
             let mut slow: Vec<(FlowToken, u64)> = Vec::new();
             oracle.for_each_rate(|tok, r| slow.push((tok, r.to_bits())));

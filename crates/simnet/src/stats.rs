@@ -5,7 +5,7 @@
 //! carries free-form counters (drops, retries, failures) that the analysis
 //! layer reads after the run.
 
-use simcore::stats::{Histogram, MeanAccum, WindowedMean};
+use simcore::stats::{MeanAccum, WindowedMean};
 use simcore::SimTime;
 use std::collections::HashMap;
 
@@ -14,7 +14,6 @@ pub struct StatsHub {
     window_start: SimTime,
     window_end: SimTime,
     response_times: HashMap<String, WindowedMean>,
-    histograms: HashMap<String, Histogram>,
     counters: HashMap<String, u64>,
     gauges: HashMap<String, MeanAccum>,
 }
@@ -40,7 +39,6 @@ impl StatsHub {
             window_start: start,
             window_end: end,
             response_times: HashMap::new(),
-            histograms: HashMap::new(),
             counters: HashMap::new(),
             gauges: HashMap::new(),
         }
@@ -61,14 +59,6 @@ impl StatsHub {
             || WindowedMean::new(ws, we),
             |w| w.record(at, rt_secs),
         );
-        if at >= ws && at < we {
-            with_slot(
-                &mut self.histograms,
-                series,
-                || Histogram::new(1e-4),
-                |h| h.record(rt_secs),
-            );
-        }
     }
 
     /// Throughput of `series` in completions per second over the window.
@@ -90,11 +80,6 @@ impl StatsHub {
         self.response_times
             .get(series)
             .map_or(0, |w| w.stats().count())
-    }
-
-    /// Approximate response-time quantile of `series`.
-    pub fn response_quantile(&self, series: &str, q: f64) -> f64 {
-        self.histograms.get(series).map_or(0.0, |h| h.quantile(q))
     }
 
     /// Increment a counter (unconditionally — counters are not windowed;
@@ -124,19 +109,11 @@ impl StatsHub {
     pub fn gauge_mean(&self, name: &str) -> f64 {
         self.gauges.get(name).map_or(0.0, MeanAccum::mean)
     }
-
-    /// All series names recorded so far (sorted, for reports).
-    pub fn series_names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.response_times.keys().cloned().collect();
-        v.sort();
-        v
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcore::SimDuration;
 
     fn s(x: u64) -> SimTime {
         SimTime::from_secs(x)
@@ -167,16 +144,6 @@ mod tests {
         h.gauge("cache", 10.0);
         h.gauge("cache", 20.0);
         assert_eq!(h.gauge_mean("cache"), 15.0);
-    }
-
-    #[test]
-    fn quantiles_present_after_recording() {
-        let mut h = StatsHub::new(SimTime::ZERO, SimTime::ZERO + SimDuration::from_secs(100));
-        for i in 1..=100 {
-            h.record_completion("q", s(1), i as f64 / 10.0);
-        }
-        assert!(h.response_quantile("q", 0.5) > 0.0);
-        assert!(h.response_quantile("q", 0.9) >= h.response_quantile("q", 0.5));
     }
 
     #[test]

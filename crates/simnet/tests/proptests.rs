@@ -1,9 +1,19 @@
-//! Property-based tests of the network substrate's invariants.
+//! Property-based tests of the network substrate's invariants: max-min
+//! fair sharing in [`FlowNet`], and the request lifecycle of [`Net`] under
+//! random plans, pool sizes and injected faults.
 
 use proptest::prelude::*;
-use simcore::{SimDuration, SimRng, SimTime};
+use simcore::{Engine, SimDuration, SimRng, SimTime};
 use simnet::flow::FlowNet;
-use simnet::{LinkId, Topology};
+use simnet::net::Live;
+use simnet::trace::{Ev, TraceEvent};
+use simnet::{
+    Client, ClientCx, Eng, LinkId, LockKey, Net, NodeId, Obs, ObsMode, Payload, Plan, ReqOutcome,
+    RequestSpec, Service, ServiceConfig, SetupCost, StatsHub, SubCall, SvcCx, SvcKey, Topology,
+};
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// A random small topology plus random flow paths over it.
 fn arb_case() -> impl Strategy<Value = (Vec<f64>, Vec<Vec<usize>>, Vec<u64>)> {
@@ -140,5 +150,350 @@ proptest! {
             prop_assert!((a[i] - b[i]).abs() < 1e-9 * a[i].max(1.0),
                 "flow {i}: {} vs {}", a[i], b[i]);
         }
+    }
+}
+
+// ----------------------------------------------------------------------
+// The request lifecycle as a property
+// ----------------------------------------------------------------------
+
+/// One step of a scripted plan.  Indices are drawn wide and reduced
+/// modulo what exists when the case is built.
+#[derive(Debug, Clone)]
+enum Op {
+    Cpu(u32),
+    Latency(u32),
+    /// `Lock(l)`, CPU, `Unlock(l)`.
+    Locked(usize, u32),
+    /// One-way message to a lower-numbered service.
+    Send(usize),
+}
+
+/// How a scripted plan ends.
+#[derive(Debug, Clone)]
+enum End {
+    Reply,
+    Fail,
+    /// Fail while holding a lock: the exit path must give it back.
+    FailLocked(usize),
+    /// Run out of steps without replying.
+    Silent,
+}
+
+/// A service: its admission limits and the plan it answers everything
+/// with.  `fanout` calls lower-numbered services (so calls form a DAG and
+/// terminate; on service 0 it is the degenerate empty fan-out) and
+/// continues with `tail`.
+#[derive(Debug, Clone)]
+struct Script {
+    cfg: ServiceConfig,
+    body: Vec<Op>,
+    fanout: Option<Vec<usize>>,
+    tail: Vec<Op>,
+    end: End,
+}
+
+#[derive(Debug, Clone)]
+enum Fault {
+    Crash(usize),
+    Restart(usize),
+    Freeze(usize, u64),
+    DropBurst(usize, u64),
+    /// Degrade link pair `n` to 1 bit/s / restore it.
+    Partition(usize),
+    Heal(usize),
+}
+
+#[derive(Debug, Clone)]
+struct Case {
+    scripts: Vec<Script>,
+    /// `(at µs, target service, burn client CPU first)`.
+    submits: Vec<(u64, usize, bool)>,
+    /// `(at µs, fault)`.
+    faults: Vec<(u64, Fault)>,
+}
+
+fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+    let op = prop_oneof![
+        (10u32..20_000).prop_map(Op::Cpu),
+        (10u32..20_000).prop_map(Op::Latency),
+        (0usize..8, 10u32..5_000).prop_map(|(l, us)| Op::Locked(l, us)),
+        (0usize..8).prop_map(Op::Send),
+    ];
+    proptest::collection::vec(op, 0..4)
+}
+
+fn arb_script() -> impl Strategy<Value = Script> {
+    let workers = prop_oneof![Just(None), (1u32..3).prop_map(Some)];
+    let fanout = prop_oneof![
+        Just(None),
+        proptest::collection::vec(0usize..8, 0..4).prop_map(Some)
+    ];
+    let end = prop_oneof![
+        Just(End::Reply),
+        Just(End::Reply),
+        Just(End::Fail),
+        (0usize..8).prop_map(End::FailLocked),
+        Just(End::Silent),
+    ];
+    let cfg =
+        (1u32..4, 0u32..3, workers).prop_map(|(conn_capacity, backlog, workers)| ServiceConfig {
+            conn_capacity,
+            backlog,
+            workers,
+            setup: SetupCost::plain(),
+        });
+    (cfg, arb_ops(), fanout, arb_ops(), end).prop_map(|(cfg, body, fanout, tail, end)| Script {
+        cfg,
+        body,
+        fanout,
+        tail,
+        end,
+    })
+}
+
+fn arb_lifecycle_case() -> impl Strategy<Value = Case> {
+    let fault = prop_oneof![
+        (0usize..8).prop_map(Fault::Crash),
+        (0usize..8).prop_map(Fault::Restart),
+        (0usize..8, 1_000u64..100_000).prop_map(|(s, d)| Fault::Freeze(s, d)),
+        (0usize..8, 1_000u64..100_000).prop_map(|(s, d)| Fault::DropBurst(s, d)),
+        (0usize..3).prop_map(Fault::Partition),
+        (0usize..3).prop_map(Fault::Heal),
+    ];
+    (
+        proptest::collection::vec(arb_script(), 1..5),
+        proptest::collection::vec((0u64..200_000, 0usize..8, any::<bool>()), 1..16),
+        proptest::collection::vec((0u64..300_000, fault), 0..6),
+    )
+        .prop_map(|(scripts, submits, faults)| Case {
+            scripts,
+            submits,
+            faults,
+        })
+}
+
+/// Answers every request with its script.
+struct Scripted {
+    script: Script,
+    /// The services this one may message and call.
+    lower: Vec<SvcKey>,
+    locks: Vec<LockKey>,
+}
+
+impl Scripted {
+    fn lock(&self, l: usize) -> LockKey {
+        self.locks[l % self.locks.len()]
+    }
+
+    fn steps(&self, mut plan: Plan, ops: &[Op]) -> Plan {
+        for op in ops {
+            plan = match *op {
+                Op::Cpu(us) => plan.cpu(f64::from(us)),
+                Op::Latency(us) => plan.latency(SimDuration::from_micros(u64::from(us))),
+                Op::Locked(l, us) => plan
+                    .lock(self.lock(l))
+                    .cpu(f64::from(us))
+                    .unlock(self.lock(l)),
+                Op::Send(_) if self.lower.is_empty() => plan,
+                Op::Send(to) => plan.send(self.lower[to % self.lower.len()], (), 700),
+            };
+        }
+        plan
+    }
+
+    fn end(&self, plan: Plan) -> Plan {
+        match self.script.end {
+            End::Reply => plan.reply((), 3_000),
+            End::Fail => plan.fail(),
+            End::FailLocked(l) => plan.lock(self.lock(l)).cpu(100.0).fail(),
+            End::Silent => plan.done(),
+        }
+    }
+}
+
+impl Service for Scripted {
+    fn handle(&mut self, _req: Payload, _cx: &mut SvcCx) -> Plan {
+        let plan = self.steps(Plan::new(), &self.script.body);
+        let Some(targets) = &self.script.fanout else {
+            return self.end(plan);
+        };
+        let calls = targets
+            .iter()
+            .filter(|_| !self.lower.is_empty())
+            .map(|&t| SubCall {
+                to: self.lower[t % self.lower.len()],
+                payload: Box::new(()),
+                req_bytes: 900,
+            })
+            .collect();
+        plan.call_all(calls, 0)
+    }
+
+    fn resume(&mut self, _cont: u64, _outcomes: Vec<simnet::CallOutcome>, _cx: &mut SvcCx) -> Plan {
+        self.end(self.steps(Plan::new(), &self.script.tail))
+    }
+}
+
+/// Submits request `i` at its instant (after burning some CPU of its own
+/// when asked to) and counts the outcomes each one gets.
+struct Submitter {
+    from: NodeId,
+    submits: Vec<(u64, SvcKey, bool)>,
+    outcomes: Rc<RefCell<Vec<u32>>>,
+}
+
+impl Client for Submitter {
+    fn on_start(&mut self, cx: &mut ClientCx) {
+        for (i, &(at, ..)) in self.submits.iter().enumerate() {
+            cx.wake_in(SimDuration::from_micros(at), i as u64);
+        }
+    }
+
+    fn on_wake(&mut self, tag: u64, cx: &mut ClientCx) {
+        let n = self.submits.len() as u64;
+        let (_, to, burn) = self.submits[(tag % n) as usize];
+        if burn && tag < n {
+            cx.spend_cpu(self.from, 400.0, tag + n);
+            return;
+        }
+        let spec = RequestSpec {
+            from: self.from,
+            to,
+            payload: Box::new(()),
+            req_bytes: 1_500,
+        };
+        cx.submit(spec, tag % n);
+    }
+
+    fn on_outcome(&mut self, outcome: ReqOutcome, _cx: &mut ClientCx) {
+        self.outcomes.borrow_mut()[outcome.tag as usize] += 1;
+    }
+}
+
+/// What one run of a case leaves behind.
+struct Aftermath {
+    /// Outcomes delivered per submitted request.
+    outcomes: Vec<u32>,
+    live: Live,
+    lost_cpu_completions: u64,
+    trace: Vec<TraceEvent>,
+}
+
+/// Build the case's world, run it through its faults, then to quiescence.
+fn run_lifecycle(case: &Case, obs: ObsMode) -> Aftermath {
+    let mut topo = Topology::new();
+    let client = topo.add_node("c", 1, 1.0);
+    let servers = [topo.add_node("s1", 2, 1.0), topo.add_node("s2", 1, 1.0)];
+    let lat = SimDuration::from_micros(300);
+    let pairs = [
+        topo.connect(client, servers[0], 10e6, lat),
+        topo.connect(client, servers[1], 10e6, lat),
+        topo.connect(servers[0], servers[1], 10e6, lat),
+    ];
+    let mut net = Net::new(topo, StatsHub::new(SimTime::ZERO, SimTime::MAX));
+    net.obs = Obs::from_mode(obs);
+    let mut eng: Eng = Engine::new(11);
+    let locks = vec![net.add_lock(1), net.add_lock(2)];
+    let mut svcs: Vec<SvcKey> = Vec::new();
+    for (i, script) in case.scripts.iter().enumerate() {
+        let svc = Scripted {
+            script: script.clone(),
+            lower: svcs.clone(),
+            locks: locks.clone(),
+        };
+        svcs.push(net.add_service(servers[i % 2], script.cfg, Box::new(svc), &mut eng));
+    }
+    let outcomes = Rc::new(RefCell::new(vec![0; case.submits.len()]));
+    net.add_client(Box::new(Submitter {
+        from: client,
+        submits: case
+            .submits
+            .iter()
+            .map(|&(at, to, burn)| (at, svcs[to % svcs.len()], burn))
+            .collect(),
+        outcomes: outcomes.clone(),
+    }));
+    net.start(&mut eng);
+
+    let mut faults = case.faults.clone();
+    faults.sort_by_key(|&(at, _)| at);
+    let set_pair = |net: &mut Net, eng: &mut Eng, n: usize, bps: f64| {
+        let (ab, ba) = pairs[n % pairs.len()];
+        net.set_link_capacity(eng, ab, bps);
+        net.set_link_capacity(eng, ba, bps);
+    };
+    for (at, fault) in faults {
+        eng.run_until(&mut net, SimTime(at));
+        match fault {
+            Fault::Crash(s) => net.crash_service(&mut eng, svcs[s % svcs.len()]),
+            Fault::Restart(s) => net.restart_service(&mut eng, svcs[s % svcs.len()]),
+            Fault::Freeze(s, d) => {
+                net.freeze_service(&mut eng, svcs[s % svcs.len()], SimTime(at + d))
+            }
+            Fault::DropBurst(s, d) => {
+                net.drop_conns_until(&mut eng, svcs[s % svcs.len()], SimTime(at + d))
+            }
+            Fault::Partition(n) => set_pair(&mut net, &mut eng, n, 1.0),
+            Fault::Heal(n) => set_pair(&mut net, &mut eng, n, 10e6),
+        }
+    }
+    // Every partition heals in the end, or stalled transfers crawl on at
+    // 1 bit/s for simulated days.
+    for n in 0..pairs.len() {
+        set_pair(&mut net, &mut eng, n, 10e6);
+    }
+    eng.run_to_completion(&mut net);
+
+    let trace = net
+        .obs
+        .finish(eng.now())
+        .map_or_else(Vec::new, |r| r.events);
+    let outcomes = outcomes.borrow().clone();
+    Aftermath {
+        outcomes,
+        live: net.live(),
+        lost_cpu_completions: net.lost_cpu_completions,
+        trace,
+    }
+}
+
+proptest! {
+    /// Whatever the plans, the pool sizes and the faults: every request
+    /// ends exactly once, nothing it held outlives it, and its span says
+    /// so.
+    #[test]
+    fn every_request_ends_once_and_leaks_nothing(case in arb_lifecycle_case()) {
+        let plain = run_lifecycle(&case, ObsMode::OFF);
+        // Known defect (ROADMAP item 2): about one random case in a
+        // thousand has the kernel drop a CPU completion, and whoever
+        // waits for it hangs with what it holds.  Such a case checks
+        // "at most once" and that the traced run hangs the same way.
+        let hung = plain.lost_cpu_completions > 0;
+        let ends = |n: u32| n == 1 || (hung && n == 0);
+        // 1. Exactly one outcome per submitted request.
+        prop_assert!(plain.outcomes.iter().all(|&n| ends(n)), "outcomes {:?}", plain.outcomes);
+        // 2. With the calendar drained, no request, token, waiter, flow
+        //    or CPU task is left.
+        prop_assert!(hung || plain.live == Live::default(), "left over: {:?}", plain.live);
+
+        // 3. The traced run is the same run, and every span that begins
+        //    ends exactly once.
+        let traced = run_lifecycle(&case, ObsMode::FULL);
+        prop_assert_eq!(&traced.outcomes, &plain.outcomes);
+        prop_assert_eq!(&traced.live, &plain.live);
+        let mut spans: BTreeMap<u64, (u32, u32)> = BTreeMap::new();
+        for e in &traced.trace {
+            match e.ev {
+                Ev::SpanBegin { span, .. } => spans.entry(span).or_default().0 += 1,
+                Ev::SpanEnd { span, .. } => spans.entry(span).or_default().1 += 1,
+                _ => {}
+            }
+        }
+        prop_assert!(hung || spans.len() >= case.submits.len());
+        prop_assert!(
+            spans.values().all(|&(begins, ends_n)| begins == 1 && ends(ends_n)),
+            "(begins, ends) per span: {spans:?}"
+        );
     }
 }

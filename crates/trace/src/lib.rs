@@ -9,15 +9,15 @@
 //!   grant/done/resched, flow start/rate/finish, connection admission and
 //!   backlog drops, cache hits/misses, and query *spans* with causal
 //!   parent ids whose phases mirror the request lifecycle.
-//! * [`tracer`] — the [`Tracer`] trait with a no-op [`NullTracer`] and a
-//!   bounded [`RingTracer`] (drop-oldest, counted).
+//! * [`tracer`] — the bounded [`RingTracer`] (drop-oldest, counted).
 //! * [`metrics`] — a [`MetricsRegistry`] of named counters, time-weighted
 //!   gauges and log-bucketed histograms, snapshotted per measurement
 //!   window.
 //! * [`obs`] — the [`Obs`] handle worlds embed.  Every recording call is
-//!   gated on a plain `bool`, so with [`ObsMode::OFF`] an instrumented
-//!   site costs one predictable branch (pinned <2 % by the overhead
-//!   bench in `crates/bench`).
+//!   gated on one branch, so with [`ObsMode::OFF`] an instrumented
+//!   site costs nothing else (`perf.overhead_ratio` and
+//!   `trace.overhead_ratio` of the repo benchmark track the whole-sweep
+//!   cost).
 //! * [`export`] — Chrome `trace_event` (for `chrome://tracing` /
 //!   Perfetto) and metrics-CSV exporters.
 //! * [`inspect`] — parses an exported trace back into a per-phase
@@ -43,4 +43,4 @@ pub use events::{Ev, Outcome, Phase, SpanId, TraceEvent};
 pub use export::{chrome_trace, metrics_csv, Span, TraceMeta};
 pub use metrics::{MetricRow, MetricsRegistry};
 pub use obs::{Obs, ObsMode, ObsReport};
-pub use tracer::{NullTracer, RingTracer, Tracer, DEFAULT_RING_CAP};
+pub use tracer::{RingTracer, DEFAULT_RING_CAP};

@@ -115,8 +115,7 @@ pub struct MetricRow {
 /// The registry all components report into.
 ///
 /// Histograms use a fixed layout (`lo = 1.0`, i.e. samples are expected
-/// in microseconds) so per-component histograms can be
-/// [`Histogram::merge`]d when aggregating snapshots.
+/// in microseconds).
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, Counter>,

@@ -2,14 +2,14 @@
 //!
 //! `Obs` is the single object instrumentation sites talk to.  The
 //! zero-cost-when-off contract lives here: every recording method first
-//! checks a plain `bool`, so with observability off (the default) an
-//! instrumented site costs one predictable branch — no virtual dispatch,
-//! no allocation, no formatting.  The overhead bench in `crates/bench`
-//! pins this at < 2 % on a full figure-sweep point.
+//! checks whether its sink is live, so with observability off (the
+//! default) an instrumented site costs one predictable branch — no
+//! allocation, no formatting.  `perf.overhead_ratio` of the repo
+//! benchmark (`benchmark/README.md`) tracks what that costs a whole sweep.
 
 use crate::events::{Ev, TraceEvent};
 use crate::metrics::{MetricRow, MetricsRegistry};
-use crate::tracer::{NullTracer, RingTracer, Tracer};
+use crate::tracer::RingTracer;
 use simcore::SimTime;
 
 /// Which observability features are enabled for a run.  Part of a run's
@@ -65,10 +65,12 @@ pub struct ObsReport {
 
 /// The observability sink embedded in the simulated world.
 pub struct Obs {
-    tracing: bool,
-    metrics_on: bool,
+    /// Tracing, and the measurement window has begun
+    /// ([`Obs::window_begin`]).
+    in_window: bool,
     mode: ObsMode,
-    tracer: Box<dyn Tracer>,
+    /// `Some` exactly when tracing.
+    tracer: Option<RingTracer>,
     /// The metrics registry (public so harvesters can inject values).
     pub metrics: MetricsRegistry,
 }
@@ -94,16 +96,10 @@ impl Obs {
 
     /// Build the sink a mode asks for.
     pub fn from_mode(mode: ObsMode) -> Self {
-        let tracer: Box<dyn Tracer> = if mode.trace {
-            Box::<RingTracer>::default()
-        } else {
-            Box::new(NullTracer)
-        };
         Obs {
-            tracing: mode.trace,
-            metrics_on: mode.metrics,
+            in_window: false,
             mode,
-            tracer,
+            tracer: mode.trace.then(RingTracer::default),
             metrics: MetricsRegistry::new(),
         }
     }
@@ -116,26 +112,34 @@ impl Obs {
     /// Is event tracing on?
     #[inline(always)]
     pub fn tracing(&self) -> bool {
-        self.tracing
+        self.tracer.is_some()
     }
 
     /// Is the metrics registry live?
     #[inline(always)]
     pub fn metrics_on(&self) -> bool {
-        self.metrics_on
+        self.mode.metrics
     }
 
     /// Anything enabled?
     #[inline(always)]
     pub fn on(&self) -> bool {
-        self.tracing || self.metrics_on
+        self.tracer.is_some() || self.mode.metrics
+    }
+
+    /// Tracing, and the measurement window has begun?  The world records
+    /// its dispatch stream from then on; with tracing off this stays
+    /// `false`, so the per-event check is one branch.
+    #[inline(always)]
+    pub fn in_window(&self) -> bool {
+        self.in_window
     }
 
     /// Record an event (no-op unless tracing).
     #[inline(always)]
     pub fn ev(&mut self, at: SimTime, ev: Ev) {
-        if self.tracing {
-            self.tracer.record(at, ev);
+        if let Some(t) = &mut self.tracer {
+            t.record(at, ev);
         }
     }
 
@@ -143,15 +147,15 @@ impl Obs {
     /// argument computation (lookups, counts) costs nothing when off.
     #[inline(always)]
     pub fn ev_with(&mut self, at: SimTime, f: impl FnOnce() -> Ev) {
-        if self.tracing {
-            self.tracer.record(at, f());
+        if let Some(t) = &mut self.tracer {
+            t.record(at, f());
         }
     }
 
     /// Bump a counter (no-op unless metrics are on).
     #[inline(always)]
     pub fn incr(&mut self, name: &str, n: u64) {
-        if self.metrics_on {
+        if self.mode.metrics {
             self.metrics.incr(name, n);
         }
     }
@@ -159,7 +163,7 @@ impl Obs {
     /// Set a time-weighted gauge (no-op unless metrics are on).
     #[inline(always)]
     pub fn gauge(&mut self, name: &str, now: SimTime, value: f64) {
-        if self.metrics_on {
+        if self.mode.metrics {
             self.metrics.gauge(name, now, value);
         }
     }
@@ -167,14 +171,15 @@ impl Obs {
     /// Record a histogram sample in µs (no-op unless metrics are on).
     #[inline(always)]
     pub fn observe(&mut self, name: &str, sample_us: f64) {
-        if self.metrics_on {
+        if self.mode.metrics {
             self.metrics.observe(name, sample_us);
         }
     }
 
     /// Mark the start of the measurement window.
     pub fn window_begin(&mut self, now: SimTime) {
-        if self.metrics_on {
+        self.in_window = self.tracer.is_some();
+        if self.mode.metrics {
             self.metrics.window_begin(now);
         }
     }
@@ -185,7 +190,10 @@ impl Obs {
         if !self.on() {
             return None;
         }
-        let (events, dropped) = self.tracer.take();
+        let (events, dropped) = self
+            .tracer
+            .as_mut()
+            .map_or_else(Default::default, RingTracer::take);
         Some(ObsReport {
             mode: self.mode,
             events,

@@ -1,4 +1,4 @@
-//! Tracer implementations: a no-op sink and a bounded ring buffer.
+//! The tracer: a bounded ring buffer of events.
 
 use crate::events::{Ev, TraceEvent};
 use simcore::SimTime;
@@ -9,38 +9,10 @@ use std::collections::VecDeque;
 /// are dropped (and counted) beyond that.
 pub const DEFAULT_RING_CAP: usize = 1 << 21;
 
-/// Sink for simulation events.
-///
-/// `Send` so a tracer can live inside a world that sweep workers move
-/// across threads.  Implementations must preserve arrival order: the
-/// simulator emits events in deterministic dispatch order and the
-/// exporters rely on it.
-pub trait Tracer: Send {
-    /// Record one event at simulation time `at`.
-    fn record(&mut self, at: SimTime, ev: Ev);
-    /// Drain recorded events, returning `(events, dropped_count)` and
-    /// leaving the tracer empty.
-    fn take(&mut self) -> (Vec<TraceEvent>, u64);
-}
-
-/// Discards everything.  [`crate::Obs`] never even virtual-dispatches
-/// into a tracer when tracing is off, so with `NullTracer` installed the
-/// instrumentation reduces to one branch per site.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullTracer;
-
-impl Tracer for NullTracer {
-    #[inline(always)]
-    fn record(&mut self, _at: SimTime, _ev: Ev) {}
-
-    fn take(&mut self) -> (Vec<TraceEvent>, u64) {
-        (Vec::new(), 0)
-    }
-}
-
 /// Bounded ring of events: drops the *oldest* events once full, so the
 /// tail of a run (the measurement window) survives, and counts what it
-/// dropped.
+/// dropped.  Arrival order is preserved: the simulator emits events in
+/// deterministic dispatch order and the exporters rely on it.
 #[derive(Debug)]
 pub struct RingTracer {
     buf: VecDeque<TraceEvent>,
@@ -67,17 +39,10 @@ impl RingTracer {
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
-}
 
-impl Default for RingTracer {
-    fn default() -> Self {
-        RingTracer::new(DEFAULT_RING_CAP)
-    }
-}
-
-impl Tracer for RingTracer {
+    /// Record one event at simulation time `at`.
     #[inline]
-    fn record(&mut self, at: SimTime, ev: Ev) {
+    pub fn record(&mut self, at: SimTime, ev: Ev) {
         if self.buf.len() == self.cap {
             self.buf.pop_front();
             self.dropped += 1;
@@ -85,10 +50,18 @@ impl Tracer for RingTracer {
         self.buf.push_back(TraceEvent { at, ev });
     }
 
-    fn take(&mut self) -> (Vec<TraceEvent>, u64) {
+    /// Drain recorded events, returning `(events, dropped_count)` and
+    /// leaving the tracer empty.
+    pub fn take(&mut self) -> (Vec<TraceEvent>, u64) {
         let dropped = self.dropped;
         self.dropped = 0;
         (std::mem::take(&mut self.buf).into(), dropped)
+    }
+}
+
+impl Default for RingTracer {
+    fn default() -> Self {
+        RingTracer::new(DEFAULT_RING_CAP)
     }
 }
 
@@ -121,12 +94,5 @@ mod tests {
         r.record(t(9), Ev::Dispatch { seq: 9 });
         let (evs, dropped) = r.take();
         assert_eq!((evs.len(), dropped), (1, 0));
-    }
-
-    #[test]
-    fn null_tracer_yields_nothing() {
-        let mut n = NullTracer;
-        n.record(t(1), Ev::Dispatch { seq: 1 });
-        assert_eq!(n.take(), (Vec::new(), 0));
     }
 }

@@ -1,7 +1,7 @@
 //! Repeated-run determinism of the optimized kernels.
 //!
 //! The hot-path optimizations (compiled ClassAds, the MDS result cache,
-//! incremental fair-share, calendar compaction) must not introduce any
+//! incremental fair-share, the typed-event calendar) must not introduce any
 //! run-to-run or parallelism-dependent nondeterminism.  This test runs
 //! the same seeded set-2 and set-4 sweeps **twice** at `--jobs 1` and
 //! `--jobs 8` and demands:
@@ -50,7 +50,7 @@ fn profiled_run(set: u32, jobs: usize) -> (BTreeMap<u32, String>, (u64, u64, u64
     let specs = enumerate_set(set, SCALE).unwrap();
     let (outputs, stats) = gridmon_runner::run(&Job::points(&specs), &cfg(), &rc, Some(&mut sink));
     assert_eq!(stats.executed, stats.total, "no cache in play");
-    let results: Vec<_> = outputs.iter().map(|o| o.measurement()).collect();
+    let results: Vec<_> = outputs.iter().map(|o| o.m).collect();
     let data = assemble_set(set, &specs, &results);
     let t = sink.totals();
     (csvs_of(&data), (t.events, t.popped, t.advances, t.sim_us))

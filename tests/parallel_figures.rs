@@ -14,7 +14,7 @@ use gridmon_core::figures::{self, assemble_set, enumerate_extensions, enumerate_
 use gridmon_core::report::csv;
 use gridmon_core::runcfg::RunConfig;
 use gridmon_core::scenario::{catalogue, DEFAULT_FAULTS};
-use gridmon_runner::{Job, JobOutput, RunnerConfig, SweepStats};
+use gridmon_runner::{Job, RunnerConfig, SweepStats};
 use simcore::SimDuration;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -41,7 +41,7 @@ fn pooled_set(
 ) -> (SetData, SweepStats) {
     let specs = enumerate_set(set, scale).unwrap();
     let (outputs, stats) = gridmon_runner::run(&Job::points(&specs), cfg, rc, sink);
-    let results: Vec<_> = outputs.iter().map(|o| o.measurement()).collect();
+    let results: Vec<_> = outputs.iter().map(|o| o.m).collect();
     (assemble_set(set, &specs, &results), stats)
 }
 
@@ -89,7 +89,7 @@ fn every_figure_csv_is_byte_identical_across_job_counts() {
 
 /// Observability must not perturb the simulation: with tracing and
 /// metrics fully on (RingTracer + registry live), every figure CSV is
-/// byte-identical to the plain NullTracer run, sequential or 8-wide —
+/// byte-identical to the plain untraced run, sequential or 8-wide —
 /// and so are the extension studies' measurements, the open-loop source
 /// and the composite producer included, with a non-empty harvest each.
 #[test]
@@ -105,12 +105,10 @@ fn tracing_never_changes_figure_csvs() {
     };
     let (observed, _) = gridmon_runner::run(&ext, &traced, &rc, None);
     for ((job, plain), observed) in ext.iter().zip(&plain).zip(&observed) {
-        let JobOutput::Observed(op) = observed else {
-            panic!("{} carries no harvest", job.key())
-        };
-        assert_eq!(op.m, plain.measurement(), "tracing perturbed {}", job.key());
-        assert!(op.m.completions > 0, "{} measured nothing", job.key());
-        assert!(!op.report.events.is_empty() && !op.report.metrics.is_empty());
+        assert_eq!(observed.m, plain.m, "tracing perturbed {}", job.key());
+        assert!(plain.m.completions > 0, "{} measured nothing", job.key());
+        let harvest = observed.obs.as_deref().expect("harvest");
+        assert!(!harvest.report.events.is_empty() && !harvest.report.metrics.is_empty());
     }
 
     for set in catalogue::sets() {
