@@ -1,19 +1,27 @@
-//! Pinned steady-state allocation behaviour of the event kernel.
+//! Pinned steady-state allocation behaviour of the event kernel and of
+//! the two resource models every event steps.
 //!
 //! Events are plain values in recycled slab slots, so the schedule/fire
 //! loop — the inner loop of every experiment — performs **zero** heap
 //! allocations once the heap and the slab have reached their working
-//! size.  This test pins that property under the counting allocator:
-//! it warms a set-1-shaped world (periodic per-host probe events that
-//! reschedule themselves, like the GRIS cache refreshers), then runs
-//! thousands of further events and asserts the process allocation
-//! counter did not move at all.
+//! size.  The first test pins that property under the counting
+//! allocator: it warms a set-1-shaped world (periodic per-host probe
+//! events that reschedule themselves, like the GRIS cache refreshers),
+//! then runs thousands of further events and asserts the process
+//! allocation counter did not move at all.  The other two pin the same
+//! for a warmed `FlowNet` (start / advance / abort through the
+//! buffer-taking API, paths as cloned `Rc`s) and a warmed `PsCpu`
+//! (submit / advance / abort): their working memory is kept, not rebuilt.
 //!
 //! Runs only with `--features alloc-profile` (which compiles the
 //! counting global allocator in); without it the test is a no-op so
-//! plain `cargo test` stays green.
+//! plain `cargo test` stays green.  The counter is process-wide, so the
+//! three pins are one `#[test]`: nothing else runs while one measures.
 
-use simcore::{Engine, SimDuration, SimTime};
+use simcore::{Engine, PsCpu, SimDuration, SimRng, SimTime};
+use simnet::flow::FlowNet;
+use simnet::topology::{LinkId, Topology};
+use std::rc::Rc;
 
 /// A per-host probe that re-arms itself every `period`.
 #[derive(Clone, Copy)]
@@ -38,12 +46,17 @@ impl simcore::World for World {
 }
 
 #[test]
-fn steady_state_event_loop_allocates_nothing() {
+fn steady_state_allocates_nothing() {
     let Some(_) = gperf::alloc::stats() else {
         eprintln!("count-alloc not compiled in; skipping (run with --features alloc-profile)");
         return;
     };
+    event_loop();
+    flow_net();
+    ps_cpu();
+}
 
+fn event_loop() {
     const HOSTS: usize = 50;
     let mut world = World {
         fired: vec![0; HOSTS],
@@ -62,18 +75,123 @@ fn steady_state_event_loop_allocates_nothing() {
     assert!(fired_warm > 10_000, "warm-up fired {fired_warm}");
 
     // Steady state: every event must recycle its own slot.
-    let before = gperf::alloc::stats().unwrap();
-    eng.run_until(&mut world, SimTime::from_secs(1));
-    let after = gperf::alloc::stats().unwrap();
-
+    assert_allocates_nothing("event loop", || {
+        eng.run_until(&mut world, SimTime::from_secs(1))
+    });
     let fired: u64 = world.fired.iter().sum::<u64>() - fired_warm;
     assert!(fired > 10_000, "measured window fired {fired}");
+}
+
+/// Require that `measured` moves the process allocation counter by
+/// nothing.  The caller has warmed whatever `measured` drives.
+fn assert_allocates_nothing(what: &str, measured: impl FnOnce()) {
+    let before = gperf::alloc::stats().unwrap();
+    measured();
+    let after = gperf::alloc::stats().unwrap();
     assert_eq!(
         after.allocs - before.allocs,
         0,
-        "steady-state loop allocated {} times over {} events",
+        "warmed {what} allocated {} times",
         after.allocs - before.allocs,
-        fired
     );
     assert_eq!(after.bytes_total, before.bytes_total);
+}
+
+/// `warm` steps to size every buffer, then `measured` that must not
+/// allocate.
+fn assert_warmed_steps_allocate_nothing(
+    what: &str,
+    warm: u32,
+    measured: u32,
+    mut step: impl FnMut(),
+) {
+    for _ in 0..warm {
+        step();
+    }
+    assert_allocates_nothing(what, || {
+        for _ in 0..measured {
+            step();
+        }
+    });
+}
+
+fn flow_net() {
+    // Three links; paths that share one, share two, share none, and the
+    // empty same-host path.  One step is: advance to the next completion,
+    // restart whatever finished, and abort + restart one more flow.
+    let mut topo = Topology::new();
+    topo.add_node("host", 1, 1.0);
+    let l: Vec<LinkId> = (0..3)
+        .map(|i| topo.add_link(format!("l{i}"), (i as f64 + 2.0) * 1e6, SimDuration(50)))
+        .collect();
+    let paths: Vec<Rc<[LinkId]>> = [
+        vec![l[0]],
+        vec![l[1]],
+        vec![l[0], l[2]],
+        vec![l[1], l[2]],
+        vec![l[0], l[1], l[2]],
+        vec![],
+    ]
+    .into_iter()
+    .map(Rc::from)
+    .collect();
+
+    const FLOWS: u64 = 24;
+    let mut net = FlowNet::new();
+    let mut rng = SimRng::new(20030622);
+    let mut now = SimTime(0);
+    let mut start = |net: &mut FlowNet, now: SimTime, token: u64| {
+        let path = Rc::clone(&paths[(token % paths.len() as u64) as usize]);
+        net.start(&topo, now, path, 2_000 + rng.next_below(60_000), token)
+    };
+    let mut keys: Vec<_> = (0..FLOWS).map(|t| start(&mut net, now, t)).collect();
+    let mut done: Vec<u64> = Vec::with_capacity(FLOWS as usize);
+    let mut victim = 0;
+    let mut completed = 0u64;
+
+    assert_warmed_steps_allocate_nothing("FlowNet", 2_000, 10_000, || {
+        now = net.next_completion(now).expect("flows are active");
+        done.clear();
+        net.advance_into(&topo, now, &mut done);
+        for &token in &done {
+            keys[token as usize] = start(&mut net, now, token);
+        }
+        completed += done.len() as u64;
+        victim = (victim + 7) % FLOWS;
+        assert_eq!(net.abort(&topo, keys[victim as usize]), Some(victim));
+        keys[victim as usize] = start(&mut net, now, victim);
+    });
+    assert_eq!(net.active(), FLOWS as usize);
+    assert!(completed > 5_000, "only {completed} flows completed");
+}
+
+fn ps_cpu() {
+    // Sixteen tasks on two cores.  One step is: advance to the next
+    // completion, resubmit whatever finished, and abort + resubmit one
+    // more task.
+    const TASKS: u64 = 16;
+    let mut cpu = PsCpu::new(2, 1.0);
+    let mut rng = SimRng::new(20030622);
+    let mut now = SimTime(0);
+    let mut keys: Vec<_> = (0..TASKS)
+        .map(|t| cpu.submit(now, rng.uniform(0.0, 50_000.0), t))
+        .collect();
+    let mut done: Vec<u64> = Vec::with_capacity(TASKS as usize);
+    let mut victim = 0;
+    let mut completed = 0u64;
+
+    assert_warmed_steps_allocate_nothing("PsCpu", 2_000, 10_000, || {
+        now = cpu.next_completion(now).expect("tasks are runnable");
+        done.clear();
+        cpu.advance_into(now, &mut done);
+        for &token in &done {
+            keys[token as usize] = cpu.submit(now, rng.uniform(0.0, 50_000.0), token);
+        }
+        completed += done.len() as u64;
+        victim = (victim + 5) % TASKS;
+        assert_eq!(cpu.abort(now, keys[victim as usize]), Some(victim));
+        keys[victim as usize] = cpu.submit(now, rng.uniform(0.0, 50_000.0), victim);
+    });
+    assert_eq!(cpu.runnable(), TASKS as usize);
+    assert!(completed > 5_000, "only {completed} tasks completed");
 }

@@ -27,6 +27,7 @@ use mds::{Giis, MdsRequest};
 use rgma::{ProducerServlet, RgmaMsg};
 use simcore::{SimDuration, SimTime};
 use simnet::{Client, ClientCx, NodeId, Payload, SvcKey};
+use std::rc::Rc;
 use testbed::TestbedConfig;
 use workload::{QueryFactory, UserConfig};
 
@@ -323,13 +324,15 @@ fn spawn_workload(h: &mut Harness, w: &World<'_>) -> Result<(), DeployError> {
 /// itself (agent hosts in declaration order; the canonical producer
 /// table set), never from run state, so the stream is deterministic.
 fn factory_for(w: &World<'_>) -> Box<dyn FnMut() -> QueryFactory> {
-    fn mds(req: fn() -> MdsRequest) -> Box<dyn FnMut() -> QueryFactory> {
+    /// The base DN and filter are parsed once per series, not per query:
+    /// every user shares the one request, a query clones it (`Dn` is an
+    /// `Rc` slice) and reuses its size.
+    fn mds(req: MdsRequest) -> Box<dyn FnMut() -> QueryFactory> {
+        let bytes = req.wire_size();
+        let req = Rc::new(req);
         Box::new(move || {
-            Box::new(move |_rng| {
-                let req = req();
-                let bytes = req.wire_size();
-                (Box::new(req) as Payload, bytes)
-            })
+            let req = Rc::clone(&req);
+            Box::new(move |_rng| (Box::new(MdsRequest::clone(&req)) as Payload, bytes))
         })
     }
     fn hawkeye(msg: fn() -> HawkeyeMsg) -> Box<dyn FnMut() -> QueryFactory> {
@@ -351,23 +354,13 @@ fn factory_for(w: &World<'_>) -> Box<dyn FnMut() -> QueryFactory> {
         })
     }
     match w.spec.workload.query {
-        Query::MdsSearchAllGris0 => mds(|| MdsRequest::search_all(gris_suffix(0))),
-        Query::MdsSearchAllGiis => mds(|| MdsRequest::search_all(giis_suffix())),
-        Query::MdsSearchCpu { attrs_only } => Box::new(move || {
-            Box::new(move |_rng| {
-                let req = MdsRequest::Search {
-                    base: giis_suffix(),
-                    scope: Scope::Sub,
-                    filter: Filter::parse("(mds-device-group-name=cpu)").unwrap(),
-                    attrs: if attrs_only {
-                        Some(vec!["mds-device-group-name".into(), "objectclass".into()])
-                    } else {
-                        None
-                    },
-                };
-                let bytes = req.wire_size();
-                (Box::new(req) as Payload, bytes)
-            })
+        Query::MdsSearchAllGris0 => mds(MdsRequest::search_all(gris_suffix(0))),
+        Query::MdsSearchAllGiis => mds(MdsRequest::search_all(giis_suffix())),
+        Query::MdsSearchCpu { attrs_only } => mds(MdsRequest::Search {
+            base: giis_suffix(),
+            scope: Scope::Sub,
+            filter: Filter::parse("(mds-device-group-name=cpu)").unwrap(),
+            attrs: attrs_only.then(|| vec!["mds-device-group-name".into(), "objectclass".into()]),
         }),
         Query::HawkeyeAgentStatus => hawkeye(|| HawkeyeMsg::AgentStatus),
         Query::HawkeyeAgentFull => hawkeye(|| HawkeyeMsg::AgentFull),

@@ -4,7 +4,9 @@
 //! implementation alive as a *reference kernel*.  Every oracle lives
 //! here or is a public function the simulator itself still runs — no
 //! production crate carries oracle-only code or a feature to enable it:
-//! the event engine ([`reference::RefEngine`]) and the owned-`String`
+//! the event engine ([`reference::RefEngine`]), the three-pass CPU
+//! ([`reference::RefPsCpu`]), the allocate-per-step flow network
+//! ([`reference::RefFlowNet`]) and the owned-`String`
 //! LDAP `Dn`/`Entry` ([`ldap_reference`]) are modules of this crate, the
 //! exhaustive DIT scan is a few lines over `Dit::iter` in `dit_diff`,
 //! and the tree-walking ClassAd evaluator and the from-scratch
@@ -16,8 +18,12 @@
 //! * `classad_diff` — compiled postfix ClassAd VM vs the tree-walking
 //!   evaluator, over random expressions, ads and matchmaking pairs;
 //! * `flownet_diff` — incremental component-local max-min fair-share vs
-//!   the from-scratch water-filler, over random topologies and
-//!   start/abort/complete schedules;
+//!   the from-scratch water-filler, and the scratch-keeping, path-sharing
+//!   `FlowNet` vs the allocating [`reference::RefFlowNet`], over random
+//!   topologies and start/abort/complete schedules;
+//! * `pscpu_diff` — the one-pass `PsCpu` with its cached minimum vs the
+//!   three-pass [`reference::RefPsCpu`], over random submit/abort/advance
+//!   schedules;
 //! * `engine_diff` — the compacting event calendar vs pure lazy deletion,
 //!   and the typed-event engine vs the closure-scheduling [`mod@reference`]
 //!   engine, over random schedule/cancel/reschedule scripts;

@@ -1,16 +1,25 @@
-//! Incremental max-min fair-share vs the from-scratch water-filler.
+//! `FlowNet` against its two oracles.
 //!
-//! `FlowNet` re-levels only the connected component a mutation touches;
-//! the oracle (`capacity_changed`, the from-scratch water-filling pass the
-//! simulator itself runs when a fault moves a link's capacity) rebuilds
-//! the whole rate vector.
-//! After every mutation of a random schedule the two must agree on every
-//! flow's rate, bit for bit.
+//! * Incremental vs from scratch: `FlowNet` re-levels only the connected
+//!   component a mutation touches; `capacity_changed` (the from-scratch
+//!   water-filling pass the simulator itself runs when a fault moves a
+//!   link's capacity) rebuilds the whole rate vector.  After every
+//!   mutation of a random schedule the two must agree on every flow's
+//!   rate, bit for bit.
+//! * Kept working memory vs allocated per call: `FlowNet` re-levels in
+//!   scratch it keeps, shares each path as an `Rc`, and drains completed
+//!   flows in one index-order pass into the caller's buffer;
+//!   [`RefFlowNet`] is the same arithmetic as it was written first, a
+//!   dozen fresh vectors per step.  Driven through the same schedule the
+//!   two must return the same keys, complete the same tokens in the same
+//!   order and agree on `next_completion` and every rate, bit for bit.
 
+use gridmon_diff::reference::RefFlowNet;
 use proptest::prelude::*;
 use simcore::{SimRng, SimTime};
 use simnet::flow::FlowNet;
 use simnet::topology::{LinkId, Topology};
+use std::rc::Rc;
 
 fn build_topology(link_caps: &[f64], seed_latency_us: u64) -> (Topology, Vec<LinkId>) {
     let mut t = Topology::new();
@@ -43,9 +52,24 @@ fn assert_rates_match(fnet: &FlowNet, topo: &Topology, context: &str) {
     );
 }
 
+/// Assert the scratch-keeping net and the allocating one are in the same
+/// state: same flows in the same slots at the same rates, same next event.
+fn assert_same_state(fnet: &FlowNet, slow: &RefFlowNet, now: SimTime, context: &str) {
+    let mut fast = Vec::new();
+    fnet.for_each_rate(|tok, r| fast.push((tok, r.to_bits())));
+    let mut reference = Vec::new();
+    slow.for_each_rate(|tok, r| reference.push((tok, r.to_bits())));
+    assert_eq!(fast, reference, "rates diverged after {context}");
+    assert_eq!(
+        fnet.next_completion(now),
+        slow.next_completion(now),
+        "next_completion after {context}"
+    );
+}
+
 proptest! {
     /// Random link-capacity vectors and start/abort/complete schedules:
-    /// the incremental kernel tracks the oracle through every mutation.
+    /// the incremental kernel tracks both oracles through every mutation.
     #[test]
     fn random_schedule_agrees(
         caps in proptest::collection::vec(0.1f64..20.0, 1..8),
@@ -55,46 +79,66 @@ proptest! {
         let caps_bps: Vec<f64> = caps.iter().map(|c| c * 1e6).collect();
         let (topo, links) = build_topology(&caps_bps, 5);
         let mut fnet = FlowNet::new();
+        let mut slow = RefFlowNet::new();
         let mut rng = SimRng::new(seed);
         let mut now = SimTime(0);
         let mut live = Vec::new();
+        // The caller-owned completion buffer, reused: `advance_into`
+        // appends to it.
+        let mut done = Vec::new();
+        let mut advance = |fnet: &mut FlowNet, slow: &mut RefFlowNet, now: SimTime| {
+            done.clear();
+            fnet.advance_into(&topo, now, &mut done);
+            assert_eq!(done, slow.advance(&topo, now), "completed tokens at {now:?}");
+        };
         for step in 0..steps as u64 {
             match rng.next_below(4) {
                 0 | 1 => {
-                    // Start: biased toward short, overlapping paths.
+                    // Start: biased toward short, overlapping paths; some
+                    // empty (same host), some crossing a link twice.
                     let mut path = Vec::new();
                     for &l in &links {
                         if rng.chance(0.35) {
                             path.push(l);
                         }
                     }
+                    if !path.is_empty() && rng.chance(0.15) {
+                        let again = path[rng.next_below(path.len() as u64) as usize];
+                        path.push(again);
+                    }
                     let bytes = rng.next_below(100_000);
-                    live.push(fnet.start(&topo, now, path, bytes, step));
+                    let shared: Rc<[LinkId]> = path.as_slice().into();
+                    let k = fnet.start(&topo, now, shared, bytes, step);
+                    prop_assert_eq!(k, slow.start(&topo, now, path, bytes, step));
+                    live.push(k);
                 }
                 2 => {
                     if !live.is_empty() {
                         let i = rng.next_below(live.len() as u64) as usize;
                         let k = live.swap_remove(i);
-                        fnet.abort(&topo, k);
+                        prop_assert_eq!(fnet.abort(&topo, k), slow.abort(&topo, k));
                     }
                 }
                 _ => {
                     if let Some(next) = fnet.next_completion(now) {
                         now = next;
-                        fnet.advance(&topo, now);
+                        advance(&mut fnet, &mut slow, now);
                         live.retain(|&k| fnet.rate_of(k).is_some());
                     }
                 }
             }
             assert_rates_match(&fnet, &topo, &format!("step {step}"));
+            assert_same_state(&fnet, &slow, now, &format!("step {step}"));
         }
         // Drain: completions must keep agreeing until the net is empty.
         while let Some(next) = fnet.next_completion(now) {
             now = next;
-            fnet.advance(&topo, now);
+            advance(&mut fnet, &mut slow, now);
             assert_rates_match(&fnet, &topo, "drain");
+            assert_same_state(&fnet, &slow, now, "drain");
         }
         prop_assert_eq!(fnet.active(), 0);
+        prop_assert_eq!(slow.active(), 0);
     }
 
     /// Capacity changes (fault injection) fall back to the full pass and

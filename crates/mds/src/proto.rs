@@ -4,6 +4,7 @@ use ldapdir::{Dn, Entry, Filter, Scope};
 use simnet::SvcKey;
 
 /// A request to a GRIS or GIIS.
+#[derive(Clone)]
 pub enum MdsRequest {
     /// An LDAP search.
     Search {

@@ -16,7 +16,10 @@
 //!
 //! `PsCpu` is a pure state machine: it never touches the event calendar.
 //! The owner (the network world) asks [`PsCpu::next_completion`] after every
-//! mutation and manages a single pending completion event per CPU.
+//! mutation and manages a single pending completion event per CPU.  The
+//! owner also owns the buffer finished tokens are written to
+//! ([`PsCpu::advance_into`]); what the CPU keeps between steps is the
+//! minimum remaining work over its tasks, so a step walks them once.
 
 use crate::slab::{Slab, SlabKey};
 use crate::time::SimTime;
@@ -39,6 +42,12 @@ pub struct PsCpu {
     last: SimTime,
     /// Accumulated busy core-microseconds (for CPU-load accounting).
     busy_core_us: f64,
+    /// `min` of `remaining` over `tasks` (`INFINITY` when idle), kept up
+    /// by every mutation.  `f64::min` is exact and order-free and
+    /// `x - work` is monotone in `x`, so this is bit-equal to folding over
+    /// the tasks afresh (no `remaining` is ever NaN or -0.0: each starts
+    /// at `EPS` or more and only has positive work subtracted).
+    min_remaining: f64,
 }
 
 /// Tolerance below which a task is considered finished (microseconds of
@@ -56,6 +65,7 @@ impl PsCpu {
             tasks: Slab::new(),
             last: SimTime::ZERO,
             busy_core_us: 0.0,
+            min_remaining: f64::INFINITY,
         }
     }
 
@@ -113,42 +123,67 @@ impl PsCpu {
             for (_, t) in self.tasks.iter_mut() {
                 t.remaining -= work;
             }
+            // Every task loses the same work and rounding is monotone, so
+            // the minimum moves exactly as the task that holds it does.
+            self.min_remaining -= work;
         }
         self.last = now;
     }
 
-    /// Advance the CPU to `now`, returning the tokens of all tasks that have
-    /// finished by then (in submission order).
-    pub fn advance(&mut self, now: SimTime) -> Vec<CpuToken> {
+    /// Advance the CPU to `now`, appending to `done` the tokens of all
+    /// tasks that have finished by then (in slab index order).  The slab
+    /// is walked a second time only when some task did finish.
+    pub fn advance_into(&mut self, now: SimTime, done: &mut Vec<CpuToken>) {
         self.advance_accounting(now);
-        let finished: Vec<SlabKey> = self
-            .tasks
-            .iter()
-            .filter(|(_, t)| t.remaining <= EPS)
-            .map(|(k, _)| k)
-            .collect();
-        finished
-            .into_iter()
-            .filter_map(|k| self.tasks.remove(k).map(|t| t.token))
-            .collect()
+        if self.min_remaining > EPS {
+            return;
+        }
+        let mut min = f64::INFINITY;
+        self.tasks.drain_where(
+            |t| {
+                let finished = t.remaining <= EPS;
+                if !finished {
+                    min = min.min(t.remaining);
+                }
+                finished
+            },
+            |_, t| done.push(t.token),
+        );
+        self.min_remaining = min;
     }
 
-    /// Submit a task demanding `work_us` reference-CPU microseconds.
-    /// The caller must have called [`PsCpu::advance`] at the current time
-    /// first (all owner entry points do).
+    /// [`PsCpu::advance_into`] with a buffer of its own, for callers that
+    /// take a step now and then rather than one per event.
+    pub fn advance(&mut self, now: SimTime) -> Vec<CpuToken> {
+        let mut done = Vec::new();
+        self.advance_into(now, &mut done);
+        done
+    }
+
+    /// Submit a task demanding `work_us` reference-CPU microseconds.  The
+    /// accounting is advanced to `now` first; tasks that finish at `now`
+    /// stay in the CPU until the next `advance`.
     pub fn submit(&mut self, now: SimTime, work_us: f64, token: CpuToken) -> SlabKey {
         debug_assert!(work_us >= 0.0);
         self.advance_accounting(now);
-        self.tasks.insert(Task {
-            remaining: work_us.max(EPS),
-            token,
-        })
+        let remaining = work_us.max(EPS);
+        self.min_remaining = self.min_remaining.min(remaining);
+        self.tasks.insert(Task { remaining, token })
     }
 
     /// Remove a task before completion (e.g. an aborted request).
     pub fn abort(&mut self, now: SimTime, key: SlabKey) -> Option<CpuToken> {
         self.advance_accounting(now);
-        self.tasks.remove(key).map(|t| t.token)
+        let task = self.tasks.remove(key)?;
+        self.min_remaining = self.fold_min_remaining();
+        Some(task.token)
+    }
+
+    fn fold_min_remaining(&self) -> f64 {
+        self.tasks
+            .iter()
+            .map(|(_, t)| t.remaining)
+            .fold(f64::INFINITY, f64::min)
     }
 
     /// The absolute time at which the earliest current task will finish, or
@@ -159,11 +194,8 @@ impl PsCpu {
         if rate <= 0.0 {
             return None;
         }
-        let min_rem = self
-            .tasks
-            .iter()
-            .map(|(_, t)| t.remaining)
-            .fold(f64::INFINITY, f64::min);
+        let min_rem = self.min_remaining;
+        debug_assert_eq!(min_rem.to_bits(), self.fold_min_remaining().to_bits());
         if !min_rem.is_finite() {
             return None;
         }

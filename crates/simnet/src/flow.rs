@@ -10,11 +10,15 @@
 //!
 //! `FlowNet` is a pure state machine (no event scheduling): the owner asks
 //! [`FlowNet::next_completion`] after every mutation and manages a single
-//! pending event.
+//! pending event.  The owner also owns the buffer completed tokens are
+//! written to ([`FlowNet::advance_into`]); what the net keeps between
+//! steps is the working memory of a re-level and, per flow, a share in
+//! its route — so a step in steady state allocates nothing.
 
 use crate::topology::{LinkId, Topology};
 use simcore::slab::{Slab, SlabKey};
 use simcore::SimTime;
+use std::rc::Rc;
 
 /// Opaque token the owner uses to identify a flow's purpose.
 pub type FlowToken = u64;
@@ -24,12 +28,38 @@ pub type FlowKey = SlabKey;
 
 #[derive(Debug, Clone)]
 struct Flow {
-    path: Vec<LinkId>,
+    /// Shared with the topology's route table (or whoever started the
+    /// flow): never copied.
+    path: Rc<[LinkId]>,
     /// Remaining payload in bits.
     remaining: f64,
     /// Current rate in bits per microsecond.
     rate: f64,
     token: FlowToken,
+}
+
+/// Working memory of [`FlowNet::relevel_component`], kept between calls
+/// so a re-level allocates nothing once the vectors have reached their
+/// working size.  Every call clears what it reads; nothing here carries
+/// meaning from one call to the next except `seeds`, which the caller
+/// fills and the re-level consumes.
+#[derive(Clone, Default)]
+struct Scratch {
+    /// Links whose flows the next re-level starts from.
+    seeds: Vec<LinkId>,
+    /// Per link: is it in the component?
+    in_comp: Vec<bool>,
+    /// The component's links, ascending.
+    comp_links: Vec<usize>,
+    /// The component's flows in slab-key order, then those not yet fixed.
+    unfixed: Vec<FlowKey>,
+    /// The flows left over by the current water-filling round; swapped
+    /// with `unfixed` when the round ends.
+    still_unfixed: Vec<FlowKey>,
+    /// Per link: capacity not yet handed out, bits/µs.
+    residual: Vec<f64>,
+    /// Per link: unfixed flows crossing it.
+    crossing: Vec<u32>,
 }
 
 /// The set of active flows plus the fair-share computation.
@@ -47,7 +77,9 @@ pub struct FlowNet {
     /// every flow.
     link_flows: Vec<Vec<FlowKey>>,
     last: SimTime,
-    /// Total bytes completed (for stats).
+    scratch: Scratch,
+    /// Total bits handed to the net, counted when a flow starts (for
+    /// stats; an aborted flow's bits stay counted).
     pub bits_delivered: f64,
 }
 
@@ -66,6 +98,7 @@ impl FlowNet {
             flows: Slab::new(),
             link_flows: Vec::new(),
             last: SimTime::ZERO,
+            scratch: Scratch::default(),
             bits_delivered: 0.0,
         }
     }
@@ -93,43 +126,46 @@ impl FlowNet {
         self.flows.len()
     }
 
-    /// Advance all flows to `now`, returning the tokens of flows that have
-    /// completed (in key order).  The caller must then `recompute` (which
-    /// happens automatically here) and re-query `next_completion`.
-    pub fn advance(&mut self, topo: &Topology, now: SimTime) -> Vec<FlowToken> {
+    /// Advance all flows to `now`, appending to `done` the tokens of the
+    /// flows that have completed (in key order) and re-leveling the flows
+    /// they shared links with.  The caller must then re-query
+    /// `next_completion`.
+    pub fn advance_into(&mut self, topo: &Topology, now: SimTime, done: &mut Vec<FlowToken>) {
         debug_assert!(now >= self.last);
         let dt = (now - self.last).as_micros() as f64;
         self.last = now;
-        let mut done: Vec<FlowKey> = Vec::new();
-        if dt > 0.0 {
-            for (k, f) in self.flows.iter_mut() {
-                f.remaining -= f.rate * dt;
-                if f.remaining <= 1e-6 {
-                    done.push(k);
+        let FlowNet {
+            flows,
+            link_flows,
+            scratch,
+            ..
+        } = self;
+        flows.drain_where(
+            |f| {
+                if dt > 0.0 {
+                    f.remaining -= f.rate * dt;
                 }
-            }
-        } else {
-            for (k, f) in self.flows.iter() {
-                if f.remaining <= 1e-6 {
-                    done.push(k);
-                }
-            }
-        }
-        let mut tokens = Vec::with_capacity(done.len());
-        let mut seeds: Vec<LinkId> = Vec::new();
-        for k in done {
-            if let Some(f) = self.flows.remove(k) {
-                Self::unregister_links(&mut self.link_flows, k, &f.path);
-                seeds.extend_from_slice(&f.path);
-                tokens.push(f.token);
-            }
-        }
-        if !seeds.is_empty() {
+                f.remaining <= 1e-6
+            },
+            |k, f| {
+                Self::unregister_links(link_flows, k, &f.path);
+                scratch.seeds.extend_from_slice(&f.path);
+                done.push(f.token);
+            },
+        );
+        if !self.scratch.seeds.is_empty() {
             // Only flows sharing links with the departed ones can change
             // rate; empty-path completions leave the vector untouched.
-            self.relevel_component(topo, &seeds);
+            self.relevel_component(topo);
         }
-        tokens
+    }
+
+    /// [`FlowNet::advance_into`] with a buffer of its own, for callers
+    /// that take a step now and then rather than one per event.
+    pub fn advance(&mut self, topo: &Topology, now: SimTime) -> Vec<FlowToken> {
+        let mut done = Vec::new();
+        self.advance_into(topo, now, &mut done);
+        done
     }
 
     /// Start a flow of `bytes` bytes along `path` (may be empty for
@@ -138,11 +174,12 @@ impl FlowNet {
         &mut self,
         topo: &Topology,
         now: SimTime,
-        path: Vec<LinkId>,
+        path: impl Into<Rc<[LinkId]>>,
         bytes: u64,
         token: FlowToken,
     ) -> FlowKey {
         debug_assert_eq!(self.last, now, "advance() before start()");
+        let path: Rc<[LinkId]> = path.into();
         let bits = (bytes.max(1) * 8) as f64;
         self.bits_delivered += bits; // count on start; completion is certain
 
@@ -164,36 +201,31 @@ impl FlowNet {
             .iter()
             .all(|l| self.link_flows.get(l.0 as usize).is_none_or(Vec::is_empty))
             && !path.iter().enumerate().any(|(i, l)| path[..i].contains(l));
-        if disjoint {
+        let rate = if disjoint {
             let mut share = f64::INFINITY;
-            for l in &path {
+            for l in path.iter() {
                 let s = topo.link(*l).capacity_bps / 1e6;
                 if s < share {
                     share = s;
                 }
             }
-            let key = self.flows.insert(Flow {
-                path,
-                remaining: bits,
-                rate: share.max(0.0).max(1e-9),
-                token,
-            });
-            let f = self.flows.get(key).unwrap();
-            Self::register_links(&mut self.link_flows, key, &f.path);
-            return key;
-        }
-
-        // Shares a link with live flows: re-level just that component.
+            share.max(0.0).max(1e-9)
+        } else {
+            // Shares a link with live flows: re-level just that component.
+            self.scratch.seeds.extend_from_slice(&path);
+            0.0
+        };
         let key = self.flows.insert(Flow {
             path,
             remaining: bits,
-            rate: 0.0,
+            rate,
             token,
         });
         let f = self.flows.get(key).unwrap();
-        let seeds = f.path.clone();
         Self::register_links(&mut self.link_flows, key, &f.path);
-        self.relevel_component(topo, &seeds);
+        if !disjoint {
+            self.relevel_component(topo);
+        }
         key
     }
 
@@ -202,7 +234,8 @@ impl FlowNet {
         let f = self.flows.remove(key)?;
         Self::unregister_links(&mut self.link_flows, key, &f.path);
         if !f.path.is_empty() {
-            self.relevel_component(topo, &f.path);
+            self.scratch.seeds.extend_from_slice(&f.path);
+            self.relevel_component(topo);
         }
         Some(f.token)
     }
@@ -245,74 +278,84 @@ impl FlowNet {
         }
     }
 
-    /// Re-level the connected component of flows reachable from `seeds`
-    /// (links connected through shared flows).  Runs the same restricted
-    /// water-filling arithmetic as [`FlowNet::recompute`] — bottleneck
-    /// links scanned in ascending index order with a strictly-smaller
-    /// comparison, flows fixed in slab-key order — so the resulting rates
-    /// are bit-identical to a from-scratch pass.  Flows outside the
-    /// component keep their (already exact) rates.
-    fn relevel_component(&mut self, topo: &Topology, seeds: &[LinkId]) {
+    /// Re-level the connected component of flows reachable from
+    /// `scratch.seeds` (links connected through shared flows), consuming
+    /// the seeds.  Runs the same restricted water-filling arithmetic as
+    /// [`FlowNet::recompute`] — bottleneck links scanned in ascending
+    /// index order with a strictly-smaller comparison, flows fixed in
+    /// slab-key order — so the resulting rates are bit-identical to a
+    /// from-scratch pass.  Flows outside the component keep their
+    /// (already exact) rates.
+    fn relevel_component(&mut self, topo: &Topology) {
+        let FlowNet {
+            flows,
+            link_flows,
+            scratch,
+            ..
+        } = self;
+        let Scratch {
+            seeds,
+            in_comp,
+            comp_links,
+            unfixed,
+            still_unfixed,
+            residual,
+            crossing,
+        } = scratch;
         let n_links = topo.link_count();
-        let mut in_comp_link = vec![false; n_links];
-        let mut stack: Vec<usize> = Vec::new();
-        for l in seeds {
+        in_comp.clear();
+        in_comp.resize(n_links, false);
+        comp_links.clear();
+        unfixed.clear();
+        // Entering the component, a link lists the flows crossing it.  A
+        // flow is listed once per component link it crosses; the sort
+        // below drops the duplicates and hides the order links came in.
+        let mut enter = |l: LinkId, unfixed: &mut Vec<FlowKey>| {
             let li = l.0 as usize;
-            if !in_comp_link[li] {
-                in_comp_link[li] = true;
-                stack.push(li);
+            if !in_comp[li] {
+                in_comp[li] = true;
+                comp_links.push(li);
+                if let Some(crossing_here) = link_flows.get(li) {
+                    unfixed.extend_from_slice(crossing_here);
+                }
             }
-        }
-        // A flow is listed once per component link it crosses (each link
-        // is expanded once); the duplicates find no new links below and
-        // are dropped after the sort.
-        let mut comp_flows: Vec<FlowKey> = Vec::new();
-        while let Some(li) = stack.pop() {
-            let crossing_here = self.link_flows.get(li).map(Vec::as_slice).unwrap_or(&[]);
-            comp_flows.extend_from_slice(crossing_here);
+        };
+        for l in seeds.drain(..) {
+            enter(l, unfixed);
         }
         // Pull in the full link set of every component flow (a flow found
         // via one link drags its other links — and their flows — in).
         let mut i = 0;
-        while i < comp_flows.len() {
-            let k = comp_flows[i];
+        while i < unfixed.len() {
+            let k = unfixed[i];
             i += 1;
-            let path = &self.flows.get(k).unwrap().path;
-            let mut new_links: Vec<usize> = Vec::new();
-            for l in path {
-                let lj = l.0 as usize;
-                if !in_comp_link[lj] {
-                    in_comp_link[lj] = true;
-                    new_links.push(lj);
-                }
-            }
-            for lj in new_links {
-                let crossing_here = self.link_flows.get(lj).map(Vec::as_slice).unwrap_or(&[]);
-                comp_flows.extend_from_slice(crossing_here);
+            for l in flows.get(k).unwrap().path.iter() {
+                enter(*l, unfixed);
             }
         }
-        if comp_flows.is_empty() {
+        if unfixed.is_empty() {
             return;
         }
-        comp_flows.sort_unstable(); // slab-key order, as recompute() fixes them
-        comp_flows.dedup();
+        unfixed.sort_unstable(); // slab-key order, as recompute() fixes them
+        unfixed.dedup();
+        comp_links.sort_unstable();
 
-        let comp_links: Vec<usize> = (0..n_links).filter(|&l| in_comp_link[l]).collect();
-        let mut residual: Vec<f64> = vec![0.0; n_links];
-        let mut crossing: Vec<u32> = vec![0; n_links];
-        for &li in &comp_links {
+        residual.clear();
+        residual.resize(n_links, 0.0);
+        crossing.clear();
+        crossing.resize(n_links, 0);
+        for &li in comp_links.iter() {
             residual[li] = topo.link(LinkId(li as u32)).capacity_bps / 1e6;
         }
-        for &k in &comp_flows {
-            for l in &self.flows.get(k).unwrap().path {
+        for &k in unfixed.iter() {
+            for l in flows.get(k).unwrap().path.iter() {
                 crossing[l.0 as usize] += 1;
             }
         }
 
-        let mut unfixed = comp_flows;
         while !unfixed.is_empty() {
             let mut bottleneck: Option<(usize, f64)> = None;
-            for &l in &comp_links {
+            for &l in comp_links.iter() {
                 if crossing[l] > 0 {
                     let share = residual[l] / crossing[l] as f64;
                     if bottleneck.is_none_or(|(_, s)| share < s) {
@@ -322,22 +365,22 @@ impl FlowNet {
             }
             let Some((bl, share)) = bottleneck else { break };
             let share = share.max(0.0);
-            let mut still_unfixed = Vec::with_capacity(unfixed.len());
-            for &k in &unfixed {
-                let f = self.flows.get(k).unwrap();
+            still_unfixed.clear();
+            for &k in unfixed.iter() {
+                let f = flows.get_mut(k).unwrap();
                 if f.path.iter().any(|l| l.0 as usize == bl) {
-                    for l in &f.path {
+                    for l in f.path.iter() {
                         let li = l.0 as usize;
                         crossing[li] -= 1;
                         residual[li] = (residual[li] - share).max(0.0);
                     }
-                    self.flows.get_mut(k).unwrap().rate = share.max(1e-9);
+                    f.rate = share.max(1e-9);
                 } else {
                     still_unfixed.push(k);
                 }
             }
             debug_assert!(still_unfixed.len() < unfixed.len(), "water-filling stuck");
-            unfixed = still_unfixed;
+            std::mem::swap(unfixed, still_unfixed);
         }
     }
 
@@ -358,7 +401,7 @@ impl FlowNet {
             if f.path.is_empty() {
                 f.rate = LOCAL_RATE_BITS_PER_US;
             } else {
-                for l in &f.path {
+                for l in f.path.iter() {
                     crossing[l.0 as usize] += 1;
                 }
                 unfixed.push(k);
@@ -385,7 +428,7 @@ impl FlowNet {
             for &k in &unfixed {
                 let f = self.flows.get(k).unwrap();
                 if f.path.iter().any(|l| l.0 as usize == bl) {
-                    for l in &f.path {
+                    for l in f.path.iter() {
                         let li = l.0 as usize;
                         crossing[li] -= 1;
                         residual[li] = (residual[li] - share).max(0.0);
@@ -504,15 +547,35 @@ mod tests {
 
     #[test]
     fn conservation_no_link_oversubscribed() {
-        // Many random flows; verify sum of rates on each link <= capacity.
+        // Many random flows: after every start and after every
+        // completion, the rates of the flows crossing a link sum to at
+        // most its capacity, and nobody is starved.
         let mut t = Topology::new();
         let _ = t.add_node("x", 1, 1.0);
         let links: Vec<LinkId> = (0..5)
             .map(|i| t.add_link(format!("l{i}"), (i as f64 + 1.0) * 1e6, SimDuration::ZERO))
             .collect();
+        let check = |fnet: &FlowNet, live: &[(FlowKey, Vec<LinkId>)], when: &str| {
+            let mut load = vec![0.0f64; links.len()];
+            for (k, path) in live {
+                let rate = fnet.rate_of(*k).expect("live flow");
+                assert!(rate > 0.0, "{when}: flow {k:?} starved");
+                for l in path {
+                    load[l.0 as usize] += rate;
+                }
+            }
+            for (&l, load) in links.iter().zip(load) {
+                let cap = t.link(l).capacity_bps / 1e6;
+                assert!(
+                    load <= cap * (1.0 + 1e-9),
+                    "{when}: {} carries {load} of {cap} bits/µs",
+                    t.link(l).name
+                );
+            }
+        };
         let mut fnet = FlowNet::new();
         let mut rng = simcore::SimRng::new(99);
-        let mut keys = Vec::new();
+        let mut live: Vec<(FlowKey, Vec<LinkId>)> = Vec::new();
         for tok in 0..40u64 {
             let mut path = Vec::new();
             for &l in &links {
@@ -523,19 +586,11 @@ mod tests {
             if path.is_empty() {
                 path.push(links[0]);
             }
-            keys.push(fnet.start(&t, SimTime(0), path.clone(), 10_000, tok));
+            let bytes = 1_000 + rng.next_below(20_000);
+            let k = fnet.start(&t, SimTime(0), path.clone(), bytes, tok);
+            live.push((k, path));
+            check(&fnet, &live, "start");
         }
-        // Check link loads.
-        let mut load = vec![0.0f64; 5];
-        for (i, &k) in keys.iter().enumerate() {
-            let _ = i;
-            let rate = fnet.rate_of(k).unwrap();
-            // Re-derive the path from rate bookkeeping: instead verify via
-            // public API by aborting and checking rebalance monotonicity.
-            assert!(rate > 0.0);
-            let _ = &mut load;
-        }
-        // Direct invariant: advance far and ensure all complete.
         let mut now = SimTime(0);
         let mut completed = 0;
         while fnet.active() > 0 {
@@ -543,6 +598,8 @@ mod tests {
             assert!(nxt > now);
             now = nxt;
             completed += fnet.advance(&t, now).len();
+            live.retain(|(k, _)| fnet.rate_of(*k).is_some());
+            check(&fnet, &live, "completion");
         }
         assert_eq!(completed, 40);
     }

@@ -57,6 +57,7 @@ use gtrace::{Ev, Obs, Outcome, Phase};
 use simcore::slab::{Slab, SlabKey};
 use simcore::{Acquire, Engine, EventHandle, FifoTokens, SimDuration, SimTime, World};
 use std::collections::VecDeque;
+use std::rc::Rc;
 
 /// The engine type used throughout the workspace.
 pub type Eng = Engine<Net>;
@@ -304,6 +305,10 @@ pub struct Net {
     pub topo: Topology,
     flows: FlowNet,
     flow_event: EventHandle,
+    /// Completion buffers `flow_step` and `cpu_tick` lend to the resource
+    /// models: taken while a step dispatches, put back cleared.
+    flows_done: Vec<u64>,
+    cpus_done: Vec<u64>,
     pub services: Slab<ServiceSlot>,
     clients: Slab<Box<dyn Client>>,
     requests: Slab<RequestState>,
@@ -325,6 +330,8 @@ impl Net {
             topo,
             flows: FlowNet::new(),
             flow_event: EventHandle::NULL,
+            flows_done: Vec::new(),
+            cpus_done: Vec::new(),
             services: Slab::new(),
             clients: Slab::new(),
             requests: Slab::new(),
@@ -1271,10 +1278,14 @@ impl Net {
     /// The one step the flow network takes: advance every flow to now
     /// (collecting those that finish exactly now, so their completions
     /// are not lost), apply `mutate`, report the new rate vector, re-arm
-    /// the single `FlowTick`, then dispatch the completions.
+    /// the single `FlowTick`, then dispatch the completions.  Dispatch
+    /// re-enters this function (`flow_done` → … → `start_flow`), so the
+    /// completion buffer is out of `self` until the last one is handled:
+    /// the nested step finds an empty one.
     fn flow_step(&mut self, eng: &mut Eng, mutate: impl FnOnce(&mut Net, SimTime)) {
         let now = eng.now();
-        let done = self.flows.advance(&self.topo, now);
+        let mut done = std::mem::take(&mut self.flows_done);
+        self.flows.advance_into(&self.topo, now, &mut done);
         mutate(self, now);
         if self.obs.tracing() {
             let Net { flows, obs, .. } = self;
@@ -1288,14 +1299,16 @@ impl Net {
             Some(t) => eng.schedule_at(t, NetEvent::FlowTick),
             None => EventHandle::NULL,
         };
-        for token in done {
+        for &token in &done {
             self.flow_done(eng, token);
         }
+        done.clear();
+        self.flows_done = done;
     }
 
     fn start_flow(&mut self, eng: &mut Eng, from: NodeId, to: NodeId, bytes: u64, token: u64) {
         self.flow_step(eng, |net, now| {
-            let path = net.topo.route(from, to).to_vec();
+            let path = Rc::clone(net.topo.shared_route(from, to));
             net.flows.start(&net.topo, now, path, bytes, token);
             net.obs.ev(now, Ev::FlowStart { flow: token, bytes });
         });
@@ -1326,9 +1339,10 @@ impl Net {
 
     fn cpu_tick(&mut self, eng: &mut Eng, node: NodeId) {
         let now = eng.now();
-        let done = self.topo.node_mut(node).cpu.advance(now);
+        let mut done = std::mem::take(&mut self.cpus_done);
+        self.topo.node_mut(node).cpu.advance_into(now, &mut done);
         self.resched_cpu(eng, node);
-        for token in done {
+        for &token in &done {
             let (kind, key) = unpack(token);
             match kind {
                 CK_REQUEST => {
@@ -1348,6 +1362,8 @@ impl Net {
                 _ => debug_assert!(false, "unknown CPU token kind {kind}"),
             }
         }
+        done.clear();
+        self.cpus_done = done;
     }
 
     /// Submit client-side CPU work (the user script forking its query
@@ -1368,13 +1384,18 @@ impl Net {
     /// the task, re-arm the node's `CpuTick`.
     fn submit_cpu(&mut self, eng: &mut Eng, node: NodeId, work_us: f64, ticket: u64) {
         let now = eng.now();
-        let cpu = &mut self.topo.node_mut(node).cpu;
+        let Net {
+            topo, cpus_done, ..
+        } = self;
+        let cpu = &mut topo.node_mut(node).cpu;
         // Known defect, kept because every figure depends on it (ROADMAP
         // item 2): a task that finishes at this very instant, its tick on
         // the calendar behind the current event, is collected here and
         // dropped, and whoever waits for it hangs.  `PsCpu::submit`
-        // advances the accounting itself; deleting this line is the fix.
-        self.lost_cpu_completions += cpu.advance(now).len() as u64;
+        // advances the accounting itself; deleting the drain is the fix.
+        cpu.advance_into(now, cpus_done);
+        self.lost_cpu_completions += cpus_done.len() as u64;
+        cpus_done.clear();
         cpu.submit(now, work_us, ticket);
         self.resched_cpu(eng, node);
     }

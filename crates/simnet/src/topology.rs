@@ -8,7 +8,7 @@
 //! algorithm.
 
 use simcore::{PsCpu, SimDuration};
-use std::collections::HashMap;
+use std::rc::Rc;
 
 /// Index of a node in the topology.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -51,7 +51,11 @@ pub struct Link {
 pub struct Topology {
     pub(crate) nodes: Vec<Node>,
     pub(crate) links: Vec<Link>,
-    routes: HashMap<(NodeId, NodeId), Vec<LinkId>>,
+    /// `routes[src][dst]`, grown by `set_route`.  A route is shared with
+    /// every flow that follows it, so starting a flow copies nothing.
+    routes: Vec<Vec<Option<Rc<[LinkId]>>>>,
+    /// The empty same-node route, one for all nodes.
+    loopback: Rc<[LinkId]>,
 }
 
 impl Topology {
@@ -85,25 +89,39 @@ impl Topology {
 
     /// Register the (directed) route from `src` to `dst`.
     pub fn set_route(&mut self, src: NodeId, dst: NodeId, path: Vec<LinkId>) {
-        self.routes.insert((src, dst), path);
+        let (src, dst) = (src.0 as usize, dst.0 as usize);
+        if self.routes.len() <= src {
+            self.routes.resize_with(src + 1, Vec::new);
+        }
+        let row = &mut self.routes[src];
+        if row.len() <= dst {
+            row.resize(dst + 1, None);
+        }
+        row[dst] = Some(path.into());
     }
 
     /// Look up the route from `src` to `dst`.  Same-node routes default to
     /// the empty path.  Panics on a missing inter-node route: topologies
     /// must be wired completely by the deployment code.
     pub fn route(&self, src: NodeId, dst: NodeId) -> &[LinkId] {
+        self.shared_route(src, dst)
+    }
+
+    /// [`Topology::route`] as the shared allocation itself: what a flow
+    /// holds on to (clone the `Rc`, not the links).
+    pub fn shared_route(&self, src: NodeId, dst: NodeId) -> &Rc<[LinkId]> {
         if src == dst {
-            return &[];
+            return &self.loopback;
         }
         self.routes
-            .get(&(src, dst))
+            .get(src.0 as usize)
+            .and_then(|row| row.get(dst.0 as usize)?.as_ref())
             .unwrap_or_else(|| {
                 panic!(
                     "no route from {} to {}",
                     self.nodes[src.0 as usize].name, self.nodes[dst.0 as usize].name
                 )
             })
-            .as_slice()
     }
 
     /// One-way latency along the route from `src` to `dst` (a small
