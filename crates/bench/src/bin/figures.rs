@@ -42,13 +42,13 @@
 //! --metrics   also snapshot the metrics registry per point and write
 //!             `DIR/trace/<point>.metrics.csv`.  Without --trace this
 //!             covers every selected point.
-//! --perf      profile the harness itself and write `DIR/perf.json`
-//!             (schema gridmon-perf-v1): phase breakdown, per-point
+//! --perf      write what the run cost as `DIR/perf.json` (schema
+//!             gridmon-perf-v1): phase breakdown, per-point
 //!             wall/sim/event records, cache traffic and pool
 //!             utilization.  Render it with
-//!             `gridmon-inspect --profile DIR`.  Profiling only reads
-//!             engine counters after each run, so figure CSVs stay
-//!             byte-identical with or without it.
+//!             `gridmon-inspect --profile DIR`.  The records are kept
+//!             either way; the flag only decides whether the file is
+//!             written.
 //! --list      print the catalogue — every figure with its title and
 //!             every point key (`setN/<series>/x=<x>`,
 //!             `ext/<study>/x=<x>`) the selected targets would run —
@@ -223,8 +223,6 @@ fn main() {
             let text =
                 std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("{origin}: {e}")));
             let spec = gscenario::parse(&text).unwrap_or_else(|e| die(&format!("{origin}: {e}")));
-            spec.validate()
-                .unwrap_or_else(|e| die(&format!("{origin}: {e}")));
             (origin, spec)
         })
         .collect();
@@ -252,9 +250,9 @@ fn main() {
         std::fs::write(out_dir.join("table1.txt"), render_table1()).expect("write table1");
     }
 
-    // Self-profiling sink: collects across every sweep of this
-    // invocation; written as one perf.json at the end.
-    let mut perf_sink = want_perf.then(gperf::PerfSink::new);
+    // What every point of this invocation cost, across all its sweeps;
+    // `--perf` writes it out as one perf.json at the end.
+    let mut perf_sink = gperf::PerfSink::default();
 
     // Everything selected — sets, scenarios, extension studies — is one
     // job list, so idle workers backfill across sets while another set's
@@ -278,9 +276,7 @@ fn main() {
         Vec::new()
     };
     jobs.extend(Job::points(&ext_points));
-    if let Some(sink) = &perf_sink {
-        sink.phases.add("enumerate", t_enumerate.elapsed());
-    }
+    perf_sink.phases.add("enumerate", t_enumerate.elapsed());
 
     if !jobs.is_empty() {
         eprintln!(
@@ -292,10 +288,15 @@ fn main() {
                 rc.jobs.to_string()
             }
         );
-        let (outputs, stats) = gridmon_runner::run(&jobs, &cfg, &rc, perf_sink.as_mut());
+        let t_run = Instant::now();
+        let outputs = gridmon_runner::run(&jobs, &cfg, &rc, &mut perf_sink);
+        let tally = perf_sink.totals();
         eprintln!(
             "== done in {:.1?} ({} points: {} executed, {} cached) ==",
-            stats.wall, stats.total, stats.executed, stats.cache_hits
+            t_run.elapsed(),
+            jobs.len(),
+            tally.executed,
+            tally.cached
         );
 
         // Outputs come back in job order: hand each section its slice.
@@ -306,9 +307,7 @@ fn main() {
             let results = measurements(specs.len());
             let t_assemble = Instant::now();
             let data = assemble_set(*set, specs, &results);
-            if let Some(sink) = &perf_sink {
-                sink.phases.add("assemble", t_assemble.elapsed());
-            }
+            perf_sink.phases.add("assemble", t_assemble.elapsed());
             for fig in figures_of_set(&data).unwrap_or_else(|e| die(&e.to_string())) {
                 let n: u32 = fig.id.trim_start_matches("Figure ").parse().unwrap();
                 if !only_figs.is_empty() && !only_figs.contains(&n) {
@@ -345,12 +344,12 @@ fn main() {
             trace: !trace_substrs.is_empty(),
             metrics: want_metrics,
         };
-        run_observability(&observed, &cfg, &rc, &out_dir, perf_sink.as_mut());
+        run_observability(&observed, &cfg, &rc, &out_dir, &mut perf_sink);
     }
 
-    if let Some(sink) = &perf_sink {
+    if want_perf {
         let path = out_dir.join("perf.json");
-        std::fs::write(&path, gperf::report::perf_json(sink)).expect("write perf.json");
+        std::fs::write(&path, gperf::report::perf_json(&perf_sink)).expect("write perf.json");
         eprintln!("wrote {}", path.display());
     }
 }
@@ -495,7 +494,7 @@ fn run_observability(
     cfg: &RunConfig,
     rc: &RunnerConfig,
     out_dir: &Path,
-    perf_sink: Option<&mut gperf::PerfSink>,
+    perf_sink: &mut gperf::PerfSink,
 ) {
     let obs_dir = out_dir.join("trace");
     std::fs::create_dir_all(&obs_dir).expect("create trace dir");
@@ -504,7 +503,7 @@ fn run_observability(
         jobs.len(),
         cfg.obs.fingerprint()
     );
-    let (outputs, _) = gridmon_runner::run(jobs, cfg, rc, perf_sink);
+    let outputs = gridmon_runner::run(jobs, cfg, rc, perf_sink);
 
     for (job, out) in jobs.iter().zip(&outputs) {
         let obs = out

@@ -121,27 +121,24 @@ pub fn render_perf(doc: &str) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gperf::{PerfSink, PointSample, SimCounters};
+    use gperf::{PerfSink, SimCounters};
     use std::time::Duration;
 
     #[test]
     fn renders_a_real_sink_document() {
-        let mut sink = PerfSink::new();
+        let mut sink = PerfSink::default();
         sink.phases.add("execute", Duration::from_millis(20));
         sink.record_pool_run(2, Duration::from_millis(20));
         sink.record_miss();
         sink.record_executed(
             "set1/MDS GRIS (cache)/x=10".into(),
             1,
-            PointSample {
-                wall: Duration::from_millis(20),
-                sim: SimCounters {
-                    sim_us: 60_000_000,
-                    events: 4000,
-                    popped: 4100,
-                    advances: 0,
-                    engine_runs: 1,
-                },
+            Duration::from_millis(20),
+            SimCounters {
+                sim_us: 60_000_000,
+                events: 4000,
+                popped: 4100,
+                advances: 0,
             },
         );
         sink.record_cached("set1/MDS GRIS (cache)/x=20".into(), Duration::ZERO, 256);

@@ -306,10 +306,10 @@ pub fn run_matrix(sets: &[u32], seed: u64, quiet: bool) -> Result<Vec<BenchEntry
         // Bracket the run with allocator snapshots (no-ops without
         // `alloc-profile`): `reset_peak` restarts the high-water mark so
         // `peak_bytes` measures this set, not the whole process so far.
-        let mut sink = gperf::PerfSink::new();
+        let mut sink = gperf::PerfSink::default();
         gperf::alloc::reset_peak();
         let pre = gperf::alloc::stats().unwrap_or_default();
-        let _ = gridmon_runner::run(&jobs, &cfg, &rc, Some(&mut sink));
+        gridmon_runner::run(&jobs, &cfg, &rc, &mut sink);
         let post = gperf::alloc::stats().unwrap_or_default();
         let t = sink.totals();
         let allocs = post.allocs.saturating_sub(pre.allocs);

@@ -157,20 +157,12 @@ impl ClassAd {
         }
     }
 
-    /// Convenience accessors.
+    /// Convenience accessor.
     pub fn lookup_str(&self, name: &str) -> Option<String> {
         match self.lookup(name) {
             Value::Str(s) => Some(s),
             _ => None,
         }
-    }
-
-    pub fn lookup_number(&self, name: &str) -> Option<f64> {
-        self.lookup(name).as_number()
-    }
-
-    pub fn lookup_bool(&self, name: &str) -> Option<bool> {
-        self.lookup(name).as_bool()
     }
 
     /// Iterate `(printed_name, expr)` pairs in insertion order.

@@ -15,9 +15,9 @@
 //!   propagation;
 //! * [`ClassAd`] records with case-insensitive attribute names and classic
 //!   newline-separated serialization;
-//! * two-way (gang) [`matchmaking`](matchmaker::symmetric_match) of
-//!   `Requirements`/`Rank` pairs, the operation at the heart of the
-//!   Hawkeye Manager.
+//! * two-way [`matchmaking`](matchmaker::symmetric_match_compiled) of
+//!   `Requirements` pairs, compiled once and matched many times — the
+//!   operation at the heart of the Hawkeye Manager.
 //!
 //! ```
 //! use classad::{ClassAd, matchmaker};
@@ -29,7 +29,16 @@
 //!     Requirements = TRUE\n").unwrap();
 //! let trigger = ClassAd::parse("
 //!     Requirements = TARGET.CpuLoad > 50 && TARGET.OpSys == \"linux\"\n").unwrap();
-//! assert!(matchmaker::symmetric_match(&trigger, &machine));
+//! let (t_req, m_req) = (
+//!     matchmaker::compile_requirements(&trigger),
+//!     matchmaker::compile_requirements(&machine),
+//! );
+//! assert!(matchmaker::symmetric_match_compiled(
+//!     &trigger,
+//!     t_req.as_ref(),
+//!     &machine,
+//!     m_req.as_ref()
+//! ));
 //! ```
 
 #![forbid(unsafe_code)]

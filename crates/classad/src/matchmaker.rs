@@ -2,51 +2,29 @@
 //!
 //! Condor's central operation: two ads *match* when each ad's
 //! `Requirements` expression evaluates to `TRUE` with the other ad as
-//! `TARGET`.  `Rank` orders multiple matches (higher is better; a missing
-//! or non-numeric rank counts as 0).  The Hawkeye Manager uses one-sided
-//! trigger matching (the trigger's `Requirements` against each Startd ad)
-//! and the full symmetric form for job placement.
+//! `TARGET`; a missing `Requirements` attribute counts as `TRUE` (Condor
+//! semantics for ads that don't constrain their matches).  The Hawkeye
+//! Manager matches each trigger against every Startd ad this way and
+//! answers `condor_status -constraint` scans with the one-sided form.
+//! Requirements are compiled once ([`compile_requirements`]) and matched
+//! many times; the tree-walking forms these replaced are the oracle of
+//! `crates/diff`'s `classad_diff` suite.
 
 use crate::ad::ClassAd;
 use crate::compile::CompiledExpr;
-use crate::eval::{eval, EvalCtx};
-use crate::expr::Expr;
+use crate::eval::EvalCtx;
 use crate::value::Value;
-
-/// Evaluate `ad`'s `Requirements` against `target`.  A missing
-/// `Requirements` attribute counts as `TRUE` (Condor semantics for ads
-/// that don't constrain their matches).
-pub fn requirements_met(ad: &ClassAd, target: &ClassAd) -> bool {
-    match ad.get("requirements") {
-        None => true,
-        Some(_) => matches!(
-            eval(&Expr::attr("requirements"), ad, Some(target)),
-            Value::Bool(true)
-        ),
-    }
-}
-
-/// Two-way match: both ads' requirements hold against each other.
-pub fn symmetric_match(a: &ClassAd, b: &ClassAd) -> bool {
-    requirements_met(a, b) && requirements_met(b, a)
-}
-
-/// One-sided constraint evaluation (e.g. `condor_status -constraint`):
-/// evaluate an arbitrary expression against `ad` (no target).
-pub fn matches_constraint(ad: &ClassAd, constraint: &Expr) -> bool {
-    matches!(eval(constraint, ad, None), Value::Bool(true))
-}
 
 /// Compile an ad's `Requirements` once for repeated matching (`None` when
 /// the ad has none — which [`requirements_met_compiled`] treats as
-/// permissive, like [`requirements_met`]).
+/// permissive).
 pub fn compile_requirements(ad: &ClassAd) -> Option<CompiledExpr> {
     ad.get("requirements").map(CompiledExpr::compile)
 }
 
-/// [`requirements_met`] with the requirements pre-compiled.  The context
-/// is seeded with the `requirements` reference itself so circular
-/// definitions resolve exactly as in the tree-walking form.
+/// Does `ad`'s pre-compiled `Requirements` hold against `target`?  The
+/// context is seeded with the `requirements` reference itself so circular
+/// definitions resolve exactly as entering through the attribute would.
 pub fn requirements_met_compiled(
     ad: &ClassAd,
     req: Option<&CompiledExpr>,
@@ -62,7 +40,8 @@ pub fn requirements_met_compiled(
     }
 }
 
-/// [`symmetric_match`] with both sides' requirements pre-compiled.
+/// Two-way match: both ads' pre-compiled requirements hold against each
+/// other.
 pub fn symmetric_match_compiled(
     a: &ClassAd,
     a_req: Option<&CompiledExpr>,
@@ -72,48 +51,10 @@ pub fn symmetric_match_compiled(
     requirements_met_compiled(a, a_req, b) && requirements_met_compiled(b, b_req, a)
 }
 
-/// [`matches_constraint`] with the constraint pre-compiled.
+/// One-sided constraint evaluation (e.g. `condor_status -constraint`):
+/// evaluate a pre-compiled expression against `ad` (no target).
 pub fn matches_constraint_compiled(ad: &ClassAd, constraint: &CompiledExpr) -> bool {
     matches!(constraint.eval(ad, None), Value::Bool(true))
-}
-
-/// Evaluate `ad`'s `Rank` against `target` (0.0 when missing/non-numeric).
-pub fn rank(ad: &ClassAd, target: &ClassAd) -> f64 {
-    match ad.get("rank") {
-        None => 0.0,
-        Some(_) => eval(&Expr::attr("rank"), ad, Some(target))
-            .as_number()
-            .unwrap_or(0.0),
-    }
-}
-
-/// Find the best match for `ad` among `candidates`: the symmetric matches,
-/// ordered by `ad`'s rank of the candidate (descending), ties broken by
-/// candidate order.  Returns the winning index.
-pub fn best_match(ad: &ClassAd, candidates: &[ClassAd]) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, cand) in candidates.iter().enumerate() {
-        if !symmetric_match(ad, cand) {
-            continue;
-        }
-        let r = rank(ad, cand);
-        if best.is_none_or(|(_, br)| r > br) {
-            best = Some((i, r));
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
-/// All symmetric matches, with ranks (for gang queries).
-pub fn all_matches<'a>(
-    ad: &ClassAd,
-    candidates: impl Iterator<Item = &'a ClassAd>,
-) -> Vec<(usize, f64)> {
-    candidates
-        .enumerate()
-        .filter(|(_, c)| symmetric_match(ad, c))
-        .map(|(i, c)| (i, rank(ad, c)))
-        .collect()
 }
 
 #[cfg(test)]
@@ -129,27 +70,37 @@ mod tests {
         ad
     }
 
+    fn two_way(a: &ClassAd, b: &ClassAd) -> bool {
+        let (ra, rb) = (compile_requirements(a), compile_requirements(b));
+        symmetric_match_compiled(a, ra.as_ref(), b, rb.as_ref())
+    }
+
     #[test]
     fn trigger_matches_hot_machine() {
         let trigger =
             ClassAd::parse("Requirements = TARGET.CpuLoad > 50 && TARGET.OpSys == \"LINUX\"\n")
                 .unwrap();
-        assert!(symmetric_match(&trigger, &machine(75.0, "LINUX")));
-        assert!(!symmetric_match(&trigger, &machine(10.0, "LINUX")));
-        assert!(!symmetric_match(&trigger, &machine(75.0, "SOLARIS")));
+        assert!(two_way(&trigger, &machine(75.0, "LINUX")));
+        assert!(!two_way(&trigger, &machine(10.0, "LINUX")));
+        assert!(!two_way(&trigger, &machine(75.0, "SOLARIS")));
     }
 
     #[test]
     fn missing_requirements_is_permissive() {
         let open = ClassAd::new();
-        assert!(requirements_met(&open, &machine(0.0, "LINUX")));
-        assert!(symmetric_match(&open, &ClassAd::new()));
+        assert!(compile_requirements(&open).is_none());
+        assert!(requirements_met_compiled(
+            &open,
+            None,
+            &machine(0.0, "LINUX")
+        ));
+        assert!(two_way(&open, &ClassAd::new()));
     }
 
     #[test]
     fn undefined_requirements_do_not_match() {
         let t = ClassAd::parse("Requirements = TARGET.NoSuchAttr > 5\n").unwrap();
-        assert!(!symmetric_match(&t, &machine(90.0, "LINUX")));
+        assert!(!two_way(&t, &machine(90.0, "LINUX")));
     }
 
     #[test]
@@ -157,49 +108,23 @@ mod tests {
         let a = ClassAd::parse("Requirements = TARGET.kind == \"b\"\nkind = \"a\"\n").unwrap();
         let b = ClassAd::parse("Requirements = TARGET.kind == \"a\"\nkind = \"b\"\n").unwrap();
         let c = ClassAd::parse("Requirements = TARGET.kind == \"a\"\nkind = \"c\"\n").unwrap();
-        assert!(symmetric_match(&a, &b));
-        assert!(!symmetric_match(&a, &c)); // a requires kind=="b"
-    }
-
-    #[test]
-    fn rank_orders_matches() {
-        let mut job = ClassAd::parse("Requirements = TRUE\n").unwrap();
-        job.set_expr("Rank", "TARGET.Mips").unwrap();
-        let mut m1 = machine(1.0, "LINUX");
-        m1.set_int("Mips", 100);
-        let mut m2 = machine(1.0, "LINUX");
-        m2.set_int("Mips", 500);
-        let mut m3 = machine(1.0, "LINUX");
-        m3.set_int("Mips", 300);
-        let best = best_match(&job, &[m1, m2, m3]).unwrap();
-        assert_eq!(best, 1);
-    }
-
-    #[test]
-    fn missing_rank_is_zero() {
-        let job = ClassAd::parse("Requirements = TRUE\n").unwrap();
-        assert_eq!(rank(&job, &ClassAd::new()), 0.0);
+        assert!(two_way(&a, &b));
+        assert!(!two_way(&a, &c)); // a requires kind=="b"
     }
 
     #[test]
     fn constraint_queries() {
-        let c = parse_expr("CpuLoad > 50").unwrap();
-        assert!(matches_constraint(&machine(60.0, "LINUX"), &c));
-        assert!(!matches_constraint(&machine(40.0, "LINUX"), &c));
+        let c = CompiledExpr::compile(&parse_expr("CpuLoad > 50").unwrap());
+        assert!(matches_constraint_compiled(&machine(60.0, "LINUX"), &c));
+        assert!(!matches_constraint_compiled(&machine(40.0, "LINUX"), &c));
         // Worst-case scan: constraint never satisfied (the paper's
         // Experiment 4 setup for the Hawkeye Manager).
-        let never = parse_expr("NoSuch =?= 1").unwrap();
+        let never = CompiledExpr::compile(&parse_expr("NoSuch =?= 1").unwrap());
         for load in [0.0, 50.0, 100.0] {
-            assert!(!matches_constraint(&machine(load, "LINUX"), &never));
+            assert!(!matches_constraint_compiled(
+                &machine(load, "LINUX"),
+                &never
+            ));
         }
-    }
-
-    #[test]
-    fn all_matches_collects() {
-        let t = ClassAd::parse("Requirements = TARGET.CpuLoad >= 50\n").unwrap();
-        let ms = [machine(10.0, "L"), machine(50.0, "L"), machine(99.0, "L")];
-        let hits = all_matches(&t, ms.iter());
-        let idxs: Vec<usize> = hits.iter().map(|&(i, _)| i).collect();
-        assert_eq!(idxs, vec![1, 2]);
     }
 }

@@ -108,15 +108,6 @@ impl Harness {
         self.run_to(ws);
         self.net.obs.window_begin(ws);
         self.run_to(we);
-        // Profiling hook: one call per completed run, reading counters the
-        // engine keeps anyway.  A single predictable branch when no
-        // profile is collecting, and never an input to the simulation.
-        gperf::sim_report(
-            self.eng.now().as_micros(),
-            self.eng.fired,
-            self.eng.popped,
-            self.eng.advances,
-        );
         let mkey = self.monitor.unwrap();
         let monitor: &Monitor = self.net.client_as(mkey).unwrap_or_else(|| {
             panic!(

@@ -269,12 +269,6 @@ pub fn set_of_figure(fig: u32) -> Option<u32> {
         .map(|(s, _)| *s)
 }
 
-/// All figure numbers, in paper order (5–20), plus the resilience
-/// figures 21–24 and the federation figures 25–28.
-pub fn all_figures() -> Vec<u32> {
-    (5..=28).collect()
-}
-
 /// The four figures an experiment set produces, in paper order.
 pub fn figures_of_set(set: u32) -> Result<[u32; 4], FigureError> {
     SET_FIGS
@@ -301,7 +295,6 @@ mod tests {
         assert_eq!(set_of_figure(28), Some(6));
         assert_eq!(set_of_figure(4), None);
         assert_eq!(set_of_figure(29), None);
-        assert_eq!(all_figures().len(), 24);
         assert_eq!(figures_of_set(2).unwrap(), [9, 10, 11, 12]);
         assert_eq!(figures_of_set(5).unwrap(), [21, 22, 23, 24]);
         assert_eq!(figures_of_set(6).unwrap(), [25, 26, 27, 28]);

@@ -6,7 +6,8 @@
 //! production crate carries oracle-only code or a feature to enable it:
 //! the event engine ([`reference::RefEngine`]), the three-pass CPU
 //! ([`reference::RefPsCpu`]), the allocate-per-step flow network
-//! ([`reference::RefFlowNet`]) and the owned-`String`
+//! ([`reference::RefFlowNet`]), the uncompiled ClassAd matchmaking
+//! wrappers ([`reference::symmetric_match`]) and the owned-`String`
 //! LDAP `Dn`/`Entry` ([`ldap_reference`]) are modules of this crate, the
 //! exhaustive DIT scan is a few lines over `Dit::iter` in `dit_diff`,
 //! and the tree-walking ClassAd evaluator and the from-scratch

@@ -15,9 +15,15 @@
 //!   copy every path; `tests/flownet_diff.rs` holds
 //!   [`simnet::flow::FlowNet`]'s kept scratch, shared paths and
 //!   index-order drain to it.
+//! * [`requirements_met`], [`symmetric_match`] and [`matches_constraint`]
+//!   are ClassAd matchmaking as it stood before requirements were compiled
+//!   once per ad: each call re-enters the tree-walking evaluator through
+//!   the attribute.  `tests/classad_diff.rs` holds
+//!   `classad::matchmaker`'s `*_compiled` forms to them.
 //!
 //! Never used by the simulation.
 
+use classad::{eval, ClassAd, Expr, Value};
 use simcore::slab::{Slab, SlabKey};
 use simcore::{SimDuration, SimRng, SimTime};
 use simnet::topology::{LinkId, Topology};
@@ -618,4 +624,28 @@ impl RefFlowNet {
             unfixed = still_unfixed;
         }
     }
+}
+
+/// Evaluate `ad`'s `Requirements` against `target`.  A missing
+/// `Requirements` attribute counts as `TRUE` (Condor semantics for ads
+/// that don't constrain their matches).
+pub fn requirements_met(ad: &ClassAd, target: &ClassAd) -> bool {
+    match ad.get("requirements") {
+        None => true,
+        Some(_) => matches!(
+            eval(&Expr::attr("requirements"), ad, Some(target)),
+            Value::Bool(true)
+        ),
+    }
+}
+
+/// Two-way match: both ads' requirements hold against each other.
+pub fn symmetric_match(a: &ClassAd, b: &ClassAd) -> bool {
+    requirements_met(a, b) && requirements_met(b, a)
+}
+
+/// One-sided constraint evaluation (e.g. `condor_status -constraint`):
+/// evaluate an arbitrary expression against `ad` (no target).
+pub fn matches_constraint(ad: &ClassAd, constraint: &Expr) -> bool {
+    matches!(eval(constraint, ad, None), Value::Bool(true))
 }

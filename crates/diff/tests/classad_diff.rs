@@ -7,7 +7,7 @@
 //! wrappers must agree on every random ad pair.
 
 use classad::{eval, matchmaker, BinOp, ClassAd, CompiledExpr, Expr, Scope, UnOp, Value};
-use gridmon_diff::{value_repr, values_identical};
+use gridmon_diff::{reference, value_repr, values_identical};
 use proptest::prelude::*;
 
 /// Arbitrary expressions over a deliberately small attribute alphabet so
@@ -138,12 +138,12 @@ proptest! {
         let compiled = matchmaker::compile_requirements(&ad);
         prop_assert_eq!(
             matchmaker::requirements_met_compiled(&ad, compiled.as_ref(), &target),
-            matchmaker::requirements_met(&ad, &target)
+            reference::requirements_met(&ad, &target)
         );
         // An ad with no requirements is permissive in both.
         let open = ClassAd::new();
         prop_assert!(matchmaker::requirements_met_compiled(&open, None, &target));
-        prop_assert!(matchmaker::requirements_met(&open, &target));
+        prop_assert!(reference::requirements_met(&open, &target));
     }
 
     /// Symmetric (gang) matching over random ad-store pairs.
@@ -160,7 +160,7 @@ proptest! {
         let cb = matchmaker::compile_requirements(&b);
         prop_assert_eq!(
             matchmaker::symmetric_match_compiled(&a, ca.as_ref(), &b, cb.as_ref()),
-            matchmaker::symmetric_match(&a, &b)
+            reference::symmetric_match(&a, &b)
         );
     }
 
@@ -170,7 +170,7 @@ proptest! {
         let compiled = CompiledExpr::compile(&c);
         prop_assert_eq!(
             matchmaker::matches_constraint_compiled(&ad, &compiled),
-            matchmaker::matches_constraint(&ad, &c)
+            reference::matches_constraint(&ad, &c)
         );
     }
 }

@@ -22,10 +22,9 @@
 //!   *up to* the next fault instant, applies every due event, and resumes —
 //!   so fault application interleaves with simulation events at a single
 //!   well-defined point regardless of host scheduling or worker count.
-//! * [`FaultPlan::stable_hash`] folds every event into an FNV-1a digest.
-//!   The runner mixes this (via [`FaultSpec::fingerprint`]) into its cache
-//!   digest so cached results can never be served across different fault
-//!   schedules.
+//! * A plan is a pure function of its [`FaultSpec`] and the deployment, so
+//!   the runner mixes [`FaultSpec::fingerprint`] into its cache digest and
+//!   cached results can never be served across different fault schedules.
 
 #![forbid(unsafe_code)]
 
@@ -166,45 +165,6 @@ pub enum FaultAction {
     SetLinkCapacity { link: LinkId, bps: f64 },
 }
 
-impl FaultAction {
-    fn fold_hash(&self, h: &mut Fnv) {
-        match self {
-            FaultAction::Crash { svc } => {
-                h.byte(1);
-                h.u32(svc.index);
-                h.u32(svc.gen);
-            }
-            FaultAction::Restart { svc, prime } => {
-                h.byte(2);
-                h.u32(svc.index);
-                h.u32(svc.gen);
-                h.u64(prime.len() as u64);
-                for (d, tag) in prime {
-                    h.u64(d.as_micros());
-                    h.u64(*tag);
-                }
-            }
-            FaultAction::Freeze { svc, until } => {
-                h.byte(3);
-                h.u32(svc.index);
-                h.u32(svc.gen);
-                h.u64(until.as_micros());
-            }
-            FaultAction::DropConns { svc, until } => {
-                h.byte(4);
-                h.u32(svc.index);
-                h.u32(svc.gen);
-                h.u64(until.as_micros());
-            }
-            FaultAction::SetLinkCapacity { link, bps } => {
-                h.byte(5);
-                h.u32(link.0);
-                h.u64(bps.to_bits());
-            }
-        }
-    }
-}
-
 /// A fault bound to the instant it fires.
 #[derive(Clone, Debug)]
 pub struct BoundFault {
@@ -235,19 +195,6 @@ impl FaultPlan {
 
     pub fn len(&self) -> usize {
         self.events.len()
-    }
-
-    /// FNV-1a digest over every event (instants, targets, parameters).
-    /// Stable across processes and platforms; used to make fault schedules
-    /// part of cache identity.
-    pub fn stable_hash(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.u64(self.events.len() as u64);
-        for ev in &self.events {
-            h.u64(ev.at.as_micros());
-            ev.action.fold_hash(&mut h);
-        }
-        h.finish()
     }
 }
 
@@ -315,33 +262,6 @@ impl FaultDriver {
                 net.set_link_capacity(eng, link, bps);
             }
         }
-    }
-}
-
-/// Minimal FNV-1a accumulator (shared idiom with the runner's digests;
-/// kept local so this crate has no extra dependencies).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn byte(&mut self, b: u8) {
-        self.0 ^= b as u64;
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    fn u32(&mut self, v: u32) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 
@@ -523,31 +443,6 @@ mod tests {
         assert!(fired.contains(&2.0) && fired.contains(&4.0));
         assert!(!fired.iter().any(|t| *t > 5.0 && *t < 13.0));
         assert!(fired.contains(&13.0) && fired.contains(&15.0));
-    }
-
-    #[test]
-    fn stable_hash_distinguishes_plans() {
-        let svc = SvcKey { index: 3, gen: 1 };
-        let mut a = FaultPlan::new();
-        a.push(SimTime::from_secs(5), FaultAction::Crash { svc });
-        let mut b = FaultPlan::new();
-        b.push(SimTime::from_secs(5), FaultAction::Crash { svc });
-        assert_eq!(a.stable_hash(), b.stable_hash());
-
-        let mut c = FaultPlan::new();
-        c.push(SimTime::from_secs(6), FaultAction::Crash { svc });
-        assert_ne!(a.stable_hash(), c.stable_hash());
-
-        let mut d = FaultPlan::new();
-        d.push(
-            SimTime::from_secs(5),
-            FaultAction::Freeze {
-                svc,
-                until: SimTime::from_secs(9),
-            },
-        );
-        assert_ne!(a.stable_hash(), d.stable_hash());
-        assert_ne!(FaultPlan::new().stable_hash(), a.stable_hash());
     }
 
     #[test]

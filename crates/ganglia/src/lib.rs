@@ -98,12 +98,6 @@ impl Monitor {
             .map_or(0.0, |h| h.load1_series.mean_in(start, end))
     }
 
-    /// Peak load1 of `node` over the window.
-    pub fn load1_max(&self, node: NodeId, start: SimTime, end: SimTime) -> f64 {
-        self.host(node)
-            .map_or(0.0, |h| h.load1_series.max_in(start, end))
-    }
-
     /// Mean CPU load (%) of `node` over the window.
     pub fn cpu_mean(&self, node: NodeId, start: SimTime, end: SimTime) -> f64 {
         self.host(node)
@@ -234,7 +228,7 @@ mod tests {
             0.0
         );
         assert_eq!(
-            monitor.load1_max(a, SimTime::ZERO, SimTime::from_secs(100)),
+            monitor.load1_mean(a, SimTime::ZERO, SimTime::from_secs(100)),
             0.0
         );
     }

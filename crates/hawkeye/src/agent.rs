@@ -73,10 +73,6 @@ impl Agent {
         self.manager = Some(manager);
     }
 
-    pub fn module_count(&self) -> usize {
-        self.modules.len()
-    }
-
     pub fn machine(&self) -> &str {
         &self.machine
     }

@@ -108,10 +108,6 @@ impl Manager {
         self.pool.len()
     }
 
-    pub fn trigger_count(&self) -> usize {
-        self.triggers.len()
-    }
-
     pub fn ad_of(&self, machine: &str) -> Option<&ClassAd> {
         self.pool.get(machine).map(|row| &*row.ad)
     }

@@ -254,14 +254,6 @@ impl Dit {
         self.entries.len()
     }
 
-    /// Total wire size of all entries under `base` (Sub scope, any filter).
-    pub fn subtree_wire_size(&self, base: &Dn) -> u64 {
-        self.search(base, Scope::Sub, &Filter::any())
-            .iter()
-            .map(|e| e.wire_size())
-            .sum()
-    }
-
     /// Iterate all entries in DN order.
     pub fn iter(&self) -> impl Iterator<Item = &Entry> {
         self.entries.values()
@@ -364,14 +356,5 @@ mod tests {
         // Sibling hosts untouched.
         let f = Filter::parse("(objectclass=mdshost)").unwrap();
         assert_eq!(d.search(d.suffix(), Scope::Sub, &f).len(), 2);
-    }
-
-    #[test]
-    fn subtree_wire_size_positive() {
-        let d = dit();
-        let total = d.subtree_wire_size(d.suffix());
-        assert!(total > 100, "wire size {total}");
-        let host = Dn::parse("mds-host-hn=lucky7, mds-vo-name=local, o=grid").unwrap();
-        assert!(d.subtree_wire_size(&host) < total);
     }
 }

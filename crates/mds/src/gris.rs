@@ -80,10 +80,6 @@ impl Gris {
         self.registrees.push(giis);
     }
 
-    pub fn provider_count(&self) -> usize {
-        self.providers.len()
-    }
-
     /// Provider `i`, to change what its next run reports.
     #[cfg(test)]
     pub(crate) fn provider_mut(&mut self, i: usize) -> &mut ProviderSpec {

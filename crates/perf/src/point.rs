@@ -8,19 +8,18 @@
 //! sink also aggregates cache traffic ([`CacheStats`]) and per-worker
 //! busy/idle attribution ([`PoolStats`]).
 //!
-//! The sweep engine fills a sink when (and only when) the caller
-//! passes one; with no sink alive [`crate::profiling`] is false and
-//! every instrumentation site short-circuits.
+//! The sweep engine fills the sink its caller passes: an executed
+//! point's record is the pool's wall time plus the [`SimCounters`] the
+//! point returned with its result.
 
 use crate::phase::Phases;
-use crate::ProfileGuard;
 use std::time::Duration;
 
-/// Engine-side counters harvested from one point's simulation runs.
+/// Engine-side counters of one point's harness run (every point is one
+/// run), returned by value with the point's result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SimCounters {
-    /// Simulated microseconds covered (summed over the point's engine
-    /// runs; warm-up included).
+    /// Simulated microseconds covered (warm-up included).
     pub sim_us: u64,
     /// Events dispatched (`Engine::fired`).
     pub events: u64,
@@ -29,8 +28,6 @@ pub struct SimCounters {
     /// Strict clock advances (`Engine::advances`): dispatches where the
     /// simulated clock actually moved.
     pub advances: u64,
-    /// Harness runs that reported into this point.
-    pub engine_runs: u32,
 }
 
 impl SimCounters {
@@ -39,16 +36,7 @@ impl SimCounters {
         events: 0,
         popped: 0,
         advances: 0,
-        engine_runs: 0,
     };
-}
-
-/// What [`crate::measure_point`] hands back: wall time plus the
-/// engine counters the run reported.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PointSample {
-    pub wall: Duration,
-    pub sim: SimCounters,
 }
 
 /// One executed (or cache-served) sweep point.
@@ -79,16 +67,6 @@ impl PointRecord {
         let w = self.wall.as_secs_f64();
         if w > 0.0 {
             self.sim.events as f64 / w
-        } else {
-            0.0
-        }
-    }
-
-    /// Time-compression ratio: simulated seconds per wall second.
-    pub fn sim_ratio(&self) -> f64 {
-        let w = self.wall.as_secs_f64();
-        if w > 0.0 {
-            self.sim_s() / w
         } else {
             0.0
         }
@@ -145,12 +123,9 @@ impl PoolStats {
     }
 }
 
-/// The collector a profiled sweep writes into.  Holding one keeps
-/// [`crate::profiling`] true; dropping the last sink returns every
-/// instrumentation site to its one-branch disabled cost.
-#[derive(Debug)]
+/// The collector a sweep writes into.
+#[derive(Debug, Default)]
 pub struct PerfSink {
-    _guard: ProfileGuard,
     /// Coarse wall-clock stages (enumerate / cache probe / execute /
     /// report), fed by the harness binaries.
     pub phases: Phases,
@@ -160,34 +135,24 @@ pub struct PerfSink {
     pub pool: PoolStats,
 }
 
-impl Default for PerfSink {
-    fn default() -> Self {
-        PerfSink::new()
-    }
-}
-
 impl PerfSink {
-    pub fn new() -> PerfSink {
-        PerfSink {
-            _guard: ProfileGuard::new(),
-            phases: Phases::new(),
-            points: Vec::new(),
-            cache: CacheStats::default(),
-            pool: PoolStats::default(),
-        }
-    }
-
     /// Record one executed point with its worker attribution.
-    pub fn record_executed(&mut self, key: String, worker: usize, sample: PointSample) {
+    pub fn record_executed(
+        &mut self,
+        key: String,
+        worker: usize,
+        wall: Duration,
+        sim: SimCounters,
+    ) {
         self.pool.reserve(worker);
-        self.pool.busy[worker] += sample.wall;
+        self.pool.busy[worker] += wall;
         self.pool.jobs[worker] += 1;
         self.points.push(PointRecord {
             key,
             worker,
             cached: false,
-            wall: sample.wall,
-            sim: sample.sim,
+            wall,
+            sim,
         });
     }
 
@@ -275,27 +240,23 @@ impl Totals {
 mod tests {
     use super::*;
 
-    fn sample(wall_ms: u64, events: u64) -> PointSample {
-        PointSample {
-            wall: Duration::from_millis(wall_ms),
-            sim: SimCounters {
-                sim_us: 2_000_000,
-                events,
-                popped: events + 5,
-                advances: events,
-                engine_runs: 1,
-            },
+    fn sim(events: u64) -> SimCounters {
+        SimCounters {
+            sim_us: 2_000_000,
+            events,
+            popped: events + 5,
+            advances: events,
         }
     }
 
     #[test]
     fn records_attribute_workers_and_cache() {
-        let mut sink = PerfSink::new();
+        let mut sink = PerfSink::default();
         sink.record_pool_run(2, Duration::from_millis(30));
         sink.record_miss();
         sink.record_miss();
-        sink.record_executed("a".into(), 0, sample(10, 1000));
-        sink.record_executed("b".into(), 1, sample(20, 3000));
+        sink.record_executed("a".into(), 0, Duration::from_millis(10), sim(1000));
+        sink.record_executed("b".into(), 1, Duration::from_millis(20), sim(3000));
         sink.record_store(64);
         sink.record_cached("c".into(), Duration::from_micros(50), 128);
 
@@ -328,12 +289,10 @@ mod tests {
                 events: 50_000,
                 popped: 50_100,
                 advances: 49_000,
-                engine_runs: 1,
             },
         };
         assert!((p.sim_s() - 1.0).abs() < 1e-12);
         assert!((p.events_per_sec() - 100_000.0).abs() < 1e-6);
-        assert!((p.sim_ratio() - 2.0).abs() < 1e-12);
         let hit = PointRecord {
             cached: true,
             wall: Duration::ZERO,
@@ -341,6 +300,5 @@ mod tests {
             ..p
         };
         assert_eq!(hit.events_per_sec(), 0.0);
-        assert_eq!(hit.sim_ratio(), 0.0);
     }
 }

@@ -96,7 +96,7 @@ pub fn perf_json(sink: &PerfSink) -> String {
             p.sim.events,
             p.sim.popped,
             p.sim.advances,
-            p.sim.engine_runs,
+            u32::from(!p.cached),
             F64(p.events_per_sec())
         ));
     }
@@ -107,27 +107,24 @@ pub fn perf_json(sink: &PerfSink) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::point::{PointSample, SimCounters};
+    use crate::point::SimCounters;
     use std::time::Duration;
 
     #[test]
     fn report_carries_schema_and_rows() {
-        let mut sink = PerfSink::new();
+        let mut sink = PerfSink::default();
         sink.phases.add("execute", Duration::from_millis(12));
         sink.record_pool_run(2, Duration::from_millis(12));
         sink.record_miss();
         sink.record_executed(
             "set1/MDS GRIS (cache)/x=10".into(),
             1,
-            PointSample {
-                wall: Duration::from_millis(10),
-                sim: SimCounters {
-                    sim_us: 60_000_000,
-                    events: 1234,
-                    popped: 1250,
-                    advances: 0,
-                    engine_runs: 1,
-                },
+            Duration::from_millis(10),
+            SimCounters {
+                sim_us: 60_000_000,
+                events: 1234,
+                popped: 1250,
+                advances: 0,
             },
         );
         sink.record_cached("set1/MDS GRIS (cache)/x=20".into(), Duration::ZERO, 99);
@@ -135,6 +132,8 @@ mod tests {
         assert!(doc.contains("\"schema\": \"gridmon-perf-v1\""));
         assert!(doc.contains("set1/MDS GRIS (cache)/x=10"));
         assert!(doc.contains("\"events\": 1234"));
+        assert!(doc.contains("\"engine_runs\": 1,"));
+        assert!(doc.contains("\"engine_runs\": 0,"));
         assert!(doc.contains("\"hits\": 1"));
         assert!(doc.contains("\"misses\": 1"));
         assert!(doc.contains("\"workers\": 2"));

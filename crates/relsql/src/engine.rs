@@ -81,8 +81,7 @@ impl QueryResult {
 const STMT_CACHE_CAP: usize = 1024;
 
 /// A named collection of tables.  `Sym` keys order by their resolved
-/// strings, so `table_names` iteration matches the old `String`-keyed
-/// map exactly.
+/// strings, so iteration matches the old `String`-keyed map exactly.
 #[derive(Debug, Default)]
 pub struct Database {
     tables: BTreeMap<Sym, Table>,
@@ -380,14 +379,6 @@ impl Database {
             Some(k) if self.tables.contains_key(&k) => Ok(self.tables.get_mut(&k).unwrap()),
             _ => Err(SqlError::NoSuchTable(name.into())),
         }
-    }
-
-    pub fn has_table(&self, name: &str) -> bool {
-        Self::table_key(name).is_some_and(|k| self.tables.contains_key(&k))
-    }
-
-    pub fn table_names(&self) -> Vec<Sym> {
-        self.tables.keys().copied().collect()
     }
 }
 

@@ -383,11 +383,6 @@ impl Table {
             .enumerate()
             .filter_map(|(i, r)| r.as_ref().map(|row| (i, row)))
     }
-
-    /// Total number of row slots (live + tombstones): the scan length.
-    pub fn scan_len(&self) -> usize {
-        self.rows.len()
-    }
 }
 
 #[cfg(test)]

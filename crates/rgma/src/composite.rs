@@ -62,17 +62,6 @@ impl CompositeProducer {
         self.sources.len()
     }
 
-    /// Rows currently aggregated.
-    pub fn aggregated_rows(&mut self) -> usize {
-        self.db
-            .execute(&format!("SELECT COUNT(*) FROM {}", self.table))
-            .map(|r| match r.rows[0][0] {
-                SqlValue::Int(n) => n as usize,
-                _ => 0,
-            })
-            .unwrap_or(0)
-    }
-
     /// Fold one streamed batch into the aggregate store.  Runs once per
     /// tuple per batch, so it uses the direct row APIs: the upsert is
     /// still delete + insert on the `key` primary key, without building

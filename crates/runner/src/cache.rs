@@ -39,14 +39,9 @@ impl DiskCache {
         self.root.join(format!("{digest}.csv"))
     }
 
-    /// On-disk size of the record stored under `digest`, if present.
-    /// (Profiling-path helper: one `stat`, no content read.)
-    pub fn size_of(&self, digest: &str) -> Option<u64> {
-        fs::metadata(self.path_of(digest)).ok().map(|m| m.len())
-    }
-
-    /// Fetch the record stored under `digest`, if present and parsable.
-    pub fn load(&self, digest: &str) -> Option<BTreeMap<String, String>> {
+    /// Fetch the record stored under `digest`, if present and parsable:
+    /// its fields and its length in bytes.
+    pub fn load(&self, digest: &str) -> Option<(BTreeMap<String, String>, u64)> {
         let text = fs::read_to_string(self.path_of(digest)).ok()?;
         let mut fields = BTreeMap::new();
         for line in text.lines() {
@@ -60,7 +55,7 @@ impl DiskCache {
         if fields.is_empty() {
             None
         } else {
-            Some(fields)
+            Some((fields, text.len() as u64))
         }
     }
 
@@ -116,7 +111,6 @@ mod tests {
         let dir = scratch_dir("roundtrip");
         let cache = DiskCache::new(&dir);
         assert!(cache.load("aa").is_none(), "empty cache misses");
-        assert!(cache.size_of("aa").is_none());
         let bytes = cache.store(
             "aa",
             "set1/example/x=1",
@@ -126,8 +120,8 @@ mod tests {
             ],
         );
         assert!(bytes.expect("store succeeds") > 0);
-        assert_eq!(cache.size_of("aa"), bytes, "size_of sees the record");
-        let fields = cache.load("aa").expect("hit after store");
+        let (fields, read) = cache.load("aa").expect("hit after store");
+        assert_eq!(Some(read), bytes, "load reports the record's length");
         assert_eq!(fields.get("kind").unwrap(), "measurement");
         assert_eq!(fields.get("x").unwrap(), "f:0000000000000000");
         // The human-readable key comment is present but not a field.

@@ -8,6 +8,7 @@
 //! round-trip through the cache bit-exactly via
 //! [`Job::encode`]/[`Job::decode`].
 
+use gperf::SimCounters;
 use gridmon_core::deploy::Harvest;
 use gridmon_core::figures::PointSpec;
 use gridmon_core::mapping::System;
@@ -38,11 +39,15 @@ pub struct Job {
     x: u32,
 }
 
-/// What a job produced: the point's measurement, and its observability
-/// harvest when the sweep ran under an enabled `cfg.obs`.
+/// What a job produced: the point's measurement, what its engine did
+/// to produce it, and its observability harvest when the sweep ran
+/// under an enabled `cfg.obs`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobOutput {
     pub m: Measurement,
+    /// The harness run's engine counters; [`SimCounters::ZERO`] when the
+    /// measurement was served from the cache (nothing ran).
+    pub sim: SimCounters,
     pub obs: Option<Box<Harvest>>,
 }
 
@@ -117,6 +122,12 @@ impl Job {
             .unwrap_or_else(|e| panic!("{}: {e}", self.key));
         JobOutput {
             m: h.run_and_measure(f64::from(self.x)),
+            sim: SimCounters {
+                sim_us: h.eng.now().as_micros(),
+                events: h.eng.fired,
+                popped: h.eng.popped,
+                advances: h.eng.advances,
+            },
             obs: h.harvest().map(Box::new),
         }
     }
@@ -213,7 +224,11 @@ impl Job {
             staleness_s: f("staleness_s")?,
             recovery_s: f("recovery_s")?,
         };
-        Some(JobOutput { m, obs: None })
+        Some(JobOutput {
+            m,
+            sim: SimCounters::ZERO,
+            obs: None,
+        })
     }
 }
 
@@ -248,7 +263,11 @@ mod tests {
             staleness_s: 31.25,
             recovery_s: 12.5,
         };
-        let out = JobOutput { m, obs: None };
+        let out = JobOutput {
+            m,
+            sim: SimCounters::ZERO,
+            obs: None,
+        };
         assert_eq!(Job::decode(&fields_of(&out)), Some(out));
     }
 
@@ -256,6 +275,7 @@ mod tests {
     fn decode_rejects_foreign_and_garbled_records() {
         let good = fields_of(&JobOutput {
             m: Measurement::default(),
+            sim: SimCounters::ZERO,
             obs: None,
         });
         let mut foreign = good.clone();
@@ -282,6 +302,7 @@ mod tests {
                 recovery_s: 12.5, // f:4029000000000000: every prefix is valid hex
                 ..Measurement::default()
             },
+            sim: SimCounters::ZERO,
             obs: None,
         };
         let dir = std::env::temp_dir().join(format!("gridmon-job-trunc-{}", std::process::id()));
@@ -291,12 +312,12 @@ mod tests {
         let path = dir.join("dd.csv");
         let full = std::fs::read(&path).unwrap();
         assert_eq!(
-            cache.load("dd").and_then(|f| Job::decode(&f)),
+            cache.load("dd").and_then(|(f, _)| Job::decode(&f)),
             Some(out.clone())
         );
         for cut in 0..full.len() {
             std::fs::write(&path, &full[..cut]).unwrap();
-            let got = cache.load("dd").and_then(|f| Job::decode(&f));
+            let got = cache.load("dd").and_then(|(f, _)| Job::decode(&f));
             assert!(
                 got.is_none() || got.as_ref() == Some(&out),
                 "cut at byte {cut} of {} decoded as {got:?}",

@@ -3,19 +3,21 @@
 //! The figure harness in `gridmon-core` expresses every sweep as a list
 //! of self-contained points (one `(spec, x)` pair of a catalogue row —
 //! figure series or extension study — or of a user-authored scenario).
-//! [`run`]
-//! schedules those points across an in-tree work-stealing thread pool
-//! ([`pool`]) and memoizes their results in a content-addressed on-disk
-//! cache ([`cache`]), so that
+//! [`run`] is the one way to execute such a list: it serves what the
+//! content-addressed on-disk cache ([`cache`]) already holds, schedules
+//! the rest across an in-tree work-stealing thread pool ([`pool`]), and
+//! records what every point cost in the caller's [`PerfSink`], so that
 //!
-//! * `figures --jobs N` regenerates the paper's figures N-wide with
-//!   **byte-identical** output to the sequential runner — every point
-//!   derives its own seed from its identity, and results are assembled
-//!   in submission order, so neither worker count nor completion order
-//!   can influence a single output bit;
+//! * `figures --jobs N` regenerates the paper's figures with
+//!   **byte-identical** output for every N — every point derives its
+//!   own seed from its identity, and results are assembled in
+//!   submission order, so neither worker count nor completion order can
+//!   influence a single output bit;
 //! * editing one system's calibrated parameters and re-running only
 //!   recomputes that system's series — every other point is served from
-//!   `results/.cache/` (see [`job::Job::cache_digest`]).
+//!   `results/.cache/` (see [`job::Job::cache_digest`]);
+//! * a point's engine counters travel with its result
+//!   ([`JobOutput::sim`]), not through any side channel.
 //!
 //! Built on `std::thread` and channels only; no external dependencies.
 
@@ -33,7 +35,7 @@ use gperf::PerfSink;
 use gridmon_core::runcfg::RunConfig;
 use progress::Reporter;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// How a sweep should be executed.
 #[derive(Debug, Clone)]
@@ -68,24 +70,16 @@ impl RunnerConfig {
     }
 }
 
-/// What a sweep cost: how many points there were, how many actually
-/// executed vs came from the cache, and the wall-clock total.
-#[derive(Debug, Clone, Copy)]
-pub struct SweepStats {
-    pub total: usize,
-    pub executed: usize,
-    pub cache_hits: usize,
-    pub wall: Duration,
-}
-
 /// Execute `jobs` under `cfg`: resolve cache hits first, run the misses
 /// across the thread pool, store fresh results back.  Outputs are
 /// returned in job order regardless of scheduling.
 ///
-/// With a [`PerfSink`] the sweep records one [`gperf::PointRecord`] per
-/// point (wall time, engine counters, worker and cache attribution) plus
-/// cache traffic and pool utilization.  Profiling only *reads* engine
-/// counters after each run, so outputs are identical either way.
+/// `sink` receives one [`gperf::PointRecord`] per point — for an
+/// executed point the wall time the pool measured, the worker that ran
+/// it and the engine counters it returned ([`JobOutput::sim`]); for a
+/// cache hit the probe time and [`gperf::SimCounters::ZERO`] — plus
+/// cache traffic and pool utilization.  `sink.totals()` is the tally of
+/// executed and cached points.
 ///
 /// With `cfg.obs` enabled every point returns its observability
 /// harvest ([`JobOutput::obs`]) and the cache is
@@ -95,8 +89,8 @@ pub fn run(
     jobs: &[Job],
     cfg: &RunConfig,
     rc: &RunnerConfig,
-    mut sink: Option<&mut PerfSink>,
-) -> (Vec<JobOutput>, SweepStats) {
+    sink: &mut PerfSink,
+) -> Vec<JobOutput> {
     let t0 = Instant::now();
     let cache = rc
         .cache_dir
@@ -107,100 +101,66 @@ pub fn run(
 
     // Phase 1: satisfy what the cache already has, so a warm re-run
     // executes nothing at all.
-    let digests: Vec<Option<String>> = jobs
-        .iter()
-        .map(|j| cache.as_ref().map(|_| j.cache_digest(cfg)))
-        .collect();
+    let digests: Vec<String> = match cache {
+        Some(_) => jobs.iter().map(|j| j.cache_digest(cfg)).collect(),
+        None => Vec::new(),
+    };
     let mut outputs: Vec<Option<JobOutput>> = vec![None; jobs.len()];
     let mut misses: Vec<usize> = Vec::new();
     for (i, j) in jobs.iter().enumerate() {
         let t_probe = Instant::now();
-        let cached = match (&cache, &digests[i]) {
-            (Some(c), Some(d)) => c.load(d).and_then(|fields| Job::decode(&fields)),
-            _ => None,
-        };
+        let cached = cache.as_ref().and_then(|c| {
+            let (fields, bytes) = c.load(&digests[i])?;
+            Some((Job::decode(&fields)?, bytes))
+        });
         match cached {
-            Some(out) => {
+            Some((out, bytes)) => {
                 reporter.cache_hit(j.key());
-                if let Some(s) = sink.as_deref_mut() {
-                    let bytes = match (&cache, &digests[i]) {
-                        (Some(c), Some(d)) => c.size_of(d).unwrap_or(0),
-                        _ => 0,
-                    };
-                    s.record_cached(j.key().to_string(), t_probe.elapsed(), bytes);
-                }
+                sink.record_cached(j.key().to_string(), t_probe.elapsed(), bytes);
                 outputs[i] = Some(out);
             }
             None => {
                 if cache.is_some() {
-                    if let Some(s) = sink.as_deref_mut() {
-                        s.record_miss();
-                    }
+                    sink.record_miss();
                 }
                 misses.push(i);
             }
         }
     }
-    if let Some(s) = sink.as_deref_mut() {
-        s.phases.add("cache probe", t0.elapsed());
-    }
+    sink.phases.add("cache probe", t0.elapsed());
 
     // Phase 2: execute the misses.  The collector callback runs on this
     // thread, so progress, cache writes and sink updates need no
-    // synchronisation.  When profiling, each execution is wrapped in
-    // `gperf::measure_point` on its worker thread, harvesting the
-    // engine counters the run reported into thread-local scratch.
-    let profile = sink.is_some();
+    // synchronisation.
     let workers = pool::resolve_workers(rc.jobs).min(misses.len().max(1));
     let t_exec = Instant::now();
     let fresh = pool::run_indexed(
         &misses,
         rc.jobs,
-        |&i| {
-            if profile {
-                let (out, sample) = gperf::measure_point(|| jobs[i].run(cfg));
-                (out, Some(sample))
-            } else {
-                (jobs[i].run(cfg), None)
-            }
-        },
+        |&i| jobs[i].run(cfg),
         |done| {
             let i = misses[done.index];
-            reporter.finished(jobs[i].key(), done.wall);
-            let mut stored = None;
-            if let (Some(c), Some(d)) = (&cache, &digests[i]) {
-                stored = c.store(d, jobs[i].key(), &Job::encode(&done.result.0));
-            }
-            if let Some(s) = sink.as_deref_mut() {
-                if let Some(sample) = done.result.1 {
-                    s.record_executed(jobs[i].key().to_string(), done.worker, sample);
-                }
-                if let Some(bytes) = stored {
-                    s.record_store(bytes);
+            let key = jobs[i].key();
+            reporter.finished(key, done.wall);
+            sink.record_executed(key.to_string(), done.worker, done.wall, done.result.sim);
+            if let Some(c) = &cache {
+                if let Some(bytes) = c.store(&digests[i], key, &Job::encode(&done.result)) {
+                    sink.record_store(bytes);
                 }
             }
         },
     );
-    for (&i, (out, _)) in misses.iter().zip(fresh) {
+    for (&i, out) in misses.iter().zip(fresh) {
         outputs[i] = Some(out);
     }
-    if let Some(s) = sink {
-        let exec_wall = t_exec.elapsed();
-        s.record_pool_run(workers, exec_wall);
-        s.phases.add("execute", exec_wall);
-    }
+    let exec_wall = t_exec.elapsed();
+    sink.record_pool_run(workers, exec_wall);
+    sink.phases.add("execute", exec_wall);
 
-    let stats = SweepStats {
-        total: jobs.len(),
-        executed: reporter.executed(),
-        cache_hits: reporter.cache_hits(),
-        wall: t0.elapsed(),
-    };
-    let outputs = outputs
+    outputs
         .into_iter()
         .map(|o| o.expect("every job resolved by cache or pool"))
-        .collect();
-    (outputs, stats)
+        .collect()
 }
 
 #[cfg(test)]
@@ -210,6 +170,7 @@ mod tests {
     use gridmon_core::runcfg::Measurement;
     use gridmon_core::scenario::catalogue;
     use simcore::SimDuration;
+    use std::time::Duration;
 
     /// A deliberately tiny configuration: the mechanisms on a very short
     /// clock, so scheduling tests stay fast.
@@ -228,16 +189,23 @@ mod tests {
     }
 
     /// One experiment set through the pool: enumerate, run, assemble.
-    fn pooled_set(
-        set: u32,
-        cfg: &RunConfig,
-        scale: f64,
-        rc: &RunnerConfig,
-        sink: Option<&mut PerfSink>,
-    ) -> (SetData, SweepStats) {
+    fn pooled_set(set: u32, cfg: &RunConfig, scale: f64, rc: &RunnerConfig) -> (SetData, PerfSink) {
         let specs = enumerate_set(set, scale).unwrap();
-        let (outputs, stats) = run(&Job::points(&specs), cfg, rc, sink);
-        (assemble_set(set, &specs, &measurements(&outputs)), stats)
+        let (outputs, sink) = run_fresh(&Job::points(&specs), cfg, rc);
+        (assemble_set(set, &specs, &measurements(&outputs)), sink)
+    }
+
+    /// `run` into a sink of its own.
+    fn run_fresh(jobs: &[Job], cfg: &RunConfig, rc: &RunnerConfig) -> (Vec<JobOutput>, PerfSink) {
+        let mut sink = PerfSink::default();
+        let outputs = run(jobs, cfg, rc, &mut sink);
+        (outputs, sink)
+    }
+
+    /// `(executed, cached)` of a sweep.
+    fn tally(sink: &PerfSink) -> (u64, u64) {
+        let t = sink.totals();
+        (t.executed, t.cached)
     }
 
     fn measurements(outputs: &[JobOutput]) -> Vec<Measurement> {
@@ -259,9 +227,8 @@ mod tests {
                 cache_dir: None,
                 quiet: true,
             };
-            let (par, stats) = pooled_set(1, &cfg, scale, &rc, None);
-            assert_eq!(stats.cache_hits, 0);
-            assert_eq!(stats.executed, stats.total);
+            let (par, sink) = pooled_set(1, &cfg, scale, &rc);
+            assert_eq!(tally(&sink), (sink.points.len() as u64, 0));
             assert_eq!(seq.series.len(), par.series.len());
             for ((l1, m1), (l2, m2)) in seq.series.iter().zip(&par.series) {
                 assert_eq!(l1, l2);
@@ -285,15 +252,16 @@ mod tests {
             cache_dir: Some(dir.clone()),
             quiet: true,
         };
-        let (cold, s1) = pooled_set(2, &cfg, 0.01, &rc, None);
-        assert_eq!(s1.cache_hits, 0);
-        assert!(s1.executed > 0);
-        let (warm, s2) = pooled_set(2, &cfg, 0.01, &rc, None);
+        let (cold, s1) = pooled_set(2, &cfg, 0.01, &rc);
+        let total = s1.points.len() as u64;
+        assert!(total > 0);
+        assert_eq!(tally(&s1), (total, 0));
+        let (warm, s2) = pooled_set(2, &cfg, 0.01, &rc);
         assert_eq!(
-            s2.executed, 0,
+            tally(&s2),
+            (0, total),
             "warm run must be served entirely from cache"
         );
-        assert_eq!(s2.cache_hits, s1.total);
         for ((_, m1), (_, m2)) in cold.series.iter().zip(&warm.series) {
             for (a, b) in m1.iter().zip(m2) {
                 assert_eq!(a.throughput.to_bits(), b.throughput.to_bits());
@@ -302,8 +270,8 @@ mod tests {
         }
         // A different seed addresses different cache entries.
         let cfg2 = tiny_cfg(4);
-        let (_, s3) = pooled_set(2, &cfg2, 0.01, &rc, None);
-        assert_eq!(s3.cache_hits, 0);
+        let (_, s3) = pooled_set(2, &cfg2, 0.01, &rc);
+        assert_eq!(s3.cache.hits, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -328,17 +296,13 @@ mod tests {
         let mut authored = spec_of("set6/MDS GIIS (3 branches)");
         authored.x_values = vec![3];
         jobs.extend(Job::scenario_sweep(&authored, &cfg).unwrap());
-        let (together, stats) = run(&jobs, &cfg, &rc, None);
-        assert_eq!(stats.total, jobs.len());
+        let (together, sink) = run_fresh(&jobs, &cfg, &rc);
+        assert_eq!(sink.points.len(), jobs.len());
         let mut pristine = cfg;
         pristine.faults = gfaults::FaultSpec::NONE;
         for (job, out) in jobs.iter().zip(&together) {
-            let (alone, _) = run(
-                std::slice::from_ref(job),
-                &cfg,
-                &RunnerConfig::sequential(),
-                None,
-            );
+            let (alone, _) =
+                run_fresh(std::slice::from_ref(job), &cfg, &RunnerConfig::sequential());
             assert_eq!(&alone[0], out, "{}", job.key());
             if !job.key().starts_with("set5/") {
                 assert_eq!(job.run(&pristine), *out, "{} saw the plan", job.key());
@@ -359,13 +323,14 @@ mod tests {
             cache_dir: Some(dir.clone()),
             quiet: true,
         };
-        let (observed, stats) = run(&jobs, &ocfg, &rc, None);
-        assert_eq!(stats.executed, jobs.len());
+        let (observed, sink) = run_fresh(&jobs, &ocfg, &rc);
+        assert_eq!(tally(&sink), (jobs.len() as u64, 0));
         assert!(!dir.exists(), "observed sweeps bypass the cache");
         for (job, out) in jobs.iter().zip(&observed) {
             let plain = job.run(&cfg);
             assert_eq!(plain.obs, None);
             assert_eq!(out.m, plain.m, "tracing must not perturb {}", job.key());
+            assert_eq!(out.sim, plain.sim, "nor its trajectory");
             let harvest = out.obs.as_deref().expect("harvest");
             assert!(!harvest.report.events.is_empty());
             assert!(!harvest.report.metrics.is_empty());
@@ -384,22 +349,20 @@ mod tests {
             };
 
             // Cold run: every point misses, executes and is stored.
-            let mut cold = gperf::PerfSink::new();
-            let (_, s1) = pooled_set(1, &cfg, 0.02, &rc, Some(&mut cold));
-            assert_eq!(cold.cache.misses as usize, s1.total, "jobs={jobs}");
+            let (_, cold) = pooled_set(1, &cfg, 0.02, &rc);
+            let total = cold.points.len();
+            assert_eq!(cold.cache.misses as usize, total, "jobs={jobs}");
             assert_eq!(cold.cache.hits, 0);
             assert!(cold.cache.bytes_written > 0, "fresh results stored");
             assert_eq!(cold.cache.bytes_read, 0);
-            assert_eq!(cold.points.len(), s1.total);
-            assert_eq!(cold.executed().count(), s1.total);
+            assert_eq!(cold.executed().count(), total);
             for p in cold.executed() {
                 assert!(p.sim.events > 0, "engine counters for {}", p.key);
-                assert!(p.sim.engine_runs >= 1);
                 assert!(p.sim.popped >= p.sim.events, "pops include every dispatch");
                 assert!(p.wall > Duration::ZERO);
                 assert!(p.worker < jobs, "worker id within the pool");
             }
-            assert_eq!(cold.pool.jobs.iter().sum::<usize>(), s1.total);
+            assert_eq!(cold.pool.jobs.iter().sum::<usize>(), total);
             assert!(cold.pool.workers >= 1 && cold.pool.workers <= jobs);
             assert!(cold.pool.busy_total() > Duration::ZERO);
             let share = cold.pool.busy_share();
@@ -409,16 +372,18 @@ mod tests {
                 assert!(phases.iter().any(|p| p == want), "phase {want} recorded");
             }
 
-            // Warm run: everything is a hit, nothing executes or stores.
-            let mut warm = gperf::PerfSink::new();
-            let (_, s2) = pooled_set(1, &cfg, 0.02, &rc, Some(&mut warm));
-            assert_eq!(s2.executed, 0, "jobs={jobs}: warm run served from cache");
-            assert_eq!(warm.cache.hits as usize, s2.total);
+            // Warm run: everything is a hit, nothing executes or stores,
+            // and what is read back is what the cold run wrote.
+            let (_, warm) = pooled_set(1, &cfg, 0.02, &rc);
+            assert_eq!(tally(&warm), (0, total as u64), "jobs={jobs}");
+            assert_eq!(warm.cache.hits as usize, total);
             assert_eq!(warm.cache.misses, 0);
-            assert!(warm.cache.bytes_read > 0, "hit sizes accounted");
+            assert_eq!(warm.cache.bytes_read, cold.cache.bytes_written);
             assert_eq!(warm.cache.bytes_written, 0);
-            assert_eq!(warm.executed().count(), 0);
-            assert_eq!(warm.totals().cached as usize, s2.total);
+            for p in &warm.points {
+                assert!(p.cached, "{} served from cache", p.key);
+                assert_eq!(p.sim, gperf::SimCounters::ZERO);
+            }
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
@@ -429,17 +394,16 @@ mod tests {
         let mut spec = spec_of("set6/MDS GIIS (3 branches)");
         spec.x_values = vec![3, 6];
         let jobs = Job::scenario_sweep(&spec, &cfg).unwrap();
-        let (seq, _) = run(&jobs, &cfg, &RunnerConfig::sequential(), None);
+        let (seq, _) = run_fresh(&jobs, &cfg, &RunnerConfig::sequential());
         let dir = scratch_cache("scenario");
         let rc = RunnerConfig {
             jobs: 8,
             cache_dir: Some(dir.clone()),
             quiet: true,
         };
-        // A profiled sweep records every authored point under its key.
-        let mut sink = gperf::PerfSink::new();
-        let (par, s1) = run(&jobs, &cfg, &rc, Some(&mut sink));
-        assert_eq!(s1.cache_hits, 0);
+        // The sweep records every authored point under its key.
+        let (par, sink) = run_fresh(&jobs, &cfg, &rc);
+        assert_eq!(sink.cache.hits, 0);
         assert_eq!(seq, par, "worker count must not change a bit");
         let mut keys: Vec<&str> = sink.executed().map(|p| p.key.as_str()).collect();
         keys.sort_unstable();
@@ -451,15 +415,15 @@ mod tests {
             ]
         );
         // Warm: everything from cache, same bits.
-        let (warm, s2) = run(&jobs, &cfg, &rc, None);
-        assert_eq!(s2.executed, 0);
-        assert_eq!(warm, par);
+        let (warm, s2) = run_fresh(&jobs, &cfg, &rc);
+        assert_eq!(tally(&s2), (0, 2));
+        assert_eq!(measurements(&warm), measurements(&par));
         // Editing the topology (not the name) re-addresses the cache.
         let mut edited = spec.clone();
         edited.workload.users = gscenario::Count::Lit(12);
         let edited_jobs = Job::scenario_sweep(&edited, &cfg).unwrap();
-        let (_, s3) = run(&edited_jobs, &cfg, &rc, None);
-        assert_eq!(s3.cache_hits, 0, "fingerprint must fold into the digest");
+        let (_, s3) = run_fresh(&edited_jobs, &cfg, &rc);
+        assert_eq!(s3.cache.hits, 0, "fingerprint must fold into the digest");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -470,19 +434,19 @@ mod tests {
         let cfg = tiny_cfg(19);
         let jobs = Job::points(&enumerate_extensions());
         assert_eq!(jobs.len(), 15);
-        let (seq, _) = run(&jobs, &cfg, &RunnerConfig::sequential(), None);
+        let (seq, _) = run_fresh(&jobs, &cfg, &RunnerConfig::sequential());
         let dir = scratch_cache("ext");
         let rc = RunnerConfig {
             jobs: 8,
             cache_dir: Some(dir.clone()),
             quiet: true,
         };
-        let (cold, s1) = run(&jobs, &cfg, &rc, None);
-        assert_eq!((s1.executed, s1.cache_hits), (15, 0));
+        let (cold, s1) = run_fresh(&jobs, &cfg, &rc);
+        assert_eq!(tally(&s1), (15, 0));
         assert_eq!(seq, cold, "worker count must not change a bit");
-        let (warm, s2) = run(&jobs, &cfg, &rc, None);
-        assert_eq!((s2.executed, s2.cache_hits), (0, 15));
-        assert_eq!(warm, cold);
+        let (warm, s2) = run_fresh(&jobs, &cfg, &rc);
+        assert_eq!(tally(&s2), (0, 15));
+        assert_eq!(measurements(&warm), measurements(&cold));
         // Every point runs under the seed derived from its own key.
         let mut seeds: Vec<u64> = jobs
             .iter()

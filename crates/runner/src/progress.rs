@@ -4,13 +4,12 @@
 
 use std::time::{Duration, Instant};
 
-/// Tracks and prints sweep progress.  With `enabled == false` it only
-/// accumulates the counters (used by the library API to build
-/// [`SweepStats`](crate::SweepStats) without console noise).
+/// Tracks and prints sweep progress; silent with `enabled == false`.
+/// It counts only what its `[ 12/175] … ETA` line needs — the sweep's
+/// tally is the caller's `PerfSink`.
 pub struct Reporter {
     total: usize,
     done: usize,
-    hits: usize,
     executed: usize,
     started: Instant,
     enabled: bool,
@@ -21,7 +20,6 @@ impl Reporter {
         Reporter {
             total,
             done: 0,
-            hits: 0,
             executed: 0,
             started: Instant::now(),
             enabled,
@@ -31,7 +29,6 @@ impl Reporter {
     /// A point was satisfied from the cache.
     pub fn cache_hit(&mut self, key: &str) {
         self.done += 1;
-        self.hits += 1;
         if self.enabled {
             eprintln!("[{:>4}/{}] {key}  (cached)", self.done, self.total);
         }
@@ -65,14 +62,6 @@ impl Reporter {
             self.executed,
             self.started.elapsed(),
         )
-    }
-
-    pub fn cache_hits(&self) -> usize {
-        self.hits
-    }
-
-    pub fn executed(&self) -> usize {
-        self.executed
     }
 }
 
@@ -161,8 +150,6 @@ mod tests {
         r.cache_hit("a");
         r.finished("b", Duration::from_millis(5));
         r.finished("c", Duration::from_millis(5));
-        assert_eq!(r.cache_hits(), 1);
-        assert_eq!(r.executed(), 2);
-        assert_eq!(r.done, 3);
+        assert_eq!((r.done, r.executed), (3, 2));
     }
 }

@@ -64,11 +64,6 @@ impl FifoTokens {
         }
     }
 
-    /// A mutual-exclusion lock (1 token, unbounded queue).
-    pub fn mutex() -> Self {
-        Self::new(1)
-    }
-
     pub fn capacity(&self) -> u32 {
         self.capacity
     }
@@ -182,15 +177,6 @@ mod tests {
         assert!(p.remove_waiter(2));
         assert!(!p.remove_waiter(2));
         assert_eq!(p.release(), Some(3));
-    }
-
-    #[test]
-    fn mutex_semantics() {
-        let mut m = FifoTokens::mutex();
-        assert_eq!(m.acquire(10), Acquire::Granted);
-        assert_eq!(m.acquire(11), Acquire::Queued);
-        assert_eq!(m.release(), Some(11));
-        assert_eq!(m.release(), None);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! cycles in user+system mode).  The types here provide exactly the
 //! accumulators those need:
 //!
-//! * [`MeanAccum`] — count / mean / min / max of samples;
+//! * [`MeanAccum`] — count / mean of samples;
 //! * [`WindowedMean`] — a `MeanAccum` that only accepts samples inside a
 //!   `[start, end)` measurement window (the paper measures over a 10-minute
 //!   span after warm-up);
@@ -16,38 +16,25 @@
 
 use crate::time::SimTime;
 
-/// Online count/mean/min/max accumulator.
+/// Online count/mean accumulator.
 #[derive(Debug, Clone, Default)]
 pub struct MeanAccum {
     n: u64,
     sum: f64,
-    min: f64,
-    max: f64,
 }
 
 impl MeanAccum {
     pub fn new() -> Self {
-        MeanAccum {
-            n: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
+        MeanAccum::default()
     }
 
     pub fn record(&mut self, x: f64) {
         self.n += 1;
         self.sum += x;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
     }
 
     pub fn count(&self) -> u64 {
         self.n
-    }
-
-    pub fn sum(&self) -> f64 {
-        self.sum
     }
 
     pub fn mean(&self) -> f64 {
@@ -55,22 +42,6 @@ impl MeanAccum {
             0.0
         } else {
             self.sum / self.n as f64
-        }
-    }
-
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
         }
     }
 }
@@ -223,31 +194,6 @@ impl Histogram {
         self.total
     }
 
-    /// Merge another histogram's counts into this one.  Both histograms
-    /// must share the same bucket layout (`lo`, growth ratio, bucket
-    /// count) — merging per-node histograms into a registry snapshot
-    /// only makes sense bucket-for-bucket.
-    ///
-    /// # Panics
-    /// If the layouts differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.lo, other.lo, "histogram merge: lo mismatch");
-        assert_eq!(
-            self.ratio_log2, other.ratio_log2,
-            "histogram merge: bucket ratio mismatch"
-        );
-        assert_eq!(
-            self.buckets.len(),
-            other.buckets.len(),
-            "histogram merge: bucket count mismatch"
-        );
-        for (b, &o) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += o;
-        }
-        self.underflow += other.underflow;
-        self.total += other.total;
-    }
-
     /// Approximate quantile `q` in `[0, 1]` (returns the lower edge of the
     /// bucket containing the quantile).
     ///
@@ -313,15 +259,6 @@ impl Series {
         }
         acc.mean()
     }
-
-    /// Maximum of values with `start <= t < end`.
-    pub fn max_in(&self, start: SimTime, end: SimTime) -> f64 {
-        self.points
-            .iter()
-            .filter(|&&(t, _)| t >= start && t < end)
-            .map(|&(_, v)| v)
-            .fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -341,16 +278,12 @@ mod tests {
         }
         assert_eq!(m.count(), 3);
         assert!((m.mean() - 2.0).abs() < 1e-12);
-        assert_eq!(m.min(), 1.0);
-        assert_eq!(m.max(), 3.0);
     }
 
     #[test]
     fn empty_accum_is_zeroed() {
         let m = MeanAccum::new();
         assert_eq!(m.mean(), 0.0);
-        assert_eq!(m.min(), 0.0);
-        assert_eq!(m.max(), 0.0);
     }
 
     #[test]
@@ -437,55 +370,12 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_matches_combined_recording() {
-        let mut a = Histogram::new(1e-3);
-        let mut b = Histogram::new(1e-3);
-        let mut both = Histogram::new(1e-3);
-        for i in 1..=500 {
-            let x = i as f64 / 50.0;
-            a.record(x);
-            both.record(x);
-        }
-        for i in 1..=300 {
-            let x = i as f64 / 5.0;
-            b.record(x);
-            both.record(x);
-        }
-        b.record(1e-6); // underflow must merge too
-        both.record(1e-6);
-        a.merge(&b);
-        assert_eq!(a.count(), both.count());
-        for q in [0.0, 0.1, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(a.quantile(q), both.quantile(q), "q={q}");
-        }
-    }
-
-    #[test]
-    fn histogram_merge_into_empty() {
-        let mut acc = Histogram::new(1.0);
-        let mut h = Histogram::new(1.0);
-        h.record(4.0);
-        acc.merge(&h);
-        assert_eq!(acc.count(), 1);
-        assert_eq!(acc.quantile(0.5), h.quantile(0.5));
-    }
-
-    #[test]
-    #[should_panic(expected = "lo mismatch")]
-    fn histogram_merge_rejects_layout_mismatch() {
-        let mut a = Histogram::new(1.0);
-        let b = Histogram::new(2.0);
-        a.merge(&b);
-    }
-
-    #[test]
     fn series_window_stats() {
         let mut ser = Series::new();
         for i in 0..10 {
             ser.push(s(i), i as f64);
         }
         assert_eq!(ser.mean_in(s(2), s(5)), 3.0);
-        assert_eq!(ser.max_in(s(0), s(10)), 9.0);
         assert_eq!(ser.mean_in(s(100), s(200)), 0.0);
     }
 }

@@ -44,10 +44,6 @@ impl StatsHub {
         }
     }
 
-    pub fn window(&self) -> (SimTime, SimTime) {
-        (self.window_start, self.window_end)
-    }
-
     /// Record a completed operation for `series` finishing at `at` with
     /// response time `rt_secs`.  Only completions inside the window count —
     /// the same discipline as the paper's 10-minute measurement spans.

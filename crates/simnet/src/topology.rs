@@ -153,10 +153,6 @@ impl Topology {
         &self.links[id.0 as usize]
     }
 
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     pub fn link_count(&self) -> usize {
         self.links.len()
     }
@@ -224,7 +220,6 @@ mod tests {
         assert_eq!(t.route(a, b), &[a_up, b_down]);
         assert_eq!(t.one_way_latency(a, b).as_micros(), 100);
         assert_eq!(t.rtt(a, b).as_micros(), 200);
-        assert_eq!(t.node_count(), 3);
         assert_eq!(t.link_count(), 4);
     }
 

@@ -150,37 +150,6 @@ impl Testbed {
     pub fn lucky_by_name(&self, name: &str) -> Option<NodeId> {
         self.topo.find_node(name)
     }
-
-    /// Distribute `n` simulated users over the UC machines, at most
-    /// `cap` per machine (the paper balanced evenly with a maximum of 50
-    /// per machine).  Returns one entry per user: the node hosting it.
-    pub fn place_users(&self, n: usize, cap: usize) -> Vec<NodeId> {
-        place_round_robin(&self.uc, n, cap)
-    }
-
-    /// Distribute `n` users over the Lucky nodes themselves (the paper's
-    /// alternative placement for the R-GMA experiments), excluding any
-    /// nodes in `exclude` (e.g. the node hosting the service under test).
-    pub fn place_users_on_lucky(&self, n: usize, cap: usize, exclude: &[NodeId]) -> Vec<NodeId> {
-        let hosts: Vec<NodeId> = self
-            .lucky
-            .iter()
-            .copied()
-            .filter(|h| !exclude.contains(h))
-            .collect();
-        place_round_robin(&hosts, n, cap)
-    }
-}
-
-fn place_round_robin(hosts: &[NodeId], n: usize, cap: usize) -> Vec<NodeId> {
-    assert!(!hosts.is_empty(), "no hosts to place users on");
-    let usable = hosts.len() * cap;
-    assert!(
-        n <= usable,
-        "cannot place {n} users on {} hosts with cap {cap}",
-        hosts.len()
-    );
-    (0..n).map(|i| hosts[i % hosts.len()]).collect()
 }
 
 #[cfg(test)]
@@ -225,33 +194,5 @@ mod tests {
         assert!(fast.cpu.speed() > 1.0);
         let slow = tb.topo.node(tb.uc[19]);
         assert!(slow.cpu.speed() < 0.7);
-    }
-
-    #[test]
-    fn user_placement_balances() {
-        let tb = Testbed::standard();
-        let placement = tb.place_users(600, 50);
-        assert_eq!(placement.len(), 600);
-        // Even spread: each of the 20 machines gets 30.
-        for host in &tb.uc {
-            let count = placement.iter().filter(|&&h| h == *host).count();
-            assert_eq!(count, 30);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot place")]
-    fn placement_respects_cap() {
-        let tb = Testbed::standard();
-        let _ = tb.place_users(20 * 50 + 1, 50);
-    }
-
-    #[test]
-    fn lucky_placement_excludes_servers() {
-        let tb = Testbed::standard();
-        let server = tb.lucky_by_name("lucky3").unwrap();
-        let placement = tb.place_users_on_lucky(600, 120, &[server]);
-        assert!(!placement.contains(&server));
-        assert_eq!(placement.len(), 600);
     }
 }

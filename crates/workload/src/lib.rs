@@ -317,10 +317,6 @@ impl OpenLoopSource {
         }
     }
 
-    pub fn in_flight(&self) -> usize {
-        self.outstanding.len()
-    }
-
     fn arm_next_arrival(&mut self, cx: &mut ClientCx) {
         let gap = self.rng.exponential(1.0 / self.rate_per_sec);
         cx.wake_in(SimDuration::from_secs_f64(gap), 0);

@@ -8,12 +8,13 @@
 //!
 //! * byte-identical figure CSVs across all four runs, and
 //! * identical engine counters — `fired`, `popped`, `advances`,
-//!   simulated span — as aggregated by the self-profiler.
+//!   simulated span — point by point, as each point returned them.
 //!
 //! Counter identity is a stronger bar than CSV identity: two runs could
 //! produce the same figures while scheduling different event streams
-//! under the hood.  (Set 4 exercises ClassAd matchmaking and the MDS
-//! caches; set 2 leans on the flow network.)
+//! under the hood — and per point is stronger than summed, where two
+//! points' differences could cancel.  (Set 4 exercises ClassAd
+//! matchmaking and the MDS caches; set 2 leans on the flow network.)
 
 use gridmon_core::figures::{self, assemble_set, enumerate_set, SetData};
 use gridmon_core::report::csv;
@@ -39,30 +40,36 @@ fn csvs_of(data: &SetData) -> BTreeMap<u32, String> {
         .collect()
 }
 
-/// One profiled run of a set: figure CSVs plus aggregated engine counters.
-fn profiled_run(set: u32, jobs: usize) -> (BTreeMap<u32, String>, (u64, u64, u64, u64)) {
+/// One run of a set: figure CSVs plus every point's engine counters,
+/// in job order.
+fn counted_run(set: u32, jobs: usize) -> (BTreeMap<u32, String>, Vec<gperf::SimCounters>) {
     let rc = RunnerConfig {
         jobs,
         cache_dir: None,
         quiet: true,
     };
-    let mut sink = gperf::PerfSink::new();
+    let mut sink = gperf::PerfSink::default();
     let specs = enumerate_set(set, SCALE).unwrap();
-    let (outputs, stats) = gridmon_runner::run(&Job::points(&specs), &cfg(), &rc, Some(&mut sink));
-    assert_eq!(stats.executed, stats.total, "no cache in play");
+    let outputs = gridmon_runner::run(&Job::points(&specs), &cfg(), &rc, &mut sink);
+    assert_eq!(
+        sink.totals().executed as usize,
+        specs.len(),
+        "no cache in play"
+    );
     let results: Vec<_> = outputs.iter().map(|o| o.m).collect();
     let data = assemble_set(set, &specs, &results);
-    let t = sink.totals();
-    (csvs_of(&data), (t.events, t.popped, t.advances, t.sim_us))
+    let counters: Vec<_> = outputs.iter().map(|o| o.sim).collect();
+    assert!(counters.iter().all(|c| c.events > 0 && c.sim_us > 0));
+    (csvs_of(&data), counters)
 }
 
 #[test]
 fn repeated_runs_are_identical_in_figures_and_counters() {
     for set in [2u32, 4] {
-        let (ref_csvs, ref_counters) = profiled_run(set, 1);
+        let (ref_csvs, ref_counters) = counted_run(set, 1);
         assert!(!ref_csvs.is_empty());
         for (jobs, round) in [(1, 2), (8, 1), (8, 2)] {
-            let (csvs, counters) = profiled_run(set, jobs);
+            let (csvs, counters) = counted_run(set, jobs);
             for (fig, want) in &ref_csvs {
                 assert_eq!(
                     csvs.get(fig).unwrap(),
@@ -72,8 +79,8 @@ fn repeated_runs_are_identical_in_figures_and_counters() {
             }
             assert_eq!(
                 counters, ref_counters,
-                "set {set} engine counters (fired, popped, advances, sim_us) \
-                 diverged at jobs={jobs} round {round}"
+                "set {set} per-point engine counters (events, popped, advances, \
+                 sim_us) diverged at jobs={jobs} round {round}"
             );
         }
     }

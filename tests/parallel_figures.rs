@@ -14,7 +14,7 @@ use gridmon_core::figures::{self, assemble_set, enumerate_extensions, enumerate_
 use gridmon_core::report::csv;
 use gridmon_core::runcfg::RunConfig;
 use gridmon_core::scenario::{catalogue, DEFAULT_FAULTS};
-use gridmon_runner::{Job, RunnerConfig, SweepStats};
+use gridmon_runner::{Job, RunnerConfig};
 use simcore::SimDuration;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -32,17 +32,30 @@ fn cfg() -> RunConfig {
 const SCALE: f64 = 0.02;
 
 /// One experiment set through the pool: enumerate, run, assemble.
+/// Returns the set's data and what the sweep recorded.
 fn pooled_set(
     set: u32,
     cfg: &RunConfig,
     scale: f64,
     rc: &RunnerConfig,
-    sink: Option<&mut gperf::PerfSink>,
-) -> (SetData, SweepStats) {
+) -> (SetData, gperf::PerfSink) {
     let specs = enumerate_set(set, scale).unwrap();
-    let (outputs, stats) = gridmon_runner::run(&Job::points(&specs), cfg, rc, sink);
+    let mut sink = gperf::PerfSink::default();
+    let outputs = gridmon_runner::run(&Job::points(&specs), cfg, rc, &mut sink);
+    assert_eq!(sink.points.len(), specs.len(), "one record per point");
     let results: Vec<_> = outputs.iter().map(|o| o.m).collect();
-    (assemble_set(set, &specs, &results), stats)
+    (assemble_set(set, &specs, &results), sink)
+}
+
+/// `(executed, cached)` of a sweep.
+fn tally(sink: &gperf::PerfSink) -> (u64, u64) {
+    let t = sink.totals();
+    (t.executed, t.cached)
+}
+
+/// `run` into a throw-away sink.
+fn run(jobs: &[Job], cfg: &RunConfig, rc: &RunnerConfig) -> Vec<gridmon_runner::JobOutput> {
+    gridmon_runner::run(jobs, cfg, rc, &mut gperf::PerfSink::default())
 }
 
 /// Render every figure of a set to CSV, keyed by figure number.
@@ -73,8 +86,11 @@ fn every_figure_csv_is_byte_identical_across_job_counts() {
                 cache_dir: None,
                 quiet: true,
             };
-            let (data, stats) = pooled_set(set, &cfg, SCALE, &rc, None);
-            assert_eq!(stats.executed, stats.total, "no cache in play");
+            let (data, sink) = pooled_set(set, &cfg, SCALE, &rc);
+            assert_eq!(sink.totals().cached, 0, "no cache in play");
+            for p in &sink.points {
+                assert!(p.sim.events > 0, "{}: no engine counters", p.key);
+            }
             let got = csvs_of(&data);
             for (fig, want) in &reference {
                 assert_eq!(
@@ -98,12 +114,12 @@ fn tracing_never_changes_figure_csvs() {
     let mut traced = base;
     traced.obs = gridmon_core::ObsMode::FULL;
     let ext = Job::points(&enumerate_extensions());
-    let (plain, _) = gridmon_runner::run(&ext, &base, &RunnerConfig::sequential(), None);
+    let plain = run(&ext, &base, &RunnerConfig::sequential());
     let rc = RunnerConfig {
         jobs: 8,
         ..RunnerConfig::sequential()
     };
-    let (observed, _) = gridmon_runner::run(&ext, &traced, &rc, None);
+    let observed = run(&ext, &traced, &rc);
     for ((job, plain), observed) in ext.iter().zip(&plain).zip(&observed) {
         assert_eq!(observed.m, plain.m, "tracing perturbed {}", job.key());
         assert!(plain.m.completions > 0, "{} measured nothing", job.key());
@@ -119,46 +135,12 @@ fn tracing_never_changes_figure_csvs() {
                 cache_dir: None,
                 quiet: true,
             };
-            let (data, stats) = pooled_set(set, &traced, SCALE, &rc, None);
-            assert_eq!(stats.executed, stats.total, "no cache in play");
+            let (data, sink) = pooled_set(set, &traced, SCALE, &rc);
+            assert_eq!(sink.totals().cached, 0, "no cache in play");
             assert_eq!(
                 csvs_of(&data),
                 reference,
                 "set {set} diverged under full tracing at jobs={jobs}"
-            );
-        }
-    }
-}
-
-/// Self-profiling must not perturb the simulation either: running the
-/// same sweep with a live `PerfSink` threaded through the runner
-/// yields byte-identical figure CSVs, sequential or 8-wide — the
-/// profiler only ever observes wall clocks and counters, never the
-/// simulated state.
-#[test]
-fn profiling_never_changes_figure_csvs() {
-    for set in catalogue::sets() {
-        let cfg = cfg();
-        let reference = csvs_of(&figures::run_set(set, &cfg, SCALE).unwrap());
-        for jobs in [1, 8] {
-            let rc = RunnerConfig {
-                jobs,
-                cache_dir: None,
-                quiet: true,
-            };
-            let mut sink = gperf::PerfSink::new();
-            let (data, stats) = pooled_set(set, &cfg, SCALE, &rc, Some(&mut sink));
-            assert_eq!(stats.executed, stats.total, "no cache in play");
-            assert_eq!(
-                sink.totals().executed as usize,
-                stats.total,
-                "set {set}: every point leaves a perf record at jobs={jobs}"
-            );
-            assert!(sink.totals().events > 0, "engine counters reached the sink");
-            assert_eq!(
-                csvs_of(&data),
-                reference,
-                "set {set} diverged under profiling at jobs={jobs}"
             );
         }
     }
@@ -174,15 +156,15 @@ fn warm_cache_reproduces_identical_csvs_without_executing() {
     };
     for set in catalogue::sets() {
         let cfg = cfg();
-        let (cold, s_cold) = pooled_set(set, &cfg, SCALE, &rc, None);
-        assert_eq!(s_cold.cache_hits, 0, "set {set}: scratch cache starts cold");
-        assert_eq!(s_cold.executed, s_cold.total);
-        let (warm, s_warm) = pooled_set(set, &cfg, SCALE, &rc, None);
+        let (cold, s_cold) = pooled_set(set, &cfg, SCALE, &rc);
+        let (ran, hits) = tally(&s_cold);
+        assert_eq!(hits, 0, "set {set}: scratch cache starts cold");
+        let (warm, s_warm) = pooled_set(set, &cfg, SCALE, &rc);
         assert_eq!(
-            s_warm.executed, 0,
+            tally(&s_warm),
+            (0, ran),
             "set {set}: warm run must execute nothing"
         );
-        assert_eq!(s_warm.cache_hits, s_warm.total);
         assert_eq!(
             csvs_of(&cold),
             csvs_of(&warm),
@@ -200,16 +182,16 @@ fn cache_is_seed_and_scale_addressed() {
         cache_dir: Some(dir.clone()),
         quiet: true,
     };
-    let (_, first) = pooled_set(1, &cfg(), SCALE, &rc, None);
-    assert_eq!(first.cache_hits, 0);
+    let (_, first) = pooled_set(1, &cfg(), SCALE, &rc);
+    assert_eq!(first.cache.hits, 0);
     // A different base seed shares no cache entries...
     let mut reseeded = cfg();
     reseeded.seed ^= 1;
-    let (_, other) = pooled_set(1, &reseeded, SCALE, &rc, None);
-    assert_eq!(other.cache_hits, 0);
+    let (_, other) = pooled_set(1, &reseeded, SCALE, &rc);
+    assert_eq!(other.cache.hits, 0);
     // ...while re-running at a larger scale reuses the shared x-points.
-    let (_, wider) = pooled_set(1, &cfg(), SCALE * 2.0, &rc, None);
-    assert!(wider.cache_hits > 0, "overlapping points must be reused");
-    assert!(wider.executed > 0, "new x-points must still run");
+    let (ran, hits) = tally(&pooled_set(1, &cfg(), SCALE * 2.0, &rc).1);
+    assert!(hits > 0, "overlapping points must be reused");
+    assert!(ran > 0, "new x-points must still run");
     let _ = std::fs::remove_dir_all(&dir);
 }
