@@ -31,6 +31,7 @@
 #![forbid(unsafe_code)]
 
 use gbench::suite::{compare, render_mismatches, run_matrix, BenchReport, BENCH_SETS};
+use gridmon_core::figures::figures_of_set;
 use std::path::PathBuf;
 
 fn main() {
@@ -61,10 +62,10 @@ fn main() {
                             .trim()
                             .parse()
                             .unwrap_or_else(|_| die(&format!("bad set {s:?}")));
-                        if !(1..=6).contains(&n) {
-                            die(&format!("no experiment set {n}"));
+                        match figures_of_set(n) {
+                            Ok(_) => n,
+                            Err(e) => die(&e.to_string()),
                         }
-                        n
                     })
                     .collect();
             }

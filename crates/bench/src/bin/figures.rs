@@ -309,7 +309,7 @@ fn main() {
             let data = assemble_set(*set, specs, &results);
             perf_sink.phases.add("assemble", t_assemble.elapsed());
             for fig in figures_of_set(&data).unwrap_or_else(|e| die(&e.to_string())) {
-                let n: u32 = fig.id.trim_start_matches("Figure ").parse().unwrap();
+                let n = fig.number;
                 if !only_figs.is_empty() && !only_figs.contains(&n) {
                     continue;
                 }
@@ -567,10 +567,7 @@ fn parse_fig(arg: &str) -> u32 {
         .parse()
         .unwrap_or_else(|_| die(&format!("bad figure {arg:?} (expected figN)")));
     if set_of_figure(n).is_none() {
-        die(&format!(
-            "no figure {n}: figures 5-20 are the paper's, 21-24 are resilience, \
-             25-28 are federation"
-        ));
+        die(&figures::FigureError::UnknownFigure(n).to_string());
     }
     n
 }

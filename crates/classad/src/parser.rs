@@ -43,11 +43,16 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// Deepest nesting of parentheses, call arguments, ternary arms and
+/// prefix operators [`parse_expr`] accepts; deeper input is a
+/// [`ParseError`], not a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a complete ClassAd expression.
 pub fn parse_expr(input: &str) -> Result<Expr, ParseError> {
     let tokens = lex(input)?;
     let mut p = Parser { tokens, pos: 0 };
-    let e = p.expr()?;
+    let e = p.expr(0)?;
     if p.pos != p.tokens.len() {
         return Err(ParseError {
             message: format!("trailing tokens starting at '{}'", p.tokens[p.pos]),
@@ -97,12 +102,14 @@ impl Parser {
         }
     }
 
-    fn expr(&mut self) -> Result<Expr, ParseError> {
-        let cond = self.binary(1)?;
+    /// Every rule carries `depth`, the nesting it was reached at; each
+    /// level starts at a [`Parser::unary`], which enforces the bound.
+    fn expr(&mut self, depth: usize) -> Result<Expr, ParseError> {
+        let cond = self.binary(1, depth)?;
         if self.eat(&Token::Question) {
-            let then = self.expr()?;
+            let then = self.expr(depth + 1)?;
             self.expect(&Token::Colon)?;
-            let els = self.expr()?;
+            let els = self.expr(depth + 1)?;
             Ok(Expr::Cond(Box::new(cond), Box::new(then), Box::new(els)))
         } else {
             Ok(cond)
@@ -110,31 +117,36 @@ impl Parser {
     }
 
     /// Precedence-climbing over binary operators with min precedence.
-    fn binary(&mut self, min_prec: u8) -> Result<Expr, ParseError> {
-        let mut lhs = self.unary()?;
+    fn binary(&mut self, min_prec: u8, depth: usize) -> Result<Expr, ParseError> {
+        let mut lhs = self.unary(depth)?;
         while let Some(op) = self.peek().and_then(token_binop) {
             let prec = op.precedence();
             if prec < min_prec {
                 break;
             }
             self.pos += 1;
-            let rhs = self.binary(prec + 1)?; // left-associative
+            let rhs = self.binary(prec + 1, depth)?; // left-associative
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
         Ok(lhs)
     }
 
-    fn unary(&mut self) -> Result<Expr, ParseError> {
+    fn unary(&mut self, depth: usize) -> Result<Expr, ParseError> {
+        if depth > MAX_DEPTH {
+            return Err(ParseError {
+                message: format!("nesting deeper than {MAX_DEPTH}"),
+            });
+        }
         match self.peek() {
             Some(Token::Not) => {
                 self.pos += 1;
-                Ok(Expr::Unary(UnOp::Not, Box::new(self.unary()?)))
+                Ok(Expr::Unary(UnOp::Not, Box::new(self.unary(depth + 1)?)))
             }
             Some(Token::Minus) => {
                 self.pos += 1;
                 // Fold negation of numeric literals so `-5` is the literal
                 // -5 (keeps printing/parsing canonical).
-                Ok(match self.unary()? {
+                Ok(match self.unary(depth + 1)? {
                     Expr::Lit(Value::Int(i)) => Expr::Lit(Value::Int(-i)),
                     Expr::Lit(Value::Real(r)) => Expr::Lit(Value::Real(-r)),
                     e => Expr::Unary(UnOp::Neg, Box::new(e)),
@@ -142,23 +154,23 @@ impl Parser {
             }
             Some(Token::Plus) => {
                 self.pos += 1;
-                Ok(Expr::Unary(UnOp::Plus, Box::new(self.unary()?)))
+                Ok(Expr::Unary(UnOp::Plus, Box::new(self.unary(depth + 1)?)))
             }
-            _ => self.primary(),
+            _ => self.primary(depth),
         }
     }
 
-    fn primary(&mut self) -> Result<Expr, ParseError> {
+    fn primary(&mut self, depth: usize) -> Result<Expr, ParseError> {
         match self.bump() {
             Some(Token::Int(i)) => Ok(Expr::Lit(Value::Int(i))),
             Some(Token::Real(r)) => Ok(Expr::Lit(Value::Real(r))),
             Some(Token::Str(s)) => Ok(Expr::Lit(Value::Str(s))),
             Some(Token::LParen) => {
-                let e = self.expr()?;
+                let e = self.expr(depth + 1)?;
                 self.expect(&Token::RParen)?;
                 Ok(e)
             }
-            Some(Token::Ident(name)) => self.ident_tail(name),
+            Some(Token::Ident(name)) => self.ident_tail(name, depth),
             other => Err(ParseError {
                 message: format!(
                     "expected a value, found {}",
@@ -168,7 +180,7 @@ impl Parser {
         }
     }
 
-    fn ident_tail(&mut self, name: String) -> Result<Expr, ParseError> {
+    fn ident_tail(&mut self, name: String, depth: usize) -> Result<Expr, ParseError> {
         // Keywords.
         let lower = name.to_ascii_lowercase();
         match lower.as_str() {
@@ -198,7 +210,7 @@ impl Parser {
             let mut args = Vec::new();
             if !self.eat(&Token::RParen) {
                 loop {
-                    args.push(self.expr()?);
+                    args.push(self.expr(depth + 1)?);
                     if self.eat(&Token::RParen) {
                         break;
                     }
@@ -341,6 +353,35 @@ mod tests {
         assert!(parse_expr("f(1,)").is_err());
         assert!(parse_expr("a ? b").is_err());
         assert!(parse_expr("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        // Each of these used to recurse until the stack ran out.
+        let nestings = [
+            ("(", "1", ")"),
+            ("!", "a", ""),
+            ("- ", "1", ""),
+            ("f(", "1", ")"),
+        ];
+        for (open, atom, close) in nestings {
+            let nest = |n: usize| format!("{}{atom}{}", open.repeat(n), close.repeat(n));
+            let err = parse_expr(&nest(100_000)).unwrap_err();
+            assert!(err.message.contains("nesting"), "{err}");
+            assert!(
+                parse_expr(&nest(MAX_DEPTH)).is_ok(),
+                "{open:?} at the limit"
+            );
+            let err = parse_expr(&nest(MAX_DEPTH + 1)).unwrap_err();
+            assert!(err.message.contains("nesting"), "{err}");
+        }
+        let chain = |n: usize| format!("{}c", "a ? b : ".repeat(n));
+        assert!(parse_expr(&chain(MAX_DEPTH)).is_ok());
+        let err = parse_expr(&chain(100_000)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        // The bound is on open nesting, not on how much an expression holds.
+        let wide = format!("(1){}", " + f((1), !a)".repeat(10 * MAX_DEPTH));
+        assert!(parse_expr(&wide).is_ok());
     }
 
     #[test]

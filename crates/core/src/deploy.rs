@@ -2,6 +2,7 @@
 //! monitoring systems on it exactly as the paper did.
 
 use crate::runcfg::{Measurement, RunConfig};
+use crate::scenario::Probe;
 use ganglia::Monitor;
 use gfaults::{FaultDriver, FaultPlan};
 use hawkeye::{default_modules, AdvertiserFleet, Agent, Manager};
@@ -34,6 +35,9 @@ pub struct Harness {
     pub cfg: RunConfig,
     monitor: Option<ClientKey>,
     server_node: Option<NodeId>,
+    /// The resilience probe, if the scenario installed one; read back
+    /// after the run like the monitor.
+    pub(crate) probe: Option<ClientKey>,
     /// Fault schedule, installed after deployment (keys and link ids are
     /// only known then).  `None` keeps the run loop on the exact code path
     /// a fault-free build would take.
@@ -65,6 +69,7 @@ impl Harness {
             cfg,
             monitor: None,
             server_node: None,
+            probe: None,
             faults: None,
         }
     }
@@ -116,25 +121,28 @@ impl Harness {
             )
         });
         let server = self.server_node.unwrap();
-        let completions = self.net.stats.completions("user");
-        let failed = self.net.stats.counter("user.failed");
-        let timedout = self.net.stats.counter("user.timedout");
-        let attempts = completions + failed + timedout;
+        let probe = self.probe.map(|k| {
+            let probe = self.net.client_as::<Probe>(k);
+            probe.expect("install_resilience stored the probe's own key")
+        });
+        let stats = &self.net.stats;
+        let completions = stats.completed.stats().count();
+        let attempts = completions + stats.failed.stats().count() + stats.timedout.stats().count();
         Measurement {
             x,
-            throughput: self.net.stats.throughput("user"),
-            response_time: self.net.stats.mean_response_time("user"),
+            throughput: stats.completed.rate_per_sec(),
+            response_time: stats.completed.stats().mean(),
             load1: monitor.load1_mean(server, ws, we),
             cpu_load: monitor.cpu_mean(server, ws, we),
-            refused: self.net.stats.counter("user.refused"),
+            refused: stats.refused,
             completions,
             availability: if attempts == 0 {
                 1.0
             } else {
                 completions as f64 / attempts as f64
             },
-            staleness_s: self.net.stats.gauge_mean("probe.staleness_s"),
-            recovery_s: self.net.stats.gauge_mean("probe.recovery_s"),
+            staleness_s: probe.map_or(0.0, |p| p.staleness.mean()),
+            recovery_s: probe.map_or(0.0, |p| p.recovery.mean()),
         }
     }
 

@@ -8,7 +8,7 @@
 //! results because every point derives its own seed from its key.
 //! [`figure`] projects the metric a given figure plots.
 
-use crate::runcfg::{Measurement, RunConfig};
+use crate::runcfg::{Measurement, Metric, RunConfig};
 use crate::scenario::catalogue::{self, Series};
 use crate::scenario::{point_cfg, run_point};
 use std::fmt;
@@ -23,8 +23,8 @@ pub struct SeriesData {
 /// All data of one figure.
 #[derive(Debug, Clone)]
 pub struct FigureData {
-    /// e.g. "Figure 5".
-    pub id: String,
+    /// The paper's figure number: 5 for "Figure 5".
+    pub number: u32,
     pub title: String,
     pub x_label: String,
     pub y_label: String,
@@ -86,21 +86,23 @@ const SET_FIGS: [(u32, [u32; 4]); 6] = [
     (6, [25, 26, 27, 28]),
 ];
 
-fn metric_of(set: u32, pos: usize) -> (&'static str, &'static str) {
+/// The metric and y-axis label of the `pos`-th figure of `set`.
+fn metric_of(set: u32, pos: usize) -> (Metric, &'static str) {
     if set == 5 {
-        // The resilience metrics of Figs 21-24.
+        // The resilience metrics of Figs 21-24; goodput is throughput,
+        // since only completed queries count.
         return match pos {
-            0 => ("availability", "Availability (fraction)"),
-            1 => ("staleness_s", "Staleness (sec)"),
-            2 => ("recovery_s", "Recovery Time (sec)"),
-            _ => ("throughput", "Goodput (queries/sec)"),
+            0 => (Metric::Availability, "Availability (fraction)"),
+            1 => (Metric::Staleness, "Staleness (sec)"),
+            2 => (Metric::Recovery, "Recovery Time (sec)"),
+            _ => (Metric::Throughput, "Goodput (queries/sec)"),
         };
     }
     match pos {
-        0 => ("throughput", "Throughput (queries/sec)"),
-        1 => ("response_time", "Response Time (sec)"),
-        2 => ("load1", "Load1"),
-        _ => ("cpu_load", "CPU Load"),
+        0 => (Metric::Throughput, "Throughput (queries/sec)"),
+        1 => (Metric::ResponseTime, "Response Time (sec)"),
+        2 => (Metric::Load1, "Load1"),
+        _ => (Metric::CpuLoad, "CPU Load"),
     }
 }
 
@@ -238,7 +240,7 @@ pub fn figure(data: &SetData, fig: u32) -> Result<FigureData, FigureError> {
     })?;
     let (metric, y_label) = metric_of(*set, pos);
     Ok(FigureData {
-        id: format!("Figure {fig}"),
+        number: fig,
         title: set_title(*set, pos),
         x_label: x_label(*set).to_string(),
         y_label: y_label.to_string(),
@@ -247,7 +249,7 @@ pub fn figure(data: &SetData, fig: u32) -> Result<FigureData, FigureError> {
             .iter()
             .map(|(label, pts)| SeriesData {
                 label: label.clone(),
-                points: pts.iter().map(|m| (m.x, m.metric(metric))).collect(),
+                points: pts.iter().map(|m| (m.x, metric.of(m))).collect(),
             })
             .collect(),
     })
@@ -301,14 +303,68 @@ mod tests {
         assert_eq!(figures_of_set(9), Err(FigureError::UnknownSet(9)));
     }
 
+    /// The whole observable surface of the figure catalogue, written
+    /// from `figures --list all` of the commit before `Metric` existed:
+    /// number, title, y-axis label, and the field each figure plots.
     #[test]
-    fn titles_match_paper_vocabulary() {
-        assert!(set_title(1, 0).contains("Information Server Throughput"));
-        assert!(set_title(2, 1).contains("Directory Servers Response Time"));
-        assert!(set_title(4, 3).contains("Aggregate Information Server CPU Load"));
-        assert!(set_title(5, 0).contains("Availability"));
-        assert!(set_title(5, 3).contains("Goodput"));
-        assert!(set_title(5, 0).contains("Faulted Components"));
+    fn every_figure_has_its_golden_title_label_and_metric() {
+        use Metric::*;
+        #[rustfmt::skip]
+        const GOLDEN: [(u32, &str, &str, Metric); 24] = [
+            (5, "Information Server Throughput (queries/sec) vs. No. of Users", "Throughput (queries/sec)", Throughput),
+            (6, "Information Server Response Time (sec) vs. No. of Users", "Response Time (sec)", ResponseTime),
+            (7, "Information Server Load1 vs. No. of Users", "Load1", Load1),
+            (8, "Information Server CPU Load vs. No. of Users", "CPU Load", CpuLoad),
+            (9, "Directory Servers Throughput (queries/sec) vs. No. of Users", "Throughput (queries/sec)", Throughput),
+            (10, "Directory Servers Response Time (sec) vs. No. of Users", "Response Time (sec)", ResponseTime),
+            (11, "Directory Servers Load1 vs. No. of Users", "Load1", Load1),
+            (12, "Directory Servers CPU Load vs. No. of Users", "CPU Load", CpuLoad),
+            (13, "Information Server Throughput (queries/sec) vs. # of Information Collectors", "Throughput (queries/sec)", Throughput),
+            (14, "Information Server Response Time (sec) vs. # of Information Collectors", "Response Time (sec)", ResponseTime),
+            (15, "Information Server Load1 vs. # of Information Collectors", "Load1", Load1),
+            (16, "Information Server CPU Load vs. # of Information Collectors", "CPU Load", CpuLoad),
+            (17, "Aggregate Information Server Throughput (queries/sec) vs. # of Information Servers", "Throughput (queries/sec)", Throughput),
+            (18, "Aggregate Information Server Response Time (sec) vs. # of Information Servers", "Response Time (sec)", ResponseTime),
+            (19, "Aggregate Information Server Load1 vs. # of Information Servers", "Load1", Load1),
+            (20, "Aggregate Information Server CPU Load vs. # of Information Servers", "CPU Load", CpuLoad),
+            (21, "Monitoring Service Availability (fraction) vs. # of Faulted Components", "Availability (fraction)", Availability),
+            (22, "Monitoring Service Staleness (sec) vs. # of Faulted Components", "Staleness (sec)", Staleness),
+            (23, "Monitoring Service Recovery Time (sec) vs. # of Faulted Components", "Recovery Time (sec)", Recovery),
+            (24, "Monitoring Service Goodput (queries/sec) vs. # of Faulted Components", "Goodput (queries/sec)", Throughput),
+            (25, "Aggregate Information Server Throughput (queries/sec) vs. # of Information Servers", "Throughput (queries/sec)", Throughput),
+            (26, "Aggregate Information Server Response Time (sec) vs. # of Information Servers", "Response Time (sec)", ResponseTime),
+            (27, "Aggregate Information Server Load1 vs. # of Information Servers", "Load1", Load1),
+            (28, "Aggregate Information Server CPU Load vs. # of Information Servers", "CPU Load", CpuLoad),
+        ];
+        // Every field distinct, so a figure reading the wrong one shows.
+        let m = Measurement {
+            x: 1.0,
+            throughput: 2.0,
+            response_time: 3.0,
+            load1: 4.0,
+            cpu_load: 5.0,
+            availability: 6.0,
+            staleness_s: 7.0,
+            recovery_s: 8.0,
+            ..Default::default()
+        };
+        let mut figs = GOLDEN.iter();
+        for (set, numbers) in SET_FIGS {
+            let data = SetData {
+                set,
+                series: vec![("s".to_string(), vec![m])],
+            };
+            for n in numbers {
+                let &(number, title, y_label, metric) = figs.next().expect("24 golden rows");
+                assert_eq!(n, number);
+                assert_eq!(figure_title(n).as_deref(), Some(title));
+                let fig = figure(&data, n).unwrap();
+                assert_eq!((fig.number, fig.title.as_str()), (number, title));
+                assert_eq!(fig.y_label, y_label);
+                assert_eq!(fig.series[0].points, [(1.0, metric.of(&m))], "fig {n}");
+            }
+        }
+        assert!(figs.next().is_none(), "every golden row was visited");
     }
 
     #[test]

@@ -5,31 +5,9 @@
 
 use std::fmt;
 
-/// The three systems under study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum System {
-    Mds,
-    Rgma,
-    Hawkeye,
-}
-
-impl System {
-    pub const ALL: [System; 3] = [System::Mds, System::Rgma, System::Hawkeye];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            System::Mds => "MDS",
-            System::Rgma => "R-GMA",
-            System::Hawkeye => "Hawkeye",
-        }
-    }
-}
-
-impl fmt::Display for System {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.name())
-    }
-}
+/// The three systems under study: the enum a scenario spec names its
+/// system with, under Table 1's name for it.
+pub use gscenario::SystemId as System;
 
 /// The four functional roles of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -20,7 +20,7 @@ pub(crate) fn same_x(a: f64, b: f64) -> bool {
 /// one column per series).
 pub fn text_table(fig: &FigureData) -> String {
     let mut out = String::new();
-    out.push_str(&format!("{}: {}\n", fig.id, fig.title));
+    out.push_str(&format!("Figure {}: {}\n", fig.number, fig.title));
     // Collect the union of x values.
     let mut xs: Vec<f64> = fig
         .series
@@ -88,7 +88,7 @@ pub fn ascii_chart(fig: &FigureData, width: usize, height: usize) -> String {
         .flat_map(|s| s.points.iter().copied())
         .collect();
     if all.is_empty() {
-        return format!("{}: (no data)\n", fig.id);
+        return format!("Figure {}: (no data)\n", fig.number);
     }
     let xmax = all
         .iter()
@@ -111,7 +111,10 @@ pub fn ascii_chart(fig: &FigureData, width: usize, height: usize) -> String {
             grid[row][col] = mark;
         }
     }
-    out.push_str(&format!("{} — {} (ymax {:.2})\n", fig.id, fig.title, ymax));
+    out.push_str(&format!(
+        "Figure {} — {} (ymax {:.2})\n",
+        fig.number, fig.title, ymax
+    ));
     for row in grid {
         out.push('|');
         out.extend(row);
@@ -142,7 +145,7 @@ mod tests {
 
     fn fig() -> FigureData {
         FigureData {
-            id: "Figure 5".into(),
+            number: 5,
             title: "Throughput vs. Users".into(),
             x_label: "No. of Users".into(),
             y_label: "Throughput".into(),
@@ -183,7 +186,7 @@ mod tests {
         // The same sweep point computed two ways: 0.1 + 0.2 is not
         // bit-equal to 0.3, yet both series must land on one row.
         let f = FigureData {
-            id: "Figure T".into(),
+            number: 0,
             title: "tolerance".into(),
             x_label: "x".into(),
             y_label: "y".into(),
@@ -237,7 +240,7 @@ mod tests {
         let x2 = 600.0 * (1.0 + 0.5e-9);
         assert!(same_x(x1, x2), "test premise: within tolerance");
         let f = FigureData {
-            id: "Figure N".into(),
+            number: 0,
             title: "near tie".into(),
             x_label: "x".into(),
             y_label: "y".into(),

@@ -94,29 +94,32 @@ pub struct Measurement {
     pub recovery_s: f64,
 }
 
-impl Measurement {
-    /// Pick one of the figure metrics by name.
-    pub fn metric(&self, name: &str) -> f64 {
-        match name {
-            "throughput" => self.throughput,
-            "response_time" => self.response_time,
-            "load1" => self.load1,
-            "cpu_load" => self.cpu_load,
-            "availability" => self.availability,
-            "staleness_s" => self.staleness_s,
-            "recovery_s" => self.recovery_s,
-            _ => f64::NAN,
+/// The quantity a figure plots: one field of a [`Measurement`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Metric {
+    Throughput,
+    ResponseTime,
+    Load1,
+    CpuLoad,
+    Availability,
+    Staleness,
+    Recovery,
+}
+
+impl Metric {
+    /// This metric's value in `m`.
+    pub fn of(self, m: &Measurement) -> f64 {
+        match self {
+            Metric::Throughput => m.throughput,
+            Metric::ResponseTime => m.response_time,
+            Metric::Load1 => m.load1,
+            Metric::CpuLoad => m.cpu_load,
+            Metric::Availability => m.availability,
+            Metric::Staleness => m.staleness_s,
+            Metric::Recovery => m.recovery_s,
         }
     }
 }
-
-/// The four metric names, in figure order within each of experiment sets
-/// 1-4.
-pub const METRICS: [&str; 4] = ["throughput", "response_time", "load1", "cpu_load"];
-
-/// The four metric names, in figure order, for the resilience set (Set 5).
-/// "throughput" doubles as goodput: only completed queries count.
-pub const SET5_METRICS: [&str; 4] = ["availability", "staleness_s", "recovery_s", "throughput"];
 
 #[cfg(test)]
 mod tests {
@@ -132,26 +135,27 @@ mod tests {
     }
 
     #[test]
-    fn metric_lookup() {
+    fn each_metric_reads_its_own_field() {
         let m = Measurement {
             throughput: 1.0,
             response_time: 2.0,
             load1: 3.0,
             cpu_load: 4.0,
-            ..Default::default()
-        };
-        assert_eq!(m.metric("throughput"), 1.0);
-        assert_eq!(m.metric("cpu_load"), 4.0);
-        assert!(m.metric("nope").is_nan());
-        let r = Measurement {
             availability: 0.5,
             staleness_s: 30.0,
             recovery_s: 12.0,
             ..Default::default()
         };
-        assert_eq!(r.metric("availability"), 0.5);
-        assert_eq!(r.metric("staleness_s"), 30.0);
-        assert_eq!(r.metric("recovery_s"), 12.0);
+        let all = [
+            Metric::Throughput,
+            Metric::ResponseTime,
+            Metric::Load1,
+            Metric::CpuLoad,
+            Metric::Availability,
+            Metric::Staleness,
+            Metric::Recovery,
+        ];
+        assert_eq!(all.map(|k| k.of(&m)), [1.0, 2.0, 3.0, 4.0, 0.5, 30.0, 12.0]);
     }
 
     #[test]

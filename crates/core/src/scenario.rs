@@ -25,6 +25,7 @@ use hawkeye::{HawkeyeMsg, Manager};
 use ldapdir::{Filter, Scope};
 use mds::{Giis, MdsRequest};
 use rgma::{ProducerServlet, RgmaMsg};
+use simcore::stats::MeanAccum;
 use simcore::{SimDuration, SimTime};
 use simnet::{Client, ClientCx, NodeId, Payload, SvcKey};
 use std::rc::Rc;
@@ -275,7 +276,6 @@ fn user_config(h: &Harness, w: &World<'_>) -> UserConfig {
         think: h.cfg.params.think,
         retry_base: h.cfg.params.retry_base,
         retry_cap: h.cfg.params.retry_cap,
-        series: "user".to_string(),
         client_cpu_us: client_cpu_us(h, w.spec.workload.cpu),
         timeout: w.spec.workload.timeout_s.map(SimDuration::from_secs),
     }
@@ -313,7 +313,7 @@ fn spawn_workload(h: &mut Harness, w: &World<'_>) -> Result<(), DeployError> {
         }
         Arrivals::Poisson { rate } => {
             let rate = f64::from(rate.eval(w.x));
-            workload::spawn_open_loop(&mut h.net, &mut h.eng, &placement, rate, "user", factory);
+            workload::spawn_open_loop(&mut h.net, &mut h.eng, &placement, rate, factory);
         }
     }
     Ok(())
@@ -526,18 +526,22 @@ enum ProbeTarget {
     },
 }
 
-/// A passive deterministic observer: samples system staleness into a
-/// gauge every [`PROBE_PERIOD_S`] seconds (window samples only) and
+/// A passive deterministic observer: samples system staleness into its
+/// own gauge every [`PROBE_PERIOD_S`] seconds (window samples only) and
 /// records the first instant the system looks healthy again after the
-/// heal.  It only reads simulation state and writes stats, so it cannot
-/// perturb the run's trajectory.
-struct Probe {
+/// heal.  It only reads simulation state, so it cannot perturb the run's
+/// trajectory; the harness reads the gauges back after the run.
+pub(crate) struct Probe {
     target: ProbeTarget,
     ws: SimTime,
     we: SimTime,
     heal_at: SimTime,
     faulted: bool,
     recovered: bool,
+    /// Staleness samples, seconds.
+    pub(crate) staleness: MeanAccum,
+    /// Time from heal to healthy, seconds (at most one sample).
+    pub(crate) recovery: MeanAccum,
 }
 
 impl Probe {
@@ -601,20 +605,20 @@ impl Client for Probe {
         let period = SimDuration::from_secs(PROBE_PERIOD_S);
         if now >= self.ws && now < self.we {
             if let Some(age) = self.staleness(cx.net, now) {
-                cx.net.stats.gauge("probe.staleness_s", age);
+                self.staleness.record(age);
             }
         }
         if self.faulted && !self.recovered && now >= self.heal_at {
             if self.healthy(cx.net, now) {
                 self.recovered = true;
                 let r = now.saturating_since(self.heal_at).as_secs_f64();
-                cx.net.stats.gauge("probe.recovery_s", r);
+                self.recovery.record(r);
             } else if now + period >= self.we && self.heal_at < self.we {
                 // Last in-window sample and still unhealthy: censor
                 // recovery at window end so the mean stays defined.
                 self.recovered = true;
                 let r = self.we.saturating_since(self.heal_at).as_secs_f64();
-                cx.net.stats.gauge("probe.recovery_s", r);
+                self.recovery.record(r);
             }
         }
         cx.wake_in(period, 0);
@@ -713,14 +717,16 @@ fn install_resilience(h: &mut Harness, w: &World<'_>) -> Result<(), DeployError>
             }
         };
         let faulted = !plan.is_empty();
-        h.net.add_client(Box::new(Probe {
+        h.probe = Some(h.net.add_client(Box::new(Probe {
             target,
             ws,
             we,
             heal_at,
             faulted,
             recovered: false,
-        }));
+            staleness: MeanAccum::new(),
+            recovery: MeanAccum::new(),
+        })));
     }
     h.install_faults(plan);
     Ok(())
@@ -1626,6 +1632,7 @@ mod tests {
     use super::*;
     use gscenario::parse;
     use simnet::ObsMode;
+    use std::collections::BTreeSet;
 
     fn quick(seed: u64) -> RunConfig {
         let mut cfg = RunConfig::quick(seed);
@@ -1807,6 +1814,97 @@ query = "mds-search-all-giis"
         // Deterministic: same spec, same cfg, same bits.
         let m2 = run_point(&spec, 2, &quick(9)).unwrap();
         assert_eq!(m, m2);
+    }
+
+    /// `gscenario::FAULTABLE` is a hand copy of the `Service::name()`
+    /// strings of three other crates: deploy one service of every
+    /// `ServiceKind` and hold the list to the names actually deployed.
+    #[test]
+    fn faultable_tokens_are_the_deployed_service_names() {
+        let text = r#"
+name = "one-of-each"
+system = "mds"
+x = [2]
+watch = "lucky0"
+
+[service.gris]
+kind = "gris"
+host = "lucky7"
+providers = 10
+
+[service.pool]
+kind = "giis-pool"
+host = "lucky0"
+gris_hosts = ["lucky3"]
+n_gris = 1
+cachettl = "pinned"
+
+[service.top]
+kind = "giis"
+host = "lucky1"
+cachettl = "exp4"
+
+[service.shard]
+kind = "gris-fleet"
+host = "lucky1"
+parent = "top"
+share = "0/1"
+
+[service.mgr]
+kind = "hawkeye-manager"
+host = "lucky3"
+
+[service.agent]
+kind = "hawkeye-agent"
+host = "lucky4"
+modules = 11
+manager = "mgr"
+
+[service.fleet]
+kind = "hawkeye-advertiser-fleet"
+host = "lucky4"
+machines = 2
+manager = "mgr"
+
+[service.reg]
+kind = "rgma-registry"
+host = "lucky1"
+
+[service.ps]
+kind = "rgma-producer-servlet"
+host = "lucky5"
+producers = 10
+registry = "reg"
+
+[service.cs]
+kind = "rgma-consumer-servlet"
+host = "lucky6"
+registry = "reg"
+
+[service.comp]
+kind = "rgma-composite-pool"
+host = "lucky6"
+site_hosts = ["lucky5"]
+n_sites = 1
+registry = "reg"
+
+[workload]
+users = 1
+target = "gris"
+query = "mds-search-all-gris0"
+"#;
+        let spec = parse(text).unwrap();
+        let kinds: BTreeSet<_> = spec.services.iter().map(|(_, s)| s.kind.token()).collect();
+        assert_eq!(kinds.len(), 11, "one service of every ServiceKind");
+        let h = compile(&spec, 2, &quick(1)).unwrap();
+        let deployed: BTreeSet<&str> = h
+            .net
+            .services
+            .iter()
+            .filter_map(|(k, _)| h.net.service(k))
+            .map(|s| s.name())
+            .collect();
+        assert_eq!(deployed, BTreeSet::from(gscenario::FAULTABLE));
     }
 
     /// Compile errors carry the offending service, not a panic.

@@ -40,7 +40,8 @@ struct Trigger {
     /// The trigger's `Requirements`, compiled once at registration.
     req: Option<CompiledExpr>,
     notify: Option<SvcKey>,
-    pub fired: u64,
+    /// How often this trigger has fired.
+    fired: u64,
 }
 
 /// One machine's row of the resident database.
@@ -106,10 +107,6 @@ impl Manager {
 
     pub fn pool_size(&self) -> usize {
         self.pool.len()
-    }
-
-    pub fn ad_of(&self, machine: &str) -> Option<&ClassAd> {
-        self.pool.get(machine).map(|row| &*row.ad)
     }
 
     /// Machines whose last ad is no older than `horizon` at `now`:
@@ -303,11 +300,6 @@ impl Manager {
             fired: 0,
         });
     }
-
-    /// How often trigger `i` has fired.
-    pub fn trigger_fired_count(&self, i: usize) -> u64 {
-        self.triggers.get(i).map_or(0, |t| t.fired)
-    }
 }
 
 /// The `hawkeye_advertise` fleet: simulates `n` pool members, each
@@ -448,7 +440,7 @@ mod tests {
         eng.run_until(&mut net, SimTime::from_secs(100));
         let m = net.service_as::<Manager>(mgr).unwrap();
         assert_eq!(m.pool_size(), 1);
-        assert!(m.ad_of("lucky4").is_some());
+        assert!(m.pool.contains_key("lucky4"));
         // ~100s / 30s period = 4 ads (t≈0.1, 30.1, 60.1, 90.1).
         let a = net.service_as::<Agent>(ag).unwrap();
         assert_eq!(a.ads_sent, 4);
@@ -524,7 +516,7 @@ mod tests {
         let m = net.service_as::<Manager>(mgr).unwrap();
         // Fires once per received ad (4 ads).
         assert_eq!(m.triggers_fired, 4);
-        assert_eq!(m.trigger_fired_count(0), 4);
+        assert_eq!(m.triggers[0].fired, 4);
     }
 
     #[test]

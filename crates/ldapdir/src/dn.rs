@@ -125,10 +125,6 @@ impl Dn {
         self.rdns.len()
     }
 
-    pub fn is_root(&self) -> bool {
-        self.rdns.is_empty()
-    }
-
     /// The leading (most specific) RDN.
     pub fn rdn(&self) -> Option<&Rdn> {
         self.rdns.first()
@@ -288,8 +284,8 @@ mod tests {
 
     #[test]
     fn empty_is_root() {
-        assert!(Dn::parse("").unwrap().is_root());
-        assert!(Dn::parse("   ").unwrap().is_root());
+        assert_eq!(Dn::parse("").unwrap().depth(), 0);
+        assert_eq!(Dn::parse("   ").unwrap().depth(), 0);
     }
 
     #[test]

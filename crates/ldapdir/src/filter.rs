@@ -49,7 +49,7 @@ impl Filter {
     /// Parse an RFC 4515 filter string.
     pub fn parse(s: &str) -> Result<Filter, FilterError> {
         let s = s.trim();
-        let (f, rest) = parse_filter(s)?;
+        let (f, rest) = parse_filter(s, 0)?;
         if !rest.trim_start().is_empty() {
             return Err(FilterError(format!("trailing input: {rest:?}")));
         }
@@ -188,23 +188,31 @@ fn order_cmp(a: &str, b: &str) -> i32 {
     }
 }
 
-/// Parse one filter at the start of `s`; return it and the rest.
-fn parse_filter(s: &str) -> Result<(Filter, &str), FilterError> {
+/// Deepest nesting of `!`, `&` and `|` [`Filter::parse`] accepts; deeper
+/// input is a [`FilterError`], not a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parse one filter at the start of `s`, `depth` operators down; return
+/// it and the rest.
+fn parse_filter(s: &str, depth: usize) -> Result<(Filter, &str), FilterError> {
+    if depth > MAX_DEPTH {
+        return Err(FilterError(format!("nesting deeper than {MAX_DEPTH}")));
+    }
     let s = s.trim_start();
     let Some(inner) = s.strip_prefix('(') else {
         return Err(FilterError(format!("expected '(' at {s:?}")));
     };
     let inner = inner.trim_start();
     if let Some(rest) = inner.strip_prefix('&') {
-        let (fs, rest) = parse_set(rest)?;
+        let (fs, rest) = parse_set(rest, depth + 1)?;
         return Ok((Filter::And(fs), rest));
     }
     if let Some(rest) = inner.strip_prefix('|') {
-        let (fs, rest) = parse_set(rest)?;
+        let (fs, rest) = parse_set(rest, depth + 1)?;
         return Ok((Filter::Or(fs), rest));
     }
     if let Some(rest) = inner.strip_prefix('!') {
-        let (f, rest) = parse_filter(rest)?;
+        let (f, rest) = parse_filter(rest, depth + 1)?;
         let rest = rest.trim_start();
         let Some(rest) = rest.strip_prefix(')') else {
             return Err(FilterError("expected ')' after (!...)".into()));
@@ -221,7 +229,7 @@ fn parse_filter(s: &str) -> Result<(Filter, &str), FilterError> {
     Ok((item, rest))
 }
 
-fn parse_set(mut s: &str) -> Result<(Vec<Filter>, &str), FilterError> {
+fn parse_set(mut s: &str, depth: usize) -> Result<(Vec<Filter>, &str), FilterError> {
     let mut out = Vec::new();
     loop {
         s = s.trim_start();
@@ -234,7 +242,7 @@ fn parse_set(mut s: &str) -> Result<(Vec<Filter>, &str), FilterError> {
         if s.is_empty() {
             return Err(FilterError("unterminated AND/OR set".into()));
         }
-        let (f, rest) = parse_filter(s)?;
+        let (f, rest) = parse_filter(s, depth)?;
         out.push(f);
         s = rest;
     }
@@ -406,6 +414,25 @@ mod tests {
         ] {
             assert!(Filter::parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        // Each of these used to recurse until the stack ran out.
+        for open in ["(!", "(&", "(|"] {
+            let nest = |n: usize| format!("{}(a=b){}", open.repeat(n), ")".repeat(n));
+            let err = Filter::parse(&nest(100_000)).unwrap_err();
+            assert!(err.0.contains("nesting"), "{err}");
+            assert!(
+                Filter::parse(&nest(MAX_DEPTH)).is_ok(),
+                "{open:?} at the limit"
+            );
+            let err = Filter::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+            assert!(err.0.contains("nesting"), "{err}");
+        }
+        // The bound is on open operators, not on how many a filter holds.
+        let wide = format!("(|{})", "(&(a=1)(!(b=2)))".repeat(10 * MAX_DEPTH));
+        assert!(Filter::parse(&wide).is_ok());
     }
 
     #[test]

@@ -116,11 +116,6 @@ impl Giis {
         self.registered.len()
     }
 
-    /// Graft point of a registered source (for "query part" workloads).
-    pub fn graft_of(&self, source: SvcKey) -> Option<&Dn> {
-        self.registered.get(&source).map(|r| &r.graft)
-    }
-
     /// Total entries currently aggregated.
     pub fn aggregated_entries(&self) -> usize {
         self.dit.len()
@@ -567,12 +562,8 @@ mod tests {
         eng.run_until(&mut net, SimTime::from_secs(60));
         let total = warm.borrow()[0].0;
         // Query just one graft point.
-        let graft = net
-            .service_as::<Giis>(giis)
-            .unwrap()
-            .graft_of(grises[1])
-            .unwrap()
-            .clone();
+        let registered = &net.service_as::<Giis>(giis).unwrap().registered;
+        let graft = registered[&grises[1]].graft.clone();
         let part = Rc::new(std::cell::RefCell::new(Vec::new()));
         let late = net.add_client(Box::new(QueryAt {
             from: client,

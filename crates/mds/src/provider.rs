@@ -23,13 +23,6 @@ pub struct ProviderSpec {
     pub entries: Vec<Entry>,
 }
 
-impl ProviderSpec {
-    /// Total serialized size of this provider's data.
-    pub fn data_bytes(&self) -> u64 {
-        self.entries.iter().map(Entry::wire_size).sum()
-    }
-}
-
 /// Default invocation cost: MDS providers are shell/Perl scripts; a fork,
 /// exec and parse on a 1133 MHz PIII costs on the order of 50 ms.  Each
 /// provider's actual cost varies a little around this (deterministically,
@@ -112,6 +105,11 @@ pub fn default_providers(
 mod tests {
     use super::*;
 
+    /// Total serialized size of a provider's data.
+    fn data_bytes(p: &ProviderSpec) -> u64 {
+        p.entries.iter().map(Entry::wire_size).sum()
+    }
+
     #[test]
     fn builds_requested_count() {
         let suffix = Dn::parse("mds-vo-name=local, o=grid").unwrap();
@@ -136,7 +134,7 @@ mod tests {
             for e in &p.entries {
                 assert!(e.dn.is_under(&host_dn), "{} not under host", e.dn);
             }
-            assert!(p.data_bytes() > 100);
+            assert!(data_bytes(p) > 100);
         }
     }
 
@@ -145,11 +143,11 @@ mod tests {
         let suffix = Dn::parse("o=grid").unwrap();
         let p10: u64 = default_providers(&suffix, "h", 10, None)
             .iter()
-            .map(ProviderSpec::data_bytes)
+            .map(data_bytes)
             .sum();
         let p90: u64 = default_providers(&suffix, "h", 90, None)
             .iter()
-            .map(ProviderSpec::data_bytes)
+            .map(data_bytes)
             .sum();
         assert!(p90 > p10 * 4);
     }

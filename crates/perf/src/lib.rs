@@ -5,9 +5,9 @@
 //! allows" claim is anchored in numbers rather than vibes.  It
 //! provides:
 //!
-//! * [`phase`] — scoped wall-clock phase timers ([`Phases`] +
-//!   drop-guard [`PhaseScope`](phase::PhaseScope)) for the coarse
-//!   stages of a run (enumerate, cache probe, execute, report).
+//! * [`phase`] — accumulated wall-clock phases ([`Phases`]) for the
+//!   coarse stages of a run (enumerate, cache probe, execute,
+//!   assemble), each timed by its caller.
 //! * [`point`] — per-point execution records ([`PointRecord`]): wall
 //!   time vs simulated time, engine events processed, simulated
 //!   events per wall second, cache hit/miss and worker attribution —

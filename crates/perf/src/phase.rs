@@ -1,72 +1,31 @@
-//! Scoped wall-clock phase timers.
+//! Accumulated wall-clock phases.
 //!
 //! A [`Phases`] collects named `(phase, wall time)` entries for the
-//! coarse stages of a run — enumerate, cache probe, execute, report —
-//! either through the drop-guard [`PhaseScope`] or the closure helper
-//! [`Phases::time`].  Repeated phases accumulate under one name, so a
-//! loop over experiment sets folds naturally into a handful of rows.
+//! coarse stages of a run — enumerate, cache probe, execute, assemble.
+//! The caller times a stage and [`add`](Phases::add)s it; repeated
+//! phases accumulate under one name, so a loop over experiment sets
+//! folds naturally into a handful of rows.
 
-use std::cell::RefCell;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A named set of accumulated wall-clock phases, in first-seen order.
 #[derive(Debug, Default)]
 pub struct Phases {
-    entries: RefCell<Vec<(String, Duration)>>,
+    entries: Vec<(String, Duration)>,
 }
 
 impl Phases {
-    pub fn new() -> Phases {
-        Phases::default()
-    }
-
-    /// Start a scoped timer; the elapsed wall time is recorded under
-    /// `name` when the returned guard drops.
-    pub fn scope(&self, name: impl Into<String>) -> PhaseScope<'_> {
-        PhaseScope {
-            phases: self,
-            name: name.into(),
-            started: Instant::now(),
-        }
-    }
-
-    /// Time `f` under `name` and pass its result through.
-    pub fn time<R>(&self, name: impl Into<String>, f: impl FnOnce() -> R) -> R {
-        let _scope = self.scope(name);
-        f()
-    }
-
-    /// Record `wall` under `name` directly (accumulating).
-    pub fn add(&self, name: &str, wall: Duration) {
-        let mut entries = self.entries.borrow_mut();
-        match entries.iter_mut().find(|(n, _)| n == name) {
+    /// Record `wall` under `name` (accumulating).
+    pub fn add(&mut self, name: &str, wall: Duration) {
+        match self.entries.iter_mut().find(|(n, _)| n == name) {
             Some((_, d)) => *d += wall,
-            None => entries.push((name.to_string(), wall)),
+            None => self.entries.push((name.to_string(), wall)),
         }
     }
 
     /// The recorded `(name, total wall)` rows, in first-seen order.
-    pub fn entries(&self) -> Vec<(String, Duration)> {
-        self.entries.borrow().clone()
-    }
-
-    /// Total wall time across all phases.
-    pub fn total(&self) -> Duration {
-        self.entries.borrow().iter().map(|(_, d)| *d).sum()
-    }
-}
-
-/// Drop guard recording elapsed wall time into its [`Phases`].
-#[must_use = "the phase is timed until this guard drops"]
-pub struct PhaseScope<'a> {
-    phases: &'a Phases,
-    name: String,
-    started: Instant,
-}
-
-impl Drop for PhaseScope<'_> {
-    fn drop(&mut self) {
-        self.phases.add(&self.name, self.started.elapsed());
+    pub fn entries(&self) -> &[(String, Duration)] {
+        &self.entries
     }
 }
 
@@ -75,26 +34,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scopes_record_and_accumulate() {
-        let p = Phases::new();
-        {
-            let _a = p.scope("execute");
-        }
+    fn phases_record_and_accumulate() {
+        let mut p = Phases::default();
+        p.add("execute", Duration::from_millis(1));
         p.add("execute", Duration::from_millis(5));
         p.add("report", Duration::from_millis(2));
         let rows = p.entries();
         assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].0, "execute");
-        assert!(rows[0].1 >= Duration::from_millis(5), "accumulated");
-        assert_eq!(rows[1].0, "report");
-        assert!(p.total() >= Duration::from_millis(7));
-    }
-
-    #[test]
-    fn time_passes_the_result_through() {
-        let p = Phases::new();
-        let v = p.time("compute", || 6 * 7);
-        assert_eq!(v, 42);
-        assert_eq!(p.entries().len(), 1);
+        assert_eq!(rows[0], ("execute".to_string(), Duration::from_millis(6)));
+        assert_eq!(rows[1], ("report".to_string(), Duration::from_millis(2)));
     }
 }

@@ -40,6 +40,10 @@ impl From<SqlLexError> for SqlParseError {
     }
 }
 
+/// Deepest nesting of `NOT` and parentheses a predicate may have; deeper
+/// input is a [`SqlParseError`], not a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse one statement.
 pub fn parse_stmt(sql: &str) -> Result<Stmt, SqlParseError> {
     let toks = lex_sql(sql)?;
@@ -251,7 +255,7 @@ impl P {
         self.expect_kw("FROM")?;
         let table = self.ident()?;
         let where_ = if self.eat_kw("WHERE") {
-            Some(self.pred()?)
+            Some(self.pred(0)?)
         } else {
             None
         };
@@ -304,7 +308,7 @@ impl P {
             }
         }
         let where_ = if self.eat_kw("WHERE") {
-            Some(self.pred()?)
+            Some(self.pred(0)?)
         } else {
             None
         };
@@ -319,37 +323,42 @@ impl P {
         self.expect_kw("FROM")?;
         let table = self.ident()?;
         let where_ = if self.eat_kw("WHERE") {
-            Some(self.pred()?)
+            Some(self.pred(0)?)
         } else {
             None
         };
         Ok(Stmt::Delete { table, where_ })
     }
 
-    fn pred(&mut self) -> Result<Pred, SqlParseError> {
-        let mut lhs = self.conj()?;
+    /// A predicate reached `depth` `NOT`s and parentheses down; every
+    /// level starts at a [`P::unit`], which enforces the bound.
+    fn pred(&mut self, depth: usize) -> Result<Pred, SqlParseError> {
+        let mut lhs = self.conj(depth)?;
         while self.eat_kw("OR") {
-            let rhs = self.conj()?;
+            let rhs = self.conj(depth)?;
             lhs = Pred::Or(Box::new(lhs), Box::new(rhs));
         }
         Ok(lhs)
     }
 
-    fn conj(&mut self) -> Result<Pred, SqlParseError> {
-        let mut lhs = self.unit()?;
+    fn conj(&mut self, depth: usize) -> Result<Pred, SqlParseError> {
+        let mut lhs = self.unit(depth)?;
         while self.eat_kw("AND") {
-            let rhs = self.unit()?;
+            let rhs = self.unit(depth)?;
             lhs = Pred::And(Box::new(lhs), Box::new(rhs));
         }
         Ok(lhs)
     }
 
-    fn unit(&mut self) -> Result<Pred, SqlParseError> {
+    fn unit(&mut self, depth: usize) -> Result<Pred, SqlParseError> {
+        if depth > MAX_DEPTH {
+            return Err(SqlParseError(format!("nesting deeper than {MAX_DEPTH}")));
+        }
         if self.eat_kw("NOT") {
-            return Ok(Pred::Not(Box::new(self.unit()?)));
+            return Ok(Pred::Not(Box::new(self.unit(depth + 1)?)));
         }
         if self.eat_tok(&Tok::LParen) {
-            let p = self.pred()?;
+            let p = self.pred(depth + 1)?;
             self.expect_tok(&Tok::RParen)?;
             return Ok(p);
         }
@@ -569,6 +578,27 @@ mod tests {
                 Operand::Column("b".into())
             )
         );
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        // Each of these used to recurse until the stack ran out.
+        // (opener, closer, nesting levels one opener costs)
+        for (open, close, cost) in [("(", ")", 1), ("NOT ", "", 1), ("NOT (", ")", 2)] {
+            let nest = |n: usize| {
+                let (o, c) = (open.repeat(n), close.repeat(n));
+                format!("SELECT * FROM m WHERE {o}a = 1{c}")
+            };
+            let levels = MAX_DEPTH / cost;
+            let err = parse_stmt(&nest(100_000)).unwrap_err();
+            assert!(err.0.contains("nesting"), "{err}");
+            assert!(parse_stmt(&nest(levels)).is_ok(), "{open:?} at the limit");
+            let err = parse_stmt(&nest(levels + 1)).unwrap_err();
+            assert!(err.0.contains("nesting"), "{err}");
+        }
+        // The bound is on open nesting, not on how much a predicate holds.
+        let wide = "(a = 1 AND NOT (b = 2)) OR ".repeat(10 * MAX_DEPTH);
+        assert!(parse_stmt(&format!("SELECT * FROM m WHERE {wide}c = 3")).is_ok());
     }
 
     #[test]

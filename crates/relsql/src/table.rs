@@ -236,24 +236,6 @@ impl Table {
         t
     }
 
-    /// Add a secondary equality index on a column.
-    pub fn create_index(&mut self, column: &str) -> Result<(), TableError> {
-        let col = self
-            .schema
-            .column_index(column)
-            .ok_or_else(|| TableError::NoSuchColumn(column.into()))?;
-        let mut idx: BTreeMap<IndexKey, Vec<usize>> = BTreeMap::new();
-        for (rid, row) in self.rows.iter().enumerate() {
-            if let Some(row) = row {
-                if let Some(k) = store_key(&row[col]) {
-                    idx.entry(k).or_default().push(rid);
-                }
-            }
-        }
-        self.indexes.insert(col, idx);
-        Ok(())
-    }
-
     pub fn len(&self) -> usize {
         self.live
     }
@@ -313,11 +295,6 @@ impl Table {
                 .map(Vec::as_slice)
                 .unwrap_or(&[]),
         )
-    }
-
-    /// Owned form of [`Table::index_ids`].
-    pub fn index_lookup(&self, col: usize, value: &SqlValue) -> Option<Vec<usize>> {
-        self.index_ids(col, value).map(<[usize]>::to_vec)
     }
 
     pub fn has_index(&self, col: usize) -> bool {
@@ -456,17 +433,12 @@ mod tests {
             t.insert(row(&format!("h{i}"), i as f64)).unwrap();
         }
         let ids = t
-            .index_lookup(0, &SqlValue::Text("h7".into()))
+            .index_ids(0, &SqlValue::Text("h7".into()))
             .expect("pk is indexed");
         assert_eq!(ids.len(), 1);
         assert_eq!(t.get_row(ids[0]).unwrap()[1], SqlValue::Real(7.0));
         // Unindexed column.
-        assert!(t.index_lookup(1, &SqlValue::Real(7.0)).is_none());
-        // Secondary index.
-        let mut t2 = t.clone();
-        t2.create_index("load").unwrap();
-        let ids = t2.index_lookup(1, &SqlValue::Real(7.0)).unwrap();
-        assert_eq!(ids.len(), 1);
+        assert!(t.index_ids(1, &SqlValue::Real(7.0)).is_none());
     }
 
     #[test]
@@ -492,20 +464,18 @@ mod tests {
         assert!(!t.delete_row(rid));
         assert_eq!(t.len(), 1);
         assert!(t
-            .index_lookup(0, &SqlValue::Text("a".into()))
+            .index_ids(0, &SqlValue::Text("a".into()))
             .unwrap()
             .is_empty());
         // Now the pk "a" is free again.
         let rid2 = t.insert(row("a", 5.0)).unwrap();
         t.update_cell(rid2, 0, SqlValue::Text("c".into())).unwrap();
         assert!(t
-            .index_lookup(0, &SqlValue::Text("a".into()))
+            .index_ids(0, &SqlValue::Text("a".into()))
             .unwrap()
             .is_empty());
         assert_eq!(
-            t.index_lookup(0, &SqlValue::Text("c".into()))
-                .unwrap()
-                .len(),
+            t.index_ids(0, &SqlValue::Text("c".into())).unwrap().len(),
             1
         );
     }

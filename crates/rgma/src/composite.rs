@@ -58,10 +58,6 @@ impl CompositeProducer {
         }
     }
 
-    pub fn source_count(&self) -> usize {
-        self.sources.len()
-    }
-
     /// Fold one streamed batch into the aggregate store.  Runs once per
     /// tuple per batch, so it uses the direct row APIs: the upsert is
     /// still delete + insert on the `key` primary key, without building
@@ -290,7 +286,7 @@ mod tests {
         net.start(&mut eng);
         eng.run_until(&mut net, SimTime::from_secs(180));
         let c = net.service_as::<CompositeProducer>(comp).unwrap();
-        assert_eq!(c.source_count(), 3);
+        assert_eq!(c.sources.len(), 3);
         assert!(c.batches_received >= 9, "batches {}", c.batches_received);
         assert!(c.tuples_folded >= 72, "folded {}", c.tuples_folded);
         // The aggregate answers with rows from all three sites (3 sources

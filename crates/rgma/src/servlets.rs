@@ -97,17 +97,6 @@ impl ProducerServlet {
         self.registry = Some(registry);
     }
 
-    /// Rows currently stored for `table`.
-    pub fn table_rows(&mut self, table: &str) -> usize {
-        self.db
-            .execute(&format!("SELECT COUNT(*) FROM {table}"))
-            .map(|r| match r.rows[0][0] {
-                SqlValue::Int(n) => n as usize,
-                _ => 0,
-            })
-            .unwrap_or(0)
-    }
-
     /// Publish one round of tuples for producer `i` (LatestProducer
     /// semantics: one current row per entity).
     ///
@@ -637,7 +626,8 @@ mod tests {
         let servlet = net.service_as_mut::<ProducerServlet>(ps).unwrap();
         // LatestProducer semantics: row count stays at the entity count
         // however many publish rounds have passed.
-        assert_eq!(servlet.table_rows("cpuload"), 8);
+        let count = servlet.db.execute("SELECT COUNT(*) FROM cpuload").unwrap();
+        assert_eq!(count.rows[0][0], SqlValue::Int(8));
         assert!(
             servlet.tuples_published > 80,
             "published {}",

@@ -11,11 +11,10 @@
 use gperf::SimCounters;
 use gridmon_core::deploy::Harvest;
 use gridmon_core::figures::PointSpec;
-use gridmon_core::mapping::System;
 use gridmon_core::runcfg::{Measurement, RunConfig};
 use gridmon_core::scenario;
 use gridmon_core::stablehash::digest128;
-use gscenario::{ScenarioSpec, SystemId};
+use gscenario::ScenarioSpec;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -146,11 +145,6 @@ impl Job {
     /// never be allowed to paper over a regression in it.
     pub fn cache_digest(&self, cfg: &RunConfig) -> String {
         let c = self.cfg(cfg);
-        let system = match self.spec.system {
-            SystemId::Mds => System::Mds,
-            SystemId::Rgma => System::Rgma,
-            SystemId::Hawkeye => System::Hawkeye,
-        };
         let material = format!(
             "{CACHE_SCHEMA}\n{key}\nseed={seed}\nwarmup_us={wu}\nwindow_us={wi}\n{obs}\n{faults}\n{params}\nscenario={fp}",
             key = self.key,
@@ -159,7 +153,7 @@ impl Job {
             wi = c.window.as_micros(),
             obs = c.obs.fingerprint(),
             faults = c.faults.fingerprint(),
-            params = c.params.fingerprint(system),
+            params = c.params.fingerprint(self.spec.system),
             fp = self.spec.fingerprint(),
         );
         digest128(material.as_bytes())

@@ -84,6 +84,15 @@ impl SystemId {
     pub fn from_token(s: &str) -> Option<SystemId> {
         SystemId::ALL.into_iter().find(|b| b.as_str() == s)
     }
+
+    /// The system's name as the paper's Table 1 prints it.
+    pub fn name(self) -> &'static str {
+        match self {
+            SystemId::Mds => "MDS",
+            SystemId::Rgma => "R-GMA",
+            SystemId::Hawkeye => "Hawkeye",
+        }
+    }
 }
 
 /// A count that is either a literal or the sweep variable `x`.
@@ -450,8 +459,9 @@ pub fn known_host(name: &str) -> bool {
 
 const HOST_HINT: &str = "hosts: lucky0, lucky1, lucky3..lucky7, uc00..uc19";
 
-/// Deployed-service `name()` tokens a fault policy may target.
-const FAULTABLE: [&str; 9] = [
+/// Deployed-service `name()` tokens a fault policy may target (held to
+/// the services' own `name()`s by a `core::scenario` test).
+pub const FAULTABLE: [&str; 9] = [
     "gris",
     "giis",
     "hawkeye-manager",

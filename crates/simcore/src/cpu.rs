@@ -94,12 +94,6 @@ impl PsCpu {
         }
     }
 
-    /// Instantaneous utilisation in `[0, 1]` (busy cores / total cores).
-    pub fn utilization(&self) -> f64 {
-        let n = self.tasks.len() as f64;
-        (n / self.cores).min(1.0)
-    }
-
     /// Total busy core-seconds accumulated since construction, advanced to
     /// `now`.  Monotonic; callers diff successive readings to get interval
     /// utilisation.
@@ -289,8 +283,6 @@ mod tests {
         // One task on two cores: one core busy for 0.5s.
         let busy = cpu.busy_core_seconds(t(500_000));
         assert!((busy - 0.5).abs() < 1e-6, "busy {busy}");
-        // Utilization is 0.5 (1 of 2 cores).
-        assert!((cpu.utilization() - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -300,7 +292,6 @@ mod tests {
             cpu.submit(t(0), 10_000_000.0, i);
         }
         assert_eq!(cpu.runnable(), 6);
-        assert!((cpu.utilization() - 1.0).abs() < 1e-9);
         let busy = cpu.busy_core_seconds(t(1_000_000));
         assert!((busy - 2.0).abs() < 1e-6, "both cores busy for 1s: {busy}");
     }

@@ -68,14 +68,18 @@ impl WindowedMean {
         }
     }
 
+    /// Whether `at` falls inside the window `[start, end)`.
+    pub fn contains(&self, at: SimTime) -> bool {
+        at >= self.start && at < self.end
+    }
+
     /// Record `x` if `at` falls inside the window; returns whether it did.
     pub fn record(&mut self, at: SimTime, x: f64) -> bool {
-        if at >= self.start && at < self.end {
+        let inside = self.contains(at);
+        if inside {
             self.acc.record(x);
-            true
-        } else {
-            false
         }
+        inside
     }
 
     pub fn stats(&self) -> &MeanAccum {

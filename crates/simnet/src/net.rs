@@ -406,14 +406,6 @@ impl Net {
         self.services.get(key).and_then(|s| s.svc.as_deref())
     }
 
-    /// Mutable access to a deployed service (for test setup; never call
-    /// this from inside that service's own callbacks).
-    pub fn service_mut(&mut self, key: SvcKey) -> Option<&mut (dyn Service + 'static)> {
-        self.services
-            .get_mut(key)
-            .and_then(|s| s.svc.as_mut().map(|b| b.as_mut()))
-    }
-
     /// Downcast a registered client to its concrete type (for inspecting
     /// monitors and user state after a run).
     pub fn client_as<T: 'static>(&self, key: ClientKey) -> Option<&T> {
@@ -428,10 +420,11 @@ impl Net {
         self.service(key).and_then(|s| s.as_any().downcast_ref())
     }
 
-    /// Mutable downcast of a deployed service.
+    /// Mutable downcast of a deployed service (for test setup; never
+    /// call this from inside that service's own callbacks).
     pub fn service_as_mut<T: 'static>(&mut self, key: SvcKey) -> Option<&mut T> {
-        self.service_mut(key)
-            .and_then(|s| s.as_any_mut().downcast_mut())
+        let svc = self.services.get_mut(key)?.svc.as_mut()?;
+        svc.as_any_mut().downcast_mut()
     }
 
     pub fn service_node(&self, key: SvcKey) -> NodeId {
@@ -440,15 +433,6 @@ impl Net {
 
     pub fn service_stats(&self, key: SvcKey) -> &crate::service::ServiceStats {
         &self.services.get(key).expect("service").stats
-    }
-
-    /// Refused-connection count of a service (admission drops).
-    pub fn service_refusals(&self, key: SvcKey) -> u64 {
-        self.services
-            .get(key)
-            .expect("service")
-            .conns
-            .rejected_total
     }
 
     /// Number of in-flight requests (diagnostics).
@@ -1601,7 +1585,7 @@ mod tests {
         // Only capacity+backlog = 5 can be in the building at once; the
         // burst arrives together so most are refused.
         assert_eq!(ok_n, 5, "refused={refused_n}");
-        assert_eq!(net.service_refusals(svc), 15);
+        assert_eq!(net.services.get(svc).unwrap().conns.rejected_total, 15);
         assert_eq!(net.inflight(), 0);
     }
 
@@ -1851,7 +1835,7 @@ mod tests {
         net.start_client(&mut eng, late);
         eng.run_until(&mut net, SimTime::from_secs(20));
         assert_eq!(*ok2.borrow(), (0, 2));
-        assert_eq!(net.service_refusals(svc), 0);
+        assert_eq!(net.services.get(svc).unwrap().conns.rejected_total, 0);
     }
 
     /// Service whose plan sends a one-way notification mid-request.

@@ -145,11 +145,6 @@ impl Testbed {
     pub fn standard() -> Testbed {
         Self::build(TestbedConfig::default())
     }
-
-    /// Node id of a lucky host by name suffix (e.g. `7` for lucky7).
-    pub fn lucky_by_name(&self, name: &str) -> Option<NodeId> {
-        self.topo.find_node(name)
-    }
 }
 
 #[cfg(test)]
@@ -163,15 +158,15 @@ mod tests {
         assert_eq!(tb.uc.len(), 20);
         // 27 hosts * 2 access links + 2 WAN links.
         assert_eq!(tb.topo.link_count(), 27 * 2 + 2);
-        assert!(tb.lucky_by_name("lucky7").is_some());
-        assert!(tb.lucky_by_name("lucky2").is_none()); // no lucky2!
+        assert!(tb.topo.find_node("lucky7").is_some());
+        assert!(tb.topo.find_node("lucky2").is_none()); // no lucky2!
     }
 
     #[test]
     fn lan_routes_have_two_hops_wan_routes_three() {
         let tb = Testbed::standard();
-        let l3 = tb.lucky_by_name("lucky3").unwrap();
-        let l7 = tb.lucky_by_name("lucky7").unwrap();
+        let l3 = tb.topo.find_node("lucky3").unwrap();
+        let l7 = tb.topo.find_node("lucky7").unwrap();
         assert_eq!(tb.topo.route(l3, l7).len(), 2);
         let uc0 = tb.uc[0];
         assert_eq!(tb.topo.route(uc0, l7).len(), 3);

@@ -80,7 +80,8 @@ pub fn summarize(trace_json: &str) -> Result<TraceSummary, String> {
         .ok_or_else(|| "no traceEvents array".to_string())?;
 
     // Pass 1: which spans count as measured queries (root, two-way, ok,
-    // completing inside the window — the StatsHub inclusion rule).
+    // completing inside the window — what `StatsHub::record_completion`
+    // counts).
     let mut included: BTreeMap<u64, bool> = BTreeMap::new();
     let mut spans_total = 0u64;
     let mut rt_sum = 0.0f64;

@@ -11,15 +11,14 @@
 //!   which is what bounds the load a saturated server actually sees;
 //! * the response time recorded for a query spans from the *first*
 //!   connection attempt to the final response, and is recorded into the
-//!   world's [`simnet::StatsHub`] under a configurable series name
-//!   (queries completing outside the measurement window are not counted,
-//!   as in the paper's 10-minute spans).
+//!   world's [`simnet::StatsHub`] (queries completing outside the
+//!   measurement window are not counted, as in the paper's 10-minute
+//!   spans).
 
 #![forbid(unsafe_code)]
 
 use simcore::{SimDuration, SimRng, SimTime};
 use simnet::{Client, ClientCx, NodeId, Payload, ReqOutcome, ReqResult, RequestSpec, SvcKey};
-use std::rc::Rc;
 
 /// Produces the next query for a user: payload plus request size in bytes.
 pub type QueryFactory = Box<dyn FnMut(&mut SimRng) -> (Payload, u64)>;
@@ -33,8 +32,6 @@ pub struct UserConfig {
     pub retry_base: SimDuration,
     /// Cap on the backoff delay.
     pub retry_cap: SimDuration,
-    /// Statistic series the user records into.
-    pub series: String,
     /// CPU the user script burns on its own machine per query (forking
     /// `ldapsearch`, `condor_status`, a JVM call...).  Contends with the
     /// other users on that machine — at high user counts this is what
@@ -52,32 +49,8 @@ impl Default for UserConfig {
             think: SimDuration::from_secs(1),
             retry_base: SimDuration::from_secs(3),
             retry_cap: SimDuration::from_secs(48),
-            series: "user".to_string(),
             client_cpu_us: 0.0,
             timeout: None,
-        }
-    }
-}
-
-/// The statistic names a group of load generators records under, built
-/// once (and shared by the group) so recording an outcome formats nothing.
-struct SeriesNames {
-    /// Completed queries: `<series>`.
-    done: String,
-    refused: String,
-    failed: String,
-    timedout: String,
-    late: String,
-}
-
-impl SeriesNames {
-    fn new(series: &str) -> SeriesNames {
-        SeriesNames {
-            done: series.to_string(),
-            refused: format!("{series}.refused"),
-            failed: format!("{series}.failed"),
-            timedout: format!("{series}.timedout"),
-            late: format!("{series}.late"),
         }
     }
 }
@@ -89,7 +62,6 @@ pub struct User {
     think: SimDuration,
     retry_base: SimDuration,
     retry_cap: SimDuration,
-    series: Rc<SeriesNames>,
     client_cpu_us: f64,
     client_timeout: Option<SimDuration>,
     make_query: QueryFactory,
@@ -103,14 +75,6 @@ pub struct User {
     awaiting: Option<u64>,
     /// Attempt generation counter; doubles as the submit tag.
     gen: u64,
-    /// Completed queries (whole run, not just the window).
-    pub completed: u64,
-    /// Refusals encountered (whole run).
-    pub refused: u64,
-    /// Failures encountered (whole run).
-    pub failed: u64,
-    /// Attempts abandoned at the client timeout (whole run).
-    pub timedout: u64,
 }
 
 impl User {
@@ -118,7 +82,6 @@ impl User {
         node: NodeId,
         target: SvcKey,
         config: &UserConfig,
-        series: Rc<SeriesNames>,
         make_query: QueryFactory,
         rng: SimRng,
     ) -> User {
@@ -128,7 +91,6 @@ impl User {
             think: config.think,
             retry_base: config.retry_base,
             retry_cap: config.retry_cap,
-            series,
             client_cpu_us: config.client_cpu_us,
             client_timeout: config.timeout,
             make_query,
@@ -137,10 +99,6 @@ impl User {
             attempt: 0,
             awaiting: None,
             gen: 0,
-            completed: 0,
-            refused: 0,
-            failed: 0,
-            timedout: 0,
         }
     }
 
@@ -214,15 +172,10 @@ impl Client for User {
                 // Give up on this attempt.  Its eventual outcome (if any)
                 // will arrive with a stale generation and be discarded.
                 self.awaiting = None;
-                self.timedout += 1;
                 self.attempt += 1;
                 let now = cx.now();
                 let rt = (now - self.query_started).as_secs_f64();
-                let series = &self.series.timedout;
-                cx.net.stats.incr_windowed(series, now);
-                // Recorded under its own series: abandoned attempts must
-                // not drag the completed-query response-time mean.
-                cx.net.stats.record_completion(series, now, rt);
+                cx.net.stats.record_timedout(now, rt);
                 let delay = self.backoff();
                 cx.wake_in(delay, TAG_RETRY);
             }
@@ -235,36 +188,28 @@ impl Client for User {
             // Response (or refusal) for an attempt we already abandoned at
             // the timeout: count it, but the loop has moved on.
             let now = cx.now();
-            cx.net.stats.incr_windowed(&self.series.late, now);
+            cx.net.stats.record_late(now);
             return;
         }
         self.awaiting = None;
         match outcome.result {
             ReqResult::Ok(..) => {
-                self.completed += 1;
                 let rt = (outcome.completed - self.query_started).as_secs_f64();
                 let now = cx.now();
-                cx.net.stats.record_completion(&self.series.done, now, rt);
+                cx.net.stats.record_completion(now, rt);
                 cx.wake_in(self.think, TAG_NEXT_QUERY);
             }
             ReqResult::Refused => {
-                self.refused += 1;
                 self.attempt += 1;
                 let now = cx.now();
-                cx.net.stats.incr_windowed(&self.series.refused, now);
+                cx.net.stats.record_refused(now);
                 let delay = self.backoff();
                 cx.wake_in(delay, TAG_RETRY);
             }
             ReqResult::Failed => {
-                self.failed += 1;
                 let now = cx.now();
                 let rt = (outcome.completed - self.query_started).as_secs_f64();
-                let series = &self.series.failed;
-                cx.net.stats.incr_windowed(series, now);
-                // Failed queries get their own latency series; folding them
-                // into the main mean under-reported response times whenever
-                // a server died mid-burst (failures resolve fast).
-                cx.net.stats.record_completion(series, now, rt);
+                cx.net.stats.record_failed(now, rt);
                 // Treat like the script dying and restarting the loop.
                 cx.wake_in(self.think, TAG_NEXT_QUERY);
             }
@@ -282,15 +227,11 @@ pub struct OpenLoopSource {
     node: NodeId,
     target: SvcKey,
     rate_per_sec: f64,
-    series: SeriesNames,
     make_query: QueryFactory,
     rng: SimRng,
     /// Submission time per outstanding tag.
     outstanding: std::collections::HashMap<u64, SimTime>,
     next_tag: u64,
-    /// Completed/lost counts (whole run).
-    pub completed: u64,
-    pub lost: u64,
 }
 
 impl OpenLoopSource {
@@ -298,7 +239,6 @@ impl OpenLoopSource {
         node: NodeId,
         target: SvcKey,
         rate_per_sec: f64,
-        series: &str,
         make_query: QueryFactory,
         rng: SimRng,
     ) -> Self {
@@ -307,13 +247,10 @@ impl OpenLoopSource {
             node,
             target,
             rate_per_sec,
-            series: SeriesNames::new(series),
             make_query,
             rng,
             outstanding: std::collections::HashMap::new(),
             next_tag: 0,
-            completed: 0,
-            lost: 0,
         }
     }
 
@@ -349,24 +286,14 @@ impl Client for OpenLoopSource {
         let Some(started) = self.outstanding.remove(&outcome.tag) else {
             return;
         };
+        let rt = (outcome.completed - started).as_secs_f64();
+        let now = cx.now();
         match outcome.result {
-            ReqResult::Ok(..) => {
-                self.completed += 1;
-                let rt = (outcome.completed - started).as_secs_f64();
-                let now = cx.now();
-                cx.net.stats.record_completion(&self.series.done, now, rt);
-            }
+            ReqResult::Ok(..) => cx.net.stats.record_completion(now, rt),
             // Open-loop sources don't retry: a refused or failed arrival
-            // is a loss, counted under the name a `User` counts it.
-            lost => {
-                self.lost += 1;
-                let series = match lost {
-                    ReqResult::Refused => &self.series.refused,
-                    _ => &self.series.failed,
-                };
-                let now = cx.now();
-                cx.net.stats.incr_windowed(series, now);
-            }
+            // is a loss, counted as a `User` counts it.
+            ReqResult::Refused => cx.net.stats.record_refused(now),
+            ReqResult::Failed => cx.net.stats.record_failed(now, rt),
         }
     }
 }
@@ -381,17 +308,12 @@ pub fn spawn_users_to(
     placement: &[(NodeId, SvcKey)],
     config: &UserConfig,
     mut factory: impl FnMut() -> QueryFactory,
-) -> Vec<simnet::ClientKey> {
-    let series = Rc::new(SeriesNames::new(&config.series));
-    placement
-        .iter()
-        .enumerate()
-        .map(|(i, &(node, target))| {
-            let rng = eng.rng.fork(0x5EED + i as u64);
-            let user = User::new(node, target, config, series.clone(), factory(), rng);
-            net.add_client(Box::new(user))
-        })
-        .collect()
+) {
+    for (i, &(node, target)) in placement.iter().enumerate() {
+        let rng = eng.rng.fork(0x5EED + i as u64);
+        let user = User::new(node, target, config, factory(), rng);
+        net.add_client(Box::new(user));
+    }
 }
 
 /// Spawn one [`OpenLoopSource`] per `(node, target)` entry of
@@ -402,13 +324,12 @@ pub fn spawn_open_loop(
     eng: &mut simnet::Eng,
     placement: &[(NodeId, SvcKey)],
     rate_per_sec: f64,
-    series: &str,
     mut factory: impl FnMut() -> QueryFactory,
 ) {
     let share = rate_per_sec / placement.len() as f64;
     for (i, &(node, target)) in placement.iter().enumerate() {
         let rng = eng.rng.fork(0xAAA + i as u64);
-        let src = OpenLoopSource::new(node, target, share, series, factory(), rng);
+        let src = OpenLoopSource::new(node, target, share, factory(), rng);
         net.add_client(Box::new(src));
     }
 }
@@ -471,9 +392,9 @@ mod tests {
         target: SvcKey,
         config: &UserConfig,
         factory: impl FnMut() -> QueryFactory,
-    ) -> Vec<simnet::ClientKey> {
+    ) {
         let to: Vec<(NodeId, SvcKey)> = placement.iter().map(|&n| (n, target)).collect();
-        spawn_users_to(net, eng, &to, config, factory)
+        spawn_users_to(net, eng, &to, config, factory);
     }
 
     #[test]
@@ -485,11 +406,11 @@ mod tests {
         net.start(&mut eng);
         eng.run_until(&mut net, SimTime::from_secs(130));
         // 20 users, ~5ms RT, 1s think: X ≈ 20/(1.005) ≈ 19.9 q/s.
-        let x = net.stats.throughput("user");
+        let x = net.stats.completed.rate_per_sec();
         assert!(x > 17.0 && x < 21.0, "throughput {x}");
-        let rt = net.stats.mean_response_time("user");
+        let rt = net.stats.completed.stats().mean();
         assert!(rt < 0.1, "rt {rt}");
-        assert_eq!(net.stats.counter("user.refused"), 0);
+        assert_eq!(net.stats.refused, 0);
     }
 
     #[test]
@@ -499,25 +420,18 @@ mod tests {
         let (mut net, mut eng, clients, svc) = world_with_cost(2, 2, 200_000.0);
         let placement: Vec<NodeId> = (0..40).map(|i| clients[i % 4]).collect();
         let cfg = UserConfig::default();
-        let keys = spawn_users(&mut net, &mut eng, &placement, svc, &cfg, factory);
+        spawn_users(&mut net, &mut eng, &placement, svc, &cfg, factory);
         net.start(&mut eng);
         eng.run_until(&mut net, SimTime::from_secs(130));
-        let refused: u64 = keys
-            .iter()
-            .map(|&k| {
-                net.client_as::<User>(k)
-                    .expect("spawn_users keys resolve to User clients")
-                    .refused
-            })
-            .sum();
+        let refused = net.stats.refused;
         assert!(refused > 10, "refusals {refused}");
         // Completed-query response times stay bounded: a few backoff
         // rounds at most, never the minutes an unbounded queue would give
         // (40 users × 0.2 s of work on 4 slots).
-        let rt = net.stats.mean_response_time("user");
+        let rt = net.stats.completed.stats().mean();
         assert!(rt < 10.0, "rt {rt}");
         // Throughput is far below the closed-loop ideal of ~40/s.
-        let x = net.stats.throughput("user");
+        let x = net.stats.completed.rate_per_sec();
         assert!(x < 25.0, "throughput {x}");
         assert!(x > 0.5, "throughput {x}");
     }
@@ -544,16 +458,15 @@ mod tests {
             clients[0],
             svc,
             8.0,
-            "user",
             Box::new(|_| (Box::new(()) as Payload, 256)),
             rng,
         )));
         net.start(&mut eng);
         eng.run_until(&mut net, SimTime::from_secs(130));
-        let x = net.stats.throughput("user");
+        let x = net.stats.completed.rate_per_sec();
         assert!(x > 6.0 && x < 10.0, "throughput {x}");
-        assert_eq!(net.stats.counter("user.refused"), 0);
-        assert_eq!(net.stats.counter("user.failed"), 0);
+        assert_eq!(net.stats.refused, 0);
+        assert_eq!(net.stats.failed.stats().count(), 0);
     }
 
     #[test]
@@ -565,18 +478,17 @@ mod tests {
             clients[0],
             svc,
             20.0,
-            "user",
             Box::new(|_| (Box::new(()) as Payload, 256)),
             rng,
         )));
         net.start(&mut eng);
         eng.run_until(&mut net, SimTime::from_secs(130));
-        let x = net.stats.throughput("user");
-        let lost = net.stats.counter("user.refused");
+        let x = net.stats.completed.rate_per_sec();
+        let lost = net.stats.refused;
         assert!(x < 5.0, "completed {x}");
         assert!(lost > 500, "lost {lost}");
         assert_eq!(
-            net.stats.counter("user.failed"),
+            net.stats.failed.stats().count(),
             0,
             "every loss is a refusal"
         );
@@ -620,11 +532,10 @@ mod tests {
         eng.run_until(&mut net, SimTime::from_secs(110));
         // Successes are milliseconds; the 0.4 s failures must live in
         // their own series, not the completed-query mean.
-        let rt_ok = net.stats.mean_response_time("user");
+        let rt_ok = net.stats.completed.stats().mean();
         assert!(rt_ok < 0.1, "ok mean {rt_ok}");
-        assert!(net.stats.counter("user.failed") > 10);
-        assert!(net.stats.completions("user.failed") > 10);
-        let rt_fail = net.stats.mean_response_time("user.failed");
+        assert!(net.stats.failed.stats().count() > 10);
+        let rt_fail = net.stats.failed.stats().mean();
         assert!(rt_fail > 0.3, "failed mean {rt_fail}");
     }
 
@@ -638,22 +549,17 @@ mod tests {
             timeout: Some(SimDuration::from_secs(1)),
             ..Default::default()
         };
-        let keys = spawn_users(&mut net, &mut eng, &clients[..1], svc, &cfg, factory);
+        spawn_users(&mut net, &mut eng, &clients[..1], svc, &cfg, factory);
         net.start(&mut eng);
         eng.run_until(&mut net, SimTime::from_secs(130));
-        let user = net
-            .client_as::<User>(keys[0])
-            .expect("spawn_users keys resolve to User clients");
-        assert!(user.timedout > 3, "timedout {}", user.timedout);
-        assert_eq!(user.completed, 0);
-        // The windowed counter sees fewer: backoff stretches attempts out
-        // and the stats window opens at t=30 s.
-        assert!(net.stats.counter("user.timedout") >= 1);
+        // Backoff stretches the attempts out and the stats window opens
+        // at t=30 s: the timeouts at ~50 s and ~99 s land inside it.
+        assert_eq!(net.stats.timedout.stats().count(), 2);
         // Late responses were seen and ignored, not recorded as successes.
-        assert!(net.stats.counter("user.late") > 0);
-        assert_eq!(net.stats.completions("user"), 0);
+        assert!(net.stats.late > 0);
+        assert_eq!(net.stats.completed.stats().count(), 0);
         // Abandoned-attempt waits are tracked in their own series.
-        let rt = net.stats.mean_response_time("user.timedout");
+        let rt = net.stats.timedout.stats().mean();
         assert!(rt > 0.9, "timedout mean {rt}");
     }
 
@@ -661,15 +567,12 @@ mod tests {
     fn no_timeout_config_never_times_out() {
         let (mut net, mut eng, clients, svc) = world_with_cost(1024, 128, 3_000_000.0);
         let cfg = UserConfig::default(); // timeout: None
-        let keys = spawn_users(&mut net, &mut eng, &clients[..1], svc, &cfg, factory);
+        spawn_users(&mut net, &mut eng, &clients[..1], svc, &cfg, factory);
         net.start(&mut eng);
         eng.run_until(&mut net, SimTime::from_secs(130));
-        let user = net
-            .client_as::<User>(keys[0])
-            .expect("spawn_users keys resolve to User clients");
-        assert_eq!(user.timedout, 0);
-        assert!(user.completed > 10);
-        assert_eq!(net.stats.counter("user.late"), 0);
+        assert_eq!(net.stats.timedout.stats().count(), 0);
+        assert!(net.stats.completed.stats().count() > 10);
+        assert_eq!(net.stats.late, 0);
     }
 
     #[test]
@@ -682,9 +585,9 @@ mod tests {
             net.start(&mut eng);
             eng.run_until(&mut net, SimTime::from_secs(130));
             (
-                net.stats.completions("user"),
-                net.stats.counter("user.refused"),
-                format!("{:.9}", net.stats.mean_response_time("user")),
+                net.stats.completed.stats().count(),
+                net.stats.refused,
+                format!("{:.9}", net.stats.completed.stats().mean()),
             )
         };
         assert_eq!(run(), run());
