@@ -1,5 +1,6 @@
-//! Pinned steady-state allocation behaviour of the event kernel and of
-//! the two resource models every event steps.
+//! Pinned steady-state allocation behaviour of the event kernel, of the
+//! two resource models every event steps, and of the ClassAd constraint
+//! scan.
 //!
 //! Events are plain values in recycled slab slots, so the schedule/fire
 //! loop — the inner loop of every experiment — performs **zero** heap
@@ -8,15 +9,18 @@
 //! allocator: it warms a set-1-shaped world (periodic per-host probe
 //! events that reschedule themselves, like the GRIS cache refreshers),
 //! then runs thousands of further events and asserts the process
-//! allocation counter did not move at all.  The other two pin the same
+//! allocation counter did not move at all.  The next two pin the same
 //! for a warmed `FlowNet` (start / advance / abort through the
 //! buffer-taking API, paths as cloned `Rc`s) and a warmed `PsCpu`
 //! (submit / advance / abort): their working memory is kept, not rebuilt.
+//! The last pins the Experiment-4 Hawkeye Manager scan: a held
+//! constraint evaluated against every ad of a 1 000-ad pool allocates
+//! nothing per ad.
 //!
 //! Runs only with `--features alloc-profile` (which compiles the
 //! counting global allocator in); without it the test is a no-op so
 //! plain `cargo test` stays green.  The counter is process-wide, so the
-//! three pins are one `#[test]`: nothing else runs while one measures.
+//! four pins are one `#[test]`: nothing else runs while one measures.
 
 use simcore::{Engine, PsCpu, SimDuration, SimRng, SimTime};
 use simnet::flow::FlowNet;
@@ -54,6 +58,7 @@ fn steady_state_allocates_nothing() {
     event_loop();
     flow_net();
     ps_cpu();
+    constraint_scan();
 }
 
 fn event_loop() {
@@ -194,4 +199,36 @@ fn ps_cpu() {
     });
     assert_eq!(cpu.runnable(), TASKS as usize);
     assert!(completed > 5_000, "only {completed} tasks completed");
+}
+
+fn constraint_scan() {
+    use classad::{matchmaker, parse_expr, ClassAd, CompiledExpr};
+    // The Manager's resident database: 1 000 Startd-shaped ads with a
+    // load spread over 0..100.
+    let mut rng = SimRng::new(20030622);
+    let pool: Vec<ClassAd> = (0..1_000)
+        .map(|i| {
+            ClassAd::parse(&format!(
+                "Machine = \"sim{i:04}\"\nOpSys = \"LINUX\"\nCpuLoad = {}\n\
+                 ModuleCount = 11\nRequirements = TARGET.CpuLoad > 50\n",
+                rng.uniform(0.0, 100.0)
+            ))
+            .expect("generated ad parses")
+        })
+        .collect();
+    // The catalogue's `HawkeyeConstraintMiss` (no machine matches) and a
+    // numeric constraint about half the pool satisfies.
+    for (constraint, hits) in [
+        ("NoSuchAttribute =?= 424242", 0..1),
+        ("CpuLoad > 50", 400..600),
+    ] {
+        let held = CompiledExpr::compile(&parse_expr(constraint).expect("literal constraint"));
+        assert_warmed_steps_allocate_nothing(constraint, 1, 10, || {
+            let n = pool
+                .iter()
+                .filter(|ad| matchmaker::matches_constraint_compiled(ad, &held))
+                .count();
+            assert!(hits.contains(&n), "{constraint}: {n} of 1000 ads match");
+        });
+    }
 }

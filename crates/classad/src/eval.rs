@@ -29,8 +29,8 @@ impl<'a> EvalCtx<'a> {
     }
 
     /// A context with one reference already on the cycle stack — used when
-    /// an attribute's *body* is evaluated directly (e.g. a pre-compiled
-    /// `Requirements`) so circular definitions behave exactly as if the
+    /// an attribute's *body* is evaluated directly (e.g. a `Requirements`
+    /// the matchmaker holds) so circular definitions behave exactly as if the
     /// evaluation had entered through the attribute reference.
     pub fn seeded(my: &'a ClassAd, target: Option<&'a ClassAd>, visiting: (bool, Sym)) -> Self {
         EvalCtx {
@@ -60,12 +60,16 @@ pub fn eval_in(expr: &Expr, cx: &mut EvalCtx) -> Value {
             Value::Undefined => Value::Undefined,
             _ => Value::Error,
         },
-        Expr::Call(name, args) => eval_call(name, args, cx),
+        Expr::Call(name, args) => {
+            let vals: Vec<Value> = args.iter().map(|a| eval_in(a, cx)).collect();
+            call_builtin(name, &vals)
+        }
     }
 }
 
-pub(crate) fn eval_attr(scope: Scope, name: Sym, cx: &mut EvalCtx) -> Value {
-    // Resolve which ad the reference lands in.
+fn eval_attr(scope: Scope, name: Sym, cx: &mut EvalCtx) -> Value {
+    // Resolve which ad the reference lands in.  The body is borrowed from
+    // that ad, which outlives the context, so nothing is cloned.
     let candidates: &[(bool, &ClassAd)] = match scope {
         Scope::My => &[(false, cx.my)],
         Scope::Target => match cx.target {
@@ -77,37 +81,21 @@ pub(crate) fn eval_attr(scope: Scope, name: Sym, cx: &mut EvalCtx) -> Value {
             None => &[(false, cx.my)],
         },
     };
+    let Some((is_target, e)) = candidates
+        .iter()
+        .find_map(|&(is_target, ad)| Some((is_target, ad.get(&name)?)))
+    else {
+        return Value::Undefined;
+    };
     // `Expr::Attr` names are interned lowercase, so the cycle stack
     // compares symbol ids — no per-resolution lowercasing or allocation.
-    let in_visiting = |cx: &EvalCtx, is_target: bool| {
-        cx.visiting
-            .iter()
-            .any(|(t, n)| *t == is_target && *n == name)
-    };
-    // Work around the borrow of cx inside the loop: find the expression
-    // first.
-    let mut found: Option<(bool, Expr)> = None;
-    for &(is_target, ad) in candidates {
-        if let Some(e) = ad.get(&name) {
-            // A literal body cannot recurse, so the cycle bookkeeping
-            // below is unobservable for it: answer without cloning the
-            // expression — unless this very reference is already in
-            // flight, which the bookkeeping would report as a cycle.
-            if let Expr::Lit(v) = e {
-                if !in_visiting(cx, is_target) {
-                    return v.clone();
-                }
-            }
-            found = Some((is_target, e.clone()));
-            break;
-        }
-    }
-    let Some((is_target, e)) = found else {
-        return Value::Undefined;
-    };
-    if in_visiting(cx, is_target) {
+    if cx.visiting.contains(&(is_target, name)) {
         // Circular reference.
         return Value::Undefined;
+    }
+    // A literal body cannot recurse: answer without the bookkeeping.
+    if let Expr::Lit(v) = e {
+        return v.clone();
     }
     cx.visiting.push((is_target, name));
     // Inside the referenced ad, unscoped references resolve relative to
@@ -118,17 +106,17 @@ pub(crate) fn eval_attr(scope: Scope, name: Sym, cx: &mut EvalCtx) -> Value {
             target: Some(cx.my),
             visiting: std::mem::take(&mut cx.visiting),
         };
-        let v = eval_in(&e, &mut swapped);
+        let v = eval_in(e, &mut swapped);
         cx.visiting = swapped.visiting;
         v
     } else {
-        eval_in(&e, cx)
+        eval_in(e, cx)
     };
     cx.visiting.pop();
     v
 }
 
-pub(crate) fn eval_unary(op: UnOp, v: Value) -> Value {
+fn eval_unary(op: UnOp, v: Value) -> Value {
     match op {
         UnOp::Not => match v {
             Value::Bool(b) => Value::Bool(!b),
@@ -150,90 +138,47 @@ pub(crate) fn eval_unary(op: UnOp, v: Value) -> Value {
 }
 
 fn eval_binary(op: BinOp, a: &Expr, b: &Expr, cx: &mut EvalCtx) -> Value {
+    let va = eval_in(a, cx);
     match op {
         BinOp::And | BinOp::Or => {
-            // Non-strict three-valued connectives.
-            let va = eval_in(a, cx);
-            if connective_shortcircuits(op, &va) {
+            // Non-strict three-valued connectives: the deciding value
+            // (`false` for &&, `true` for ||) wins from either side, and
+            // the right operand is not evaluated when the left decides.
+            let decides = Value::Bool(op == BinOp::Or);
+            if va == decides {
                 return va;
             }
             let vb = eval_in(b, cx);
-            connective_tail(op, va, vb)
+            if vb == decides {
+                return vb;
+            }
+            // Neither decides: Error dominates, then a non-boolean operand
+            // (an error too), then Undefined; two booleans give the
+            // complement of the deciding value.
+            match (&va, &vb) {
+                (Value::Error, _) | (_, Value::Error) => Value::Error,
+                (Value::Undefined, Value::Bool(_) | Value::Undefined)
+                | (Value::Bool(_), Value::Undefined) => Value::Undefined,
+                (Value::Bool(_), Value::Bool(_)) => Value::Bool(op == BinOp::And),
+                _ => Value::Error,
+            }
         }
-        BinOp::MetaEq => {
-            let va = eval_in(a, cx);
-            let vb = eval_in(b, cx);
-            Value::Bool(va.meta_eq(&vb))
-        }
-        BinOp::MetaNe => {
-            let va = eval_in(a, cx);
-            let vb = eval_in(b, cx);
-            Value::Bool(!va.meta_eq(&vb))
-        }
+        BinOp::MetaEq => Value::Bool(va.meta_eq(&eval_in(b, cx))),
+        BinOp::MetaNe => Value::Bool(!va.meta_eq(&eval_in(b, cx))),
         _ => {
-            let va = eval_in(a, cx);
             let vb = eval_in(b, cx);
-            strict_binary(op, va, vb)
+            // Strict exceptional propagation: ERROR beats UNDEFINED.
+            if matches!(va, Value::Error) || matches!(vb, Value::Error) {
+                return Value::Error;
+            }
+            if matches!(va, Value::Undefined) || matches!(vb, Value::Undefined) {
+                return Value::Undefined;
+            }
+            match op {
+                BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => arith(op, va, vb),
+                _ => cmp(op, va, vb),
+            }
         }
-    }
-}
-
-/// Does the left operand alone decide an `&&`/`||`?  (`false && _`,
-/// `true || _`.)  Shared with the compiled evaluator's branch ops.
-pub(crate) fn connective_shortcircuits(op: BinOp, va: &Value) -> bool {
-    match op {
-        BinOp::And => matches!(va, Value::Bool(false)),
-        BinOp::Or => matches!(va, Value::Bool(true)),
-        _ => unreachable!(),
-    }
-}
-
-/// Combine both operands of a non-short-circuited `&&`/`||` — the
-/// three-valued tail shared by the tree-walking and compiled evaluators.
-pub(crate) fn connective_tail(op: BinOp, va: Value, vb: Value) -> Value {
-    if connective_shortcircuits(op, &vb) {
-        return vb;
-    }
-    // Neither operand decides: Error dominates, then Undefined.
-    if matches!(va, Value::Error) || matches!(vb, Value::Error) {
-        return Value::Error;
-    }
-    if !matches!(va, Value::Bool(_)) && !va.is_exceptional() {
-        return Value::Error; // non-boolean operand
-    }
-    if !matches!(vb, Value::Bool(_)) && !vb.is_exceptional() {
-        return Value::Error;
-    }
-    if matches!(va, Value::Undefined) || matches!(vb, Value::Undefined) {
-        return Value::Undefined;
-    }
-    // Both plain booleans, not short-circuited.
-    short_complement(op)
-}
-
-fn short_complement(op: BinOp) -> Value {
-    // Reaching here means both operands are booleans and the short-circuit
-    // value did not occur: a && b with neither false => true; a || b with
-    // neither true => false.
-    match op {
-        BinOp::And => Value::Bool(true),
-        BinOp::Or => Value::Bool(false),
-        _ => unreachable!(),
-    }
-}
-
-pub(crate) fn strict_binary(op: BinOp, a: Value, b: Value) -> Value {
-    // Strict exceptional propagation: ERROR beats UNDEFINED.
-    if matches!(a, Value::Error) || matches!(b, Value::Error) {
-        return Value::Error;
-    }
-    if matches!(a, Value::Undefined) || matches!(b, Value::Undefined) {
-        return Value::Undefined;
-    }
-    match op {
-        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => arith(op, a, b),
-        BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => cmp(op, a, b),
-        _ => unreachable!("non-strict ops handled earlier"),
     }
 }
 
@@ -321,14 +266,8 @@ fn cmp(op: BinOp, a: Value, b: Value) -> Value {
     Value::Bool(r)
 }
 
-fn eval_call(name: &str, args: &[Expr], cx: &mut EvalCtx) -> Value {
-    let vals: Vec<Value> = args.iter().map(|a| eval_in(a, cx)).collect();
-    call_builtin(name, &vals)
-}
-
-/// Builtin dispatch over already-evaluated arguments — shared by the
-/// tree-walking and compiled evaluators.
-pub(crate) fn call_builtin(name: &str, vals: &[Value]) -> Value {
+/// Builtin dispatch over already-evaluated arguments.
+fn call_builtin(name: &str, vals: &[Value]) -> Value {
     // Strict builtins: propagate exceptional arguments.
     if vals.iter().any(|v| matches!(v, Value::Error)) {
         return Value::Error;

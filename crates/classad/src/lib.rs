@@ -16,8 +16,9 @@
 //! * [`ClassAd`] records with case-insensitive attribute names and classic
 //!   newline-separated serialization;
 //! * two-way [`matchmaking`](matchmaker::symmetric_match_compiled) of
-//!   `Requirements` pairs, compiled once and matched many times — the
-//!   operation at the heart of the Hawkeye Manager.
+//!   `Requirements` pairs, parsed once and matched many times by the one
+//!   tree-walking evaluator — the operation at the heart of the Hawkeye
+//!   Manager.
 //!
 //! ```
 //! use classad::{ClassAd, matchmaker};
@@ -44,7 +45,6 @@
 #![forbid(unsafe_code)]
 
 pub mod ad;
-pub mod compile;
 pub mod eval;
 pub mod expr;
 pub mod lexer;
@@ -53,8 +53,8 @@ pub mod parser;
 pub mod value;
 
 pub use ad::ClassAd;
-pub use compile::CompiledExpr;
 pub use eval::{eval, EvalCtx};
 pub use expr::{BinOp, Expr, Scope, UnOp};
+pub use matchmaker::CompiledExpr;
 pub use parser::{parse_expr, ParseError};
 pub use value::Value;

@@ -6,24 +6,38 @@
 //! semantics for ads that don't constrain their matches).  The Hawkeye
 //! Manager matches each trigger against every Startd ad this way and
 //! answers `condor_status -constraint` scans with the one-sided form.
-//! Requirements are compiled once ([`compile_requirements`]) and matched
-//! many times; the tree-walking forms these replaced are the oracle of
-//! `crates/diff`'s `classad_diff` suite.
+//! Requirements are looked up once ([`compile_requirements`]) and matched
+//! many times by the tree-walking evaluator; the forms that look the
+//! attribute up on every call are the oracle of `crates/diff`'s
+//! `classad_diff` suite.
 
 use crate::ad::ClassAd;
-use crate::compile::CompiledExpr;
-use crate::eval::EvalCtx;
+use crate::eval::{eval, eval_in, EvalCtx};
+use crate::expr::Expr;
 use crate::value::Value;
 
-/// Compile an ad's `Requirements` once for repeated matching (`None` when
-/// the ad has none — which [`requirements_met_compiled`] treats as
-/// permissive).
+/// An expression parsed once and matched many times.  It is the parsed
+/// tree itself, walked by [`crate::eval::eval_in`] on every match; the
+/// name and [`CompiledExpr::compile`] stay for the callers that hold
+/// one (`hawkeye::Manager`, the frozen benchmark probes).
+#[derive(Debug, Clone)]
+pub struct CompiledExpr(Expr);
+
+impl CompiledExpr {
+    /// Hold a copy of `expr` for repeated matching.
+    pub fn compile(expr: &Expr) -> CompiledExpr {
+        CompiledExpr(expr.clone())
+    }
+}
+
+/// An ad's `Requirements`, held for repeated matching (`None` when the ad
+/// has none — which [`requirements_met_compiled`] treats as permissive).
 pub fn compile_requirements(ad: &ClassAd) -> Option<CompiledExpr> {
     ad.get("requirements").map(CompiledExpr::compile)
 }
 
-/// Does `ad`'s pre-compiled `Requirements` hold against `target`?  The
-/// context is seeded with the `requirements` reference itself so circular
+/// Does `ad`'s held `Requirements` hold against `target`?  The context is
+/// seeded with the `requirements` reference itself so circular
 /// definitions resolve exactly as entering through the attribute would.
 pub fn requirements_met_compiled(
     ad: &ClassAd,
@@ -32,16 +46,15 @@ pub fn requirements_met_compiled(
 ) -> bool {
     match req {
         None => true,
-        Some(c) => {
+        Some(CompiledExpr(req)) => {
             let mut cx =
                 EvalCtx::seeded(ad, Some(target), (false, gintern::intern("requirements")));
-            matches!(c.eval_in(&mut cx), Value::Bool(true))
+            matches!(eval_in(req, &mut cx), Value::Bool(true))
         }
     }
 }
 
-/// Two-way match: both ads' pre-compiled requirements hold against each
-/// other.
+/// Two-way match: both ads' held requirements hold against each other.
 pub fn symmetric_match_compiled(
     a: &ClassAd,
     a_req: Option<&CompiledExpr>,
@@ -52,9 +65,9 @@ pub fn symmetric_match_compiled(
 }
 
 /// One-sided constraint evaluation (e.g. `condor_status -constraint`):
-/// evaluate a pre-compiled expression against `ad` (no target).
+/// evaluate a held expression against `ad` (no target).
 pub fn matches_constraint_compiled(ad: &ClassAd, constraint: &CompiledExpr) -> bool {
-    matches!(constraint.eval(ad, None), Value::Bool(true))
+    matches!(eval(&constraint.0, ad, None), Value::Bool(true))
 }
 
 #[cfg(test)]

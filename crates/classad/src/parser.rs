@@ -48,10 +48,22 @@ impl From<LexError> for ParseError {
 /// [`ParseError`], not a stack overflow.
 pub const MAX_DEPTH: usize = 128;
 
+/// Most binary operators one expression may hold.  `a + b + …` parses
+/// into a left-deep tree that evaluation, printing and drop all recurse
+/// down, so this — with [`MAX_DEPTH`] — bounds the tree's height.  It is
+/// counted per expression, not per operator chain: a parenthesised chain
+/// can open each of [`MAX_DEPTH`] nested chains, and their heights add.
+/// A chain this long evaluates, prints and drops on a 2 MB debug thread.
+pub const MAX_OPERATORS: usize = 2048;
+
 /// Parse a complete ClassAd expression.
 pub fn parse_expr(input: &str) -> Result<Expr, ParseError> {
     let tokens = lex(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        operators: 0,
+    };
     let e = p.expr(0)?;
     if p.pos != p.tokens.len() {
         return Err(ParseError {
@@ -64,6 +76,8 @@ pub fn parse_expr(input: &str) -> Result<Expr, ParseError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Binary operators accepted so far (bounded by [`MAX_OPERATORS`]).
+    operators: usize,
 }
 
 impl Parser {
@@ -125,6 +139,12 @@ impl Parser {
                 break;
             }
             self.pos += 1;
+            self.operators += 1;
+            if self.operators > MAX_OPERATORS {
+                return Err(ParseError {
+                    message: format!("more than {MAX_OPERATORS} binary operators"),
+                });
+            }
             let rhs = self.binary(prec + 1, depth)?; // left-associative
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
@@ -382,6 +402,40 @@ mod tests {
         // The bound is on open nesting, not on how much an expression holds.
         let wide = format!("(1){}", " + f((1), !a)".repeat(10 * MAX_DEPTH));
         assert!(parse_expr(&wide).is_ok());
+    }
+
+    fn chain(operators: usize) -> String {
+        format!("1{}", " + 1".repeat(operators))
+    }
+
+    #[test]
+    fn operator_chains_are_bounded() {
+        // The longest chain accepted parses, evaluates, prints and drops
+        // on an explicit 2 MB thread.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let e = p(&chain(MAX_OPERATORS));
+                let v = crate::eval(&e, &crate::ClassAd::new(), None);
+                assert_eq!(v, Value::Int(MAX_OPERATORS as i64 + 1));
+                assert_eq!(e.to_string(), chain(MAX_OPERATORS));
+                drop(e);
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        // One more is an error, and so is a million (which used to parse
+        // and then overflow the stack when dropped).  Chains in
+        // parentheses count towards the enclosing expression's total.
+        let half = MAX_OPERATORS / 2;
+        for src in [
+            chain(MAX_OPERATORS + 1),
+            chain(1_000_000),
+            format!("({}) + {}", chain(half), chain(half)),
+        ] {
+            let err = parse_expr(&src).unwrap_err();
+            assert!(err.message.contains("binary operators"), "{err}");
+        }
     }
 
     #[test]

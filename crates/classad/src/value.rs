@@ -21,22 +21,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// Classify for type checks.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Value::Undefined => "undefined",
-            Value::Error => "error",
-            Value::Bool(_) => "boolean",
-            Value::Int(_) => "integer",
-            Value::Real(_) => "real",
-            Value::Str(_) => "string",
-        }
-    }
-
-    pub fn is_exceptional(&self) -> bool {
-        matches!(self, Value::Undefined | Value::Error)
-    }
-
     /// Numeric view (ints and reals; booleans coerce as in classic
     /// ClassAds: TRUE=1, FALSE=0).
     pub fn as_number(&self) -> Option<f64> {
@@ -44,16 +28,6 @@ impl Value {
             Value::Int(i) => Some(*i as f64),
             Value::Real(r) => Some(*r),
             Value::Bool(b) => Some(if *b { 1.0 } else { 0.0 }),
-            _ => None,
-        }
-    }
-
-    /// Strict three-valued boolean view: numbers are *not* booleans in
-    /// conditionals (classic ClassAds require a boolean), but comparison
-    /// results are.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -108,13 +82,6 @@ impl fmt::Display for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn type_names() {
-        assert_eq!(Value::Undefined.type_name(), "undefined");
-        assert_eq!(Value::Int(1).type_name(), "integer");
-        assert_eq!(Value::Str("x".into()).type_name(), "string");
-    }
 
     #[test]
     fn numeric_coercion() {

@@ -6,18 +6,19 @@
 //! production crate carries oracle-only code or a feature to enable it:
 //! the event engine ([`reference::RefEngine`]), the three-pass CPU
 //! ([`reference::RefPsCpu`]), the allocate-per-step flow network
-//! ([`reference::RefFlowNet`]), the uncompiled ClassAd matchmaking
-//! wrappers ([`reference::symmetric_match`]) and the owned-`String`
-//! LDAP `Dn`/`Entry` ([`ldap_reference`]) are modules of this crate, the
+//! ([`reference::RefFlowNet`]), the ClassAd matchmaking wrappers that
+//! enter through the `Requirements` attribute
+//! ([`reference::symmetric_match`]) and the owned-`String` LDAP
+//! `Dn`/`Entry` ([`ldap_reference`]) are modules of this crate, the
 //! exhaustive DIT scan is a few lines over `Dit::iter` in `dit_diff`,
-//! and the tree-walking ClassAd evaluator and the from-scratch
-//! water-filler (`FlowNet::capacity_changed`) are production paths.  The
-//! property tests in this crate's `tests/` directory drive the fast and
-//! reference paths with the same randomly generated inputs and assert
-//! **bit-exact** agreement:
+//! and the from-scratch water-filler (`FlowNet::capacity_changed`) is a
+//! production path.  The property tests in this crate's `tests/`
+//! directory drive the fast and reference paths with the same randomly
+//! generated inputs and assert **bit-exact** agreement:
 //!
-//! * `classad_diff` — compiled postfix ClassAd VM vs the tree-walking
-//!   evaluator, over random expressions, ads and matchmaking pairs;
+//! * `classad_diff` — matchmaking over requirements held once per ad vs
+//!   entering through the attribute, over random expressions, ads and
+//!   matchmaking pairs;
 //! * `flownet_diff` — incremental component-local max-min fair-share vs
 //!   the from-scratch water-filler, and the scratch-keeping, path-sharing
 //!   `FlowNet` vs the allocating [`reference::RefFlowNet`], over random
@@ -43,38 +44,3 @@
 
 pub mod ldap_reference;
 pub mod reference;
-
-use classad::Value;
-
-/// Bit-exact ClassAd value equality: `Real` compares by `to_bits` so NaN
-/// payloads and signed zeros must agree too; other variants use plain
-/// structural equality.
-pub fn values_identical(a: &Value, b: &Value) -> bool {
-    match (a, b) {
-        (Value::Real(x), Value::Real(y)) => x.to_bits() == y.to_bits(),
-        _ => a == b,
-    }
-}
-
-/// Render a value for failure messages, exposing the exact bits of reals.
-pub fn value_repr(v: &Value) -> String {
-    match v {
-        Value::Real(x) => format!("Real({x:?} bits={:#x})", x.to_bits()),
-        other => format!("{other:?}"),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn real_values_compare_by_bits() {
-        let nan1 = Value::Real(f64::NAN);
-        let nan2 = Value::Real(f64::NAN);
-        assert!(values_identical(&nan1, &nan2));
-        assert!(!values_identical(&Value::Real(0.0), &Value::Real(-0.0)));
-        assert!(values_identical(&Value::Int(3), &Value::Int(3)));
-        assert!(!values_identical(&Value::Int(3), &Value::Real(3.0)));
-    }
-}

@@ -16,10 +16,12 @@
 //!   [`simnet::flow::FlowNet`]'s kept scratch, shared paths and
 //!   index-order drain to it.
 //! * [`requirements_met`], [`symmetric_match`] and [`matches_constraint`]
-//!   are ClassAd matchmaking as it stood before requirements were compiled
-//!   once per ad: each call re-enters the tree-walking evaluator through
-//!   the attribute.  `tests/classad_diff.rs` holds
-//!   `classad::matchmaker`'s `*_compiled` forms to them.
+//!   are ClassAd matchmaking as it stood before requirements were held
+//!   once per ad: each call looks the attribute up and enters the
+//!   evaluator through it.  The held forms evaluate the same body in a
+//!   context seeded with that reference, a second route to the same
+//!   answer; `tests/classad_diff.rs` holds `classad::matchmaker`'s
+//!   `*_compiled` forms to these.
 //!
 //! Never used by the simulation.
 

@@ -192,10 +192,6 @@ impl FaultPlan {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
 }
 
 /// Applies a [`FaultPlan`] to a running simulation.  The harness asks
@@ -216,11 +212,6 @@ impl FaultDriver {
     /// The instant of the next unapplied fault, if any.
     pub fn next_at(&self) -> Option<SimTime> {
         self.plan.events.get(self.cursor).map(|e| e.at)
-    }
-
-    /// True once every event has been applied.
-    pub fn done(&self) -> bool {
-        self.cursor >= self.plan.events.len()
     }
 
     /// Apply every event with `at <= now`, in schedule order.
@@ -328,11 +319,10 @@ mod tests {
     #[test]
     fn empty_plan_is_inert() {
         let mut d = FaultDriver::new(FaultPlan::new());
-        assert!(d.done());
         assert_eq!(d.next_at(), None);
         let (mut net, mut eng, _, _) = small_world();
         d.apply_due(&mut net, &mut eng, SimTime::from_secs(100));
-        assert!(d.done());
+        assert_eq!(d.next_at(), None);
     }
 
     #[test]
@@ -368,7 +358,7 @@ mod tests {
             now = stop;
             driver.apply_due(&mut net, &mut eng, now);
         }
-        assert!(driver.done());
+        assert_eq!(driver.next_at(), None);
 
         let log = log.borrow();
         // Queries at 0,2,4 succeed; 6,8 fail (down); 10.. succeed again.

@@ -103,16 +103,6 @@ impl Monitor {
         self.host(node)
             .map_or(0.0, |h| h.cpu_series.mean_in(start, end))
     }
-
-    /// The raw load1 time series (for plots).
-    pub fn load1_series(&self, node: NodeId) -> Option<&Series> {
-        self.host(node).map(|h| &h.load1_series)
-    }
-
-    /// The raw CPU-percent time series.
-    pub fn cpu_series(&self, node: NodeId) -> Option<&Series> {
-        self.host(node).map(|h| &h.cpu_series)
-    }
 }
 
 impl Client for Monitor {
@@ -209,7 +199,7 @@ mod tests {
         let client_cpu = monitor.cpu_mean(client, s, e);
         assert!(client_cpu < 5.0, "client cpu {client_cpu}");
         // Series lengths: one sample per 5s.
-        let series = monitor.load1_series(server).unwrap();
+        let series = &monitor.host(server).unwrap().load1_series;
         assert!(series.len() >= 59, "samples {}", series.len());
     }
 
@@ -237,6 +227,6 @@ mod tests {
     fn unknown_node_returns_zero() {
         let mon = Monitor::new(&[]);
         assert_eq!(mon.load1_mean(NodeId(99), SimTime::ZERO, SimTime::MAX), 0.0);
-        assert!(mon.load1_series(NodeId(99)).is_none());
+        assert_eq!(mon.cpu_mean(NodeId(99), SimTime::ZERO, SimTime::MAX), 0.0);
     }
 }

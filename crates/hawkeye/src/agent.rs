@@ -73,10 +73,6 @@ impl Agent {
         self.manager = Some(manager);
     }
 
-    pub fn machine(&self) -> &str {
-        &self.machine
-    }
-
     /// The integrated Startd ClassAd.
     pub fn startd_ad(&self) -> &Rc<ClassAd> {
         &self.startd

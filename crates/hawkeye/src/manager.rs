@@ -37,7 +37,7 @@ pub const INGEST_CPU_US: f64 = 2_500.0;
 
 struct Trigger {
     ad: ClassAd,
-    /// The trigger's `Requirements`, compiled once at registration.
+    /// The trigger's `Requirements`, parsed once at registration.
     req: Option<CompiledExpr>,
     notify: Option<SvcKey>,
     /// How often this trigger has fired.
@@ -47,9 +47,8 @@ struct Trigger {
 /// One machine's row of the resident database.
 struct Row {
     ad: Rc<ClassAd>,
-    /// The ad's `Requirements` compiled when the ad was stored, so the
-    /// matchmaking side of trigger evaluation does not re-walk the AST
-    /// per incoming ad.
+    /// The ad's `Requirements`, looked up once when the ad was stored, so
+    /// trigger evaluation does not search the ad for it per incoming ad.
     req: Option<CompiledExpr>,
     /// When the machine's ad last arrived.  The resident database never
     /// purges (Condor keeps the last ad of a silent machine), so freshness
@@ -61,7 +60,7 @@ struct Row {
 /// constraint thousands of times between pool changes.
 struct ConstraintSlot {
     expr: String,
-    /// Compiled once per distinct source string (`None` = parse failure).
+    /// Parsed once per distinct source string (`None` = parse failure).
     compiled: Option<CompiledExpr>,
     /// Pool generation `reply` was scanned at.
     generation: u64,
@@ -329,10 +328,6 @@ impl AdvertiserFleet {
             ads,
             sent: 0,
         }
-    }
-
-    pub fn machines(&self) -> usize {
-        self.ads.len()
     }
 }
 
@@ -645,7 +640,7 @@ mod tests {
         b.advertise(60, "m1", &startd("m1", 11));
         assert_eq!(b.mgr.generation, 1);
         assert_eq!(b.mgr.ads_received, 3);
-        // The row — ad and compiled requirements — is the one stored
+        // The row — ad and held requirements — is the one stored
         // first; only its arrival time moved.
         let row = &b.mgr.pool["m1"];
         assert!(Rc::ptr_eq(&row.ad, &ad));

@@ -110,11 +110,6 @@ impl Sym {
                 .expect("Sym resolved on a thread that did not intern it")
         })
     }
-
-    /// The raw table index (diagnostics / diff tests).
-    pub fn id(self) -> u32 {
-        self.0
-    }
 }
 
 impl std::ops::Deref for Sym {
@@ -194,7 +189,7 @@ mod tests {
         let a = intern("objectclass");
         let b = intern("objectclass");
         assert_eq!(a, b);
-        assert_eq!(a.id(), b.id());
+        assert_eq!(a.0, b.0);
         assert_eq!(a.as_str(), "objectclass");
     }
 
@@ -203,7 +198,7 @@ mod tests {
         let a = intern("mds-host-hn");
         let b = intern("mds-vo-name");
         assert_ne!(a, b);
-        assert_ne!(a.id(), b.id());
+        assert_ne!(a.0, b.0);
     }
 
     #[test]

@@ -315,7 +315,7 @@ mod tests {
         assert!(d
             .get(&Dn::parse("mds-vo-name=local, o=grid").unwrap())
             .unwrap()
-            .is_objectclass("MdsVoUpdated"));
+            .has_value("objectclass", "MdsVoUpdated"));
         assert_eq!(d.len(), 6);
     }
 

@@ -125,11 +125,6 @@ impl Dn {
         self.rdns.len()
     }
 
-    /// The leading (most specific) RDN.
-    pub fn rdn(&self) -> Option<&Rdn> {
-        self.rdns.first()
-    }
-
     /// Parent DN (everything but the leading RDN).
     pub fn parent(&self) -> Option<Dn> {
         if self.rdns.is_empty() {

@@ -143,11 +143,6 @@ impl Entry {
         n as u64
     }
 
-    /// Objectclass convenience.
-    pub fn is_objectclass(&self, oc: &str) -> bool {
-        self.has_value("objectclass", oc)
-    }
-
     /// LDAP attribute selection: a copy of this entry keeping only the
     /// requested attribute types (requested names are matched
     /// case-insensitively; unknown names are simply absent).  Accepts
@@ -190,8 +185,8 @@ mod tests {
     fn has_value_ignores_case() {
         let e = entry();
         assert!(e.has_value("objectclass", "mdshost"));
-        assert!(e.is_objectclass("MDSHOST"));
-        assert!(!e.is_objectclass("MdsVo"));
+        assert!(e.has_value("OBJECTCLASS", "MDSHOST"));
+        assert!(!e.has_value("objectclass", "MdsVo"));
     }
 
     #[test]

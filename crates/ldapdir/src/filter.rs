@@ -189,7 +189,10 @@ fn order_cmp(a: &str, b: &str) -> i32 {
 }
 
 /// Deepest nesting of `!`, `&` and `|` [`Filter::parse`] accepts; deeper
-/// input is a [`FilterError`], not a stack overflow.
+/// input is a [`FilterError`], not a stack overflow.  This alone bounds
+/// the tree's height: `&` and `|` hold their operands in one `Vec`, so a
+/// wide filter stays flat and needs no operator cap (unlike the ClassAd
+/// and SQL parsers' left-deep binary chains).
 pub const MAX_DEPTH: usize = 128;
 
 /// Parse one filter at the start of `s`, `depth` operators down; return

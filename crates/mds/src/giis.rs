@@ -100,10 +100,6 @@ impl Giis {
         }
     }
 
-    pub fn suffix(&self) -> &Dn {
-        &self.suffix
-    }
-
     /// Register this GIIS with an upper-level GIIS — the paper's proposed
     /// "multi-layer architecture in which each middle-level aggregate
     /// information server manages a subset of information servers".  The

@@ -70,20 +70,10 @@ impl Gris {
         }
     }
 
-    pub fn suffix(&self) -> &Dn {
-        &self.suffix
-    }
-
     /// Configure this GRIS to register with `giis` (call before start;
     /// the deployment primes the registration timer).
     pub fn register_with(&mut self, giis: SvcKey) {
         self.registrees.push(giis);
-    }
-
-    /// Provider `i`, to change what its next run reports.
-    #[cfg(test)]
-    pub(crate) fn provider_mut(&mut self, i: usize) -> &mut ProviderSpec {
-        &mut self.providers[i]
     }
 
     /// Providers whose data is stale at `now`.
@@ -214,6 +204,14 @@ mod tests {
         Client, ClientCx, Eng, Net, ReqOutcome, ReqResult, RequestSpec, ServiceConfig, StatsHub,
         Topology,
     };
+
+    impl Gris {
+        /// Provider `i`, to change what its next run reports (also used
+        /// by the GIIS tests).
+        pub(crate) fn provider_mut(&mut self, i: usize) -> &mut ProviderSpec {
+            &mut self.providers[i]
+        }
+    }
 
     fn suffix() -> Dn {
         Dn::parse("mds-vo-name=local, o=grid").unwrap()

@@ -1,6 +1,6 @@
 //! SQL abstract syntax.
 
-use crate::table::{ColType, Column};
+use crate::table::Column;
 use crate::value::SqlValue;
 use std::fmt;
 
@@ -135,27 +135,6 @@ pub enum Stmt {
     },
 }
 
-impl Stmt {
-    /// The table this statement touches.
-    pub fn table(&self) -> &str {
-        match self {
-            Stmt::CreateTable { name, .. } | Stmt::DropTable { name } => name,
-            Stmt::Insert { table, .. }
-            | Stmt::Select { table, .. }
-            | Stmt::Update { table, .. }
-            | Stmt::Delete { table, .. } => table,
-        }
-    }
-}
-
-/// Helper for building column definitions.
-pub fn col(name: &str, ty: ColType) -> Column {
-    Column {
-        name: gintern::intern(&name.to_ascii_lowercase()),
-        ty,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,14 +150,5 @@ mod tests {
             Box::new(Pred::IsNotNull("b".into())),
         );
         assert_eq!(p.to_string(), "(a >= 5 AND b IS NOT NULL)");
-    }
-
-    #[test]
-    fn stmt_table_accessor() {
-        let s = Stmt::Delete {
-            table: "t".into(),
-            where_: None,
-        };
-        assert_eq!(s.table(), "t");
     }
 }

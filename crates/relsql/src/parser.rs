@@ -44,10 +44,22 @@ impl From<SqlLexError> for SqlParseError {
 /// input is a [`SqlParseError`], not a stack overflow.
 pub const MAX_DEPTH: usize = 128;
 
+/// Most `AND`/`OR` operators one predicate may hold.  `a = 1 AND …`
+/// parses into a left-deep tree that evaluation, printing and drop all
+/// recurse down, so this — with [`MAX_DEPTH`] — bounds the tree's
+/// height.  It is counted per predicate, not per chain: a parenthesised
+/// chain can open each of [`MAX_DEPTH`] nested chains, and their heights
+/// add.  A chain this long runs, prints and drops on a 2 MB debug thread.
+pub const MAX_OPERATORS: usize = 4096;
+
 /// Parse one statement.
 pub fn parse_stmt(sql: &str) -> Result<Stmt, SqlParseError> {
     let toks = lex_sql(sql)?;
-    let mut p = P { toks, pos: 0 };
+    let mut p = P {
+        toks,
+        pos: 0,
+        operators: 0,
+    };
     let stmt = p.stmt()?;
     if p.pos != p.toks.len() {
         return Err(SqlParseError(format!(
@@ -61,6 +73,8 @@ pub fn parse_stmt(sql: &str) -> Result<Stmt, SqlParseError> {
 struct P {
     toks: Vec<Tok>,
     pos: usize,
+    /// `AND`/`OR` operators accepted so far (bounded by [`MAX_OPERATORS`]).
+    operators: usize,
 }
 
 impl P {
@@ -335,6 +349,7 @@ impl P {
     fn pred(&mut self, depth: usize) -> Result<Pred, SqlParseError> {
         let mut lhs = self.conj(depth)?;
         while self.eat_kw("OR") {
+            self.count_operator()?;
             let rhs = self.conj(depth)?;
             lhs = Pred::Or(Box::new(lhs), Box::new(rhs));
         }
@@ -344,10 +359,21 @@ impl P {
     fn conj(&mut self, depth: usize) -> Result<Pred, SqlParseError> {
         let mut lhs = self.unit(depth)?;
         while self.eat_kw("AND") {
+            self.count_operator()?;
             let rhs = self.unit(depth)?;
             lhs = Pred::And(Box::new(lhs), Box::new(rhs));
         }
         Ok(lhs)
+    }
+
+    fn count_operator(&mut self) -> Result<(), SqlParseError> {
+        self.operators += 1;
+        if self.operators > MAX_OPERATORS {
+            return Err(SqlParseError(format!(
+                "more than {MAX_OPERATORS} AND/OR operators"
+            )));
+        }
+        Ok(())
     }
 
     fn unit(&mut self, depth: usize) -> Result<Pred, SqlParseError> {
@@ -599,6 +625,48 @@ mod tests {
         // The bound is on open nesting, not on how much a predicate holds.
         let wide = "(a = 1 AND NOT (b = 2)) OR ".repeat(10 * MAX_DEPTH);
         assert!(parse_stmt(&format!("SELECT * FROM m WHERE {wide}c = 3")).is_ok());
+    }
+
+    fn chain(operators: usize) -> String {
+        format!("a = 1{}", " AND a = 1".repeat(operators))
+    }
+
+    #[test]
+    fn operator_chains_are_bounded() {
+        // The longest chain accepted parses, runs, prints and drops on an
+        // explicit 2 MB thread.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let mut db = crate::Database::new();
+                db.execute("CREATE TABLE m (a INT)").unwrap();
+                db.execute("INSERT INTO m VALUES (1)").unwrap();
+                let sql = format!("SELECT * FROM m WHERE {}", chain(MAX_OPERATORS));
+                assert_eq!(db.execute(&sql).unwrap().rows.len(), 1);
+                let Stmt::Select {
+                    where_: Some(p), ..
+                } = parse_stmt(&sql).unwrap()
+                else {
+                    panic!()
+                };
+                assert!(p.to_string().starts_with(&"(".repeat(MAX_OPERATORS)));
+                drop(p);
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        // One more is an error, and so is a million (which used to parse
+        // and then overflow the stack when dropped).  Chains in
+        // parentheses count towards the enclosing predicate's total.
+        let half = MAX_OPERATORS / 2;
+        for pred in [
+            chain(MAX_OPERATORS + 1),
+            chain(1_000_000),
+            format!("({}) OR {}", chain(half), chain(half)),
+        ] {
+            let err = parse_stmt(&format!("SELECT * FROM m WHERE {pred}")).unwrap_err();
+            assert!(err.0.contains("AND/OR operators"), "{err}");
+        }
     }
 
     #[test]

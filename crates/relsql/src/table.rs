@@ -236,14 +236,6 @@ impl Table {
         t
     }
 
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
     /// Insert a full row.
     pub fn insert(&mut self, row: Row) -> Result<usize, TableError> {
         if row.len() != self.schema.columns.len() {
@@ -392,7 +384,7 @@ mod tests {
         let mut t = Table::new(schema());
         t.insert(row("a", 1.0)).unwrap();
         t.insert(row("b", 2.0)).unwrap();
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.live, 2);
         let hosts: Vec<&str> = t.iter().map(|(_, r)| r[0].as_text().unwrap()).collect();
         assert_eq!(hosts, vec!["a", "b"]);
     }
@@ -405,7 +397,7 @@ mod tests {
             t.insert(row("a", 9.0)),
             Err(TableError::DuplicateKey(_))
         ));
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.live, 1);
     }
 
     #[test]
@@ -462,7 +454,7 @@ mod tests {
         t.insert(row("b", 2.0)).unwrap();
         assert!(t.delete_row(rid));
         assert!(!t.delete_row(rid));
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.live, 1);
         assert!(t
             .index_ids(0, &SqlValue::Text("a".into()))
             .unwrap()
@@ -485,6 +477,6 @@ mod tests {
         let mut t = Table::new(schema());
         t.insert(vec![SqlValue::Null, SqlValue::Real(0.1)]).unwrap();
         t.insert(vec![SqlValue::Null, SqlValue::Real(0.2)]).unwrap(); // no dup error
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.live, 2);
     }
 }

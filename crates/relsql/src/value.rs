@@ -13,15 +13,6 @@ pub enum SqlValue {
 }
 
 impl SqlValue {
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            SqlValue::Null => "NULL",
-            SqlValue::Int(_) => "INT",
-            SqlValue::Real(_) => "REAL",
-            SqlValue::Text(_) => "TEXT",
-        }
-    }
-
     pub fn is_null(&self) -> bool {
         matches!(self, SqlValue::Null)
     }

@@ -87,10 +87,6 @@ impl ProducerServlet {
         }
     }
 
-    pub fn producer_count(&self) -> usize {
-        self.producers.len()
-    }
-
     /// Point this servlet at the Registry; registration messages go out
     /// when the deployment primes timer tag 0.
     pub fn register_with(&mut self, registry: SvcKey) {
@@ -615,7 +611,7 @@ mod tests {
         assert_eq!(registry.registrations, 10);
         assert_eq!(registry.producer_count(), 10);
         let servlet = net.service_as::<ProducerServlet>(ps).unwrap();
-        assert_eq!(servlet.producer_count(), 10);
+        assert_eq!(servlet.producers.len(), 10);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// A directory of cached point results.
 #[derive(Debug, Clone)]
@@ -29,10 +29,6 @@ impl DiskCache {
     /// [`store`](DiskCache::store).
     pub fn new(root: impl Into<PathBuf>) -> DiskCache {
         DiskCache { root: root.into() }
-    }
-
-    pub fn root(&self) -> &Path {
-        &self.root
     }
 
     fn path_of(&self, digest: &str) -> PathBuf {

@@ -64,10 +64,6 @@ impl FifoTokens {
         }
     }
 
-    pub fn capacity(&self) -> u32 {
-        self.capacity
-    }
-
     pub fn in_use(&self) -> u32 {
         self.in_use
     }

@@ -49,14 +49,6 @@ impl<T> Slab<T> {
         }
     }
 
-    pub fn with_capacity(cap: usize) -> Self {
-        Slab {
-            slots: Vec::with_capacity(cap),
-            free: Vec::new(),
-            len: 0,
-        }
-    }
-
     /// Number of live entries.
     pub fn len(&self) -> usize {
         self.len

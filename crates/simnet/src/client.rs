@@ -24,12 +24,6 @@ pub enum ReqResult {
     Failed,
 }
 
-impl ReqResult {
-    pub fn is_ok(&self) -> bool {
-        matches!(self, ReqResult::Ok(..))
-    }
-}
-
 /// Delivered to [`Client::on_outcome`] when a request finishes.
 pub struct ReqOutcome {
     /// The tag the client attached at submission.
@@ -101,17 +95,5 @@ impl ClientCx<'_> {
     pub fn spend_cpu(&mut self, node: crate::topology::NodeId, work_us: f64, tag: u64) {
         let me = self.me;
         self.net.client_cpu(self.eng, me, node, work_us, tag);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn req_result_classification() {
-        assert!(ReqResult::Ok(Box::new(()), 0).is_ok());
-        assert!(!ReqResult::Refused.is_ok());
-        assert!(!ReqResult::Failed.is_ok());
     }
 }

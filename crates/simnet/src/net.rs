@@ -11,7 +11,7 @@
 //!                                                           worker pool │
 //!                                                                ▼
 //!                      [advance_steps]  Plan steps: Cpu / Latency / Lock /
-//!                                       Effect / Send / CallAll / Reply
+//!                                       Unlock / Send / CallAll / Reply
 //!                                                                │
 //! client ◀──────────── response flow ◀───────────────────────────┘
 //!  [finish]                                   [release_server_side]
@@ -795,11 +795,6 @@ impl Net {
                         debug_assert!(false, "unlock of a lock not held");
                     }
                     self.grant(eng, Pool::Lock(l));
-                }
-                Step::Effect { code, arg } => {
-                    if let Some(svc) = self.services.get_mut(to).and_then(|s| s.svc.as_mut()) {
-                        svc.effect(code, arg, now);
-                    }
                 }
                 Step::Send {
                     to: dest,

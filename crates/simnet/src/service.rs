@@ -36,10 +36,6 @@ pub enum Step {
     Lock(LockKey),
     /// Release a previously acquired lock.
     Unlock(LockKey),
-    /// Invoke `Service::effect(code, arg)` — a state mutation that happens
-    /// at this point of simulated time (e.g. "insert fetched data into the
-    /// cache").
-    Effect { code: u32, arg: u64 },
     /// Send a one-way message (no reply expected) to another service at
     /// this point of the plan, then continue with the next step.
     Send {
@@ -67,7 +63,6 @@ impl std::fmt::Debug for Step {
             Step::Latency(d) => write!(f, "Latency({d:?})"),
             Step::Lock(k) => write!(f, "Lock({k:?})"),
             Step::Unlock(k) => write!(f, "Unlock({k:?})"),
-            Step::Effect { code, arg } => write!(f, "Effect({code},{arg})"),
             Step::Send { bytes, .. } => write!(f, "Send({bytes}B)"),
             Step::CallAll { calls, cont } => {
                 write!(f, "CallAll(n={}, cont={cont})", calls.len())
@@ -126,11 +121,6 @@ impl Plan {
 
     pub fn unlock(mut self, l: LockKey) -> Self {
         self.steps.push(Step::Unlock(l));
-        self
-    }
-
-    pub fn effect(mut self, code: u32, arg: u64) -> Self {
-        self.steps.push(Step::Effect { code, arg });
         self
     }
 
@@ -269,11 +259,6 @@ pub trait Service: AsAny + 'static {
         let _ = (tag, cx);
     }
 
-    /// A state mutation scheduled by a [`Step::Effect`] is due.
-    fn effect(&mut self, code: u32, arg: u64, now: SimTime) {
-        let _ = (code, arg, now);
-    }
-
     /// Human-readable name for traces and panics.
     fn name(&self) -> &str {
         "service"
@@ -372,11 +357,10 @@ mod tests {
         let p = Plan::new()
             .cpu(10.0)
             .latency(SimDuration::from_millis(1))
-            .effect(7, 9)
             .reply("ok", 128);
-        assert_eq!(p.steps.len(), 4);
+        assert_eq!(p.steps.len(), 3);
         assert!(matches!(p.steps[0], Step::Cpu(x) if x == 10.0));
-        assert!(matches!(p.steps[3], Step::Reply { bytes: 128, .. }));
+        assert!(matches!(p.steps[2], Step::Reply { bytes: 128, .. }));
     }
 
     #[test]

@@ -140,11 +140,6 @@ impl Testbed {
             config,
         }
     }
-
-    /// Default-configured testbed.
-    pub fn standard() -> Testbed {
-        Self::build(TestbedConfig::default())
-    }
 }
 
 #[cfg(test)]
@@ -153,7 +148,7 @@ mod tests {
 
     #[test]
     fn builds_expected_shape() {
-        let tb = Testbed::standard();
+        let tb = Testbed::build(TestbedConfig::default());
         assert_eq!(tb.lucky.len(), 7);
         assert_eq!(tb.uc.len(), 20);
         // 27 hosts * 2 access links + 2 WAN links.
@@ -164,7 +159,7 @@ mod tests {
 
     #[test]
     fn lan_routes_have_two_hops_wan_routes_three() {
-        let tb = Testbed::standard();
+        let tb = Testbed::build(TestbedConfig::default());
         let l3 = tb.topo.find_node("lucky3").unwrap();
         let l7 = tb.topo.find_node("lucky7").unwrap();
         assert_eq!(tb.topo.route(l3, l7).len(), 2);
@@ -180,7 +175,7 @@ mod tests {
 
     #[test]
     fn cpu_speeds_match_the_paper() {
-        let tb = Testbed::standard();
+        let tb = Testbed::build(TestbedConfig::default());
         let l = tb.topo.node(tb.lucky[0]);
         assert_eq!(l.cpu.cores(), 2);
         assert_eq!(l.cpu.speed(), 1.0);

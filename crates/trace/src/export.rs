@@ -257,35 +257,11 @@ pub fn chrome_trace(meta: &TraceMeta, events: &[TraceEvent], dropped: u64) -> St
                 ),
                 &mut out,
             ),
-            Ev::ConnDrop { svc } => emit(
-                format!(
-                    "{{\"ph\":\"i\",\"pid\":2,\"tid\":0,\"ts\":{ts},\"s\":\"g\",\"name\":\"conn_drop {}\"}}",
-                    escape(&svc_label(meta, svc))
-                ),
-                &mut out,
-            ),
-            Ev::GsiHandshake { svc } => emit(
-                format!(
-                    "{{\"ph\":\"i\",\"pid\":2,\"tid\":0,\"ts\":{ts},\"s\":\"g\",\"name\":\"gsi_handshake {}\"}}",
-                    escape(&svc_label(meta, svc))
-                ),
-                &mut out,
-            ),
-            Ev::CacheHit { svc } => emit(
-                format!(
-                    "{{\"ph\":\"i\",\"pid\":2,\"tid\":0,\"ts\":{ts},\"s\":\"g\",\"name\":\"cache_hit {}\"}}",
-                    escape(&svc_label(meta, svc))
-                ),
-                &mut out,
-            ),
-            Ev::CacheMiss { svc } => emit(
-                format!(
-                    "{{\"ph\":\"i\",\"pid\":2,\"tid\":0,\"ts\":{ts},\"s\":\"g\",\"name\":\"cache_miss {}\"}}",
-                    escape(&svc_label(meta, svc))
-                ),
-                &mut out,
-            ),
-            Ev::FaultCrash { svc }
+            Ev::ConnDrop { svc }
+            | Ev::GsiHandshake { svc }
+            | Ev::CacheHit { svc }
+            | Ev::CacheMiss { svc }
+            | Ev::FaultCrash { svc }
             | Ev::FaultRestart { svc }
             | Ev::FaultFreeze { svc }
             | Ev::FaultDropBurst { svc } => emit(

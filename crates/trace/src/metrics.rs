@@ -263,14 +263,6 @@ impl MetricsRegistry {
         rows.sort_by(|a, b| a.name.cmp(&b.name));
         rows
     }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.hists.is_empty()
-            && self.values.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -334,6 +326,5 @@ mod tests {
         let names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(names, vec!["a", "m", "z"]);
         assert_eq!(row(&rows, "z").total, 9.0);
-        assert!(!m.is_empty());
     }
 }

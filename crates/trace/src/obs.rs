@@ -104,11 +104,6 @@ impl Obs {
         }
     }
 
-    /// The mode this sink was built with.
-    pub fn mode(&self) -> ObsMode {
-        self.mode
-    }
-
     /// Is event tracing on?
     #[inline(always)]
     pub fn tracing(&self) -> bool {
@@ -215,7 +210,7 @@ mod tests {
         o.incr("x", 1);
         o.observe("h", 5.0);
         assert!(o.finish(SimTime(2)).is_none());
-        assert!(o.metrics.is_empty());
+        assert!(o.metrics.snapshot(SimTime(2)).is_empty());
     }
 
     #[test]

@@ -30,16 +30,6 @@ impl RingTracer {
         }
     }
 
-    /// Events currently buffered.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Record one event at simulation time `at`.
     #[inline]
     pub fn record(&mut self, at: SimTime, ev: Ev) {
@@ -89,7 +79,7 @@ mod tests {
             })
             .collect();
         assert_eq!(seqs, vec![2, 3, 4]);
-        assert!(r.is_empty());
+        assert!(r.buf.is_empty());
         // The drop counter resets with each take.
         r.record(t(9), Ev::Dispatch { seq: 9 });
         let (evs, dropped) = r.take();
