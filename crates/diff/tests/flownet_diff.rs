@@ -67,6 +67,64 @@ fn assert_same_state(fnet: &FlowNet, slow: &RefFlowNet, now: SimTime, context: &
     );
 }
 
+/// Experiment 4's shape at a fixed seed: hundreds of sources pushing
+/// through one shared downlink, so nearly every re-level is one large
+/// component in which each flow is reached through two or three links
+/// (and twice through a link its path revisits), and the key slab grows
+/// well past the size the first re-levels saw.
+#[test]
+fn many_sources_through_one_downlink_agree() {
+    let (topo, links) = build_topology(&[3e6, 5e6, 11e6], 5);
+    let (up_a, up_b, down) = (links[0], links[1], links[2]);
+    let paths: [&[LinkId]; 5] = [
+        &[up_a, down],
+        &[up_b, down],
+        &[up_a, down, up_a],
+        &[down, up_b, down],
+        &[down],
+    ];
+    let mut fnet = FlowNet::new();
+    let mut slow = RefFlowNet::new();
+    let mut rng = SimRng::new(20030622);
+    let mut now = SimTime(0);
+    let mut live = Vec::new();
+    let advance = |fnet: &mut FlowNet, slow: &mut RefFlowNet, now: SimTime| {
+        let done = fnet.advance(&topo, now);
+        assert_eq!(
+            done,
+            slow.advance(&topo, now),
+            "completed tokens at {now:?}"
+        );
+    };
+    for tok in 0..320u64 {
+        if tok % 40 == 39 {
+            // A completion mid-ramp.
+            now = fnet.next_completion(now).expect("flows are live");
+            advance(&mut fnet, &mut slow, now);
+            live.retain(|&k| fnet.rate_of(k).is_some());
+        }
+        let path = paths[rng.next_below(paths.len() as u64) as usize];
+        let bytes = 200 + rng.next_below(4_000);
+        let k = fnet.start(&topo, now, path, bytes, tok);
+        assert_eq!(k, slow.start(&topo, now, path.to_vec(), bytes, tok));
+        live.push(k);
+        if rng.chance(0.1) {
+            let k = live.swap_remove(rng.next_below(live.len() as u64) as usize);
+            assert_eq!(fnet.abort(&topo, k), slow.abort(&topo, k));
+        }
+        assert_rates_match(&fnet, &topo, &format!("start {tok}"));
+        assert_same_state(&fnet, &slow, now, &format!("start {tok}"));
+    }
+    assert!(live.len() >= 250, "{} flows live", live.len());
+    while let Some(next) = fnet.next_completion(now) {
+        now = next;
+        advance(&mut fnet, &mut slow, now);
+        assert_rates_match(&fnet, &topo, "drain");
+        assert_same_state(&fnet, &slow, now, "drain");
+    }
+    assert_eq!(slow.active(), 0);
+}
+
 proptest! {
     /// Random link-capacity vectors and start/abort/complete schedules:
     /// the incremental kernel tracks both oracles through every mutation.

@@ -2,7 +2,7 @@
 //!
 //! `Sym` replaces `String` keys throughout the hot paths on three
 //! promises: id equality is string equality (the per-thread table is
-//! deduplicated), `Ord` compares the resolved strings (so every
+//! deduplicated), `Ord` is the resolved strings' order (so every
 //! `BTreeMap<Sym, _>` iterates exactly like the `BTreeMap<String, _>`
 //! it replaced — the figure CSVs are pinned on that order), and
 //! `lookup` probes without inserting (a miss proves the string was

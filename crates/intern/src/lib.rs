@@ -15,7 +15,7 @@
 //!   stops allocating;
 //! * equality and hashing compare the `u32` id — within a thread the
 //!   table is deduplicated, so id equality *is* string equality;
-//! * **ordering compares the resolved strings**, so a
+//! * **ordering is string order, read from a kept rank**, so a
 //!   `BTreeMap<Sym, _>` iterates in exactly the order the
 //!   `BTreeMap<String, _>` it replaced did.  Bit-identical iteration
 //!   order is a correctness requirement here: result caps and merge
@@ -53,6 +53,8 @@ struct Interner {
     ids: HashMap<&'static str, u32>,
     /// id -> string.
     strings: Vec<&'static str>,
+    /// id -> the string's position in sorted order.
+    rank: Vec<u32>,
 }
 
 impl Interner {
@@ -60,6 +62,7 @@ impl Interner {
         Interner {
             ids: HashMap::new(),
             strings: Vec::new(),
+            rank: Vec::new(),
         }
     }
 
@@ -69,7 +72,13 @@ impl Interner {
         }
         let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
         let id = u32::try_from(self.strings.len()).expect("interner table overflow");
+        // `s` ranks above the strings below it and moves the rest up one.
+        let rank = self.strings.iter().filter(|t| **t < s).count() as u32;
+        for r in self.rank.iter_mut().filter(|r| **r >= rank) {
+            *r += 1;
+        }
         self.strings.push(leaked);
+        self.rank.push(rank);
         self.ids.insert(leaked, id);
         id
     }
@@ -145,7 +154,11 @@ impl Ord for Sym {
         if self.0 == other.0 {
             return std::cmp::Ordering::Equal;
         }
-        self.as_str().cmp(other.as_str())
+        TABLE.with(|t| {
+            let (t, a, b) = (t.borrow(), self.0 as usize, other.0 as usize);
+            debug_assert_eq!(t.rank[a] < t.rank[b], t.strings[a] < t.strings[b]);
+            t.rank[a].cmp(&t.rank[b])
+        })
     }
 }
 
@@ -236,6 +249,50 @@ mod tests {
         assert_eq!(keys, ["aa", "b", "c", "x"]);
         // Ordered lookup through Borrow<str>.
         assert_eq!(m.get("aa"), m.get(&intern("aa")));
+    }
+
+    #[test]
+    fn ranks_follow_string_order_whatever_order_strings_arrive_in() {
+        // A fresh thread starts with an empty table, so every rank below
+        // is assigned by this test.
+        std::thread::spawn(|| {
+            assert_eq!(table_len(), 0);
+            // Binary numerals are often prefixes of each other ("1", "10",
+            // "101"); the empty string sorts below them all.
+            let mut words: Vec<String> = (0..2399u32).map(|i| format!("{i:b}")).collect();
+            words.push(String::new());
+            words.sort();
+            // The lowest third arrives ascending, the middle descending,
+            // the top alternately from either end.
+            let (asc, rest) = words.split_at(800);
+            let (desc, top) = rest.split_at(800);
+            let (front, back) = top.split_at(400);
+            let interleaved = front
+                .iter()
+                .zip(back.iter().rev())
+                .flat_map(|(a, b)| [a, b]);
+            let arrival: Vec<&String> = asc
+                .iter()
+                .chain(desc.iter().rev())
+                .chain(interleaved)
+                .collect();
+            assert_eq!(arrival.len(), words.len());
+            let syms: Vec<Sym> = arrival.iter().map(|w| intern(w)).collect();
+            assert_eq!(table_len(), words.len());
+
+            let mut by_sym = syms.clone();
+            by_sym.sort();
+            let by_sym: Vec<&str> = by_sym.iter().map(|s| s.as_str()).collect();
+            assert_eq!(by_sym, words);
+
+            let m: BTreeMap<Sym, usize> = syms.into_iter().zip(0..).collect();
+            let oracle: BTreeMap<String, usize> = arrival.into_iter().cloned().zip(0..).collect();
+            let m: Vec<(&str, usize)> = m.iter().map(|(s, &v)| (s.as_str(), v)).collect();
+            let oracle: Vec<(&str, usize)> = oracle.iter().map(|(w, &v)| (w.as_str(), v)).collect();
+            assert_eq!(m, oracle);
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

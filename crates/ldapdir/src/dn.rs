@@ -42,8 +42,8 @@ fn lc(s: &str) -> Cow<'_, str> {
 }
 
 /// One `type=value` component.  Both sides are lowercased interned
-/// symbols: equality and hashing compare symbol ids, ordering compares
-/// the resolved strings (see `gintern`).
+/// symbols: equality and hashing compare symbol ids, ordering is the
+/// strings' order, read from the table's kept ranks (see `gintern`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Rdn {
     /// Lowercased attribute type.

@@ -8,7 +8,7 @@
 //! entry that shares its attributes with a cached search result splits
 //! the storage instead of corrupting the snapshot.
 //!
-//! `Sym` keys order by their resolved strings, so iteration and
+//! `Sym` keys order as their strings do, so iteration and
 //! rendering stay byte-identical to the `BTreeMap<String, _>` layout
 //! they replaced.
 

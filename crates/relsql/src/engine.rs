@@ -80,8 +80,8 @@ impl QueryResult {
 /// workload that generates unbounded distinct query texts.
 const STMT_CACHE_CAP: usize = 1024;
 
-/// A named collection of tables.  `Sym` keys order by their resolved
-/// strings, so iteration matches the old `String`-keyed map exactly.
+/// A named collection of tables.  `Sym` keys order as their strings
+/// do, so iteration matches the old `String`-keyed map exactly.
 #[derive(Debug, Default)]
 pub struct Database {
     tables: BTreeMap<Sym, Table>,

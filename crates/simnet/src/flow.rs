@@ -42,7 +42,7 @@ struct Flow {
 /// so a re-level allocates nothing once the vectors have reached their
 /// working size.  Every call clears what it reads; nothing here carries
 /// meaning from one call to the next except `seeds`, which the caller
-/// fills and the re-level consumes.
+/// fills and the re-level consumes, and `epoch`, which stamps `listed`.
 #[derive(Clone, Default)]
 struct Scratch {
     /// Links whose flows the next re-level starts from.
@@ -51,8 +51,12 @@ struct Scratch {
     in_comp: Vec<bool>,
     /// The component's links, ascending.
     comp_links: Vec<usize>,
-    /// The component's flows in slab-key order, then those not yet fixed.
+    /// The component's flows, each listed once, then those not yet fixed.
     unfixed: Vec<FlowKey>,
+    /// Per flow slab index: the last `epoch` that listed it in `unfixed`.
+    listed: Vec<u64>,
+    /// Bumped once per re-level; never wraps.
+    epoch: u64,
     /// The flows left over by the current water-filling round; swapped
     /// with `unfixed` when the round ends.
     still_unfixed: Vec<FlowKey>,
@@ -282,10 +286,11 @@ impl FlowNet {
     /// `scratch.seeds` (links connected through shared flows), consuming
     /// the seeds.  Runs the same restricted water-filling arithmetic as
     /// [`FlowNet::recompute`] — bottleneck links scanned in ascending
-    /// index order with a strictly-smaller comparison, flows fixed in
-    /// slab-key order — so the resulting rates are bit-identical to a
-    /// from-scratch pass.  Flows outside the component keep their
-    /// (already exact) rates.
+    /// index order with a strictly-smaller comparison — so rates are
+    /// bit-identical to a from-scratch pass.  The order flows are fixed
+    /// in cannot matter: on each link it crosses, every flow applies the
+    /// same `r = (r - share).max(0.0)` to the residual, and `crossing` is
+    /// a count.  Flows outside the component keep their (exact) rates.
     fn relevel_component(&mut self, topo: &Topology) {
         let FlowNet {
             flows,
@@ -298,6 +303,8 @@ impl FlowNet {
             in_comp,
             comp_links,
             unfixed,
+            listed,
+            epoch,
             still_unfixed,
             residual,
             crossing,
@@ -307,16 +314,24 @@ impl FlowNet {
         in_comp.resize(n_links, false);
         comp_links.clear();
         unfixed.clear();
-        // Entering the component, a link lists the flows crossing it.  A
-        // flow is listed once per component link it crosses; the sort
-        // below drops the duplicates and hides the order links came in.
+        *epoch += 1;
+        let stamp = *epoch;
+        // Entering the component, a link lists the flows crossing it that
+        // no other component link has listed yet.
         let mut enter = |l: LinkId, unfixed: &mut Vec<FlowKey>| {
             let li = l.0 as usize;
             if !in_comp[li] {
                 in_comp[li] = true;
                 comp_links.push(li);
-                if let Some(crossing_here) = link_flows.get(li) {
-                    unfixed.extend_from_slice(crossing_here);
+                for &k in link_flows.get(li).into_iter().flatten() {
+                    let fi = k.index as usize;
+                    if fi >= listed.len() {
+                        listed.resize(fi + 1, 0);
+                    }
+                    if listed[fi] != stamp {
+                        listed[fi] = stamp;
+                        unfixed.push(k);
+                    }
                 }
             }
         };
@@ -336,8 +351,6 @@ impl FlowNet {
         if unfixed.is_empty() {
             return;
         }
-        unfixed.sort_unstable(); // slab-key order, as recompute() fixes them
-        unfixed.dedup();
         comp_links.sort_unstable();
 
         residual.clear();
@@ -381,6 +394,19 @@ impl FlowNet {
             }
             debug_assert!(still_unfixed.len() < unfixed.len(), "water-filling stuck");
             std::mem::swap(unfixed, still_unfixed);
+        }
+        if cfg!(debug_assertions) {
+            // Every component flow runs, and no component link carries more
+            // than its capacity, give or take the 1e-9 floor of each rate.
+            for &li in comp_links.iter() {
+                let on_link = &link_flows[li];
+                let rate = |k: &FlowKey| flows.get(*k).unwrap().rate;
+                assert!(on_link.iter().all(|k| rate(k) > 0.0), "starved on {li}");
+                let load: f64 = on_link.iter().map(rate).sum();
+                let cap = topo.link(LinkId(li as u32)).capacity_bps / 1e6;
+                let slack = cap * 1e-9 + on_link.len() as f64 * 1e-9;
+                assert!(load <= cap + slack, "link {li}: {load} of {cap}");
+            }
         }
     }
 

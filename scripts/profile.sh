@@ -1,0 +1,113 @@
+#!/bin/sh
+# Attribute a command's CPU time by sampling it:
+#
+#   sh scripts/profile.sh [--runs N] [--grep REGEX] BIN ARGS...
+#
+# Builds scripts/sampler.c (an LD_PRELOAD SIGPROF sampler: one leaf PC
+# per millisecond of CPU), runs `BIN ARGS...` N times under it (default
+# 1) with address randomization off, so every run has the same layout,
+# and symbolizes the merged samples once with addr2line.  The command's
+# own stdout goes to stderr.  Prints three tables, as shares of all
+# samples:
+#
+#   outermost  the function the PC is in once inlining is undone
+#   inclusive  any function in the PC's inline chain
+#   leaf       the innermost inline frame
+#
+# and with --grep, the share of samples whose inline chain (frames
+# joined by " < ", leaf first) matches REGEX.  Samples outside BIN
+# (libc, the loader) count by object and are not symbolized.  Exits 1
+# if no sample lands inside BIN.  Needs cc, setarch, addr2line, c++filt
+# and a release build with line tables (the workspace profile has
+# them); POSIX sh + awk, x86-64 Linux.  llvm-addr2line is used when
+# present: binutils' addr2line names the innermost frame of a Rust
+# inline chain after the enclosing symbol, which blurs the leaf table.
+# Either way c++filt demangles, since older LLVM demanglers leave
+# `$LT$`-escapes in.
+set -eu
+runs=1
+grep=
+while [ $# -gt 0 ]; do
+    case $1 in
+    --runs) runs=$2; shift 2 ;;
+    --grep) grep=$2; shift 2 ;;
+    *) break ;;
+    esac
+done
+if [ $# -eq 0 ]; then
+    echo "usage: sh scripts/profile.sh [--runs N] [--grep REGEX] BIN ARGS..." >&2
+    exit 2
+fi
+bin=$(readlink -f "$(command -v "$1")")
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+cc -O2 -shared -fPIC -o "$tmp/sampler.so" "$(dirname "$0")/sampler.c"
+
+i=0
+while [ "$i" -lt "$runs" ]; do
+    i=$((i + 1))
+    setarch "$(uname -m)" -R env LD_PRELOAD="$tmp/sampler.so" \
+        SAMPLER_OUT="$tmp/run$i" "$@" >&2
+done
+
+# Each PC becomes an offset into BIN (counted per offset) or the name of
+# the object it fell in.
+: >"$tmp/outside"
+awk -v bin="$bin" -v out="$tmp" '
+    function hex(s,   v, i) {
+        v = 0
+        for (i = 1; i <= length(s); i++)
+            v = v * 16 + index("0123456789abcdef", substr(s, i, 1)) - 1
+        return v
+    }
+    FNR == 1 { nmap = 0; base = -1 }
+    $1 == "map" && $3 ~ /x/ {
+        split($2, r, "-")
+        lo[++nmap] = hex(r[1]); hi[nmap] = hex(r[2]); obj[nmap] = $7
+    }
+    $1 == "map" && $7 == bin && $4 ~ /^0+$/ { base = hex(substr($2, 1, index($2, "-") - 1)) }
+    $1 == "pc" {
+        pc = hex($2); total++; where = "[unmapped]"
+        for (m = 1; m <= nmap; m++) if (pc >= lo[m] && pc < hi[m]) { where = obj[m]; break }
+        if (where == bin && base >= 0) in_bin[sprintf("%x", pc - base)]++
+        else { n = split(where, p, "/"); outside["[" p[n] "]"]++ }
+    }
+    END {
+        for (a in in_bin) { print a > (out "/addrs"); print a, in_bin[a] > (out "/counts"); inside += in_bin[a] }
+        for (o in outside) print o, outside[o] > (out "/outside")
+        print total + 0, inside + 0 > (out "/totals")
+    }' "$tmp"/run*
+read -r total inside <"$tmp/totals"
+echo "$total samples over $runs run(s), $inside inside $bin"
+[ "$inside" -gt 0 ] || exit 1
+a2l=addr2line
+if command -v llvm-addr2line >/dev/null; then a2l="llvm-addr2line --no-demangle"; fi
+$a2l -a -f -i -e "$bin" <"$tmp/addrs" | c++filt >"$tmp/syms"
+
+awk -v total="$total" -v re="$grep" -v out="$tmp" '
+    function top(title, a,   k, cmd) {
+        printf "\n%s\n", title
+        cmd = "sort -rn | head -20"
+        for (k in a) printf "%6.1f %%  %7d  %s\n", 100 * a[k] / total, a[k], k | cmd
+        close(cmd)
+    }
+    FILENAME ~ /counts$/ { count[++na] = $2; next }
+    FILENAME ~ /outside$/ { leaf[$1] += $2; outer[$1] += $2; incl[$1] += $2; next }
+    /^0x/ { k++; nf[k] = 0; odd = 1; next }
+    odd { sub(/::h[0-9a-f]+$/, ""); f[k, ++nf[k]] = $0 }
+    { odd = !odd }
+    END {
+        for (i = 1; i <= k; i++) {
+            c = count[i]; chain = ""
+            delete seen
+            for (j = 1; j <= nf[i]; j++) {
+                fn = f[i, j]
+                if (!(fn in seen)) { seen[fn] = 1; incl[fn] += c }
+                chain = chain (j > 1 ? " < " : "") fn
+            }
+            leaf[f[i, 1]] += c; outer[f[i, nf[i]]] += c
+            if (re != "" && chain ~ re) hit += c
+        }
+        top("outermost frame", outer); top("inclusive (any inline frame)", incl); top("leaf", leaf)
+        if (re != "") printf "\n%6.1f %%  %7d  match /%s/\n", 100 * hit / total, hit, re
+    }' "$tmp/counts" "$tmp/outside" "$tmp/syms"
