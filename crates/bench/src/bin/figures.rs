@@ -266,9 +266,7 @@ fn main() {
         set_specs.push((set, specs));
     }
     for (origin, spec) in &scenarios {
-        jobs.extend(
-            Job::scenario_sweep(spec, &cfg).unwrap_or_else(|e| die(&format!("{origin}: {e}"))),
-        );
+        jobs.extend(Job::scenario_sweep(spec).unwrap_or_else(|e| die(&format!("{origin}: {e}"))));
     }
     let ext_points = if want_ext {
         enumerate_extensions()

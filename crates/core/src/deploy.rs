@@ -226,36 +226,6 @@ pub fn giis_suffix() -> Dn {
     Dn::parse("mds-vo-name=site, o=giis").expect("suffix")
 }
 
-/// A deployment failed in a way a scenario author can fix.  Carries the
-/// offending service's spec name so a mis-wired scenario fails with a
-/// message, not a panic backtrace.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DeployError {
-    /// A host reference resolved to no testbed node.
-    UnknownHost { service: String, host: String },
-    /// An upstream/target reference resolved to a service that exposes
-    /// no single key (e.g. a fleet).
-    NoServiceKey { service: String },
-    /// The probe configuration cannot be realised on this deployment.
-    Probe { msg: String },
-}
-
-impl std::fmt::Display for DeployError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DeployError::UnknownHost { service, host } => {
-                write!(f, "service {service:?}: no host {host:?} on the testbed")
-            }
-            DeployError::NoServiceKey { service } => {
-                write!(f, "service {service:?} exposes no single service key")
-            }
-            DeployError::Probe { msg } => write!(f, "probe: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for DeployError {}
-
 /// Resolve a TTL spec against the run parameters.
 pub fn resolve_ttl(ttl: gscenario::Ttl, h: &Harness) -> Option<SimDuration> {
     match ttl {

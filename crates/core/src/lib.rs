@@ -29,7 +29,7 @@
 //!
 //! let cfg = RunConfig::quick(1);
 //! let series = scenario::catalogue::find("set1/MDS GRIS (cache)").unwrap();
-//! let m = scenario::run_point(&(series.spec)(), 50, &cfg).unwrap();
+//! let m = scenario::run_point(&(series.spec)(), 50, &cfg);
 //! println!("50 users -> {:.1} queries/sec", m.throughput);
 //! ```
 

@@ -14,7 +14,7 @@
 //! trajectory.  Deployment order is spec file order; the t=0 start order
 //! and every RNG stream follow from it.
 
-use crate::deploy::{self, giis_suffix, gris_suffix, resolve_ttl, DeployError, Harness};
+use crate::deploy::{self, giis_suffix, gris_suffix, resolve_ttl, Harness};
 use crate::runcfg::{Measurement, RunConfig};
 use crate::stablehash::{fnv1a64, mix64};
 use gfaults::{FaultAction, FaultPlan, FaultSpec, Scenario, PARTITION_BPS};
@@ -69,49 +69,39 @@ struct World<'s> {
 }
 
 impl World<'_> {
-    fn node_of(&self, h: &Harness, at: &str, host: &str) -> Result<NodeId, DeployError> {
-        h.net
-            .topo
-            .find_node(host)
-            .ok_or_else(|| DeployError::UnknownHost {
-                service: at.to_string(),
-                host: host.to_string(),
-            })
+    /// The node and single service key of the service `name`.
+    fn placed_of(&self, name: &str) -> (NodeId, SvcKey) {
+        let p = self.placed.iter().find(|p| p.name == name);
+        p.and_then(|p| Some((p.node, p.key?)))
+            .expect("validated: references name a placed service with a key")
     }
 
-    fn nodes_of(
-        &self,
-        h: &Harness,
-        at: &str,
-        hosts: &[String],
-    ) -> Result<Vec<NodeId>, DeployError> {
-        hosts.iter().map(|hst| self.node_of(h, at, hst)).collect()
-    }
-
-    /// The node and single service key a reference resolves to.
-    fn placed_of(&self, name: &str) -> Result<(NodeId, SvcKey), DeployError> {
-        self.placed
-            .iter()
-            .find(|p| p.name == name)
-            .and_then(|p| Some((p.node, p.key?)))
-            .ok_or_else(|| DeployError::NoServiceKey {
-                service: name.to_string(),
-            })
-    }
-
-    fn key_of(&self, name: &str) -> Result<SvcKey, DeployError> {
-        Ok(self.placed_of(name)?.1)
+    fn key_of(&self, name: &str) -> SvcKey {
+        self.placed_of(name).1
     }
 }
 
+/// The testbed node of `host`.
+fn node_of(h: &Harness, host: &str) -> NodeId {
+    let node = h.net.topo.find_node(host);
+    node.expect("validated: known_host names exactly the testbed's nodes")
+}
+
+fn nodes_of(h: &Harness, hosts: &[String]) -> Vec<NodeId> {
+    hosts.iter().map(|host| node_of(h, host)).collect()
+}
+
 /// Compile `spec` at sweep value `x` into a ready-to-run [`Harness`].
+/// `spec` must have passed [`ScenarioSpec::validate`], the one gate that
+/// decides whether a spec can run; a validated spec compiles at every x.
 ///
 /// Phase order (semantic — it fixes the run's trajectory):
 /// 1. services, in spec file order, each by its `deploy::*` function;
 /// 2. the Ganglia monitor on the `watch` host;
 /// 3. the workload (closed-loop users or open-loop sources);
 /// 4. the fault schedule and resilience probe.
-pub fn compile(spec: &ScenarioSpec, x: u32, cfg: &RunConfig) -> Result<Harness, DeployError> {
+pub fn compile(spec: &ScenarioSpec, x: u32, cfg: &RunConfig) -> Harness {
+    debug_assert_eq!(spec.validate(), Ok(()));
     let mut cfg = *cfg;
     if let Some(wan) = spec.wan {
         cfg.params.wan_bps = f64::from(wan.mbps) * 1e6;
@@ -129,7 +119,7 @@ pub fn compile(spec: &ScenarioSpec, x: u32, cfg: &RunConfig) -> Result<Harness, 
     let count = |c: gscenario::Count| c.eval(x) as usize;
     for (name, svc) in &spec.services {
         use ServiceKind as K;
-        let node = w.node_of(&h, name, &svc.host)?;
+        let node = node_of(&h, &svc.host);
         let key = match &svc.kind {
             K::Gris {
                 providers,
@@ -141,7 +131,7 @@ pub fn compile(spec: &ScenarioSpec, x: u32, cfg: &RunConfig) -> Result<Harness, 
                 n_gris,
                 cachettl,
             } => {
-                let nodes = w.nodes_of(&h, name, gris_hosts)?;
+                let nodes = nodes_of(&h, gris_hosts);
                 let ttl = resolve_ttl(*cachettl, &h);
                 Some(deploy::giis_pool(&mut h, node, &nodes, count(*n_gris), ttl).0)
             }
@@ -150,7 +140,7 @@ pub fn compile(spec: &ScenarioSpec, x: u32, cfg: &RunConfig) -> Result<Harness, 
                 parent,
                 branch,
             } => {
-                let parent = parent.as_deref().map(|p| w.key_of(p)).transpose()?;
+                let parent = parent.as_deref().map(|p| w.key_of(p));
                 let ttl = resolve_ttl(*cachettl, &h);
                 Some(deploy::giis(&mut h, node, ttl, parent, *branch))
             }
@@ -159,7 +149,7 @@ pub fn compile(spec: &ScenarioSpec, x: u32, cfg: &RunConfig) -> Result<Harness, 
                 providers,
                 share,
             } => {
-                let parent = w.key_of(parent)?;
+                let parent = w.key_of(parent);
                 deploy::gris_fleet(&mut h, node, parent, *providers as usize, *share, x);
                 // A fleet has no single key; it is addressed through its
                 // parent index (or by name token for fault targeting).
@@ -167,11 +157,11 @@ pub fn compile(spec: &ScenarioSpec, x: u32, cfg: &RunConfig) -> Result<Harness, 
             }
             K::Manager => Some(deploy::manager(&mut h, node)),
             K::Agent { modules, manager } => {
-                let mgr = w.key_of(manager)?;
+                let mgr = w.key_of(manager);
                 Some(deploy::agent(&mut h, node, count(*modules), mgr))
             }
             K::AdvertiserFleet { machines, manager } => {
-                let mgr = w.key_of(manager)?;
+                let mgr = w.key_of(manager);
                 Some(deploy::advertiser_fleet(
                     &mut h,
                     node,
@@ -184,7 +174,7 @@ pub fn compile(spec: &ScenarioSpec, x: u32, cfg: &RunConfig) -> Result<Harness, 
                 producers,
                 registry,
             } => {
-                let reg = w.key_of(registry)?;
+                let reg = w.key_of(registry);
                 Some(deploy::producer_servlet(
                     &mut h,
                     node,
@@ -193,15 +183,15 @@ pub fn compile(spec: &ScenarioSpec, x: u32, cfg: &RunConfig) -> Result<Harness, 
                 ))
             }
             K::ConsumerServlet { registry } => {
-                Some(deploy::consumer_servlet(&mut h, node, w.key_of(registry)?))
+                Some(deploy::consumer_servlet(&mut h, node, w.key_of(registry)))
             }
             K::CompositePool {
                 site_hosts,
                 n_sites,
                 registry,
             } => {
-                let sites = w.nodes_of(&h, name, site_hosts)?;
-                let reg = w.key_of(registry)?;
+                let sites = nodes_of(&h, site_hosts);
+                let reg = w.key_of(registry);
                 Some(deploy::composite_pool(
                     &mut h,
                     node,
@@ -219,16 +209,15 @@ pub fn compile(spec: &ScenarioSpec, x: u32, cfg: &RunConfig) -> Result<Harness, 
     }
 
     // Phase 2: the monitor.
-    let wnode = w.node_of(&h, "watch", &spec.watch)?;
+    let wnode = node_of(&h, &spec.watch);
     h.watch(wnode);
 
     // Phase 3: the workload.
-    spawn_workload(&mut h, &w)?;
+    spawn_workload(&mut h, &w);
 
     // Phase 4: faults + probe.
-    install_resilience(&mut h, &w)?;
-
-    Ok(h)
+    install_resilience(&mut h, &w);
+    h
 }
 
 /// The seed the sweep point `key` runs under: derived from the sweep's
@@ -255,8 +244,8 @@ pub fn point_cfg(spec: &ScenarioSpec, key: &str, base: &RunConfig) -> RunConfig 
 
 /// Run one `(spec, x)` point under `cfg` exactly as given: compile, run,
 /// measure.
-pub fn run_point(spec: &ScenarioSpec, x: u32, cfg: &RunConfig) -> Result<Measurement, DeployError> {
-    Ok(compile(spec, x, cfg)?.run_and_measure(f64::from(x)))
+pub fn run_point(spec: &ScenarioSpec, x: u32, cfg: &RunConfig) -> Measurement {
+    compile(spec, x, cfg).run_and_measure(f64::from(x))
 }
 
 // ======================================================================
@@ -281,24 +270,17 @@ fn user_config(h: &Harness, w: &World<'_>) -> UserConfig {
     }
 }
 
-fn spawn_workload(h: &mut Harness, w: &World<'_>) -> Result<(), DeployError> {
+fn spawn_workload(h: &mut Harness, w: &World<'_>) {
     let wl = &w.spec.workload;
     // Where a user (or open-loop source) may sit, and what it queries there.
-    let seats: Vec<(NodeId, SvcKey)> = match &wl.placement {
+    let seats: Vec<(NodeId, SvcKey)> = match (&wl.placement, wl.target.as_deref()) {
         // User i sits beside — and queries — service names[i % len].
-        Placement::PerService(names) => names
-            .iter()
-            .map(|n| w.placed_of(n))
-            .collect::<Result<_, _>>()?,
-        placement => {
-            let target_name = wl.target.as_deref().ok_or_else(|| DeployError::Probe {
-                msg: "workload has no target service".to_string(),
-            })?;
-            let target = w.key_of(target_name)?;
+        (Placement::PerService(names), _) => names.iter().map(|n| w.placed_of(n)).collect(),
+        (placement, target) => {
+            let target = w.key_of(target.expect("validated: a shared target"));
             let nodes = match placement {
-                Placement::Uc => h.uc.clone(),
-                Placement::Hosts(hosts) => w.nodes_of(h, "[workload]", hosts)?,
-                Placement::PerService(_) => unreachable!("handled above"),
+                Placement::Hosts(hosts) => nodes_of(h, hosts),
+                _ => h.uc.clone(),
             };
             nodes.into_iter().map(|n| (n, target)).collect()
         }
@@ -316,7 +298,6 @@ fn spawn_workload(h: &mut Harness, w: &World<'_>) -> Result<(), DeployError> {
             workload::spawn_open_loop(&mut h.net, &mut h.eng, &placement, rate, factory);
         }
     }
-    Ok(())
 }
 
 /// Build the per-user query factory for a spec's workload.  The
@@ -625,35 +606,12 @@ impl Client for Probe {
     }
 }
 
-/// The TTL a probe's fresh horizon derives from, looked up on the
-/// watched service's declared kind.
-fn declared_ttl(w: &World<'_>, h: &Harness, name: &str) -> Result<SimDuration, DeployError> {
-    let kind = w
-        .spec
-        .services
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, s)| &s.kind)
-        .ok_or_else(|| DeployError::Probe {
-            msg: format!("probe target {name:?} is not a declared service"),
-        })?;
-    let ttl = match kind {
-        ServiceKind::GiisPool { cachettl, .. } | ServiceKind::Giis { cachettl, .. } => {
-            resolve_ttl(*cachettl, h)
-        }
-        _ => None,
-    };
-    ttl.ok_or_else(|| DeployError::Probe {
-        msg: format!("service {name:?} has no finite cache TTL to probe freshness against"),
-    })
-}
-
 /// Build the fault schedule from the policy, add the probe client, and
 /// install the schedule.  The run's `FaultSpec` (onset/heal fractions,
 /// scenario override) comes from the `RunConfig`; the x value sets how
 /// many targets fault; `Scenario::Auto` resolves to the policy's kind
 /// and `Scenario::None` (the default) injects nothing.
-fn install_resilience(h: &mut Harness, w: &World<'_>) -> Result<(), DeployError> {
+fn install_resilience(h: &mut Harness, w: &World<'_>) {
     let cfg = h.cfg;
     let ws = cfg.window_start();
     let we = cfg.window_end();
@@ -688,10 +646,17 @@ fn install_resilience(h: &mut Harness, w: &World<'_>) -> Result<(), DeployError>
     if let Some(ps) = &w.spec.probe {
         let target = match ps {
             ProbeSpec::GiisFreshness { giis } => {
-                let ttl = declared_ttl(w, h, giis)?;
+                let svc = w.spec.services.iter().find(|(n, _)| n == giis);
+                let ttl = match svc.map(|(_, s)| &s.kind) {
+                    Some(
+                        ServiceKind::GiisPool { cachettl, .. } | ServiceKind::Giis { cachettl, .. },
+                    ) => resolve_ttl(*cachettl, h),
+                    _ => None,
+                };
                 ProbeTarget::Giis {
-                    giis: w.key_of(giis)?,
-                    fresh_horizon: ttl + SimDuration::from_secs(5),
+                    giis: w.key_of(giis),
+                    fresh_horizon: ttl.expect("validated: a GIIS with a finite TTL")
+                        + SimDuration::from_secs(5),
                 }
             }
             ProbeSpec::RgmaProducers => {
@@ -711,7 +676,7 @@ fn install_resilience(h: &mut Harness, w: &World<'_>) -> Result<(), DeployError>
                     .filter(|(_, s)| matches!(s.kind, ServiceKind::Agent { .. }))
                     .count();
                 ProbeTarget::Hawkeye {
-                    mgr: w.key_of(manager)?,
+                    mgr: w.key_of(manager),
                     total,
                 }
             }
@@ -729,7 +694,6 @@ fn install_resilience(h: &mut Harness, w: &World<'_>) -> Result<(), DeployError>
         })));
     }
     h.install_faults(plan);
-    Ok(())
 }
 
 // ======================================================================
@@ -1049,7 +1013,7 @@ pub mod catalogue {
         watch: &str,
         workload: WorkloadSpec,
     ) -> ScenarioSpec {
-        let s = ScenarioSpec {
+        ScenarioSpec {
             name: name.to_string(),
             system,
             x_values: x_values.to_vec(),
@@ -1059,9 +1023,7 @@ pub mod catalogue {
             workload,
             probe: None,
             faults: None,
-        };
-        debug_assert!(s.validate().is_ok(), "catalogue spec {name} is invalid");
-        s
+        }
     }
 
     /// MDS GRIS, provider data always (`cache`) or never in cache.
@@ -1644,7 +1606,7 @@ mod tests {
     /// Run the built-in series `id` at `x` under `cfg` as given.
     fn builtin(id: &str, x: u32, cfg: &RunConfig) -> Measurement {
         let series = catalogue::find(id).unwrap_or_else(|| panic!("no series {id:?}"));
-        run_point(&(series.spec)(), x, cfg).unwrap()
+        run_point(&(series.spec)(), x, cfg)
     }
 
     /// Every catalogue spec round-trips through the text format —
@@ -1768,7 +1730,7 @@ mod tests {
             text.ends_with(&format!("\n\n{}", want.print())),
             "not canonical"
         );
-        let m = run_point(&want, 20, &quick(4)).unwrap();
+        let m = run_point(&want, 20, &quick(4));
         assert!(m.completions > 0, "{m:?}");
     }
 
@@ -1809,10 +1771,10 @@ target = "giis"
 query = "mds-search-all-giis"
 "#;
         let spec = parse(text).unwrap();
-        let m = run_point(&spec, 2, &quick(9)).unwrap();
+        let m = run_point(&spec, 2, &quick(9));
         assert!(m.completions > 0, "{m:?}");
         // Deterministic: same spec, same cfg, same bits.
-        let m2 = run_point(&spec, 2, &quick(9)).unwrap();
+        let m2 = run_point(&spec, 2, &quick(9));
         assert_eq!(m, m2);
     }
 
@@ -1896,7 +1858,7 @@ query = "mds-search-all-gris0"
         let spec = parse(text).unwrap();
         let kinds: BTreeSet<_> = spec.services.iter().map(|(_, s)| s.kind.token()).collect();
         assert_eq!(kinds.len(), 11, "one service of every ServiceKind");
-        let h = compile(&spec, 2, &quick(1)).unwrap();
+        let h = compile(&spec, 2, &quick(1));
         let deployed: BTreeSet<&str> = h
             .net
             .services
@@ -1907,19 +1869,118 @@ query = "mds-search-all-gris0"
         assert_eq!(deployed, BTreeSet::from(gscenario::FAULTABLE));
     }
 
-    /// Compile errors carry the offending service, not a panic.
+    /// `gscenario::known_host` is a hand copy of the testbed's host
+    /// names, and `compile` looks every validated host up on the testbed:
+    /// the two must name exactly the same hosts.
     #[test]
-    fn compile_errors_name_the_offender() {
-        let mut spec = (catalogue::find("set1/MDS GRIS (cache)").unwrap().spec)();
-        spec.services[0].1.host = "lucky2".to_string();
-        let err = match compile(&spec, 1, &quick(1)) {
-            Ok(_) => panic!("lucky2 does not exist; compile must fail"),
-            Err(e) => e,
-        };
-        assert_eq!(
-            err.to_string(),
-            "service \"gris\": no host \"lucky2\" on the testbed"
-        );
+    fn known_hosts_are_the_testbed_nodes() {
+        let tb = testbed::Testbed::build(TestbedConfig::default());
+        let nodes: BTreeSet<String> = tb
+            .topo
+            .node_ids()
+            .map(|id| tb.topo.node(id).name.clone())
+            .collect();
+        let candidates = (0..10)
+            .map(|i| format!("lucky{i}"))
+            .chain((0..100).map(|i| format!("uc{i:02}")))
+            .chain(["", "lucky", "uc", "uc1", "uc001", "uc+1", "LUCKY0", "mcs"].map(String::from));
+        let known: BTreeSet<String> = candidates.filter(|h| gscenario::known_host(h)).collect();
+        assert_eq!(known, nodes);
+    }
+
+    /// One minimal deployment per `ServiceKind`, its service `t` of that
+    /// kind deployed after what `t` needs upstream (and, for the Hawkeye
+    /// kinds, an agent for `hawkeye-status-random` to ask about).
+    const KINDS: [(&str, &str); 11] = [
+        ("gris", "[service.t]\nkind = \"gris\"\nhost = \"lucky7\"\nproviders = 2\n"),
+        (
+            "giis-pool",
+            "[service.t]\nkind = \"giis-pool\"\nhost = \"lucky0\"\ngris_hosts = [\"lucky3\"]\n\
+             n_gris = 2\ncachettl = \"exp4\"\n",
+        ),
+        (
+            "giis",
+            "[service.t]\nkind = \"giis\"\nhost = \"lucky0\"\ncachettl = \"exp4\"\n\n\
+             [service.f]\nkind = \"gris-fleet\"\nhost = \"lucky1\"\nparent = \"t\"\nshare = \"0/1\"\n",
+        ),
+        (
+            "gris-fleet",
+            "[service.top]\nkind = \"giis\"\nhost = \"lucky0\"\ncachettl = \"exp4\"\n\n\
+             [service.t]\nkind = \"gris-fleet\"\nhost = \"lucky1\"\nparent = \"top\"\nshare = \"0/1\"\n",
+        ),
+        (
+            "hawkeye-manager",
+            "[service.t]\nkind = \"hawkeye-manager\"\nhost = \"lucky3\"\n\n\
+             [service.a]\nkind = \"hawkeye-agent\"\nhost = \"lucky4\"\nmodules = 2\nmanager = \"t\"\n",
+        ),
+        (
+            "hawkeye-agent",
+            "[service.m]\nkind = \"hawkeye-manager\"\nhost = \"lucky3\"\n\n\
+             [service.t]\nkind = \"hawkeye-agent\"\nhost = \"lucky4\"\nmodules = 2\nmanager = \"m\"\n",
+        ),
+        (
+            "hawkeye-advertiser-fleet",
+            "[service.m]\nkind = \"hawkeye-manager\"\nhost = \"lucky3\"\n\n\
+             [service.a]\nkind = \"hawkeye-agent\"\nhost = \"lucky4\"\nmodules = 2\nmanager = \"m\"\n\n\
+             [service.t]\nkind = \"hawkeye-advertiser-fleet\"\nhost = \"lucky5\"\nmachines = 2\n\
+             manager = \"m\"\n",
+        ),
+        ("rgma-registry", "[service.t]\nkind = \"rgma-registry\"\nhost = \"lucky1\"\n"),
+        (
+            "rgma-producer-servlet",
+            "[service.r]\nkind = \"rgma-registry\"\nhost = \"lucky1\"\n\n\
+             [service.t]\nkind = \"rgma-producer-servlet\"\nhost = \"lucky3\"\nproducers = 2\n\
+             registry = \"r\"\n",
+        ),
+        (
+            "rgma-consumer-servlet",
+            "[service.r]\nkind = \"rgma-registry\"\nhost = \"lucky1\"\n\n\
+             [service.p]\nkind = \"rgma-producer-servlet\"\nhost = \"lucky3\"\nproducers = 2\n\
+             registry = \"r\"\n\n\
+             [service.t]\nkind = \"rgma-consumer-servlet\"\nhost = \"lucky5\"\nregistry = \"r\"\n",
+        ),
+        (
+            "rgma-composite-pool",
+            "[service.r]\nkind = \"rgma-registry\"\nhost = \"lucky1\"\n\n\
+             [service.t]\nkind = \"rgma-composite-pool\"\nhost = \"lucky0\"\n\
+             site_hosts = [\"lucky3\"]\nn_sites = 1\nregistry = \"r\"\n",
+        ),
+    ];
+
+    /// Every query at every kind: `validate` accepts exactly the pairs
+    /// `Query::targets` lists, and every accepted pair runs to answered
+    /// queries — in a debug build, with the services' message-type
+    /// `debug_assert`s live.
+    #[test]
+    fn validate_accepts_exactly_the_kinds_that_answer_each_query() {
+        let mut cfg = RunConfig::quick(7);
+        cfg.warmup = SimDuration::from_secs(2);
+        cfg.window = SimDuration::from_secs(10);
+        let kinds: BTreeSet<&str> = KINDS.iter().map(|(k, _)| *k).collect();
+        assert_eq!(kinds.len(), 11, "one deployment per ServiceKind");
+        for (kind, services) in KINDS {
+            assert!(services.contains(&format!("[service.t]\nkind = \"{kind}\"\n")));
+            for query in Query::ALL {
+                let q = query.token();
+                let text = format!(
+                    "name = \"pair\"\nsystem = \"mds\"\nx = [2]\nwatch = \"lucky0\"\n\n{services}\n\
+                     [workload]\nusers = 2\ntarget = \"t\"\nquery = \"{q}\"\n"
+                );
+                match parse(&text) {
+                    Ok(spec) => {
+                        assert!(query.targets().contains(&kind), "{q} accepted at a {kind}");
+                        let m = run_point(&spec, 2, &cfg);
+                        assert!(m.completions > 0, "{q} at a {kind}: {m:?}");
+                    }
+                    Err(e) => {
+                        assert!(!query.targets().contains(&kind), "{q} at a {kind}: {e}");
+                        let want =
+                            format!("[workload]: bad value for \"target\": \"t\" has kind {kind}");
+                        assert!(e.to_string().starts_with(&want), "{e}");
+                    }
+                }
+            }
+        }
     }
 
     /// Tracing and metrics observe the run without perturbing it: the
@@ -1929,11 +1990,11 @@ query = "mds-search-all-gris0"
     fn observed_run_matches_plain_run() {
         let cfg = quick(5);
         let spec = (catalogue::find("set1/MDS GRIS (cache)").unwrap().spec)();
-        let base = run_point(&spec, 2, &cfg).unwrap();
+        let base = run_point(&spec, 2, &cfg);
         assert!(base.completions > 0, "point too short to be meaningful");
         let mut ocfg = cfg;
         ocfg.obs = ObsMode::FULL;
-        let mut h = compile(&spec, 2, &ocfg).unwrap();
+        let mut h = compile(&spec, 2, &ocfg);
         assert_eq!(h.run_and_measure(2.0), base);
         let harvest = h.harvest().expect("obs is on");
         assert!(!harvest.report.events.is_empty());

@@ -14,7 +14,7 @@ use gridmon_core::figures::PointSpec;
 use gridmon_core::runcfg::{Measurement, RunConfig};
 use gridmon_core::scenario;
 use gridmon_core::stablehash::digest128;
-use gscenario::ScenarioSpec;
+use gscenario::{ScenarioError, ScenarioSpec};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -73,27 +73,18 @@ impl Job {
     /// One job per declared x of a user-authored scenario, in
     /// `spec.x_values` order, keyed `scenario/<name>/x=<x>` (names are
     /// author-chosen; two different topologies under one name still get
-    /// distinct cache addresses via the fingerprint).
-    ///
-    /// The spec is validated and dry-compiled at every x first, so
-    /// authoring mistakes the validator cannot see (an unknown host, a
-    /// TTL-less freshness probe) surface as an error here instead of a
-    /// panic on a pool thread.
-    pub fn scenario_sweep(spec: &ScenarioSpec, cfg: &RunConfig) -> Result<Vec<Job>, String> {
-        spec.validate().map_err(|e| e.to_string())?;
+    /// distinct cache addresses via the fingerprint).  A spec that fails
+    /// [`ScenarioSpec::validate`] yields no jobs, so an authoring mistake
+    /// surfaces here instead of on a pool thread.
+    pub fn scenario_sweep(spec: &ScenarioSpec) -> Result<Vec<Job>, ScenarioError> {
+        spec.validate()?;
         let shared = Arc::new(spec.clone());
-        spec.x_values
-            .iter()
-            .map(|&x| {
-                let job = Job {
-                    key: format!("scenario/{}/x={x}", spec.name),
-                    spec: shared.clone(),
-                    x,
-                };
-                scenario::compile(spec, x, &job.cfg(cfg)).map_err(|e| e.to_string())?;
-                Ok(job)
-            })
-            .collect()
+        let job = |&x: &u32| Job {
+            key: format!("scenario/{}/x={x}", spec.name),
+            spec: shared.clone(),
+            x,
+        };
+        Ok(spec.x_values.iter().map(job).collect())
     }
 
     pub fn key(&self) -> &str {
@@ -113,12 +104,7 @@ impl Job {
     /// With `cfg.obs` enabled the output carries the observability
     /// harvest around the (bit-identical) measurement.
     pub fn run(&self, cfg: &RunConfig) -> JobOutput {
-        let c = self.cfg(cfg);
-        // Catalogue specs are pinned by tests and authored ones are
-        // dry-compiled by `scenario_sweep`, so a failure here is a bug,
-        // not user input.
-        let mut h = scenario::compile(&self.spec, self.x, &c)
-            .unwrap_or_else(|e| panic!("{}: {e}", self.key));
+        let mut h = scenario::compile(&self.spec, self.x, &self.cfg(cfg));
         JobOutput {
             m: h.run_and_measure(f64::from(self.x)),
             sim: SimCounters {

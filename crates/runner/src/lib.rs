@@ -295,7 +295,7 @@ mod tests {
         let mut jobs = Job::points(&points);
         let mut authored = spec_of("set6/MDS GIIS (3 branches)");
         authored.x_values = vec![3];
-        jobs.extend(Job::scenario_sweep(&authored, &cfg).unwrap());
+        jobs.extend(Job::scenario_sweep(&authored).unwrap());
         let (together, sink) = run_fresh(&jobs, &cfg, &rc);
         assert_eq!(sink.points.len(), jobs.len());
         let mut pristine = cfg;
@@ -393,7 +393,7 @@ mod tests {
         let cfg = tiny_cfg(17);
         let mut spec = spec_of("set6/MDS GIIS (3 branches)");
         spec.x_values = vec![3, 6];
-        let jobs = Job::scenario_sweep(&spec, &cfg).unwrap();
+        let jobs = Job::scenario_sweep(&spec).unwrap();
         let (seq, _) = run_fresh(&jobs, &cfg, &RunnerConfig::sequential());
         let dir = scratch_cache("scenario");
         let rc = RunnerConfig {
@@ -421,7 +421,7 @@ mod tests {
         // Editing the topology (not the name) re-addresses the cache.
         let mut edited = spec.clone();
         edited.workload.users = gscenario::Count::Lit(12);
-        let edited_jobs = Job::scenario_sweep(&edited, &cfg).unwrap();
+        let edited_jobs = Job::scenario_sweep(&edited).unwrap();
         let (_, s3) = run_fresh(&edited_jobs, &cfg, &rc);
         assert_eq!(s3.cache.hits, 0, "fingerprint must fold into the digest");
         let _ = std::fs::remove_dir_all(&dir);
@@ -462,7 +462,7 @@ mod tests {
     fn scenario_errors_surface_before_the_pool() {
         let mut spec = spec_of("set6/MDS GIIS (flat)");
         spec.services[0].1.host = "lucky2".to_string();
-        let err = Job::scenario_sweep(&spec, &tiny_cfg(1)).unwrap_err();
-        assert!(err.contains("lucky2"), "{err}");
+        let err = Job::scenario_sweep(&spec).unwrap_err();
+        assert!(err.to_string().contains("lucky2"), "{err}");
     }
 }

@@ -4,9 +4,10 @@
 //! golden tests below pin the author-facing error messages word for
 //! word: a misspelled backend, a dangling service reference, a
 //! duplicate section, an off-testbed host, a stray `rate`, an unknown
-//! arrival process, a dead WAN link and a composite without site hosts
-//! must each name the offender, because those strings are the scenario
-//! author's compiler diagnostics.
+//! arrival process, a dead WAN link, a composite without site hosts and
+//! a reference to a service of the wrong kind must each name the
+//! offender, because those strings are the scenario author's compiler
+//! diagnostics.
 
 use gscenario::{
     Arrivals, ClientCpu, Count, FaultKind, FaultPolicy, Placement, ProbeSpec, Query, ScenarioSpec,
@@ -267,6 +268,12 @@ fn arb_hawkeye() -> impl Strategy<Value = ScenarioSpec> {
                         },
                     ));
                 }
+                // Agent queries go to the Agent, pool queries to the Manager.
+                let target = if query.targets() == ["hawkeye-agent"] {
+                    "agent"
+                } else {
+                    "mgr"
+                };
                 ScenarioSpec {
                     name,
                     system: SystemId::Hawkeye,
@@ -274,7 +281,7 @@ fn arb_hawkeye() -> impl Strategy<Value = ScenarioSpec> {
                     wan: None,
                     services,
                     watch: "lucky0".to_string(),
-                    workload: workload(users, Placement::Uc, "mgr", query, cpu, None),
+                    workload: workload(users, Placement::Uc, target, query, cpu, None),
                     probe: (probe == 1).then(|| ProbeSpec::HawkeyeAds {
                         manager: "mgr".to_string(),
                     }),
@@ -529,4 +536,88 @@ fn composite_needs_site_hosts() {
     };
     site_hosts.clear();
     assert_eq!(spec.validate().unwrap_err().to_string(), want);
+}
+
+/// A one-sweep-point spec of `system` around the `services` sections,
+/// one user asking `target` the `query`.
+fn wired(system: &str, services: &str, target: &str, query: &str) -> String {
+    format!(
+        "name = \"wired\"\nsystem = \"{system}\"\nx = [1]\nwatch = \"lucky3\"\n\n{services}\n\
+         [workload]\nusers = 1\ntarget = \"{target}\"\nquery = \"{query}\"\n"
+    )
+}
+
+const MANAGER: &str = "[service.mgr]\nkind = \"hawkeye-manager\"\nhost = \"lucky3\"\n";
+
+#[test]
+fn a_query_goes_to_a_kind_that_answers_it() {
+    let err = validate_err(&wired("hawkeye", MANAGER, "mgr", "mds-search-all-giis"));
+    assert_eq!(
+        err,
+        "[workload]: bad value for \"target\": \"mgr\" has kind hawkeye-manager, \
+         expected gris or giis-pool or giis"
+    );
+    let err = validate_err(&wired("hawkeye", MANAGER, "mgr", "hawkeye-agent-status"));
+    assert_eq!(
+        err,
+        "[workload]: bad value for \"target\": \"mgr\" has kind hawkeye-manager, \
+         expected hawkeye-agent"
+    );
+}
+
+#[test]
+fn status_random_needs_an_agent_to_ask_about() {
+    let err = validate_err(&wired("hawkeye", MANAGER, "mgr", "hawkeye-status-random"));
+    assert_eq!(
+        err,
+        "[workload]: bad value for \"query\": \
+         hawkeye-status-random needs a hawkeye-agent to ask about"
+    );
+}
+
+#[test]
+fn an_upstream_is_of_the_kind_it_names() {
+    let services = "[service.reg]\nkind = \"rgma-registry\"\nhost = \"lucky1\"\n\n\
+                    [service.agent]\nkind = \"hawkeye-agent\"\nhost = \"lucky4\"\n\
+                    modules = 11\nmanager = \"reg\"\n";
+    let err = validate_err(&wired("hawkeye", services, "agent", "hawkeye-agent-status"));
+    assert_eq!(
+        err,
+        "service \"agent\": bad value for \"manager\": \"reg\" has kind rgma-registry, \
+         expected hawkeye-manager"
+    );
+}
+
+/// A pinned top GIIS with one GRIS-fleet shard under it.
+const FEDERATION: &str = "[service.top]\nkind = \"giis\"\nhost = \"lucky0\"\n\
+                          cachettl = \"pinned\"\n\n[service.shard]\nkind = \"gris-fleet\"\n\
+                          host = \"lucky1\"\nparent = \"top\"\nshare = \"0/1\"\n";
+
+#[test]
+fn a_fleet_is_never_a_target() {
+    let err = validate_err(&wired("mds", FEDERATION, "shard", "mds-search-all-giis"));
+    assert_eq!(
+        err,
+        "[workload]: bad value for \"target\": \"shard\" has kind gris-fleet, \
+         expected gris or giis-pool or giis"
+    );
+}
+
+#[test]
+fn freshness_needs_a_giis_that_expires_its_data() {
+    let probe = "\n[probe]\nkind = \"giis-freshness\"\ngiis = \"top\"\n";
+    let text = wired("mds", FEDERATION, "top", "mds-search-all-giis") + probe;
+    assert_eq!(
+        validate_err(&text),
+        "[probe]: bad value for \"giis\": \"top\" never expires its data \
+         (cachettl = \"pinned\"), so it has no fresh horizon (TTL + 5 s)"
+    );
+    let fleet = text.replace("giis = \"top\"", "giis = \"shard\"");
+    assert_eq!(
+        validate_err(&fleet),
+        "[probe]: bad value for \"giis\": \"shard\" has kind gris-fleet, \
+         expected giis or giis-pool"
+    );
+    // With a finite TTL the same spec is good.
+    gscenario::parse(&text.replace("\"pinned\"", "\"exp4\"")).expect("a TTL to probe against");
 }

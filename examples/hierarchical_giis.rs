@@ -20,7 +20,7 @@ use gridmon::simcore::SimDuration;
 /// The extension row `id` with `n_gris` GRISes.
 fn row(id: &str, n_gris: u32, cfg: &RunConfig) -> Measurement {
     let series = catalogue::find(id).expect("a catalogue row");
-    run_point(&(series.spec)(), n_gris, cfg).expect("catalogue rows compile")
+    run_point(&(series.spec)(), n_gris, cfg)
 }
 
 fn main() {

@@ -27,7 +27,7 @@ fn point_with(id: &str, x: u32, ablate: impl FnOnce(&mut Params)) -> Measurement
     let series = catalogue::find(id).unwrap_or_else(|| panic!("no series {id:?}"));
     let mut cfg = cfg();
     ablate(&mut cfg.params);
-    run_point(&(series.spec)(), x, &cfg).unwrap()
+    run_point(&(series.spec)(), x, &cfg)
 }
 
 #[test]
