@@ -2,17 +2,18 @@
 //!
 //! The allocation pass rebuilt several relsql internals — interned
 //! index keys (`Sym`/f64-bit keys instead of `format!`ed strings),
-//! borrowed predicate evaluation, the parsed-statement cache, and the
-//! direct row APIs (`insert_row`/`delete_where_eq`).  Each of those
-//! must be *observably identical* to the plain SQL-text path it
-//! bypasses: same result rows in the same order, same `scanned` and
-//! `used_index` accounting (they feed simulated CPU costs), same
+//! borrowed predicate evaluation, the parsed-statement cache, names
+//! bound to symbols at parse time, and the direct row APIs
+//! (`insert_row`, and `upsert_row`, which overwrites a row in place).
+//! Each of those must be *observably identical* to the plain SQL-text
+//! path it bypasses: same result rows in the same order, same `scanned`
+//! and `used_index` accounting (they feed simulated CPU costs), same
 //! errors.  These properties drive random value mixes (INT/REAL
 //! collisions, quotes in text, NULLs) through both paths and compare
 //! whole `QueryResult`s.
 
 use proptest::prelude::*;
-use relsql::{parse_stmt, Database, QueryResult, SqlError, SqlValue};
+use relsql::{parse_stmt, Database, QueryResult, SqlError, SqlValue, Sym};
 
 /// A value pool that exercises every index-key class: whole reals that
 /// collide with ints, negative zero, quoted text, NULL.
@@ -36,8 +37,8 @@ fn lit(v: &SqlValue) -> String {
 
 #[derive(Debug, Clone)]
 enum Op {
-    /// Upsert `pk` — via SQL text on the oracle, direct APIs on the
-    /// optimized side.
+    /// Upsert `pk` — `UPDATE` then, if that touched nothing, `INSERT`
+    /// as SQL text on the oracle; `upsert_row` on the optimized side.
     Upsert(SqlValue, SqlValue, SqlValue),
     /// DELETE WHERE col = value (col 0 = indexed pk, col 1 = scan).
     DeleteEq(usize, SqlValue),
@@ -46,12 +47,22 @@ enum Op {
     Select(usize, SqlValue, SqlValue),
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    let v = value_strategy;
+/// Keys for upserts and probes: mostly a small text pool, so a key is
+/// often already stored and the upsert overwrites instead of inserting.
+fn key_strategy() -> impl Strategy<Value = SqlValue> {
     prop_oneof![
-        (v(), v(), v()).prop_map(|(a, b, c)| Op::Upsert(a, b, c)),
+        "[abc]".prop_map(SqlValue::Text),
+        "[abc]".prop_map(SqlValue::Text),
+        value_strategy(),
+    ]
+}
+
+fn op_strategy() -> impl Strategy<Value = Op> {
+    let (k, v) = (key_strategy, value_strategy);
+    prop_oneof![
+        (k(), v(), v()).prop_map(|(a, b, c)| Op::Upsert(a, b, c)),
         (0usize..2, v()).prop_map(|(c, x)| Op::DeleteEq(c, x)),
-        (0usize..4, v(), v()).prop_map(|(s, a, b)| Op::Select(s, a, b)),
+        (0usize..4, k(), v()).prop_map(|(s, a, b)| Op::Select(s, a, b)),
     ]
 }
 
@@ -88,32 +99,30 @@ proptest! {
         let mut fast = Database::new();
         let mut slow = Database::new();
         fast.execute(SCHEMA).unwrap();
+        let m = Sym::from("m");
         oracle_exec(&mut slow, SCHEMA).unwrap();
 
         for op in &ops {
             match op {
                 Op::Upsert(k, v, n) => {
-                    let affected = fast.delete_where_eq("m", "entity", k).unwrap();
-                    let del = oracle_exec(
-                        &mut slow,
-                        &format!("DELETE FROM m WHERE entity = {}", lit(k)),
-                    )
-                    .unwrap();
-                    prop_assert_eq!(affected, del.affected);
-                    let direct = fast.insert_row("m", vec![k.clone(), v.clone(), n.clone()]);
+                    let direct = fast.upsert_row(m, vec![k.clone(), v.clone(), n.clone()]);
+                    let (k, v, n) = (lit(k), lit(v), lit(n));
                     let sql = oracle_exec(
                         &mut slow,
-                        &format!("INSERT INTO m VALUES ({}, {}, {})", lit(k), lit(v), lit(n)),
-                    );
-                    prop_assert_eq!(direct.is_ok(), sql.is_ok(), "insert error surface diverged");
+                        &format!(
+                            "UPDATE m SET entity = {k}, value = {v}, note = {n} WHERE entity = {k}"
+                        ),
+                    )
+                    .and_then(|updated| match updated.affected {
+                        0 => oracle_exec(&mut slow, &format!("INSERT INTO m VALUES ({k}, {v}, {n})")),
+                        _ => Ok(updated),
+                    });
+                    prop_assert_eq!(direct.is_ok(), sql.is_ok(), "upsert error surface diverged");
                 }
                 Op::DeleteEq(c, x) => {
-                    let affected = fast.delete_where_eq("m", COLS[*c], x).unwrap();
-                    let del = oracle_exec(
-                        &mut slow,
-                        &format!("DELETE FROM m WHERE {} = {}", COLS[*c], lit(x)),
-                    )
-                    .unwrap();
+                    let sql = format!("DELETE FROM m WHERE {} = {}", COLS[*c], lit(x));
+                    let affected = fast.execute(&sql).unwrap().affected;
+                    let del = oracle_exec(&mut slow, &sql).unwrap();
                     prop_assert_eq!(affected, del.affected);
                 }
                 Op::Select(shape, a, b) => {
@@ -144,7 +153,7 @@ proptest! {
         db.execute(SCHEMA).unwrap();
         for (k, v) in &rows {
             // Ignore duplicate-pk rejections; both paths see one store.
-            let _ = db.insert_row("m", vec![k.clone(), v.clone(), SqlValue::Null]);
+            let _ = db.insert_row("m".into(), vec![k.clone(), v.clone(), SqlValue::Null]);
         }
         let probed = db
             .execute(&format!("SELECT * FROM m WHERE entity = {}", lit(&needle)))

@@ -38,7 +38,7 @@ fn key_strategy() -> impl Strategy<Value = SqlValue> {
 enum SqlOp {
     /// Plain insert.
     Insert(SqlValue, SqlValue, SqlValue),
-    /// Delete + insert through the direct row APIs.
+    /// Overwrite in place through the direct row API.
     Upsert(SqlValue, SqlValue, SqlValue),
     /// `UPDATE ... SET value, note WHERE entity = key`.
     Update(SqlValue, SqlValue, SqlValue),
@@ -227,11 +227,10 @@ proptest! {
             match op {
                 SqlOp::Insert(k, v, n) => {
                     // A duplicate key is rejected; both outcomes are fine.
-                    let _ = db.insert_row("m", vec![k.clone(), as_real(v), n.clone()]);
+                    let _ = db.insert_row("m".into(), vec![k.clone(), as_real(v), n.clone()]);
                 }
                 SqlOp::Upsert(k, v, n) => {
-                    db.delete_where_eq("m", "entity", k).unwrap();
-                    db.insert_row("m", vec![k.clone(), as_real(v), n.clone()]).unwrap();
+                    db.upsert_row("m".into(), vec![k.clone(), as_real(v), n.clone()]).unwrap();
                 }
                 SqlOp::Update(k, v, n) => {
                     // NaN has no SQL literal.

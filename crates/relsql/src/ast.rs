@@ -2,6 +2,7 @@
 
 use crate::table::Column;
 use crate::value::SqlValue;
+use gintern::Sym;
 use std::fmt;
 
 /// Comparison operators in WHERE predicates.
@@ -31,7 +32,7 @@ impl CmpOp {
 /// One side of a comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Operand {
-    Column(String),
+    Column(Sym),
     Lit(SqlValue),
 }
 
@@ -51,12 +52,12 @@ pub enum Pred {
     /// `col LIKE 'pattern'` (`%` any run, `_` one char; negated form for
     /// NOT LIKE).
     Like {
-        column: String,
+        column: Sym,
         pattern: String,
         negated: bool,
     },
-    IsNull(String),
-    IsNotNull(String),
+    IsNull(Sym),
+    IsNotNull(Sym),
     And(Box<Pred>, Box<Pred>),
     Or(Box<Pred>, Box<Pred>),
     Not(Box<Pred>),
@@ -90,48 +91,50 @@ impl fmt::Display for Pred {
 pub enum SelectCols {
     Star,
     CountStar,
-    Columns(Vec<String>),
+    Columns(Vec<Sym>),
 }
 
 /// ORDER BY clause.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OrderBy {
-    pub column: String,
+    pub column: Sym,
     pub desc: bool,
 }
 
-/// A parsed statement.
+/// A parsed statement.  Every name in it is a lowercased [`Sym`],
+/// interned by the parser, so a parsed statement belongs to the thread
+/// that parsed it (see `gintern`'s scope note).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Stmt {
     CreateTable {
-        name: String,
+        name: Sym,
         columns: Vec<Column>,
         primary_key: Option<usize>,
     },
     Insert {
-        table: String,
+        table: Sym,
         /// Explicit column list, or None for positional.
-        columns: Option<Vec<String>>,
+        columns: Option<Vec<Sym>>,
         values: Vec<SqlValue>,
     },
     Select {
         cols: SelectCols,
-        table: String,
+        table: Sym,
         where_: Option<Pred>,
         order_by: Option<OrderBy>,
         limit: Option<usize>,
     },
     Update {
-        table: String,
-        sets: Vec<(String, SqlValue)>,
+        table: Sym,
+        sets: Vec<(Sym, SqlValue)>,
         where_: Option<Pred>,
     },
     Delete {
-        table: String,
+        table: Sym,
         where_: Option<Pred>,
     },
     DropTable {
-        name: String,
+        name: Sym,
     },
 }
 

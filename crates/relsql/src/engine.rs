@@ -5,7 +5,6 @@ use crate::parser::{parse_stmt, SqlParseError};
 use crate::table::{Row, SharedRow, StoredRow, Table, TableError, TableSchema};
 use crate::value::SqlValue;
 use gintern::Sym;
-use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::rc::Rc;
@@ -117,55 +116,21 @@ impl Database {
 
     /// Insert one row (schema order) without going through SQL text —
     /// exactly `INSERT INTO table VALUES (...)`, minus the `format!`,
-    /// lexing and parsing.  The high-rate publish loops build their
-    /// rows directly.
-    pub fn insert_row(&mut self, table: &str, row: Row) -> Result<(), SqlError> {
+    /// lexing and parsing.  `table` is the symbol its caller resolved
+    /// once, not a name hashed per row.
+    pub fn insert_row(&mut self, table: Sym, row: Row) -> Result<(), SqlError> {
         self.table_mut(table)?.insert(row)?;
         Ok(())
     }
 
-    /// Delete the rows where `column = value` without going through SQL
-    /// text — exactly `DELETE FROM table WHERE column = 'value'` (same
-    /// candidate selection, same index probe), minus the `format!`,
-    /// lexing and parsing.  Returns the number of rows deleted.
-    pub fn delete_where_eq(
-        &mut self,
-        table: &str,
-        column: &str,
-        value: &SqlValue,
-    ) -> Result<usize, SqlError> {
-        let t = self.table(table)?;
-        let ci = t
-            .schema
-            .column_index(column)
-            .ok_or_else(|| SqlError::NoSuchColumn(column.into()))?;
-        // Same candidate selection as the parsed `WHERE column = value`
-        // would make: index probe with a re-filter when the column is
-        // indexed, full scan otherwise — without building a `Pred` (two
-        // heap clones) per call.
-        let rids: Vec<usize> = match t.index_ids(ci, value) {
-            Some(ids) => ids
-                .iter()
-                .copied()
-                .filter(|&rid| {
-                    t.get_row(rid)
-                        .is_some_and(|row| row[ci].compare(value) == Some(Ordering::Equal))
-                })
-                .collect(),
-            None => t
-                .iter()
-                .filter(|(_, row)| row[ci].compare(value) == Some(Ordering::Equal))
-                .map(|(rid, _)| rid)
-                .collect(),
-        };
-        let t = self.table_mut(table)?;
-        let mut affected = 0;
-        for rid in rids {
-            if t.delete_row(rid) {
-                affected += 1;
-            }
-        }
-        Ok(affected)
+    /// Insert one row, or overwrite in place the live row that holds its
+    /// primary key ([`Table::upsert`]) — what `UPDATE table SET … WHERE
+    /// key = k` followed, when that touched nothing, by `INSERT` leaves
+    /// behind.  The high-rate publish loops keep one row per key this
+    /// way, with no tombstone per publish.
+    pub fn upsert_row(&mut self, table: Sym, row: Row) -> Result<(), SqlError> {
+        self.table_mut(table)?.upsert(row)?;
+        Ok(())
     }
 
     /// Execute a pre-parsed statement.
@@ -176,23 +141,20 @@ impl Database {
                 columns,
                 primary_key,
             } => {
-                let key = gintern::intern(name);
-                if self.tables.contains_key(&key) {
-                    return Err(SqlError::TableExists(name.clone()));
+                if self.tables.contains_key(name) {
+                    return Err(SqlError::TableExists(name.to_string()));
                 }
                 let schema = TableSchema {
-                    name: key,
+                    name: *name,
                     columns: columns.clone(),
                     primary_key: *primary_key,
                 };
-                self.tables.insert(key, Table::new(schema));
+                self.tables.insert(*name, Table::new(schema));
                 Ok(QueryResult::default())
             }
             Stmt::DropTable { name } => {
-                let existed =
-                    gintern::lookup(name).is_some_and(|key| self.tables.remove(&key).is_some());
-                if !existed {
-                    return Err(SqlError::NoSuchTable(name.clone()));
+                if self.tables.remove(name).is_none() {
+                    return Err(SqlError::NoSuchTable(name.to_string()));
                 }
                 Ok(QueryResult::default())
             }
@@ -201,7 +163,7 @@ impl Database {
                 columns,
                 values,
             } => {
-                let t = self.table_mut(table)?;
+                let t = self.table_mut(*table)?;
                 let row = match columns {
                     None => values.clone(),
                     Some(cols) => {
@@ -218,8 +180,8 @@ impl Database {
                         for (c, v) in cols.iter().zip(values) {
                             let i = t
                                 .schema
-                                .column_index(c)
-                                .ok_or_else(|| SqlError::NoSuchColumn(c.clone()))?;
+                                .column_of(*c)
+                                .ok_or_else(|| SqlError::NoSuchColumn(c.to_string()))?;
                             row[i] = v.clone();
                         }
                         row
@@ -238,14 +200,14 @@ impl Database {
                 order_by,
                 limit,
             } => {
-                let t = self.table(table)?;
+                let t = self.table(*table)?;
                 let (mut rids, scanned, used_index) = candidate_rows(t, where_.as_ref())?;
                 // Order.
                 if let Some(ob) = order_by {
                     let ci = t
                         .schema
-                        .column_index(&ob.column)
-                        .ok_or_else(|| SqlError::NoSuchColumn(ob.column.clone()))?;
+                        .column_of(ob.column)
+                        .ok_or_else(|| SqlError::NoSuchColumn(ob.column.to_string()))?;
                     rids.sort_by(|&a, &b| {
                         let ra = &t.get_row(a).unwrap()[ci];
                         let rb = &t.get_row(b).unwrap()[ci];
@@ -285,14 +247,14 @@ impl Database {
                     SelectCols::Columns(names) => {
                         let idxs: Vec<usize> = names
                             .iter()
-                            .map(|n| {
+                            .map(|&n| {
                                 t.schema
-                                    .column_index(n)
-                                    .ok_or_else(|| SqlError::NoSuchColumn(n.clone()))
+                                    .column_of(n)
+                                    .ok_or_else(|| SqlError::NoSuchColumn(n.to_string()))
                             })
                             .collect::<Result<_, _>>()?;
                         Ok(QueryResult {
-                            columns: names.iter().map(|n| gintern::intern(n)).collect(),
+                            columns: names.clone(),
                             rows: rids
                                 .iter()
                                 .map(|&r| {
@@ -314,18 +276,27 @@ impl Database {
                 sets,
                 where_,
             } => {
-                let t = self.table(table)?;
+                let t = self.table(*table)?;
                 let (rids, scanned, used_index) = candidate_rows(t, where_.as_ref())?;
+                // Resolve and type-check every assignment before writing
+                // any, so a bad value leaves no row half-updated.
                 let set_idx: Vec<(usize, SqlValue)> = sets
                     .iter()
                     .map(|(c, v)| {
-                        t.schema
-                            .column_index(c)
-                            .map(|i| (i, v.clone()))
-                            .ok_or_else(|| SqlError::NoSuchColumn(c.clone()))
+                        let i = t
+                            .schema
+                            .column_of(*c)
+                            .ok_or_else(|| SqlError::NoSuchColumn(c.to_string()))?;
+                        if !t.schema.columns[i].ty.accepts(v) {
+                            return Err(SqlError::from(TableError::TypeMismatch {
+                                column: c.to_string(),
+                                value: v.to_string(),
+                            }));
+                        }
+                        Ok((i, v.clone()))
                     })
                     .collect::<Result<_, _>>()?;
-                let t = self.table_mut(table)?;
+                let t = self.table_mut(*table)?;
                 for &rid in &rids {
                     for (ci, v) in &set_idx {
                         t.update_cell(rid, *ci, v.clone())?;
@@ -339,9 +310,9 @@ impl Database {
                 })
             }
             Stmt::Delete { table, where_ } => {
-                let t = self.table(table)?;
+                let t = self.table(*table)?;
                 let (rids, scanned, used_index) = candidate_rows(t, where_.as_ref())?;
-                let t = self.table_mut(table)?;
+                let t = self.table_mut(*table)?;
                 let mut affected = 0;
                 for rid in rids {
                     if t.delete_row(rid) {
@@ -358,27 +329,16 @@ impl Database {
         }
     }
 
-    /// Resolve a table name to its `Sym` key without interning (a name
-    /// never interned anywhere names no table).
-    fn table_key(name: &str) -> Option<Sym> {
-        if name.bytes().any(|b| b.is_ascii_uppercase()) {
-            gintern::lookup(&name.to_ascii_lowercase())
-        } else {
-            gintern::lookup(name)
-        }
+    fn table(&self, name: Sym) -> Result<&Table, SqlError> {
+        self.tables
+            .get(&name)
+            .ok_or_else(|| SqlError::NoSuchTable(name.to_string()))
     }
 
-    pub fn table(&self, name: &str) -> Result<&Table, SqlError> {
-        Self::table_key(name)
-            .and_then(|k| self.tables.get(&k))
-            .ok_or_else(|| SqlError::NoSuchTable(name.into()))
-    }
-
-    pub fn table_mut(&mut self, name: &str) -> Result<&mut Table, SqlError> {
-        match Self::table_key(name) {
-            Some(k) if self.tables.contains_key(&k) => Ok(self.tables.get_mut(&k).unwrap()),
-            _ => Err(SqlError::NoSuchTable(name.into())),
-        }
+    fn table_mut(&mut self, name: Sym) -> Result<&mut Table, SqlError> {
+        self.tables
+            .get_mut(&name)
+            .ok_or_else(|| SqlError::NoSuchTable(name.to_string()))
     }
 }
 
@@ -428,7 +388,7 @@ fn index_probe<'p>(t: &Table, p: &'p Pred) -> Option<(usize, &'p SqlValue)> {
     match p {
         Pred::Cmp(Operand::Column(c), CmpOp::Eq, Operand::Lit(v))
         | Pred::Cmp(Operand::Lit(v), CmpOp::Eq, Operand::Column(c)) => {
-            let ci = t.schema.column_index(c)?;
+            let ci = t.schema.column_of(*c)?;
             t.has_index(ci).then_some((ci, v))
         }
         Pred::And(a, b) => index_probe(t, a).or_else(|| index_probe(t, b)),
@@ -438,11 +398,11 @@ fn index_probe<'p>(t: &Table, p: &'p Pred) -> Option<(usize, &'p SqlValue)> {
 
 fn validate_pred_columns(t: &Table, p: Option<&Pred>) -> Result<(), SqlError> {
     let Some(p) = p else { return Ok(()) };
-    let check = |c: &String| -> Result<(), SqlError> {
+    let check = |&c: &Sym| -> Result<(), SqlError> {
         t.schema
-            .column_index(c)
+            .column_of(c)
             .map(|_| ())
-            .ok_or_else(|| SqlError::NoSuchColumn(c.clone()))
+            .ok_or_else(|| SqlError::NoSuchColumn(c.to_string()))
     };
     match p {
         Pred::Cmp(a, _, b) => {
@@ -485,7 +445,7 @@ fn eval_pred(p: &Pred, t: &Table, row: &[SqlValue]) -> Option<bool> {
             pattern,
             negated,
         } => {
-            let ci = t.schema.column_index(column)?;
+            let ci = t.schema.column_of(*column)?;
             match &row[ci] {
                 SqlValue::Null => None,
                 SqlValue::Text(s) => Some(like_match(pattern, s) != *negated),
@@ -495,11 +455,11 @@ fn eval_pred(p: &Pred, t: &Table, row: &[SqlValue]) -> Option<bool> {
             }
         }
         Pred::IsNull(c) => {
-            let ci = t.schema.column_index(c)?;
+            let ci = t.schema.column_of(*c)?;
             Some(row[ci].is_null())
         }
         Pred::IsNotNull(c) => {
-            let ci = t.schema.column_index(c)?;
+            let ci = t.schema.column_of(*c)?;
             Some(!row[ci].is_null())
         }
         Pred::And(a, b) => match (eval_pred(a, t, row), eval_pred(b, t, row)) {
@@ -518,20 +478,42 @@ fn eval_pred(p: &Pred, t: &Table, row: &[SqlValue]) -> Option<bool> {
 
 /// SQL LIKE matching: `%` = any run (including empty), `_` = exactly one
 /// character; case-insensitive like our text comparisons elsewhere.
+///
+/// Linear glob matching: walk both strings once, remembering only the
+/// last `%` and where the value stood when it was seen.  On a mismatch
+/// that `%` swallows one more character and matching resumes after it;
+/// an earlier `%` never needs revisiting, because the later one can
+/// absorb anything the earlier one would have.
 fn like_match(pattern: &str, value: &str) -> bool {
-    fn rec(p: &[char], v: &[char]) -> bool {
-        match p.split_first() {
-            None => v.is_empty(),
-            Some(('%', rest)) => (0..=v.len()).any(|i| rec(rest, &v[i..])),
-            Some(('_', rest)) => !v.is_empty() && rec(rest, &v[1..]),
-            Some((c, rest)) => {
-                v.first().is_some_and(|x| x.eq_ignore_ascii_case(c)) && rec(rest, &v[1..])
+    let (mut p, mut v) = (pattern, value);
+    // (pattern after the last `%`, value position it resumes from)
+    let mut star: Option<(&str, &str)> = None;
+    loop {
+        let mut pc = p.chars();
+        let mut vc = v.chars();
+        match (pc.next(), vc.next()) {
+            (None, None) => return true,
+            (Some('%'), _) => {
+                p = pc.as_str();
+                star = Some((p, v));
+            }
+            (Some(a), Some(b)) if a == '_' || a.eq_ignore_ascii_case(&b) => {
+                p = pc.as_str();
+                v = vc.as_str();
+            }
+            _ => {
+                let Some((after, from)) = star else {
+                    return false;
+                };
+                let mut rest = from.chars();
+                if rest.next().is_none() {
+                    return false;
+                }
+                (p, v) = (after, rest.as_str());
+                star = Some((after, v));
             }
         }
     }
-    let p: Vec<char> = pattern.chars().collect();
-    let v: Vec<char> = value.chars().collect();
-    rec(&p, &v)
 }
 
 /// Borrowed operand resolution: predicate evaluation runs once per
@@ -541,7 +523,7 @@ fn operand_value<'a>(o: &'a Operand, t: &Table, row: &'a [SqlValue]) -> &'a SqlV
     const NULL: &SqlValue = &SqlValue::Null;
     match o {
         Operand::Lit(v) => v,
-        Operand::Column(c) => t.schema.column_index(c).map(|i| &row[i]).unwrap_or(NULL),
+        Operand::Column(c) => t.schema.column_of(*c).map(|i| &row[i]).unwrap_or(NULL),
     }
 }
 
@@ -749,22 +731,24 @@ mod tests {
     #[test]
     fn direct_row_apis_match_sql() {
         // The same upsert round through SQL text and through the direct
-        // APIs leaves both databases observably identical.
+        // APIs leaves both databases observably identical, row order
+        // included: an existing key keeps its place.
         let mut via_sql = db();
         let mut direct = db();
         for (h, l) in [("lucky3", 7.5), ("new01", 0.3), ("uc01", 1.1)] {
-            via_sql
-                .execute(&format!("DELETE FROM cpu WHERE host = '{h}'"))
+            let updated = via_sql
+                .execute(&format!(
+                    "UPDATE cpu SET host = '{h}', site = 'x', load = {l} WHERE host = '{h}'"
+                ))
                 .unwrap();
-            via_sql
-                .execute(&format!("INSERT INTO cpu VALUES ('{h}', 'x', {l})"))
-                .unwrap();
+            if updated.affected == 0 {
+                via_sql
+                    .execute(&format!("INSERT INTO cpu VALUES ('{h}', 'x', {l})"))
+                    .unwrap();
+            }
             direct
-                .delete_where_eq("cpu", "host", &SqlValue::Text(h.into()))
-                .unwrap();
-            direct
-                .insert_row(
-                    "cpu",
+                .upsert_row(
+                    "cpu".into(),
                     vec![
                         SqlValue::Text(h.into()),
                         SqlValue::Text("x".into()),
@@ -776,15 +760,36 @@ mod tests {
         let a = via_sql.execute("SELECT * FROM cpu").unwrap();
         let b = direct.execute("SELECT * FROM cpu").unwrap();
         assert_eq!(a, b);
-        // Error surfaces match the SQL path's.
+        assert_eq!(b.rows[1][0], SqlValue::Text("lucky3".into()));
+        // Error surfaces match the SQL path's, and a rejected row leaves
+        // the stored one alone.
         assert!(matches!(
-            direct.insert_row("nope", vec![]),
+            direct.insert_row("nope".into(), vec![]),
             Err(SqlError::NoSuchTable(_))
         ));
+        let bad = vec![
+            SqlValue::Text("uc01".into()),
+            SqlValue::Int(1),
+            SqlValue::Null,
+        ];
         assert!(matches!(
-            direct.delete_where_eq("cpu", "nope", &SqlValue::Int(1)),
-            Err(SqlError::NoSuchColumn(_))
+            direct.upsert_row("cpu".into(), bad),
+            Err(SqlError::Table(_))
         ));
+        assert_eq!(direct.execute("SELECT * FROM cpu").unwrap(), b);
+    }
+
+    #[test]
+    fn update_is_all_or_nothing() {
+        // A bad value anywhere in the SET list writes nothing.
+        let mut d = db();
+        assert!(d
+            .execute("UPDATE cpu SET load = 5.0, site = 7 WHERE host = 'uc01'")
+            .is_err());
+        let r = d
+            .execute("SELECT load FROM cpu WHERE host = 'uc01'")
+            .unwrap();
+        assert_eq!(r.rows[0][0], SqlValue::Real(2.5));
     }
 
     #[test]
@@ -797,6 +802,27 @@ mod tests {
             .unwrap();
         let b = d.execute("SELECT host FROM cpu WHERE load > 1.0").unwrap();
         assert_eq!(a.rows.len() + 1, b.rows.len());
+    }
+
+    #[test]
+    fn like_is_linear_in_hostile_patterns() {
+        // Eight `%`s against 40 `a`s: every placement of the `%`s fails
+        // on the final `b`, which the backtracking matcher tried one by
+        // one (tens of millions of calls).
+        let pattern = "%a%a%a%a%a%a%a%a%b";
+        let value = "a".repeat(40);
+        assert!(!like_match(pattern, &value));
+        assert!(like_match(pattern, &format!("{value}b")));
+        let mut d = Database::new();
+        d.execute("CREATE TABLE t (s TEXT)").unwrap();
+        for _ in 0..50 {
+            d.execute(&format!("INSERT INTO t VALUES ('{value}')"))
+                .unwrap();
+        }
+        let r = d
+            .execute(&format!("SELECT COUNT(*) FROM t WHERE s LIKE '{pattern}'"))
+            .unwrap();
+        assert_eq!(r.rows[0][0], SqlValue::Int(0));
     }
 
     #[test]

@@ -20,6 +20,7 @@ use crate::ast::{CmpOp, Operand, OrderBy, Pred, SelectCols, Stmt};
 use crate::lexer::{lex_sql, SqlLexError, Tok};
 use crate::table::{ColType, Column};
 use crate::value::SqlValue;
+use gintern::Sym;
 use std::fmt;
 
 /// Parse failure.
@@ -140,6 +141,12 @@ impl P {
         }
     }
 
+    /// An identifier the statement keeps: lowercased and interned, so
+    /// execution compares names by symbol instead of hashing strings.
+    fn sym(&mut self) -> Result<Sym, SqlParseError> {
+        self.ident().map(|w| gintern::intern(&w))
+    }
+
     fn literal(&mut self) -> Result<SqlValue, SqlParseError> {
         match self.bump() {
             Some(Tok::Int(i)) => Ok(SqlValue::Int(i)),
@@ -171,7 +178,7 @@ impl P {
         }
         if self.eat_kw("DROP") {
             self.expect_kw("TABLE")?;
-            let name = self.ident()?;
+            let name = self.sym()?;
             return Ok(Stmt::DropTable { name });
         }
         Err(SqlParseError(format!(
@@ -182,12 +189,12 @@ impl P {
 
     fn create(&mut self) -> Result<Stmt, SqlParseError> {
         self.expect_kw("TABLE")?;
-        let name = self.ident()?;
+        let name = self.sym()?;
         self.expect_tok(&Tok::LParen)?;
         let mut columns = Vec::new();
         let mut primary_key = None;
         loop {
-            let cname = self.ident()?;
+            let cname = self.sym()?;
             let ty = match self.ident()?.as_str() {
                 "int" | "integer" | "bigint" => ColType::Int,
                 "real" | "float" | "double" => ColType::Real,
@@ -201,10 +208,7 @@ impl P {
                 }
                 primary_key = Some(columns.len());
             }
-            columns.push(Column {
-                name: gintern::intern(&cname),
-                ty,
-            });
+            columns.push(Column { name: cname, ty });
             if self.eat_tok(&Tok::RParen) {
                 break;
             }
@@ -219,11 +223,11 @@ impl P {
 
     fn insert(&mut self) -> Result<Stmt, SqlParseError> {
         self.expect_kw("INTO")?;
-        let table = self.ident()?;
+        let table = self.sym()?;
         let columns = if self.eat_tok(&Tok::LParen) {
             let mut cols = Vec::new();
             loop {
-                cols.push(self.ident()?);
+                cols.push(self.sym()?);
                 if self.eat_tok(&Tok::RParen) {
                     break;
                 }
@@ -260,14 +264,14 @@ impl P {
             self.expect_tok(&Tok::RParen)?;
             SelectCols::CountStar
         } else {
-            let mut cols = vec![self.ident()?];
+            let mut cols = vec![self.sym()?];
             while self.eat_tok(&Tok::Comma) {
-                cols.push(self.ident()?);
+                cols.push(self.sym()?);
             }
             SelectCols::Columns(cols)
         };
         self.expect_kw("FROM")?;
-        let table = self.ident()?;
+        let table = self.sym()?;
         let where_ = if self.eat_kw("WHERE") {
             Some(self.pred(0)?)
         } else {
@@ -275,7 +279,7 @@ impl P {
         };
         let order_by = if self.eat_kw("ORDER") {
             self.expect_kw("BY")?;
-            let column = self.ident()?;
+            let column = self.sym()?;
             let desc = if self.eat_kw("DESC") {
                 true
             } else {
@@ -309,11 +313,11 @@ impl P {
     }
 
     fn update(&mut self) -> Result<Stmt, SqlParseError> {
-        let table = self.ident()?;
+        let table = self.sym()?;
         self.expect_kw("SET")?;
         let mut sets = Vec::new();
         loop {
-            let col = self.ident()?;
+            let col = self.sym()?;
             self.expect_tok(&Tok::Eq)?;
             let v = self.literal()?;
             sets.push((col, v));
@@ -335,7 +339,7 @@ impl P {
 
     fn delete(&mut self) -> Result<Stmt, SqlParseError> {
         self.expect_kw("FROM")?;
-        let table = self.ident()?;
+        let table = self.sym()?;
         let where_ = if self.eat_kw("WHERE") {
             Some(self.pred(0)?)
         } else {
@@ -459,8 +463,7 @@ impl P {
     fn operand(&mut self) -> Result<Operand, SqlParseError> {
         match self.peek() {
             Some(Tok::Word(w)) if !w.eq_ignore_ascii_case("null") => {
-                let c = self.ident()?;
-                Ok(Operand::Column(c))
+                Ok(Operand::Column(self.sym()?))
             }
             _ => Ok(Operand::Lit(self.literal()?)),
         }

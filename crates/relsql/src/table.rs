@@ -3,9 +3,10 @@
 //! Table and column names are interned [`Sym`]s, and rows live behind
 //! `Rc` ([`SharedRow`]): a `SELECT *` result shares the stored rows
 //! instead of deep-cloning every cell, and in-place cell updates go
-//! through `Rc::make_mut` so outstanding result sets keep their
-//! snapshot.  A shared row is immutable, so it also carries its own
-//! wire size ([`StoredRow::wire_size`]), rendered at most once.
+//! through `Rc::make_mut` (an upsert swaps in a fresh `Rc`) so
+//! outstanding result sets keep their snapshot.  A shared row is
+//! immutable, so it also carries its own wire size
+//! ([`StoredRow::wire_size`]), rendered at most once.
 
 use crate::value::SqlValue;
 use gintern::Sym;
@@ -66,16 +67,10 @@ pub struct TableSchema {
 }
 
 impl TableSchema {
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        // Probe via `gintern::lookup`: a name never interned anywhere
-        // cannot be a column, and the already-lowercase common case
-        // (parsed statements) does not allocate.
-        let key = if name.bytes().any(|b| b.is_ascii_uppercase()) {
-            gintern::lookup(&name.to_ascii_lowercase())?
-        } else {
-            gintern::lookup(name)?
-        };
-        self.columns.iter().position(|c| c.name == key)
+    /// Position of the column named `name`: a scan over a handful of
+    /// `u32`s, since parsed statements carry their names as symbols.
+    pub fn column_of(&self, name: Sym) -> Option<usize> {
+        self.columns.iter().position(|c| c.name == name)
     }
 
     pub fn column_names(&self) -> Vec<Sym> {
@@ -190,7 +185,7 @@ fn store_key(v: &SqlValue) -> Option<IndexKey> {
 #[derive(Debug, Clone)]
 pub struct Table {
     pub schema: TableSchema,
-    rows: Vec<Option<SharedRow>>, // tombstoned on delete
+    rows: Vec<Option<SharedRow>>, // tombstoned on delete; upsert overwrites
     live: usize,
     /// column index -> (key -> row ids)
     indexes: BTreeMap<usize, BTreeMap<IndexKey, Vec<usize>>>,
@@ -236,15 +231,15 @@ impl Table {
         t
     }
 
-    /// Insert a full row.
-    pub fn insert(&mut self, row: Row) -> Result<usize, TableError> {
+    /// Does `row` fit the schema (arity and every cell's type)?
+    fn check_row(&self, row: &[SqlValue]) -> Result<(), TableError> {
         if row.len() != self.schema.columns.len() {
             return Err(TableError::Arity {
                 expected: self.schema.columns.len(),
                 got: row.len(),
             });
         }
-        for (col, v) in self.schema.columns.iter().zip(&row) {
+        for (col, v) in self.schema.columns.iter().zip(row) {
             if !col.ty.accepts(v) {
                 return Err(TableError::TypeMismatch {
                     column: col.name.to_string(),
@@ -252,6 +247,12 @@ impl Table {
                 });
             }
         }
+        Ok(())
+    }
+
+    /// Insert a full row.
+    pub fn insert(&mut self, row: Row) -> Result<usize, TableError> {
+        self.check_row(&row)?;
         if let Some(pk) = self.schema.primary_key {
             // Probe form suffices: a duplicate key is by definition
             // already stored, hence already interned.
@@ -269,6 +270,28 @@ impl Table {
         }
         self.rows.push(Some(Rc::new(StoredRow::new(row))));
         self.live += 1;
+        Ok(rid)
+    }
+
+    /// Insert `row`, or overwrite the live row holding its primary key
+    /// in place: same row id, same scan position, no tombstone.  The
+    /// slot gets a fresh, unmeasured `Rc`, so a result set still holding
+    /// the old row keeps its snapshot.  A table without a primary key,
+    /// or a NULL key, just inserts.
+    pub fn upsert(&mut self, row: Row) -> Result<usize, TableError> {
+        self.check_row(&row)?;
+        // Index entries name live rows only, and a key has at most one.
+        let live = self
+            .schema
+            .primary_key
+            .and_then(|pk| self.index_ids(pk, &row[pk])?.first().copied());
+        let Some(rid) = live else {
+            return self.insert(row);
+        };
+        // The only index is the primary key's (`Table::new`), and the
+        // key is unchanged: no index entry moves.
+        debug_assert_eq!(self.indexes.len(), 1);
+        self.rows[rid] = Some(Rc::new(StoredRow::new(row)));
         Ok(rid)
     }
 
@@ -470,6 +493,46 @@ mod tests {
             t.index_ids(0, &SqlValue::Text("c".into())).unwrap().len(),
             1
         );
+    }
+
+    #[test]
+    fn upsert_rounds_overwrite_in_place() {
+        // 1 000 publish rounds over 10 keys: ten row slots, no
+        // tombstones, scan order = first-insert order, latest values.
+        let mut t = Table::new(schema());
+        let order = [3, 1, 4, 0, 5, 9, 2, 6, 8, 7];
+        for round in 0..1_000 {
+            for &k in &order {
+                t.upsert(row(&format!("h{k}"), round as f64)).unwrap();
+            }
+        }
+        assert_eq!(t.rows.len(), 10);
+        assert_eq!(t.live, 10);
+        let scanned: Vec<(&str, f64)> = t
+            .iter()
+            .map(|(_, r)| (r[0].as_text().unwrap(), r[1].as_number().unwrap()))
+            .collect();
+        let hosts: Vec<String> = order.iter().map(|k| format!("h{k}")).collect();
+        let want: Vec<(&str, f64)> = hosts.iter().map(|h| (h.as_str(), 999.0)).collect();
+        assert_eq!(scanned, want);
+        assert_eq!(t.index_ids(0, &SqlValue::Text("h4".into())), Some(&[2][..]));
+    }
+
+    #[test]
+    fn upsert_leaves_held_rows_alone() {
+        let mut t = Table::new(schema());
+        let rid = t.upsert(row("a", 1.0)).unwrap();
+        let held = Rc::clone(t.get_row(rid).unwrap());
+        assert_eq!(held.wire_size(), 6);
+        assert_eq!(t.upsert(row("a", 12.5)).unwrap(), rid);
+        // The holder keeps its cells and size; the slot is fresh.
+        assert_eq!(held[1], SqlValue::Real(1.0));
+        assert_eq!(held.wire_size(), 6);
+        assert_eq!(t.get_row(rid).unwrap()[1], SqlValue::Real(12.5));
+        assert_eq!(t.get_row(rid).unwrap().wire_size(), 7);
+        // A row that does not fit changes nothing.
+        assert!(t.upsert(vec![SqlValue::Text("a".into())]).is_err());
+        assert_eq!(t.get_row(rid).unwrap()[1], SqlValue::Real(12.5));
     }
 
     #[test]

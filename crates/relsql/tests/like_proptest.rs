@@ -4,26 +4,30 @@
 use proptest::prelude::*;
 use relsql::Database;
 
-/// Reference LIKE matcher (straightforward backtracking over chars).
+/// Reference LIKE matcher: the recursive backtracking matcher the engine
+/// used before its linear one (exponential in the number of `%`s, so
+/// only fit for short inputs).  Per `char`, ASCII case-insensitive.
 fn reference_like(pattern: &str, value: &str) -> bool {
-    fn rec(p: &[u8], v: &[u8]) -> bool {
-        match p.first() {
+    fn rec(p: &[char], v: &[char]) -> bool {
+        match p.split_first() {
             None => v.is_empty(),
-            Some(b'%') => (0..=v.len()).any(|i| rec(&p[1..], &v[i..])),
-            Some(b'_') => !v.is_empty() && rec(&p[1..], &v[1..]),
-            Some(c) => {
-                v.first().is_some_and(|x| x.eq_ignore_ascii_case(c)) && rec(&p[1..], &v[1..])
+            Some(('%', rest)) => (0..=v.len()).any(|i| rec(rest, &v[i..])),
+            Some(('_', rest)) => !v.is_empty() && rec(rest, &v[1..]),
+            Some((c, rest)) => {
+                v.first().is_some_and(|x| x.eq_ignore_ascii_case(c)) && rec(rest, &v[1..])
             }
         }
     }
-    rec(pattern.as_bytes(), value.as_bytes())
+    let p: Vec<char> = pattern.chars().collect();
+    let v: Vec<char> = value.chars().collect();
+    rec(&p, &v)
 }
 
 proptest! {
     #[test]
     fn like_matches_reference(
-        values in proptest::collection::vec("[a-c%_]{0,8}", 1..12),
-        pattern in "[a-c%_]{0,6}",
+        values in proptest::collection::vec("[a-cAé%_]{0,8}", 1..12),
+        pattern in "[a-cAé%_]{0,6}",
     ) {
         let mut db = Database::new();
         db.execute("CREATE TABLE t (id INT PRIMARY KEY, s TEXT)").unwrap();

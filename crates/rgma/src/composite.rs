@@ -13,7 +13,7 @@
 
 use crate::proto::{RgmaMsg, SqlResultMsg};
 use crate::{DB_FIXED_CPU_US, JVM_DISPATCH_CPU_US, ROW_SCAN_CPU_US, SQL_PARSE_CPU_US};
-use relsql::{Database, SharedRow, SqlValue};
+use relsql::{Database, SharedRow, SqlValue, Sym};
 use simcore::SimDuration;
 use simnet::{Payload, Plan, Service, SvcCx, SvcKey};
 
@@ -22,8 +22,8 @@ pub const FOLD_CPU_PER_TUPLE_US: f64 = 300.0;
 
 /// The composite Consumer/Producer service.
 pub struct CompositeProducer {
-    /// The table it aggregates.
-    table: String,
+    /// The table it aggregates, as the aggregate store keys it.
+    table: Sym,
     /// The ProducerServlets it consumes from.
     sources: Vec<SvcKey>,
     /// Push period it requests from each source.
@@ -46,7 +46,7 @@ impl CompositeProducer {
         ))
         .expect("aggregate table");
         CompositeProducer {
-            table: table.to_string(),
+            table: Sym::from(table.to_ascii_lowercase().as_str()),
             sources,
             stream_period,
             db,
@@ -59,9 +59,9 @@ impl CompositeProducer {
     }
 
     /// Fold one streamed batch into the aggregate store.  Runs once per
-    /// tuple per batch, so it uses the direct row APIs: the upsert is
-    /// still delete + insert on the `key` primary key, without building
-    /// and parsing two SQL strings per tuple.
+    /// tuple per batch, so it uses the direct row API: each tuple
+    /// overwrites the row holding its `key` primary key in place (or
+    /// inserts the first one), with no SQL text per tuple.
     fn fold(&mut self, source_id: i64, rows: &[SharedRow]) {
         for row in rows {
             // Producer rows are (entity, value, seq).
@@ -80,9 +80,8 @@ impl CompositeProducer {
             } else {
                 SqlValue::Real(value)
             };
-            let _ = self.db.delete_where_eq(&self.table, "key", &key);
-            let _ = self.db.insert_row(
-                &self.table,
+            let _ = self.db.upsert_row(
+                self.table,
                 vec![
                     key,
                     SqlValue::Int(source_id),
@@ -161,7 +160,7 @@ impl Service for CompositeProducer {
         self.subscribed = true;
         for &src in &self.sources {
             let msg = RgmaMsg::Subscribe {
-                table: self.table.clone(),
+                table: self.table.to_string(),
                 sink: cx.me,
                 period_us: self.stream_period.as_micros(),
             };

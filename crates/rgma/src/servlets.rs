@@ -16,7 +16,7 @@
 use crate::producer::ProducerSpec;
 use crate::proto::{ProducerList, RgmaMsg, SqlResultMsg};
 use crate::{DB_FIXED_CPU_US, JVM_DISPATCH_CPU_US, ROW_SCAN_CPU_US, SQL_PARSE_CPU_US};
-use relsql::{parse_stmt, Database, SqlValue, Stmt};
+use relsql::{parse_stmt, Database, SqlValue, Stmt, Sym};
 use simcore::SimDuration;
 use simnet::{CallOutcome, LockKey, Payload, Plan, Service, SubCall, SvcCx, SvcKey};
 use std::collections::HashMap;
@@ -38,6 +38,9 @@ struct Subscription {
 /// The ProducerServlet service.
 pub struct ProducerServlet {
     db: Database,
+    /// Each producer's table as the tuple store keys it, resolved once
+    /// here rather than hashed on every published row.
+    tables: Vec<Sym>,
     /// One `SELECT * FROM {table}` per producer, prebuilt at
     /// construction so each `*ALL*` (all-collectors) query re-issues
     /// stable texts that hit the statement cache instead of
@@ -68,12 +71,17 @@ impl ProducerServlet {
             ))
             .expect("producer table");
         }
+        let tables = producers
+            .iter()
+            .map(|p| Sym::from(p.table.to_ascii_lowercase().as_str()))
+            .collect();
         let all_sql = producers
             .iter()
             .map(|p| format!("SELECT * FROM {}", p.table))
             .collect();
         ProducerServlet {
             db,
+            tables,
             all_sql,
             producers,
             registry: None,
@@ -97,14 +105,13 @@ impl ProducerServlet {
     /// semantics: one current row per entity).
     ///
     /// The inner loop runs once per entity per period for every producer
-    /// in the deployment, so it uses the direct row APIs — the upsert is
-    /// still delete + insert against the primary key, without building
-    /// and parsing two SQL strings per tuple.
+    /// in the deployment, so it uses the direct row API: each tuple
+    /// overwrites its entity's row in place, keyed by the primary key,
+    /// with no SQL text, no tombstone and no row-id list per tuple.
     fn publish(&mut self, i: usize) {
-        let Some(p) = self.producers.get(i) else {
+        let (Some(p), Some(&table)) = (self.producers.get(i), self.tables.get(i)) else {
             return;
         };
-        let table = p.table.clone();
         let entities = p.entities;
         self.publish_seq += 1;
         let seq = self.publish_seq;
@@ -119,11 +126,10 @@ impl ProducerServlet {
             } else {
                 SqlValue::Real(val)
             };
-            // Upsert: delete + insert (LatestProducer keeps the newest).
-            let _ = self.db.delete_where_eq(&table, "entity", &entity);
+            // LatestProducer keeps the newest row per entity.
             self.db
-                .insert_row(&table, vec![entity, value, SqlValue::Int(seq as i64)])
-                .expect("publish insert");
+                .upsert_row(table, vec![entity, value, SqlValue::Int(seq as i64)])
+                .expect("publish upsert");
             self.tuples_published += 1;
         }
     }
@@ -329,7 +335,7 @@ impl Service for ConsumerServlet {
             self.table_cache
                 .entry(sql.clone())
                 .or_insert_with_key(|sql| match parse_stmt(sql) {
-                    Ok(Stmt::Select { table, .. }) => Some(table),
+                    Ok(Stmt::Select { table, .. }) => Some(table.to_string()),
                     _ => None,
                 });
         let Some(table) = cached.clone() else {
