@@ -16,7 +16,7 @@ pub enum Profile {
     /// The paper's discipline: 2 min warm-up + 10 min window, full
     /// sweeps.
     Paper,
-    /// Shorter windows and thinned sweeps (~6× faster) for smoke runs.
+    /// Shorter warm-up and window over the full sweeps, for smoke runs.
     Quick,
     /// Tiny windows for the `gridmon-bench` matrix and smoke runs.
     Bench,

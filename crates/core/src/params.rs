@@ -40,10 +40,6 @@ pub struct Params {
     /// GIIS binds are anonymous in the paper's directory experiments;
     /// session setup is cheaper, keeping Fig 10's response under 2 s.
     pub giis_setup: SetupCost,
-    /// The GIIS serialises provider pulls and registration merges less
-    /// efficiently than the Manager's resident database; Fig 12 ("the
-    /// load of GIIS is nearly twice as bad") emerges from the search
-    /// costs in `mds::gris`/`mds::giis`.
     /// Client-side CPU of one MDS query script (fork + `grid-proxy` +
     /// `ldapsearch`): contention among the ≤50 users per UC machine.
     pub mds_client_cpu_us: f64,

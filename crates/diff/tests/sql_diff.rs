@@ -43,8 +43,8 @@ enum Op {
     /// DELETE WHERE col = value (col 0 = indexed pk, col 1 = scan).
     DeleteEq(usize, SqlValue),
     /// SELECT with a WHERE shape: 0 = pk probe, 1 = unindexed eq,
-    /// 2 = AND of both, 3 = full table.
-    Select(usize, SqlValue, SqlValue),
+    /// 2 = full table.
+    Select(usize, SqlValue),
 }
 
 /// Keys for upserts and probes: mostly a small text pool, so a key is
@@ -62,7 +62,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (k(), v(), v()).prop_map(|(a, b, c)| Op::Upsert(a, b, c)),
         (0usize..2, v()).prop_map(|(c, x)| Op::DeleteEq(c, x)),
-        (0usize..4, k(), v()).prop_map(|(s, a, b)| Op::Select(s, a, b)),
+        (0usize..3, k()).prop_map(|(s, a)| Op::Select(s, a)),
     ]
 }
 
@@ -76,15 +76,10 @@ fn oracle_exec(db: &mut Database, sql: &str) -> Result<QueryResult, SqlError> {
     db.run(&stmt)
 }
 
-fn select_sql(shape: usize, a: &SqlValue, b: &SqlValue) -> String {
+fn select_sql(shape: usize, a: &SqlValue) -> String {
     match shape {
         0 => format!("SELECT * FROM m WHERE entity = {}", lit(a)),
         1 => format!("SELECT * FROM m WHERE value = {}", lit(a)),
-        2 => format!(
-            "SELECT * FROM m WHERE entity = {} AND value = {}",
-            lit(a),
-            lit(b)
-        ),
         _ => "SELECT * FROM m".to_string(),
     }
 }
@@ -125,8 +120,8 @@ proptest! {
                     let del = oracle_exec(&mut slow, &sql).unwrap();
                     prop_assert_eq!(affected, del.affected);
                 }
-                Op::Select(shape, a, b) => {
-                    let sql = select_sql(*shape, a, b);
+                Op::Select(shape, a) => {
+                    let sql = select_sql(*shape, a);
                     // `execute` exercises the statement cache (repeat
                     // shapes re-hit the same text); the oracle re-parses.
                     let f = fast.execute(&sql).unwrap();

@@ -14,11 +14,6 @@ pub enum Tok {
     Comma,
     Star,
     Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
 }
 
 impl Tok {
@@ -39,11 +34,6 @@ impl fmt::Display for Tok {
             Tok::Comma => write!(f, ","),
             Tok::Star => write!(f, "*"),
             Tok::Eq => write!(f, "="),
-            Tok::Ne => write!(f, "<>"),
-            Tok::Lt => write!(f, "<"),
-            Tok::Le => write!(f, "<="),
-            Tok::Gt => write!(f, ">"),
-            Tok::Ge => write!(f, ">="),
         }
     }
 }
@@ -88,37 +78,6 @@ pub fn lex_sql(input: &str) -> Result<Vec<Tok>, SqlLexError> {
             '=' => {
                 out.push(Tok::Eq);
                 i += 1;
-            }
-            '<' => match b.get(i + 1) {
-                Some(b'=') => {
-                    out.push(Tok::Le);
-                    i += 2;
-                }
-                Some(b'>') => {
-                    out.push(Tok::Ne);
-                    i += 2;
-                }
-                _ => {
-                    out.push(Tok::Lt);
-                    i += 1;
-                }
-            },
-            '>' => {
-                if b.get(i + 1) == Some(&b'=') {
-                    out.push(Tok::Ge);
-                    i += 2;
-                } else {
-                    out.push(Tok::Gt);
-                    i += 1;
-                }
-            }
-            '!' => {
-                if b.get(i + 1) == Some(&b'=') {
-                    out.push(Tok::Ne);
-                    i += 2;
-                } else {
-                    return Err(SqlLexError(format!("stray '!' at byte {i}")));
-                }
             }
             '\'' => {
                 // SQL string with '' escaping.
@@ -214,10 +173,9 @@ mod tests {
 
     #[test]
     fn lex_select() {
-        let toks = lex_sql("SELECT a, b FROM t WHERE a >= 2.5 AND b <> 'x''y'").unwrap();
+        let toks = lex_sql("SELECT a, b FROM t WHERE a = 2.5 , b = 'x''y'").unwrap();
         assert!(toks.iter().any(|t| t.is_word("select")));
-        assert!(toks.contains(&Tok::Ge));
-        assert!(toks.contains(&Tok::Ne));
+        assert!(toks.contains(&Tok::Eq));
         assert!(toks.contains(&Tok::Real(2.5)));
         assert!(toks.contains(&Tok::Str("x'y".into())));
     }
@@ -227,12 +185,6 @@ mod tests {
         assert_eq!(lex_sql("-5").unwrap(), vec![Tok::Int(-5)]);
         assert_eq!(lex_sql("1e2").unwrap(), vec![Tok::Real(100.0)]);
         assert_eq!(lex_sql("3.25").unwrap(), vec![Tok::Real(3.25)]);
-    }
-
-    #[test]
-    fn bang_equals() {
-        assert_eq!(lex_sql("a != 1").unwrap()[1], Tok::Ne);
-        assert!(lex_sql("a ! 1").is_err());
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! implements the relational substrate:
 //!
 //! * typed tables with optional primary keys and secondary indexes;
-//! * a SQL subset: `CREATE TABLE`, `INSERT`, `SELECT` (projection,
-//!   `WHERE` with `AND`/`OR`/`NOT` and comparisons, `ORDER BY`, `LIMIT`,
-//!   `COUNT(*)`), `UPDATE` and `DELETE`;
+//! * the SQL the R-GMA model sends: `CREATE TABLE`, positional `INSERT`,
+//!   `SELECT * | COUNT(*) | cols`, `UPDATE … SET` and `DELETE`, each
+//!   filtered by at most one `WHERE column = literal`;
 //! * an executor that uses an index for equality lookups and otherwise
 //!   scans, reporting the rows examined (the simulated CPU cost of a
 //!   query).
@@ -20,7 +20,7 @@
 //! db.execute("CREATE TABLE cpu (host TEXT PRIMARY KEY, load REAL)").unwrap();
 //! db.execute("INSERT INTO cpu VALUES ('lucky3', 0.7)").unwrap();
 //! db.execute("INSERT INTO cpu VALUES ('lucky4', 1.9)").unwrap();
-//! let r = db.execute("SELECT host FROM cpu WHERE load > 1.0").unwrap();
+//! let r = db.execute("SELECT host FROM cpu WHERE load = 1.9").unwrap();
 //! assert_eq!(r.rows.len(), 1);
 //! assert_eq!(r.rows[0][0].to_string(), "'lucky4'");
 //! ```

@@ -141,13 +141,12 @@ pub type SharedRow = Rc<StoredRow>;
 
 /// Index key: a normalised, allocation-free form of a value for the
 /// per-column equality indexes.  Numbers key by their `f64` bit
-/// pattern so `2` and `2.0` (both `2.0f64`) share a key, exactly like
-/// the old `format!("n:{}")` string normalisation: float `Display` is
-/// shortest-roundtrip, hence injective over distinct non-NaN bit
-/// patterns, and all NaNs collapse to one canonical key here as they
-/// all rendered `"NaN"` there.  Text keys are interned symbols.  The
+/// pattern so `2` and `2.0` (both `2.0f64`) share a key; `-0.0` keys
+/// as `0.0`, since [`SqlValue::compare`] calls them equal, and all NaNs
+/// collapse to one canonical key (the executor re-checks every hit, so
+/// NaN still equals nothing).  Text keys are interned symbols.  The
 /// index maps are only ever probed, never iterated, so key *ordering*
-/// is unobservable — only equality must match the old behaviour.
+/// is unobservable — only equality must agree with `compare`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum IndexKey {
     Num(u64),
@@ -155,7 +154,14 @@ enum IndexKey {
 }
 
 fn num_key(r: f64) -> IndexKey {
-    IndexKey::Num(if r.is_nan() { f64::NAN } else { r }.to_bits())
+    let r = if r.is_nan() {
+        f64::NAN
+    } else if r == 0.0 {
+        0.0
+    } else {
+        r
+    };
+    IndexKey::Num(r.to_bits())
 }
 
 /// Probe form of a key: text resolves through [`gintern::lookup`]
@@ -310,10 +316,6 @@ impl Table {
                 .map(Vec::as_slice)
                 .unwrap_or(&[]),
         )
-    }
-
-    pub fn has_index(&self, col: usize) -> bool {
-        self.indexes.contains_key(&col)
     }
 
     pub fn get_row(&self, rid: usize) -> Option<&SharedRow> {

@@ -46,17 +46,6 @@ impl SqlValue {
         }
     }
 
-    /// Key form for indexing/sorting: a total order (NULL first, then
-    /// numbers, then text).
-    pub fn sort_key(&self) -> SortKey<'_> {
-        match self {
-            SqlValue::Null => SortKey::Null,
-            SqlValue::Int(i) => SortKey::Num(*i as f64),
-            SqlValue::Real(r) => SortKey::Num(*r),
-            SqlValue::Text(s) => SortKey::Text(s),
-        }
-    }
-
     /// Size on the wire: the length of the `Display` form, counted
     /// through a length-only `fmt::Write` instead of materializing it.
     /// Rows remember the sum ([`crate::StoredRow::wire_size`]), so this
@@ -72,35 +61,6 @@ impl SqlValue {
         let mut c = Counter(0);
         let _ = fmt::Write::write_fmt(&mut c, format_args!("{self}"));
         c.0
-    }
-}
-
-/// Totally ordered key view of a value.
-#[derive(Debug, PartialEq)]
-pub enum SortKey<'a> {
-    Null,
-    Num(f64),
-    Text(&'a str),
-}
-
-impl PartialOrd for SortKey<'_> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.total_cmp(other))
-    }
-}
-
-impl SortKey<'_> {
-    pub fn total_cmp(&self, other: &Self) -> Ordering {
-        use SortKey::*;
-        match (self, other) {
-            (Null, Null) => Ordering::Equal,
-            (Null, _) => Ordering::Less,
-            (_, Null) => Ordering::Greater,
-            (Num(a), Num(b)) => a.total_cmp(b),
-            (Num(_), Text(_)) => Ordering::Less,
-            (Text(_), Num(_)) => Ordering::Greater,
-            (Text(a), Text(b)) => a.cmp(b),
-        }
     }
 }
 
@@ -151,36 +111,6 @@ mod tests {
         );
         assert_eq!(SqlValue::Null.compare(&SqlValue::Int(1)), None);
         assert_eq!(SqlValue::Text("1".into()).compare(&SqlValue::Int(1)), None);
-    }
-
-    #[test]
-    fn sort_key_total_order() {
-        let vals = [
-            SqlValue::Null,
-            SqlValue::Int(1),
-            SqlValue::Real(2.5),
-            SqlValue::Text("x".into()),
-        ];
-        for (i, a) in vals.iter().enumerate() {
-            for (j, b) in vals.iter().enumerate() {
-                let ord = a.sort_key().total_cmp(&b.sort_key());
-                if i == j {
-                    assert_eq!(ord, Ordering::Equal);
-                }
-            }
-        }
-        assert_eq!(
-            SqlValue::Null
-                .sort_key()
-                .total_cmp(&SqlValue::Int(0).sort_key()),
-            Ordering::Less
-        );
-        assert_eq!(
-            SqlValue::Int(9)
-                .sort_key()
-                .total_cmp(&SqlValue::Text("a".into()).sort_key()),
-            Ordering::Less
-        );
     }
 
     #[test]

@@ -1,26 +1,29 @@
 //! Property-based tests for the relational engine.
 
 use proptest::prelude::*;
-use relsql::{Database, SqlValue};
+use relsql::{parse_stmt, Database, SqlError, SqlValue};
 
+/// `m.id` is the primary key; `m.id2` is an unindexed copy of it, so the
+/// same equality can be asked through the index and through a scan.
 fn setup(rows: &[(i64, f64, String)]) -> Database {
     let mut db = Database::new();
-    db.execute("CREATE TABLE m (id INT PRIMARY KEY, v REAL, tag TEXT)")
+    db.execute("CREATE TABLE m (id INT PRIMARY KEY, v REAL, tag TEXT, id2 INT)")
         .unwrap();
     for (id, v, tag) in rows {
-        let tag = tag.replace('\'', "''");
-        db.execute(&format!("INSERT INTO m VALUES ({id}, {v}, '{tag}')"))
+        db.execute(&format!("INSERT INTO m VALUES ({id}, {v}, '{tag}', {id})"))
             .unwrap();
     }
     db
 }
 
+/// Rows whose `v` and `tag` come from small pools, so equality
+/// predicates on them match often.
 fn arb_rows() -> impl Strategy<Value = Vec<(i64, f64, String)>> {
     proptest::collection::vec(
         (
             0i64..1000,
-            -100.0f64..100.0,
-            "[a-z]{1,5}".prop_map(String::from),
+            (-8i64..8).prop_map(|h| h as f64 / 2.0),
+            "[a-c]{1,2}".prop_map(String::from),
         ),
         0..30,
     )
@@ -32,104 +35,177 @@ fn arb_rows() -> impl Strategy<Value = Vec<(i64, f64, String)>> {
     })
 }
 
+/// One equality of each kind: the indexed key, an unindexed REAL and
+/// an unindexed TEXT column.
+fn predicates(id: i64, half: i64, tag: &str) -> [String; 3] {
+    let v = half as f64 / 2.0;
+    [
+        format!("id = {id}"),
+        format!("v = {v}"),
+        format!("tag = '{tag}'"),
+    ]
+}
+
+fn count(db: &mut Database, sql: &str) -> usize {
+    match db.execute(sql).unwrap().rows[0][0] {
+        SqlValue::Int(n) => n as usize,
+        _ => unreachable!(),
+    }
+}
+
+/// The Registry's schema and the four statement texts it sends.
+const REGISTRY_SCHEMA: &str =
+    "CREATE TABLE producers (id INT PRIMARY KEY, servlet INT, tablename TEXT, predicate TEXT)";
+const REGISTRY_STATEMENTS: [&str; 4] = [
+    REGISTRY_SCHEMA,
+    "INSERT INTO producers VALUES (7, 7, 'cpuload', 'WHERE host = ''lucky7''')",
+    "SELECT id FROM producers WHERE tablename = 'cpuload'",
+    "SELECT COUNT(*) FROM producers",
+];
+
+/// Every form outside the grammar that an SQL writer might still try.
+const REJECTED_FORMS: [&str; 16] = [
+    "SELECT * FROM producers ORDER BY id",
+    "SELECT * FROM producers LIMIT 3",
+    "SELECT * FROM producers WHERE tablename LIKE 'cpu%'",
+    "SELECT * FROM producers WHERE predicate IS NULL",
+    "SELECT * FROM producers WHERE id = 1 AND servlet = 1",
+    "SELECT * FROM producers WHERE id = 1 OR servlet = 1",
+    "SELECT * FROM producers WHERE NOT id = 1",
+    "SELECT * FROM producers WHERE (id = 1)",
+    "SELECT * FROM producers WHERE id < 1",
+    "SELECT * FROM producers WHERE id <= 1",
+    "SELECT * FROM producers WHERE id > 1",
+    "SELECT * FROM producers WHERE id >= 1",
+    "SELECT * FROM producers WHERE id <> 1",
+    "SELECT * FROM producers WHERE id != 1",
+    "DROP TABLE producers",
+    "INSERT INTO producers (id) VALUES (1)",
+];
+
+#[test]
+fn forms_outside_the_grammar_are_parse_errors() {
+    let mut db = Database::new();
+    db.execute(REGISTRY_SCHEMA).unwrap();
+    for sql in REJECTED_FORMS {
+        assert!(parse_stmt(sql).is_err(), "{sql}");
+        assert!(matches!(db.execute(sql), Err(SqlError::Parse(_))), "{sql}");
+    }
+    // The table is still there, still empty.
+    assert_eq!(count(&mut db, REGISTRY_STATEMENTS[3]), 0);
+}
+
 proptest! {
-    /// An indexed point query returns the same rows as an unindexed scan
-    /// of an equivalent predicate.
+    /// An indexed point query returns the same rows as a scan of the
+    /// unindexed copy of the key.
     #[test]
     fn index_equals_scan(rows in arb_rows(), probe in 0i64..1000) {
         let mut db = setup(&rows);
         let indexed = db
             .execute(&format!("SELECT * FROM m WHERE id = {probe}"))
             .unwrap();
-        // Force a scan with a tautological extra disjunct that the probe
-        // can't use.
         let scanned = db
-            .execute(&format!("SELECT * FROM m WHERE id <= {probe} AND id >= {probe}"))
+            .execute(&format!("SELECT * FROM m WHERE id2 = {probe}"))
             .unwrap();
-        prop_assert_eq!(indexed.rows.clone(), scanned.rows);
-        prop_assert!(indexed.used_index || rows.is_empty());
+        prop_assert_eq!(indexed.rows, scanned.rows);
+        prop_assert!(indexed.used_index && !scanned.used_index);
+        prop_assert_eq!(scanned.scanned, rows.len());
     }
 
-    /// COUNT(*) equals the number of rows SELECT * returns, for a variety
-    /// of predicates.
+    /// COUNT(*) equals the number of rows SELECT * returns, for each
+    /// kind of predicate.
     #[test]
-    fn count_matches_select(rows in arb_rows(), threshold in -100.0f64..100.0) {
+    fn count_matches_select(rows in arb_rows(), id in 0i64..1000, half in -8i64..8, tag in "[a-c]{1,2}") {
         let mut db = setup(&rows);
-        let pred = format!("v >= {threshold}");
-        let count = db
-            .execute(&format!("SELECT COUNT(*) FROM m WHERE {pred}"))
-            .unwrap();
-        let select = db
-            .execute(&format!("SELECT * FROM m WHERE {pred}"))
-            .unwrap();
-        prop_assert_eq!(
-            count.rows[0][0].clone(),
-            SqlValue::Int(select.rows.len() as i64)
-        );
-    }
-
-    /// ORDER BY really sorts; LIMIT truncates to a prefix of the sort.
-    #[test]
-    fn order_by_sorts(rows in arb_rows(), limit in 0usize..10) {
-        let mut db = setup(&rows);
-        let all = db.execute("SELECT v FROM m ORDER BY v").unwrap();
-        let vals: Vec<f64> = all
-            .rows
-            .iter()
-            .map(|r| r[0].as_number().unwrap())
-            .collect();
-        for w in vals.windows(2) {
-            prop_assert!(w[0] <= w[1]);
-        }
-        let lim = db
-            .execute(&format!("SELECT v FROM m ORDER BY v LIMIT {limit}"))
-            .unwrap();
-        prop_assert_eq!(lim.rows.len(), limit.min(vals.len()));
-        for (a, b) in lim.rows.iter().zip(all.rows.iter()) {
-            prop_assert_eq!(a.clone(), b.clone());
+        for pred in predicates(id, half, &tag) {
+            let n = count(&mut db, &format!("SELECT COUNT(*) FROM m WHERE {pred}"));
+            let select = db
+                .execute(&format!("SELECT * FROM m WHERE {pred}"))
+                .unwrap();
+            prop_assert_eq!(n, select.rows.len(), "{}", pred);
         }
     }
 
     /// DELETE removes exactly the rows the same predicate selects, and the
     /// table shrinks accordingly.
     #[test]
-    fn delete_complements_select(rows in arb_rows(), threshold in -100.0f64..100.0) {
+    fn delete_complements_select(
+        rows in arb_rows(),
+        id in 0i64..1000,
+        half in -8i64..8,
+        tag in "[a-c]{1,2}",
+        which in 0usize..3,
+    ) {
         let mut db = setup(&rows);
-        let selected = db
-            .execute(&format!("SELECT COUNT(*) FROM m WHERE v < {threshold}"))
-            .unwrap();
-        let n_sel = match selected.rows[0][0] {
-            SqlValue::Int(n) => n as usize,
-            _ => unreachable!(),
-        };
+        let pred = &predicates(id, half, &tag)[which];
+        let n_sel = count(&mut db, &format!("SELECT COUNT(*) FROM m WHERE {pred}"));
         let deleted = db
-            .execute(&format!("DELETE FROM m WHERE v < {threshold}"))
+            .execute(&format!("DELETE FROM m WHERE {pred}"))
             .unwrap();
         prop_assert_eq!(deleted.affected, n_sel);
-        let remaining = db.execute("SELECT COUNT(*) FROM m").unwrap();
-        prop_assert_eq!(
-            remaining.rows[0][0].clone(),
-            SqlValue::Int((rows.len() - n_sel) as i64)
-        );
+        prop_assert_eq!(count(&mut db, "SELECT COUNT(*) FROM m"), rows.len() - n_sel);
         // No survivor matches the predicate.
-        let still = db
-            .execute(&format!("SELECT COUNT(*) FROM m WHERE v < {threshold}"))
-            .unwrap();
-        prop_assert_eq!(still.rows[0][0].clone(), SqlValue::Int(0));
+        prop_assert_eq!(count(&mut db, &format!("SELECT COUNT(*) FROM m WHERE {pred}")), 0);
     }
 
     /// UPDATE touches exactly the matching rows.
     #[test]
-    fn update_affects_matches(rows in arb_rows(), lo in 0i64..500) {
+    fn update_affects_matches(
+        rows in arb_rows(),
+        id in 0i64..1000,
+        half in -8i64..8,
+        tag in "[a-c]{1,2}",
+        which in 0usize..3,
+    ) {
         let mut db = setup(&rows);
+        let pred = &predicates(id, half, &tag)[which];
         let n = db
-            .execute(&format!("UPDATE m SET tag = 'hit' WHERE id >= {lo}"))
+            .execute(&format!("UPDATE m SET tag = 'hit' WHERE {pred}"))
             .unwrap()
             .affected;
-        let hits = db
-            .execute("SELECT COUNT(*) FROM m WHERE tag = 'hit'")
-            .unwrap();
-        prop_assert_eq!(hits.rows[0][0].clone(), SqlValue::Int(n as i64));
+        prop_assert_eq!(count(&mut db, "SELECT COUNT(*) FROM m WHERE tag = 'hit'"), n);
+    }
+
+    /// Arbitrary bytes, read as text the lossy way, parse or fail with a
+    /// typed error, and never panic.
+    #[test]
+    fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
+        let _ = parse_stmt(&String::from_utf8_lossy(&bytes));
+    }
+
+    /// A Registry statement with a few bytes overwritten, inserted or
+    /// removed (mostly by SQL's own punctuation, so the damage lands in
+    /// the grammar) executes or fails with a typed error, and never
+    /// panics.
+    #[test]
+    fn mutated_registry_statements_never_panic(
+        which in 0usize..4,
+        edits in proptest::collection::vec((any::<usize>(), 0usize..3, any::<u8>(), any::<bool>()), 1..6),
+    ) {
+        let mut db = Database::new();
+        db.execute(REGISTRY_SCHEMA).unwrap();
+        db.execute(REGISTRY_STATEMENTS[1]).unwrap();
+        let mut bytes = REGISTRY_STATEMENTS[which].as_bytes().to_vec();
+        for (at, op, raw, punct) in edits {
+            let at = at % bytes.len();
+            let b = if punct {
+                let p = b"'(),*=<>!-.eE07 ";
+                p[raw as usize % p.len()]
+            } else {
+                raw
+            };
+            match op {
+                0 => bytes[at] = b,
+                1 => bytes.insert(at, b),
+                _ => {
+                    bytes.remove(at);
+                    if bytes.is_empty() {
+                        bytes.push(b);
+                    }
+                }
+            }
+        }
+        let _ = db.execute(&String::from_utf8_lossy(&bytes));
     }
 
     /// `SqlValue::wire_size` is the length of the `Display` form for
