@@ -8,8 +8,8 @@
 //! answers `condor_status -constraint` scans with the one-sided form.
 //! Requirements are looked up once ([`compile_requirements`]) and matched
 //! many times by the tree-walking evaluator; the forms that look the
-//! attribute up on every call are the oracle of `crates/diff`'s
-//! `classad_diff` suite.
+//! attribute up on every call are the oracle of this crate's
+//! `tests/classad_diff.rs`.
 
 use crate::ad::ClassAd;
 use crate::eval::{eval, eval_in, EvalCtx};

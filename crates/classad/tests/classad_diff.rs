@@ -9,8 +9,38 @@
 //! mutually-recursive bodies whose cycles the seed has to catch.
 
 use classad::{matchmaker, BinOp, ClassAd, CompiledExpr, Expr, Scope, UnOp, Value};
-use gridmon_diff::reference;
 use proptest::prelude::*;
+
+/// ClassAd matchmaking as it stood before requirements were held once per
+/// ad: each call looks the attribute up and enters the evaluator through
+/// it.
+mod reference {
+    use classad::{eval, ClassAd, Expr, Value};
+
+    /// Evaluate `ad`'s `Requirements` against `target`.  A missing
+    /// `Requirements` attribute counts as `TRUE` (Condor semantics for ads
+    /// that don't constrain their matches).
+    pub fn requirements_met(ad: &ClassAd, target: &ClassAd) -> bool {
+        match ad.get("requirements") {
+            None => true,
+            Some(_) => matches!(
+                eval(&Expr::attr("requirements"), ad, Some(target)),
+                Value::Bool(true)
+            ),
+        }
+    }
+
+    /// Two-way match: both ads' requirements hold against each other.
+    pub fn symmetric_match(a: &ClassAd, b: &ClassAd) -> bool {
+        requirements_met(a, b) && requirements_met(b, a)
+    }
+
+    /// One-sided constraint evaluation (e.g. `condor_status -constraint`):
+    /// evaluate an arbitrary expression against `ad` (no target).
+    pub fn matches_constraint(ad: &ClassAd, constraint: &Expr) -> bool {
+        matches!(eval(constraint, ad, None), Value::Bool(true))
+    }
+}
 
 /// Arbitrary expressions over a deliberately small attribute alphabet so
 /// references frequently resolve — and frequently collide into cycles.

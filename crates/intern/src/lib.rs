@@ -301,6 +301,7 @@ mod tests {
         assert_eq!(s.len(), "mds-cpu-total-count".len());
         assert!(s.starts_with("mds-"));
         assert_eq!(format!("{s}"), "mds-cpu-total-count");
+        assert_eq!(s.to_string(), "mds-cpu-total-count");
         assert_eq!(s, "mds-cpu-total-count");
     }
 

@@ -1,8 +1,16 @@
 //! Property-based tests of the network substrate's invariants: max-min
 //! fair sharing in [`FlowNet`], and the request lifecycle of [`Net`] under
 //! random plans, pool sizes and injected faults.
+//!
+//! `FlowNet` is held to two things.  Its incremental re-level must equal
+//! the from-scratch water-filler behind `capacity_changed`, bit for bit.
+//! And both must satisfy the certificate of max-min fairness: no link
+//! carries more than its capacity, and every flow crosses a saturated
+//! link on which no other flow runs faster.  Completions are checked
+//! against each flow's bits integrated from the rates `rate_of` reports.
 
 use proptest::prelude::*;
+use simcore::slab::SlabKey;
 use simcore::{Engine, SimDuration, SimRng, SimTime};
 use simnet::flow::FlowNet;
 use simnet::net::Live;
@@ -38,38 +46,273 @@ fn build_topo(caps: &[f64]) -> (Topology, Vec<LinkId>) {
     (t, links)
 }
 
-proptest! {
-    /// Max-min fairness invariants: no link is oversubscribed and every
-    /// flow makes progress.
-    #[test]
-    fn fair_share_conserves_capacity((caps, paths, sizes) in arb_case()) {
-        let (topo, links) = build_topo(&caps);
-        let mut fnet = FlowNet::new();
-        let mut keys = Vec::new();
-        let n = paths.len().min(sizes.len());
-        for i in 0..n {
-            let mut path: Vec<LinkId> = paths[i].iter().map(|&j| links[j]).collect();
-            path.dedup();
-            keys.push((fnet.start(&topo, SimTime(0), path.clone(), sizes[i], i as u64), path));
+/// Assert the incremental rate vector equals a full recompute of a clone.
+fn assert_rates_match(fnet: &FlowNet, topo: &Topology, context: &str) {
+    let mut fast = Vec::new();
+    fnet.for_each_rate(|tok, r| fast.push((tok, r.to_bits())));
+    let mut oracle = fnet.clone();
+    oracle.capacity_changed(topo);
+    let mut slow = Vec::new();
+    oracle.for_each_rate(|tok, r| slow.push((tok, r.to_bits())));
+    assert_eq!(
+        fast, slow,
+        "incremental diverged from reference after {context}"
+    );
+}
+
+/// A flow drains at or below this many bits (the kernel's threshold).
+const DONE_BITS: f64 = 1e-6;
+/// How far the certificate's sums may sit from the kernel's: within it of
+/// the threshold, a flow may complete or stay.
+const TOL: f64 = 1e-6;
+
+/// A live flow as the certificate sees it.
+#[derive(Debug)]
+struct Flow {
+    path: Vec<LinkId>,
+    /// Bits still owed, integrated from the reported rates.
+    bits: f64,
+    rate: f64,
+    token: u64,
+}
+
+/// The certificate's side of a `FlowNet`, driven through the same calls.
+struct Flows<'t> {
+    topo: &'t Topology,
+    net: FlowNet,
+    now: u64,
+    live: BTreeMap<SlabKey, Flow>,
+    /// The caller-owned completion buffer: `advance_into` appends.
+    done: Vec<u64>,
+}
+
+impl<'t> Flows<'t> {
+    fn new(topo: &'t Topology) -> Self {
+        Flows {
+            topo,
+            net: FlowNet::new(),
+            now: 0,
+            live: BTreeMap::new(),
+            done: Vec::new(),
         }
-        // Per-link load never exceeds capacity (with small f64 slack).
-        let mut load = vec![0.0f64; caps.len()];
-        for (k, path) in &keys {
-            let rate = fnet.rate_of(*k).expect("flow exists");
-            prop_assert!(rate > 0.0, "every flow gets positive rate");
-            for l in path {
-                load[l.0 as usize] += rate;
+    }
+
+    fn start(&mut self, path: Vec<LinkId>, bytes: u64, token: u64) {
+        let now = SimTime(self.now);
+        let k = self.net.start(self.topo, now, path.clone(), bytes, token);
+        let bits = (bytes.max(1) * 8) as f64;
+        let flow = Flow {
+            path,
+            bits,
+            rate: 0.0,
+            token,
+        };
+        assert!(self.live.insert(k, flow).is_none());
+    }
+
+    /// Abort the `i`-th live flow (modulo their number), if any.
+    fn abort_nth(&mut self, i: u64) {
+        if let Some(&k) = self.live.keys().nth(i as usize % self.live.len().max(1)) {
+            let want = self.live.remove(&k).map(|f| f.token);
+            assert_eq!(self.net.abort(self.topo, k), want);
+        }
+    }
+
+    /// Advance to `now`: the completed tokens are every flow whose bits
+    /// have run out, in key order.
+    fn advance(&mut self, now: u64) {
+        let dt = (now - self.now) as f64;
+        self.now = now;
+        self.done.clear();
+        self.net
+            .advance_into(self.topo, SimTime(now), &mut self.done);
+        let (done, mut want) = (&self.done, Vec::new());
+        self.live.retain(|_, f| {
+            f.bits -= f.rate * dt;
+            let over = f.bits - DONE_BITS;
+            let finished = over <= -TOL || (over < TOL && done.contains(&f.token));
+            if finished {
+                want.push(f.token);
+            }
+            !finished
+        });
+        assert_eq!(self.done, want, "completed tokens at {now}");
+    }
+
+    /// Take the new rates, then check them and `next_completion`.
+    fn check(&mut self, context: &str) {
+        for (k, f) in &mut self.live {
+            f.rate = self.net.rate_of(*k).expect("live flow has a rate");
+        }
+        assert_eq!(self.net.active(), self.live.len(), "{context}");
+        self.assert_max_min();
+        assert_rates_match(&self.net, self.topo, context);
+        let first = self.live.values().map(|f| f.bits.max(0.0) / f.rate);
+        let first = first.fold(f64::INFINITY, f64::min);
+        let want = first
+            .is_finite()
+            .then(|| self.now + (first.ceil() as u64).max(1));
+        match (self.next(), want) {
+            (Some(a), Some(b)) => assert!(a.abs_diff(b) <= 1, "{a} vs {b} after {context}"),
+            (a, b) => assert_eq!(a, b, "next_completion after {context}"),
+        }
+    }
+
+    /// The max-min certificate: no link carries more than its capacity,
+    /// and every flow crosses a saturated link on which no flow runs
+    /// faster.  A path crossing a link twice loads it twice; relative
+    /// slack 1e-9 absorbs rounding.
+    fn assert_max_min(&self) {
+        let cap = |l: LinkId| self.topo.link(l).capacity_bps / 1e6;
+        let n = self.topo.link_count();
+        let (mut load, mut fastest) = (vec![0.0; n], vec![0.0f64; n]);
+        for f in self.live.values() {
+            for &l in &f.path {
+                load[l.0 as usize] += f.rate;
+                fastest[l.0 as usize] = fastest[l.0 as usize].max(f.rate);
             }
         }
-        for (i, &cap) in caps.iter().enumerate() {
-            let cap_per_us = cap / 1e6;
-            prop_assert!(
-                load[i] <= cap_per_us * (1.0 + 1e-9),
-                "link {i} oversubscribed: {} > {}",
-                load[i],
-                cap_per_us
-            );
+        for (i, &load) in load.iter().enumerate() {
+            let cap = cap(LinkId(i as u32));
+            assert!(load <= cap * (1.0 + 1e-9), "link {i}: {load} of {cap}");
         }
+        for f in self.live.values().filter(|f| !f.path.is_empty()) {
+            let bottleneck = |&l: &LinkId| {
+                let i = l.0 as usize;
+                load[i] >= cap(l) * (1.0 - 1e-9) && fastest[i] <= f.rate * (1.0 + 1e-9)
+            };
+            assert!(f.path.iter().any(bottleneck), "no bottleneck: {f:?}");
+        }
+    }
+
+    fn next(&self) -> Option<u64> {
+        self.net
+            .next_completion(SimTime(self.now))
+            .map(SimTime::as_micros)
+    }
+}
+
+/// Experiment 4's shape at a fixed seed: hundreds of sources pushing
+/// through one shared downlink, so nearly every re-level is one large
+/// component in which each flow is reached through two or three links
+/// (and twice through a link its path revisits), and the key slab grows
+/// well past the size the first re-levels saw.
+#[test]
+fn many_sources_through_one_downlink_are_certified() {
+    let (topo, links) = build_topo(&[3e6, 5e6, 11e6]);
+    let (up_a, up_b, down) = (links[0], links[1], links[2]);
+    let paths: [&[LinkId]; 5] = [
+        &[up_a, down],
+        &[up_b, down],
+        &[up_a, down, up_a],
+        &[down, up_b, down],
+        &[down],
+    ];
+    let mut f = Flows::new(&topo);
+    let mut rng = SimRng::new(20030622);
+    for tok in 0..320u64 {
+        if tok % 40 == 39 {
+            // A completion mid-ramp.
+            f.advance(f.next().expect("flows are live"));
+        }
+        let path = paths[rng.next_below(paths.len() as u64) as usize];
+        f.start(path.to_vec(), 200 + rng.next_below(4_000), tok);
+        if rng.chance(0.1) {
+            f.abort_nth(rng.next_u64());
+        }
+        f.check(&format!("start {tok}"));
+    }
+    assert!(f.live.len() >= 250, "{} flows live", f.live.len());
+    while let Some(next) = f.next() {
+        f.advance(next);
+        f.check("drain");
+    }
+}
+
+proptest! {
+    /// Max-min fairness holds for any set of flows started at once.
+    #[test]
+    fn fair_share_is_max_min((caps, paths, sizes) in arb_case()) {
+        let (topo, links) = build_topo(&caps);
+        let mut f = Flows::new(&topo);
+        for (i, (path, &bytes)) in paths.iter().zip(&sizes).enumerate() {
+            f.start(path.iter().map(|&j| links[j]).collect(), bytes, i as u64);
+        }
+        f.check("starts");
+        prop_assert!(f.live.values().all(|fl| fl.rate > 0.0), "every flow gets positive rate");
+    }
+
+    /// Random link-capacity vectors and start/abort/complete schedules:
+    /// after every mutation the rates equal the from-scratch pass and are
+    /// max-min fair, and completions follow the integrated bits.
+    #[test]
+    fn random_schedule_is_certified(
+        // Whole Mbit/s put completions on rounding's knife edges.
+        caps in proptest::collection::vec(prop_oneof![(1u64..20).prop_map(|c| c as f64), 0.1f64..20.0], 1..8),
+        seed in any::<u64>(),
+        steps in 20usize..120,
+    ) {
+        let caps_bps: Vec<f64> = caps.iter().map(|c| c * 1e6).collect();
+        let (topo, links) = build_topo(&caps_bps);
+        let mut f = Flows::new(&topo);
+        let mut rng = SimRng::new(seed);
+        for step in 0..steps as u64 {
+            match rng.next_below(4) {
+                0 | 1 => {
+                    // Start: biased toward short, overlapping paths; some
+                    // empty (same host), some crossing a link twice.
+                    let mut path = Vec::new();
+                    for &l in &links {
+                        if rng.chance(0.35) {
+                            path.push(l);
+                        }
+                    }
+                    if !path.is_empty() && rng.chance(0.15) {
+                        let again = path[rng.next_below(path.len() as u64) as usize];
+                        path.push(again);
+                    }
+                    f.start(path, rng.next_below(100_000), step);
+                }
+                2 => f.abort_nth(rng.next_u64()),
+                _ => {
+                    if let Some(next) = f.next() {
+                        f.advance(next);
+                    }
+                }
+            }
+            f.check(&format!("step {step}"));
+        }
+        // Drain: completions must keep agreeing until the net is empty.
+        while let Some(next) = f.next() {
+            f.advance(next);
+            f.check("drain");
+        }
+        prop_assert_eq!(f.net.active(), 0);
+    }
+
+    /// Capacity changes (fault injection) fall back to the full pass and
+    /// must leave the net in a state the oracle reproduces.
+    #[test]
+    fn capacity_change_resyncs(seed in any::<u64>()) {
+        let (topo, links) = build_topo(&[4e6, 8e6, 2e6]);
+        let mut fnet = FlowNet::new();
+        let mut rng = SimRng::new(seed);
+        for tok in 0..12u64 {
+            let mut path = Vec::new();
+            for &l in &links {
+                if rng.chance(0.5) {
+                    path.push(l);
+                }
+            }
+            fnet.start(&topo, SimTime(0), path, 10_000 + tok, tok);
+        }
+        fnet.capacity_changed(&topo);
+        assert_rates_match(&fnet, &topo, "capacity_changed");
+        // And incremental mutations on top of the resync still agree.
+        let k = fnet.start(&topo, SimTime(0), vec![links[1]], 5000, 99);
+        assert_rates_match(&fnet, &topo, "start after capacity_changed");
+        fnet.abort(&topo, k);
+        assert_rates_match(&fnet, &topo, "abort after capacity_changed");
     }
 
     /// All flows eventually complete, and simulated completion times are

@@ -4,8 +4,7 @@
 #   production  lines above the first `#[cfg(test)]` of each .rs file
 #               under crates/*/src and src/
 #   other       everything else: test modules (from that line down),
-#               tests/, examples/, crates/*/tests and all of crates/diff
-#               (oracles and differential suites, never shipped code)
+#               tests/, examples/ and crates/*/tests
 #
 # plus both totals, the number of crates under crates/ and the `unsafe`
 # sites anywhere in those files.  Run from anywhere; POSIX sh + awk +
@@ -18,7 +17,7 @@ find crates src tests examples -name '*.rs' | sort | xargs awk '
         split(FILENAME, part, "/")
         crate = part[1] == "crates" ? part[2] : "(root)"
         src = part[1] == "crates" ? part[3] == "src" : part[1] == "src"
-        prod = src && crate != "diff"
+        prod = src
         seen[crate] = 1
     }
     prod && /^[ \t]*#\[cfg\(test\)\]/ { prod = 0 }
