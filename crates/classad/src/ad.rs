@@ -323,12 +323,13 @@ mod tests {
         assert!(ClassAd::parse("no equals sign here").is_err());
         assert!(ClassAd::parse("123name = 5").is_err());
         assert!(ClassAd::parse("x = 1 +").is_err());
+        assert!(ClassAd::parse("x = a ? 1 : 2").is_err());
         assert!(ClassAd::parse("bad-name = 5").is_err());
     }
 
     #[test]
     fn display_round_trip() {
-        let src = "A = 5\nB = A * 2 + 1\nC = \"text with = sign\"\nD = TARGET.x =?= UNDEFINED\n";
+        let src = "A = 5\nB = !(A > 2) || A <= -1\nC = \"text with = sign\"\nD = TARGET.x =?= UNDEFINED\n";
         let ad = ClassAd::parse(src).unwrap();
         let printed = ad.to_string();
         let ad2 = ClassAd::parse(&printed).unwrap();

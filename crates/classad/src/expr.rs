@@ -1,6 +1,6 @@
 //! ClassAd expression AST and pretty-printing.
 //!
-//! Attribute and builtin names are interned [`Sym`]s: constructing,
+//! Attribute names are interned [`Sym`]s: constructing,
 //! cloning and comparing references costs no allocation, and scope
 //! resolution in the evaluator compares symbol ids instead of strings.
 
@@ -32,11 +32,6 @@ pub enum BinOp {
     Le,
     Gt,
     Ge,
-    Add,
-    Sub,
-    Mul,
-    Div,
-    Mod,
 }
 
 impl BinOp {
@@ -47,8 +42,6 @@ impl BinOp {
             BinOp::And => 2,
             BinOp::Eq | BinOp::Ne | BinOp::MetaEq | BinOp::MetaNe => 3,
             BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => 4,
-            BinOp::Add | BinOp::Sub => 5,
-            BinOp::Mul | BinOp::Div | BinOp::Mod => 6,
         }
     }
 
@@ -64,21 +57,8 @@ impl BinOp {
             BinOp::Le => "<=",
             BinOp::Gt => ">",
             BinOp::Ge => ">=",
-            BinOp::Add => "+",
-            BinOp::Sub => "-",
-            BinOp::Mul => "*",
-            BinOp::Div => "/",
-            BinOp::Mod => "%",
         }
     }
-}
-
-/// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnOp {
-    Not,
-    Neg,
-    Plus,
 }
 
 /// A ClassAd expression.
@@ -92,12 +72,9 @@ pub enum Expr {
         name: Sym,
         printed: Sym,
     },
-    Unary(UnOp, Box<Expr>),
+    /// `!e`.
+    Not(Box<Expr>),
     Binary(BinOp, Box<Expr>, Box<Expr>),
-    /// `cond ? then : else`.
-    Cond(Box<Expr>, Box<Expr>, Box<Expr>),
-    /// Builtin function call.
-    Call(Sym, Vec<Expr>),
 }
 
 /// Intern a name's lowercase form without allocating when it is already
@@ -127,46 +104,6 @@ impl Expr {
         }
     }
 
-    pub fn int(i: i64) -> Expr {
-        Expr::Lit(Value::Int(i))
-    }
-
-    pub fn real(r: f64) -> Expr {
-        Expr::Lit(Value::Real(r))
-    }
-
-    pub fn string(s: &str) -> Expr {
-        Expr::Lit(Value::Str(s.to_string()))
-    }
-
-    pub fn boolean(b: bool) -> Expr {
-        Expr::Lit(Value::Bool(b))
-    }
-
-    /// Canonical form: fold unary negation of numeric literals (the parser
-    /// produces this form; `normalize` lets externally built ASTs compare
-    /// equal after a print/parse cycle).
-    pub fn normalize(self) -> Expr {
-        match self {
-            Expr::Unary(UnOp::Neg, e) => match e.normalize() {
-                Expr::Lit(Value::Int(i)) => Expr::Lit(Value::Int(-i)),
-                Expr::Lit(Value::Real(r)) => Expr::Lit(Value::Real(-r)),
-                e => Expr::Unary(UnOp::Neg, Box::new(e)),
-            },
-            Expr::Unary(op, e) => Expr::Unary(op, Box::new(e.normalize())),
-            Expr::Binary(op, a, b) => {
-                Expr::Binary(op, Box::new(a.normalize()), Box::new(b.normalize()))
-            }
-            Expr::Cond(c, t, e) => Expr::Cond(
-                Box::new(c.normalize()),
-                Box::new(t.normalize()),
-                Box::new(e.normalize()),
-            ),
-            Expr::Call(n, args) => Expr::Call(n, args.into_iter().map(Expr::normalize).collect()),
-            e => e,
-        }
-    }
-
     fn fmt_prec(&self, f: &mut fmt::Formatter<'_>, parent_prec: u8) -> fmt::Result {
         match self {
             Expr::Lit(v) => write!(f, "{v}"),
@@ -175,15 +112,10 @@ impl Expr {
                 Scope::My => write!(f, "MY.{printed}"),
                 Scope::Target => write!(f, "TARGET.{printed}"),
             },
-            Expr::Unary(op, e) => {
-                let sym = match op {
-                    UnOp::Not => "!",
-                    UnOp::Neg => "-",
-                    UnOp::Plus => "+",
-                };
-                write!(f, "{sym}")?;
-                // Unary binds tighter than everything binary.
-                e.fmt_prec(f, 7)
+            Expr::Not(e) => {
+                write!(f, "!")?;
+                // `!` binds tighter than every binary operator.
+                e.fmt_prec(f, u8::MAX)
             }
             Expr::Binary(op, a, b) => {
                 let prec = op.precedence();
@@ -201,31 +133,6 @@ impl Expr {
                 }
                 Ok(())
             }
-            Expr::Cond(c, t, e) => {
-                let need_parens = parent_prec > 0;
-                if need_parens {
-                    write!(f, "(")?;
-                }
-                c.fmt_prec(f, 1)?;
-                write!(f, " ? ")?;
-                t.fmt_prec(f, 0)?;
-                write!(f, " : ")?;
-                e.fmt_prec(f, 0)?;
-                if need_parens {
-                    write!(f, ")")?;
-                }
-                Ok(())
-            }
-            Expr::Call(name, args) => {
-                write!(f, "{name}(")?;
-                for (i, a) in args.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    a.fmt_prec(f, 0)?;
-                }
-                write!(f, ")")
-            }
         }
     }
 }
@@ -242,36 +149,27 @@ mod tests {
 
     #[test]
     fn precedence_ordering() {
-        assert!(BinOp::Mul.precedence() > BinOp::Add.precedence());
-        assert!(BinOp::Add.precedence() > BinOp::Lt.precedence());
         assert!(BinOp::Lt.precedence() > BinOp::Eq.precedence());
         assert!(BinOp::Eq.precedence() > BinOp::And.precedence());
         assert!(BinOp::And.precedence() > BinOp::Or.precedence());
     }
 
+    fn bin(op: BinOp, a: Expr, b: Expr) -> Expr {
+        Expr::Binary(op, Box::new(a), Box::new(b))
+    }
+
     #[test]
     fn display_parenthesises_correctly() {
-        // (1 + 2) * 3 keeps parens; 1 + 2 * 3 doesn't add them.
-        let e = Expr::Binary(
-            BinOp::Mul,
-            Box::new(Expr::Binary(
-                BinOp::Add,
-                Box::new(Expr::int(1)),
-                Box::new(Expr::int(2)),
-            )),
-            Box::new(Expr::int(3)),
-        );
-        assert_eq!(e.to_string(), "(1 + 2) * 3");
-        let e2 = Expr::Binary(
-            BinOp::Add,
-            Box::new(Expr::int(1)),
-            Box::new(Expr::Binary(
-                BinOp::Mul,
-                Box::new(Expr::int(2)),
-                Box::new(Expr::int(3)),
-            )),
-        );
-        assert_eq!(e2.to_string(), "1 + 2 * 3");
+        // (a || b) && c keeps parens; a || b && c doesn't add them.
+        let (a, b, c) = (Expr::attr("a"), Expr::attr("b"), Expr::attr("c"));
+        let e = bin(BinOp::And, bin(BinOp::Or, a.clone(), b.clone()), c.clone());
+        assert_eq!(e.to_string(), "(a || b) && c");
+        let e2 = bin(BinOp::Or, a.clone(), bin(BinOp::And, b.clone(), c.clone()));
+        assert_eq!(e2.to_string(), "a || b && c");
+        // `!` wraps a binary operand in parens, a leaf not.
+        let not = Expr::Not(Box::new(bin(BinOp::Lt, a.clone(), b)));
+        assert_eq!(not.to_string(), "!(a < b)");
+        assert_eq!(Expr::Not(Box::new(a)).to_string(), "!a");
     }
 
     #[test]
@@ -285,17 +183,5 @@ mod tests {
             _ => unreachable!(),
         }
         assert_eq!(e.to_string(), "TARGET.CpuLoad");
-    }
-
-    #[test]
-    fn display_cond_and_call() {
-        let e = Expr::Cond(
-            Box::new(Expr::attr("x")),
-            Box::new(Expr::int(1)),
-            Box::new(Expr::int(2)),
-        );
-        assert_eq!(e.to_string(), "x ? 1 : 2");
-        let c = Expr::Call("floor".into(), vec![Expr::real(2.5)]);
-        assert_eq!(c.to_string(), "floor(2.5)");
     }
 }

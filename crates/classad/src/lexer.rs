@@ -13,16 +13,8 @@ pub enum Token {
     Ident(String),
     LParen,
     RParen,
-    Comma,
     Dot,
-    Question,
-    Colon,
     // Operators.
-    Plus,
-    Minus,
-    Star,
-    Slash,
-    Percent,
     Not,
     And,
     Or,
@@ -45,15 +37,7 @@ impl fmt::Display for Token {
             Token::Ident(s) => write!(f, "{s}"),
             Token::LParen => write!(f, "("),
             Token::RParen => write!(f, ")"),
-            Token::Comma => write!(f, ","),
             Token::Dot => write!(f, "."),
-            Token::Question => write!(f, "?"),
-            Token::Colon => write!(f, ":"),
-            Token::Plus => write!(f, "+"),
-            Token::Minus => write!(f, "-"),
-            Token::Star => write!(f, "*"),
-            Token::Slash => write!(f, "/"),
-            Token::Percent => write!(f, "%"),
             Token::Not => write!(f, "!"),
             Token::And => write!(f, "&&"),
             Token::Or => write!(f, "||"),
@@ -103,38 +87,6 @@ pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
             }
             ')' => {
                 out.push(Token::RParen);
-                i += 1;
-            }
-            ',' => {
-                out.push(Token::Comma);
-                i += 1;
-            }
-            '?' => {
-                out.push(Token::Question);
-                i += 1;
-            }
-            ':' => {
-                out.push(Token::Colon);
-                i += 1;
-            }
-            '+' => {
-                out.push(Token::Plus);
-                i += 1;
-            }
-            '-' => {
-                out.push(Token::Minus);
-                i += 1;
-            }
-            '*' => {
-                out.push(Token::Star);
-                i += 1;
-            }
-            '/' => {
-                out.push(Token::Slash);
-                i += 1;
-            }
-            '%' => {
-                out.push(Token::Percent);
                 i += 1;
             }
             '&' => {
@@ -212,7 +164,11 @@ pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
                     i += 1;
                 }
             }
-            c if c.is_ascii_digit() => {
+            // A `-` is only ever the sign of a numeric literal, so every
+            // literal `Value` prints to text that lexes back.
+            c if c.is_ascii_digit()
+                || (c == '-' && bytes.get(i + 1).is_some_and(u8::is_ascii_digit)) =>
+            {
                 let (t, next) = lex_number(input, i)?;
                 out.push(t);
                 i = next;
@@ -226,7 +182,10 @@ pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
                 }
                 out.push(Token::Ident(input[start..i].to_string()));
             }
-            _ => return Err(err(i, &format!("unexpected character '{c}'"))),
+            _ => {
+                let c = input[i..].chars().next().unwrap_or(c);
+                return Err(err(i, &format!("unexpected character '{c}'")));
+            }
         }
     }
     Ok(out)
@@ -240,20 +199,20 @@ fn lex_string(input: &str, start: usize) -> Result<(String, usize), LexError> {
         match bytes[i] {
             b'"' => return Ok((s, i + 1)),
             b'\\' => {
-                let Some(&esc) = bytes.get(i + 1) else {
+                // The escaped character is a whole char, not a byte: it
+                // may be multi-byte UTF-8.
+                let Some(esc) = input[i + 1..].chars().next() else {
                     return Err(LexError {
                         offset: i,
                         message: "dangling escape".into(),
                     });
                 };
-                match esc {
-                    b'"' => s.push('"'),
-                    b'\\' => s.push('\\'),
-                    b'n' => s.push('\n'),
-                    b't' => s.push('\t'),
-                    c => s.push(c as char),
-                }
-                i += 2;
+                s.push(match esc {
+                    'n' => '\n',
+                    't' => '\t',
+                    c => c,
+                });
+                i += 1 + esc.len_utf8();
             }
             _ => {
                 // Multi-byte UTF-8 passthrough.
@@ -271,7 +230,8 @@ fn lex_string(input: &str, start: usize) -> Result<(String, usize), LexError> {
 
 fn lex_number(input: &str, start: usize) -> Result<(Token, usize), LexError> {
     let bytes = input.as_bytes();
-    let mut i = start;
+    let digits = start + usize::from(bytes[start] == b'-');
+    let mut i = digits;
     let mut is_real = false;
     while i < bytes.len() && bytes[i].is_ascii_digit() {
         i += 1;
@@ -282,7 +242,7 @@ fn lex_number(input: &str, start: usize) -> Result<(Token, usize), LexError> {
         while i < bytes.len() && bytes[i].is_ascii_digit() {
             i += 1;
         }
-    } else if i < bytes.len() && bytes[i] == b'.' && i > start {
+    } else if i < bytes.len() && bytes[i] == b'.' && i > digits {
         // `5.` style real.
         is_real = true;
         i += 1;
@@ -343,6 +303,14 @@ mod tests {
         assert_eq!(lex("1e3").unwrap(), vec![Token::Real(1000.0)]);
         assert_eq!(lex("2.5e-1").unwrap(), vec![Token::Real(0.25)]);
         assert_eq!(lex(".5").unwrap(), vec![Token::Real(0.5)]);
+        // A sign directly before a digit belongs to the literal.
+        assert_eq!(lex("-5").unwrap(), vec![Token::Int(-5)]);
+        assert_eq!(lex("-2.5").unwrap(), vec![Token::Real(-2.5)]);
+        assert_eq!(lex("-5.").unwrap(), vec![Token::Real(-5.0)]);
+        assert_eq!(
+            lex("-9223372036854775808").unwrap(),
+            vec![Token::Int(i64::MIN)]
+        );
     }
 
     #[test]
@@ -353,6 +321,16 @@ mod tests {
         );
         assert_eq!(lex("\"a\\nb\"").unwrap(), vec![Token::Str("a\nb".into())]);
         assert!(lex("\"unterminated").is_err());
+        assert!(lex("\"dangling\\").is_err());
+    }
+
+    #[test]
+    fn lex_escaped_multibyte_char() {
+        // An escaped multi-byte char is taken whole: stepping over it
+        // byte-wise lands inside it, and the next slice panics.
+        assert_eq!(lex("\"\\é\"").unwrap(), vec![Token::Str("é".into())]);
+        assert_eq!(lex("\"a\\€b\"").unwrap(), vec![Token::Str("a€b".into())]);
+        assert!(lex("\"\\é").is_err());
     }
 
     #[test]
@@ -369,10 +347,24 @@ mod tests {
         assert!(lex("a & b").is_err());
         assert!(lex("a | b").is_err());
         assert!(lex("a = b").is_err()); // bare '=' is not an operator
+        assert!(lex("a é b").is_err());
+        // Arithmetic, ternaries and calls are not part of the language.
+        for src in [
+            "1 + 2",
+            "-x",
+            "a - 1",
+            "a * 2",
+            "a / 2",
+            "a % 2",
+            "a ? b : c",
+            "f(a, b)",
+        ] {
+            assert!(lex(src).is_err(), "{src:?}");
+        }
     }
 
     #[test]
     fn lex_whitespace_insensitive() {
-        assert_eq!(lex(" 1+2 ").unwrap(), lex("1 + 2").unwrap());
+        assert_eq!(lex(" a==-1 ").unwrap(), lex("a == -1").unwrap());
     }
 }

@@ -4,13 +4,14 @@
 //! technology: every resource describes itself as a set of
 //! `Attribute = Expression` pairs, and the Manager matches *Trigger*
 //! ClassAds against *Startd* ClassAds to detect problems ("CPU load is
-//! greater than 50").  This crate implements the classic ClassAd language
-//! as used by Condor ~7.x / Hawkeye 0.1.4:
+//! greater than 50").  This crate implements the part of the classic
+//! ClassAd language (Condor ~7.x / Hawkeye 0.1.4) that Hawkeye constraints
+//! and trigger `Requirements` use:
 //!
-//! * the expression grammar (ternary conditional, boolean, comparison —
-//!   including the meta-operators `=?=`/`=!=` — arithmetic, unary
-//!   operators, attribute references with optional `MY.`/`TARGET.` scopes,
-//!   and a small set of builtin functions);
+//! * the boolean and comparison core of the expression grammar — `&&`,
+//!   `||`, `!`, parentheses, the comparisons and the meta-operators
+//!   `=?=`/`=!=` over literals and attribute references with optional
+//!   `MY.`/`TARGET.` scopes (no arithmetic, ternary or builtin calls);
 //! * three-valued evaluation semantics with `UNDEFINED` and `ERROR`
 //!   propagation;
 //! * [`ClassAd`] records with case-insensitive attribute names and classic
@@ -47,14 +48,14 @@
 pub mod ad;
 pub mod eval;
 pub mod expr;
-pub mod lexer;
+mod lexer;
 pub mod matchmaker;
 pub mod parser;
 pub mod value;
 
 pub use ad::ClassAd;
 pub use eval::{eval, EvalCtx};
-pub use expr::{BinOp, Expr, Scope, UnOp};
+pub use expr::{BinOp, Expr, Scope};
 pub use matchmaker::CompiledExpr;
 pub use parser::{parse_expr, ParseError};
 pub use value::Value;

@@ -1,22 +1,23 @@
 //! Recursive-descent parser for ClassAd expressions.
 //!
-//! Grammar (classic ClassAds, lowest precedence first):
+//! The boolean and comparison core of classic ClassAds — what Hawkeye
+//! constraints and trigger `Requirements` use — lowest precedence first:
 //!
 //! ```text
-//! expr    := or ( '?' expr ':' expr )?
-//! or      := and ( '||' and )*
+//! expr    := and ( '||' and )*
 //! and     := eq ( '&&' eq )*
 //! eq      := rel ( ('==' | '!=' | '=?=' | '=!=') rel )*
-//! rel     := add ( ('<' | '<=' | '>' | '>=') add )*
-//! add     := mul ( ('+' | '-') mul )*
-//! mul     := unary ( ('*' | '/' | '%') unary )*
-//! unary   := ('!' | '-' | '+')* primary
-//! primary := literal | attr | call | '(' expr ')'
+//! rel     := unary ( ('<' | '<=' | '>' | '>=') unary )*
+//! unary   := '!'* primary
+//! primary := literal | attr | '(' expr ')'
 //! attr    := ( 'MY' '.' | 'TARGET' '.' )? IDENT
-//! call    := IDENT '(' (expr (',' expr)*)? ')'
 //! ```
+//!
+//! A literal is an integer or real (a `-` directly before its first digit
+//! is its sign), a string, or `TRUE`/`FALSE`/`UNDEFINED`/`ERROR`.
+//! Arithmetic, the ternary and builtin calls are not part of it.
 
-use crate::expr::{BinOp, Expr, Scope, UnOp};
+use crate::expr::{BinOp, Expr, Scope};
 use crate::lexer::{lex, LexError, Token};
 use crate::value::Value;
 use std::fmt;
@@ -43,12 +44,11 @@ impl From<LexError> for ParseError {
     }
 }
 
-/// Deepest nesting of parentheses, call arguments, ternary arms and
-/// prefix operators [`parse_expr`] accepts; deeper input is a
-/// [`ParseError`], not a stack overflow.
+/// Deepest nesting of parentheses and `!` operators [`parse_expr`]
+/// accepts; deeper input is a [`ParseError`], not a stack overflow.
 pub const MAX_DEPTH: usize = 128;
 
-/// Most binary operators one expression may hold.  `a + b + …` parses
+/// Most binary operators one expression may hold.  `a && b && …` parses
 /// into a left-deep tree that evaluation, printing and drop all recurse
 /// down, so this — with [`MAX_DEPTH`] — bounds the tree's height.  It is
 /// counted per expression, not per operator chain: a parenthesised chain
@@ -64,7 +64,7 @@ pub fn parse_expr(input: &str) -> Result<Expr, ParseError> {
         pos: 0,
         operators: 0,
     };
-    let e = p.expr(0)?;
+    let e = p.binary(1, 0)?;
     if p.pos != p.tokens.len() {
         return Err(ParseError {
             message: format!("trailing tokens starting at '{}'", p.tokens[p.pos]),
@@ -116,21 +116,9 @@ impl Parser {
         }
     }
 
+    /// Precedence-climbing over binary operators with min precedence.
     /// Every rule carries `depth`, the nesting it was reached at; each
     /// level starts at a [`Parser::unary`], which enforces the bound.
-    fn expr(&mut self, depth: usize) -> Result<Expr, ParseError> {
-        let cond = self.binary(1, depth)?;
-        if self.eat(&Token::Question) {
-            let then = self.expr(depth + 1)?;
-            self.expect(&Token::Colon)?;
-            let els = self.expr(depth + 1)?;
-            Ok(Expr::Cond(Box::new(cond), Box::new(then), Box::new(els)))
-        } else {
-            Ok(cond)
-        }
-    }
-
-    /// Precedence-climbing over binary operators with min precedence.
     fn binary(&mut self, min_prec: u8, depth: usize) -> Result<Expr, ParseError> {
         let mut lhs = self.unary(depth)?;
         while let Some(op) = self.peek().and_then(token_binop) {
@@ -160,21 +148,7 @@ impl Parser {
         match self.peek() {
             Some(Token::Not) => {
                 self.pos += 1;
-                Ok(Expr::Unary(UnOp::Not, Box::new(self.unary(depth + 1)?)))
-            }
-            Some(Token::Minus) => {
-                self.pos += 1;
-                // Fold negation of numeric literals so `-5` is the literal
-                // -5 (keeps printing/parsing canonical).
-                Ok(match self.unary(depth + 1)? {
-                    Expr::Lit(Value::Int(i)) => Expr::Lit(Value::Int(-i)),
-                    Expr::Lit(Value::Real(r)) => Expr::Lit(Value::Real(-r)),
-                    e => Expr::Unary(UnOp::Neg, Box::new(e)),
-                })
-            }
-            Some(Token::Plus) => {
-                self.pos += 1;
-                Ok(Expr::Unary(UnOp::Plus, Box::new(self.unary(depth + 1)?)))
+                Ok(Expr::Not(Box::new(self.unary(depth + 1)?)))
             }
             _ => self.primary(depth),
         }
@@ -186,11 +160,11 @@ impl Parser {
             Some(Token::Real(r)) => Ok(Expr::Lit(Value::Real(r))),
             Some(Token::Str(s)) => Ok(Expr::Lit(Value::Str(s))),
             Some(Token::LParen) => {
-                let e = self.expr(depth + 1)?;
+                let e = self.binary(1, depth + 1)?;
                 self.expect(&Token::RParen)?;
                 Ok(e)
             }
-            Some(Token::Ident(name)) => self.ident_tail(name, depth),
+            Some(Token::Ident(name)) => self.ident_tail(name),
             other => Err(ParseError {
                 message: format!(
                     "expected a value, found {}",
@@ -200,7 +174,7 @@ impl Parser {
         }
     }
 
-    fn ident_tail(&mut self, name: String, depth: usize) -> Result<Expr, ParseError> {
+    fn ident_tail(&mut self, name: String) -> Result<Expr, ParseError> {
         // Keywords.
         let lower = name.to_ascii_lowercase();
         match lower.as_str() {
@@ -224,21 +198,6 @@ impl Parser {
             };
             return Ok(Expr::scoped_attr(scope, &attr));
         }
-        // Function call?
-        if self.peek() == Some(&Token::LParen) {
-            self.pos += 1;
-            let mut args = Vec::new();
-            if !self.eat(&Token::RParen) {
-                loop {
-                    args.push(self.expr(depth + 1)?);
-                    if self.eat(&Token::RParen) {
-                        break;
-                    }
-                    self.expect(&Token::Comma)?;
-                }
-            }
-            return Ok(Expr::Call(gintern::intern(&lower), args));
-        }
         Ok(Expr::attr(&name))
     }
 }
@@ -255,11 +214,6 @@ fn token_binop(t: &Token) -> Option<BinOp> {
         Token::Le => BinOp::Le,
         Token::Gt => BinOp::Gt,
         Token::Ge => BinOp::Ge,
-        Token::Plus => BinOp::Add,
-        Token::Minus => BinOp::Sub,
-        Token::Star => BinOp::Mul,
-        Token::Slash => BinOp::Div,
-        Token::Percent => BinOp::Mod,
         _ => return None,
     })
 }
@@ -274,13 +228,15 @@ mod tests {
 
     #[test]
     fn parses_literals_and_keywords() {
-        assert_eq!(p("42"), Expr::int(42));
-        assert_eq!(p("2.5"), Expr::real(2.5));
-        assert_eq!(p("\"x\""), Expr::string("x"));
-        assert_eq!(p("TRUE"), Expr::boolean(true));
-        assert_eq!(p("False"), Expr::boolean(false));
+        assert_eq!(p("42"), Expr::Lit(Value::Int(42)));
+        assert_eq!(p("2.5"), Expr::Lit(Value::Real(2.5)));
+        assert_eq!(p("\"x\""), Expr::Lit(Value::Str("x".into())));
+        assert_eq!(p("TRUE"), Expr::Lit(Value::Bool(true)));
+        assert_eq!(p("False"), Expr::Lit(Value::Bool(false)));
         assert_eq!(p("UNDEFINED"), Expr::Lit(Value::Undefined));
         assert_eq!(p("error"), Expr::Lit(Value::Error));
+        assert_eq!(p("-5"), Expr::Lit(Value::Int(-5)));
+        assert_eq!(p("-2.5"), Expr::Lit(Value::Real(-2.5)));
     }
 
     #[test]
@@ -292,13 +248,6 @@ mod tests {
             }
             e => panic!("{e:?}"),
         }
-        // 1 + 2 * 3 => 1 + (2*3)
-        match p("1 + 2 * 3") {
-            Expr::Binary(BinOp::Add, _, rhs) => {
-                assert!(matches!(*rhs, Expr::Binary(BinOp::Mul, _, _)));
-            }
-            e => panic!("{e:?}"),
-        }
         // Comparison binds tighter than equality: a == b < c => a == (b<c)
         match p("a == b < c") {
             Expr::Binary(BinOp::Eq, _, rhs) => {
@@ -306,46 +255,36 @@ mod tests {
             }
             e => panic!("{e:?}"),
         }
+        // `!` binds tighter than any binary operator: !a && b => (!a) && b
+        match p("!a && b") {
+            Expr::Binary(BinOp::And, lhs, _) => assert!(matches!(*lhs, Expr::Not(_))),
+            e => panic!("{e:?}"),
+        }
     }
 
     #[test]
     fn left_associativity() {
-        // 10 - 4 - 3 => (10-4)-3
-        match p("10 - 4 - 3") {
-            Expr::Binary(BinOp::Sub, lhs, _) => {
-                assert!(matches!(*lhs, Expr::Binary(BinOp::Sub, _, _)));
+        // a == b != c => (a == b) != c
+        match p("a == b != c") {
+            Expr::Binary(BinOp::Ne, lhs, _) => {
+                assert!(matches!(*lhs, Expr::Binary(BinOp::Eq, _, _)));
             }
             e => panic!("{e:?}"),
         }
     }
 
     #[test]
-    fn scopes_and_calls() {
+    fn scopes() {
         assert_eq!(p("MY.x"), Expr::scoped_attr(Scope::My, "x"));
         assert_eq!(p("target.Y"), Expr::scoped_attr(Scope::Target, "Y"));
-        assert_eq!(
-            p("floor(2.7)"),
-            Expr::Call("floor".into(), vec![Expr::real(2.7)])
-        );
-        assert_eq!(p("size(\"ab\", 1)").to_string(), "size(\"ab\", 1)");
+        assert!(parse_expr("MY.").is_err());
+        assert!(parse_expr("TARGET.5").is_err());
     }
 
     #[test]
     fn my_without_dot_is_plain_attr() {
         assert_eq!(p("my"), Expr::attr("my"));
-        assert_eq!(p("target + 1").to_string(), "target + 1");
-    }
-
-    #[test]
-    fn ternary() {
-        let e = p("a > 1 ? \"big\" : \"small\"");
-        assert!(matches!(e, Expr::Cond(..)));
-        // Nested: a ? b : c ? d : e  => a ? b : (c ? d : e)
-        let e = p("a ? b : c ? d : e");
-        match e {
-            Expr::Cond(_, _, els) => assert!(matches!(*els, Expr::Cond(..))),
-            e => panic!("{e:?}"),
-        }
+        assert_eq!(p("target == 1").to_string(), "target == 1");
     }
 
     #[test]
@@ -357,34 +296,38 @@ mod tests {
     }
 
     #[test]
-    fn unary_chains() {
+    fn not_chains() {
         assert_eq!(p("!!a").to_string(), "!!a");
-        assert_eq!(p("--5"), Expr::int(5)); // double negation folds
-        assert_eq!(p("-5"), Expr::int(-5));
-        assert_eq!(p("-2.5"), Expr::real(-2.5));
-        assert_eq!(p("-x + 1").to_string(), "-x + 1");
+        assert_eq!(p("!(a < -1)").to_string(), "!(a < -1)");
     }
 
     #[test]
     fn errors_are_reported() {
-        assert!(parse_expr("1 +").is_err());
-        assert!(parse_expr("(1").is_err());
-        assert!(parse_expr("1 2").is_err());
-        assert!(parse_expr("f(1,)").is_err());
-        assert!(parse_expr("a ? b").is_err());
-        assert!(parse_expr("").is_err());
+        for bad in ["1 &&", "(1", "1 2", "a ==", "()", "", "MY.x.y"] {
+            assert!(parse_expr(bad).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn arithmetic_ternary_and_calls_are_typed_errors() {
+        for bad in [
+            "1 + 2",
+            "-x",
+            "--5",
+            "a ? b : c",
+            "floor(x)",
+            "size(\"ab\", 1)",
+            "x > 5 ? TRUE : FALSE",
+            "10 -4",
+        ] {
+            assert!(parse_expr(bad).is_err(), "{bad:?}");
+        }
     }
 
     #[test]
     fn nesting_is_bounded() {
         // Each of these used to recurse until the stack ran out.
-        let nestings = [
-            ("(", "1", ")"),
-            ("!", "a", ""),
-            ("- ", "1", ""),
-            ("f(", "1", ")"),
-        ];
-        for (open, atom, close) in nestings {
+        for (open, atom, close) in [("(", "1", ")"), ("!", "a", "")] {
             let nest = |n: usize| format!("{}{atom}{}", open.repeat(n), close.repeat(n));
             let err = parse_expr(&nest(100_000)).unwrap_err();
             assert!(err.message.contains("nesting"), "{err}");
@@ -395,17 +338,13 @@ mod tests {
             let err = parse_expr(&nest(MAX_DEPTH + 1)).unwrap_err();
             assert!(err.message.contains("nesting"), "{err}");
         }
-        let chain = |n: usize| format!("{}c", "a ? b : ".repeat(n));
-        assert!(parse_expr(&chain(MAX_DEPTH)).is_ok());
-        let err = parse_expr(&chain(100_000)).unwrap_err();
-        assert!(err.message.contains("nesting"), "{err}");
         // The bound is on open nesting, not on how much an expression holds.
-        let wide = format!("(1){}", " + f((1), !a)".repeat(10 * MAX_DEPTH));
+        let wide = format!("(1){}", " && !(!(a))".repeat(10 * MAX_DEPTH));
         assert!(parse_expr(&wide).is_ok());
     }
 
     fn chain(operators: usize) -> String {
-        format!("1{}", " + 1".repeat(operators))
+        format!("TRUE{}", " && TRUE".repeat(operators))
     }
 
     #[test]
@@ -417,7 +356,7 @@ mod tests {
             .spawn(|| {
                 let e = p(&chain(MAX_OPERATORS));
                 let v = crate::eval(&e, &crate::ClassAd::new(), None);
-                assert_eq!(v, Value::Int(MAX_OPERATORS as i64 + 1));
+                assert_eq!(v, Value::Bool(true));
                 assert_eq!(e.to_string(), chain(MAX_OPERATORS));
                 drop(e);
             })
@@ -431,7 +370,7 @@ mod tests {
         for src in [
             chain(MAX_OPERATORS + 1),
             chain(1_000_000),
-            format!("({}) + {}", chain(half), chain(half)),
+            format!("({}) && {}", chain(half), chain(half)),
         ] {
             let err = parse_expr(&src).unwrap_err();
             assert!(err.message.contains("binary operators"), "{err}");
@@ -442,10 +381,10 @@ mod tests {
     fn display_round_trip() {
         for src in [
             "TARGET.CpuLoad > 50 && TARGET.OpSys == \"LINUX\"",
-            "(1 + 2) * 3 - -4",
+            "(a || b) && !(c <= -4)",
             "a =?= UNDEFINED || b =!= ERROR",
-            "x % 2 == 0 ? \"even\" : \"odd\"",
-            "floor(a / 2) >= size(b)",
+            "NoSuchAttribute =?= 424242",
+            "MY.x >= -2.5 != (y < 1)",
         ] {
             let e1 = p(src);
             let printed = e1.to_string();

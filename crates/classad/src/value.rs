@@ -2,7 +2,7 @@
 //!
 //! Classic ClassAds extend the usual scalar types with two distinguished
 //! values: `UNDEFINED` (an attribute reference that does not resolve) and
-//! `ERROR` (a type mismatch or arithmetic fault).  Most operators are
+//! `ERROR` (a type mismatch).  Most operators are
 //! *strict*: they propagate `ERROR` and then `UNDEFINED`.  The boolean
 //! connectives and the meta-equality operators are the deliberate
 //! exceptions, implemented in [`mod@crate::eval`].

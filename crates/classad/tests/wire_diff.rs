@@ -16,17 +16,17 @@ const NAMES: &str = "[a-dA-D]";
 fn expr_strategy() -> impl Strategy<Value = Expr> {
     let leaf = || {
         prop_oneof![
-            (-1000i64..1000).prop_map(Expr::int),
-            (-100.0f64..100.0).prop_map(Expr::real),
-            "[a-zA-Z0-9 \"\\\\]{0,6}".prop_map(|s| Expr::string(&s)),
-            any::<bool>().prop_map(Expr::boolean),
+            (-1000i64..1000).prop_map(|i| Expr::Lit(Value::Int(i))),
+            (-100.0f64..100.0).prop_map(|r| Expr::Lit(Value::Real(r))),
+            "[a-zA-Z0-9 \"\\\\]{0,6}".prop_map(|s| Expr::Lit(Value::Str(s))),
+            any::<bool>().prop_map(|b| Expr::Lit(Value::Bool(b))),
             NAMES.prop_map(|s| Expr::attr(&s)),
             Just(Expr::Lit(Value::Undefined)),
         ]
     };
     prop_oneof![
         leaf(),
-        (leaf(), leaf()).prop_map(|(a, b)| Expr::Binary(BinOp::Add, Box::new(a), Box::new(b))),
+        (leaf(), leaf()).prop_map(|(a, b)| Expr::Binary(BinOp::And, Box::new(a), Box::new(b))),
         (leaf(), leaf()).prop_map(|(a, b)| Expr::Binary(BinOp::Lt, Box::new(a), Box::new(b))),
     ]
 }

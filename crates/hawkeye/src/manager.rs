@@ -275,7 +275,13 @@ impl Manager {
             }
             return slot.reply.clone();
         }
-        let compiled = parse_expr(&expr).ok().map(|e| CompiledExpr::compile(&e));
+        // The model only sends constraints that parse.  A release build
+        // answers an unparsable one with the empty reply — the same reply
+        // a constraint no ad satisfies gets — so a parser regression
+        // would change no output byte: debug builds refuse it instead.
+        let parsed = parse_expr(&expr);
+        debug_assert!(parsed.is_ok(), "unparsable constraint {expr:?}: {parsed:?}");
+        let compiled = parsed.ok().map(|e| CompiledExpr::compile(&e));
         let reply = scan(&compiled);
         if self.constraints.len() >= CONSTRAINT_CAP {
             self.constraints.remove(0);
@@ -691,9 +697,14 @@ mod tests {
         assert_eq!(hit.bytes, miss.bytes);
         assert_eq!(hit.ads.len(), 2);
         assert!(hit.ads.iter().zip(&miss.ads).all(|(a, b)| Rc::ptr_eq(a, b)));
-        // An unparsable constraint is memoised as matching nothing.
-        assert_eq!(b.constrain(3, "((").1.ads.len(), 0);
-        assert_eq!(b.constrain(4, "((").1.ads.len(), 0);
-        assert_eq!(b.mgr.constraints.len(), 2);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "unparsable constraint")]
+    fn unparsable_constraint_is_refused_in_debug_builds() {
+        let mut b = Bare::new();
+        b.advertise(0, "m1", &startd("m1", 11));
+        b.constrain(1, "ModuleCount + 1 > 11");
     }
 }

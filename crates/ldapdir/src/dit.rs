@@ -329,7 +329,7 @@ mod tests {
         assert_eq!(d.search(&base, Scope::Sub, &any).len(), 5); // vo + 3 hosts + cpu
         let f = Filter::parse("(objectclass=mdshost)").unwrap();
         assert_eq!(d.search(&base, Scope::Sub, &f).len(), 3);
-        let f = Filter::parse("(mds-cpu-total-count>=2)").unwrap();
+        let f = Filter::parse("(mds-cpu-total-count=2)").unwrap();
         assert_eq!(d.search(&base, Scope::Sub, &f).len(), 1);
     }
 

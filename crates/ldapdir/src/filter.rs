@@ -1,11 +1,9 @@
-//! RFC 4515 search filters.
+//! The RFC 4515 search filters MDS clients send.
 //!
 //! Supported forms: `(&(f)(g)...)`, `(|(f)(g)...)`, `(!(f))`, equality
-//! `(a=v)`, presence `(a=*)`, substring `(a=*mid*fix)`, ordering
-//! `(a>=v)` / `(a<=v)`.  Value matching is case-insensitive; ordering
-//! compares numerically when both sides parse as numbers, else
-//! lexicographically (matching how MDS numeric attributes behave under
-//! OpenLDAP's integer syntaxes).
+//! `(a=v)` and presence `(a=*)`; value matching is case-insensitive.
+//! Substring (`(a=x*y)`), ordering (`(a>=v)`, `(a<=v)`) and approximate
+//! matches are a [`FilterError`], never read as an equality.
 
 use crate::entry::Entry;
 use std::fmt;
@@ -32,21 +30,10 @@ pub enum Filter {
     Eq(String, String),
     /// `(attr=*)`
     Present(String),
-    /// `(attr=initial*mid1*mid2*final)`; empty strings mean "no anchor".
-    Substring {
-        attr: String,
-        initial: String,
-        mids: Vec<String>,
-        final_: String,
-    },
-    /// `(attr>=value)`
-    Ge(String, String),
-    /// `(attr<=value)`
-    Le(String, String),
 }
 
 impl Filter {
-    /// Parse an RFC 4515 filter string.
+    /// Parse a filter string.
     pub fn parse(s: &str) -> Result<Filter, FilterError> {
         let s = s.trim();
         let (f, rest) = parse_filter(s, 0)?;
@@ -69,17 +56,6 @@ impl Filter {
             Filter::Not(f) => !f.matches(entry),
             Filter::Eq(a, v) => entry.has_value(a, v),
             Filter::Present(a) => entry.has_attr(a),
-            Filter::Substring {
-                attr,
-                initial,
-                mids,
-                final_,
-            } => entry
-                .get(attr)
-                .iter()
-                .any(|v| substring_match(&v.to_ascii_lowercase(), initial, mids, final_)),
-            Filter::Ge(a, v) => entry.get(a).iter().any(|x| order_cmp(x, v) >= 0),
-            Filter::Le(a, v) => entry.get(a).iter().any(|x| order_cmp(x, v) <= 0),
         }
     }
 
@@ -130,61 +106,7 @@ impl fmt::Display for Filter {
             Filter::Not(x) => write!(f, "(!{x})"),
             Filter::Eq(a, v) => write!(f, "({a}={v})"),
             Filter::Present(a) => write!(f, "({a}=*)"),
-            Filter::Substring {
-                attr,
-                initial,
-                mids,
-                final_,
-            } => {
-                write!(f, "({attr}={initial}*")?;
-                for m in mids {
-                    write!(f, "{m}*")?;
-                }
-                write!(f, "{final_})")
-            }
-            Filter::Ge(a, v) => write!(f, "({a}>={v})"),
-            Filter::Le(a, v) => write!(f, "({a}<={v})"),
         }
-    }
-}
-
-fn substring_match(v: &str, initial: &str, mids: &[String], final_: &str) -> bool {
-    let mut rest = v;
-    if !initial.is_empty() {
-        let Some(r) = rest.strip_prefix(initial) else {
-            return false;
-        };
-        rest = r;
-    }
-    for m in mids {
-        match rest.find(m.as_str()) {
-            Some(pos) => rest = &rest[pos + m.len()..],
-            None => return false,
-        }
-    }
-    if !final_.is_empty() {
-        return rest.ends_with(final_);
-    }
-    true
-}
-
-/// Ordering comparison: numeric when both parse, else case-insensitive
-/// lexicographic.  Returns -1/0/1.
-fn order_cmp(a: &str, b: &str) -> i32 {
-    if let (Ok(x), Ok(y)) = (a.trim().parse::<f64>(), b.trim().parse::<f64>()) {
-        return if x < y {
-            -1
-        } else if x > y {
-            1
-        } else {
-            0
-        };
-    }
-    let (a, b) = (a.to_ascii_lowercase(), b.to_ascii_lowercase());
-    match a.cmp(&b) {
-        std::cmp::Ordering::Less => -1,
-        std::cmp::Ordering::Equal => 0,
-        std::cmp::Ordering::Greater => 1,
     }
 }
 
@@ -252,47 +174,29 @@ fn parse_set(mut s: &str, depth: usize) -> Result<(Vec<Filter>, &str), FilterErr
 }
 
 fn parse_item(body: &str) -> Result<Filter, FilterError> {
-    // Find the operator: >=, <=, or =.
-    if let Some(pos) = body.find(">=") {
-        let (a, v) = (body[..pos].trim(), body[pos + 2..].trim());
-        check_attr(a)?;
-        return Ok(Filter::Ge(a.to_ascii_lowercase(), v.to_ascii_lowercase()));
+    if body.contains(">=") || body.contains("<=") {
+        return Err(FilterError(format!(
+            "ordering match {body:?} is not supported"
+        )));
     }
-    if let Some(pos) = body.find("<=") {
-        let (a, v) = (body[..pos].trim(), body[pos + 2..].trim());
-        check_attr(a)?;
-        return Ok(Filter::Le(a.to_ascii_lowercase(), v.to_ascii_lowercase()));
-    }
-    let Some(pos) = body.find('=') else {
+    let Some((a, v)) = body.split_once('=') else {
         return Err(FilterError(format!("no operator in item {body:?}")));
     };
-    let (a, v) = (body[..pos].trim(), body[pos + 1..].trim());
+    let (a, v) = (a.trim(), v.trim());
     check_attr(a)?;
     let attr = a.to_ascii_lowercase();
-    let value = v.to_ascii_lowercase();
-    if value == "*" {
+    if v == "*" {
         return Ok(Filter::Present(attr));
     }
-    if value.contains('*') {
-        let parts: Vec<&str> = value.split('*').collect();
-        let initial = parts[0].to_string();
-        let final_ = parts[parts.len() - 1].to_string();
-        let mids = parts[1..parts.len() - 1]
-            .iter()
-            .filter(|p| !p.is_empty())
-            .map(|p| p.to_string())
-            .collect();
-        return Ok(Filter::Substring {
-            attr,
-            initial,
-            mids,
-            final_,
-        });
+    if v.contains('*') {
+        return Err(FilterError(format!(
+            "substring match {body:?} is not supported"
+        )));
     }
-    if value.is_empty() {
+    if v.is_empty() {
         return Err(FilterError(format!("empty value in item {body:?}")));
     }
-    Ok(Filter::Eq(attr, value))
+    Ok(Filter::Eq(attr, v.to_ascii_lowercase()))
 }
 
 fn check_attr(a: &str) -> Result<(), FilterError> {
@@ -335,9 +239,9 @@ mod tests {
     #[test]
     fn boolean_combinators() {
         let e = host_entry();
-        let f = Filter::parse("(&(objectclass=mdshost)(mds-cpu-total-count>=2))").unwrap();
+        let f = Filter::parse("(&(objectclass=mdshost)(mds-cpu-total-count=2))").unwrap();
         assert!(f.matches(&e));
-        let f = Filter::parse("(&(objectclass=mdshost)(mds-cpu-total-count>=4))").unwrap();
+        let f = Filter::parse("(&(objectclass=mdshost)(mds-cpu-total-count=4))").unwrap();
         assert!(!f.matches(&e));
         let f = Filter::parse("(|(objectclass=mdsvo)(objectclass=mdshost))").unwrap();
         assert!(f.matches(&e));
@@ -348,39 +252,34 @@ mod tests {
     }
 
     #[test]
-    fn ordering_numeric_vs_lexicographic() {
-        let e = host_entry();
-        // 512 >= 90 numerically (lexicographically "512" < "90").
-        assert!(Filter::parse("(mds-memory-ram-sizemb>=90)")
-            .unwrap()
-            .matches(&e));
-        assert!(Filter::parse("(mds-memory-ram-sizemb<=1000)")
-            .unwrap()
-            .matches(&e));
-        // String ordering on the hostname attr.
-        assert!(Filter::parse("(mds-host-hn>=lucky)").unwrap().matches(&e));
-    }
-
-    #[test]
-    fn substring_forms() {
-        let e = host_entry();
-        assert!(Filter::parse("(mds-host-hn=lucky*)").unwrap().matches(&e));
-        assert!(Filter::parse("(mds-host-hn=*anl.gov)").unwrap().matches(&e));
-        assert!(Filter::parse("(mds-host-hn=*mcs*)").unwrap().matches(&e));
-        assert!(Filter::parse("(mds-host-hn=lucky*anl*)")
-            .unwrap()
-            .matches(&e));
-        assert!(!Filter::parse("(mds-host-hn=lucky*xyz*)")
-            .unwrap()
-            .matches(&e));
-        assert!(!Filter::parse("(mds-host-hn=ucky*)").unwrap().matches(&e));
+    fn substring_and_ordering_are_typed_errors() {
+        // MDS never sends these forms; none may fall through to an
+        // equality match.
+        for bad in [
+            "(cn=lu*)",
+            "(cn=*lu)",
+            "(cn=*lu*)",
+            "(cn=l*u)",
+            "(n>=2)",
+            "(n<=2)",
+            "(n=a>=2)",
+            "(n=a<=2)",
+            "(n~=2)",
+            "(&(objectclass=*)(cn=lu*))",
+        ] {
+            assert!(Filter::parse(bad).is_err(), "should reject {bad:?}");
+        }
+        let err = Filter::parse("(cn=lu*)").unwrap_err();
+        assert!(err.0.contains("substring"), "{err}");
+        let err = Filter::parse("(n>=2)").unwrap_err();
+        assert!(err.0.contains("ordering"), "{err}");
     }
 
     #[test]
     fn nested_combination() {
         let e = host_entry();
         let f = Filter::parse(
-            "(&(|(objectclass=mdshost)(objectclass=mdsvo))(!(mds-cpu-total-count<=1)))",
+            "(&(|(objectclass=mdshost)(objectclass=mdsvo))(!(mds-cpu-total-count=1)))",
         )
         .unwrap();
         assert!(f.matches(&e));
@@ -392,9 +291,9 @@ mod tests {
         for src in [
             "(objectclass=mdshost)",
             "(a=*)",
-            "(&(a=1)(b>=2)(c<=3))",
-            "(|(a=x*y)(!(b=z)))",
-            "(host=lucky*mcs*gov)",
+            "(&(a=1)(b=2)(c=*))",
+            "(|(a=x)(!(b=z)))",
+            "(mds-device-group-name=cpu)",
         ] {
             let f = Filter::parse(src).unwrap();
             let printed = f.to_string();
@@ -450,9 +349,9 @@ mod tests {
     fn display_len_matches_rendering() {
         for src in [
             "(objectclass=*)",
-            "(&(objectclass=host)(cpuload>=2))",
-            "(|(a=1)(!(b=2))(c=x*y*z))",
-            "(cn=lucky*)",
+            "(&(objectclass=host)(cpuload=2))",
+            "(|(a=1)(!(b=2))(c=*))",
+            "(mds-device-group-name=cpu)",
         ] {
             let f = Filter::parse(src).unwrap();
             assert_eq!(f.display_len(), f.to_string().len(), "{src}");

@@ -7,8 +7,8 @@
 //!
 //! * [`Dn`] — distinguished names with normalised, case-insensitive RDNs;
 //! * [`Entry`] — multi-valued attribute records;
-//! * [`Filter`] — RFC 4515 search filters (`(&(objectclass=MdsHost)
-//!   (mds-cpu-total>=2))`) with presence, substring and ordering matches;
+//! * [`Filter`] — the RFC 4515 search filters MDS sends: `&`, `|`, `!`,
+//!   equality and presence (`(&(objectclass=MdsHost)(mds-cpu-total=*))`);
 //! * [`Dit`] — the directory information tree with `base`/`one`/`sub`
 //!   scoped search and LDIF rendering (used to compute realistic wire
 //!   sizes for the simulated responses).
@@ -22,7 +22,7 @@
 //! e.add("Mds-Cpu-Total-count", "2");
 //! dit.add(e).unwrap();
 //!
-//! let f = Filter::parse("(&(objectclass=mdshost)(mds-cpu-total-count>=2))").unwrap();
+//! let f = Filter::parse("(&(objectclass=mdshost)(mds-cpu-total-count=*))").unwrap();
 //! let hits = dit.search(&Dn::parse("o=grid").unwrap(), Scope::Sub, &f);
 //! assert_eq!(hits.len(), 1);
 //! ```
