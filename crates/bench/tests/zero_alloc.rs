@@ -1,6 +1,6 @@
 //! Pinned steady-state allocation behaviour of the event kernel, of the
-//! two resource models every event steps, and of the ClassAd constraint
-//! scan.
+//! two resource models every event steps, of the ClassAd constraint scan
+//! and of the request lifecycle.
 //!
 //! Events are plain values in recycled slab slots, so the schedule/fire
 //! loop — the inner loop of every experiment — performs **zero** heap
@@ -13,18 +13,27 @@
 //! for a warmed `FlowNet` (start / advance / abort through the
 //! buffer-taking API, paths as cloned `Rc`s) and a warmed `PsCpu`
 //! (submit / advance / abort): their working memory is kept, not rebuilt.
-//! The last pins the Experiment-4 Hawkeye Manager scan: a held
+//! The fourth pins the Experiment-4 Hawkeye Manager scan: a held
 //! constraint evaluated against every ad of a 1 000-ad pool allocates
-//! nothing per ad.
+//! nothing per ad.  The last pins a whole `Net`: closed-loop users with
+//! zero-sized payloads against a service that takes a lock and a parent
+//! that fans out to it.  Plan steps, the held lock, fan-out sub-calls and
+//! outcomes live in buffers the `Net` lends, so once warm a round trip
+//! allocates nothing.
 //!
 //! Runs only with `--features alloc-profile` (which compiles the
 //! counting global allocator in); without it the test is a no-op so
 //! plain `cargo test` stays green.  The counter is process-wide, so the
-//! four pins are one `#[test]`: nothing else runs while one measures.
+//! five pins are one `#[test]`: nothing else runs while one measures.
 
 use simcore::{Engine, PsCpu, SimDuration, SimRng, SimTime};
 use simnet::flow::FlowNet;
 use simnet::topology::{LinkId, Topology};
+use simnet::{
+    CallOutcome, Client, ClientCx, Eng, LockKey, Net, NodeId, Payload, Plan, ReqOutcome, ReqResult,
+    RequestSpec, Service, ServiceConfig, SetupCost, StatsHub, SubCall, SvcCx, SvcKey,
+};
+use std::cell::Cell;
 use std::rc::Rc;
 
 /// A per-host probe that re-arms itself every `period`.
@@ -59,6 +68,7 @@ fn steady_state_allocates_nothing() {
     flow_net();
     ps_cpu();
     constraint_scan();
+    request_lifecycle();
 }
 
 fn event_loop() {
@@ -231,4 +241,119 @@ fn constraint_scan() {
             assert!(hits.contains(&n), "{constraint}: {n} of 1000 ads match");
         });
     }
+}
+
+/// CPU, then a locked CPU section, then an empty reply.
+struct LockedSection {
+    lock: LockKey,
+}
+
+impl Service for LockedSection {
+    fn handle(&mut self, _req: Payload, cx: &mut SvcCx) -> Plan {
+        cx.plan()
+            .cpu(311.7)
+            .lock(self.lock)
+            .cpu(197.3)
+            .unlock(self.lock)
+            .reply((), 64)
+    }
+}
+
+/// Calls both children, then replies once both answered.
+struct FanOut {
+    children: [SvcKey; 2],
+}
+
+impl Service for FanOut {
+    fn handle(&mut self, _req: Payload, cx: &mut SvcCx) -> Plan {
+        let mut calls = cx.calls();
+        calls.extend(self.children.map(|to| SubCall {
+            to,
+            payload: Box::new(()),
+            req_bytes: 500,
+        }));
+        cx.plan().cpu(101.9).call_all(calls, 0)
+    }
+
+    fn resume(&mut self, _cont: u64, outcomes: &mut Vec<CallOutcome>, cx: &mut SvcCx) -> Plan {
+        let answered = outcomes.drain(..).filter(|o| o.response.is_some()).count();
+        assert_eq!(answered, 2);
+        cx.plan().cpu(89.3).reply((), 64)
+    }
+}
+
+/// A closed-loop user: asks again as soon as an answer arrives.
+struct User {
+    from: NodeId,
+    to: SvcKey,
+    answers: Rc<Cell<u64>>,
+}
+
+impl User {
+    fn ask(&self, cx: &mut ClientCx) {
+        let spec = RequestSpec {
+            from: self.from,
+            to: self.to,
+            payload: Box::new(()),
+            req_bytes: 700,
+        };
+        cx.submit(spec, 0);
+    }
+}
+
+impl Client for User {
+    fn on_start(&mut self, cx: &mut ClientCx) {
+        self.ask(cx);
+    }
+
+    fn on_outcome(&mut self, outcome: ReqOutcome, cx: &mut ClientCx) {
+        assert!(matches!(outcome.result, ReqResult::Ok(..)));
+        self.answers.set(self.answers.get() + 1);
+        self.ask(cx);
+    }
+}
+
+fn request_lifecycle() {
+    let mut topo = Topology::new();
+    let client = topo.add_node("client", 1, 1.0);
+    let server = topo.add_node("server", 2, 1.0);
+    topo.connect(client, server, 100e6, SimDuration::from_micros(173));
+    let mut net = Net::new(topo, StatsHub::new(SimTime::ZERO, SimTime::MAX));
+    let mut eng: Eng = Engine::new(20030622);
+    let lock = net.add_lock(1);
+    // Work and latencies are deliberately irregular: a CPU task that
+    // completes at the very instant another is submitted is lost (ROADMAP
+    // item 1b) and would leave its user hanging.
+    let cfg = ServiceConfig {
+        setup: SetupCost {
+            server_cpu_us: 47.3,
+            ..SetupCost::plain()
+        },
+        ..ServiceConfig::default()
+    };
+    let locked = net.add_service(server, cfg, Box::new(LockedSection { lock }), &mut eng);
+    let children = [locked, locked];
+    let parent = net.add_service(server, cfg, Box::new(FanOut { children }), &mut eng);
+    let answers = Rc::new(Cell::new(0));
+    for to in [locked, locked, locked, parent, parent, parent] {
+        let answers = Rc::clone(&answers);
+        net.add_client(Box::new(User {
+            from: client,
+            to,
+            answers,
+        }));
+    }
+    net.start(&mut eng);
+
+    // Warm-up: size the request slab, the calendar, the flow network,
+    // the lock's queue and the lent buffers.
+    eng.run_until(&mut net, SimTime::from_secs(1));
+    let warm = answers.get();
+    assert!(warm > 1_000, "warm-up answered {warm}");
+
+    assert_allocates_nothing("request lifecycle", || {
+        eng.run_until(&mut net, SimTime::from_secs(4))
+    });
+    let answered = answers.get() - warm;
+    assert!(answered > 3_000, "measured window answered {answered}");
 }

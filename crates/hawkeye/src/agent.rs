@@ -86,7 +86,7 @@ impl Agent {
 }
 
 impl Service for Agent {
-    fn handle(&mut self, req: Payload, _cx: &mut SvcCx) -> Plan {
+    fn handle(&mut self, req: Payload, cx: &mut SvcCx) -> Plan {
         let msg = req
             .downcast::<HawkeyeMsg>()
             .expect("Agent expects HawkeyeMsg");
@@ -100,7 +100,7 @@ impl Service for Agent {
                 let m = &self.modules[i];
                 let reply = AdsReply::new(vec![m.attrs.clone()]);
                 let bytes = reply.bytes;
-                Plan::new()
+                cx.plan()
                     .cpu(QUERY_CPU_FIXED_US + m.exec_cpu_us + INTEGRATE_CPU_PER_MODULE_US)
                     .reply(reply, bytes)
             }
@@ -110,13 +110,13 @@ impl Service for Agent {
                 self.module_runs += self.modules.len() as u64;
                 let reply = AdsReply::new(vec![self.startd.clone()]);
                 let bytes = reply.bytes;
-                Plan::new()
+                cx.plan()
                     .cpu(QUERY_CPU_FIXED_US + self.all_modules_cpu())
                     .reply(reply, bytes)
             }
             other => {
                 debug_assert!(false, "unexpected message {:?}", other.wire_size());
-                Plan::reply_empty()
+                cx.plan().reply_empty()
             }
         }
     }

@@ -155,20 +155,18 @@ impl Manager {
             self.triggers[i].fired += 1;
             self.triggers_fired += 1;
         }
-        let mut steps = std::mem::take(&mut plan.steps);
         for (sink, machine, idx) in sends {
             let msg = HawkeyeMsg::TriggerFired {
                 machine,
                 trigger_idx: idx,
             };
             let bytes = msg.wire_size();
-            steps.push(simnet::Step::Send {
+            plan.steps.push(simnet::Step::Send {
                 to: sink,
                 payload: Box::new(msg),
                 bytes,
             });
         }
-        plan.steps = steps;
     }
 }
 
@@ -199,7 +197,7 @@ impl Service for Manager {
                 cx.obs
                     .incr("hawkeye.match_evals", self.triggers.len() as u64);
                 let trigger_cost = MATCH_CPU_PER_AD_US * self.triggers.len() as f64;
-                let mut plan = Plan::new().cpu(INGEST_CPU_US + trigger_cost);
+                let mut plan = cx.plan().cpu(INGEST_CPU_US + trigger_cost);
                 self.fire_matching_triggers(&machine, &mut plan);
                 plan.done()
             }
@@ -215,7 +213,7 @@ impl Service for Manager {
                 let ads = row.map(|row| row.ad.clone()).into_iter().collect();
                 let reply = AdsReply::new(ads);
                 let bytes = reply.bytes;
-                Plan::new().cpu(INDEXED_LOOKUP_CPU_US).reply(reply, bytes)
+                cx.plan().cpu(INDEXED_LOOKUP_CPU_US).reply(reply, bytes)
             }
             HawkeyeMsg::Constraint { expr } => {
                 self.queries += 1;
@@ -227,7 +225,7 @@ impl Service for Manager {
                 let scan_cost = MATCH_CPU_PER_AD_US * self.pool.len() as f64;
                 let reply = self.constraint_scan(expr);
                 let bytes = reply.bytes;
-                Plan::new()
+                cx.plan()
                     .cpu(INDEXED_LOOKUP_CPU_US + scan_cost)
                     .reply(reply, bytes)
             }
@@ -238,11 +236,11 @@ impl Service for Manager {
                     notify: None,
                     fired: 0,
                 });
-                Plan::new().cpu(INDEXED_LOOKUP_CPU_US).reply((), 64)
+                cx.plan().cpu(INDEXED_LOOKUP_CPU_US).reply((), 64)
             }
             other => {
                 debug_assert!(false, "unexpected message ({} bytes)", other.wire_size());
-                Plan::reply_empty()
+                cx.plan().reply_empty()
             }
         }
     }
@@ -338,8 +336,8 @@ impl AdvertiserFleet {
 }
 
 impl Service for AdvertiserFleet {
-    fn handle(&mut self, _req: Payload, _cx: &mut SvcCx) -> Plan {
-        Plan::reply_empty()
+    fn handle(&mut self, _req: Payload, cx: &mut SvcCx) -> Plan {
+        cx.plan().reply_empty()
     }
 
     fn on_timer(&mut self, tag: u64, cx: &mut SvcCx) {
@@ -567,7 +565,7 @@ mod tests {
         mgr: Manager,
         rng: simcore::SimRng,
         obs: simnet::Obs,
-        actions: Vec<simnet::SvcAction>,
+        lent: simnet::service::Lent,
     }
 
     impl Bare {
@@ -579,7 +577,7 @@ mod tests {
                     trace: false,
                     metrics: true,
                 }),
-                actions: Vec::new(),
+                lent: Default::default(),
             }
         }
 
@@ -589,7 +587,7 @@ mod tests {
                 simcore::slab::SlabKey::NULL,
                 &mut self.rng,
                 &mut self.obs,
-                &mut self.actions,
+                &mut self.lent,
             );
             self.mgr.handle(Box::new(msg), &mut cx)
         }

@@ -157,7 +157,8 @@ impl Giis {
             .collect()
     }
 
-    fn search_plan(&mut self, q: PendingQuery) -> Plan {
+    /// Append the search of `q` and its reply to `plan`.
+    fn search_plan(&mut self, q: PendingQuery, plan: Plan) -> Plan {
         // Memoized until the aggregate directory changes; the simulated
         // scan cost below is still charged per query.
         let cached =
@@ -196,7 +197,7 @@ impl Giis {
         let cost = SEARCH_CPU_FIXED_US
             + SEARCH_CPU_PER_ENTRY_US * self.dit.scan_size() as f64 * q.filter.cost() as f64;
         let bytes = cached.bytes;
-        Plan::new().cpu(cost).reply(
+        plan.cpu(cost).reply(
             MdsSearchResult {
                 entries: cached.entries,
                 total: cached.total,
@@ -229,7 +230,7 @@ impl Service for Giis {
                             merged: None,
                         }
                     });
-                return Plan::new().cpu(REGISTRATION_CPU_US).done();
+                return cx.plan().cpu(REGISTRATION_CPU_US).done();
             }
             Err(other) => other,
         };
@@ -257,14 +258,16 @@ impl Service for Giis {
         if stale.is_empty() {
             cx.obs.ev_with(now, || Ev::CacheHit { svc: me });
             cx.obs.incr("mds.cache_hits", 1);
-            return self.search_plan(q);
+            let plan = cx.plan();
+            return self.search_plan(q, plan);
         }
         cx.obs.ev_with(now, || Ev::CacheMiss { svc: me });
         cx.obs.incr("mds.cache_misses", 1);
         // Pull the stale subtrees, then search.  Mark the fetch time now so
         // concurrent queries don't stampede the same sources.
         let mut q = q;
-        let mut calls = Vec::with_capacity(stale.len());
+        let mut calls = cx.calls();
+        calls.reserve_exact(stale.len());
         for k in stale {
             q.pulled.push(k);
             let r = self.registered.get_mut(&k).unwrap();
@@ -281,10 +284,10 @@ impl Service for Giis {
         let cont = self.next_cont;
         self.next_cont += 1;
         self.pending.insert(cont, q);
-        Plan::new().cpu(SEARCH_CPU_FIXED_US).call_all(calls, cont)
+        cx.plan().cpu(SEARCH_CPU_FIXED_US).call_all(calls, cont)
     }
 
-    fn resume(&mut self, cont: u64, outcomes: Vec<CallOutcome>, cx: &mut SvcCx) -> Plan {
+    fn resume(&mut self, cont: u64, outcomes: &mut Vec<CallOutcome>, cx: &mut SvcCx) -> Plan {
         let q = self.pending.remove(&cont).expect("pending query");
         let now = cx.now;
         // Merge per source.  A pull is a `search_all(remote_suffix)`, so
@@ -292,7 +295,7 @@ impl Service for Giis {
         // graft; `merged` counts entries exactly as a full re-merge would,
         // whether or not the DIT had to be touched.
         let mut merged = 0usize;
-        for o in outcomes {
+        for o in outcomes.drain(..) {
             let Some((payload, _bytes)) = o.response else {
                 continue; // source unreachable; soft state will purge it
             };
@@ -323,9 +326,8 @@ impl Service for Giis {
             };
         }
         let merge_cost = MERGE_CPU_PER_ENTRY_US * merged as f64;
-        let mut plan = self.search_plan(q);
-        plan.steps.insert(0, simnet::Step::Cpu(merge_cost));
-        plan
+        let plan = cx.plan().cpu(merge_cost);
+        self.search_plan(q, plan)
     }
 
     fn on_timer(&mut self, _tag: u64, cx: &mut SvcCx) {

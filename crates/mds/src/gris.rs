@@ -126,7 +126,7 @@ impl Service for Gris {
             cx.obs.incr("mds.cache_misses", 1);
         }
         cx.obs.incr("mds.ldap_searches", 1);
-        let mut plan = Plan::new();
+        let mut plan = cx.plan();
         if !stale.is_empty() {
             if let Some(l) = self.exec_lock {
                 plan = plan.lock(l);

@@ -96,7 +96,7 @@ impl CompositeProducer {
 }
 
 impl Service for CompositeProducer {
-    fn handle(&mut self, req: Payload, _cx: &mut SvcCx) -> Plan {
+    fn handle(&mut self, req: Payload, cx: &mut SvcCx) -> Plan {
         let msg = req
             .downcast::<RgmaMsg>()
             .expect("CompositeProducer expects RgmaMsg");
@@ -111,7 +111,7 @@ impl Service for CompositeProducer {
                 self.next_source_id += 1;
                 let n = rows.len();
                 self.fold(sid, &rows);
-                Plan::new()
+                cx.plan()
                     .cpu(FOLD_CPU_PER_TUPLE_US * n as f64 + DB_FIXED_CPU_US * 0.2)
                     .done()
             }
@@ -131,7 +131,7 @@ impl Service for CompositeProducer {
                     Err(_) => (SqlResultMsg::new(vec![], vec![]), 1),
                 };
                 let bytes = result.bytes;
-                Plan::new()
+                cx.plan()
                     .cpu(
                         JVM_DISPATCH_CPU_US
                             + SQL_PARSE_CPU_US
@@ -142,14 +142,19 @@ impl Service for CompositeProducer {
             }
             other => {
                 debug_assert!(false, "unexpected message ({} bytes)", other.wire_size());
-                Plan::reply_empty()
+                cx.plan().reply_empty()
             }
         }
     }
 
-    fn resume(&mut self, _cont: u64, _outcomes: Vec<simnet::CallOutcome>, _cx: &mut SvcCx) -> Plan {
+    fn resume(
+        &mut self,
+        _cont: u64,
+        _outcomes: &mut Vec<simnet::CallOutcome>,
+        cx: &mut SvcCx,
+    ) -> Plan {
         // Subscription acks need no processing.
-        Plan::new().cpu(500.0).reply((), 64)
+        cx.plan().cpu(500.0).reply((), 64)
     }
 
     fn on_timer(&mut self, _tag: u64, cx: &mut SvcCx) {

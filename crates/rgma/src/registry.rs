@@ -66,21 +66,12 @@ impl Registry {
             .unwrap_or(0)
     }
 
-    fn locked(&self, inner: Plan) -> Plan {
+    /// Serialise the steps of `plan` from index `from` on behind the
+    /// database lock, if there is one.
+    fn locked(&self, plan: Plan, from: usize) -> Plan {
         match self.db_lock {
-            Some(l) => {
-                let mut p = Plan::new().lock(l);
-                p.steps.extend(inner.steps);
-                // Insert unlock before the final Reply/Done.
-                let at = p
-                    .steps
-                    .iter()
-                    .position(|s| matches!(s, simnet::Step::Reply { .. }))
-                    .unwrap_or(p.steps.len());
-                p.steps.insert(at, simnet::Step::Unlock(l));
-                p
-            }
-            None => inner,
+            Some(l) => plan.hold(l, from),
+            None => plan,
         }
     }
 }
@@ -92,7 +83,7 @@ impl Default for Registry {
 }
 
 impl Service for Registry {
-    fn handle(&mut self, req: Payload, _cx: &mut SvcCx) -> Plan {
+    fn handle(&mut self, req: Payload, cx: &mut SvcCx) -> Plan {
         let msg = req.downcast::<RgmaMsg>().expect("Registry expects RgmaMsg");
         match *msg {
             RgmaMsg::RegistryRegister {
@@ -122,14 +113,16 @@ impl Service for Registry {
                 }
                 // The JVM/servlet work is parallel; only the RDBMS access
                 // serialises.
-                let inner = Plan::new().cpu(DB_FIXED_CPU_US).reply((), 300);
-                let mut plan = Plan::new().cpu(JVM_DISPATCH_CPU_US);
-                plan.steps.extend(self.locked(inner).steps);
-                plan
+                let plan = cx
+                    .plan()
+                    .cpu(JVM_DISPATCH_CPU_US)
+                    .cpu(DB_FIXED_CPU_US)
+                    .reply((), 300);
+                self.locked(plan, 1)
             }
             RgmaMsg::RegistryLookup { table } => {
                 self.lookups += 1;
-                _cx.obs.incr("rgma.registry_lookups", 1);
+                cx.obs.incr("rgma.registry_lookups", 1);
                 let sql = self.lookup_sql.entry(table).or_insert_with_key(|t| {
                     let esc = t.replace('\'', "''");
                     format!("SELECT id FROM producers WHERE tablename = '{esc}'")
@@ -145,16 +138,16 @@ impl Service for Registry {
                     .collect();
                 let bytes = 300 + producers.len() as u64 * 80;
                 let scan_cost = DB_FIXED_CPU_US + ROW_SCAN_CPU_US * r.scanned as f64;
-                let inner = Plan::new()
+                let plan = cx
+                    .plan()
+                    .cpu(JVM_DISPATCH_CPU_US + SQL_PARSE_CPU_US)
                     .cpu(scan_cost)
                     .reply(ProducerList { producers, bytes }, bytes);
-                let mut plan = Plan::new().cpu(JVM_DISPATCH_CPU_US + SQL_PARSE_CPU_US);
-                plan.steps.extend(self.locked(inner).steps);
-                plan
+                self.locked(plan, 1)
             }
             other => {
                 debug_assert!(false, "unexpected message ({} bytes)", other.wire_size());
-                Plan::reply_empty()
+                cx.plan().reply_empty()
             }
         }
     }
@@ -175,10 +168,10 @@ mod tests {
         // the service API via a minimal world in servlets.rs tests; here
         // exercise the DB logic synchronously.
         let dummy = simcore::slab::SlabKey { index: 7, gen: 0 };
-        let mut actions = Vec::new();
+        let mut lent = simnet::service::Lent::default();
         let mut rng = simcore::SimRng::new(1);
         let mut obs = simnet::Obs::off();
-        let mut cx = make_cx(&mut actions, &mut rng, &mut obs);
+        let mut cx = make_cx(&mut lent, &mut rng, &mut obs);
         let plan = reg.handle(
             Box::new(RgmaMsg::RegistryRegister {
                 servlet: dummy,
@@ -233,10 +226,10 @@ mod tests {
     fn reregistration_is_idempotent() {
         let mut reg = Registry::new();
         let dummy = simcore::slab::SlabKey { index: 7, gen: 0 };
-        let mut actions = Vec::new();
+        let mut lent = simnet::service::Lent::default();
         let mut rng = simcore::SimRng::new(1);
         let mut obs = simnet::Obs::off();
-        let mut cx = make_cx(&mut actions, &mut rng, &mut obs);
+        let mut cx = make_cx(&mut lent, &mut rng, &mut obs);
         for _ in 0..3 {
             reg.handle(
                 Box::new(RgmaMsg::RegistryRegister {
@@ -279,7 +272,7 @@ mod tests {
     }
 
     fn make_cx<'a>(
-        actions: &'a mut Vec<simnet::SvcAction>,
+        lent: &'a mut simnet::service::Lent,
         rng: &'a mut simcore::SimRng,
         obs: &'a mut simnet::Obs,
     ) -> SvcCx<'a> {
@@ -290,7 +283,7 @@ mod tests {
             simcore::slab::SlabKey::NULL,
             rng,
             obs,
-            actions,
+            lent,
         )
     }
 }

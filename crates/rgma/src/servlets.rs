@@ -144,33 +144,25 @@ impl ProducerServlet {
         }
     }
 
-    fn locked(&self, inner: Plan) -> Plan {
+    /// Serialise the whole of `plan` behind the database lock, if there
+    /// is one.
+    fn locked(&self, plan: Plan) -> Plan {
         match self.db_lock {
-            Some(l) => {
-                let mut p = Plan::new().lock(l);
-                p.steps.extend(inner.steps);
-                let at = p
-                    .steps
-                    .iter()
-                    .position(|s| matches!(s, simnet::Step::Reply { .. }))
-                    .unwrap_or(p.steps.len());
-                p.steps.insert(at, simnet::Step::Unlock(l));
-                p
-            }
-            None => inner,
+            Some(l) => plan.hold(l, 0),
+            None => plan,
         }
     }
 }
 
 impl Service for ProducerServlet {
-    fn handle(&mut self, req: Payload, _cx: &mut SvcCx) -> Plan {
+    fn handle(&mut self, req: Payload, cx: &mut SvcCx) -> Plan {
         let msg = req
             .downcast::<RgmaMsg>()
             .expect("ProducerServlet expects RgmaMsg");
         match *msg {
             RgmaMsg::ProducerQuery { sql } => {
                 self.queries += 1;
-                _cx.obs.incr("rgma.producer_queries", 1);
+                cx.obs.incr("rgma.producer_queries", 1);
                 if sql == "*ALL*" {
                     // The all-collectors query: one SELECT per table.
                     let mut total_rows = Vec::new();
@@ -188,7 +180,7 @@ impl Service for ProducerServlet {
                     let cost = JVM_DISPATCH_CPU_US
                         + (SQL_PARSE_CPU_US + DB_FIXED_CPU_US) * n_tables as f64
                         + ROW_SCAN_CPU_US * scanned as f64;
-                    return self.locked(Plan::new().cpu(cost).reply(result, bytes));
+                    return self.locked(cx.plan().cpu(cost).reply(result, bytes));
                 }
                 let (result, scanned) = Self::run_query(&mut self.db, &sql);
                 let bytes = result.bytes;
@@ -196,7 +188,7 @@ impl Service for ProducerServlet {
                     + SQL_PARSE_CPU_US
                     + DB_FIXED_CPU_US
                     + ROW_SCAN_CPU_US * scanned as f64;
-                self.locked(Plan::new().cpu(cost).reply(result, bytes))
+                self.locked(cx.plan().cpu(cost).reply(result, bytes))
             }
             RgmaMsg::Subscribe {
                 table,
@@ -213,12 +205,12 @@ impl Service for ProducerServlet {
                 // Arm the stream timer via the reply path: the plan can't
                 // set timers, so emit the first batch from on_timer primed
                 // through an action.
-                _cx.set_timer(SimDuration::from_micros(period_us), TIMER_STREAM | idx);
-                Plan::new().cpu(JVM_DISPATCH_CPU_US).reply((), 300)
+                cx.set_timer(SimDuration::from_micros(period_us), TIMER_STREAM | idx);
+                cx.plan().cpu(JVM_DISPATCH_CPU_US).reply((), 300)
             }
             other => {
                 debug_assert!(false, "unexpected message ({} bytes)", other.wire_size());
-                Plan::reply_empty()
+                cx.plan().reply_empty()
             }
         }
     }
@@ -318,16 +310,16 @@ impl ConsumerServlet {
 }
 
 impl Service for ConsumerServlet {
-    fn handle(&mut self, req: Payload, _cx: &mut SvcCx) -> Plan {
+    fn handle(&mut self, req: Payload, cx: &mut SvcCx) -> Plan {
         let msg = req
             .downcast::<RgmaMsg>()
             .expect("ConsumerServlet expects RgmaMsg");
         let RgmaMsg::ConsumerQuery { sql } = *msg else {
             debug_assert!(false, "unexpected message");
-            return Plan::reply_empty();
+            return cx.plan().reply_empty();
         };
         self.queries += 1;
-        _cx.obs.incr("rgma.consumer_queries", 1);
+        cx.obs.incr("rgma.consumer_queries", 1);
         // Which table does the query touch?  (Single-table SELECTs only —
         // that is all R-GMA 1.x's mediator handled well, too.)  Each
         // distinct query text is parsed once and remembered.
@@ -341,7 +333,8 @@ impl Service for ConsumerServlet {
         let Some(table) = cached.clone() else {
             let result = SqlResultMsg::new(vec![], vec![]);
             let bytes = result.bytes;
-            return Plan::new()
+            return cx
+                .plan()
                 .cpu(JVM_DISPATCH_CPU_US + SQL_PARSE_CPU_US)
                 .reply(result, bytes);
         };
@@ -350,29 +343,28 @@ impl Service for ConsumerServlet {
         self.pending.insert(cont, CqStage::Registry { sql });
         let lookup = RgmaMsg::RegistryLookup { table };
         let bytes = lookup.wire_size();
-        Plan::new()
+        let mut calls = cx.calls();
+        calls.push(SubCall {
+            to: self.registry,
+            payload: Box::new(lookup),
+            req_bytes: bytes,
+        });
+        cx.plan()
             .cpu(JVM_DISPATCH_CPU_US + SQL_PARSE_CPU_US)
-            .call_all(
-                vec![SubCall {
-                    to: self.registry,
-                    payload: Box::new(lookup),
-                    req_bytes: bytes,
-                }],
-                cont,
-            )
+            .call_all(calls, cont)
     }
 
-    fn resume(&mut self, cont: u64, outcomes: Vec<CallOutcome>, _cx: &mut SvcCx) -> Plan {
+    fn resume(&mut self, cont: u64, outcomes: &mut Vec<CallOutcome>, cx: &mut SvcCx) -> Plan {
         match self.pending.remove(&cont) {
             Some(CqStage::Registry { sql }) => {
                 // Registry answered (or failed: an unreachable Registry is
                 // an error to the consumer, not an empty result).
                 let any_response = outcomes.iter().any(|o| o.response.is_some());
                 if !any_response {
-                    return Plan::new().cpu(2_000.0).fail();
+                    return cx.plan().cpu(2_000.0).fail();
                 }
                 let producers: Vec<SvcKey> = outcomes
-                    .into_iter()
+                    .drain(..)
                     .filter_map(|o| o.response)
                     .filter_map(|(p, _)| p.downcast::<ProducerList>().ok())
                     .flat_map(|l| l.producers)
@@ -380,35 +372,33 @@ impl Service for ConsumerServlet {
                 if producers.is_empty() {
                     let result = SqlResultMsg::new(vec![], vec![]);
                     let bytes = result.bytes;
-                    return Plan::new().cpu(2_000.0).reply(result, bytes);
+                    return cx.plan().cpu(2_000.0).reply(result, bytes);
                 }
                 self.mediations += 1;
                 let cont2 = self.next_cont;
                 self.next_cont += 1;
                 self.pending.insert(cont2, CqStage::Producers);
-                let calls: Vec<SubCall> = producers
-                    .into_iter()
-                    .map(|to| {
-                        let q = RgmaMsg::ProducerQuery { sql: sql.clone() };
-                        let bytes = q.wire_size();
-                        SubCall {
-                            to,
-                            payload: Box::new(q),
-                            req_bytes: bytes,
-                        }
-                    })
-                    .collect();
-                Plan::new().cpu(3_000.0).call_all(calls, cont2)
+                let mut calls = cx.calls();
+                calls.extend(producers.into_iter().map(|to| {
+                    let q = RgmaMsg::ProducerQuery { sql: sql.clone() };
+                    let bytes = q.wire_size();
+                    SubCall {
+                        to,
+                        payload: Box::new(q),
+                        req_bytes: bytes,
+                    }
+                }));
+                cx.plan().cpu(3_000.0).call_all(calls, cont2)
             }
             Some(CqStage::Producers) => {
                 // Merge the producer answers; if every producer was
                 // unreachable the query fails.
                 if outcomes.iter().all(|o| o.response.is_none()) {
-                    return Plan::new().cpu(2_000.0).fail();
+                    return cx.plan().cpu(2_000.0).fail();
                 }
                 let mut columns = Vec::new();
                 let mut rows = Vec::new();
-                for o in outcomes {
+                for o in outcomes.drain(..) {
                     let Some((p, _)) = o.response else { continue };
                     if let Ok(r) = p.downcast::<SqlResultMsg>() {
                         if columns.is_empty() {
@@ -420,11 +410,11 @@ impl Service for ConsumerServlet {
                 let merge_cost = 2_000.0 + ROW_SCAN_CPU_US * rows.len() as f64;
                 let result = SqlResultMsg::new(columns, rows);
                 let bytes = result.bytes;
-                Plan::new().cpu(merge_cost).reply(result, bytes)
+                cx.plan().cpu(merge_cost).reply(result, bytes)
             }
             None => {
                 debug_assert!(false, "resume without pending state");
-                Plan::reply_empty()
+                cx.plan().reply_empty()
             }
         }
     }
@@ -458,17 +448,18 @@ impl Default for TupleSink {
 }
 
 impl Service for TupleSink {
-    fn handle(&mut self, req: Payload, _cx: &mut SvcCx) -> Plan {
+    fn handle(&mut self, req: Payload, cx: &mut SvcCx) -> Plan {
         if let Ok(msg) = req.downcast::<RgmaMsg>() {
             if let RgmaMsg::Stream { rows, .. } = *msg {
                 self.batches += 1;
                 self.tuples += rows.len() as u64;
-                return Plan::new()
+                return cx
+                    .plan()
                     .cpu(500.0 + 50.0 * self.tuples.min(100) as f64)
                     .done();
             }
         }
-        Plan::new().done()
+        cx.plan().done()
     }
 
     fn name(&self) -> &str {

@@ -1,7 +1,9 @@
 //! Scenario text format vs its own printer: `parse(print(spec))` must
 //! reproduce the spec exactly — structure, fingerprint, and canonical
-//! text — for randomly generated specs of every backend shape.  The
-//! golden tests below pin the author-facing error messages word for
+//! text — for randomly generated specs of every backend shape.  Hostile
+//! text — arbitrary bytes, and the golden spec and committed examples
+//! with punctuation mutated in — must get a typed error, never a panic.
+//! The golden tests below pin the author-facing error messages word for
 //! word: a misspelled backend, a dangling service reference, a
 //! duplicate section, an off-testbed host, a stray `rate`, an unknown
 //! arrival process, a dead WAN link, a composite without site hosts and
@@ -395,6 +397,67 @@ proptest! {
             plain == spec,
             "the new fields must move the fingerprint exactly when set"
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Hostile text: parse or fail with a typed error, never panic.
+// ---------------------------------------------------------------------
+
+/// The committed example scenarios: what authors copy from.
+const EXAMPLES: [&str; 3] = [
+    include_str!("../../../examples/scenarios/federated_giis.toml"),
+    include_str!("../../../examples/scenarios/open_loop_wan.toml"),
+    include_str!("../../../examples/scenarios/rgma_churn.toml"),
+];
+
+/// Parse `text` the lossy way; a spec that parses must also validate or
+/// fail with a typed error.
+fn parse_never_panics(bytes: &[u8]) {
+    if let Ok(spec) = gscenario::parse(&String::from_utf8_lossy(bytes)) {
+        let _ = spec.validate();
+    }
+}
+
+proptest! {
+    /// Arbitrary bytes parse or fail with a `ScenarioError`, and never
+    /// panic.
+    #[test]
+    fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..300)) {
+        parse_never_panics(&bytes);
+    }
+
+    /// A golden spec or a committed example with a few bytes
+    /// overwritten, inserted or removed (mostly by the format's own
+    /// punctuation, so the damage lands in the grammar) parses or fails
+    /// with a typed error, and never panics.
+    #[test]
+    fn mutated_golden_specs_never_panic(
+        which in 0usize..4,
+        edits in proptest::collection::vec((any::<usize>(), 0usize..3, any::<u8>(), any::<bool>()), 1..6),
+    ) {
+        let golden = [GOOD, EXAMPLES[0], EXAMPLES[1], EXAMPLES[2]];
+        let mut bytes = golden[which].as_bytes().to_vec();
+        for (at, op, raw, punct) in edits {
+            let at = at % bytes.len();
+            let b = if punct {
+                let p = b"=[]\".,#\n-_ 0x9e";
+                p[raw as usize % p.len()]
+            } else {
+                raw
+            };
+            match op {
+                0 => bytes[at] = b,
+                1 => bytes.insert(at, b),
+                _ => {
+                    bytes.remove(at);
+                    if bytes.is_empty() {
+                        bytes.push(b);
+                    }
+                }
+            }
+        }
+        parse_never_panics(&bytes);
     }
 }
 

@@ -48,8 +48,8 @@
 use crate::client::{Client, ClientCx, ClientKey, ReqOutcome, ReqResult};
 use crate::flow::FlowNet;
 use crate::service::{
-    CallOutcome, LockKey, Payload, Service, ServiceConfig, ServiceSlot, Step, SubCall, SvcAction,
-    SvcCx, SvcKey,
+    CallOutcome, Lent, LockKey, Payload, Service, ServiceConfig, ServiceSlot, Step, SubCall,
+    SvcAction, SvcCx, SvcKey,
 };
 use crate::stats::StatsHub;
 use crate::topology::{LinkId, NodeId, Topology};
@@ -223,9 +223,18 @@ struct RequestState {
     queued_on: Option<Pool>,
     has_conn: bool,
     has_worker: bool,
-    held_locks: Vec<LockKey>,
+    /// The session-setup CPU is still to run before the plan's first
+    /// step.  It is the `Net`'s step, not the service's, so it stays out
+    /// of the plan's lent buffer.
+    setup_pending: bool,
+    /// No plan nests locks: a request holds at most one.
+    held_lock: Option<LockKey>,
     plan: PlanState,
 }
+
+// A request slot is live from the SYN to the delivered response; growing
+// it is a deliberate edit.
+const _: () = assert!(std::mem::size_of::<RequestState>() <= 136);
 
 impl RequestState {
     /// Datagram-like: no connection, no worker, no response.
@@ -238,7 +247,10 @@ impl RequestState {
         match pool {
             Pool::Conns(_) => self.has_conn = true,
             Pool::Workers(_) => self.has_worker = true,
-            Pool::Lock(l) => self.held_locks.push(l),
+            Pool::Lock(l) => {
+                debug_assert!(self.held_lock.is_none(), "nested lock");
+                self.held_lock = Some(l);
+            }
         }
     }
 }
@@ -309,6 +321,8 @@ pub struct Net {
     /// models: taken while a step dispatches, put back cleared.
     flows_done: Vec<u64>,
     cpus_done: Vec<u64>,
+    /// The buffers requests and service callbacks borrow.
+    lent: Lent,
     pub services: Slab<ServiceSlot>,
     clients: Slab<Box<dyn Client>>,
     requests: Slab<RequestState>,
@@ -332,6 +346,7 @@ impl Net {
             flow_event: EventHandle::NULL,
             flows_done: Vec::new(),
             cpus_done: Vec::new(),
+            lent: Lent::default(),
             services: Slab::new(),
             clients: Slab::new(),
             requests: Slab::new(),
@@ -591,7 +606,8 @@ impl Net {
             queued_on: None,
             has_conn: false,
             has_worker: false,
-            held_locks: Vec::new(),
+            setup_pending: false,
+            held_lock: None,
             plan: PlanState::Steps(VecDeque::new()),
         };
         let parent = match state.origin {
@@ -725,37 +741,42 @@ impl Net {
     fn start_plan(&mut self, eng: &mut Eng, req: ReqKey) {
         let r = self.requests.get_mut(req).expect("request");
         let (to, payload, oneway) = (r.to, r.payload.take().expect("payload"), r.oneway());
-        let (setup_cpu, frozen_until) = {
-            let slot = self.services.get_mut(to).expect("service");
-            slot.stats.requests_handled += 1;
-            let cpu = if oneway {
-                0.0
-            } else {
-                slot.config.setup.server_cpu_us
-            };
-            (cpu, slot.frozen_until)
-        };
+        let slot = self.services.get_mut(to).expect("service");
+        slot.stats.requests_handled += 1;
+        let setup = !oneway && slot.config.setup.server_cpu_us > 0.0;
+        let frozen_until = slot.frozen_until;
         let plan = self.with_service(eng, to, |svc, cx| svc.handle(payload, cx));
-        let mut steps: VecDeque<Step> = plan.steps.into();
-        if setup_cpu > 0.0 {
-            steps.push_front(Step::Cpu(setup_cpu));
-        }
+        let r = self.requests.get_mut(req).expect("request");
+        r.plan = PlanState::Steps(plan.steps.into());
+        r.setup_pending = setup;
         // Fault injection: a frozen process makes no progress until it
-        // thaws; the whole plan stalls behind the remaining pause.
+        // thaws; the whole request stalls behind the remaining pause.
         let now = eng.now();
         if frozen_until > now {
-            steps.push_front(Step::Latency(frozen_until.saturating_since(now)));
+            self.wait(eng, req, frozen_until.saturating_since(now));
+            return;
         }
-        self.requests.get_mut(req).expect("request").plan = PlanState::Steps(steps);
         self.advance_steps(eng, req);
     }
 
-    /// Execute plan steps until the request blocks or finishes.
+    /// Execute steps until the request blocks or finishes: first the
+    /// session setup, then the plan's own.
     fn advance_steps(&mut self, eng: &mut Eng, req: ReqKey) {
         let now = eng.now();
         loop {
             let r = self.requests.get_mut(req).expect("request");
             let to = r.to;
+            if std::mem::take(&mut r.setup_pending) {
+                let us = self
+                    .services
+                    .get(to)
+                    .expect("service")
+                    .config
+                    .setup
+                    .server_cpu_us;
+                self.run_cpu(eng, req, to, us);
+                return;
+            }
             let PlanState::Steps(steps) = &mut r.plan else {
                 unreachable!("a plan resumes only after its sub-calls are in");
             };
@@ -765,20 +786,18 @@ impl Net {
                 self.end_without_reply(eng, req);
                 return;
             };
+            if steps.is_empty() {
+                // The plan's last step: its list goes back now, not when
+                // the response has crossed the network.
+                self.lent.steps.put(std::mem::take(steps).into());
+            }
             match step {
                 Step::Cpu(us) => {
-                    let node = self.service_node(to);
-                    self.phase(now, req, Phase::ServerCpu);
-                    self.obs.ev_with(now, || Ev::CpuGrant {
-                        node: node.0,
-                        span: span_of(req),
-                    });
-                    self.submit_cpu(eng, node, us, req_ticket(req));
+                    self.run_cpu(eng, req, to, us);
                     return;
                 }
                 Step::Latency(d) => {
-                    self.phase(now, req, Phase::Backend);
-                    eng.schedule_in(d, NetEvent::LatencyDone(req));
+                    self.wait(eng, req, d);
                     return;
                 }
                 Step::Lock(l) => {
@@ -789,12 +808,13 @@ impl Net {
                     }
                 }
                 Step::Unlock(l) => {
-                    if let Some(pos) = r.held_locks.iter().position(|&h| h == l) {
-                        r.held_locks.swap_remove(pos);
+                    // Only the holder's unlock passes the lock on.
+                    if r.held_lock == Some(l) {
+                        r.held_lock = None;
+                        self.grant(eng, Pool::Lock(l));
                     } else {
                         debug_assert!(false, "unlock of a lock not held");
                     }
-                    self.grant(eng, Pool::Lock(l));
                 }
                 Step::Send {
                     to: dest,
@@ -803,12 +823,14 @@ impl Net {
                 } => {
                     self.send_oneway(eng, to, dest, payload, bytes);
                 }
-                Step::CallAll { calls, cont } => {
+                Step::CallAll { mut calls, cont } => {
                     debug_assert!(steps.is_empty(), "CallAll must be the final step");
                     let n = calls.len();
+                    let mut outcomes = self.lent.outcomes.take();
+                    outcomes.reserve_exact(n);
                     r.plan = PlanState::Calls(PendingCalls {
                         cont,
-                        outcomes: Vec::with_capacity(n),
+                        outcomes,
                         remaining: n as u32,
                     });
                     self.phase(now, req, Phase::Children);
@@ -816,10 +838,9 @@ impl Net {
                         // Degenerate fan-out: resume on a zero-delay event to
                         // preserve "no synchronous callback" discipline.
                         eng.schedule_in(SimDuration::ZERO, NetEvent::ResumeParent(req));
-                        return;
                     }
                     let from = self.service_node(to);
-                    for (i, call) in calls.into_iter().enumerate() {
+                    for (i, call) in calls.drain(..).enumerate() {
                         let SubCall {
                             to,
                             payload,
@@ -837,19 +858,20 @@ impl Net {
                         };
                         self.submit(eng, origin, spec, None);
                     }
+                    self.lent.calls.put(calls);
                     return;
                 }
                 Step::Fail => {
                     debug_assert!(steps.is_empty(), "Fail must be the final step");
-                    // Held locks go back with the worker and the connection.
+                    // A held lock goes back with the worker and the connection.
                     self.fail_request(eng, req, Outcome::Failed);
                     return;
                 }
                 Step::Reply { payload, bytes } => {
                     debug_assert!(steps.is_empty(), "Reply must be the final step");
                     debug_assert!(
-                        r.held_locks.is_empty(),
-                        "reply while holding locks — add Unlock steps"
+                        r.held_lock.is_none(),
+                        "reply while holding a lock — add an Unlock step"
                     );
                     if r.oneway() {
                         // One-ways cannot reply; drop the payload.
@@ -875,6 +897,25 @@ impl Net {
         }
     }
 
+    /// Run `us` reference-CPU microseconds of `req` on the host of its
+    /// service `to`.
+    fn run_cpu(&mut self, eng: &mut Eng, req: ReqKey, to: SvcKey, us: f64) {
+        let now = eng.now();
+        let node = self.service_node(to);
+        self.phase(now, req, Phase::ServerCpu);
+        self.obs.ev_with(now, || Ev::CpuGrant {
+            node: node.0,
+            span: span_of(req),
+        });
+        self.submit_cpu(eng, node, us, req_ticket(req));
+    }
+
+    /// Stall `req` for `d` without holding a shared resource.
+    fn wait(&mut self, eng: &mut Eng, req: ReqKey, d: SimDuration) {
+        self.phase(eng.now(), req, Phase::Backend);
+        eng.schedule_in(d, NetEvent::LatencyDone(req));
+    }
+
     /// Run a service callback with the take/put-back discipline, then
     /// apply the timers and one-way messages it asked for.
     fn with_service<T>(
@@ -886,21 +927,21 @@ impl Net {
         let slot = self.services.get_mut(key).expect("service");
         let mut svc = slot.svc.take().expect("service reentrancy");
         let mut rng = slot.rng.clone();
-        let mut actions = Vec::new();
         let out = {
             let mut cx = SvcCx {
                 now: eng.now(),
                 me: key,
                 rng: &mut rng,
                 obs: &mut self.obs,
-                actions: &mut actions,
+                lent: &mut self.lent,
             };
             f(svc.as_mut(), &mut cx)
         };
         let slot = self.services.get_mut(key).expect("service");
         slot.rng = rng;
         slot.svc = Some(svc);
-        for a in actions {
+        let mut actions = std::mem::take(&mut self.lent.actions);
+        for a in actions.drain(..) {
             match a {
                 SvcAction::Timer { dur, tag } => {
                     eng.schedule_in(dur, NetEvent::SvcTimer { svc: key, tag });
@@ -910,6 +951,7 @@ impl Net {
                 }
             }
         }
+        self.lent.put_actions(actions);
         out
     }
 
@@ -962,9 +1004,12 @@ impl Net {
         else {
             unreachable!("resumed without pending calls");
         };
-        outcomes.sort_by_key(|o| o.index);
+        // Indices are distinct: the unstable sort is the stable order,
+        // without a stable sort's scratch buffer.
+        outcomes.sort_unstable_by_key(|o| o.index);
         let to = r.to;
-        let plan = self.with_service(eng, to, |svc, cx| svc.resume(cont, outcomes, cx));
+        let plan = self.with_service(eng, to, |svc, cx| svc.resume(cont, &mut outcomes, cx));
+        self.lent.outcomes.put(outcomes);
         self.requests.get_mut(parent).expect("request").plan = PlanState::Steps(plan.steps.into());
         self.advance_steps(eng, parent);
     }
@@ -1039,13 +1084,13 @@ impl Net {
     /// server.
     fn release_server_side(&mut self, eng: &mut Eng, req: ReqKey) {
         let r = self.requests.get_mut(req).expect("request");
-        let (to, has_conn, has_worker, locks) = (
+        let (to, has_conn, has_worker, lock) = (
             r.to,
             std::mem::take(&mut r.has_conn),
             std::mem::take(&mut r.has_worker),
-            std::mem::take(&mut r.held_locks),
+            r.held_lock.take(),
         );
-        for l in locks {
+        if let Some(l) = lock {
             self.grant(eng, Pool::Lock(l));
         }
         if has_worker {
@@ -1112,6 +1157,11 @@ impl Net {
     fn finish(&mut self, eng: &mut Eng, req: ReqKey, how: Outcome) {
         let now = eng.now();
         let state = self.requests.remove(req).expect("request");
+        // An aborted request still has its plan's lent list.
+        match state.plan {
+            PlanState::Steps(steps) => self.lent.steps.put(steps.into()),
+            PlanState::Calls(p) => self.lent.outcomes.put(p.outcomes),
+        }
         self.obs.ev_with(now, || Ev::SpanEnd {
             span: span_of(req),
             outcome: how,
@@ -1630,7 +1680,7 @@ mod tests {
                 .collect();
             Plan::new().cpu(100.0).call_all(calls, 42)
         }
-        fn resume(&mut self, cont: u64, outcomes: Vec<CallOutcome>, _cx: &mut SvcCx) -> Plan {
+        fn resume(&mut self, cont: u64, outcomes: &mut Vec<CallOutcome>, _cx: &mut SvcCx) -> Plan {
             assert_eq!(cont, 42);
             let n_ok = outcomes.iter().filter(|o| o.response.is_some()).count();
             Plan::new().cpu(100.0).reply(format!("agg:{n_ok}"), 512)
@@ -1686,7 +1736,7 @@ mod tests {
 
     impl Service for Beacon {
         fn handle(&mut self, _req: Payload, _cx: &mut SvcCx) -> Plan {
-            Plan::reply_empty()
+            Plan::new().reply_empty()
         }
         fn on_timer(&mut self, _tag: u64, cx: &mut SvcCx) {
             self.sent += 1;
@@ -1968,6 +2018,99 @@ mod tests {
         // finished its lock-guarded sections.
         assert_eq!(*ok_good.borrow(), (2, 0));
         assert_eq!(net.inflight(), 0);
+    }
+
+    /// Service whose plan unlocks a lock it never took.
+    struct Rogue {
+        lock: LockKey,
+    }
+
+    impl Service for Rogue {
+        fn handle(&mut self, _req: Payload, cx: &mut SvcCx) -> Plan {
+            cx.plan().unlock(self.lock).reply((), 64)
+        }
+    }
+
+    /// Two requests queue on a one-token lock held for a second; a third
+    /// request, to `Rogue`, unlocks it in the meantime.  Returns the world
+    /// half a second in, the lock and the (ok, failed) counts of both
+    /// clients.
+    #[allow(clippy::type_complexity)]
+    fn unlock_without_holding() -> (
+        Net,
+        Eng,
+        LockKey,
+        std::rc::Rc<std::cell::RefCell<(u32, u32)>>,
+        std::rc::Rc<std::cell::RefCell<(u32, u32)>>,
+    ) {
+        let (mut net, mut eng, a, b) = two_node_net();
+        let lock = net.add_lock(1);
+        let slow = net.add_service(
+            b,
+            ServiceConfig::default(),
+            Box::new(SlowLocked { lock }),
+            &mut eng,
+        );
+        let rogue = net.add_service(
+            b,
+            ServiceConfig::default(),
+            Box::new(Rogue { lock }),
+            &mut eng,
+        );
+        let held = std::rc::Rc::new(std::cell::RefCell::new((0u32, 0u32)));
+        net.add_client(Box::new(Burst {
+            from: a,
+            to: slow,
+            n: 2,
+            ok: held.clone(),
+        }));
+        let rogue_ok = std::rc::Rc::new(std::cell::RefCell::new((0u32, 0u32)));
+        net.add_client(Box::new(Burst {
+            from: a,
+            to: rogue,
+            n: 1,
+            ok: rogue_ok.clone(),
+        }));
+        net.start(&mut eng);
+        eng.run_until(&mut net, SimTime::from_secs_f64(0.5));
+        (net, eng, lock, held, rogue_ok)
+    }
+
+    /// Holds its lock over one CPU-second.
+    struct SlowLocked {
+        lock: LockKey,
+    }
+
+    impl Service for SlowLocked {
+        fn handle(&mut self, _req: Payload, cx: &mut SvcCx) -> Plan {
+            cx.plan()
+                .lock(self.lock)
+                .cpu(1_000_000.0)
+                .unlock(self.lock)
+                .reply((), 64)
+        }
+    }
+
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn unlock_of_a_lock_not_held_leaves_holder_and_waiter() {
+        let (mut net, mut eng, lock, held, rogue_ok) = unlock_without_holding();
+        // The rogue was answered, and the lock still has its holder and
+        // its waiter: nobody was let in early.
+        assert_eq!(*rogue_ok.borrow(), (1, 0));
+        let l = net.locks.get(lock).expect("lock");
+        assert_eq!((l.in_use(), l.waiting()), (1, 1));
+        assert_eq!(*held.borrow(), (0, 0));
+        eng.run_until(&mut net, SimTime::from_secs(10));
+        assert_eq!(*held.borrow(), (2, 0));
+        assert_eq!(net.live(), Live::default());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "unlock of a lock not held")]
+    fn unlock_of_a_lock_not_held_panics() {
+        unlock_without_holding();
     }
 
     /// Client that retries exactly once, after a delay, when refused.

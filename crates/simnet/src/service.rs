@@ -9,6 +9,12 @@
 //!
 //! The split keeps protocol logic (in the `mds`/`rgma`/`hawkeye` crates)
 //! free of event-scheduling concerns, and keeps the executor generic.
+//!
+//! A request borrows its buffers.  A plan's step list
+//! ([`SvcCx::plan`]), a fan-out's sub-call list ([`SvcCx::calls`]), the
+//! outcome list [`Service::resume`] drains and the actions a callback
+//! records are [`Lent`] by the `Net` and come back to it cleared, so a
+//! request in steady state allocates only its payloads.
 
 use crate::topology::NodeId;
 use simcore::slab::SlabKey;
@@ -95,13 +101,15 @@ pub struct Plan {
 }
 
 impl Plan {
+    /// A plan on a buffer of its own.  A service answering a request
+    /// takes [`SvcCx::plan`] instead, whose buffer the `Net` recycles.
     pub fn new() -> Self {
         Plan { steps: Vec::new() }
     }
 
-    /// A plan that replies immediately with an empty payload.
-    pub fn reply_empty() -> Self {
-        Plan::new().reply((), 64)
+    /// Reply with an empty payload.
+    pub fn reply_empty(self) -> Self {
+        self.reply((), 64)
     }
 
     pub fn cpu(mut self, ref_cpu_us: f64) -> Self {
@@ -156,6 +164,19 @@ impl Plan {
         self.steps.push(Step::Fail);
         self
     }
+
+    /// Hold `lock` over the steps from index `from` on: a `Lock` goes in
+    /// before them and an `Unlock` before the final `Reply` (or at the
+    /// end when there is none), in this plan's own buffer.
+    pub fn hold(mut self, lock: LockKey, from: usize) -> Self {
+        self.steps.insert(from, Step::Lock(lock));
+        let at = match self.steps.last() {
+            Some(Step::Reply { .. }) => self.steps.len() - 1,
+            _ => self.steps.len(),
+        };
+        self.steps.insert(at, Step::Unlock(lock));
+        self
+    }
 }
 
 impl Default for Plan {
@@ -178,6 +199,63 @@ pub enum SvcAction {
     },
 }
 
+/// At most this many cleared buffers of one kind wait for reuse.
+const SPARES: usize = 16;
+
+/// Spare buffers of one kind: a bounded stack of cleared `Vec`s, none
+/// larger than `KEEP`.  Bounding both keeps the spares from outgrowing
+/// what they save.
+pub(crate) struct Spares<T, const KEEP: usize> {
+    free: Vec<Vec<T>>,
+}
+
+impl<T, const KEEP: usize> Default for Spares<T, KEEP> {
+    fn default() -> Self {
+        Spares { free: Vec::new() }
+    }
+}
+
+impl<T, const KEEP: usize> Spares<T, KEEP> {
+    /// An empty buffer: a spare if there is one.
+    pub(crate) fn take(&mut self) -> Vec<T> {
+        self.free.pop().unwrap_or_default()
+    }
+
+    /// Take `buf` back cleared, unless it is larger than `KEEP` or the
+    /// spares are full.
+    pub(crate) fn put(&mut self, mut buf: Vec<T>) {
+        buf.clear();
+        if (1..=KEEP).contains(&buf.capacity()) && self.free.len() < SPARES {
+            self.free.push(buf);
+        }
+    }
+}
+
+/// The buffers a [`Net`](crate::net::Net) lends to requests and service
+/// callbacks.  Each comes back cleared: step lists when their plan's last
+/// step runs (or its request aborts), sub-call lists once their calls are
+/// submitted, outcome lists after [`Service::resume`], the actions buffer
+/// after a callback's actions are applied.  A step list is kept up to a
+/// plan of session work, a locked section and a reply (8 steps; a GRIS
+/// re-running its providers allocates), the other lists up to a handful.
+#[derive(Default)]
+pub struct Lent {
+    pub(crate) steps: Spares<Step, 8>,
+    pub(crate) calls: Spares<SubCall, 4>,
+    pub(crate) outcomes: Spares<CallOutcome, 4>,
+    pub(crate) actions: Vec<SvcAction>,
+}
+
+impl Lent {
+    /// Take the actions buffer back after its actions were applied.
+    pub(crate) fn put_actions(&mut self, mut actions: Vec<SvcAction>) {
+        actions.clear();
+        if actions.capacity() <= 4 {
+            self.actions = actions;
+        }
+    }
+}
+
 /// Context passed to service callbacks.
 pub struct SvcCx<'a> {
     pub now: SimTime,
@@ -189,7 +267,7 @@ pub struct SvcCx<'a> {
     /// events (cache hits, matchmaker evaluations, servlet queues) here.
     /// Free when observability is off.
     pub obs: &'a mut gtrace::Obs,
-    pub(crate) actions: &'a mut Vec<SvcAction>,
+    pub(crate) lent: &'a mut Lent,
 }
 
 impl<'a> SvcCx<'a> {
@@ -200,25 +278,40 @@ impl<'a> SvcCx<'a> {
         me: SvcKey,
         rng: &'a mut SimRng,
         obs: &'a mut gtrace::Obs,
-        actions: &'a mut Vec<SvcAction>,
+        lent: &'a mut Lent,
     ) -> SvcCx<'a> {
         SvcCx {
             now,
             me,
             rng,
             obs,
-            actions,
+            lent,
         }
     }
 }
 
 impl SvcCx<'_> {
+    /// An empty plan on a step list the `Net` lends.  Every plan a
+    /// service returns from [`Service::handle`] or [`Service::resume`]
+    /// starts here; the list goes back when the plan's last step runs.
+    pub fn plan(&mut self) -> Plan {
+        Plan {
+            steps: self.lent.steps.take(),
+        }
+    }
+
+    /// An empty sub-call list the `Net` lends, for [`Plan::call_all`];
+    /// it goes back once the calls are submitted.
+    pub fn calls(&mut self) -> Vec<SubCall> {
+        self.lent.calls.take()
+    }
+
     pub fn set_timer(&mut self, dur: SimDuration, tag: u64) {
-        self.actions.push(SvcAction::Timer { dur, tag });
+        self.lent.actions.push(SvcAction::Timer { dur, tag });
     }
 
     pub fn send_oneway<T: Any>(&mut self, to: SvcKey, payload: T, bytes: u64) {
-        self.actions.push(SvcAction::OneWay {
+        self.lent.actions.push(SvcAction::OneWay {
             to,
             payload: Box::new(payload),
             bytes,
@@ -244,14 +337,18 @@ impl<T: Any> AsAny for T {
 
 /// A simulated server process.
 pub trait Service: AsAny + 'static {
-    /// A request has been fully received; return the execution plan.
+    /// A request has been fully received; return the execution plan,
+    /// built on [`SvcCx::plan`].
     fn handle(&mut self, req: Payload, cx: &mut SvcCx) -> Plan;
 
     /// All sub-calls of a `CallAll` step completed; return the continuation
-    /// plan.
-    fn resume(&mut self, cont: u64, outcomes: Vec<CallOutcome>, cx: &mut SvcCx) -> Plan {
-        let _ = (cont, outcomes, cx);
-        Plan::reply_empty()
+    /// plan.  `outcomes` holds one entry per call in call order; it is a
+    /// list the `Net` lends, so take the responses out of it (`drain`)
+    /// rather than keeping it, and whatever is left is dropped when it
+    /// goes back.  Build the continuation on [`SvcCx::plan`].
+    fn resume(&mut self, cont: u64, outcomes: &mut Vec<CallOutcome>, cx: &mut SvcCx) -> Plan {
+        let _ = (cont, outcomes);
+        cx.plan().reply_empty()
     }
 
     /// A timer set via [`SvcCx::set_timer`] fired.

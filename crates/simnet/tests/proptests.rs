@@ -573,7 +573,12 @@ impl Service for Scripted {
         plan.call_all(calls, 0)
     }
 
-    fn resume(&mut self, _cont: u64, _outcomes: Vec<simnet::CallOutcome>, _cx: &mut SvcCx) -> Plan {
+    fn resume(
+        &mut self,
+        _cont: u64,
+        _outcomes: &mut Vec<simnet::CallOutcome>,
+        _cx: &mut SvcCx,
+    ) -> Plan {
         self.end(self.steps(Plan::new(), &self.script.tail))
     }
 }
