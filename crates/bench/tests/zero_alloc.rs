@@ -1,6 +1,6 @@
 //! Pinned steady-state allocation behaviour of the event kernel, of the
-//! two resource models every event steps, of the ClassAd constraint scan
-//! and of the request lifecycle.
+//! two resource models every event steps, of the ClassAd constraint scan,
+//! of the request lifecycle and of a model query.
 //!
 //! Events are plain values in recycled slab slots, so the schedule/fire
 //! loop — the inner loop of every experiment — performs **zero** heap
@@ -15,16 +15,21 @@
 //! (submit / advance / abort): their working memory is kept, not rebuilt.
 //! The fourth pins the Experiment-4 Hawkeye Manager scan: a held
 //! constraint evaluated against every ad of a 1 000-ad pool allocates
-//! nothing per ad.  The last pins a whole `Net`: closed-loop users with
-//! zero-sized payloads against a service that takes a lock and a parent
-//! that fans out to it.  Plan steps, the held lock, fan-out sub-calls and
-//! outcomes live in buffers the `Net` lends, so once warm a round trip
-//! allocates nothing.
+//! nothing per ad.  The fifth pins a whole `Net`: closed-loop users
+//! against a service that takes a lock and a parent that fans out to it.
+//! Plan steps, the held lock, fan-out sub-calls and outcomes live in
+//! buffers the `Net` lends, and every message is a clone of one payload
+//! made before warm-up, so once warm a round trip allocates nothing.
+//! The last pins the models on top: the paper's closed-loop users
+//! querying a real GRIS (answered from its result cache) and a real
+//! Hawkeye Agent.  Each series' request is built once and shared, the
+//! way `factory_for` builds them, and the replies are the services'
+//! memoized or prebuilt ones, so an answered query allocates nothing.
 //!
 //! Runs only with `--features alloc-profile` (which compiles the
 //! counting global allocator in); without it the test is a no-op so
 //! plain `cargo test` stays green.  The counter is process-wide, so the
-//! five pins are one `#[test]`: nothing else runs while one measures.
+//! six pins are one `#[test]`: nothing else runs while one measures.
 
 use simcore::{Engine, PsCpu, SimDuration, SimRng, SimTime};
 use simnet::flow::FlowNet;
@@ -69,6 +74,7 @@ fn steady_state_allocates_nothing() {
     ps_cpu();
     constraint_scan();
     request_lifecycle();
+    model_query();
 }
 
 fn event_loop() {
@@ -246,6 +252,7 @@ fn constraint_scan() {
 /// CPU, then a locked CPU section, then an empty reply.
 struct LockedSection {
     lock: LockKey,
+    reply: Payload,
 }
 
 impl Service for LockedSection {
@@ -255,13 +262,14 @@ impl Service for LockedSection {
             .lock(self.lock)
             .cpu(197.3)
             .unlock(self.lock)
-            .reply((), 64)
+            .reply(Rc::clone(&self.reply), 64)
     }
 }
 
 /// Calls both children, then replies once both answered.
 struct FanOut {
     children: [SvcKey; 2],
+    msg: Payload,
 }
 
 impl Service for FanOut {
@@ -269,7 +277,7 @@ impl Service for FanOut {
         let mut calls = cx.calls();
         calls.extend(self.children.map(|to| SubCall {
             to,
-            payload: Box::new(()),
+            payload: Rc::clone(&self.msg),
             req_bytes: 500,
         }));
         cx.plan().cpu(101.9).call_all(calls, 0)
@@ -278,7 +286,7 @@ impl Service for FanOut {
     fn resume(&mut self, _cont: u64, outcomes: &mut Vec<CallOutcome>, cx: &mut SvcCx) -> Plan {
         let answered = outcomes.drain(..).filter(|o| o.response.is_some()).count();
         assert_eq!(answered, 2);
-        cx.plan().cpu(89.3).reply((), 64)
+        cx.plan().cpu(89.3).reply(Rc::clone(&self.msg), 64)
     }
 }
 
@@ -286,6 +294,7 @@ impl Service for FanOut {
 struct User {
     from: NodeId,
     to: SvcKey,
+    query: Payload,
     answers: Rc<Cell<u64>>,
 }
 
@@ -294,7 +303,7 @@ impl User {
         let spec = RequestSpec {
             from: self.from,
             to: self.to,
-            payload: Box::new(()),
+            payload: Rc::clone(&self.query),
             req_bytes: 700,
         };
         cx.submit(spec, 0);
@@ -321,6 +330,9 @@ fn request_lifecycle() {
     let mut net = Net::new(topo, StatsHub::new(SimTime::ZERO, SimTime::MAX));
     let mut eng: Eng = Engine::new(20030622);
     let lock = net.add_lock(1);
+    // Every message is this one payload: a message built once is cloned,
+    // not re-allocated.
+    let unit: Payload = Rc::new(());
     // Work and latencies are deliberately irregular: a CPU task that
     // completes at the very instant another is submitted is lost (ROADMAP
     // item 1b) and would leave its user hanging.
@@ -331,15 +343,23 @@ fn request_lifecycle() {
         },
         ..ServiceConfig::default()
     };
-    let locked = net.add_service(server, cfg, Box::new(LockedSection { lock }), &mut eng);
+    let reply = Rc::clone(&unit);
+    let locked = net.add_service(
+        server,
+        cfg,
+        Box::new(LockedSection { lock, reply }),
+        &mut eng,
+    );
     let children = [locked, locked];
-    let parent = net.add_service(server, cfg, Box::new(FanOut { children }), &mut eng);
+    let msg = Rc::clone(&unit);
+    let parent = net.add_service(server, cfg, Box::new(FanOut { children, msg }), &mut eng);
     let answers = Rc::new(Cell::new(0));
     for to in [locked, locked, locked, parent, parent, parent] {
         let answers = Rc::clone(&answers);
         net.add_client(Box::new(User {
             from: client,
             to,
+            query: Rc::clone(&unit),
             answers,
         }));
     }
@@ -356,4 +376,69 @@ fn request_lifecycle() {
     });
     let answered = answers.get() - warm;
     assert!(answered > 3_000, "measured window answered {answered}");
+}
+
+fn model_query() {
+    use gridmon_core::deploy::gris_suffix;
+    use hawkeye::{default_modules, Agent, HawkeyeMsg};
+    use mds::{default_providers, Gris, MdsRequest};
+    use workload::{spawn_users_to, QueryFactory, UserConfig};
+
+    let mut topo = Topology::new();
+    let clients = topo.add_node("clients", 2, 1.0);
+    let server = topo.add_node("server", 2, 1.0);
+    topo.connect(clients, server, 100e6, SimDuration::from_micros(173));
+    let mut net = Net::new(topo, StatsHub::new(SimTime::ZERO, SimTime::MAX));
+    let mut eng: Eng = Engine::new(20030622);
+    // Provider data outlives the run: the first query runs the providers,
+    // every later one is answered from the GRIS's result cache.
+    let suffix = gris_suffix(0);
+    let ttl = Some(SimDuration::from_secs(3_600));
+    let providers = default_providers(&suffix, "lucky7", 10, ttl);
+    let gris = Box::new(Gris::new(suffix.clone(), providers));
+    let gris = net.add_service(server, ServiceConfig::default(), gris, &mut eng);
+    let agent = Box::new(Agent::new("lucky4", default_modules("lucky4", 11)));
+    let agent = net.add_service(server, ServiceConfig::default(), agent, &mut eng);
+    // One request per series, shared by its users as `factory_for`
+    // shares it.
+    let shared = |msg: Payload, bytes: u64| {
+        move || -> QueryFactory {
+            let msg = Rc::clone(&msg);
+            Box::new(move |_rng| (Rc::clone(&msg), bytes))
+        }
+    };
+    // Irregular think times: a CPU completion at the very instant of
+    // another submit is lost (ROADMAP item 1b) and hangs its user.
+    let config = UserConfig {
+        think: SimDuration::from_micros(9_713),
+        ..UserConfig::default()
+    };
+    let search = MdsRequest::search_all(suffix);
+    let bytes = search.wire_size();
+    let factory = shared(Rc::new(search), bytes);
+    spawn_users_to(&mut net, &mut eng, &[(clients, gris); 5], &config, factory);
+    for msg in [HawkeyeMsg::AgentStatus, HawkeyeMsg::AgentFull] {
+        let bytes = msg.wire_size();
+        let factory = shared(Rc::new(msg), bytes);
+        spawn_users_to(&mut net, &mut eng, &[(clients, agent); 3], &config, factory);
+    }
+    net.start(&mut eng);
+
+    // Warm-up: the providers' first run, the result cache and everything
+    // the request lifecycle sizes.
+    eng.run_until(&mut net, SimTime::from_secs(10));
+    let answered = |net: &Net| {
+        net.service_as::<Gris>(gris).unwrap().queries
+            + net.service_as::<Agent>(agent).unwrap().queries
+    };
+    let warm = answered(&net);
+    assert!(warm > 1_000, "warm-up answered {warm}");
+    let runs = net.service_as::<Gris>(gris).unwrap().provider_runs;
+
+    assert_allocates_nothing("model query", || {
+        eng.run_until(&mut net, SimTime::from_secs(40))
+    });
+    let measured = answered(&net) - warm;
+    assert!(measured > 3_000, "measured window answered {measured}");
+    assert_eq!(net.service_as::<Gris>(gris).unwrap().provider_runs, runs);
 }

@@ -305,95 +305,81 @@ fn spawn_workload(h: &mut Harness, w: &World<'_>) {
 /// itself (agent hosts in declaration order; the canonical producer
 /// table set), never from run state, so the stream is deterministic.
 fn factory_for(w: &World<'_>) -> Box<dyn FnMut() -> QueryFactory> {
-    /// The base DN and filter are parsed once per series, not per query:
-    /// every user shares the one request, a query clones it (`Dn` is an
-    /// `Rc` slice) and reuses its size.
-    fn mds(req: MdsRequest) -> Box<dyn FnMut() -> QueryFactory> {
+    /// A series' request is built once (an MDS base DN and filter are
+    /// parsed once, not per query): every user shares it, and a query
+    /// clones its `Rc`.
+    fn shared((msg, bytes): (Payload, u64)) -> Box<dyn FnMut() -> QueryFactory> {
+        Box::new(move || {
+            let msg = Rc::clone(&msg);
+            Box::new(move |_rng| (Rc::clone(&msg), bytes))
+        })
+    }
+    /// One request per target, built once; a query draws the target.
+    fn random(msgs: Vec<(Payload, u64)>) -> Box<dyn FnMut() -> QueryFactory> {
+        let msgs: Rc<[(Payload, u64)]> = msgs.into();
+        Box::new(move || {
+            let msgs = Rc::clone(&msgs);
+            Box::new(move |rng| {
+                let (msg, bytes) = &msgs[rng.next_below(msgs.len() as u64) as usize];
+                (Rc::clone(msg), *bytes)
+            })
+        })
+    }
+    fn mds(req: MdsRequest) -> (Payload, u64) {
         let bytes = req.wire_size();
-        let req = Rc::new(req);
-        Box::new(move || {
-            let req = Rc::clone(&req);
-            Box::new(move |_rng| (Box::new(MdsRequest::clone(&req)) as Payload, bytes))
-        })
+        (Rc::new(req), bytes)
     }
-    fn hawkeye(msg: fn() -> HawkeyeMsg) -> Box<dyn FnMut() -> QueryFactory> {
-        Box::new(move || {
-            Box::new(move |_rng| {
-                let m = msg();
-                let bytes = m.wire_size();
-                (Box::new(m) as Payload, bytes)
-            })
-        })
+    fn hawkeye(msg: HawkeyeMsg) -> (Payload, u64) {
+        let bytes = msg.wire_size();
+        (Rc::new(msg), bytes)
     }
-    fn rgma(msg: fn() -> RgmaMsg) -> Box<dyn FnMut() -> QueryFactory> {
-        Box::new(move || {
-            Box::new(move |_rng| {
-                let m = msg();
-                let bytes = m.wire_size();
-                (Box::new(m) as Payload, bytes)
-            })
-        })
+    fn rgma(msg: RgmaMsg) -> (Payload, u64) {
+        let bytes = msg.wire_size();
+        (Rc::new(msg), bytes)
     }
     match w.spec.workload.query {
-        Query::MdsSearchAllGris0 => mds(MdsRequest::search_all(gris_suffix(0))),
-        Query::MdsSearchAllGiis => mds(MdsRequest::search_all(giis_suffix())),
-        Query::MdsSearchCpu { attrs_only } => mds(MdsRequest::Search {
+        Query::MdsSearchAllGris0 => shared(mds(MdsRequest::search_all(gris_suffix(0)))),
+        Query::MdsSearchAllGiis => shared(mds(MdsRequest::search_all(giis_suffix()))),
+        Query::MdsSearchCpu { attrs_only } => shared(mds(MdsRequest::Search {
             base: giis_suffix(),
             scope: Scope::Sub,
             filter: Filter::parse("(mds-device-group-name=cpu)").unwrap(),
             attrs: attrs_only.then(|| vec!["mds-device-group-name".into(), "objectclass".into()]),
-        }),
-        Query::HawkeyeAgentStatus => hawkeye(|| HawkeyeMsg::AgentStatus),
-        Query::HawkeyeAgentFull => hawkeye(|| HawkeyeMsg::AgentFull),
-        Query::HawkeyeConstraintMiss => hawkeye(|| HawkeyeMsg::Constraint {
+        })),
+        Query::HawkeyeAgentStatus => shared(hawkeye(HawkeyeMsg::AgentStatus)),
+        Query::HawkeyeAgentFull => shared(hawkeye(HawkeyeMsg::AgentFull)),
+        Query::HawkeyeConstraintMiss => shared(hawkeye(HawkeyeMsg::Constraint {
             expr: "NoSuchAttribute =?= 424242".into(),
-        }),
-        Query::HawkeyeStatusRandom => {
-            // Status of a random deployed agent host, in declaration order.
-            let hosts: Vec<String> = w
-                .spec
+        })),
+        // Status of a random deployed agent host, in declaration order.
+        Query::HawkeyeStatusRandom => random(
+            w.spec
                 .services
                 .iter()
                 .filter(|(_, s)| matches!(s.kind, ServiceKind::Agent { .. }))
-                .map(|(_, s)| s.host.clone())
-                .collect();
-            Box::new(move || {
-                let hosts = hosts.clone();
-                Box::new(move |rng| {
-                    let host = hosts[rng.next_below(hosts.len() as u64) as usize].clone();
-                    let m = HawkeyeMsg::Status {
-                        machine: Some(host),
-                    };
-                    let bytes = m.wire_size();
-                    (Box::new(m) as Payload, bytes)
+                .map(|(_, s)| {
+                    hawkeye(HawkeyeMsg::Status {
+                        machine: Some(s.host.clone()),
+                    })
                 })
-            })
-        }
-        Query::RgmaConsumerQuery => rgma(|| RgmaMsg::ConsumerQuery {
+                .collect(),
+        ),
+        Query::RgmaConsumerQuery => shared(rgma(RgmaMsg::ConsumerQuery {
             sql: "SELECT * FROM cpuload".into(),
-        }),
-        Query::RgmaProducerQuery => rgma(|| RgmaMsg::ProducerQuery {
+        })),
+        Query::RgmaProducerQuery => shared(rgma(RgmaMsg::ProducerQuery {
             sql: "SELECT * FROM cpuload".into(),
-        }),
-        Query::RgmaProducerQueryAll => rgma(|| RgmaMsg::ProducerQuery {
+        })),
+        Query::RgmaProducerQueryAll => shared(rgma(RgmaMsg::ProducerQuery {
             sql: "*ALL*".into(),
-        }),
-        Query::RgmaRegistryLookupRandom => {
-            // Lookup of a random table from the canonical producer set.
-            let tables: Vec<String> = rgma::producer::default_producers("anl", 10)
+        })),
+        // Lookup of a random table from the canonical producer set.
+        Query::RgmaRegistryLookupRandom => random(
+            rgma::producer::default_producers("anl", 10)
                 .into_iter()
-                .map(|p| p.table)
-                .collect();
-            Box::new(move || {
-                let tables = tables.clone();
-                Box::new(move |rng| {
-                    let t = tables[rng.next_below(tables.len() as u64) as usize].clone();
-                    let m = RgmaMsg::RegistryLookup { table: t };
-                    let bytes = m.wire_size();
-                    (Box::new(m) as Payload, bytes)
-                })
-            })
-        }
+                .map(|p| rgma(RgmaMsg::RegistryLookup { table: p.table }))
+                .collect(),
+        ),
     }
 }
 

@@ -269,7 +269,9 @@ mod tests {
     struct Echo;
     impl Service for Echo {
         fn handle(&mut self, _req: Payload, _cx: &mut SvcCx) -> Plan {
-            Plan::new().cpu(500.0).reply(String::from("ok"), 256)
+            Plan::new()
+                .cpu(500.0)
+                .reply(Rc::new(String::from("ok")), 256)
         }
         fn name(&self) -> &str {
             "echo"
@@ -291,7 +293,7 @@ mod tests {
                 RequestSpec {
                     from: self.from,
                     to: self.to,
-                    payload: Box::new(String::from("q")),
+                    payload: Rc::new(String::from("q")),
                     req_bytes: 256,
                 },
                 0,
@@ -379,7 +381,7 @@ mod tests {
         }
         impl Service for Beacon {
             fn handle(&mut self, _req: Payload, _cx: &mut SvcCx) -> Plan {
-                Plan::new().reply(String::from("ok"), 64)
+                Plan::new().reply(Rc::new(String::from("ok")), 64)
             }
             fn on_timer(&mut self, _tag: u64, cx: &mut SvcCx) {
                 self.fired.borrow_mut().push(cx.now.as_secs_f64());

@@ -127,13 +127,14 @@ mod tests {
         Eng, Net, Payload, Plan, ReqOutcome, RequestSpec, Service, ServiceConfig, StatsHub, SvcCx,
         SvcKey, Topology,
     };
+    use std::rc::Rc;
 
     /// Service burning a lot of CPU per request.
     struct Burner;
 
     impl Service for Burner {
         fn handle(&mut self, _req: Payload, _cx: &mut SvcCx) -> Plan {
-            Plan::new().cpu(2_000_000.0).reply((), 64) // 2 CPU-seconds
+            Plan::new().cpu(2_000_000.0).reply(Rc::new(()), 64) // 2 CPU-seconds
         }
     }
 
@@ -151,7 +152,7 @@ mod tests {
                     RequestSpec {
                         from: self.from,
                         to: self.to,
-                        payload: Box::new(()),
+                        payload: Rc::new(()),
                         req_bytes: 100,
                     },
                     i as u64,
@@ -163,7 +164,7 @@ mod tests {
                 RequestSpec {
                     from: self.from,
                     to: self.to,
-                    payload: Box::new(()),
+                    payload: Rc::new(()),
                     req_bytes: 100,
                 },
                 o.tag,

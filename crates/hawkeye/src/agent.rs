@@ -9,9 +9,10 @@
 //! re-runs one module, a full query re-runs all of them.
 //!
 //! Re-running is simulated cost.  The modules' output never changes, so
-//! the integrated Startd ad is built once and every advertisement and
-//! full-query reply shares it (the Manager recognises the same `Rc` as
-//! an unchanged ad).
+//! every message the Agent sends is built once, at construction: one
+//! status reply per module, the full-query reply and the advertisement,
+//! all sharing the one integrated Startd ad (the Manager recognises the
+//! same `Rc` as an unchanged ad).  A query is answered with a clone.
 
 use crate::module::ModuleSpec;
 use crate::proto::{AdsReply, HawkeyeMsg};
@@ -29,12 +30,28 @@ pub const INTEGRATE_CPU_PER_MODULE_US: f64 = 1_500.0;
 /// Fixed per-query CPU (connection handling, ad serialization).
 pub const QUERY_CPU_FIXED_US: f64 = 5_000.0;
 
+/// The Startd ClassAd of `machine`: every module's ad integrated.
+pub fn startd_ad(machine: &str, modules: &[ModuleSpec]) -> ClassAd {
+    let mut ad = ClassAd::new();
+    ad.set_str("Machine", machine);
+    ad.set_str("OpSys", "LINUX");
+    ad.set_bool("Requirements", true);
+    ad.set_int("ModuleCount", modules.len() as i64);
+    for m in modules {
+        ad.merge(&m.attrs);
+    }
+    ad
+}
+
 /// The Agent service.
 pub struct Agent {
-    machine: String,
     modules: Vec<ModuleSpec>,
-    /// All module ads integrated into the Startd ClassAd.
-    startd: Rc<ClassAd>,
+    /// Per module, the status-query reply carrying its ad.
+    status_replies: Vec<Rc<AdsReply>>,
+    /// The full-query reply: the Startd ad, all module ads integrated.
+    full_reply: Rc<AdsReply>,
+    /// The periodic `StartdAd` advertisement and its size.
+    advert: (Payload, u64),
     manager: Option<SvcKey>,
     /// Round-robin index for status queries (which module gets re-run).
     next_status_module: usize,
@@ -47,18 +64,23 @@ pub struct Agent {
 impl Agent {
     pub fn new(machine: impl Into<String>, modules: Vec<ModuleSpec>) -> Agent {
         let machine = machine.into();
-        let mut ad = ClassAd::new();
-        ad.set_str("Machine", &machine);
-        ad.set_str("OpSys", "LINUX");
-        ad.set_bool("Requirements", true);
-        ad.set_int("ModuleCount", modules.len() as i64);
-        for m in &modules {
-            ad.merge(&m.attrs);
-        }
-        Agent {
+        let startd = Rc::new(startd_ad(&machine, &modules));
+        let status_replies = modules
+            .iter()
+            .map(|m| Rc::new(AdsReply::new(vec![Rc::clone(&m.attrs)])))
+            .collect();
+        let full_reply = Rc::new(AdsReply::new(vec![Rc::clone(&startd)]));
+        let advert = HawkeyeMsg::StartdAd {
             machine,
+            ad: startd,
+        };
+        let bytes = advert.wire_size();
+        let advert = (Rc::new(advert) as Payload, bytes);
+        Agent {
             modules,
-            startd: Rc::new(ad),
+            status_replies,
+            full_reply,
+            advert,
             manager: None,
             next_status_module: 0,
             queries: 0,
@@ -73,11 +95,6 @@ impl Agent {
         self.manager = Some(manager);
     }
 
-    /// The integrated Startd ClassAd.
-    pub fn startd_ad(&self) -> &Rc<ClassAd> {
-        &self.startd
-    }
-
     /// CPU to run every module once.
     fn all_modules_cpu(&self) -> f64 {
         self.modules.iter().map(|m| m.exec_cpu_us).sum::<f64>()
@@ -90,7 +107,7 @@ impl Service for Agent {
         let msg = req
             .downcast::<HawkeyeMsg>()
             .expect("Agent expects HawkeyeMsg");
-        match *msg {
+        match &*msg {
             HawkeyeMsg::AgentStatus => {
                 // Re-run one module, reply with its fragment.
                 self.queries += 1;
@@ -98,7 +115,7 @@ impl Service for Agent {
                 let i = self.next_status_module % self.modules.len().max(1);
                 self.next_status_module = self.next_status_module.wrapping_add(1);
                 let m = &self.modules[i];
-                let reply = AdsReply::new(vec![m.attrs.clone()]);
+                let reply = Rc::clone(&self.status_replies[i]);
                 let bytes = reply.bytes;
                 cx.plan()
                     .cpu(QUERY_CPU_FIXED_US + m.exec_cpu_us + INTEGRATE_CPU_PER_MODULE_US)
@@ -108,7 +125,7 @@ impl Service for Agent {
                 // Re-run every module and integrate.
                 self.queries += 1;
                 self.module_runs += self.modules.len() as u64;
-                let reply = AdsReply::new(vec![self.startd.clone()]);
+                let reply = Rc::clone(&self.full_reply);
                 let bytes = reply.bytes;
                 cx.plan()
                     .cpu(QUERY_CPU_FIXED_US + self.all_modules_cpu())
@@ -128,12 +145,8 @@ impl Service for Agent {
         if let Some(manager) = self.manager {
             self.module_runs += self.modules.len() as u64;
             self.ads_sent += 1;
-            let msg = HawkeyeMsg::StartdAd {
-                machine: self.machine.clone(),
-                ad: self.startd.clone(),
-            };
-            let bytes = msg.wire_size();
-            cx.send_oneway(manager, msg, bytes);
+            let (advert, bytes) = &self.advert;
+            cx.send_oneway(manager, Rc::clone(advert), *bytes);
         }
         cx.set_timer(ADVERTISE_PERIOD, 0);
     }
@@ -150,8 +163,7 @@ mod tests {
 
     #[test]
     fn startd_ad_integrates_all_modules() {
-        let a = Agent::new("lucky4", default_modules("lucky4", 11));
-        let ad = a.startd_ad();
+        let ad = startd_ad("lucky4", &default_modules("lucky4", 11));
         // 4 base attrs + 4 per module.
         assert_eq!(ad.len(), 4 + 11 * 4);
         assert_eq!(ad.lookup_str("Machine").as_deref(), Some("lucky4"));
@@ -160,9 +172,8 @@ mod tests {
 
     #[test]
     fn ad_size_grows_with_modules() {
-        let small = Agent::new("h", default_modules("h", 11));
-        let big = Agent::new("h", default_modules("h", 90));
-        let (small, big) = (small.startd_ad(), big.startd_ad());
+        let small = startd_ad("h", &default_modules("h", 11));
+        let big = startd_ad("h", &default_modules("h", 90));
         assert!(big.wire_size() > small.wire_size() * 5);
     }
 

@@ -23,6 +23,7 @@ use crate::proto::{AdsReply, HawkeyeMsg};
 use classad::{matchmaker, parse_expr, ClassAd, CompiledExpr};
 use simcore::SimTime;
 use simnet::{Payload, Plan, Service, SvcCx, SvcKey};
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -54,6 +55,9 @@ struct Row {
     /// purges (Condor keeps the last ad of a silent machine), so freshness
     /// — not presence — is how a dead agent shows up.
     at: SimTime,
+    /// The status-query reply carrying `ad`, built at the first status
+    /// query and answered with clones until the ad is replaced.
+    status: OnceCell<Rc<AdsReply>>,
 }
 
 /// A memoised constraint scan.  The Experiment-4 workload sends the same
@@ -64,7 +68,8 @@ struct ConstraintSlot {
     compiled: Option<CompiledExpr>,
     /// Pool generation `reply` was scanned at.
     generation: u64,
-    reply: AdsReply,
+    /// The reply itself: a hit answers with a clone of this `Rc`.
+    reply: Rc<AdsReply>,
 }
 
 /// Distinct constraints remembered; eviction is oldest-first beyond it
@@ -163,7 +168,7 @@ impl Manager {
             let bytes = msg.wire_size();
             plan.steps.push(simnet::Step::Send {
                 to: sink,
-                payload: Box::new(msg),
+                payload: Rc::new(msg),
                 bytes,
             });
         }
@@ -175,22 +180,26 @@ impl Service for Manager {
         let msg = req
             .downcast::<HawkeyeMsg>()
             .expect("Manager expects HawkeyeMsg");
-        match *msg {
+        match &*msg {
             HawkeyeMsg::StartdAd { machine, ad } => {
                 self.ads_received += 1;
-                let changed = match self.pool.get_mut(&machine) {
+                let changed = match self.pool.get_mut(machine) {
                     Some(row) => {
                         row.at = cx.now;
                         // Pointer first: agents and the fleet re-send the
                         // `Rc` they built at deployment.
-                        !Rc::ptr_eq(&row.ad, &ad) && *row.ad != *ad
+                        !Rc::ptr_eq(&row.ad, ad) && *row.ad != **ad
                     }
                     None => true,
                 };
                 if changed {
-                    let req = matchmaker::compile_requirements(&ad);
-                    let at = cx.now;
-                    self.pool.insert(machine.clone(), Row { ad, req, at });
+                    let row = Row {
+                        ad: Rc::clone(ad),
+                        req: matchmaker::compile_requirements(ad),
+                        at: cx.now,
+                        status: OnceCell::new(),
+                    };
+                    self.pool.insert(machine.clone(), row);
                     self.generation += 1;
                 }
                 // Each incoming ad is evaluated against every trigger.
@@ -198,20 +207,25 @@ impl Service for Manager {
                     .incr("hawkeye.match_evals", self.triggers.len() as u64);
                 let trigger_cost = MATCH_CPU_PER_AD_US * self.triggers.len() as f64;
                 let mut plan = cx.plan().cpu(INGEST_CPU_US + trigger_cost);
-                self.fire_matching_triggers(&machine, &mut plan);
+                self.fire_matching_triggers(machine, &mut plan);
                 plan.done()
             }
             HawkeyeMsg::Status { machine } => {
                 self.queries += 1;
                 cx.obs.incr("hawkeye.queries", 1);
                 let row = match machine {
-                    Some(m) => self.pool.get(&m),
+                    Some(m) => self.pool.get(m),
                     // Pool summary: one compact line per machine; model
                     // as a small digest ad per machine.
                     None => self.pool.values().next(),
                 };
-                let ads = row.map(|row| row.ad.clone()).into_iter().collect();
-                let reply = AdsReply::new(ads);
+                let reply = match row {
+                    Some(row) => Rc::clone(
+                        row.status
+                            .get_or_init(|| Rc::new(AdsReply::new(vec![Rc::clone(&row.ad)]))),
+                    ),
+                    None => Rc::new(AdsReply::new(Vec::new())),
+                };
                 let bytes = reply.bytes;
                 cx.plan().cpu(INDEXED_LOOKUP_CPU_US).reply(reply, bytes)
             }
@@ -230,13 +244,8 @@ impl Service for Manager {
                     .reply(reply, bytes)
             }
             HawkeyeMsg::AddTrigger { trigger } => {
-                self.triggers.push(Trigger {
-                    req: matchmaker::compile_requirements(&trigger),
-                    ad: trigger,
-                    notify: None,
-                    fired: 0,
-                });
-                cx.plan().cpu(INDEXED_LOOKUP_CPU_US).reply((), 64)
+                self.add_trigger(trigger.clone(), None);
+                cx.plan().cpu(INDEXED_LOOKUP_CPU_US).reply(Rc::new(()), 64)
             }
             other => {
                 debug_assert!(false, "unexpected message ({} bytes)", other.wire_size());
@@ -251,33 +260,33 @@ impl Service for Manager {
 }
 
 impl Manager {
-    /// The ads satisfying `expr`, from the memo when the pool has not
-    /// changed since this expression was last scanned.
-    fn constraint_scan(&mut self, expr: String) -> AdsReply {
+    /// The reply to the constraint `expr`: the memo's when the pool has
+    /// not changed since this expression was last scanned.
+    fn constraint_scan(&mut self, expr: &str) -> Rc<AdsReply> {
         let generation = self.generation;
         let pool = &self.pool;
         let scan = |compiled: &Option<CompiledExpr>| {
-            AdsReply::new(match compiled {
+            Rc::new(AdsReply::new(match compiled {
                 Some(c) => pool
                     .values()
                     .filter(|row| matchmaker::matches_constraint_compiled(&row.ad, c))
                     .map(|row| row.ad.clone())
                     .collect(),
                 None => Vec::new(),
-            })
+            }))
         };
         if let Some(slot) = self.constraints.iter_mut().find(|s| s.expr == expr) {
             if slot.generation != generation {
                 slot.generation = generation;
                 slot.reply = scan(&slot.compiled);
             }
-            return slot.reply.clone();
+            return Rc::clone(&slot.reply);
         }
         // The model only sends constraints that parse.  A release build
         // answers an unparsable one with the empty reply — the same reply
         // a constraint no ad satisfies gets — so a parser regression
         // would change no output byte: debug builds refuse it instead.
-        let parsed = parse_expr(&expr);
+        let parsed = parse_expr(expr);
         debug_assert!(parsed.is_ok(), "unparsable constraint {expr:?}: {parsed:?}");
         let compiled = parsed.ok().map(|e| CompiledExpr::compile(&e));
         let reply = scan(&compiled);
@@ -285,10 +294,10 @@ impl Manager {
             self.constraints.remove(0);
         }
         self.constraints.push(ConstraintSlot {
-            expr,
+            expr: expr.to_string(),
             compiled,
             generation,
-            reply: reply.clone(),
+            reply: Rc::clone(&reply),
         });
         reply
     }
@@ -309,8 +318,9 @@ impl Manager {
 /// sending a Startd ClassAd to the Manager every 30 seconds (staggered).
 pub struct AdvertiserFleet {
     manager: SvcKey,
-    /// Per machine: name and its (never-changing) Startd ad.
-    ads: Vec<(String, Rc<ClassAd>)>,
+    /// Per machine: its (never-changing) `StartdAd` advertisement and
+    /// that message's size, built once and re-sent as clones.
+    ads: Vec<(Payload, u64)>,
     pub sent: u64,
 }
 
@@ -319,12 +329,11 @@ impl AdvertiserFleet {
         let ads = (0..n)
             .map(|i| {
                 let machine = format!("sim{i:04}");
-                let agent = crate::agent::Agent::new(
-                    machine.clone(),
-                    crate::module::default_modules(&machine, modules_per_machine),
-                );
-                let ad = agent.startd_ad().clone();
-                (machine, ad)
+                let modules = crate::module::default_modules(&machine, modules_per_machine);
+                let ad = Rc::new(crate::agent::startd_ad(&machine, &modules));
+                let msg = HawkeyeMsg::StartdAd { machine, ad };
+                let bytes = msg.wire_size();
+                (Rc::new(msg) as Payload, bytes)
             })
             .collect();
         AdvertiserFleet {
@@ -342,13 +351,8 @@ impl Service for AdvertiserFleet {
 
     fn on_timer(&mut self, tag: u64, cx: &mut SvcCx) {
         let i = tag as usize;
-        if let Some((machine, ad)) = self.ads.get(i) {
-            let msg = HawkeyeMsg::StartdAd {
-                machine: machine.clone(),
-                ad: ad.clone(),
-            };
-            let bytes = msg.wire_size();
-            cx.send_oneway(self.manager, msg, bytes);
+        if let Some((msg, bytes)) = self.ads.get(i) {
+            cx.send_oneway(self.manager, Rc::clone(msg), *bytes);
             self.sent += 1;
         }
         cx.set_timer(crate::agent::ADVERTISE_PERIOD, tag);
@@ -389,7 +393,7 @@ mod tests {
                 RequestSpec {
                     from: self.from,
                     to: self.to,
-                    payload: Box::new(m),
+                    payload: Rc::new(m),
                     req_bytes: bytes,
                 },
                 0,
@@ -589,7 +593,7 @@ mod tests {
                 &mut self.obs,
                 &mut self.lent,
             );
-            self.mgr.handle(Box::new(msg), &mut cx)
+            self.mgr.handle(Rc::new(msg), &mut cx)
         }
 
         fn advertise(&mut self, at_s: u64, machine: &str, ad: &Rc<ClassAd>) {
@@ -603,7 +607,7 @@ mod tests {
         }
 
         /// One constraint query: (charged CPU, reply).
-        fn constrain(&mut self, at_s: u64, expr: &str) -> (f64, AdsReply) {
+        fn constrain(&mut self, at_s: u64, expr: &str) -> (f64, Rc<AdsReply>) {
             let plan = self.send(at_s, HawkeyeMsg::Constraint { expr: expr.into() });
             let mut steps = plan.steps.into_iter();
             let Some(simnet::Step::Cpu(cpu)) = steps.next() else {
@@ -612,7 +616,7 @@ mod tests {
             let Some(simnet::Step::Reply { payload, .. }) = steps.next() else {
                 panic!("constraint plan ends with a reply");
             };
-            (cpu, *payload.downcast::<AdsReply>().unwrap())
+            (cpu, payload.downcast::<AdsReply>().unwrap())
         }
 
         fn match_evals(&self) -> u64 {
@@ -692,9 +696,33 @@ mod tests {
         assert_eq!(hit_evals, 3, "a memo hit still counts the scan");
         assert_eq!(miss_cpu, INDEXED_LOOKUP_CPU_US + 3.0 * MATCH_CPU_PER_AD_US);
         assert_eq!(hit_cpu, miss_cpu, "a memo hit still charges the scan");
-        assert_eq!(hit.bytes, miss.bytes);
         assert_eq!(hit.ads.len(), 2);
-        assert!(hit.ads.iter().zip(&miss.ads).all(|(a, b)| Rc::ptr_eq(a, b)));
+        assert!(Rc::ptr_eq(&hit, &miss), "a memo hit answers with the memo");
+    }
+
+    #[test]
+    fn status_reply_is_shared_until_the_ad_changes() {
+        let mut b = Bare::new();
+        let status = |b: &mut Bare, at_s| {
+            let machine = Some("m1".to_string());
+            let plan = b.send(at_s, HawkeyeMsg::Status { machine });
+            let Some(simnet::Step::Reply { payload, .. }) = plan.steps.into_iter().last() else {
+                panic!("status plan ends with a reply");
+            };
+            payload.downcast::<AdsReply>().unwrap()
+        };
+        b.advertise(0, "m1", &startd("m1", 11));
+        let first = status(&mut b, 1);
+        assert_eq!(first.ads.len(), 1);
+        b.advertise(30, "m1", &startd("m1", 11));
+        assert!(
+            Rc::ptr_eq(&status(&mut b, 31), &first),
+            "unchanged ad, same reply"
+        );
+        b.advertise(60, "m1", &startd("m1", 12));
+        let changed = status(&mut b, 61);
+        assert!(!Rc::ptr_eq(&changed, &first));
+        assert!(Rc::ptr_eq(&changed.ads[0], &b.mgr.pool["m1"].ad));
     }
 
     #[cfg(debug_assertions)]

@@ -15,31 +15,20 @@
 //! a GRIS keeps handing out the same `Rc` across provider re-runs, and
 //! the GIIS above recognises that `Rc` and skips the re-merge (see
 //! `Giis::resume`).
+//!
+//! The memo is the reply itself, an `Rc<MdsSearchResult>`, so a hit
+//! costs a reference count.  It is keyed on the request: users share one
+//! `Rc<MdsRequest>` per series, so a lookup is a pointer comparison, and
+//! an equal request built elsewhere still finds its slot.
 
-use ldapdir::{Dit, Dn, Entry, Filter, Scope};
+use crate::proto::{MdsRequest, MdsSearchResult};
+use ldapdir::Dit;
 use std::rc::Rc;
 
-/// Identity of a search as the service saw it.
-struct QueryKey {
-    base: Dn,
-    scope: Scope,
-    filter: Filter,
-    attrs: Option<Vec<String>>,
-}
-
-/// The reusable parts of a search reply.  `entries` is refcounted so a
-/// cache hit shares one materialization across any number of replies.
-#[derive(Clone)]
-pub struct CachedResult {
-    pub total: usize,
-    pub bytes: u64,
-    pub entries: Rc<Vec<Entry>>,
-}
-
 struct Slot {
-    key: QueryKey,
+    req: Rc<MdsRequest>,
     generation: u64,
-    result: CachedResult,
+    result: Rc<MdsSearchResult>,
 }
 
 /// A small per-service memo table (experiments issue only a handful of
@@ -56,43 +45,34 @@ impl ResultCache {
         ResultCache { slots: Vec::new() }
     }
 
-    /// Fetch the memoized result for this query against `dit`'s current
-    /// generation, or materialize it with `compute` and remember it.
+    /// The memoized reply to `req` against `dit`'s current generation, or
+    /// the one `compute` materializes, remembered.
     pub fn get_or_compute(
         &mut self,
         dit: &Dit,
-        base: &Dn,
-        scope: Scope,
-        filter: &Filter,
-        attrs: &Option<Vec<String>>,
-        compute: impl FnOnce(&Dit) -> CachedResult,
-    ) -> CachedResult {
+        req: &Rc<MdsRequest>,
+        compute: impl FnOnce(&Dit) -> MdsSearchResult,
+    ) -> Rc<MdsSearchResult> {
         let generation = dit.generation();
-        if let Some(slot) = self.slots.iter_mut().find(|s| {
-            s.key.scope == scope
-                && s.key.base == *base
-                && s.key.filter == *filter
-                && s.key.attrs == *attrs
-        }) {
+        if let Some(slot) = self
+            .slots
+            .iter_mut()
+            .find(|s| Rc::ptr_eq(&s.req, req) || s.req == *req)
+        {
             if slot.generation != generation {
                 slot.generation = generation;
-                slot.result = compute(dit);
+                slot.result = Rc::new(compute(dit));
             }
-            return slot.result.clone();
+            return Rc::clone(&slot.result);
         }
-        let result = compute(dit);
+        let result = Rc::new(compute(dit));
         if self.slots.len() >= CACHE_CAP {
             self.slots.remove(0);
         }
         self.slots.push(Slot {
-            key: QueryKey {
-                base: base.clone(),
-                scope,
-                filter: filter.clone(),
-                attrs: attrs.clone(),
-            },
+            req: Rc::clone(req),
             generation,
-            result: result.clone(),
+            result: Rc::clone(&result),
         });
         result
     }
@@ -101,6 +81,7 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ldapdir::{Dn, Entry, Filter, Scope};
 
     fn dit() -> Dit {
         let mut d = Dit::new(Dn::parse("o=grid").unwrap());
@@ -110,14 +91,29 @@ mod tests {
         d
     }
 
-    fn compute_all(d: &Dit) -> CachedResult {
-        let base = d.suffix().clone();
-        let f = Filter::parse("(objectclass=*)").unwrap();
-        let hits = d.search(&base, Scope::Sub, &f);
-        CachedResult {
-            total: hits.len(),
-            bytes: hits.iter().map(|e| e.wire_size()).sum(),
-            entries: Rc::new(hits.into_iter().cloned().collect()),
+    fn search(d: &Dit, filter: &str) -> Rc<MdsRequest> {
+        Rc::new(MdsRequest::Search {
+            base: d.suffix().clone(),
+            scope: Scope::Sub,
+            filter: Filter::parse(filter).unwrap(),
+            attrs: None,
+        })
+    }
+
+    fn compute(req: &MdsRequest) -> impl FnOnce(&Dit) -> MdsSearchResult + '_ {
+        move |d| {
+            let MdsRequest::Search {
+                base,
+                scope,
+                filter,
+                ..
+            } = req;
+            let hits = d.search(base, *scope, filter);
+            MdsSearchResult {
+                total: hits.len(),
+                bytes: hits.iter().map(|e| e.wire_size()).sum(),
+                entries: hits.into_iter().cloned().collect(),
+            }
         }
     }
 
@@ -125,21 +121,22 @@ mod tests {
     fn hit_shares_materialization_until_mutation() {
         let mut d = dit();
         let mut c = ResultCache::new();
-        let base = d.suffix().clone();
-        let f = Filter::parse("(objectclass=*)").unwrap();
-        let r1 = c.get_or_compute(&d, &base, Scope::Sub, &f, &None, compute_all);
-        let r2 = c.get_or_compute(&d, &base, Scope::Sub, &f, &None, |_| {
-            panic!("must be served from cache")
-        });
-        assert!(Rc::ptr_eq(&r1.entries, &r2.entries));
+        let all = search(&d, "(objectclass=*)");
+        let r1 = c.get_or_compute(&d, &all, compute(&all));
+        let r2 = c.get_or_compute(&d, &all, |_| panic!("must be served from cache"));
+        assert!(Rc::ptr_eq(&r1, &r2));
         assert_eq!(r1.total, 2);
+        // An equal request built separately finds the same slot.
+        let twin = search(&d, "(objectclass=*)");
+        let r2 = c.get_or_compute(&d, &twin, |_| panic!("equal request missed"));
+        assert!(Rc::ptr_eq(&r1, &r2));
 
         // A mutation invalidates: recompute sees the new entry.
         let mut e = Entry::new(Dn::parse("cn=b, o=grid").unwrap());
         e.add("objectclass", "thing");
         d.add(e).unwrap();
-        let r3 = c.get_or_compute(&d, &base, Scope::Sub, &f, &None, compute_all);
-        assert!(!Rc::ptr_eq(&r1.entries, &r3.entries));
+        let r3 = c.get_or_compute(&d, &all, compute(&all));
+        assert!(!Rc::ptr_eq(&r1, &r3));
         assert_eq!(r3.total, 3);
     }
 
@@ -147,24 +144,16 @@ mod tests {
     fn distinct_queries_get_distinct_slots() {
         let d = dit();
         let mut c = ResultCache::new();
-        let base = d.suffix().clone();
-        let all = Filter::parse("(objectclass=*)").unwrap();
-        let none = Filter::parse("(objectclass=nope)").unwrap();
-        let ra = c.get_or_compute(&d, &base, Scope::Sub, &all, &None, compute_all);
-        let rn = c.get_or_compute(&d, &base, Scope::Sub, &none, &None, |d| {
-            let hits = d.search(&base, Scope::Sub, &none);
-            CachedResult {
-                total: hits.len(),
-                bytes: 0,
-                entries: Rc::new(Vec::new()),
-            }
-        });
+        let all = search(&d, "(objectclass=*)");
+        let none = search(&d, "(objectclass=nope)");
+        let ra = c.get_or_compute(&d, &all, compute(&all));
+        let rn = c.get_or_compute(&d, &none, compute(&none));
         assert_eq!(ra.total, 2);
         assert_eq!(rn.total, 0);
         // Both remain servable from cache.
-        let ra2 = c.get_or_compute(&d, &base, Scope::Sub, &all, &None, |_| unreachable!());
-        let rn2 = c.get_or_compute(&d, &base, Scope::Sub, &none, &None, |_| unreachable!());
-        assert!(Rc::ptr_eq(&ra.entries, &ra2.entries));
-        assert!(Rc::ptr_eq(&rn.entries, &rn2.entries));
+        let ra2 = c.get_or_compute(&d, &all, |_| unreachable!());
+        let rn2 = c.get_or_compute(&d, &none, |_| unreachable!());
+        assert!(Rc::ptr_eq(&ra, &ra2));
+        assert!(Rc::ptr_eq(&rn, &rn2));
     }
 }

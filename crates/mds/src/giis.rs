@@ -41,20 +41,21 @@ struct Registration {
     last_fetch: Option<SimTime>,
     /// When a pull last *returned* data for this subtree (`None` = never).
     last_data: Option<SimTime>,
+    /// The pull request, `search_all(remote_suffix)`, built once and sent
+    /// on every pull.
+    pull: Payload,
+    pull_bytes: u64,
     /// The last reply merged under `graft` and how many of its entries
     /// went in.  A source whose directory did not change answers the next
     /// pull with the same `Rc` (its result memo), and only this source's
     /// merges write under `graft`, so that reply is already in the DIT.
     /// Holding the `Rc` keeps its address from being reused by another
     /// reply.
-    merged: Option<(Rc<Vec<Entry>>, usize)>,
+    merged: Option<(Rc<MdsSearchResult>, usize)>,
 }
 
 struct PendingQuery {
-    base: Dn,
-    scope: ldapdir::Scope,
-    filter: ldapdir::Filter,
-    attrs: Option<Vec<String>>,
+    req: Rc<MdsRequest>,
     /// Sources pulled for this query, in sub-call order, so the resume can
     /// stamp `last_data` on exactly the subtrees that answered.
     pulled: Vec<SvcKey>,
@@ -74,6 +75,9 @@ pub struct Giis {
     /// Upper-level GIISes this GIIS registers with (the MDS hierarchy is
     /// uniform: a GIIS registers to another GIIS exactly like a GRIS).
     registrees: Vec<SvcKey>,
+    /// This GIIS's own registration heartbeat, built at the first beat
+    /// and re-sent unchanged.
+    registration: Option<Payload>,
     /// Counters for tests/analysis.
     pub queries: u64,
     pub pulls: u64,
@@ -93,6 +97,7 @@ impl Giis {
             pending: HashMap::new(),
             next_cont: 0,
             registrees: Vec::new(),
+            registration: None,
             queries: 0,
             pulls: 0,
             registrations_seen: 0,
@@ -157,54 +162,49 @@ impl Giis {
             .collect()
     }
 
-    /// Append the search of `q` and its reply to `plan`.
-    fn search_plan(&mut self, q: PendingQuery, plan: Plan) -> Plan {
+    /// Append the search `req` and its reply to `plan`.
+    fn search_plan(&mut self, req: &Rc<MdsRequest>, plan: Plan) -> Plan {
+        let MdsRequest::Search {
+            base,
+            scope,
+            filter,
+            attrs,
+        } = &**req;
         // Memoized until the aggregate directory changes; the simulated
         // scan cost below is still charged per query.
-        let cached =
-            self.cache
-                .get_or_compute(&self.dit, &q.base, q.scope, &q.filter, &q.attrs, |dit| {
-                    let hits = dit.search(&q.base, q.scope, &q.filter);
-                    // Attribute selection shrinks what goes on the wire.  The
-                    // wire size is accounted without materializing a
-                    // projection per hit — only the capped payload prefix
-                    // below is ever cloned.
-                    let bytes: u64 = 64
-                        + match &q.attrs {
-                            None => hits.iter().map(|e| e.wire_size()).sum::<u64>(),
-                            Some(sel) => {
-                                hits.iter().map(|e| e.projected_wire_size(sel)).sum::<u64>()
-                            }
-                        };
-                    // For huge aggregate results only a prefix of the entries
-                    // rides in the in-simulation payload (the wire size is
-                    // exact either way); this keeps 500-GRIS query-all sweeps
-                    // affordable.
-                    let entries: Vec<Entry> = hits
-                        .iter()
-                        .take(RESULT_ENTRY_CAP)
-                        .map(|&e| match &q.attrs {
-                            None => e.clone(),
-                            Some(sel) => e.project(sel),
-                        })
-                        .collect();
-                    crate::cache::CachedResult {
-                        total: hits.len(),
-                        bytes,
-                        entries: Rc::new(entries),
-                    }
-                });
-        let cost = SEARCH_CPU_FIXED_US
-            + SEARCH_CPU_PER_ENTRY_US * self.dit.scan_size() as f64 * q.filter.cost() as f64;
-        let bytes = cached.bytes;
-        plan.cpu(cost).reply(
+        let result = self.cache.get_or_compute(&self.dit, req, |dit| {
+            let hits = dit.search(base, *scope, filter);
+            // Attribute selection shrinks what goes on the wire.  The
+            // wire size is accounted without materializing a projection
+            // per hit — only the capped payload prefix below is ever
+            // cloned.
+            let bytes: u64 = 64
+                + match attrs {
+                    None => hits.iter().map(|e| e.wire_size()).sum::<u64>(),
+                    Some(sel) => hits.iter().map(|e| e.projected_wire_size(sel)).sum::<u64>(),
+                };
+            // For huge aggregate results only a prefix of the entries
+            // rides in the in-simulation payload (the wire size is exact
+            // either way); this keeps 500-GRIS query-all sweeps
+            // affordable.
+            let entries: Vec<Entry> = hits
+                .iter()
+                .take(RESULT_ENTRY_CAP)
+                .map(|&e| match attrs {
+                    None => e.clone(),
+                    Some(sel) => e.project(sel),
+                })
+                .collect();
             MdsSearchResult {
-                entries: cached.entries,
-                total: cached.total,
+                total: hits.len(),
                 bytes,
-            },
-            bytes,
-        )
+                entries,
+            }
+        });
+        let cost = SEARCH_CPU_FIXED_US
+            + SEARCH_CPU_PER_ENTRY_US * self.dit.scan_size() as f64 * filter.cost() as f64;
+        let bytes = result.bytes;
+        plan.cpu(cost).reply(result, bytes)
     }
 }
 
@@ -221,12 +221,15 @@ impl Service for Giis {
                     .and_modify(|r| r.last_seen = now)
                     .or_insert_with(|| {
                         let label = format!("sub-{}-{}", reg.gris.index, reg.gris.gen);
+                        let pull = MdsRequest::search_all(reg.suffix.clone());
                         Registration {
                             remote_suffix: reg.suffix.clone(),
                             graft: suffix.child("Mds-Vo-name", &label),
                             last_seen: now,
                             last_fetch: None,
                             last_data: None,
+                            pull_bytes: pull.wire_size(),
+                            pull: Rc::new(pull),
                             merged: None,
                         }
                     });
@@ -237,53 +240,37 @@ impl Service for Giis {
         let req = req
             .downcast::<MdsRequest>()
             .expect("GIIS expects MdsRequest");
-        let MdsRequest::Search {
-            base,
-            scope,
-            filter,
-            attrs,
-        } = *req;
         self.queries += 1;
         cx.obs.incr("mds.ldap_searches", 1);
         self.purge_expired(now);
-        let q = PendingQuery {
-            base,
-            scope,
-            filter,
-            attrs,
-            pulled: Vec::new(),
-        };
         let stale = self.stale_sources(now);
         let me = cx.me.index;
         if stale.is_empty() {
             cx.obs.ev_with(now, || Ev::CacheHit { svc: me });
             cx.obs.incr("mds.cache_hits", 1);
             let plan = cx.plan();
-            return self.search_plan(q, plan);
+            return self.search_plan(&req, plan);
         }
         cx.obs.ev_with(now, || Ev::CacheMiss { svc: me });
         cx.obs.incr("mds.cache_misses", 1);
         // Pull the stale subtrees, then search.  Mark the fetch time now so
         // concurrent queries don't stampede the same sources.
-        let mut q = q;
         let mut calls = cx.calls();
         calls.reserve_exact(stale.len());
-        for k in stale {
-            q.pulled.push(k);
+        for &k in &stale {
             let r = self.registered.get_mut(&k).unwrap();
             r.last_fetch = Some(now);
             self.pulls += 1;
-            let sub = MdsRequest::search_all(r.remote_suffix.clone());
-            let bytes = sub.wire_size();
             calls.push(SubCall {
                 to: k,
-                payload: Box::new(sub),
-                req_bytes: bytes,
+                payload: Rc::clone(&r.pull),
+                req_bytes: r.pull_bytes,
             });
         }
         let cont = self.next_cont;
         self.next_cont += 1;
-        self.pending.insert(cont, q);
+        self.pending
+            .insert(cont, PendingQuery { req, pulled: stale });
         cx.plan().cpu(SEARCH_CPU_FIXED_US).call_all(calls, cont)
     }
 
@@ -308,7 +295,7 @@ impl Service for Giis {
                 continue;
             };
             merged += match &r.merged {
-                Some((prev, n)) if Rc::ptr_eq(prev, &result.entries) => *n,
+                Some((prev, n)) if Rc::ptr_eq(prev, &result) => *n,
                 _ => {
                     let mut n = 0;
                     for e in result.entries.iter() {
@@ -320,25 +307,29 @@ impl Service for Giis {
                             }
                         }
                     }
-                    r.merged = Some((result.entries, n));
+                    r.merged = Some((result, n));
                     n
                 }
             };
         }
         let merge_cost = MERGE_CPU_PER_ENTRY_US * merged as f64;
         let plan = cx.plan().cpu(merge_cost);
-        self.search_plan(q, plan)
+        self.search_plan(&q.req, plan)
     }
 
     fn on_timer(&mut self, _tag: u64, cx: &mut SvcCx) {
         // Soft-state registration heartbeat to upper-level GIISes.
+        let me = cx.me;
+        let registration = self.registration.get_or_insert_with(|| {
+            Rc::new(GrisRegistration {
+                gris: me,
+                suffix: self.suffix.clone(),
+            })
+        });
         for &parent in &self.registrees {
             cx.send_oneway(
                 parent,
-                GrisRegistration {
-                    gris: cx.me,
-                    suffix: self.suffix.clone(),
-                },
+                Rc::clone(registration),
                 crate::proto::REGISTRATION_BYTES,
             );
         }
@@ -370,8 +361,8 @@ mod tests {
         results: Results,
     }
 
-    /// Per reply: total, response time, bytes, entry payload.
-    type Seen = (usize, f64, u64, Rc<Vec<Entry>>);
+    /// Per reply: total, response time, bytes, the reply itself.
+    type Seen = (usize, f64, u64, Option<Rc<MdsSearchResult>>);
     type Results = Rc<std::cell::RefCell<Vec<Seen>>>;
 
     impl Client for QueryAt {
@@ -387,7 +378,7 @@ mod tests {
                 RequestSpec {
                     from: self.from,
                     to: self.to,
-                    payload: Box::new(req),
+                    payload: Rc::new(req),
                     req_bytes: bytes,
                 },
                 0,
@@ -399,11 +390,9 @@ mod tests {
                 let rt = (o.completed - o.submitted).as_secs_f64();
                 self.results
                     .borrow_mut()
-                    .push((r.total, rt, r.bytes, r.entries));
+                    .push((r.total, rt, r.bytes, Some(r)));
             } else {
-                self.results
-                    .borrow_mut()
-                    .push((usize::MAX, -1.0, 0, Rc::default()));
+                self.results.borrow_mut().push((usize::MAX, -1.0, 0, None));
             }
         }
     }
@@ -657,7 +646,8 @@ mod tests {
         assert_eq!(results.len(), 4);
         for r in results.iter() {
             assert_eq!((r.0, r.2), (results[0].0, results[0].2));
-            assert!(Rc::ptr_eq(&r.3, &results[0].3));
+            let (reply, first) = (r.3.as_ref().unwrap(), results[0].3.as_ref().unwrap());
+            assert!(Rc::ptr_eq(reply, first));
         }
         // ... while the merge and scan are charged as on a full re-merge.
         assert_eq!(results[2].1, results[3].1, "warm cycles cost the same");
@@ -680,6 +670,7 @@ mod tests {
         eng.run_until(&mut net, SimTime::from_secs(120));
         let sees_new_value = |r: &Seen| {
             r.3.iter()
+                .flat_map(|reply| &reply.entries)
                 .any(|e| e.first("mds-cpu-metric") == Some("4242"))
         };
         let results = results.borrow();

@@ -16,6 +16,7 @@ use ldapdir::{Dit, Dn, Entry};
 use simcore::{SimDuration, SimTime};
 use simnet::trace::Ev;
 use simnet::{LockKey, Payload, Plan, Service, SvcCx, SvcKey};
+use std::rc::Rc;
 
 /// CPU cost of evaluating the filter against one entry and serializing a
 /// hit (OpenLDAP slapd per-entry work on the reference CPU).
@@ -43,6 +44,9 @@ pub struct Gris {
     last_refresh: Vec<Option<SimTime>>,
     /// GIISes this GRIS registers to.
     registrees: Vec<SvcKey>,
+    /// The registration heartbeat, built at the first beat (it names this
+    /// service's key) and re-sent unchanged.
+    registration: Option<Payload>,
     /// Serialises provider execution (slapd shell backend); set by the
     /// deployment.
     pub exec_lock: Option<LockKey>,
@@ -63,6 +67,7 @@ impl Gris {
             providers,
             last_refresh: vec![None; n],
             registrees: Vec::new(),
+            registration: None,
             exec_lock: None,
             queries: 0,
             provider_runs: 0,
@@ -93,8 +98,10 @@ impl Gris {
     /// is charged by the caller's plan).
     fn refresh(&mut self, i: usize, now: SimTime) {
         self.provider_runs += 1;
-        for e in self.providers[i].entries.clone() {
-            self.dit.upsert(e).expect("provider entries fit the suffix");
+        for e in &self.providers[i].entries {
+            self.dit
+                .upsert(e.clone())
+                .expect("provider entries fit the suffix");
         }
         self.last_refresh[i] = Some(now);
     }
@@ -105,12 +112,6 @@ impl Service for Gris {
         let req = req
             .downcast::<MdsRequest>()
             .expect("GRIS expects MdsRequest");
-        let MdsRequest::Search {
-            base,
-            scope,
-            filter,
-            attrs,
-        } = *req;
         self.queries += 1;
         let now = cx.now;
         // 1. Re-run stale providers (cost charged in the plan; the state
@@ -146,45 +147,43 @@ impl Service for Gris {
         }
         // 2. Evaluate the search (memoized until the directory changes;
         //    the simulated scan cost below is still charged per query).
-        let cached = self
-            .cache
-            .get_or_compute(&self.dit, &base, scope, &filter, &attrs, |dit| {
-                let hits = dit.search(&base, scope, &filter);
-                let entries: Vec<Entry> = match &attrs {
-                    None => hits.iter().map(|&e| e.clone()).collect(),
-                    Some(sel) => hits.iter().map(|&e| e.project(sel)).collect(),
-                };
-                let bytes: u64 = 64 + entries.iter().map(Entry::wire_size).sum::<u64>();
-                crate::cache::CachedResult {
-                    total: entries.len(),
-                    bytes,
-                    entries: std::rc::Rc::new(entries),
-                }
-            });
+        let result = self.cache.get_or_compute(&self.dit, &req, |dit| {
+            let MdsRequest::Search {
+                base,
+                scope,
+                filter,
+                attrs,
+            } = &*req;
+            let hits = dit.search(base, *scope, filter);
+            let entries: Vec<Entry> = match attrs {
+                None => hits.iter().map(|&e| e.clone()).collect(),
+                Some(sel) => hits.iter().map(|&e| e.project(sel)).collect(),
+            };
+            let bytes: u64 = 64 + entries.iter().map(Entry::wire_size).sum::<u64>();
+            MdsSearchResult {
+                total: entries.len(),
+                bytes,
+                entries,
+            }
+        });
+        let MdsRequest::Search { filter, .. } = &*req;
         let scan_cost = SEARCH_CPU_FIXED_US
             + SEARCH_CPU_PER_ENTRY_US * self.dit.scan_size() as f64 * filter.cost() as f64;
-        let bytes = cached.bytes;
-        plan.cpu(scan_cost).reply(
-            MdsSearchResult {
-                entries: cached.entries,
-                total: cached.total,
-                bytes,
-            },
-            bytes,
-        )
+        let bytes = result.bytes;
+        plan.cpu(scan_cost).reply(result, bytes)
     }
 
     fn on_timer(&mut self, _tag: u64, cx: &mut SvcCx) {
         // Soft-state registration heartbeat.
+        let me = cx.me;
+        let registration = self.registration.get_or_insert_with(|| {
+            Rc::new(GrisRegistration {
+                gris: me,
+                suffix: self.suffix.clone(),
+            })
+        });
         for &giis in &self.registrees {
-            cx.send_oneway(
-                giis,
-                GrisRegistration {
-                    gris: cx.me,
-                    suffix: self.suffix.clone(),
-                },
-                REGISTRATION_BYTES,
-            );
+            cx.send_oneway(giis, Rc::clone(registration), REGISTRATION_BYTES);
         }
         cx.set_timer(REGISTRATION_PERIOD, 0);
     }
@@ -221,7 +220,7 @@ mod tests {
         from: simnet::NodeId,
         to: SvcKey,
         n: u32,
-        results: std::rc::Rc<std::cell::RefCell<Vec<(usize, u64, f64)>>>,
+        results: Rc<std::cell::RefCell<Vec<(usize, u64, f64)>>>,
     }
 
     impl Client for Once {
@@ -237,7 +236,7 @@ mod tests {
                 RequestSpec {
                     from: self.from,
                     to: self.to,
-                    payload: Box::new(req),
+                    payload: Rc::new(req),
                     req_bytes: bytes,
                 },
                 0,
@@ -263,7 +262,7 @@ mod tests {
         let mut eng: Eng = Engine::new(5);
         let gris = Gris::new(suffix(), default_providers(&suffix(), "lucky7", 10, ttl));
         let svc = net.add_service(server, ServiceConfig::default(), Box::new(gris), &mut eng);
-        let results = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let results = Rc::new(std::cell::RefCell::new(Vec::new()));
         net.add_client(Box::new(Once {
             from: client,
             to: svc,

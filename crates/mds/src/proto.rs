@@ -4,7 +4,7 @@ use ldapdir::{Dn, Entry, Filter, Scope};
 use simnet::SvcKey;
 
 /// A request to a GRIS or GIIS.
-#[derive(Clone)]
+#[derive(Clone, PartialEq)]
 pub enum MdsRequest {
     /// An LDAP search.
     Search {
@@ -52,11 +52,11 @@ impl MdsRequest {
 ///
 /// `total` is the full hit count; for very large aggregate results the
 /// GIIS truncates the `entries` payload (the simulated wire size `bytes`
-/// still reflects every hit).  `entries` is refcounted so a server can
-/// answer repeated identical queries from one materialization instead of
-/// deep-cloning every entry per reply.
+/// still reflects every hit).  A server memoizes the whole result as an
+/// `Rc` (see [`crate::cache`]) and answers repeated identical queries
+/// with clones of it.
 pub struct MdsSearchResult {
-    pub entries: std::rc::Rc<Vec<Entry>>,
+    pub entries: Vec<Entry>,
     pub total: usize,
     pub bytes: u64,
 }

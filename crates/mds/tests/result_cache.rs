@@ -7,7 +7,8 @@
 //! fresh search itself equals an exhaustive scan.
 
 use ldapdir::{Dit, Dn, Entry, Filter, Scope};
-use mds::cache::{CachedResult, ResultCache};
+use mds::cache::ResultCache;
+use mds::{MdsRequest, MdsSearchResult};
 use proptest::prelude::*;
 use std::rc::Rc;
 
@@ -101,7 +102,13 @@ proptest! {
     ) {
         let (mut dit, suffix) = build_dit(&spec);
         let mut cache = ResultCache::new();
-        let mut served = serve(&mut cache, &dit, &suffix, &filter);
+        let req = Rc::new(MdsRequest::Search {
+            base: suffix.clone(),
+            scope: Scope::Sub,
+            filter: filter.clone(),
+            attrs: None,
+        });
+        let mut served = serve(&mut cache, &dit, &req);
         for (op, pick, attr, value) in steps {
             let before_gen = dit.generation();
             let before = content(&dit);
@@ -152,14 +159,14 @@ proptest! {
             }
             if must_keep {
                 prop_assert!(!moved, "identical upsert moved the generation (op {op})");
-                let again = serve(&mut cache, &dit, &suffix, &filter);
-                prop_assert!(Rc::ptr_eq(&again.entries, &served.entries), "memo lost");
+                let again = serve(&mut cache, &dit, &req);
+                prop_assert!(Rc::ptr_eq(&again, &served), "memo lost");
             }
-            served = serve(&mut cache, &dit, &suffix, &filter);
+            served = serve(&mut cache, &dit, &req);
             let fresh = materialize(&dit, &suffix, &filter);
             prop_assert_eq!(served.total, fresh.total);
             prop_assert_eq!(served.bytes, fresh.bytes);
-            prop_assert_eq!(&*served.entries, &*fresh.entries);
+            prop_assert_eq!(&served.entries, &fresh.entries);
             if dit.is_empty() {
                 break; // the suffix was purged; nothing left to address
             }
@@ -174,17 +181,16 @@ fn content(dit: &Dit) -> Vec<Entry> {
 }
 
 /// A search reply materialized the way GRIS and GIIS do.
-fn materialize(dit: &Dit, base: &Dn, filter: &Filter) -> CachedResult {
+fn materialize(dit: &Dit, base: &Dn, filter: &Filter) -> MdsSearchResult {
     let hits = dit.search(base, Scope::Sub, filter);
-    CachedResult {
+    MdsSearchResult {
         total: hits.len(),
         bytes: hits.iter().map(|e| e.wire_size()).sum(),
-        entries: Rc::new(hits.into_iter().cloned().collect()),
+        entries: hits.into_iter().cloned().collect(),
     }
 }
 
-fn serve(cache: &mut ResultCache, dit: &Dit, base: &Dn, filter: &Filter) -> CachedResult {
-    cache.get_or_compute(dit, base, Scope::Sub, filter, &None, |d| {
-        materialize(d, base, filter)
-    })
+fn serve(cache: &mut ResultCache, dit: &Dit, req: &Rc<MdsRequest>) -> Rc<MdsSearchResult> {
+    let MdsRequest::Search { base, filter, .. } = &**req;
+    cache.get_or_compute(dit, req, |d| materialize(d, base, filter))
 }

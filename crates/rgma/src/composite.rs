@@ -16,6 +16,7 @@ use crate::{DB_FIXED_CPU_US, JVM_DISPATCH_CPU_US, ROW_SCAN_CPU_US, SQL_PARSE_CPU
 use relsql::{Database, SharedRow, SqlValue, Sym};
 use simcore::SimDuration;
 use simnet::{Payload, Plan, Service, SvcCx, SvcKey};
+use std::rc::Rc;
 
 /// CPU cost of folding one streamed tuple into the aggregate store.
 pub const FOLD_CPU_PER_TUPLE_US: f64 = 300.0;
@@ -100,7 +101,7 @@ impl Service for CompositeProducer {
         let msg = req
             .downcast::<RgmaMsg>()
             .expect("CompositeProducer expects RgmaMsg");
-        match *msg {
+        match &*msg {
             // Streamed tuples from a source servlet.
             RgmaMsg::Stream { rows, .. } => {
                 self.batches_received += 1;
@@ -110,7 +111,7 @@ impl Service for CompositeProducer {
                 let sid = self.next_source_id % self.sources.len().max(1) as i64;
                 self.next_source_id += 1;
                 let n = rows.len();
-                self.fold(sid, &rows);
+                self.fold(sid, rows);
                 cx.plan()
                     .cpu(FOLD_CPU_PER_TUPLE_US * n as f64 + DB_FIXED_CPU_US * 0.2)
                     .done()
@@ -118,12 +119,14 @@ impl Service for CompositeProducer {
             // Consumer query against the aggregate.
             RgmaMsg::ProducerQuery { sql } => {
                 self.queries += 1;
+                let all;
                 let sql = if sql == "*ALL*" {
-                    format!("SELECT * FROM {}", self.table)
+                    all = format!("SELECT * FROM {}", self.table);
+                    &all
                 } else {
                     sql
                 };
-                let (result, scanned) = match self.db.execute(&sql) {
+                let (result, scanned) = match self.db.execute(sql) {
                     Ok(r) => {
                         let scanned = r.scanned;
                         (SqlResultMsg::new(r.columns, r.rows), scanned)
@@ -138,7 +141,7 @@ impl Service for CompositeProducer {
                             + DB_FIXED_CPU_US
                             + ROW_SCAN_CPU_US * scanned as f64,
                     )
-                    .reply(result, bytes)
+                    .reply(Rc::new(result), bytes)
             }
             other => {
                 debug_assert!(false, "unexpected message ({} bytes)", other.wire_size());
@@ -154,7 +157,7 @@ impl Service for CompositeProducer {
         cx: &mut SvcCx,
     ) -> Plan {
         // Subscription acks need no processing.
-        cx.plan().cpu(500.0).reply((), 64)
+        cx.plan().cpu(500.0).reply(Rc::new(()), 64)
     }
 
     fn on_timer(&mut self, _tag: u64, cx: &mut SvcCx) {
@@ -172,7 +175,7 @@ impl Service for CompositeProducer {
             let bytes = msg.wire_size();
             // One-way subscribe: the servlet arms the stream; the ack is
             // immaterial to the data flow.
-            cx.send_oneway(src, msg, bytes);
+            cx.send_oneway(src, Rc::new(msg), bytes);
         }
     }
 
@@ -193,7 +196,6 @@ mod tests {
         StatsHub, Topology,
     };
     use std::cell::RefCell;
-    use std::rc::Rc;
 
     struct AskAll {
         from: NodeId,
@@ -215,7 +217,7 @@ mod tests {
                 RequestSpec {
                     from: self.from,
                     to: self.to,
-                    payload: Box::new(m),
+                    payload: Rc::new(m),
                     req_bytes: bytes,
                 },
                 0,

@@ -9,10 +9,11 @@
 //! scalability profile in the paper's Experiment Set 2.
 
 use crate::proto::{ProducerList, RgmaMsg};
-use crate::{DB_FIXED_CPU_US, JVM_DISPATCH_CPU_US, ROW_SCAN_CPU_US, SQL_PARSE_CPU_US};
+use crate::{DB_FIXED_CPU_US, JVM_DISPATCH_CPU_US, MEMO_CAP, ROW_SCAN_CPU_US, SQL_PARSE_CPU_US};
 use relsql::{Database, SqlValue};
 use simnet::{LockKey, Payload, Plan, Service, SvcCx, SvcKey};
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// The Registry service.
 pub struct Registry {
@@ -25,7 +26,7 @@ pub struct Registry {
     by_owner: HashMap<(SvcKey, String), i64>,
     /// Lookup SQL per table name: consumers ask for the same handful of
     /// tables over and over, and a stable text also hits the relsql
-    /// statement cache.
+    /// statement cache.  At most [`MEMO_CAP`] tables.
     lookup_sql: HashMap<String, String>,
     next_id: i64,
     /// The RDBMS connection lock (registered with the world at deploy
@@ -76,6 +77,12 @@ impl Registry {
     }
 }
 
+/// The SQL that finds the producers of `table`.
+fn lookup_sql(table: &str) -> String {
+    let esc = table.replace('\'', "''");
+    format!("SELECT id FROM producers WHERE tablename = '{esc}'")
+}
+
 impl Default for Registry {
     fn default() -> Self {
         Self::new()
@@ -85,12 +92,13 @@ impl Default for Registry {
 impl Service for Registry {
     fn handle(&mut self, req: Payload, cx: &mut SvcCx) -> Plan {
         let msg = req.downcast::<RgmaMsg>().expect("Registry expects RgmaMsg");
-        match *msg {
+        match &*msg {
             RgmaMsg::RegistryRegister {
                 servlet,
                 table,
                 predicate,
             } => {
+                let servlet = *servlet;
                 self.registrations += 1;
                 if let Some(&id) = self.by_owner.get(&(servlet, table.clone())) {
                     // Idempotent re-registration (producer restart): the
@@ -117,16 +125,24 @@ impl Service for Registry {
                     .plan()
                     .cpu(JVM_DISPATCH_CPU_US)
                     .cpu(DB_FIXED_CPU_US)
-                    .reply((), 300);
+                    .reply(Rc::new(()), 300);
                 self.locked(plan, 1)
             }
             RgmaMsg::RegistryLookup { table } => {
                 self.lookups += 1;
                 cx.obs.incr("rgma.registry_lookups", 1);
-                let sql = self.lookup_sql.entry(table).or_insert_with_key(|t| {
-                    let esc = t.replace('\'', "''");
-                    format!("SELECT id FROM producers WHERE tablename = '{esc}'")
-                });
+                let fresh;
+                let sql = match self.lookup_sql.get(table) {
+                    Some(sql) => sql,
+                    None if self.lookup_sql.len() < MEMO_CAP => self
+                        .lookup_sql
+                        .entry(table.clone())
+                        .or_insert(lookup_sql(table)),
+                    None => {
+                        fresh = lookup_sql(table);
+                        &fresh
+                    }
+                };
                 let r = self.db.execute(sql).expect("lookup");
                 let producers: Vec<SvcKey> = r
                     .rows
@@ -142,7 +158,7 @@ impl Service for Registry {
                     .plan()
                     .cpu(JVM_DISPATCH_CPU_US + SQL_PARSE_CPU_US)
                     .cpu(scan_cost)
-                    .reply(ProducerList { producers, bytes }, bytes);
+                    .reply(Rc::new(ProducerList { producers, bytes }), bytes);
                 self.locked(plan, 1)
             }
             other => {
@@ -173,7 +189,7 @@ mod tests {
         let mut obs = simnet::Obs::off();
         let mut cx = make_cx(&mut lent, &mut rng, &mut obs);
         let plan = reg.handle(
-            Box::new(RgmaMsg::RegistryRegister {
+            Rc::new(RgmaMsg::RegistryRegister {
                 servlet: dummy,
                 table: "cpuload".into(),
                 predicate: "site='anl'".into(),
@@ -183,7 +199,7 @@ mod tests {
         assert!(!plan.steps.is_empty());
         assert_eq!(reg.producer_count(), 1);
         let plan = reg.handle(
-            Box::new(RgmaMsg::RegistryLookup {
+            Rc::new(RgmaMsg::RegistryLookup {
                 table: "cpuload".into(),
             }),
             &mut cx,
@@ -201,7 +217,7 @@ mod tests {
         assert_eq!(list.producers, vec![dummy]);
         // Unknown table -> empty list.
         let plan = reg.handle(
-            Box::new(RgmaMsg::RegistryLookup {
+            Rc::new(RgmaMsg::RegistryLookup {
                 table: "nope".into(),
             }),
             &mut cx,
@@ -232,7 +248,7 @@ mod tests {
         let mut cx = make_cx(&mut lent, &mut rng, &mut obs);
         for _ in 0..3 {
             reg.handle(
-                Box::new(RgmaMsg::RegistryRegister {
+                Rc::new(RgmaMsg::RegistryRegister {
                     servlet: dummy,
                     table: "cpuload".into(),
                     predicate: "site='anl'".into(),
@@ -245,7 +261,7 @@ mod tests {
         assert_eq!(reg.registrations, 3);
         assert_eq!(reg.producer_count(), 1);
         let plan = reg.handle(
-            Box::new(RgmaMsg::RegistryLookup {
+            Rc::new(RgmaMsg::RegistryLookup {
                 table: "cpuload".into(),
             }),
             &mut cx,
@@ -261,7 +277,7 @@ mod tests {
         assert_eq!(reply.downcast::<ProducerList>().unwrap().producers.len(), 1);
         // A different table from the same servlet is a separate row.
         reg.handle(
-            Box::new(RgmaMsg::RegistryRegister {
+            Rc::new(RgmaMsg::RegistryRegister {
                 servlet: dummy,
                 table: "memfree".into(),
                 predicate: String::new(),
@@ -269,6 +285,66 @@ mod tests {
             &mut cx,
         );
         assert_eq!(reg.producer_count(), 2);
+    }
+
+    /// What a lookup plan does: its CPU charges, then the producers and
+    /// size of its reply.
+    fn answer(plan: Plan) -> (Vec<f64>, Vec<SvcKey>, u64) {
+        let mut cpu = Vec::new();
+        for step in plan.steps {
+            match step {
+                simnet::Step::Cpu(us) => cpu.push(us),
+                simnet::Step::Reply { payload, bytes } => {
+                    let list = payload.downcast::<ProducerList>().expect("producer list");
+                    return (cpu, list.producers.clone(), bytes);
+                }
+                other => panic!("unexpected step {other:?}"),
+            }
+        }
+        panic!("lookup plan without a reply");
+    }
+
+    #[test]
+    fn lookup_memo_is_bounded_and_answers_as_a_fresh_registry() {
+        let mut lent = simnet::service::Lent::default();
+        let mut rng = simcore::SimRng::new(1);
+        let mut obs = simnet::Obs::off();
+        let mut cx = make_cx(&mut lent, &mut rng, &mut obs);
+        // Some of the tables looked up below have a producer.
+        let registered = |cx: &mut SvcCx| {
+            let mut reg = Registry::new();
+            for (i, table) in ["t0", "t999", "t1500", "t1999"].into_iter().enumerate() {
+                let servlet = simcore::slab::SlabKey {
+                    index: i as u32,
+                    gen: 0,
+                };
+                let msg = RgmaMsg::RegistryRegister {
+                    servlet,
+                    table: table.into(),
+                    predicate: String::new(),
+                };
+                reg.handle(Rc::new(msg), cx);
+            }
+            reg
+        };
+        let mut reg = registered(&mut cx);
+        let tables: Vec<String> = (0..2_000).map(|i| format!("t{i}")).collect();
+        // Every distinct table once, then the first ones again from the
+        // memo.
+        let mut found = 0;
+        for table in tables.iter().chain(&tables[..10]) {
+            let lookup = || {
+                Rc::new(RgmaMsg::RegistryLookup {
+                    table: table.clone(),
+                })
+            };
+            let memo = answer(reg.handle(lookup(), &mut cx));
+            let fresh = answer(registered(&mut cx).handle(lookup(), &mut cx));
+            assert_eq!(memo, fresh, "lookup of {table}");
+            found += memo.1.len();
+        }
+        assert_eq!(found, 5, "t0 twice, t999, t1500 and t1999");
+        assert_eq!(reg.lookup_sql.len(), MEMO_CAP);
     }
 
     fn make_cx<'a>(

@@ -15,11 +15,12 @@
 
 use crate::producer::ProducerSpec;
 use crate::proto::{ProducerList, RgmaMsg, SqlResultMsg};
-use crate::{DB_FIXED_CPU_US, JVM_DISPATCH_CPU_US, ROW_SCAN_CPU_US, SQL_PARSE_CPU_US};
+use crate::{DB_FIXED_CPU_US, JVM_DISPATCH_CPU_US, MEMO_CAP, ROW_SCAN_CPU_US, SQL_PARSE_CPU_US};
 use relsql::{parse_stmt, Database, SqlValue, Stmt, Sym};
 use simcore::SimDuration;
 use simnet::{CallOutcome, LockKey, Payload, Plan, Service, SubCall, SvcCx, SvcKey};
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// Tag base for producer publish timers.
 const TIMER_PUBLISH: u64 = 1 << 32;
@@ -159,7 +160,7 @@ impl Service for ProducerServlet {
         let msg = req
             .downcast::<RgmaMsg>()
             .expect("ProducerServlet expects RgmaMsg");
-        match *msg {
+        match &*msg {
             RgmaMsg::ProducerQuery { sql } => {
                 self.queries += 1;
                 cx.obs.incr("rgma.producer_queries", 1);
@@ -180,25 +181,26 @@ impl Service for ProducerServlet {
                     let cost = JVM_DISPATCH_CPU_US
                         + (SQL_PARSE_CPU_US + DB_FIXED_CPU_US) * n_tables as f64
                         + ROW_SCAN_CPU_US * scanned as f64;
-                    return self.locked(cx.plan().cpu(cost).reply(result, bytes));
+                    return self.locked(cx.plan().cpu(cost).reply(Rc::new(result), bytes));
                 }
-                let (result, scanned) = Self::run_query(&mut self.db, &sql);
+                let (result, scanned) = Self::run_query(&mut self.db, sql);
                 let bytes = result.bytes;
                 let cost = JVM_DISPATCH_CPU_US
                     + SQL_PARSE_CPU_US
                     + DB_FIXED_CPU_US
                     + ROW_SCAN_CPU_US * scanned as f64;
-                self.locked(cx.plan().cpu(cost).reply(result, bytes))
+                self.locked(cx.plan().cpu(cost).reply(Rc::new(result), bytes))
             }
             RgmaMsg::Subscribe {
                 table,
                 sink,
                 period_us,
             } => {
+                let (sink, period_us) = (*sink, *period_us);
                 let idx = self.subscriptions.len() as u64;
                 self.subscriptions.push(Subscription {
                     batch_sql: format!("SELECT * FROM {table}"),
-                    table,
+                    table: table.clone(),
                     sink,
                     period: SimDuration::from_micros(period_us),
                 });
@@ -206,7 +208,7 @@ impl Service for ProducerServlet {
                 // set timers, so emit the first batch from on_timer primed
                 // through an action.
                 cx.set_timer(SimDuration::from_micros(period_us), TIMER_STREAM | idx);
-                cx.plan().cpu(JVM_DISPATCH_CPU_US).reply((), 300)
+                cx.plan().cpu(JVM_DISPATCH_CPU_US).reply(Rc::new(()), 300)
             }
             other => {
                 debug_assert!(false, "unexpected message ({} bytes)", other.wire_size());
@@ -227,7 +229,7 @@ impl Service for ProducerServlet {
                         predicate: p.predicate.clone(),
                     };
                     let bytes = msg.wire_size();
-                    cx.send_oneway(registry, msg, bytes);
+                    cx.send_oneway(registry, Rc::new(msg), bytes);
                 }
             }
             for i in 0..self.producers.len() {
@@ -263,7 +265,7 @@ impl Service for ProducerServlet {
                 self.stream_batches += 1;
                 let msg = RgmaMsg::Stream { table, rows };
                 let bytes = msg.wire_size();
-                cx.send_oneway(sink, msg, bytes);
+                cx.send_oneway(sink, Rc::new(msg), bytes);
             }
             cx.set_timer(period, tag);
         }
@@ -274,10 +276,36 @@ impl Service for ProducerServlet {
     }
 }
 
+/// A mediated query's messages, built once per distinct query text: the
+/// Registry lookup of its table and the query put to each producer found.
+struct Mediation {
+    lookup: Rc<RgmaMsg>,
+    query: Rc<RgmaMsg>,
+}
+
+impl Mediation {
+    /// The mediation of `sql`, or `None` when it is not a single-table
+    /// SELECT.
+    fn of(sql: &str) -> Option<Mediation> {
+        let Ok(Stmt::Select { table, .. }) = parse_stmt(sql) else {
+            return None;
+        };
+        Some(Mediation {
+            lookup: Rc::new(RgmaMsg::RegistryLookup {
+                table: table.to_string(),
+            }),
+            query: Rc::new(RgmaMsg::ProducerQuery {
+                sql: sql.to_string(),
+            }),
+        })
+    }
+}
+
 /// Pending state of a consumer query inside the ConsumerServlet.
 enum CqStage {
-    /// Waiting for the Registry.
-    Registry { sql: String },
+    /// Waiting for the Registry; then each producer it names is sent
+    /// `query`.
+    Registry { query: Rc<RgmaMsg> },
     /// Waiting for the producers.
     Producers,
 }
@@ -286,10 +314,11 @@ enum CqStage {
 pub struct ConsumerServlet {
     registry: SvcKey,
     pending: HashMap<u64, CqStage>,
-    /// Query text -> mediated table (`None` = not a single-table
-    /// SELECT).  Consumers re-issue the same handful of texts, so the
-    /// table extraction parses each distinct text once.
-    table_cache: HashMap<String, Option<String>>,
+    /// Query text -> its mediation (`None` = not a single-table SELECT).
+    /// Consumers re-issue the same handful of texts, so each distinct
+    /// text is parsed and its messages built once.  At most
+    /// [`MEMO_CAP`] texts.
+    table_cache: HashMap<String, Option<Mediation>>,
     next_cont: u64,
     /// Counters.
     pub queries: u64,
@@ -314,7 +343,7 @@ impl Service for ConsumerServlet {
         let msg = req
             .downcast::<RgmaMsg>()
             .expect("ConsumerServlet expects RgmaMsg");
-        let RgmaMsg::ConsumerQuery { sql } = *msg else {
+        let RgmaMsg::ConsumerQuery { sql } = &*msg else {
             debug_assert!(false, "unexpected message");
             return cx.plan().reply_empty();
         };
@@ -323,31 +352,35 @@ impl Service for ConsumerServlet {
         // Which table does the query touch?  (Single-table SELECTs only —
         // that is all R-GMA 1.x's mediator handled well, too.)  Each
         // distinct query text is parsed once and remembered.
-        let cached =
-            self.table_cache
+        let fresh;
+        let mediation = match self.table_cache.get(sql) {
+            Some(m) => m,
+            None if self.table_cache.len() < MEMO_CAP => self
+                .table_cache
                 .entry(sql.clone())
-                .or_insert_with_key(|sql| match parse_stmt(sql) {
-                    Ok(Stmt::Select { table, .. }) => Some(table.to_string()),
-                    _ => None,
-                });
-        let Some(table) = cached.clone() else {
+                .or_insert(Mediation::of(sql)),
+            None => {
+                fresh = Mediation::of(sql);
+                &fresh
+            }
+        };
+        let Some(m) = mediation else {
             let result = SqlResultMsg::new(vec![], vec![]);
             let bytes = result.bytes;
             return cx
                 .plan()
                 .cpu(JVM_DISPATCH_CPU_US + SQL_PARSE_CPU_US)
-                .reply(result, bytes);
+                .reply(Rc::new(result), bytes);
         };
         let cont = self.next_cont;
         self.next_cont += 1;
-        self.pending.insert(cont, CqStage::Registry { sql });
-        let lookup = RgmaMsg::RegistryLookup { table };
-        let bytes = lookup.wire_size();
+        let query = Rc::clone(&m.query);
+        self.pending.insert(cont, CqStage::Registry { query });
         let mut calls = cx.calls();
         calls.push(SubCall {
             to: self.registry,
-            payload: Box::new(lookup),
-            req_bytes: bytes,
+            payload: m.lookup.clone(),
+            req_bytes: m.lookup.wire_size(),
         });
         cx.plan()
             .cpu(JVM_DISPATCH_CPU_US + SQL_PARSE_CPU_US)
@@ -356,37 +389,33 @@ impl Service for ConsumerServlet {
 
     fn resume(&mut self, cont: u64, outcomes: &mut Vec<CallOutcome>, cx: &mut SvcCx) -> Plan {
         match self.pending.remove(&cont) {
-            Some(CqStage::Registry { sql }) => {
+            Some(CqStage::Registry { query }) => {
                 // Registry answered (or failed: an unreachable Registry is
                 // an error to the consumer, not an empty result).
                 let any_response = outcomes.iter().any(|o| o.response.is_some());
                 if !any_response {
                     return cx.plan().cpu(2_000.0).fail();
                 }
-                let producers: Vec<SvcKey> = outcomes
-                    .drain(..)
-                    .filter_map(|o| o.response)
-                    .filter_map(|(p, _)| p.downcast::<ProducerList>().ok())
-                    .flat_map(|l| l.producers)
-                    .collect();
-                if producers.is_empty() {
+                let lists = outcomes
+                    .iter()
+                    .filter_map(|o| o.response.as_ref()?.0.downcast_ref::<ProducerList>());
+                let n: usize = lists.clone().map(|l| l.producers.len()).sum();
+                if n == 0 {
                     let result = SqlResultMsg::new(vec![], vec![]);
                     let bytes = result.bytes;
-                    return cx.plan().cpu(2_000.0).reply(result, bytes);
+                    return cx.plan().cpu(2_000.0).reply(Rc::new(result), bytes);
                 }
                 self.mediations += 1;
                 let cont2 = self.next_cont;
                 self.next_cont += 1;
                 self.pending.insert(cont2, CqStage::Producers);
+                let bytes = query.wire_size();
                 let mut calls = cx.calls();
-                calls.extend(producers.into_iter().map(|to| {
-                    let q = RgmaMsg::ProducerQuery { sql: sql.clone() };
-                    let bytes = q.wire_size();
-                    SubCall {
-                        to,
-                        payload: Box::new(q),
-                        req_bytes: bytes,
-                    }
+                calls.reserve_exact(n);
+                calls.extend(lists.flat_map(|l| &l.producers).map(|&to| SubCall {
+                    to,
+                    payload: query.clone(),
+                    req_bytes: bytes,
                 }));
                 cx.plan().cpu(3_000.0).call_all(calls, cont2)
             }
@@ -400,17 +429,26 @@ impl Service for ConsumerServlet {
                 let mut rows = Vec::new();
                 for o in outcomes.drain(..) {
                     let Some((p, _)) = o.response else { continue };
-                    if let Ok(r) = p.downcast::<SqlResultMsg>() {
-                        if columns.is_empty() {
-                            columns = r.columns;
-                        }
+                    let Ok(r) = p.downcast::<SqlResultMsg>() else {
+                        continue;
+                    };
+                    // Each producer gave its reply away: move its rows out
+                    // rather than copying them.
+                    let r = Rc::try_unwrap(r)
+                        .unwrap_or_else(|r| SqlResultMsg::new(r.columns.clone(), r.rows.clone()));
+                    if columns.is_empty() {
+                        columns = r.columns;
+                    }
+                    if rows.is_empty() {
+                        rows = r.rows;
+                    } else {
                         rows.extend(r.rows);
                     }
                 }
                 let merge_cost = 2_000.0 + ROW_SCAN_CPU_US * rows.len() as f64;
                 let result = SqlResultMsg::new(columns, rows);
                 let bytes = result.bytes;
-                cx.plan().cpu(merge_cost).reply(result, bytes)
+                cx.plan().cpu(merge_cost).reply(Rc::new(result), bytes)
             }
             None => {
                 debug_assert!(false, "resume without pending state");
@@ -450,7 +488,7 @@ impl Default for TupleSink {
 impl Service for TupleSink {
     fn handle(&mut self, req: Payload, cx: &mut SvcCx) -> Plan {
         if let Ok(msg) = req.downcast::<RgmaMsg>() {
-            if let RgmaMsg::Stream { rows, .. } = *msg {
+            if let RgmaMsg::Stream { rows, .. } = &*msg {
                 self.batches += 1;
                 self.tuples += rows.len() as u64;
                 return cx
@@ -500,7 +538,7 @@ mod tests {
                 RequestSpec {
                     from: self.from,
                     to: self.to,
-                    payload: Box::new(m),
+                    payload: Rc::new(m),
                     req_bytes: bytes,
                 },
                 0,
@@ -556,6 +594,85 @@ mod tests {
             &mut eng,
         );
         (net, eng, client, reg, ps_key, cs)
+    }
+
+    /// A plan's CPU charges and what it sends: each sub-call's message
+    /// and size, or the reply's row count and size.  Also the
+    /// continuation, to resume the plan with.
+    fn sends(plan: Plan) -> (Vec<String>, Option<u64>) {
+        let mut seen = Vec::new();
+        let mut cont = None;
+        for step in plan.steps {
+            match step {
+                simnet::Step::Cpu(us) => seen.push(format!("cpu {us}")),
+                simnet::Step::CallAll { calls, cont: c } => {
+                    cont = Some(c);
+                    for call in calls {
+                        let line = match call.payload.downcast_ref::<RgmaMsg>() {
+                            Some(RgmaMsg::RegistryLookup { table }) => format!("lookup {table}"),
+                            Some(RgmaMsg::ProducerQuery { sql }) => format!("query {sql}"),
+                            _ => panic!("unexpected sub-call"),
+                        };
+                        seen.push(format!("{line} to {:?}, {}B", call.to, call.req_bytes));
+                    }
+                }
+                simnet::Step::Reply { payload, bytes } => {
+                    let r = payload.downcast::<SqlResultMsg>().expect("result set");
+                    seen.push(format!("reply {} rows, {bytes}B", r.rows.len()));
+                }
+                other => panic!("unexpected step {other:?}"),
+            }
+        }
+        (seen, cont)
+    }
+
+    #[test]
+    fn mediation_memo_is_bounded_and_answers_as_a_fresh_servlet() {
+        let key = |index| simcore::slab::SlabKey { index, gen: 0 };
+        let (registry, producer) = (key(1), key(2));
+        let mut lent = simnet::service::Lent::default();
+        let mut rng = simcore::SimRng::new(1);
+        let mut obs = simnet::Obs::off();
+        let mut cx = SvcCx::for_tests(SimTime::ZERO, key(3), &mut rng, &mut obs, &mut lent);
+        // Ask `cs` to the end: the Registry names one producer, which
+        // answers with an empty result set.
+        let mut ask = |cs: &mut ConsumerServlet, sql: &str| {
+            let query = Rc::new(RgmaMsg::ConsumerQuery { sql: sql.into() });
+            let (mut seen, mut cont) = sends(cs.handle(query, &mut cx));
+            let mut answers = [
+                Rc::new(ProducerList {
+                    producers: vec![producer],
+                    bytes: 380,
+                }) as Payload,
+                Rc::new(SqlResultMsg::new(vec![], vec![])),
+            ]
+            .into_iter();
+            while let Some(c) = cont {
+                let response = Some((answers.next().expect("two stages"), 380));
+                let mut outcomes = vec![CallOutcome { index: 0, response }];
+                let next;
+                (next, cont) = sends(cs.resume(c, &mut outcomes, &mut cx));
+                seen.extend(next);
+            }
+            seen
+        };
+        // 2 000 distinct texts, every fifth not a single-table SELECT,
+        // then the first ones again from the memo.
+        let texts: Vec<String> = (0..2_000)
+            .map(|i| match i % 5 {
+                4 => format!("DELETE FROM t{i}"),
+                _ => format!("SELECT * FROM t{i}"),
+            })
+            .collect();
+        let mut cs = ConsumerServlet::new(registry);
+        for sql in texts.iter().chain(&texts[..10]) {
+            let memo = ask(&mut cs, sql);
+            let fresh = ask(&mut ConsumerServlet::new(registry), sql);
+            assert_eq!(memo, fresh, "{sql}");
+            assert_eq!(memo.len(), if sql.starts_with("SELECT") { 6 } else { 2 });
+        }
+        assert_eq!(cs.table_cache.len(), MEMO_CAP);
+        assert!(cs.pending.is_empty());
     }
 
     #[test]
@@ -659,7 +776,7 @@ mod tests {
                     RequestSpec {
                         from: self.from,
                         to: self.to,
-                        payload: Box::new(m),
+                        payload: Rc::new(m),
                         req_bytes: bytes,
                     },
                     0,

@@ -1459,6 +1459,7 @@ impl Net {
 mod tests {
     use super::*;
     use crate::service::{Plan, SetupCost};
+    use std::rc::Rc;
 
     /// Echo service: fixed CPU cost, replies with the request string.
     struct Echo {
@@ -1467,10 +1468,10 @@ mod tests {
 
     impl Service for Echo {
         fn handle(&mut self, req: Payload, _cx: &mut SvcCx) -> Plan {
-            let msg = *req.downcast::<String>().expect("string payload");
+            let msg = req.downcast::<String>().expect("string payload");
             Plan::new()
                 .cpu(self.cpu_us)
-                .reply(format!("echo:{msg}"), 256)
+                .reply(Rc::new(format!("echo:{msg}")), 256)
         }
         fn name(&self) -> &str {
             "echo"
@@ -1490,7 +1491,7 @@ mod tests {
                 RequestSpec {
                     from: self.from,
                     to: self.to,
-                    payload: Box::new(String::from("hi")),
+                    payload: Rc::new(String::from("hi")),
                     req_bytes: 512,
                 },
                 1,
@@ -1498,7 +1499,7 @@ mod tests {
         }
         fn on_outcome(&mut self, outcome: ReqOutcome, _cx: &mut ClientCx) {
             if let ReqResult::Ok(p, _) = outcome.result {
-                let s = *p.downcast::<String>().unwrap();
+                let s = String::clone(&p.downcast::<String>().unwrap());
                 let rt = (outcome.completed - outcome.submitted).as_secs_f64();
                 self.got.borrow_mut().push((s, rt));
             } else {
@@ -1590,7 +1591,7 @@ mod tests {
                     RequestSpec {
                         from: self.from,
                         to: self.to,
-                        payload: Box::new(String::from("x")),
+                        payload: Rc::new(String::from("x")),
                         req_bytes: 200,
                     },
                     i as u64,
@@ -1674,7 +1675,7 @@ mod tests {
                 .iter()
                 .map(|&b| SubCall {
                     to: b,
-                    payload: Box::new(String::from("sub")),
+                    payload: Rc::new(String::from("sub")),
                     req_bytes: 128,
                 })
                 .collect();
@@ -1683,7 +1684,9 @@ mod tests {
         fn resume(&mut self, cont: u64, outcomes: &mut Vec<CallOutcome>, _cx: &mut SvcCx) -> Plan {
             assert_eq!(cont, 42);
             let n_ok = outcomes.iter().filter(|o| o.response.is_some()).count();
-            Plan::new().cpu(100.0).reply(format!("agg:{n_ok}"), 512)
+            Plan::new()
+                .cpu(100.0)
+                .reply(Rc::new(format!("agg:{n_ok}")), 512)
         }
         fn name(&self) -> &str {
             "fanout"
@@ -1740,7 +1743,7 @@ mod tests {
         }
         fn on_timer(&mut self, _tag: u64, cx: &mut SvcCx) {
             self.sent += 1;
-            cx.send_oneway(self.sink, String::from("ad"), 1024);
+            cx.send_oneway(self.sink, Rc::new(String::from("ad")), 1024);
             if self.sent < 5 {
                 cx.set_timer(self.period, 0);
             }
@@ -1804,7 +1807,7 @@ mod tests {
                 .lock(self.lock)
                 .cpu(10_000.0)
                 .unlock(self.lock)
-                .reply((), 64)
+                .reply(Rc::new(()), 64)
         }
         fn name(&self) -> &str {
             "locked"
@@ -1892,8 +1895,8 @@ mod tests {
         fn handle(&mut self, _req: Payload, _cx: &mut SvcCx) -> Plan {
             Plan::new()
                 .cpu(500.0)
-                .send(self.sink, String::from("note"), 256)
-                .reply((), 64)
+                .send(self.sink, Rc::new(String::from("note")), 256)
+                .reply(Rc::new(()), 64)
         }
         fn name(&self) -> &str {
             "notifier"
@@ -2027,7 +2030,7 @@ mod tests {
 
     impl Service for Rogue {
         fn handle(&mut self, _req: Payload, cx: &mut SvcCx) -> Plan {
-            cx.plan().unlock(self.lock).reply((), 64)
+            cx.plan().unlock(self.lock).reply(Rc::new(()), 64)
         }
     }
 
@@ -2087,7 +2090,7 @@ mod tests {
                 .lock(self.lock)
                 .cpu(1_000_000.0)
                 .unlock(self.lock)
-                .reply((), 64)
+                .reply(Rc::new(()), 64)
         }
     }
 
@@ -2126,7 +2129,7 @@ mod tests {
             RequestSpec {
                 from: self.from,
                 to: self.to,
-                payload: Box::new(String::from("r")),
+                payload: Rc::new(String::from("r")),
                 req_bytes: 256,
             }
         }

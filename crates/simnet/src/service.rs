@@ -15,11 +15,18 @@
 //! outcome list [`Service::resume`] drains and the actions a callback
 //! records are [`Lent`] by the `Net` and come back to it cleared, so a
 //! request in steady state allocates only its payloads.
+//!
+//! A message is built once.  A [`Payload`] is a reference-counted
+//! `Rc<dyn Any>`: a sender that sends the same message again (a user's
+//! query, a periodic advertisement, a memoized reply) hands out a clone
+//! of one `Rc` it keeps, which costs a reference count, not an
+//! allocation.  Receivers borrow what they are sent.
 
 use crate::topology::NodeId;
 use simcore::slab::SlabKey;
 use simcore::{SimDuration, SimRng, SimTime};
 use std::any::Any;
+use std::rc::Rc;
 
 /// Key identifying a deployed service instance.
 pub type SvcKey = SlabKey;
@@ -27,9 +34,16 @@ pub type SvcKey = SlabKey;
 /// Key identifying a lock registered with the world.
 pub type LockKey = SlabKey;
 
-/// Message payloads are dynamically typed; each protocol crate downcasts
-/// to its own request/response enums.
-pub type Payload = Box<dyn Any>;
+/// Message payloads are dynamically typed and shared; each protocol crate
+/// downcasts to its own request/response types.
+///
+/// The contract: a fresh message is `Rc::new(value)` at the call site, and
+/// a message that does not change is built once and sent as `Rc::clone`.
+/// A receiver borrows: `Rc::downcast` and `match &*msg`, never a copy to
+/// own what it only reads.  A receiver that must own a reply its sender
+/// gave away (a merge that moves the rows out) takes it with
+/// `Rc::try_unwrap`, and copies only when the sender kept a clone.
+pub type Payload = Rc<dyn Any>;
 
 /// One resource-demand step of a plan.
 pub enum Step {
@@ -109,7 +123,7 @@ impl Plan {
 
     /// Reply with an empty payload.
     pub fn reply_empty(self) -> Self {
-        self.reply((), 64)
+        self.reply(Rc::new(()), 64)
     }
 
     pub fn cpu(mut self, ref_cpu_us: f64) -> Self {
@@ -132,12 +146,8 @@ impl Plan {
         self
     }
 
-    pub fn send<T: Any>(mut self, to: SvcKey, payload: T, bytes: u64) -> Self {
-        self.steps.push(Step::Send {
-            to,
-            payload: Box::new(payload),
-            bytes,
-        });
+    pub fn send(mut self, to: SvcKey, payload: Payload, bytes: u64) -> Self {
+        self.steps.push(Step::Send { to, payload, bytes });
         self
     }
 
@@ -146,11 +156,8 @@ impl Plan {
         self
     }
 
-    pub fn reply<T: Any>(mut self, payload: T, bytes: u64) -> Self {
-        self.steps.push(Step::Reply {
-            payload: Box::new(payload),
-            bytes,
-        });
+    pub fn reply(mut self, payload: Payload, bytes: u64) -> Self {
+        self.steps.push(Step::Reply { payload, bytes });
         self
     }
 
@@ -310,12 +317,10 @@ impl SvcCx<'_> {
         self.lent.actions.push(SvcAction::Timer { dur, tag });
     }
 
-    pub fn send_oneway<T: Any>(&mut self, to: SvcKey, payload: T, bytes: u64) {
-        self.lent.actions.push(SvcAction::OneWay {
-            to,
-            payload: Box::new(payload),
-            bytes,
-        });
+    pub fn send_oneway(&mut self, to: SvcKey, payload: Payload, bytes: u64) {
+        self.lent
+            .actions
+            .push(SvcAction::OneWay { to, payload, bytes });
     }
 }
 
@@ -454,7 +459,7 @@ mod tests {
         let p = Plan::new()
             .cpu(10.0)
             .latency(SimDuration::from_millis(1))
-            .reply("ok", 128);
+            .reply(Rc::new("ok"), 128);
         assert_eq!(p.steps.len(), 3);
         assert!(matches!(p.steps[0], Step::Cpu(x) if x == 10.0));
         assert!(matches!(p.steps[2], Step::Reply { bytes: 128, .. }));

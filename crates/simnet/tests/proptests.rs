@@ -539,7 +539,7 @@ impl Scripted {
                     .cpu(f64::from(us))
                     .unlock(self.lock(l)),
                 Op::Send(_) if self.lower.is_empty() => plan,
-                Op::Send(to) => plan.send(self.lower[to % self.lower.len()], (), 700),
+                Op::Send(to) => plan.send(self.lower[to % self.lower.len()], Rc::new(()), 700),
             };
         }
         plan
@@ -547,7 +547,7 @@ impl Scripted {
 
     fn end(&self, plan: Plan) -> Plan {
         match self.script.end {
-            End::Reply => plan.reply((), 3_000),
+            End::Reply => plan.reply(Rc::new(()), 3_000),
             End::Fail => plan.fail(),
             End::FailLocked(l) => plan.lock(self.lock(l)).cpu(100.0).fail(),
             End::Silent => plan.done(),
@@ -566,7 +566,7 @@ impl Service for Scripted {
             .filter(|_| !self.lower.is_empty())
             .map(|&t| SubCall {
                 to: self.lower[t % self.lower.len()],
-                payload: Box::new(()),
+                payload: Rc::new(()),
                 req_bytes: 900,
             })
             .collect();
@@ -608,7 +608,7 @@ impl Client for Submitter {
         let spec = RequestSpec {
             from: self.from,
             to,
-            payload: Box::new(()),
+            payload: Rc::new(()),
             req_bytes: 1_500,
         };
         cx.submit(spec, tag % n);
@@ -713,7 +713,7 @@ proptest! {
     #[test]
     fn every_request_ends_once_and_leaks_nothing(case in arb_lifecycle_case()) {
         let plain = run_lifecycle(&case, ObsMode::OFF);
-        // Known defect (ROADMAP item 2): about one random case in a
+        // Known defect (ROADMAP item 1b): about one random case in a
         // thousand has the kernel drop a CPU completion, and whoever
         // waits for it hangs with what it holds.  Such a case checks
         // "at most once" and that the traced run hangs the same way.

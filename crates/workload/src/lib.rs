@@ -21,6 +21,8 @@ use simcore::{SimDuration, SimRng, SimTime};
 use simnet::{Client, ClientCx, NodeId, Payload, ReqOutcome, ReqResult, RequestSpec, SvcKey};
 
 /// Produces the next query for a user: payload plus request size in bytes.
+/// A query that does not change is built once and handed out as clones
+/// of its `Rc`, so asking again allocates nothing.
 pub type QueryFactory = Box<dyn FnMut(&mut SimRng) -> (Payload, u64)>;
 
 /// Configuration shared by a group of users.
@@ -339,6 +341,7 @@ mod tests {
     use super::*;
     use simcore::Engine;
     use simnet::{Eng, Net, Plan, Service, ServiceConfig, StatsHub, SvcCx, Topology};
+    use std::rc::Rc;
 
     struct Fast {
         cpu_us: f64,
@@ -346,7 +349,7 @@ mod tests {
 
     impl Service for Fast {
         fn handle(&mut self, _req: Payload, _cx: &mut SvcCx) -> Plan {
-            Plan::new().cpu(self.cpu_us).reply((), 512)
+            Plan::new().cpu(self.cpu_us).reply(Rc::new(()), 512)
         }
     }
 
@@ -381,7 +384,7 @@ mod tests {
     }
 
     fn factory() -> QueryFactory {
-        Box::new(|_rng| (Box::new(()) as Payload, 256))
+        Box::new(|_rng| (Rc::new(()) as Payload, 256))
     }
 
     /// [`spawn_users_to`] with every user aimed at one `target`.
@@ -458,7 +461,7 @@ mod tests {
             clients[0],
             svc,
             8.0,
-            Box::new(|_| (Box::new(()) as Payload, 256)),
+            Box::new(|_| (Rc::new(()) as Payload, 256)),
             rng,
         )));
         net.start(&mut eng);
@@ -478,7 +481,7 @@ mod tests {
             clients[0],
             svc,
             20.0,
-            Box::new(|_| (Box::new(()) as Payload, 256)),
+            Box::new(|_| (Rc::new(()) as Payload, 256)),
             rng,
         )));
         net.start(&mut eng);
@@ -506,7 +509,7 @@ mod tests {
             if self.n.is_multiple_of(2) {
                 Plan::new().cpu(400_000.0).fail()
             } else {
-                Plan::new().cpu(1_000.0).reply((), 512)
+                Plan::new().cpu(1_000.0).reply(Rc::new(()), 512)
             }
         }
     }

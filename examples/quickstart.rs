@@ -10,6 +10,7 @@ use gridmon::core::runcfg::RunConfig;
 use gridmon::mds::{Gris, MdsRequest, MdsSearchResult};
 use gridmon::simcore::{SimDuration, SimTime};
 use gridmon::simnet::{Client, ClientCx, NodeId, ReqOutcome, ReqResult, RequestSpec, SvcKey};
+use std::rc::Rc;
 
 /// A little client that queries a few times and prints the results.
 struct Demo {
@@ -35,7 +36,7 @@ impl Client for Demo {
             RequestSpec {
                 from: self.from,
                 to: self.gris,
-                payload: Box::new(req),
+                payload: Rc::new(req),
                 req_bytes: bytes,
             },
             0,

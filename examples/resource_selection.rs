@@ -16,6 +16,7 @@ use gridmon::ldap::{Filter, Scope};
 use gridmon::mds::{Giis, MdsRequest, MdsSearchResult};
 use gridmon::simcore::{SimDuration, SimTime};
 use gridmon::simnet::{Client, ClientCx, NodeId, ReqOutcome, ReqResult, RequestSpec, SvcKey};
+use std::rc::Rc;
 
 /// A resource broker: asks the GIIS for candidate hosts, ranks them.
 struct Broker {
@@ -46,7 +47,7 @@ impl Client for Broker {
             RequestSpec {
                 from: self.from,
                 to: self.giis,
-                payload: Box::new(req),
+                payload: Rc::new(req),
                 req_bytes: bytes,
             },
             0,

@@ -17,6 +17,7 @@ use gridmon::simcore::{SimDuration, SimTime};
 use gridmon::simnet::{
     Client, ClientCx, NodeId, ReqOutcome, ReqResult, RequestSpec, ServiceConfig, SvcKey,
 };
+use std::rc::Rc;
 
 struct SteeringClient {
     from: NodeId,
@@ -46,7 +47,7 @@ impl Client for SteeringClient {
                     RequestSpec {
                         from: self.from,
                         to: self.consumer_servlet,
-                        payload: Box::new(m),
+                        payload: Rc::new(m),
                         req_bytes: bytes,
                     },
                     1,
@@ -67,7 +68,7 @@ impl Client for SteeringClient {
                     RequestSpec {
                         from: self.from,
                         to: self.producer_servlet,
-                        payload: Box::new(m),
+                        payload: Rc::new(m),
                         req_bytes: bytes,
                     },
                     2,

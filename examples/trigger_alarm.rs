@@ -31,7 +31,7 @@ impl Service for AdminInbox {
             if let HawkeyeMsg::TriggerFired {
                 machine,
                 trigger_idx,
-            } = *msg
+            } = &*msg
             {
                 self.notifications.push(format!(
                     "[t={:>6.2}s] ALERT: trigger #{trigger_idx} fired for {machine}",

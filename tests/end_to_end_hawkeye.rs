@@ -32,7 +32,7 @@ impl Client for Asker {
             RequestSpec {
                 from: self.from,
                 to: self.to,
-                payload: Box::new(m),
+                payload: Rc::new(m),
                 req_bytes: bytes,
             },
             0,

@@ -34,7 +34,7 @@ impl Client for Prober {
             RequestSpec {
                 from: self.from,
                 to: self.to,
-                payload: Box::new(req),
+                payload: Rc::new(req),
                 req_bytes: bytes,
             },
             tag,

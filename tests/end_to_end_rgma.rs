@@ -42,7 +42,7 @@ impl Client for SqlProber {
             RequestSpec {
                 from: self.from,
                 to: self.to,
-                payload: Box::new(m),
+                payload: Rc::new(m),
                 req_bytes: bytes,
             },
             0,
@@ -200,7 +200,7 @@ fn push_stream_delivers_batches_until_the_end() {
                 RequestSpec {
                     from: self.from,
                     to: self.ps,
-                    payload: Box::new(m),
+                    payload: Rc::new(m),
                     req_bytes: bytes,
                 },
                 0,
