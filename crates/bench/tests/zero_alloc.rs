@@ -1,6 +1,6 @@
 //! Pinned steady-state allocation behaviour of the event kernel, of the
 //! two resource models every event steps, of the ClassAd constraint scan,
-//! of the request lifecycle and of a model query.
+//! of the request lifecycle and of two model queries.
 //!
 //! Events are plain values in recycled slab slots, so the schedule/fire
 //! loop — the inner loop of every experiment — performs **zero** heap
@@ -20,16 +20,20 @@
 //! Plan steps, the held lock, fan-out sub-calls and outcomes live in
 //! buffers the `Net` lends, and every message is a clone of one payload
 //! made before warm-up, so once warm a round trip allocates nothing.
-//! The last pins the models on top: the paper's closed-loop users
-//! querying a real GRIS (answered from its result cache) and a real
-//! Hawkeye Agent.  Each series' request is built once and shared, the
-//! way `factory_for` builds them, and the replies are the services'
+//! The last two pin the models on top.  First, the paper's closed-loop
+//! users querying a real GRIS (answered from its result cache) and a
+//! real Hawkeye Agent.  Each series' request is built once and shared,
+//! the way `factory_for` builds them, and the replies are the services'
 //! memoized or prebuilt ones, so an answered query allocates nothing.
+//! Then R-GMA consumers querying a ConsumerServlet, which asks a real
+//! Registry and ProducerServlet: between registrations and publishes
+//! each keeps its answer, and a single producer's result set is
+//! forwarded as it stands, so a mediated query allocates nothing either.
 //!
 //! Runs only with `--features alloc-profile` (which compiles the
 //! counting global allocator in); without it the test is a no-op so
 //! plain `cargo test` stays green.  The counter is process-wide, so the
-//! six pins are one `#[test]`: nothing else runs while one measures.
+//! seven pins are one `#[test]`: nothing else runs while one measures.
 
 use simcore::{Engine, PsCpu, SimDuration, SimRng, SimTime};
 use simnet::flow::FlowNet;
@@ -75,6 +79,7 @@ fn steady_state_allocates_nothing() {
     constraint_scan();
     request_lifecycle();
     model_query();
+    rgma_consumer_query();
 }
 
 fn event_loop() {
@@ -441,4 +446,84 @@ fn model_query() {
     let measured = answered(&net) - warm;
     assert!(measured > 3_000, "measured window answered {measured}");
     assert_eq!(net.service_as::<Gris>(gris).unwrap().provider_runs, runs);
+}
+
+fn rgma_consumer_query() {
+    use rgma::producer::default_producers;
+    use rgma::{ConsumerServlet, ProducerServlet, Registry, RgmaMsg};
+    use workload::{spawn_users_to, QueryFactory, UserConfig};
+
+    let mut topo = Topology::new();
+    let clients = topo.add_node("clients", 2, 1.0);
+    let hosts = ["registry", "producers", "consumers"].map(|name| topo.add_node(name, 2, 1.0));
+    for (i, &a) in hosts.iter().enumerate() {
+        topo.connect(clients, a, 100e6, SimDuration::from_micros(173));
+        for &b in &hosts[i + 1..] {
+            topo.connect(a, b, 100e6, SimDuration::from_micros(211));
+        }
+    }
+    let [reg_node, ps_node, cs_node] = hosts;
+    let mut net = Net::new(topo, StatsHub::new(SimTime::ZERO, SimTime::MAX));
+    let mut eng: Eng = Engine::new(20030622);
+    let mut registry = Registry::new();
+    registry.db_lock = Some(net.add_lock(1));
+    let registry = net.add_service(
+        reg_node,
+        ServiceConfig::default(),
+        Box::new(registry),
+        &mut eng,
+    );
+    // Two producers publish during warm-up (at a tenth and at half of
+    // their period) and not again before the measured window ends.
+    let mut producers = default_producers("anl", 2);
+    for p in &mut producers {
+        p.publish_period = SimDuration::from_secs(2_000);
+    }
+    let mut ps = ProducerServlet::new(producers);
+    ps.db_lock = Some(net.add_lock(1));
+    ps.register_with(registry);
+    let ps = net.add_service(ps_node, ServiceConfig::default(), Box::new(ps), &mut eng);
+    net.prime_service_timer(&mut eng, ps, SimDuration::from_millis(50), 0);
+    let cs = Box::new(ConsumerServlet::new(registry));
+    let cs = net.add_service(cs_node, ServiceConfig::default(), cs, &mut eng);
+    // Every user sends the one query payload, as `factory_for` shares it.
+    let query = RgmaMsg::ConsumerQuery {
+        sql: "SELECT * FROM cpuload".into(),
+    };
+    let bytes = query.wire_size();
+    let query: Payload = Rc::new(query);
+    let factory = move || -> QueryFactory {
+        let query = Rc::clone(&query);
+        Box::new(move |_rng| (Rc::clone(&query), bytes))
+    };
+    // Irregular think times: a CPU completion at the very instant of
+    // another submit is lost (ROADMAP item 1b) and hangs its user.
+    let config = UserConfig {
+        think: SimDuration::from_micros(9_713),
+        ..UserConfig::default()
+    };
+    spawn_users_to(&mut net, &mut eng, &[(clients, cs); 5], &config, factory);
+    net.start(&mut eng);
+
+    // Warm-up: the registrations, both publishes, then the first answers
+    // the Registry and the ProducerServlet keep.
+    eng.run_until(&mut net, SimTime::from_secs(1_100));
+    let mediated = |net: &Net| net.service_as::<ConsumerServlet>(cs).unwrap().mediations;
+    let warm = mediated(&net);
+    assert!(warm > 1_000, "warm-up mediated {warm}");
+    let published = net
+        .service_as::<ProducerServlet>(ps)
+        .unwrap()
+        .tuples_published;
+    assert_eq!(published, 16, "two publishes of 8 entities");
+
+    assert_allocates_nothing("R-GMA consumer query", || {
+        eng.run_until(&mut net, SimTime::from_secs(1_900))
+    });
+    let measured = mediated(&net) - warm;
+    assert!(measured > 3_000, "measured window mediated {measured}");
+    let servlet = net.service_as::<ProducerServlet>(ps).unwrap();
+    assert_eq!(servlet.tuples_published, published);
+    let registry = net.service_as::<Registry>(registry).unwrap();
+    assert_eq!(registry.registrations, 2);
 }

@@ -15,6 +15,23 @@ use simnet::{LockKey, Payload, Plan, Service, SvcCx, SvcKey};
 use std::collections::HashMap;
 use std::rc::Rc;
 
+/// One table's lookup: the SQL that finds its producers, and the last
+/// answer.
+struct Lookup {
+    sql: String,
+    answer: Option<Answer>,
+}
+
+/// A lookup's answer: the `ProducerList` reply and its size, the rows
+/// the SQL scanned, and the `registrations` count it was computed at.
+#[derive(Clone)]
+struct Answer {
+    list: Payload,
+    bytes: u64,
+    scanned: usize,
+    at: u64,
+}
+
 /// The Registry service.
 pub struct Registry {
     db: Database,
@@ -24,10 +41,15 @@ pub struct Registry {
     /// re-registers after a crash/restart refreshes its row instead of
     /// accumulating duplicates (consumers would double-count it).
     by_owner: HashMap<(SvcKey, String), i64>,
-    /// Lookup SQL per table name: consumers ask for the same handful of
-    /// tables over and over, and a stable text also hits the relsql
-    /// statement cache.  At most [`MEMO_CAP`] tables.
-    lookup_sql: HashMap<String, String>,
+    /// Per table name, its lookup SQL and the last answer to it.
+    /// Consumers ask for the same handful of tables over and over, and
+    /// the answer changes only on a registration: an answer is replied
+    /// again (its simulated scan still charged) while `registrations`
+    /// is what it was when the answer was computed.  Any table's
+    /// registration makes every answer stale, because `tablename` is not
+    /// indexed and each new row lengthens every lookup's scan.  At most
+    /// [`MEMO_CAP`] tables.
+    lookup_sql: HashMap<String, Lookup>,
     next_id: i64,
     /// The RDBMS connection lock (registered with the world at deploy
     /// time).
@@ -65,6 +87,51 @@ impl Registry {
                 _ => 0,
             })
             .unwrap_or(0)
+    }
+
+    /// The producers of `table`: the kept answer while no registration
+    /// has come in since, else the lookup SQL run afresh (and kept if
+    /// the memo has room).
+    fn lookup(&mut self, table: &str) -> Answer {
+        let mut fresh;
+        let room = self.lookup_sql.len() < MEMO_CAP;
+        let lookup = match self.lookup_sql.get_mut(table) {
+            Some(lookup) => lookup,
+            None if room => self.lookup_sql.entry(table.to_string()).or_insert(Lookup {
+                sql: lookup_sql(table),
+                answer: None,
+            }),
+            None => {
+                fresh = Lookup {
+                    sql: lookup_sql(table),
+                    answer: None,
+                };
+                &mut fresh
+            }
+        };
+        if let Some(answer) = &lookup.answer {
+            if answer.at == self.registrations {
+                return answer.clone();
+            }
+        }
+        let r = self.db.execute(&lookup.sql).expect("lookup");
+        let producers: Vec<SvcKey> = r
+            .rows
+            .iter()
+            .filter_map(|row| match row[0] {
+                SqlValue::Int(id) => self.servlets.get(&id).copied(),
+                _ => None,
+            })
+            .collect();
+        let bytes = 300 + producers.len() as u64 * 80;
+        let answer = Answer {
+            list: Rc::new(ProducerList { producers, bytes }),
+            bytes,
+            scanned: r.scanned,
+            at: self.registrations,
+        };
+        lookup.answer = Some(answer.clone());
+        answer
     }
 
     /// Serialise the steps of `plan` from index `from` on behind the
@@ -131,34 +198,18 @@ impl Service for Registry {
             RgmaMsg::RegistryLookup { table } => {
                 self.lookups += 1;
                 cx.obs.incr("rgma.registry_lookups", 1);
-                let fresh;
-                let sql = match self.lookup_sql.get(table) {
-                    Some(sql) => sql,
-                    None if self.lookup_sql.len() < MEMO_CAP => self
-                        .lookup_sql
-                        .entry(table.clone())
-                        .or_insert(lookup_sql(table)),
-                    None => {
-                        fresh = lookup_sql(table);
-                        &fresh
-                    }
-                };
-                let r = self.db.execute(sql).expect("lookup");
-                let producers: Vec<SvcKey> = r
-                    .rows
-                    .iter()
-                    .filter_map(|row| match row[0] {
-                        SqlValue::Int(id) => self.servlets.get(&id).copied(),
-                        _ => None,
-                    })
-                    .collect();
-                let bytes = 300 + producers.len() as u64 * 80;
-                let scan_cost = DB_FIXED_CPU_US + ROW_SCAN_CPU_US * r.scanned as f64;
+                let Answer {
+                    list,
+                    bytes,
+                    scanned,
+                    ..
+                } = self.lookup(table);
+                let scan_cost = DB_FIXED_CPU_US + ROW_SCAN_CPU_US * scanned as f64;
                 let plan = cx
                     .plan()
                     .cpu(JVM_DISPATCH_CPU_US + SQL_PARSE_CPU_US)
                     .cpu(scan_cost)
-                    .reply(Rc::new(ProducerList { producers, bytes }), bytes);
+                    .reply(list, bytes);
                 self.locked(plan, 1)
             }
             other => {
@@ -345,6 +396,105 @@ mod tests {
         }
         assert_eq!(found, 5, "t0 twice, t999, t1500 and t1999");
         assert_eq!(reg.lookup_sql.len(), MEMO_CAP);
+    }
+
+    /// The reply a plan sends.
+    fn reply(plan: &Plan) -> Payload {
+        plan.steps
+            .iter()
+            .find_map(|s| match s {
+                simnet::Step::Reply { payload, .. } => Some(Rc::clone(payload)),
+                _ => None,
+            })
+            .expect("reply")
+    }
+
+    #[test]
+    fn kept_answers_match_a_fresh_registry_after_any_registration() {
+        let mut lent = simnet::service::Lent::default();
+        let mut rng = simcore::SimRng::new(1);
+        let mut obs = simnet::Obs::off();
+        let mut cx = make_cx(&mut lent, &mut rng, &mut obs);
+        let register = |servlet: u32, table: &str| RgmaMsg::RegistryRegister {
+            servlet: simcore::slab::SlabKey {
+                index: servlet,
+                gen: 0,
+            },
+            table: table.into(),
+            predicate: String::new(),
+        };
+        let lookup = |table: &str| {
+            Rc::new(RgmaMsg::RegistryLookup {
+                table: table.into(),
+            })
+        };
+        let tables = ["t0", "t1", "t2", "t3", "unregistered"];
+        let mut draw = simcore::SimRng::new(20030622);
+        let mut reg = Registry::new();
+        let mut history: Vec<(u32, &str)> = Vec::new();
+        let (mut kept, mut fresh_answers) = (0, 0);
+        for _ in 0..600 {
+            let table = tables[draw.next_below(tables.len() as u64) as usize];
+            if draw.next_below(4) == 0 && table != "unregistered" {
+                // New tables, new producers of a registered table and
+                // idempotent re-registrations of the same pair.
+                let servlet = draw.next_below(3) as u32;
+                history.push((servlet, table));
+                reg.handle(Rc::new(register(servlet, table)), &mut cx);
+                continue;
+            }
+            let at = reg.registrations;
+            let before = reg.lookup_sql.get(table).and_then(|l| l.answer.clone());
+            let plan = reg.handle(lookup(table), &mut cx);
+            let sent = reply(&plan);
+            match before {
+                Some(a) if a.at == at => {
+                    assert!(Rc::ptr_eq(&sent, &a.list), "kept answer replied");
+                    kept += 1;
+                }
+                _ => fresh_answers += 1,
+            }
+            let mut fresh = Registry::new();
+            for &(servlet, table) in &history {
+                fresh.handle(Rc::new(register(servlet, table)), &mut cx);
+            }
+            let expect = answer(fresh.handle(lookup(table), &mut cx));
+            assert_eq!(answer(plan), expect, "{table} after {history:?}");
+        }
+        assert!(
+            kept > 100 && fresh_answers > 50,
+            "{kept} kept, {fresh_answers} fresh"
+        );
+        assert_eq!(reg.lookups, kept + fresh_answers);
+        assert_eq!(reg.registrations, history.len() as u64);
+    }
+
+    #[test]
+    fn another_tables_registration_changes_the_scan_charge() {
+        let mut lent = simnet::service::Lent::default();
+        let mut rng = simcore::SimRng::new(1);
+        let mut obs = simnet::Obs::off();
+        let mut cx = make_cx(&mut lent, &mut rng, &mut obs);
+        let mut reg = Registry::new();
+        let register = |table: &str| {
+            Rc::new(RgmaMsg::RegistryRegister {
+                servlet: simcore::slab::SlabKey { index: 7, gen: 0 },
+                table: table.into(),
+                predicate: String::new(),
+            })
+        };
+        let lookup = || {
+            Rc::new(RgmaMsg::RegistryLookup {
+                table: "cpuload".into(),
+            })
+        };
+        reg.handle(register("cpuload"), &mut cx);
+        let (one_row, producers, bytes) = answer(reg.handle(lookup(), &mut cx));
+        assert_eq!(answer(reg.handle(lookup(), &mut cx)).0, one_row);
+        reg.handle(register("memfree"), &mut cx);
+        let (two_rows, after, after_bytes) = answer(reg.handle(lookup(), &mut cx));
+        assert_eq!((after, after_bytes), (producers, bytes));
+        assert_eq!(two_rows[1] - one_row[1], ROW_SCAN_CPU_US);
     }
 
     fn make_cx<'a>(

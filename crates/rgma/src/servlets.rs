@@ -47,6 +47,12 @@ pub struct ProducerServlet {
     /// stable texts that hit the statement cache instead of
     /// re-rendering and re-parsing one SELECT per table per query.
     all_sql: Vec<String>,
+    /// Per query text, the last answer: the result set, its size and the
+    /// CPU it charges.  Consumers re-issue the same handful of texts and
+    /// the tables change only on a publish, which empties every answer
+    /// (keeping the texts) before it writes, so a kept result set never
+    /// holds a row the table has replaced.  At most [`MEMO_CAP`] texts.
+    answers: HashMap<String, Option<(Payload, u64, f64)>>,
     producers: Vec<ProducerSpec>,
     registry: Option<SvcKey>,
     /// The servlet's tuple-store lock (registered at deploy time).
@@ -84,6 +90,7 @@ impl ProducerServlet {
             db,
             tables,
             all_sql,
+            answers: HashMap::new(),
             producers,
             registry: None,
             db_lock: None,
@@ -114,6 +121,9 @@ impl ProducerServlet {
             return;
         };
         let entities = p.entities;
+        for answer in self.answers.values_mut() {
+            *answer = None;
+        }
         self.publish_seq += 1;
         let seq = self.publish_seq;
         for e in 0..entities {
@@ -133,6 +143,49 @@ impl ProducerServlet {
                 .expect("publish upsert");
             self.tuples_published += 1;
         }
+    }
+
+    /// The answer to `sql`: the kept one if no publish has come in since,
+    /// else the query run afresh (and kept if the memo has room).
+    fn answer(&mut self, sql: &str) -> (Payload, u64, f64) {
+        if let Some(Some(answer)) = self.answers.get(sql) {
+            return answer.clone();
+        }
+        let (result, cost) = if sql == "*ALL*" {
+            // The all-collectors query: one SELECT per table.
+            let mut total_rows = Vec::new();
+            let mut scanned = 0usize;
+            let mut cols = Vec::new();
+            for q in &self.all_sql {
+                let (r, s) = Self::run_query(&mut self.db, q);
+                scanned += s;
+                cols = r.columns;
+                total_rows.extend(r.rows);
+            }
+            let n_tables = self.producers.len();
+            let cost = JVM_DISPATCH_CPU_US
+                + (SQL_PARSE_CPU_US + DB_FIXED_CPU_US) * n_tables as f64
+                + ROW_SCAN_CPU_US * scanned as f64;
+            (SqlResultMsg::new(cols, total_rows), cost)
+        } else {
+            let (result, scanned) = Self::run_query(&mut self.db, sql);
+            let cost = JVM_DISPATCH_CPU_US
+                + SQL_PARSE_CPU_US
+                + DB_FIXED_CPU_US
+                + ROW_SCAN_CPU_US * scanned as f64;
+            (result, cost)
+        };
+        let bytes = result.bytes;
+        let answer = (Rc::new(result) as Payload, bytes, cost);
+        let room = self.answers.len() < MEMO_CAP;
+        match self.answers.get_mut(sql) {
+            Some(kept) => *kept = Some(answer.clone()),
+            None if room => {
+                self.answers.insert(sql.to_string(), Some(answer.clone()));
+            }
+            None => {}
+        }
+        answer
     }
 
     fn run_query(db: &mut Database, sql: &str) -> (SqlResultMsg, usize) {
@@ -164,32 +217,8 @@ impl Service for ProducerServlet {
             RgmaMsg::ProducerQuery { sql } => {
                 self.queries += 1;
                 cx.obs.incr("rgma.producer_queries", 1);
-                if sql == "*ALL*" {
-                    // The all-collectors query: one SELECT per table.
-                    let mut total_rows = Vec::new();
-                    let mut scanned = 0usize;
-                    let mut cols = Vec::new();
-                    for q in &self.all_sql {
-                        let (r, s) = Self::run_query(&mut self.db, q);
-                        scanned += s;
-                        cols = r.columns;
-                        total_rows.extend(r.rows);
-                    }
-                    let n_tables = self.producers.len();
-                    let result = SqlResultMsg::new(cols, total_rows);
-                    let bytes = result.bytes;
-                    let cost = JVM_DISPATCH_CPU_US
-                        + (SQL_PARSE_CPU_US + DB_FIXED_CPU_US) * n_tables as f64
-                        + ROW_SCAN_CPU_US * scanned as f64;
-                    return self.locked(cx.plan().cpu(cost).reply(Rc::new(result), bytes));
-                }
-                let (result, scanned) = Self::run_query(&mut self.db, sql);
-                let bytes = result.bytes;
-                let cost = JVM_DISPATCH_CPU_US
-                    + SQL_PARSE_CPU_US
-                    + DB_FIXED_CPU_US
-                    + ROW_SCAN_CPU_US * scanned as f64;
-                self.locked(cx.plan().cpu(cost).reply(Rc::new(result), bytes))
+                let (result, bytes, cost) = self.answer(sql);
+                self.locked(cx.plan().cpu(cost).reply(result, bytes))
             }
             RgmaMsg::Subscribe {
                 table,
@@ -425,30 +454,22 @@ impl Service for ConsumerServlet {
                 if outcomes.iter().all(|o| o.response.is_none()) {
                     return cx.plan().cpu(2_000.0).fail();
                 }
-                let mut columns = Vec::new();
-                let mut rows = Vec::new();
-                for o in outcomes.drain(..) {
-                    let Some((p, _)) = o.response else { continue };
-                    let Ok(r) = p.downcast::<SqlResultMsg>() else {
-                        continue;
-                    };
-                    // Each producer gave its reply away: move its rows out
-                    // rather than copying them.
-                    let r = Rc::try_unwrap(r)
-                        .unwrap_or_else(|r| SqlResultMsg::new(r.columns.clone(), r.rows.clone()));
-                    if columns.is_empty() {
-                        columns = r.columns;
-                    }
-                    if rows.is_empty() {
-                        rows = r.rows;
-                    } else {
-                        rows.extend(r.rows);
-                    }
-                }
-                let merge_cost = 2_000.0 + ROW_SCAN_CPU_US * rows.len() as f64;
-                let result = SqlResultMsg::new(columns, rows);
-                let bytes = result.bytes;
-                cx.plan().cpu(merge_cost).reply(Rc::new(result), bytes)
+                let answered = || {
+                    outcomes.iter().filter_map(|o| {
+                        let (p, _) = o.response.as_ref()?;
+                        Some((p, p.downcast_ref::<SqlResultMsg>()?))
+                    })
+                };
+                let mut results = answered();
+                let reply = match (results.next(), results.next()) {
+                    // One producer answered: its result set is the merge.
+                    (Some((p, _)), None) => Rc::clone(p),
+                    _ => Rc::new(merge(answered().map(|(_, r)| r))),
+                };
+                let r = reply.downcast_ref::<SqlResultMsg>().expect("a result set");
+                let merge_cost = 2_000.0 + ROW_SCAN_CPU_US * r.rows.len() as f64;
+                let bytes = r.bytes;
+                cx.plan().cpu(merge_cost).reply(reply, bytes)
             }
             None => {
                 debug_assert!(false, "resume without pending state");
@@ -460,6 +481,22 @@ impl Service for ConsumerServlet {
     fn name(&self) -> &str {
         "rgma-consumer-servlet"
     }
+}
+
+/// Several producers' result sets as one: the first non-empty column
+/// list, and every row in producer order (shared, not copied).
+fn merge<'a>(results: impl Iterator<Item = &'a SqlResultMsg> + Clone) -> SqlResultMsg {
+    let columns = results
+        .clone()
+        .map(|r| &r.columns)
+        .find(|c| !c.is_empty())
+        .cloned()
+        .unwrap_or_default();
+    let mut rows = Vec::with_capacity(results.clone().map(|r| r.rows.len()).sum());
+    for r in results {
+        rows.extend_from_slice(&r.rows);
+    }
+    SqlResultMsg::new(columns, rows)
 }
 
 /// A consumer-side sink for push-mode tuple streams.
@@ -673,6 +710,215 @@ mod tests {
         }
         assert_eq!(cs.table_cache.len(), MEMO_CAP);
         assert!(cs.pending.is_empty());
+    }
+
+    /// A ProducerServlet's answer: its CPU charge, the rows' cells and
+    /// the reply's size.
+    type Answer = (Vec<f64>, Vec<Vec<SqlValue>>, u64);
+
+    /// What a ProducerServlet answers `sql`, and the reply.
+    fn ask_producer(ps: &mut ProducerServlet, sql: &str, cx: &mut SvcCx) -> (Answer, Payload) {
+        let query = Rc::new(RgmaMsg::ProducerQuery { sql: sql.into() });
+        let mut cpu = Vec::new();
+        for step in ps.handle(query, cx).steps {
+            match step {
+                simnet::Step::Cpu(us) => cpu.push(us),
+                simnet::Step::Reply { payload, bytes } => {
+                    let r = payload.downcast_ref::<SqlResultMsg>().expect("result set");
+                    let rows = r.rows.iter().map(|row| row.to_vec()).collect();
+                    return ((cpu, rows, bytes), payload);
+                }
+                other => panic!("unexpected step {other:?}"),
+            }
+        }
+        panic!("query plan without a reply");
+    }
+
+    #[test]
+    fn kept_result_sets_match_a_fresh_servlet_and_drop_replaced_rows() {
+        let mut lent = simnet::service::Lent::default();
+        let mut rng = simcore::SimRng::new(1);
+        let mut obs = simnet::Obs::off();
+        let mut cx = SvcCx::for_tests(SimTime::ZERO, SvcKey::NULL, &mut rng, &mut obs, &mut lent);
+        let texts = [
+            "SELECT * FROM cpuload",
+            "SELECT * FROM memory WHERE entity = 'e3'",
+            "*ALL*",
+            "SELECT * FROM nonexistent",
+        ];
+        let mut ps = ProducerServlet::new(default_producers("anl", 3));
+        let mut published = Vec::new();
+        // Before any publish, then after each of a round-robin of publishes.
+        for round in 0..8 {
+            for sql in texts {
+                let (kept, reply) = ask_producer(&mut ps, sql, &mut cx);
+                let (again, again_reply) = ask_producer(&mut ps, sql, &mut cx);
+                assert!(Rc::ptr_eq(&reply, &again_reply), "{sql} kept");
+                assert_eq!(kept, again);
+                let mut fresh = ProducerServlet::new(default_producers("anl", 3));
+                for &i in &published {
+                    fresh.publish(i);
+                }
+                assert_eq!(kept, ask_producer(&mut fresh, sql, &mut cx).0, "{sql}");
+            }
+            // The rows the next publish replaces: once it has run, nothing
+            // holds them, kept answers included.
+            let i = round % 3;
+            let table = &ps.all_sql[i];
+            let replaced: Vec<_> = ps
+                .db
+                .execute(table)
+                .unwrap()
+                .rows
+                .iter()
+                .map(Rc::downgrade)
+                .collect();
+            assert_eq!(replaced.len(), if round < 3 { 0 } else { 8 });
+            published.push(i);
+            ps.publish(i);
+            assert!(replaced.iter().all(|row| row.strong_count() == 0));
+            assert!(ps.answers.values().all(Option::is_none));
+            assert_eq!(ps.answers.len(), texts.len());
+        }
+        // Distinct texts beyond the cap are answered, not kept.
+        for i in 0..2_000 {
+            let sql = format!("SELECT * FROM cpuload WHERE entity = 'e{i}'");
+            let rows = if i < 8 { 1 } else { 0 };
+            assert_eq!(ask_producer(&mut ps, &sql, &mut cx).0 .1.len(), rows);
+        }
+        assert_eq!(ps.answers.len(), MEMO_CAP);
+    }
+
+    /// The ConsumerServlet's answer to a query whose Registry lookup names
+    /// one producer per entry of `replies`, each of which answers with
+    /// its entry (`None`: the call failed).  Also the reply.
+    fn merged(replies: &[Option<Payload>]) -> (Vec<String>, Payload) {
+        let key = |index| simcore::slab::SlabKey { index, gen: 0 };
+        let mut lent = simnet::service::Lent::default();
+        let mut rng = simcore::SimRng::new(1);
+        let mut obs = simnet::Obs::off();
+        let mut cx = SvcCx::for_tests(SimTime::ZERO, key(0), &mut rng, &mut obs, &mut lent);
+        let mut cs = ConsumerServlet::new(key(1));
+        let query = Rc::new(RgmaMsg::ConsumerQuery {
+            sql: "SELECT * FROM cpuload".into(),
+        });
+        let (_, cont) = sends(cs.handle(query, &mut cx));
+        let producers = (0..replies.len() as u32).map(|i| key(10 + i)).collect();
+        let list = Rc::new(ProducerList {
+            producers,
+            bytes: 380,
+        });
+        let response = Some((list as Payload, 380));
+        let mut outcomes = vec![CallOutcome { index: 0, response }];
+        let (_, cont) = sends(cs.resume(cont.unwrap(), &mut outcomes, &mut cx));
+        let mut outcomes = (0..)
+            .zip(replies)
+            .map(|(index, reply)| CallOutcome {
+                index,
+                response: reply.clone().map(|p| (p, 999)),
+            })
+            .collect();
+        let plan = cs.resume(cont.unwrap(), &mut outcomes, &mut cx);
+        let reply = plan
+            .steps
+            .iter()
+            .find_map(|s| match s {
+                simnet::Step::Reply { payload, .. } => Some(Rc::clone(payload)),
+                _ => None,
+            })
+            .expect("reply");
+        (sends(plan).0, reply)
+    }
+
+    /// How the ConsumerServlet merged before a single answer was
+    /// forwarded as it stands: the first non-empty column list, every
+    /// row in producer order, the size recomputed.
+    fn merged_by_copy(replies: &[Option<Payload>]) -> (Vec<String>, SqlResultMsg) {
+        let mut columns = Vec::new();
+        let mut rows = Vec::new();
+        for r in replies.iter().flatten() {
+            let Some(r) = r.downcast_ref::<SqlResultMsg>() else {
+                continue;
+            };
+            if columns.is_empty() {
+                columns = r.columns.clone();
+            }
+            rows.extend(r.rows.iter().cloned());
+        }
+        let merge_cost = 2_000.0 + ROW_SCAN_CPU_US * rows.len() as f64;
+        let result = SqlResultMsg::new(columns, rows);
+        let lines = vec![
+            format!("cpu {merge_cost}"),
+            format!("reply {} rows, {}B", result.rows.len(), result.bytes),
+        ];
+        (lines, result)
+    }
+
+    #[test]
+    fn a_single_answer_is_forwarded_and_several_are_merged_as_before() {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE cpuload (entity TEXT PRIMARY KEY, value REAL, seq INT)")
+            .unwrap();
+        let mut result = |rows: u32| -> Option<Payload> {
+            db.execute("DELETE FROM cpuload").unwrap();
+            for e in 0..rows {
+                db.execute(&format!(
+                    "INSERT INTO cpuload VALUES ('e{e}', {}.5, {rows})",
+                    e * 7
+                ))
+                .unwrap();
+            }
+            let r = db.execute("SELECT * FROM cpuload").unwrap();
+            Some(Rc::new(SqlResultMsg::new(r.columns, r.rows)))
+        };
+        let (three, five, eight) = (result(3), result(5), result(8));
+        // A producer that failed its query answers with no columns.
+        let no_columns: Option<Payload> = Some(Rc::new(SqlResultMsg::new(vec![], vec![])));
+        let not_a_result: Option<Payload> = Some(Rc::new(()));
+        let cases: [(&str, Vec<Option<Payload>>); 7] = [
+            ("one producer", vec![five.clone()]),
+            (
+                "three producers",
+                vec![three.clone(), five.clone(), eight.clone()],
+            ),
+            (
+                "one of three failed",
+                vec![three.clone(), None, eight.clone()],
+            ),
+            ("two of three failed", vec![None, eight.clone(), None]),
+            (
+                "first reply without columns",
+                vec![no_columns.clone(), five.clone(), three.clone()],
+            ),
+            (
+                "only a reply without columns",
+                vec![None, no_columns.clone()],
+            ),
+            (
+                "one result set beside a stray reply",
+                vec![not_a_result, three.clone()],
+            ),
+        ];
+        for (case, replies) in cases {
+            let (lines, reply) = merged(&replies);
+            let (expect, by_copy) = merged_by_copy(&replies);
+            assert_eq!(lines, expect, "{case}");
+            let answered: Vec<_> = replies
+                .iter()
+                .flatten()
+                .filter(|p| p.is::<SqlResultMsg>())
+                .collect();
+            if let [only] = answered[..] {
+                assert!(Rc::ptr_eq(&reply, only), "{case}: forwarded as it stands");
+            }
+            let reply = reply.downcast_ref::<SqlResultMsg>().unwrap();
+            assert_eq!(reply.columns, by_copy.columns, "{case}");
+            assert!(reply
+                .rows
+                .iter()
+                .zip(&by_copy.rows)
+                .all(|(a, b)| Rc::ptr_eq(a, b)));
+        }
     }
 
     #[test]

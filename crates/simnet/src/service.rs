@@ -40,9 +40,8 @@ pub type LockKey = SlabKey;
 /// The contract: a fresh message is `Rc::new(value)` at the call site, and
 /// a message that does not change is built once and sent as `Rc::clone`.
 /// A receiver borrows: `Rc::downcast` and `match &*msg`, never a copy to
-/// own what it only reads.  A receiver that must own a reply its sender
-/// gave away (a merge that moves the rows out) takes it with
-/// `Rc::try_unwrap`, and copies only when the sender kept a clone.
+/// own what it only reads.  A reply passed on unchanged is passed on as
+/// the same `Rc`; the sender may have kept a clone to answer with again.
 pub type Payload = Rc<dyn Any>;
 
 /// One resource-demand step of a plan.
