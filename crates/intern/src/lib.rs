@@ -134,15 +134,6 @@ impl AsRef<str> for Sym {
     }
 }
 
-impl std::borrow::Borrow<str> for Sym {
-    // Only sound for *ordered* containers: `Ord` matches `str`'s, but
-    // `Hash` is by id, so a `HashMap<Sym, _>` must be probed with
-    // `Sym` keys, never through this impl.
-    fn borrow(&self) -> &str {
-        self.as_str()
-    }
-}
-
 impl PartialOrd for Sym {
     fn partial_cmp(&self, other: &Sym) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
@@ -150,6 +141,7 @@ impl PartialOrd for Sym {
 }
 
 impl Ord for Sym {
+    #[inline]
     fn cmp(&self, other: &Sym) -> std::cmp::Ordering {
         if self.0 == other.0 {
             return std::cmp::Ordering::Equal;
@@ -247,8 +239,6 @@ mod tests {
         }
         let keys: Vec<&str> = m.keys().map(|s| s.as_str()).collect();
         assert_eq!(keys, ["aa", "b", "c", "x"]);
-        // Ordered lookup through Borrow<str>.
-        assert_eq!(m.get("aa"), m.get(&intern("aa")));
     }
 
     #[test]

@@ -10,10 +10,16 @@
 //! re-running a provider, a GIIS re-merging a pulled subtree) mostly
 //! [`Dit::upsert`] entries identical to the stored ones; those writes
 //! leave the generation alone, so results memoised on it stay valid.
+//!
+//! `add`, `add_with_parents` and `upsert` share one insert path: a
+//! parent check, one entry-map walk that finds the DN absent and inserts
+//! it, and the child-set insert (an `upsert` of a stored DN ends at its
+//! lookup).
 
 use crate::dn::Dn;
 use crate::entry::Entry;
 use crate::filter::Filter;
+use std::collections::btree_map::Entry as Slot;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -102,64 +108,57 @@ impl Dit {
 
     /// Insert a new entry; its parent must already exist.
     pub fn add(&mut self, entry: Entry) -> Result<(), DitError> {
-        let dn = entry.dn.clone();
-        if !dn.is_under(&self.suffix) {
-            return Err(DitError::NotUnderSuffix(dn));
-        }
-        if self.entries.contains_key(&dn) {
-            return Err(DitError::Duplicate(dn));
-        }
-        let parent = dn.parent().expect("entry under suffix has a parent");
-        if !self.entries.contains_key(&parent) {
-            return Err(DitError::NoParent(dn));
-        }
-        self.children.entry(parent).or_default().insert(dn.clone());
-        self.entries.insert(dn, entry);
-        self.generation += 1;
-        Ok(())
+        self.insert(entry, false)
     }
 
     /// Insert, creating any missing intermediate entries as placeholders.
     pub fn add_with_parents(&mut self, entry: Entry) -> Result<(), DitError> {
+        self.insert(entry, true)
+    }
+
+    /// Replace an existing entry's attributes (same DN), or insert it as
+    /// [`Dit::add_with_parents`] does.  Re-announcing an entry equal to
+    /// the stored one changes nothing, not even the generation.
+    pub fn upsert(&mut self, entry: Entry) -> Result<(), DitError> {
+        let Some(slot) = self.entries.get_mut(&entry.dn) else {
+            return self.insert(entry, true);
+        };
+        // Pointer first: a copy-on-write clone of the stored entry (a
+        // provider's own copy, a pulled GRIS reply) shares its
+        // attributes, so the deep compare is rare.
+        if !slot.shares_attrs_with(&entry) && *slot != entry {
+            *slot = entry;
+            self.generation += 1;
+        }
+        Ok(())
+    }
+
+    /// The one insert path.  `with_parents` makes a missing parent first,
+    /// by this same path, up to the first one present; the suffix itself
+    /// is never made.
+    fn insert(&mut self, entry: Entry, with_parents: bool) -> Result<(), DitError> {
         let dn = entry.dn.clone();
         if !dn.is_under(&self.suffix) {
             return Err(DitError::NotUnderSuffix(dn));
         }
-        // Build the chain of missing ancestors (closest to suffix first).
-        let mut chain = Vec::new();
-        let mut cur = dn.parent();
-        while let Some(p) = cur {
-            if p == self.suffix || self.entries.contains_key(&p) {
-                break;
-            }
-            chain.push(p.clone());
-            cur = p.parent();
-        }
-        for p in chain.into_iter().rev() {
-            let mut placeholder = Entry::new(p.clone());
+        let parent = dn.parent().expect("entry under suffix has a parent");
+        let mut has_parent = self.entries.contains_key(&parent);
+        if !has_parent && with_parents && parent != self.suffix {
+            let mut placeholder = Entry::new(parent.clone());
             placeholder.add("objectclass", "top");
-            self.add(placeholder)?;
+            self.insert(placeholder, true)?;
+            has_parent = true;
         }
-        self.add(entry)
-    }
-
-    /// Replace an existing entry's attributes (same DN), or insert it.
-    /// Re-announcing an entry equal to the stored one changes nothing,
-    /// not even the generation.
-    pub fn upsert(&mut self, entry: Entry) -> Result<(), DitError> {
-        match self.entries.get_mut(&entry.dn) {
-            Some(slot) => {
-                // Pointer first: a copy-on-write clone of the stored
-                // entry (a provider's own copy, a pulled GRIS reply)
-                // shares its attribute map, so the deep compare is rare.
-                if !slot.shares_attrs_with(&entry) && *slot != entry {
-                    *slot = entry;
-                    self.generation += 1;
-                }
-                Ok(())
-            }
-            None => self.add_with_parents(entry),
+        let Slot::Vacant(slot) = self.entries.entry(dn.clone()) else {
+            return Err(DitError::Duplicate(dn));
+        };
+        if !has_parent {
+            return Err(DitError::NoParent(dn));
         }
+        slot.insert(entry);
+        self.children.entry(parent).or_default().insert(dn);
+        self.generation += 1;
+        Ok(())
     }
 
     /// Remove an entry and its whole subtree; returns how many entries

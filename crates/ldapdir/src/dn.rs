@@ -31,9 +31,10 @@ impl fmt::Display for DnError {
 
 impl std::error::Error for DnError {}
 
-/// Lowercase only when needed; DN components flowing through the query
-/// path are lowercase already.
-fn lc(s: &str) -> Cow<'_, str> {
+/// Lowercase only when needed: DN components and attribute names
+/// flowing through the query path are lowercase already, so the common
+/// case does not allocate.
+pub(crate) fn lc(s: &str) -> Cow<'_, str> {
     if s.bytes().any(|b| b.is_ascii_uppercase()) {
         Cow::Owned(s.to_ascii_lowercase())
     } else {
@@ -43,8 +44,9 @@ fn lc(s: &str) -> Cow<'_, str> {
 
 /// One `type=value` component.  Both sides are lowercased interned
 /// symbols: equality and hashing compare symbol ids, ordering is the
-/// strings' order, read from the table's kept ranks (see `gintern`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// strings' order (type first, then value), read from the table's kept
+/// ranks (see `gintern`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Rdn {
     /// Lowercased attribute type.
     pub attr: Sym,
@@ -56,23 +58,9 @@ impl Rdn {
     /// Intern a component, lowercasing as needed.
     pub fn new(attr: &str, value: &str) -> Rdn {
         Rdn {
-            attr: gintern::intern(lc(attr).as_ref()),
-            value: gintern::intern(lc(value).as_ref()),
+            attr: gintern::intern(&lc(attr)),
+            value: gintern::intern(&lc(value)),
         }
-    }
-}
-
-impl PartialOrd for Rdn {
-    fn partial_cmp(&self, other: &Rdn) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Rdn {
-    fn cmp(&self, other: &Rdn) -> std::cmp::Ordering {
-        self.attr
-            .cmp(&other.attr)
-            .then_with(|| self.value.cmp(&other.value))
     }
 }
 

@@ -1,88 +1,113 @@
 //! Directory entries: DN plus multi-valued attributes.
 //!
-//! Attribute names are interned [`Sym`]s and the attribute map lives
-//! behind an `Rc`, so `Entry::clone` — which result assembly runs once
-//! per hit per query — allocates nothing: search results, caches and
-//! merge buffers all share one attribute map per stored entry.
-//! Mutators go through `Rc::make_mut`, i.e. copy-on-write: editing an
-//! entry that shares its attributes with a cached search result splits
-//! the storage instead of corrupting the snapshot.
-//!
-//! `Sym` keys order as their strings do, so iteration and
-//! rendering stay byte-identical to the `BTreeMap<String, _>` layout
-//! they replaced.
+//! Attribute names are interned [`Sym`]s in a `Vec` kept in the names'
+//! string order, so iteration and rendering match the `BTreeMap<String,
+//! _>` they replaced byte for byte.  An entry has a handful of them:
+//! finding one by `Sym` is a scan comparing `u32`s, and the `&str` API
+//! resolves its name once through [`gintern::lookup`].  The list keeps
+//! its LDIF byte count beside it, so [`Entry::wire_size`] adds two
+//! numbers (DESIGN §6g, "Wire accounting").  Both sit behind one `Rc`:
+//! `Entry::clone`, run once per hit per query, allocates nothing, and
+//! mutators go through `Rc::make_mut` (copy-on-write), so editing an
+//! entry never changes a cached search result that shares it.
 
-use crate::dn::Dn;
+use crate::dn::{lc, Dn};
 use gintern::Sym;
-use std::borrow::Cow;
-use std::collections::BTreeMap;
 use std::rc::Rc;
-
-/// Lowercase an attribute name only when it needs it.  Filter-derived and
-/// merge-path names are already lowercase, so the common lookup does not
-/// allocate.
-fn lower(attr: &str) -> Cow<'_, str> {
-    if attr.bytes().any(|b| b.is_ascii_uppercase()) {
-        Cow::Owned(attr.to_ascii_lowercase())
-    } else {
-        Cow::Borrowed(attr)
-    }
-}
 
 /// An LDAP entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Entry {
     pub dn: Dn,
-    /// Lowercased attribute type -> values (insertion order preserved).
     /// Shared between clones; mutated copy-on-write.
-    attrs: Rc<BTreeMap<Sym, Vec<String>>>,
+    attrs: Rc<Attrs>,
+}
+
+/// The attributes of an entry.  `bytes` is derived from `list`, and
+/// compared first: unequal sizes settle most unequal entries.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Attrs {
+    /// Σ over values of `attr.len() + value.len() + 3` (`"attr: value\n"`).
+    bytes: usize,
+    /// Lowercased attribute type -> values (insertion order preserved),
+    /// sorted by the types' strings.
+    list: Vec<(Sym, Vec<String>)>,
+}
+
+impl Attrs {
+    /// The values of `key`, created empty if absent.
+    fn slot(&mut self, key: Sym) -> &mut Vec<String> {
+        let i = self.list.binary_search_by(|(k, _)| k.cmp(&key));
+        let i = i.unwrap_or_else(|i| {
+            self.list.insert(i, (key, Vec::new()));
+            i
+        });
+        &mut self.list[i].1
+    }
+
+    /// The LDIF bytes of `values` under a name `name` bytes long.
+    fn lines(name: usize, values: &[String]) -> usize {
+        values.iter().map(|v| name + v.len() + 3).sum()
+    }
 }
 
 impl Entry {
     pub fn new(dn: Dn) -> Self {
         Entry {
             dn,
-            attrs: Rc::new(BTreeMap::new()),
+            attrs: Rc::default(),
         }
     }
 
     /// Add a value to an attribute (duplicates allowed, as in slapd with
     /// permissive schema checking).
     pub fn add(&mut self, attr: &str, value: impl Into<String>) -> &mut Self {
-        let key = gintern::intern(lower(attr).as_ref());
+        let key = gintern::intern(&lc(attr));
+        let value = value.into();
         let attrs = Rc::make_mut(&mut self.attrs);
-        attrs.entry(key).or_default().push(value.into());
+        attrs.bytes += attr.len() + value.len() + 3;
+        attrs.slot(key).push(value);
         self
     }
 
     /// Replace all values of an attribute.
     pub fn put(&mut self, attr: &str, value: impl Into<String>) -> &mut Self {
-        let key = gintern::intern(lower(attr).as_ref());
+        let key = gintern::intern(&lc(attr));
+        let value = value.into();
+        let added = attr.len() + value.len() + 3;
         let attrs = Rc::make_mut(&mut self.attrs);
-        let vs = attrs.entry(key).or_default();
+        let vs = attrs.slot(key);
+        let gone = Attrs::lines(attr.len(), vs);
         vs.clear();
-        vs.push(value.into());
+        vs.push(value);
+        attrs.bytes = attrs.bytes + added - gone;
         self
     }
 
     /// Remove an attribute entirely.
     pub fn remove(&mut self, attr: &str) -> bool {
-        // Lookup first: don't split shared storage to remove nothing.
-        if !self.has_attr(attr) {
+        let Some(key) = gintern::lookup(&lc(attr)) else {
             return false;
-        }
-        Rc::make_mut(&mut self.attrs)
-            .remove(lower(attr).as_ref() as &str)
-            .is_some()
+        };
+        // Look first: don't split shared storage to remove nothing.
+        let Some(i) = self.attrs.list.iter().position(|(k, _)| *k == key) else {
+            return false;
+        };
+        let attrs = Rc::make_mut(&mut self.attrs);
+        attrs.bytes -= Attrs::lines(attr.len(), &attrs.list.remove(i).1);
+        true
     }
 
     /// All values of an attribute.
     pub fn get(&self, attr: &str) -> &[String] {
-        // Sym orders like its string, so the map is searchable by &str
-        // without interning the probe.
-        self.attrs
-            .get(lower(attr).as_ref() as &str)
-            .map_or(&[], Vec::as_slice)
+        gintern::lookup(&lc(attr)).map_or(&[], |key| self.values(key))
+    }
+
+    /// All values of the (lowercase) attribute type `key`; empty when
+    /// the entry does not hold it (a held type has at least one value).
+    pub(crate) fn values(&self, key: Sym) -> &[String] {
+        let found = self.attrs.list.iter().find(|(k, _)| *k == key);
+        found.map_or(&[], |(_, vs)| vs.as_slice())
     }
 
     /// First value of an attribute.
@@ -91,7 +116,7 @@ impl Entry {
     }
 
     pub fn has_attr(&self, attr: &str) -> bool {
-        self.attrs.contains_key(lower(attr).as_ref() as &str)
+        !self.get(attr).is_empty()
     }
 
     /// Does any value of `attr` equal `value` case-insensitively?
@@ -101,30 +126,25 @@ impl Entry {
 
     /// Iterate `(attr, values)` in sorted attribute order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &[String])> {
-        self.attrs.iter().map(|(k, v)| (k.as_str(), v.as_slice()))
+        let list = self.attrs.list.iter();
+        list.map(|(k, v)| (k.as_str(), v.as_slice()))
     }
 
     /// Number of attribute types.
     pub fn attr_count(&self) -> usize {
-        self.attrs.len()
+        self.attrs.list.len()
     }
 
-    /// Do `self` and `other` share one attribute map (clone that has
+    /// Do `self` and `other` share one attribute list (clone that has
     /// not been split by a copy-on-write mutation)?
     pub fn shares_attrs_with(&self, other: &Entry) -> bool {
         Rc::ptr_eq(&self.attrs, &other.attrs)
     }
 
-    /// Approximate serialized size in bytes (LDIF length), used for the
-    /// simulated wire cost of returning this entry.
+    /// Serialized size in bytes (LDIF length), used for the simulated
+    /// wire cost of returning this entry.
     pub fn wire_size(&self) -> u64 {
-        let mut n = self.dn.display_len() + 5;
-        for (a, vs) in self.iter() {
-            for v in vs {
-                n += a.len() + v.len() + 3;
-            }
-        }
-        n as u64
+        (self.dn.display_len() + 5 + self.attrs.bytes) as u64
     }
 
     /// `self.project(attrs).wire_size()` computed without materializing
@@ -133,14 +153,9 @@ impl Entry {
     /// double-count in both forms).  Accepts any string-ish slice
     /// (`&[&str]`, `&[String]`, `&[Sym]`, ...).
     pub fn projected_wire_size<S: AsRef<str>>(&self, attrs: &[S]) -> u64 {
-        let mut n = self.dn.display_len() + 5;
-        for a in attrs {
-            let a = a.as_ref();
-            for v in self.get(a) {
-                n += a.len() + v.len() + 3;
-            }
-        }
-        n as u64
+        let lines = attrs.iter().map(|a| a.as_ref());
+        let lines: usize = lines.map(|a| Attrs::lines(a.len(), self.get(a))).sum();
+        (self.dn.display_len() + 5 + lines) as u64
     }
 
     /// LDAP attribute selection: a copy of this entry keeping only the

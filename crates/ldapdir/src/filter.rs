@@ -4,8 +4,13 @@
 //! `(a=v)` and presence `(a=*)`; value matching is case-insensitive.
 //! Substring (`(a=x*y)`), ordering (`(a>=v)`, `(a<=v)`) and approximate
 //! matches are a [`FilterError`], never read as an equality.
+//! Names bind at parse: an item's attribute type is interned, lowercase,
+//! so [`Filter::matches`] compares symbol ids and never touches the
+//! string table.  Like a [`Sym`], a filter belongs to its thread.
 
+use crate::dn::lc;
 use crate::entry::Entry;
+use gintern::Sym;
 use std::fmt;
 
 /// Filter parse error.
@@ -26,10 +31,10 @@ pub enum Filter {
     And(Vec<Filter>),
     Or(Vec<Filter>),
     Not(Box<Filter>),
-    /// `(attr=value)`
-    Eq(String, String),
-    /// `(attr=*)`
-    Present(String),
+    /// `(attr=value)`, both lowercase.
+    Eq(Sym, String),
+    /// `(attr=*)`, lowercase.
+    Present(Sym),
 }
 
 impl Filter {
@@ -45,7 +50,7 @@ impl Filter {
 
     /// The objectclass=* match-everything filter.
     pub fn any() -> Filter {
-        Filter::Present("objectclass".into())
+        Filter::Present(gintern::intern("objectclass"))
     }
 
     /// Does `entry` satisfy this filter?
@@ -54,8 +59,8 @@ impl Filter {
             Filter::And(fs) => fs.iter().all(|f| f.matches(entry)),
             Filter::Or(fs) => fs.iter().any(|f| f.matches(entry)),
             Filter::Not(f) => !f.matches(entry),
-            Filter::Eq(a, v) => entry.has_value(a, v),
-            Filter::Present(a) => entry.has_attr(a),
+            Filter::Eq(a, v) => entry.values(*a).iter().any(|x| x.eq_ignore_ascii_case(v)),
+            Filter::Present(a) => !entry.values(*a).is_empty(),
         }
     }
 
@@ -184,7 +189,7 @@ fn parse_item(body: &str) -> Result<Filter, FilterError> {
     };
     let (a, v) = (a.trim(), v.trim());
     check_attr(a)?;
-    let attr = a.to_ascii_lowercase();
+    let attr = gintern::intern(&lc(a));
     if v == "*" {
         return Ok(Filter::Present(attr));
     }

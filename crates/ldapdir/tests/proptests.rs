@@ -1,12 +1,15 @@
 //! Property-based tests for the LDAP directory substrate.
 //!
-//! Two certificates stand in for the implementations the fast paths
+//! Three certificates stand in for the implementations the fast paths
 //! replaced: an `Entry` behaves like a `BTreeMap<String, Vec<String>>` of
-//! lowercased attribute names, and an indexed DIT search returns what a
-//! scan of every entry keeps.  The three text parsers — filter, DN and
-//! LDIF — answer any input with a value or a typed error, never a panic.
+//! lowercased attribute names, an indexed DIT search returns what a scan
+//! of every entry keeps under a filter read over the entry's strings, and
+//! any sequence of DIT writes does to the tree what it does to a map of
+//! DN component strings.  The three text parsers — filter, DN and LDIF —
+//! answer any input with a value or a typed error, never a panic.
 
-use ldapdir::{parse_ldif, Dit, Dn, Entry, Filter, Scope};
+use gintern::intern;
+use ldapdir::{parse_ldif, Dit, DitError, Dn, Entry, Filter, Scope};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -16,8 +19,8 @@ fn arb_dn_component() -> impl Strategy<Value = (String, String)> {
 
 fn arb_filter() -> impl Strategy<Value = Filter> {
     let leaf = prop_oneof![
-        ("[a-z][a-z0-9-]{0,5}", "[a-z0-9]{1,6}").prop_map(|(a, v)| Filter::Eq(a, v)),
-        "[a-z][a-z0-9-]{0,5}".prop_map(Filter::Present),
+        ("[a-z][a-z0-9-]{0,5}", "[a-z0-9]{1,6}").prop_map(|(a, v)| Filter::Eq(intern(&a), v)),
+        "[a-z][a-z0-9-]{0,5}".prop_map(|a| Filter::Present(intern(&a))),
     ];
     leaf.prop_recursive(3, 24, 3, |inner| {
         prop_oneof![
@@ -166,6 +169,69 @@ proptest! {
     }
 }
 
+proptest! {
+    /// Every write agrees with the map model on its `Ok`/`Err` (variant
+    /// and DN), and after it on `len`, the entries in DN order with their
+    /// attributes, and whether the generation moved.
+    #[test]
+    fn dit_writes_match_map_model(ops in proptest::collection::vec(arb_write(), 0..48)) {
+        let mut dit = Dit::new(Dn::parse("o=grid").unwrap());
+        let mut model = Tree::new();
+        model.insert(vec![comp("o", "grid")], vec![comp("objectclass", "top")]);
+        for op in &ops {
+            let before = dit.generation();
+            let (got, want) = match op {
+                Write::Add(dn, attrs) => {
+                    (dit.add(entry(dn, attrs)).map(drop), model_add(&mut model, dn, attrs, false))
+                }
+                Write::AddWithParents(dn, attrs) => (
+                    dit.add_with_parents(entry(dn, attrs)).map(drop),
+                    model_add(&mut model, dn, attrs, true),
+                ),
+                Write::Upsert(dn, attrs) => {
+                    (dit.upsert(entry(dn, attrs)).map(drop), model_upsert(&mut model, dn, attrs))
+                }
+                Write::Reannounce(i, copy) => {
+                    // A stored entry again: shared (the pointer path) or
+                    // rebuilt from its strings (the deep compare).
+                    let Some(stored) = dit.iter().nth(i % dit.len().max(1)).cloned() else {
+                        continue;
+                    };
+                    let key = key_of(&stored.dn);
+                    let attrs = model[&key].clone();
+                    let e = if *copy { entry(&key, &attrs) } else { stored };
+                    (dit.upsert(e).map(drop), model_upsert(&mut model, &key, &attrs))
+                }
+                Write::Remove(dn) => {
+                    (dit.remove_subtree(&dn_of(dn)).map(drop), model_remove(&mut model, dn))
+                }
+            };
+            let got = got.map_err(|e| match e {
+                DitError::NotUnderSuffix(dn) => ("NotUnderSuffix", key_of(&dn)),
+                DitError::NoParent(dn) => ("NoParent", key_of(&dn)),
+                DitError::Duplicate(dn) => ("Duplicate", key_of(&dn)),
+                DitError::NoSuchEntry(dn) => ("NoSuchEntry", key_of(&dn)),
+            });
+            let moved = *want.as_ref().unwrap_or(&false);
+            prop_assert_eq!(got, want.map(drop), "{:?}", op);
+            prop_assert_eq!(dit.generation() != before, moved, "{:?}", op);
+            prop_assert_eq!(dit.len(), model.len());
+            let stored: Vec<(Key, Lines)> = dit
+                .iter()
+                .map(|e| {
+                    let attrs = e.iter().flat_map(|(a, vs)| vs.iter().map(move |v| comp(a, v)));
+                    (key_of(&e.dn), attrs.collect())
+                })
+                .collect();
+            let modelled: Vec<(Key, Lines)> = model
+                .iter()
+                .map(|(k, attrs)| (k.clone(), sorted(attrs)))
+                .collect();
+            prop_assert_eq!(stored, modelled);
+        }
+    }
+}
+
 // ----------------------------------------------------------------------
 // Hostile text
 // ----------------------------------------------------------------------
@@ -263,8 +329,8 @@ fn assert_same(entry: &Entry, model: &Attrs) {
 
 fn arb_tree_filter() -> impl Strategy<Value = Filter> {
     let leaf = prop_oneof![
-        ("[a-c]", "[a-z0-9]{1,4}").prop_map(|(a, v)| Filter::Eq(a, v)),
-        "[a-c]".prop_map(Filter::Present),
+        ("[a-c]", "[a-z0-9]{1,4}").prop_map(|(a, v)| Filter::Eq(intern(&a), v)),
+        "[a-c]".prop_map(|a| Filter::Present(intern(&a))),
     ];
     leaf.prop_recursive(3, 16, 3, |inner| {
         prop_oneof![
@@ -315,8 +381,26 @@ fn search_reference<'a>(dit: &'a Dit, base: &Dn, scope: Scope, filter: &Filter) 
             Scope::One => e.dn.is_child_of(base),
             Scope::Sub => e.dn.is_under(base),
         })
-        .filter(|e| filter.matches(e))
+        .filter(|e| holds(filter, e))
         .collect()
+}
+
+/// `filter` read over the strings `Entry::iter` lists: an attribute is
+/// found by its name's text, so this shares no code with
+/// `Filter::matches`, which compares the symbols bound at parse.
+fn holds(filter: &Filter, e: &Entry) -> bool {
+    let values = |name: &str| {
+        e.iter()
+            .find(|(a, _)| *a == name)
+            .map_or(&[][..], |(_, vs)| vs)
+    };
+    match filter {
+        Filter::And(fs) => fs.iter().all(|f| holds(f, e)),
+        Filter::Or(fs) => fs.iter().any(|f| holds(f, e)),
+        Filter::Not(f) => !holds(f, e),
+        Filter::Eq(a, v) => values(a.as_str()).iter().any(|x| x.eq_ignore_ascii_case(v)),
+        Filter::Present(a) => !values(a.as_str()).is_empty(),
+    }
 }
 
 fn assert_same_search(dit: &Dit, base: &Dn, scope: Scope, filter: &Filter) {
@@ -333,4 +417,156 @@ fn assert_same_search(dit: &Dit, base: &Dn, scope: Scope, filter: &Filter) {
         fast, slow,
         "search diverged for scope {scope:?} filter {filter}"
     );
+}
+
+// ----------------------------------------------------------------------
+// DIT writes against a map
+// ----------------------------------------------------------------------
+
+/// A DN as its `(type, value)` strings, most specific first.  Ordered as
+/// a `Vec` of string pairs, which is the order `Dn` promises.
+type Key = Vec<(String, String)>;
+/// An entry's `(type, value)` lines in insertion order.
+type Lines = Vec<(String, String)>;
+/// The model: every stored DN, in DN order, with its attribute lines.
+type Tree = BTreeMap<Key, Lines>;
+
+/// What the model answers a write: `Ok(moved)` or the error's variant
+/// and DN.
+type Answer = Result<bool, (&'static str, Key)>;
+
+#[derive(Debug, Clone)]
+enum Write {
+    Add(Key, Lines),
+    AddWithParents(Key, Lines),
+    Upsert(Key, Lines),
+    /// Upsert the `i`-th stored entry again; `true`: a fresh copy.
+    Reannounce(usize, bool),
+    Remove(Key),
+}
+
+fn comp(a: &str, v: &str) -> (String, String) {
+    (a.to_string(), v.to_string())
+}
+
+/// DNs of depth 0 to 3 over a two-letter alphabet, mostly under the
+/// suffix `o=grid`, so writes collide, nest and miss their parents.
+fn arb_key() -> impl Strategy<Value = Key> {
+    let rdns = proptest::collection::vec(("[ab]", "[12]"), 0..4);
+    let top = prop_oneof![
+        Just(vec![comp("o", "grid")]),
+        Just(vec![comp("o", "grid")]),
+        Just(vec![comp("o", "grid")]),
+        Just(vec![comp("o", "else")]),
+        Just(vec![]),
+    ];
+    (rdns, top).prop_map(|(rdns, top)| rdns.into_iter().chain(top).collect())
+}
+
+fn arb_attrs() -> impl Strategy<Value = Lines> {
+    proptest::collection::vec(("[ab]", "[12]"), 0..3)
+}
+
+fn arb_write() -> impl Strategy<Value = Write> {
+    prop_oneof![
+        (arb_key(), arb_attrs()).prop_map(|(k, a)| Write::Add(k, a)),
+        (arb_key(), arb_attrs()).prop_map(|(k, a)| Write::AddWithParents(k, a)),
+        (arb_key(), arb_attrs()).prop_map(|(k, a)| Write::Upsert(k, a)),
+        (0..64usize, any::<bool>()).prop_map(|(i, copy)| Write::Reannounce(i, copy)),
+        arb_key().prop_map(Write::Remove),
+    ]
+}
+
+fn dn_of(key: &Key) -> Dn {
+    let text: Vec<String> = key.iter().map(|(a, v)| format!("{a}={v}")).collect();
+    Dn::parse(&text.join(", ")).unwrap()
+}
+
+fn key_of(dn: &Dn) -> Key {
+    let text = dn.to_string();
+    let rdns = text.split(", ").filter(|r| !r.is_empty());
+    rdns.map(|r| {
+        let (a, v) = r.split_once('=').unwrap();
+        comp(a, v)
+    })
+    .collect()
+}
+
+fn entry(key: &Key, attrs: &Lines) -> Entry {
+    let mut e = Entry::new(dn_of(key));
+    for (a, v) in attrs {
+        e.add(a, v.clone());
+    }
+    e
+}
+
+/// Attribute lines as `Entry::iter` lists them: by name, values in
+/// insertion order.
+fn sorted(attrs: &Lines) -> Lines {
+    let mut out = attrs.clone();
+    out.sort_by(|x, y| x.0.cmp(&y.0));
+    out
+}
+
+fn is_under(key: &Key, top: &Key) -> bool {
+    key.len() >= top.len() && key[key.len() - top.len()..] == top[..]
+}
+
+/// `add` (`with_parents == false`) and `add_with_parents`, as slapd
+/// does them: the missing ancestors below the suffix are made as
+/// `objectclass: top` placeholders, the one nearest the suffix first,
+/// and each needs its own parent.
+fn model_add(tree: &mut Tree, key: &Key, attrs: &Lines, with_parents: bool) -> Answer {
+    let suffix = vec![comp("o", "grid")];
+    if !is_under(key, &suffix) {
+        return Err(("NotUnderSuffix", key.clone()));
+    }
+    let mut chain = vec![key.clone()];
+    while with_parents && !chain.last().unwrap().is_empty() {
+        let parent = chain.last().unwrap()[1..].to_vec();
+        if parent == suffix || tree.contains_key(&parent) {
+            break;
+        }
+        chain.push(parent);
+    }
+    // The entry itself last; a placeholder of a stored DN cannot occur.
+    while let Some(k) = chain.pop() {
+        if !is_under(&k, &suffix) {
+            return Err(("NotUnderSuffix", k));
+        }
+        if tree.contains_key(&k) {
+            return Err(("Duplicate", k));
+        }
+        if !tree.contains_key(&k[1..]) {
+            return Err(("NoParent", k));
+        }
+        let lines = if chain.is_empty() {
+            attrs.clone()
+        } else {
+            vec![comp("objectclass", "top")]
+        };
+        tree.insert(k, lines);
+    }
+    Ok(true)
+}
+
+/// `upsert`: a stored DN is replaced only when its lines differ; a new
+/// one is `add_with_parents`.
+fn model_upsert(tree: &mut Tree, key: &Key, attrs: &Lines) -> Answer {
+    match tree.get_mut(key) {
+        Some(old) => {
+            let moved = sorted(old) != sorted(attrs);
+            *old = attrs.clone();
+            Ok(moved)
+        }
+        _ => model_add(tree, key, attrs, true),
+    }
+}
+
+fn model_remove(tree: &mut Tree, key: &Key) -> Answer {
+    if !tree.contains_key(key) {
+        return Err(("NoSuchEntry", key.clone()));
+    }
+    tree.retain(|k, _| !is_under(k, key));
+    Ok(true)
 }

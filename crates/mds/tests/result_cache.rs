@@ -14,8 +14,8 @@ use std::rc::Rc;
 
 fn arb_filter() -> impl Strategy<Value = Filter> {
     let leaf = prop_oneof![
-        ("[a-c]", "[a-z0-9]{1,4}").prop_map(|(a, v)| Filter::Eq(a, v)),
-        "[a-c]".prop_map(Filter::Present),
+        ("[a-c]", "[a-z0-9]{1,4}").prop_map(|(a, v)| Filter::Eq(gintern::intern(&a), v)),
+        "[a-c]".prop_map(|a| Filter::Present(gintern::intern(&a))),
     ];
     leaf.prop_recursive(3, 16, 3, |inner| {
         prop_oneof![
