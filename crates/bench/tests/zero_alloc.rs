@@ -338,9 +338,6 @@ fn request_lifecycle() {
     // Every message is this one payload: a message built once is cloned,
     // not re-allocated.
     let unit: Payload = Rc::new(());
-    // Work and latencies are deliberately irregular: a CPU task that
-    // completes at the very instant another is submitted is lost (ROADMAP
-    // item 1b) and would leave its user hanging.
     let cfg = ServiceConfig {
         setup: SetupCost {
             server_cpu_us: 47.3,
@@ -412,8 +409,6 @@ fn model_query() {
             Box::new(move |_rng| (Rc::clone(&msg), bytes))
         }
     };
-    // Irregular think times: a CPU completion at the very instant of
-    // another submit is lost (ROADMAP item 1b) and hangs its user.
     let config = UserConfig {
         think: SimDuration::from_micros(9_713),
         ..UserConfig::default()
@@ -496,8 +491,6 @@ fn rgma_consumer_query() {
         let query = Rc::clone(&query);
         Box::new(move |_rng| (Rc::clone(&query), bytes))
     };
-    // Irregular think times: a CPU completion at the very instant of
-    // another submit is lost (ROADMAP item 1b) and hangs its user.
     let config = UserConfig {
         think: SimDuration::from_micros(9_713),
         ..UserConfig::default()

@@ -1622,7 +1622,7 @@ mod tests {
     /// the cache address: a typo in the table — or a new spec field that
     /// leaks into the canonical text of a spec that does not use it —
     /// must fail here, not as changed CSV bytes or a cold cache.  The
-    /// fingerprints are the ones every `gridmon-cache-v4` cache holds.
+    /// fingerprints are the ones every `gridmon-cache-v4` and `-v5` cache holds.
     #[test]
     fn catalogue_ids_names_and_fingerprints_are_pinned() {
         #[rustfmt::skip]

@@ -19,10 +19,12 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Cache schema version: bump when the encoded record or the digest
-/// recipe changes, so stale files can never be misread.  v4 folds the
+/// recipe changes, so stale files can never be misread, or when the
+/// simulation itself changes what a point measures.  v4 folds the
 /// scenario fingerprint (the canonical deployed topology) into every
-/// address.
-const CACHE_SCHEMA: &str = "gridmon-cache-v4";
+/// address; v5 marks the CPU step that no longer loses a task finishing
+/// at the instant of another submit.
+const CACHE_SCHEMA: &str = "gridmon-cache-v5";
 
 /// A schedulable experiment point: `spec` compiled at `x`, under the
 /// identity `key`.

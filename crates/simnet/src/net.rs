@@ -332,10 +332,6 @@ pub struct Net {
     /// Observability sink: tracer + metrics registry.  Defaults to off;
     /// harnesses install a live [`Obs`] before running when requested.
     pub obs: Obs,
-    /// CPU completions dropped on the floor (see `submit_cpu`); goes with
-    /// the defect.
-    #[doc(hidden)]
-    pub lost_cpu_completions: u64,
 }
 
 impl Net {
@@ -354,7 +350,6 @@ impl Net {
             locks: Slab::new(),
             stats,
             obs: Obs::off(),
-            lost_cpu_completions: 0,
         }
     }
 
@@ -626,8 +621,6 @@ impl Net {
         if let Some(at) = begin {
             self.phase(at, req, Phase::ClientCpu);
         }
-        // The committed trace fixtures pin `syn_flow` entered twice here.
-        self.phase(now, req, Phase::SynFlow);
         let to_node = self.service_node(to);
         if oneway {
             self.phase(now, req, Phase::ReqFlow);
@@ -1409,23 +1402,13 @@ impl Net {
         self.submit_cpu(eng, node, work_us, pack(CK_CLIENT_WORK, key));
     }
 
-    /// The one step a CPU takes when work arrives: advance to now, add
-    /// the task, re-arm the node's `CpuTick`.
+    /// The one step a CPU takes when work arrives: add the task (which
+    /// advances the accounting to now) and re-arm the node's `CpuTick`.
+    /// A task that finishes at this very instant stays in the CPU and is
+    /// collected by the re-armed tick.
     fn submit_cpu(&mut self, eng: &mut Eng, node: NodeId, work_us: f64, ticket: u64) {
         let now = eng.now();
-        let Net {
-            topo, cpus_done, ..
-        } = self;
-        let cpu = &mut topo.node_mut(node).cpu;
-        // Known defect, kept because every figure depends on it (ROADMAP
-        // item 2): a task that finishes at this very instant, its tick on
-        // the calendar behind the current event, is collected here and
-        // dropped, and whoever waits for it hangs.  `PsCpu::submit`
-        // advances the accounting itself; deleting the drain is the fix.
-        cpu.advance_into(now, cpus_done);
-        self.lost_cpu_completions += cpus_done.len() as u64;
-        cpus_done.clear();
-        cpu.submit(now, work_us, ticket);
+        self.topo.node_mut(node).cpu.submit(now, work_us, ticket);
         self.resched_cpu(eng, node);
     }
 
@@ -2461,5 +2444,51 @@ mod tests {
         eng.run_until(&mut net, SimTime::from_secs(10));
         assert_eq!(*ok2.borrow(), (2, 0), "restarted pools admit new work");
         assert_eq!(net.inflight(), 0);
+    }
+
+    /// Arms a 100 µs timer, then burns 100 µs of CPU; when the timer fires
+    /// it burns 100 µs more.  Records every wake with its time.
+    struct TimerThenCpu {
+        node: NodeId,
+        wakes: Rc<std::cell::RefCell<Vec<(u64, SimTime)>>>,
+    }
+
+    const TIMER: u64 = 0;
+    const FIRST_CPU: u64 = 1;
+    const SECOND_CPU: u64 = 2;
+
+    impl Client for TimerThenCpu {
+        fn on_start(&mut self, cx: &mut ClientCx) {
+            cx.wake_in(SimDuration::from_micros(100), TIMER);
+            cx.spend_cpu(self.node, 100.0, FIRST_CPU);
+        }
+        fn on_wake(&mut self, tag: u64, cx: &mut ClientCx) {
+            self.wakes.borrow_mut().push((tag, cx.now()));
+            if tag == TIMER {
+                cx.spend_cpu(self.node, 100.0, SECOND_CPU);
+            }
+        }
+        fn on_outcome(&mut self, _outcome: ReqOutcome, _cx: &mut ClientCx) {}
+    }
+
+    #[test]
+    fn cpu_task_finishing_at_another_submit_still_completes() {
+        // The first task finishes at t = 100 µs, the instant the timer's
+        // handler submits the second; the timer was scheduled first, so
+        // it runs before the CPU's tick.  The first task must still wake
+        // its client, from the re-armed tick.
+        let (mut net, mut eng, a, _) = two_node_net();
+        let wakes = Rc::new(std::cell::RefCell::new(Vec::new()));
+        net.add_client(Box::new(TimerThenCpu {
+            node: a,
+            wakes: wakes.clone(),
+        }));
+        net.start(&mut eng);
+        eng.run_to_completion(&mut net);
+        let tags: Vec<u64> = wakes.borrow().iter().map(|&(tag, _)| tag).collect();
+        assert_eq!(tags, [TIMER, FIRST_CPU, SECOND_CPU]);
+        let first = wakes.borrow()[1].1;
+        assert!(first <= SimTime(101), "first task done at {first:?}");
+        assert_eq!(net.live(), Live::default());
     }
 }

@@ -624,7 +624,6 @@ struct Aftermath {
     /// Outcomes delivered per submitted request.
     outcomes: Vec<u32>,
     live: Live,
-    lost_cpu_completions: u64,
     trace: Vec<TraceEvent>,
 }
 
@@ -701,7 +700,6 @@ fn run_lifecycle(case: &Case, obs: ObsMode) -> Aftermath {
     Aftermath {
         outcomes,
         live: net.live(),
-        lost_cpu_completions: net.lost_cpu_completions,
         trace,
     }
 }
@@ -713,17 +711,11 @@ proptest! {
     #[test]
     fn every_request_ends_once_and_leaks_nothing(case in arb_lifecycle_case()) {
         let plain = run_lifecycle(&case, ObsMode::OFF);
-        // Known defect (ROADMAP item 1b): about one random case in a
-        // thousand has the kernel drop a CPU completion, and whoever
-        // waits for it hangs with what it holds.  Such a case checks
-        // "at most once" and that the traced run hangs the same way.
-        let hung = plain.lost_cpu_completions > 0;
-        let ends = |n: u32| n == 1 || (hung && n == 0);
         // 1. Exactly one outcome per submitted request.
-        prop_assert!(plain.outcomes.iter().all(|&n| ends(n)), "outcomes {:?}", plain.outcomes);
+        prop_assert!(plain.outcomes.iter().all(|&n| n == 1), "outcomes {:?}", plain.outcomes);
         // 2. With the calendar drained, no request, token, waiter, flow
         //    or CPU task is left.
-        prop_assert!(hung || plain.live == Live::default(), "left over: {:?}", plain.live);
+        prop_assert_eq!(&plain.live, &Live::default(), "left over");
 
         // 3. The traced run is the same run, and every span that begins
         //    ends exactly once.
@@ -738,9 +730,9 @@ proptest! {
                 _ => {}
             }
         }
-        prop_assert!(hung || spans.len() >= case.submits.len());
+        prop_assert!(spans.len() >= case.submits.len());
         prop_assert!(
-            spans.values().all(|&(begins, ends_n)| begins == 1 && ends(ends_n)),
+            spans.values().all(|&counts| counts == (1, 1)),
             "(begins, ends) per span: {spans:?}"
         );
     }
