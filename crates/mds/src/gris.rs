@@ -15,7 +15,7 @@ use crate::provider::ProviderSpec;
 use ldapdir::{Dit, Dn, Entry};
 use simcore::{SimDuration, SimTime};
 use simnet::trace::Ev;
-use simnet::{LockKey, Payload, Plan, Service, SvcCx, SvcKey};
+use simnet::{Kept, LockKey, Payload, Plan, Service, SvcCx, SvcKey};
 use std::rc::Rc;
 
 /// CPU cost of evaluating the filter against one entry and serializing a
@@ -54,8 +54,8 @@ pub struct Gris {
     pub queries: u64,
     /// Total provider invocations (the cost caching avoids).
     pub provider_runs: u64,
-    /// Memoized search replies (see [`crate::cache`]).
-    cache: crate::cache::ResultCache,
+    /// Search replies, kept while [`Dit::generation`] stays put.
+    kept: Kept<Rc<MdsRequest>, Rc<MdsSearchResult>>,
 }
 
 impl Gris {
@@ -71,8 +71,13 @@ impl Gris {
             exec_lock: None,
             queries: 0,
             provider_runs: 0,
-            cache: crate::cache::ResultCache::new(),
+            kept: Kept::default(),
         }
+    }
+
+    /// Provider `i`, to change what its next run reports.
+    pub fn provider_mut(&mut self, i: usize) -> &mut ProviderSpec {
+        &mut self.providers[i]
     }
 
     /// Configure this GRIS to register with `giis` (call before start;
@@ -145,27 +150,29 @@ impl Service for Gris {
                 plan = plan.unlock(l);
             }
         }
-        // 2. Evaluate the search (memoized until the directory changes;
-        //    the simulated scan cost below is still charged per query).
-        let result = self.cache.get_or_compute(&self.dit, &req, |dit| {
+        // 2. Evaluate the search (kept until the directory changes; the
+        //    simulated scan cost below is still charged per query).
+        let dit = &self.dit;
+        let result = self.kept.get(&req, dit.generation(), |_| {
             let MdsRequest::Search {
                 base,
                 scope,
                 filter,
                 attrs,
             } = &*req;
-            let hits = dit.search(base, *scope, filter);
+            let hits = dit.search(base, *scope, filter).into_iter();
             let entries: Vec<Entry> = match attrs {
-                None => hits.iter().map(|&e| e.clone()).collect(),
-                Some(sel) => hits.iter().map(|&e| e.project(sel)).collect(),
+                None => hits.cloned().collect(),
+                Some(sel) => hits.map(|e| e.project(sel)).collect(),
             };
             let bytes: u64 = 64 + entries.iter().map(Entry::wire_size).sum::<u64>();
-            MdsSearchResult {
+            Rc::new(MdsSearchResult {
                 total: entries.len(),
                 bytes,
                 entries,
-            }
+            })
         });
+        let result = Rc::clone(result);
         let MdsRequest::Search { filter, .. } = &*req;
         let scan_cost = SEARCH_CPU_FIXED_US
             + SEARCH_CPU_PER_ENTRY_US * self.dit.scan_size() as f64 * filter.cost() as f64;
@@ -203,14 +210,6 @@ mod tests {
         Client, ClientCx, Eng, Net, ReqOutcome, ReqResult, RequestSpec, ServiceConfig, StatsHub,
         Topology,
     };
-
-    impl Gris {
-        /// Provider `i`, to change what its next run reports (also used
-        /// by the GIIS tests).
-        pub(crate) fn provider_mut(&mut self, i: usize) -> &mut ProviderSpec {
-            &mut self.providers[i]
-        }
-    }
 
     fn suffix() -> Dn {
         Dn::parse("mds-vo-name=local, o=grid").unwrap()

@@ -21,7 +21,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cache;
 pub mod giis;
 pub mod gris;
 pub mod proto;

@@ -3,8 +3,9 @@
 use ldapdir::{Dn, Entry, Filter, Scope};
 use simnet::SvcKey;
 
-/// A request to a GRIS or GIIS.
-#[derive(Clone, PartialEq)]
+/// A request to a GRIS or GIIS.  `Eq` lets an `Rc` of it compare by
+/// pointer first, so a kept reply is found without walking the filter.
+#[derive(Clone, PartialEq, Eq)]
 pub enum MdsRequest {
     /// An LDAP search.
     Search {
@@ -52,9 +53,9 @@ impl MdsRequest {
 ///
 /// `total` is the full hit count; for very large aggregate results the
 /// GIIS truncates the `entries` payload (the simulated wire size `bytes`
-/// still reflects every hit).  A server memoizes the whole result as an
-/// `Rc` (see [`crate::cache`]) and answers repeated identical queries
-/// with clones of it.
+/// still reflects every hit).  A server keeps the whole result as an
+/// `Rc` (a [`simnet::Kept`] answer) and answers repeated identical
+/// queries with clones of it.
 pub struct MdsSearchResult {
     pub entries: Vec<Entry>,
     pub total: usize,

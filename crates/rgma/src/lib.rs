@@ -48,9 +48,3 @@ pub const ROW_SCAN_CPU_US: f64 = 500.0;
 
 /// Fixed CPU of touching the tuple-store / registry database.
 pub const DB_FIXED_CPU_US: f64 = 20_000.0;
-
-/// Upper bound on the entries of a per-text memo (the Registry's lookup
-/// SQL per table, the ConsumerServlet's mediation per query text): a
-/// backstop against a workload that sends unbounded distinct texts.  A
-/// text that finds the memo full is answered the same way, built afresh.
-pub(crate) const MEMO_CAP: usize = 1024;

@@ -15,10 +15,10 @@
 
 use crate::producer::ProducerSpec;
 use crate::proto::{ProducerList, RgmaMsg, SqlResultMsg};
-use crate::{DB_FIXED_CPU_US, JVM_DISPATCH_CPU_US, MEMO_CAP, ROW_SCAN_CPU_US, SQL_PARSE_CPU_US};
+use crate::{DB_FIXED_CPU_US, JVM_DISPATCH_CPU_US, ROW_SCAN_CPU_US, SQL_PARSE_CPU_US};
 use relsql::{parse_stmt, Database, SqlValue, Stmt, Sym};
 use simcore::SimDuration;
-use simnet::{CallOutcome, LockKey, Payload, Plan, Service, SubCall, SvcCx, SvcKey};
+use simnet::{CallOutcome, Kept, LockKey, Payload, Plan, Service, SubCall, SvcCx, SvcKey};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -49,10 +49,10 @@ pub struct ProducerServlet {
     all_sql: Vec<String>,
     /// Per query text, the last answer: the result set, its size and the
     /// CPU it charges.  Consumers re-issue the same handful of texts and
-    /// the tables change only on a publish, which empties every answer
-    /// (keeping the texts) before it writes, so a kept result set never
-    /// holds a row the table has replaced.  At most [`MEMO_CAP`] texts.
-    answers: HashMap<String, Option<(Payload, u64, f64)>>,
+    /// the tables change only on a publish, which clears every answer
+    /// before it writes, so a kept result set never holds a row the
+    /// table has replaced.
+    answers: Kept<String, (Payload, u64, f64)>,
     producers: Vec<ProducerSpec>,
     registry: Option<SvcKey>,
     /// The servlet's tuple-store lock (registered at deploy time).
@@ -90,7 +90,7 @@ impl ProducerServlet {
             db,
             tables,
             all_sql,
-            answers: HashMap::new(),
+            answers: Kept::default(),
             producers,
             registry: None,
             db_lock: None,
@@ -121,9 +121,7 @@ impl ProducerServlet {
             return;
         };
         let entities = p.entities;
-        for answer in self.answers.values_mut() {
-            *answer = None;
-        }
+        self.answers.clear();
         self.publish_seq += 1;
         let seq = self.publish_seq;
         for e in 0..entities {
@@ -146,46 +144,37 @@ impl ProducerServlet {
     }
 
     /// The answer to `sql`: the kept one if no publish has come in since,
-    /// else the query run afresh (and kept if the memo has room).
+    /// else the query run afresh.
     fn answer(&mut self, sql: &str) -> (Payload, u64, f64) {
-        if let Some(Some(answer)) = self.answers.get(sql) {
-            return answer.clone();
-        }
-        let (result, cost) = if sql == "*ALL*" {
-            // The all-collectors query: one SELECT per table.
-            let mut total_rows = Vec::new();
-            let mut scanned = 0usize;
-            let mut cols = Vec::new();
-            for q in &self.all_sql {
-                let (r, s) = Self::run_query(&mut self.db, q);
-                scanned += s;
-                cols = r.columns;
-                total_rows.extend(r.rows);
-            }
-            let n_tables = self.producers.len();
-            let cost = JVM_DISPATCH_CPU_US
-                + (SQL_PARSE_CPU_US + DB_FIXED_CPU_US) * n_tables as f64
-                + ROW_SCAN_CPU_US * scanned as f64;
-            (SqlResultMsg::new(cols, total_rows), cost)
-        } else {
-            let (result, scanned) = Self::run_query(&mut self.db, sql);
-            let cost = JVM_DISPATCH_CPU_US
-                + SQL_PARSE_CPU_US
-                + DB_FIXED_CPU_US
-                + ROW_SCAN_CPU_US * scanned as f64;
-            (result, cost)
-        };
-        let bytes = result.bytes;
-        let answer = (Rc::new(result) as Payload, bytes, cost);
-        let room = self.answers.len() < MEMO_CAP;
-        match self.answers.get_mut(sql) {
-            Some(kept) => *kept = Some(answer.clone()),
-            None if room => {
-                self.answers.insert(sql.to_string(), Some(answer.clone()));
-            }
-            None => {}
-        }
-        answer
+        let (db, all_sql) = (&mut self.db, &self.all_sql);
+        let kept = self.answers.get(sql, 0, |_| {
+            let (result, cost) = if sql == "*ALL*" {
+                // The all-collectors query: one SELECT per table.
+                let mut total_rows = Vec::new();
+                let mut scanned = 0usize;
+                let mut cols = Vec::new();
+                for q in all_sql {
+                    let (r, s) = Self::run_query(db, q);
+                    scanned += s;
+                    cols = r.columns;
+                    total_rows.extend(r.rows);
+                }
+                let cost = JVM_DISPATCH_CPU_US
+                    + (SQL_PARSE_CPU_US + DB_FIXED_CPU_US) * all_sql.len() as f64
+                    + ROW_SCAN_CPU_US * scanned as f64;
+                (SqlResultMsg::new(cols, total_rows), cost)
+            } else {
+                let (result, scanned) = Self::run_query(db, sql);
+                let cost = JVM_DISPATCH_CPU_US
+                    + SQL_PARSE_CPU_US
+                    + DB_FIXED_CPU_US
+                    + ROW_SCAN_CPU_US * scanned as f64;
+                (result, cost)
+            };
+            let bytes = result.bytes;
+            (Rc::new(result) as Payload, bytes, cost)
+        });
+        kept.clone()
     }
 
     fn run_query(db: &mut Database, sql: &str) -> (SqlResultMsg, usize) {
@@ -343,11 +332,11 @@ enum CqStage {
 pub struct ConsumerServlet {
     registry: SvcKey,
     pending: HashMap<u64, CqStage>,
-    /// Query text -> its mediation (`None` = not a single-table SELECT).
+    /// Query text -> its mediation (`None` = not a single-table SELECT),
+    /// which depends on the text alone, so its stamp never moves.
     /// Consumers re-issue the same handful of texts, so each distinct
-    /// text is parsed and its messages built once.  At most
-    /// [`MEMO_CAP`] texts.
-    table_cache: HashMap<String, Option<Mediation>>,
+    /// text is parsed and its messages built once.
+    texts: Kept<String, Option<Mediation>>,
     next_cont: u64,
     /// Counters.
     pub queries: u64,
@@ -359,7 +348,7 @@ impl ConsumerServlet {
         ConsumerServlet {
             registry,
             pending: HashMap::new(),
-            table_cache: HashMap::new(),
+            texts: Kept::default(),
             next_cont: 0,
             queries: 0,
             mediations: 0,
@@ -381,19 +370,7 @@ impl Service for ConsumerServlet {
         // Which table does the query touch?  (Single-table SELECTs only —
         // that is all R-GMA 1.x's mediator handled well, too.)  Each
         // distinct query text is parsed once and remembered.
-        let fresh;
-        let mediation = match self.table_cache.get(sql) {
-            Some(m) => m,
-            None if self.table_cache.len() < MEMO_CAP => self
-                .table_cache
-                .entry(sql.clone())
-                .or_insert(Mediation::of(sql)),
-            None => {
-                fresh = Mediation::of(sql);
-                &fresh
-            }
-        };
-        let Some(m) = mediation else {
+        let Some(m) = self.texts.get(sql.as_str(), 0, |_| Mediation::of(sql)) else {
             let result = SqlResultMsg::new(vec![], vec![]);
             let bytes = result.bytes;
             return cx
@@ -663,55 +640,6 @@ mod tests {
         (seen, cont)
     }
 
-    #[test]
-    fn mediation_memo_is_bounded_and_answers_as_a_fresh_servlet() {
-        let key = |index| simcore::slab::SlabKey { index, gen: 0 };
-        let (registry, producer) = (key(1), key(2));
-        let mut lent = simnet::service::Lent::default();
-        let mut rng = simcore::SimRng::new(1);
-        let mut obs = simnet::Obs::off();
-        let mut cx = SvcCx::for_tests(SimTime::ZERO, key(3), &mut rng, &mut obs, &mut lent);
-        // Ask `cs` to the end: the Registry names one producer, which
-        // answers with an empty result set.
-        let mut ask = |cs: &mut ConsumerServlet, sql: &str| {
-            let query = Rc::new(RgmaMsg::ConsumerQuery { sql: sql.into() });
-            let (mut seen, mut cont) = sends(cs.handle(query, &mut cx));
-            let mut answers = [
-                Rc::new(ProducerList {
-                    producers: vec![producer],
-                    bytes: 380,
-                }) as Payload,
-                Rc::new(SqlResultMsg::new(vec![], vec![])),
-            ]
-            .into_iter();
-            while let Some(c) = cont {
-                let response = Some((answers.next().expect("two stages"), 380));
-                let mut outcomes = vec![CallOutcome { index: 0, response }];
-                let next;
-                (next, cont) = sends(cs.resume(c, &mut outcomes, &mut cx));
-                seen.extend(next);
-            }
-            seen
-        };
-        // 2 000 distinct texts, every fifth not a single-table SELECT,
-        // then the first ones again from the memo.
-        let texts: Vec<String> = (0..2_000)
-            .map(|i| match i % 5 {
-                4 => format!("DELETE FROM t{i}"),
-                _ => format!("SELECT * FROM t{i}"),
-            })
-            .collect();
-        let mut cs = ConsumerServlet::new(registry);
-        for sql in texts.iter().chain(&texts[..10]) {
-            let memo = ask(&mut cs, sql);
-            let fresh = ask(&mut ConsumerServlet::new(registry), sql);
-            assert_eq!(memo, fresh, "{sql}");
-            assert_eq!(memo.len(), if sql.starts_with("SELECT") { 6 } else { 2 });
-        }
-        assert_eq!(cs.table_cache.len(), MEMO_CAP);
-        assert!(cs.pending.is_empty());
-    }
-
     /// A ProducerServlet's answer: its CPU charge, the rows' cells and
     /// the reply's size.
     type Answer = (Vec<f64>, Vec<Vec<SqlValue>>, u64);
@@ -735,58 +663,33 @@ mod tests {
     }
 
     #[test]
-    fn kept_result_sets_match_a_fresh_servlet_and_drop_replaced_rows() {
+    fn publish_drops_replaced_rows() {
         let mut lent = simnet::service::Lent::default();
         let mut rng = simcore::SimRng::new(1);
         let mut obs = simnet::Obs::off();
         let mut cx = SvcCx::for_tests(SimTime::ZERO, SvcKey::NULL, &mut rng, &mut obs, &mut lent);
-        let texts = [
-            "SELECT * FROM cpuload",
-            "SELECT * FROM memory WHERE entity = 'e3'",
-            "*ALL*",
-            "SELECT * FROM nonexistent",
-        ];
+        let texts = ["SELECT * FROM cpuload", "*ALL*"];
         let mut ps = ProducerServlet::new(default_producers("anl", 3));
-        let mut published = Vec::new();
-        // Before any publish, then after each of a round-robin of publishes.
         for round in 0..8 {
+            // Kept answers hold rows of every table ...
             for sql in texts {
-                let (kept, reply) = ask_producer(&mut ps, sql, &mut cx);
-                let (again, again_reply) = ask_producer(&mut ps, sql, &mut cx);
-                assert!(Rc::ptr_eq(&reply, &again_reply), "{sql} kept");
-                assert_eq!(kept, again);
-                let mut fresh = ProducerServlet::new(default_producers("anl", 3));
-                for &i in &published {
-                    fresh.publish(i);
-                }
-                assert_eq!(kept, ask_producer(&mut fresh, sql, &mut cx).0, "{sql}");
+                ask_producer(&mut ps, sql, &mut cx);
             }
-            // The rows the next publish replaces: once it has run, nothing
-            // holds them, kept answers included.
+            // ... and once the next publish has run, nothing holds the
+            // rows it replaced.
             let i = round % 3;
-            let table = &ps.all_sql[i];
             let replaced: Vec<_> = ps
                 .db
-                .execute(table)
+                .execute(&ps.all_sql[i])
                 .unwrap()
                 .rows
                 .iter()
                 .map(Rc::downgrade)
                 .collect();
             assert_eq!(replaced.len(), if round < 3 { 0 } else { 8 });
-            published.push(i);
             ps.publish(i);
             assert!(replaced.iter().all(|row| row.strong_count() == 0));
-            assert!(ps.answers.values().all(Option::is_none));
-            assert_eq!(ps.answers.len(), texts.len());
         }
-        // Distinct texts beyond the cap are answered, not kept.
-        for i in 0..2_000 {
-            let sql = format!("SELECT * FROM cpuload WHERE entity = 'e{i}'");
-            let rows = if i < 8 { 1 } else { 0 };
-            assert_eq!(ask_producer(&mut ps, &sql, &mut cx).0 .1.len(), rows);
-        }
-        assert_eq!(ps.answers.len(), MEMO_CAP);
     }
 
     /// The ConsumerServlet's answer to a query whose Registry lookup names

@@ -31,6 +31,7 @@
 
 pub mod client;
 pub mod flow;
+pub mod kept;
 pub mod net;
 pub mod service;
 pub mod stats;
@@ -43,6 +44,7 @@ pub use gtrace as trace;
 pub use gtrace::{Obs, ObsMode};
 
 pub use client::{Client, ClientCx, ClientKey, ReqOutcome, ReqResult};
+pub use kept::{Kept, KEPT_CAP};
 pub use net::{Eng, Net, RequestSpec};
 pub use service::{
     CallOutcome, LockKey, Payload, Plan, Service, ServiceConfig, SetupCost, Step, SubCall,
