@@ -1,0 +1,52 @@
+//! The heap one GRIS host's provider data holds.
+//!
+//! Set 4 puts up to 500 GRISes under one GIIS, and their providers'
+//! entries are most of that point's peak heap: each host has ten
+//! providers of a few LDAP entries, each entry a handful of attribute
+//! values.  An entry keeps its values as one flat `(type, value)` list,
+//! so it is one `Rc`, one list buffer and its value texts.  This pins the
+//! bytes in use per host at 16 KiB; an attribute that owns its own
+//! `Vec<String>` again (≈ 37 KB per host) fails it.
+//!
+//! Runs only with `--features alloc-profile` (which compiles the
+//! counting global allocator in); without it the test is a no-op so
+//! plain `cargo test` stays green.  The counter is process-wide, so this
+//! file holds one `#[test]` and is a test process of its own.
+
+use ldapdir::Dn;
+use mds::default_providers;
+
+/// Hosts measured after the warm-up host.
+const HOSTS: usize = 100;
+
+/// Bytes in use per host's providers, at most.
+const HOST_BYTES_MAX: u64 = 16 * 1024;
+
+#[test]
+fn provider_entries_fit_the_byte_budget() {
+    let Some(_) = gperf::alloc::stats() else {
+        eprintln!("count-alloc not compiled in; skipping (run with --features alloc-profile)");
+        return;
+    };
+    let suffix = Dn::parse("mds-vo-name=local, o=grid").unwrap();
+    // Warm-up: the interner learns the attribute names and values every
+    // host shares.
+    let warm = default_providers(&suffix, "warmup", 10, None);
+    let before = gperf::alloc::stats().unwrap().in_use;
+    let hosts: Vec<_> = (0..HOSTS)
+        .map(|h| default_providers(&suffix, &format!("lucky{h}"), 10, None))
+        .collect();
+    let after = gperf::alloc::stats().unwrap().in_use;
+    let per_host = (after - before) / HOSTS as u64;
+    let entries: usize = hosts.iter().flatten().map(|p| p.entries.len()).sum();
+    assert!(entries >= 10 * HOSTS, "{entries} entries built");
+    assert!(
+        per_host <= HOST_BYTES_MAX,
+        "one host's provider data holds {per_host} B (budget {HOST_BYTES_MAX} B)"
+    );
+    eprintln!(
+        "{per_host} B per host, {} entries per host",
+        entries / HOSTS
+    );
+    drop((warm, hosts));
+}

@@ -412,7 +412,7 @@ fn producer_query(sql: String) -> Payload {
 }
 
 /// The ProducerServlet: publishes, and queries of one table, one row,
-/// every table (`*ALL*`), no table and no statement.
+/// every table (`*ALL*`), no table, no statement and writes.
 fn producer_servlet(seed: u64) {
     let subject = Subject {
         fresh: || ProducerServlet::new(default_producers("anl", 4)),
@@ -446,6 +446,10 @@ fn producer_servlet(seed: u64) {
         "*ALL*".to_string(),
         "SELECT * FROM nonexistent".into(),
         "SELECT nothing".into(),
+        // Writes: the servlet answers them as failed queries and
+        // changes no row.
+        "DELETE FROM cpuload".into(),
+        "INSERT INTO cpuload VALUES ('e9', 1.5, 1)".into(),
     ];
     for p in default_producers("anl", 4) {
         texts.push(format!("SELECT * FROM {}", p.table));

@@ -1,19 +1,23 @@
 //! Directory entries: DN plus multi-valued attributes.
 //!
-//! Attribute names are interned [`Sym`]s in a `Vec` kept in the names'
-//! string order, so iteration and rendering match the `BTreeMap<String,
-//! _>` they replaced byte for byte.  An entry has a handful of them:
-//! finding one by `Sym` is a scan comparing `u32`s, and the `&str` API
-//! resolves its name once through [`gintern::lookup`].  The list keeps
-//! its LDIF byte count beside it, so [`Entry::wire_size`] adds two
-//! numbers (DESIGN §6g, "Wire accounting").  Both sit behind one `Rc`:
-//! `Entry::clone`, run once per hit per query, allocates nothing, and
-//! mutators go through `Rc::make_mut` (copy-on-write), so editing an
-//! entry never changes a cached search result that shares it.
+//! An entry's attributes are one flat list of `(type, value)` pairs, one
+//! per value: types are interned [`Sym`]s in their strings' order, each
+//! type's values one run in insertion order, so iteration and LDIF match
+//! the `BTreeMap<String, Vec<String>>` they replaced byte for byte.  A run
+//! is found by `Sym` with a scan comparing `u32`s; the `&str` API resolves
+//! its name once through [`gintern::lookup`].  The list's LDIF byte count
+//! sits beside it, so [`Entry::wire_size`] adds two numbers (DESIGN §6g).
+//! Both share one `Rc`: `Entry::clone` allocates nothing, and mutators go
+//! through `Rc::make_mut` (copy-on-write), so editing an entry never
+//! changes a cached search result that shares it.
 
 use crate::dn::{lc, Dn};
 use gintern::Sym;
+use std::ops::Range;
 use std::rc::Rc;
+
+/// One attribute value under its (lowercase) type.
+pub type Pair = (Sym, Box<str>);
 
 /// An LDAP entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,25 +33,18 @@ pub struct Entry {
 struct Attrs {
     /// Σ over values of `attr.len() + value.len() + 3` (`"attr: value\n"`).
     bytes: usize,
-    /// Lowercased attribute type -> values (insertion order preserved),
-    /// sorted by the types' strings.
-    list: Vec<(Sym, Vec<String>)>,
+    /// One pair per value: types in string order, each type's values
+    /// in insertion order.
+    list: Vec<Pair>,
 }
 
 impl Attrs {
-    /// The values of `key`, created empty if absent.
-    fn slot(&mut self, key: Sym) -> &mut Vec<String> {
-        let i = self.list.binary_search_by(|(k, _)| k.cmp(&key));
-        let i = i.unwrap_or_else(|i| {
-            self.list.insert(i, (key, Vec::new()));
-            i
-        });
-        &mut self.list[i].1
-    }
-
-    /// The LDIF bytes of `values` under a name `name` bytes long.
-    fn lines(name: usize, values: &[String]) -> usize {
-        values.iter().map(|v| name + v.len() + 3).sum()
+    /// Where the values of `key` are; an empty range at the place they
+    /// would go when there are none.
+    fn run(&self, key: Sym) -> Range<usize> {
+        let start = self.list.partition_point(|(k, _)| *k < key);
+        let len = self.list[start..].iter().take_while(|(k, _)| *k == key);
+        start..start + len.count()
     }
 }
 
@@ -63,56 +60,56 @@ impl Entry {
     /// permissive schema checking).
     pub fn add(&mut self, attr: &str, value: impl Into<String>) -> &mut Self {
         let key = gintern::intern(&lc(attr));
-        let value = value.into();
+        let value = value.into().into_boxed_str();
         let attrs = Rc::make_mut(&mut self.attrs);
         attrs.bytes += attr.len() + value.len() + 3;
-        attrs.slot(key).push(value);
+        let end = attrs.run(key).end;
+        attrs.list.insert(end, (key, value));
         self
     }
 
     /// Replace all values of an attribute.
     pub fn put(&mut self, attr: &str, value: impl Into<String>) -> &mut Self {
         let key = gintern::intern(&lc(attr));
-        let value = value.into();
-        let added = attr.len() + value.len() + 3;
+        let value = value.into().into_boxed_str();
         let attrs = Rc::make_mut(&mut self.attrs);
-        let vs = attrs.slot(key);
-        let gone = Attrs::lines(attr.len(), vs);
-        vs.clear();
-        vs.push(value);
-        attrs.bytes = attrs.bytes + added - gone;
+        attrs.bytes += attr.len() + value.len() + 3;
+        let run = attrs.run(key);
+        attrs.bytes -= lines(attr.len(), &attrs.list[run.clone()]);
+        attrs.list.splice(run, [(key, value)]);
         self
     }
 
     /// Remove an attribute entirely.
     pub fn remove(&mut self, attr: &str) -> bool {
-        let Some(key) = gintern::lookup(&lc(attr)) else {
-            return false;
-        };
         // Look first: don't split shared storage to remove nothing.
-        let Some(i) = self.attrs.list.iter().position(|(k, _)| *k == key) else {
+        let run = gintern::lookup(&lc(attr)).map_or(0..0, |key| self.attrs.run(key));
+        if run.is_empty() {
             return false;
-        };
+        }
         let attrs = Rc::make_mut(&mut self.attrs);
-        attrs.bytes -= Attrs::lines(attr.len(), &attrs.list.remove(i).1);
+        attrs.bytes -= lines(attr.len(), &attrs.list[run.clone()]);
+        attrs.list.drain(run);
         true
     }
 
-    /// All values of an attribute.
-    pub fn get(&self, attr: &str) -> &[String] {
+    /// All values of an attribute: its run of pairs.
+    pub fn get(&self, attr: &str) -> &[Pair] {
         gintern::lookup(&lc(attr)).map_or(&[], |key| self.values(key))
     }
 
-    /// All values of the (lowercase) attribute type `key`; empty when
-    /// the entry does not hold it (a held type has at least one value).
-    pub(crate) fn values(&self, key: Sym) -> &[String] {
-        let found = self.attrs.list.iter().find(|(k, _)| *k == key);
-        found.map_or(&[], |(_, vs)| vs.as_slice())
+    /// The run of pairs of the (lowercase) attribute type `key`; empty
+    /// when the entry does not hold it.
+    pub(crate) fn values(&self, key: Sym) -> &[Pair] {
+        let list = &self.attrs.list;
+        let start = list.iter().take_while(|(k, _)| *k != key).count();
+        let len = list[start..].iter().take_while(|(k, _)| *k == key).count();
+        &list[start..start + len]
     }
 
     /// First value of an attribute.
     pub fn first(&self, attr: &str) -> Option<&str> {
-        self.get(attr).first().map(String::as_str)
+        self.get(attr).first().map(|(_, v)| &**v)
     }
 
     pub fn has_attr(&self, attr: &str) -> bool {
@@ -121,18 +118,20 @@ impl Entry {
 
     /// Does any value of `attr` equal `value` case-insensitively?
     pub fn has_value(&self, attr: &str, value: &str) -> bool {
-        self.get(attr).iter().any(|v| v.eq_ignore_ascii_case(value))
+        self.get(attr)
+            .iter()
+            .any(|(_, v)| v.eq_ignore_ascii_case(value))
     }
 
-    /// Iterate `(attr, values)` in sorted attribute order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &[String])> {
-        let list = self.attrs.list.iter();
-        list.map(|(k, v)| (k.as_str(), v.as_slice()))
+    /// Iterate `(attr, value)` lines: attributes in sorted order, each
+    /// one's values in insertion order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
+        self.attrs.list.iter().map(|(k, v)| (k.as_str(), &**v))
     }
 
     /// Number of attribute types.
     pub fn attr_count(&self) -> usize {
-        self.attrs.list.len()
+        self.attrs.list.chunk_by(|a, b| a.0 == b.0).count()
     }
 
     /// Do `self` and `other` share one attribute list (clone that has
@@ -153,9 +152,9 @@ impl Entry {
     /// double-count in both forms).  Accepts any string-ish slice
     /// (`&[&str]`, `&[String]`, `&[Sym]`, ...).
     pub fn projected_wire_size<S: AsRef<str>>(&self, attrs: &[S]) -> u64 {
-        let lines = attrs.iter().map(|a| a.as_ref());
-        let lines: usize = lines.map(|a| Attrs::lines(a.len(), self.get(a))).sum();
-        (self.dn.display_len() + 5 + lines) as u64
+        let names = attrs.iter().map(|a| a.as_ref());
+        let bytes: usize = names.map(|a| lines(a.len(), self.get(a))).sum();
+        (self.dn.display_len() + 5 + bytes) as u64
     }
 
     /// LDAP attribute selection: a copy of this entry keeping only the
@@ -166,12 +165,17 @@ impl Entry {
         let mut e = Entry::new(self.dn.clone());
         for a in attrs {
             let a = a.as_ref();
-            for v in self.get(a) {
-                e.add(a, v.clone());
+            for (_, v) in self.get(a) {
+                e.add(a, &**v);
             }
         }
         e
     }
+}
+
+/// The LDIF bytes of `run` under a name `name` bytes long.
+fn lines(name: usize, run: &[Pair]) -> usize {
+    run.iter().map(|(_, v)| name + v.len() + 3).sum()
 }
 
 #[cfg(test)]
@@ -208,7 +212,8 @@ mod tests {
     fn put_replaces() {
         let mut e = entry();
         e.put("Mds-Cpu-Total-count", "4");
-        assert_eq!(e.get("mds-cpu-total-count"), &["4".to_string()]);
+        let key = gintern::intern("mds-cpu-total-count");
+        assert_eq!(e.get("mds-cpu-total-count"), &[(key, "4".into())]);
         assert!(e.remove("objectclass"));
         assert!(!e.remove("objectclass"));
         assert_eq!(e.attr_count(), 1);

@@ -59,7 +59,10 @@ impl Filter {
             Filter::And(fs) => fs.iter().all(|f| f.matches(entry)),
             Filter::Or(fs) => fs.iter().any(|f| f.matches(entry)),
             Filter::Not(f) => !f.matches(entry),
-            Filter::Eq(a, v) => entry.values(*a).iter().any(|x| x.eq_ignore_ascii_case(v)),
+            Filter::Eq(a, v) => entry
+                .values(*a)
+                .iter()
+                .any(|(_, x)| x.eq_ignore_ascii_case(v)),
             Filter::Present(a) => !entry.values(*a).is_empty(),
         }
     }

@@ -21,10 +21,8 @@ impl std::error::Error for LdifError {}
 pub fn entry_to_ldif(e: &Entry) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "dn: {}", e.dn);
-    for (attr, values) in e.iter() {
-        for v in values {
-            let _ = writeln!(s, "{attr}: {v}");
-        }
+    for (attr, v) in e.iter() {
+        let _ = writeln!(s, "{attr}: {v}");
     }
     s
 }

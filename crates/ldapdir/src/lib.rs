@@ -37,6 +37,6 @@ pub mod ldif;
 
 pub use dit::{Dit, DitError, Scope};
 pub use dn::{Dn, DnError, Rdn};
-pub use entry::Entry;
+pub use entry::{Entry, Pair};
 pub use filter::{Filter, FilterError};
 pub use ldif::{entries_to_ldif, entry_to_ldif, parse_ldif, LdifError};

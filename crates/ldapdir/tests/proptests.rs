@@ -9,7 +9,7 @@
 //! answer any input with a value or a typed error, never a panic.
 
 use gintern::intern;
-use ldapdir::{parse_ldif, Dit, DitError, Dn, Entry, Filter, Scope};
+use ldapdir::{entry_to_ldif, parse_ldif, Dit, DitError, Dn, Entry, Filter, Pair, Scope};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -67,38 +67,21 @@ proptest! {
     #[test]
     fn entry_matches_map_model(
         ops in proptest::collection::vec(arb_op(), 0..40),
-        probes in proptest::collection::vec((arb_attr(), "[a-z0-9]{0,5}"), 0..8),
+        probes in proptest::collection::vec((arb_probe_attr(), arb_value()), 0..8),
     ) {
         let mut entry = Entry::new(Dn::parse("host=lucky3, vo=Cms, o=grid").unwrap());
         let mut model = Attrs::new();
         for op in &ops {
-            match op {
-                Op::Add(a, v) => {
-                    entry.add(a, v.clone());
-                    model.entry(a.to_ascii_lowercase()).or_default().push(v.clone());
-                }
-                Op::Put(a, v) => {
-                    entry.put(a, v.clone());
-                    model.insert(a.to_ascii_lowercase(), vec![v.clone()]);
-                }
-                Op::Remove(a) => {
-                    let had = model.remove(&a.to_ascii_lowercase()).is_some();
-                    prop_assert_eq!(entry.remove(a), had);
-                }
-                Op::CloneMutate(a, v) => {
-                    // The clone shares attrs (Rc); its mutation must
-                    // split, never write through to `entry`.
-                    let mut shared = entry.clone();
-                    prop_assert!(shared.shares_attrs_with(&entry));
-                    shared.add(a, v.clone());
-                    prop_assert!(!shared.shares_attrs_with(&entry));
-                }
-            }
+            let (before, was) = (entry.clone(), model.clone());
+            apply(&mut entry, &mut model, op);
             assert_same(&entry, &model);
+            prop_assert_eq!(before == entry, was == model, "{:?}", op);
         }
         for (a, v) in &probes {
             let values = model.get(&a.to_ascii_lowercase()).map_or(&[][..], Vec::as_slice);
-            prop_assert_eq!(entry.get(a), values);
+            prop_assert!(entry.get(a).iter().all(|(k, _)| k.as_str() == a.to_ascii_lowercase()));
+            prop_assert_eq!(value_texts(entry.get(a)), values);
+            prop_assert_eq!(entry.first(a), values.first().map(String::as_str));
             prop_assert_eq!(entry.has_attr(a), model.contains_key(&a.to_ascii_lowercase()));
             prop_assert_eq!(entry.has_value(a, v), values.iter().any(|x| x.eq_ignore_ascii_case(v)));
         }
@@ -109,14 +92,13 @@ proptest! {
     /// projected wire size is the projection's wire size.
     #[test]
     fn projection_matches_map_model(
-        adds in proptest::collection::vec((arb_attr(), "[a-z0-9]{0,5}"), 0..20),
-        selection in proptest::collection::vec(arb_attr(), 0..6),
+        ops in proptest::collection::vec(arb_op(), 0..30),
+        selection in proptest::collection::vec(arb_probe_attr(), 0..6),
     ) {
         let mut entry = Entry::new(Dn::parse("vo=atlas, o=grid").unwrap());
         let mut full = Attrs::new();
-        for (a, v) in &adds {
-            entry.add(a, v.clone());
-            full.entry(a.to_ascii_lowercase()).or_default().push(v.clone());
+        for op in &ops {
+            apply(&mut entry, &mut full, op);
         }
         let mut model = Attrs::new();
         for a in selection.iter().map(|a| a.to_ascii_lowercase()) {
@@ -219,8 +201,7 @@ proptest! {
             let stored: Vec<(Key, Lines)> = dit
                 .iter()
                 .map(|e| {
-                    let attrs = e.iter().flat_map(|(a, vs)| vs.iter().map(move |v| comp(a, v)));
-                    (key_of(&e.dn), attrs.collect())
+                    (key_of(&e.dn), e.iter().map(|(a, v)| comp(a, v)).collect())
                 })
                 .collect();
             let modelled: Vec<(Key, Lines)> = model
@@ -294,33 +275,93 @@ enum Op {
     CloneMutate(String, String),
 }
 
+/// Three names (`a`, `bb`, `ccc`) in mixed case, so the ops pile
+/// several values on each and the runs sit side by side.
 fn arb_attr() -> impl Strategy<Value = String> {
-    "[a-cA-C]{1,3}"
+    prop_oneof!["[aA]", "[bB]{2}", "[cC]{3}"]
+}
+
+/// The entry's names and two it never holds: one sorting between them,
+/// one after.
+fn arb_probe_attr() -> impl Strategy<Value = String> {
+    prop_oneof![arb_attr(), "[bB]", "[dD]"]
+}
+
+/// Values from a small alphabet in mixed case, so runs repeat values
+/// and `has_value` finds some case-insensitively.
+fn arb_value() -> impl Strategy<Value = String> {
+    "[xyXY1]{0,2}"
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (arb_attr(), "[a-z0-9]{0,5}").prop_map(|(a, v)| Op::Add(a, v)),
-        (arb_attr(), "[a-z0-9]{0,5}").prop_map(|(a, v)| Op::Put(a, v)),
+        (arb_attr(), arb_value()).prop_map(|(a, v)| Op::Add(a, v)),
+        (arb_attr(), arb_value()).prop_map(|(a, v)| Op::Add(a, v)),
+        (arb_attr(), arb_value()).prop_map(|(a, v)| Op::Add(a, v)),
+        (arb_attr(), arb_value()).prop_map(|(a, v)| Op::Put(a, v)),
         arb_attr().prop_map(Op::Remove),
-        (arb_attr(), "[a-z0-9]{0,5}").prop_map(|(a, v)| Op::CloneMutate(a, v)),
+        (arb_attr(), arb_value()).prop_map(|(a, v)| Op::CloneMutate(a, v)),
     ]
 }
 
-/// Same attributes, values and order as the model, and the LDIF size of
-/// the DN's rendering plus one `attr: value` line per value.
+/// `op` on the entry and on the model.
+fn apply(entry: &mut Entry, model: &mut Attrs, op: &Op) {
+    match op {
+        Op::Add(a, v) => {
+            entry.add(a, v.clone());
+            model
+                .entry(a.to_ascii_lowercase())
+                .or_default()
+                .push(v.clone());
+        }
+        Op::Put(a, v) => {
+            entry.put(a, v.clone());
+            model.insert(a.to_ascii_lowercase(), vec![v.clone()]);
+        }
+        Op::Remove(a) => {
+            let had = model.remove(&a.to_ascii_lowercase()).is_some();
+            assert_eq!(entry.remove(a), had);
+        }
+        Op::CloneMutate(a, v) => {
+            // The clone shares attrs (Rc); its mutation must split,
+            // never write through to `entry`.
+            let mut shared = entry.clone();
+            assert!(shared.shares_attrs_with(entry));
+            shared.add(a, v.clone());
+            assert!(!shared.shares_attrs_with(entry));
+        }
+    }
+}
+
+fn value_texts(run: &[Pair]) -> Vec<&str> {
+    run.iter().map(|(_, v)| &**v).collect()
+}
+
+/// Same lines in the same order as the model, the same runs by name,
+/// the LDIF of the DN's rendering plus one `attr: value` line per value
+/// and its size, and equal to an entry built afresh from the model.
 fn assert_same(entry: &Entry, model: &Attrs) {
-    let want: Vec<(&str, &[String])> = model.iter().map(|(a, vs)| (a.as_str(), &vs[..])).collect();
+    let want: Vec<(&str, &str)> = model
+        .iter()
+        .flat_map(|(a, vs)| vs.iter().map(move |v| (a.as_str(), v.as_str())))
+        .collect();
     assert_eq!(entry.iter().collect::<Vec<_>>(), want);
     assert_eq!(entry.attr_count(), model.len());
-    let lines: usize = model
-        .iter()
-        .flat_map(|(a, vs)| vs.iter().map(|v| a.len() + v.len() + 3))
-        .sum();
-    assert_eq!(
-        entry.wire_size(),
-        (entry.dn.to_string().len() + 5 + lines) as u64
-    );
+    for (a, vs) in model {
+        assert_eq!(value_texts(entry.get(&a.to_ascii_uppercase())), *vs);
+        assert_eq!(entry.first(a), vs.first().map(String::as_str));
+    }
+    let mut ldif = format!("dn: {}\n", entry.dn);
+    for (a, v) in &want {
+        ldif.push_str(&format!("{a}: {v}\n"));
+    }
+    assert_eq!(entry_to_ldif(entry), ldif);
+    assert_eq!(entry.wire_size(), ldif.len() as u64);
+    let mut rebuilt = Entry::new(entry.dn.clone());
+    for (a, v) in &want {
+        rebuilt.add(a, *v);
+    }
+    assert_eq!(*entry, rebuilt);
 }
 
 // ----------------------------------------------------------------------
@@ -389,10 +430,9 @@ fn search_reference<'a>(dit: &'a Dit, base: &Dn, scope: Scope, filter: &Filter) 
 /// found by its name's text, so this shares no code with
 /// `Filter::matches`, which compares the symbols bound at parse.
 fn holds(filter: &Filter, e: &Entry) -> bool {
-    let values = |name: &str| {
-        e.iter()
-            .find(|(a, _)| *a == name)
-            .map_or(&[][..], |(_, vs)| vs)
+    let values = |name: &str| -> Vec<&str> {
+        let lines = e.iter().filter(|(a, _)| *a == name);
+        lines.map(|(_, v)| v).collect()
     };
     match filter {
         Filter::And(fs) => fs.iter().all(|f| holds(f, e)),

@@ -86,17 +86,13 @@ impl Gris {
         self.registrees.push(giis);
     }
 
-    /// Providers whose data is stale at `now`.
-    fn stale(&self, now: SimTime) -> Vec<usize> {
-        (0..self.providers.len())
-            .filter(
-                |&i| match (self.last_refresh[i], self.providers[i].cachettl) {
-                    (None, _) => true,
-                    (Some(_), None) => false, // never expires
-                    (Some(at), Some(ttl)) => now >= at + ttl,
-                },
-            )
-            .collect()
+    /// Is provider `i`'s data stale at `now`?
+    fn stale(&self, i: usize, now: SimTime) -> bool {
+        match (self.last_refresh[i], self.providers[i].cachettl) {
+            (None, _) => true,
+            (Some(_), None) => false, // never expires
+            (Some(at), Some(ttl)) => now >= at + ttl,
+        }
     }
 
     /// Run provider `i` and merge its entries (state update; the CPU cost
@@ -122,22 +118,26 @@ impl Service for Gris {
         // 1. Re-run stale providers (cost charged in the plan; the state
         //    update happens now — provider output is deterministic, so the
         //    skew within a single request is unobservable).
-        let stale = self.stale(now);
+        let missed = (0..self.providers.len()).any(|i| self.stale(i, now));
         let me = cx.me.index;
-        if stale.is_empty() {
-            cx.obs.ev_with(now, || Ev::CacheHit { svc: me });
-            cx.obs.incr("mds.cache_hits", 1);
-        } else {
+        if missed {
             cx.obs.ev_with(now, || Ev::CacheMiss { svc: me });
             cx.obs.incr("mds.cache_misses", 1);
+        } else {
+            cx.obs.ev_with(now, || Ev::CacheHit { svc: me });
+            cx.obs.incr("mds.cache_hits", 1);
         }
         cx.obs.incr("mds.ldap_searches", 1);
         let mut plan = cx.plan();
-        if !stale.is_empty() {
+        if missed {
             if let Some(l) = self.exec_lock {
                 plan = plan.lock(l);
             }
-            for i in stale {
+            for i in 0..self.providers.len() {
+                // Refreshing provider `i` changes only its own staleness.
+                if !self.stale(i, now) {
+                    continue;
+                }
                 let exec = self.providers[i].exec_cpu_us;
                 plan = plan
                     .cpu(exec * PROVIDER_CPU_FRACTION)

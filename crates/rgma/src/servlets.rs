@@ -144,37 +144,48 @@ impl ProducerServlet {
     }
 
     /// The answer to `sql`: the kept one if no publish has come in since,
-    /// else the query run afresh.
+    /// else the query run afresh.  The servlet is read-only: a text that
+    /// is not a `SELECT` gets the answer a failed query gets, touches no
+    /// row and is not kept.
     fn answer(&mut self, sql: &str) -> (Payload, u64, f64) {
+        let select = sql.trim_start().get(..6);
+        if sql != "*ALL*" && !select.is_some_and(|w| w.eq_ignore_ascii_case("select")) {
+            return Self::priced(SqlResultMsg::new(vec![], vec![]), 1);
+        }
         let (db, all_sql) = (&mut self.db, &self.all_sql);
         let kept = self.answers.get(sql, 0, |_| {
-            let (result, cost) = if sql == "*ALL*" {
-                // The all-collectors query: one SELECT per table.
-                let mut total_rows = Vec::new();
-                let mut scanned = 0usize;
-                let mut cols = Vec::new();
-                for q in all_sql {
-                    let (r, s) = Self::run_query(db, q);
-                    scanned += s;
-                    cols = r.columns;
-                    total_rows.extend(r.rows);
-                }
-                let cost = JVM_DISPATCH_CPU_US
-                    + (SQL_PARSE_CPU_US + DB_FIXED_CPU_US) * all_sql.len() as f64
-                    + ROW_SCAN_CPU_US * scanned as f64;
-                (SqlResultMsg::new(cols, total_rows), cost)
-            } else {
+            if sql != "*ALL*" {
                 let (result, scanned) = Self::run_query(db, sql);
-                let cost = JVM_DISPATCH_CPU_US
-                    + SQL_PARSE_CPU_US
-                    + DB_FIXED_CPU_US
-                    + ROW_SCAN_CPU_US * scanned as f64;
-                (result, cost)
-            };
+                return Self::priced(result, scanned);
+            }
+            // The all-collectors query: one SELECT per table.
+            let mut total_rows = Vec::new();
+            let mut scanned = 0usize;
+            let mut cols = Vec::new();
+            for q in all_sql {
+                let (r, s) = Self::run_query(db, q);
+                scanned += s;
+                cols = r.columns;
+                total_rows.extend(r.rows);
+            }
+            let cost = JVM_DISPATCH_CPU_US
+                + (SQL_PARSE_CPU_US + DB_FIXED_CPU_US) * all_sql.len() as f64
+                + ROW_SCAN_CPU_US * scanned as f64;
+            let result = SqlResultMsg::new(cols, total_rows);
             let bytes = result.bytes;
             (Rc::new(result) as Payload, bytes, cost)
         });
         kept.clone()
+    }
+
+    /// A single statement's answer: its result set, size and CPU charge.
+    fn priced(result: SqlResultMsg, scanned: usize) -> (Payload, u64, f64) {
+        let cost = JVM_DISPATCH_CPU_US
+            + SQL_PARSE_CPU_US
+            + DB_FIXED_CPU_US
+            + ROW_SCAN_CPU_US * scanned as f64;
+        let bytes = result.bytes;
+        (Rc::new(result) as Payload, bytes, cost)
     }
 
     fn run_query(db: &mut Database, sql: &str) -> (SqlResultMsg, usize) {
