@@ -4,7 +4,7 @@
 //! with its directory's generation), the Hawkeye Manager's constraint
 //! scan (the pool generation), the R-GMA Registry (its registration
 //! count), the ProducerServlet (cleared before each publish) and the
-//! ConsumerServlet (a mediation depends on its text alone).  Each is
+//! ConsumerServlet (a mediation depends on its select alone).  Each is
 //! replayed through a seeded random interleaving of queries and the
 //! updates that change its answers.  After every query the same query is
 //! put to a fresh service given only the updates so far, and the two
@@ -17,14 +17,17 @@
 //! Before each publish the rows a ProducerServlet query sees are watched
 //! too, and none the publish replaced may survive it.
 
-use classad::ClassAd;
+use classad::{parse_expr, ClassAd, CompiledExpr};
 use hawkeye::proto::AdsReply;
 use hawkeye::{HawkeyeMsg, Manager};
 use ldapdir::{Dn, Filter, Scope};
 use mds::{default_providers, Gris, MdsRequest, MdsSearchResult};
 use proptest::prelude::*;
 use rgma::producer::default_producers;
-use rgma::{ConsumerServlet, ProducerList, ProducerServlet, Registry, RgmaMsg, SqlResultMsg};
+use rgma::{
+    ConsumerServlet, ProducerList, ProducerQuery, ProducerServlet, Registry, RgmaMsg, Select,
+    SqlResultMsg,
+};
 use simcore::{SimDuration, SimRng, SimTime};
 use simnet::service::Lent;
 use simnet::{CallOutcome, Obs, ObsMode, Payload, Plan, Service, Step, SvcCx, SvcKey, KEPT_CAP};
@@ -176,7 +179,7 @@ fn say(p: &Payload) -> String {
     }
     match p.downcast_ref::<RgmaMsg>() {
         Some(RgmaMsg::RegistryLookup { table }) => format!("lookup {table}"),
-        Some(RgmaMsg::ProducerQuery { sql }) => format!("query {sql}"),
+        Some(RgmaMsg::ProducerQuery(query)) => format!("query {query:?}"),
         _ => panic!("unexpected payload"),
     }
 }
@@ -335,7 +338,11 @@ fn manager(seed: u64) {
     let ads: Vec<Vec<Rc<ClassAd>>> = (0..6)
         .map(|m| (0..4).map(|v| Rc::new(startd(m, v))).collect())
         .collect();
-    let constraint = |expr: String| Rc::new(HawkeyeMsg::Constraint { expr });
+    let constraint = |text: String| {
+        let expr = Rc::new(CompiledExpr::compile(&parse_expr(&text).unwrap()));
+        let text_len = text.len();
+        Rc::new(HawkeyeMsg::Constraint { expr, text_len })
+    };
     let mut keys: Vec<_> = (0..7)
         .map(|k| constraint(format!("ModuleCount == {k}")))
         .collect();
@@ -350,8 +357,12 @@ fn manager(seed: u64) {
             };
             Draw::Update((format!("m{m}"), ad))
         } else {
+            // An equal expression in an `Rc` of its own.
             let rebuild = |msg: &HawkeyeMsg| match msg {
-                HawkeyeMsg::Constraint { expr } => HawkeyeMsg::Constraint { expr: expr.clone() },
+                HawkeyeMsg::Constraint { expr, text_len } => HawkeyeMsg::Constraint {
+                    expr: Rc::new(CompiledExpr::clone(expr)),
+                    text_len: *text_len,
+                },
                 _ => unreachable!(),
             };
             pick(rng, &keys, rebuild)
@@ -365,11 +376,21 @@ fn lookup(table: &str) -> RgmaMsg {
     }
 }
 
+fn select(text: &str) -> Rc<Select> {
+    Rc::new(Select::parse(text).unwrap())
+}
+
+/// An equal message; a select in it is an equal one in an `Rc` of its
+/// own.
 fn rebuild_rgma(msg: &RgmaMsg) -> RgmaMsg {
+    let rebuilt = |s: &Rc<Select>| Rc::new(Select::clone(s));
     match msg {
         RgmaMsg::RegistryLookup { table } => lookup(table),
-        RgmaMsg::ProducerQuery { sql } => RgmaMsg::ProducerQuery { sql: sql.clone() },
-        RgmaMsg::ConsumerQuery { sql } => RgmaMsg::ConsumerQuery { sql: sql.clone() },
+        RgmaMsg::ProducerQuery(ProducerQuery::Select(s)) => {
+            RgmaMsg::ProducerQuery(ProducerQuery::Select(rebuilt(s)))
+        }
+        RgmaMsg::ProducerQuery(ProducerQuery::All) => RgmaMsg::ProducerQuery(ProducerQuery::All),
+        RgmaMsg::ConsumerQuery(s) => RgmaMsg::ConsumerQuery(rebuilt(s)),
         _ => unreachable!(),
     }
 }
@@ -407,19 +428,17 @@ fn registry(seed: u64) {
 /// The ProducerServlet's publish timer tag for producer 0.
 const PUBLISH: u64 = 1 << 32;
 
-fn producer_query(sql: String) -> Payload {
-    Rc::new(RgmaMsg::ProducerQuery { sql })
-}
-
-/// The ProducerServlet: publishes, and queries of one table, one row,
-/// every table (`*ALL*`), no table, no statement and writes.
+/// The ProducerServlet: publishes, and every query the protocol admits:
+/// all tables, and selects of one table, a missing table, a key, a
+/// non-key column and an unknown column (which fail).
 fn producer_servlet(seed: u64) {
     let subject = Subject {
         fresh: || ProducerServlet::new(default_producers("anl", 4)),
         apply: |b, &i: &usize| {
             // The rows this publish replaces, as a query sees them.
             let table = &default_producers("anl", 4)[i].table;
-            let plan = b.handle(producer_query(format!("SELECT * FROM {table}")));
+            let query = ProducerQuery::Select(select(&format!("SELECT * FROM {table}")));
+            let plan = b.handle(Rc::new(RgmaMsg::ProducerQuery(query)));
             let replaced: Vec<_> = plan
                 .steps
                 .iter()
@@ -443,22 +462,23 @@ fn producer_servlet(seed: u64) {
         ask: ask_once,
     };
     let mut texts = vec![
-        "*ALL*".to_string(),
-        "SELECT * FROM nonexistent".into(),
-        "SELECT nothing".into(),
-        // Writes: the servlet answers them as failed queries and
-        // changes no row.
-        "DELETE FROM cpuload".into(),
-        "INSERT INTO cpuload VALUES ('e9', 1.5, 1)".into(),
+        "SELECT * FROM nonexistent".to_string(),
+        "SELECT value FROM cpuload WHERE seq = 1".into(),
+        "SELECT COUNT(*) FROM memory WHERE value = 7.4".into(),
+        "SELECT * FROM cpuload WHERE nope = 1".into(),
+        "SELECT nope FROM disk".into(),
+        // The statement of `SELECT * FROM cpuload` in a longer text.
+        "select *  from CPULOAD".into(),
     ];
     for p in default_producers("anl", 4) {
         texts.push(format!("SELECT * FROM {}", p.table));
         texts.extend((0..3).map(|e| format!("SELECT * FROM {} WHERE entity = 'e{e}'", p.table)));
     }
-    let keys: Vec<_> = texts
-        .into_iter()
-        .map(|sql| Rc::new(RgmaMsg::ProducerQuery { sql }))
-        .collect();
+    let mut keys = vec![Rc::new(RgmaMsg::ProducerQuery(ProducerQuery::All))];
+    keys.extend(texts.iter().map(|text| {
+        let query = ProducerQuery::Select(select(text));
+        Rc::new(RgmaMsg::ProducerQuery(query))
+    }));
     replay(&subject, seed, |rng| {
         if rng.next_below(5) == 0 {
             Draw::Update(rng.next_below(4) as usize)
@@ -501,8 +521,8 @@ fn ask_consumer(b: &mut Bare<ConsumerServlet>, query: Payload, watch: &mut Watch
     lines
 }
 
-/// The ConsumerServlet: single-table SELECTs and texts that are not,
-/// with no update (a mediation depends on its text alone).
+/// The ConsumerServlet: selects of one table each, with no update (a
+/// mediation depends on its select alone).
 fn consumer_servlet(seed: u64) {
     let subject = Subject {
         fresh: || ConsumerServlet::new(SvcKey { index: 0, gen: 2 }),
@@ -513,12 +533,14 @@ fn consumer_servlet(seed: u64) {
     let mut texts: Vec<String> = (0..16).map(|t| format!("SELECT * FROM t{t}")).collect();
     texts.extend([
         "SELECT value FROM tt WHERE entity = 'e1'".into(),
-        "DELETE FROM t1".into(),
-        "no SQL at all".into(),
+        "SELECT COUNT(*) FROM t1 WHERE seq = 3".into(),
+        "SELECT * FROM t2 WHERE nope = 1".into(),
+        // The statement of `SELECT * FROM t0` in a longer text.
+        "select *  from T0".into(),
     ]);
     let keys: Vec<_> = texts
-        .into_iter()
-        .map(|sql| Rc::new(RgmaMsg::ConsumerQuery { sql }))
+        .iter()
+        .map(|text| Rc::new(RgmaMsg::ConsumerQuery(select(text))))
         .collect();
     replay(&subject, seed, |rng| pick(rng, &keys, rebuild_rgma));
 }

@@ -482,9 +482,9 @@ fn rgma_consumer_query() {
     let cs = Box::new(ConsumerServlet::new(registry));
     let cs = net.add_service(cs_node, ServiceConfig::default(), cs, &mut eng);
     // Every user sends the one query payload, as `factory_for` shares it.
-    let query = RgmaMsg::ConsumerQuery {
-        sql: "SELECT * FROM cpuload".into(),
-    };
+    let query = RgmaMsg::ConsumerQuery(Rc::new(
+        rgma::Select::parse("SELECT * FROM cpuload").unwrap(),
+    ));
     let bytes = query.wire_size();
     let query: Payload = Rc::new(query);
     let factory = move || -> QueryFactory {

@@ -20,7 +20,7 @@ use crate::value::Value;
 /// tree itself, walked by [`crate::eval::eval_in`] on every match; the
 /// name and [`CompiledExpr::compile`] stay for the callers that hold
 /// one (`hawkeye::Manager`, the frozen benchmark probes).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledExpr(Expr);
 
 impl CompiledExpr {

@@ -14,9 +14,9 @@ use simnet::{ServiceConfig, SetupCost};
 #[derive(Debug, Clone, Copy)]
 pub struct Params {
     // ------------------------------------------------------------ network
-    /// WAN capacity between UC and ANL, each direction.  A DS-3-class
-    /// path; its saturation produces the throughput plateaus of Figs 5
-    /// and 9.
+    /// WAN capacity between UC and ANL, each direction: a DS-3-class path.
+    /// It caps servers with large replies (Set 4's GIIS); a 10× change
+    /// moves set 2's GIIS by < 2 % (`tests/paper_claims.rs`).
     pub wan_bps: f64,
     /// One-way WAN latency (Chicago -> Argonne).
     pub wan_latency: SimDuration,
@@ -72,9 +72,10 @@ pub struct Params {
     // ----------------------------------------------------------- workload
     /// The paper's 1-second wait between a response and the next query.
     pub think: SimDuration,
-    /// Connect-retry backoff: base and cap.  TCP retransmits SYNs at
-    /// ~3 s; scripts re-issue quickly after a refused connection, which
-    /// keeps a saturated server loaded (Figs 7–8's threshold behaviour).
+    /// Connect-retry backoff: base and cap.  TCP retransmits SYNs at ~3 s.
+    /// It sets how often a saturated server refuses, not Figs 7–8's load
+    /// plateaus: a 4× base with a 16× cap leaves the ProducerServlet and
+    /// GRIS columns of Figs 5–8 bit-equal and moves the Agent's load1 ≤ 0.6 %.
     pub retry_base: SimDuration,
     pub retry_cap: SimDuration,
 }

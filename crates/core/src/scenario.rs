@@ -17,6 +17,7 @@
 use crate::deploy::{self, giis_suffix, gris_suffix, resolve_ttl, Harness};
 use crate::runcfg::{Measurement, RunConfig};
 use crate::stablehash::{fnv1a64, mix64};
+use classad::{parse_expr, CompiledExpr};
 use gfaults::{FaultAction, FaultPlan, FaultSpec, Scenario, PARTITION_BPS};
 use gscenario::{
     Arrivals, ClientCpu, FaultKind, Placement, ProbeSpec, Query, ScenarioSpec, ServiceKind,
@@ -24,7 +25,7 @@ use gscenario::{
 use hawkeye::{HawkeyeMsg, Manager};
 use ldapdir::{Filter, Scope};
 use mds::{Giis, MdsRequest};
-use rgma::{ProducerServlet, RgmaMsg};
+use rgma::{ProducerQuery, ProducerServlet, RgmaMsg, Select};
 use simcore::stats::MeanAccum;
 use simcore::{SimDuration, SimTime};
 use simnet::{Client, ClientCx, NodeId, Payload, SvcKey};
@@ -305,9 +306,9 @@ fn spawn_workload(h: &mut Harness, w: &World<'_>) {
 /// itself (agent hosts in declaration order; the canonical producer
 /// table set), never from run state, so the stream is deterministic.
 fn factory_for(w: &World<'_>) -> Box<dyn FnMut() -> QueryFactory> {
-    /// A series' request is built once (an MDS base DN and filter are
-    /// parsed once, not per query): every user shares it, and a query
-    /// clones its `Rc`.
+    /// A series' request is built once (an MDS filter, an R-GMA select
+    /// and a Hawkeye constraint are parsed once, not per query): every
+    /// user shares it, and a query clones its `Rc`.
     fn shared((msg, bytes): (Payload, u64)) -> Box<dyn FnMut() -> QueryFactory> {
         Box::new(move || {
             let msg = Rc::clone(&msg);
@@ -337,6 +338,8 @@ fn factory_for(w: &World<'_>) -> Box<dyn FnMut() -> QueryFactory> {
         let bytes = msg.wire_size();
         (Rc::new(msg), bytes)
     }
+    let select = |text: &str| Rc::new(Select::parse(text).expect("literal select"));
+    const MISS: &str = "NoSuchAttribute =?= 424242";
     match w.spec.workload.query {
         Query::MdsSearchAllGris0 => shared(mds(MdsRequest::search_all(gris_suffix(0)))),
         Query::MdsSearchAllGiis => shared(mds(MdsRequest::search_all(giis_suffix()))),
@@ -349,7 +352,8 @@ fn factory_for(w: &World<'_>) -> Box<dyn FnMut() -> QueryFactory> {
         Query::HawkeyeAgentStatus => shared(hawkeye(HawkeyeMsg::AgentStatus)),
         Query::HawkeyeAgentFull => shared(hawkeye(HawkeyeMsg::AgentFull)),
         Query::HawkeyeConstraintMiss => shared(hawkeye(HawkeyeMsg::Constraint {
-            expr: "NoSuchAttribute =?= 424242".into(),
+            expr: Rc::new(CompiledExpr::compile(&parse_expr(MISS).expect("literal"))),
+            text_len: MISS.len(),
         })),
         // Status of a random deployed agent host, in declaration order.
         Query::HawkeyeStatusRandom => random(
@@ -364,15 +368,13 @@ fn factory_for(w: &World<'_>) -> Box<dyn FnMut() -> QueryFactory> {
                 })
                 .collect(),
         ),
-        Query::RgmaConsumerQuery => shared(rgma(RgmaMsg::ConsumerQuery {
-            sql: "SELECT * FROM cpuload".into(),
-        })),
-        Query::RgmaProducerQuery => shared(rgma(RgmaMsg::ProducerQuery {
-            sql: "SELECT * FROM cpuload".into(),
-        })),
-        Query::RgmaProducerQueryAll => shared(rgma(RgmaMsg::ProducerQuery {
-            sql: "*ALL*".into(),
-        })),
+        Query::RgmaConsumerQuery => shared(rgma(RgmaMsg::ConsumerQuery(select(
+            "SELECT * FROM cpuload",
+        )))),
+        Query::RgmaProducerQuery => shared(rgma(RgmaMsg::ProducerQuery(ProducerQuery::Select(
+            select("SELECT * FROM cpuload"),
+        )))),
+        Query::RgmaProducerQueryAll => shared(rgma(RgmaMsg::ProducerQuery(ProducerQuery::All))),
         // Lookup of a random table from the canonical producer set.
         Query::RgmaRegistryLookupRandom => random(
             rgma::producer::default_producers("anl", 10)

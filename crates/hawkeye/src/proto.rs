@@ -1,6 +1,6 @@
 //! Wire messages of the Hawkeye model.
 
-use classad::ClassAd;
+use classad::{ClassAd, CompiledExpr};
 use std::rc::Rc;
 
 /// Messages exchanged between clients, Agents and the Manager.
@@ -21,8 +21,12 @@ pub enum HawkeyeMsg {
     Status { machine: Option<String> },
     /// `condor_status -constraint`-style query: scan every ad in the pool
     /// against the expression (the paper's worst-case Experiment Set 4
-    /// workload used a constraint no machine satisfies).
-    Constraint { expr: String },
+    /// workload used a constraint no machine satisfies), parsed where the
+    /// query is built.  `text_len` is its source text's wire size.
+    Constraint {
+        expr: Rc<CompiledExpr>,
+        text_len: usize,
+    },
     /// Submit a Trigger ClassAd.
     AddTrigger { trigger: ClassAd },
     /// Trigger-fired notification (Manager -> administrator sink).
@@ -37,7 +41,7 @@ impl HawkeyeMsg {
             HawkeyeMsg::AgentFull => 180,
             HawkeyeMsg::StartdAd { machine, ad } => 64 + machine.len() as u64 + ad.wire_size(),
             HawkeyeMsg::Status { .. } => 200,
-            HawkeyeMsg::Constraint { expr } => 160 + expr.len() as u64,
+            HawkeyeMsg::Constraint { text_len, .. } => 160 + *text_len as u64,
             HawkeyeMsg::AddTrigger { trigger } => 64 + trigger.wire_size(),
             HawkeyeMsg::TriggerFired { machine, .. } => 96 + machine.len() as u64,
         }

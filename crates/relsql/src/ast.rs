@@ -49,3 +49,23 @@ pub enum Stmt {
         where_: Option<Pred>,
     },
 }
+
+/// A name as a parsed statement keeps it: lowercased and interned.
+pub fn name(text: &str) -> Sym {
+    gintern::intern(&text.to_ascii_lowercase())
+}
+
+impl Stmt {
+    /// `SELECT cols FROM table [WHERE column = value]`, built without
+    /// text: the statement the parser makes of that query.
+    pub fn select(cols: SelectCols, table: &str, filter: Option<(&str, SqlValue)>) -> Stmt {
+        Stmt::Select {
+            cols,
+            table: name(table),
+            where_: filter.map(|(column, value)| Pred {
+                column: name(column),
+                value,
+            }),
+        }
+    }
+}

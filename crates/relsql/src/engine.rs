@@ -6,7 +6,7 @@ use crate::table::{Row, SharedRow, StoredRow, Table, TableError, TableSchema};
 use crate::value::SqlValue;
 use gintern::Sym;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -18,6 +18,8 @@ pub enum SqlError {
     TableExists(String),
     NoSuchColumn(String),
     Table(String),
+    /// A statement that was required to be a `SELECT` and is not.
+    NotSelect,
 }
 
 impl fmt::Display for SqlError {
@@ -28,6 +30,7 @@ impl fmt::Display for SqlError {
             SqlError::TableExists(t) => write!(f, "table already exists: {t}"),
             SqlError::NoSuchColumn(c) => write!(f, "no such column: {c}"),
             SqlError::Table(m) => write!(f, "{m}"),
+            SqlError::NotSelect => write!(f, "not a SELECT"),
         }
     }
 }
@@ -76,22 +79,11 @@ impl QueryResult {
     }
 }
 
-/// Upper bound on cached parsed statements; a backstop against a
-/// workload that generates unbounded distinct query texts.
-const STMT_CACHE_CAP: usize = 1024;
-
 /// A named collection of tables.  `Sym` keys order as their strings
 /// do, so iteration matches the old `String`-keyed map exactly.
 #[derive(Debug, Default)]
 pub struct Database {
     tables: BTreeMap<Sym, Table>,
-    /// Parsed-statement cache for `SELECT`s, keyed by the exact query
-    /// text.  The simulated services re-issue the same handful of
-    /// query strings millions of times (consumer queries, stream-batch
-    /// reads, COUNT(*) probes); a hit skips the lexer and parser
-    /// entirely.  Only `SELECT`s are cached: DML texts embed fresh
-    /// values on every call, so caching them would just grow the map.
-    stmt_cache: HashMap<String, Rc<Stmt>>,
 }
 
 impl Database {
@@ -99,20 +91,9 @@ impl Database {
         Self::default()
     }
 
-    /// Parse and execute one statement.  Repeated `SELECT` texts hit
-    /// the statement cache and skip parsing.
+    /// Parse and execute one statement.
     pub fn execute(&mut self, sql: &str) -> Result<QueryResult, SqlError> {
-        if let Some(stmt) = self.stmt_cache.get(sql) {
-            let stmt = Rc::clone(stmt);
-            return self.run(&stmt);
-        }
-        let stmt = parse_stmt(sql)?;
-        if matches!(stmt, Stmt::Select { .. }) && self.stmt_cache.len() < STMT_CACHE_CAP {
-            let stmt = Rc::new(stmt);
-            self.stmt_cache.insert(sql.to_owned(), Rc::clone(&stmt));
-            return self.run(&stmt);
-        }
-        self.run(&stmt)
+        self.run(&parse_stmt(sql)?)
     }
 
     /// Insert one row (schema order) without going through SQL text —
@@ -508,22 +489,6 @@ mod tests {
             .execute("SELECT load FROM cpu WHERE host = 'uc01'")
             .unwrap();
         assert_eq!(r.rows[0][0], SqlValue::Real(2.5));
-    }
-
-    #[test]
-    fn select_cache_reuses_parsed_statements() {
-        let mut d = db();
-        let a = d
-            .execute("SELECT host FROM cpu WHERE site = 'anl'")
-            .unwrap();
-        // Mutate between identical queries: the cached plan re-executes
-        // against current data, never stale results.
-        d.execute("INSERT INTO cpu VALUES ('hot1', 'anl', 9.0)")
-            .unwrap();
-        let b = d
-            .execute("SELECT host FROM cpu WHERE site = 'anl'")
-            .unwrap();
-        assert_eq!(a.rows.len() + 1, b.rows.len());
     }
 
     #[test]

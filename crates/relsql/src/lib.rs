@@ -6,9 +6,10 @@
 //! implements the relational substrate:
 //!
 //! * typed tables with optional primary keys and secondary indexes;
-//! * the SQL the R-GMA model sends: `CREATE TABLE`, positional `INSERT`,
-//!   `SELECT * | COUNT(*) | cols`, `UPDATE … SET` and `DELETE`, each
-//!   filtered by at most one `WHERE column = literal`;
+//! * typed statements (`Stmt::select`, `insert_row`, `upsert_row`), all
+//!   the R-GMA services run, and a text front end: `CREATE TABLE`,
+//!   positional `INSERT`, `SELECT * | COUNT(*) | cols`, `UPDATE … SET`
+//!   and `DELETE`, each filtered by at most one `WHERE column = literal`;
 //! * an executor that uses an index for equality lookups and otherwise
 //!   scans, reporting the rows examined (the simulated CPU cost of a
 //!   query).
@@ -34,7 +35,7 @@ pub mod parser;
 pub mod table;
 pub mod value;
 
-pub use ast::{Pred, SelectCols, Stmt};
+pub use ast::{name, Pred, SelectCols, Stmt};
 pub use engine::{Database, QueryResult, SqlError};
 pub use gintern::Sym;
 pub use parser::parse_stmt;

@@ -1,19 +1,17 @@
-//! Optimized relsql paths vs the SQL-text oracle.
+//! Typed statements and direct row APIs vs the SQL text they replace.
 //!
-//! The allocation pass rebuilt several relsql internals — interned
-//! index keys (`Sym`/f64-bit keys instead of `format!`ed strings),
-//! borrowed predicate evaluation, the parsed-statement cache, names
-//! bound to symbols at parse time, and the direct row APIs
-//! (`insert_row`, and `upsert_row`, which overwrites a row in place).
-//! Each of those must be *observably identical* to the plain SQL-text
-//! path it bypasses: same result rows in the same order, same `scanned`
-//! and `used_index` accounting (they feed simulated CPU costs), same
-//! errors.  These properties drive random value mixes (INT/REAL
-//! collisions, quotes in text, NULLs) through both paths and compare
-//! whole `QueryResult`s.
+//! The R-GMA services build their statements without text: selects by
+//! `Stmt::select`, rows by `insert_row` and `upsert_row` (which
+//! overwrites a row in place).  Each must be *observably identical* to
+//! the SQL text the services used to format and parse: same result
+//! rows in the same order, same `scanned` and `used_index` accounting
+//! (they feed simulated CPU costs), same errors.  These properties drive
+//! random value mixes (INT/REAL collisions, quotes in text, NULLs, names
+//! in any letter case) through both paths and compare whole
+//! `QueryResult`s.
 
 use proptest::prelude::*;
-use relsql::{parse_stmt, Database, QueryResult, SqlError, SqlValue, Sym};
+use relsql::{name, parse_stmt, Database, QueryResult, SelectCols, SqlError, SqlValue, Stmt, Sym};
 
 /// A value pool that exercises every index-key class: whole reals that
 /// collide with ints, negative zero, quoted text, NULL.
@@ -38,7 +36,7 @@ fn lit(v: &SqlValue) -> String {
 #[derive(Debug, Clone)]
 enum Op {
     /// Upsert `pk` — `UPDATE` then, if that touched nothing, `INSERT`
-    /// as SQL text on the oracle; `upsert_row` on the optimized side.
+    /// as SQL text on the oracle; `upsert_row` on the typed side.
     Upsert(SqlValue, SqlValue, SqlValue),
     /// DELETE WHERE col = value (col 0 = indexed pk, col 1 = scan).
     DeleteEq(usize, SqlValue),
@@ -69,26 +67,56 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 const SCHEMA: &str = "CREATE TABLE m (entity TEXT PRIMARY KEY, value REAL, note TEXT)";
 const COLS: [&str; 2] = ["entity", "value"];
 
-/// The oracle: every statement goes through fresh SQL text, parsed
-/// anew each time (no statement cache, no direct row APIs).
+/// The oracle: every statement goes through fresh SQL text.
 fn oracle_exec(db: &mut Database, sql: &str) -> Result<QueryResult, SqlError> {
     let stmt = parse_stmt(sql)?;
     db.run(&stmt)
 }
 
-fn select_sql(shape: usize, a: &SqlValue) -> String {
-    match shape {
-        0 => format!("SELECT * FROM m WHERE entity = {}", lit(a)),
-        1 => format!("SELECT * FROM m WHERE value = {}", lit(a)),
-        _ => "SELECT * FROM m".to_string(),
-    }
+/// A SELECT shape as text and as the typed statement it stands for.
+fn select(shape: usize, a: &SqlValue) -> (String, Stmt) {
+    let filter = [Some("entity"), Some("value"), None][shape.min(2)];
+    let text = match filter {
+        Some(column) => format!("SELECT * FROM m WHERE {column} = {}", lit(a)),
+        None => "SELECT * FROM m".to_string(),
+    };
+    let typed = Stmt::select(SelectCols::Star, "m", filter.map(|c| (c, a.clone())));
+    (text, typed)
+}
+
+/// `text` with the letters `mask` picks in upper case: SQL names are
+/// case-insensitive.
+fn spell(text: &str, mask: u64) -> String {
+    let flip = |(i, c): (usize, char)| match mask >> (i % 64) & 1 {
+        1 => c.to_ascii_uppercase(),
+        _ => c,
+    };
+    text.chars().enumerate().map(flip).collect()
+}
+
+/// Text values the Registry stores: table names and predicates, quotes
+/// included.
+fn registry_text() -> impl Strategy<Value = String> {
+    prop_oneof![
+        "[a-c' ]{0,5}",
+        Just("cpuload".to_string()),
+        Just("o'brien".to_string()),
+        Just("site='anl'".to_string()),
+        Just("WHERE host = 'lucky7'".to_string()),
+    ]
+}
+
+/// How the Registry quoted a text literal before its statements were
+/// typed.
+fn quoted(text: &str) -> String {
+    format!("'{}'", text.replace('\'', "''"))
 }
 
 proptest! {
-    /// Any op sequence leaves the optimized database (direct APIs +
-    /// statement cache + interned index keys) observably identical to
-    /// the SQL-text oracle: same SELECT results — rows, order,
-    /// `scanned`, `used_index` — and same row counts affected.
+    /// Any op sequence leaves the typed side (direct row APIs, typed
+    /// selects) observably identical to the SQL-text oracle: same
+    /// SELECT results — rows, order, `scanned`, `used_index` — and same
+    /// row counts affected.
     #[test]
     fn optimized_paths_match_sql_oracle(ops in proptest::collection::vec(op_strategy(), 1..60)) {
         let mut fast = Database::new();
@@ -96,6 +124,7 @@ proptest! {
         fast.execute(SCHEMA).unwrap();
         let m = Sym::from("m");
         oracle_exec(&mut slow, SCHEMA).unwrap();
+        let (dump_text, dump) = select(2, &SqlValue::Null);
 
         for op in &ops {
             match op {
@@ -121,18 +150,73 @@ proptest! {
                     prop_assert_eq!(affected, del.affected);
                 }
                 Op::Select(shape, a) => {
-                    let sql = select_sql(*shape, a);
-                    // `execute` exercises the statement cache (repeat
-                    // shapes re-hit the same text); the oracle re-parses.
-                    let f = fast.execute(&sql).unwrap();
+                    let (sql, typed) = select(*shape, a);
+                    let f = fast.run(&typed).unwrap();
                     let s = oracle_exec(&mut slow, &sql).unwrap();
                     prop_assert_eq!(f, s, "select diverged for {}", sql);
                 }
             }
             // Full-table dump after every mutation: identical stores.
-            let f = fast.execute("SELECT * FROM m").unwrap();
-            let s = oracle_exec(&mut slow, "SELECT * FROM m").unwrap();
+            let f = fast.run(&dump).unwrap();
+            let s = oracle_exec(&mut slow, &dump_text).unwrap();
             prop_assert_eq!(f, s, "table dump diverged");
+        }
+    }
+
+    /// The Registry's statements, typed, against the text it formatted
+    /// before: a registration row through `insert_row` against the
+    /// quote-escaped `INSERT`, the lookup by `tablename`, `SELECT *` and
+    /// `COUNT(*)` — names spelled in any case, texts quoted.  Each pair
+    /// gives the same error or the same whole `QueryResult`.
+    #[test]
+    fn registry_statements_match_their_text(
+        rows in proptest::collection::vec((0i64..12, registry_text(), registry_text()), 0..24),
+        probes in proptest::collection::vec(registry_text(), 1..6),
+        mask in any::<u64>(),
+    ) {
+        let schema = "CREATE TABLE producers (id INT PRIMARY KEY, servlet INT, tablename TEXT, predicate TEXT)";
+        let mut typed = Database::new();
+        let mut text = Database::new();
+        typed.execute(schema).unwrap();
+        text.execute(schema).unwrap();
+        let [producers, id, tablename] = ["producers", "id", "tablename"].map(|n| spell(n, mask));
+        for (n, table, predicate) in &rows {
+            let row = vec![
+                SqlValue::Int(*n),
+                SqlValue::Int(*n),
+                SqlValue::Text(table.clone()),
+                SqlValue::Text(predicate.clone()),
+            ];
+            let t = typed.insert_row(name(&producers), row);
+            let insert = format!(
+                "INSERT INTO {producers} VALUES ({n}, {n}, {}, {})",
+                quoted(table),
+                quoted(predicate)
+            );
+            let s = oracle_exec(&mut text, &insert).map(|r| r.affected);
+            prop_assert_eq!(t.map(|()| 1), s, "{}", insert);
+        }
+        let mut pairs = vec![
+            (
+                Stmt::select(SelectCols::Star, &producers, None),
+                format!("SELECT * FROM {producers}"),
+            ),
+            (
+                Stmt::select(SelectCols::CountStar, &producers, None),
+                format!("select count(*) from {producers}"),
+            ),
+        ];
+        for table in rows.iter().map(|r| &r.1).chain(&probes) {
+            let cols = SelectCols::Columns(vec![name(&id)]);
+            let filter = Some((tablename.as_str(), SqlValue::Text(table.clone())));
+            let sql = format!(
+                "SELECT {id} FROM {producers} WHERE {tablename} = {}",
+                quoted(table)
+            );
+            pairs.push((Stmt::select(cols, &producers, filter), sql));
+        }
+        for (stmt, sql) in &pairs {
+            prop_assert_eq!(typed.run(stmt), oracle_exec(&mut text, sql), "{}", sql);
         }
     }
 

@@ -11,9 +11,9 @@
 //! [`RgmaMsg::ProducerQuery`] against the aggregate — so consumers get
 //! one-stop answers without mediating over every producer.
 
-use crate::proto::{RgmaMsg, SqlResultMsg};
+use crate::proto::{ProducerQuery, RgmaMsg, SqlResultMsg};
 use crate::{DB_FIXED_CPU_US, JVM_DISPATCH_CPU_US, ROW_SCAN_CPU_US, SQL_PARSE_CPU_US};
-use relsql::{Database, SharedRow, SqlValue, Sym};
+use relsql::{name, Database, SelectCols, SharedRow, SqlValue, Stmt, Sym};
 use simcore::SimDuration;
 use simnet::{Payload, Plan, Service, SvcCx, SvcKey};
 use std::rc::Rc;
@@ -25,6 +25,8 @@ pub const FOLD_CPU_PER_TUPLE_US: f64 = 300.0;
 pub struct CompositeProducer {
     /// The table it aggregates, as the aggregate store keys it.
     table: Sym,
+    /// `SELECT * FROM {table}`, what an all-collectors query runs.
+    all: Stmt,
     /// The ProducerServlets it consumes from.
     sources: Vec<SvcKey>,
     /// Push period it requests from each source.
@@ -47,7 +49,8 @@ impl CompositeProducer {
         ))
         .expect("aggregate table");
         CompositeProducer {
-            table: Sym::from(table.to_ascii_lowercase().as_str()),
+            table: name(table),
+            all: Stmt::select(SelectCols::Star, table, None),
             sources,
             stream_period,
             db,
@@ -117,16 +120,13 @@ impl Service for CompositeProducer {
                     .done()
             }
             // Consumer query against the aggregate.
-            RgmaMsg::ProducerQuery { sql } => {
+            RgmaMsg::ProducerQuery(query) => {
                 self.queries += 1;
-                let all;
-                let sql = if sql == "*ALL*" {
-                    all = format!("SELECT * FROM {}", self.table);
-                    &all
-                } else {
-                    sql
+                let stmt = match query {
+                    ProducerQuery::Select(select) => select.stmt(),
+                    ProducerQuery::All => &self.all,
                 };
-                let (result, scanned) = match self.db.execute(sql) {
+                let (result, scanned) = match self.db.run(stmt) {
                     Ok(r) => {
                         let scanned = r.scanned;
                         (SqlResultMsg::new(r.columns, r.rows), scanned)
@@ -188,6 +188,7 @@ impl Service for CompositeProducer {
 mod tests {
     use super::*;
     use crate::producer::default_producers;
+    use crate::proto::Select;
     use crate::registry::Registry;
     use crate::servlets::ProducerServlet;
     use simcore::{Engine, SimTime};
@@ -209,9 +210,7 @@ mod tests {
             cx.wake_in(simcore::SimDuration::from_secs(self.at_s), 0);
         }
         fn on_wake(&mut self, _t: u64, cx: &mut ClientCx) {
-            let m = RgmaMsg::ProducerQuery {
-                sql: "*ALL*".into(),
-            };
+            let m = RgmaMsg::ProducerQuery(ProducerQuery::All);
             let bytes = m.wire_size();
             cx.submit(
                 RequestSpec {
@@ -300,5 +299,74 @@ mod tests {
         let got = rows.borrow();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0], 24, "aggregated rows");
+    }
+
+    /// What a query to `c` charges and answers: its CPU, rows and bytes.
+    fn ask(c: &mut CompositeProducer, query: ProducerQuery) -> (f64, Vec<SharedRow>, u64) {
+        let mut lent = simnet::service::Lent::default();
+        let mut rng = simcore::SimRng::new(1);
+        let mut obs = simnet::Obs::off();
+        let mut cx = SvcCx::for_tests(SimTime::ZERO, SvcKey::NULL, &mut rng, &mut obs, &mut lent);
+        let plan = c.handle(Rc::new(RgmaMsg::ProducerQuery(query)), &mut cx);
+        let [simnet::Step::Cpu(cpu), simnet::Step::Reply { payload, bytes }] = &plan.steps[..]
+        else {
+            panic!("a query plan is its CPU, then its reply");
+        };
+        let r = payload.downcast_ref::<SqlResultMsg>().expect("result set");
+        (*cpu, r.rows.clone(), *bytes)
+    }
+
+    #[test]
+    fn queries_read_the_aggregate_and_never_write_it() {
+        let mut c = CompositeProducer::new("cpuload", vec![], SimDuration::from_secs(10));
+        for source in 0..3 {
+            let rows: Vec<SharedRow> = (0..4)
+                .map(|e| {
+                    let cells = vec![
+                        SqlValue::Text(format!("e{e}")),
+                        SqlValue::Real(e as f64 + 0.5),
+                        SqlValue::Int(source),
+                    ];
+                    Rc::new(relsql::StoredRow::new(cells))
+                })
+                .collect();
+            c.fold(source, &rows);
+        }
+        let count = |c: &mut CompositeProducer| c.db.execute("SELECT COUNT(*) FROM cpuload");
+        let stored = count(&mut c).unwrap().rows[0][0].clone();
+        assert_eq!(stored, SqlValue::Int(12));
+        // The oracle: `SELECT * FROM cpuload` executed as SQL text and
+        // charged as one parsed statement.
+        let text = c.db.execute("SELECT * FROM cpuload").unwrap();
+        let text_cpu = JVM_DISPATCH_CPU_US
+            + SQL_PARSE_CPU_US
+            + DB_FIXED_CPU_US
+            + ROW_SCAN_CPU_US * text.scanned as f64;
+        let text_bytes = SqlResultMsg::new(text.columns, text.rows.clone()).bytes;
+        let select = |text: &str| ProducerQuery::Select(Rc::new(Select::parse(text).unwrap()));
+        for query in [ProducerQuery::All, select("SELECT * FROM cpuload")] {
+            let (cpu, rows, bytes) = ask(&mut c, query);
+            assert_eq!((cpu, bytes), (text_cpu, text_bytes));
+            assert_eq!(rows, text.rows);
+        }
+        // Every kind of query leaves the aggregate as it was; a write is
+        // not a query at all.
+        for query in [
+            ProducerQuery::All,
+            select("SELECT * FROM cpuload WHERE key = '1:e2'"),
+            select("SELECT entity FROM cpuload WHERE value = 2.5"),
+            select("SELECT COUNT(*) FROM cpuload"),
+            select("SELECT * FROM cpuload WHERE nope = 1"),
+            select("SELECT * FROM nonexistent"),
+        ] {
+            ask(&mut c, query);
+            assert_eq!(count(&mut c).unwrap().rows[0][0], stored);
+        }
+        for write in [
+            "DELETE FROM cpuload",
+            "INSERT INTO cpuload VALUES ('k', 1, 'e', 1, 1)",
+        ] {
+            assert_eq!(Select::parse(write), Err(relsql::SqlError::NotSelect));
+        }
     }
 }

@@ -32,7 +32,7 @@ pub mod servlets;
 
 pub use composite::CompositeProducer;
 pub use producer::ProducerSpec;
-pub use proto::{ProducerList, RgmaMsg, SqlResultMsg};
+pub use proto::{ProducerList, ProducerQuery, RgmaMsg, Select, SqlResultMsg};
 pub use registry::Registry;
 pub use servlets::{ConsumerServlet, ProducerServlet, TupleSink};
 

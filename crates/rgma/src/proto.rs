@@ -1,13 +1,57 @@
 //! Wire messages of the R-GMA model.
 
-use relsql::{SharedRow, Sym};
+use relsql::{parse_stmt, SharedRow, SqlError, Stmt, Sym};
 use simnet::SvcKey;
+use std::rc::Rc;
+
+/// A single-table `SELECT`, parsed once where the query is built and
+/// shared by every message that carries it.  It remembers its source
+/// text's length, which is what it costs on the wire.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Select {
+    stmt: Stmt,
+    table: Sym,
+    text_len: usize,
+}
+
+impl Select {
+    /// Parse `text`, which must be a `SELECT`: any other statement is
+    /// [`SqlError::NotSelect`].
+    pub fn parse(text: &str) -> Result<Select, SqlError> {
+        match parse_stmt(text)? {
+            stmt @ Stmt::Select { table, .. } => Ok(Select {
+                stmt,
+                table,
+                text_len: text.len(),
+            }),
+            _ => Err(SqlError::NotSelect),
+        }
+    }
+
+    pub(crate) fn stmt(&self) -> &Stmt {
+        &self.stmt
+    }
+
+    /// The table it reads.
+    pub(crate) fn table(&self) -> Sym {
+        self.table
+    }
+}
+
+/// What a ProducerServlet (or the composite) is asked: one select, or
+/// every table it holds.  Neither can write.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ProducerQuery {
+    Select(Rc<Select>),
+    /// The all-collectors query: a `SELECT *` of each table.
+    All,
+}
 
 /// Messages between consumers, servlets and the registry.
 pub enum RgmaMsg {
-    /// Consumer -> ConsumerServlet: run this SQL query over the virtual
+    /// Consumer -> ConsumerServlet: run this query over the virtual
     /// database.
-    ConsumerQuery { sql: String },
+    ConsumerQuery(Rc<Select>),
     /// ConsumerServlet (or a test client) -> Registry: which producers
     /// serve `table`?
     RegistryLookup { table: String },
@@ -18,7 +62,7 @@ pub enum RgmaMsg {
         predicate: String,
     },
     /// ConsumerServlet (or a direct client) -> ProducerServlet.
-    ProducerQuery { sql: String },
+    ProducerQuery(ProducerQuery),
     /// Consumer -> ProducerServlet: start streaming `table` tuples to
     /// `sink` every `period_us` microseconds (push mode).
     Subscribe {
@@ -29,7 +73,7 @@ pub enum RgmaMsg {
     /// ProducerServlet -> subscriber sink: a batch of streamed tuples.
     /// Rows are shared with the producer's table (`Rc` clones), so a
     /// streamed batch costs one pointer per tuple, not a deep copy.
-    Stream { table: String, rows: Vec<SharedRow> },
+    Stream { rows: Vec<SharedRow> },
 }
 
 impl RgmaMsg {
@@ -37,13 +81,16 @@ impl RgmaMsg {
     /// 1.x spoke XML over HTTP between components).
     pub fn wire_size(&self) -> u64 {
         let body = match self {
-            RgmaMsg::ConsumerQuery { sql } | RgmaMsg::ProducerQuery { sql } => sql.len() as u64,
+            RgmaMsg::ConsumerQuery(select)
+            | RgmaMsg::ProducerQuery(ProducerQuery::Select(select)) => select.text_len as u64,
+            // All travels as a five-byte marker.
+            RgmaMsg::ProducerQuery(ProducerQuery::All) => 5,
             RgmaMsg::RegistryLookup { table } => table.len() as u64,
             RgmaMsg::RegistryRegister {
                 table, predicate, ..
             } => (table.len() + predicate.len()) as u64,
             RgmaMsg::Subscribe { table, .. } => table.len() as u64 + 16,
-            RgmaMsg::Stream { rows, .. } => rows_wire_size(rows) + 32,
+            RgmaMsg::Stream { rows } => rows_wire_size(rows) + 32,
         };
         240 + body // HTTP headers + XML envelope
     }

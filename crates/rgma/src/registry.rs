@@ -10,15 +10,15 @@
 
 use crate::proto::{ProducerList, RgmaMsg};
 use crate::{DB_FIXED_CPU_US, JVM_DISPATCH_CPU_US, ROW_SCAN_CPU_US, SQL_PARSE_CPU_US};
-use relsql::{Database, SqlValue};
+use relsql::{name, Database, SelectCols, SqlValue, Stmt};
 use simnet::{Kept, LockKey, Payload, Plan, Service, SvcCx, SvcKey};
 use std::collections::HashMap;
 use std::rc::Rc;
 
-/// A table's lookup: the SQL that finds its producers, then the
-/// `ProducerList` reply, its size and the rows the SQL scanned.
+/// A table's lookup: the statement that finds its producers, then the
+/// `ProducerList` reply, its size and the rows the statement scanned.
 struct Answer {
-    sql: String,
+    stmt: Stmt,
     list: Payload,
     bytes: u64,
     scanned: usize,
@@ -33,7 +33,7 @@ pub struct Registry {
     /// re-registers after a crash/restart refreshes its row instead of
     /// accumulating duplicates (consumers would double-count it).
     by_owner: HashMap<(SvcKey, String), i64>,
-    /// Per table name, its lookup SQL and the answer to it, kept at
+    /// Per table name, its lookup statement and the answer to it, kept at
     /// `registrations`.  Consumers ask for the same handful of tables
     /// over and over, and an answer is replied again (its simulated scan
     /// still charged) until the next registration.  Any table's
@@ -71,7 +71,7 @@ impl Registry {
     /// Number of registered producers.
     pub fn producer_count(&mut self) -> usize {
         self.db
-            .execute("SELECT COUNT(*) FROM producers")
+            .run(&Stmt::select(SelectCols::CountStar, "producers", None))
             .map(|r| match r.rows[0][0] {
                 SqlValue::Int(n) => n as usize,
                 _ => 0,
@@ -80,12 +80,12 @@ impl Registry {
     }
 
     /// The producers of `table`: the kept answer while no registration
-    /// has come in since, else the lookup SQL run afresh.
+    /// has come in since, else the lookup statement run afresh.
     fn lookup(&mut self, table: &str) -> &Answer {
         let (db, servlets) = (&mut self.db, &self.servlets);
         self.answers.get(table, self.registrations, |old| {
-            let sql = old.map_or_else(|| lookup_sql(table), |a| a.sql);
-            let r = db.execute(&sql).expect("lookup");
+            let stmt = old.map_or_else(|| lookup_stmt(table), |a| a.stmt);
+            let r = db.run(&stmt).expect("lookup");
             let producers: Vec<SvcKey> = r
                 .rows
                 .iter()
@@ -96,7 +96,7 @@ impl Registry {
                 .collect();
             let bytes = 300 + producers.len() as u64 * 80;
             Answer {
-                sql,
+                stmt,
                 list: Rc::new(ProducerList { producers, bytes }),
                 bytes,
                 scanned: r.scanned,
@@ -114,10 +114,11 @@ impl Registry {
     }
 }
 
-/// The SQL that finds the producers of `table`.
-fn lookup_sql(table: &str) -> String {
-    let esc = table.replace('\'', "''");
-    format!("SELECT id FROM producers WHERE tablename = '{esc}'")
+/// `SELECT id FROM producers WHERE tablename = '{table}'`.
+fn lookup_stmt(table: &str) -> Stmt {
+    let id = SelectCols::Columns(vec![name("id")]);
+    let table = SqlValue::Text(table.to_string());
+    Stmt::select(id, "producers", Some(("tablename", table)))
 }
 
 impl Default for Registry {
@@ -147,13 +148,15 @@ impl Service for Registry {
                     self.next_id += 1;
                     self.servlets.insert(id, servlet);
                     self.by_owner.insert((servlet, table.clone()), id);
-                    let table = table.replace('\'', "''");
-                    let predicate = predicate.replace('\'', "''");
+                    // The servlet id stands in for the URL.
+                    let row = vec![
+                        SqlValue::Int(id),
+                        SqlValue::Int(id),
+                        SqlValue::Text(table.clone()),
+                        SqlValue::Text(predicate.clone()),
+                    ];
                     self.db
-                        .execute(&format!(
-                            "INSERT INTO producers VALUES ({id}, {}, '{table}', '{predicate}')",
-                            id // servlet id stands in for the URL
-                        ))
+                        .insert_row(name("producers"), row)
                         .expect("insert registration");
                 }
                 // The JVM/servlet work is parallel; only the RDBMS access

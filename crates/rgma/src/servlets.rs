@@ -14,9 +14,9 @@
 //! the Consumer."
 
 use crate::producer::ProducerSpec;
-use crate::proto::{ProducerList, RgmaMsg, SqlResultMsg};
+use crate::proto::{ProducerList, ProducerQuery, RgmaMsg, Select, SqlResultMsg};
 use crate::{DB_FIXED_CPU_US, JVM_DISPATCH_CPU_US, ROW_SCAN_CPU_US, SQL_PARSE_CPU_US};
-use relsql::{parse_stmt, Database, SqlValue, Stmt, Sym};
+use relsql::{name, Database, SelectCols, SqlValue, Stmt, Sym};
 use simcore::SimDuration;
 use simnet::{CallOutcome, Kept, LockKey, Payload, Plan, Service, SubCall, SvcCx, SvcKey};
 use std::collections::HashMap;
@@ -28,10 +28,8 @@ const TIMER_PUBLISH: u64 = 1 << 32;
 const TIMER_STREAM: u64 = 2 << 32;
 
 struct Subscription {
-    table: String,
-    /// `SELECT * FROM {table}` prebuilt once: each stream tick re-issues
-    /// it, and a stable text string hits the statement cache.
-    batch_sql: String,
+    /// `SELECT * FROM {table}`, built once and run on each stream tick.
+    batch: Stmt,
     sink: SvcKey,
     period: SimDuration,
 }
@@ -42,17 +40,15 @@ pub struct ProducerServlet {
     /// Each producer's table as the tuple store keys it, resolved once
     /// here rather than hashed on every published row.
     tables: Vec<Sym>,
-    /// One `SELECT * FROM {table}` per producer, prebuilt at
-    /// construction so each `*ALL*` (all-collectors) query re-issues
-    /// stable texts that hit the statement cache instead of
-    /// re-rendering and re-parsing one SELECT per table per query.
-    all_sql: Vec<String>,
-    /// Per query text, the last answer: the result set, its size and the
-    /// CPU it charges.  Consumers re-issue the same handful of texts and
+    /// One `SELECT * FROM {table}` per producer, built at construction
+    /// and run by each all-collectors query.
+    all: Vec<Stmt>,
+    /// Per query, the last answer: the result set, its size and the CPU
+    /// it charges.  Consumers re-issue the same handful of queries and
     /// the tables change only on a publish, which clears every answer
     /// before it writes, so a kept result set never holds a row the
     /// table has replaced.
-    answers: Kept<String, (Payload, u64, f64)>,
+    answers: Kept<ProducerQuery, (Payload, u64, f64)>,
     producers: Vec<ProducerSpec>,
     registry: Option<SvcKey>,
     /// The servlet's tuple-store lock (registered at deploy time).
@@ -78,18 +74,15 @@ impl ProducerServlet {
             ))
             .expect("producer table");
         }
-        let tables = producers
+        let tables = producers.iter().map(|p| name(&p.table)).collect();
+        let all = producers
             .iter()
-            .map(|p| Sym::from(p.table.to_ascii_lowercase().as_str()))
-            .collect();
-        let all_sql = producers
-            .iter()
-            .map(|p| format!("SELECT * FROM {}", p.table))
+            .map(|p| Stmt::select(SelectCols::Star, &p.table, None))
             .collect();
         ProducerServlet {
             db,
             tables,
-            all_sql,
+            all,
             answers: Kept::default(),
             producers,
             registry: None,
@@ -143,59 +136,41 @@ impl ProducerServlet {
         }
     }
 
-    /// The answer to `sql`: the kept one if no publish has come in since,
-    /// else the query run afresh.  The servlet is read-only: a text that
-    /// is not a `SELECT` gets the answer a failed query gets, touches no
-    /// row and is not kept.
-    fn answer(&mut self, sql: &str) -> (Payload, u64, f64) {
-        let select = sql.trim_start().get(..6);
-        if sql != "*ALL*" && !select.is_some_and(|w| w.eq_ignore_ascii_case("select")) {
-            return Self::priced(SqlResultMsg::new(vec![], vec![]), 1);
-        }
-        let (db, all_sql) = (&mut self.db, &self.all_sql);
-        let kept = self.answers.get(sql, 0, |_| {
-            if sql != "*ALL*" {
-                let (result, scanned) = Self::run_query(db, sql);
-                return Self::priced(result, scanned);
-            }
-            // The all-collectors query: one SELECT per table.
+    /// The answer to `query`: the kept one if no publish has come in
+    /// since, else the query run afresh.
+    fn answer(&mut self, query: &ProducerQuery) -> (Payload, u64, f64) {
+        let (db, all) = (&mut self.db, &self.all);
+        let kept = self.answers.get(query, 0, |_| {
+            let stmts = match query {
+                ProducerQuery::Select(select) => std::slice::from_ref(select.stmt()),
+                ProducerQuery::All => &all[..],
+            };
             let mut total_rows = Vec::new();
             let mut scanned = 0usize;
             let mut cols = Vec::new();
-            for q in all_sql {
-                let (r, s) = Self::run_query(db, q);
-                scanned += s;
+            for stmt in stmts {
+                // A failed select answers no columns and counts one row.
+                let Ok(r) = db.run(stmt) else {
+                    cols = Vec::new();
+                    scanned += 1;
+                    continue;
+                };
+                scanned += r.scanned;
                 cols = r.columns;
-                total_rows.extend(r.rows);
+                if total_rows.is_empty() {
+                    total_rows = r.rows;
+                } else {
+                    total_rows.extend(r.rows);
+                }
             }
             let cost = JVM_DISPATCH_CPU_US
-                + (SQL_PARSE_CPU_US + DB_FIXED_CPU_US) * all_sql.len() as f64
+                + (SQL_PARSE_CPU_US + DB_FIXED_CPU_US) * stmts.len() as f64
                 + ROW_SCAN_CPU_US * scanned as f64;
             let result = SqlResultMsg::new(cols, total_rows);
             let bytes = result.bytes;
             (Rc::new(result) as Payload, bytes, cost)
         });
         kept.clone()
-    }
-
-    /// A single statement's answer: its result set, size and CPU charge.
-    fn priced(result: SqlResultMsg, scanned: usize) -> (Payload, u64, f64) {
-        let cost = JVM_DISPATCH_CPU_US
-            + SQL_PARSE_CPU_US
-            + DB_FIXED_CPU_US
-            + ROW_SCAN_CPU_US * scanned as f64;
-        let bytes = result.bytes;
-        (Rc::new(result) as Payload, bytes, cost)
-    }
-
-    fn run_query(db: &mut Database, sql: &str) -> (SqlResultMsg, usize) {
-        match db.execute(sql) {
-            Ok(r) => {
-                let scanned = r.scanned;
-                (SqlResultMsg::new(r.columns, r.rows), scanned)
-            }
-            Err(_) => (SqlResultMsg::new(vec![], vec![]), 1),
-        }
     }
 
     /// Serialise the whole of `plan` behind the database lock, if there
@@ -214,10 +189,10 @@ impl Service for ProducerServlet {
             .downcast::<RgmaMsg>()
             .expect("ProducerServlet expects RgmaMsg");
         match &*msg {
-            RgmaMsg::ProducerQuery { sql } => {
+            RgmaMsg::ProducerQuery(query) => {
                 self.queries += 1;
                 cx.obs.incr("rgma.producer_queries", 1);
-                let (result, bytes, cost) = self.answer(sql);
+                let (result, bytes, cost) = self.answer(query);
                 self.locked(cx.plan().cpu(cost).reply(result, bytes))
             }
             RgmaMsg::Subscribe {
@@ -228,8 +203,7 @@ impl Service for ProducerServlet {
                 let (sink, period_us) = (*sink, *period_us);
                 let idx = self.subscriptions.len() as u64;
                 self.subscriptions.push(Subscription {
-                    batch_sql: format!("SELECT * FROM {table}"),
-                    table: table.clone(),
+                    batch: Stmt::select(SelectCols::Star, table, None),
                     sink,
                     period: SimDuration::from_micros(period_us),
                 });
@@ -285,14 +259,13 @@ impl Service for ProducerServlet {
             let Some(sub) = self.subscriptions.get(i) else {
                 return;
             };
-            let table = sub.table.clone();
             let sink = sub.sink;
             let period = sub.period;
-            let r = self.db.execute(&sub.batch_sql).ok();
+            let r = self.db.run(&sub.batch).ok();
             let rows = r.map(|r| r.rows).unwrap_or_default();
             if !rows.is_empty() {
                 self.stream_batches += 1;
-                let msg = RgmaMsg::Stream { table, rows };
+                let msg = RgmaMsg::Stream { rows };
                 let bytes = msg.wire_size();
                 cx.send_oneway(sink, Rc::new(msg), bytes);
             }
@@ -305,29 +278,11 @@ impl Service for ProducerServlet {
     }
 }
 
-/// A mediated query's messages, built once per distinct query text: the
+/// A mediated query's messages, built once per distinct select: the
 /// Registry lookup of its table and the query put to each producer found.
 struct Mediation {
     lookup: Rc<RgmaMsg>,
     query: Rc<RgmaMsg>,
-}
-
-impl Mediation {
-    /// The mediation of `sql`, or `None` when it is not a single-table
-    /// SELECT.
-    fn of(sql: &str) -> Option<Mediation> {
-        let Ok(Stmt::Select { table, .. }) = parse_stmt(sql) else {
-            return None;
-        };
-        Some(Mediation {
-            lookup: Rc::new(RgmaMsg::RegistryLookup {
-                table: table.to_string(),
-            }),
-            query: Rc::new(RgmaMsg::ProducerQuery {
-                sql: sql.to_string(),
-            }),
-        })
-    }
 }
 
 /// Pending state of a consumer query inside the ConsumerServlet.
@@ -343,11 +298,10 @@ enum CqStage {
 pub struct ConsumerServlet {
     registry: SvcKey,
     pending: HashMap<u64, CqStage>,
-    /// Query text -> its mediation (`None` = not a single-table SELECT),
-    /// which depends on the text alone, so its stamp never moves.
-    /// Consumers re-issue the same handful of texts, so each distinct
-    /// text is parsed and its messages built once.
-    texts: Kept<String, Option<Mediation>>,
+    /// Select -> its mediation, which depends on the select alone, so
+    /// its stamp never moves.  Consumers re-issue the same handful of
+    /// selects, so each distinct one has its messages built once.
+    mediations_of: Kept<Rc<Select>, Mediation>,
     next_cont: u64,
     /// Counters.
     pub queries: u64,
@@ -359,7 +313,7 @@ impl ConsumerServlet {
         ConsumerServlet {
             registry,
             pending: HashMap::new(),
-            texts: Kept::default(),
+            mediations_of: Kept::default(),
             next_cont: 0,
             queries: 0,
             mediations: 0,
@@ -372,23 +326,22 @@ impl Service for ConsumerServlet {
         let msg = req
             .downcast::<RgmaMsg>()
             .expect("ConsumerServlet expects RgmaMsg");
-        let RgmaMsg::ConsumerQuery { sql } = &*msg else {
+        let RgmaMsg::ConsumerQuery(select) = &*msg else {
             debug_assert!(false, "unexpected message");
             return cx.plan().reply_empty();
         };
         self.queries += 1;
         cx.obs.incr("rgma.consumer_queries", 1);
-        // Which table does the query touch?  (Single-table SELECTs only —
-        // that is all R-GMA 1.x's mediator handled well, too.)  Each
-        // distinct query text is parsed once and remembered.
-        let Some(m) = self.texts.get(sql.as_str(), 0, |_| Mediation::of(sql)) else {
-            let result = SqlResultMsg::new(vec![], vec![]);
-            let bytes = result.bytes;
-            return cx
-                .plan()
-                .cpu(JVM_DISPATCH_CPU_US + SQL_PARSE_CPU_US)
-                .reply(Rc::new(result), bytes);
-        };
+        // A select reads one table (all R-GMA 1.x's mediator handled
+        // well, too): look its producers up, then ask each of them.
+        let m = self.mediations_of.get(select, 0, |_| Mediation {
+            lookup: Rc::new(RgmaMsg::RegistryLookup {
+                table: select.table().to_string(),
+            }),
+            query: Rc::new(RgmaMsg::ProducerQuery(ProducerQuery::Select(
+                select.clone(),
+            ))),
+        });
         let cont = self.next_cont;
         self.next_cont += 1;
         let query = Rc::clone(&m.query);
@@ -555,9 +508,7 @@ mod tests {
             cx.wake_in(SimDuration::from_secs(self.at_s), 0);
         }
         fn on_wake(&mut self, _tag: u64, cx: &mut ClientCx) {
-            let m = RgmaMsg::ConsumerQuery {
-                sql: self.sql.clone(),
-            };
+            let m = RgmaMsg::ConsumerQuery(select(&self.sql));
             let bytes = m.wire_size();
             cx.submit(
                 RequestSpec {
@@ -635,7 +586,7 @@ mod tests {
                     for call in calls {
                         let line = match call.payload.downcast_ref::<RgmaMsg>() {
                             Some(RgmaMsg::RegistryLookup { table }) => format!("lookup {table}"),
-                            Some(RgmaMsg::ProducerQuery { sql }) => format!("query {sql}"),
+                            Some(RgmaMsg::ProducerQuery(query)) => format!("query {query:?}"),
                             _ => panic!("unexpected sub-call"),
                         };
                         seen.push(format!("{line} to {:?}, {}B", call.to, call.req_bytes));
@@ -651,26 +602,8 @@ mod tests {
         (seen, cont)
     }
 
-    /// A ProducerServlet's answer: its CPU charge, the rows' cells and
-    /// the reply's size.
-    type Answer = (Vec<f64>, Vec<Vec<SqlValue>>, u64);
-
-    /// What a ProducerServlet answers `sql`, and the reply.
-    fn ask_producer(ps: &mut ProducerServlet, sql: &str, cx: &mut SvcCx) -> (Answer, Payload) {
-        let query = Rc::new(RgmaMsg::ProducerQuery { sql: sql.into() });
-        let mut cpu = Vec::new();
-        for step in ps.handle(query, cx).steps {
-            match step {
-                simnet::Step::Cpu(us) => cpu.push(us),
-                simnet::Step::Reply { payload, bytes } => {
-                    let r = payload.downcast_ref::<SqlResultMsg>().expect("result set");
-                    let rows = r.rows.iter().map(|row| row.to_vec()).collect();
-                    return ((cpu, rows, bytes), payload);
-                }
-                other => panic!("unexpected step {other:?}"),
-            }
-        }
-        panic!("query plan without a reply");
+    fn select(text: &str) -> Rc<Select> {
+        Rc::new(Select::parse(text).unwrap())
     }
 
     #[test]
@@ -679,19 +612,23 @@ mod tests {
         let mut rng = simcore::SimRng::new(1);
         let mut obs = simnet::Obs::off();
         let mut cx = SvcCx::for_tests(SimTime::ZERO, SvcKey::NULL, &mut rng, &mut obs, &mut lent);
-        let texts = ["SELECT * FROM cpuload", "*ALL*"];
+        let queries = [
+            ProducerQuery::Select(select("SELECT * FROM cpuload")),
+            ProducerQuery::All,
+        ];
         let mut ps = ProducerServlet::new(default_producers("anl", 3));
         for round in 0..8 {
             // Kept answers hold rows of every table ...
-            for sql in texts {
-                ask_producer(&mut ps, sql, &mut cx);
+            for query in &queries {
+                let query = Rc::new(RgmaMsg::ProducerQuery(query.clone()));
+                ps.handle(query, &mut cx);
             }
             // ... and once the next publish has run, nothing holds the
             // rows it replaced.
             let i = round % 3;
             let replaced: Vec<_> = ps
                 .db
-                .execute(&ps.all_sql[i])
+                .run(&ps.all[i])
                 .unwrap()
                 .rows
                 .iter()
@@ -713,9 +650,7 @@ mod tests {
         let mut obs = simnet::Obs::off();
         let mut cx = SvcCx::for_tests(SimTime::ZERO, key(0), &mut rng, &mut obs, &mut lent);
         let mut cs = ConsumerServlet::new(key(1));
-        let query = Rc::new(RgmaMsg::ConsumerQuery {
-            sql: "SELECT * FROM cpuload".into(),
-        });
+        let query = Rc::new(RgmaMsg::ConsumerQuery(select("SELECT * FROM cpuload")));
         let (_, cont) = sends(cs.handle(query, &mut cx));
         let producers = (0..replies.len() as u32).map(|i| key(10 + i)).collect();
         let list = Rc::new(ProducerList {

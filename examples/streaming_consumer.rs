@@ -39,9 +39,9 @@ impl Client for SteeringClient {
                     "[t={:>6.2}s] consumer: SELECT * FROM cpuload   (pull, via Registry mediation)",
                     cx.now().as_secs_f64()
                 );
-                let m = RgmaMsg::ConsumerQuery {
-                    sql: "SELECT * FROM cpuload".into(),
-                };
+                let m = RgmaMsg::ConsumerQuery(Rc::new(
+                    gridmon::rgma::Select::parse("SELECT * FROM cpuload").unwrap(),
+                ));
                 let bytes = m.wire_size();
                 cx.submit(
                     RequestSpec {

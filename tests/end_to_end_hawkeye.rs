@@ -13,6 +13,15 @@ use gridmon::simnet::{
 use std::cell::RefCell;
 use std::rc::Rc;
 
+/// A constraint query, its expression parsed once as a scenario's is.
+fn constraint(text: &str) -> HawkeyeMsg {
+    let expr = gridmon::classad::parse_expr(text).unwrap();
+    HawkeyeMsg::Constraint {
+        expr: Rc::new(gridmon::classad::CompiledExpr::compile(&expr)),
+        text_len: text.len(),
+    }
+}
+
 struct Asker {
     from: NodeId,
     to: SvcKey,
@@ -96,9 +105,7 @@ fn status_and_constraint_queries() {
         from: uc0,
         to: mgr,
         at: 45,
-        build: Box::new(|| HawkeyeMsg::Constraint {
-            expr: "ModuleCount == 11".into(),
-        }),
+        build: Box::new(|| constraint("ModuleCount == 11")),
         ads_seen: matches.clone(),
     }));
     let none = Rc::new(RefCell::new(Vec::new()));
@@ -106,9 +113,7 @@ fn status_and_constraint_queries() {
         from: uc0,
         to: mgr,
         at: 50,
-        build: Box::new(|| HawkeyeMsg::Constraint {
-            expr: "Nope =?= 1".into(),
-        }),
+        build: Box::new(|| constraint("Nope =?= 1")),
         ads_seen: none.clone(),
     }));
     h.net.start(&mut h.eng);
@@ -178,9 +183,7 @@ fn advertiser_fleet_scales_the_pool() {
         from: uc0,
         to: mgr,
         at: 1,
-        build: Box::new(|| HawkeyeMsg::Constraint {
-            expr: "Nope =?= 1".into(),
-        }),
+        build: Box::new(|| constraint("Nope =?= 1")),
         ads_seen: none.clone(),
     }));
     h.net.start_client(&mut h.eng, late);

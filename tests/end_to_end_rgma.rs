@@ -34,9 +34,7 @@ impl Client for SqlProber {
         }
     }
     fn on_wake(&mut self, _tag: u64, cx: &mut ClientCx) {
-        let m = RgmaMsg::ConsumerQuery {
-            sql: self.sql.clone(),
-        };
+        let m = RgmaMsg::ConsumerQuery(Rc::new(gridmon::rgma::Select::parse(&self.sql).unwrap()));
         let bytes = m.wire_size();
         cx.submit(
             RequestSpec {
