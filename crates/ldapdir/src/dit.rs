@@ -11,16 +11,18 @@
 //! [`Dit::upsert`] entries identical to the stored ones; those writes
 //! leave the generation alone, so results memoised on it stay valid.
 //!
-//! `add`, `add_with_parents` and `upsert` share one insert path: a
-//! parent check, one entry-map walk that finds the DN absent and inserts
-//! it, and the child-set insert (an `upsert` of a stored DN ends at its
-//! lookup).
+//! The tree is one DN-ordered map.  `add`, `add_with_parents` and
+//! `upsert` share one insert path: a parent probe by the parent's RDN
+//! slice and one entry-map walk that finds the DN absent and inserts it
+//! (an `upsert` of a stored DN ends at its lookup).  Scopes other than
+//! `Sub` from the suffix are one filtered pass over the map.
 
-use crate::dn::Dn;
+use crate::dn::{Dn, Rdn};
 use crate::entry::Entry;
 use crate::filter::Filter;
+use std::borrow::Borrow;
 use std::collections::btree_map::Entry as Slot;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Search scope.
@@ -62,8 +64,6 @@ pub struct Dit {
     suffix: Dn,
     /// DN -> entry. BTreeMap gives deterministic iteration.
     entries: BTreeMap<Dn, Entry>,
-    /// Parent DN -> children DNs.
-    children: BTreeMap<Dn, BTreeSet<Dn>>,
     /// Bumped whenever search-visible content may have changed, so
     /// callers can cache derived results — e.g. materialized search
     /// responses — keyed on it.
@@ -81,7 +81,6 @@ impl Dit {
         Dit {
             suffix,
             entries,
-            children: BTreeMap::new(),
             generation: 0,
         }
     }
@@ -141,22 +140,24 @@ impl Dit {
         if !dn.is_under(&self.suffix) {
             return Err(DitError::NotUnderSuffix(dn));
         }
-        let parent = dn.parent().expect("entry under suffix has a parent");
-        let mut has_parent = self.entries.contains_key(&parent);
-        if !has_parent && with_parents && parent != self.suffix {
-            let mut placeholder = Entry::new(parent.clone());
+        // `Dn` orders as its RDN slice, so the parent is probed without
+        // building its DN.
+        let rdns: &[Rdn] = dn.borrow();
+        let mut has_parent = self.entries.contains_key(&rdns[1..]);
+        if !has_parent && with_parents && dn.depth() != self.suffix.depth() + 1 {
+            let parent = dn.parent().expect("entry under suffix has a parent");
+            let mut placeholder = Entry::new(parent);
             placeholder.add("objectclass", "top");
             self.insert(placeholder, true)?;
             has_parent = true;
         }
-        let Slot::Vacant(slot) = self.entries.entry(dn.clone()) else {
-            return Err(DitError::Duplicate(dn));
+        let Slot::Vacant(slot) = self.entries.entry(dn) else {
+            return Err(DitError::Duplicate(entry.dn));
         };
         if !has_parent {
-            return Err(DitError::NoParent(dn));
+            return Err(DitError::NoParent(entry.dn));
         }
         slot.insert(entry);
-        self.children.entry(parent).or_default().insert(dn);
         self.generation += 1;
         Ok(())
     }
@@ -167,23 +168,10 @@ impl Dit {
         if !self.entries.contains_key(dn) {
             return Err(DitError::NoSuchEntry(dn.clone()));
         }
-        let mut stack = vec![dn.clone()];
-        let mut removed = 0;
-        while let Some(cur) = stack.pop() {
-            if let Some(kids) = self.children.remove(&cur) {
-                stack.extend(kids);
-            }
-            if self.entries.remove(&cur).is_some() {
-                removed += 1;
-            }
-        }
-        if let Some(parent) = dn.parent() {
-            if let Some(sibs) = self.children.get_mut(&parent) {
-                sibs.remove(dn);
-            }
-        }
+        let before = self.entries.len();
+        self.entries.retain(|stored, _| !stored.is_under(dn));
         self.generation += 1;
-        Ok(removed)
+        Ok(before - self.entries.len())
     }
 
     pub fn get(&self, dn: &Dn) -> Option<&Entry> {
@@ -208,40 +196,26 @@ impl Dit {
                     }
                 }
             }
-            Scope::One => {
-                if let Some(kids) = self.children.get(base) {
-                    for dn in kids {
-                        let e = &self.entries[dn];
-                        if filter.matches(e) {
-                            out.push(e);
-                        }
-                    }
-                }
+            // Every stored entry is under the suffix, so a Sub search
+            // from it is the whole map in key order; any other base is
+            // one filtered pass over the map, which is in DN order too.
+            Scope::Sub if *base == self.suffix => {
+                out.extend(self.entries.values().filter(|e| filter.matches(e)));
             }
-            Scope::Sub => {
-                // Every stored entry is connected to the suffix through
-                // the child index (`add` requires the parent, removal is
-                // whole-subtree), so a Sub search from the suffix is the
-                // whole map in key order — no walk, no sort, no clones.
-                if *base == self.suffix {
-                    out.extend(self.entries.values().filter(|e| filter.matches(e)));
-                } else {
-                    // BTreeMap ordering doesn't group subtrees (DNs sort
-                    // lexicographically by leading RDN), so walk the
-                    // child index, collecting borrowed entries.
-                    let mut stack = vec![base];
-                    let mut hits: Vec<&Entry> = Vec::new();
-                    while let Some(cur) = stack.pop() {
-                        if let Some(e) = self.entries.get(cur) {
-                            hits.push(e);
-                        }
-                        if let Some(kids) = self.children.get(cur) {
-                            stack.extend(kids.iter());
-                        }
-                    }
-                    hits.sort_by(|a, b| a.dn.cmp(&b.dn));
-                    out.extend(hits.into_iter().filter(|e| filter.matches(e)));
-                }
+            // Parents are stored before children, so a base that is not
+            // stored has nothing under it; one above the suffix is not
+            // in this tree at all.
+            _ if !self.entries.contains_key(base) => {}
+            Scope::One | Scope::Sub => {
+                let in_scope = |dn: &Dn| match scope {
+                    Scope::One => dn.is_child_of(base),
+                    _ => dn.is_under(base),
+                };
+                out.extend(
+                    self.entries
+                        .values()
+                        .filter(|e| in_scope(&e.dn) && filter.matches(e)),
+                );
             }
         }
         out
@@ -338,6 +312,10 @@ mod tests {
         let missing = Dn::parse("mds-vo-name=nowhere, o=grid").unwrap();
         assert!(d.search(&missing, Scope::Sub, &Filter::any()).is_empty());
         assert!(d.search(&missing, Scope::Base, &Filter::any()).is_empty());
+        // Above the suffix is outside the tree, in every scope.
+        for scope in [Scope::Base, Scope::One, Scope::Sub] {
+            assert!(d.search(&Dn::root(), scope, &Filter::any()).is_empty());
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! payloads and the pinned figure CSVs).
 
 use gintern::Sym;
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
 use std::fmt;
 use std::rc::Rc;
 
@@ -168,6 +168,15 @@ impl Dn {
         let mut rdns = self.rdns[..keep].to_vec();
         rdns.extend(new_suffix.rdns.iter().copied());
         Some(Dn::from_vec(rdns))
+    }
+}
+
+/// A DN compares, orders and hashes as its RDN slice, so DN-keyed maps
+/// can be probed with a slice of a stored DN (its parent, say) without
+/// building a `Dn`.
+impl Borrow<[Rdn]> for Dn {
+    fn borrow(&self) -> &[Rdn] {
+        &self.rdns
     }
 }
 

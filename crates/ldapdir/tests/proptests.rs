@@ -2,11 +2,12 @@
 //!
 //! Three certificates stand in for the implementations the fast paths
 //! replaced: an `Entry` behaves like a `BTreeMap<String, Vec<String>>` of
-//! lowercased attribute names, an indexed DIT search returns what a scan
-//! of every entry keeps under a filter read over the entry's strings, and
-//! any sequence of DIT writes does to the tree what it does to a map of
-//! DN component strings.  The three text parsers — filter, DN and LDIF —
-//! answer any input with a value or a typed error, never a panic.
+//! lowercased attribute names, a DIT search in any scope returns what a
+//! scan of every entry keeps under a filter read over the entry's
+//! strings, and any sequence of DIT writes does to the tree what it does
+//! to a map of DN component strings.  The three text parsers — filter,
+//! DN and LDIF — answer any input with a value or a typed error, never a
+//! panic.
 
 use gintern::intern;
 use ldapdir::{entry_to_ldif, parse_ldif, Dit, DitError, Dn, Entry, Filter, Pair, Scope};
@@ -119,11 +120,13 @@ proptest! {
             assert_same_search(&dit, &suffix, scope, &filter);
             assert_same_search(&dit, &suffix, scope, &Filter::any());
         }
-        // Non-suffix bases too (including missing ones).
-        if let Some((name, _)) = spec.first() {
-            let base = suffix.child("vo", name);
+        // Non-suffix bases too: a `vo=` child, a `host=` grandchild (a
+        // leaf) and missing ones.
+        let vo = spec.first().map(|(name, _)| suffix.child("vo", name));
+        let host = spec.get(1).map(|(name, _)| suffix.child("vo", name).child("host", "h1"));
+        for base in vo.iter().chain(&host) {
             for scope in [Scope::Base, Scope::One, Scope::Sub] {
-                assert_same_search(&dit, &base, scope, &filter);
+                assert_same_search(&dit, base, scope, &filter);
             }
         }
         let missing = suffix.child("vo", "no-such-vo");
@@ -153,8 +156,8 @@ proptest! {
 
 proptest! {
     /// Every write agrees with the map model on its `Ok`/`Err` (variant
-    /// and DN), and after it on `len`, the entries in DN order with their
-    /// attributes, and whether the generation moved.
+    /// and DN) and a removal's count, and after it on `len`, the entries
+    /// in DN order with their attributes, and whether the generation moved.
     #[test]
     fn dit_writes_match_map_model(ops in proptest::collection::vec(arb_write(), 0..48)) {
         let mut dit = Dit::new(Dn::parse("o=grid").unwrap());
@@ -185,7 +188,12 @@ proptest! {
                     (dit.upsert(e).map(drop), model_upsert(&mut model, &key, &attrs))
                 }
                 Write::Remove(dn) => {
-                    (dit.remove_subtree(&dn_of(dn)).map(drop), model_remove(&mut model, dn))
+                    let stored = model.len();
+                    let (got, want) = (dit.remove_subtree(&dn_of(dn)), model_remove(&mut model, dn));
+                    if let Ok(n) = got {
+                        prop_assert_eq!(n, stored - model.len(), "removed count, {:?}", op);
+                    }
+                    (got.map(drop), want)
                 }
             };
             let got = got.map_err(|e| match e {
@@ -365,7 +373,7 @@ fn assert_same(entry: &Entry, model: &Attrs) {
 }
 
 // ----------------------------------------------------------------------
-// Indexed search against a scan
+// DIT search against a scan
 // ----------------------------------------------------------------------
 
 fn arb_tree_filter() -> impl Strategy<Value = Filter> {
@@ -414,7 +422,7 @@ fn arb_spec() -> impl Strategy<Value = Vec<(String, Vec<(String, String)>)>> {
 }
 
 /// The oracle: every entry, in DN order, kept when the scope relation to
-/// `base` and the filter both hold — no child index, no fast path.
+/// `base` and the filter both hold — no fast path.
 fn search_reference<'a>(dit: &'a Dit, base: &Dn, scope: Scope, filter: &Filter) -> Vec<&'a Entry> {
     dit.iter()
         .filter(|e| match scope {

@@ -66,19 +66,6 @@ pub struct QueryResult {
     pub used_index: bool,
 }
 
-impl QueryResult {
-    /// Approximate wire size of the result set in bytes.
-    pub fn wire_size(&self) -> u64 {
-        let header: u64 = self.columns.iter().map(|c| c.len() as u64 + 2).sum();
-        let body: u64 = self
-            .rows
-            .iter()
-            .map(|r| r.wire_size() + 2 * r.len() as u64)
-            .sum();
-        64 + header + body
-    }
-}
-
 /// A named collection of tables.  `Sym` keys order as their strings
 /// do, so iteration matches the old `String`-keyed map exactly.
 #[derive(Debug, Default)]
@@ -414,17 +401,6 @@ mod tests {
             d.execute("INSERT INTO cpu VALUES ('lucky0', 'anl', 0.0)"),
             Err(SqlError::Table(_)) // duplicate pk
         ));
-    }
-
-    #[test]
-    fn wire_size_grows_with_rows() {
-        let mut d = db();
-        let small = d
-            .execute("SELECT * FROM cpu WHERE host = 'uc01'")
-            .unwrap()
-            .wire_size();
-        let big = d.execute("SELECT * FROM cpu").unwrap().wire_size();
-        assert!(big > small);
     }
 
     #[test]

@@ -84,13 +84,6 @@ fn assert_sizes_fresh(r: &QueryResult) {
         // The second read is the memo.
         assert_eq!(row.wire_size(), fresh_row_size(row), "row {row:?} (memo)");
     }
-    let header: u64 = r.columns.iter().map(|c| c.len() as u64 + 2).sum();
-    let body: u64 = r
-        .rows
-        .iter()
-        .map(|row| fresh_row_size(row) + 2 * row.len() as u64)
-        .sum();
-    assert_eq!(r.wire_size(), 64 + header + body);
 }
 
 /// A result set kept across later writes, with what it rendered to when
