@@ -3,11 +3,13 @@
 //! Set 4 puts up to 500 GRISes under one GIIS: each GRIS keeps its
 //! providers' entries in its own `Dit`, and the GIIS keeps all of them
 //! again, rebased under one `sub-N` graft per GRIS.  A `Dit` is one
-//! DN-ordered map of entries, so an entry costs its map slot (and, in the
-//! GIIS, its rebased DN) beside the attribute list it shares with the
-//! provider's copy.  This pins the bytes per entry of a GRIS-shaped and a
-//! GIIS-shaped directory; a second index beside the map (a child set per
-//! parent, ≈ 200 B per entry) fails both.
+//! DN-ordered set of entries, each keyed by its own DN, so an entry costs
+//! its set slot (and, in the GIIS, its rebased DN) beside the attribute
+//! list it shares with the provider's copy.  This pins the bytes per
+//! entry of a GRIS-shaped and a GIIS-shaped directory; a second copy of
+//! each DN as a map key (≈ 30 B per entry) fails both, and a second index
+//! beside the set (a child set per parent, ≈ 200 B per entry) fails them
+//! by far.
 //!
 //! Runs only with `--features alloc-profile` (which compiles the
 //! counting global allocator in); without it the test is a no-op so
@@ -21,10 +23,10 @@ use mds::{default_providers, ProviderSpec};
 const HOSTS: usize = 100;
 
 /// Bytes in use per entry of a GRIS's directory, at most.
-const GRIS_ENTRY_BYTES_MAX: u64 = 112;
+const GRIS_ENTRY_BYTES_MAX: u64 = 64;
 
 /// Bytes in use per entry of the GIIS's directory, at most.
-const GIIS_ENTRY_BYTES_MAX: u64 = 168;
+const GIIS_ENTRY_BYTES_MAX: u64 = 128;
 
 /// One host: its GRIS suffix, its providers and its graft in the GIIS.
 struct Host {

@@ -3,10 +3,10 @@
 //! Set 4 puts up to 500 GRISes under one GIIS, and their providers'
 //! entries are most of that point's peak heap: each host has ten
 //! providers of a few LDAP entries, each entry a handful of attribute
-//! values.  An entry keeps its values as one flat `(type, value)` list,
-//! so it is one `Rc`, one list buffer and its value texts.  This pins the
-//! bytes in use per host at 16 KiB; an attribute that owns its own
-//! `Vec<String>` again (≈ 37 KB per host) fails it.
+//! values.  An entry keeps its values as one flat list of interned
+//! `(type, value)` symbols, so it is one `Rc`, one list of 8-byte pairs
+//! and its DN, and owns no strings.  This pins the bytes in use per host
+//! at 9 KiB; values boxed per entry again (≈ 14.5 KB per host) fail it.
 //!
 //! Runs only with `--features alloc-profile` (which compiles the
 //! counting global allocator in); without it the test is a no-op so
@@ -20,7 +20,7 @@ use mds::default_providers;
 const HOSTS: usize = 100;
 
 /// Bytes in use per host's providers, at most.
-const HOST_BYTES_MAX: u64 = 16 * 1024;
+const HOST_BYTES_MAX: u64 = 9 * 1024;
 
 #[test]
 fn provider_entries_fit_the_byte_budget() {

@@ -5,7 +5,7 @@
 //! `#` are comments).  Attribute names are case-insensitive; insertion
 //! order is preserved for printing.
 
-use crate::expr::{intern_lower, Expr};
+use crate::expr::Expr;
 use crate::parser::{parse_expr, ParseError};
 use crate::value::Value;
 use gintern::Sym;
@@ -17,8 +17,8 @@ use std::fmt;
 ///
 /// Names are interned [`Sym`]s: inserts and lookups hash a 32-bit id,
 /// and cloning an ad copies no name strings.  Probing uses
-/// [`gintern::lookup`], which never grows the intern table — a name that
-/// was never interned anywhere cannot be a key of any ad.
+/// [`gintern::lookup_lower`], which never grows the intern table — a
+/// name that was never interned anywhere cannot be a key of any ad.
 ///
 /// An ad also remembers its serialized size once measured
 /// ([`ClassAd::wire_size`]); every `&mut self` method forgets it.
@@ -72,7 +72,7 @@ impl ClassAd {
     /// Insert or replace an attribute.
     pub fn insert(&mut self, name: &str, expr: Expr) {
         self.wire.set(UNMEASURED);
-        let key = intern_lower(name);
+        let key = gintern::intern_lower(name);
         let printed = gintern::intern(name);
         match self.index.get(&key) {
             Some(&i) => {
@@ -114,27 +114,15 @@ impl ClassAd {
         Ok(())
     }
 
-    /// Resolve a probe name to the `Sym` it would be stored under, without
-    /// interning: a name absent from the global table was never inserted
-    /// into *any* ad, so a miss means "not present".
-    fn probe(name: &str) -> Option<Sym> {
-        if name.bytes().any(|b| b.is_ascii_uppercase()) {
-            gintern::lookup(&name.to_ascii_lowercase())
-        } else {
-            gintern::lookup(name)
-        }
-    }
-
-    /// Look up an attribute (case-insensitive).  Parsed expressions store
-    /// names lowercase already, so the hot path does not allocate.
+    /// Look up an attribute (case-insensitive).
     pub fn get(&self, name: &str) -> Option<&Expr> {
-        let key = Self::probe(name)?;
+        let key = gintern::lookup_lower(name)?;
         self.index.get(&key).map(|&i| &self.entries[i].2)
     }
 
     /// Remove an attribute; returns whether it existed.
     pub fn remove(&mut self, name: &str) -> bool {
-        let Some(key) = Self::probe(name) else {
+        let Some(key) = gintern::lookup_lower(name) else {
             return false;
         };
         let Some(i) = self.index.remove(&key) else {

@@ -77,21 +77,11 @@ pub enum Expr {
     Binary(BinOp, Box<Expr>, Box<Expr>),
 }
 
-/// Intern a name's lowercase form without allocating when it is already
-/// lowercase.
-pub(crate) fn intern_lower(name: &str) -> Sym {
-    if name.bytes().any(|b| b.is_ascii_uppercase()) {
-        gintern::intern(&name.to_ascii_lowercase())
-    } else {
-        gintern::intern(name)
-    }
-}
-
 impl Expr {
     pub fn attr(name: &str) -> Expr {
         Expr::Attr {
             scope: Scope::None,
-            name: intern_lower(name),
+            name: gintern::intern_lower(name),
             printed: gintern::intern(name),
         }
     }
@@ -99,7 +89,7 @@ impl Expr {
     pub fn scoped_attr(scope: Scope, name: &str) -> Expr {
         Expr::Attr {
             scope,
-            name: intern_lower(name),
+            name: gintern::intern_lower(name),
             printed: gintern::intern(name),
         }
     }

@@ -1,7 +1,7 @@
 //! String interning for the simulation hot paths.
 //!
 //! The monitored-system models churn through a small, stable
-//! vocabulary — LDAP attribute types and DN components, ClassAd
+//! vocabulary — LDAP attribute types, values and DN components, ClassAd
 //! identifiers, SQL table and column names — yet the original
 //! representations carried each occurrence as an owned `String`:
 //! every `Dn::clone` paid one allocation per component, every
@@ -33,10 +33,11 @@
 //! state.
 //!
 //! The table leaks its strings by design: the vocabulary is bounded
-//! by the deployment (attribute schema, host names, column names), a
-//! worker thread runs many points, and `&'static str` resolution is
-//! what lets [`Sym::as_str`] hand out borrows without lifetimes or
-//! locks.
+//! by the deployment (attribute schema, host names, column names, the
+//! LDAP values its providers publish), a worker thread runs many points,
+//! and `&'static str` resolution is what lets [`Sym::as_str`] hand out
+//! borrows without lifetimes or locks.  Only `ldapdir::parse_ldif` of
+//! foreign text (tests, probes) interns values from outside it.
 
 #![forbid(unsafe_code)]
 
@@ -100,6 +101,30 @@ pub fn intern(s: &str) -> Sym {
 /// cannot be present in any symbol-keyed container on this thread.
 pub fn lookup(s: &str) -> Option<Sym> {
     TABLE.with(|t| t.borrow().ids.get(s).copied().map(Sym))
+}
+
+/// Intern the ASCII-lowercase form of `s`, lowercasing a name of up to
+/// 64 bytes on the stack: only a longer one allocates.
+pub fn intern_lower(s: &str) -> Sym {
+    with_lower(s, intern)
+}
+
+/// [`lookup`] of the ASCII-lowercase form of `s`, as [`intern_lower`].
+pub fn lookup_lower(s: &str) -> Option<Sym> {
+    with_lower(s, lookup)
+}
+
+fn with_lower<R>(s: &str, f: impl FnOnce(&str) -> R) -> R {
+    let mut buf = [0u8; 64];
+    match buf.get_mut(..s.len()) {
+        _ if !s.bytes().any(|b| b.is_ascii_uppercase()) => f(s),
+        Some(buf) => {
+            buf.copy_from_slice(s.as_bytes());
+            buf.make_ascii_lowercase();
+            f(std::str::from_utf8(buf).expect("ASCII lowercasing keeps UTF-8"))
+        }
+        None => f(&s.to_ascii_lowercase()),
+    }
 }
 
 /// Number of distinct strings this thread has interned (diagnostics).
@@ -293,6 +318,17 @@ mod tests {
         assert_eq!(format!("{s}"), "mds-cpu-total-count");
         assert_eq!(s.to_string(), "mds-cpu-total-count");
         assert_eq!(s, "mds-cpu-total-count");
+    }
+
+    #[test]
+    fn lowercase_forms_share_one_symbol() {
+        let long = "Mds-".repeat(20); // past the stack buffer
+        for name in ["Mds-Cpu-Total-count", "objectclass", "ÅNGSTRÖM-Ab", &long] {
+            let lower = name.to_ascii_lowercase();
+            assert_eq!(lookup_lower(&format!("{name}-gintern-unseen")), None);
+            assert_eq!(intern_lower(name), intern(&lower), "{name}");
+            assert_eq!(lookup_lower(name), Some(intern(&lower)), "{name}");
+        }
     }
 
     #[test]

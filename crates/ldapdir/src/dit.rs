@@ -11,18 +11,18 @@
 //! [`Dit::upsert`] entries identical to the stored ones; those writes
 //! leave the generation alone, so results memoised on it stay valid.
 //!
-//! The tree is one DN-ordered map.  `add`, `add_with_parents` and
-//! `upsert` share one insert path: a parent probe by the parent's RDN
-//! slice and one entry-map walk that finds the DN absent and inserts it
-//! (an `upsert` of a stored DN ends at its lookup).  Scopes other than
-//! `Sub` from the suffix are one filtered pass over the map.
+//! The tree is one DN-ordered set of entries, each keyed by its own DN.
+//! `add`, `add_with_parents` and `upsert` share one insert path: a parent
+//! probe by its RDN slice and one set insert, which finds a stored DN a
+//! duplicate (an `upsert` of a stored DN is one lookup, plus a replace if
+//! it changed).  Other scopes than `Sub` from the suffix are one pass.
 
 use crate::dn::{Dn, Rdn};
 use crate::entry::Entry;
 use crate::filter::Filter;
 use std::borrow::Borrow;
-use std::collections::btree_map::Entry as Slot;
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Search scope.
@@ -58,12 +58,48 @@ impl fmt::Display for DitError {
 
 impl std::error::Error for DitError {}
 
+/// An entry that compares, orders and borrows as its DN's RDN slice, so
+/// the set keys it by its own DN and is probed by any slice in one walk.
+#[derive(Debug, Clone)]
+struct Stored(Entry);
+
+impl Borrow<[Rdn]> for Stored {
+    fn borrow(&self) -> &[Rdn] {
+        key(&self.0.dn)
+    }
+}
+
+impl PartialEq for Stored {
+    fn eq(&self, other: &Stored) -> bool {
+        key(&self.0.dn) == key(&other.0.dn)
+    }
+}
+
+impl Eq for Stored {}
+
+impl PartialOrd for Stored {
+    fn partial_cmp(&self, other: &Stored) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Stored {
+    fn cmp(&self, other: &Stored) -> Ordering {
+        key(&self.0.dn).cmp(key(&other.0.dn))
+    }
+}
+
+/// The key a DN is stored under.
+fn key(dn: &Dn) -> &[Rdn] {
+    dn.borrow()
+}
+
 /// An in-memory directory tree.
 #[derive(Debug, Clone)]
 pub struct Dit {
     suffix: Dn,
-    /// DN -> entry. BTreeMap gives deterministic iteration.
-    entries: BTreeMap<Dn, Entry>,
+    /// Every entry, in DN order.
+    entries: BTreeSet<Stored>,
     /// Bumped whenever search-visible content may have changed, so
     /// callers can cache derived results — e.g. materialized search
     /// responses — keyed on it.
@@ -74,10 +110,9 @@ impl Dit {
     /// Create a DIT with the given suffix; the suffix entry is created as
     /// a placeholder.
     pub fn new(suffix: Dn) -> Self {
-        let mut entries = BTreeMap::new();
         let mut root = Entry::new(suffix.clone());
         root.add("objectclass", "top");
-        entries.insert(suffix.clone(), root);
+        let entries = BTreeSet::from([Stored(root)]);
         Dit {
             suffix,
             entries,
@@ -119,14 +154,14 @@ impl Dit {
     /// [`Dit::add_with_parents`] does.  Re-announcing an entry equal to
     /// the stored one changes nothing, not even the generation.
     pub fn upsert(&mut self, entry: Entry) -> Result<(), DitError> {
-        let Some(slot) = self.entries.get_mut(&entry.dn) else {
+        let Some(Stored(stored)) = self.entries.get(key(&entry.dn)) else {
             return self.insert(entry, true);
         };
         // Pointer first: a copy-on-write clone of the stored entry (a
         // provider's own copy, a pulled GRIS reply) shares its
         // attributes, so the deep compare is rare.
-        if !slot.shares_attrs_with(&entry) && *slot != entry {
-            *slot = entry;
+        if !stored.shares_attrs_with(&entry) && *stored != entry {
+            self.entries.replace(Stored(entry));
             self.generation += 1;
         }
         Ok(())
@@ -140,10 +175,8 @@ impl Dit {
         if !dn.is_under(&self.suffix) {
             return Err(DitError::NotUnderSuffix(dn));
         }
-        // `Dn` orders as its RDN slice, so the parent is probed without
-        // building its DN.
-        let rdns: &[Rdn] = dn.borrow();
-        let mut has_parent = self.entries.contains_key(&rdns[1..]);
+        // The parent is probed by its RDN slice, without building its DN.
+        let mut has_parent = self.entries.contains(&key(&dn)[1..]);
         if !has_parent && with_parents && dn.depth() != self.suffix.depth() + 1 {
             let parent = dn.parent().expect("entry under suffix has a parent");
             let mut placeholder = Entry::new(parent);
@@ -151,13 +184,13 @@ impl Dit {
             self.insert(placeholder, true)?;
             has_parent = true;
         }
-        let Slot::Vacant(slot) = self.entries.entry(dn) else {
-            return Err(DitError::Duplicate(entry.dn));
-        };
-        if !has_parent {
-            return Err(DitError::NoParent(entry.dn));
+        // The one DN stored without its parent is the suffix's.
+        if !has_parent && !self.entries.contains(key(&dn)) {
+            return Err(DitError::NoParent(dn));
         }
-        slot.insert(entry);
+        if !has_parent || !self.entries.insert(Stored(entry)) {
+            return Err(DitError::Duplicate(dn));
+        }
         self.generation += 1;
         Ok(())
     }
@@ -165,23 +198,17 @@ impl Dit {
     /// Remove an entry and its whole subtree; returns how many entries
     /// were removed.
     pub fn remove_subtree(&mut self, dn: &Dn) -> Result<usize, DitError> {
-        if !self.entries.contains_key(dn) {
+        if !self.entries.contains(key(dn)) {
             return Err(DitError::NoSuchEntry(dn.clone()));
         }
         let before = self.entries.len();
-        self.entries.retain(|stored, _| !stored.is_under(dn));
+        self.entries.retain(|Stored(e)| !e.dn.is_under(dn));
         self.generation += 1;
         Ok(before - self.entries.len())
     }
 
     pub fn get(&self, dn: &Dn) -> Option<&Entry> {
-        self.entries.get(dn)
-    }
-
-    pub fn get_mut(&mut self, dn: &Dn) -> Option<&mut Entry> {
-        // The caller holds a mutable handle: assume the entry changes.
-        self.generation += 1;
-        self.entries.get_mut(dn)
+        self.entries.get(key(dn)).map(|Stored(e)| e)
     }
 
     /// LDAP search: entries in `scope` of `base` matching `filter`, in DN
@@ -190,32 +217,28 @@ impl Dit {
         let mut out = Vec::new();
         match scope {
             Scope::Base => {
-                if let Some(e) = self.entries.get(base) {
+                if let Some(e) = self.get(base) {
                     if filter.matches(e) {
                         out.push(e);
                     }
                 }
             }
             // Every stored entry is under the suffix, so a Sub search
-            // from it is the whole map in key order; any other base is
-            // one filtered pass over the map, which is in DN order too.
+            // from it is the whole set in DN order; any other base is
+            // one filtered pass over the set.
             Scope::Sub if *base == self.suffix => {
-                out.extend(self.entries.values().filter(|e| filter.matches(e)));
+                out.extend(self.iter().filter(|e| filter.matches(e)));
             }
             // Parents are stored before children, so a base that is not
             // stored has nothing under it; one above the suffix is not
             // in this tree at all.
-            _ if !self.entries.contains_key(base) => {}
+            _ if !self.entries.contains(key(base)) => {}
             Scope::One | Scope::Sub => {
                 let in_scope = |dn: &Dn| match scope {
                     Scope::One => dn.is_child_of(base),
                     _ => dn.is_under(base),
                 };
-                out.extend(
-                    self.entries
-                        .values()
-                        .filter(|e| in_scope(&e.dn) && filter.matches(e)),
-                );
+                out.extend(self.iter().filter(|e| in_scope(&e.dn) && filter.matches(e)));
             }
         }
         out
@@ -229,7 +252,7 @@ impl Dit {
 
     /// Iterate all entries in DN order.
     pub fn iter(&self) -> impl Iterator<Item = &Entry> {
-        self.entries.values()
+        self.entries.iter().map(|Stored(e)| e)
     }
 }
 

@@ -15,7 +15,7 @@
 //! payloads and the pinned figure CSVs).
 
 use gintern::Sym;
-use std::borrow::{Borrow, Cow};
+use std::borrow::Borrow;
 use std::fmt;
 use std::rc::Rc;
 
@@ -30,17 +30,6 @@ impl fmt::Display for DnError {
 }
 
 impl std::error::Error for DnError {}
-
-/// Lowercase only when needed: DN components and attribute names
-/// flowing through the query path are lowercase already, so the common
-/// case does not allocate.
-pub(crate) fn lc(s: &str) -> Cow<'_, str> {
-    if s.bytes().any(|b| b.is_ascii_uppercase()) {
-        Cow::Owned(s.to_ascii_lowercase())
-    } else {
-        Cow::Borrowed(s)
-    }
-}
 
 /// One `type=value` component.  Both sides are lowercased interned
 /// symbols: equality and hashing compare symbol ids, ordering is the
@@ -58,8 +47,8 @@ impl Rdn {
     /// Intern a component, lowercasing as needed.
     pub fn new(attr: &str, value: &str) -> Rdn {
         Rdn {
-            attr: gintern::intern(&lc(attr)),
-            value: gintern::intern(&lc(value)),
+            attr: gintern::intern_lower(attr),
+            value: gintern::intern_lower(value),
         }
     }
 }

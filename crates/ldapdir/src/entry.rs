@@ -1,23 +1,23 @@
 //! Directory entries: DN plus multi-valued attributes.
 //!
-//! An entry's attributes are one flat list of `(type, value)` pairs, one
-//! per value: types are interned [`Sym`]s in their strings' order, each
-//! type's values one run in insertion order, so iteration and LDIF match
-//! the `BTreeMap<String, Vec<String>>` they replaced byte for byte.  A run
-//! is found by `Sym` with a scan comparing `u32`s; the `&str` API resolves
-//! its name once through [`gintern::lookup`].  The list's LDIF byte count
-//! sits beside it, so [`Entry::wire_size`] adds two numbers (DESIGN §6g).
-//! Both share one `Rc`: `Entry::clone` allocates nothing, and mutators go
-//! through `Rc::make_mut` (copy-on-write), so editing an entry never
-//! changes a cached search result that shares it.
+//! An entry's attributes are one flat list of `(type, value)` pairs of
+//! interned [`Sym`]s, one per value (the type lowercase, the value as
+//! given), so an entry owns no strings.  Types are in their strings'
+//! order, each type's values one run in insertion order, so iteration and
+//! LDIF match the `BTreeMap<String, Vec<String>>` they replaced byte for
+//! byte.  A run is found by `Sym` with a scan comparing `u32`s.  The
+//! list's LDIF byte count sits beside it, so [`Entry::wire_size`] adds two
+//! numbers (DESIGN §6g).  Both share one `Rc`: `Entry::clone` allocates
+//! nothing, and mutators go through `Rc::make_mut` (copy-on-write), so
+//! editing an entry never changes a cached search result that shares it.
 
-use crate::dn::{lc, Dn};
+use crate::dn::Dn;
 use gintern::Sym;
 use std::ops::Range;
 use std::rc::Rc;
 
-/// One attribute value under its (lowercase) type.
-pub type Pair = (Sym, Box<str>);
+/// One attribute value (case-preserved) under its (lowercase) type.
+pub type Pair = (Sym, Sym);
 
 /// An LDAP entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,9 +58,9 @@ impl Entry {
 
     /// Add a value to an attribute (duplicates allowed, as in slapd with
     /// permissive schema checking).
-    pub fn add(&mut self, attr: &str, value: impl Into<String>) -> &mut Self {
-        let key = gintern::intern(&lc(attr));
-        let value = value.into().into_boxed_str();
+    pub fn add(&mut self, attr: &str, value: impl AsRef<str>) -> &mut Self {
+        let key = gintern::intern_lower(attr);
+        let value = gintern::intern(value.as_ref());
         let attrs = Rc::make_mut(&mut self.attrs);
         attrs.bytes += attr.len() + value.len() + 3;
         let end = attrs.run(key).end;
@@ -69,9 +69,9 @@ impl Entry {
     }
 
     /// Replace all values of an attribute.
-    pub fn put(&mut self, attr: &str, value: impl Into<String>) -> &mut Self {
-        let key = gintern::intern(&lc(attr));
-        let value = value.into().into_boxed_str();
+    pub fn put(&mut self, attr: &str, value: impl AsRef<str>) -> &mut Self {
+        let key = gintern::intern_lower(attr);
+        let value = gintern::intern(value.as_ref());
         let attrs = Rc::make_mut(&mut self.attrs);
         attrs.bytes += attr.len() + value.len() + 3;
         let run = attrs.run(key);
@@ -83,7 +83,7 @@ impl Entry {
     /// Remove an attribute entirely.
     pub fn remove(&mut self, attr: &str) -> bool {
         // Look first: don't split shared storage to remove nothing.
-        let run = gintern::lookup(&lc(attr)).map_or(0..0, |key| self.attrs.run(key));
+        let run = gintern::lookup_lower(attr).map_or(0..0, |key| self.attrs.run(key));
         if run.is_empty() {
             return false;
         }
@@ -95,7 +95,7 @@ impl Entry {
 
     /// All values of an attribute: its run of pairs.
     pub fn get(&self, attr: &str) -> &[Pair] {
-        gintern::lookup(&lc(attr)).map_or(&[], |key| self.values(key))
+        gintern::lookup_lower(attr).map_or(&[], |key| self.values(key))
     }
 
     /// The run of pairs of the (lowercase) attribute type `key`; empty
@@ -109,7 +109,7 @@ impl Entry {
 
     /// First value of an attribute.
     pub fn first(&self, attr: &str) -> Option<&str> {
-        self.get(attr).first().map(|(_, v)| &**v)
+        self.get(attr).first().map(|(_, v)| v.as_str())
     }
 
     pub fn has_attr(&self, attr: &str) -> bool {
@@ -126,7 +126,10 @@ impl Entry {
     /// Iterate `(attr, value)` lines: attributes in sorted order, each
     /// one's values in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.attrs.list.iter().map(|(k, v)| (k.as_str(), &**v))
+        self.attrs
+            .list
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_str()))
     }
 
     /// Number of attribute types.
@@ -166,7 +169,7 @@ impl Entry {
         for a in attrs {
             let a = a.as_ref();
             for (_, v) in self.get(a) {
-                e.add(a, &**v);
+                e.add(a, v);
             }
         }
         e

@@ -5,10 +5,10 @@
 //! Substring (`(a=x*y)`), ordering (`(a>=v)`, `(a<=v)`) and approximate
 //! matches are a [`FilterError`], never read as an equality.
 //! Names bind at parse: an item's attribute type is interned, lowercase,
-//! so [`Filter::matches`] compares symbol ids and never touches the
-//! string table.  Like a [`Sym`], a filter belongs to its thread.
+//! so [`Filter::matches`] finds a type's values by symbol id and compares
+//! only their resolved texts (caseIgnore, as an entry keeps each value's
+//! case).  Like a [`Sym`], a filter belongs to its thread.
 
-use crate::dn::lc;
 use crate::entry::Entry;
 use gintern::Sym;
 use std::fmt;
@@ -62,7 +62,7 @@ impl Filter {
             Filter::Eq(a, v) => entry
                 .values(*a)
                 .iter()
-                .any(|(_, x)| x.eq_ignore_ascii_case(v)),
+                .any(|(_, x)| x.as_str().eq_ignore_ascii_case(v)),
             Filter::Present(a) => !entry.values(*a).is_empty(),
         }
     }
@@ -192,7 +192,7 @@ fn parse_item(body: &str) -> Result<Filter, FilterError> {
     };
     let (a, v) = (a.trim(), v.trim());
     check_attr(a)?;
-    let attr = gintern::intern(&lc(a));
+    let attr = gintern::intern_lower(a);
     if v == "*" {
         return Ok(Filter::Present(attr));
     }

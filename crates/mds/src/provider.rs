@@ -139,6 +139,23 @@ mod tests {
     }
 
     #[test]
+    fn rebuilding_the_set4_fleet_interns_nothing_new() {
+        // Entry values are interned and the table never frees, so a
+        // fleet's providers must draw on a vocabulary the deployment
+        // fixes: building the same 500 hosts again adds no string.
+        let fleet = || {
+            for h in 0..500 {
+                let suffix = Dn::parse(&format!("mds-vo-name=resource-{h}, o=grid")).unwrap();
+                default_providers(&suffix, &format!("lucky{h}"), 10, None);
+            }
+        };
+        fleet();
+        let before = gintern::table_len();
+        fleet();
+        assert_eq!(gintern::table_len(), before);
+    }
+
+    #[test]
     fn provider_data_grows_with_count() {
         let suffix = Dn::parse("o=grid").unwrap();
         let p10: u64 = default_providers(&suffix, "h", 10, None)

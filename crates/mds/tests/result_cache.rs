@@ -135,9 +135,13 @@ proptest! {
                 4 => {
                     dit.remove_subtree(&target.dn).unwrap();
                 }
-                // Edit in place through the mutable handle.
+                // Announce a copy with one attribute replaced, which may
+                // equal the stored entry.
                 _ => {
-                    dit.get_mut(&target.dn).unwrap().put(&attr, value);
+                    let mut changed = target.clone();
+                    changed.put(&attr, value);
+                    must_keep = changed == target;
+                    dit.upsert(changed).unwrap();
                 }
             }
             let moved = dit.generation() != before_gen;
