@@ -17,7 +17,7 @@
 //! file holds one `#[test]` and is a test process of its own.
 
 use ldapdir::{Dit, Dn};
-use mds::{default_providers, ProviderSpec};
+use mds::{ProviderSpec, ProviderTemplate};
 
 /// Hosts measured after the warm-up host.
 const HOSTS: usize = 100;
@@ -35,10 +35,10 @@ struct Host {
     graft: Dn,
 }
 
-fn host(giis: &Dn, h: usize) -> Host {
+fn host(template: &ProviderTemplate, giis: &Dn, h: usize) -> Host {
     let suffix = Dn::parse(&format!("mds-vo-name=resource-{h}, o=grid")).unwrap();
     Host {
-        providers: default_providers(&suffix, &format!("lucky{h}"), 10, None),
+        providers: template.for_host(&suffix, &format!("lucky{h}")),
         graft: giis.child("Mds-Vo-name", &format!("sub-{h}-0")),
         suffix,
     }
@@ -81,11 +81,14 @@ fn directories_fit_the_byte_budget() {
     let giis_suffix = Dn::parse("mds-vo-name=site, o=giis").unwrap();
     // Warm-up: the interner learns the names and values every host
     // shares, and both directory shapes run once.
-    let warm = host(&giis_suffix, HOSTS);
+    let template = ProviderTemplate::new(10, None);
+    let warm = host(&template, &giis_suffix, HOSTS);
     let mut warm_giis = Dit::new(giis_suffix.clone());
     merge(&mut warm_giis, &warm);
     let warm_gris = gris_dit(&warm);
-    let hosts: Vec<Host> = (0..HOSTS).map(|h| host(&giis_suffix, h)).collect();
+    let hosts: Vec<Host> = (0..HOSTS)
+        .map(|h| host(&template, &giis_suffix, h))
+        .collect();
 
     let (gris, gris_entries) = per_entry(|| hosts.iter().map(gris_dit).collect());
     let (giis, giis_entries) = per_entry(|| {

@@ -5,8 +5,11 @@
 //! providers of a few LDAP entries, each entry a handful of attribute
 //! values.  An entry keeps its values as one flat list of interned
 //! `(type, value)` symbols, so it is one `Rc`, one list of 8-byte pairs
-//! and its DN, and owns no strings.  This pins the bytes in use per host
-//! at 9 KiB; values boxed per entry again (≈ 14.5 KB per host) fail it.
+//! and its DN, and owns no strings.  The hosts of a fleet are placed from
+//! one `ProviderTemplate` and share each provider's group entry list.
+//! This pins the bytes in use per host at 7 KiB (6 551 B measured); hosts
+//! built one by one, each with its own group lists (7 858 B per host),
+//! fail it, and values boxed per entry (≈ 14.5 KB) fail it by far.
 //!
 //! Runs only with `--features alloc-profile` (which compiles the
 //! counting global allocator in); without it the test is a no-op so
@@ -14,13 +17,13 @@
 //! file holds one `#[test]` and is a test process of its own.
 
 use ldapdir::Dn;
-use mds::default_providers;
+use mds::ProviderTemplate;
 
 /// Hosts measured after the warm-up host.
 const HOSTS: usize = 100;
 
 /// Bytes in use per host's providers, at most.
-const HOST_BYTES_MAX: u64 = 9 * 1024;
+const HOST_BYTES_MAX: u64 = 7 * 1024;
 
 #[test]
 fn provider_entries_fit_the_byte_budget() {
@@ -29,12 +32,13 @@ fn provider_entries_fit_the_byte_budget() {
         return;
     };
     let suffix = Dn::parse("mds-vo-name=local, o=grid").unwrap();
-    // Warm-up: the interner learns the attribute names and values every
-    // host shares.
-    let warm = default_providers(&suffix, "warmup", 10, None);
+    // One template per fleet, as `deploy::giis_pool` builds it; the
+    // warm-up host teaches the interner the host-independent strings.
+    let template = ProviderTemplate::new(10, None);
+    let warm = template.for_host(&suffix, "warmup");
     let before = gperf::alloc::stats().unwrap().in_use;
     let hosts: Vec<_> = (0..HOSTS)
-        .map(|h| default_providers(&suffix, &format!("lucky{h}"), 10, None))
+        .map(|h| template.for_host(&suffix, &format!("lucky{h}")))
         .collect();
     let after = gperf::alloc::stats().unwrap().in_use;
     let per_host = (after - before) / HOSTS as u64;
@@ -48,5 +52,5 @@ fn provider_entries_fit_the_byte_budget() {
         "{per_host} B per host, {} entries per host",
         entries / HOSTS
     );
-    drop((warm, hosts));
+    drop((template, warm, hosts));
 }

@@ -21,7 +21,7 @@ use classad::{parse_expr, ClassAd, CompiledExpr};
 use hawkeye::proto::AdsReply;
 use hawkeye::{HawkeyeMsg, Manager};
 use ldapdir::{Dn, Filter, Scope};
-use mds::{default_providers, Gris, MdsRequest, MdsSearchResult};
+use mds::{Gris, MdsRequest, MdsSearchResult, ProviderTemplate};
 use proptest::prelude::*;
 use rgma::producer::default_producers;
 use rgma::{
@@ -241,8 +241,8 @@ fn gris_suffix() -> Dn {
 fn gris(seed: u64) {
     let subject = Subject {
         fresh: || {
-            let providers =
-                default_providers(&gris_suffix(), "lucky7", 10, Some(SimDuration::ZERO));
+            let providers = ProviderTemplate::new(10, Some(SimDuration::ZERO))
+                .for_host(&gris_suffix(), "lucky7");
             Gris::new(gris_suffix(), providers)
         },
         // (provider, entry, load): what that entry reports from the next

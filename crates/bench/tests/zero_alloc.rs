@@ -383,7 +383,7 @@ fn request_lifecycle() {
 fn model_query() {
     use gridmon_core::deploy::gris_suffix;
     use hawkeye::{default_modules, Agent, HawkeyeMsg};
-    use mds::{default_providers, Gris, MdsRequest};
+    use mds::{Gris, MdsRequest, ProviderTemplate};
     use workload::{spawn_users_to, QueryFactory, UserConfig};
 
     let mut topo = Topology::new();
@@ -396,7 +396,7 @@ fn model_query() {
     // every later one is answered from the GRIS's result cache.
     let suffix = gris_suffix(0);
     let ttl = Some(SimDuration::from_secs(3_600));
-    let providers = default_providers(&suffix, "lucky7", 10, ttl);
+    let providers = ProviderTemplate::new(10, ttl).for_host(&suffix, "lucky7");
     let gris = Box::new(Gris::new(suffix.clone(), providers));
     let gris = net.add_service(server, ServiceConfig::default(), gris, &mut eng);
     let agent = Box::new(Agent::new("lucky4", default_modules("lucky4", 11)));

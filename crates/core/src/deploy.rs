@@ -7,7 +7,7 @@ use ganglia::Monitor;
 use gfaults::{FaultDriver, FaultPlan};
 use hawkeye::{default_modules, AdvertiserFleet, Agent, Manager};
 use ldapdir::Dn;
-use mds::{default_providers, Giis, Gris};
+use mds::{Giis, Gris, ProviderTemplate};
 use rgma::{CompositeProducer, ConsumerServlet, ProducerServlet, Registry};
 use simcore::{Engine, SimDuration, SimTime};
 use simnet::trace::{Obs, ObsReport};
@@ -249,10 +249,8 @@ pub fn gris(h: &mut Harness, node: NodeId, providers: usize, cache: bool, gsi: b
     let suffix = gris_suffix(0);
     let ttl = if cache { None } else { Some(SimDuration::ZERO) };
     let host = h.net.topo.node(node).name.clone();
-    let mut gris = Gris::new(
-        suffix.clone(),
-        default_providers(&suffix, &host, providers, ttl),
-    );
+    let providers = ProviderTemplate::new(providers, ttl).for_host(&suffix, &host);
+    let mut gris = Gris::new(suffix, providers);
     let mut cfg = h.cfg.params.gris_config();
     if !gsi {
         cfg.setup = h.cfg.params.giis_setup;
@@ -277,12 +275,14 @@ pub fn giis_pool(
     let giis_key = h
         .net
         .add_service(node, giis_cfg, Box::new(giis), &mut h.eng);
+    let template = ProviderTemplate::new(10, None);
     let mut grafts = Vec::with_capacity(n_gris);
     for i in 0..n_gris {
         let gnode = gris_nodes[i % gris_nodes.len()];
         let suffix = gris_suffix(i);
         let host = format!("{}-gris{i}", h.net.topo.node(gnode).name);
-        let mut gris = Gris::new(suffix.clone(), default_providers(&suffix, &host, 10, None));
+        let providers = template.for_host(&suffix, &host);
+        let mut gris = Gris::new(suffix, providers);
         gris.register_with(giis_key);
         let cfg = h.cfg.params.gris_config();
         let key = h.net.add_service(gnode, cfg, Box::new(gris), &mut h.eng);
@@ -346,15 +346,13 @@ pub fn gris_fleet(
     let start = shard * per;
     let take = per.min(n.saturating_sub(start));
     let host = h.net.topo.node(node).name.clone();
+    let template = ProviderTemplate::new(providers, None);
     let mut keys = Vec::with_capacity(take as usize);
     for j in 0..take {
         let idx = (start + j) as usize;
         let suffix = gris_suffix(idx);
-        let label = format!("{host}-gris{idx}");
-        let mut gris = Gris::new(
-            suffix.clone(),
-            default_providers(&suffix, &label, providers, None),
-        );
+        let providers = template.for_host(&suffix, &format!("{host}-gris{idx}"));
+        let mut gris = Gris::new(suffix, providers);
         gris.register_with(parent);
         let cfg = h.cfg.params.gris_config();
         let key = h.net.add_service(node, cfg, Box::new(gris), &mut h.eng);

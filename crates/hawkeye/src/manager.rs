@@ -286,22 +286,46 @@ pub struct AdvertiserFleet {
 
 impl AdvertiserFleet {
     pub fn new(manager: SvcKey, n: usize, modules_per_machine: usize) -> AdvertiserFleet {
-        let ads = (0..n)
-            .map(|i| {
-                let machine = format!("sim{i:04}");
-                let modules = crate::module::default_modules(&machine, modules_per_machine);
-                let ad = Rc::new(crate::agent::startd_ad(&machine, &modules));
-                let msg = HawkeyeMsg::StartdAd { machine, ad };
-                let bytes = msg.wire_size();
-                (Rc::new(msg) as Payload, bytes)
-            })
-            .collect();
         AdvertiserFleet {
             manager,
-            ads,
+            ads: fleet_ads(modules_per_machine, 0..n),
             sent: 0,
         }
     }
+}
+
+/// The advertisements of `machines`, each with `modules` modules, and
+/// their sizes.  One Startd ad is integrated for the fleet; a machine's
+/// ad is a copy with `Machine` and each module's host-salted `_Metric`
+/// and `_Host` overwritten, which keeps every attribute in its place.
+fn fleet_ads(modules: usize, machines: impl Iterator<Item = usize>) -> Vec<(Payload, u64)> {
+    use crate::module::{default_modules, metric};
+    let specs = default_modules("", modules);
+    let template = crate::agent::startd_ad("", &specs);
+    let names: Vec<_> = specs
+        .iter()
+        .map(|m| {
+            (
+                format!("Hawkeye_{}_Metric", m.name),
+                format!("Hawkeye_{}_Host", m.name),
+            )
+        })
+        .collect();
+    machines
+        .map(|i| {
+            let machine = format!("sim{i:04}");
+            let mut ad = template.clone();
+            ad.set_str("Machine", &machine);
+            for (k, (metric_name, host_name)) in names.iter().enumerate() {
+                ad.set_real(metric_name, metric(&machine, k));
+                ad.set_str(host_name, &machine);
+            }
+            let ad = Rc::new(ad);
+            let msg = HawkeyeMsg::StartdAd { machine, ad };
+            let bytes = msg.wire_size();
+            (Rc::new(msg) as Payload, bytes)
+        })
+        .collect()
 }
 
 impl Service for AdvertiserFleet {
@@ -667,5 +691,35 @@ mod tests {
         let changed = status(&mut b, 61);
         assert!(!Rc::ptr_eq(&changed, &first));
         assert!(Rc::ptr_eq(&changed.ads[0], &b.mgr.pool["m1"].ad));
+    }
+
+    proptest::proptest! {
+        /// A fleet ad equals the Startd ad its machine's own modules
+        /// integrate: the same attributes in the same order, the same
+        /// text and the same advertisement size.
+        #[test]
+        fn fleet_ads_equal_each_machines_own(
+            machines in proptest::collection::vec(0usize..2_000, 1..6),
+            modules in 0usize..=crate::module::MAX_MODULES,
+        ) {
+            let ads = fleet_ads(modules, machines.iter().copied());
+            for (&i, (msg, bytes)) in machines.iter().zip(&ads) {
+                let machine = format!("sim{i:04}");
+                let want = crate::agent::startd_ad(&machine, &default_modules(&machine, modules));
+                let want = HawkeyeMsg::StartdAd {
+                    machine: machine.clone(),
+                    ad: Rc::new(want),
+                };
+                let (HawkeyeMsg::StartdAd { machine: m, ad }, HawkeyeMsg::StartdAd { ad: w, .. }) =
+                    (msg.downcast_ref::<HawkeyeMsg>().unwrap(), &want)
+                else {
+                    panic!("a fleet advertises Startd ads");
+                };
+                assert_eq!(m, &machine);
+                assert_eq!(ad, w);
+                assert_eq!(ad.to_string(), w.to_string());
+                assert_eq!(*bytes, want.wire_size());
+            }
+        }
     }
 }

@@ -56,17 +56,9 @@ pub fn default_modules(host: &str, n: usize) -> Vec<ModuleSpec> {
             } else {
                 format!("vmstat-{i}")
             };
-            // A deterministic, host-dependent synthetic metric so
-            // machines differ (triggers can single hosts out).
-            let host_salt = host
-                .bytes()
-                .fold(0u64, |a, b| a.wrapping_mul(31).wrapping_add(b as u64));
             let mut attrs = ClassAd::new();
             attrs.set_str(&format!("Hawkeye_{name}_Name"), &name);
-            attrs.set_real(
-                &format!("Hawkeye_{name}_Metric"),
-                ((i as f64 * 7.3) + (host_salt % 41) as f64) % 100.0,
-            );
+            attrs.set_real(&format!("Hawkeye_{name}_Metric"), metric(host, i));
             attrs.set_int(&format!("Hawkeye_{name}_SampleSize"), 42 + i as i64);
             attrs.set_str(&format!("Hawkeye_{name}_Host"), host);
             ModuleSpec {
@@ -76,6 +68,15 @@ pub fn default_modules(host: &str, n: usize) -> Vec<ModuleSpec> {
             }
         })
         .collect()
+}
+
+/// Module `i`'s synthetic metric on `host`: deterministic and salted by
+/// the host name, so machines differ (triggers can single hosts out).
+pub(crate) fn metric(host: &str, i: usize) -> f64 {
+    let host_salt = host
+        .bytes()
+        .fold(0u64, |a, b| a.wrapping_mul(31).wrapping_add(b as u64));
+    ((i as f64 * 7.3) + (host_salt % 41) as f64) % 100.0
 }
 
 #[cfg(test)]

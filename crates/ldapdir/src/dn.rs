@@ -71,10 +71,6 @@ impl Dn {
         Dn::default()
     }
 
-    fn from_vec(rdns: Vec<Rdn>) -> Dn {
-        Dn { rdns: rdns.into() }
-    }
-
     /// Parse `a=x, b=y, c=z`.
     pub fn parse(s: &str) -> Result<Dn, DnError> {
         let s = s.trim();
@@ -94,7 +90,7 @@ impl Dn {
             }
             rdns.push(Rdn::new(attr, value));
         }
-        Ok(Dn::from_vec(rdns))
+        Ok(Dn { rdns: rdns.into() })
     }
 
     /// Number of RDN components.
@@ -115,10 +111,10 @@ impl Dn {
 
     /// Prepend an RDN, producing a child DN.
     pub fn child(&self, attr: &str, value: &str) -> Dn {
-        let mut rdns = Vec::with_capacity(self.rdns.len() + 1);
-        rdns.push(Rdn::new(attr, value));
-        rdns.extend(self.rdns.iter().copied());
-        Dn::from_vec(rdns)
+        let rdns = std::iter::once(Rdn::new(attr, value)).chain(self.rdns.iter().copied());
+        Dn {
+            rdns: rdns.collect(),
+        }
     }
 
     /// Is `self` equal to or below `ancestor`?
@@ -154,9 +150,10 @@ impl Dn {
             return None;
         }
         let keep = self.rdns.len() - old_suffix.rdns.len();
-        let mut rdns = self.rdns[..keep].to_vec();
-        rdns.extend(new_suffix.rdns.iter().copied());
-        Some(Dn::from_vec(rdns))
+        let rdns = self.rdns[..keep].iter().chain(new_suffix.rdns.iter());
+        Some(Dn {
+            rdns: rdns.copied().collect(),
+        })
     }
 }
 

@@ -348,7 +348,7 @@ impl Service for Giis {
 mod tests {
     use super::*;
     use crate::gris::Gris;
-    use crate::provider::default_providers;
+    use crate::provider::ProviderTemplate;
     use ldapdir::{Filter, Scope};
     use simcore::Engine;
     use simnet::{
@@ -431,13 +431,12 @@ mod tests {
             Box::new(Giis::new(giis_suffix, cachettl)),
             &mut eng,
         );
+        let template = ProviderTemplate::new(10, provider_ttl);
         let mut grises = Vec::new();
         for i in 0..n_gris {
             let suffix = Dn::parse(&format!("mds-vo-name=res{i}, o=grid")).unwrap();
-            let mut gris = Gris::new(
-                suffix.clone(),
-                default_providers(&suffix, &format!("host{i}"), 10, provider_ttl),
-            );
+            let providers = template.for_host(&suffix, &format!("host{i}"));
+            let mut gris = Gris::new(suffix, providers);
             gris.register_with(giis);
             let key = net.add_service(
                 gris_node,

@@ -203,7 +203,7 @@ impl Service for Gris {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::provider::default_providers;
+    use crate::provider::ProviderTemplate;
     use ldapdir::{Filter, Scope};
     use simcore::{Engine, SimTime};
     use simnet::{
@@ -259,7 +259,10 @@ mod tests {
         topo.connect(client, server, 100e6, SimDuration::from_millis(1));
         let mut net = Net::new(topo, StatsHub::new(SimTime::ZERO, SimTime::from_secs(1000)));
         let mut eng: Eng = Engine::new(5);
-        let gris = Gris::new(suffix(), default_providers(&suffix(), "lucky7", 10, ttl));
+        let gris = Gris::new(
+            suffix(),
+            ProviderTemplate::new(10, ttl).for_host(&suffix(), "lucky7"),
+        );
         let svc = net.add_service(server, ServiceConfig::default(), Box::new(gris), &mut eng);
         let results = Rc::new(std::cell::RefCell::new(Vec::new()));
         net.add_client(Box::new(Once {
@@ -315,7 +318,10 @@ mod tests {
 
     #[test]
     fn filtered_search_returns_subset() {
-        let mut g = Gris::new(suffix(), default_providers(&suffix(), "lucky7", 10, None));
+        let mut g = Gris::new(
+            suffix(),
+            ProviderTemplate::new(10, None).for_host(&suffix(), "lucky7"),
+        );
         // Populate directly.
         for i in 0..10 {
             g.refresh(i, SimTime::ZERO);

@@ -29,4 +29,4 @@ pub mod provider;
 pub use giis::Giis;
 pub use gris::Gris;
 pub use proto::{GrisRegistration, MdsRequest, MdsSearchResult};
-pub use provider::{default_providers, ProviderSpec};
+pub use provider::{ProviderSpec, ProviderTemplate};
