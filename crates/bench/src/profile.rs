@@ -139,6 +139,7 @@ mod tests {
                 events: 4000,
                 popped: 4100,
                 advances: 0,
+                ..SimCounters::default()
             },
         );
         sink.record_cached("set1/MDS GRIS (cache)/x=20".into(), Duration::ZERO, 256);

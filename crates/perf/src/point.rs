@@ -28,15 +28,11 @@ pub struct SimCounters {
     /// Strict clock advances (`Engine::advances`): dispatches where the
     /// simulated clock actually moved.
     pub advances: u64,
-}
-
-impl SimCounters {
-    pub const ZERO: SimCounters = SimCounters {
-        sim_us: 0,
-        events: 0,
-        popped: 0,
-        advances: 0,
-    };
+    /// Flow re-levels that re-rated some flow (`simnet::flow::RelevelWork`),
+    /// the flows they re-rated and the route groups they visited.
+    pub relevels: u64,
+    pub relevel_flows: u64,
+    pub relevel_groups: u64,
 }
 
 /// One executed (or cache-served) sweep point.
@@ -165,7 +161,7 @@ impl PerfSink {
             worker: 0,
             cached: true,
             wall,
-            sim: SimCounters::ZERO,
+            sim: SimCounters::default(),
         });
     }
 
@@ -246,6 +242,7 @@ mod tests {
             events,
             popped: events + 5,
             advances: events,
+            ..SimCounters::default()
         }
     }
 
@@ -289,6 +286,7 @@ mod tests {
                 events: 50_000,
                 popped: 50_100,
                 advances: 49_000,
+                ..SimCounters::default()
             },
         };
         assert!((p.sim_s() - 1.0).abs() < 1e-12);
@@ -296,7 +294,7 @@ mod tests {
         let hit = PointRecord {
             cached: true,
             wall: Duration::ZERO,
-            sim: SimCounters::ZERO,
+            sim: SimCounters::default(),
             ..p
         };
         assert_eq!(hit.events_per_sec(), 0.0);

@@ -10,7 +10,7 @@
 //! (readers use the parser in the same module).
 
 use crate::alloc;
-use crate::point::PerfSink;
+use crate::point::{PerfSink, SimCounters};
 use gtrace::json::{escape, F64};
 
 /// Schema tag of the emitted document; bump on layout changes so
@@ -69,8 +69,9 @@ pub fn perf_json(sink: &PerfSink) -> String {
     }
 
     let t = sink.totals();
+    let sum = |f: fn(&SimCounters) -> u64| sink.executed().map(|p| f(&p.sim)).sum::<u64>();
     out.push_str(&format!(
-        "  \"totals\": {{\"executed\": {}, \"cached\": {}, \"exec_wall_s\": {}, \"sim_s\": {}, \"events\": {}, \"popped\": {}, \"advances\": {}, \"events_per_sec\": {}}},\n",
+        "  \"totals\": {{\"executed\": {}, \"cached\": {}, \"exec_wall_s\": {}, \"sim_s\": {}, \"events\": {}, \"popped\": {}, \"advances\": {}, \"relevels\": {}, \"relevel_flows\": {}, \"relevel_groups\": {}, \"events_per_sec\": {}}},\n",
         t.executed,
         t.cached,
         F64(t.exec_wall.as_secs_f64()),
@@ -78,6 +79,9 @@ pub fn perf_json(sink: &PerfSink) -> String {
         t.events,
         t.popped,
         t.advances,
+        sum(|s| s.relevels),
+        sum(|s| s.relevel_flows),
+        sum(|s| s.relevel_groups),
         F64(t.events_per_sec())
     ));
 
@@ -87,7 +91,7 @@ pub fn perf_json(sink: &PerfSink) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "\n    {{\"key\": \"{}\", \"worker\": {}, \"cached\": {}, \"wall_s\": {}, \"sim_s\": {}, \"events\": {}, \"popped\": {}, \"advances\": {}, \"engine_runs\": {}, \"events_per_sec\": {}}}",
+            "\n    {{\"key\": \"{}\", \"worker\": {}, \"cached\": {}, \"wall_s\": {}, \"sim_s\": {}, \"events\": {}, \"popped\": {}, \"advances\": {}, \"relevels\": {}, \"relevel_flows\": {}, \"relevel_groups\": {}, \"engine_runs\": {}, \"events_per_sec\": {}}}",
             escape(&p.key),
             p.worker,
             p.cached,
@@ -96,6 +100,9 @@ pub fn perf_json(sink: &PerfSink) -> String {
             p.sim.events,
             p.sim.popped,
             p.sim.advances,
+            p.sim.relevels,
+            p.sim.relevel_flows,
+            p.sim.relevel_groups,
             u32::from(!p.cached),
             F64(p.events_per_sec())
         ));
@@ -107,7 +114,6 @@ pub fn perf_json(sink: &PerfSink) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::point::SimCounters;
     use std::time::Duration;
 
     #[test]
@@ -125,6 +131,7 @@ mod tests {
                 events: 1234,
                 popped: 1250,
                 advances: 0,
+                ..SimCounters::default()
             },
         );
         sink.record_cached("set1/MDS GRIS (cache)/x=20".into(), Duration::ZERO, 99);

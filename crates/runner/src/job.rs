@@ -46,8 +46,8 @@ pub struct Job {
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobOutput {
     pub m: Measurement,
-    /// The harness run's engine counters; [`SimCounters::ZERO`] when the
-    /// measurement was served from the cache (nothing ran).
+    /// The harness run's engine counters; all zero when the measurement
+    /// was served from the cache (nothing ran).
     pub sim: SimCounters,
     pub obs: Option<Box<Harvest>>,
 }
@@ -114,6 +114,9 @@ impl Job {
                 events: h.eng.fired,
                 popped: h.eng.popped,
                 advances: h.eng.advances,
+                relevels: h.net.flow_work().relevels,
+                relevel_flows: h.net.flow_work().flows,
+                relevel_groups: h.net.flow_work().groups,
             },
             obs: h.harvest().map(Box::new),
         }
@@ -208,7 +211,7 @@ impl Job {
         };
         Some(JobOutput {
             m,
-            sim: SimCounters::ZERO,
+            sim: SimCounters::default(),
             obs: None,
         })
     }
@@ -247,7 +250,7 @@ mod tests {
         };
         let out = JobOutput {
             m,
-            sim: SimCounters::ZERO,
+            sim: SimCounters::default(),
             obs: None,
         };
         assert_eq!(Job::decode(&fields_of(&out)), Some(out));
@@ -257,7 +260,7 @@ mod tests {
     fn decode_rejects_foreign_and_garbled_records() {
         let good = fields_of(&JobOutput {
             m: Measurement::default(),
-            sim: SimCounters::ZERO,
+            sim: SimCounters::default(),
             obs: None,
         });
         let mut foreign = good.clone();
@@ -284,7 +287,7 @@ mod tests {
                 recovery_s: 12.5, // f:4029000000000000: every prefix is valid hex
                 ..Measurement::default()
             },
-            sim: SimCounters::ZERO,
+            sim: SimCounters::default(),
             obs: None,
         };
         let dir = std::env::temp_dir().join(format!("gridmon-job-trunc-{}", std::process::id()));

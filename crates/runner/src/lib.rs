@@ -77,7 +77,7 @@ impl RunnerConfig {
 /// `sink` receives one [`gperf::PointRecord`] per point — for an
 /// executed point the wall time the pool measured, the worker that ran
 /// it and the engine counters it returned ([`JobOutput::sim`]); for a
-/// cache hit the probe time and [`gperf::SimCounters::ZERO`] — plus
+/// cache hit the probe time and all-zero [`gperf::SimCounters`] — plus
 /// cache traffic and pool utilization.  `sink.totals()` is the tally of
 /// executed and cached points.
 ///
@@ -382,7 +382,7 @@ mod tests {
             assert_eq!(warm.cache.bytes_written, 0);
             for p in &warm.points {
                 assert!(p.cached, "{} served from cache", p.key);
-                assert_eq!(p.sim, gperf::SimCounters::ZERO);
+                assert_eq!(p.sim, gperf::SimCounters::default());
             }
             let _ = std::fs::remove_dir_all(&dir);
         }

@@ -8,12 +8,16 @@
 //! This is the standard fluid abstraction of long-lived TCP used by
 //! flow-level network simulators.
 //!
+//! Max-min fairness gives every flow on one path the same rate, so live
+//! flows are grouped by route (a `Group`: one path, its flow count and
+//! their shared rate), and a re-level visits routes rather than flows.
+//!
 //! `FlowNet` is a pure state machine (no event scheduling): the owner asks
 //! [`FlowNet::next_completion`] after every mutation and manages a single
 //! pending event.  The owner also owns the buffer completed tokens are
 //! written to ([`FlowNet::advance_into`]); what the net keeps between
-//! steps is the working memory of a re-level and, per flow, a share in
-//! its route — so a step in steady state allocates nothing.
+//! steps is the working memory of a re-level and the route groups — so a
+//! step in steady state allocates nothing.
 
 use crate::topology::{LinkId, Topology};
 use simcore::slab::{Slab, SlabKey};
@@ -26,40 +30,69 @@ pub type FlowToken = u64;
 /// Key identifying a flow.
 pub type FlowKey = SlabKey;
 
-#[derive(Debug, Clone)]
 struct Flow {
-    /// Shared with the topology's route table (or whoever started the
-    /// flow): never copied.
-    path: Rc<[LinkId]>,
+    /// The route group whose rate this flow runs at.
+    group: SlabKey,
     /// Remaining payload in bits.
     remaining: f64,
-    /// Current rate in bits per microsecond.
-    rate: f64,
     token: FlowToken,
+}
+
+/// The live flows of one distinct path.
+struct Group {
+    /// Shared with the topology's route table (or whoever started the
+    /// flows): never copied.
+    path: Rc<[LinkId]>,
+    /// Live flows on the path; a group leaves with its last flow.
+    count: u32,
+    /// The rate every one of them runs at, bits per microsecond.
+    rate: f64,
+}
+
+/// The route groups, and the links the next re-level starts from.
+#[derive(Default)]
+struct Routes {
+    groups: Slab<Group>,
+    /// Groups crossing each link (once per crossing), indexed by
+    /// `LinkId`: how a mutation finds its component without a scan.
+    on_link: Vec<Vec<SlabKey>>,
+    /// Links whose groups the next re-level starts from.
+    seeds: Vec<LinkId>,
+}
+
+/// Exact work counts of [`FlowNet`]'s re-levels since it was made.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RelevelWork {
+    /// Re-levels that found a flow to re-rate.
+    pub relevels: u64,
+    /// The flows those re-levels re-rated.
+    pub flows: u64,
+    /// The route groups they visited.
+    pub groups: u64,
 }
 
 /// Working memory of [`FlowNet::relevel_component`], kept between calls
 /// so a re-level allocates nothing once the vectors have reached their
 /// working size.  Every call clears what it reads; nothing here carries
-/// meaning from one call to the next except `seeds`, which the caller
-/// fills and the re-level consumes, and `epoch`, which stamps `listed`.
-#[derive(Clone, Default)]
+/// meaning from one call to the next except `epoch`, which stamps
+/// `listed`.
+#[derive(Default)]
 struct Scratch {
-    /// Links whose flows the next re-level starts from.
-    seeds: Vec<LinkId>,
     /// Per link: is it in the component?
     in_comp: Vec<bool>,
     /// The component's links, ascending.
     comp_links: Vec<usize>,
-    /// The component's flows, each listed once, then those not yet fixed.
-    unfixed: Vec<FlowKey>,
-    /// Per flow slab index: the last `epoch` that listed it in `unfixed`.
+    /// The component's groups, each listed once, then those not yet fixed.
+    unfixed: Vec<SlabKey>,
+    /// Per group slab index: the last `epoch` that listed it in `unfixed`.
     listed: Vec<u64>,
     /// Bumped once per re-level; never wraps.
     epoch: u64,
-    /// The flows left over by the current water-filling round; swapped
+    /// The groups left over by the current water-filling round; swapped
     /// with `unfixed` when the round ends.
-    still_unfixed: Vec<FlowKey>,
+    still_unfixed: Vec<SlabKey>,
+    /// The groups the current round fixes.
+    fixed: Vec<SlabKey>,
     /// Per link: capacity not yet handed out, bits/µs.
     residual: Vec<f64>,
     /// Per link: unfixed flows crossing it.
@@ -69,61 +102,99 @@ struct Scratch {
 /// The set of active flows plus the fair-share computation.
 ///
 /// The rate vector is maintained *incrementally*: a mutation re-levels only
-/// the connected component of flows that share links with the mutated flow
-/// (often just the flow itself), producing bit-identical rates to a
-/// from-scratch water-filling.  `Clone` exists so the differential test
-/// suite can snapshot a net and replay the reference kernel on the copy.
-#[derive(Clone)]
+/// the connected component of routes that share links with the mutated
+/// flow's route (often just that route), producing bit-identical rates to
+/// a from-scratch water-filling of the flows one by one.
+#[derive(Default)]
 pub struct FlowNet {
     flows: Slab<Flow>,
-    /// Flows currently crossing each link, indexed by `LinkId`.  This is
-    /// what lets a mutation find its affected component without scanning
-    /// every flow.
-    link_flows: Vec<Vec<FlowKey>>,
+    routes: Routes,
     last: SimTime,
     scratch: Scratch,
-    /// Total bits handed to the net, counted when a flow starts (for
-    /// stats; an aborted flow's bits stay counted).
-    pub bits_delivered: f64,
+    pub work: RelevelWork,
 }
 
 /// Rate used for empty-path (same-host) flows: effectively instantaneous.
 const LOCAL_RATE_BITS_PER_US: f64 = 1e9; // 1 Tbit/s
 
-impl Default for FlowNet {
-    fn default() -> Self {
-        Self::new()
+impl Routes {
+    /// The group a new flow on `path` joins: a live route gains a flow and
+    /// seeds its links; else a new group starts, rated now if no re-level
+    /// is needed.  (Each empty-path flow is a group of its own.)
+    fn join(&mut self, topo: &Topology, path: Rc<[LinkId]>) -> SlabKey {
+        let live = path.first().and_then(|l| {
+            let mut on_link = self.on_link.get(l.0 as usize)?.iter().copied();
+            on_link.find(|&g| {
+                let p = &self.groups.get(g).unwrap().path;
+                Rc::ptr_eq(p, &path) || **p == *path
+            })
+        });
+        if let Some(g) = live {
+            self.groups.get_mut(g).unwrap().count += 1;
+            self.seeds.extend_from_slice(&path);
+            return g;
+        }
+        // Alone on every link of a simple path: the water-filler would put
+        // this flow in a component by itself and assign the minimum link
+        // share.  (A path that revisits a link self-contends, so it takes
+        // the general route.)
+        let disjoint = path
+            .iter()
+            .all(|l| self.on_link.get(l.0 as usize).is_none_or(Vec::is_empty))
+            && !path.iter().enumerate().any(|(i, l)| path[..i].contains(l));
+        let rate = if path.is_empty() {
+            LOCAL_RATE_BITS_PER_US
+        } else if disjoint {
+            let share = path.iter().map(|l| topo.link(*l).capacity_bps / 1e6);
+            share.fold(f64::INFINITY, f64::min).max(0.0).max(1e-9)
+        } else {
+            // Shares a link with live flows: re-level that component.
+            self.seeds.extend_from_slice(&path);
+            0.0
+        };
+        let count = 1;
+        let g = self.groups.insert(Group { path, count, rate });
+        for l in self.groups.get(g).unwrap().path.iter() {
+            let li = l.0 as usize;
+            if li >= self.on_link.len() {
+                self.on_link.resize_with(li + 1, Vec::new);
+            }
+            self.on_link[li].push(g);
+        }
+        g
+    }
+
+    /// One flow of group `g` leaves.  While the route keeps flows its links
+    /// are seeded; with the last one the group goes, and only the links
+    /// other groups still cross are seeded: no rate on the others is left.
+    fn leave(&mut self, g: SlabKey) {
+        let group = self.groups.get_mut(g).unwrap();
+        group.count -= 1;
+        if group.count > 0 {
+            self.seeds.extend_from_slice(&group.path);
+            return;
+        }
+        let path = self.groups.remove(g).unwrap().path;
+        for l in path.iter() {
+            let on_link = &mut self.on_link[l.0 as usize];
+            if let Some(pos) = on_link.iter().position(|&k| k == g) {
+                on_link.swap_remove(pos);
+            }
+        }
+        let loaded = path
+            .iter()
+            .filter(|l| !self.on_link[l.0 as usize].is_empty());
+        self.seeds.extend(loaded);
+    }
+
+    fn rate(&self, f: &Flow) -> f64 {
+        self.groups.get(f.group).unwrap().rate
     }
 }
 
 impl FlowNet {
     pub fn new() -> Self {
-        FlowNet {
-            flows: Slab::new(),
-            link_flows: Vec::new(),
-            last: SimTime::ZERO,
-            scratch: Scratch::default(),
-            bits_delivered: 0.0,
-        }
-    }
-
-    fn register_links(link_flows: &mut Vec<Vec<FlowKey>>, key: FlowKey, path: &[LinkId]) {
-        for l in path {
-            let li = l.0 as usize;
-            if li >= link_flows.len() {
-                link_flows.resize_with(li + 1, Vec::new);
-            }
-            link_flows[li].push(key);
-        }
-    }
-
-    fn unregister_links(link_flows: &mut [Vec<FlowKey>], key: FlowKey, path: &[LinkId]) {
-        for l in path {
-            let v = &mut link_flows[l.0 as usize];
-            if let Some(pos) = v.iter().position(|&k| k == key) {
-                v.swap_remove(pos);
-            }
-        }
+        Self::default()
     }
 
     pub fn active(&self) -> usize {
@@ -138,30 +209,23 @@ impl FlowNet {
         debug_assert!(now >= self.last);
         let dt = (now - self.last).as_micros() as f64;
         self.last = now;
-        let FlowNet {
-            flows,
-            link_flows,
-            scratch,
-            ..
-        } = self;
-        flows.drain_where(
+        let routes = &mut self.routes;
+        self.flows.drain_where(
             |f| {
                 if dt > 0.0 {
-                    f.remaining -= f.rate * dt;
+                    f.remaining -= routes.rate(f) * dt;
                 }
-                f.remaining <= 1e-6
+                let finished = f.remaining <= 1e-6;
+                if finished {
+                    routes.leave(f.group);
+                }
+                finished
             },
-            |k, f| {
-                Self::unregister_links(link_flows, k, &f.path);
-                scratch.seeds.extend_from_slice(&f.path);
-                done.push(f.token);
-            },
+            |_, f| done.push(f.token),
         );
-        if !self.scratch.seeds.is_empty() {
-            // Only flows sharing links with the departed ones can change
-            // rate; empty-path completions leave the vector untouched.
-            self.relevel_component(topo);
-        }
+        // Only flows sharing links with the departed ones can change rate;
+        // empty-path completions leave the vector untouched.
+        self.relevel_component(topo);
     }
 
     /// [`FlowNet::advance_into`] with a buffer of its own, for callers
@@ -183,80 +247,46 @@ impl FlowNet {
         token: FlowToken,
     ) -> FlowKey {
         debug_assert_eq!(self.last, now, "advance() before start()");
-        let path: Rc<[LinkId]> = path.into();
-        let bits = (bytes.max(1) * 8) as f64;
-        self.bits_delivered += bits; // count on start; completion is certain
-
-        // Same-host transfer: fixed local rate, nobody else affected.
-        if path.is_empty() {
-            return self.flows.insert(Flow {
-                path,
-                remaining: bits,
-                rate: LOCAL_RATE_BITS_PER_US,
-                token,
-            });
-        }
-
-        // Alone on every link of a simple path: the water-filler would put
-        // this flow in a component by itself and assign the minimum link
-        // share.  (A path that revisits a link self-contends, so it takes
-        // the general route.)
-        let disjoint = path
-            .iter()
-            .all(|l| self.link_flows.get(l.0 as usize).is_none_or(Vec::is_empty))
-            && !path.iter().enumerate().any(|(i, l)| path[..i].contains(l));
-        let rate = if disjoint {
-            let mut share = f64::INFINITY;
-            for l in path.iter() {
-                let s = topo.link(*l).capacity_bps / 1e6;
-                if s < share {
-                    share = s;
-                }
-            }
-            share.max(0.0).max(1e-9)
-        } else {
-            // Shares a link with live flows: re-level just that component.
-            self.scratch.seeds.extend_from_slice(&path);
-            0.0
-        };
+        let group = self.routes.join(topo, path.into());
+        let remaining = (bytes.max(1) * 8) as f64;
         let key = self.flows.insert(Flow {
-            path,
-            remaining: bits,
-            rate,
+            group,
+            remaining,
             token,
         });
-        let f = self.flows.get(key).unwrap();
-        Self::register_links(&mut self.link_flows, key, &f.path);
-        if !disjoint {
-            self.relevel_component(topo);
-        }
+        self.relevel_component(topo);
         key
     }
 
     /// Abort a flow (e.g. a failed request).  Returns its token.
     pub fn abort(&mut self, topo: &Topology, key: FlowKey) -> Option<FlowToken> {
         let f = self.flows.remove(key)?;
-        Self::unregister_links(&mut self.link_flows, key, &f.path);
-        if !f.path.is_empty() {
-            self.scratch.seeds.extend_from_slice(&f.path);
-            self.relevel_component(topo);
-        }
+        self.routes.leave(f.group);
+        self.relevel_component(topo);
         Some(f.token)
     }
 
     /// Re-derive the fair-share allocation after a link capacity changed
-    /// underneath the active flows (fault injection: partition / heal).
-    /// The caller must have advanced to the current time first.
+    /// underneath the active flows (fault injection: partition / heal):
+    /// one re-level seeded with every loaded link.  The caller must have
+    /// advanced to the current time first.
     pub fn capacity_changed(&mut self, topo: &Topology) {
-        self.recompute(topo);
+        let Routes { on_link, seeds, .. } = &mut self.routes;
+        for (li, groups) in on_link.iter().enumerate() {
+            if !groups.is_empty() {
+                seeds.push(LinkId(li as u32));
+            }
+        }
+        self.relevel_component(topo);
     }
 
     /// The earliest absolute time at which some flow completes.
     pub fn next_completion(&self, now: SimTime) -> Option<SimTime> {
         let mut best = f64::INFINITY;
         for (_, f) in self.flows.iter() {
-            if f.rate > 0.0 {
-                best = best.min(f.remaining / f.rate);
+            let rate = self.routes.rate(f);
+            if rate > 0.0 {
+                best = best.min(f.remaining / rate);
             }
         }
         if best.is_finite() {
@@ -270,7 +300,7 @@ impl FlowNet {
 
     /// Current rate of a flow in bits/µs (for tests).
     pub fn rate_of(&self, key: FlowKey) -> Option<f64> {
-        self.flows.get(key).map(|f| f.rate)
+        self.flows.get(key).map(|f| self.routes.rate(f))
     }
 
     /// Visit every active flow's `(token, rate)` in key order, rate in
@@ -278,34 +308,35 @@ impl FlowNet {
     /// fair-share recomputation.
     pub fn for_each_rate(&self, mut f: impl FnMut(FlowToken, f64)) {
         for (_, flow) in self.flows.iter() {
-            f(flow.token, flow.rate);
+            f(flow.token, self.routes.rate(flow));
         }
     }
 
-    /// Re-level the connected component of flows reachable from
-    /// `scratch.seeds` (links connected through shared flows), consuming
-    /// the seeds.  Runs the same restricted water-filling arithmetic as
-    /// [`FlowNet::recompute`] — bottleneck links scanned in ascending
-    /// index order with a strictly-smaller comparison — so rates are
-    /// bit-identical to a from-scratch pass.  The order flows are fixed
-    /// in cannot matter: on each link it crosses, every flow applies the
-    /// same `r = (r - share).max(0.0)` to the residual, and `crossing` is
-    /// a count.  Flows outside the component keep their (exact) rates.
+    /// Re-level the component of routes reachable from the seeded links
+    /// (links connected through shared routes), consuming the seeds; no
+    /// seeds, no work.  The arithmetic is a from-scratch water-filling of
+    /// the component's flows one by one — links scanned in ascending index
+    /// order, strictly-smaller bottleneck comparison — so rates are
+    /// bit-identical to it.  A route's flows are fixed in one round at one
+    /// share, each applying `r = (r - share).max(0.0)` to its links'
+    /// residuals, in an order that cannot matter (DESIGN.md §6e): a route
+    /// applies its `count` updates one after another, once the round knows
+    /// which links no unfixed flow crosses any more — their residuals
+    /// nothing reads again, so they are skipped.
     fn relevel_component(&mut self, topo: &Topology) {
-        let FlowNet {
-            flows,
-            link_flows,
-            scratch,
-            ..
-        } = self;
+        let (groups, on_link) = (&mut self.routes.groups, &self.routes.on_link);
+        let (seeds, scratch, work) = (&mut self.routes.seeds, &mut self.scratch, &mut self.work);
+        if seeds.is_empty() {
+            return;
+        }
         let Scratch {
-            seeds,
             in_comp,
             comp_links,
             unfixed,
             listed,
             epoch,
             still_unfixed,
+            fixed,
             residual,
             crossing,
         } = scratch;
@@ -316,21 +347,21 @@ impl FlowNet {
         unfixed.clear();
         *epoch += 1;
         let stamp = *epoch;
-        // Entering the component, a link lists the flows crossing it that
+        // Entering the component, a link lists the groups crossing it that
         // no other component link has listed yet.
-        let mut enter = |l: LinkId, unfixed: &mut Vec<FlowKey>| {
+        let mut enter = |l: LinkId, unfixed: &mut Vec<SlabKey>| {
             let li = l.0 as usize;
             if !in_comp[li] {
                 in_comp[li] = true;
                 comp_links.push(li);
-                for &k in link_flows.get(li).into_iter().flatten() {
-                    let fi = k.index as usize;
-                    if fi >= listed.len() {
-                        listed.resize(fi + 1, 0);
+                for &g in on_link.get(li).into_iter().flatten() {
+                    let gi = g.index as usize;
+                    if gi >= listed.len() {
+                        listed.resize(gi + 1, 0);
                     }
-                    if listed[fi] != stamp {
-                        listed[fi] = stamp;
-                        unfixed.push(k);
+                    if listed[gi] != stamp {
+                        listed[gi] = stamp;
+                        unfixed.push(g);
                     }
                 }
             }
@@ -338,13 +369,13 @@ impl FlowNet {
         for l in seeds.drain(..) {
             enter(l, unfixed);
         }
-        // Pull in the full link set of every component flow (a flow found
-        // via one link drags its other links — and their flows — in).
+        // Pull in the full link set of every component group (a route
+        // found via one link drags its other links — and their routes — in).
         let mut i = 0;
         while i < unfixed.len() {
-            let k = unfixed[i];
+            let g = unfixed[i];
             i += 1;
-            for l in flows.get(k).unwrap().path.iter() {
+            for l in groups.get(g).unwrap().path.iter() {
                 enter(*l, unfixed);
             }
         }
@@ -360,9 +391,13 @@ impl FlowNet {
         for &li in comp_links.iter() {
             residual[li] = topo.link(LinkId(li as u32)).capacity_bps / 1e6;
         }
-        for &k in unfixed.iter() {
-            for l in flows.get(k).unwrap().path.iter() {
-                crossing[l.0 as usize] += 1;
+        work.relevels += 1;
+        work.groups += unfixed.len() as u64;
+        for &g in unfixed.iter() {
+            let group = groups.get(g).unwrap();
+            work.flows += u64::from(group.count);
+            for l in group.path.iter() {
+                crossing[l.0 as usize] += group.count;
             }
         }
 
@@ -379,17 +414,27 @@ impl FlowNet {
             let Some((bl, share)) = bottleneck else { break };
             let share = share.max(0.0);
             still_unfixed.clear();
-            for &k in unfixed.iter() {
-                let f = flows.get_mut(k).unwrap();
-                if f.path.iter().any(|l| l.0 as usize == bl) {
-                    for l in f.path.iter() {
-                        let li = l.0 as usize;
-                        crossing[li] -= 1;
-                        residual[li] = (residual[li] - share).max(0.0);
+            fixed.clear();
+            for &g in unfixed.iter() {
+                let group = groups.get_mut(g).unwrap();
+                if group.path.iter().any(|l| l.0 as usize == bl) {
+                    for l in group.path.iter() {
+                        crossing[l.0 as usize] -= group.count;
                     }
-                    f.rate = share.max(1e-9);
+                    group.rate = share.max(1e-9);
+                    fixed.push(g);
                 } else {
-                    still_unfixed.push(k);
+                    still_unfixed.push(g);
+                }
+            }
+            // Only links some unfixed flow still crosses are read again.
+            for &g in fixed.iter() {
+                let group = groups.get(g).unwrap();
+                for l in group.path.iter().filter(|l| crossing[l.0 as usize] > 0) {
+                    let r = &mut residual[l.0 as usize];
+                    for _ in 0..group.count {
+                        *r = (*r - share).max(0.0);
+                    }
                 }
             }
             debug_assert!(still_unfixed.len() < unfixed.len(), "water-filling stuck");
@@ -399,73 +444,14 @@ impl FlowNet {
             // Every component flow runs, and no component link carries more
             // than its capacity, give or take the 1e-9 floor of each rate.
             for &li in comp_links.iter() {
-                let on_link = &link_flows[li];
-                let rate = |k: &FlowKey| flows.get(*k).unwrap().rate;
-                assert!(on_link.iter().all(|k| rate(k) > 0.0), "starved on {li}");
-                let load: f64 = on_link.iter().map(rate).sum();
+                let on_link = on_link[li].iter().map(|g| groups.get(*g).unwrap());
+                assert!(on_link.clone().all(|g| g.rate > 0.0), "starved on {li}");
+                let load: f64 = on_link.clone().map(|g| g.rate * f64::from(g.count)).sum();
+                let n: u32 = on_link.map(|g| g.count).sum();
                 let cap = topo.link(LinkId(li as u32)).capacity_bps / 1e6;
-                let slack = cap * 1e-9 + on_link.len() as f64 * 1e-9;
+                let slack = cap * 1e-9 + f64::from(n) * 1e-9;
                 assert!(load <= cap + slack, "link {li}: {load} of {cap}");
             }
-        }
-    }
-
-    /// Recompute the max-min fair rate allocation by water-filling.
-    fn recompute(&mut self, topo: &Topology) {
-        let n_links = topo.link_count();
-        // Residual capacity per link in bits/µs and number of unfixed flows
-        // crossing it.
-        let mut residual: Vec<f64> = (0..n_links)
-            .map(|i| topo.link(LinkId(i as u32)).capacity_bps / 1e6)
-            .collect();
-        let mut crossing: Vec<u32> = vec![0; n_links];
-
-        let keys: Vec<FlowKey> = self.flows.keys();
-        let mut unfixed: Vec<FlowKey> = Vec::with_capacity(keys.len());
-        for &k in &keys {
-            let f = self.flows.get_mut(k).unwrap();
-            if f.path.is_empty() {
-                f.rate = LOCAL_RATE_BITS_PER_US;
-            } else {
-                for l in f.path.iter() {
-                    crossing[l.0 as usize] += 1;
-                }
-                unfixed.push(k);
-            }
-        }
-
-        // Water-filling: repeatedly find the bottleneck link (minimum fair
-        // share), fix all flows crossing it at that share, and remove their
-        // demand from other links.
-        while !unfixed.is_empty() {
-            let mut bottleneck: Option<(usize, f64)> = None;
-            for l in 0..n_links {
-                if crossing[l] > 0 {
-                    let share = residual[l] / crossing[l] as f64;
-                    if bottleneck.is_none_or(|(_, s)| share < s) {
-                        bottleneck = Some((l, share));
-                    }
-                }
-            }
-            let Some((bl, share)) = bottleneck else { break };
-            let share = share.max(0.0);
-            // Fix every unfixed flow crossing the bottleneck.
-            let mut still_unfixed = Vec::with_capacity(unfixed.len());
-            for &k in &unfixed {
-                let f = self.flows.get(k).unwrap();
-                if f.path.iter().any(|l| l.0 as usize == bl) {
-                    for l in f.path.iter() {
-                        let li = l.0 as usize;
-                        crossing[li] -= 1;
-                        residual[li] = (residual[li] - share).max(0.0);
-                    }
-                    self.flows.get_mut(k).unwrap().rate = share.max(1e-9);
-                } else {
-                    still_unfixed.push(k);
-                }
-            }
-            debug_assert!(still_unfixed.len() < unfixed.len(), "water-filling stuck");
-            unfixed = still_unfixed;
         }
     }
 }
@@ -677,69 +663,5 @@ mod tests {
         // Still None after further idle advances.
         assert!(fnet.advance(&t, SimTime(end.as_micros() + 500)).is_empty());
         assert_eq!(fnet.next_completion(SimTime(end.as_micros() + 500)), None);
-    }
-
-    #[test]
-    fn incremental_matches_full_recompute_bitexact() {
-        // Drive a random start/abort/advance schedule and after every
-        // mutation compare the incremental rate vector against a
-        // from-scratch water-filling of the same flow set, bit for bit.
-        let mut t = Topology::new();
-        let _ = t.add_node("x", 1, 1.0);
-        let links: Vec<LinkId> = (0..6)
-            .map(|i| t.add_link(format!("l{i}"), (i as f64 + 1.0) * 0.7e6, SimDuration::ZERO))
-            .collect();
-        let mut fnet = FlowNet::new();
-        let mut rng = simcore::SimRng::new(12345);
-        let mut now = SimTime(0);
-        let mut live: Vec<FlowKey> = Vec::new();
-
-        let check = |fnet: &FlowNet, topo: &Topology| {
-            let mut fast: Vec<(FlowToken, u64)> = Vec::new();
-            fnet.for_each_rate(|tok, r| fast.push((tok, r.to_bits())));
-            let mut oracle = fnet.clone();
-            oracle.recompute(topo);
-            let mut slow: Vec<(FlowToken, u64)> = Vec::new();
-            oracle.for_each_rate(|tok, r| slow.push((tok, r.to_bits())));
-            assert_eq!(fast, slow, "incremental diverged from full recompute");
-        };
-
-        for step in 0..200u64 {
-            match rng.next_below(3) {
-                0 => {
-                    // Start a flow: sometimes local, sometimes multi-link.
-                    let mut path = Vec::new();
-                    for &l in &links {
-                        if rng.chance(0.3) {
-                            path.push(l);
-                        }
-                    }
-                    let bytes = rng.next_below(50_000);
-                    live.push(fnet.start(&t, now, path, bytes, step));
-                }
-                1 => {
-                    if !live.is_empty() {
-                        let i = rng.next_below(live.len() as u64) as usize;
-                        let k = live.swap_remove(i);
-                        fnet.abort(&t, k);
-                    }
-                }
-                _ => {
-                    if let Some(next) = fnet.next_completion(now) {
-                        now = next;
-                        fnet.advance(&t, now);
-                        live.retain(|&k| fnet.rate_of(k).is_some());
-                    }
-                }
-            }
-            check(&fnet, &t);
-        }
-        // Drain to completion, checking along the way.
-        while let Some(next) = fnet.next_completion(now) {
-            now = next;
-            fnet.advance(&t, now);
-            check(&fnet, &t);
-        }
-        assert_eq!(fnet.active(), 0);
     }
 }

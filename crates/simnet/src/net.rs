@@ -46,7 +46,7 @@
 //!    stay bounded while throughput plateaus.
 
 use crate::client::{Client, ClientCx, ClientKey, ReqOutcome, ReqResult};
-use crate::flow::FlowNet;
+use crate::flow::{FlowNet, RelevelWork};
 use crate::service::{
     CallOutcome, Lent, LockKey, Payload, Service, ServiceConfig, ServiceSlot, Step, SubCall,
     SvcAction, SvcCx, SvcKey,
@@ -448,6 +448,11 @@ impl Net {
     /// Number of in-flight requests (diagnostics).
     pub fn inflight(&self) -> usize {
         self.requests.len()
+    }
+
+    /// What the flow network's re-levels have cost so far.
+    pub fn flow_work(&self) -> RelevelWork {
+        self.flows.work
     }
 
     /// Everything still live in the world (diagnostics).

@@ -2,12 +2,15 @@
 //! fair sharing in [`FlowNet`], and the request lifecycle of [`Net`] under
 //! random plans, pool sizes and injected faults.
 //!
-//! `FlowNet` is held to two things.  Its incremental re-level must equal
-//! the from-scratch water-filler behind `capacity_changed`, bit for bit.
-//! And both must satisfy the certificate of max-min fairness: no link
-//! carries more than its capacity, and every flow crosses a saturated
-//! link on which no other flow runs faster.  Completions are checked
-//! against each flow's bits integrated from the rates `rate_of` reports.
+//! `FlowNet` is held to two things.  Its rates must equal, bit for bit,
+//! the per-flow from-scratch water-filler kept here as the reference
+//! ([`reference_rates`]; the kernel once ran it, and now shares rates per
+//! route).  And they must satisfy the certificate of max-min fairness: no
+//! link carries more than its capacity, and every flow crosses a
+//! saturated link on which no other flow runs faster.  Each flow's bits
+//! are integrated from the reference rates, so completions (which tokens,
+//! in what order) and `next_completion` are checked exactly.  Cases draw
+//! their flows from a small route table, so many flows share one path.
 
 use proptest::prelude::*;
 use simcore::slab::SlabKey;
@@ -23,15 +26,21 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-/// A random small topology plus random flow paths over it.
-fn arb_case() -> impl Strategy<Value = (Vec<f64>, Vec<Vec<usize>>, Vec<u64>)> {
+/// Link capacities, routes as link indices, and flows as `(route, bytes)`.
+type FlowCase = (Vec<f64>, Vec<Vec<usize>>, Vec<(usize, u64)>);
+
+/// A random small topology, a table of 1–5 routes over it (a route may
+/// cross a link twice) and up to about 60 flows per route.
+fn arb_case() -> impl Strategy<Value = FlowCase> {
     let caps = proptest::collection::vec(1.0e6..100.0e6f64, 2..6);
     caps.prop_flat_map(|caps| {
-        let n_links = caps.len();
-        let path = proptest::collection::vec(0..n_links, 1..=n_links.min(3));
-        let flows = proptest::collection::vec(path, 1..20);
-        let sizes = proptest::collection::vec(1_000u64..1_000_000, 1..20);
-        (Just(caps), flows, sizes)
+        let route = proptest::collection::vec(0..caps.len(), 1..=3);
+        let routes = proptest::collection::vec(route, 1..=5);
+        (Just(caps), routes).prop_flat_map(|(caps, routes)| {
+            let flow = (0..routes.len(), 1_000u64..1_000_000);
+            let flows = proptest::collection::vec(flow, 1..=60 * routes.len());
+            (Just(caps), Just(routes), flows)
+        })
     })
 }
 
@@ -46,39 +55,101 @@ fn build_topo(caps: &[f64]) -> (Topology, Vec<LinkId>) {
     (t, links)
 }
 
-/// Assert the incremental rate vector equals a full recompute of a clone.
-fn assert_rates_match(fnet: &FlowNet, topo: &Topology, context: &str) {
-    let mut fast = Vec::new();
-    fnet.for_each_rate(|tok, r| fast.push((tok, r.to_bits())));
-    let mut oracle = fnet.clone();
-    oracle.capacity_changed(topo);
-    let mut slow = Vec::new();
-    oracle.for_each_rate(|tok, r| slow.push((tok, r.to_bits())));
-    assert_eq!(
-        fast, slow,
-        "incremental diverged from reference after {context}"
-    );
+/// 1–5 routes over `links`: random subsets, some empty (same host), some
+/// crossing a link twice.
+fn route_table(rng: &mut SimRng, links: &[LinkId]) -> Vec<Rc<[LinkId]>> {
+    let n = 1 + rng.next_below(5);
+    (0..n)
+        .map(|_| {
+            let mut path: Vec<LinkId> =
+                links.iter().copied().filter(|_| rng.chance(0.35)).collect();
+            if !path.is_empty() && rng.chance(0.3) {
+                path.push(path[rng.next_below(path.len() as u64) as usize]);
+            }
+            path.into()
+        })
+        .collect()
+}
+
+/// The per-flow from-scratch water-filler `FlowNet` ran behind
+/// `capacity_changed` before flows were grouped by route, verbatim but
+/// for taking the live `(path, token)` list in key order: each flow's
+/// `(token, rate bits)`.
+fn reference_rates(topo: &Topology, flows: &[(&[LinkId], u64)]) -> Vec<(u64, u64)> {
+    let n_links = topo.link_count();
+    // Residual capacity per link in bits/µs and number of unfixed flows
+    // crossing it.
+    let mut residual: Vec<f64> = (0..n_links)
+        .map(|i| topo.link(LinkId(i as u32)).capacity_bps / 1e6)
+        .collect();
+    let mut crossing: Vec<u32> = vec![0; n_links];
+
+    let mut rates = vec![0.0f64; flows.len()];
+    let mut unfixed: Vec<usize> = Vec::with_capacity(flows.len());
+    for (k, (path, _)) in flows.iter().enumerate() {
+        if path.is_empty() {
+            rates[k] = 1e9; // the local rate, 1 Tbit/s
+        } else {
+            for l in path.iter() {
+                crossing[l.0 as usize] += 1;
+            }
+            unfixed.push(k);
+        }
+    }
+
+    // Water-filling: repeatedly find the bottleneck link (minimum fair
+    // share), fix all flows crossing it at that share, and remove their
+    // demand from other links.
+    while !unfixed.is_empty() {
+        let mut bottleneck: Option<(usize, f64)> = None;
+        for l in 0..n_links {
+            if crossing[l] > 0 {
+                let share = residual[l] / crossing[l] as f64;
+                if bottleneck.is_none_or(|(_, s)| share < s) {
+                    bottleneck = Some((l, share));
+                }
+            }
+        }
+        let Some((bl, share)) = bottleneck else { break };
+        let share = share.max(0.0);
+        // Fix every unfixed flow crossing the bottleneck.
+        let mut still_unfixed = Vec::with_capacity(unfixed.len());
+        for &k in &unfixed {
+            let path = flows[k].0;
+            if path.iter().any(|l| l.0 as usize == bl) {
+                for l in path.iter() {
+                    let li = l.0 as usize;
+                    crossing[li] -= 1;
+                    residual[li] = (residual[li] - share).max(0.0);
+                }
+                rates[k] = share.max(1e-9);
+            } else {
+                still_unfixed.push(k);
+            }
+        }
+        debug_assert!(still_unfixed.len() < unfixed.len(), "water-filling stuck");
+        unfixed = still_unfixed;
+    }
+    let tokens = flows.iter().map(|&(_, token)| token);
+    tokens.zip(rates).map(|(t, r)| (t, r.to_bits())).collect()
 }
 
 /// A flow drains at or below this many bits (the kernel's threshold).
 const DONE_BITS: f64 = 1e-6;
-/// How far the certificate's sums may sit from the kernel's: within it of
-/// the threshold, a flow may complete or stay.
-const TOL: f64 = 1e-6;
 
 /// A live flow as the certificate sees it.
 #[derive(Debug)]
 struct Flow {
-    path: Vec<LinkId>,
-    /// Bits still owed, integrated from the reported rates.
+    path: Rc<[LinkId]>,
+    /// Bits still owed, integrated from the reference rates.
     bits: f64,
     rate: f64,
     token: u64,
 }
 
 /// The certificate's side of a `FlowNet`, driven through the same calls.
-struct Flows<'t> {
-    topo: &'t Topology,
+struct Flows {
+    topo: Topology,
     net: FlowNet,
     now: u64,
     live: BTreeMap<SlabKey, Flow>,
@@ -86,8 +157,8 @@ struct Flows<'t> {
     done: Vec<u64>,
 }
 
-impl<'t> Flows<'t> {
-    fn new(topo: &'t Topology) -> Self {
+impl Flows {
+    fn new(topo: Topology) -> Self {
         Flows {
             topo,
             net: FlowNet::new(),
@@ -97,9 +168,11 @@ impl<'t> Flows<'t> {
         }
     }
 
-    fn start(&mut self, path: Vec<LinkId>, bytes: u64, token: u64) {
+    fn start(&mut self, path: Rc<[LinkId]>, bytes: u64, token: u64) {
         let now = SimTime(self.now);
-        let k = self.net.start(self.topo, now, path.clone(), bytes, token);
+        let k = self
+            .net
+            .start(&self.topo, now, Rc::clone(&path), bytes, token);
         let bits = (bytes.max(1) * 8) as f64;
         let flow = Flow {
             path,
@@ -114,8 +187,14 @@ impl<'t> Flows<'t> {
     fn abort_nth(&mut self, i: u64) {
         if let Some(&k) = self.live.keys().nth(i as usize % self.live.len().max(1)) {
             let want = self.live.remove(&k).map(|f| f.token);
-            assert_eq!(self.net.abort(self.topo, k), want);
+            assert_eq!(self.net.abort(&self.topo, k), want);
         }
+    }
+
+    /// Give link `l` a new capacity (a partition or heal).
+    fn set_capacity(&mut self, l: LinkId, bps: f64) {
+        self.topo.link_mut(l).capacity_bps = bps;
+        self.net.capacity_changed(&self.topo);
     }
 
     /// Advance to `now`: the completed tokens are every flow whose bits
@@ -125,12 +204,11 @@ impl<'t> Flows<'t> {
         self.now = now;
         self.done.clear();
         self.net
-            .advance_into(self.topo, SimTime(now), &mut self.done);
-        let (done, mut want) = (&self.done, Vec::new());
+            .advance_into(&self.topo, SimTime(now), &mut self.done);
+        let mut want = Vec::new();
         self.live.retain(|_, f| {
             f.bits -= f.rate * dt;
-            let over = f.bits - DONE_BITS;
-            let finished = over <= -TOL || (over < TOL && done.contains(&f.token));
+            let finished = f.bits <= DONE_BITS;
             if finished {
                 want.push(f.token);
             }
@@ -139,23 +217,30 @@ impl<'t> Flows<'t> {
         assert_eq!(self.done, want, "completed tokens at {now}");
     }
 
-    /// Take the new rates, then check them and `next_completion`.
+    /// Compare the rates with the reference and take them, then check
+    /// the certificate and `next_completion`.
     fn check(&mut self, context: &str) {
-        for (k, f) in &mut self.live {
-            f.rate = self.net.rate_of(*k).expect("live flow has a rate");
+        let flows: Vec<_> = self.live.values().map(|f| (&f.path[..], f.token)).collect();
+        let want = reference_rates(&self.topo, &flows);
+        let mut got = Vec::new();
+        self.net
+            .for_each_rate(|tok, r| got.push((tok, r.to_bits())));
+        assert_eq!(
+            got, want,
+            "rates diverged from the reference after {context}"
+        );
+        for ((k, f), &(_, bits)) in self.live.iter_mut().zip(&want) {
+            f.rate = f64::from_bits(bits);
+            assert_eq!(self.net.rate_of(*k), Some(f.rate), "{context}");
         }
         assert_eq!(self.net.active(), self.live.len(), "{context}");
         self.assert_max_min();
-        assert_rates_match(&self.net, self.topo, context);
-        let first = self.live.values().map(|f| f.bits.max(0.0) / f.rate);
+        let first = self.live.values().map(|f| f.bits / f.rate);
         let first = first.fold(f64::INFINITY, f64::min);
         let want = first
             .is_finite()
             .then(|| self.now + (first.ceil() as u64).max(1));
-        match (self.next(), want) {
-            (Some(a), Some(b)) => assert!(a.abs_diff(b) <= 1, "{a} vs {b} after {context}"),
-            (a, b) => assert_eq!(a, b, "next_completion after {context}"),
-        }
+        assert_eq!(self.next(), want, "next_completion after {context}");
     }
 
     /// The max-min certificate: no link carries more than its capacity,
@@ -167,7 +252,7 @@ impl<'t> Flows<'t> {
         let n = self.topo.link_count();
         let (mut load, mut fastest) = (vec![0.0; n], vec![0.0f64; n]);
         for f in self.live.values() {
-            for &l in &f.path {
+            for &l in f.path.iter() {
                 load[l.0 as usize] += f.rate;
                 fastest[l.0 as usize] = fastest[l.0 as usize].max(f.rate);
             }
@@ -201,22 +286,22 @@ impl<'t> Flows<'t> {
 fn many_sources_through_one_downlink_are_certified() {
     let (topo, links) = build_topo(&[3e6, 5e6, 11e6]);
     let (up_a, up_b, down) = (links[0], links[1], links[2]);
-    let paths: [&[LinkId]; 5] = [
-        &[up_a, down],
-        &[up_b, down],
-        &[up_a, down, up_a],
-        &[down, up_b, down],
-        &[down],
+    let paths: [Rc<[LinkId]>; 5] = [
+        Rc::new([up_a, down]),
+        Rc::new([up_b, down]),
+        Rc::new([up_a, down, up_a]),
+        Rc::new([down, up_b, down]),
+        Rc::new([down]),
     ];
-    let mut f = Flows::new(&topo);
+    let mut f = Flows::new(topo);
     let mut rng = SimRng::new(20030622);
     for tok in 0..320u64 {
         if tok % 40 == 39 {
             // A completion mid-ramp.
             f.advance(f.next().expect("flows are live"));
         }
-        let path = paths[rng.next_below(paths.len() as u64) as usize];
-        f.start(path.to_vec(), 200 + rng.next_below(4_000), tok);
+        let path = &paths[rng.next_below(paths.len() as u64) as usize];
+        f.start(Rc::clone(path), 200 + rng.next_below(4_000), tok);
         if rng.chance(0.1) {
             f.abort_nth(rng.next_u64());
         }
@@ -229,106 +314,119 @@ fn many_sources_through_one_downlink_are_certified() {
     }
 }
 
+/// A seeded schedule over `caps` (bits/s) and a route table drawn per
+/// case: starts (on the table's shared path or a fresh copy of it),
+/// aborts, advances to the next completion and capacity changes, checked
+/// after every step, then drained.
+fn run_schedule(caps: &[f64], seed: u64, steps: u64) {
+    let (topo, links) = build_topo(caps);
+    let mut f = Flows::new(topo);
+    let mut rng = SimRng::new(seed);
+    let routes = route_table(&mut rng, &links);
+    for step in 0..steps {
+        match rng.next_below(8) {
+            0..=3 => {
+                let route = &routes[rng.next_below(routes.len() as u64) as usize];
+                let path = if rng.chance(0.5) {
+                    Rc::clone(route)
+                } else {
+                    Rc::from(&route[..])
+                };
+                f.start(path, rng.next_below(100_000), step);
+            }
+            4 => f.abort_nth(rng.next_u64()),
+            5 => {
+                let i = rng.next_below(caps.len() as u64) as usize;
+                let bps = caps[i] * (0.1 + rng.next_below(20) as f64 / 10.0);
+                f.set_capacity(links[i], bps);
+            }
+            _ => {
+                if let Some(next) = f.next() {
+                    f.advance(next);
+                }
+            }
+        }
+        f.check(&format!("step {step}"));
+    }
+    // Drain: completions must keep agreeing until the net is empty.
+    while let Some(next) = f.next() {
+        f.advance(next);
+        f.check("drain");
+    }
+    assert_eq!(f.net.active(), 0);
+}
+
+/// Six links, forty route tables, 200 steps each.
+#[test]
+fn incremental_matches_full_recompute_bitexact() {
+    let caps: Vec<f64> = (0..6).map(|i| (i as f64 + 1.0) * 0.7e6).collect();
+    for seed in 12345..12385 {
+        run_schedule(&caps, seed, 200);
+    }
+}
+
 proptest! {
     /// Max-min fairness holds for any set of flows started at once.
     #[test]
-    fn fair_share_is_max_min((caps, paths, sizes) in arb_case()) {
+    fn fair_share_is_max_min((caps, routes, flows) in arb_case()) {
         let (topo, links) = build_topo(&caps);
-        let mut f = Flows::new(&topo);
-        for (i, (path, &bytes)) in paths.iter().zip(&sizes).enumerate() {
-            f.start(path.iter().map(|&j| links[j]).collect(), bytes, i as u64);
+        let routes: Vec<Rc<[LinkId]>> =
+            routes.iter().map(|r| r.iter().map(|&j| links[j]).collect()).collect();
+        let mut f = Flows::new(topo);
+        for (i, &(route, bytes)) in flows.iter().enumerate() {
+            f.start(Rc::clone(&routes[route]), bytes, i as u64);
         }
         f.check("starts");
         prop_assert!(f.live.values().all(|fl| fl.rate > 0.0), "every flow gets positive rate");
     }
 
-    /// Random link-capacity vectors and start/abort/complete schedules:
-    /// after every mutation the rates equal the from-scratch pass and are
-    /// max-min fair, and completions follow the integrated bits.
+    /// Random link-capacity vectors and start/abort/complete/capacity
+    /// schedules: after every mutation the rates equal the reference's
+    /// and are max-min fair, and completions follow the integrated bits.
     #[test]
     fn random_schedule_is_certified(
         // Whole Mbit/s put completions on rounding's knife edges.
         caps in proptest::collection::vec(prop_oneof![(1u64..20).prop_map(|c| c as f64), 0.1f64..20.0], 1..8),
         seed in any::<u64>(),
-        steps in 20usize..120,
+        steps in 20u64..120,
     ) {
         let caps_bps: Vec<f64> = caps.iter().map(|c| c * 1e6).collect();
-        let (topo, links) = build_topo(&caps_bps);
-        let mut f = Flows::new(&topo);
-        let mut rng = SimRng::new(seed);
-        for step in 0..steps as u64 {
-            match rng.next_below(4) {
-                0 | 1 => {
-                    // Start: biased toward short, overlapping paths; some
-                    // empty (same host), some crossing a link twice.
-                    let mut path = Vec::new();
-                    for &l in &links {
-                        if rng.chance(0.35) {
-                            path.push(l);
-                        }
-                    }
-                    if !path.is_empty() && rng.chance(0.15) {
-                        let again = path[rng.next_below(path.len() as u64) as usize];
-                        path.push(again);
-                    }
-                    f.start(path, rng.next_below(100_000), step);
-                }
-                2 => f.abort_nth(rng.next_u64()),
-                _ => {
-                    if let Some(next) = f.next() {
-                        f.advance(next);
-                    }
-                }
-            }
-            f.check(&format!("step {step}"));
-        }
-        // Drain: completions must keep agreeing until the net is empty.
-        while let Some(next) = f.next() {
-            f.advance(next);
-            f.check("drain");
-        }
-        prop_assert_eq!(f.net.active(), 0);
+        run_schedule(&caps_bps, seed, steps);
     }
 
-    /// Capacity changes (fault injection) fall back to the full pass and
-    /// must leave the net in a state the oracle reproduces.
+    /// Capacity changes (fault injection) re-level every loaded link and
+    /// must leave the net in a state the reference reproduces.
     #[test]
     fn capacity_change_resyncs(seed in any::<u64>()) {
         let (topo, links) = build_topo(&[4e6, 8e6, 2e6]);
-        let mut fnet = FlowNet::new();
+        let mut f = Flows::new(topo);
         let mut rng = SimRng::new(seed);
+        let routes = route_table(&mut rng, &links);
         for tok in 0..12u64 {
-            let mut path = Vec::new();
-            for &l in &links {
-                if rng.chance(0.5) {
-                    path.push(l);
-                }
-            }
-            fnet.start(&topo, SimTime(0), path, 10_000 + tok, tok);
+            let route = &routes[rng.next_below(routes.len() as u64) as usize];
+            f.start(Rc::clone(route), 10_000 + tok, tok);
         }
-        fnet.capacity_changed(&topo);
-        assert_rates_match(&fnet, &topo, "capacity_changed");
+        f.set_capacity(links[2], 0.5e6);
+        f.check("capacity_changed");
         // And incremental mutations on top of the resync still agree.
-        let k = fnet.start(&topo, SimTime(0), vec![links[1]], 5000, 99);
-        assert_rates_match(&fnet, &topo, "start after capacity_changed");
-        fnet.abort(&topo, k);
-        assert_rates_match(&fnet, &topo, "abort after capacity_changed");
+        f.start(Rc::new([links[1]]), 5000, 99);
+        f.check("start after capacity_changed");
+        f.abort_nth(rng.next_u64());
+        f.check("abort after capacity_changed");
     }
 
     /// All flows eventually complete, and simulated completion times are
     /// consistent with work-conservation: total bits delivered divided by
     /// elapsed time never exceeds the sum of capacities.
     #[test]
-    fn flows_drain_completely((caps, paths, sizes) in arb_case()) {
+    fn flows_drain_completely((caps, routes, flows) in arb_case()) {
         let (topo, links) = build_topo(&caps);
         let mut fnet = FlowNet::new();
-        let n = paths.len().min(sizes.len());
         let mut total_bits = 0.0;
-        for i in 0..n {
-            let mut path: Vec<LinkId> = paths[i].iter().map(|&j| links[j]).collect();
-            path.dedup();
-            total_bits += (sizes[i].max(1) * 8) as f64;
-            fnet.start(&topo, SimTime(0), path, sizes[i], i as u64);
+        for (i, &(route, bytes)) in flows.iter().enumerate() {
+            let path: Vec<LinkId> = routes[route].iter().map(|&j| links[j]).collect();
+            total_bits += (bytes.max(1) * 8) as f64;
+            fnet.start(&topo, SimTime(0), path, bytes, i as u64);
         }
         let mut now = SimTime(0);
         let mut completed = 0usize;
@@ -341,7 +439,7 @@ proptest! {
             guard += 1;
             prop_assert!(guard < 10_000, "runaway");
         }
-        prop_assert_eq!(completed, n);
+        prop_assert_eq!(completed, flows.len());
         // Work conservation bound: elapsed >= total_bits / sum(caps).
         let elapsed_us = now.as_micros() as f64;
         let cap_sum_per_us: f64 = caps.iter().map(|c| c / 1e6).sum();
@@ -355,29 +453,20 @@ proptest! {
     /// simultaneous flows does not change each flow's rate.
     #[test]
     fn rates_independent_of_insertion_order(
-        (caps, paths, sizes) in arb_case(),
+        (caps, routes, flows) in arb_case(),
         seed in 0u64..1000,
     ) {
         let (topo, links) = build_topo(&caps);
-        let n = paths.len().min(sizes.len());
-        let canonical: Vec<Vec<LinkId>> = (0..n)
-            .map(|i| {
-                let mut p: Vec<LinkId> = paths[i].iter().map(|&j| links[j]).collect();
-                p.dedup();
-                p
-            })
+        let n = flows.len();
+        let paths: Vec<Vec<LinkId>> = flows
+            .iter()
+            .map(|&(route, _)| routes[route].iter().map(|&j| links[j]).collect())
             .collect();
         let run = |order: &[usize]| -> Vec<f64> {
             let mut fnet = FlowNet::new();
             let mut keys = vec![None; n];
             for &i in order {
-                keys[i] = Some(fnet.start(
-                    &topo,
-                    SimTime(0),
-                    canonical[i].clone(),
-                    sizes[i],
-                    i as u64,
-                ));
+                keys[i] = Some(fnet.start(&topo, SimTime(0), paths[i].clone(), flows[i].1, i as u64));
             }
             keys.into_iter()
                 .map(|k| fnet.rate_of(k.unwrap()).unwrap())
