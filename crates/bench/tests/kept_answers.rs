@@ -165,7 +165,7 @@ fn replay<S: Service, U>(
 /// A payload's whole content.
 fn say(p: &Payload) -> String {
     if let Some(r) = p.downcast_ref::<MdsSearchResult>() {
-        return format!("{} of {}: {:?}", r.entries.len(), r.total, r.entries);
+        return format!("{} bytes: {:?}", r.bytes, r.entries);
     }
     if let Some(r) = p.downcast_ref::<AdsReply>() {
         let ads: Vec<String> = r.ads.iter().map(|ad| ad.to_string()).collect();

@@ -149,17 +149,6 @@ impl Entry {
         (self.dn.display_len() + 5 + self.attrs.bytes) as u64
     }
 
-    /// `self.project(attrs).wire_size()` computed without materializing
-    /// the projection — byte-for-byte the same accounting (lowercasing a
-    /// selected name preserves its length, and duplicate selections
-    /// double-count in both forms).  Accepts any string-ish slice
-    /// (`&[&str]`, `&[String]`, `&[Sym]`, ...).
-    pub fn projected_wire_size<S: AsRef<str>>(&self, attrs: &[S]) -> u64 {
-        let names = attrs.iter().map(|a| a.as_ref());
-        let bytes: usize = names.map(|a| lines(a.len(), self.get(a))).sum();
-        (self.dn.display_len() + 5 + bytes) as u64
-    }
-
     /// LDAP attribute selection: a copy of this entry keeping only the
     /// requested attribute types (requested names are matched
     /// case-insensitively; unknown names are simply absent).  Accepts
@@ -240,32 +229,9 @@ mod tests {
         let p = e.project(&["OBJECTCLASS", "missing"]);
         assert_eq!(p.attr_count(), 1);
         assert_eq!(p.get("objectclass").len(), 2);
-        assert_eq!(
-            e.projected_wire_size(&["OBJECTCLASS", "missing"]),
-            p.wire_size()
-        );
-        // ... and the owned form still agrees with the borrowed one.
+        // ... and the owned form agrees with the borrowed one.
         let owned = vec!["OBJECTCLASS".to_string(), "missing".to_string()];
         assert_eq!(e.project(&owned), p);
-        assert_eq!(e.projected_wire_size(&owned), p.wire_size());
-    }
-
-    #[test]
-    fn projected_wire_size_matches_materialized_projection() {
-        let e = entry();
-        for sel in [
-            vec!["OBJECTCLASS".to_string()],
-            vec!["objectclass".to_string(), "mds-cpu-total-count".to_string()],
-            vec!["objectclass".to_string(), "OBJECTCLASS".to_string()],
-            vec!["missing".to_string()],
-            vec![],
-        ] {
-            assert_eq!(
-                e.projected_wire_size(&sel),
-                e.project(&sel).wire_size(),
-                "{sel:?}"
-            );
-        }
     }
 
     #[test]

@@ -10,13 +10,13 @@
 //! sets `cachettl` "to a very large value so that the data was always in
 //! the cache" — [`Giis::new`] with `cachettl = None` reproduces that.
 
-use crate::gris::{SEARCH_CPU_FIXED_US, SEARCH_CPU_PER_ENTRY_US};
+use crate::gris::{search_plan, SEARCH_CPU_FIXED_US};
 use crate::proto::{GrisRegistration, MdsRequest, MdsSearchResult};
-use ldapdir::{Dit, Dn, Entry};
+use ldapdir::{Dit, Dn};
 use simcore::{SimDuration, SimTime};
 use simnet::trace::Ev;
 use simnet::{CallOutcome, Kept, Payload, Plan, Service, SubCall, SvcCx, SvcKey};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
 
 /// CPU cost of merging one pulled entry into the aggregate directory.
@@ -24,9 +24,6 @@ pub const MERGE_CPU_PER_ENTRY_US: f64 = 60.0;
 
 /// CPU cost of processing one registration heartbeat.
 pub const REGISTRATION_CPU_US: f64 = 800.0;
-
-/// Max entries carried in a GIIS reply payload (see `search_plan`).
-pub const RESULT_ENTRY_CAP: usize = 256;
 
 /// A registered information source.
 struct Registration {
@@ -45,13 +42,46 @@ struct Registration {
     /// on every pull.
     pull: Payload,
     pull_bytes: u64,
-    /// The last reply merged under `graft` and how many of its entries
-    /// went in.  A source whose directory did not change answers the next
-    /// pull with the same `Rc` (its kept answer), and only this source's
-    /// merges write under `graft`, so that reply is already in the DIT.
-    /// Holding the `Rc` keeps its address from being reused by another
-    /// reply.
-    merged: Option<(Rc<MdsSearchResult>, usize)>,
+    /// The last reply merged under `graft`: the entries under `graft`
+    /// are exactly its entries, rebased.  A source whose directory did
+    /// not change answers the next pull with the same `Rc` (its kept
+    /// answer), so that reply is already in the DIT.  Holding the `Rc`
+    /// keeps its address from being reused by another reply.
+    merged: Option<Rc<MdsSearchResult>>,
+}
+
+impl Registration {
+    /// Make the entries under `graft` in `dit` exactly `reply`'s, rebased.
+    /// A pull is `search_all(remote_suffix)`, so every entry of the reply
+    /// belongs under the graft, and only this source's merges write
+    /// there.
+    fn merge(&mut self, dit: &mut Dit, reply: Rc<MdsSearchResult>) {
+        if self.merged.as_ref().is_some_and(|m| Rc::ptr_eq(m, &reply)) {
+            return;
+        }
+        let rebase = |dn: &Dn| {
+            dn.rebase(&self.remote_suffix, &self.graft)
+                .expect("a pulled entry lies under the source's suffix")
+        };
+        for e in &reply.entries {
+            let mut e = e.clone();
+            e.dn = rebase(&e.dn);
+            dit.upsert(e)
+                .expect("an upsert under the graft makes its parents");
+        }
+        // Entries the source no longer answers leave the graft.  A
+        // vanished entry's subtree vanished with it, so it may be gone.
+        if let Some(prev) = &self.merged {
+            let answered: HashSet<&Dn> = reply.entries.iter().map(|e| &e.dn).collect();
+            for e in prev.entries.iter().filter(|e| !answered.contains(&e.dn)) {
+                let dn = rebase(&e.dn);
+                if dit.get(&dn).is_some() {
+                    dit.remove_subtree(&dn).expect("the entry is present");
+                }
+            }
+        }
+        self.merged = Some(reply);
+    }
 }
 
 struct PendingQuery {
@@ -117,9 +147,15 @@ impl Giis {
         self.registered.len()
     }
 
-    /// Total entries currently aggregated.
-    pub fn aggregated_entries(&self) -> usize {
-        self.dit.len()
+    /// The aggregate directory.
+    pub fn directory(&self) -> &Dit {
+        &self.dit
+    }
+
+    /// Where `source`'s entries are grafted, once a reply of it is merged.
+    pub fn graft(&self, source: SvcKey) -> Option<&Dn> {
+        let r = self.registered.get(&source)?;
+        r.merged.is_some().then_some(&r.graft)
     }
 
     /// Age of the *oldest* subtree data this GIIS would serve at `now`:
@@ -136,17 +172,16 @@ impl Giis {
 
     fn purge_expired(&mut self, now: SimTime) {
         let ttl = self.registration_ttl;
-        let dead: Vec<SvcKey> = self
-            .registered
-            .iter()
-            .filter(|(_, r)| now.saturating_since(r.last_seen) > ttl)
-            .map(|(&k, _)| k)
-            .collect();
-        for k in dead {
-            if let Some(r) = self.registered.remove(&k) {
-                let _ = self.dit.remove_subtree(&r.graft);
+        let dit = &mut self.dit;
+        self.registered.retain(|_, r| {
+            let alive = now.saturating_since(r.last_seen) <= ttl;
+            // A source has a graft once a reply of it was merged.
+            if !alive && r.merged.is_some() {
+                dit.remove_subtree(&r.graft)
+                    .expect("a merged source's graft");
             }
-        }
+            alive
+        });
     }
 
     /// Sources whose cache needs refreshing at `now`.
@@ -160,54 +195,6 @@ impl Giis {
             })
             .map(|(&k, _)| k)
             .collect()
-    }
-
-    /// Append the search `req` and its reply to `plan`.
-    fn search_plan(&mut self, req: &Rc<MdsRequest>, plan: Plan) -> Plan {
-        let MdsRequest::Search {
-            base,
-            scope,
-            filter,
-            attrs,
-        } = &**req;
-        // Kept until the aggregate directory changes; the simulated scan
-        // cost below is still charged per query.
-        let dit = &self.dit;
-        let result = self.kept.get(req, dit.generation(), |_| {
-            let hits = dit.search(base, *scope, filter);
-            // Attribute selection shrinks what goes on the wire.  The
-            // wire size is accounted without materializing a projection
-            // per hit — only the capped payload prefix below is ever
-            // cloned.
-            let bytes: u64 = 64
-                + match attrs {
-                    None => hits.iter().map(|e| e.wire_size()).sum::<u64>(),
-                    Some(sel) => hits.iter().map(|e| e.projected_wire_size(sel)).sum::<u64>(),
-                };
-            // For huge aggregate results only a prefix of the entries
-            // rides in the in-simulation payload (the wire size is exact
-            // either way); this keeps 500-GRIS query-all sweeps
-            // affordable.
-            let total = hits.len();
-            let entries: Vec<Entry> = hits
-                .into_iter()
-                .take(RESULT_ENTRY_CAP)
-                .map(|e| match attrs {
-                    None => e.clone(),
-                    Some(sel) => e.project(sel),
-                })
-                .collect();
-            Rc::new(MdsSearchResult {
-                total,
-                bytes,
-                entries,
-            })
-        });
-        let result = Rc::clone(result);
-        let cost = SEARCH_CPU_FIXED_US
-            + SEARCH_CPU_PER_ENTRY_US * self.dit.scan_size() as f64 * filter.cost() as f64;
-        let bytes = result.bytes;
-        plan.cpu(cost).reply(result, bytes)
     }
 }
 
@@ -251,8 +238,7 @@ impl Service for Giis {
         if stale.is_empty() {
             cx.obs.ev_with(now, || Ev::CacheHit { svc: me });
             cx.obs.incr("mds.cache_hits", 1);
-            let plan = cx.plan();
-            return self.search_plan(&req, plan);
+            return search_plan(&mut self.kept, &self.dit, &req, cx.plan());
         }
         cx.obs.ev_with(now, || Ev::CacheMiss { svc: me });
         cx.obs.incr("mds.cache_misses", 1);
@@ -280,44 +266,25 @@ impl Service for Giis {
     fn resume(&mut self, cont: u64, outcomes: &mut Vec<CallOutcome>, cx: &mut SvcCx) -> Plan {
         let q = self.pending.remove(&cont).expect("pending query");
         let now = cx.now;
-        // Merge per source.  A pull is a `search_all(remote_suffix)`, so
-        // every entry of a reply belongs under the answering source's
-        // graft; `merged` counts entries exactly as a full re-merge would,
-        // whether or not the DIT had to be touched.
+        // Merge per source; the merge is charged per entry replied, whether
+        // or not the DIT had to be touched.
         let mut merged = 0usize;
         for o in outcomes.drain(..) {
             let Some((payload, _bytes)) = o.response else {
                 continue; // source unreachable; soft state will purge it
             };
-            let source = q.pulled.get(o.index as usize);
-            let Some(r) = source.and_then(|k| self.registered.get_mut(k)) else {
+            let Some(r) = self.registered.get_mut(&q.pulled[o.index as usize]) else {
                 continue; // purged while the pull was in flight
             };
             r.last_data = Some(now);
-            let Ok(result) = payload.downcast::<MdsSearchResult>() else {
-                continue;
-            };
-            merged += match &r.merged {
-                Some((prev, n)) if Rc::ptr_eq(prev, &result) => *n,
-                _ => {
-                    let mut n = 0;
-                    for e in result.entries.iter() {
-                        if let Some(dn) = e.dn.rebase(&r.remote_suffix, &r.graft) {
-                            let mut e = e.clone();
-                            e.dn = dn;
-                            if self.dit.upsert(e).is_ok() {
-                                n += 1;
-                            }
-                        }
-                    }
-                    r.merged = Some((result, n));
-                    n
-                }
-            };
+            let result = payload
+                .downcast::<MdsSearchResult>()
+                .expect("a pull is answered with a search reply");
+            merged += result.entries.len();
+            r.merge(&mut self.dit, result);
         }
         let merge_cost = MERGE_CPU_PER_ENTRY_US * merged as f64;
-        let plan = cx.plan().cpu(merge_cost);
-        self.search_plan(&q.req, plan)
+        search_plan(&mut self.kept, &self.dit, &q.req, cx.plan().cpu(merge_cost))
     }
 
     fn on_timer(&mut self, _tag: u64, cx: &mut SvcCx) {
@@ -364,7 +331,7 @@ mod tests {
         results: Results,
     }
 
-    /// Per reply: total, response time, bytes, the reply itself.
+    /// Per reply: entries, response time, bytes, the reply itself.
     type Seen = (usize, f64, u64, Option<Rc<MdsSearchResult>>);
     type Results = Rc<std::cell::RefCell<Vec<Seen>>>;
 
@@ -393,7 +360,7 @@ mod tests {
                 let rt = (o.completed - o.submitted).as_secs_f64();
                 self.results
                     .borrow_mut()
-                    .push((r.total, rt, r.bytes, Some(r)));
+                    .push((r.entries.len(), rt, r.bytes, Some(r)));
             } else {
                 self.results.borrow_mut().push((usize::MAX, -1.0, 0, None));
             }
@@ -549,7 +516,7 @@ mod tests {
         }));
         net.start(&mut eng);
         eng.run_until(&mut net, SimTime::from_secs(60));
-        let total = warm.borrow()[0].0;
+        let all_n = warm.borrow()[0].0;
         // Query just one graft point.
         let registered = &net.service_as::<Giis>(giis).unwrap().registered;
         let graft = registered[&grises[1]].graft.clone();
@@ -570,7 +537,7 @@ mod tests {
         eng.run_until(&mut net, SimTime::from_secs(120));
         let part_n = part.borrow()[0].0;
         assert!(part_n > 0);
-        assert!(part_n * 3 < total, "part {part_n} of {total}");
+        assert!(part_n * 3 < all_n, "part {part_n} of {all_n}");
     }
 
     #[test]

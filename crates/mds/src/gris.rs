@@ -12,7 +12,7 @@
 
 use crate::proto::{GrisRegistration, MdsRequest, MdsSearchResult, REGISTRATION_BYTES};
 use crate::provider::ProviderSpec;
-use ldapdir::{Dit, Dn, Entry};
+use ldapdir::{Dit, Dn};
 use simcore::{SimDuration, SimTime};
 use simnet::trace::Ev;
 use simnet::{Kept, LockKey, Payload, Plan, Service, SvcCx, SvcKey};
@@ -35,6 +35,33 @@ pub const REGISTRATION_PERIOD: SimDuration = SimDuration(30_000_000);
 /// hence `load1`) near 1 even with hundreds of queued queries, matching
 /// Fig 7.
 pub const PROVIDER_CPU_FRACTION: f64 = 0.8;
+
+/// Append the search `req` over `dit` and its reply to `plan`: the
+/// reply GRIS and GIIS both send.  It is kept in `kept` until `dit`
+/// changes; the simulated scan cost is charged per query all the same.
+pub(crate) fn search_plan(
+    kept: &mut Kept<Rc<MdsRequest>, Rc<MdsSearchResult>>,
+    dit: &Dit,
+    req: &Rc<MdsRequest>,
+    plan: Plan,
+) -> Plan {
+    let MdsRequest::Search {
+        base,
+        scope,
+        filter,
+        attrs,
+    } = &**req;
+    let result = kept.get(req, dit.generation(), |_| {
+        Rc::new(MdsSearchResult::from_hits(
+            dit.search(base, *scope, filter),
+            attrs,
+        ))
+    });
+    let cost = SEARCH_CPU_FIXED_US
+        + SEARCH_CPU_PER_ENTRY_US * dit.scan_size() as f64 * filter.cost() as f64;
+    let (result, bytes) = (Rc::clone(result), result.bytes);
+    plan.cpu(cost).reply(result, bytes)
+}
 
 /// The GRIS service.
 pub struct Gris {
@@ -73,6 +100,11 @@ impl Gris {
             provider_runs: 0,
             kept: Kept::default(),
         }
+    }
+
+    /// The directory the providers fill.
+    pub fn directory(&self) -> &Dit {
+        &self.dit
     }
 
     /// Provider `i`, to change what its next run reports.
@@ -150,34 +182,8 @@ impl Service for Gris {
                 plan = plan.unlock(l);
             }
         }
-        // 2. Evaluate the search (kept until the directory changes; the
-        //    simulated scan cost below is still charged per query).
-        let dit = &self.dit;
-        let result = self.kept.get(&req, dit.generation(), |_| {
-            let MdsRequest::Search {
-                base,
-                scope,
-                filter,
-                attrs,
-            } = &*req;
-            let hits = dit.search(base, *scope, filter).into_iter();
-            let entries: Vec<Entry> = match attrs {
-                None => hits.cloned().collect(),
-                Some(sel) => hits.map(|e| e.project(sel)).collect(),
-            };
-            let bytes: u64 = 64 + entries.iter().map(Entry::wire_size).sum::<u64>();
-            Rc::new(MdsSearchResult {
-                total: entries.len(),
-                bytes,
-                entries,
-            })
-        });
-        let result = Rc::clone(result);
-        let MdsRequest::Search { filter, .. } = &*req;
-        let scan_cost = SEARCH_CPU_FIXED_US
-            + SEARCH_CPU_PER_ENTRY_US * self.dit.scan_size() as f64 * filter.cost() as f64;
-        let bytes = result.bytes;
-        plan.cpu(scan_cost).reply(result, bytes)
+        // 2. Evaluate the search.
+        search_plan(&mut self.kept, &self.dit, &req, plan)
     }
 
     fn on_timer(&mut self, _tag: u64, cx: &mut SvcCx) {

@@ -49,17 +49,30 @@ impl MdsRequest {
     }
 }
 
-/// A search result: the matching entries plus their serialized size.
-///
-/// `total` is the full hit count; for very large aggregate results the
-/// GIIS truncates the `entries` payload (the simulated wire size `bytes`
-/// still reflects every hit).  A server keeps the whole result as an
-/// `Rc` (a [`simnet::Kept`] answer) and answers repeated identical
-/// queries with clones of it.
+/// A search reply: every entry the search matched, projected to the
+/// request's attribute selection, and the bytes they put on the wire.
+/// A server keeps the whole reply as an `Rc` (a [`simnet::Kept`] answer)
+/// and answers repeated identical queries with clones of it.
 pub struct MdsSearchResult {
     pub entries: Vec<Entry>,
-    pub total: usize,
     pub bytes: u64,
+}
+
+impl MdsSearchResult {
+    /// The reply carrying `hits`, each projected to `attrs` when the
+    /// request selects attributes; its size is those entries' size.
+    pub(crate) fn from_hits<'a>(
+        hits: impl IntoIterator<Item = &'a Entry>,
+        attrs: &Option<Vec<String>>,
+    ) -> MdsSearchResult {
+        let hits = hits.into_iter();
+        let entries: Vec<Entry> = match attrs {
+            None => hits.cloned().collect(),
+            Some(sel) => hits.map(|e| e.project(sel)).collect(),
+        };
+        let bytes = 64 + entries.iter().map(Entry::wire_size).sum::<u64>();
+        MdsSearchResult { entries, bytes }
+    }
 }
 
 /// Soft-state registration sent by a GRIS to a GIIS (and GIIS to parent

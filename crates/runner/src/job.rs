@@ -23,8 +23,9 @@ use std::sync::Arc;
 /// simulation itself changes what a point measures.  v4 folds the
 /// scenario fingerprint (the canonical deployed topology) into every
 /// address; v5 marks the CPU step that no longer loses a task finishing
-/// at the instant of another submit.
-const CACHE_SCHEMA: &str = "gridmon-cache-v5";
+/// at the instant of another submit; v6 the GIIS that merges every entry
+/// a source answers.
+const CACHE_SCHEMA: &str = "gridmon-cache-v6";
 
 /// A schedulable experiment point: `spec` compiled at `x`, under the
 /// identity `key`.

@@ -54,12 +54,16 @@ fn main() {
         );
     }
 
+    let per_answer = |m: &Measurement| m.cpu_load / m.throughput.max(1e-9);
     println!(
         "\nthe hierarchy answers {:.1}x faster at {:.1}x the throughput:\n\
-         the top GIIS searches {branches} pre-merged branch directories\n\
-         instead of {n_gris} individually registered ones.",
+         the top GIIS keeps {branches} sources fresh instead of {n_gris},\n\
+         but merges and searches every entry of the fleet\n\
+         ({:.1} CPU-% per answered query, flat {:.1}).",
         flat.response_time / hier.response_time.max(1e-9),
         hier.throughput / flat.throughput.max(1e-9),
+        per_answer(&hier),
+        per_answer(&flat),
     );
     assert!(hier.throughput > flat.throughput);
 }

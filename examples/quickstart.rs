@@ -53,7 +53,7 @@ impl Client for Demo {
                 println!(
                     "[t={:>7.3}s] user: {} entries, {} bytes on the wire, {:.3} s response time",
                     cx.now().as_secs_f64(),
-                    result.total,
+                    result.entries.len(),
                     wire_bytes,
                     rt
                 );

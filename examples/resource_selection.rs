@@ -63,7 +63,7 @@ impl Client for Broker {
         println!(
             "[t={:>6.2}s] broker: {} candidate devices across the grid:",
             cx.now().as_secs_f64(),
-            result.total
+            result.entries.len()
         );
         // Rank by the advertised metric (higher = better here).
         let mut best: Option<(&str, f64)> = None;
@@ -104,7 +104,7 @@ fn main() {
     println!(
         "\nGIIS summary: {} sites registered, {} entries aggregated, {} pulls",
         g.registered_count(),
-        g.aggregated_entries(),
+        g.directory().len(),
         g.pulls
     );
     assert_eq!(g.registered_count(), 5);

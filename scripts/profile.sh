@@ -4,11 +4,12 @@
 #   sh scripts/profile.sh [--runs N] [--grep REGEX] [--alloc N] BIN ARGS...
 #
 # Builds scripts/sampler.c (an LD_PRELOAD SIGPROF sampler: one leaf PC
-# per millisecond of CPU), runs `BIN ARGS...` N times under it (default
-# 1) with address randomization off, so every run has the same layout,
-# and symbolizes the merged samples once with addr2line.  The command's
-# own stdout goes to stderr.  Prints three tables, as shares of all
-# samples:
+# per millisecond of CPU as armed), runs `BIN ARGS...` N times under it
+# (default 1) with address randomization off, so every run has the same
+# layout, and symbolizes the merged samples once with addr2line.  The
+# command's own stdout goes to stderr.  Prints the samples taken per
+# CPU-second of the runs (the kernel may deliver fewer than the 1 000
+# armed), then three tables, as shares of all samples:
 #
 #   outermost  the function the PC is in once inlining is undone
 #   inclusive  any function in the PC's inline chain
@@ -94,6 +95,7 @@ awk -v bin="$bin" -v out="$tmp" '
         return "[unmapped]"
     }
     $1 == "allocs" { calls += $2; every = $3 }
+    $1 == "cpu" { cpu += $2 }
     $1 == "pc" {
         pc = hex($2); total++; where = object(pc)
         if (where == "") in_bin[sprintf("%x", pc - base)]++
@@ -113,14 +115,16 @@ awk -v bin="$bin" -v out="$tmp" '
     END {
         for (a in in_bin) { print a > (out "/addrs"); print a, in_bin[a] > (out "/counts"); inside += in_bin[a] }
         for (o in outside) print o, outside[o] > (out "/outside")
-        print total + 0, inside + 0, calls + 0, every + 0 > (out "/totals")
+        rate = cpu > 0 ? sprintf("%.0f", total / cpu) : "?"
+        print total + 0, inside + 0, calls + 0, every + 0, cpu + 0, rate > (out "/totals")
     }' "$tmp"/run*
-read -r total inside calls every <"$tmp/totals"
+read -r total inside calls every cpu rate <"$tmp/totals"
 if [ -n "$alloc" ]; then
     echo "$calls allocation calls over $runs run(s), one backtrace per $every:" \
         "$total samples, $inside inside $bin"
 else
-    echo "$total samples over $runs run(s), $inside inside $bin"
+    echo "$total samples over $runs run(s) and $cpu CPU-seconds ($rate per" \
+        "CPU-second, 1000 armed), $inside inside $bin"
 fi
 [ "$inside" -gt 0 ] || exit 1
 a2l=addr2line

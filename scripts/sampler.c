@@ -1,10 +1,12 @@
 /* A sampler, loaded into a program with LD_PRELOAD.  Two modes:
  *
- * CPU time (the default).  Every millisecond of CPU time the program
- * uses (ITIMER_PROF) the kernel interrupts it, and the handler records
- * the interrupted instruction pointer.  Only that leaf PC is kept:
- * walking the frame pointers from a signal handler is not safe on these
- * builds.
+ * CPU time (the default).  The profiling timer (ITIMER_PROF) is armed
+ * to interrupt the program every millisecond of CPU time it uses, and
+ * the handler records the interrupted instruction pointer.  Only that
+ * leaf PC is kept: walking the frame pointers from a signal handler is
+ * not safe on these builds.  The kernel may deliver fewer signals than
+ * armed (its timer tick bounds the rate), so the process's CPU time
+ * from getrusage() is written too, for the achieved rate.
  *
  * Allocations ($SAMPLER_ALLOC=N).  The library interposes malloc,
  * calloc, realloc and posix_memalign, forwards each call to glibc, and
@@ -12,8 +14,9 @@
  * flag keeps the unwinder's own allocations from sampling themselves.
  *
  * At exit the library writes /proc/self/maps ("map " lines) and the
- * samples ("pc " lines, or "bt " lines of return addresses, innermost
- * first, after an "allocs CALLS N" line) to the file named by
+ * samples ("pc " lines after a "cpu SECONDS" line, or "bt " lines of
+ * return addresses, innermost first, after an "allocs CALLS N" line) to
+ * the file named by
  * $SAMPLER_OUT.  scripts/profile.sh builds it, runs a command under it
  * and symbolizes the samples.  x86-64 Linux with glibc only. */
 #define _GNU_SOURCE
@@ -23,6 +26,7 @@
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
+#include <sys/resource.h>
 #include <sys/time.h>
 #include <ucontext.h>
 
@@ -136,6 +140,12 @@ __attribute__((destructor)) static void stop(void) {
                 fprintf(out, " %lx", (unsigned long)traces[i][d]);
             fputc('\n', out);
         }
+    } else {
+        struct rusage ru;
+        getrusage(RUSAGE_SELF, &ru);
+        fprintf(out, "cpu %.6f\n",
+                ru.ru_utime.tv_sec + ru.ru_stime.tv_sec +
+                    (ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) / 1e6);
     }
     unsigned long taken = n < MAX_SAMPLES ? n : MAX_SAMPLES;
     for (unsigned long i = 0; i < taken; i++)

@@ -44,7 +44,7 @@ impl Client for Prober {
         if let ReqResult::Ok(p, _) = o.result {
             let r = p.downcast::<MdsSearchResult>().unwrap();
             let rt = (o.completed - o.submitted).as_secs_f64();
-            self.results.borrow_mut().push((r.total, rt));
+            self.results.borrow_mut().push((r.entries.len(), rt));
         } else {
             self.results.borrow_mut().push((usize::MAX, -1.0));
         }

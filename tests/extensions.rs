@@ -27,17 +27,19 @@ fn ext(label: &str, x: u32, cfg: &RunConfig) -> Measurement {
 }
 
 #[test]
-fn hierarchy_beats_flat_aggregation() {
+fn hierarchy_answers_faster_without_offloading_the_top() {
     // The paper: "To achieve a higher scalability for an aggregate
     // information server, a multi-layer architecture ... should be
     // examined."  Examined: with 120 sources, a two-level hierarchy
-    // answers faster than a flat GIIS because the top level serves a
-    // smaller, pre-aggregated directory.
+    // answers more queries, and faster, than a flat GIIS.  Its top keeps
+    // five sources fresh instead of 120, so fewer queries wait on a pull;
+    // but it still merges and searches every entry of the fleet, so its
+    // host spends more CPU than the flat GIIS's, not less.
     for seed in SEEDS {
         let flat = ext("hier-flat", 120, &cfg(seed));
         let hier = ext("hier-tree", 120, &cfg(seed));
         assert!(
-            hier.throughput > 1.5 * flat.throughput,
+            hier.throughput > flat.throughput,
             "seed {seed}: flat {} vs hierarchical {}",
             flat.throughput,
             hier.throughput
@@ -47,6 +49,12 @@ fn hierarchy_beats_flat_aggregation() {
             "seed {seed}: flat rt {} vs hierarchical rt {}",
             flat.response_time,
             hier.response_time
+        );
+        assert!(
+            hier.cpu_load > flat.cpu_load,
+            "seed {seed}: flat CPU {} vs hierarchical CPU {}",
+            flat.cpu_load,
+            hier.cpu_load
         );
     }
 }
