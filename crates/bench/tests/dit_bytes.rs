@@ -67,7 +67,7 @@ fn per_entry(build: impl FnOnce() -> Vec<Dit>) -> (u64, usize) {
     let before = gperf::alloc::stats().unwrap().in_use;
     let dits = build();
     let after = gperf::alloc::stats().unwrap().in_use;
-    let entries: usize = dits.iter().map(Dit::len).sum();
+    let entries: usize = dits.iter().map(Dit::scan_size).sum();
     drop(dits);
     ((after - before) / entries as u64, entries)
 }

@@ -96,7 +96,7 @@ fn event_loop() {
     }
 
     // Warm-up: size the heap and the event slab.
-    eng.run_until(&mut world, SimTime::from_secs_f64(0.5));
+    eng.run_until(&mut world, SimTime(500_000));
     let fired_warm: u64 = world.fired.iter().sum();
     assert!(fired_warm > 10_000, "warm-up fired {fired_warm}");
 

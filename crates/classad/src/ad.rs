@@ -60,15 +60,6 @@ impl ClassAd {
         Self::default()
     }
 
-    /// Number of attributes.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Insert or replace an attribute.
     pub fn insert(&mut self, name: &str, expr: Expr) {
         self.wire.set(UNMEASURED);
@@ -107,50 +98,10 @@ impl ClassAd {
         self.set(name, Value::Bool(v));
     }
 
-    /// Parse and insert an attribute expression.
-    pub fn set_expr(&mut self, name: &str, src: &str) -> Result<(), ParseError> {
-        let e = parse_expr(src)?;
-        self.insert(name, e);
-        Ok(())
-    }
-
     /// Look up an attribute (case-insensitive).
     pub fn get(&self, name: &str) -> Option<&Expr> {
         let key = gintern::lookup_lower(name)?;
         self.index.get(&key).map(|&i| &self.entries[i].2)
-    }
-
-    /// Remove an attribute; returns whether it existed.
-    pub fn remove(&mut self, name: &str) -> bool {
-        let Some(key) = gintern::lookup_lower(name) else {
-            return false;
-        };
-        let Some(i) = self.index.remove(&key) else {
-            return false;
-        };
-        self.wire.set(UNMEASURED);
-        self.entries.remove(i);
-        // Reindex the tail.
-        for (j, (k, _, _)) in self.entries.iter().enumerate().skip(i) {
-            self.index.insert(*k, j);
-        }
-        true
-    }
-
-    /// Evaluate an attribute in this ad (no target).
-    pub fn lookup(&self, name: &str) -> Value {
-        match self.get(name) {
-            Some(_) => crate::eval::eval(&Expr::attr(name), self, None),
-            None => Value::Undefined,
-        }
-    }
-
-    /// Convenience accessor.
-    pub fn lookup_str(&self, name: &str) -> Option<String> {
-        match self.lookup(name) {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
     }
 
     /// Iterate `(printed_name, expr)` pairs in insertion order.
@@ -269,19 +220,25 @@ impl fmt::Display for ClassAd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::eval;
+
+    /// Evaluate attribute `name` in `ad` (no target), as a match does.
+    fn lookup(ad: &ClassAd, name: &str) -> Value {
+        eval(&Expr::attr(name), ad, None)
+    }
 
     #[test]
     fn insert_lookup_case_insensitive() {
         let mut ad = ClassAd::new();
         ad.set_int("CpuLoad", 42);
-        assert_eq!(ad.lookup("cpuload"), Value::Int(42));
-        assert_eq!(ad.lookup("CPULOAD"), Value::Int(42));
-        assert_eq!(ad.lookup("nope"), Value::Undefined);
-        assert_eq!(ad.len(), 1);
+        assert_eq!(lookup(&ad, "cpuload"), Value::Int(42));
+        assert_eq!(lookup(&ad, "CPULOAD"), Value::Int(42));
+        assert_eq!(lookup(&ad, "nope"), Value::Undefined);
+        assert_eq!(ad.iter().count(), 1);
         // Replacement keeps a single entry.
         ad.set_int("CPULOAD", 7);
-        assert_eq!(ad.len(), 1);
-        assert_eq!(ad.lookup("CpuLoad"), Value::Int(7));
+        assert_eq!(ad.iter().count(), 1);
+        assert_eq!(lookup(&ad, "CpuLoad"), Value::Int(7));
     }
 
     #[test]
@@ -294,9 +251,9 @@ mod tests {
              Loaded = Cpus > 1\n",
         )
         .unwrap();
-        assert_eq!(ad.len(), 3);
-        assert_eq!(ad.lookup_str("machine").as_deref(), Some("lucky3"));
-        assert_eq!(ad.lookup("Loaded"), Value::Bool(true));
+        assert_eq!(ad.iter().count(), 3);
+        assert_eq!(lookup(&ad, "machine"), Value::Str("lucky3".into()));
+        assert_eq!(lookup(&ad, "Loaded"), Value::Bool(true));
     }
 
     #[test]
@@ -325,23 +282,13 @@ mod tests {
     }
 
     #[test]
-    fn remove_and_reindex() {
-        let mut ad = ClassAd::parse("a = 1\nb = 2\nc = 3\n").unwrap();
-        assert!(ad.remove("B"));
-        assert!(!ad.remove("b"));
-        assert_eq!(ad.len(), 2);
-        assert_eq!(ad.lookup("c"), Value::Int(3));
-        assert_eq!(ad.lookup("a"), Value::Int(1));
-    }
-
-    #[test]
     fn merge_overrides() {
         let mut a = ClassAd::parse("x = 1\ny = 2\n").unwrap();
         let b = ClassAd::parse("y = 20\nz = 30\n").unwrap();
         a.merge(&b);
-        assert_eq!(a.lookup("y"), Value::Int(20));
-        assert_eq!(a.lookup("z"), Value::Int(30));
-        assert_eq!(a.len(), 3);
+        assert_eq!(lookup(&a, "y"), Value::Int(20));
+        assert_eq!(lookup(&a, "z"), Value::Int(30));
+        assert_eq!(a.iter().count(), 3);
     }
 
     #[test]

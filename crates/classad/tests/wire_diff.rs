@@ -8,7 +8,7 @@
 //! be dropped) with every way an ad can change, and the memo must stay
 //! invisible to `==`.
 
-use classad::{BinOp, ClassAd, Expr, Value};
+use classad::{parse_expr, BinOp, ClassAd, Expr, Value};
 use proptest::prelude::*;
 
 const NAMES: &str = "[a-dA-D]";
@@ -39,7 +39,6 @@ enum AdOp {
     SetStr(String, String),
     SetBool(String, bool),
     SetExpr(String, i64),
-    Remove(String),
     Merge(Vec<(String, Expr)>),
     /// Replace the ad by a clone of itself (the clone copies the memo).
     Clone,
@@ -53,7 +52,6 @@ fn ad_op_strategy() -> impl Strategy<Value = AdOp> {
         (NAMES, "[a-z \"]{0,12}").prop_map(|(n, v)| AdOp::SetStr(n, v)),
         (NAMES, any::<bool>()).prop_map(|(n, v)| AdOp::SetBool(n, v)),
         (NAMES, 0i64..100_000).prop_map(|(n, v)| AdOp::SetExpr(n, v)),
-        NAMES.prop_map(AdOp::Remove),
         proptest::collection::vec((NAMES, expr_strategy()), 0..4).prop_map(AdOp::Merge),
         Just(AdOp::Clone),
     ]
@@ -66,12 +64,11 @@ fn apply(ad: &mut ClassAd, op: &AdOp) {
         AdOp::SetReal(n, v) => ad.set_real(n, *v),
         AdOp::SetStr(n, v) => ad.set_str(n, v),
         AdOp::SetBool(n, v) => ad.set_bool(n, *v),
-        AdOp::SetExpr(n, v) => ad
-            .set_expr(n, &format!("TARGET.Memory > {v} && OpSys == \"LINUX\""))
-            .expect("literal expression parses"),
-        AdOp::Remove(n) => {
-            ad.remove(n);
-        }
+        AdOp::SetExpr(n, v) => ad.insert(
+            n,
+            parse_expr(&format!("TARGET.Memory > {v} && OpSys == \"LINUX\""))
+                .expect("literal expression parses"),
+        ),
         AdOp::Merge(attrs) => {
             let mut other = ClassAd::new();
             for (n, e) in attrs {

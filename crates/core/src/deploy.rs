@@ -1,9 +1,10 @@
 //! Deployment harness: the simulated testbed plus helpers to place the
 //! monitoring systems on it exactly as the paper did.
 
+use crate::ganglia::Monitor;
 use crate::runcfg::{Measurement, RunConfig};
 use crate::scenario::Probe;
-use ganglia::Monitor;
+use crate::testbed::Testbed;
 use gfaults::{FaultDriver, FaultPlan};
 use hawkeye::{default_modules, AdvertiserFleet, Agent, Manager};
 use ldapdir::Dn;
@@ -12,7 +13,6 @@ use rgma::{CompositeProducer, ConsumerServlet, ProducerServlet, Registry};
 use simcore::{Engine, SimDuration, SimTime};
 use simnet::trace::{Obs, ObsReport};
 use simnet::{ClientKey, Eng, Net, NodeId, ServiceConfig, StatsHub, SvcKey};
-use testbed::{Testbed, TestbedConfig};
 
 /// The observability harvest of a run: the traced events / metrics
 /// snapshot plus the label tables needed to render them (service slot →
@@ -47,14 +47,7 @@ pub struct Harness {
 impl Harness {
     /// Build the Lucky/UC testbed with the run's parameters.
     pub fn new(cfg: RunConfig) -> Harness {
-        let tb = Testbed::build(TestbedConfig {
-            wan_bps: cfg.params.wan_bps,
-            wan_latency: cfg.params.wan_latency,
-            ..TestbedConfig::default()
-        });
-        let Testbed {
-            topo, lucky, uc, ..
-        } = tb;
+        let Testbed { topo, lucky, uc } = Testbed::build(&cfg.params);
         let stats = StatsHub::new(cfg.window_start(), cfg.window_end());
         let mut net = Net::new(topo, stats);
         if cfg.obs.enabled() {

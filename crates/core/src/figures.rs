@@ -2,15 +2,14 @@
 //!
 //! Each experiment set yields four figures from the same runs (throughput,
 //! response time, load1, CPU load).  The sweep is expressed as a list of
-//! self-contained [`PointSpec`] jobs — one per `(series, x)` — so callers
-//! can execute them sequentially ([`run_set`]) or hand them to the
-//! parallel engine in `gridmon-runner`; both produce byte-identical
-//! results because every point derives its own seed from its key.
+//! self-contained [`PointSpec`] jobs — one per `(series, x)` — that the
+//! parallel engine in `gridmon-runner` executes in any order; results
+//! are byte-identical whatever the order because every point derives its
+//! own seed from its key.
 //! [`figure`] projects the metric a given figure plots.
 
-use crate::runcfg::{Measurement, Metric, RunConfig};
+use crate::runcfg::{Measurement, Metric};
 use crate::scenario::catalogue::{self, Series};
-use crate::scenario::{point_cfg, run_point};
 use std::fmt;
 
 /// One series of a figure: a label and `(x, y)` points.
@@ -205,23 +204,6 @@ pub fn assemble_set(set: u32, specs: &[PointSpec], results: &[Measurement]) -> S
         }
     }
     SetData { set, series }
-}
-
-/// Run one experiment set completely and sequentially — the pool-free
-/// reference the determinism tests hold `gridmon-runner` to.  `scale` in
-/// `(0, 1]` shrinks every swept x-value; 1.0 reproduces the paper's
-/// sweep.  The runner executes the same [`enumerate_set`] job list and
-/// yields byte-identical results.
-pub fn run_set(set: u32, cfg: &RunConfig, scale: f64) -> Result<SetData, FigureError> {
-    let specs = enumerate_set(set, scale)?;
-    let results: Vec<Measurement> = specs
-        .iter()
-        .map(|p| {
-            let spec = (p.series.spec)();
-            run_point(&spec, p.x, &point_cfg(&spec, &p.key(), cfg))
-        })
-        .collect();
-    Ok(assemble_set(set, &specs, &results))
 }
 
 /// Project one figure out of a set's measurements.

@@ -14,8 +14,6 @@
 //! the average over all the values recorded during a 10-minute time
 //! span").
 
-#![forbid(unsafe_code)]
-
 use simcore::stats::{LoadAvg, Series};
 use simcore::{SimDuration, SimTime};
 use simnet::{Client, ClientCx, NodeId};
@@ -201,7 +199,7 @@ mod tests {
         assert!(client_cpu < 5.0, "client cpu {client_cpu}");
         // Series lengths: one sample per 5s.
         let series = &monitor.host(server).unwrap().load1_series;
-        assert!(series.len() >= 59, "samples {}", series.len());
+        assert!(series.points.len() >= 59, "samples {}", series.points.len());
     }
 
     #[test]

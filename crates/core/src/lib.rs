@@ -29,7 +29,7 @@
 //!
 //! let cfg = RunConfig::quick(1);
 //! let series = scenario::catalogue::find("set1/MDS GRIS (cache)").unwrap();
-//! let m = scenario::run_point(&(series.spec)(), 50, &cfg);
+//! let m = scenario::compile(&(series.spec)(), 50, &cfg).run_and_measure(50.0);
 //! println!("50 users -> {:.1} queries/sec", m.throughput);
 //! ```
 
@@ -37,12 +37,14 @@
 
 pub mod deploy;
 pub mod figures;
+mod ganglia;
 pub mod mapping;
 pub mod params;
 pub mod report;
 pub mod runcfg;
 pub mod scenario;
 pub mod stablehash;
+mod testbed;
 
 pub use deploy::Harvest;
 pub use mapping::{component_mapping, Role, System};

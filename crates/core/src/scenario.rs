@@ -5,17 +5,17 @@
 //! spec at one x value in a fixed order — services in file order, then
 //! the Ganglia monitor, then the workload, then the fault schedule and
 //! resilience probe.  Compile, then [`Harness::run_and_measure`], is the
-//! one way any point runs ([`run_point`] does both), whether its spec
-//! was authored in TOML or comes from [`catalogue`],
-//! the tables holding the paper's sets, the resilience Set 5, the
-//! federation Set 6 and the Section-4 extension studies.
+//! one way any point runs, whether its spec was authored in TOML or comes
+//! from [`catalogue`], the tables holding the paper's sets, the
+//! resilience Set 5, the federation Set 6 and the Section-4 extension
+//! studies.
 //!
 //! Determinism contract: identical `(spec, x, cfg)` ⇒ identical
 //! trajectory.  Deployment order is spec file order; the t=0 start order
 //! and every RNG stream follow from it.
 
 use crate::deploy::{self, giis_suffix, gris_suffix, resolve_ttl, Harness};
-use crate::runcfg::{Measurement, RunConfig};
+use crate::runcfg::RunConfig;
 use crate::stablehash::{fnv1a64, mix64};
 use classad::{parse_expr, CompiledExpr};
 use gfaults::{FaultAction, FaultPlan, FaultSpec, Scenario, PARTITION_BPS};
@@ -30,7 +30,6 @@ use simcore::stats::MeanAccum;
 use simcore::{SimDuration, SimTime};
 use simnet::{Client, ClientCx, NodeId, Payload, SvcKey};
 use std::rc::Rc;
-use testbed::TestbedConfig;
 use workload::{QueryFactory, UserConfig};
 
 /// How often the resilience probe samples staleness/recovery.
@@ -243,12 +242,6 @@ pub fn point_cfg(spec: &ScenarioSpec, key: &str, base: &RunConfig) -> RunConfig 
     c
 }
 
-/// Run one `(spec, x)` point under `cfg` exactly as given: compile, run,
-/// measure.
-pub fn run_point(spec: &ScenarioSpec, x: u32, cfg: &RunConfig) -> Measurement {
-    compile(spec, x, cfg).run_and_measure(f64::from(x))
-}
-
 // ======================================================================
 // Workload
 // ======================================================================
@@ -431,7 +424,7 @@ fn build_plan(
             }
         }
         Scenario::Partition => {
-            let lan = TestbedConfig::default().lan_bps;
+            let lan = crate::testbed::LAN_BPS;
             for host in &hosts[..n.min(hosts.len())] {
                 for dir in ["up", "down"] {
                     let link = h
@@ -1580,9 +1573,16 @@ pub mod catalogue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runcfg::Measurement;
     use gscenario::parse;
     use simnet::ObsMode;
     use std::collections::BTreeSet;
+
+    /// One `(spec, x)` point under `cfg` exactly as given: compile, run,
+    /// measure.
+    fn run_point(spec: &ScenarioSpec, x: u32, cfg: &RunConfig) -> Measurement {
+        compile(spec, x, cfg).run_and_measure(f64::from(x))
+    }
 
     fn quick(seed: u64) -> RunConfig {
         let mut cfg = RunConfig::quick(seed);
@@ -1862,7 +1862,7 @@ query = "mds-search-all-gris0"
     /// the two must name exactly the same hosts.
     #[test]
     fn known_hosts_are_the_testbed_nodes() {
-        let tb = testbed::Testbed::build(TestbedConfig::default());
+        let tb = crate::testbed::Testbed::build(&crate::params::Params::default());
         let nodes: BTreeSet<String> = tb
             .topo
             .node_ids()

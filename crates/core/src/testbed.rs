@@ -18,37 +18,21 @@
 //! the WAN pipe — exactly the contention structure the paper's analysis
 //! relies on.
 
-#![forbid(unsafe_code)]
-
+use crate::params::Params;
 use simcore::SimDuration;
 use simnet::{LinkId, NodeId, Topology};
 
-/// Tunable testbed parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct TestbedConfig {
-    /// Access-link capacity on both sites (bits/s).
-    pub lan_bps: f64,
-    /// One-way latency of an access link.
-    pub lan_latency: SimDuration,
-    /// WAN capacity each direction (bits/s).
-    pub wan_bps: f64,
-    /// One-way WAN latency.
-    pub wan_latency: SimDuration,
-    /// Number of UC client machines.
-    pub uc_machines: usize,
-}
-
-impl Default for TestbedConfig {
-    fn default() -> Self {
-        TestbedConfig {
-            lan_bps: 100e6,
-            lan_latency: SimDuration::from_micros(100),
-            wan_bps: 40e6,
-            wan_latency: SimDuration::from_millis(5),
-            uc_machines: 20,
-        }
-    }
-}
+/// Access-link capacity on both sites (bits/s).
+pub const LAN_BPS: f64 = 100e6;
+/// One-way latency of an access link: 100 µs.
+const LAN_LATENCY: SimDuration = SimDuration(100);
+/// Number of UC client machines.
+const UC_MACHINES: usize = 20;
+/// The hostnames of the Lucky testbed (note: there is no `lucky2`, as in
+/// the paper's `lucky{0,1,3,..,7}`).
+const LUCKY_NAMES: [&str; 7] = [
+    "lucky0", "lucky1", "lucky3", "lucky4", "lucky5", "lucky6", "lucky7",
+];
 
 /// Access links of one host.
 #[derive(Debug, Clone, Copy)]
@@ -60,38 +44,29 @@ struct Access {
 /// The built testbed.
 pub struct Testbed {
     pub topo: Topology,
-    /// `lucky[i]` is the node whose hostname is `lucky_names()[i]`.
+    /// `lucky[i]` is the node whose hostname is `LUCKY_NAMES[i]`.
     pub lucky: Vec<NodeId>,
     /// UC client machines.
     pub uc: Vec<NodeId>,
-    pub config: TestbedConfig,
-}
-
-/// The hostnames of the Lucky testbed (note: there is no `lucky2`, as in
-/// the paper's `lucky{0,1,3,..,7}`).
-pub fn lucky_names() -> [&'static str; 7] {
-    [
-        "lucky0", "lucky1", "lucky3", "lucky4", "lucky5", "lucky6", "lucky7",
-    ]
 }
 
 impl Testbed {
-    /// Build the testbed with the given parameters.
-    pub fn build(config: TestbedConfig) -> Testbed {
+    /// Build the testbed, its WAN as `params` sets it.
+    pub fn build(params: &Params) -> Testbed {
         let mut topo = Topology::new();
         let mut lucky = Vec::new();
         let mut lucky_acc = Vec::new();
-        for name in lucky_names() {
+        for name in LUCKY_NAMES {
             // Two 1133 MHz CPUs; speed 1.0 is the reference core.
             let n = topo.add_node(name, 2, 1.0);
-            let up = topo.add_link(format!("{name}-up"), config.lan_bps, config.lan_latency);
-            let down = topo.add_link(format!("{name}-down"), config.lan_bps, config.lan_latency);
+            let up = topo.add_link(format!("{name}-up"), LAN_BPS, LAN_LATENCY);
+            let down = topo.add_link(format!("{name}-down"), LAN_BPS, LAN_LATENCY);
             lucky.push(n);
             lucky_acc.push(Access { up, down });
         }
         let mut uc = Vec::new();
         let mut uc_acc = Vec::new();
-        for i in 0..config.uc_machines {
+        for i in 0..UC_MACHINES {
             // Fifteen 1208 MHz (speed ≈ 1.066) and the rest ≥756 MHz
             // (speed ≈ 0.667), all uniprocessors with 248 MB RAM.
             let speed = if i < 15 {
@@ -101,14 +76,15 @@ impl Testbed {
             };
             let name = format!("uc{i:02}");
             let n = topo.add_node(&name, 1, speed);
-            let up = topo.add_link(format!("{name}-up"), config.lan_bps, config.lan_latency);
-            let down = topo.add_link(format!("{name}-down"), config.lan_bps, config.lan_latency);
+            let up = topo.add_link(format!("{name}-up"), LAN_BPS, LAN_LATENCY);
+            let down = topo.add_link(format!("{name}-down"), LAN_BPS, LAN_LATENCY);
             uc.push(n);
             uc_acc.push(Access { up, down });
         }
         // The WAN pipe, one link per direction.
-        let wan_to_anl = topo.add_link("wan-uc-to-anl", config.wan_bps, config.wan_latency);
-        let wan_to_uc = topo.add_link("wan-anl-to-uc", config.wan_bps, config.wan_latency);
+        let (wan_bps, wan_latency) = (params.wan_bps, params.wan_latency);
+        let wan_to_anl = topo.add_link("wan-uc-to-anl", wan_bps, wan_latency);
+        let wan_to_uc = topo.add_link("wan-anl-to-uc", wan_bps, wan_latency);
 
         // Routes: lucky <-> lucky over the ANL switch.
         for (i, &a) in lucky.iter().enumerate() {
@@ -133,12 +109,7 @@ impl Testbed {
                 topo.set_route(s, c, vec![lucky_acc[j].up, wan_to_uc, uc_acc[i].down]);
             }
         }
-        Testbed {
-            topo,
-            lucky,
-            uc,
-            config,
-        }
+        Testbed { topo, lucky, uc }
     }
 }
 
@@ -148,7 +119,7 @@ mod tests {
 
     #[test]
     fn builds_expected_shape() {
-        let tb = Testbed::build(TestbedConfig::default());
+        let tb = Testbed::build(&Params::default());
         assert_eq!(tb.lucky.len(), 7);
         assert_eq!(tb.uc.len(), 20);
         // 27 hosts * 2 access links + 2 WAN links.
@@ -159,7 +130,7 @@ mod tests {
 
     #[test]
     fn lan_routes_have_two_hops_wan_routes_three() {
-        let tb = Testbed::build(TestbedConfig::default());
+        let tb = Testbed::build(&Params::default());
         let l3 = tb.topo.find_node("lucky3").unwrap();
         let l7 = tb.topo.find_node("lucky7").unwrap();
         assert_eq!(tb.topo.route(l3, l7).len(), 2);
@@ -175,7 +146,7 @@ mod tests {
 
     #[test]
     fn cpu_speeds_match_the_paper() {
-        let tb = Testbed::build(TestbedConfig::default());
+        let tb = Testbed::build(&Params::default());
         let l = tb.topo.node(tb.lucky[0]);
         assert_eq!(l.cpu.cores(), 2);
         assert_eq!(l.cpu.speed(), 1.0);

@@ -160,13 +160,15 @@ impl Service for Agent {
 mod tests {
     use super::*;
     use crate::module::default_modules;
+    use classad::{Expr, Value};
 
     #[test]
     fn startd_ad_integrates_all_modules() {
         let ad = startd_ad("lucky4", &default_modules("lucky4", 11));
         // 4 base attrs + 4 per module.
-        assert_eq!(ad.len(), 4 + 11 * 4);
-        assert_eq!(ad.lookup_str("Machine").as_deref(), Some("lucky4"));
+        assert_eq!(ad.iter().count(), 4 + 11 * 4);
+        let machine = Expr::Lit(Value::Str("lucky4".into()));
+        assert_eq!(ad.get("Machine"), Some(&machine));
         assert!(ad.wire_size() > 1000);
     }
 

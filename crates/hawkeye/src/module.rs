@@ -90,7 +90,7 @@ mod tests {
         let names: std::collections::BTreeSet<_> = ms.iter().map(|m| m.name.clone()).collect();
         assert_eq!(names.len(), 11);
         for m in &ms {
-            assert!(m.attrs.len() >= 3);
+            assert!(m.attrs.iter().count() >= 3);
             assert!(m.attrs.wire_size() > 50);
         }
     }

@@ -80,19 +80,6 @@ impl Entry {
         self
     }
 
-    /// Remove an attribute entirely.
-    pub fn remove(&mut self, attr: &str) -> bool {
-        // Look first: don't split shared storage to remove nothing.
-        let run = gintern::lookup_lower(attr).map_or(0..0, |key| self.attrs.run(key));
-        if run.is_empty() {
-            return false;
-        }
-        let attrs = Rc::make_mut(&mut self.attrs);
-        attrs.bytes -= lines(attr.len(), &attrs.list[run.clone()]);
-        attrs.list.drain(run);
-        true
-    }
-
     /// All values of an attribute: its run of pairs.
     pub fn get(&self, attr: &str) -> &[Pair] {
         gintern::lookup_lower(attr).map_or(&[], |key| self.values(key))
@@ -107,22 +94,6 @@ impl Entry {
         &list[start..start + len]
     }
 
-    /// First value of an attribute.
-    pub fn first(&self, attr: &str) -> Option<&str> {
-        self.get(attr).first().map(|(_, v)| v.as_str())
-    }
-
-    pub fn has_attr(&self, attr: &str) -> bool {
-        !self.get(attr).is_empty()
-    }
-
-    /// Does any value of `attr` equal `value` case-insensitively?
-    pub fn has_value(&self, attr: &str, value: &str) -> bool {
-        self.get(attr)
-            .iter()
-            .any(|(_, v)| v.eq_ignore_ascii_case(value))
-    }
-
     /// Iterate `(attr, value)` lines: attributes in sorted order, each
     /// one's values in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
@@ -130,11 +101,6 @@ impl Entry {
             .list
             .iter()
             .map(|(k, v)| (k.as_str(), v.as_str()))
-    }
-
-    /// Number of attribute types.
-    pub fn attr_count(&self) -> usize {
-        self.attrs.list.chunk_by(|a, b| a.0 == b.0).count()
     }
 
     /// Do `self` and `other` share one attribute list (clone that has
@@ -182,22 +148,18 @@ mod tests {
         e
     }
 
+    /// The first value of `attr`, as `get` returns it.
+    fn first<'e>(e: &'e Entry, attr: &str) -> Option<&'e str> {
+        e.get(attr).first().map(|(_, v)| v.as_str())
+    }
+
     #[test]
     fn add_and_get_case_insensitive() {
         let e = entry();
         assert_eq!(e.get("OBJECTCLASS").len(), 2);
-        assert_eq!(e.first("mds-cpu-total-count"), Some("2"));
-        assert!(e.has_attr("ObjectClass"));
-        assert!(!e.has_attr("missing"));
+        assert_eq!(first(&e, "mds-cpu-total-count"), Some("2"));
+        assert!(!e.get("ObjectClass").is_empty());
         assert!(e.get("missing").is_empty());
-    }
-
-    #[test]
-    fn has_value_ignores_case() {
-        let e = entry();
-        assert!(e.has_value("objectclass", "mdshost"));
-        assert!(e.has_value("OBJECTCLASS", "MDSHOST"));
-        assert!(!e.has_value("objectclass", "MdsVo"));
     }
 
     #[test]
@@ -206,9 +168,7 @@ mod tests {
         e.put("Mds-Cpu-Total-count", "4");
         let key = gintern::intern("mds-cpu-total-count");
         assert_eq!(e.get("mds-cpu-total-count"), &[(key, "4".into())]);
-        assert!(e.remove("objectclass"));
-        assert!(!e.remove("objectclass"));
-        assert_eq!(e.attr_count(), 1);
+        assert_eq!(e.iter().count(), 3);
     }
 
     #[test]
@@ -216,7 +176,7 @@ mod tests {
         let e = entry();
         let p = e.project(&["OBJECTCLASS".to_string(), "missing".to_string()]);
         assert_eq!(p.dn, e.dn);
-        assert_eq!(p.attr_count(), 1);
+        assert_eq!(p.iter().count(), 2);
         assert_eq!(p.get("objectclass").len(), 2);
         assert!(p.wire_size() < e.wire_size());
     }
@@ -227,7 +187,7 @@ mod tests {
         // AsRef<str> slice) must not have to allocate owned vectors.
         let e = entry();
         let p = e.project(&["OBJECTCLASS", "missing"]);
-        assert_eq!(p.attr_count(), 1);
+        assert_eq!(p.iter().count(), 2);
         assert_eq!(p.get("objectclass").len(), 2);
         // ... and the owned form agrees with the borrowed one.
         let owned = vec!["OBJECTCLASS".to_string(), "missing".to_string()];
@@ -253,11 +213,7 @@ mod tests {
         // leaves the original untouched.
         copy.put("Mds-Cpu-Total-count", "8");
         assert!(!copy.shares_attrs_with(&e));
-        assert_eq!(e.first("mds-cpu-total-count"), Some("2"));
-        assert_eq!(copy.first("mds-cpu-total-count"), Some("8"));
-        // Removing an absent attr does not split sharing.
-        let mut copy2 = e.clone();
-        assert!(!copy2.remove("missing"));
-        assert!(copy2.shares_attrs_with(&e));
+        assert_eq!(first(&e, "mds-cpu-total-count"), Some("2"));
+        assert_eq!(first(&copy, "mds-cpu-total-count"), Some("8"));
     }
 }

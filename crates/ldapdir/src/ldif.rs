@@ -133,7 +133,7 @@ attr: v
 ";
         let parsed = parse_ldif(text).unwrap();
         assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].first("attr"), Some("v"));
+        assert_eq!(parsed[0].get("attr")[0].1.as_str(), "v");
     }
 
     #[test]

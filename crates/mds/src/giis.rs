@@ -638,9 +638,11 @@ mod tests {
             .put("Mds-cpu-metric", "4242");
         eng.run_until(&mut net, SimTime::from_secs(120));
         let sees_new_value = |r: &Seen| {
-            r.3.iter()
-                .flat_map(|reply| &reply.entries)
-                .any(|e| e.first("mds-cpu-metric") == Some("4242"))
+            r.3.iter().flat_map(|reply| &reply.entries).any(|e| {
+                e.get("mds-cpu-metric")
+                    .iter()
+                    .any(|(_, v)| v.as_str() == "4242")
+            })
         };
         let results = results.borrow();
         assert!(!sees_new_value(&results[0]));

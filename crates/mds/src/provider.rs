@@ -163,7 +163,7 @@ mod tests {
         for (pa, pb) in a.iter().zip(&b) {
             assert!(pa.entries[0].shares_attrs_with(&pb.entries[0]));
             assert!(!pa.entries[1].shares_attrs_with(&pb.entries[1]));
-            assert_eq!(pa.entries[1].first("Mds-Host-hn"), Some("a"));
+            assert_eq!(pa.entries[1].get("Mds-Host-hn")[0].1.as_str(), "a");
         }
     }
 

@@ -101,7 +101,7 @@ proptest! {
         for (op, pick, attr, value) in steps {
             let before_gen = dit.generation();
             let before = content(&dit);
-            let target = dit.iter().nth(pick % dit.len()).unwrap().clone();
+            let target = dit.iter().nth(pick % dit.scan_size()).unwrap().clone();
             let mut must_keep = false;
             match op {
                 // Re-announce the stored entry: a CoW clone ...
@@ -151,7 +151,7 @@ proptest! {
             if must_keep {
                 prop_assert!(!moved, "identical upsert moved the generation (op {op})");
             }
-            if dit.is_empty() {
+            if dit.scan_size() == 0 {
                 break; // the suffix was purged; nothing left to address
             }
             assert_same_search(&dit, &suffix, Scope::Sub, &filter);

@@ -58,18 +58,6 @@ impl Default for RunnerConfig {
     }
 }
 
-impl RunnerConfig {
-    /// A sequential, cacheless, silent configuration — the baseline the
-    /// determinism tests compare against.
-    pub fn sequential() -> Self {
-        RunnerConfig {
-            jobs: 1,
-            cache_dir: None,
-            quiet: true,
-        }
-    }
-}
-
 /// Execute `jobs` under `cfg`: resolve cache hits first, run the misses
 /// across the thread pool, store fresh results back.  Outputs are
 /// returned in job order regardless of scheduling.
@@ -166,7 +154,7 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridmon_core::figures::{self, assemble_set, enumerate_extensions, enumerate_set, SetData};
+    use gridmon_core::figures::{assemble_set, enumerate_extensions, enumerate_set, SetData};
     use gridmon_core::runcfg::Measurement;
     use gridmon_core::scenario::catalogue;
     use simcore::SimDuration;
@@ -180,6 +168,13 @@ mod tests {
         cfg.window = SimDuration::from_secs(15);
         cfg
     }
+
+    /// A sequential, cacheless, silent configuration.
+    const SEQUENTIAL: RunnerConfig = RunnerConfig {
+        jobs: 1,
+        cache_dir: None,
+        quiet: true,
+    };
 
     fn scratch_cache(tag: &str) -> PathBuf {
         let dir =
@@ -220,7 +215,7 @@ mod tests {
     fn parallel_equals_sequential_bit_for_bit() {
         let cfg = tiny_cfg(7);
         let scale = 0.02;
-        let seq = figures::run_set(1, &cfg, scale).unwrap();
+        let (seq, _) = pooled_set(1, &cfg, scale, &SEQUENTIAL);
         for jobs in [2, 4] {
             let rc = RunnerConfig {
                 jobs,
@@ -301,8 +296,7 @@ mod tests {
         let mut pristine = cfg;
         pristine.faults = gfaults::FaultSpec::NONE;
         for (job, out) in jobs.iter().zip(&together) {
-            let (alone, _) =
-                run_fresh(std::slice::from_ref(job), &cfg, &RunnerConfig::sequential());
+            let (alone, _) = run_fresh(std::slice::from_ref(job), &cfg, &SEQUENTIAL);
             assert_eq!(&alone[0], out, "{}", job.key());
             if !job.key().starts_with("set5/") {
                 assert_eq!(job.run(&pristine), *out, "{} saw the plan", job.key());
@@ -394,7 +388,7 @@ mod tests {
         let mut spec = spec_of("set6/MDS GIIS (3 branches)");
         spec.x_values = vec![3, 6];
         let jobs = Job::scenario_sweep(&spec).unwrap();
-        let (seq, _) = run_fresh(&jobs, &cfg, &RunnerConfig::sequential());
+        let (seq, _) = run_fresh(&jobs, &cfg, &SEQUENTIAL);
         let dir = scratch_cache("scenario");
         let rc = RunnerConfig {
             jobs: 8,
@@ -434,7 +428,7 @@ mod tests {
         let cfg = tiny_cfg(19);
         let jobs = Job::points(&enumerate_extensions());
         assert_eq!(jobs.len(), 15);
-        let (seq, _) = run_fresh(&jobs, &cfg, &RunnerConfig::sequential());
+        let (seq, _) = run_fresh(&jobs, &cfg, &SEQUENTIAL);
         let dir = scratch_cache("ext");
         let rc = RunnerConfig {
             jobs: 8,

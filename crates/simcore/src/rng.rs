@@ -95,21 +95,6 @@ impl SimRng {
         let u = 1.0 - self.next_f64();
         -mean * u.ln()
     }
-
-    /// `true` with probability `p`.
-    #[inline]
-    pub fn chance(&mut self, p: f64) -> bool {
-        self.next_f64() < p
-    }
-
-    /// Shuffle a slice (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        let n = xs.len();
-        for i in (1..n).rev() {
-            let j = self.next_below(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -184,15 +169,5 @@ mod tests {
         assert_eq!(a1.next_u64(), a2.next_u64());
         let mut b1 = SimRng::new(5).fork(2);
         assert_ne!(a1.next_u64(), b1.next_u64());
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SimRng::new(13);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 }

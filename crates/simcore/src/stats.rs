@@ -245,14 +245,6 @@ impl Series {
         self.points.push((t, v));
     }
 
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
     /// Mean of values with `start <= t < end`.
     pub fn mean_in(&self, start: SimTime, end: SimTime) -> f64 {
         let mut acc = MeanAccum::new();

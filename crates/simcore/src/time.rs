@@ -28,13 +28,6 @@ impl SimTime {
         SimTime(s * 1_000_000)
     }
 
-    /// Construct from (possibly fractional) seconds, rounding to the nearest
-    /// microsecond.
-    pub fn from_secs_f64(s: f64) -> Self {
-        debug_assert!(s >= 0.0, "negative SimTime");
-        SimTime((s * 1e6).round() as u64)
-    }
-
     /// Microseconds since simulation start.
     pub fn as_micros(self) -> u64 {
         self.0
@@ -176,7 +169,6 @@ mod tests {
     #[test]
     fn construction_round_trips() {
         assert_eq!(SimTime::from_secs(3).as_micros(), 3_000_000);
-        assert_eq!(SimTime::from_secs_f64(1.5).as_micros(), 1_500_000);
         assert_eq!(SimDuration::from_millis(2).as_micros(), 2_000);
         assert_eq!(SimDuration::from_secs_f64(0.25).as_secs_f64(), 0.25);
     }

@@ -591,7 +591,7 @@ mod tests {
         for tok in 0..40u64 {
             let mut path = Vec::new();
             for &l in &links {
-                if rng.chance(0.4) {
+                if rng.next_f64() < 0.4 {
                     path.push(l);
                 }
             }

@@ -445,11 +445,6 @@ impl Net {
         &self.services.get(key).expect("service").stats
     }
 
-    /// Number of in-flight requests (diagnostics).
-    pub fn inflight(&self) -> usize {
-        self.requests.len()
-    }
-
     /// What the flow network's re-levels have cost so far.
     pub fn flow_work(&self) -> RelevelWork {
         self.flows.work
@@ -1530,7 +1525,7 @@ mod tests {
         // RT must include at least 2 RTTs (~2ms) + 1ms CPU.
         assert!(got[0].1 > 0.003, "rt {}", got[0].1);
         assert!(got[0].1 < 0.1, "rt {}", got[0].1);
-        assert_eq!(net.inflight(), 0);
+        assert_eq!(net.live().requests, 0);
         assert_eq!(net.service_stats(svc).replies_sent, 1);
     }
 
@@ -1620,7 +1615,7 @@ mod tests {
         // burst arrives together so most are refused.
         assert_eq!(ok_n, 5, "refused={refused_n}");
         assert_eq!(net.services.get(svc).unwrap().conns.rejected_total, 15);
-        assert_eq!(net.inflight(), 0);
+        assert_eq!(net.live().requests, 0);
     }
 
     #[test]
@@ -1715,7 +1710,7 @@ mod tests {
         let got = got.borrow();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].0, "agg:2");
-        assert_eq!(net.inflight(), 0);
+        assert_eq!(net.live().requests, 0);
     }
 
     /// Service with a periodic timer that sends one-ways to a sink.
@@ -1781,7 +1776,7 @@ mod tests {
         let sink_svc: &Sink = net.service_as(sink).expect("downcast");
         assert_eq!(sink_svc.seen, 5);
         assert_eq!(net.service_stats(sink).oneways_received, 5);
-        assert_eq!(net.inflight(), 0);
+        assert_eq!(net.live().requests, 0);
     }
 
     /// Service exercising locks: two lock-guarded CPU sections.
@@ -1822,7 +1817,7 @@ mod tests {
         net.start(&mut eng);
         eng.run_until(&mut net, SimTime::from_secs(10));
         assert_eq!(ok.borrow().0, 3);
-        assert_eq!(net.inflight(), 0);
+        assert_eq!(net.live().requests, 0);
     }
 
     /// Service that fails every request after consuming some CPU.
@@ -1859,7 +1854,7 @@ mod tests {
         // Both fit the pool, both fail (Burst counts non-Ok in .1).
         assert_eq!(*ok.borrow(), (0, 2));
         // Conn and worker tokens were released: nothing leaks.
-        assert_eq!(net.inflight(), 0);
+        assert_eq!(net.live().requests, 0);
         // The pool is empty again: a fresh burst is admitted, not refused.
         let ok2 = std::rc::Rc::new(std::cell::RefCell::new((0u32, 0u32)));
         let late = net.add_client(Box::new(Burst {
@@ -1874,17 +1869,21 @@ mod tests {
         assert_eq!(net.services.get(svc).unwrap().conns.rejected_total, 0);
     }
 
-    /// Service whose plan sends a one-way notification mid-request.
+    /// Service whose plan sends a one-way notification mid-request, as
+    /// the Hawkeye Manager's trigger notifications do.
     struct Notifier {
         sink: SvcKey,
     }
 
     impl Service for Notifier {
         fn handle(&mut self, _req: Payload, _cx: &mut SvcCx) -> Plan {
-            Plan::new()
-                .cpu(500.0)
-                .send(self.sink, Rc::new(String::from("note")), 256)
-                .reply(Rc::new(()), 64)
+            let mut plan = Plan::new().cpu(500.0);
+            plan.steps.push(Step::Send {
+                to: self.sink,
+                payload: Rc::new(String::from("note")),
+                bytes: 256,
+            });
+            plan.reply(Rc::new(()), 64)
         }
         fn name(&self) -> &str {
             "notifier"
@@ -1918,7 +1917,7 @@ mod tests {
         assert_eq!(ok.borrow().0, 4);
         let sink_ref: &Sink = net.service_as(sink).unwrap();
         assert_eq!(sink_ref.seen, 4);
-        assert_eq!(net.inflight(), 0);
+        assert_eq!(net.live().requests, 0);
     }
 
     #[test]
@@ -2008,7 +2007,7 @@ mod tests {
         // ...yet the lock kept circulating: the well-behaved service
         // finished its lock-guarded sections.
         assert_eq!(*ok_good.borrow(), (2, 0));
-        assert_eq!(net.inflight(), 0);
+        assert_eq!(net.live().requests, 0);
     }
 
     /// Service whose plan unlocks a lock it never took.
@@ -2063,7 +2062,7 @@ mod tests {
             ok: rogue_ok.clone(),
         }));
         net.start(&mut eng);
-        eng.run_until(&mut net, SimTime::from_secs_f64(0.5));
+        eng.run_until(&mut net, SimTime(500_000));
         (net, eng, lock, held, rogue_ok)
     }
 
@@ -2185,7 +2184,7 @@ mod tests {
         eng.run_until(&mut net, SimTime::from_secs(120));
         assert_eq!(*ok.borrow(), (2, 0));
         assert_eq!(*log.borrow(), vec!["refused", "ok"]);
-        assert_eq!(net.inflight(), 0);
+        assert_eq!(net.live().requests, 0);
     }
 
     #[test]
@@ -2219,7 +2218,7 @@ mod tests {
         let got = got.borrow();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].0, "agg:1");
-        assert_eq!(net.inflight(), 0);
+        assert_eq!(net.live().requests, 0);
     }
 
     // ------------------------------------------------------------------
@@ -2243,12 +2242,16 @@ mod tests {
         }));
         net.start(&mut eng);
         // Let the request reach the server CPU, then pull the plug.
-        eng.run_until(&mut net, SimTime::from_secs_f64(0.01));
+        eng.run_until(&mut net, SimTime(10_000));
         net.crash_service(&mut eng, svc);
         assert!(net.service_down(svc));
         eng.run_until(&mut net, SimTime::from_secs(5));
         assert_eq!(got.borrow().as_slice(), &[(String::from("FAIL"), 0.0)]);
-        assert_eq!(net.inflight(), 0, "abort must leave no zombie requests");
+        assert_eq!(
+            net.live().requests,
+            0,
+            "abort must leave no zombie requests"
+        );
         // New connection attempts are refused while down.
         let got2 = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
         let late = net.add_client(Box::new(OneShot {
@@ -2272,7 +2275,7 @@ mod tests {
         eng.run_until(&mut net, SimTime::from_secs(20));
         assert_eq!(got3.borrow().len(), 1);
         assert_eq!(got3.borrow()[0].0, "echo:hi");
-        assert_eq!(net.inflight(), 0);
+        assert_eq!(net.live().requests, 0);
     }
 
     #[test]
@@ -2331,7 +2334,7 @@ mod tests {
         // Fires at 1 s, finds the service frozen and puts itself back on
         // the calendar instead of reaching `on_timer`.
         eng.run_until(&mut net, SimTime(thaw.0 - 1));
-        assert_eq!((eng.fired, eng.pending()), (1, 1));
+        assert_eq!(eng.fired, 1);
         assert_eq!(sent(&net), 0);
         // The re-armed copy is due exactly at the thaw.
         eng.run_until(&mut net, thaw);
@@ -2397,7 +2400,7 @@ mod tests {
         net.set_link_capacity(&mut eng, down, 1.0);
         eng.run_until(&mut net, SimTime::from_secs(5));
         assert!(got.borrow().is_empty(), "SYN cannot cross a partition");
-        assert!(net.inflight() > 0);
+        assert!(net.live().requests > 0);
         // Heal: the stalled transfer resumes at full rate.
         net.set_link_capacity(&mut eng, up, 100e6);
         net.set_link_capacity(&mut eng, down, 100e6);
@@ -2407,7 +2410,7 @@ mod tests {
         assert_eq!(got[0].0, "echo:hi");
         // The response only arrived after the heal at t=5s.
         assert!(got[0].1 > 5.0, "rt {}", got[0].1);
-        assert_eq!(net.inflight(), 0);
+        assert_eq!(net.live().requests, 0);
     }
 
     #[test]
@@ -2430,13 +2433,13 @@ mod tests {
             ok: ok.clone(),
         }));
         net.start(&mut eng);
-        eng.run_until(&mut net, SimTime::from_secs_f64(0.05));
+        eng.run_until(&mut net, SimTime(50_000));
         net.crash_service(&mut eng, svc);
         eng.run_until(&mut net, SimTime::from_secs(2));
         let (ok_n, not_ok) = *ok.borrow();
         assert_eq!(ok_n, 0);
         assert_eq!(not_ok, 6, "every queued/in-flight request fails on crash");
-        assert_eq!(net.inflight(), 0);
+        assert_eq!(net.live().requests, 0);
         net.restart_service(&mut eng, svc);
         let ok2 = std::rc::Rc::new(std::cell::RefCell::new((0u32, 0u32)));
         let late = net.add_client(Box::new(Burst {
@@ -2448,7 +2451,7 @@ mod tests {
         net.start_client(&mut eng, late);
         eng.run_until(&mut net, SimTime::from_secs(10));
         assert_eq!(*ok2.borrow(), (2, 0), "restarted pools admit new work");
-        assert_eq!(net.inflight(), 0);
+        assert_eq!(net.live().requests, 0);
     }
 
     /// Arms a 100 µs timer, then burns 100 µs of CPU; when the timer fires

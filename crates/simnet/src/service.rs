@@ -145,11 +145,6 @@ impl Plan {
         self
     }
 
-    pub fn send(mut self, to: SvcKey, payload: Payload, bytes: u64) -> Self {
-        self.steps.push(Step::Send { to, payload, bytes });
-        self
-    }
-
     pub fn call_all(mut self, calls: Vec<SubCall>, cont: u64) -> Self {
         self.steps.push(Step::CallAll { calls, cont });
         self

@@ -20,7 +20,8 @@ use simnet::net::Live;
 use simnet::trace::{Ev, TraceEvent};
 use simnet::{
     Client, ClientCx, Eng, LinkId, LockKey, Net, NodeId, Obs, ObsMode, Payload, Plan, ReqOutcome,
-    RequestSpec, Service, ServiceConfig, SetupCost, StatsHub, SubCall, SvcCx, SvcKey, Topology,
+    RequestSpec, Service, ServiceConfig, SetupCost, StatsHub, Step, SubCall, SvcCx, SvcKey,
+    Topology,
 };
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -61,9 +62,12 @@ fn route_table(rng: &mut SimRng, links: &[LinkId]) -> Vec<Rc<[LinkId]>> {
     let n = 1 + rng.next_below(5);
     (0..n)
         .map(|_| {
-            let mut path: Vec<LinkId> =
-                links.iter().copied().filter(|_| rng.chance(0.35)).collect();
-            if !path.is_empty() && rng.chance(0.3) {
+            let mut path: Vec<LinkId> = links
+                .iter()
+                .copied()
+                .filter(|_| rng.next_f64() < 0.35)
+                .collect();
+            if !path.is_empty() && rng.next_f64() < 0.3 {
                 path.push(path[rng.next_below(path.len() as u64) as usize]);
             }
             path.into()
@@ -302,7 +306,7 @@ fn many_sources_through_one_downlink_are_certified() {
         }
         let path = &paths[rng.next_below(paths.len() as u64) as usize];
         f.start(Rc::clone(path), 200 + rng.next_below(4_000), tok);
-        if rng.chance(0.1) {
+        if rng.next_f64() < 0.1 {
             f.abort_nth(rng.next_u64());
         }
         f.check(&format!("start {tok}"));
@@ -327,7 +331,7 @@ fn run_schedule(caps: &[f64], seed: u64, steps: u64) {
         match rng.next_below(8) {
             0..=3 => {
                 let route = &routes[rng.next_below(routes.len() as u64) as usize];
-                let path = if rng.chance(0.5) {
+                let path = if rng.next_f64() < 0.5 {
                     Rc::clone(route)
                 } else {
                     Rc::from(&route[..])
@@ -475,7 +479,9 @@ proptest! {
         let forward: Vec<usize> = (0..n).collect();
         let mut shuffled: Vec<usize> = (0..n).collect();
         let mut rng = SimRng::new(seed);
-        rng.shuffle(&mut shuffled);
+        for i in (1..n).rev() {
+            shuffled.swap(i, rng.next_below(i as u64 + 1) as usize); // Fisher–Yates
+        }
         let a = run(&forward);
         let b = run(&shuffled);
         for i in 0..n {
@@ -628,7 +634,14 @@ impl Scripted {
                     .cpu(f64::from(us))
                     .unlock(self.lock(l)),
                 Op::Send(_) if self.lower.is_empty() => plan,
-                Op::Send(to) => plan.send(self.lower[to % self.lower.len()], Rc::new(()), 700),
+                Op::Send(to) => {
+                    plan.steps.push(Step::Send {
+                        to: self.lower[to % self.lower.len()],
+                        payload: Rc::new(()),
+                        bytes: 700,
+                    });
+                    plan
+                }
             };
         }
         plan

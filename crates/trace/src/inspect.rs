@@ -325,7 +325,9 @@ pub fn render(s: &TraceSummary) -> String {
     if s.refused > 0 {
         let _ = writeln!(out, "  {:<28} {:>8}", "reported refused conns", s.refused);
     }
-    for c in s.causes.iter().take(10) {
+    // Rows are bounded by event kinds × services: print every one, so
+    // the service a trace is about cannot fall off the end.
+    for c in &s.causes {
         let _ = writeln!(out, "  {:<28} {:>8}", c.cause, c.count);
     }
     out
@@ -489,6 +491,23 @@ mod tests {
             .causes
             .iter()
             .any(|c| c.cause == "span outcome: refused" && c.count == 1));
+    }
+
+    #[test]
+    fn render_prints_every_cause_row() {
+        let doc = chrome_trace(&meta(200.0), &span_events(1, 100, 300, 150), 0);
+        let mut s = summarize(&doc).unwrap();
+        s.causes = (0..20)
+            .map(|i| CauseRow {
+                cause: format!("cache_miss giis@lucky{i}"),
+                count: 100 - i,
+            })
+            .collect();
+        let text = render(&s);
+        for c in &s.causes {
+            let row = format!("  {:<28} {:>8}", c.cause, c.count);
+            assert!(text.lines().any(|l| l == row), "missing {row:?} in\n{text}");
+        }
     }
 
     #[test]

@@ -14,13 +14,13 @@
 //! ```
 
 use gridmon::core::runcfg::{Measurement, RunConfig};
-use gridmon::core::scenario::{catalogue, run_point};
+use gridmon::core::scenario::{catalogue, compile};
 use gridmon::simcore::SimDuration;
 
 /// The extension row `id` with `n_gris` GRISes.
 fn row(id: &str, n_gris: u32, cfg: &RunConfig) -> Measurement {
     let series = catalogue::find(id).expect("a catalogue row");
-    run_point(&(series.spec)(), n_gris, cfg)
+    compile(&(series.spec)(), n_gris, cfg).run_and_measure(f64::from(n_gris))
 }
 
 fn main() {

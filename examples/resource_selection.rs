@@ -68,9 +68,9 @@ impl Client for Broker {
         // Rank by the advertised metric (higher = better here).
         let mut best: Option<(&str, f64)> = None;
         for e in result.entries.iter() {
-            let host = e.first("mds-host-hn").unwrap_or("?");
-            let metric: f64 = e
-                .first("mds-cpu-metric")
+            let first = |attr| e.get(attr).first().map(|(_, v)| v.as_str());
+            let host = first("mds-host-hn").unwrap_or("?");
+            let metric: f64 = first("mds-cpu-metric")
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(0.0);
             println!("    {host:<24} cpu-metric = {metric}");
@@ -104,7 +104,7 @@ fn main() {
     println!(
         "\nGIIS summary: {} sites registered, {} entries aggregated, {} pulls",
         g.registered_count(),
-        g.directory().len(),
+        g.directory().scan_size(),
         g.pulls
     );
     assert_eq!(g.registered_count(), 5);

@@ -15,10 +15,8 @@
 //! | [`mds`] | Globus MDS 2.1 model (providers, GRIS, GIIS) |
 //! | [`rgma`] | R-GMA 1.18 model (producers, servlets, registry) |
 //! | [`hawkeye`] | Hawkeye 0.1.4 model (modules, agent, manager) |
-//! | [`ganglia`] | 5-second host metric sampling |
-//! | [`testbed`] | the simulated Lucky/UC platform |
 //! | [`workload`] | closed-loop simulated users |
-//! | [`core`] | the comparative study: scenario compiler, series catalogue, figures, reports |
+//! | [`core`] | the comparative study: the Lucky/UC testbed, Ganglia host sampling, scenario compiler, series catalogue, figures, reports |
 //!
 //! Start with the `quickstart` example, then see
 //! [`core::scenario::catalogue`] for the series of the paper's four
@@ -28,7 +26,6 @@
 #![forbid(unsafe_code)]
 
 pub use classad;
-pub use ganglia;
 pub use gridmon_core as core;
 pub use hawkeye;
 pub use ldapdir as ldap;
@@ -37,5 +34,4 @@ pub use relsql;
 pub use rgma;
 pub use simcore;
 pub use simnet;
-pub use testbed;
 pub use workload;

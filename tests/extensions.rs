@@ -5,7 +5,7 @@
 //! must hold at every seed below, not at one lucky one.
 
 use gridmon::core::runcfg::{Measurement, RunConfig};
-use gridmon::core::scenario::{catalogue, run_point};
+use gridmon::core::scenario::{catalogue, compile};
 use gridmon::simcore::SimDuration;
 
 const SEEDS: [u64; 3] = [55, 1977, 20030622];
@@ -23,7 +23,7 @@ fn ext(label: &str, x: u32, cfg: &RunConfig) -> Measurement {
     let row = catalogue::find(&id).unwrap_or_else(|| panic!("no extension row {id:?}"));
     let spec = (row.spec)();
     assert!(spec.x_values.contains(&x), "{id} is not defined at x={x}");
-    run_point(&spec, x, cfg)
+    compile(&spec, x, cfg).run_and_measure(f64::from(x))
 }
 
 #[test]

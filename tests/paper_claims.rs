@@ -6,7 +6,7 @@
 //! absolute numbers.
 
 use gridmon::core::runcfg::{Measurement, RunConfig};
-use gridmon::core::scenario::{catalogue, run_point};
+use gridmon::core::scenario::{catalogue, compile};
 use gridmon::core::Params;
 use gridmon::simcore::SimDuration;
 
@@ -27,7 +27,7 @@ fn point_with(id: &str, x: u32, ablate: impl FnOnce(&mut Params)) -> Measurement
     let series = catalogue::find(id).unwrap_or_else(|| panic!("no series {id:?}"));
     let mut cfg = cfg();
     ablate(&mut cfg.params);
-    run_point(&(series.spec)(), x, &cfg)
+    compile(&(series.spec)(), x, &cfg).run_and_measure(f64::from(x))
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //!
 //! The contract `gridmon-runner` makes is strong: for every figure
 //! series of every experiment set, the CSV a parallel run writes is
-//! **byte-identical** to the sequential runner's, whatever the worker
+//! **byte-identical** to a sequential run's, whatever the worker
 //! count, and a warm-cache run reproduces the same bytes without
 //! executing a single point.  These tests pin that contract on a
 //! scaled-down sweep of every set in the catalogue — the sweep carries
@@ -12,8 +12,8 @@
 
 use gridmon_core::figures::{self, assemble_set, enumerate_extensions, enumerate_set, SetData};
 use gridmon_core::report::csv;
-use gridmon_core::runcfg::RunConfig;
-use gridmon_core::scenario::{catalogue, DEFAULT_FAULTS};
+use gridmon_core::runcfg::{Measurement, RunConfig};
+use gridmon_core::scenario::{catalogue, compile, point_cfg, DEFAULT_FAULTS};
 use gridmon_runner::{Job, RunnerConfig};
 use simcore::SimDuration;
 use std::collections::BTreeMap;
@@ -30,6 +30,28 @@ fn cfg() -> RunConfig {
 }
 
 const SCALE: f64 = 0.02;
+
+/// The pool-free reference: every point of `set` compiled and run in
+/// order on this thread, as `Job::run` runs one.
+fn sequential_set(set: u32, cfg: &RunConfig, scale: f64) -> SetData {
+    let specs = enumerate_set(set, scale).unwrap();
+    let results: Vec<Measurement> = specs
+        .iter()
+        .map(|p| {
+            let spec = (p.series.spec)();
+            let cfg = point_cfg(&spec, &p.key(), cfg);
+            compile(&spec, p.x, &cfg).run_and_measure(f64::from(p.x))
+        })
+        .collect();
+    assemble_set(set, &specs, &results)
+}
+
+/// A sequential, cacheless, silent configuration.
+const SEQUENTIAL: RunnerConfig = RunnerConfig {
+    jobs: 1,
+    cache_dir: None,
+    quiet: true,
+};
 
 /// One experiment set through the pool: enumerate, run, assemble.
 /// Returns the set's data and what the sweep recorded.
@@ -77,8 +99,8 @@ fn scratch_cache(tag: &str) -> PathBuf {
 fn every_figure_csv_is_byte_identical_across_job_counts() {
     for set in catalogue::sets() {
         let cfg = cfg();
-        // The in-crate sequential runner is the reference.
-        let reference = csvs_of(&figures::run_set(set, &cfg, SCALE).unwrap());
+        // The pool-free sequential run is the reference.
+        let reference = csvs_of(&sequential_set(set, &cfg, SCALE));
         assert!(!reference.is_empty());
         for jobs in [1, 2, 8] {
             let rc = RunnerConfig {
@@ -114,10 +136,10 @@ fn tracing_never_changes_figure_csvs() {
     let mut traced = base;
     traced.obs = gridmon_core::ObsMode::FULL;
     let ext = Job::points(&enumerate_extensions());
-    let plain = run(&ext, &base, &RunnerConfig::sequential());
+    let plain = run(&ext, &base, &SEQUENTIAL);
     let rc = RunnerConfig {
         jobs: 8,
-        ..RunnerConfig::sequential()
+        ..SEQUENTIAL
     };
     let observed = run(&ext, &traced, &rc);
     for ((job, plain), observed) in ext.iter().zip(&plain).zip(&observed) {
@@ -128,7 +150,7 @@ fn tracing_never_changes_figure_csvs() {
     }
 
     for set in catalogue::sets() {
-        let reference = csvs_of(&figures::run_set(set, &base, SCALE).unwrap());
+        let reference = csvs_of(&sequential_set(set, &base, SCALE));
         for jobs in [1, 8] {
             let rc = RunnerConfig {
                 jobs,
